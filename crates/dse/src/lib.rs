@@ -83,7 +83,7 @@ pub use eval::{
 };
 pub use explore::{ArchEval, Exploration, ExploreConfig, RunStats};
 pub use io::{from_csv, to_csv};
-pub use memo::{CompileCache, ShardedMap};
+pub use memo::{CompileCache, CoreSummary, ShardedMap};
 pub use oracle::{BenchGap, OracleConfig, OraclePoint, OracleReport, PointVerdict};
 pub use pareto::{frontier, frontier_soa, hypervolume, scatter, scatter_soa, ScatterPoint};
 pub use search::{

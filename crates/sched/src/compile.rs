@@ -203,14 +203,22 @@ pub fn try_compile_core_traced_in(
         ],
     );
     let t0 = trace.start();
-    let ddg = Ddg::build_in(&assignment.code, scratch);
+    // A move-free assignment (always, on one cluster) leaves the code as
+    // prepared, so its dependence graph is the prepared one.
+    let rebuilt;
+    let ddg = if assignment.move_count == 0 {
+        &prepared.ddg
+    } else {
+        rebuilt = Ddg::build_in(&assignment.code, scratch);
+        &rebuilt
+    };
     trace.stage(
         Stage::Ddg,
         t0,
         &[("critical_path", Value::U64(u64::from(ddg.critical_path())))],
     );
     let t0 = trace.start();
-    let schedule = match list::try_schedule_in(&assignment, &ddg, machine, fuel, scratch) {
+    let schedule = match list::try_schedule_in(&assignment, ddg, machine, fuel, scratch) {
         Ok(s) => s,
         Err(e) => {
             trace.stage(

@@ -14,20 +14,22 @@
 //!   of this one is complete (no software pipelining — matching the
 //!   unroll-and-list-schedule discipline of the Multiflow line).
 //!
-//! Engineering (see DESIGN.md §11): the ready list is a `Vec` of packed
-//! `(priority, index)` keys kept in descending order — newly eligible
+//! Engineering (see DESIGN.md §11): ready ops wait in one binary heap of
+//! packed `(priority, !index)` keys per (cluster, issue row) — ALU, IMUL,
+//! L1 port, L2 port. An op's issue verdict depends only on its own
+//! cluster's rows and on the higher-priority ops contending for them, and
+//! a row that refuses one op refuses every lower-priority op behind it,
+//! so each cycle pops a row's queue until its first refusal and stops: a
+//! cycle costs O(ops issued + rows), not O(ops ready). Newly eligible
 //! ops wait in a calendar ring bucketed by earliest legal cycle (O(1)
-//! per op; dependence latencies bound how far ahead a cycle can be),
-//! graduate as one batch sorted and merged in a single linear pass, so
-//! the per-cycle issue scan walks the ready ops in place and a failed
-//! attempt costs a word read. Issue slots are `u64` bitmask rows, port
-//! busy masks refresh once per cycle, op class and latency are read
+//! per op; dependence latencies bound how far ahead a cycle can be).
+//! Issue slots are `u64` bitmask rows, op class and latency are read
 //! from a packed side array, and every buffer lives in a caller-provided
 //! [`SchedScratch`]. Schedules, fuel verdicts, and
 //! [`crate::error::Fuel::spent`] step counts are bit-identical to the
-//! straightforward implementation — fuel still prices semantic scan
-//! events, not data-structure operations (`tests/sched_equivalence.rs`
-//! pins all three).
+//! straightforward flat-list implementation — fuel still prices semantic
+//! scan events (`1 + ops in play` per scan), not data-structure
+//! operations (`tests/sched_equivalence.rs` pins all three).
 
 use crate::cluster::Assignment;
 use crate::ddg::Ddg;
@@ -35,6 +37,7 @@ use crate::error::{Fuel, SchedError};
 use crate::loopcode::OpOrigin;
 use crate::scratch::{row_has_room, row_take, SchedScratch};
 use cfp_machine::{MachineResources, Mdes};
+use std::collections::BinaryHeap;
 
 /// Where one op landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +77,11 @@ impl Schedule {
 
 /// Hard cap so a scheduler bug cannot spin forever.
 const MAX_CYCLES: u32 = 1 << 20;
+
+/// Ready queues per cluster, one per issue row. The queue index within a
+/// cluster is the row's [`cfp_machine::UnitClass`] discriminant (ALU,
+/// IMUL, L1 port, L2 port); the branch unit has no queue.
+const ROWS: usize = 4;
 
 /// Ready-list priority function — an ablation knob. Critical-path
 /// priority is the classic choice (and this back end's default); source
@@ -195,12 +203,10 @@ pub fn schedule_with_fuel(
     )
 }
 
-/// Pack a ready-list key: priority in the high half, bit-inverted index
-/// in the low half, so descending key order is highest priority first
-/// and lowest index on ties — the exact order a sorted ready list
-/// produces. Indices are unique, so the order is total and no valid key
-/// is ever 0 (that would need op index `u32::MAX`), which frees 0 as the
-/// issued-op sentinel during a scan.
+/// Pack a ready-queue key: priority in the high half, bit-inverted index
+/// in the low half, so the greatest key is the highest priority and the
+/// lowest index on ties — the exact order a sorted ready list produces.
+/// Indices are unique, so the order is total.
 #[inline]
 fn ready_key(pri: u32, i: usize) -> u64 {
     (u64::from(pri) << 32) | u64::from(u32::MAX - i as u32)
@@ -233,14 +239,13 @@ pub fn schedule_with_fuel_in(
         pending,
         earliest,
         issue,
-        ready,
+        queues,
+        issued,
+        list_probes,
         cal,
-        stash,
         op_meta,
         port_base,
         port_free,
-        port_busy,
-        slot_rows,
         ..
     } = scratch;
 
@@ -252,36 +257,26 @@ pub fn schedule_with_fuel_in(
     issue.clear();
     issue.resize(n, u32::MAX);
 
-    // Per-(cluster, level) memory-port state: `port_free` holds each
-    // port's free-at cycle in one flat array (`port_base[2c + level]` is
-    // the slice start), `port_busy` mirrors it as a possibly-stale busy
-    // bitmask refreshed lazily when a port is requested.
+    // Per-(cluster, level) memory ports: `port_free` holds each port's
+    // free-at cycle in one flat array, `port_base[2c + level]` is the
+    // slice start.
     port_base.clear();
     port_base.push(0);
-    for c in 0..nc {
-        let prev = *port_base.last().expect("seeded");
-        port_base.push(prev + machine.clusters[c].l1_ports);
-        let prev = *port_base.last().expect("seeded");
-        port_base.push(prev + machine.clusters[c].l2_ports);
+    for cl in &machine.clusters {
+        for ports in [cl.l1_ports, cl.l2_ports] {
+            let prev = *port_base.last().expect("seeded");
+            port_base.push(prev + ports);
+        }
     }
     let total_ports = *port_base.last().expect("seeded") as usize;
     port_free.clear();
     port_free.resize(total_ports, 0);
-    port_busy.clear();
-    port_busy.resize(2 * nc, 0);
-
-    // Per-cycle issue-slot rows: one ALU row and one IMUL row per
-    // cluster, re-zeroed each cycle.
-    slot_rows.clear();
-    slot_rows.resize(2 * nc, 0);
 
     // Dense per-op descriptor `(reserved_cycles << CODE_BITS) | code`,
-    // straight from the machine description's reservation model, so the
-    // hot issue scan reads one packed word instead of chasing the full
-    // `SOp` structs (whose inline `Vec`s make the stride cache-hostile).
-    // The scan dispatches on the unit class the description binds each
-    // code to — fused classes registered by an extension set issue on
-    // the unit they upgrade with no scheduler change.
+    // straight from the machine description's reservation model. The
+    // unit class the description binds each code to picks the op's
+    // queue — fused classes registered by an extension set issue on the
+    // unit they upgrade with no scheduler change.
     op_meta.clear();
     op_meta.extend(code.ops.iter().map(|op| machine.mdes.packed_meta(op.class)));
     let unit_tab = machine.mdes.unit_codes();
@@ -291,15 +286,15 @@ pub fn schedule_with_fuel_in(
         Priority::SourceOrder => 0,
     };
 
-    // Enabled-but-unissued ops live in one of two structures: `ready`
-    // (operands available this cycle; a `Vec` of packed keys kept in
-    // descending order, scanned in place each cycle) or `cal` (operands
-    // still in flight; a calendar ring of buckets indexed by earliest
-    // legal cycle mod the ring width). An op enabled at cycle `t` has
-    // its earliest cycle in `(t, t + max edge latency]`, so a ring of
-    // `max edge latency + 1` buckets never aliases two distinct cycles
-    // and both enqueue and graduation are O(1) per op. `in_play` counts
-    // both structures — the population the old single ready list held,
+    // Enabled-but-unissued ops live in one of two structures: the ready
+    // queue of their (cluster, issue row) — operands available, waiting
+    // for a slot — or `cal` (operands still in flight; a calendar ring of
+    // buckets indexed by earliest legal cycle mod the ring width). An op
+    // enabled at cycle `t` has its earliest cycle in
+    // `(t, t + max edge latency]`, so a ring of `max edge latency + 1`
+    // buckets never aliases two distinct cycles. `in_play` counts both
+    // structures plus the ops bound to no row (never queued, never
+    // issued) — the population the original single ready list held,
     // which is what fuel is priced on.
     let w = 1 + ddg.edges().iter().map(|d| d.lat).max().unwrap_or(0) as usize;
     for bucket in cal.iter_mut() {
@@ -308,8 +303,12 @@ pub fn schedule_with_fuel_in(
     if cal.len() < w {
         cal.resize_with(w, Vec::new);
     }
-    ready.clear();
-    stash.clear();
+    for q in queues.iter_mut() {
+        q.clear(); // likewise
+    }
+    if queues.len() < ROWS * nc {
+        queues.resize_with(ROWS * nc, BinaryHeap::new);
+    }
     let mut in_play = 0_u64;
     for (i, &p) in pending.iter().enumerate() {
         if p == 0 && i != branch {
@@ -326,132 +325,93 @@ pub fn schedule_with_fuel_in(
         if t >= MAX_CYCLES {
             return Err(SchedError::CycleCapExceeded { cap: MAX_CYCLES });
         }
-        // Ops whose operands arrive at `t` graduate into the ready list:
-        // drain this cycle's calendar bucket, sort the batch descending,
-        // and merge it with the (already descending) survivors of
-        // earlier cycles in one backward pass. Failed attempts below
-        // never move, so a cycle with no graduates reuses the array
-        // untouched.
-        stash.clear();
+        // Ops whose operands arrive at `t` graduate into their row's
+        // queue. Branch places separately and codes with no registered
+        // row (unregistered fused classes, unknown codes) never issue:
+        // neither is queued.
         let bucket = &mut cal[t as usize % w];
         for &i in bucket.iter() {
             let i = i as usize;
-            stash.push(ready_key(pri_of(i), i));
-        }
-        bucket.clear();
-        if !stash.is_empty() {
-            stash.sort_unstable_by(|a, b| b.cmp(a));
-            let r = ready.len();
-            let b = stash.len();
-            ready.resize(r + b, 0);
-            let (mut i, mut j, mut k) = (r, b, r + b);
-            while j > 0 {
-                if i > 0 && ready[i - 1] < stash[j - 1] {
-                    ready[k - 1] = ready[i - 1];
-                    i -= 1;
-                } else {
-                    ready[k - 1] = stash[j - 1];
-                    j -= 1;
-                }
-                k -= 1;
+            let unit = unit_tab[(op_meta[i] & Mdes::CODE_MASK) as usize] as usize;
+            if unit < ROWS {
+                let c = assignment.cluster_of_op[i] as usize;
+                queues[ROWS * c + unit].push(ready_key(pri_of(i), i));
             }
         }
+        bucket.clear();
         // One fuel charge per issue scan, priced by the ops in play —
-        // identical to the sorted-list scheduler's accounting.
+        // identical to the flat-list scheduler's accounting.
         fuel.spend(1 + in_play)?;
-        for row in slot_rows.iter_mut() {
-            *row = 0;
-        }
-        // Port busy masks go stale between cycles; refresh each
-        // (cluster, level) at most once per cycle (ports taken this
-        // cycle stay busy, so one refresh at first use is exact).
-        let mut refreshed = 0_u64;
-        let mut issued_any = false;
-        for slot in ready.iter_mut() {
-            let i = key_index(*slot);
-            let c = assignment.cluster_of_op[i] as usize;
-            let cl = &machine.clusters[c];
-            let meta = op_meta[i];
-            let ok = match unit_tab[(meta & Mdes::CODE_MASK) as usize] {
-                // ALU slots (UnitClass::Alu)
-                0 => {
-                    let row = &mut slot_rows[2 * c];
-                    if row_has_room(*row, cl.alus) {
-                        row_take(row, cl.alus);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                // IMUL slots (UnitClass::Mul; also consumes an ALU slot)
-                1 if row_has_room(slot_rows[2 * c], cl.alus)
-                    && row_has_room(slot_rows[2 * c + 1], cl.mul_capable) =>
-                {
-                    row_take(&mut slot_rows[2 * c], cl.alus);
-                    row_take(&mut slot_rows[2 * c + 1], cl.mul_capable);
-                    true
-                }
-                unit @ (2 | 3) => {
-                    // Memory port, Level 1 or 2: take a port for the
-                    // reservation duration the description prescribes.
-                    let reserved = meta >> Mdes::CODE_BITS;
-                    let li = 2 * c + (unit as usize - 2);
-                    let base = port_base[li] as usize;
-                    let cnt = (port_base[li + 1] - port_base[li]) as usize;
-                    let free = &mut port_free[base..base + cnt];
-                    if cnt <= 64 {
-                        if li >= 64 || refreshed & (1_u64 << li) == 0 {
-                            if li < 64 {
-                                refreshed |= 1_u64 << li;
-                            }
-                            // Drop ports whose access completed by `t`.
-                            let mut busy = port_busy[li];
-                            let mut scan = busy;
-                            while scan != 0 {
-                                let p = scan.trailing_zeros();
-                                if free[p as usize] <= t {
-                                    busy &= !(1_u64 << p);
-                                }
-                                scan &= scan - 1;
-                            }
-                            port_busy[li] = busy;
-                        }
-                        let mask = if cnt == 64 {
-                            u64::MAX
-                        } else {
-                            (1_u64 << cnt) - 1
-                        };
-                        let avail = !port_busy[li] & mask;
-                        if avail == 0 {
-                            false
-                        } else {
-                            let p = avail.trailing_zeros();
-                            free[p as usize] = t + reserved;
-                            port_busy[li] |= 1_u64 << p;
-                            true
-                        }
-                    } else {
-                        // Graceful fallback for machines wider than the
-                        // mask: first-free linear scan, mask unused.
-                        match free.iter_mut().find(|free_at| **free_at <= t) {
-                            Some(free_slot) => {
-                                *free_slot = t + reserved;
-                                true
-                            }
-                            None => false,
-                        }
-                    }
-                }
-                // Branch places separately; codes with no registered row
-                // (unregistered fused classes, unknown codes) never issue.
-                _ => false,
+        issued.clear();
+        for (c, (cl, rows)) in machine
+            .clusters
+            .iter()
+            .zip(queues.chunks_exact_mut(ROWS))
+            .enumerate()
+        {
+            let [alu_q, mul_q, mem_qs @ ..] = rows else {
+                unreachable!("chunks of ROWS queues")
             };
-            if ok {
-                *slot = 0; // issued: sentinel, compacted below
+            // ALU and IMUL rows (UnitClass::Alu, UnitClass::Mul): a
+            // multiply also takes an ALU slot, so the two queues are
+            // walked as one descending stream. A full ALU row ends both;
+            // a full IMUL row only closes the multiply side.
+            let (mut alu_row, mut mul_row) = (0_u64, 0_u64);
+            let mut mul_open = true;
+            loop {
+                let a = alu_q.peek().copied();
+                let m = if mul_open {
+                    mul_q.peek().copied()
+                } else {
+                    None
+                };
+                let Some(key) = a.max(m) else { break };
+                *list_probes += 1;
+                if !row_has_room(alu_row, cl.alus) {
+                    break;
+                }
+                if m == Some(key) {
+                    if !row_has_room(mul_row, cl.mul_capable) {
+                        mul_open = false;
+                        continue;
+                    }
+                    row_take(&mut mul_row, cl.mul_capable);
+                    mul_q.pop();
+                } else {
+                    alu_q.pop();
+                }
+                row_take(&mut alu_row, cl.alus);
+                issued.push(key_index(key) as u32);
+            }
+            // Memory ports, Level 1 then 2: each issue takes the first
+            // free port for the reservation duration the description
+            // prescribes. Ports taken this cycle stay busy, so one
+            // forward cursor finds every first-free port of the cycle.
+            for (level, q) in mem_qs.iter_mut().enumerate() {
+                let li = 2 * c + level;
+                let free = &mut port_free[port_base[li] as usize..port_base[li + 1] as usize];
+                let mut p = 0;
+                while let Some(&key) = q.peek() {
+                    *list_probes += 1;
+                    while p < free.len() && free[p] > t {
+                        p += 1;
+                    }
+                    if p == free.len() {
+                        break;
+                    }
+                    let i = key_index(key);
+                    free[p] = t + (op_meta[i] >> Mdes::CODE_BITS);
+                    q.pop();
+                    issued.push(i as u32);
+                }
+            }
+        }
+        if !issued.is_empty() {
+            scheduled += issued.len();
+            in_play -= issued.len() as u64;
+            for &i in issued.iter() {
+                let i = i as usize;
                 issue[i] = t;
-                scheduled += 1;
-                issued_any = true;
-                in_play -= 1;
                 for d in ddg.succs(i) {
                     let to = d.to as usize;
                     pending[to] -= 1;
@@ -459,18 +419,15 @@ pub fn schedule_with_fuel_in(
                     if pending[to] == 0 && to != branch {
                         // Every dependence carries latency ≥ 1, so a
                         // newly enabled op is never eligible this cycle
-                        // and the ready list is stable during the scan.
+                        // and the queues are stable during the walk.
                         cal[earliest[to] as usize % w].push(to as u32);
                         in_play += 1;
                     }
                 }
             }
-        }
-        if issued_any {
-            ready.retain(|&key| key != 0);
-            // The old scheduler re-scanned after a productive pass and
-            // found nothing (monotone resources, latencies ≥ 1); charge
-            // that scan.
+            // The original scheduler re-scanned after a productive pass
+            // and found nothing (monotone resources, latencies ≥ 1);
+            // charge that scan.
             fuel.spend(1 + in_play)?;
         }
         t += 1;

@@ -3,7 +3,7 @@
 //! The design-space exploration runs the back end once per *unique*
 //! `(plan, scheduling signature)` pair — on the order of a thousand
 //! compilations per sweep — and every one of them used to allocate its
-//! working state from scratch: ready lists, reservation tables,
+//! working state from scratch: ready queues, reservation tables,
 //! dependence-count arrays, pressure diff arrays, cluster-assignment
 //! maps. [`SchedScratch`] owns all of that state instead. A worker
 //! thread creates one arena and threads it through
@@ -18,10 +18,13 @@
 //! later unit can observe. Reuse is therefore invisible: schedules,
 //! step counts, and fuel verdicts are bit-identical to the
 //! allocate-per-call implementation (asserted by
-//! `tests/sched_equivalence.rs`).
+//! `tests/sched_equivalence.rs`). The one value that does accumulate is
+//! the list scheduler's probe count ([`SchedScratch::list_probes`]), a
+//! statistic no compilation reads.
 
 use crate::ddg::Dep;
 use cfp_ir::Vreg;
+use std::collections::BinaryHeap;
 
 /// The scratch arena. Create one per worker thread (or use the
 /// convenience wrappers that create a throwaway arena per call) and
@@ -35,14 +38,13 @@ pub struct SchedScratch {
     pub(crate) pending: Vec<u32>,
     pub(crate) earliest: Vec<u32>,
     pub(crate) issue: Vec<u32>,
-    pub(crate) ready: Vec<u64>,
+    pub(crate) queues: Vec<BinaryHeap<u64>>,
+    pub(crate) issued: Vec<u32>,
+    pub(crate) list_probes: u64,
     pub(crate) cal: Vec<Vec<u32>>,
-    pub(crate) stash: Vec<u64>,
     pub(crate) op_meta: Vec<u32>,
     pub(crate) port_base: Vec<u32>,
     pub(crate) port_free: Vec<u32>,
-    pub(crate) port_busy: Vec<u64>,
-    pub(crate) slot_rows: Vec<u64>,
     // --- dependence-graph construction ---
     pub(crate) def_of: Vec<u32>,
     pub(crate) edge_buf: Vec<Dep>,
@@ -76,6 +78,14 @@ impl SchedScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Ready-queue probes (pops plus refused peeks) the list scheduler
+    /// has made through this arena since it was created — the clock-free
+    /// measure of issue-scan work (`bench_sched --check` guards it).
+    #[must_use]
+    pub fn list_probes(&self) -> u64 {
+        self.list_probes
     }
 }
 
@@ -119,7 +129,7 @@ mod tests {
     #[test]
     fn packed_keys_sort_by_priority_then_low_index() {
         // Descending key order must be highest priority first, lowest
-        // index on ties — the ready list's invariant.
+        // index on ties — the ready queues' invariant.
         let key = |pri: u32, idx: u32| (u64::from(pri) << 32) | u64::from(u32::MAX - idx);
         let mut keys = [key(7, 3), key(7, 1), key(9, 5)];
         keys.sort_unstable_by(|a, b| b.cmp(a));

@@ -2,7 +2,7 @@
 //!
 //! Times the hot path the exploration spends its life in —
 //! [`cfp_sched::try_compile_core_in`] (cluster assignment, CSR DDG
-//! build, sorted-ready-list scheduling, pressure analysis) with a reused
+//! build, per-row ready-queue scheduling, pressure analysis) with a reused
 //! [`cfp_sched::SchedScratch`] — plus the modulo scheduler, over the
 //! full kernel corpus crossed with a stratified + seeded-random sample
 //! of architectures. Std-only on purpose (no criterion): it runs under
@@ -14,10 +14,12 @@
 //!   corpus (keep-fastest of 3 reps) and write `BENCH_sched.json`.
 //!
 //!   `cargo run --release --bin bench_sched -- --check` — no timing:
-//!   recompute the deterministic step totals and fail (exit 1) if they
-//!   exceed the budgets committed in `results/sched_step_budget.json`.
-//!   Scheduler steps are semantic events (placements and ready-list
-//!   scans), bit-identical on every platform, so this is a perf
+//!   recompute the deterministic step and probe totals and fail (exit 1)
+//!   if they exceed the budgets committed in
+//!   `results/sched_step_budget.json`. Scheduler steps are semantic
+//!   events (placements and ready-list scans) and probes are the ready
+//!   queues' pops and refused peeks — the work an issue scan really
+//!   does — both bit-identical on every platform, so this is a perf
 //!   regression guard CI can enforce without ever reading a clock.
 
 use custom_fit::machine::{ArchSpec, MachineResources};
@@ -108,6 +110,7 @@ fn kernels() -> Vec<(String, custom_fit::ir::Kernel)> {
 struct PassTotals {
     units: u64,
     list_steps: u64,
+    list_probes: u64,
     modulo_units: u64,
     modulo_scheduled: u64,
     modulo_steps: u64,
@@ -123,6 +126,7 @@ fn run_pass(
     let mut t = PassTotals {
         units: 0,
         list_steps: 0,
+        list_probes: 0,
         modulo_units: 0,
         modulo_scheduled: 0,
         modulo_steps: 0,
@@ -133,6 +137,7 @@ fn run_pass(
     // the span bookkeeping: if tracing ever leaked steps or changed a
     // schedule, `--check` would fail.
     let mut trace = UnitTrace::disabled();
+    let probes_before = scratch.list_probes();
     for (ki, (name, _)) in corpus.iter().enumerate() {
         for (mi, (_, machine)) in machines.iter().enumerate() {
             let mut fuel = Fuel::unlimited();
@@ -175,6 +180,7 @@ fn run_pass(
             }
         }
     }
+    t.list_probes = scratch.list_probes() - probes_before;
     t
 }
 
@@ -222,18 +228,25 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let (Some(max_steps), Some(max_attempts)) = (
+        let (Some(max_steps), Some(max_probes), Some(max_attempts)) = (
             json_u64(&budget, "max_list_steps"),
+            json_u64(&budget, "max_list_probes"),
             json_u64(&budget, "max_ii_attempts"),
         ) else {
-            eprintln!("error: {BUDGET_FILE} is missing max_list_steps/max_ii_attempts");
+            eprintln!(
+                "error: {BUDGET_FILE} is missing max_list_steps/max_list_probes/max_ii_attempts"
+            );
             std::process::exit(2);
         };
         println!(
-            "list steps {} (budget {max_steps}), modulo II attempts {} (budget {max_attempts})",
-            totals.list_steps, totals.ii_attempts
+            "list steps {} (budget {max_steps}), list probes {} (budget {max_probes}), \
+             modulo II attempts {} (budget {max_attempts})",
+            totals.list_steps, totals.list_probes, totals.ii_attempts
         );
-        if totals.list_steps > max_steps || totals.ii_attempts > max_attempts {
+        if totals.list_steps > max_steps
+            || totals.list_probes > max_probes
+            || totals.ii_attempts > max_attempts
+        {
             eprintln!("error: scheduler step budget exceeded — the core regressed");
             std::process::exit(1);
         }
@@ -268,7 +281,7 @@ fn main() {
         "{{\n  \"benchmark\": \"scheduler core ({} kernels x {} architectures)\",\n  \
            \"reps\": {REPS},\n  \"units\": {},\n  \
            \"list_wall_s\": {:.4},\n  \"list_units_per_s\": {:.0},\n  \
-           \"list_steps\": {},\n  \
+           \"list_steps\": {},\n  \"list_probes\": {},\n  \
            \"modulo\": {{\"units\": {}, \"scheduled\": {}, \"steps\": {}, \
            \"ii_attempts\": {}}},\n  \
            \"full_pass_wall_s\": {:.4},\n  \"budget_file\": \"{BUDGET_FILE}\"\n}}\n",
@@ -278,6 +291,7 @@ fn main() {
         best_list,
         t.units as f64 / best_list,
         t.list_steps,
+        t.list_probes,
         t.modulo_units,
         t.modulo_scheduled,
         t.modulo_steps,
@@ -286,12 +300,13 @@ fn main() {
     );
     std::fs::write(&out, &json).expect("write benchmark report");
     println!(
-        "{} list-scheduled units in {:.3}s ({:.0}/s), {} scheduler steps; \
+        "{} list-scheduled units in {:.3}s ({:.0}/s), {} scheduler steps, {} queue probes; \
          modulo pipelined {}/{} units with {} II attempts",
         t.units,
         best_list,
         t.units as f64 / best_list,
         t.list_steps,
+        t.list_probes,
         t.modulo_scheduled,
         t.modulo_units,
         t.ii_attempts

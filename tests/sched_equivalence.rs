@@ -1,5 +1,5 @@
 //! The scheduler's data-structure engineering must be invisible: the
-//! CSR dependence graph, the sorted packed-key ready list, the bitmask
+//! CSR dependence graph, the per-row packed-key ready queues, the bitmask
 //! reservation rows, and the modulo scheduler's II-skip bound are all
 //! pure representation changes. This suite pins them to the
 //! straightforward implementations they replaced:
@@ -9,7 +9,11 @@
 //!    slots, transcribed verbatim — must produce the same schedule AND
 //!    the same fuel trace (`Fuel::spent`, exhaustion verdicts at tight
 //!    budgets, `SchedCore::steps`) as the production path on real
-//!    kernels across a stratified architecture sample;
+//!    kernels across a stratified architecture sample, and on seeded
+//!    synthetic instances aimed at the row interactions those kernels
+//!    under-sample (scarce multipliers, eight clusters, pipelined
+//!    Level-2, more than 64 ports, every extension set, an op with no
+//!    row to issue on, tight fuel);
 //! 2. an oracle modulo scheduler running the original full II search
 //!    (no infeasible-II skipping) must reach the same `(ii, slots, mii)`
 //!    — evidence the capacity bound only ever skips IIs that could not
@@ -19,15 +23,17 @@
 
 mod common;
 
-use cfp_testkit::cases;
-use custom_fit::machine::{ArchSpec, MachineResources};
+use cfp_testkit::{cases, Rng};
+use custom_fit::machine::{ArchSpec, ExtSet, MachineResources, UnitClass};
+use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::cluster::assign;
 use custom_fit::sched::{
-    omega_deps, prepare, rec_mii, res_mii, try_compile_core_in, try_modulo_schedule_in,
-    try_schedule_in, Assignment, Ddg, Dep, DepKind, FuClass, Fuel, OmegaDep, Placement, Priority,
-    SOp, SchedError, SchedScratch, Schedule,
+    omega_deps, prepare, rec_mii, res_mii, try_compile_core_in, try_compile_core_traced_in,
+    try_modulo_schedule_in, try_schedule_in, Assignment, Ddg, Dep, DepKind, FuClass, Fuel,
+    LoopCode, OmegaDep, OpOrigin, Placement, Priority, SOp, SchedError, SchedScratch, Schedule,
 };
+use std::collections::HashMap;
 
 /// The old scheduler's hard cycle cap (unchanged in the rewrite).
 const MAX_CYCLES: u32 = 1 << 20;
@@ -35,8 +41,13 @@ const MAX_CYCLES: u32 = 1 << 20;
 /// The original list scheduler, transcribed from the pre-rewrite source:
 /// one flat ready list re-sorted every cycle, per-cluster counter issue
 /// slots, per-port free-at vectors, and the re-scan-until-quiescent
-/// inner loop whose scans price the fuel. Only the dependence-graph
-/// accessors changed spelling (`ddg.preds[i]` → `ddg.pred_count(i)`).
+/// inner loop whose scans price the fuel. Three spellings changed: the
+/// dependence-graph accessors (`ddg.preds[i]` → `ddg.pred_count(i)`),
+/// the resource an op class issues on (read from the machine
+/// description's registered rows, so fused classes issue on the unit
+/// they upgrade and an unregistered class never issues), and a port's
+/// busy time (the description's reservation, which is the op's latency
+/// on the non-pipelined ports the original knew).
 fn oracle_schedule_with_fuel(
     assignment: &Assignment,
     ddg: &Ddg,
@@ -59,6 +70,11 @@ fn oracle_schedule_with_fuel(
     let mut l2_ports: Vec<Vec<u32>> = (0..nc)
         .map(|c| vec![0; machine.clusters[c].l2_ports as usize])
         .collect();
+
+    let mut unit_of = [None; 8];
+    for class in machine.mdes.registered_classes() {
+        unit_of[class.code() as usize] = Some(machine.mdes.op(class).unit);
+    }
 
     let mut ready: Vec<usize> = (0..n).filter(|&i| pending[i] == 0 && i != branch).collect();
     let mut scheduled = 0_usize;
@@ -91,8 +107,9 @@ fn oracle_schedule_with_fuel(
                     continue;
                 }
                 let c = assignment.cluster_of_op[i] as usize;
-                let ok = match code.ops[i].class {
-                    FuClass::Alu => {
+                let class = code.ops[i].class;
+                let ok = match unit_of[class.code() as usize] {
+                    Some(UnitClass::Alu) => {
                         if alu_used[c] < machine.clusters[c].alus {
                             alu_used[c] += 1;
                             true
@@ -100,7 +117,7 @@ fn oracle_schedule_with_fuel(
                             false
                         }
                     }
-                    FuClass::Mul => {
+                    Some(UnitClass::Mul) => {
                         if alu_used[c] < machine.clusters[c].alus
                             && mul_used[c] < machine.clusters[c].mul_capable
                         {
@@ -111,24 +128,21 @@ fn oracle_schedule_with_fuel(
                             false
                         }
                     }
-                    FuClass::MemL1 | FuClass::MemL2 => {
-                        let ports = if code.ops[i].class == FuClass::MemL2 {
+                    Some(unit @ (UnitClass::L1Port | UnitClass::L2Port)) => {
+                        let ports = if unit == UnitClass::L2Port {
                             &mut l2_ports[c]
                         } else {
                             &mut l1_ports[c]
                         };
                         match ports.iter_mut().find(|free_at| **free_at <= t) {
                             Some(slot) => {
-                                *slot = t + code.ops[i].latency;
+                                *slot = t + machine.reserved_cycles(class);
                                 true
                             }
                             None => false,
                         }
                     }
-                    FuClass::Branch => false,
-                    // The equivalence corpus never enables fused
-                    // extensions; the oracle predates them.
-                    _ => unreachable!("fused class in the unextended corpus"),
+                    Some(UnitClass::Branch) | None => false,
                 };
                 if ok {
                     issue[i] = t;
@@ -290,6 +304,274 @@ fn fuel_exhaustion_verdicts_are_identical_at_tight_budgets() {
                     assert_eq!(n.expect("exact budget suffices"), reference);
                 }
             }
+        }
+    }
+}
+
+/// A scheduling instance built directly rather than compiled: `n` ops
+/// whose classes are drawn from `classes` (repeat a class to weight
+/// it), each on a random cluster that has its unit, over a random
+/// forward DAG whose edge latencies reach past the producers' own (so
+/// the calendar ring is wider than any op latency), closed by the loop
+/// branch. The list scheduler reads nothing else of an assignment.
+fn synthetic(
+    rng: &mut Rng,
+    machine: &MachineResources,
+    classes: &[FuClass],
+    n: usize,
+) -> (Assignment, Ddg) {
+    let nc = machine.cluster_count();
+    let mut ops = Vec::with_capacity(n);
+    let mut cluster_of_op = Vec::with_capacity(n);
+    for i in 0..n {
+        let (class, origin) = if i + 1 == n {
+            (FuClass::Branch, OpOrigin::LoopBranch)
+        } else {
+            (*rng.pick(classes), OpOrigin::Body(i))
+        };
+        let legal: Vec<u32> = (0..nc)
+            .filter(|&c| {
+                let cl = &machine.clusters[c];
+                match machine.mdes.op(class).unit {
+                    UnitClass::Alu => cl.alus > 0,
+                    UnitClass::Mul => cl.alus > 0 && cl.mul_capable > 0,
+                    UnitClass::L1Port => cl.l1_ports > 0,
+                    UnitClass::L2Port => cl.l2_ports > 0,
+                    UnitClass::Branch => cl.has_branch,
+                }
+            })
+            .map(|c| c as u32)
+            .collect();
+        cluster_of_op.push(*rng.pick(&legal));
+        ops.push(SOp {
+            origin,
+            inst: None,
+            class,
+            latency: machine.latency(class),
+            def: None,
+            uses: Vec::new(),
+        });
+    }
+    let mut edges = Vec::new();
+    for to in 1..n {
+        for _ in 0..rng.index(3) {
+            edges.push(Dep {
+                from: rng.index(to) as u32,
+                to: to as u32,
+                lat: rng.range_u32(1..=9),
+                kind: DepKind::RegRaw,
+            });
+        }
+    }
+    let latencies: Vec<u32> = ops.iter().map(|o| o.latency).collect();
+    let ddg = Ddg::from_edges(&latencies, &edges);
+    let assignment = Assignment {
+        code: LoopCode {
+            ops,
+            live_ins: Vec::new(),
+            resident: Vec::new(),
+            carried: Vec::new(),
+            vreg_limit: 0,
+        },
+        cluster_of_op,
+        home_of: HashMap::new(),
+        move_count: 0,
+    };
+    (assignment, ddg)
+}
+
+/// Production and oracle portfolios on one instance: equal schedule or
+/// error and equal fuel spent, under unlimited fuel and down a ladder of
+/// budgets from one step to exactly enough.
+fn assert_matches_oracle(
+    assignment: &Assignment,
+    ddg: &Ddg,
+    machine: &MachineResources,
+    scratch: &mut SchedScratch,
+    what: &str,
+) {
+    let mut oracle_fuel = Fuel::unlimited();
+    let oracle = oracle_try_schedule(assignment, ddg, machine, &mut oracle_fuel);
+    let mut new_fuel = Fuel::unlimited();
+    let new = try_schedule_in(assignment, ddg, machine, &mut new_fuel, scratch);
+    assert_eq!(new, oracle, "{what}");
+    assert_eq!(new_fuel.spent(), oracle_fuel.spent(), "{what}");
+    let spent = new_fuel.spent();
+    for budget in [1, spent / 7, spent / 3, spent / 2, spent - 1, spent] {
+        let mut of = Fuel::limited(budget);
+        let o = oracle_try_schedule(assignment, ddg, machine, &mut of);
+        let mut nf = Fuel::limited(budget);
+        let n = try_schedule_in(assignment, ddg, machine, &mut nf, scratch);
+        assert_eq!(n, o, "{what} budget {budget}/{spent}");
+        assert_eq!(nf.spent(), of.spent(), "{what} budget {budget}/{spent}");
+        assert_eq!(
+            n.is_err(),
+            budget < spent || oracle.is_err(),
+            "{what} budget {budget}/{spent}"
+        );
+    }
+}
+
+const PLAIN: [FuClass; 4] = [FuClass::Alu, FuClass::Mul, FuClass::MemL1, FuClass::MemL2];
+
+#[test]
+fn row_queues_match_the_oracle_where_the_corpus_is_thin() {
+    let spec = |a, m, p2, l2, c| ArchSpec::new(a, m, 64 * c, p2, l2, c).expect("valid spec");
+    let mut machines: Vec<(String, MachineResources, Vec<FuClass>)> = Vec::new();
+    let mut add = |name: &str, s: ArchSpec, widen_l1: Option<u32>, classes: &[FuClass]| {
+        let mut machine = MachineResources::from_spec(&s);
+        if let Some(ports) = widen_l1 {
+            machine.clusters[0].l1_ports = ports;
+        }
+        machines.push((format!("{name} {s}"), machine, classes.to_vec()));
+    };
+    // Fewer multipliers than ALUs under multiply-heavy code: the IMUL
+    // row fills and closes while the ALU row it shares slots with stays
+    // open, one cluster and several.
+    let mul_heavy = [
+        FuClass::Mul,
+        FuClass::Mul,
+        FuClass::Mul,
+        FuClass::Alu,
+        FuClass::MemL2,
+    ];
+    add("scarce multipliers", spec(4, 1, 1, 4, 1), None, &mul_heavy);
+    add("scarce multipliers", spec(8, 2, 2, 4, 2), None, &mul_heavy);
+    add("scarce multipliers", spec(16, 4, 2, 2, 4), None, &mul_heavy);
+    // Eight clusters, some without a multiplier or a port.
+    add("eight clusters", spec(8, 4, 2, 4, 8), None, &PLAIN);
+    add("eight clusters", spec(16, 8, 4, 8, 8), None, &PLAIN);
+    // Level-2 ports that hold for the full latency, and ones that take
+    // an access every cycle.
+    let mem_heavy = [FuClass::MemL2, FuClass::MemL2, FuClass::MemL1, FuClass::Alu];
+    for l2 in [2, 8] {
+        add("blocking L2", spec(4, 2, 2, l2, 2), None, &mem_heavy);
+        add(
+            "pipelined L2",
+            spec(4, 2, 2, l2, 2).with_pipelined_l2(),
+            None,
+            &mem_heavy,
+        );
+    }
+    // More than 64 ports at a level, where a busy mask no longer fits a
+    // word (no spec deals more than one Level-1 port, so widen it here).
+    add("wide ports", spec(4, 2, 70, 4, 1), Some(66), &mem_heavy);
+    // Every extension set: each registered fused class issues on the
+    // row of the unit it upgrades.
+    for bits in 0..8 {
+        let exts = ExtSet::from_bits(bits).expect("three extension bits");
+        let mut classes = PLAIN.to_vec();
+        for fused in FuClass::FUSED {
+            if fused.ext().is_some_and(|e| exts.contains(e)) {
+                classes.extend([fused, fused]);
+            }
+        }
+        add(
+            "extension set",
+            spec(4, 1, 1, 4, 2).with_extensions(exts),
+            None,
+            &classes,
+        );
+    }
+
+    let mut scratch = SchedScratch::new();
+    for (mi, (name, machine, classes)) in machines.iter().enumerate() {
+        let mut rng = Rng::new(0x5EED_0012 + mi as u64);
+        for case in 0..40 {
+            let n = 2 + rng.index(70);
+            let (assignment, ddg) = synthetic(&mut rng, machine, classes, n);
+            let what = format!("{name} case {case} ({n} ops)");
+            assert_matches_oracle(&assignment, &ddg, machine, &mut scratch, &what);
+        }
+    }
+}
+
+#[test]
+fn an_op_with_no_registered_row_never_issues() {
+    // A multiply-add on a machine that did not buy the extension sits in
+    // play, priced by every scan, until the cycle cap or the fuel ends
+    // the run — the same way in both schedulers.
+    let spec = ArchSpec::new(4, 2, 128, 1, 4, 2)
+        .expect("valid spec")
+        .with_extensions(ExtSet::MINMAX);
+    let machine = MachineResources::from_spec(&spec);
+    let mut classes = PLAIN.to_vec();
+    classes.push(FuClass::FMinMax);
+    let mut rng = Rng::new(0x5EED_0013);
+    let (mut assignment, ddg) = synthetic(&mut rng, &machine, &classes, 24);
+    assignment.code.ops[5].class = FuClass::FMulAdd;
+
+    let mut scratch = SchedScratch::new();
+    let mut fuel = Fuel::unlimited();
+    let capped = try_schedule_in(&assignment, &ddg, &machine, &mut fuel, &mut scratch);
+    assert_eq!(
+        capped,
+        Err(SchedError::CycleCapExceeded { cap: MAX_CYCLES }),
+        "nothing can issue the op, so only the cap stops the run"
+    );
+    let mut oracle_fuel = Fuel::unlimited();
+    assert_eq!(
+        oracle_try_schedule(&assignment, &ddg, &machine, &mut oracle_fuel),
+        capped
+    );
+    assert_eq!(fuel.spent(), oracle_fuel.spent());
+
+    for budget in [1, 100, 10_000, fuel.spent() - 1] {
+        let mut of = Fuel::limited(budget);
+        let o = oracle_try_schedule(&assignment, &ddg, &machine, &mut of);
+        let mut nf = Fuel::limited(budget);
+        let n = try_schedule_in(&assignment, &ddg, &machine, &mut nf, &mut scratch);
+        assert_eq!(n, Err(SchedError::FuelExhausted { budget }));
+        assert_eq!(n, o, "budget {budget}");
+        assert_eq!(nf.spent(), of.spent(), "budget {budget}");
+    }
+}
+
+#[test]
+fn move_free_assignments_schedule_on_the_prepared_graph() {
+    // With no move inserted the assigned code is the prepared code, so
+    // the compile borrows the prepared dependence graph instead of
+    // building it again — and still reports its `ddg` span.
+    let (kernels, _) = corpus();
+    let specs = [
+        ArchSpec::baseline(),
+        ArchSpec::new(4, 2, 128, 1, 4, 1).expect("valid spec"),
+        ArchSpec::new(16, 8, 512, 4, 2, 1).expect("valid spec"),
+    ];
+    let mut scratch = SchedScratch::new();
+    for spec in &specs {
+        let machine = MachineResources::from_spec(spec);
+        for (ki, kernel) in kernels.iter().enumerate() {
+            let prepared = prepare(kernel, &machine);
+            let assignment = assign(&prepared.code, &prepared.ddg, &machine);
+            assert_eq!(assignment.move_count, 0, "{spec} kernel {ki}");
+            assert_eq!(
+                Ddg::build(&assignment.code),
+                prepared.ddg,
+                "{spec} kernel {ki}"
+            );
+
+            let rec = JsonlRecorder::new();
+            let mut trace = UnitTrace::new(&rec, 0);
+            let core = try_compile_core_traced_in(
+                &prepared,
+                &machine,
+                &mut Fuel::unlimited(),
+                &mut scratch,
+                &mut trace,
+            )
+            .expect("unlimited fuel");
+            let ddg_spans: Vec<_> = rec
+                .events()
+                .into_iter()
+                .filter(|e| e.stage == Stage::Ddg)
+                .collect();
+            assert_eq!(ddg_spans.len(), 1, "{spec} kernel {ki}");
+            assert_eq!(
+                ddg_spans[0].field("critical_path").and_then(|v| v.as_u64()),
+                Some(u64::from(core.critical_path)),
+                "{spec} kernel {ki}"
+            );
         }
     }
 }
