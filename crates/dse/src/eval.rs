@@ -13,6 +13,16 @@
 //! space, so optimized/unrolled kernels are precomputed once per
 //! `(benchmark, budget, unroll)` in a [`PlanCache`] and shared by all
 //! architectures.
+//!
+//! Building those plans runs each *distinct* optimization once. The
+//! optimizer reports the peak resident count its LICM calls reached, and
+//! a run that stayed under its budget is the run of every budget above
+//! that peak (`cfp_opt::optimize_budgeted_traced`), so one benchmark's
+//! pipeline ([`BenchPlans`]) keeps its runs and lets a later budget take
+//! an earlier one's result instead of repeating it. [`PlanCache`] and
+//! [`PlanStore`] both walk their keys in the same order over that one
+//! pipeline and intern what it hands back, so ids depend only on the
+//! kernels, never on which run produced them.
 
 use crate::error::{EvalError, FailReason};
 use crate::memo::CompileCache;
@@ -24,6 +34,7 @@ use cfp_sched::{
     SchedScratch,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Unroll factors the experiment sweeps, ascending.
 pub const UNROLL_SWEEP: [u32; 5] = [1, 2, 4, 8, 16];
@@ -73,6 +84,130 @@ impl PlanId {
     }
 }
 
+/// One optimizer run over a fixed input, with the certificate it came
+/// back with.
+#[derive(Debug)]
+struct OptRun {
+    budget: usize,
+    /// Peak resident count over the run's LICM calls.
+    peak: usize,
+    kernel: cfp_ir::Kernel,
+}
+
+impl OptRun {
+    fn new(mut kernel: cfp_ir::Kernel, budget: usize, trace: &mut UnitTrace<'_>) -> Self {
+        let peak = cfp_opt::optimize_budgeted_traced(&mut kernel, budget, trace);
+        OptRun {
+            budget,
+            peak,
+            kernel,
+        }
+    }
+
+    /// Whether `budget` would have made this very run on the same input:
+    /// trivially if it is the run's own budget, and otherwise when both
+    /// lie above the peak — LICM's one budget comparison then never held
+    /// here and would never hold there.
+    fn answers(&self, budget: usize) -> bool {
+        budget == self.budget || self.peak < self.budget.min(budget)
+    }
+}
+
+/// One benchmark's plan pipeline — optimize, unroll, re-optimize across
+/// the unrolled copies (where CSE turns a stencil's overlapping loads
+/// into a register window, the paper's central registers-for-bandwidth
+/// trade), fuse last — with every result kept, so each distinct
+/// optimization and each distinct fusing happens once however many
+/// budgets ask for it. Callers make a fresh one per benchmark; nothing
+/// is computed until the first [`BenchPlans::plan`] call, which keeps a
+/// fully warm [`PlanStore`] round free of it.
+#[derive(Debug, Default)]
+struct BenchPlans {
+    source: Option<cfp_ir::Kernel>,
+    /// Runs over the benchmark's own kernel: one per budget class.
+    base: Vec<OptRun>,
+    /// Runs over `unroll(base[i], u)`, tagged `(i, u)`.
+    unrolled: Vec<(usize, u32, OptRun)>,
+    /// `unrolled[j]`'s kernel fused for a non-empty extension set,
+    /// tagged `(j, set)`.
+    fused: Vec<(usize, ExtSet, cfp_ir::Kernel)>,
+    /// Optimizer runs made.
+    runs: u64,
+    /// Plans handed out from a run made for another budget.
+    shared: u64,
+}
+
+impl BenchPlans {
+    /// The plan for a key of this pipeline's benchmark, or `None` when
+    /// the unrolled body would exceed [`MAX_BODY_OPS`]. The scalar
+    /// pipeline never sees fused instructions: the fuse pass rewrites
+    /// its result.
+    fn plan(
+        &mut self,
+        (bench, budget, u, exts): PlanKey,
+        trace: &mut UnitTrace<'_>,
+    ) -> Option<&cfp_ir::Kernel> {
+        let bi = find_or_push(
+            &mut self.base,
+            |r| r.answers(budget),
+            || {
+                self.runs += 1;
+                let source = self.source.get_or_insert_with(|| bench.kernel());
+                OptRun::new(source.clone(), budget, trace)
+            },
+        );
+        let base = &self.base[bi].kernel;
+        if base.body.len() * (u as usize) > MAX_BODY_OPS {
+            return None;
+        }
+        let ui = find_or_push(
+            &mut self.unrolled,
+            |(i, f, r)| (*i, *f) == (bi, u) && r.answers(budget),
+            || {
+                self.runs += 1;
+                let run = OptRun::new(cfp_opt::unroll::unroll(base, u), budget, trace);
+                (bi, u, run)
+            },
+        );
+        let run = &self.unrolled[ui].2;
+        self.shared += u64::from(run.budget != budget);
+        if exts.is_empty() {
+            return Some(&run.kernel);
+        }
+        let fi = find_or_push(
+            &mut self.fused,
+            |(j, e, _)| (*j, *e) == (ui, exts),
+            || {
+                let mut kernel = run.kernel.clone();
+                cfp_opt::fuse::fuse(&mut kernel, fuse_targets(exts));
+                (ui, exts, kernel)
+            },
+        );
+        Some(&self.fused[fi].2)
+    }
+}
+
+/// Index of the first entry `wanted` accepts, pushing `make()` if none.
+fn find_or_push<T>(
+    entries: &mut Vec<T>,
+    wanted: impl Fn(&T) -> bool,
+    make: impl FnOnce() -> T,
+) -> usize {
+    entries.iter().position(wanted).unwrap_or_else(|| {
+        entries.push(make());
+        entries.len() - 1
+    })
+}
+
+/// Intern `kernel` by content into an append-only kernel vector.
+fn intern(kernels: &mut Vec<Arc<cfp_ir::Kernel>>, kernel: &cfp_ir::Kernel) -> PlanId {
+    // Plan counts are benches × budgets × unrolls — a few hundred at
+    // most, so the index always fits; saturating keeps the cast
+    // panic-free without inventing an unreachable error path.
+    let i = find_or_push(kernels, |k| **k == *kernel, || Arc::new(kernel.clone()));
+    PlanId(u32::try_from(i).unwrap_or(u32::MAX))
+}
+
 /// Precomputed optimized + unrolled kernels, interned by content.
 ///
 /// Kernels are held in `Arc`s so a [`PlanStore`] snapshot — a
@@ -80,7 +215,7 @@ impl PlanId {
 /// pointer clones rather than a deep copy of every kernel body.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    kernels: Vec<std::sync::Arc<cfp_ir::Kernel>>,
+    kernels: Vec<Arc<cfp_ir::Kernel>>,
     plans: HashMap<PlanKey, PlanId>,
 }
 
@@ -147,33 +282,22 @@ impl PlanCache {
         ext_sets.sort_unstable();
         ext_sets.dedup();
         let mut cache = PlanCache::default();
+        let (mut opt_runs, mut opt_shared) = (0, 0);
         for &b in benches {
-            let base = b.kernel();
+            let mut pipeline = BenchPlans::default();
             for &budget in &budgets {
-                let mut opt = base.clone();
-                cfp_opt::optimize_budgeted_traced(&mut opt, budget, trace);
                 for &u in unrolls {
-                    if opt.body.len() * (u as usize) > MAX_BODY_OPS {
-                        continue;
-                    }
-                    let mut unrolled = cfp_opt::unroll::unroll(&opt, u);
-                    // Re-optimize across the unrolled copies: this is
-                    // where CSE turns a stencil's overlapping loads into
-                    // a register window — the paper's central
-                    // registers-for-bandwidth trade.
-                    cfp_opt::optimize_budgeted_traced(&mut unrolled, budget, trace);
                     for &exts in &ext_sets {
-                        let id = if exts.is_empty() {
-                            cache.intern(unrolled.clone())
-                        } else {
-                            let mut fused = unrolled.clone();
-                            cfp_opt::fuse::fuse(&mut fused, fuse_targets(exts));
-                            cache.intern(fused)
-                        };
-                        cache.plans.insert((b, budget, u, exts), id);
+                        let key = (b, budget, u, exts);
+                        if let Some(kernel) = pipeline.plan(key, trace) {
+                            let id = intern(&mut cache.kernels, kernel);
+                            cache.plans.insert(key, id);
+                        }
                     }
                 }
             }
+            opt_runs += pipeline.runs;
+            opt_shared += pipeline.shared;
         }
         trace.stage(
             Stage::PlanBuild,
@@ -181,20 +305,11 @@ impl PlanCache {
             &[
                 ("plans", Value::U64(cache.len() as u64)),
                 ("unique_kernels", Value::U64(cache.unique_kernels() as u64)),
+                ("opt_runs", Value::U64(opt_runs)),
+                ("opt_shared", Value::U64(opt_shared)),
             ],
         );
         cache
-    }
-
-    fn intern(&mut self, kernel: cfp_ir::Kernel) -> PlanId {
-        // Plan counts are benches × budgets × unrolls — a few hundred at
-        // most, so the index always fits; saturating keeps the cast
-        // panic-free without inventing an unreachable error path.
-        if let Some(i) = self.kernels.iter().position(|k| **k == kernel) {
-            return PlanId(u32::try_from(i).unwrap_or(u32::MAX));
-        }
-        self.kernels.push(std::sync::Arc::new(kernel));
-        PlanId(u32::try_from(self.kernels.len() - 1).unwrap_or(u32::MAX))
     }
 
     /// Look up an extensionless plan.
@@ -283,21 +398,11 @@ struct PlanStoreInner {
     /// a [`PlanId`] handed out once stays valid for the store's
     /// lifetime — which is what lets a shared [`crate::CompileCache`]
     /// key on them across jobs.
-    kernels: Vec<std::sync::Arc<cfp_ir::Kernel>>,
+    kernels: Vec<Arc<cfp_ir::Kernel>>,
     /// `(benchmark, budget, unroll, extensions)` → interned id, bounded
     /// by segmented LRU (see [`PlanStore::bounded`]).
     plans: HashMap<PlanKey, PlanEntry>,
     clock: u64,
-}
-
-impl PlanStoreInner {
-    fn intern(&mut self, kernel: cfp_ir::Kernel) -> PlanId {
-        if let Some(i) = self.kernels.iter().position(|k| **k == kernel) {
-            return PlanId(u32::try_from(i).unwrap_or(u32::MAX));
-        }
-        self.kernels.push(std::sync::Arc::new(kernel));
-        PlanId(u32::try_from(self.kernels.len() - 1).unwrap_or(u32::MAX))
-    }
 }
 
 /// A cross-run plan cache for the exploration service: the persistent
@@ -415,11 +520,10 @@ impl PlanStore {
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut snapshot = PlanCache::default();
+        let off = &mut UnitTrace::disabled();
         for &b in benches {
+            let mut pipeline = BenchPlans::default();
             for &budget in &budgets {
-                // Optimize the base once per (bench, budget) round, and
-                // only if some unroll in this round actually misses.
-                let mut opt: Option<cfp_ir::Kernel> = None;
                 for &u in unrolls {
                     for &exts in &ext_sets {
                         let key = (b, budget, u, exts);
@@ -432,21 +536,9 @@ impl PlanStore {
                             entry.id
                         } else {
                             misses += 1;
-                            let base = opt.get_or_insert_with(|| {
-                                let mut k = b.kernel().clone();
-                                cfp_opt::optimize_budgeted(&mut k, budget);
-                                k
-                            });
-                            let id = if base.body.len() * (u as usize) > MAX_BODY_OPS {
-                                None
-                            } else {
-                                let mut unrolled = cfp_opt::unroll::unroll(base, u);
-                                cfp_opt::optimize_budgeted(&mut unrolled, budget);
-                                if !exts.is_empty() {
-                                    cfp_opt::fuse::fuse(&mut unrolled, fuse_targets(exts));
-                                }
-                                Some(inner.intern(unrolled))
-                            };
+                            let id = pipeline
+                                .plan(key, off)
+                                .map(|kernel| intern(&mut inner.kernels, kernel));
                             inner.plans.insert(
                                 key,
                                 PlanEntry {

@@ -163,9 +163,11 @@ fn plan(kernel: &Kernel, targets: FuseTargets) -> Vec<Rewrite> {
         if let Some(d) = inst.def() {
             def_site.insert(d, i);
         }
-        for u in inst.uses() {
-            *use_count.entry(u).or_insert(0) += 1;
-        }
+        inst.for_each_operand(|o| {
+            if let Operand::Reg(u) = o {
+                *use_count.entry(u).or_insert(0) += 1;
+            }
+        });
     }
     // A carried output is read by the loop latch; its producer must stay.
     for c in &kernel.carried {

@@ -83,12 +83,20 @@ pub fn optimize_budgeted(kernel: &mut Kernel, max_resident: usize) {
 /// size after the pass). With a disabled trace this is exactly
 /// [`optimize_budgeted`] — the span bookkeeping costs one predicted
 /// branch per pass and never allocates.
+///
+/// Returns the peak resident count over the run's LICM calls. The budget
+/// is read nowhere but in LICM's one comparison ([`licm`] module docs),
+/// so a run that reports `peak < max_resident` never saw it hold in any
+/// call: by induction over the calls it is, step for step, the run of
+/// every budget above `peak` on the same input — same kernel, same peak.
+/// A run with `peak >= max_resident` answers for `max_resident` alone.
 pub fn optimize_budgeted_traced(
     kernel: &mut Kernel,
     max_resident: usize,
     trace: &mut cfp_obs::UnitTrace<'_>,
-) {
+) -> usize {
     use cfp_obs::{Stage, Value};
+    let peak = std::cell::Cell::new(0_usize);
     let pass = |kernel: &mut Kernel,
                 trace: &mut cfp_obs::UnitTrace<'_>,
                 iter: u64,
@@ -116,7 +124,7 @@ pub fn optimize_budgeted_traced(
         pass(kernel, trace, iter, "copyprop", &copyprop::propagate);
         pass(kernel, trace, iter, "cse", &cse::eliminate);
         pass(kernel, trace, iter, "licm", &|k| {
-            licm::hoist_budgeted(k, max_resident);
+            peak.set(peak.get().max(licm::hoist_budgeted(k, max_resident)));
         });
         pass(kernel, trace, iter, "dce", &dce::eliminate);
         if *kernel == before {
@@ -124,6 +132,7 @@ pub fn optimize_budgeted_traced(
         }
     }
     debug_assert_eq!(cfp_ir::verify(kernel), Ok(()), "optimizer broke IR");
+    peak.get()
 }
 
 /// Rewrite every operand of every instruction (preamble + body) and every

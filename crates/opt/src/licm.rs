@@ -6,6 +6,14 @@
 //! stores to. Hoisted values become *resident* — they occupy a register
 //! for the entire loop — so LICM trades issue slots for register
 //! pressure, one of the tensions the paper's experiment measures.
+//!
+//! The residency budget enters in exactly one comparison,
+//! `resident_count >= max_resident`, and the count only grows. So the
+//! count [`hoist_budgeted`] returns is a certificate: a call that ends
+//! at `p < max_resident` never saw the comparison hold, and is therefore
+//! the call every budget above `p` would have made on the same input.
+//! The plan build (`cfp_dse::eval`) uses it to run each distinct
+//! optimization once.
 
 use cfp_ir::{Inst, Kernel, Operand, Vreg};
 use std::collections::HashSet;
@@ -24,7 +32,10 @@ pub fn hoist(kernel: &mut Kernel) {
 /// the design-space exploration calls the optimizer with a budget derived
 /// from each candidate architecture, so register-poor machines hoist
 /// fewer table loads — and pay for the reloads in memory traffic instead.
-pub fn hoist_budgeted(kernel: &mut Kernel, max_resident: usize) {
+///
+/// Returns the final resident count (see the module docs for what it
+/// certifies).
+pub fn hoist_budgeted(kernel: &mut Kernel, max_resident: usize) -> usize {
     let stored: HashSet<u32> = kernel
         .body
         .iter()
@@ -41,9 +52,11 @@ pub fn hoist_budgeted(kernel: &mut Kernel, max_resident: usize) {
     let mut resident_count = {
         let mut body_reads: HashSet<Vreg> = HashSet::new();
         for inst in &kernel.body {
-            for u in inst.uses() {
-                body_reads.insert(u);
-            }
+            inst.for_each_operand(|o| {
+                if let Operand::Reg(v) = o {
+                    body_reads.insert(v);
+                }
+            });
         }
         invariant.iter().filter(|v| body_reads.contains(v)).count()
     };
@@ -87,6 +100,7 @@ pub fn hoist_budgeted(kernel: &mut Kernel, max_resident: usize) {
         }
         kernel.body = remaining;
     }
+    resident_count
 }
 
 fn hoistable(

@@ -10,13 +10,22 @@
 //! 3. a whole `Exploration::run` with reuse on reproduces the
 //!    cache-disabled run exactly (speedups, costs, derates, unrolls,
 //!    logical compilation counts).
+//!
+//! Below those, plan-level reuse: the plan build answers a budget from
+//! another budget's optimizer run wherever LICM's certificate allows it,
+//! and must still hand out exactly the plans — same keys, same ids, equal
+//! kernels — that optimizing every budget on its own does.
 
 mod common;
 
 use cfp_testkit::cases;
 use custom_fit::dse::checkpoint::Checkpoint;
+use custom_fit::dse::eval::{fuse_targets, residency_budget, MAX_BODY_OPS, UNROLL_SWEEP};
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
-use custom_fit::dse::{evaluate, evaluate_cached, CompileCache, PlanCache};
+use custom_fit::dse::{evaluate, evaluate_cached, CompileCache, PlanCache, PlanStore};
+use custom_fit::machine::ExtSet;
+use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
+use custom_fit::opt::{fuse::fuse, optimize_budgeted, optimize_budgeted_traced, unroll::unroll};
 use custom_fit::prelude::*;
 use custom_fit::sched::{compile, compile_core, finish, prepare};
 
@@ -125,4 +134,262 @@ fn exploration_is_identical_with_reuse_on_and_off() {
     }
     assert_eq!(e_on.stats.compilations, e_ck.stats.compilations);
     let _ = std::fs::remove_file(&path);
+}
+
+type PlanKey = (Benchmark, usize, u32, ExtSet);
+
+/// The plan build as it stood before plan-level reuse, kept as the
+/// reference: every `(benchmark, budget)` optimized on its own, every
+/// unroll factor re-optimized on its own, kernels interned by content in
+/// key order. Returns the interned kernels and each key's index.
+fn per_budget_plans(
+    benches: &[Benchmark],
+    budgets: &[usize],
+    unrolls: &[u32],
+    ext_sets: &[ExtSet],
+) -> (Vec<Kernel>, Vec<(PlanKey, usize)>) {
+    let mut kernels: Vec<Kernel> = Vec::new();
+    let mut plans = Vec::new();
+    for &b in benches {
+        let base = b.kernel();
+        for &budget in budgets {
+            let mut opt = base.clone();
+            optimize_budgeted(&mut opt, budget);
+            for &u in unrolls {
+                if opt.body.len() * (u as usize) > MAX_BODY_OPS {
+                    continue;
+                }
+                let mut unrolled = unroll(&opt, u);
+                optimize_budgeted(&mut unrolled, budget);
+                for &exts in ext_sets {
+                    let mut k = unrolled.clone();
+                    if !exts.is_empty() {
+                        fuse(&mut k, fuse_targets(exts));
+                    }
+                    let id = kernels.iter().position(|x| *x == k).unwrap_or_else(|| {
+                        kernels.push(k);
+                        kernels.len() - 1
+                    });
+                    plans.push(((b, budget, u, exts), id));
+                }
+            }
+        }
+    }
+    (kernels, plans)
+}
+
+fn assert_same_plans(got: &PlanCache, want: &(Vec<Kernel>, Vec<(PlanKey, usize)>), what: &str) {
+    let (kernels, plans) = want;
+    assert_eq!(got.len(), plans.len(), "{what}: key count");
+    assert_eq!(got.unique_kernels(), kernels.len(), "{what}: kernels");
+    for &((b, budget, u, exts), id) in plans {
+        let got_id = got
+            .id_ext(b, budget, u, exts)
+            .unwrap_or_else(|| panic!("{what}: {b} budget {budget} unroll {u} {exts:?} missing"));
+        assert_eq!(got_id.index(), id, "{what}: {b} {budget} {u} {exts:?}");
+        assert!(
+            *got.kernel(got_id) == kernels[id],
+            "{what}: kernel of {b} budget {budget} unroll {u} {exts:?} differs"
+        );
+    }
+}
+
+/// Every way of building `benches`' plans against the per-budget loop:
+/// a cold [`PlanCache`], a [`PlanStore`] cold and warm, and a store
+/// bounded to one entry — every key evicted before the next round asks
+/// for it, so the second round recomputes them all.
+fn check_plan_builds(benches: &[Benchmark], regs: &[u32], unrolls: &[u32], ext_sets: &[ExtSet]) {
+    let budgets: Vec<usize> = regs.iter().map(|&r| residency_budget(r)).collect();
+    let want = per_budget_plans(benches, &budgets, unrolls, ext_sets);
+    let cold = PlanCache::build_extended(benches, regs, unrolls, ext_sets);
+    assert_same_plans(&cold, &want, "PlanCache");
+
+    let store = PlanStore::new();
+    let first = store.ensure_snapshot_extended(benches, regs, unrolls, ext_sets);
+    assert_same_plans(&first, &want, "PlanStore cold");
+    let misses = store.plan_misses();
+    let warm = store.ensure_snapshot_extended(benches, regs, unrolls, ext_sets);
+    assert_same_plans(&warm, &want, "PlanStore warm");
+    assert_eq!(
+        store.plan_misses(),
+        misses,
+        "a warm round recomputes nothing"
+    );
+
+    let tiny = PlanStore::bounded(1);
+    for round in ["bounded first", "bounded again"] {
+        let snap = tiny.ensure_snapshot_extended(benches, regs, unrolls, ext_sets);
+        assert_same_plans(&snap, &want, round);
+    }
+    assert_eq!(tiny.plan_hits(), 0);
+}
+
+/// Register files 2..4096: the small ones give LICM budgets of 1..16
+/// resident values, below most kernels' constant counts, so the runs
+/// that answer for one budget alone are exercised beside the ones that
+/// answer for a whole class.
+fn binding_and_free_regs() -> Vec<u32> {
+    (1..=12).map(|i| 1 << i).collect()
+}
+
+fn all_ext_sets() -> Vec<ExtSet> {
+    let sets: Vec<ExtSet> = (0..8).filter_map(ExtSet::from_bits).collect();
+    assert_eq!(sets.len(), 8);
+    sets
+}
+
+#[test]
+fn plan_builds_equal_the_per_budget_loop_where_budgets_bind() {
+    // The tier-1 slice of the cross product below, sized for a debug
+    // build: everything for the three small kernels (built together, so
+    // ids cross benchmarks), and the rest one at a time on seven
+    // register sizes and two extension sets, up to the unroll factor
+    // beside each.
+    check_plan_builds(
+        &[Benchmark::D, Benchmark::E, Benchmark::G],
+        &binding_and_free_regs(),
+        &UNROLL_SWEEP,
+        &all_ext_sets(),
+    );
+    let rest = [
+        (Benchmark::A, 4),
+        (Benchmark::F, 4),
+        (Benchmark::H, 4),
+        (Benchmark::GF, 4),
+        (Benchmark::GEF, 4),
+        (Benchmark::DH, 4),
+        (Benchmark::C, 2),
+        (Benchmark::DHEF, 2),
+    ];
+    for (b, deepest) in rest {
+        let unrolls: Vec<u32> = UNROLL_SWEEP.into_iter().filter(|&u| u <= deepest).collect();
+        check_plan_builds(
+            &[b],
+            &[2, 4, 8, 16, 32, 64, 4096],
+            &unrolls,
+            &[ExtSet::EMPTY, ExtSet::ALL],
+        );
+    }
+}
+
+#[test]
+#[ignore = "minutes in a debug build; CI runs it in release"]
+fn plan_builds_equal_the_per_budget_loop_over_the_full_cross_product() {
+    // All 11 kernels x the unroll sweep x all 8 extension sets x register
+    // files 2..4096. One benchmark at a time keeps the reference's
+    // kernels from piling up; the first round takes two.
+    let mut rounds: Vec<&[Benchmark]> = vec![&Benchmark::ALL[..2]];
+    rounds.extend(Benchmark::ALL[2..].chunks(1));
+    for benches in rounds {
+        check_plan_builds(
+            benches,
+            &binding_and_free_regs(),
+            &UNROLL_SWEEP,
+            &all_ext_sets(),
+        );
+    }
+}
+
+#[test]
+fn a_partly_warm_store_computes_the_missing_plans_alone() {
+    // Keys that miss one at a time — other budgets, unroll factors and
+    // extension sets of the benchmark already present — must come out as
+    // they do when the whole benchmark is built in one go.
+    let benches = [Benchmark::D, Benchmark::G];
+    let regs = [4_u32, 16, 64, 512];
+    let budgets: Vec<usize> = regs.iter().map(|&r| residency_budget(r)).collect();
+    let ext_sets = [ExtSet::EMPTY, ExtSet::ALL];
+    let want = per_budget_plans(&benches, &budgets, &UNROLL_SWEEP, &ext_sets);
+    let store = PlanStore::new();
+    for &r in regs.iter().rev() {
+        for &u in &UNROLL_SWEEP {
+            for exts in ext_sets {
+                let _ = store.ensure_snapshot_extended(&benches, &[r], &[u], &[exts]);
+            }
+        }
+    }
+    let snap = store.ensure_snapshot_extended(&benches, &regs, &UNROLL_SWEEP, &ext_sets);
+    // Ids follow first-interned order, which differs here; kernels and
+    // keys must not.
+    assert_eq!(snap.len(), want.1.len());
+    for &((b, budget, u, exts), id) in &want.1 {
+        let got = snap.get_ext(b, budget, u, exts).expect("key present");
+        assert!(
+            *got == want.0[id],
+            "{b} budget {budget} unroll {u} {exts:?}"
+        );
+    }
+}
+
+#[test]
+fn the_residency_certificate_holds_across_both_stages_on_random_ir() {
+    // What the plan pipeline relies on, stated on kernels it never
+    // ships: a base run at budget B that peaked at p < B is the base run
+    // of every B' in (p, B], and the re-optimized unrolled kernel built
+    // on it, peaking at q, is the plan of every B' in (max(p, q), B].
+    cases(0x2e05_0013, 24, |rng| {
+        let source = common::build(&common::recipe(rng));
+        let plan = |budget: usize, u: u32| {
+            let mut k = source.clone();
+            optimize_budgeted(&mut k, budget);
+            let mut k = unroll(&k, u);
+            optimize_budgeted(&mut k, budget);
+            k
+        };
+        let peak_of = |k: &mut Kernel, budget: usize| {
+            optimize_budgeted_traced(k, budget, &mut UnitTrace::disabled())
+        };
+        let top = peak_of(&mut source.clone(), usize::MAX) + 2;
+        for budget in (0..=top).rev() {
+            let mut base = source.clone();
+            let p = peak_of(&mut base, budget);
+            for u in [1, 2, 4] {
+                let mut unrolled = unroll(&base, u);
+                let q = peak_of(&mut unrolled, budget);
+                for other in (p.max(q) + 1)..=budget {
+                    assert!(
+                        plan(other, u) == unrolled,
+                        "budget {other} from {budget}, u {u}"
+                    );
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn the_paper_plan_set_runs_each_distinct_optimization_once() {
+    // Clock-free guard for the plan build: the paper's experiment asks
+    // for ten benchmarks x four register sizes x five unroll factors.
+    // Optimizing each on its own is 232 runs; with budgets that never
+    // bind answered by one run it must stay at or under 70.
+    let rec = JsonlRecorder::deterministic();
+    let plans = PlanCache::build_traced(
+        &Benchmark::TABLE_COLUMNS,
+        &[64, 128, 256, 512],
+        &UNROLL_SWEEP,
+        &mut UnitTrace::new(&rec, custom_fit::obs::unit::PLAN),
+    );
+    assert_eq!(plans.len(), 192);
+    assert_eq!(plans.unique_kernels(), 53);
+    let events = rec.events();
+    let build = events
+        .iter()
+        .find(|e| e.stage == Stage::PlanBuild)
+        .expect("plan_build span");
+    let field = |name: &str| build.field(name).and_then(|v| v.as_u64()).expect(name);
+    assert_eq!(field("plans"), 192);
+    assert_eq!(field("unique_kernels"), 53);
+    let runs = field("opt_runs");
+    assert!(runs <= 70, "{runs} optimizer runs for 192 plans");
+    // Every plan came from its own budget's run or from a shared one,
+    // and a run really made is one `scalarize` span in the trace.
+    let own = 192 - field("opt_shared");
+    assert!(own <= runs, "{own} own-budget plans from {runs} runs");
+    let traced_runs = events
+        .iter()
+        .filter(|e| e.stage == Stage::Opt)
+        .filter(|e| e.field("pass").and_then(|v| v.as_str()) == Some("scalarize"))
+        .count() as u64;
+    assert_eq!(traced_runs, runs);
 }
