@@ -59,8 +59,7 @@ fn main() {
     // the raw lines.
     let trace_out = value_after(&args, "--trace-out");
     let trace_summary = args.iter().any(|a| a == "--trace-summary");
-    let recorder =
-        (trace_out.is_some() || trace_summary).then(cfp_obs::JsonlRecorder::new);
+    let recorder = (trace_out.is_some() || trace_summary).then(cfp_obs::JsonlRecorder::new);
 
     // `--mdes-dump SPEC`: print the derived machine description and be
     // done (composable with other exhibits, but needs no exploration).
@@ -106,10 +105,16 @@ fn main() {
     if wanted.is_empty() && (mdes_dump.is_some() || extended || fused || oracle) {
         // The flag-only invocations stand alone; don't pull in `all`.
         if extended {
-            println!("{}\n", exhibits::extended_axis(&exhibits::extended_exploration(fast)));
+            println!(
+                "{}\n",
+                exhibits::extended_axis(&exhibits::extended_exploration(fast))
+            );
         }
         if fused {
-            println!("{}\n", exhibits::fused_axis(&exhibits::fused_exploration(fast)));
+            println!(
+                "{}\n",
+                exhibits::fused_axis(&exhibits::fused_exploration(fast))
+            );
         }
         if oracle {
             println!("{}\n", exhibits::oracle_gap(&exhibits::oracle_study(fast)));
@@ -190,7 +195,11 @@ fn main() {
             eprintln!(
                 "note: --trace-out/--trace-summary need an exploration to trace; \
                  the requested exhibits{} run none",
-                if load.is_some() { " (--load replays)" } else { "" }
+                if load.is_some() {
+                    " (--load replays)"
+                } else {
+                    ""
+                }
             );
         }
         None

@@ -550,7 +550,7 @@ pub fn extension_spill() -> String {
         let budget = residency_budget(spec.regs);
         let mut best = f64::INFINITY;
         for &u in &UNROLL_SWEEP {
-            let Some(kernel) = cache.get(Benchmark::A, budget, u) else {
+            let Some(kernel) = cache.get(Benchmark::A, budget, u, ExtSet::EMPTY) else {
                 break;
             };
             let r = cfp_sched::compile(kernel, &machine);
@@ -844,7 +844,9 @@ pub fn fused_axis(ex: &Exploration) -> String {
         };
         let plain = (0..ex.archs.len())
             .filter(|&a| {
-                ex.archs[a].spec.exts.is_empty() && ex.archs[a].cost <= cost_bound && su(a).is_finite()
+                ex.archs[a].spec.exts.is_empty()
+                    && ex.archs[a].cost <= cost_bound
+                    && su(a).is_finite()
             })
             .map(|a| (ex.speedup(a, col), a))
             .max_by(|x, y| x.0.total_cmp(&y.0));

@@ -1,4 +1,4 @@
-//! # cfp-bench — exhibit regenerators and benchmark harness
+//! # cfp-bench — exhibit regenerators
 //!
 //! One function per table and figure of the paper, each producing the
 //! text (or CSV) that corresponds to that exhibit, computed from this
@@ -10,9 +10,7 @@
 //! cargo run --release -p cfp-bench --bin exhibits -- table8 --fast
 //! ```
 //!
-//! Criterion benches (`benches/`) measure the toolchain itself: the
-//! retargetable compiler's throughput, the models, the interpreter and
-//! cycle-accurate simulator, and a full evaluation step.
+//! Timing the toolchain itself is `benchmarks/`' job (see its README).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

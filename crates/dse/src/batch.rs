@@ -27,7 +27,7 @@
 use crate::error::FailKind;
 use crate::explore::Exploration;
 use crate::pareto::{scatter_soa, ScatterPoint};
-use cfp_machine::ArchSpec;
+use cfp_machine::{ArchSpec, Fnv1a};
 
 /// Flat, column-major view of a completed exploration.
 ///
@@ -56,13 +56,8 @@ pub struct EvalBatch {
 /// unextended spec keeps its historical fingerprint bit for bit.
 #[must_use]
 pub fn spec_fingerprint(spec: &ArchSpec) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u32| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
+    let mut eat = |x: u32| h.write(&x.to_le_bytes());
     eat(spec.alus);
     eat(spec.muls);
     eat(spec.regs);
@@ -73,7 +68,7 @@ pub fn spec_fingerprint(spec: &ArchSpec) -> u64 {
     if !spec.exts.is_empty() {
         eat(u32::from(spec.exts.bits()));
     }
-    h
+    h.finish()
 }
 
 impl EvalBatch {

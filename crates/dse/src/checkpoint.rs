@@ -23,6 +23,7 @@
 use crate::error::{CheckpointError, FailKind, FailReason};
 use crate::eval::{EvalOutcome, Measurement};
 use crate::explore::ExploreConfig;
+use cfp_machine::Fnv1a;
 use std::fs;
 use std::path::PathBuf;
 
@@ -65,15 +66,11 @@ impl Checkpoint {
 /// would make every journal unresumable.
 #[must_use]
 pub fn fingerprint(config: &ExploreConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(bytes);
         // Field separator, so ["ab","c"] and ["a","bc"] differ.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.write(&[0xff]);
     };
     eat(MAGIC.as_bytes());
     eat(VERSION.as_bytes());
@@ -101,7 +98,7 @@ pub fn fingerprint(config: &ExploreConfig) -> u64 {
             }
         },
     }
-    h
+    h.finish()
 }
 
 /// Percent-escape a failure message for one comma-separated field (also

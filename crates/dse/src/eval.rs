@@ -7,6 +7,14 @@
 //! fairly). A kernel that spills even without unrolling is compiled with
 //! spill traffic and pays for it — the paper's "pathological" case.
 //!
+//! There is one way in: an [`Evaluator`] names the plans, the optional
+//! compile memo, the fuel budget and the unroll cap, and
+//! [`Evaluator::evaluate`] runs one `(architecture, benchmark)` unit in
+//! the caller's scratch and trace. [`quarantine`] is the panic boundary
+//! the sweep and the search wrap around it; [`try_evaluate`] and
+//! [`evaluate`] are the two conveniences kept (DESIGN.md, "Entry
+//! points", says who needs them).
+//!
 //! Optimization is machine-aware only through a *residency budget*
 //! (how many loop constants LICM may pin in registers — half the
 //! register file). Budgets take four distinct values across the whole
@@ -19,10 +27,11 @@
 //! a run that stayed under its budget is the run of every budget above
 //! that peak (`cfp_opt::optimize_budgeted_traced`), so one benchmark's
 //! pipeline ([`BenchPlans`]) keeps its runs and lets a later budget take
-//! an earlier one's result instead of repeating it. [`PlanCache`] and
-//! [`PlanStore`] both walk their keys in the same order over that one
-//! pipeline and intern what it hands back, so ids depend only on the
-//! kernels, never on which run produced them.
+//! an earlier one's result instead of repeating it. There is one walk
+//! over plan keys, [`PlanStore::ensure_snapshot_extended`]'s, which
+//! interns what the pipeline hands back, so ids depend only on the
+//! kernels, never on which run produced them; [`PlanCache::build`] is
+//! that walk on a fresh store.
 
 use crate::error::{EvalError, FailReason};
 use crate::memo::CompileCache;
@@ -30,10 +39,10 @@ use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtOp, ExtSet, MachineResources};
 use cfp_obs::{Stage, UnitTrace, Value};
 use cfp_sched::{
-    finish, prepare_traced, spill_penalty_cycles, try_compile_core_traced_in, Fuel, SchedError,
-    SchedScratch,
+    finish, prepare, spill_penalty_cycles, try_compile_core, Fuel, SchedError, SchedScratch,
 };
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Unroll factors the experiment sweeps, ascending.
@@ -220,134 +229,34 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Build the cache for the given benchmarks and register sizes
-    /// (extensionless plans only — the historical entry point).
+    /// The extensionless plans of the given benchmarks, register sizes
+    /// and unroll factors: a snapshot of a fresh [`PlanStore`], so there
+    /// is one plan walk. Plans over fused-extension sets, and plans that
+    /// should outlive one run, come from a store's
+    /// [`PlanStore::ensure_snapshot_extended`].
     #[must_use]
     pub fn build(benches: &[Benchmark], reg_sizes: &[u32], unrolls: &[u32]) -> Self {
-        Self::build_traced(benches, reg_sizes, unrolls, &mut UnitTrace::disabled())
+        PlanStore::new().ensure_snapshot_extended(benches, reg_sizes, unrolls, &[ExtSet::EMPTY])
     }
 
-    /// [`PlanCache::build`] also covering every fused-extension set in
-    /// `ext_sets`: for each non-empty set the scalar pipeline runs
-    /// unchanged and the fuse pass rewrites the result *last*, so the
-    /// classic passes never see fused instructions. An empty set's plan
-    /// is exactly the historical one, and extension sets whose fuse pass
-    /// finds nothing to rewrite intern to the same kernel (and share its
-    /// compile memoization).
+    /// Look up a plan ([`ExtSet::EMPTY`] for the extensionless one).
     #[must_use]
-    pub fn build_extended(
-        benches: &[Benchmark],
-        reg_sizes: &[u32],
-        unrolls: &[u32],
-        ext_sets: &[ExtSet],
-    ) -> Self {
-        Self::build_extended_traced(
-            benches,
-            reg_sizes,
-            unrolls,
-            ext_sets,
-            &mut UnitTrace::disabled(),
-        )
-    }
-
-    /// [`PlanCache::build`] recording the optimizer's per-pass `opt`
-    /// spans and one `plan_build` summary span (plan and unique-kernel
-    /// counts). With a disabled trace this is exactly
-    /// [`PlanCache::build`].
-    #[must_use]
-    pub fn build_traced(
-        benches: &[Benchmark],
-        reg_sizes: &[u32],
-        unrolls: &[u32],
-        trace: &mut UnitTrace<'_>,
-    ) -> Self {
-        Self::build_extended_traced(benches, reg_sizes, unrolls, &[ExtSet::EMPTY], trace)
-    }
-
-    /// [`PlanCache::build_extended`] with tracing — the shared body of
-    /// every cache-building entry point.
-    #[must_use]
-    pub fn build_extended_traced(
-        benches: &[Benchmark],
-        reg_sizes: &[u32],
-        unrolls: &[u32],
-        ext_sets: &[ExtSet],
-        trace: &mut UnitTrace<'_>,
-    ) -> Self {
-        let t0 = trace.start();
-        let mut budgets: Vec<usize> = reg_sizes.iter().map(|&r| residency_budget(r)).collect();
-        budgets.sort_unstable();
-        budgets.dedup();
-        let mut ext_sets: Vec<ExtSet> = ext_sets.to_vec();
-        ext_sets.sort_unstable();
-        ext_sets.dedup();
-        let mut cache = PlanCache::default();
-        let (mut opt_runs, mut opt_shared) = (0, 0);
-        for &b in benches {
-            let mut pipeline = BenchPlans::default();
-            for &budget in &budgets {
-                for &u in unrolls {
-                    for &exts in &ext_sets {
-                        let key = (b, budget, u, exts);
-                        if let Some(kernel) = pipeline.plan(key, trace) {
-                            let id = intern(&mut cache.kernels, kernel);
-                            cache.plans.insert(key, id);
-                        }
-                    }
-                }
-            }
-            opt_runs += pipeline.runs;
-            opt_shared += pipeline.shared;
-        }
-        trace.stage(
-            Stage::PlanBuild,
-            t0,
-            &[
-                ("plans", Value::U64(cache.len() as u64)),
-                ("unique_kernels", Value::U64(cache.unique_kernels() as u64)),
-                ("opt_runs", Value::U64(opt_runs)),
-                ("opt_shared", Value::U64(opt_shared)),
-            ],
-        );
-        cache
-    }
-
-    /// Look up an extensionless plan.
-    #[must_use]
-    pub fn get(&self, bench: Benchmark, budget: usize, unroll: u32) -> Option<&cfp_ir::Kernel> {
-        self.get_ext(bench, budget, unroll, ExtSet::EMPTY)
-    }
-
-    /// Look up a plan prepared for a fused-extension set.
-    #[must_use]
-    pub fn get_ext(
+    pub fn get(
         &self,
         bench: Benchmark,
         budget: usize,
         unroll: u32,
         exts: ExtSet,
     ) -> Option<&cfp_ir::Kernel> {
-        self.id_ext(bench, budget, unroll, exts)
+        self.id(bench, budget, unroll, exts)
             .map(|id| self.kernel(id))
     }
 
-    /// Look up an extensionless plan's interned identity.
+    /// Look up a plan's interned identity. Extension sets whose fuse
+    /// pass rewrote nothing share the extensionless plan's id —
+    /// interning is by content.
     #[must_use]
-    pub fn id(&self, bench: Benchmark, budget: usize, unroll: u32) -> Option<PlanId> {
-        self.id_ext(bench, budget, unroll, ExtSet::EMPTY)
-    }
-
-    /// Look up the interned identity of a plan prepared for a
-    /// fused-extension set. Sets whose fuse pass rewrote nothing share
-    /// the extensionless plan's id — interning is by content.
-    #[must_use]
-    pub fn id_ext(
-        &self,
-        bench: Benchmark,
-        budget: usize,
-        unroll: u32,
-        exts: ExtSet,
-    ) -> Option<PlanId> {
+    pub fn id(&self, bench: Benchmark, budget: usize, unroll: u32, exts: ExtSet) -> Option<PlanId> {
         self.plans.get(&(bench, budget, unroll, exts)).copied()
     }
 
@@ -367,10 +276,17 @@ impl PlanCache {
         self.plans.len()
     }
 
-    /// Number of content-distinct kernels behind those plans.
+    /// Number of content-distinct kernels behind those plans. Counted
+    /// over this cache's own plans: a [`PlanStore`] snapshot carries the
+    /// store's whole kernel vector (ids index it), including kernels only
+    /// earlier jobs asked for.
     #[must_use]
     pub fn unique_kernels(&self) -> usize {
-        self.kernels.len()
+        let mut seen = vec![false; self.kernels.len()];
+        self.plans
+            .values()
+            .filter(|id| !std::mem::replace(&mut seen[id.index()], true))
+            .count()
     }
 
     /// Whether the cache is empty.
@@ -424,11 +340,10 @@ struct PlanStoreInner {
 ///   id it had before. Eviction costs a re-optimization, never changes
 ///   an answer.
 ///
-/// [`PlanStore::ensure_snapshot`] materializes the plans one job needs
-/// (computing only the missing ones) as an ordinary [`PlanCache`] whose
+/// [`PlanStore::ensure_snapshot_extended`] materializes the plans one
+/// job needs (computing only the missing ones) as a [`PlanCache`] whose
 /// kernel vector is a prefix snapshot of the store — pointer clones,
-/// not kernel copies — so the whole single-run evaluation pipeline runs
-/// against it unchanged.
+/// not kernel copies.
 #[derive(Debug)]
 pub struct PlanStore {
     inner: std::sync::Mutex<PlanStoreInner>,
@@ -480,28 +395,17 @@ impl PlanStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// A [`PlanCache`] holding every `(benchmark, budget, unroll)`
-    /// triple the given sweep needs, computing the missing ones.
-    /// Budgets derive from `reg_sizes` exactly as [`PlanCache::build`]
-    /// derives them, and the optimization pipeline is the same, so the
-    /// returned cache is bit-identical to a cold
-    /// `PlanCache::build(benches, reg_sizes, unrolls)` — modulo
-    /// [`PlanId`] *numbering*, which here is globally consistent across
-    /// every snapshot this store ever produced.
-    #[must_use]
-    pub fn ensure_snapshot(
-        &self,
-        benches: &[Benchmark],
-        reg_sizes: &[u32],
-        unrolls: &[u32],
-    ) -> PlanCache {
-        self.ensure_snapshot_extended(benches, reg_sizes, unrolls, &[ExtSet::EMPTY])
-    }
-
-    /// [`PlanStore::ensure_snapshot`] also covering every fused-extension
-    /// set in `ext_sets`, mirroring [`PlanCache::build_extended`]: the
-    /// fuse pass runs last on a miss, and sets that rewrite nothing
-    /// re-intern to the extensionless plan's id.
+    /// A [`PlanCache`] holding every `(benchmark, budget, unroll,
+    /// extension set)` key the given sweep needs, computing the missing
+    /// ones. Budgets derive from `reg_sizes` through
+    /// [`residency_budget`]. For each non-empty extension set the scalar
+    /// pipeline runs unchanged and the fuse pass rewrites the result
+    /// *last*, so the classic passes never see fused instructions; sets
+    /// whose fuse pass finds nothing to rewrite intern to the
+    /// extensionless plan's id (and share its compile memoization). On a
+    /// fresh store the ids are dense in first-interned order — that is
+    /// [`PlanCache::build`] — and on any store they are consistent
+    /// across every snapshot it ever produced.
     #[must_use]
     pub fn ensure_snapshot_extended(
         &self,
@@ -510,6 +414,28 @@ impl PlanStore {
         unrolls: &[u32],
         ext_sets: &[ExtSet],
     ) -> PlanCache {
+        self.snapshot(
+            benches,
+            reg_sizes,
+            unrolls,
+            ext_sets,
+            &mut UnitTrace::disabled(),
+        )
+    }
+
+    /// [`Self::ensure_snapshot_extended`] recording the optimizer's
+    /// per-pass `opt` spans for the plans it had to compute and one
+    /// `plan_build` summary span (plan, unique-kernel and optimizer-run
+    /// counts). This is the repo's one walk over plan keys.
+    pub(crate) fn snapshot(
+        &self,
+        benches: &[Benchmark],
+        reg_sizes: &[u32],
+        unrolls: &[u32],
+        ext_sets: &[ExtSet],
+        trace: &mut UnitTrace<'_>,
+    ) -> PlanCache {
+        let t0 = trace.start();
         let mut budgets: Vec<usize> = reg_sizes.iter().map(|&r| residency_budget(r)).collect();
         budgets.sort_unstable();
         budgets.dedup();
@@ -519,8 +445,8 @@ impl PlanStore {
         let mut inner = self.lock();
         let mut hits = 0u64;
         let mut misses = 0u64;
+        let (mut opt_runs, mut opt_shared) = (0, 0);
         let mut snapshot = PlanCache::default();
-        let off = &mut UnitTrace::disabled();
         for &b in benches {
             let mut pipeline = BenchPlans::default();
             for &budget in &budgets {
@@ -537,7 +463,7 @@ impl PlanStore {
                         } else {
                             misses += 1;
                             let id = pipeline
-                                .plan(key, off)
+                                .plan(key, trace)
                                 .map(|kernel| intern(&mut inner.kernels, kernel));
                             inner.plans.insert(
                                 key,
@@ -558,6 +484,8 @@ impl PlanStore {
                     }
                 }
             }
+            opt_runs += pipeline.runs;
+            opt_shared += pipeline.shared;
         }
         // Ids index the store's kernel vector, so the snapshot's vector
         // must be a prefix of it: clone every Arc up to the store's
@@ -568,6 +496,21 @@ impl PlanStore {
             .fetch_add(hits, std::sync::atomic::Ordering::Relaxed);
         self.misses
             .fetch_add(misses, std::sync::atomic::Ordering::Relaxed);
+        // Guarded, not left to `stage`: counting the kernels is a pass
+        // over the plan map.
+        if trace.on() {
+            let unique = snapshot.unique_kernels() as u64;
+            trace.stage(
+                Stage::PlanBuild,
+                t0,
+                &[
+                    ("plans", Value::U64(snapshot.len() as u64)),
+                    ("unique_kernels", Value::U64(unique)),
+                    ("opt_runs", Value::U64(opt_runs)),
+                    ("opt_shared", Value::U64(opt_shared)),
+                ],
+            );
+        }
         snapshot
     }
 
@@ -744,72 +687,255 @@ impl EvalOutcome {
     }
 }
 
-/// The unroll sweep shared by the direct and memoized evaluation paths.
-/// `compile_one` returns `(fits, cycles_per_iter)` for one plan under
-/// the given fuel (the unroll factor rides along so a traced caller can
-/// label the attempt); how — fresh compile or cache lookup — is the
-/// caller's business. Each unroll factor gets a fresh budget of
-/// `fuel_budget` steps. A compile error at `u = 1` fails the whole unit;
-/// at deeper unrolls it stops the sweep and keeps the best result so
-/// far, exactly like the paper's spill rule — deeper unrolling is an
-/// optimization, and an optimization that goes over budget is simply not
-/// taken.
+/// Run one unit's evaluation behind the quarantine boundary: a panic or
+/// a typed error becomes [`EvalOutcome::Failed`] instead of taking down
+/// the worker (and with it the whole sweep or search).
 ///
-/// `max_unroll` truncates the sweep to the prefix of [`UNROLL_SWEEP`]
-/// not exceeding it — the fidelity knob of the search engine's rung
-/// ladder. With `max_unroll >= 16` (the full sweep) the truncation is a
-/// no-op, so full-fidelity results are bit-identical to the untruncated
-/// entry points.
-fn unroll_sweep(
-    bench: Benchmark,
-    budget: usize,
-    exts: ExtSet,
-    plans: &PlanCache,
-    fuel_budget: Option<u64>,
-    max_unroll: u32,
-    mut compile_one: impl FnMut(PlanId, u32, &mut Fuel) -> Result<(bool, u32), SchedError>,
-) -> Result<Measurement, EvalError> {
-    let mut best: Option<Measurement> = None;
-    let mut compilations = 0;
+/// `AssertUnwindSafe` is sound for what evaluations share across the
+/// boundary: the plan cache is read-only; the compile memo's shards hold
+/// only completed values (computes run outside the shard locks) and
+/// recover from poisoning explicitly; and every consumer of the worker's
+/// scratch arena resizes and clears its buffers on entry, so a panic
+/// mid-unit leaves at worst stale data the next unit overwrites.
+pub fn quarantine(unit: impl FnOnce() -> Result<Measurement, EvalError>) -> EvalOutcome {
+    match catch_unwind(AssertUnwindSafe(unit)) {
+        Ok(Ok(m)) => EvalOutcome::Done(m),
+        Ok(Err(e)) => EvalOutcome::Failed { reason: e.into() },
+        Err(payload) => EvalOutcome::Failed {
+            reason: FailReason::from_panic(payload.as_ref()),
+        },
+    }
+}
 
-    for &u in UNROLL_SWEEP.iter().take_while(|&&u| u <= max_unroll) {
-        let Some(id) = plans.id_ext(bench, budget, u, exts) else {
-            break; // body cap reached; larger unrolls only grow
-        };
-        let mut fuel = Fuel::from_budget(fuel_budget);
-        let (fits, cycles) = match compile_one(id, u, &mut fuel) {
-            Ok(r) => r,
-            Err(_) if best.is_some() => break,
-            Err(source) => {
-                return Err(EvalError::Sched {
-                    bench,
-                    unroll: u,
-                    source,
-                })
-            }
-        };
-        compilations += 1;
-        if !fits && u > 1 {
-            break; // the paper's rule: spilling stops the sweep
-        }
-        let cpo = f64::from(cycles) / f64::from(plans.kernel(id).outputs_per_iter);
-        if best.as_ref().is_none_or(|b| cpo < b.cycles_per_output) {
-            best = Some(Measurement {
-                cycles_per_output: cpo,
-                unroll: u,
-                spilled: !fits,
-                compilations: 0, // filled once the sweep's total is known
-            });
-        }
-        if !fits {
-            break; // u == 1 spilled: keep the penalized result, stop
+/// One evaluation session: everything "generate the code; measure the
+/// goodness of the code" (paper §2.2) is parameterized by, as one `Copy`
+/// value. The sweep, the guided search's rungs and the one-line
+/// conveniences below all build one of these and call
+/// [`Evaluator::evaluate`]; a new evaluation axis is a new field here.
+#[derive(Debug, Clone, Copy)]
+pub struct Evaluator<'a> {
+    /// The optimized + unrolled kernels to compile.
+    pub plans: &'a PlanCache,
+    /// Share compile work with every architecture that schedules alike.
+    /// Results are identical with and without — same outcome, same
+    /// logical compilation count — but each `(plan, scheduling
+    /// signature)` pair is scheduled once per cache instead of once per
+    /// architecture, and only the register-capacity verdict and the
+    /// spill penalty are recomputed per machine.
+    pub memo: Option<&'a CompileCache>,
+    /// Per-compilation scheduler step budget (`None` never exhausts).
+    /// Each unroll factor gets a fresh budget.
+    pub fuel: Option<u64>,
+    /// Truncate the sweep to the prefix of [`UNROLL_SWEEP`] not exceeding
+    /// this — the fidelity knob of the search engine's rung ladder. Any
+    /// value ≥ 16 is the full sweep.
+    pub max_unroll: u32,
+}
+
+/// What compiling one plan for one machine came to.
+struct Attempt {
+    fits: bool,
+    cycles: u32,
+    steps: u64,
+    excess: u32,
+}
+
+impl<'a> Evaluator<'a> {
+    /// The full sweep over `plans`: no memo, no fuel budget.
+    #[must_use]
+    pub fn new(plans: &'a PlanCache) -> Self {
+        Evaluator {
+            plans,
+            memo: None,
+            fuel: None,
+            max_unroll: u32::MAX,
         }
     }
-    let Some(mut out) = best else {
-        return Err(EvalError::MissingPlan { bench, budget });
+
+    /// Evaluate one benchmark on one architecture: compile at increasing
+    /// unroll factors, stop as soon as register spilling appears, keep
+    /// the fastest schedule per output.
+    ///
+    /// A compile error at `u = 1` fails the whole unit; at deeper unrolls
+    /// it stops the sweep and keeps the best result so far, exactly like
+    /// the paper's spill rule — deeper unrolling is an optimization, and
+    /// an optimization that goes over budget is simply not taken.
+    ///
+    /// `scratch` is the worker's: results are bit-identical to a fresh
+    /// one, reuse only removes allocation. `trace` gets one `compile`
+    /// span per attempted unroll factor (and the scheduler's inner spans
+    /// for every compilation this unit ran itself); disabled, it changes
+    /// nothing and allocates nothing.
+    ///
+    /// # Errors
+    /// [`EvalError::MissingPlan`] on a plan cache built for other
+    /// benchmarks or register sizes; [`EvalError::Sched`] when the
+    /// un-unrolled compilation itself goes over budget.
+    pub fn evaluate(
+        &self,
+        spec: &ArchSpec,
+        bench: Benchmark,
+        scratch: &mut EvalScratch,
+        trace: &mut UnitTrace<'_>,
+    ) -> Result<Measurement, EvalError> {
+        let (machine, sched) = scratch.machine_and_sched(spec);
+        let budget = residency_budget(spec.regs);
+        // Derive the memo key from the memoized description rather than
+        // a throwaway `Mdes`: this keeps the warm path allocation-free
+        // (see `tests/trace_equivalence.rs`).
+        let memo = self
+            .memo
+            .map(|memo| (memo, spec.sched_signature_with(&machine.mdes)));
+        let mut best: Option<Measurement> = None;
+        let mut compilations = 0;
+
+        for &u in UNROLL_SWEEP.iter().take_while(|&&u| u <= self.max_unroll) {
+            let Some(id) = self.plans.id(bench, budget, u, spec.exts) else {
+                break; // body cap reached; larger unrolls only grow
+            };
+            let kernel = self.plans.kernel(id);
+            let mut fuel = Fuel::from_budget(self.fuel);
+            let t0 = trace.start();
+            let mut served = "off";
+            let out: Result<Attempt, SchedError> = match memo {
+                // The direct path, and the reference the memoized one is
+                // held to: compile under this unit's own fuel.
+                None => (|| {
+                    let prepared = prepare(kernel, machine, trace);
+                    let core = try_compile_core(&prepared, machine, &mut fuel, sched, trace)?;
+                    let result = finish(&core, machine);
+                    Ok(Attempt {
+                        fits: result.fits(),
+                        cycles: result.cycles_per_iter(),
+                        steps: core.steps,
+                        excess: result.pressure.spill_excess(),
+                    })
+                })(),
+                // Budget verdicts stay deterministic under memoization:
+                // cores are computed under unlimited fuel and record the
+                // steps they cost, and every lookup — hit or miss —
+                // charges that price against this unit's own fuel. A
+                // compilation therefore passes or fails the budget
+                // identically whether it was scheduled here or served
+                // from another architecture's work, on any interleaving
+                // (which unit of a sharing set sees the miss is the one
+                // thing that does depend on it).
+                Some((memo, sig)) => (|| {
+                    served = "hit";
+                    let core = memo.try_core(id, sig, || {
+                        served = "miss";
+                        let prepared = memo
+                            .prepared(id, machine.l2_latency, || prepare(kernel, machine, trace));
+                        let unlimited = &mut Fuel::unlimited();
+                        try_compile_core(&prepared, machine, unlimited, sched, trace)
+                    })?;
+                    fuel.spend(core.steps)?;
+                    let excess: u32 = core
+                        .peak
+                        .iter()
+                        .zip(&machine.clusters)
+                        .map(|(&p, c)| p.saturating_sub(c.regs))
+                        .sum();
+                    Ok(Attempt {
+                        fits: excess == 0,
+                        cycles: core.length + spill_penalty_cycles(excess, machine),
+                        steps: core.steps,
+                        excess,
+                    })
+                })(),
+            };
+            let head = [
+                ("unroll", Value::U64(u64::from(u))),
+                ("cache", Value::Str(served)),
+            ];
+            match &out {
+                Ok(a) => {
+                    let fields = [
+                        head[0],
+                        head[1],
+                        ("steps", Value::U64(a.steps)),
+                        ("fits", Value::Bool(a.fits)),
+                        ("cycles", Value::U64(u64::from(a.cycles))),
+                        ("spill_excess", Value::U64(u64::from(a.excess))),
+                    ];
+                    // The direct path's span carries no excess field.
+                    let n = fields.len() - usize::from(memo.is_none());
+                    trace.stage(Stage::Compile, t0, &fields[..n]);
+                }
+                // Only the direct path knows what a failed attempt spent.
+                Err(e) if memo.is_none() => trace.stage(
+                    Stage::Compile,
+                    t0,
+                    &[
+                        head[0],
+                        head[1],
+                        ("steps", Value::U64(fuel.spent())),
+                        ("error", Value::Str(e.token())),
+                    ],
+                ),
+                Err(e) => trace.stage(
+                    Stage::Compile,
+                    t0,
+                    &[head[0], head[1], ("error", Value::Str(e.token()))],
+                ),
+            }
+            let Attempt { fits, cycles, .. } = match out {
+                Ok(a) => a,
+                Err(_) if best.is_some() => break,
+                Err(source) => {
+                    return Err(EvalError::Sched {
+                        bench,
+                        unroll: u,
+                        source,
+                    })
+                }
+            };
+            compilations += 1;
+            if !fits && u > 1 {
+                break; // the paper's rule: spilling stops the sweep
+            }
+            let cpo = f64::from(cycles) / f64::from(kernel.outputs_per_iter);
+            if best.as_ref().is_none_or(|b| cpo < b.cycles_per_output) {
+                best = Some(Measurement {
+                    cycles_per_output: cpo,
+                    unroll: u,
+                    spilled: !fits,
+                    compilations: 0, // filled once the sweep's total is known
+                });
+            }
+            if !fits {
+                break; // u == 1 spilled: keep the penalized result, stop
+            }
+        }
+        let Some(mut out) = best else {
+            return Err(EvalError::MissingPlan { bench, budget });
+        };
+        out.compilations = compilations;
+        Ok(out)
+    }
+}
+
+/// [`Evaluator::evaluate`] at its defaults plus a fuel budget, with a
+/// fresh scratch and no trace.
+///
+/// # Errors
+/// As [`Evaluator::evaluate`].
+pub fn try_evaluate(
+    spec: &ArchSpec,
+    bench: Benchmark,
+    cache: &PlanCache,
+    fuel_budget: Option<u64>,
+) -> Result<Measurement, EvalError> {
+    let session = Evaluator {
+        fuel: fuel_budget,
+        ..Evaluator::new(cache)
     };
-    out.compilations = compilations;
-    Ok(out)
+    session.evaluate(
+        spec,
+        bench,
+        &mut EvalScratch::new(),
+        &mut UnitTrace::disabled(),
+    )
 }
 
 /// Evaluate one benchmark on one architecture.
@@ -818,342 +944,13 @@ fn unroll_sweep(
 /// Panics if the cache is missing the un-unrolled plan for the
 /// benchmark (build the cache with the same benchmarks and register
 /// sizes as the space being explored). Sweeps over untrusted candidates
-/// should call [`try_evaluate`].
+/// should call [`Evaluator::evaluate`].
 #[must_use]
 pub fn evaluate(spec: &ArchSpec, bench: Benchmark, cache: &PlanCache) -> Measurement {
     match try_evaluate(spec, bench, cache, None) {
         Ok(m) => m,
         Err(e) => panic!("evaluation failed without a fuel budget: {e}"),
     }
-}
-
-/// [`evaluate`] with failures as values and an optional per-compilation
-/// step budget.
-///
-/// # Errors
-/// [`EvalError::MissingPlan`] on a mismatched plan cache;
-/// [`EvalError::Sched`] when the un-unrolled compilation itself goes
-/// over budget (deeper unrolls going over merely stop the sweep).
-pub fn try_evaluate(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    fuel_budget: Option<u64>,
-) -> Result<Measurement, EvalError> {
-    try_evaluate_in(spec, bench, cache, fuel_budget, &mut EvalScratch::new())
-}
-
-/// [`try_evaluate`] with caller-provided scratch, the sweep's hot path.
-/// Results are bit-identical to a fresh scratch; reuse only removes
-/// allocation.
-///
-/// # Errors
-/// As [`try_evaluate`].
-pub fn try_evaluate_in(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    fuel_budget: Option<u64>,
-    scratch: &mut EvalScratch,
-) -> Result<Measurement, EvalError> {
-    try_evaluate_traced_in(
-        spec,
-        bench,
-        cache,
-        fuel_budget,
-        scratch,
-        &mut UnitTrace::disabled(),
-    )
-}
-
-/// [`try_evaluate_in`] recording the full per-unroll span pipeline: the
-/// scheduler's `prepare`/`assign`/`ddg`/`list`/`regalloc` spans plus one
-/// `compile` span per attempted unroll factor (fuel spent, capacity
-/// verdict, cycles). With a disabled trace this is exactly
-/// [`try_evaluate_in`].
-///
-/// # Errors
-/// As [`try_evaluate`].
-pub fn try_evaluate_traced_in(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    fuel_budget: Option<u64>,
-    scratch: &mut EvalScratch,
-    trace: &mut UnitTrace<'_>,
-) -> Result<Measurement, EvalError> {
-    let (machine, sched) = scratch.machine_and_sched(spec);
-    unroll_sweep(
-        bench,
-        residency_budget(spec.regs),
-        spec.exts,
-        cache,
-        fuel_budget,
-        u32::MAX,
-        |id, u, fuel| {
-            let t0 = trace.start();
-            let before = fuel.spent();
-            let out = (|| -> Result<(bool, u32), SchedError> {
-                let prepared = prepare_traced(cache.kernel(id), machine, trace);
-                let core = try_compile_core_traced_in(&prepared, machine, fuel, sched, trace)?;
-                let result = finish(&core, machine);
-                Ok((result.fits(), result.cycles_per_iter()))
-            })();
-            let steps = fuel.spent() - before;
-            match &out {
-                Ok((fits, cycles)) => trace.stage(
-                    Stage::Compile,
-                    t0,
-                    &[
-                        ("unroll", Value::U64(u64::from(u))),
-                        ("cache", Value::Str("off")),
-                        ("steps", Value::U64(steps)),
-                        ("fits", Value::Bool(*fits)),
-                        ("cycles", Value::U64(u64::from(*cycles))),
-                    ],
-                ),
-                Err(e) => trace.stage(
-                    Stage::Compile,
-                    t0,
-                    &[
-                        ("unroll", Value::U64(u64::from(u))),
-                        ("cache", Value::Str("off")),
-                        ("steps", Value::U64(steps)),
-                        ("error", Value::Str(e.token())),
-                    ],
-                ),
-            }
-            out
-        },
-    )
-}
-
-/// Evaluate one benchmark on one architecture, sharing compile work
-/// through `memo` with every architecture that schedules alike.
-///
-/// Behaviourally identical to [`evaluate`] — same outcome, same logical
-/// compilation count — but each `(plan, scheduling signature)` pair is
-/// scheduled once per exploration instead of once per architecture.
-/// Only the register-capacity verdict and the spill penalty, which do
-/// depend on the register-file size, are recomputed here per machine.
-///
-/// # Panics
-/// Panics as [`evaluate`] does on a mismatched plan cache.
-#[must_use]
-pub fn evaluate_cached(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    memo: &CompileCache,
-) -> Measurement {
-    match try_evaluate_cached(spec, bench, cache, memo, None) {
-        Ok(m) => m,
-        Err(e) => panic!("evaluation failed without a fuel budget: {e}"),
-    }
-}
-
-/// [`try_evaluate`] through the compile cache.
-///
-/// Budget verdicts stay deterministic under memoization: cores are
-/// computed under unlimited fuel and record the steps they cost
-/// ([`cfp_sched::SchedCore::steps`]); every lookup — hit or miss —
-/// charges that price against this unit's own fuel. A compilation
-/// therefore passes or fails the budget identically whether it was
-/// scheduled here or served from another architecture's work, on any
-/// thread interleaving.
-///
-/// # Errors
-/// As [`try_evaluate`].
-pub fn try_evaluate_cached(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    memo: &CompileCache,
-    fuel_budget: Option<u64>,
-) -> Result<Measurement, EvalError> {
-    try_evaluate_cached_in(
-        spec,
-        bench,
-        cache,
-        memo,
-        fuel_budget,
-        &mut EvalScratch::new(),
-    )
-}
-
-/// [`try_evaluate_cached`] with caller-provided scratch. On a cache hit
-/// the scratch is untouched; on a miss the compile runs entirely inside
-/// it, so a worker thread's steady state allocates nothing either way.
-///
-/// # Errors
-/// As [`try_evaluate`].
-pub fn try_evaluate_cached_in(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    memo: &CompileCache,
-    fuel_budget: Option<u64>,
-    scratch: &mut EvalScratch,
-) -> Result<Measurement, EvalError> {
-    try_evaluate_cached_traced_in(
-        spec,
-        bench,
-        cache,
-        memo,
-        fuel_budget,
-        scratch,
-        &mut UnitTrace::disabled(),
-    )
-}
-
-/// [`try_evaluate_cached_in`] recording one `compile` span per attempted
-/// unroll factor, labelled `cache: "hit"` when the core was served from
-/// another unit's work and `"miss"` when this unit scheduled it (the
-/// miss additionally records the scheduler's inner spans). Which unit
-/// of a sharing set sees the miss depends on thread interleaving; the
-/// steps charged and the verdicts do not. With a disabled trace this is
-/// exactly [`try_evaluate_cached_in`].
-///
-/// # Errors
-/// As [`try_evaluate`].
-pub fn try_evaluate_cached_traced_in(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    memo: &CompileCache,
-    fuel_budget: Option<u64>,
-    scratch: &mut EvalScratch,
-    trace: &mut UnitTrace<'_>,
-) -> Result<Measurement, EvalError> {
-    try_evaluate_cached_capped_traced_in(
-        spec,
-        bench,
-        cache,
-        memo,
-        fuel_budget,
-        u32::MAX,
-        scratch,
-        trace,
-    )
-}
-
-/// [`try_evaluate_cached_in`] with the unroll sweep truncated at
-/// `max_unroll` — the search engine's cheap-screen entry point. A rung
-/// with `max_unroll = 1` compiles only the un-unrolled plan; the full
-/// rung (`max_unroll >= 16`) is bit-identical to
-/// [`try_evaluate_cached_in`], so promoting a survivor to the final
-/// rung yields exactly the measurement an exhaustive sweep would have
-/// recorded.
-///
-/// # Errors
-/// As [`try_evaluate`].
-pub fn try_evaluate_cached_capped_in(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    memo: &CompileCache,
-    fuel_budget: Option<u64>,
-    max_unroll: u32,
-    scratch: &mut EvalScratch,
-) -> Result<Measurement, EvalError> {
-    try_evaluate_cached_capped_traced_in(
-        spec,
-        bench,
-        cache,
-        memo,
-        fuel_budget,
-        max_unroll,
-        scratch,
-        &mut UnitTrace::disabled(),
-    )
-}
-
-/// [`try_evaluate_cached_capped_in`] with tracing — the shared body of
-/// every memoized evaluation entry point.
-///
-/// # Errors
-/// As [`try_evaluate`].
-#[allow(clippy::too_many_arguments)] // the superset of the cached entry's knobs
-pub fn try_evaluate_cached_capped_traced_in(
-    spec: &ArchSpec,
-    bench: Benchmark,
-    cache: &PlanCache,
-    memo: &CompileCache,
-    fuel_budget: Option<u64>,
-    max_unroll: u32,
-    scratch: &mut EvalScratch,
-    trace: &mut UnitTrace<'_>,
-) -> Result<Measurement, EvalError> {
-    let (machine, sched) = scratch.machine_and_sched(spec);
-    // Derive the memo key from the memoized description rather than a
-    // throwaway `Mdes`: this keeps the warm path allocation-free (see
-    // `tests/trace_equivalence.rs`).
-    let sig = spec.sched_signature_with(&machine.mdes);
-    unroll_sweep(
-        bench,
-        residency_budget(spec.regs),
-        spec.exts,
-        cache,
-        fuel_budget,
-        max_unroll,
-        |id, u, fuel| {
-            let t0 = trace.start();
-            let mut computed = false;
-            let out = (|| -> Result<(bool, u32, u64, u32), SchedError> {
-                let core = memo.try_core(id, sig, || {
-                    computed = true;
-                    let prepared = memo.prepared(id, machine.l2_latency, || {
-                        prepare_traced(cache.kernel(id), machine, trace)
-                    });
-                    try_compile_core_traced_in(
-                        &prepared,
-                        machine,
-                        &mut Fuel::unlimited(),
-                        sched,
-                        trace,
-                    )
-                })?;
-                fuel.spend(core.steps)?;
-                let excess: u32 = core
-                    .peak
-                    .iter()
-                    .zip(&machine.clusters)
-                    .map(|(&p, c)| p.saturating_sub(c.regs))
-                    .sum();
-                Ok((
-                    excess == 0,
-                    core.length + spill_penalty_cycles(excess, machine),
-                    core.steps,
-                    excess,
-                ))
-            })();
-            let served = if computed { "miss" } else { "hit" };
-            match &out {
-                Ok((fits, cycles, steps, excess)) => trace.stage(
-                    Stage::Compile,
-                    t0,
-                    &[
-                        ("unroll", Value::U64(u64::from(u))),
-                        ("cache", Value::Str(served)),
-                        ("steps", Value::U64(*steps)),
-                        ("fits", Value::Bool(*fits)),
-                        ("cycles", Value::U64(u64::from(*cycles))),
-                        ("spill_excess", Value::U64(u64::from(*excess))),
-                    ],
-                ),
-                Err(e) => trace.stage(
-                    Stage::Compile,
-                    t0,
-                    &[
-                        ("unroll", Value::U64(u64::from(u))),
-                        ("cache", Value::Str(served)),
-                        ("error", Value::Str(e.token())),
-                    ],
-                ),
-            }
-            out.map(|(fits, cycles, _, _)| (fits, cycles))
-        },
-    )
 }
 
 #[cfg(test)]
@@ -1167,9 +964,10 @@ mod tests {
     #[test]
     fn cache_holds_each_budget_and_unroll() {
         let c = small_cache();
-        assert!(c.get(Benchmark::D, residency_budget(64), 1).is_some());
-        assert!(c.get(Benchmark::D, residency_budget(256), 4).is_some());
-        assert!(c.get(Benchmark::D, residency_budget(128), 1).is_none());
+        let get = |regs, u| c.get(Benchmark::D, residency_budget(regs), u, ExtSet::EMPTY);
+        assert!(get(64, 1).is_some());
+        assert!(get(256, 4).is_some());
+        assert!(get(128, 1).is_none());
         assert_eq!(c.len(), 2 * 2 * 3);
     }
 
@@ -1234,14 +1032,19 @@ mod tests {
             ArchSpec::new(2, 1, 64, 1, 4, 1).unwrap(),
         ];
         let memo = CompileCache::new();
+        let direct = Evaluator::new(&cache);
+        let memoized = Evaluator {
+            memo: Some(&memo),
+            ..direct
+        };
         let mut scratch = EvalScratch::new();
+        let off = &mut UnitTrace::disabled();
         for spec in &specs {
             for b in [Benchmark::D, Benchmark::A] {
                 let fresh = try_evaluate(spec, b, &cache, None).unwrap();
-                let reused = try_evaluate_in(spec, b, &cache, None, &mut scratch).unwrap();
+                let reused = direct.evaluate(spec, b, &mut scratch, off).unwrap();
                 assert_eq!(fresh, reused, "{spec} {b}");
-                let cached =
-                    try_evaluate_cached_in(spec, b, &cache, &memo, None, &mut scratch).unwrap();
+                let cached = memoized.evaluate(spec, b, &mut scratch, off).unwrap();
                 assert_eq!(fresh, cached, "{spec} {b} (cached)");
             }
         }
@@ -1251,7 +1054,8 @@ mod tests {
     fn plan_store_snapshots_match_a_cold_build_and_keep_ids_stable() {
         let benches = [Benchmark::D, Benchmark::A];
         let store = PlanStore::new();
-        let snap = store.ensure_snapshot(&benches, &[64, 256], &[1, 2, 4]);
+        let snap =
+            store.ensure_snapshot_extended(&benches, &[64, 256], &[1, 2, 4], &[ExtSet::EMPTY]);
         let cold = PlanCache::build(&benches, &[64, 256], &[1, 2, 4]);
         assert_eq!(snap.len(), cold.len());
         assert_eq!(snap.unique_kernels(), cold.unique_kernels());
@@ -1262,13 +1066,14 @@ mod tests {
         }
         // A second, overlapping snapshot hits the plan map and reuses
         // the same ids for shared triples — the cross-job contract.
-        let again = store.ensure_snapshot(&[Benchmark::D], &[256], &[1, 2, 4]);
+        let again =
+            store.ensure_snapshot_extended(&[Benchmark::D], &[256], &[1, 2, 4], &[ExtSet::EMPTY]);
         assert!(store.plan_hits() > 0);
         let budget = residency_budget(256);
         for u in [1, 2, 4] {
             assert_eq!(
-                snap.id(Benchmark::D, budget, u),
-                again.id(Benchmark::D, budget, u),
+                snap.id(Benchmark::D, budget, u, ExtSet::EMPTY),
+                again.id(Benchmark::D, budget, u, ExtSet::EMPTY),
                 "unroll {u}"
             );
         }
@@ -1279,17 +1084,27 @@ mod tests {
         // Cap 2 forces every round to evict; ids must come back
         // identical because interning is by content.
         let store = PlanStore::bounded(2);
-        let first = store.ensure_snapshot(&[Benchmark::D, Benchmark::A], &[64, 256], &[1, 2]);
+        let first = store.ensure_snapshot_extended(
+            &[Benchmark::D, Benchmark::A],
+            &[64, 256],
+            &[1, 2],
+            &[ExtSet::EMPTY],
+        );
         let evictions_after_first = store.plan_evictions();
         assert!(evictions_after_first > 0, "cap 2 over 8 triples must evict");
-        let second = store.ensure_snapshot(&[Benchmark::D, Benchmark::A], &[64, 256], &[1, 2]);
+        let second = store.ensure_snapshot_extended(
+            &[Benchmark::D, Benchmark::A],
+            &[64, 256],
+            &[1, 2],
+            &[ExtSet::EMPTY],
+        );
         for b in [Benchmark::D, Benchmark::A] {
             for &r in &[64u32, 256] {
                 for u in [1, 2] {
                     let budget = residency_budget(r);
                     assert_eq!(
-                        first.id(b, budget, u),
-                        second.id(b, budget, u),
+                        first.id(b, budget, u, ExtSet::EMPTY),
+                        second.id(b, budget, u, ExtSet::EMPTY),
                         "{b} budget {budget} unroll {u}"
                     );
                 }

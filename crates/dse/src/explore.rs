@@ -18,17 +18,13 @@
 //! to disk and an interrupted run resumes bit-identically.
 
 use crate::checkpoint::{self, Checkpoint};
-use crate::error::{ExploreError, FailKind, FailReason};
-use crate::eval::{
-    try_evaluate_cached_traced_in, try_evaluate_traced_in, EvalOutcome, EvalScratch, PlanCache,
-    PlanStore, UNROLL_SWEEP,
-};
+use crate::error::{ExploreError, FailKind};
+use crate::eval::{quarantine, EvalOutcome, EvalScratch, Evaluator, PlanStore, UNROLL_SWEEP};
 use crate::memo::CompileCache;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::FaultInjector;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -53,9 +49,7 @@ pub struct ExploreConfig {
     pub benches: Vec<Benchmark>,
     /// Worker threads.
     pub threads: usize,
-    /// Print coarse progress to stderr during the sweep. The
-    /// `CFP_PROGRESS` environment variable also enables this, as an
-    /// override for canned configurations.
+    /// Print coarse progress to stderr during the sweep.
     pub progress: bool,
     /// Share compile work across architectures with equal scheduling
     /// signatures (on by default; results are identical either way —
@@ -315,22 +309,7 @@ impl Exploration {
         config: &ExploreConfig,
         rec: &dyn Recorder,
     ) -> Result<Self, ExploreError> {
-        if config.archs.is_empty() || config.benches.is_empty() {
-            return Err(ExploreError::EmptyConfig);
-        }
-        let start = Instant::now();
-        let mut reg_sizes: Vec<u32> = config.archs.iter().map(|a| a.regs).collect();
-        reg_sizes.push(ArchSpec::baseline().regs);
-        let cache = PlanCache::build_extended_traced(
-            &config.benches,
-            &reg_sizes,
-            &UNROLL_SWEEP,
-            &ext_sets_of(&config.archs),
-            &mut UnitTrace::new(rec, cfp_obs::unit::PLAN),
-        );
-        let plan_wall = start.elapsed();
-        let memo = config.reuse.then(CompileCache::new);
-        Self::run_prepared(config, rec, &cache, memo.as_ref(), start, plan_wall)
+        Self::try_run_shared(config, &PlanStore::new(), &CompileCache::new(), rec)
     }
 
     /// [`Self::try_run_traced`] against caches that outlive the run —
@@ -341,8 +320,9 @@ impl Exploration {
     /// earlier job pays only the capacity checks. Results are
     /// bit-identical to [`Self::try_run_traced`] on the same config: a
     /// warm cache changes who computes, never what is computed (the
-    /// fuel discipline in [`crate::eval::try_evaluate_cached`] is what
-    /// makes that hold).
+    /// fuel discipline of [`Evaluator::evaluate`]'s memoized arm is what
+    /// makes that hold). [`Self::try_run_traced`] is this function on
+    /// fresh caches.
     ///
     /// [`RunStats::cache_hits`] and [`RunStats::unique_schedules`]
     /// report this run's delta against the shared cache's counters. The
@@ -366,85 +346,46 @@ impl Exploration {
         let start = Instant::now();
         let mut reg_sizes: Vec<u32> = config.archs.iter().map(|a| a.regs).collect();
         reg_sizes.push(ArchSpec::baseline().regs);
-        let cache = store.ensure_snapshot_extended(
+        let plans = store.snapshot(
             &config.benches,
             &reg_sizes,
             &UNROLL_SWEEP,
             &ext_sets_of(&config.archs),
+            &mut UnitTrace::new(rec, cfp_obs::unit::PLAN),
         );
         let plan_wall = start.elapsed();
-        Self::run_prepared(
-            config,
-            rec,
-            &cache,
-            config.reuse.then_some(memo),
-            start,
-            plan_wall,
-        )
-    }
+        let memo = config.reuse.then_some(memo);
+        let session = Evaluator {
+            memo,
+            fuel: config.fuel,
+            ..Evaluator::new(&plans)
+        };
 
-    /// The sweep proper, over an already-built plan cache: baseline,
-    /// checkpoint attach/replay, the quarantined worker loop, and stats
-    /// assembly. Cache counters are reported as deltas from entry so a
-    /// shared, pre-warmed `memo` yields per-run numbers.
-    fn run_prepared(
-        config: &ExploreConfig,
-        rec: &dyn Recorder,
-        cache: &PlanCache,
-        memo: Option<&CompileCache>,
-        start: Instant,
-        plan_wall: Duration,
-    ) -> Result<Self, ExploreError> {
         let cost = CostModel::paper_calibrated();
         let cycle = CycleModel::paper_calibrated();
+        // Cache counters are reported as deltas from here, so a shared,
+        // pre-warmed `memo` yields per-run numbers.
         let hits0 = memo.map_or(0, CompileCache::core_hits);
         let cores0 = memo.map_or(0, |m| m.unique_cores() as u64);
 
-        let progress = config.progress || std::env::var_os("CFP_PROGRESS").is_some();
         let nb = config.benches.len();
         let units = config.archs.len() * nb;
         let done = AtomicUsize::new(0);
 
-        // The quarantine boundary: evaluate one pair, converting panics
-        // and typed errors into `EvalOutcome::Failed` instead of letting
-        // them take down the worker (and with it the whole sweep).
-        // `AssertUnwindSafe` is sound here: the shared state crossing the
-        // boundary is the plan cache (read-only), the compile memo,
-        // whose shards hold only completed values (computes run outside
-        // the shard locks) and recover from poisoning explicitly, and
-        // the worker's own scratch arena — every scratch consumer
-        // resizes and clears its buffers on entry, so a panic mid-unit
-        // leaves at worst stale data the next unit overwrites.
+        // Evaluate one pair behind the quarantine boundary and emit its
+        // `unit` span (`fault_unit` is `None` for the baseline).
         let quarantined = |spec: &ArchSpec,
                            bench: Benchmark,
                            fault_unit: Option<u64>,
                            sc: &mut EvalScratch,
                            trace: &mut UnitTrace<'_>| {
             let t0 = trace.start();
-            let result = catch_unwind(AssertUnwindSafe(|| {
+            let out = quarantine(|| {
                 if let (Some(injector), Some(u)) = (&config.fault, fault_unit) {
                     injector.fire(u);
                 }
-                match memo {
-                    Some(memo) => try_evaluate_cached_traced_in(
-                        spec,
-                        bench,
-                        cache,
-                        memo,
-                        config.fuel,
-                        sc,
-                        trace,
-                    ),
-                    None => try_evaluate_traced_in(spec, bench, cache, config.fuel, sc, trace),
-                }
-            }));
-            let out = match result {
-                Ok(Ok(m)) => EvalOutcome::Done(m),
-                Ok(Err(e)) => EvalOutcome::Failed { reason: e.into() },
-                Err(payload) => EvalOutcome::Failed {
-                    reason: FailReason::from_panic(payload.as_ref()),
-                },
-            };
+                session.evaluate(spec, bench, sc, trace)
+            });
             unit_span(trace, t0, spec, bench, &out, fault_unit.is_none());
             out
         };
@@ -459,7 +400,7 @@ impl Exploration {
             let bench = config.benches[i % nb];
             let mut trace = UnitTrace::new(rec, cfp_obs::unit::sweep(i));
             let out = quarantined(spec, bench, Some(i as u64), sc, &mut trace);
-            if progress {
+            if config.progress {
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                 if n % 200 == 0 || n == units {
                     eprintln!("  evaluated {n}/{units} (architecture, benchmark) pairs");
@@ -632,7 +573,7 @@ impl Exploration {
                 cache_hits: memo.map_or(0, |m| m.core_hits().saturating_sub(hits0)),
                 unique_schedules: memo
                     .map_or(0, |m| (m.unique_cores() as u64).saturating_sub(cores0)),
-                unique_plans: cache.unique_kernels(),
+                unique_plans: plans.unique_kernels(),
                 architectures: archs.len(),
                 failed_units,
                 fuel_exhausted,
@@ -794,6 +735,30 @@ mod tests {
         assert_eq!(second.stats.compilations, first.stats.compilations);
         // The plan store served the second run's plans from memory.
         assert!(store.plan_hits() > 0);
+    }
+
+    #[test]
+    fn unique_plans_counts_the_jobs_own_plans_on_a_shared_store() {
+        // Job B after job A on one store reports what B reports alone,
+        // not every kernel the store has interned by then.
+        let mut a = ExploreConfig::smoke();
+        a.archs.truncate(3);
+        a.benches = vec![Benchmark::D];
+        let mut b = a.clone();
+        b.benches = vec![Benchmark::G];
+        let (store, memo) = (PlanStore::new(), CompileCache::new());
+        let shared = |cfg| {
+            Exploration::try_run_shared(cfg, &store, &memo, &cfp_obs::NULL).expect("shared run")
+        };
+        let first = shared(&a);
+        let second = shared(&b);
+        let alone = Exploration::run(&b);
+        assert_eq!(second.stats.unique_plans, alone.stats.unique_plans);
+        assert_eq!(
+            store.unique_kernels(),
+            first.stats.unique_plans + second.stats.unique_plans,
+            "D and G share no kernel, so the store holds both jobs'"
+        );
     }
 
     #[test]

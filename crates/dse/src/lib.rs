@@ -77,9 +77,8 @@ pub use batch::{spec_fingerprint, EvalBatch};
 pub use checkpoint::Checkpoint;
 pub use error::{CheckpointError, EvalError, ExploreError, FailKind, FailReason};
 pub use eval::{
-    evaluate, evaluate_cached, try_evaluate, try_evaluate_cached, try_evaluate_cached_in,
-    try_evaluate_cached_traced_in, try_evaluate_in, try_evaluate_traced_in, EvalOutcome,
-    EvalScratch, Measurement, PlanCache, PlanId, PlanStore,
+    evaluate, quarantine, try_evaluate, EvalOutcome, EvalScratch, Evaluator, Measurement,
+    PlanCache, PlanId, PlanStore,
 };
 pub use explore::{ArchEval, Exploration, ExploreConfig, RunStats};
 pub use io::{from_csv, to_csv};

@@ -35,10 +35,10 @@
 //! below); the only cost is the recompute itself.
 
 use crate::eval::PlanId;
-use cfp_machine::SchedSignature;
+use cfp_machine::{Fnv1a, SchedSignature};
 use cfp_sched::{Prepared, SchedCore};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -46,24 +46,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// distinct keys, ≲ dozens of threads) rarely collides, small enough to
 /// stay cheap to create. Power of two only for the modulo's sake.
 const SHARDS: usize = 64;
-
-/// FNV-1a over the bytes a key's `Hash` impl feeds it: the repo's fixed
-/// hash, used only to pick a shard (each shard's own `HashMap` keeps the
-/// standard keyed hasher).
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// One cached entry plus its segmented-LRU bookkeeping: the shard-local
 /// touch stamp and whether the entry has graduated out of probation
@@ -174,7 +156,10 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
 
 impl<K: Eq + Hash + Clone, V> ShardedMap<K, V> {
     fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        // The repo's fixed hash over the bytes the key's `Hash` impl
+        // feeds it, used only to pick a shard (each shard's own `HashMap`
+        // keeps the standard keyed hasher).
+        let mut h = Fnv1a::new();
         key.hash(&mut h);
         &self.shards[h.finish() as usize % SHARDS]
     }
@@ -529,9 +514,10 @@ mod tests {
         // single core slot per shard, forcing every (plan, signature)
         // to be evicted and rescheduled, and require bit-identical
         // measurements against an unbounded cache.
-        use crate::eval::{try_evaluate_cached, PlanCache};
+        use crate::eval::{EvalScratch, Evaluator, PlanCache};
         use cfp_kernels::Benchmark;
         use cfp_machine::ArchSpec;
+        use cfp_obs::UnitTrace;
 
         let benches = [Benchmark::D, Benchmark::G];
         let cache = PlanCache::build(&benches, &[64, 256], &[1, 2, 4]);
@@ -546,10 +532,15 @@ mod tests {
         for round in 0..3 {
             for spec in &specs {
                 for b in benches {
-                    let full =
-                        try_evaluate_cached(spec, b, &cache, &unbounded, None).expect("evaluates");
-                    let evicted =
-                        try_evaluate_cached(spec, b, &cache, &tiny, None).expect("evaluates");
+                    let through = |memo| {
+                        Evaluator {
+                            memo: Some(memo),
+                            ..Evaluator::new(&cache)
+                        }
+                        .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
+                        .expect("evaluates")
+                    };
+                    let (full, evicted) = (through(&unbounded), through(&tiny));
                     assert_eq!(full, evicted, "round {round}: {spec} {b}");
                     rounds.push(evicted);
                 }
@@ -571,9 +562,10 @@ mod tests {
     fn a_bounded_cache_counts_the_same_in_every_run() {
         // Shard placement is a fixed hash of the key, so two identical
         // single-thread runs evict the same entries.
-        use crate::eval::{try_evaluate_cached, PlanCache};
+        use crate::eval::{EvalScratch, Evaluator, PlanCache};
         use cfp_kernels::Benchmark;
         use cfp_machine::ArchSpec;
+        use cfp_obs::UnitTrace;
 
         let benches = [Benchmark::A, Benchmark::D, Benchmark::G];
         let cache = PlanCache::build(&benches, &[64, 256], &[1, 2, 4]);
@@ -588,7 +580,12 @@ mod tests {
             for _ in 0..2 {
                 for spec in &specs {
                     for b in benches {
-                        try_evaluate_cached(spec, b, &cache, &memo, None).expect("evaluates");
+                        Evaluator {
+                            memo: Some(&memo),
+                            ..Evaluator::new(&cache)
+                        }
+                        .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
+                        .expect("evaluates");
                     }
                 }
             }

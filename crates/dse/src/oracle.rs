@@ -15,7 +15,7 @@
 //! enforced by `bench_oracle --check`).
 //!
 //! Everything is deterministic in the seed: sampling uses the same
-//! [`SplitMix64`] stream discipline as the guided search (and
+//! SplitMix64 remainder draws as the guided search (and
 //! [`SpaceAxes::sample_with`]'s pinned draw order), and each point's
 //! certification burns its own step-count [`Fuel`], so verdicts —
 //! including [`PointVerdict::FuelExhausted`] — are bit-identical across
@@ -23,12 +23,13 @@
 
 use crate::batch::spec_fingerprint;
 use crate::eval::residency_budget;
-use crate::search::SplitMix64;
+use crate::search::below;
 use cfp_kernels::Benchmark;
-use cfp_machine::{ArchSpec, MachineResources, SpaceAxes};
+use cfp_machine::{ArchSpec, Fnv1a, MachineResources, SpaceAxes};
 use cfp_sched::{
     certify_min_ii, modulo_schedule, omega_deps, validate_modulo, CertifyOutcome, Ddg, Fuel,
 };
+use cfp_testkit::Rng;
 
 /// The default fuel ladder: three rungs, a decade apart. Each undecided
 /// point restarts from scratch on the next rung (restarting is how the
@@ -189,16 +190,16 @@ impl OracleReport {
     /// thread count.
     #[must_use]
     pub fn run(config: &OracleConfig) -> OracleReport {
-        let mut rng = SplitMix64::new(config.seed);
+        let mut rng = Rng::new(config.seed);
         let mut trials: Vec<(Benchmark, ArchSpec, u32)> = Vec::new();
         for (axes, count) in [
             (SpaceAxes::paper(), config.paper_points),
             (SpaceAxes::extended(), config.extended_points),
         ] {
             for _ in 0..count {
-                let spec = axes.sample_with(&mut |n| rng.below(n));
-                let bench = config.benches[rng.below(config.benches.len().max(1))];
-                let unroll = config.unrolls[rng.below(config.unrolls.len().max(1))];
+                let spec = axes.sample_with(&mut |n| below(&mut rng, n));
+                let bench = config.benches[below(&mut rng, config.benches.len().max(1))];
+                let unroll = config.unrolls[below(&mut rng, config.unrolls.len().max(1))];
                 trials.push((bench, spec, unroll));
             }
         }
@@ -368,13 +369,8 @@ impl OracleReport {
     /// in the pinned surface): the study's single regression digest.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
+        let mut eat = |x: u64| h.write(&x.to_le_bytes());
         for p in &self.points {
             eat(spec_fingerprint(&p.spec));
             eat(u64::from(p.bench.letter().as_bytes()[0]));
@@ -399,7 +395,7 @@ impl OracleReport {
             eat(u64::from(p.rung));
             eat(u64::from(p.certificate_valid));
         }
-        h
+        h.finish()
     }
 }
 

@@ -8,16 +8,21 @@
 //! module answers that question twice over:
 //!
 //! * the classic strategies ([`Strategy`], [`run`], [`study`]) — random
-//!   sampling, hill climbing, simulated annealing — originally driven
-//!   against a completed [`Exploration`] used as an oracle, and still
-//!   runnable that way; and
+//!   sampling, hill climbing, simulated annealing — driven against a
+//!   completed [`Exploration`] used as an oracle, which is what lets the
+//!   study grade each one against the known optimum; and
 //! * the guided engine ([`try_search`]): a [`LazyOracle`] that compiles
-//!   and scores only the candidates a search actually asks about,
+//!   and scores only the candidates a search actually asks about — one
+//!   [`Evaluator`] per [`Rung`], behind the sweep's [`quarantine`] —
 //!   wrapped in a successive-halving fuel ladder (cheap truncated-unroll
-//!   screens at the low [`Rung`]s, full-fidelity evaluation only for
-//!   the survivors) with frontier-neighborhood refinement between
-//!   rounds. On spaces of 10^5+ points — far past what the exhaustive
-//!   sweep can visit — this is the only way to get an answer at all.
+//!   screens at the low rungs, full-fidelity evaluation only for the
+//!   survivors) with frontier-neighborhood refinement between rounds.
+//!   On spaces of 10^5+ points — far past what the exhaustive sweep can
+//!   visit — this is the only way to get an answer at all.
+//!
+//! Both read their lattice moves from [`SpaceAxes::neighbors`] and their
+//! random draws from [`cfp_testkit::Rng`], the workspace's one
+//! SplitMix64.
 //!
 //! The objective is the paper's design task: maximize the target
 //! benchmark's speedup subject to a cost bound. The engine reports the
@@ -34,59 +39,39 @@
 
 use crate::batch::spec_fingerprint;
 use crate::checkpoint::{self, Checkpoint};
-use crate::error::{CheckpointError, ExploreError, FailKind, FailReason};
+use crate::error::{CheckpointError, ExploreError, FailKind};
 use crate::eval::{
-    try_evaluate_cached_capped_in, try_evaluate_cached_in, EvalOutcome, EvalScratch, PlanCache,
-    PlanStore, UNROLL_SWEEP,
+    quarantine, EvalOutcome, EvalScratch, Evaluator, PlanCache, PlanStore, UNROLL_SWEEP,
 };
 use crate::explore::{Exploration, RunStats};
 use crate::memo::CompileCache;
 use crate::pareto::{self, ScatterPoint};
 use cfp_kernels::Benchmark;
-use cfp_machine::{ArchSpec, CostModel, CycleModel, SpaceAxes};
+use cfp_machine::{ArchSpec, CostModel, CycleModel, Fnv1a, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
+use cfp_testkit::Rng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// A deterministic, dependency-free PRNG (SplitMix64).
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
+/// Uniform index in `0..n` by plain remainder. Every pinned search and
+/// oracle-study digest was drawn this way; [`Rng::below`] rejects to
+/// remove the modulo bias and so consumes the stream differently.
+///
+/// # Panics
+/// Panics if `n == 0`.
+pub(crate) fn below(rng: &mut Rng, n: usize) -> usize {
+    assert!(n > 0);
+    // The remainder is < n, which already fits in usize.
+    (rng.next_u64() % (n as u64)) as usize
+}
 
-impl SplitMix64 {
-    /// Seeded constructor.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform index in `0..n`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn below(&mut self, n: usize) -> usize {
-        assert!(n > 0);
-        // The remainder is < n, which already fits in usize.
-        (self.next_u64() % (n as u64)) as usize
-    }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1_u64 << 53) as f64
-    }
+/// Uniform float in `[0, 1)` from the top 53 bits of one draw.
+fn unit(rng: &mut Rng) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1_u64 << 53) as f64
 }
 
 /// A search strategy.
@@ -182,16 +167,6 @@ impl<'a> Oracle<'a> {
     }
 }
 
-/// Lattice neighbors of a spec: one parameter moved one step along its
-/// enumerated values, keeping the spec valid. Moves derive from
-/// [`SpaceAxes::extended`] — the axes are the single source of truth
-/// for the strategies' neighborhood structure; searches over other
-/// spaces should call [`SpaceAxes::neighbors`] on their own axes.
-#[must_use]
-pub fn neighbors(spec: &ArchSpec) -> Vec<ArchSpec> {
-    SpaceAxes::extended().neighbors(spec)
-}
-
 /// The shared strategy driver: walks candidates according to `strategy`,
 /// scoring through `eval` (higher is better; non-finite means "not a
 /// candidate"), and returns the best finite-scored spec found.
@@ -201,7 +176,10 @@ fn drive(
     seed: u64,
     eval: &mut dyn FnMut(&ArchSpec) -> f64,
 ) -> Option<(f64, ArchSpec)> {
-    let mut rng = SplitMix64::new(seed ^ 0x5eed);
+    let mut rng = Rng::new(seed ^ 0x5eed);
+    // The axes are the single source of truth for the strategies'
+    // neighborhood structure.
+    let axes = SpaceAxes::extended();
     let mut best: Option<(f64, ArchSpec)> = None;
     let consider = |v: f64, s: ArchSpec, best: &mut Option<(f64, ArchSpec)>| {
         if v.is_finite() && best.as_ref().is_none_or(|(b, _)| v > *b) {
@@ -218,19 +196,19 @@ fn drive(
         }
         Strategy::RandomSample { n } => {
             for _ in 0..n {
-                let s = specs[rng.below(specs.len())];
+                let s = specs[below(&mut rng, specs.len())];
                 let v = eval(&s);
                 consider(v, s, &mut best);
             }
         }
         Strategy::HillClimb { restarts } => {
             for _ in 0..restarts.max(1) {
-                let mut cur = specs[rng.below(specs.len())];
+                let mut cur = specs[below(&mut rng, specs.len())];
                 let mut cur_v = eval(&cur);
                 consider(cur_v, cur, &mut best);
                 loop {
                     let mut improved = false;
-                    for n in neighbors(&cur) {
+                    for n in axes.neighbors(&cur) {
                         let v = eval(&n);
                         consider(v, n, &mut best);
                         if v > cur_v {
@@ -246,21 +224,21 @@ fn drive(
             }
         }
         Strategy::Anneal { steps } => {
-            let mut cur = specs[rng.below(specs.len())];
+            let mut cur = specs[below(&mut rng, specs.len())];
             let mut cur_v = eval(&cur);
             consider(cur_v, cur, &mut best);
             let t0 = 2.0_f64;
             for step in 0..steps {
                 let temp = t0 * 0.98_f64.powi(i32::try_from(step).unwrap_or(i32::MAX));
-                let ns = neighbors(&cur);
+                let ns = axes.neighbors(&cur);
                 if ns.is_empty() {
                     break;
                 }
-                let cand = ns[rng.below(ns.len())];
+                let cand = ns[below(&mut rng, ns.len())];
                 let v = eval(&cand);
                 consider(v, cand, &mut best);
                 let accept = v > cur_v
-                    || (v.is_finite() && rng.unit() < ((v - cur_v) / temp.max(1e-6)).exp());
+                    || (v.is_finite() && unit(&mut rng) < ((v - cur_v) / temp.max(1e-6)).exp());
                 if accept {
                     cur = cand;
                     cur_v = v;
@@ -301,53 +279,6 @@ pub fn run(
             best_speedup / exhaustive_best
         } else {
             0.0
-        },
-    }
-}
-
-/// Run one classic strategy against a [`LazyOracle`] instead of a
-/// completed exploration: candidates are compiled and scored on demand
-/// (full fidelity, memoized through the oracle), so the report's
-/// `evaluations` count is compile work actually performed rather than
-/// oracle bookkeeping. `specs` is the candidate list random draws come
-/// from (usually the space's arrangements). `reference_best` is the
-/// exhaustive constrained optimum when known; without it `quality` is 0.
-#[must_use]
-pub fn run_lazy(
-    oracle: &LazyOracle<'_>,
-    specs: &[ArchSpec],
-    strategy: Strategy,
-    seed: u64,
-    reference_best: Option<f64>,
-) -> SearchReport {
-    let mut scratch = EvalScratch::new();
-    let mut queried: HashSet<ArchSpec> = HashSet::new();
-    let full = oracle.full_rung();
-    let best = drive(strategy, specs, seed, &mut |s| {
-        if !oracle.admissible(s) {
-            return f64::NEG_INFINITY;
-        }
-        queried.insert(*s);
-        let (out, _) = oracle.outcome(s, full, &mut scratch);
-        let su = oracle.speedup(s, &out);
-        if su.is_finite() {
-            su
-        } else {
-            f64::NEG_INFINITY
-        }
-    });
-    let (best_speedup, best_spec) = match best {
-        Some((v, s)) => (v, Some(s)),
-        None => (f64::NEG_INFINITY, None),
-    };
-    SearchReport {
-        strategy,
-        evaluations: queried.len(),
-        best: best_spec,
-        best_speedup,
-        quality: match reference_best {
-            Some(r) if r > 0.0 && best_speedup.is_finite() => best_speedup / r,
-            _ => 0.0,
         },
     }
 }
@@ -531,16 +462,19 @@ impl<'a> LazyOracle<'a> {
             &UNROLL_SWEEP,
             config.axes.ext_values(),
         );
-        let mut scratch = EvalScratch::new();
-        let baseline = try_evaluate_cached_in(
-            &ArchSpec::baseline(),
-            config.bench,
-            &plans,
-            memo,
-            last.fuel,
-            &mut scratch,
-        )
-        .map_err(|e| ExploreError::BaselineFailed(e.into()))?;
+        let full = Evaluator {
+            memo: Some(memo),
+            fuel: last.fuel,
+            ..Evaluator::new(&plans)
+        };
+        let baseline = full
+            .evaluate(
+                &ArchSpec::baseline(),
+                config.bench,
+                &mut EvalScratch::new(),
+                &mut UnitTrace::disabled(),
+            )
+            .map_err(|e| ExploreError::BaselineFailed(e.into()))?;
         Ok(LazyOracle {
             config,
             plans,
@@ -613,29 +547,19 @@ impl<'a> LazyOracle<'a> {
             return (hit, false);
         }
         let r = self.config.rungs[rung];
+        let session = Evaluator {
+            memo: Some(self.memo),
+            fuel: r.fuel,
+            max_unroll: r.max_unroll,
+            ..Evaluator::new(&self.plans)
+        };
         // The same quarantine boundary as the exhaustive sweep: a
         // pathological candidate becomes a Failed outcome, not a lost
-        // search. AssertUnwindSafe is sound for the same reasons as
-        // there — the caches hold only completed values and the scratch
-        // is re-cleared on entry by every consumer.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            try_evaluate_cached_capped_in(
-                spec,
-                self.config.bench,
-                &self.plans,
-                self.memo,
-                r.fuel,
-                r.max_unroll,
-                scratch,
-            )
-        }));
-        let out = match result {
-            Ok(Ok(m)) => EvalOutcome::Done(m),
-            Ok(Err(e)) => EvalOutcome::Failed { reason: e.into() },
-            Err(payload) => EvalOutcome::Failed {
-                reason: FailReason::from_panic(payload.as_ref()),
-            },
-        };
+        // search.
+        let out = quarantine(|| {
+            let off = &mut UnitTrace::disabled();
+            session.evaluate(spec, self.config.bench, scratch, off)
+        });
         self.lock_results().insert(key, out.clone());
         (out, true)
     }
@@ -813,7 +737,7 @@ pub fn try_search_shared(
     };
 
     let eval_start = Instant::now();
-    let mut rng = SplitMix64::new(config.seed ^ 0x5eac);
+    let mut rng = Rng::new(config.seed ^ 0x5eac);
     let mut seen: HashSet<ArchSpec> = HashSet::new();
     // Full-fidelity results, keyed by spec for deterministic iteration.
     let mut archive: BTreeMap<ArchSpec, (f64, f64)> = BTreeMap::new();
@@ -870,7 +794,7 @@ pub fn try_search_shared(
         let mut attempts = 0_usize;
         while pool.len() < config.round_size && attempts < config.round_size.saturating_mul(64) {
             attempts += 1;
-            let s = config.axes.sample_with(&mut |n| rng.below(n));
+            let s = config.axes.sample_with(&mut |n| below(&mut rng, n));
             if seen.contains(&s) || oracle.cost(&s) > config.cost_bound {
                 continue;
             }
@@ -1104,14 +1028,10 @@ const SEARCH_VERSION: &str = "v1";
 /// fingerprint, different magic so the two journal kinds never collide.
 #[must_use]
 pub fn search_fingerprint(config: &SearchConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.write(bytes);
+        h.write(&[0xff]);
     };
     eat(SEARCH_MAGIC.as_bytes());
     eat(SEARCH_VERSION.as_bytes());
@@ -1127,7 +1047,7 @@ pub fn search_fingerprint(config: &SearchConfig) -> u64 {
             Some(f) => eat(format!("rung:{}:{f}", r.max_unroll).as_bytes()),
         }
     }
-    h
+    h.finish()
 }
 
 /// An open search journal: lines on disk plus append machinery.
@@ -1296,7 +1216,7 @@ mod tests {
     #[test]
     fn neighbors_step_one_parameter_and_stay_valid() {
         let s = ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap();
-        let ns = neighbors(&s);
+        let ns = SpaceAxes::extended().neighbors(&s);
         assert!(!ns.is_empty());
         for n in &ns {
             assert!(n.validate().is_ok());
@@ -1309,7 +1229,9 @@ mod tests {
             assert!(diffs <= 1 || (diffs == 1 && n.muls != s.muls), "{n}");
         }
         // Extremes have fewer neighbors but still some.
-        assert!(!neighbors(&ArchSpec::baseline()).is_empty());
+        assert!(!SpaceAxes::extended()
+            .neighbors(&ArchSpec::baseline())
+            .is_empty());
     }
 
     #[test]
@@ -1395,6 +1317,27 @@ mod tests {
         assert_eq!(a.frontier, b.frontier);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.hypervolume.to_bits(), b.hypervolume.to_bits());
+    }
+
+    #[test]
+    fn unique_plans_counts_the_searchs_own_plans_on_a_shared_store() {
+        // Search B after search A on one store reports what B reports
+        // alone, not every kernel the store has interned by then.
+        let a = small_config();
+        let mut b = small_config();
+        b.bench = Benchmark::G;
+        let (store, memo) = (PlanStore::new(), CompileCache::new());
+        let shared =
+            |cfg| try_search_shared(cfg, &store, &memo, &cfp_obs::NULL).expect("search runs");
+        let first = shared(&a);
+        let second = shared(&b);
+        let alone = try_search(&b).expect("search runs");
+        assert_eq!(second.stats.unique_plans, alone.stats.unique_plans);
+        assert_eq!(
+            store.unique_kernels(),
+            first.stats.unique_plans + second.stats.unique_plans,
+            "D and G share no kernel, so the store holds both searches'"
+        );
     }
 
     #[test]

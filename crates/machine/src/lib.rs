@@ -22,7 +22,9 @@
 //!   unit table, reservation model) derived from an [`ArchSpec`]; the
 //!   single source of truth every downstream consumer reads;
 //! * [`MachineResources`] — the reservation-table view of an architecture
-//!   consumed by the `cfp-sched` list scheduler, wrapping an [`Mdes`].
+//!   consumed by the `cfp-sched` list scheduler, wrapping an [`Mdes`];
+//! * [`Fnv1a`] — the one hash behind every signature, fingerprint and
+//!   pinned digest in the workspace.
 //!
 //! ```
 //! use cfp_machine::{ArchSpec, CostModel, CycleModel};
@@ -49,6 +51,7 @@ pub mod calibrate;
 pub mod cost;
 pub mod cycle;
 pub mod ext;
+pub mod hash;
 pub mod mdes;
 pub mod paper;
 pub mod resources;
@@ -60,6 +63,7 @@ pub use axes::SpaceAxes;
 pub use cost::CostModel;
 pub use cycle::CycleModel;
 pub use ext::{ExtOp, ExtSet};
+pub use hash::Fnv1a;
 pub use mdes::{ClusterUnits, Mdes, OpClass, OpDesc, UnitClass};
 pub use resources::{
     ClusterResources, MachineResources, MemLevel, ALU_LATENCY, BRANCH_LATENCY, L1_LATENCY,

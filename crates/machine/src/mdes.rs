@@ -463,13 +463,8 @@ impl Mdes {
     /// empty extension set produces the exact historical hash.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: u32| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = crate::Fnv1a::new();
+        let mut eat = |x: u32| h.write(&x.to_le_bytes());
         for op in &self.ops[..OpClass::ALL.len()] {
             eat(op.latency);
             eat(u32::from(op.pipelined));
@@ -488,7 +483,7 @@ impl Mdes {
             eat(u32::from(op.pipelined));
             eat(op.unit as u32);
         }
-        h
+        h.finish()
     }
 
     /// Pretty-print the description: the op table (every *registered*

@@ -3,6 +3,13 @@
 //! This is the paper's "build a version of our compiler that generates
 //! good code for that architecture" step, minus the 50-second relink: the
 //! machine description is a runtime value.
+//!
+//! Three cacheable phases, one function each: [`prepare`] (reads only the
+//! memory latencies), [`try_compile_core`] (reads the scheduling
+//! signature; takes the caller's fuel, scratch arena and trace) and
+//! [`finish`] (reads the register files). [`compile_core`] and
+//! [`compile`] are the panicking one-liners over them for callers with
+//! one kernel and one machine.
 
 use crate::cluster::{assign_in, Assignment};
 use crate::ddg::Ddg;
@@ -13,6 +20,7 @@ use crate::regalloc::{peak_pressure_in, PressureReport};
 use crate::scratch::SchedScratch;
 use cfp_ir::Kernel;
 use cfp_machine::{MachineResources, UnitClass};
+use cfp_obs::{Stage, UnitTrace, Value};
 
 /// Everything the middle end and the design-space exploration need to
 /// know about one compilation.
@@ -66,21 +74,10 @@ pub struct Prepared {
 }
 
 /// Run the machine-independent phase: lower `kernel` and build its
-/// dependence graph.
+/// dependence graph, recording a `prepare` span (lowered op count and
+/// the pre-assignment critical path) into `trace`.
 #[must_use]
-pub fn prepare(kernel: &Kernel, machine: &MachineResources) -> Prepared {
-    prepare_traced(kernel, machine, &mut cfp_obs::UnitTrace::disabled())
-}
-
-/// [`prepare`] recording a `prepare` span (lowered op count and the
-/// pre-assignment critical path) into `trace`.
-#[must_use]
-pub fn prepare_traced(
-    kernel: &Kernel,
-    machine: &MachineResources,
-    trace: &mut cfp_obs::UnitTrace<'_>,
-) -> Prepared {
-    use cfp_obs::{Stage, Value};
+pub fn prepare(kernel: &Kernel, machine: &MachineResources, trace: &mut UnitTrace<'_>) -> Prepared {
     let t0 = trace.start();
     let code = LoopCode::build(kernel, machine);
     let ddg = Ddg::build(&code);
@@ -122,60 +119,34 @@ pub struct SchedCore {
     pub steps: u64,
 }
 
-/// Run the machine-dependent phase on a prepared plan: cluster
-/// assignment, list scheduling, and peak register pressure.
+/// Run the machine-dependent phase on a prepared plan under unlimited
+/// fuel, with a fresh scratch and no trace.
 ///
 /// # Panics
 /// Panics if the scheduler hits its internal cycle cap; sweeps over
 /// untrusted candidates should call [`try_compile_core`].
 #[must_use]
 pub fn compile_core(prepared: &Prepared, machine: &MachineResources) -> SchedCore {
-    match try_compile_core(prepared, machine, &mut Fuel::unlimited()) {
+    let (fuel, scratch) = (&mut Fuel::unlimited(), &mut SchedScratch::new());
+    match try_compile_core(prepared, machine, fuel, scratch, &mut UnitTrace::disabled()) {
         Ok(core) => core,
         Err(e) => panic!("compilation failed under unlimited fuel: {e}"),
     }
 }
 
-/// [`compile_core`] with failures as values: the scheduler runs under
-/// `fuel`, and a candidate that cannot be scheduled within the budget
-/// (or within the cycle cap) returns a [`SchedError`] instead of
-/// aborting or hanging the calling worker.
+/// Run the machine-dependent phase on a prepared plan: cluster
+/// assignment, list scheduling, and peak register pressure. The
+/// scheduler runs under `fuel`, and a candidate that cannot be scheduled
+/// within the budget (or within the cycle cap) returns a [`SchedError`]
+/// instead of aborting or hanging the calling worker.
 ///
-/// # Errors
-/// Whatever [`list::try_schedule`] reports.
-pub fn try_compile_core(
-    prepared: &Prepared,
-    machine: &MachineResources,
-    fuel: &mut Fuel,
-) -> Result<SchedCore, SchedError> {
-    try_compile_core_in(prepared, machine, fuel, &mut SchedScratch::new())
-}
-
-/// [`try_compile_core`] with working memory from `scratch`: cluster
-/// assignment, the post-assignment dependence graph, list scheduling, and
-/// the pressure analysis all draw their buffers from one reused arena, so
-/// a sweep's steady-state compilations allocate only their results.
+/// Working memory comes from `scratch`: cluster assignment, the
+/// post-assignment dependence graph, list scheduling, and the pressure
+/// analysis all draw their buffers from one reused arena, so a sweep's
+/// steady-state compilations allocate only their results.
 ///
-/// # Errors
-/// Whatever [`list::try_schedule`] reports.
-pub fn try_compile_core_in(
-    prepared: &Prepared,
-    machine: &MachineResources,
-    fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
-) -> Result<SchedCore, SchedError> {
-    try_compile_core_traced_in(
-        prepared,
-        machine,
-        fuel,
-        scratch,
-        &mut cfp_obs::UnitTrace::disabled(),
-    )
-}
-
-/// [`try_compile_core_in`] recording one span per phase — `assign`,
-/// `ddg`, `list` (with the deterministic step count), `regalloc` — into
-/// `trace`. With a disabled trace this is exactly `try_compile_core_in`:
+/// One span per phase — `assign`, `ddg`, `list` (with the deterministic
+/// step count), `regalloc` — goes into `trace`. With a disabled trace
 /// the guards cost one predicted branch per phase, allocate nothing, and
 /// never touch the fuel accounting, so schedules, steps, and budget
 /// verdicts are bit-identical with tracing on or off.
@@ -183,14 +154,13 @@ pub fn try_compile_core_in(
 /// # Errors
 /// Whatever [`list::try_schedule`] reports (the failure is recorded as
 /// an `error` field on the `list` span before it propagates).
-pub fn try_compile_core_traced_in(
+pub fn try_compile_core(
     prepared: &Prepared,
     machine: &MachineResources,
     fuel: &mut Fuel,
     scratch: &mut SchedScratch,
-    trace: &mut cfp_obs::UnitTrace<'_>,
+    trace: &mut UnitTrace<'_>,
 ) -> Result<SchedCore, SchedError> {
-    use cfp_obs::{Stage, Value};
     let before = fuel.spent();
     let t0 = trace.start();
     let assignment = assign_in(&prepared.code, &prepared.ddg, machine, scratch);
@@ -287,25 +257,11 @@ pub fn finish(core: &SchedCore, machine: &MachineResources) -> CompileResult {
 /// two (see `cfp-dse`).
 ///
 /// # Panics
-/// As [`compile_core`]; use [`try_compile`] to get failures as values.
+/// As [`compile_core`]; call the phases to get failures as values.
 #[must_use]
 pub fn compile(kernel: &Kernel, machine: &MachineResources) -> CompileResult {
-    finish(&compile_core(&prepare(kernel, machine), machine), machine)
-}
-
-/// [`compile`] under a step budget, with failures as values.
-///
-/// # Errors
-/// Whatever [`try_compile_core`] reports.
-pub fn try_compile(
-    kernel: &Kernel,
-    machine: &MachineResources,
-    fuel: &mut Fuel,
-) -> Result<CompileResult, SchedError> {
-    Ok(finish(
-        &try_compile_core(&prepare(kernel, machine), machine, fuel)?,
-        machine,
-    ))
+    let prepared = prepare(kernel, machine, &mut UnitTrace::disabled());
+    finish(&compile_core(&prepared, machine), machine)
 }
 
 /// Cycles of spill traffic per iteration when `excess` values do not fit.
@@ -391,7 +347,10 @@ mod tests {
             ArchSpec::new(16, 8, 128, 4, 2, 2).unwrap(),
         ] {
             let m = MachineResources::from_spec(&spec);
-            let phased = finish(&compile_core(&prepare(&k, &m), &m), &m);
+            let phased = finish(
+                &compile_core(&prepare(&k, &m, &mut UnitTrace::disabled()), &m),
+                &m,
+            );
             assert_eq!(phased, compile(&k, &m), "{spec}");
         }
     }
@@ -401,8 +360,9 @@ mod tests {
         let k = compile_kernel(STENCIL, &[]).unwrap();
         let small = MachineResources::from_spec(&ArchSpec::new(8, 4, 64, 2, 4, 4).unwrap());
         let large = MachineResources::from_spec(&ArchSpec::new(8, 4, 512, 2, 4, 4).unwrap());
-        let prepared = prepare(&k, &small);
-        assert_eq!(prepared, prepare(&k, &large));
+        let off = &mut UnitTrace::disabled();
+        let prepared = prepare(&k, &small, off);
+        assert_eq!(prepared, prepare(&k, &large, off));
         let core = compile_core(&prepared, &small);
         assert_eq!(core, compile_core(&prepared, &large));
         // Only the capacity verdict may differ between the two machines.

@@ -25,8 +25,8 @@
 //! [`compile`](compile::compile) glues the pipeline together. The
 //! pipeline is also exposed as three cacheable phases —
 //! [`prepare`](compile::prepare) (machine-independent),
-//! [`compile_core`](compile::compile_core) (depends on the machine's
-//! scheduling signature but not its register-file size), and
+//! [`try_compile_core`](compile::try_compile_core) (depends on the
+//! machine's scheduling signature but not its register-file size), and
 //! [`finish`](compile::finish) (the capacity verdict) — so a sweep over
 //! many machines can share everything two of them compile alike.
 //!
@@ -62,23 +62,20 @@ pub mod simulate;
 
 pub use cluster::Assignment;
 pub use compile::{
-    compile, compile_core, finish, prepare, prepare_traced, spill_penalty_cycles, try_compile,
-    try_compile_core, try_compile_core_in, try_compile_core_traced_in, CompileResult, Prepared,
-    SchedCore,
+    compile, compile_core, finish, prepare, spill_penalty_cycles, try_compile_core, CompileResult,
+    Prepared, SchedCore,
 };
 pub use ddg::{Ddg, Dep, DepKind};
 pub use encode::{decode, encode, encode_traced, EncodeError, Program};
 pub use error::{Fuel, SchedError};
 pub use exact::{certify_min_ii, exact_mii, try_exact_ii, CertifyOutcome, ExactVerdict};
 pub use list::{
-    render, schedule, schedule_with, schedule_with_fuel, try_schedule, try_schedule_in, Placement,
-    Priority, Schedule,
+    render, schedule, schedule_with, try_schedule, try_schedule_in, Placement, Priority, Schedule,
 };
 pub use loopcode::{FuClass, LoopCode, OpOrigin, SOp};
 pub use modulo::{
     modulo_schedule, omega_deps, op_requirements, rec_mii, res_mii, try_modulo_schedule,
-    try_modulo_schedule_in, try_modulo_schedule_traced_in, validate_modulo, ModuloSchedule,
-    OmegaDep, ResReq,
+    validate_modulo, ModuloSchedule, OmegaDep, ResReq,
 };
 pub use regalloc::{allocate, peak_pressure, pressure, AllocError, PhysMap, PressureReport};
 pub use scratch::SchedScratch;

@@ -174,33 +174,11 @@ pub fn schedule_with(
     machine: &MachineResources,
     priority: Priority,
 ) -> Schedule {
-    match schedule_with_fuel(assignment, ddg, machine, priority, &mut Fuel::unlimited()) {
+    let (fuel, scratch) = (&mut Fuel::unlimited(), &mut SchedScratch::new());
+    match schedule_with_fuel_in(assignment, ddg, machine, priority, fuel, scratch) {
         Ok(s) => s,
         Err(e) => panic!("list scheduling failed under unlimited fuel: {e}"),
     }
-}
-
-/// The scheduler proper: one priority function, an explicit step budget.
-/// Fuel is spent once per issue scan, proportionally to the number of
-/// ready ops examined, so the budget bounds real work — not just cycles.
-///
-/// # Errors
-/// As [`try_schedule`].
-pub fn schedule_with_fuel(
-    assignment: &Assignment,
-    ddg: &Ddg,
-    machine: &MachineResources,
-    priority: Priority,
-    fuel: &mut Fuel,
-) -> Result<Schedule, SchedError> {
-    schedule_with_fuel_in(
-        assignment,
-        ddg,
-        machine,
-        priority,
-        fuel,
-        &mut SchedScratch::new(),
-    )
 }
 
 /// Pack a ready-queue key: priority in the high half, bit-inverted index
@@ -217,7 +195,10 @@ fn key_index(key: u64) -> usize {
     (u32::MAX - (key as u32)) as usize
 }
 
-/// [`schedule_with_fuel`] with working memory from `scratch`.
+/// The scheduler proper: one priority function, an explicit step budget,
+/// working memory from `scratch`. Fuel is spent once per issue scan,
+/// proportionally to the number of ready ops examined, so the budget
+/// bounds real work — not just cycles.
 ///
 /// # Errors
 /// As [`try_schedule`].

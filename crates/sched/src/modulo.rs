@@ -41,6 +41,7 @@ use crate::loopcode::LoopCode;
 use crate::scratch::{row_has_room, row_take, SchedScratch};
 use cfp_ir::Vreg;
 use cfp_machine::{MachineResources, UnitClass};
+use cfp_obs::{Stage, UnitTrace, Value};
 use std::collections::HashMap;
 
 /// A dependence with an iteration distance.
@@ -454,6 +455,8 @@ pub fn modulo_schedule(
         machine,
         list_length,
         &mut Fuel::unlimited(),
+        &mut SchedScratch::new(),
+        &mut UnitTrace::disabled(),
     )
     .unwrap_or_default()
 }
@@ -461,7 +464,14 @@ pub fn modulo_schedule(
 /// [`modulo_schedule`] under a step budget: each placement attempt at
 /// each candidate II spends fuel, so a machine whose II search space is
 /// pathologically large degrades to [`SchedError::FuelExhausted`]
-/// instead of stalling an exploration worker.
+/// instead of stalling an exploration worker. The reservation rows, slot
+/// array, intra-dependence index, and demand counters live in `scratch`'s
+/// reused flat buffers.
+///
+/// Records one `modulo` span: the II the search settled on (or a
+/// `feasible: false` / error token when it did not), the lower bound it
+/// started from, how many candidate IIs it tried, and the fuel the
+/// search charged.
 ///
 /// # Errors
 /// [`SchedError::FuelExhausted`] when `fuel` runs dry mid-search.
@@ -471,38 +481,12 @@ pub fn try_modulo_schedule(
     machine: &MachineResources,
     list_length: u32,
     fuel: &mut Fuel,
-) -> Result<Option<ModuloSchedule>, SchedError> {
-    try_modulo_schedule_in(
-        assignment,
-        ddg,
-        machine,
-        list_length,
-        fuel,
-        &mut SchedScratch::new(),
-    )
-}
-
-/// [`try_modulo_schedule_in`] recording one `modulo` span: the II the
-/// search settled on (or a `feasible: false` / error token when it did
-/// not), the lower bound it started from, how many candidate IIs it
-/// tried, and the fuel the search charged. With a disabled trace this
-/// is exactly [`try_modulo_schedule_in`].
-///
-/// # Errors
-/// As [`try_modulo_schedule`].
-pub fn try_modulo_schedule_traced_in(
-    assignment: &Assignment,
-    ddg: &Ddg,
-    machine: &MachineResources,
-    list_length: u32,
-    fuel: &mut Fuel,
     scratch: &mut SchedScratch,
-    trace: &mut cfp_obs::UnitTrace<'_>,
+    trace: &mut UnitTrace<'_>,
 ) -> Result<Option<ModuloSchedule>, SchedError> {
-    use cfp_obs::{Stage, Value};
     let before = fuel.spent();
     let t0 = trace.start();
-    let out = try_modulo_schedule_in(assignment, ddg, machine, list_length, fuel, scratch);
+    let out = search_ii(assignment, ddg, machine, list_length, fuel, scratch);
     let steps = fuel.spent() - before;
     match &out {
         Ok(Some(ms)) => trace.stage(
@@ -535,14 +519,9 @@ pub fn try_modulo_schedule_traced_in(
     out
 }
 
-/// [`try_modulo_schedule`] with working memory from `scratch`: the
-/// reservation rows, slot array, intra-dependence index, and demand
-/// counters live in reused flat buffers.
-///
-/// # Errors
-/// As [`try_modulo_schedule`].
+/// The II search behind [`try_modulo_schedule`].
 #[allow(clippy::too_many_lines)] // one self-contained search loop
-pub fn try_modulo_schedule_in(
+fn search_ii(
     assignment: &Assignment,
     ddg: &Ddg,
     machine: &MachineResources,
@@ -970,13 +949,14 @@ mod tests {
             let ddg = Ddg::build(&a.code);
             let list = crate::list::schedule(&a, &ddg, &m);
             let fresh = modulo_schedule(&a, &ddg, &m, list.length).expect("schedulable");
-            let reused = try_modulo_schedule_in(
+            let reused = try_modulo_schedule(
                 &a,
                 &ddg,
                 &m,
                 list.length,
                 &mut Fuel::unlimited(),
                 &mut scratch,
+                &mut UnitTrace::disabled(),
             )
             .expect("unlimited")
             .expect("schedulable");

@@ -7,7 +7,7 @@
 //! dependence-count arrays, pressure diff arrays, cluster-assignment
 //! maps. [`SchedScratch`] owns all of that state instead. A worker
 //! thread creates one arena and threads it through
-//! [`crate::compile::try_compile_core_in`]; after the first few
+//! [`crate::compile::try_compile_core`]; after the first few
 //! compilations the buffers have grown to the high-water mark of the
 //! sweep and steady-state compilation performs no heap allocation for
 //! its working state.

@@ -8,7 +8,7 @@ use cfp_dse::{
     ArchEval, Checkpoint, EvalOutcome, Exploration, ExploreConfig, SearchConfig, SearchOutcome,
 };
 use cfp_kernels::Benchmark;
-use cfp_machine::CostModel;
+use cfp_machine::{CostModel, Fnv1a};
 use std::path::Path;
 
 /// The [`ExploreConfig`] a job runs as, journaling to `ck_path`.
@@ -70,26 +70,22 @@ pub fn apply_cost_budget(spec: &mut JobSpec) {
     spec.max_cost = None;
 }
 
-/// FNV-1a, the repo's standard result-surface digest (same constants as
-/// the checkpoint fingerprint and the bench exhibits).
-struct Digest(u64);
+/// The result-surface digest: [`Fnv1a`] with a `0x1f` separator after
+/// every field.
+struct Digest(Fnv1a);
 
 impl Digest {
     fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(Fnv1a::new())
     }
 
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.write(bytes);
         self.eat_byte(0x1f);
     }
 
     fn eat_byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        self.0.write(&[b]);
     }
 
     fn eat_u64(&mut self, v: u64) {
@@ -133,7 +129,7 @@ pub fn result_digest(ex: &Exploration) -> u64 {
     for arch in &ex.archs {
         d.eat_arch(arch);
     }
-    d.0
+    d.0.finish()
 }
 
 /// The best architecture of a run by harmonic-mean speedup, skipping
@@ -208,7 +204,7 @@ pub fn search_digest(out: &SearchOutcome) -> u64 {
         d.eat_u64(i as u64);
     }
     d.eat_u64(out.hypervolume.to_bits());
-    d.0
+    d.0.finish()
 }
 
 /// The terminal result JSON for a completed search job: same envelope

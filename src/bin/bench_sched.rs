@@ -1,7 +1,7 @@
 //! Wall-clock and step-count microbenchmark of the scheduler core.
 //!
 //! Times the hot path the exploration spends its life in —
-//! [`cfp_sched::try_compile_core_in`] (cluster assignment, CSR DDG
+//! [`cfp_sched::try_compile_core`] (cluster assignment, CSR DDG
 //! build, per-row ready-queue scheduling, pressure analysis) with a reused
 //! [`cfp_sched::SchedScratch`] — plus the modulo scheduler, over the
 //! full kernel corpus crossed with a stratified + seeded-random sample
@@ -26,8 +26,7 @@ use custom_fit::machine::{ArchSpec, MachineResources};
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::{
-    prepare, try_compile_core_in, try_compile_core_traced_in, try_modulo_schedule_traced_in, Ddg,
-    Fuel, Prepared, SchedScratch,
+    prepare, try_compile_core, try_modulo_schedule, Ddg, Fuel, Prepared, SchedScratch,
 };
 use std::time::Instant;
 
@@ -141,7 +140,7 @@ fn run_pass(
     for (ki, (name, _)) in corpus.iter().enumerate() {
         for (mi, (_, machine)) in machines.iter().enumerate() {
             let mut fuel = Fuel::unlimited();
-            let core = match try_compile_core_traced_in(
+            let core = match try_compile_core(
                 &prepared[ki][mi],
                 machine,
                 &mut fuel,
@@ -159,7 +158,7 @@ fn run_pass(
             if name.ends_with("x1") {
                 let ddg = Ddg::build_in(&core.assignment.code, scratch);
                 let mut mfuel = Fuel::unlimited();
-                let ms = match try_modulo_schedule_traced_in(
+                let ms = match try_modulo_schedule(
                     &core.assignment,
                     &ddg,
                     machine,
@@ -215,7 +214,12 @@ fn main() {
     // timed region so the measurement is the scheduler core alone.
     let prepared: Vec<Vec<Prepared>> = corpus
         .iter()
-        .map(|(_, k)| machines.iter().map(|(_, m)| prepare(k, m)).collect())
+        .map(|(_, k)| {
+            machines
+                .iter()
+                .map(|(_, m)| prepare(k, m, &mut UnitTrace::disabled()))
+                .collect()
+        })
         .collect();
     let mut scratch = SchedScratch::new();
 
@@ -267,7 +271,13 @@ fn main() {
         for row in &prepared {
             for (mi, (_, machine)) in machines.iter().enumerate() {
                 let mut fuel = Fuel::unlimited();
-                let _ = try_compile_core_in(&row[mi], machine, &mut fuel, &mut scratch);
+                let _ = try_compile_core(
+                    &row[mi],
+                    machine,
+                    &mut fuel,
+                    &mut scratch,
+                    &mut UnitTrace::disabled(),
+                );
             }
         }
         let list_s = t1.elapsed().as_secs_f64();

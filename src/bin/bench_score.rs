@@ -39,7 +39,7 @@ use custom_fit::dse::{
     frontier, select_batch, spec_fingerprint, Exploration, ExploreConfig, Range, ScatterPoint,
     Selection,
 };
-use custom_fit::machine::{ArchSpec, CostModel, CycleModel, DesignSpace};
+use custom_fit::machine::{ArchSpec, CostModel, CycleModel, DesignSpace, Fnv1a};
 use custom_fit::prelude::Benchmark;
 use std::time::Instant;
 
@@ -64,17 +64,14 @@ const RANGES: [Range; 3] = [Range::Fraction(0.0), Range::Fraction(0.10), Range::
 
 /// FNV-1a over every pipeline output, so "same digest" means "same
 /// scatter, same frontier, same selections, bit for bit".
-struct Digest(u64);
+struct Digest(Fnv1a);
 
 impl Digest {
     fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(Fnv1a::new())
     }
     fn u(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.write(&v.to_le_bytes());
     }
     fn f(&mut self, v: f64) {
         // Non-finite values collapse to one marker so the digest does
@@ -287,7 +284,7 @@ fn scalar_pass(ex: &Exploration, specs: &[ArchSpec], models: &oracle::ScalarMode
             }
         }
     }
-    d.0
+    d.0.finish()
 }
 
 /// The same pass through the SoA core: slice model entry points, one
@@ -319,7 +316,7 @@ fn batch_pass(ex: &Exploration, specs: &[ArchSpec], cost: &CostModel, cycle: &Cy
             }
         }
     }
-    d.0
+    d.0.finish()
 }
 
 /// The live input: the whole extended space (every cluster arrangement)

@@ -34,7 +34,7 @@ use custom_fit::dse::{
     frontier, hypervolume, spec_fingerprint, Checkpoint, Exploration, ExploreConfig, ScatterPoint,
     SearchConfig, SearchOutcome,
 };
-use custom_fit::machine::{DesignSpace, SpaceAxes};
+use custom_fit::machine::{DesignSpace, Fnv1a, SpaceAxes};
 use custom_fit::prelude::Benchmark;
 use std::time::Instant;
 
@@ -56,17 +56,14 @@ const EVALS_RATIO_FLOOR: f64 = 20.0;
 
 /// FNV-1a over the full search result surface, the repo's standard
 /// digest (same constants as the checkpoint fingerprints).
-struct Digest(u64);
+struct Digest(Fnv1a);
 
 impl Digest {
     fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(Fnv1a::new())
     }
     fn u(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.write(&v.to_le_bytes());
     }
     fn f(&mut self, v: f64) {
         self.u(if v.is_finite() {
@@ -91,7 +88,7 @@ fn search_digest(so: &SearchOutcome) -> u64 {
         d.u(i as u64);
     }
     d.f(so.hypervolume);
-    d.0
+    d.0.finish()
 }
 
 /// Ground truth: the exhaustive sweep's constrained frontier over the

@@ -19,7 +19,7 @@ use custom_fit::dse::checkpoint::fingerprint;
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::pareto;
 use custom_fit::dse::select::{select, select_batch, Range};
-use custom_fit::machine::DesignSpace;
+use custom_fit::machine::{DesignSpace, Fnv1a};
 use custom_fit::prelude::*;
 use std::sync::Once;
 
@@ -56,16 +56,13 @@ fn quiet_injected_panics() {
     });
 }
 
-fn eat(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn eat(h: &mut Fnv1a, x: u64) {
+    h.write(&x.to_le_bytes());
 }
 
 /// Fold an `f64` by exact bits, mapping every non-finite value to one
 /// marker so the digest never depends on NaN payload bits.
-fn eat_f(h: &mut u64, x: f64) {
+fn eat_f(h: &mut Fnv1a, x: f64) {
     eat(
         h,
         if x.is_finite() {
@@ -79,7 +76,7 @@ fn eat_f(h: &mut u64, x: f64) {
 /// FNV digest of every batch column: fingerprints, costs, derates,
 /// harmonic means, the full speedup plane, and the fail codes.
 fn column_digest(batch: &EvalBatch) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     eat(&mut h, batch.len() as u64);
     eat(&mut h, batch.benches() as u64);
     for &f in batch.fingerprints() {
@@ -100,14 +97,14 @@ fn column_digest(batch: &EvalBatch) -> u64 {
     for &k in batch.fails() {
         eat(&mut h, u64::from(k));
     }
-    h
+    h.finish()
 }
 
 /// The analysis surfaces, digested from the *batch* consumers: every
 /// benchmark's scatter and frontier, and a selection grid over targets,
 /// bounds, and ranges.
 fn surface_digest(batch: &EvalBatch) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for b in 0..batch.benches() {
         let pts = batch.scatter(b);
         eat(&mut h, pts.len() as u64);
@@ -133,7 +130,7 @@ fn surface_digest(batch: &EvalBatch) -> u64 {
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// The heart of the PR's guarantee: every batch column and every batch

@@ -13,11 +13,10 @@
 
 use custom_fit::dse::checkpoint::fingerprint;
 use custom_fit::dse::explore::ExploreConfig;
-use custom_fit::machine::{ArchSpec, DesignSpace, MachineResources, OpClass, UnitClass};
+use custom_fit::machine::{ArchSpec, DesignSpace, Fnv1a, MachineResources, OpClass, UnitClass};
+use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
-use custom_fit::sched::{
-    prepare, try_compile_core_in, try_modulo_schedule_in, Ddg, Fuel, SchedScratch,
-};
+use custom_fit::sched::{prepare, try_compile_core, try_modulo_schedule, Ddg, Fuel, SchedScratch};
 
 /// Digest of the scheduling corpus under the pre-refactor scheduler.
 const PRE_MDES_CORPUS_DIGEST: u64 = 0xf1b4_6bfc_b9ab_dd97;
@@ -26,11 +25,8 @@ const PRE_MDES_FINGERPRINT_A: u64 = 0x5691_b469_ed2a_b11a;
 /// `fingerprint` of the sample sweep (table columns, fuel 9999) pre-refactor.
 const PRE_MDES_FINGERPRINT_B: u64 = 0x3340_0a5f_ee5c_d5b2;
 
-fn eat(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn eat(h: &mut Fnv1a, x: u64) {
+    h.write(&x.to_le_bytes());
 }
 
 fn sample_specs() -> Vec<ArchSpec> {
@@ -47,7 +43,7 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
     assert_eq!(specs.len(), 86, "the pinned corpus is exactly this sample");
     let benches = [Benchmark::A, Benchmark::D, Benchmark::G];
     let mut scratch = SchedScratch::new();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     let mut unit = 0_u64;
     for bench in benches {
         let mut k = bench.kernel();
@@ -56,10 +52,16 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
         for spec in &specs {
             let machine = MachineResources::from_spec(spec);
             for kernel in [&k, &k2] {
-                let prepared = prepare(kernel, &machine);
+                let prepared = prepare(kernel, &machine, &mut UnitTrace::disabled());
                 let mut fuel = Fuel::unlimited();
-                let core = try_compile_core_in(&prepared, &machine, &mut fuel, &mut scratch)
-                    .expect("unlimited fuel");
+                let core = try_compile_core(
+                    &prepared,
+                    &machine,
+                    &mut fuel,
+                    &mut scratch,
+                    &mut UnitTrace::disabled(),
+                )
+                .expect("unlimited fuel");
                 eat(&mut h, core.steps);
                 eat(&mut h, u64::from(core.length));
                 eat(&mut h, core.move_count as u64);
@@ -72,18 +74,20 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
                 }
                 // Fuel verdicts at the exact boundary, on a subset.
                 if unit % 5 == 0 && core.steps > 1 {
-                    let ok = try_compile_core_in(
+                    let ok = try_compile_core(
                         &prepared,
                         &machine,
                         &mut Fuel::limited(core.steps),
                         &mut scratch,
+                        &mut UnitTrace::disabled(),
                     )
                     .is_ok();
-                    let under = try_compile_core_in(
+                    let under = try_compile_core(
                         &prepared,
                         &machine,
                         &mut Fuel::limited(core.steps - 1),
                         &mut scratch,
+                        &mut UnitTrace::disabled(),
                     )
                     .is_err();
                     eat(&mut h, u64::from(ok));
@@ -93,19 +97,26 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
             }
             // Modulo on the un-unrolled body, every 3rd spec.
             if unit % 3 == 0 {
-                let prepared = prepare(&k, &machine);
+                let prepared = prepare(&k, &machine, &mut UnitTrace::disabled());
                 let mut fuel = Fuel::unlimited();
-                let core = try_compile_core_in(&prepared, &machine, &mut fuel, &mut scratch)
-                    .expect("unlimited fuel");
+                let core = try_compile_core(
+                    &prepared,
+                    &machine,
+                    &mut fuel,
+                    &mut scratch,
+                    &mut UnitTrace::disabled(),
+                )
+                .expect("unlimited fuel");
                 let ddg = Ddg::build_in(&core.assignment.code, &mut scratch);
                 let mut mfuel = Fuel::unlimited();
-                let ms = try_modulo_schedule_in(
+                let ms = try_modulo_schedule(
                     &core.assignment,
                     &ddg,
                     &machine,
                     core.length,
                     &mut mfuel,
                     &mut scratch,
+                    &mut UnitTrace::disabled(),
                 )
                 .expect("unlimited fuel");
                 eat(&mut h, mfuel.spent());
@@ -124,7 +135,8 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
         }
     }
     assert_eq!(
-        h, PRE_MDES_CORPUS_DIGEST,
+        h.finish(),
+        PRE_MDES_CORPUS_DIGEST,
         "a scheduler decision, step count, or register peak changed"
     );
 }
@@ -260,10 +272,16 @@ fn pipelined_l2_ports_change_only_the_description_and_help() {
     custom_fit::opt::optimize(&mut k);
     let k = custom_fit::opt::unroll::unroll(&k, 4);
     let schedule = |machine: &MachineResources, scratch: &mut SchedScratch| {
-        let prepared = prepare(&k, machine);
-        try_compile_core_in(&prepared, machine, &mut Fuel::unlimited(), scratch)
-            .expect("unlimited fuel")
-            .length
+        let prepared = prepare(&k, machine, &mut UnitTrace::disabled());
+        try_compile_core(
+            &prepared,
+            machine,
+            &mut Fuel::unlimited(),
+            scratch,
+            &mut UnitTrace::disabled(),
+        )
+        .expect("unlimited fuel")
+        .length
     };
     let lb = schedule(&mb, &mut scratch);
     let lp = schedule(&mp, &mut scratch);

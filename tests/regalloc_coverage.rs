@@ -5,11 +5,12 @@
 //! register number beyond the architecture's bank.
 
 use custom_fit::dse::eval::residency_budget;
-use custom_fit::dse::{try_evaluate_in, EvalScratch, ExploreConfig, PlanCache};
+use custom_fit::dse::{EvalScratch, Evaluator, ExploreConfig, PlanCache};
 use custom_fit::ir::Vreg;
 use custom_fit::machine::{ArchSpec, MachineResources};
+use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
-use custom_fit::sched::{allocate, prepare, pressure, try_compile_core_in, Fuel, SchedScratch};
+use custom_fit::sched::{allocate, prepare, pressure, try_compile_core, Fuel, SchedScratch};
 
 // ---------------------------------------------------------------------
 // Spill onset along the register axis.
@@ -28,8 +29,14 @@ fn the_spill_onset_moves_monotonically_along_the_register_axis() {
     let mut rows = Vec::new();
     for &r in &reg_sizes {
         let spec = ArchSpec::new(16, 4, r, 1, 4, 8).expect("valid spec");
-        let m =
-            try_evaluate_in(&spec, Benchmark::A, &cache, None, &mut scratch).expect("evaluation");
+        let m = Evaluator::new(&cache)
+            .evaluate(
+                &spec,
+                Benchmark::A,
+                &mut scratch,
+                &mut UnitTrace::disabled(),
+            )
+            .expect("evaluation");
         rows.push((r, m));
     }
     for w in rows.windows(2) {
@@ -89,12 +96,13 @@ fn allocation_succeeds_exactly_when_the_pressure_report_fits() {
                 cfp_opt::optimize_budgeted(&mut opt, budget);
                 let mut unrolled = cfp_opt::unroll::unroll(&opt, unroll);
                 cfp_opt::optimize_budgeted(&mut unrolled, budget);
-                let prepared = prepare(&unrolled, &machine);
-                let core = try_compile_core_in(
+                let prepared = prepare(&unrolled, &machine, &mut UnitTrace::disabled());
+                let core = try_compile_core(
                     &prepared,
                     &machine,
                     &mut Fuel::unlimited(),
                     &mut sched_scratch,
+                    &mut UnitTrace::disabled(),
                 )
                 .expect("compilation under unlimited fuel");
                 let report = pressure(&core.assignment, &core.schedule, &machine);

@@ -5,8 +5,9 @@
 //! 1. the phase split (`prepare` → `compile_core` → `finish`) equals the
 //!    one-shot `compile`, and the core really is independent of the
 //!    register-file size — the invariant the memo keys encode;
-//! 2. `evaluate_cached` through a shared [`CompileCache`] equals the
-//!    direct `evaluate` on random architectures;
+//! 2. evaluation through a shared [`CompileCache`] equals the direct
+//!    `evaluate` on random architectures, and at every unroll cap and
+//!    under a fuel budget on the smoke machines;
 //! 3. a whole `Exploration::run` with reuse on reproduces the
 //!    cache-disabled run exactly (speedups, costs, derates, unrolls,
 //!    logical compilation counts).
@@ -22,7 +23,7 @@ use cfp_testkit::cases;
 use custom_fit::dse::checkpoint::Checkpoint;
 use custom_fit::dse::eval::{fuse_targets, residency_budget, MAX_BODY_OPS, UNROLL_SWEEP};
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
-use custom_fit::dse::{evaluate, evaluate_cached, CompileCache, PlanCache, PlanStore};
+use custom_fit::dse::{evaluate, CompileCache, EvalScratch, Evaluator, PlanCache, PlanStore};
 use custom_fit::machine::ExtSet;
 use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::opt::{fuse::fuse, optimize_budgeted, optimize_budgeted_traced, unroll::unroll};
@@ -37,7 +38,7 @@ fn memoized_phases_reproduce_direct_compiles_bit_for_bit() {
         let machine = MachineResources::from_spec(&spec);
 
         let direct = compile(&kernel, &machine);
-        let prepared = prepare(&kernel, &machine);
+        let prepared = prepare(&kernel, &machine, &mut UnitTrace::disabled());
         let core = compile_core(&prepared, &machine);
         assert_eq!(finish(&core, &machine), direct, "{spec}");
 
@@ -59,7 +60,11 @@ fn memoized_phases_reproduce_direct_compiles_bit_for_bit() {
             .expect("register sizes divide every cluster count here");
             assert_eq!(sib.sched_signature(), spec.sched_signature());
             let m2 = MachineResources::from_spec(&sib);
-            assert_eq!(prepare(&kernel, &m2), prepared, "{spec} vs {sib}");
+            assert_eq!(
+                prepare(&kernel, &m2, &mut UnitTrace::disabled()),
+                prepared,
+                "{spec} vs {sib}"
+            );
             assert_eq!(compile_core(&prepared, &m2), core, "{spec} vs {sib}");
             // Serving the sibling from the shared core equals compiling
             // it from scratch.
@@ -76,12 +81,63 @@ fn cached_evaluation_matches_direct_evaluation() {
     cases(0x2e05_0002, 40, |rng| {
         let spec = common::arch(rng);
         let bench = *rng.pick(&benches);
-        let cached = evaluate_cached(&spec, bench, &plans, &memo);
+        let cached = Evaluator {
+            memo: Some(&memo),
+            ..Evaluator::new(&plans)
+        }
+        .evaluate(
+            &spec,
+            bench,
+            &mut EvalScratch::new(),
+            &mut UnitTrace::disabled(),
+        )
+        .expect("evaluation without a fuel budget");
         let direct = evaluate(&spec, bench, &plans);
         assert_eq!(cached, direct, "{spec} on {bench}");
     });
     // 40 evaluations over a small space must have revisited signatures.
     assert!(memo.core_hits() > 0);
+}
+
+#[test]
+fn capped_evaluation_is_the_same_with_and_without_the_memo() {
+    // The search's rungs are capped and memoized, the sweep is neither;
+    // capped and direct is the combination nothing else runs. Every cap,
+    // with no fuel budget and with one tight enough to stop sweeps early.
+    let config = ExploreConfig::smoke();
+    let regs: Vec<u32> = config.archs.iter().map(|a| a.regs).collect();
+    let plans = PlanCache::build(&config.benches, &regs, &UNROLL_SWEEP);
+    let memo = CompileCache::new();
+    let mut scratch = EvalScratch::new();
+    let off = &mut UnitTrace::disabled();
+    let mut stopped_early = 0;
+    for max_unroll in [1, 2, 4, 8, u32::MAX] {
+        for spec in &config.archs {
+            for &bench in &config.benches {
+                let mut free = None;
+                for fuel in [None, Some(2_000)] {
+                    let direct = Evaluator {
+                        fuel,
+                        max_unroll,
+                        ..Evaluator::new(&plans)
+                    };
+                    let memoized = Evaluator {
+                        memo: Some(&memo),
+                        ..direct
+                    };
+                    let want = direct.evaluate(spec, bench, &mut scratch, off);
+                    let got = memoized.evaluate(spec, bench, &mut scratch, off);
+                    assert_eq!(got, want, "{spec} on {bench}, cap {max_unroll}, {fuel:?}");
+                    if let Ok(m) = &want {
+                        assert!(m.unroll <= max_unroll, "{spec} on {bench}: {m:?}");
+                    }
+                    stopped_early += usize::from(free.as_ref().is_some_and(|f| *f != want));
+                    free.get_or_insert(want);
+                }
+            }
+        }
+    }
+    assert!(stopped_early > 0, "the budget must bind somewhere");
 }
 
 #[test]
@@ -184,7 +240,7 @@ fn assert_same_plans(got: &PlanCache, want: &(Vec<Kernel>, Vec<(PlanKey, usize)>
     assert_eq!(got.unique_kernels(), kernels.len(), "{what}: kernels");
     for &((b, budget, u, exts), id) in plans {
         let got_id = got
-            .id_ext(b, budget, u, exts)
+            .id(b, budget, u, exts)
             .unwrap_or_else(|| panic!("{what}: {b} budget {budget} unroll {u} {exts:?} missing"));
         assert_eq!(got_id.index(), id, "{what}: {b} {budget} {u} {exts:?}");
         assert!(
@@ -195,15 +251,12 @@ fn assert_same_plans(got: &PlanCache, want: &(Vec<Kernel>, Vec<(PlanKey, usize)>
 }
 
 /// Every way of building `benches`' plans against the per-budget loop:
-/// a cold [`PlanCache`], a [`PlanStore`] cold and warm, and a store
-/// bounded to one entry — every key evicted before the next round asks
+/// a [`PlanStore`] cold (which is what a [`PlanCache`] is) and warm, and
+/// a store bounded to one entry — every key evicted before the next round asks
 /// for it, so the second round recomputes them all.
 fn check_plan_builds(benches: &[Benchmark], regs: &[u32], unrolls: &[u32], ext_sets: &[ExtSet]) {
     let budgets: Vec<usize> = regs.iter().map(|&r| residency_budget(r)).collect();
     let want = per_budget_plans(benches, &budgets, unrolls, ext_sets);
-    let cold = PlanCache::build_extended(benches, regs, unrolls, ext_sets);
-    assert_same_plans(&cold, &want, "PlanCache");
-
     let store = PlanStore::new();
     let first = store.ensure_snapshot_extended(benches, regs, unrolls, ext_sets);
     assert_same_plans(&first, &want, "PlanStore cold");
@@ -313,7 +366,7 @@ fn a_partly_warm_store_computes_the_missing_plans_alone() {
     // keys must not.
     assert_eq!(snap.len(), want.1.len());
     for &((b, budget, u, exts), id) in &want.1 {
-        let got = snap.get_ext(b, budget, u, exts).expect("key present");
+        let got = snap.get(b, budget, u, exts).expect("key present");
         assert!(
             *got == want.0[id],
             "{b} budget {budget} unroll {u} {exts:?}"
@@ -363,15 +416,19 @@ fn the_paper_plan_set_runs_each_distinct_optimization_once() {
     // for ten benchmarks x four register sizes x five unroll factors.
     // Optimizing each on its own is 232 runs; with budgets that never
     // bind answered by one run it must stay at or under 70.
+    // Read off a plain traced run; one small machine per register size
+    // puts the paper's four budgets in play.
     let rec = JsonlRecorder::deterministic();
-    let plans = PlanCache::build_traced(
-        &Benchmark::TABLE_COLUMNS,
-        &[64, 128, 256, 512],
-        &UNROLL_SWEEP,
-        &mut UnitTrace::new(&rec, custom_fit::obs::unit::PLAN),
-    );
-    assert_eq!(plans.len(), 192);
-    assert_eq!(plans.unique_kernels(), 53);
+    let config = ExploreConfig {
+        archs: [64, 128, 256, 512]
+            .into_iter()
+            .map(|regs| ArchSpec::new(2, 1, regs, 1, 4, 1).expect("valid spec"))
+            .collect(),
+        benches: Benchmark::TABLE_COLUMNS.to_vec(),
+        ..ExploreConfig::default()
+    };
+    let ex = Exploration::try_run_traced(&config, &rec).expect("the sweep runs");
+    assert_eq!(ex.stats.unique_plans, 53);
     let events = rec.events();
     let build = events
         .iter()

@@ -29,9 +29,9 @@ use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::cluster::assign;
 use custom_fit::sched::{
-    omega_deps, prepare, rec_mii, res_mii, try_compile_core_in, try_compile_core_traced_in,
-    try_modulo_schedule_in, try_schedule_in, Assignment, Ddg, Dep, DepKind, FuClass, Fuel,
-    LoopCode, OmegaDep, OpOrigin, Placement, Priority, SOp, SchedError, SchedScratch, Schedule,
+    omega_deps, prepare, rec_mii, res_mii, try_compile_core, try_modulo_schedule, try_schedule_in,
+    Assignment, Ddg, Dep, DepKind, FuClass, Fuel, LoopCode, OmegaDep, OpOrigin, Placement,
+    Priority, SOp, SchedError, SchedScratch, Schedule,
 };
 use std::collections::HashMap;
 
@@ -244,7 +244,7 @@ fn list_scheduler_matches_the_oracle_in_schedule_and_fuel() {
                 } else {
                     custom_fit::opt::unroll::unroll(kernel, 2)
                 };
-                let prepared = prepare(&k, &machine);
+                let prepared = prepare(&k, &machine, &mut UnitTrace::disabled());
                 let assignment = assign(&prepared.code, &prepared.ddg, &machine);
                 let ddg = Ddg::build(&assignment.code);
 
@@ -263,9 +263,14 @@ fn list_scheduler_matches_the_oracle_in_schedule_and_fuel() {
                 );
 
                 // `SchedCore::steps` is exactly the list scheduler's fuel.
-                let core =
-                    try_compile_core_in(&prepared, &machine, &mut Fuel::unlimited(), &mut scratch)
-                        .expect("unlimited fuel");
+                let core = try_compile_core(
+                    &prepared,
+                    &machine,
+                    &mut Fuel::unlimited(),
+                    &mut scratch,
+                    &mut UnitTrace::disabled(),
+                )
+                .expect("unlimited fuel");
                 assert_eq!(core.steps, new_fuel.spent(), "{spec} kernel {ki} x{unroll}");
                 checked += 1;
             }
@@ -281,7 +286,7 @@ fn fuel_exhaustion_verdicts_are_identical_at_tight_budgets() {
     for spec in specs.iter().take(3) {
         let machine = MachineResources::from_spec(spec);
         for (ki, kernel) in kernels.iter().enumerate() {
-            let prepared = prepare(kernel, &machine);
+            let prepared = prepare(kernel, &machine, &mut UnitTrace::disabled());
             let assignment = assign(&prepared.code, &prepared.ddg, &machine);
             let ddg = Ddg::build(&assignment.code);
             let mut full = Fuel::unlimited();
@@ -542,7 +547,7 @@ fn move_free_assignments_schedule_on_the_prepared_graph() {
     for spec in &specs {
         let machine = MachineResources::from_spec(spec);
         for (ki, kernel) in kernels.iter().enumerate() {
-            let prepared = prepare(kernel, &machine);
+            let prepared = prepare(kernel, &machine, &mut UnitTrace::disabled());
             let assignment = assign(&prepared.code, &prepared.ddg, &machine);
             assert_eq!(assignment.move_count, 0, "{spec} kernel {ki}");
             assert_eq!(
@@ -553,7 +558,7 @@ fn move_free_assignments_schedule_on_the_prepared_graph() {
 
             let rec = JsonlRecorder::new();
             let mut trace = UnitTrace::new(&rec, 0);
-            let core = try_compile_core_traced_in(
+            let core = try_compile_core(
                 &prepared,
                 &machine,
                 &mut Fuel::unlimited(),
@@ -707,18 +712,24 @@ fn modulo_ii_skipping_reaches_the_oracles_exact_schedule() {
     for spec in &specs {
         let machine = MachineResources::from_spec(spec);
         for (ki, kernel) in kernels.iter().enumerate() {
-            let prepared = prepare(kernel, &machine);
-            let core =
-                try_compile_core_in(&prepared, &machine, &mut Fuel::unlimited(), &mut scratch)
-                    .expect("unlimited fuel");
+            let prepared = prepare(kernel, &machine, &mut UnitTrace::disabled());
+            let core = try_compile_core(
+                &prepared,
+                &machine,
+                &mut Fuel::unlimited(),
+                &mut scratch,
+                &mut UnitTrace::disabled(),
+            )
+            .expect("unlimited fuel");
             let ddg = Ddg::build_in(&core.assignment.code, &mut scratch);
-            let new = try_modulo_schedule_in(
+            let new = try_modulo_schedule(
                 &core.assignment,
                 &ddg,
                 &machine,
                 core.length,
                 &mut Fuel::unlimited(),
                 &mut scratch,
+                &mut UnitTrace::disabled(),
             )
             .expect("unlimited fuel");
             let oracle = oracle_modulo(&core.assignment, &ddg, &machine, core.length);

@@ -17,13 +17,14 @@
 
 use cfp_testkit::cases;
 use custom_fit::dse::checkpoint::Checkpoint;
-use custom_fit::dse::eval::{try_evaluate_cached_capped_in, EvalScratch, PlanStore, UNROLL_SWEEP};
+use custom_fit::dse::eval::{EvalScratch, Evaluator, PlanStore, UNROLL_SWEEP};
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::{
     frontier, hypervolume, promote, spec_fingerprint, try_search, CompileCache, ScatterPoint,
     SearchConfig, SearchOutcome,
 };
-use custom_fit::machine::{ArchSpec, CycleModel, DesignSpace, SpaceAxes};
+use custom_fit::machine::{ArchSpec, CycleModel, DesignSpace, ExtSet, SpaceAxes};
+use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
 
 const BENCH: Benchmark = Benchmark::D;
@@ -69,22 +70,19 @@ fn lazy_oracle_answers_match_the_eager_evaluation_path() {
     regs.push(ArchSpec::baseline().regs);
     let ref_store = PlanStore::new();
     let ref_memo = CompileCache::new();
-    let ref_plans = ref_store.ensure_snapshot(&[BENCH], &regs, &UNROLL_SWEEP);
+    let ref_plans =
+        ref_store.ensure_snapshot_extended(&[BENCH], &regs, &UNROLL_SWEEP, &[ExtSet::EMPTY]);
+    let eager = Evaluator {
+        memo: Some(&ref_memo),
+        ..Evaluator::new(&ref_plans)
+    };
     let cycle = CycleModel::paper_calibrated();
 
     cases(0x5eac_0001, 25, |rng| {
         let spec = axes.sample_with(&mut |n| rng.index(n));
         let mut scratch = EvalScratch::new();
         let (lazy, _fresh) = oracle.outcome(&spec, full, &mut scratch);
-        let eager = match try_evaluate_cached_capped_in(
-            &spec,
-            BENCH,
-            &ref_plans,
-            &ref_memo,
-            None,
-            u32::MAX,
-            &mut scratch,
-        ) {
+        let eager = match eager.evaluate(&spec, BENCH, &mut scratch, &mut UnitTrace::disabled()) {
             Ok(m) => custom_fit::dse::EvalOutcome::Done(m),
             Err(e) => custom_fit::dse::EvalOutcome::Failed { reason: e.into() },
         };

@@ -13,10 +13,7 @@
 //!   Proven here with a counting global allocator, not by inspection.
 
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
-use custom_fit::dse::{
-    try_evaluate_cached_in, try_evaluate_cached_traced_in, Checkpoint, CompileCache, EvalScratch,
-    PlanCache,
-};
+use custom_fit::dse::{Checkpoint, CompileCache, EvalScratch, Evaluator, PlanCache};
 use custom_fit::machine::ArchSpec;
 use custom_fit::obs::{JsonlRecorder, UnitTrace};
 use custom_fit::prelude::Benchmark;
@@ -198,6 +195,10 @@ fn null_recorder_steady_state_allocates_nothing() {
     let spec = ArchSpec::new(8, 4, 256, 2, 4, 2).expect("valid spec");
     let cache = PlanCache::build(&benches, &[spec.regs], &[1, 2, 4, 8]);
     let memo = CompileCache::new();
+    let session = Evaluator {
+        memo: Some(&memo),
+        ..Evaluator::new(&cache)
+    };
     let mut scratch = EvalScratch::new();
 
     // Warm-up: populate the compile memo and grow the scratch arena to
@@ -205,33 +206,27 @@ fn null_recorder_steady_state_allocates_nothing() {
     let mut warm = Vec::new();
     for &b in &benches {
         warm.push(
-            try_evaluate_cached_in(&spec, b, &cache, &memo, None, &mut scratch)
+            session
+                .evaluate(&spec, b, &mut scratch, &mut UnitTrace::disabled())
                 .expect("warm-up evaluation"),
         );
     }
 
-    // Steady state: the same units again, through the *traced* entry
-    // point with a disabled trace — the exact path `try_evaluate_cached_in`
-    // and the sweep take under the null recorder.
+    // Steady state: the same units again with a disabled trace — the
+    // exact path the sweep takes under the null recorder.
     let before = allocs();
     for round in 0..3 {
         for (wi, &b) in benches.iter().enumerate() {
-            let m = try_evaluate_cached_in(&spec, b, &cache, &memo, None, &mut scratch)
+            let m = session
+                .evaluate(&spec, b, &mut scratch, &mut UnitTrace::disabled())
                 .expect("steady-state evaluation");
             assert_eq!(
                 m, warm[wi],
                 "round {round}: steady state changed the result"
             );
-            let t = try_evaluate_cached_traced_in(
-                &spec,
-                b,
-                &cache,
-                &memo,
-                None,
-                &mut scratch,
-                &mut UnitTrace::disabled(),
-            )
-            .expect("steady-state traced evaluation");
+            let t = session
+                .evaluate(&spec, b, &mut scratch, &mut UnitTrace::disabled())
+                .expect("steady-state traced evaluation");
             assert_eq!(
                 t, warm[wi],
                 "round {round}: disabled trace changed the result"
