@@ -12,7 +12,7 @@
 //! optimal, the mean/max II ratio when it is not, a per-benchmark
 //! breakdown, and a digest over every verdict so the whole study pins
 //! as one regression-guarded number (`results/oracle_gap.json`,
-//! enforced by `bench_oracle --check`).
+//! enforced by `tests/pinned.rs::oracle_gap`).
 //!
 //! Everything is deterministic in the seed: sampling uses the same
 //! SplitMix64 remainder draws as the guided search (and

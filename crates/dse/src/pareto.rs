@@ -5,9 +5,9 @@
 //! * the original [`Exploration`]-walking entry points ([`scatter`],
 //!   [`frontier`]), kept for callers holding the pointer-rich result;
 //! * flat slice-in ("SoA") cores ([`scatter_soa`], [`frontier_soa`])
-//!   consumed by [`crate::batch::EvalBatch`] and the `bench_score`
-//!   microbenchmark, which run as sort-then-sweep passes over parallel
-//!   columns instead of hash-map folds and per-point struct walks.
+//!   consumed by [`crate::batch::EvalBatch`], which run as
+//!   sort-then-sweep passes over parallel columns instead of hash-map
+//!   folds and per-point struct walks.
 //!
 //! The two forms are bit-identical — same points, same order, same
 //! `f64` bits — which `tests/batch_equivalence.rs` pins on the full

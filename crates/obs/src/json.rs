@@ -1,4 +1,10 @@
-//! A minimal byte-offset-tracking JSON reader and writer.
+//! The repo's one JSON: a minimal byte-offset-tracking reader and the
+//! string-literal writer every emitter shares.
+//!
+//! It sits here, at the bottom of the crate graph, so the `cfpd`
+//! protocol (`cfp_serve::json` re-exports this module), the JSONL trace
+//! sink and the pinned-result tests all read and escape JSON the same
+//! way.
 //!
 //! The service protocol is line-delimited JSON, and its rejection
 //! contract (DESIGN.md §15) is that a malformed request names the
@@ -343,8 +349,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, SyntaxError> {
                     b'b' => out.push('\u{8}'),
                     b'f' => out.push('\u{c}'),
                     b'u' => {
+                        // Checked digit by digit: `from_str_radix`
+                        // would take a leading '+'.
                         let hex = bytes
                             .get(*pos..*pos + 4)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .ok_or_else(|| err(*pos, "expected 4 hex digits after \\u"))?;
@@ -382,6 +391,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, SyntaxError> {
 
 /// Append `s` to `out` as a JSON string literal (quoted, escaped).
 pub fn write_str(out: &mut String, s: &str) {
+    use fmt::Write;
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -391,7 +401,7 @@ pub fn write_str(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -446,6 +456,17 @@ mod tests {
     }
 
     #[test]
+    fn a_unicode_escape_is_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).expect("parses").as_str(), Some("A"));
+        // A sign is not a hex digit, whatever `from_str_radix` thinks.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#] {
+            let e = parse(bad).expect_err(bad);
+            assert_eq!(e.offset, 3, "{bad}: {e}");
+            assert!(e.message.contains("4 hex digits"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
     fn depth_is_bounded() {
         let deep = "[".repeat(40) + &"]".repeat(40);
         let e = parse(&deep).expect_err("too deep");
@@ -459,6 +480,7 @@ mod tests {
         let original = "a\"b\\c\nd\te\u{1}f≥";
         let mut line = String::new();
         write_str(&mut line, original);
+        assert_eq!(line, "\"a\\\"b\\\\c\\nd\\te\\u0001f≥\"");
         let back = parse(&line).expect("parses");
         assert_eq!(back.as_str(), Some(original));
     }

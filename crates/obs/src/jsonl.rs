@@ -14,7 +14,7 @@
 //!   unit's work, so a trace is byte-stable across runs and thread
 //!   counts (pinned by a golden-file test).
 
-use crate::{Event, Recorder, Stage, Value};
+use crate::{json, Event, Recorder, Stage, Value};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -263,32 +263,10 @@ fn write_event(out: &mut String, e: &OwnedEvent) {
             OwnedValue::Bool(x) => {
                 out.push_str(if *x { "true" } else { "false" });
             }
-            OwnedValue::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
+            OwnedValue::Str(s) => json::write_str(out, s),
         }
     }
     out.push('}');
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_into(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -347,9 +325,11 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        let rec = JsonlRecorder::deterministic();
+        let mut tr = UnitTrace::new(&rec, 0);
+        let t0 = tr.start();
+        tr.stage(Stage::Unit, t0, &[("why", Value::Str("a\"b\\c\nd\u{1}"))]);
+        assert!(rec.to_jsonl().contains(r#""why":"a\"b\\c\nd\u0001""#));
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   anything (the drain sorts by `(unit, seq)`).
 //! * [`summary::TraceSummary`] — post-hoc aggregation: per-stage
 //!   latency histograms and a per-architecture "why it lost"
-//!   attribution table, surfaced by `exhibits --trace-summary` and the
-//!   `bench_explore` report.
+//!   attribution table, surfaced by `exhibits --trace-summary`.
+//! * [`json`] — the repo's one JSON reader and string writer, shared by
+//!   the `cfpd` protocol, the JSONL sink and the pinned-result tests.
 //!
 //! Events are flat spans: one record per completed stage, carrying a
 //! start/end stamp and a small field list. Instrumented code keeps
@@ -32,6 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod json;
 pub mod jsonl;
 pub mod summary;
 

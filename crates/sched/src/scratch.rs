@@ -82,7 +82,8 @@ impl SchedScratch {
 
     /// Ready-queue probes (pops plus refused peeks) the list scheduler
     /// has made through this arena since it was created — the clock-free
-    /// measure of issue-scan work (`bench_sched --check` guards it).
+    /// measure of issue-scan work (`tests/pinned.rs` holds it to
+    /// `results/sched_step_budget.json`).
     #[must_use]
     pub fn list_probes(&self) -> u64 {
         self.list_probes

@@ -35,17 +35,18 @@
 //! ```
 //!
 //! See `DESIGN.md` §15 for the full protocol and failure-injection
-//! surface, and the `cfpd` / `bench_serve` binaries for the shipped
-//! entry points.
+//! surface, and the `cfpd` binary for the shipped entry point.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
 pub mod job;
-pub mod json;
 pub mod proto;
 pub mod server;
 
+/// The wire format's reader and writer: the repo's one JSON module,
+/// which lives in `cfp-obs` so the trace sink shares it.
+pub use cfp_obs::json;
 pub use error::{JobError, ServeError};
 pub use proto::{parse_request, FaultSpec, JobKind, JobSpec, Request, RequestError, SpaceName};
 pub use server::{RetryPolicy, ServeConfig, Server};

@@ -15,11 +15,16 @@
 //! * fused schedules compiled for extension-bearing machines simulate
 //!   to the golden Rust reference, end to end through the scheduler,
 //!   register allocator, and simulator.
+//!
+//! And one claim about the axis as the exploration sees it: adding the
+//! `ExtSet` axis leaves the unextended subspace bit-identical, and
+//! cost-bounded selections buy the extensions it offers.
 
 mod common;
 
 use cfp_testkit::cases;
 use common::{bind_inputs, build, recipe, N_ITERS};
+use custom_fit::dse::{select, Exploration, ExploreConfig, Range};
 use custom_fit::kernels::golden;
 use custom_fit::machine::ExtSet;
 use custom_fit::opt::fuse::{fuse, mine, FuseTargets};
@@ -177,4 +182,62 @@ fn fused_schedules_simulate_to_the_golden_reference() {
             }
         }
     }
+}
+
+/// The axis as the sweep sees it, on a slice of `r = 256` datapaths
+/// crossed with every set on [`ExtSet::AXIS`]: the empty-set block
+/// scores bit for bit what a sweep without the axis scores, and the
+/// per-target selections under cost 10 buy at least two distinct fused
+/// ops — the axis pays for itself.
+#[test]
+fn the_extension_axis_keeps_the_plain_subspace_and_gets_bought() {
+    let mut plain = Vec::new();
+    for (a, m) in [(4_u32, 2_u32), (8, 4)] {
+        for c in [1_u32, 2] {
+            for p2 in [1_u32, 2] {
+                plain.push(ArchSpec::new(a, m, 256, p2, 4, c).expect("valid"));
+            }
+        }
+    }
+    let benches = vec![Benchmark::A, Benchmark::D, Benchmark::G, Benchmark::H];
+    let run = |archs: Vec<ArchSpec>| {
+        Exploration::run(&ExploreConfig {
+            archs,
+            benches: benches.clone(),
+            ..ExploreConfig::default()
+        })
+    };
+    let px = run(plain.clone());
+    let fx = run(plain
+        .iter()
+        .flat_map(|s| ExtSet::AXIS.iter().map(|&e| s.with_extensions(e)))
+        .collect());
+
+    let bits = |row: Vec<f64>| row.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    for (pa, p) in px.archs.iter().enumerate() {
+        let fa = fx
+            .archs
+            .iter()
+            .position(|a| a.spec == p.spec)
+            .expect("the empty-set block is a subset of the fused slice");
+        assert_eq!(
+            bits(px.speedup_row(pa)),
+            bits(fx.speedup_row(fa)),
+            "{}: the extension axis changed the unextended subspace",
+            p.spec
+        );
+    }
+
+    let mut bought = ExtSet::EMPTY;
+    for col in 0..fx.benches.len() {
+        if let Some(sel) = select(&fx, col, 10.0, Range::Fraction(0.0)) {
+            for op in sel.spec.exts.iter() {
+                bought = bought.with(op);
+            }
+        }
+    }
+    assert!(
+        bought.len() >= 2,
+        "only {bought} bought across targets — the axis is not paying"
+    );
 }

@@ -65,6 +65,16 @@ fn cases() -> Vec<Case> {
         case(r#"{"op":"#, "syntax"),
         case(r#"{"op":"ping"} extra"#, "syntax"),
         case(r#"{"op":"pi\qng"}"#, "syntax"),
+        // syntax: a \u escape is four hex digits, and a sign is not one;
+        // the offset is the first byte after the `u`.
+        Case {
+            offset_of: Some("+041"),
+            ..case(r#"{"op":"\u+041"}"#, "syntax")
+        },
+        Case {
+            offset_of: Some("-041"),
+            ..case(r#"{"op":"\u-041"}"#, "syntax")
+        },
         // not_an_object at the root.
         case("[1,2,3]", "not_an_object"),
         case(r#""ping""#, "not_an_object"),
