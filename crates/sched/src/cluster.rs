@@ -9,13 +9,17 @@
 //! the destination cluster and one cycle of latency. Resident values
 //! (loop constants) are instead broadcast to every reading cluster at
 //! loop setup, costing register pressure there but no per-iteration move.
+//!
+//! The pass allocates its result and nothing per op: the code is cloned
+//! as one block ([`SOp`] is `Copy`, its operands inline), value homes
+//! live in a vreg-indexed [`HomeTable`], cluster legality is one mask per
+//! cluster, and one-cluster machines skip the priority sort entirely.
 
 use crate::ddg::Ddg;
-use crate::loopcode::{FuClass, LoopCode, OpOrigin, SOp};
+use crate::loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
 use crate::scratch::SchedScratch;
 use cfp_ir::{Operand, Vreg};
 use cfp_machine::MachineResources;
-use std::collections::HashMap;
 
 /// The result of cluster assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +30,32 @@ pub struct Assignment {
     pub cluster_of_op: Vec<u32>,
     /// Home cluster of every value (defs, live-ins, and move copies).
     /// Resident values are homed where first read but readable anywhere.
-    pub home_of: HashMap<Vreg, u32>,
+    pub home_of: HomeTable,
     /// Number of inserted inter-cluster moves.
     pub move_count: usize,
+}
+
+/// "No home": the entry of a vreg number cluster assignment never saw.
+const NO_HOME: u32 = u32::MAX;
+
+/// Home cluster per value: a table indexed by vreg number, read with a
+/// map's spellings (`get(&v)`, `[&v]`).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct HomeTable(Vec<u32>);
+
+impl HomeTable {
+    /// The home cluster of `v`, if `v` is a def, a live-in or a copy.
+    #[must_use]
+    pub fn get(&self, v: &Vreg) -> Option<&u32> {
+        self.0.get(v.index()).filter(|&&h| h != NO_HOME)
+    }
+}
+
+impl std::ops::Index<&Vreg> for HomeTable {
+    type Output = u32;
+    fn index(&self, v: &Vreg) -> &u32 {
+        self.get(v).expect("value has a home cluster")
+    }
 }
 
 /// Assign `code` to the machine's clusters.
@@ -42,8 +69,10 @@ pub fn assign(code: &LoopCode, ddg: &Ddg, machine: &MachineResources) -> Assignm
 }
 
 /// [`assign`] with working memory from `scratch`: the priority order,
-/// value-home table, per-cluster load estimates, and copy-vreg cache all
-/// live in reused flat arrays instead of fresh maps.
+/// value-home table, per-cluster legality masks and load estimates, and
+/// the copy-vreg cache all live in reused flat arrays, and nothing is
+/// allocated per op — the result is the cloned code (one block of ops),
+/// the cluster column and the home table.
 ///
 /// # Panics
 /// As [`assign`].
@@ -55,7 +84,6 @@ pub fn assign_in(
     machine: &MachineResources,
     scratch: &mut SchedScratch,
 ) -> Assignment {
-    const NO_HOME: u32 = u32::MAX;
     let nc = machine.cluster_count();
     let n = code.ops.len();
     let nv = code.vreg_limit as usize;
@@ -67,7 +95,7 @@ pub fn assign_in(
         alu_load,
         mem_load,
         copy_of,
-        uses_tmp,
+        legal,
         ..
     } = scratch;
 
@@ -82,27 +110,37 @@ pub fn assign_in(
     home.clear();
     home.resize(nv, NO_HOME);
 
-    // Priority order: critical-path height, then original position.
-    order.clear();
-    order.extend(0..u32::try_from(n).expect("op count fits u32"));
-    order.sort_unstable_by(|&a, &b| {
-        ddg.height[b as usize]
-            .cmp(&ddg.height[a as usize])
-            .then(a.cmp(&b))
-    });
-
     let mut cluster_of_op = vec![0_u32; n];
-    alu_load.clear();
-    alu_load.resize(nc, 0.0);
-    mem_load.clear();
-    mem_load.resize(nc, 0.0);
 
     if nc > 1 {
+        // Priority order: critical-path height, then original position.
+        order.clear();
+        order.extend(0..u32::try_from(n).expect("op count fits u32"));
+        order.sort_unstable_by(|&a, &b| {
+            ddg.height[b as usize]
+                .cmp(&ddg.height[a as usize])
+                .then(a.cmp(&b))
+        });
+        alu_load.clear();
+        alu_load.resize(nc, 0.0);
+        mem_load.clear();
+        mem_load.resize(nc, 0.0);
+        // Bit `k` of `legal[c]`: cluster `c` has a unit of the class the
+        // machine description binds op class `k` to.
+        legal.clear();
+        for c in 0..nc {
+            let mut mask = 0_u8;
+            for (k, class) in machine.mdes.ops().iter().enumerate() {
+                mask |= u8::from(machine.mdes.units(c, class.unit) > 0) << k;
+            }
+            legal.push(mask);
+        }
+
         for &i in order.iter() {
             let op = &code.ops[i as usize];
             let mut best: Option<(f64, u32)> = None;
             for c in 0..nc {
-                if !allowed(op, c, machine) {
+                if legal[c] >> op.class.code() & 1 == 0 {
                     continue;
                 }
                 let cu = u32::try_from(c).expect("small");
@@ -176,10 +214,9 @@ pub fn assign_in(
     if nc > 1 {
         copy_of.clear();
         copy_of.resize(nv * nc, NO_HOME);
-        for (i, &c) in cluster_of_op.iter().enumerate().take(n) {
-            uses_tmp.clear();
-            uses_tmp.extend_from_slice(&new_code.ops[i].uses);
-            for &u in uses_tmp.iter() {
+        for (i, &c) in cluster_of_op.iter().enumerate() {
+            let uses = new_code.ops[i].uses;
+            for &u in &uses {
                 if vflags[u.index()] & 1 != 0 {
                     continue;
                 }
@@ -199,7 +236,7 @@ pub fn assign_in(
                         class: FuClass::Alu,
                         latency: machine.latency(FuClass::Alu),
                         def: Some(v),
-                        uses: vec![u],
+                        uses: Uses::of(&[u]),
                     });
                     new_clusters.push(c);
                     home.push(c);
@@ -212,30 +249,16 @@ pub fn assign_in(
         }
     }
 
-    let home_of: HashMap<Vreg, u32> = home
-        .iter()
-        .enumerate()
-        .filter(|&(_, &h)| h != NO_HOME)
-        .map(|(v, &h)| (Vreg(u32::try_from(v).expect("vreg fits u32")), h))
-        .collect();
-
     Assignment {
         code: new_code,
         cluster_of_op: new_clusters,
-        home_of,
+        home_of: HomeTable(home.clone()),
         move_count,
     }
 }
 
-fn allowed(op: &SOp, c: usize, machine: &MachineResources) -> bool {
-    // Uniform unit-count lookup: the machine description says which
-    // unit class the op occupies; a cluster is legal iff it has one.
-    let unit = machine.mdes.op(op.class).unit;
-    machine.mdes.units(c, unit) > 0
-}
-
 fn rewrite_use(op: &mut SOp, from: Vreg, to: Vreg) {
-    for u in &mut op.uses {
+    for u in op.uses.iter_mut() {
         if *u == from {
             *u = to;
         }
@@ -252,8 +275,212 @@ fn rewrite_use(op: &mut SOp, from: Vreg, to: Vreg) {
 mod tests {
     use super::*;
     use cfp_frontend::compile_kernel;
+    use cfp_ir::Kernel;
+    use cfp_kernels::Benchmark;
     use cfp_machine::ArchSpec;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
+
+    fn allowed(op: &SOp, c: usize, machine: &MachineResources) -> bool {
+        // Uniform unit-count lookup: the machine description says which
+        // unit class the op occupies; a cluster is legal iff it has one.
+        let unit = machine.mdes.op(op.class).unit;
+        machine.mdes.units(c, unit) > 0
+    }
+
+    /// Cluster assignment as it was before the inline operand list, the
+    /// legality masks and the home table: two description lookups per
+    /// (op, cluster), the order sorted on every machine, the homes
+    /// collected into a map. Kept as the reference [`assign_in`] must
+    /// equal. Returns `(code, cluster_of_op, home_of, move_count)`.
+    fn reference_assign(
+        code: &LoopCode,
+        ddg: &Ddg,
+        machine: &MachineResources,
+    ) -> (LoopCode, Vec<u32>, HashMap<Vreg, u32>, usize) {
+        let nc = machine.cluster_count();
+        let n = code.ops.len();
+        let nv = code.vreg_limit as usize;
+        let mut resident = vec![false; nv];
+        for v in &code.resident {
+            resident[v.index()] = true;
+        }
+        let mut home = vec![NO_HOME; nv];
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            ddg.height[b as usize]
+                .cmp(&ddg.height[a as usize])
+                .then(a.cmp(&b))
+        });
+        let mut cluster_of_op = vec![0_u32; n];
+        let mut alu_load = vec![0.0_f64; nc];
+        let mut mem_load = vec![0.0_f64; nc];
+        if nc > 1 {
+            for &i in &order {
+                let op = &code.ops[i as usize];
+                let mut best: Option<(f64, u32)> = None;
+                for c in 0..nc {
+                    if !allowed(op, c, machine) {
+                        continue;
+                    }
+                    let cu = c as u32;
+                    let comm: f64 = op
+                        .uses
+                        .iter()
+                        .filter(|u| !resident[u.index()])
+                        .filter(|u| {
+                            let h = home[u.index()];
+                            h != NO_HOME && h != cu
+                        })
+                        .count() as f64;
+                    let balance = if op.class.is_mem() {
+                        mem_load[c]
+                    } else {
+                        alu_load[c] / f64::from(machine.clusters[c].alus.max(1))
+                    };
+                    let score = comm * 2.0 + balance;
+                    if best.is_none_or(|(s, _)| score < s) {
+                        best = Some((score, cu));
+                    }
+                }
+                let (_, c) = best.expect("every op has a legal cluster");
+                cluster_of_op[i as usize] = c;
+                if op.class.is_mem() {
+                    mem_load[c as usize] += 1.0;
+                } else {
+                    alu_load[c as usize] += 1.0;
+                }
+                if let Some(d) = op.def {
+                    home[d.index()] = c;
+                }
+                for u in &op.uses {
+                    if !resident[u.index()] && home[u.index()] == NO_HOME {
+                        home[u.index()] = c;
+                    }
+                }
+            }
+            for &(inp, out) in &code.carried {
+                if inp != out && home[out.index()] != NO_HOME {
+                    home[inp.index()] = home[out.index()];
+                }
+            }
+        } else {
+            for v in code
+                .ops
+                .iter()
+                .filter_map(|o| o.def)
+                .chain(code.live_ins.iter().copied())
+            {
+                home[v.index()] = 0;
+            }
+        }
+        for &v in &code.live_ins {
+            if home[v.index()] == NO_HOME {
+                home[v.index()] = 0;
+            }
+        }
+
+        let mut new_code = code.clone();
+        let mut new_clusters = cluster_of_op.clone();
+        let mut move_count = 0_usize;
+        if nc > 1 {
+            let mut copy_of = vec![NO_HOME; nv * nc];
+            for (i, &c) in cluster_of_op.iter().enumerate() {
+                let uses = new_code.ops[i].uses;
+                for &u in &uses {
+                    if resident[u.index()] || home[u.index()] == c {
+                        continue;
+                    }
+                    let slot = u.index() * nc + c as usize;
+                    let copy = if copy_of[slot] != NO_HOME {
+                        Vreg(copy_of[slot])
+                    } else {
+                        let v = Vreg(new_code.vreg_limit);
+                        new_code.vreg_limit += 1;
+                        new_code.ops.push(SOp {
+                            origin: OpOrigin::Move { src: u, to: c },
+                            inst: None,
+                            class: FuClass::Alu,
+                            latency: machine.latency(FuClass::Alu),
+                            def: Some(v),
+                            uses: Uses::of(&[u]),
+                        });
+                        new_clusters.push(c);
+                        home.push(c);
+                        copy_of[slot] = v.0;
+                        move_count += 1;
+                        v
+                    };
+                    rewrite_use(&mut new_code.ops[i], u, copy);
+                }
+            }
+        }
+        let home_of = home
+            .iter()
+            .enumerate()
+            .filter(|&(_, &h)| h != NO_HOME)
+            .map(|(v, &h)| (Vreg(v as u32), h))
+            .collect();
+        (new_code, new_clusters, home_of, move_count)
+    }
+
+    /// The pinned step budget's stratified sample (`tests/pinned.rs`):
+    /// every width class, 1/2/4/8 clusters, both Level-2 latencies.
+    fn stratified() -> Vec<ArchSpec> {
+        [
+            (1, 1, 64, 1, 8, 1),
+            (2, 1, 64, 1, 4, 1),
+            (4, 2, 128, 1, 4, 1),
+            (4, 2, 256, 2, 4, 1),
+            (8, 2, 128, 1, 4, 4),
+            (8, 4, 256, 2, 4, 2),
+            (16, 4, 128, 1, 4, 8),
+            (16, 8, 512, 4, 2, 4),
+            (8, 8, 512, 2, 2, 8),
+        ]
+        .into_iter()
+        .filter_map(|(a, m, r, p2, l2, c)| ArchSpec::new(a, m, r, p2, l2, c).ok())
+        .collect()
+    }
+
+    fn assert_equals_reference(kernel: &Kernel, scratch: &mut SchedScratch, what: &str) {
+        for spec in stratified() {
+            let m = MachineResources::from_spec(&spec);
+            let code = LoopCode::build(kernel, &m);
+            let ddg = Ddg::build(&code);
+            let (ref_code, ref_clusters, ref_home, ref_moves) = reference_assign(&code, &ddg, &m);
+            let fresh = assign(&code, &ddg, &m);
+            assert_eq!(fresh, assign_in(&code, &ddg, &m, scratch), "{what} {spec}");
+            assert_eq!(fresh.code, ref_code, "{what} {spec}");
+            assert_eq!(fresh.cluster_of_op, ref_clusters, "{what} {spec}");
+            assert_eq!(fresh.move_count, ref_moves, "{what} {spec}");
+            for v in (0..fresh.code.vreg_limit + 2).map(Vreg) {
+                assert_eq!(fresh.home_of.get(&v), ref_home.get(&v), "{what} {spec} {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn assignment_equals_the_reference_on_the_shipped_kernels() {
+        let mut scratch = SchedScratch::new();
+        for b in Benchmark::ALL {
+            let raw = b.kernel();
+            let mut optimized = raw.clone();
+            cfp_opt::optimize(&mut optimized);
+            assert_equals_reference(&raw, &mut scratch, &format!("{b} raw"));
+            for u in [1, 2, 4] {
+                let k = cfp_opt::unroll::unroll(&optimized, u);
+                assert_equals_reference(&k, &mut scratch, &format!("{b} x{u}"));
+            }
+        }
+    }
+
+    #[test]
+    fn assignment_equals_the_reference_on_memory_heavy_kernels() {
+        cfp_testkit::cases(0xc105_0001, 60, |rng| {
+            let k = crate::ddg::tests::memory_heavy(rng);
+            assert_equals_reference(&k, &mut SchedScratch::new(), "memory heavy");
+        });
+    }
 
     fn assigned(src: &str, spec: &ArchSpec) -> Assignment {
         let k = compile_kernel(src, &[]).unwrap();

@@ -9,6 +9,13 @@
 //! alias each other. Cross-iteration memory ordering is guaranteed by the
 //! loop barrier (iterations do not overlap in the non-pipelined schedule).
 //!
+//! The memory scan is per array: the memory ops are bucketed by array
+//! (program order kept inside a bucket), a load is compared only with
+//! the stores after it, and a store with every later access of its
+//! array — so an array nothing stores to costs nothing, and no load–load
+//! pair is ever looked at. [`SchedScratch::ddg_probes`] counts the pairs
+//! examined; `results/sched_step_budget.json` pins the total.
+//!
 //! The graph is stored in compressed-sparse-row (CSR) form: one flat edge
 //! array grouped by consumer, one grouped by producer, each indexed by an
 //! `n + 1`-entry row-offset table. The exploration builds a graph once
@@ -22,7 +29,6 @@
 
 use crate::loopcode::LoopCode;
 use crate::scratch::SchedScratch;
-use cfp_ir::Inst;
 
 /// Why an edge exists (affects its latency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,9 +88,11 @@ impl Ddg {
     pub fn build_in(code: &LoopCode, scratch: &mut SchedScratch) -> Self {
         let n = code.ops.len();
 
-        // Collect every edge, in discovery order (register RAW first,
-        // then pairwise memory edges in program order) — the same order
-        // the nested-Vec representation pushed them.
+        // Collect every edge, in discovery order: register RAW first,
+        // then memory edges array by array, producer-major in program
+        // order. Every conflict of a memory op lies inside its own array
+        // and the grouping below is stable, so each CSR group holds the
+        // sequence the nested-Vec representation pushed.
         let edges = &mut scratch.edge_buf;
         edges.clear();
 
@@ -112,34 +120,50 @@ impl Ddg {
             }
         }
 
-        // Memory ordering edges, pairwise per array, program order.
-        let mems = &mut scratch.mems_tmp;
+        // Memory ordering edges, pairwise per array. Sorting by
+        // `(array, op index)` buckets the memory ops by array with
+        // program order kept inside each bucket.
+        let (mems, stores) = (&mut scratch.mems_tmp, &mut scratch.stores_tmp);
         mems.clear();
         for (i, op) in code.ops.iter().enumerate() {
-            if op.class.is_mem() {
-                mems.push(u32::try_from(i).expect("op count fits u32"));
-            }
+            let Some(inst) = &op.inst else { continue };
+            let Some(m) = inst.mem() else { continue };
+            mems.push(MemAccess {
+                array: m.array.0,
+                op: u32::try_from(i).expect("op count fits u32"),
+                affine: m.is_affine().then_some((m.coeff, m.offset)),
+                store: inst.is_store(),
+            });
         }
-        for (ai, &a) in mems.iter().enumerate() {
-            for &b in &mems[ai + 1..] {
-                let (ia, ib) = (
-                    code.ops[a as usize].inst.expect("mem ops are body ops"),
-                    code.ops[b as usize].inst.expect("mem ops are body ops"),
-                );
-                let Some(kind) = mem_dep_kind(&ia, &ib) else {
-                    continue;
+        mems.sort_unstable_by_key(|m| (m.array, m.op));
+        for run in mems.chunk_by(|a, b| a.array == b.array) {
+            stores.clear();
+            stores.extend(run.iter().filter(|m| m.store));
+            // Loads never order against loads: a load pairs only with
+            // the stores after it (none, in an array nothing stores to);
+            // a store pairs with every later access.
+            let mut next_store = 0;
+            for (ai, a) in run.iter().enumerate() {
+                let later = if a.store {
+                    next_store += 1;
+                    &run[ai + 1..]
+                } else {
+                    &stores[next_store..]
                 };
-                let lat = match kind {
-                    DepKind::MemRaw => code.ops[a as usize].latency,
-                    DepKind::MemWar | DepKind::MemWaw => 1,
-                    DepKind::RegRaw => unreachable!(),
-                };
-                edges.push(Dep {
-                    from: a,
-                    to: b,
-                    lat,
-                    kind,
-                });
+                scratch.ddg_probes += later.len() as u64;
+                for b in later.iter().filter(|b| a.may_conflict(b)) {
+                    let (kind, lat) = match (a.store, b.store) {
+                        (true, false) => (DepKind::MemRaw, code.ops[a.op as usize].latency),
+                        (false, _) => (DepKind::MemWar, 1),
+                        (true, true) => (DepKind::MemWaw, 1),
+                    };
+                    edges.push(Dep {
+                        from: a.op,
+                        to: b.op,
+                        lat,
+                        kind,
+                    });
+                }
             }
         }
 
@@ -300,38 +324,239 @@ fn assemble(
     }
 }
 
-/// Dependence between two memory ops in program order (`a` before `b`),
-/// or `None` when they provably never touch the same element in the same
-/// iteration.
-fn mem_dep_kind(a: &Inst, b: &Inst) -> Option<DepKind> {
-    let (ma, mb) = (a.mem()?, b.mem()?);
-    if ma.array != mb.array {
-        return None;
+/// One memory op as the ordering scan sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemAccess {
+    array: u32,
+    op: u32,
+    /// `(coeff, offset)` of the access function; `None` with a dynamic
+    /// index, which may name any element.
+    affine: Option<(i64, i64)>,
+    store: bool,
+}
+
+impl MemAccess {
+    /// Whether two accesses to one array can name the same element in
+    /// the same iteration: equal strides collide only at equal offsets;
+    /// unequal strides (`c1·i + o1 = c2·i + o2` has a solution for some
+    /// iteration) and dynamic indices are taken to collide.
+    fn may_conflict(&self, other: &MemAccess) -> bool {
+        match (self.affine, other.affine) {
+            (Some((ca, oa)), Some((cb, ob))) => ca != cb || oa == ob,
+            _ => true,
+        }
     }
-    let kind = match (a.is_store(), b.is_store()) {
-        (false, false) => return None,
-        (true, false) => DepKind::MemRaw,
-        (false, true) => DepKind::MemWar,
-        (true, true) => DepKind::MemWaw,
-    };
-    let may_conflict = if !ma.is_affine() || !mb.is_affine() {
-        true
-    } else if ma.coeff == mb.coeff {
-        ma.offset == mb.offset
-    } else {
-        // Different strides on the same array: `c1·i + o1 = c2·i + o2`
-        // has a solution for some iteration; be conservative.
-        true
-    };
-    may_conflict.then_some(kind)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::loopcode::{FuClass, LoopCode};
     use cfp_frontend::compile_kernel;
+    use cfp_ir::{Inst, Kernel, KernelBuilder, MemRef, MemSpace, Operand, Ty};
+    use cfp_kernels::Benchmark;
     use cfp_machine::{ArchSpec, MachineResources};
+    use cfp_testkit::Rng;
+
+    /// Dependence between two memory ops in program order (`a` before `b`),
+    /// or `None` when they provably never touch the same element in the same
+    /// iteration.
+    fn mem_dep_kind(a: &Inst, b: &Inst) -> Option<DepKind> {
+        let (ma, mb) = (a.mem()?, b.mem()?);
+        if ma.array != mb.array {
+            return None;
+        }
+        let kind = match (a.is_store(), b.is_store()) {
+            (false, false) => return None,
+            (true, false) => DepKind::MemRaw,
+            (false, true) => DepKind::MemWar,
+            (true, true) => DepKind::MemWaw,
+        };
+        let may_conflict = if !ma.is_affine() || !mb.is_affine() {
+            true
+        } else if ma.coeff == mb.coeff {
+            ma.offset == mb.offset
+        } else {
+            // Different strides on the same array: `c1·i + o1 = c2·i + o2`
+            // has a solution for some iteration; be conservative.
+            true
+        };
+        may_conflict.then_some(kind)
+    }
+
+    /// The graph as it was built before the per-array scan: every pair
+    /// of memory ops examined, whatever their arrays. Kept as the
+    /// reference [`Ddg::build`] must equal; also returns the pairs it
+    /// visited.
+    fn build_all_pairs(code: &LoopCode) -> (Ddg, u64) {
+        let mut edges = Vec::new();
+        let mut def_of = vec![u32::MAX; code.vreg_limit as usize];
+        for (i, op) in code.ops.iter().enumerate() {
+            if let Some(d) = op.def {
+                def_of[d.index()] = i as u32;
+            }
+        }
+        for (i, op) in code.ops.iter().enumerate() {
+            for u in &op.uses {
+                let p = def_of[u.index()];
+                if p != u32::MAX {
+                    edges.push(Dep {
+                        from: p,
+                        to: i as u32,
+                        lat: code.ops[p as usize].latency,
+                        kind: DepKind::RegRaw,
+                    });
+                }
+            }
+        }
+        let mems = code.mem_ops();
+        let mut pairs = 0;
+        for (ai, &a) in mems.iter().enumerate() {
+            for &b in &mems[ai + 1..] {
+                pairs += 1;
+                let (ia, ib) = (code.ops[a].inst.unwrap(), code.ops[b].inst.unwrap());
+                let Some(kind) = mem_dep_kind(&ia, &ib) else {
+                    continue;
+                };
+                let lat = match kind {
+                    DepKind::MemRaw => code.ops[a].latency,
+                    _ => 1,
+                };
+                edges.push(Dep {
+                    from: a as u32,
+                    to: b as u32,
+                    lat,
+                    kind,
+                });
+            }
+        }
+        let lats: Vec<u32> = code.ops.iter().map(|o| o.latency).collect();
+        (Ddg::from_edges(&lats, &edges), pairs)
+    }
+
+    /// A seeded kernel that is mostly memory traffic: load-only,
+    /// store-only and read-write arrays on both memory levels, two
+    /// strides and colliding offsets on one array, dynamic indices.
+    pub(crate) fn memory_heavy(rng: &mut Rng) -> Kernel {
+        let mut b = KernelBuilder::new("memory_heavy");
+        let ins = [
+            b.array_in("a", Ty::I32, MemSpace::L2),
+            b.array_in("t", Ty::I16, MemSpace::L1),
+        ];
+        let outs = [
+            b.array_out("d", Ty::I32, MemSpace::L2),
+            b.array_out("e", Ty::I32, MemSpace::L1),
+        ];
+        let both = [
+            b.array_inout("p", Ty::I32, MemSpace::L2),
+            b.array_inout("q", Ty::I32, MemSpace::L1),
+        ];
+        let mut vals = vec![b.load(ins[0], 1, 0, Ty::I32)];
+        for _ in 0..rng.index(40) + 2 {
+            let store = rng.index(5) < 2;
+            let array = match (store, rng.gen_bool()) {
+                (_, true) => *rng.pick(&both),
+                (true, false) => *rng.pick(&outs),
+                (false, false) => *rng.pick(&ins),
+            };
+            let mem = MemRef {
+                array,
+                coeff: *rng.pick(&[0, 1, 1, 2]),
+                offset: rng.range_i64(0..=3),
+                dyn_index: (rng.index(6) == 0).then(|| Operand::Reg(*rng.pick(&vals))),
+            };
+            if store {
+                let value = Operand::Reg(*rng.pick(&vals));
+                b.push(Inst::St {
+                    mem,
+                    value,
+                    ty: Ty::I32,
+                });
+            } else {
+                let dst = b.fresh();
+                b.push(Inst::Ld {
+                    dst,
+                    mem,
+                    ty: Ty::I32,
+                });
+                vals.push(dst);
+            }
+            if rng.gen_bool() {
+                let (x, y) = (*rng.pick(&vals), *rng.pick(&vals));
+                vals.push(b.add(x, y));
+            }
+        }
+        b.store(outs[0], 1, 0, *vals.last().unwrap(), Ty::I32);
+        b.finish()
+    }
+
+    fn assert_equals_all_pairs(kernel: &Kernel, scratch: &mut SchedScratch, what: &str) -> u64 {
+        let mut visited = 0;
+        for spec in [
+            ArchSpec::baseline(),
+            ArchSpec::new(4, 2, 128, 1, 2, 1).unwrap(),
+        ] {
+            let code = LoopCode::build(kernel, &MachineResources::from_spec(&spec));
+            let (reference, pairs) = build_all_pairs(&code);
+            let before = scratch.ddg_probes();
+            assert_eq!(Ddg::build_in(&code, scratch), reference, "{what} {spec}");
+            assert_eq!(Ddg::build(&code), reference, "{what} {spec} fresh");
+            assert!(scratch.ddg_probes() - before <= pairs, "{what} {spec}");
+            visited += pairs;
+        }
+        visited
+    }
+
+    #[test]
+    fn per_array_scan_equals_all_pairs_on_the_shipped_kernels() {
+        let mut scratch = SchedScratch::new();
+        let mut all_pairs = 0;
+        for b in Benchmark::ALL {
+            let raw = b.kernel();
+            let mut optimized = raw.clone();
+            cfp_opt::optimize(&mut optimized);
+            for u in [1, 2, 4, 8, 16] {
+                for (k, state) in [(&raw, "raw"), (&optimized, "optimized")] {
+                    let k = cfp_opt::unroll::unroll(k, u);
+                    // The reference is quadratic in the memory ops; the
+                    // deepest unrolls of the largest benchmarks are minutes.
+                    if k.body.len() > 4000 {
+                        continue;
+                    }
+                    all_pairs +=
+                        assert_equals_all_pairs(&k, &mut scratch, &format!("{b} x{u} {state}"));
+                }
+            }
+        }
+        assert!(
+            scratch.ddg_probes() * 2 <= all_pairs,
+            "{} of {all_pairs} pairs",
+            scratch.ddg_probes()
+        );
+    }
+
+    #[test]
+    fn per_array_scan_equals_all_pairs_on_memory_heavy_kernels() {
+        cfp_testkit::cases(0xdd90_0001, 300, |rng| {
+            let mut scratch = SchedScratch::new();
+            let k = memory_heavy(rng);
+            assert_equals_all_pairs(&k, &mut scratch, "memory heavy");
+            let k = cfp_opt::unroll::unroll(&k, 3);
+            assert_equals_all_pairs(&k, &mut scratch, "memory heavy x3");
+        });
+    }
+
+    #[test]
+    fn an_array_nothing_stores_to_is_never_scanned() {
+        let lc = code_for(
+            "kernel k(in u8 s[], out i32 d[]) {
+                loop i { d[i] = s[i] + s[i+1] + s[i+2] + s[i+3]; }
+            }",
+        );
+        let mut scratch = SchedScratch::new();
+        let _ = Ddg::build_in(&lc, &mut scratch);
+        assert_eq!(scratch.ddg_probes(), 0, "four loads, one lone store");
+    }
 
     fn code_for(src: &str) -> LoopCode {
         let k = compile_kernel(src, &[]).unwrap();

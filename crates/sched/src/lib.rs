@@ -60,7 +60,7 @@ pub mod regalloc;
 pub mod scratch;
 pub mod simulate;
 
-pub use cluster::Assignment;
+pub use cluster::{Assignment, HomeTable};
 pub use compile::{
     compile, compile_core, finish, prepare, spill_penalty_cycles, try_compile_core, CompileResult,
     Prepared, SchedCore,
@@ -72,7 +72,7 @@ pub use exact::{certify_min_ii, exact_mii, try_exact_ii, CertifyOutcome, ExactVe
 pub use list::{
     render, schedule, schedule_with, try_schedule, try_schedule_in, Placement, Priority, Schedule,
 };
-pub use loopcode::{FuClass, LoopCode, OpOrigin, SOp};
+pub use loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
 pub use modulo::{
     modulo_schedule, omega_deps, op_requirements, rec_mii, res_mii, try_modulo_schedule,
     validate_modulo, ModuloSchedule, OmegaDep, ResReq,

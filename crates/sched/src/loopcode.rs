@@ -15,8 +15,10 @@
 //! These overhead ops participate in scheduling, cluster assignment, and
 //! register pressure exactly like body ops.
 
-use cfp_ir::{ArrayId, FusedOp, Inst, Kernel, MemSpace, Vreg};
+use cfp_ir::{ArrayId, FusedOp, Inst, Kernel, MemSpace, Operand, Vreg};
 use cfp_machine::{MachineResources, MemLevel};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Which machine-description op class an operation belongs to. The
 /// scheduler classifies IR here (the machine crate never sees IR);
@@ -47,8 +49,79 @@ pub enum OpOrigin {
     LoopBranch,
 }
 
+/// The registers one op reads, in operand order. No IR instruction has
+/// more than three register operands, so the list is stored inline: an
+/// [`SOp`] owns no heap memory and cloning a [`LoopCode`] copies its ops
+/// as one block. Reads as a slice (derefs to `[Vreg]`); slots past the
+/// length stay `Vreg(0)`, which keeps the derived equality exact.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Uses {
+    len: u8,
+    regs: [Vreg; 3],
+}
+
+impl Uses {
+    /// The list holding `regs`.
+    ///
+    /// # Panics
+    /// Panics on more than three registers.
+    #[must_use]
+    pub fn of(regs: &[Vreg]) -> Self {
+        let mut uses = Uses::default();
+        for &v in regs {
+            uses.push(v);
+        }
+        uses
+    }
+
+    /// Append `v`.
+    ///
+    /// # Panics
+    /// Panics if the list already holds three registers.
+    pub fn push(&mut self, v: Vreg) {
+        self.regs[usize::from(self.len)] = v;
+        self.len += 1;
+    }
+}
+
+impl Default for Uses {
+    fn default() -> Self {
+        Uses {
+            len: 0,
+            regs: [Vreg(0); 3],
+        }
+    }
+}
+
+impl Deref for Uses {
+    type Target = [Vreg];
+    fn deref(&self) -> &[Vreg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Uses {
+    fn deref_mut(&mut self) -> &mut [Vreg] {
+        &mut self.regs[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Uses {
+    type Item = &'a Vreg;
+    type IntoIter = std::slice::Iter<'a, Vreg>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Uses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.deref().fmt(f)
+    }
+}
+
 /// One schedulable operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SOp {
     /// Provenance.
     pub origin: OpOrigin,
@@ -61,7 +134,7 @@ pub struct SOp {
     /// Defined register, if any.
     pub def: Option<Vreg>,
     /// Registers read.
-    pub uses: Vec<Vreg>,
+    pub uses: Uses,
 }
 
 /// The flattened, schedulable form of one loop iteration.
@@ -100,13 +173,19 @@ impl LoopCode {
         let mut ops: Vec<SOp> = Vec::with_capacity(kernel.body.len() + 8);
         for (i, inst) in kernel.body.iter().enumerate() {
             let class = class_of(inst, kernel);
+            let mut uses = Uses::default();
+            inst.for_each_operand(|o| {
+                if let Operand::Reg(v) = o {
+                    uses.push(v);
+                }
+            });
             ops.push(SOp {
                 origin: OpOrigin::Body(i),
                 inst: Some(*inst),
                 class,
                 latency: machine.latency(class),
                 def: inst.def(),
-                uses: inst.uses(),
+                uses,
             });
         }
 
@@ -133,7 +212,7 @@ impl LoopCode {
                 class: FuClass::Alu,
                 latency: machine.latency(FuClass::Alu),
                 def: Some(nxt),
-                uses: vec![cur],
+                uses: Uses::of(&[cur]),
             });
             carried.push((cur, nxt));
             live_ins.push(cur);
@@ -150,7 +229,7 @@ impl LoopCode {
             class: FuClass::Alu,
             latency: machine.latency(FuClass::Alu),
             def: Some(i_nxt),
-            uses: vec![i_cur],
+            uses: Uses::of(&[i_cur]),
         });
         ops.push(SOp {
             origin: OpOrigin::LoopTest,
@@ -158,7 +237,7 @@ impl LoopCode {
             class: FuClass::Alu,
             latency: machine.latency(FuClass::Alu),
             def: Some(test),
-            uses: vec![i_nxt, bound],
+            uses: Uses::of(&[i_nxt, bound]),
         });
         ops.push(SOp {
             origin: OpOrigin::LoopBranch,
@@ -166,7 +245,7 @@ impl LoopCode {
             class: FuClass::Branch,
             latency: machine.latency(FuClass::Branch),
             def: None,
-            uses: vec![test],
+            uses: Uses::of(&[test]),
         });
         carried.push((i_cur, i_nxt));
         live_ins.push(i_cur);

@@ -18,12 +18,11 @@
 //! later unit can observe. Reuse is therefore invisible: schedules,
 //! step counts, and fuel verdicts are bit-identical to the
 //! allocate-per-call implementation (asserted by
-//! `tests/sched_equivalence.rs`). The one value that does accumulate is
-//! the list scheduler's probe count ([`SchedScratch::list_probes`]), a
-//! statistic no compilation reads.
+//! `tests/sched_equivalence.rs`). The two values that do accumulate are
+//! the probe counts ([`SchedScratch::list_probes`],
+//! [`SchedScratch::ddg_probes`]), statistics no compilation reads.
 
-use crate::ddg::Dep;
-use cfp_ir::Vreg;
+use crate::ddg::{Dep, MemAccess};
 use std::collections::BinaryHeap;
 
 /// The scratch arena. Create one per worker thread (or use the
@@ -48,7 +47,9 @@ pub struct SchedScratch {
     // --- dependence-graph construction ---
     pub(crate) def_of: Vec<u32>,
     pub(crate) edge_buf: Vec<Dep>,
-    pub(crate) mems_tmp: Vec<u32>,
+    pub(crate) mems_tmp: Vec<MemAccess>,
+    pub(crate) stores_tmp: Vec<MemAccess>,
+    pub(crate) ddg_probes: u64,
     pub(crate) row_tmp: Vec<u32>,
     pub(crate) indeg: Vec<u32>,
     pub(crate) topo: Vec<u32>,
@@ -59,7 +60,7 @@ pub struct SchedScratch {
     pub(crate) alu_load: Vec<f64>,
     pub(crate) mem_load: Vec<f64>,
     pub(crate) copy_of: Vec<u32>,
-    pub(crate) uses_tmp: Vec<Vreg>,
+    pub(crate) legal: Vec<u8>,
     // --- register-pressure analysis ---
     pub(crate) last_use: Vec<u32>,
     pub(crate) reader_mask: Vec<u64>,
@@ -87,6 +88,14 @@ impl SchedScratch {
     #[must_use]
     pub fn list_probes(&self) -> u64 {
         self.list_probes
+    }
+
+    /// Memory-op pairs the dependence-graph builder has examined through
+    /// this arena since it was created — the clock-free measure of the
+    /// memory scan, pinned beside the list probes.
+    #[must_use]
+    pub fn ddg_probes(&self) -> u64 {
+        self.ddg_probes
     }
 }
 

@@ -168,7 +168,11 @@ fn kernels() -> Vec<(String, custom_fit::ir::Kernel)> {
 /// Steps are the semantic placement and scan events `Fuel` charges;
 /// probes are the ready queues' pops plus refused peeks — the work an
 /// issue scan really does — so a walk that goes back to visiting every
-/// ready op moves the second number even at equal steps.
+/// ready op moves the second number even at equal steps. Pair probes
+/// are the memory-op pairs the dependence-graph builder examines (the
+/// post-assignment rebuilds and the graphs built for the modulo
+/// scheduler); a scan that goes back to every pair of memory ops, which
+/// is `all_pairs` here, at least doubles them.
 #[test]
 #[ignore = "minutes in a debug build; CI runs it in release"]
 fn scheduler_step_budget() {
@@ -191,7 +195,8 @@ fn scheduler_step_budget() {
     // The traced entry points under a disabled trace: the totals also
     // prove that span bookkeeping adds no step when recording is off.
     let mut trace = UnitTrace::disabled();
-    let (mut list_steps, mut ii_attempts) = (0_u64, 0_u64);
+    let (mut list_steps, mut ii_attempts, mut all_pairs) = (0_u64, 0_u64, 0_u64);
+    let pairs_among = |mem_ops: usize| (mem_ops * mem_ops.saturating_sub(1) / 2) as u64;
     for (ki, (name, _)) in corpus.iter().enumerate() {
         for (mi, machine) in machines.iter().enumerate() {
             let core = try_compile_core(
@@ -203,10 +208,15 @@ fn scheduler_step_budget() {
             )
             .unwrap_or_else(|e| panic!("unlimited fuel cannot exhaust ({name}): {e}"));
             list_steps += core.steps;
+            let mem_ops = core.assignment.code.mem_ops().len();
+            if core.move_count > 0 {
+                all_pairs += pairs_among(mem_ops);
+            }
             // Modulo scheduling overlaps loop iterations; it only makes
             // sense (and only terminates quickly) on un-unrolled bodies.
             if name.ends_with("x1") {
                 let ddg = Ddg::build_in(&core.assignment.code, &mut scratch);
+                all_pairs += pairs_among(mem_ops);
                 let ms = try_modulo_schedule(
                     &core.assignment,
                     &ddg,
@@ -221,12 +231,18 @@ fn scheduler_step_budget() {
             }
         }
     }
+    assert!(
+        scratch.ddg_probes() * 2 <= all_pairs,
+        "the memory scan examined {} of {all_pairs} pairs",
+        scratch.ddg_probes()
+    );
     assert_pinned(
         "sched_step_budget.json",
         &[
             ("max_list_steps", list_steps),
             ("max_list_probes", scratch.list_probes()),
             ("max_ii_attempts", ii_attempts),
+            ("max_ddg_pair_probes", scratch.ddg_probes()),
         ],
     );
 }

@@ -8,6 +8,8 @@
 //! * the optimizer and unroller preserve interpreter semantics;
 //! * for any valid architecture, the compiled schedule simulates to the
 //!   same memory image as the interpreter;
+//! * the dependence graph's memory edges are exactly the conflicting
+//!   pairs a scan over every pair of memory ops finds;
 //! * the cost and cycle models are monotone in every resource;
 //! * the paper design space is exactly the cross product of the axes the
 //!   paper states, with no duplicates and every point valid.
@@ -71,6 +73,57 @@ fn schedules_simulate_like_the_interpreter() {
         // Structural sanity alongside: the schedule respects the
         // dependence-graph lower bound.
         assert!(result.length >= result.critical_path);
+    });
+}
+
+/// `Ddg::build` scans memory ops per array and never pairs two loads.
+/// Here every pair is examined, with the conflict rule spelled out on
+/// the IR, and the graph reassembled from its own register edges plus
+/// these memory edges must be the same graph, group order included.
+#[test]
+fn memory_edges_are_the_conflicting_pairs_of_an_all_pairs_scan() {
+    use custom_fit::sched::{cluster, Ddg, Dep, DepKind, LoopCode};
+    cases(0x5eed_0005, 24, |rng| {
+        let mut kernel = build(&recipe(rng));
+        if rng.gen_bool() {
+            custom_fit::opt::optimize(&mut kernel);
+        }
+        let kernel = custom_fit::opt::unroll::unroll(&kernel, rng.range_u32(1..=4));
+        let machine = MachineResources::from_spec(&arch(rng));
+        let code = LoopCode::build(&kernel, &machine);
+        let code = cluster::assign(&code, &Ddg::build(&code), &machine).code;
+        let graph = Ddg::build(&code);
+
+        let mut edges: Vec<Dep> = graph.edges().to_vec();
+        edges.retain(|d| d.kind == DepKind::RegRaw);
+        let mems = code.mem_ops();
+        for (ai, &a) in mems.iter().enumerate() {
+            for &b in &mems[ai + 1..] {
+                let (ia, ib) = (code.ops[a].inst.unwrap(), code.ops[b].inst.unwrap());
+                let (ma, mb) = (ia.mem().unwrap(), ib.mem().unwrap());
+                let same_element = !ma.is_affine()
+                    || !mb.is_affine()
+                    || ma.coeff != mb.coeff
+                    || ma.offset == mb.offset;
+                let (kind, lat) = match (ia.is_store(), ib.is_store()) {
+                    (false, false) => continue,
+                    (true, false) => (DepKind::MemRaw, code.ops[a].latency),
+                    (false, true) => (DepKind::MemWar, 1),
+                    (true, true) => (DepKind::MemWaw, 1),
+                };
+                if ma.array == mb.array && same_element {
+                    let (from, to) = (a as u32, b as u32);
+                    edges.push(Dep {
+                        from,
+                        to,
+                        lat,
+                        kind,
+                    });
+                }
+            }
+        }
+        let latencies: Vec<u32> = code.ops.iter().map(|o| o.latency).collect();
+        assert_eq!(graph, Ddg::from_edges(&latencies, &edges));
     });
 }
 

@@ -30,10 +30,9 @@ use custom_fit::prelude::Benchmark;
 use custom_fit::sched::cluster::assign;
 use custom_fit::sched::{
     omega_deps, prepare, rec_mii, res_mii, try_compile_core, try_modulo_schedule, try_schedule_in,
-    Assignment, Ddg, Dep, DepKind, FuClass, Fuel, LoopCode, OmegaDep, OpOrigin, Placement,
-    Priority, SOp, SchedError, SchedScratch, Schedule,
+    Assignment, Ddg, Dep, DepKind, FuClass, Fuel, HomeTable, LoopCode, OmegaDep, OpOrigin,
+    Placement, Priority, SOp, SchedError, SchedScratch, Schedule, Uses,
 };
-use std::collections::HashMap;
 
 /// The old scheduler's hard cycle cap (unchanged in the rewrite).
 const MAX_CYCLES: u32 = 1 << 20;
@@ -354,7 +353,7 @@ fn synthetic(
             class,
             latency: machine.latency(class),
             def: None,
-            uses: Vec::new(),
+            uses: Uses::default(),
         });
     }
     let mut edges = Vec::new();
@@ -379,7 +378,7 @@ fn synthetic(
             vreg_limit: 0,
         },
         cluster_of_op,
-        home_of: HashMap::new(),
+        home_of: HomeTable::default(),
         move_count: 0,
     };
     (assignment, ddg)

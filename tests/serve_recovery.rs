@@ -11,6 +11,7 @@ use custom_fit::serve::json::Json;
 use custom_fit::serve::{parse_request, Request};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -26,9 +27,41 @@ struct Daemon {
     stdout: BufReader<std::process::ChildStdout>,
 }
 
+/// Kill on drop: a test that panics must not leak a `cfpd` that holds
+/// the test runner's output pipe through its inherited stderr. After a
+/// clean exit both calls are no-ops.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The test's state directory: removed when the test passes, kept (and
+/// named on stderr) when it panics, so a failure leaves its journal.
+struct StateDir(PathBuf);
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("state directory kept: {}", self.0.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+/// Units in the checkpoint journal right now: its lines minus the
+/// header. The journal is replaced by rename, so a read sees a whole
+/// file; one that does not exist yet holds nothing.
+fn journaled_units(journal: &Path) -> u64 {
+    let text = std::fs::read_to_string(journal).unwrap_or_default();
+    (text.lines().count() as u64).saturating_sub(1)
+}
+
 /// Start the real `cfpd` binary on `state` and scrape its listen
 /// address from stdout.
-fn start_cfpd(state: &std::path::Path) -> Daemon {
+fn start_cfpd(state: &Path) -> Daemon {
     let mut child = Command::new(env!("CARGO_BIN_EXE_cfpd"))
         .args(["--state", &state.display().to_string(), "--workers", "1"])
         .stdout(Stdio::piped())
@@ -53,10 +86,12 @@ fn start_cfpd(state: &std::path::Path) -> Daemon {
 
 #[test]
 fn a_sigkilled_daemon_resumes_the_job_bit_identically() {
-    let state = common::serve::state_dir("recovery");
+    let state_guard = StateDir(common::serve::state_dir("recovery"));
+    let state = &state_guard.0;
+    let journal = state.join("jobs").join("job-000000.ck");
 
     // ---- First life: accept the job, make progress, die. ------------
-    let mut daemon = start_cfpd(&state);
+    let mut daemon = start_cfpd(state);
     let mut client = Client::connect(daemon.addr);
     let accepted = client.request(SLOW_JOB);
     assert_eq!(
@@ -67,20 +102,22 @@ fn a_sigkilled_daemon_resumes_the_job_bit_identically() {
     let id = str_field(&accepted, "id");
     assert_eq!(id, "job-000000");
 
-    // Wait until the run is demonstrably mid-sweep: some units done,
-    // with ≥ 500 ms of stalled units still ahead when we pull the plug.
+    // Wait until the run is demonstrably mid-sweep: some units in the
+    // journal, with ≥ 500 ms of stalled units still ahead when we pull
+    // the plug. The journal on disk is what the second life will read;
+    // `status` counts progress events, which run ahead of it.
     let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
+    let journaled = loop {
         let status = client.request(&format!(r#"{{"op":"status","id":"{id}"}}"#));
         let state_token = str_field(&status, "state");
-        let units = u64_field(&status, "units_done");
+        let units = journaled_units(&journal);
         if state_token == "running" && (3..=8).contains(&units) {
-            break;
+            break units;
         }
         assert_ne!(state_token, "done", "job finished before the kill");
         assert!(Instant::now() < deadline, "no mid-sweep window observed");
         std::thread::sleep(Duration::from_millis(10));
-    }
+    };
     daemon.child.kill().expect("SIGKILL cfpd"); // kill(2), not a shutdown
     daemon.child.wait().expect("reap cfpd");
     drop(client);
@@ -96,7 +133,7 @@ fn a_sigkilled_daemon_resumes_the_job_bit_identically() {
     );
 
     // ---- Second life: recover, resume, finish. ----------------------
-    let mut daemon = start_cfpd(&state);
+    let mut daemon = start_cfpd(state);
     let mut banner = String::new();
     daemon.stdout.read_line(&mut banner).expect("recovery line");
     assert_eq!(banner.trim_end(), "cfpd recovered 1 incomplete job(s)");
@@ -110,8 +147,9 @@ fn a_sigkilled_daemon_resumes_the_job_bit_identically() {
     );
     assert_eq!(u64_field(&result, "attempts"), 1, "a resume is not a retry");
     assert!(
-        u64_field(&result, "resumed_units") > 0,
-        "the second life must replay journaled units, not recompute them: {result:?}"
+        u64_field(&result, "resumed_units") >= journaled,
+        "the second life must replay the {journaled} units journaled before the kill, \
+         not recompute them: {result:?}"
     );
 
     // Bit-identity: the resumed digest equals an uninterrupted run's.
@@ -136,6 +174,4 @@ fn a_sigkilled_daemon_resumes_the_job_bit_identically() {
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
     let exit = daemon.child.wait().expect("cfpd exits");
     assert!(exit.success(), "{exit:?}");
-
-    let _ = std::fs::remove_dir_all(&state);
 }
