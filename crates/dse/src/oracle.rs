@@ -7,7 +7,9 @@
 //! sample `(benchmark × architecture × unroll)` points from the paper
 //! and extended spaces, schedule each with the production heuristic,
 //! then certify the true minimum II with
-//! [`cfp_sched::certify_min_ii`] under a deterministic fuel ladder. The
+//! [`PipelineProblem::certify`] under a deterministic fuel ladder — one
+//! [`PipelineProblem`] per point, shared by the heuristic, the validator
+//! and every rung, over kernels optimized once per study. The
 //! result is a [`OracleReport`]: how often the heuristic is provably
 //! optimal, the mean/max II ratio when it is not, a per-benchmark
 //! breakdown, and a digest over every verdict so the whole study pins
@@ -22,14 +24,14 @@
 //! platforms, thread counts, and re-runs.
 
 use crate::batch::spec_fingerprint;
-use crate::eval::residency_budget;
+use crate::eval::{residency_budget, PlanCache};
 use crate::search::below;
 use cfp_kernels::Benchmark;
-use cfp_machine::{ArchSpec, Fnv1a, MachineResources, SpaceAxes};
-use cfp_sched::{
-    certify_min_ii, modulo_schedule, omega_deps, validate_modulo, CertifyOutcome, Ddg, Fuel,
-};
+use cfp_machine::{ArchSpec, ExtSet, Fnv1a, MachineResources, SpaceAxes};
+use cfp_obs::UnitTrace;
+use cfp_sched::{CertifyOutcome, Ddg, Fuel, PipelineProblem, SchedScratch};
 use cfp_testkit::Rng;
+use std::borrow::Cow;
 
 /// The default fuel ladder: three rungs, a decade apart. Each undecided
 /// point restarts from scratch on the next rung (restarting is how the
@@ -126,7 +128,8 @@ pub struct OraclePoint {
     pub rung: u32,
     /// Whether every schedule seen here — the heuristic's and, when the
     /// oracle improved on it, the exact certificate — replayed through
-    /// [`validate_modulo`]. Anything but `true` is a validator hole.
+    /// [`PipelineProblem::validate`]. Anything but `true` is a validator
+    /// hole.
     pub certificate_valid: bool,
 }
 
@@ -204,6 +207,12 @@ impl OracleReport {
             }
         }
 
+        // Each kernel is optimized once per study, not once per point.
+        let mut regs: Vec<u32> = trials.iter().map(|(_, spec, _)| spec.regs).collect();
+        regs.sort_unstable();
+        regs.dedup();
+        let plans = PlanCache::build(&config.benches, &regs, &config.unrolls);
+
         let threads = config.threads.max(1).min(trials.len().max(1));
         let ladder = if config.fuel_ladder.is_empty() {
             DEFAULT_FUEL_LADDER.to_vec()
@@ -213,19 +222,20 @@ impl OracleReport {
         let mut points: Vec<Option<OraclePoint>> = vec![None; trials.len()];
         if threads <= 1 {
             for (i, (bench, spec, unroll)) in trials.iter().enumerate() {
-                points[i] = Some(measure(*bench, spec, *unroll, &ladder));
+                points[i] = Some(measure(*bench, spec, *unroll, &ladder, &plans));
             }
         } else {
             let shards = std::thread::scope(|scope| {
                 let trials = &trials;
                 let ladder = &ladder;
+                let plans = &plans;
                 let handles: Vec<_> = (0..threads)
                     .map(|t| {
                         scope.spawn(move || {
                             let mut out: Vec<(usize, OraclePoint)> = Vec::new();
                             for (i, (bench, spec, unroll)) in trials.iter().enumerate() {
                                 if i % threads == t {
-                                    out.push((i, measure(*bench, spec, *unroll, ladder)));
+                                    out.push((i, measure(*bench, spec, *unroll, ladder, plans)));
                                 }
                             }
                             out
@@ -399,42 +409,60 @@ impl OracleReport {
     }
 }
 
-/// Measure one trial: optimize + unroll the kernel under the machine's
-/// residency budget (the evaluation pipeline's own plan discipline),
-/// list- and modulo-schedule it, then certify the minimum II up the
-/// fuel ladder.
-fn measure(bench: Benchmark, spec: &ArchSpec, unroll: u32, ladder: &[u64]) -> OraclePoint {
+/// Measure one trial: take the kernel optimized + unrolled under the
+/// machine's residency budget (the evaluation pipeline's own plan
+/// discipline) from `plans`, list- and modulo-schedule it, then certify
+/// the minimum II up the fuel ladder — all three over one
+/// [`PipelineProblem`].
+fn measure(
+    bench: Benchmark,
+    spec: &ArchSpec,
+    unroll: u32,
+    ladder: &[u64],
+    plans: &PlanCache,
+) -> OraclePoint {
     let budget = residency_budget(spec.regs);
-    let mut kernel = bench.kernel();
-    cfp_opt::optimize_budgeted(&mut kernel, budget);
-    if unroll > 1 {
-        let mut unrolled = cfp_opt::unroll::unroll(&kernel, unroll);
-        cfp_opt::optimize_budgeted(&mut unrolled, budget);
-        kernel = unrolled;
-    }
+    let kernel = match plans.get(bench, budget, unroll, ExtSet::EMPTY) {
+        Some(kernel) => Cow::Borrowed(kernel),
+        // No such plan (the cache caps unrolled bodies): the pipeline
+        // itself.
+        None => {
+            let mut kernel = bench.kernel();
+            cfp_opt::optimize_budgeted(&mut kernel, budget);
+            if unroll > 1 {
+                kernel = cfp_opt::unroll::unroll(&kernel, unroll);
+                cfp_opt::optimize_budgeted(&mut kernel, budget);
+            }
+            Cow::Owned(kernel)
+        }
+    };
     let machine = MachineResources::from_spec(spec);
     let r = cfp_sched::compile(&kernel, &machine);
     let ddg = Ddg::build(&r.assignment.code);
-    let ms = modulo_schedule(&r.assignment, &ddg, &machine, r.length);
+    let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
+    let ms = problem
+        .schedule(
+            &mut Fuel::unlimited(),
+            &mut SchedScratch::new(),
+            &mut UnitTrace::disabled(),
+        )
+        .unwrap_or_default(); // unlimited fuel never exhausts
     let witness = ms.as_ref().map(|s| s.ii);
-    let deps = omega_deps(&r.assignment.code, &ddg);
     // The heuristic's own schedule replays through the shared validator
     // first — the differential check runs in both directions.
-    let mut valid = ms
-        .as_ref()
-        .is_none_or(|s| validate_modulo(&r.assignment, &machine, &deps, s.ii, &s.slots));
+    let mut valid = ms.as_ref().is_none_or(|s| problem.validate(s.ii, &s.slots));
 
     let mut verdict = PointVerdict::FuelExhausted { at_ii: 0 };
     let mut rung = ladder.len().saturating_sub(1) as u32;
     for (i, &steps) in ladder.iter().enumerate() {
         let mut fuel = Fuel::limited(steps);
-        match certify_min_ii(&r.assignment, &ddg, &machine, r.length, witness, &mut fuel) {
+        match problem.certify(witness, &mut fuel, &mut UnitTrace::disabled()) {
             CertifyOutcome::Certified {
                 min_ii,
                 slots,
                 proved_infeasible,
             } => {
-                valid = valid && validate_modulo(&r.assignment, &machine, &deps, min_ii, &slots);
+                valid = valid && problem.validate(min_ii, &slots);
                 verdict = PointVerdict::Certified {
                     min_ii,
                     proved_infeasible,

@@ -42,9 +42,10 @@ pub use jsonl::JsonlRecorder;
 /// One pipeline or sweep stage a span can describe.
 ///
 /// The taxonomy follows the compilation pipeline (parse → lower → opt
-/// passes → assign → ddg → list/modulo schedule → regalloc → encode →
-/// simulate) plus the sweep's own units (plan build, per-unroll
-/// compile, per-`(arch, bench)` unit).
+/// passes → assign → ddg → list/modulo schedule (and the exact-II
+/// certifier that grades it) → regalloc → encode → simulate) plus the
+/// sweep's own units (plan build, per-unroll compile,
+/// per-`(arch, bench)` unit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Stage {
@@ -66,6 +67,8 @@ pub enum Stage {
     List,
     /// Modulo (software-pipelining) scheduling.
     Modulo,
+    /// One exact minimum-II certification walk.
+    Exact,
     /// Register-pressure analysis / allocation.
     Regalloc,
     /// Encoding a schedule into long-instruction words.
@@ -95,6 +98,7 @@ impl Stage {
             Stage::Ddg => "ddg",
             Stage::List => "list",
             Stage::Modulo => "modulo",
+            Stage::Exact => "exact",
             Stage::Regalloc => "regalloc",
             Stage::Encode => "encode",
             Stage::Simulate => "simulate",
@@ -366,6 +370,7 @@ mod tests {
             Stage::Ddg,
             Stage::List,
             Stage::Modulo,
+            Stage::Exact,
             Stage::Regalloc,
             Stage::Encode,
             Stage::Simulate,

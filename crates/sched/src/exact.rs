@@ -6,18 +6,20 @@
 //! bounded by a *heuristic* scheduler. This module supplies ground
 //! truth in the style of SMT-based optimal software pipelining, without
 //! any solver dependency: a hand-rolled constraint-propagation /
-//! branch-and-bound decision procedure [`try_exact_ii`] that answers
-//! "does a modulo schedule exist at exactly this II?" — and
-//! [`certify_min_ii`], which walks candidate IIs upward from the
-//! structural lower bound until the answer flips, certifying the true
-//! minimum initiation interval for one `(loop, assignment, machine)`
-//! point.
+//! branch-and-bound decision procedure ([`PipelineProblem::decide`])
+//! that answers "does a modulo schedule exist at exactly this II?" —
+//! and [`PipelineProblem::certify`], which walks candidate IIs upward
+//! from the structural lower bound until the answer flips, certifying
+//! the true minimum initiation interval for one
+//! `(loop, assignment, machine)` point. Both are methods of the problem
+//! value [`crate::modulo`] derives once per point; [`try_exact_ii`] and
+//! [`certify_min_ii`] build one for a single question.
 //!
 //! ## The decision procedure at a fixed II
 //!
 //! Constraints are the same two families the heuristic's validator
 //! checks, so every certificate replays through
-//! [`crate::modulo::validate_modulo`] bit-exactly:
+//! [`PipelineProblem::validate`] bit-exactly:
 //!
 //! * **dependences** — `slot(to) ≥ slot(from) + lat − II·ω` for every
 //!   [`OmegaDep`] (difference constraints);
@@ -63,9 +65,9 @@
 use crate::cluster::Assignment;
 use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
-use crate::loopcode::LoopCode;
-use crate::modulo::{omega_deps, op_requirements, rec_mii, res_mii, OmegaDep, ResReq};
+use crate::modulo::{OmegaDep, PipelineProblem, ResReq};
 use cfp_machine::MachineResources;
+use cfp_obs::{Stage, UnitTrace, Value};
 
 /// "No path" sentinel in the longest-path matrix. Saturating arithmetic
 /// keeps hyper-slack edges (huge ω at a probed II) below the finiteness
@@ -122,63 +124,9 @@ pub enum CertifyOutcome {
     Unschedulable,
 }
 
-/// The structural lower bound on II the certification walk starts from:
-/// `max(ResMII, RecMII, reservation-pressure bounds)`. Unlike the
-/// heuristic's internal `mii` this does **not** clamp to the maximum
-/// latency — pipelined units can legally overlap a long-latency op
-/// every cycle, and even a *non-pipelined* multi-port row sustains an
-/// II below one access's reservation by rotating ports across
-/// iterations. The true reservation bounds are:
-///
-/// * per op, `ceil(reserved / units)` — an op's own wrapped reservation
-///   stacks `ceil(reserved / II)` deep on some residue;
-/// * per row, `ceil(total reserved / max units)` — occupancy cells are
-///   a finite `units × II` budget.
-///
-/// Returns `u32::MAX` when no II exists at all (an op requires a
-/// resource the machine does not have).
-#[must_use]
-pub fn exact_mii(
-    code: &LoopCode,
-    assignment: &Assignment,
-    machine: &MachineResources,
-    deps: &[OmegaDep],
-    hi_hint: u32,
-) -> u32 {
-    let (n_rows, reqs) = op_requirements(code, assignment, machine);
-    let mut total = vec![0_u64; n_rows];
-    let mut max_units = vec![0_u32; n_rows];
-    let mut bound = 1_u32;
-    for rs in &reqs {
-        for r in rs {
-            if r.units == 0 {
-                return u32::MAX; // a required resource does not exist
-            }
-            bound = bound.max(r.reserved.div_ceil(r.units));
-            let row = r.row as usize;
-            total[row] += u64::from(r.reserved);
-            max_units[row] = max_units[row].max(r.units);
-        }
-    }
-    for (t, &u) in total.iter().zip(&max_units) {
-        if u > 0 {
-            let b = t.div_ceil(u64::from(u));
-            bound = bound.max(u32::try_from(b).unwrap_or(u32::MAX));
-        }
-    }
-    bound
-        .max(res_mii(code, assignment, machine))
-        .max(rec_mii(code.ops.len(), deps, hi_hint))
-}
-
-/// Decide whether a modulo schedule exists at exactly `ii` for the
-/// assigned loop on `machine`, spending `fuel` per unit of search work.
-///
-/// Dependences come from [`omega_deps`] and reservation shapes from
-/// [`op_requirements`] — the same inputs the heuristic schedules
-/// against — so a [`ExactVerdict::Feasible`] witness here and a
-/// heuristic schedule at the same II are interchangeable under
-/// [`crate::modulo::validate_modulo`].
+/// [`PipelineProblem::decide`] of a problem built for this one call:
+/// whether a modulo schedule exists at exactly `ii` for the assigned
+/// loop on `machine`.
 #[must_use]
 pub fn try_exact_ii(
     assignment: &Assignment,
@@ -187,21 +135,12 @@ pub fn try_exact_ii(
     ii: u32,
     fuel: &mut Fuel,
 ) -> ExactVerdict {
-    let code = &assignment.code;
-    let deps = omega_deps(code, ddg);
-    let (n_rows, reqs) = op_requirements(code, assignment, machine);
-    solve(code.ops.len(), &deps, n_rows, &reqs, ii, fuel)
+    // The list length only seeds and caps searches `decide` never runs.
+    PipelineProblem::new(assignment, ddg, machine, ii).decide(ii, fuel)
 }
 
-/// Certify the minimum feasible II of one compilation point.
-///
-/// Candidate IIs are decided upward from [`exact_mii`]'s lower bound.
-/// A `witness` (the heuristic's achieved II — a feasibility proof by
-/// construction) caps the walk: only IIs *below* it need deciding, so
-/// a point where the heuristic already sits on the lower bound
-/// certifies instantly, with zero fuel spent. Without a witness the
-/// walk is capped at `4 × max(list_length, bound)`, the heuristic's own
-/// search limit.
+/// [`PipelineProblem::certify`] of a problem built for this one call,
+/// untraced: the minimum feasible II of one compilation point.
 #[must_use]
 pub fn certify_min_ii(
     assignment: &Assignment,
@@ -211,45 +150,125 @@ pub fn certify_min_ii(
     witness: Option<u32>,
     fuel: &mut Fuel,
 ) -> CertifyOutcome {
-    let code = &assignment.code;
-    let n = code.ops.len();
-    let deps = omega_deps(code, ddg);
-    let (n_rows, reqs) = op_requirements(code, assignment, machine);
-    let lo = exact_mii(code, assignment, machine, &deps, list_length);
-    if lo == u32::MAX {
-        // rec_mii's ω = 0 cycle sentinel: no II exists at all.
-        return CertifyOutcome::Unschedulable;
+    PipelineProblem::new(assignment, ddg, machine, list_length).certify(
+        witness,
+        fuel,
+        &mut UnitTrace::disabled(),
+    )
+}
+
+impl PipelineProblem<'_> {
+    /// Decide whether a modulo schedule exists at exactly `ii`, spending
+    /// `fuel` per unit of search work.
+    ///
+    /// Dependences and reservation shapes are the problem's own — the
+    /// same inputs the heuristic schedules against — so a
+    /// [`ExactVerdict::Feasible`] witness here and a heuristic schedule
+    /// at the same II are interchangeable under
+    /// [`PipelineProblem::validate`].
+    #[must_use]
+    pub fn decide(&self, ii: u32, fuel: &mut Fuel) -> ExactVerdict {
+        solve(
+            self.reqs.len(),
+            &self.deps,
+            self.n_rows,
+            &self.reqs,
+            ii,
+            fuel,
+        )
     }
-    let limit = match witness {
-        Some(w) => w,
-        None => 4 * list_length.max(lo) + 1,
-    };
-    let mut proved_infeasible = 0_u32;
-    let mut ii = lo;
-    while ii < limit {
-        match solve(n, &deps, n_rows, &reqs, ii, fuel) {
-            ExactVerdict::Feasible(slots) => {
-                return CertifyOutcome::Certified {
-                    min_ii: ii,
-                    slots,
-                    proved_infeasible,
-                };
-            }
-            ExactVerdict::Infeasible => {
-                proved_infeasible += 1;
-                ii += 1;
-            }
-            ExactVerdict::FuelExhausted => {
-                return CertifyOutcome::FuelExhausted { at_ii: ii };
+
+    /// Certify the minimum feasible II of the point.
+    ///
+    /// Candidate IIs are decided upward from
+    /// [`PipelineProblem::exact_mii`]. A `witness` (the heuristic's
+    /// achieved II — a feasibility proof by construction) caps the walk:
+    /// only IIs *below* it need deciding, so a point where the heuristic
+    /// already sits on the lower bound certifies instantly, with zero
+    /// fuel spent. Without a witness the walk is capped at
+    /// `4 × max(list_length, bound)`, the heuristic's own search limit.
+    ///
+    /// Records one `exact` span: the op count `n`, the `lower` bound the
+    /// walk started from, how many IIs it `decided` either way, the
+    /// `verdict` token (`certified` / `witness_optimal` / `fuel` /
+    /// `unschedulable`), the II the walk ended `at_ii`, and the `steps`
+    /// of fuel it charged.
+    #[must_use]
+    pub fn certify(
+        &self,
+        witness: Option<u32>,
+        fuel: &mut Fuel,
+        trace: &mut UnitTrace<'_>,
+    ) -> CertifyOutcome {
+        let before = fuel.spent();
+        let t0 = trace.start();
+        let lo = self.exact_mii();
+        let (out, decided, at_ii) = self.walk(lo, witness, fuel);
+        trace.stage(
+            Stage::Exact,
+            t0,
+            &[
+                ("n", Value::U64(self.reqs.len() as u64)),
+                ("lower", Value::U64(u64::from(lo))),
+                ("decided", Value::U64(u64::from(decided))),
+                (
+                    "verdict",
+                    Value::Str(match out {
+                        CertifyOutcome::Certified { .. } => "certified",
+                        CertifyOutcome::WitnessOptimal { .. } => "witness_optimal",
+                        CertifyOutcome::FuelExhausted { .. } => "fuel",
+                        CertifyOutcome::Unschedulable => "unschedulable",
+                    }),
+                ),
+                ("at_ii", Value::U64(u64::from(at_ii))),
+                ("steps", Value::U64(fuel.spent() - before)),
+            ],
+        );
+        out
+    }
+
+    /// The walk behind [`PipelineProblem::certify`], from `lo` upward:
+    /// the outcome, how many IIs were decided, and the II it ended at.
+    fn walk(&self, lo: u32, witness: Option<u32>, fuel: &mut Fuel) -> (CertifyOutcome, u32, u32) {
+        if lo == u32::MAX {
+            // A resource the machine lacks, or rec_mii's ω = 0 cycle
+            // sentinel: no II exists at all.
+            return (CertifyOutcome::Unschedulable, 0, lo);
+        }
+        let limit = match witness {
+            Some(w) => w,
+            None => 4 * self.list_length.max(lo) + 1,
+        };
+        let mut proved_infeasible = 0_u32;
+        let mut ii = lo;
+        while ii < limit {
+            match self.decide(ii, fuel) {
+                ExactVerdict::Feasible(slots) => {
+                    let out = CertifyOutcome::Certified {
+                        min_ii: ii,
+                        slots,
+                        proved_infeasible,
+                    };
+                    return (out, proved_infeasible + 1, ii);
+                }
+                ExactVerdict::Infeasible => {
+                    proved_infeasible += 1;
+                    ii += 1;
+                }
+                ExactVerdict::FuelExhausted => {
+                    let out = CertifyOutcome::FuelExhausted { at_ii: ii };
+                    return (out, proved_infeasible, ii);
+                }
             }
         }
-    }
-    match witness {
-        Some(w) => CertifyOutcome::WitnessOptimal {
-            min_ii: w,
-            proved_infeasible,
-        },
-        None => CertifyOutcome::Unschedulable,
+        let out = match witness {
+            Some(w) => CertifyOutcome::WitnessOptimal {
+                min_ii: w,
+                proved_infeasible,
+            },
+            None => CertifyOutcome::Unschedulable,
+        };
+        (out, proved_infeasible, limit)
     }
 }
 
@@ -424,11 +443,7 @@ pub fn solve(
                     Err(_) => return ExactVerdict::FuelExhausted,
                 }
             }
-            debug_assert!(deps.iter().all(|d| {
-                i64::from(slots[d.to])
-                    >= i64::from(slots[d.from]) + i64::from(d.lat)
-                        - i64::from(ii) * i64::from(d.omega)
-            }));
+            debug_assert!(deps.iter().all(|d| d.holds(ii, &slots)));
             ExactVerdict::Feasible(slots)
         }
     }
@@ -660,7 +675,8 @@ impl Solver<'_> {
 mod tests {
     use super::*;
     use crate::cluster::assign;
-    use crate::modulo::{modulo_schedule, validate_modulo};
+    use crate::loopcode::LoopCode;
+    use crate::modulo::{modulo_schedule, omega_deps, validate_modulo};
     use cfp_frontend::compile_kernel;
     use cfp_machine::ArchSpec;
 

@@ -68,14 +68,14 @@ pub use compile::{
 pub use ddg::{Ddg, Dep, DepKind};
 pub use encode::{decode, encode, encode_traced, EncodeError, Program};
 pub use error::{Fuel, SchedError};
-pub use exact::{certify_min_ii, exact_mii, try_exact_ii, CertifyOutcome, ExactVerdict};
+pub use exact::{certify_min_ii, try_exact_ii, CertifyOutcome, ExactVerdict};
 pub use list::{
     render, schedule, schedule_with, try_schedule, try_schedule_in, Placement, Priority, Schedule,
 };
 pub use loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
 pub use modulo::{
     modulo_schedule, omega_deps, op_requirements, rec_mii, res_mii, try_modulo_schedule,
-    validate_modulo, ModuloSchedule, OmegaDep, ResReq,
+    validate_modulo, ModuloSchedule, OmegaDep, PipelineProblem, ResReq,
 };
 pub use regalloc::{allocate, peak_pressure, pressure, AllocError, PhysMap, PressureReport};
 pub use scratch::SchedScratch;

@@ -13,18 +13,36 @@
 //! * resource-bound kernels (color conversion, median) collapse to the
 //!   resource bound, shedding the latency-drain tail the barrier pays.
 //!
+//! Everything about a point that does not depend on the II — the
+//! dependence set with its iteration distances, each op's reservation
+//! requirements, ResMII, RecMII and the placement order — is derived
+//! once, by [`PipelineProblem::new`]. The heuristic search
+//! ([`PipelineProblem::schedule`]), the structural validator
+//! ([`PipelineProblem::validate`]) and the exact certifier in
+//! [`crate::exact`] all borrow that one value; the free functions
+//! ([`modulo_schedule`], [`try_modulo_schedule`], [`validate_modulo`])
+//! are constructions of it for callers that ask one question of a point.
+//!
 //! The II search starts at `max(ResMII, RecMII)` and walks upward, but it
-//! does not walk blindly: ops are placed in a fixed order, so the
-//! per-resource demand of the prefix up to a failed placement is the same
-//! at every II. That demand is carried out of the failed attempt and
-//! turned into a capacity bound — any II with `units × II < demand` must
-//! fail the same way — letting the search jump straight past provably
-//! infeasible IIs instead of probing each one (port-starved machines used
-//! to scan hundreds). [`ModuloSchedule::ii_attempts`] reports how many
-//! IIs were actually attempted. Fuel is spent per placement probe on
-//! attempted IIs only; skipped IIs cost nothing (the found schedule is
-//! identical, and the modulo scheduler is off the exploration's budgeted
-//! path).
+//! does not walk blindly: ops are placed in a fixed order — Kahn's
+//! topological order over the same-iteration dependences, smallest op
+//! index first among the ready ops, which is plain index order except
+//! where cluster assignment appended an inter-cluster move behind its
+//! reader — so the per-resource demand of the prefix up to a failed
+//! placement is the same at every II. That demand is carried out of the
+//! failed attempt and turned into a capacity bound — any II with
+//! `units × II < demand` must fail the same way — letting the search
+//! jump straight past provably infeasible IIs instead of probing each
+//! one (port-starved machines used to scan hundreds).
+//! [`ModuloSchedule::ii_attempts`] reports how many IIs were actually
+//! attempted. Within an attempt an op takes the first slot of its
+//! window that has room; a candidate whose reserved window runs into a
+//! full residue rules out every later candidate still covering that
+//! residue, so the scan resumes just past it. Fuel is charged per
+//! candidate slot of an attempted II, the ruled-out ones included —
+//! the price of a search is that of the one-slot-at-a-time scan — and
+//! skipped IIs cost nothing (the found schedule is identical, and the
+//! modulo scheduler is off the exploration's budgeted path).
 //!
 //! Scope: this is an *analytical* scheduler. Its output is validated
 //! structurally (every dependence satisfies
@@ -42,7 +60,8 @@ use crate::scratch::{row_has_room, row_take, SchedScratch};
 use cfp_ir::Vreg;
 use cfp_machine::{MachineResources, UnitClass};
 use cfp_obs::{Stage, UnitTrace, Value};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A dependence with an iteration distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +74,16 @@ pub struct OmegaDep {
     pub lat: u32,
     /// Iteration distance (0 = same iteration).
     pub omega: u32,
+}
+
+impl OmegaDep {
+    /// Whether `slots` satisfies the dependence at initiation interval
+    /// `ii`: `slot(to) ≥ slot(from) + lat − II·ω`.
+    pub(crate) fn holds(&self, ii: u32, slots: &[u32]) -> bool {
+        i64::from(slots[self.to])
+            >= i64::from(slots[self.from]) + i64::from(self.lat)
+                - i64::from(ii) * i64::from(self.omega)
+    }
 }
 
 /// The result of modulo scheduling.
@@ -230,6 +259,14 @@ pub fn res_mii(code: &LoopCode, assignment: &Assignment, machine: &MachineResour
 /// that no dependence cycle has positive slack deficit, found by binary
 /// search with a longest-path feasibility check.
 ///
+/// Feasibility at an II is exactly "no cycle of positive total weight
+/// `lat − II·ω`", and every cycle lies inside one strongly-connected
+/// component of the dependence set. So the check relaxes only the edges
+/// inside cyclic components (Tarjan's algorithm, once per call),
+/// each component bounded by its own node count — on real loop code a
+/// small fraction of the graph — and a dependence set with no cycle at
+/// all answers 1 without a single relaxation.
+///
 /// Two edge cases are pinned down because the exact-II oracle's
 /// distance bounds lean on this value being a *true* bound:
 ///
@@ -240,32 +277,16 @@ pub fn res_mii(code: &LoopCode, assignment: &Assignment, machine: &MachineResour
 ///   have ω ≥ 1, but callers may probe arbitrary dependence sets);
 /// * an extreme `hi_hint` saturates instead of overflowing the
 ///   doubling search.
+///
+/// `hi_hint` only seeds the search; the result does not depend on it.
 #[must_use]
 pub fn rec_mii(n_ops: usize, deps: &[OmegaDep], hi_hint: u32) -> u32 {
-    let feasible = |ii: u32| -> bool {
-        // Positive-cycle detection on weights (lat − II·ω) via bounded
-        // Bellman-Ford relaxation of longest paths.
-        let mut dist = vec![0_i64; n_ops];
-        for _round in 0..n_ops {
-            let mut changed = false;
-            for d in deps {
-                // Saturating: the sentinel II probe times a saturated
-                // carried-memory distance exceeds i64 — such an edge is
-                // simply "infinitely slack", which saturation preserves.
-                let w = i64::from(d.lat)
-                    .saturating_sub(i64::from(ii).saturating_mul(i64::from(d.omega)));
-                let relaxed = dist[d.from].saturating_add(w);
-                if relaxed > dist[d.to] {
-                    dist[d.to] = relaxed;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return true;
-            }
-        }
-        false // still relaxing after n rounds: positive cycle
-    };
+    let components = recurrences(n_ops, deps);
+    if components.is_empty() {
+        return 1; // no dependence cycle constrains the II
+    }
+    let mut dist = Vec::new();
+    let mut feasible = |ii: u32| components.iter().all(|c| c.feasible(ii, &mut dist));
     let mut lo = 1_u32;
     let mut hi = hi_hint.max(2);
     while !feasible(hi) {
@@ -291,6 +312,134 @@ pub fn rec_mii(n_ops: usize, deps: &[OmegaDep], hi_hint: u32) -> u32 {
         }
     }
     hi
+}
+
+/// One cyclic strongly-connected component of a dependence set: the
+/// edges with both ends inside it, renumbered to its own `0..nodes`.
+struct Recurrence {
+    nodes: usize,
+    edges: Vec<OmegaDep>,
+}
+
+impl Recurrence {
+    /// Whether no cycle of the component has positive total weight
+    /// `lat − II·ω`: bounded Bellman–Ford relaxation of longest paths
+    /// from every node at once. A longest path without a positive cycle
+    /// has fewer than `nodes` edges, so a round that still relaxes after
+    /// `nodes` of them has found one.
+    fn feasible(&self, ii: u32, dist: &mut Vec<i64>) -> bool {
+        dist.clear();
+        dist.resize(self.nodes, 0);
+        for _round in 0..self.nodes {
+            let mut changed = false;
+            for d in &self.edges {
+                // Saturating: the sentinel II probe times a saturated
+                // carried-memory distance exceeds i64 — such an edge is
+                // simply "infinitely slack", which saturation preserves.
+                let w = i64::from(d.lat)
+                    .saturating_sub(i64::from(ii).saturating_mul(i64::from(d.omega)));
+                let relaxed = dist[d.from].saturating_add(w);
+                if relaxed > dist[d.to] {
+                    dist[d.to] = relaxed;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The cyclic strongly-connected components of `deps` over `n` ops
+/// (Tarjan's algorithm, iterative so a long dependence chain cannot
+/// overflow the stack). A component is cyclic when it holds an edge:
+/// two or more ops, or one op with a self-dependence.
+fn recurrences(n: usize, deps: &[OmegaDep]) -> Vec<Recurrence> {
+    const UNSET: u32 = u32::MAX;
+    // The edges grouped by producer (CSR).
+    let mut row = vec![0_usize; n + 1];
+    for d in deps {
+        row[d.from + 1] += 1;
+    }
+    for i in 0..n {
+        row[i + 1] += row[i];
+    }
+    let mut by_from = deps.to_vec();
+    let mut cursor = row.clone();
+    for d in deps {
+        by_from[cursor[d.from]] = *d;
+        cursor[d.from] += 1;
+    }
+
+    let mut index = vec![UNSET; n]; // discovery number
+    let mut low = vec![0_u32; n];
+    let mut comp = vec![UNSET; n]; // component number, once popped
+    let mut local = vec![0_usize; n]; // position inside its component
+    let mut stack: Vec<usize> = Vec::new();
+    let mut work: Vec<(usize, usize)> = Vec::new(); // (op, next out-edge)
+    let (mut discovered, mut comps) = (0_u32, 0_u32);
+    let mut out = Vec::new();
+    for root in 0..n {
+        if index[root] != UNSET {
+            continue;
+        }
+        work.push((root, row[root]));
+        while let Some(&(v, at)) = work.last() {
+            if index[v] == UNSET {
+                index[v] = discovered;
+                low[v] = discovered;
+                discovered += 1;
+                stack.push(v);
+            }
+            if at < row[v + 1] {
+                work.last_mut().expect("just read").1 += 1;
+                let w = by_from[at].to;
+                if index[w] == UNSET {
+                    work.push((w, row[w]));
+                } else if comp[w] == UNSET {
+                    low[v] = low[v].min(index[w]); // w is on the stack
+                }
+                continue;
+            }
+            work.pop();
+            if let Some(&(parent, _)) = work.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] != index[v] {
+                continue;
+            }
+            // `v` roots a component: everything above it on the stack.
+            let first = stack
+                .iter()
+                .rposition(|&m| m == v)
+                .expect("a root is on the stack");
+            for (k, &m) in stack[first..].iter().enumerate() {
+                comp[m] = comps;
+                local[m] = k;
+            }
+            let edges: Vec<OmegaDep> = stack[first..]
+                .iter()
+                .flat_map(|&m| &by_from[row[m]..row[m + 1]])
+                .filter(|d| comp[d.to] == comps)
+                .map(|d| OmegaDep {
+                    from: local[d.from],
+                    to: local[d.to],
+                    ..*d
+                })
+                .collect();
+            if !edges.is_empty() {
+                out.push(Recurrence {
+                    nodes: stack.len() - first,
+                    edges,
+                });
+            }
+            stack.truncate(first);
+            comps += 1;
+        }
+    }
+    out
 }
 
 /// Flat modulo-reservation-table indexing: one bitmask row per
@@ -389,6 +538,38 @@ pub fn op_requirements(
     (n_rows, reqs)
 }
 
+/// The reservation-pressure lower bounds on II that [`res_mii`] does not
+/// see, over the requirements [`op_requirements`] returns:
+///
+/// * per op, `ceil(reserved / units)` — an op's own wrapped reservation
+///   stacks `ceil(reserved / II)` deep on some residue;
+/// * per row, `ceil(total reserved / max units)` — occupancy cells are
+///   a finite `units × II` budget.
+///
+/// Returns `u32::MAX` when no II exists at all (an op requires a
+/// resource the machine does not have).
+fn reservation_mii(n_rows: usize, reqs: &[Vec<ResReq>]) -> u32 {
+    let mut total = vec![0_u64; n_rows];
+    let mut max_units = vec![0_u32; n_rows];
+    let mut bound = 1_u32;
+    for r in reqs.iter().flatten() {
+        if r.units == 0 {
+            return u32::MAX; // a required resource does not exist
+        }
+        bound = bound.max(r.reserved.div_ceil(r.units));
+        let row = r.row as usize;
+        total[row] += u64::from(r.reserved);
+        max_units[row] = max_units[row].max(r.units);
+    }
+    for (t, &u) in total.iter().zip(&max_units) {
+        if u > 0 {
+            let b = t.div_ceil(u64::from(u));
+            bound = bound.max(u32::try_from(b).unwrap_or(u32::MAX));
+        }
+    }
+    bound
+}
+
 /// Structural validator for a modulo schedule at initiation interval
 /// `ii`: every dependence satisfies `slot(to) ≥ slot(from) + lat − II·ω`
 /// and no reservation row is oversubscribed at any residue, counting
@@ -396,6 +577,10 @@ pub fn op_requirements(
 /// probes do. Both the heuristic's schedules and the exact oracle's
 /// certificates must pass this check — a feasibility claim that fails
 /// it is a bug in whichever scheduler made it.
+///
+/// The caller hands in the dependence set it wants checked; a caller
+/// that holds a [`PipelineProblem`] uses [`PipelineProblem::validate`],
+/// which is this check over the problem's own parts.
 #[must_use]
 pub fn validate_modulo(
     assignment: &Assignment,
@@ -404,17 +589,24 @@ pub fn validate_modulo(
     ii: u32,
     slots: &[u32],
 ) -> bool {
-    let code = &assignment.code;
-    if ii == 0 || slots.len() != code.ops.len() {
+    let (n_rows, reqs) = op_requirements(&assignment.code, assignment, machine);
+    validate_slots(n_rows, &reqs, deps, ii, slots)
+}
+
+/// The check behind [`validate_modulo`] and [`PipelineProblem::validate`].
+fn validate_slots(
+    n_rows: usize,
+    reqs: &[Vec<ResReq>],
+    deps: &[OmegaDep],
+    ii: u32,
+    slots: &[u32],
+) -> bool {
+    if ii == 0 || slots.len() != reqs.len() {
         return false;
     }
-    if !deps.iter().all(|d| {
-        i64::from(slots[d.to])
-            >= i64::from(slots[d.from]) + i64::from(d.lat) - i64::from(ii) * i64::from(d.omega)
-    }) {
+    if !deps.iter().all(|d| d.holds(ii, slots)) {
         return false;
     }
-    let (n_rows, reqs) = op_requirements(code, assignment, machine);
     let stride = ii as usize;
     let mut counts = vec![0_u32; n_rows * stride];
     for (i, rs) in reqs.iter().enumerate() {
@@ -436,6 +628,349 @@ pub fn validate_modulo(
             })
         })
     })
+}
+
+/// One `(loop, assignment, machine)` point as a software-pipelining
+/// problem: everything the schedulers need that does not depend on the
+/// II, derived once.
+///
+/// Built by [`PipelineProblem::new`]; the heuristic search
+/// ([`PipelineProblem::schedule`]), the validator
+/// ([`PipelineProblem::validate`]) and the exact certifier
+/// (`PipelineProblem::certify` and `PipelineProblem::decide`, in
+/// [`crate::exact`]) borrow it, so a caller that asks several questions
+/// of one point — the gap study schedules, validates and then certifies
+/// up a fuel ladder — pays for the dependence analysis and RecMII once.
+#[derive(Debug)]
+pub struct PipelineProblem<'a> {
+    assignment: &'a Assignment,
+    ddg: &'a Ddg,
+    machine: &'a MachineResources,
+    /// The list-schedule length: the II the loop barrier already
+    /// achieves, which caps both searches at `4 ×` itself.
+    pub(crate) list_length: u32,
+    /// [`omega_deps`] of the assigned code.
+    pub(crate) deps: Vec<OmegaDep>,
+    /// [`op_requirements`] of the assigned code.
+    pub(crate) n_rows: usize,
+    pub(crate) reqs: Vec<Vec<ResReq>>,
+    /// Where the heuristic search starts: `max(ResMII, RecMII, longest
+    /// op latency)`.
+    mii: u32,
+    exact_mii: u32,
+    /// The heuristic's placement order.
+    order: Vec<u32>,
+}
+
+impl<'a> PipelineProblem<'a> {
+    /// Derive the problem of pipelining `assignment`'s loop (whose
+    /// post-assignment graph is `ddg`) on `machine`. `list_length` is the
+    /// loop's list-schedule length.
+    #[must_use]
+    pub fn new(
+        assignment: &'a Assignment,
+        ddg: &'a Ddg,
+        machine: &'a MachineResources,
+        list_length: u32,
+    ) -> Self {
+        let code = &assignment.code;
+        let deps = omega_deps(code, ddg);
+        let (n_rows, reqs) = op_requirements(code, assignment, machine);
+        let bound =
+            res_mii(code, assignment, machine).max(rec_mii(code.ops.len(), &deps, list_length));
+        let max_lat = code.ops.iter().map(|o| o.latency).max().unwrap_or(1);
+        PipelineProblem {
+            assignment,
+            ddg,
+            machine,
+            list_length,
+            mii: bound.max(max_lat),
+            exact_mii: bound.max(reservation_mii(n_rows, &reqs)),
+            order: placement_order(ddg),
+            deps,
+            n_rows,
+            reqs,
+        }
+    }
+
+    /// The structural lower bound on II the certification walk starts
+    /// from: `max(ResMII, RecMII, reservation-pressure bounds)`. Unlike
+    /// the bound the heuristic search starts from
+    /// ([`ModuloSchedule::mii`]) this does **not** clamp to the maximum
+    /// latency — pipelined units can legally overlap a long-latency op
+    /// every cycle, and even a *non-pipelined* multi-port row sustains an
+    /// II below one access's reservation by rotating ports across
+    /// iterations; what reservations do force is `ceil(reserved / units)`
+    /// per op and `ceil(total reserved / units)` per row. `u32::MAX` when
+    /// no II exists at all (an op requires a resource the machine does
+    /// not have, or the dependence set holds an ω = 0 cycle).
+    #[must_use]
+    pub fn exact_mii(&self) -> u32 {
+        self.exact_mii
+    }
+
+    /// [`validate_modulo`] of `slots` at `ii` against the problem's own
+    /// dependence set and reservation requirements.
+    #[must_use]
+    pub fn validate(&self, ii: u32, slots: &[u32]) -> bool {
+        validate_slots(self.n_rows, &self.reqs, &self.deps, ii, slots)
+    }
+
+    /// Attempt modulo scheduling under a step budget: each candidate slot
+    /// at each attempted II spends fuel, so a machine whose II search
+    /// space is pathologically large degrades to
+    /// [`SchedError::FuelExhausted`] instead of stalling an exploration
+    /// worker. `Ok(None)` only if no II up to `4 × list length` admits a
+    /// schedule under this (non-backtracking) heuristic. The reservation
+    /// rows, slot array and demand counters live in `scratch`'s reused
+    /// flat buffers.
+    ///
+    /// Records one `modulo` span: the II the search settled on and the
+    /// lower bound it started from — or a `feasible: false` with the
+    /// `reason` it gave up (`missing_unit`: an op needs a unit its
+    /// cluster does not have; `ii_cap`: the walk reached the cap), or an
+    /// error token — with how many candidate IIs it tried and the fuel
+    /// the search charged.
+    ///
+    /// # Errors
+    /// [`SchedError::FuelExhausted`] when `fuel` runs dry mid-search.
+    pub fn schedule(
+        &self,
+        fuel: &mut Fuel,
+        scratch: &mut SchedScratch,
+        trace: &mut UnitTrace<'_>,
+    ) -> Result<Option<ModuloSchedule>, SchedError> {
+        let before = fuel.spent();
+        let t0 = trace.start();
+        let out = self.search_ii(fuel, scratch);
+        let steps = fuel.spent() - before;
+        match &out {
+            Ok(Ok(ms)) => trace.stage(
+                Stage::Modulo,
+                t0,
+                &[
+                    ("ii", Value::U64(u64::from(ms.ii))),
+                    ("mii", Value::U64(u64::from(ms.mii))),
+                    ("ii_attempts", Value::U64(u64::from(ms.ii_attempts))),
+                    ("steps", Value::U64(steps)),
+                ],
+            ),
+            Ok(Err(gave_up)) => trace.stage(
+                Stage::Modulo,
+                t0,
+                &[
+                    ("feasible", Value::Bool(false)),
+                    ("reason", Value::Str(gave_up.reason)),
+                    ("ii_attempts", Value::U64(u64::from(gave_up.ii_attempts))),
+                    ("steps", Value::U64(steps)),
+                ],
+            ),
+            Err(e) => trace.stage(
+                Stage::Modulo,
+                t0,
+                &[
+                    ("error", Value::Str(e.token())),
+                    ("steps", Value::U64(steps)),
+                ],
+            ),
+        }
+        out.map(Result::ok)
+    }
+
+    /// The II search behind [`PipelineProblem::schedule`].
+    fn search_ii(
+        &self,
+        fuel: &mut Fuel,
+        scratch: &mut SchedScratch,
+    ) -> Result<Result<ModuloSchedule, GaveUp>, SchedError> {
+        let SchedScratch {
+            mod_rows,
+            mod_slots,
+            mod_demand,
+            modulo_attempts,
+            modulo_probes,
+            ..
+        } = scratch;
+        let n = self.reqs.len();
+        let mii = self.mii;
+        let limit = 4 * self.list_length.max(mii);
+        let mut ii_attempts = 0_u32;
+        let mut ii = mii;
+        'outer: while ii <= limit {
+            ii_attempts += 1;
+            *modulo_attempts += 1;
+            mod_rows.clear();
+            mod_rows.resize(self.n_rows * ii as usize, 0);
+            mod_demand.clear();
+            mod_demand.resize(self.n_rows, 0);
+            mod_slots.clear();
+            mod_slots.resize(n, u32::MAX);
+            // The placement order is II-independent, which is what makes
+            // the demand prefix reusable as a skip bound.
+            for &i in &self.order {
+                let i = i as usize;
+                let reqs = &self.reqs[i];
+                // Account this op's demand up front so a failure's bound
+                // covers the op that needs the room, not just its prefix.
+                // All resource accounting follows the unit binding the
+                // description assigns to each class, so registered fused
+                // classes draw from the unit they upgrade.
+                for r in reqs {
+                    mod_demand[r.row as usize] += u64::from(r.reserved);
+                }
+                let est = self
+                    .ddg
+                    .preds(i)
+                    .iter()
+                    .map(|d| {
+                        // An unplaced predecessor would put `est` at
+                        // `u32::MAX` and fail the op at every II.
+                        debug_assert_ne!(
+                            mod_slots[d.from as usize],
+                            u32::MAX,
+                            "op {i} is placed before its same-iteration predecessor {}",
+                            d.from
+                        );
+                        mod_slots[d.from as usize].saturating_add(d.lat)
+                    })
+                    .max()
+                    .unwrap_or(0);
+                if let Some(slot) = first_fit(mod_rows, ii, reqs, est, fuel, modulo_probes)? {
+                    for r in reqs {
+                        let base = r.row as usize * ii as usize;
+                        for dt in 0..r.reserved {
+                            row_take(&mut mod_rows[base + ((slot + dt) % ii) as usize], r.units);
+                        }
+                    }
+                    mod_slots[i] = slot;
+                    continue;
+                }
+                // The probe window spanned every residue, so one of the
+                // op's rows is out of capacity. Demand is II-independent
+                // (fixed placement order), so any II whose total capacity
+                // `units × II` is below the demand fails the same way —
+                // jump straight past all of them.
+                let mut next = ii + 1;
+                for r in reqs {
+                    if r.units == 0 {
+                        // The resource does not exist at any II.
+                        return Ok(Err(GaveUp {
+                            ii_attempts,
+                            reason: "missing_unit",
+                        }));
+                    }
+                    let bound = mod_demand[r.row as usize].div_ceil(u64::from(r.units));
+                    next = next.max(u32::try_from(bound).unwrap_or(u32::MAX));
+                }
+                ii = next;
+                continue 'outer;
+            }
+            // Check every dependence (including carried ones) at this II.
+            if !self.deps.iter().all(|d| d.holds(ii, mod_slots)) {
+                ii += 1;
+                continue;
+            }
+            let pressure_estimate = pipeline_pressure(
+                &self.assignment.code,
+                self.assignment,
+                mod_slots,
+                ii,
+                self.machine,
+            );
+            return Ok(Ok(ModuloSchedule {
+                ii,
+                slots: mod_slots.clone(),
+                mii,
+                pressure_estimate,
+                ii_attempts,
+            }));
+        }
+        Ok(Err(GaveUp {
+            ii_attempts,
+            reason: "ii_cap",
+        }))
+    }
+}
+
+/// Why a search returned no schedule, for the `modulo` span.
+struct GaveUp {
+    ii_attempts: u32,
+    reason: &'static str,
+}
+
+/// The heuristic's placement order: Kahn's topological order over the
+/// same-iteration (ω = 0) dependences — the edges of `ddg` — taking the
+/// smallest op index among the ready ops. Where index order is already
+/// topological this *is* index order; it differs exactly where cluster
+/// assignment appended an inter-cluster move behind the op that reads
+/// it, which index order would place first, with no slot to wait for.
+fn placement_order(ddg: &Ddg) -> Vec<u32> {
+    let n = ddg.op_count();
+    let mut waiting: Vec<u32> = (0..n).map(|i| ddg.pred_count(i)).collect();
+    let mut ready: BinaryHeap<Reverse<u32>> = (0..n as u32)
+        .filter(|&i| waiting[i as usize] == 0)
+        .map(Reverse)
+        .collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(Reverse(i)) = ready.pop() {
+        order.push(i);
+        for d in ddg.succs(i as usize) {
+            waiting[d.to as usize] -= 1;
+            if waiting[d.to as usize] == 0 {
+                ready.push(Reverse(d.to));
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), n, "a dependence graph is acyclic");
+    order
+}
+
+/// The first slot of `est..est + ii` at which every reservation of
+/// `reqs` finds room in `rows`, or `None` when the window holds none.
+///
+/// A candidate fails on a full residue at offset `dt` into one of its
+/// reserved windows; every later candidate up to `slot + dt` still
+/// covers that residue and fails too, so the scan resumes at
+/// `slot + dt + 1` for the largest such `dt`. Fuel is charged for the
+/// candidates ruled out this way exactly as if each had been probed —
+/// the slot found and the fuel spent are those of the one-at-a-time
+/// scan; `probes` counts the candidates actually examined.
+fn first_fit(
+    rows: &[u64],
+    ii: u32,
+    reqs: &[ResReq],
+    est: u32,
+    fuel: &mut Fuel,
+    probes: &mut u64,
+) -> Result<Option<u32>, SchedError> {
+    let stride = ii as usize;
+    let end = est.saturating_add(ii);
+    let mut slot = est;
+    while slot < end {
+        fuel.spend(1)?;
+        *probes += 1;
+        let blocked = reqs
+            .iter()
+            .filter_map(|r| {
+                if r.reserved > ii {
+                    // One reservation longer than the II would collide
+                    // with itself: no candidate of this window fits.
+                    return Some(u32::MAX);
+                }
+                let base = r.row as usize * stride;
+                (0..r.reserved)
+                    .rev()
+                    .find(|&dt| !row_has_room(rows[base + ((slot + dt) % ii) as usize], r.units))
+            })
+            .max();
+        let Some(dt) = blocked else {
+            return Ok(Some(slot));
+        };
+        let next = slot.saturating_add(dt).saturating_add(1).min(end);
+        fuel.spend(u64::from(next - slot - 1))?;
+        slot = next;
+    }
+    Ok(None)
 }
 
 /// Attempt modulo scheduling; returns `None` only if no II up to
@@ -461,17 +996,7 @@ pub fn modulo_schedule(
     .unwrap_or_default()
 }
 
-/// [`modulo_schedule`] under a step budget: each placement attempt at
-/// each candidate II spends fuel, so a machine whose II search space is
-/// pathologically large degrades to [`SchedError::FuelExhausted`]
-/// instead of stalling an exploration worker. The reservation rows, slot
-/// array, intra-dependence index, and demand counters live in `scratch`'s
-/// reused flat buffers.
-///
-/// Records one `modulo` span: the II the search settled on (or a
-/// `feasible: false` / error token when it did not), the lower bound it
-/// started from, how many candidate IIs it tried, and the fuel the
-/// search charged.
+/// [`PipelineProblem::schedule`] of a problem built for this one call.
 ///
 /// # Errors
 /// [`SchedError::FuelExhausted`] when `fuel` runs dry mid-search.
@@ -484,261 +1009,7 @@ pub fn try_modulo_schedule(
     scratch: &mut SchedScratch,
     trace: &mut UnitTrace<'_>,
 ) -> Result<Option<ModuloSchedule>, SchedError> {
-    let before = fuel.spent();
-    let t0 = trace.start();
-    let out = search_ii(assignment, ddg, machine, list_length, fuel, scratch);
-    let steps = fuel.spent() - before;
-    match &out {
-        Ok(Some(ms)) => trace.stage(
-            Stage::Modulo,
-            t0,
-            &[
-                ("ii", Value::U64(u64::from(ms.ii))),
-                ("mii", Value::U64(u64::from(ms.mii))),
-                ("ii_attempts", Value::U64(u64::from(ms.ii_attempts))),
-                ("steps", Value::U64(steps)),
-            ],
-        ),
-        Ok(None) => trace.stage(
-            Stage::Modulo,
-            t0,
-            &[
-                ("feasible", Value::Bool(false)),
-                ("steps", Value::U64(steps)),
-            ],
-        ),
-        Err(e) => trace.stage(
-            Stage::Modulo,
-            t0,
-            &[
-                ("error", Value::Str(e.token())),
-                ("steps", Value::U64(steps)),
-            ],
-        ),
-    }
-    out
-}
-
-/// The II search behind [`try_modulo_schedule`].
-#[allow(clippy::too_many_lines)] // one self-contained search loop
-fn search_ii(
-    assignment: &Assignment,
-    ddg: &Ddg,
-    machine: &MachineResources,
-    list_length: u32,
-    fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
-) -> Result<Option<ModuloSchedule>, SchedError> {
-    let code = &assignment.code;
-    let n = code.ops.len();
-    let nc = machine.cluster_count();
-    let deps = omega_deps(code, ddg);
-    let max_lat = code.ops.iter().map(|o| o.latency).max().unwrap_or(1);
-    let mii = res_mii(code, assignment, machine)
-        .max(rec_mii(n, &deps, list_length))
-        .max(max_lat);
-
-    let SchedScratch {
-        mod_rows,
-        mod_slots,
-        mod_pred_row,
-        mod_pred_from,
-        mod_pred_lat,
-        mod_demand,
-        ..
-    } = scratch;
-
-    // Intra-iteration predecessors in CSR form, grouped by consumer —
-    // built once, shared by every II attempt.
-    mod_pred_row.clear();
-    mod_pred_row.resize(n + 1, 0);
-    for d in &deps {
-        if d.omega == 0 {
-            mod_pred_row[d.to + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        mod_pred_row[i + 1] += mod_pred_row[i];
-    }
-    let m_intra = mod_pred_row[n] as usize;
-    mod_pred_from.clear();
-    mod_pred_from.resize(m_intra, 0);
-    mod_pred_lat.clear();
-    mod_pred_lat.resize(m_intra, 0);
-    mod_slots.clear(); // borrow as the scatter cursor before its real job
-    mod_slots.extend_from_slice(&mod_pred_row[..n]);
-    for d in &deps {
-        if d.omega == 0 {
-            let at = mod_slots[d.to] as usize;
-            mod_pred_from[at] = u32::try_from(d.from).expect("op count fits u32");
-            mod_pred_lat[at] = d.lat;
-            mod_slots[d.to] += 1;
-        }
-    }
-
-    let nres = 4 * nc + 1;
-    let limit = 4 * list_length.max(mii);
-    let mut ii_attempts = 0_u32;
-    let mut ii = mii;
-    'outer: while ii <= limit {
-        ii_attempts += 1;
-        let stride = ii as usize;
-        mod_rows.clear();
-        mod_rows.resize(nres * stride, 0);
-        mod_demand.clear();
-        mod_demand.resize(nres, 0);
-        mod_slots.clear();
-        mod_slots.resize(n, u32::MAX);
-        // Placement order: original index order, which is a topological
-        // order over intra deps by construction of the loop code. The
-        // order is II-independent, which is what makes the demand prefix
-        // reusable as a skip bound.
-        for i in 0..n {
-            let op = &code.ops[i];
-            let c = assignment.cluster_of_op[i] as usize;
-            let cl = &machine.clusters[c];
-            // Account this op's demand up front so a failure's bound
-            // covers the op that needs the room, not just its prefix.
-            // All resource accounting follows the unit binding the
-            // description assigns to each class, so registered fused
-            // classes draw from the unit they upgrade.
-            let unit = machine.mdes.op(op.class).unit;
-            match unit {
-                UnitClass::Alu => mod_demand[res_alu(c)] += 1,
-                UnitClass::Mul => {
-                    mod_demand[res_alu(c)] += 1;
-                    mod_demand[res_mul(nc, c)] += 1;
-                }
-                UnitClass::L1Port | UnitClass::L2Port => {
-                    let li = usize::from(unit == UnitClass::L2Port);
-                    mod_demand[res_mem(nc, c, li)] += u64::from(machine.reserved_cycles(op.class));
-                }
-                UnitClass::Branch => mod_demand[res_branch(nc)] += 1,
-            }
-            let est = (mod_pred_row[i] as usize..mod_pred_row[i + 1] as usize)
-                .map(|e| mod_slots[mod_pred_from[e] as usize].saturating_add(mod_pred_lat[e]))
-                .max()
-                .unwrap_or(0);
-            let mut placed = false;
-            for slot in est..est.saturating_add(ii) {
-                fuel.spend(1)?;
-                let s = (slot % ii) as usize;
-                let ok = match unit {
-                    UnitClass::Alu => {
-                        let row = &mut mod_rows[res_alu(c) * stride + s];
-                        if row_has_room(*row, cl.alus) {
-                            row_take(row, cl.alus);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    UnitClass::Mul => {
-                        if row_has_room(mod_rows[res_alu(c) * stride + s], cl.alus)
-                            && row_has_room(mod_rows[res_mul(nc, c) * stride + s], cl.mul_capable)
-                        {
-                            row_take(&mut mod_rows[res_alu(c) * stride + s], cl.alus);
-                            row_take(&mut mod_rows[res_mul(nc, c) * stride + s], cl.mul_capable);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    UnitClass::Branch => {
-                        let row = &mut mod_rows[res_branch(nc) * stride + s];
-                        let units = u32::from(cl.has_branch);
-                        if row_has_room(*row, units) {
-                            row_take(row, units);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    UnitClass::L1Port | UnitClass::L2Port => {
-                        let li = usize::from(unit == UnitClass::L2Port);
-                        let ports = if li == 0 { cl.l1_ports } else { cl.l2_ports };
-                        let base = res_mem(nc, c, li) * stride;
-                        // An access occupies its port for the reserved
-                        // duration; one reservation longer than the II
-                        // would collide with itself.
-                        let reserved = machine.reserved_cycles(op.class);
-                        if reserved > ii {
-                            false
-                        } else if (0..reserved).all(|dt| {
-                            row_has_room(mod_rows[base + ((slot + dt) % ii) as usize], ports)
-                        }) {
-                            for dt in 0..reserved {
-                                row_take(&mut mod_rows[base + ((slot + dt) % ii) as usize], ports);
-                            }
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                };
-                if ok {
-                    mod_slots[i] = slot;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                // The probe window spanned every residue, so this class
-                // is out of capacity. Demand is II-independent (fixed
-                // placement order), so any II whose total capacity
-                // `units × II` is below the demand fails the same way —
-                // jump straight past all of them.
-                let bound = |demand: u64, units: u32| -> Option<u32> {
-                    if units == 0 {
-                        return None; // the resource does not exist at any II
-                    }
-                    Some(u32::try_from(demand.div_ceil(u64::from(units))).unwrap_or(u32::MAX))
-                };
-                let next = match unit {
-                    UnitClass::Alu => bound(mod_demand[res_alu(c)], cl.alus),
-                    UnitClass::Mul => match (
-                        bound(mod_demand[res_alu(c)], cl.alus),
-                        bound(mod_demand[res_mul(nc, c)], cl.mul_capable),
-                    ) {
-                        (Some(a), Some(m)) => Some(a.max(m)),
-                        _ => None,
-                    },
-                    UnitClass::Branch => {
-                        bound(mod_demand[res_branch(nc)], u32::from(cl.has_branch))
-                    }
-                    UnitClass::L1Port | UnitClass::L2Port => {
-                        let li = usize::from(unit == UnitClass::L2Port);
-                        let ports = if li == 0 { cl.l1_ports } else { cl.l2_ports };
-                        bound(mod_demand[res_mem(nc, c, li)], ports)
-                    }
-                };
-                let Some(next) = next else {
-                    return Ok(None);
-                };
-                ii = (ii + 1).max(next);
-                continue 'outer;
-            }
-        }
-        // Check every dependence (including carried ones) at this II.
-        let ok = deps.iter().all(|d| {
-            i64::from(mod_slots[d.to])
-                >= i64::from(mod_slots[d.from]) + i64::from(d.lat)
-                    - i64::from(ii) * i64::from(d.omega)
-        });
-        if !ok {
-            ii += 1;
-            continue;
-        }
-        let pressure_estimate = pipeline_pressure(code, assignment, mod_slots, ii, machine);
-        return Ok(Some(ModuloSchedule {
-            ii,
-            slots: mod_slots.clone(),
-            mii,
-            pressure_estimate,
-            ii_attempts,
-        }));
-    }
-    Ok(None)
+    PipelineProblem::new(assignment, ddg, machine, list_length).schedule(fuel, scratch, trace)
 }
 
 /// Register-pressure estimate under pipelining: a value live `L` flat
@@ -812,12 +1083,7 @@ mod tests {
         assert!(ms.ii * 2 <= list_len, "II {} vs barrier {list_len}", ms.ii);
         // Structural validity: every dependence holds at the achieved II.
         for d in &deps {
-            assert!(
-                i64::from(ms.slots[d.to])
-                    >= i64::from(ms.slots[d.from]) + i64::from(d.lat)
-                        - i64::from(ms.ii) * i64::from(d.omega),
-                "{d:?}"
-            );
+            assert!(d.holds(ms.ii, &ms.slots), "{d:?}");
         }
     }
 
@@ -843,32 +1109,54 @@ mod tests {
         assert!(res_mii(&a.code, &a, &m) >= 24);
     }
 
+    fn dep(from: usize, to: usize, lat: u32, omega: u32) -> OmegaDep {
+        OmegaDep {
+            from,
+            to,
+            lat,
+            omega,
+        }
+    }
+
     #[test]
     fn rec_mii_binary_search_matches_hand_value() {
         // A 2-cycle: a→b (lat 3, ω0), b→a (lat 3, ω1): II ≥ 6.
-        let deps = [
-            OmegaDep {
-                from: 0,
-                to: 1,
-                lat: 3,
-                omega: 0,
-            },
-            OmegaDep {
-                from: 1,
-                to: 0,
-                lat: 3,
-                omega: 1,
-            },
-        ];
+        let deps = [dep(0, 1, 3, 0), dep(1, 0, 3, 1)];
         assert_eq!(rec_mii(2, &deps, 4), 6);
         // No cycles → 1.
-        let acyclic = [OmegaDep {
-            from: 0,
-            to: 1,
-            lat: 9,
-            omega: 0,
-        }];
-        assert_eq!(rec_mii(2, &acyclic, 4), 1);
+        assert_eq!(rec_mii(2, &[dep(0, 1, 9, 0)], 4), 1);
+    }
+
+    #[test]
+    fn rec_mii_is_the_worst_recurrence_component() {
+        // Two recurrences joined by a one-way edge, a self-dependence,
+        // and an acyclic tail: the bound is the tightest component's, and
+        // neither the joining edge nor the tail is ever relaxed.
+        let deps = [
+            dep(0, 1, 3, 0),
+            dep(1, 0, 3, 1),  // {0, 1}: ceil(6 / 1) = 6
+            dep(1, 2, 50, 0), // joins the components, on no cycle
+            dep(2, 3, 4, 0),
+            dep(3, 4, 4, 0),
+            dep(4, 2, 5, 2), // {2, 3, 4}: ceil(13 / 2) = 7
+            dep(5, 5, 9, 3), // {5}: ceil(9 / 3) = 3
+            dep(4, 6, 40, 0),
+            dep(6, 7, 40, 0), // the tail
+        ];
+        let components = recurrences(8, &deps);
+        let mut shape: Vec<(usize, usize)> = components
+            .iter()
+            .map(|c| (c.nodes, c.edges.len()))
+            .collect();
+        shape.sort_unstable();
+        assert_eq!(shape, [(1, 1), (2, 2), (3, 3)]);
+        for hint in [1, 7, 100, u32::MAX] {
+            assert_eq!(rec_mii(8, &deps, hint), 7, "hint={hint}");
+        }
+        // An ω = 0 cycle anywhere is the sentinel, whatever else there is.
+        let mut stuck = deps.to_vec();
+        stuck.push(dep(7, 6, 1, 0));
+        assert_eq!(rec_mii(8, &stuck, 7), u32::MAX);
     }
 
     #[test]
@@ -965,5 +1253,155 @@ mod tests {
             assert_eq!(fresh.mii, reused.mii, "{spec}");
             assert_eq!(fresh.ii_attempts, reused.ii_attempts, "{spec}");
         }
+    }
+
+    /// Two clusters: the only IMUL sits on cluster 0, the only L2 port
+    /// on cluster 1, so every load's value crosses to be multiplied.
+    const CROSSING: &str = "kernel w(in u8 s[], out i32 d[]) {
+        loop i {
+            var a = s[4*i] * 3;
+            var b = s[4*i+1] * 5;
+            d[i] = a + b;
+        }
+    }";
+
+    #[test]
+    fn a_value_that_crosses_clusters_still_pipelines() {
+        // Cluster assignment appends each inter-cluster move at the end
+        // of the code, behind the op that reads it. Placing in index
+        // order met that reader first, with an unplaced predecessor and
+        // so no slot at any II: the search walked to the cap and
+        // returned `None` on every unit that moved a value.
+        let spec = ArchSpec::new(2, 1, 128, 1, 4, 2).unwrap();
+        let k = compile_kernel(CROSSING, &[]).unwrap();
+        let m = MachineResources::from_spec(&spec);
+        let code = LoopCode::build(&k, &m);
+        let a = assign(&code, &Ddg::build(&code), &m);
+        assert!(a.move_count > 0, "mul and memory are on different clusters");
+        let ddg = Ddg::build(&a.code);
+        let list = crate::list::schedule(&a, &ddg, &m);
+        let problem = PipelineProblem::new(&a, &ddg, &m, list.length);
+        // The order is a permutation that respects every same-iteration
+        // dependence and departs from index order only for the moves.
+        let mut at = vec![usize::MAX; a.code.ops.len()];
+        for (pos, &i) in problem.order.iter().enumerate() {
+            at[i as usize] = pos;
+        }
+        assert!(at.iter().all(|&pos| pos != usize::MAX));
+        assert!(ddg
+            .edges()
+            .iter()
+            .all(|d| at[d.from as usize] < at[d.to as usize]));
+        assert!(problem.order.windows(2).any(|w| w[0] > w[1]));
+
+        let ms = modulo_schedule(&a, &ddg, &m, list.length).expect("a unit with moves pipelines");
+        assert!(ms.ii >= ms.mii);
+        assert!(ms.ii_attempts <= ms.ii - ms.mii + 1);
+        assert!(validate_modulo(&a, &m, &problem.deps, ms.ii, &ms.slots));
+        assert!(problem.validate(ms.ii, &ms.slots));
+    }
+
+    #[test]
+    fn placement_order_is_index_order_when_that_is_topological() {
+        for spec in [
+            ArchSpec::new(8, 4, 256, 1, 8, 1).unwrap(),
+            ArchSpec::new(4, 2, 128, 2, 4, 1).unwrap(),
+        ] {
+            let k = compile_kernel(PARALLEL, &[]).unwrap();
+            let m = MachineResources::from_spec(&spec);
+            let code = LoopCode::build(&k, &m);
+            let ddg = Ddg::build(&code);
+            let order = placement_order(&ddg);
+            assert!(order.iter().copied().eq(0..code.ops.len() as u32), "{spec}");
+        }
+    }
+
+    /// The scan `first_fit` replaces: every candidate probed in turn.
+    fn linear_first_fit(
+        rows: &[u64],
+        ii: u32,
+        reqs: &[ResReq],
+        est: u32,
+        fuel: &mut Fuel,
+    ) -> Result<Option<u32>, SchedError> {
+        for slot in est..est.saturating_add(ii) {
+            fuel.spend(1)?;
+            let fits = reqs.iter().all(|r| {
+                r.reserved <= ii
+                    && (0..r.reserved).all(|dt| {
+                        let cell = r.row as usize * ii as usize + ((slot + dt) % ii) as usize;
+                        row_has_room(rows[cell], r.units)
+                    })
+            });
+            if fits {
+                return Ok(Some(slot));
+            }
+        }
+        Ok(None)
+    }
+
+    #[test]
+    fn first_fit_finds_the_linear_scans_slot_for_the_linear_scans_fuel() {
+        let skipped = std::sync::atomic::AtomicU64::new(0);
+        cfp_testkit::cases(0xF125_7F17, 400, |rng| {
+            let ii = 1 + rng.below(12) as u32;
+            let n_rows = 1 + rng.index(2);
+            // Random occupancy, dense enough that windows collide.
+            let mut rows = vec![0_u64; n_rows * ii as usize];
+            let units = 1 + rng.below(3) as u32;
+            for cell in &mut rows {
+                for _ in 0..rng.below(u64::from(units) + 2) {
+                    if row_has_room(*cell, units) {
+                        row_take(cell, units);
+                    }
+                }
+            }
+            let reqs: Vec<ResReq> = (0..1 + rng.index(2))
+                .map(|_| ResReq {
+                    row: rng.index(n_rows) as u32,
+                    units: if rng.below(10) == 0 { 0 } else { units },
+                    reserved: 1 + rng.below(u64::from(ii) + 2) as u32,
+                })
+                .collect();
+            let est = rng.below(40) as u32;
+
+            let (mut fuel, mut probes) = (Fuel::unlimited(), 0_u64);
+            let got = first_fit(&rows, ii, &reqs, est, &mut fuel, &mut probes);
+            let mut linear_fuel = Fuel::unlimited();
+            let want = linear_first_fit(&rows, ii, &reqs, est, &mut linear_fuel);
+            assert_eq!(got, want, "ii={ii} est={est} reqs={reqs:?}");
+            assert_eq!(
+                fuel.spent(),
+                linear_fuel.spent(),
+                "ii={ii} est={est} reqs={reqs:?}"
+            );
+            assert!(probes <= fuel.spent());
+            skipped.fetch_add(fuel.spent() - probes, std::sync::atomic::Ordering::Relaxed);
+
+            // The boundary is the linear scan's too.
+            let spent = fuel.spent();
+            let mut probes = 0;
+            assert_eq!(
+                first_fit(
+                    &rows,
+                    ii,
+                    &reqs,
+                    est,
+                    &mut Fuel::limited(spent),
+                    &mut probes
+                ),
+                want
+            );
+            assert!(first_fit(
+                &rows,
+                ii,
+                &reqs,
+                est,
+                &mut Fuel::limited(spent - 1),
+                &mut probes
+            )
+            .is_err());
+        });
+        assert!(skipped.into_inner() > 0, "no candidate was ever skipped");
     }
 }

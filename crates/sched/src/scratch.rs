@@ -19,8 +19,9 @@
 //! step counts, and fuel verdicts are bit-identical to the
 //! allocate-per-call implementation (asserted by
 //! `tests/sched_equivalence.rs`). The two values that do accumulate are
-//! the probe counts ([`SchedScratch::list_probes`],
-//! [`SchedScratch::ddg_probes`]), statistics no compilation reads.
+//! the work counts ([`SchedScratch::list_probes`],
+//! [`SchedScratch::ddg_probes`], [`SchedScratch::modulo_attempts`],
+//! [`SchedScratch::modulo_probes`]), statistics no compilation reads.
 
 use crate::ddg::{Dep, MemAccess};
 use std::collections::BinaryHeap;
@@ -68,10 +69,9 @@ pub struct SchedScratch {
     // --- modulo scheduler ---
     pub(crate) mod_rows: Vec<u64>,
     pub(crate) mod_slots: Vec<u32>,
-    pub(crate) mod_pred_row: Vec<u32>,
-    pub(crate) mod_pred_from: Vec<u32>,
-    pub(crate) mod_pred_lat: Vec<u32>,
     pub(crate) mod_demand: Vec<u64>,
+    pub(crate) modulo_attempts: u64,
+    pub(crate) modulo_probes: u64,
 }
 
 impl SchedScratch {
@@ -96,6 +96,24 @@ impl SchedScratch {
     #[must_use]
     pub fn ddg_probes(&self) -> u64 {
         self.ddg_probes
+    }
+
+    /// Initiation intervals the modulo scheduler has attempted through
+    /// this arena since it was created — those of searches that found no
+    /// schedule included, which [`crate::ModuloSchedule::ii_attempts`]
+    /// cannot report. Pinned beside the list probes.
+    #[must_use]
+    pub fn modulo_attempts(&self) -> u64 {
+        self.modulo_attempts
+    }
+
+    /// Candidate slots the modulo scheduler has examined through this
+    /// arena since it was created: the clock-free measure of placement
+    /// work (fuel also prices the candidates a full residue ruled out
+    /// unexamined). Pinned beside the list probes.
+    #[must_use]
+    pub fn modulo_probes(&self) -> u64 {
+        self.modulo_probes
     }
 }
 

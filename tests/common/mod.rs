@@ -153,3 +153,25 @@ pub fn bind_inputs(kernel: &Kernel) -> MemImage {
     mem.bind(3, vec![0; len]);
     mem
 }
+
+/// Stratified architecture sample: every datapath width class, cluster
+/// counts 1/2/4/8, both port widths, both Level-2 latencies, the full
+/// register range. Small enough to run in seconds, wide enough that the
+/// scheduler's resource logic (bitmask rows, port masks, cluster moves)
+/// all get exercised.
+pub fn stratified() -> Vec<ArchSpec> {
+    let specs = [
+        (1_u32, 1_u32, 64_u32, 1_u32, 8_u32, 1_u32),
+        (2, 1, 64, 1, 4, 1),
+        (4, 2, 128, 1, 4, 1),
+        (4, 2, 256, 2, 4, 1),
+        (8, 2, 128, 1, 4, 4),
+        (8, 4, 256, 2, 4, 2),
+        (16, 4, 128, 1, 4, 8),
+        (16, 8, 512, 4, 2, 4),
+    ];
+    specs
+        .into_iter()
+        .filter_map(|(a, m, r, p2, l2, c)| ArchSpec::new(a, m, r, p2, l2, c).ok())
+        .collect()
+}

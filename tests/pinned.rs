@@ -17,6 +17,9 @@
 //! study are minutes in a debug build and are `#[ignore]`d; CI runs all
 //! four with `cargo test --release --test pinned -- --include-ignored`.
 
+mod common;
+
+use common::stratified;
 use custom_fit::dse::{
     frontier, select_batch, spec_fingerprint, try_search, Exploration, ExploreConfig, OracleConfig,
     OracleReport, Range, ScatterPoint, SearchConfig, Selection,
@@ -99,28 +102,6 @@ impl Digest {
 
 // ---- results/sched_step_budget.json ---------------------------------
 
-/// Stratified architecture sample: every datapath width class, cluster
-/// counts 1/2/4/8, both port widths, both Level-2 latencies, the full
-/// register range. Small enough to run in seconds, wide enough that the
-/// scheduler's resource logic (bitmask rows, port masks, cluster moves)
-/// all get exercised.
-fn stratified() -> Vec<ArchSpec> {
-    let specs = [
-        (1_u32, 1_u32, 64_u32, 1_u32, 8_u32, 1_u32),
-        (2, 1, 64, 1, 4, 1),
-        (4, 2, 128, 1, 4, 1),
-        (4, 2, 256, 2, 4, 1),
-        (8, 2, 128, 1, 4, 4),
-        (8, 4, 256, 2, 4, 2),
-        (16, 4, 128, 1, 4, 8),
-        (16, 8, 512, 4, 2, 4),
-    ];
-    specs
-        .into_iter()
-        .filter_map(|(a, m, r, p2, l2, c)| ArchSpec::new(a, m, r, p2, l2, c).ok())
-        .collect()
-}
-
 /// Seeded-random extras on top of the stratified sample: SplitMix64
 /// draws over the axis values, kept when they form a valid spec. Fixed
 /// seed, fixed count — the corpus is part of the pin's identity.
@@ -172,7 +153,13 @@ fn kernels() -> Vec<(String, custom_fit::ir::Kernel)> {
 /// are the memory-op pairs the dependence-graph builder examines (the
 /// post-assignment rebuilds and the graphs built for the modulo
 /// scheduler); a scan that goes back to every pair of memory ops, which
-/// is `all_pairs` here, at least doubles them.
+/// is `all_pairs` here, at least doubles them. `max_ii_attempts` sums
+/// [`custom_fit::sched::ModuloSchedule::ii_attempts`], which only a search that
+/// found a schedule reports; `max_modulo_attempts` and
+/// `max_modulo_probes` are the arena's totals over every search — the
+/// IIs attempted by the ones that gave up included, and the candidate
+/// slots all of them examined — so a search that walks its whole II
+/// range for nothing shows up here and nowhere else.
 #[test]
 #[ignore = "minutes in a debug build; CI runs it in release"]
 fn scheduler_step_budget() {
@@ -243,6 +230,8 @@ fn scheduler_step_budget() {
             ("max_list_probes", scratch.list_probes()),
             ("max_ii_attempts", ii_attempts),
             ("max_ddg_pair_probes", scratch.ddg_probes()),
+            ("max_modulo_attempts", scratch.modulo_attempts()),
+            ("max_modulo_probes", scratch.modulo_probes()),
         ],
     );
 }

@@ -15,9 +15,14 @@
 //!    Level-2, more than 64 ports, every extension set, an op with no
 //!    row to issue on, tight fuel);
 //! 2. an oracle modulo scheduler running the original full II search
-//!    (no infeasible-II skipping) must reach the same `(ii, slots, mii)`
-//!    — evidence the capacity bound only ever skips IIs that could not
-//!    have been scheduled anyway;
+//!    (no infeasible-II skipping, one candidate slot at a time, ops in
+//!    index order) must reach the same `(ii, slots, mii)` on every unit
+//!    cluster assignment inserted no move into — evidence the capacity
+//!    bound only ever skips IIs that could not have been scheduled
+//!    anyway, and the probe scan only candidates that could not have
+//!    fit; a unit with moves, which index order cannot place at any II,
+//!    must pipeline and validate, and a search's fuel is still the
+//!    one-at-a-time scan's, to the step;
 //! 3. the CSR graph round-trips through its flat edge list on seeded
 //!    random DAGs, and both adjacency views agree edge for edge.
 
@@ -30,8 +35,9 @@ use custom_fit::prelude::Benchmark;
 use custom_fit::sched::cluster::assign;
 use custom_fit::sched::{
     omega_deps, prepare, rec_mii, res_mii, try_compile_core, try_modulo_schedule, try_schedule_in,
-    Assignment, Ddg, Dep, DepKind, FuClass, Fuel, HomeTable, LoopCode, OmegaDep, OpOrigin,
-    Placement, Priority, SOp, SchedError, SchedScratch, Schedule, Uses,
+    validate_modulo, Assignment, Ddg, Dep, DepKind, FuClass, Fuel, HomeTable, LoopCode,
+    ModuloSchedule, OmegaDep, OpOrigin, Placement, Priority, SOp, SchedError, SchedScratch,
+    Schedule, Uses,
 };
 
 /// The old scheduler's hard cycle cap (unchanged in the rewrite).
@@ -707,7 +713,7 @@ fn oracle_modulo(
 fn modulo_ii_skipping_reaches_the_oracles_exact_schedule() {
     let (kernels, specs) = corpus();
     let mut scratch = SchedScratch::new();
-    let mut pipelined = 0;
+    let (mut pipelined, mut moved) = (0, 0);
     for spec in &specs {
         let machine = MachineResources::from_spec(spec);
         for (ki, kernel) in kernels.iter().enumerate() {
@@ -721,16 +727,41 @@ fn modulo_ii_skipping_reaches_the_oracles_exact_schedule() {
             )
             .expect("unlimited fuel");
             let ddg = Ddg::build_in(&core.assignment.code, &mut scratch);
-            let new = try_modulo_schedule(
-                &core.assignment,
-                &ddg,
-                &machine,
-                core.length,
-                &mut Fuel::unlimited(),
-                &mut scratch,
-                &mut UnitTrace::disabled(),
-            )
-            .expect("unlimited fuel");
+            let schedule = |scratch: &mut SchedScratch| {
+                try_modulo_schedule(
+                    &core.assignment,
+                    &ddg,
+                    &machine,
+                    core.length,
+                    &mut Fuel::unlimited(),
+                    scratch,
+                    &mut UnitTrace::disabled(),
+                )
+                .expect("unlimited fuel")
+            };
+            let new = schedule(&mut scratch);
+            let fresh = schedule(&mut SchedScratch::new());
+            let key = |ms: &Option<ModuloSchedule>| {
+                ms.as_ref()
+                    .map(|ms| (ms.ii, ms.slots.clone(), ms.mii, ms.ii_attempts))
+            };
+            assert_eq!(key(&new), key(&fresh), "{spec} kernel {ki}: scratch reuse");
+            if core.move_count > 0 {
+                // The transcription places in index order, so the first
+                // reader of a move appended behind it has nowhere to go
+                // at any II: it is no reference here. Production places
+                // in dependence order and must pipeline the unit.
+                let ms = new.unwrap_or_else(|| panic!("{spec} kernel {ki}: no schedule"));
+                assert!(ms.ii >= ms.mii, "{spec} kernel {ki}");
+                let deps = omega_deps(&core.assignment.code, &ddg);
+                assert!(
+                    validate_modulo(&core.assignment, &machine, &deps, ms.ii, &ms.slots),
+                    "{spec} kernel {ki}: II {} does not validate",
+                    ms.ii
+                );
+                moved += 1;
+                continue;
+            }
             let oracle = oracle_modulo(&core.assignment, &ddg, &machine, core.length);
             match (new, oracle) {
                 (Some(ms), Some((ii, slots, mii))) => {
@@ -758,6 +789,64 @@ fn modulo_ii_skipping_reaches_the_oracles_exact_schedule() {
         }
     }
     assert!(pipelined > 5, "too few pipelined units ({pipelined})");
+    assert!(moved > 5, "too few units with moves ({moved})");
+}
+
+/// The probe scan skips the candidates a full residue rules out but
+/// charges fuel for them, so a search costs what the one-slot-at-a-time
+/// scan cost: exactly the fuel it reports reproduces it, one step less
+/// exhausts. One non-pipelined Level-2 port held eight cycles per access
+/// is where the skipping happens.
+#[test]
+fn modulo_probe_skipping_keeps_the_fuel_boundary() {
+    let spec = ArchSpec::new(8, 4, 256, 1, 8, 1).expect("valid");
+    let machine = MachineResources::from_spec(&spec);
+    let (kernels, _) = corpus();
+    let mut skipped = 0;
+    for (ki, kernel) in kernels.iter().enumerate() {
+        let prepared = prepare(kernel, &machine, &mut UnitTrace::disabled());
+        let core = try_compile_core(
+            &prepared,
+            &machine,
+            &mut Fuel::unlimited(),
+            &mut SchedScratch::new(),
+            &mut UnitTrace::disabled(),
+        )
+        .expect("unlimited fuel");
+        let ddg = Ddg::build(&core.assignment.code);
+        let run = |fuel: &mut Fuel, scratch: &mut SchedScratch| {
+            try_modulo_schedule(
+                &core.assignment,
+                &ddg,
+                &machine,
+                core.length,
+                fuel,
+                scratch,
+                &mut UnitTrace::disabled(),
+            )
+        };
+        let (mut fuel, mut scratch) = (Fuel::unlimited(), SchedScratch::new());
+        let ms = run(&mut fuel, &mut scratch)
+            .expect("unlimited fuel")
+            .unwrap_or_else(|| panic!("kernel {ki}: no schedule"));
+        let spent = fuel.spent();
+        assert!(scratch.modulo_probes() <= spent, "kernel {ki}");
+        skipped += spent - scratch.modulo_probes();
+
+        let exact = run(&mut Fuel::limited(spent), &mut scratch)
+            .unwrap_or_else(|e| panic!("kernel {ki}: its own fuel did not suffice: {e}"))
+            .expect("the same search");
+        assert_eq!((exact.ii, &exact.slots), (ms.ii, &ms.slots), "kernel {ki}");
+        assert_eq!(
+            run(&mut Fuel::limited(spent - 1), &mut scratch).map(|ms| ms.map(|ms| ms.ii)),
+            Err(SchedError::FuelExhausted { budget: spent - 1 }),
+            "kernel {ki}"
+        );
+    }
+    assert!(
+        skipped > 0,
+        "no candidate was ever skipped: the test is vacuous"
+    );
 }
 
 #[test]

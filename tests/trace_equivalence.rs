@@ -2,6 +2,10 @@
 //! result, and the default [`custom_fit::obs::NullRecorder`] keeps the
 //! sweep's steady-state path allocation-free.
 //!
+//! The same two contracts hold for the spans inside the modulo scheduler
+//! and the exact-II certifier, which run off the sweep's path
+//! (`PipelineProblem::schedule` and `::certify`).
+//!
 //! Two contracts, both from `cfp_obs`'s design:
 //! * **Results-identical** — an exploration run under a live
 //!   [`JsonlRecorder`] produces bit-identical speedups, outcomes, fuel
@@ -14,9 +18,12 @@
 
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::{Checkpoint, CompileCache, EvalScratch, Evaluator, PlanCache};
-use custom_fit::machine::ArchSpec;
-use custom_fit::obs::{JsonlRecorder, UnitTrace};
+use custom_fit::machine::{ArchSpec, MachineResources};
+use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::prelude::Benchmark;
+use custom_fit::sched::{
+    CertifyOutcome, CompileResult, Ddg, FuClass, Fuel, PipelineProblem, SchedScratch,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -237,5 +244,139 @@ fn null_recorder_steady_state_allocates_nothing() {
     assert_eq!(
         allocated, 0,
         "the warm cached-evaluation path allocated {allocated} times under a disabled trace"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The solvers' spans: the modulo search and the exact certifier.
+
+/// Benchmark D, optimized and compiled for `spec`.
+fn compiled(spec: &ArchSpec) -> (MachineResources, CompileResult) {
+    let mut kernel = Benchmark::D.kernel();
+    custom_fit::opt::optimize(&mut kernel);
+    let machine = MachineResources::from_spec(spec);
+    let r = custom_fit::sched::compile(&kernel, &machine);
+    (machine, r)
+}
+
+#[test]
+fn traced_solvers_are_bit_identical_to_untraced() {
+    // Pipelined Level-2 ports put the optimum below the heuristic's
+    // latency clamp, so the certifier really searches.
+    let spec = ArchSpec::new(8, 4, 256, 4, 8, 1)
+        .expect("valid spec")
+        .with_pipelined_l2();
+    let (machine, r) = compiled(&spec);
+    let ddg = Ddg::build(&r.assignment.code);
+    let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
+    let run = |trace: &mut UnitTrace<'_>| {
+        let (mut fuel, mut scratch) = (Fuel::unlimited(), SchedScratch::new());
+        let ms = problem
+            .schedule(&mut fuel, &mut scratch, trace)
+            .expect("unlimited fuel")
+            .expect("schedulable");
+        let mut exact_fuel = Fuel::limited(2_000_000);
+        let verdict = problem.certify(Some(ms.ii), &mut exact_fuel, trace);
+        (
+            (ms.ii, ms.slots, ms.mii, ms.ii_attempts, fuel.spent()),
+            (scratch.modulo_attempts(), scratch.modulo_probes()),
+            (verdict, exact_fuel.spent()),
+        )
+    };
+    let plain = run(&mut UnitTrace::disabled());
+    let rec = JsonlRecorder::new();
+    let traced = run(&mut UnitTrace::new(&rec, 0));
+    assert_eq!(plain, traced);
+
+    // The trace says what happened, in the solvers' own numbers.
+    let ((ii, _, mii, ii_attempts, steps), _, (verdict, exact_steps)) = plain;
+    let events = rec.events();
+    assert_eq!(events.len(), 2);
+    let u = |e: usize, name: &str| events[e].field(name).and_then(|v| v.as_u64());
+    assert_eq!(events[0].stage, Stage::Modulo);
+    assert_eq!(u(0, "ii"), Some(u64::from(ii)));
+    assert_eq!(u(0, "mii"), Some(u64::from(mii)));
+    assert_eq!(u(0, "ii_attempts"), Some(u64::from(ii_attempts)));
+    assert_eq!(u(0, "steps"), Some(steps));
+    let CertifyOutcome::Certified {
+        min_ii,
+        proved_infeasible,
+        ..
+    } = verdict
+    else {
+        panic!("expected a certified improvement, got {verdict:?}");
+    };
+    assert_eq!(events[1].stage, Stage::Exact);
+    assert_eq!(
+        events[1].field("verdict").and_then(|v| v.as_str()),
+        Some("certified")
+    );
+    assert_eq!(u(1, "lower"), Some(u64::from(problem.exact_mii())));
+    assert_eq!(u(1, "decided"), Some(u64::from(proved_infeasible) + 1));
+    assert_eq!(u(1, "at_ii"), Some(u64::from(min_ii)));
+    assert_eq!(u(1, "steps"), Some(exact_steps));
+    assert!(u(1, "n").is_some_and(|n| n > 0));
+}
+
+#[test]
+fn a_search_that_gives_up_says_why_and_allocates_nothing_when_off() {
+    // One multiplier, on cluster 0. Forcing a multiply onto cluster 1
+    // leaves it no unit at any II: the search must say `missing_unit`
+    // (with how many IIs it tried), the certifier `unschedulable`, and
+    // with recording off neither may allocate — the search works in the
+    // warm arena, and the span fields live on the stack.
+    let spec = ArchSpec::new(4, 1, 128, 1, 4, 2).expect("valid spec");
+    let (machine, mut r) = compiled(&spec);
+    let mul = r
+        .assignment
+        .code
+        .ops
+        .iter()
+        .position(|op| op.class == FuClass::Mul)
+        .expect("benchmark D multiplies");
+    assert_eq!(r.assignment.cluster_of_op[mul], 0);
+    r.assignment.cluster_of_op[mul] = 1;
+    let ddg = Ddg::build(&r.assignment.code);
+    let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
+
+    let mut scratch = SchedScratch::new();
+    let rec = JsonlRecorder::new();
+    let mut trace = UnitTrace::new(&rec, 0);
+    let traced = problem
+        .schedule(&mut Fuel::unlimited(), &mut scratch, &mut trace)
+        .expect("unlimited fuel");
+    assert!(traced.is_none());
+    let verdict = problem.certify(None, &mut Fuel::limited(1_000), &mut trace);
+    assert_eq!(verdict, CertifyOutcome::Unschedulable);
+    let events = rec.events();
+    assert_eq!(events.len(), 2);
+    let s = |e: usize, name: &str| events[e].field(name).and_then(|v| v.as_str());
+    assert_eq!(
+        events[0].field("feasible").and_then(|v| v.as_bool()),
+        Some(false)
+    );
+    assert_eq!(s(0, "reason"), Some("missing_unit"));
+    assert_eq!(
+        events[0].field("ii_attempts").and_then(|v| v.as_u64()),
+        Some(scratch.modulo_attempts())
+    );
+    assert_eq!(s(1, "verdict"), Some("unschedulable"));
+
+    // The arena is warm now; the same two calls with recording off.
+    let before = allocs();
+    let plain = problem
+        .schedule(
+            &mut Fuel::unlimited(),
+            &mut scratch,
+            &mut UnitTrace::disabled(),
+        )
+        .expect("unlimited fuel");
+    let off = problem.certify(None, &mut Fuel::limited(1_000), &mut UnitTrace::disabled());
+    let allocated = allocs() - before;
+    assert!(plain.is_none());
+    assert_eq!(off, verdict);
+    assert_eq!(
+        allocated, 0,
+        "a failed search and an instant verdict allocated {allocated} times under a disabled trace"
     );
 }
