@@ -1,4 +1,5 @@
-//! Checkpoint/resume journaling for the exploration sweep.
+//! Checkpoint/resume journaling: the one `Journal` behind the
+//! exploration sweep and the guided search.
 //!
 //! The full sweep is minutes of compute; an interrupted run (ctrl-C, a
 //! batch-queue eviction, a crash) should not forfeit the units it
@@ -14,22 +15,35 @@
 //! crash at any instant leaves either the previous journal or the new
 //! one, never a torn line.
 //!
-//! The journal is keyed by a fingerprint of everything that determines
-//! unit results (architectures, benchmarks, fuel budget, fault
-//! injection — not thread counts or reuse, which cannot change results).
-//! Resuming under a different configuration is refused rather than
-//! silently mixing incompatible measurements.
+//! A journal is keyed by a fingerprint of everything that determines
+//! its run's results (for the sweep: architectures, benchmarks, fuel
+//! budget, fault injection — not thread counts, which cannot change
+//! results). Resuming under a different configuration is refused rather
+//! than silently mixing incompatible measurements.
+//!
+//! The file format and the write discipline live here and nowhere else.
+//! A journal kind is its magic word, the header fields after the
+//! fingerprint, and an entry-key codec: the sweep's is below
+//! (`sweep_journal`: `cfp-checkpoint,v1,<fingerprint>,<units>`, entries
+//! keyed `<unit>`), the guided search's is in [`crate::search`]
+//! (`cfp-search,v1,<fingerprint>`, entries keyed `<candidate>,<rung>`).
 
 use crate::error::{CheckpointError, FailKind, FailReason};
 use crate::eval::{EvalOutcome, Measurement};
 use crate::explore::ExploreConfig;
-use cfp_machine::Fnv1a;
+use cfp_machine::{ArchSpec, Fnv1a};
+use std::collections::HashSet;
+use std::fmt::Display;
 use std::fs;
+use std::hash::Hash;
 use std::path::PathBuf;
 
-/// First journal line: `cfp-checkpoint,v1,<fingerprint>,<units>`.
+/// First header field of the sweep's journal.
 const MAGIC: &str = "cfp-checkpoint";
-const VERSION: &str = "v1";
+/// Second header field of every journal kind (and an input of every
+/// run fingerprint, so a format bump orphans old journals with a typed
+/// [`CheckpointError::Mismatch`]).
+pub(crate) const VERSION: &str = "v1";
 
 /// Where the sweep journals completed units, and whether an existing
 /// journal may be loaded.
@@ -101,6 +115,29 @@ pub fn fingerprint(config: &ExploreConfig) -> u64 {
     h.finish()
 }
 
+/// FNV-1a over one architecture's seven axes plus its extension set —
+/// the stable per-spec identity (distinct specs hash apart with
+/// overwhelming probability; search journals key their entries on it
+/// and pinned digests fold it, grouping never uses it). An empty
+/// extension set contributes no bytes, so every unextended spec keeps
+/// its historical fingerprint bit for bit.
+#[must_use]
+pub fn spec_fingerprint(spec: &ArchSpec) -> u64 {
+    let mut h = Fnv1a::new();
+    let mut eat = |x: u32| h.write(&x.to_le_bytes());
+    eat(spec.alus);
+    eat(spec.muls);
+    eat(spec.regs);
+    eat(spec.l2_ports);
+    eat(spec.l2_latency);
+    eat(u32::from(spec.l2_pipelined));
+    eat(spec.clusters);
+    if !spec.exts.is_empty() {
+        eat(u32::from(spec.exts.bits()));
+    }
+    h.finish()
+}
+
 /// Percent-escape a failure message for one comma-separated field (also
 /// reused by the CSV persistence, which has the same delimiter rules).
 pub(crate) fn escape(s: &str) -> String {
@@ -138,11 +175,9 @@ pub(crate) fn unescape(s: &str) -> Option<String> {
 }
 
 /// The `done,...`/`failed,...` tail of a journal line — the outcome
-/// payload without the unit key, shared with the search engine's own
-/// journal (which keys lines differently but stores outcomes the same
-/// way). The measurement's `f64` is stored as its exact bit pattern so
-/// resume is bit-identical.
-pub(crate) fn encode_outcome(outcome: &EvalOutcome) -> String {
+/// payload after the entry key. The measurement's `f64` is stored as its
+/// exact bit pattern so resume is bit-identical.
+fn encode_outcome(outcome: &EvalOutcome) -> String {
     match outcome {
         EvalOutcome::Done(m) => format!(
             "done,{:016x},{},{},{}",
@@ -158,11 +193,8 @@ pub(crate) fn encode_outcome(outcome: &EvalOutcome) -> String {
 }
 
 /// Inverse of [`encode_outcome`] over the already-split fields after the
-/// line key.
-pub(crate) fn parse_outcome(
-    fields: &[&str],
-    lineno: usize,
-) -> Result<EvalOutcome, CheckpointError> {
+/// entry key.
+fn parse_outcome(fields: &[&str], lineno: usize) -> CheckpointResult<EvalOutcome> {
     let corrupt = |message: String| CheckpointError::Corrupt {
         line: lineno,
         message,
@@ -171,14 +203,21 @@ pub(crate) fn parse_outcome(
         (Some("done"), 5) => {
             let bits = u64::from_str_radix(fields[1], 16)
                 .map_err(|e| corrupt(format!("bad cycle bits `{}`: {e}", fields[1])))?;
-            let num = |s: &str| -> Result<u32, CheckpointError> {
+            let num = |s: &str| -> CheckpointResult<u32> {
                 s.parse()
                     .map_err(|e| corrupt(format!("bad number `{s}`: {e}")))
+            };
+            // Exactly what `encode_outcome` writes: anything else in the
+            // flag's place is damage, not `false`.
+            let spilled = match fields[3] {
+                "0" => false,
+                "1" => true,
+                other => return Err(corrupt(format!("bad spill flag `{other}`"))),
             };
             Ok(EvalOutcome::Done(Measurement {
                 cycles_per_output: f64::from_bits(bits),
                 unroll: num(fields[2])?,
-                spilled: fields[3] == "1",
+                spilled,
                 compilations: num(fields[4])?,
             }))
         }
@@ -197,25 +236,10 @@ pub(crate) fn parse_outcome(
     }
 }
 
-/// One journal line for a completed unit.
-fn encode_entry(unit: usize, outcome: &EvalOutcome) -> String {
-    format!("{unit},{}", encode_outcome(outcome))
-}
-
-fn parse_entry(line: &str, lineno: usize) -> Result<(usize, EvalOutcome), CheckpointError> {
-    let corrupt = |message: String| CheckpointError::Corrupt {
-        line: lineno,
-        message,
-    };
-    let fields: Vec<&str> = line.split(',').collect();
-    let unit: usize = fields[0]
-        .parse()
-        .map_err(|e| corrupt(format!("bad unit index `{}`: {e}", fields[0])))?;
-    Ok((unit, parse_outcome(&fields[1..], lineno)?))
-}
+type CheckpointResult<T> = Result<T, CheckpointError>;
 
 /// An open journal: the lines already on disk plus the machinery to
-/// append more, one atomic rewrite per appended unit.
+/// append more, one atomic rewrite per append.
 #[derive(Debug)]
 pub(crate) struct Journal {
     path: PathBuf,
@@ -223,9 +247,62 @@ pub(crate) struct Journal {
 }
 
 impl Journal {
-    /// Append one completed unit and persist.
-    pub(crate) fn append(&mut self, unit: usize, outcome: &EvalOutcome) -> CheckpointResult<()> {
-        self.lines.push(encode_entry(unit, outcome));
+    /// Open the journal `ck` describes for a run with this `fingerprint`.
+    ///
+    /// The first line is `<magic>,v1,<fingerprint>` followed by the
+    /// `tail` fields; every other line is one entry, `key_fields`
+    /// comma-separated key fields (decoded, and range-checked, by
+    /// `decode_key`) followed by the outcome. Returns the journal plus
+    /// the entries already recorded — none unless `ck` resumes a file
+    /// that exists; a file that exists without `resume` is
+    /// [`CheckpointError::Exists`], never clobbered.
+    pub(crate) fn attach<K: Copy + Eq + Hash>(
+        ck: &Checkpoint,
+        magic: &str,
+        fingerprint: u64,
+        tail: &[String],
+        key_fields: usize,
+        decode_key: impl Fn(&[&str]) -> Result<K, String>,
+    ) -> CheckpointResult<(Journal, Vec<(K, EvalOutcome)>)> {
+        let fingerprint_hex = format!("{fingerprint:016x}");
+        let mut header = vec![magic, VERSION, &fingerprint_hex];
+        header.extend(tail.iter().map(String::as_str));
+        let mut journal = Journal {
+            path: ck.path.clone(),
+            lines: vec![header.join(",")],
+        };
+        if !ck.path.exists() {
+            journal.persist()?;
+            return Ok((journal, Vec::new()));
+        }
+        if !ck.resume {
+            return Err(CheckpointError::Exists(ck.path.clone()));
+        }
+        let text = fs::read_to_string(&ck.path).map_err(|source| CheckpointError::Io {
+            path: ck.path.clone(),
+            source,
+        })?;
+        let entries = parse(&text, &header, fingerprint, key_fields, decode_key)?;
+        journal.lines = text.lines().map(str::to_owned).collect();
+        Ok((journal, entries))
+    }
+
+    /// Append one `<key>,<outcome>` line per entry and persist once —
+    /// the rename traffic is per call, not per entry, and a crash loses
+    /// at most the call in flight. No entries, no write.
+    pub(crate) fn append<'a>(
+        &mut self,
+        entries: impl IntoIterator<Item = (impl Display, &'a EvalOutcome)>,
+    ) -> CheckpointResult<()> {
+        let before = self.lines.len();
+        self.lines.extend(
+            entries
+                .into_iter()
+                .map(|(key, outcome)| format!("{key},{}", encode_outcome(outcome))),
+        );
+        if self.lines.len() == before {
+            return Ok(());
+        }
         self.persist()
     }
 
@@ -245,53 +322,24 @@ impl Journal {
     }
 }
 
-type CheckpointResult<T> = Result<T, CheckpointError>;
-
-/// Open the journal described by `ck` for a run with this `fingerprint`
-/// and `units` work units. Returns the journal plus the outcomes already
-/// recorded (empty unless resuming an existing file).
-pub(crate) fn attach(
-    ck: &Checkpoint,
-    fingerprint: u64,
-    units: usize,
-) -> CheckpointResult<(Journal, Vec<(usize, EvalOutcome)>)> {
-    let header = format!("{MAGIC},{VERSION},{fingerprint:016x},{units}");
-    if !ck.path.exists() {
-        let journal = Journal {
-            path: ck.path.clone(),
-            lines: vec![header],
-        };
-        journal.persist()?;
-        return Ok((journal, Vec::new()));
-    }
-    if !ck.resume {
-        return Err(CheckpointError::Exists(ck.path.clone()));
-    }
-    let text = fs::read_to_string(&ck.path).map_err(|source| CheckpointError::Io {
-        path: ck.path.clone(),
-        source,
-    })?;
-    let entries = parse(&text, fingerprint, units)?;
-    let journal = Journal {
-        path: ck.path.clone(),
-        lines: text.lines().map(str::to_owned).collect(),
-    };
-    Ok((journal, entries))
-}
-
-fn parse(
+/// Check `text`'s header against the one this run would write (`header`,
+/// already split) and decode its entries. Blank lines are skipped; a key
+/// recorded twice is corruption.
+fn parse<K: Copy + Eq + Hash>(
     text: &str,
+    header: &[&str],
     expected_fp: u64,
-    units: usize,
-) -> CheckpointResult<Vec<(usize, EvalOutcome)>> {
+    key_fields: usize,
+    decode_key: impl Fn(&[&str]) -> Result<K, String>,
+) -> CheckpointResult<Vec<(K, EvalOutcome)>> {
     let corrupt = |line: usize, message: String| CheckpointError::Corrupt { line, message };
     let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
+    let Some((_, found_header)) = lines.next() else {
         return Err(corrupt(1, "empty journal".to_owned()));
     };
-    let h: Vec<&str> = header.split(',').collect();
-    if h.len() != 4 || h[0] != MAGIC || h[1] != VERSION {
-        return Err(corrupt(1, format!("bad header `{header}`")));
+    let h: Vec<&str> = found_header.split(',').collect();
+    if h.len() != header.len() || h[..2] != header[..2] {
+        return Err(corrupt(1, format!("bad header `{found_header}`")));
     }
     let found = u64::from_str_radix(h[2], 16)
         .map_err(|e| corrupt(1, format!("bad fingerprint `{}`: {e}", h[2])))?;
@@ -301,78 +349,107 @@ fn parse(
             found,
         });
     }
-    let recorded_units: usize = h[3]
-        .parse()
-        .map_err(|e| corrupt(1, format!("bad unit count `{}`: {e}", h[3])))?;
-    if recorded_units != units {
+    if h[3..] != header[3..] {
         return Err(corrupt(
             1,
-            format!("journal is for {recorded_units} units, this run has {units}"),
+            format!(
+                "journal is for `{}`, this run is `{}`",
+                h[3..].join(","),
+                header[3..].join(",")
+            ),
         ));
     }
 
-    let mut seen = vec![false; units];
+    let mut seen: HashSet<K> = HashSet::new();
     let mut entries = Vec::new();
     for (idx, line) in lines {
         let lineno = idx + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let (unit, outcome) = parse_entry(line, lineno)?;
-        if unit >= units {
+        let fields: Vec<&str> = line.split(',').collect();
+        if fields.len() < key_fields {
+            return Err(corrupt(lineno, format!("truncated entry `{line}`")));
+        }
+        let (key_text, outcome) = fields.split_at(key_fields);
+        let key = decode_key(key_text).map_err(|message| corrupt(lineno, message))?;
+        let outcome = parse_outcome(outcome, lineno)?;
+        if !seen.insert(key) {
             return Err(corrupt(
                 lineno,
-                format!("unit {unit} out of range (run has {units})"),
+                format!("entry `{}` recorded twice", key_text.join(",")),
             ));
         }
-        if seen[unit] {
-            return Err(corrupt(lineno, format!("unit {unit} recorded twice")));
-        }
-        seen[unit] = true;
-        entries.push((unit, outcome));
+        entries.push((key, outcome));
     }
     Ok(entries)
+}
+
+/// Open the sweep's journal for a run of `units` work units: the unit
+/// count is the header's tail, and an entry's key is its unit index in
+/// decimal (what [`Journal::append`] writes for a `usize` key).
+pub(crate) fn sweep_journal(
+    ck: &Checkpoint,
+    fingerprint: u64,
+    units: usize,
+) -> CheckpointResult<(Journal, Vec<(usize, EvalOutcome)>)> {
+    Journal::attach(ck, MAGIC, fingerprint, &[units.to_string()], 1, |key| {
+        let unit: usize = key[0]
+            .parse()
+            .map_err(|e| format!("bad unit index `{}`: {e}", key[0]))?;
+        if unit >= units {
+            return Err(format!("unit {unit} out of range (run has {units})"));
+        }
+        Ok(unit)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::{journal_key, search_journal};
 
-    fn done(cpo: f64) -> EvalOutcome {
+    fn done(cpo: f64, spilled: bool) -> EvalOutcome {
         EvalOutcome::Done(Measurement {
             cycles_per_output: cpo,
             unroll: 4,
-            spilled: false,
+            spilled,
             compilations: 3,
         })
     }
 
-    #[test]
-    fn entries_round_trip_bit_exactly() {
-        // A value with no finite decimal representation, plus edge bits.
-        for cpo in [0.1 + 0.2, f64::MIN_POSITIVE, 1.0 / 3.0, 12345.678] {
-            let line = encode_entry(9, &done(cpo));
-            let (unit, back) = parse_entry(&line, 2).expect("parses");
-            assert_eq!(unit, 9);
-            let m = back.measurement().expect("done");
-            assert_eq!(m.cycles_per_output.to_bits(), cpo.to_bits());
-            assert_eq!((m.unroll, m.spilled, m.compilations), (4, false, 3));
+    /// A quarantine record whose message holds every character the line
+    /// format must escape.
+    fn nasty() -> EvalOutcome {
+        EvalOutcome::Failed {
+            reason: FailReason {
+                kind: FailKind::Panic,
+                message: "index 3,7 out of bounds\n(100%)".to_owned(),
+            },
         }
     }
 
     #[test]
-    fn failed_entries_keep_their_messy_messages() {
-        let nasty = "panic: index 3,7 out of bounds\n(100%: a,b,c)";
-        let out = EvalOutcome::Failed {
-            reason: FailReason {
-                kind: FailKind::Panic,
-                message: nasty.to_owned(),
-            },
-        };
-        let line = encode_entry(0, &out);
+    fn outcomes_round_trip_bit_exactly() {
+        // A value with no finite decimal representation, plus edge bits.
+        for cpo in [0.1 + 0.2, f64::MIN_POSITIVE, 1.0 / 3.0, 12345.678] {
+            for spilled in [false, true] {
+                let line = encode_outcome(&done(cpo, spilled));
+                let fields: Vec<&str> = line.split(',').collect();
+                let back = parse_outcome(&fields, 2).expect("parses");
+                let m = back.measurement().expect("done");
+                assert_eq!(m.cycles_per_output.to_bits(), cpo.to_bits());
+                assert_eq!((m.unroll, m.spilled, m.compilations), (4, spilled, 3));
+            }
+        }
+    }
+
+    #[test]
+    fn failed_outcomes_keep_their_messy_messages() {
+        let line = encode_outcome(&nasty());
         assert!(!line.contains('\n'), "journal lines stay single lines");
-        let (_, back) = parse_entry(&line, 2).expect("parses");
-        assert_eq!(back, out);
+        let fields: Vec<&str> = line.split(',').collect();
+        assert_eq!(parse_outcome(&fields, 2).expect("parses"), nasty());
     }
 
     #[test]
@@ -384,29 +461,242 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_wrong_runs_and_corruption() {
-        let fp = 0xabcd_u64;
-        let header = format!("{MAGIC},{VERSION},{fp:016x},10");
-        let good = format!("{header}\n{}\n", encode_entry(3, &done(2.5)));
-        assert_eq!(parse(&good, fp, 10).expect("parses").len(), 1);
-        // Wrong fingerprint.
-        assert!(matches!(
-            parse(&good, fp + 1, 10),
-            Err(CheckpointError::Mismatch { .. })
-        ));
-        // Wrong unit count.
-        assert!(parse(&good, fp, 11).is_err());
-        // Out-of-range and duplicate units.
-        let bad = format!("{header}\n{}\n", encode_entry(10, &done(2.5)));
-        assert!(parse(&bad, fp, 10).is_err());
-        let dup = format!(
-            "{header}\n{}\n{}\n",
-            encode_entry(3, &done(2.5)),
-            encode_entry(3, &done(2.5))
-        );
-        assert!(parse(&dup, fp, 10).is_err());
-        // Truncated entry line.
-        assert!(parse(&format!("{header}\n3,done,xyz\n"), fp, 10).is_err());
-        assert!(parse("", fp, 10).is_err());
+    fn fingerprints_separate_every_axis() {
+        let spec = ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap();
+        let variants = [
+            ArchSpec::new(16, 4, 256, 2, 4, 2).unwrap(),
+            ArchSpec::new(8, 2, 256, 2, 4, 2).unwrap(),
+            ArchSpec::new(8, 4, 512, 2, 4, 2).unwrap(),
+            ArchSpec::new(8, 4, 256, 1, 4, 2).unwrap(),
+            ArchSpec::new(8, 4, 256, 2, 8, 2).unwrap(),
+            ArchSpec::new(8, 4, 256, 2, 4, 4).unwrap(),
+            spec.with_pipelined_l2(),
+        ];
+        let base = spec_fingerprint(&spec);
+        for v in variants {
+            assert_ne!(base, spec_fingerprint(&v), "{v}");
+        }
+        // The extension set is an axis too: every non-empty set hashes
+        // apart from the base spec and from the other sets.
+        let exts: Vec<u64> = cfp_machine::ExtSet::AXIS
+            .iter()
+            .map(|&e| spec_fingerprint(&spec.with_extensions(e)))
+            .collect();
+        assert_eq!(exts[0], base, "empty set must not change the hash");
+        for (i, &a) in exts.iter().enumerate() {
+            for &b in &exts[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    /// The two journal kinds behind one face, so every case below runs
+    /// against both key codecs: entries come back with their keys
+    /// re-encoded as the text that stands on disk.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Sweep,
+        Search,
+    }
+
+    const FP: u64 = 0xabcd;
+    const UNITS: usize = 10;
+
+    impl Kind {
+        fn open(
+            self,
+            ck: &Checkpoint,
+            fp: u64,
+        ) -> CheckpointResult<(Journal, Vec<(String, EvalOutcome)>)> {
+            match self {
+                Kind::Sweep => sweep_journal(ck, fp, UNITS).map(|(journal, entries)| {
+                    let entries = entries.into_iter().map(|(u, o)| (u.to_string(), o));
+                    (journal, entries.collect())
+                }),
+                Kind::Search => search_journal(ck, fp).map(|(journal, entries)| {
+                    let entries = entries
+                        .into_iter()
+                        .map(|((c, r), o)| (journal_key(c, r), o));
+                    (journal, entries.collect())
+                }),
+            }
+        }
+
+        fn header(self) -> String {
+            match self {
+                Kind::Sweep => format!("cfp-checkpoint,v1,{FP:016x},{UNITS}"),
+                Kind::Search => format!("cfp-search,v1,{FP:016x}"),
+            }
+        }
+
+        /// Two distinct keys, through the encoders the engines use.
+        fn keys(self) -> [String; 2] {
+            match self {
+                Kind::Sweep => [3_usize.to_string(), 7_usize.to_string()],
+                Kind::Search => [journal_key(0x1234, 0), journal_key(0xfeed_f00d, 2)],
+            }
+        }
+
+        /// Key texts the codec must refuse.
+        fn bad_keys(self) -> &'static [&'static str] {
+            match self {
+                // Not a number, negative, one past the run's last unit.
+                Kind::Sweep => &["x", "-1", "10"],
+                // Not hex, not a rung.
+                Kind::Search => &["wxyz,0", "0000000000001234,two"],
+            }
+        }
+
+        /// A fresh journal path for `test`, nothing there yet.
+        fn path(self, test: &str) -> PathBuf {
+            let path = std::env::temp_dir().join(format!(
+                "cfp_journal_{}_{test}_{self:?}.journal",
+                std::process::id()
+            ));
+            let _ = fs::remove_file(&path);
+            path
+        }
+    }
+
+    #[test]
+    fn both_kinds_round_trip_and_refuse_the_same_damage() {
+        for kind in [Kind::Sweep, Kind::Search] {
+            let path = kind.path("table");
+            let header = kind.header();
+            let [k1, k2] = kind.keys();
+
+            // A fresh attach writes the header and nothing else.
+            let (mut journal, entries) = kind.open(&Checkpoint::new(&path), FP).expect("fresh");
+            assert!(entries.is_empty());
+            assert_eq!(fs::read_to_string(&path).unwrap(), format!("{header}\n"));
+            // A missing file under `resume` is the same fresh start.
+            fs::remove_file(&path).unwrap();
+            let (_, entries) = kind.open(&Checkpoint::resume(&path), FP).expect("fresh");
+            assert!(entries.is_empty());
+
+            // Appended entries come back, in order, on resume.
+            journal.append([(&k1, &done(1.0 / 3.0, false))]).unwrap();
+            journal.append([(&k2, &nasty())]).unwrap();
+            let (_, back) = kind.open(&Checkpoint::resume(&path), FP).expect("resume");
+            let want = vec![(k1.clone(), done(1.0 / 3.0, false)), (k2.clone(), nasty())];
+            assert_eq!(back, want, "{kind:?}");
+
+            // Without `resume` an existing journal is never clobbered; a
+            // different configuration's fingerprint is refused by name.
+            let err = kind.open(&Checkpoint::new(&path), FP).expect_err("exists");
+            assert!(
+                matches!(&err, CheckpointError::Exists(p) if *p == path),
+                "{err}"
+            );
+            let err = kind
+                .open(&Checkpoint::resume(&path), FP ^ 1)
+                .expect_err("mismatch");
+            assert!(
+                matches!(err, CheckpointError::Mismatch { expected, found }
+                    if expected == FP ^ 1 && found == FP),
+                "{err}"
+            );
+
+            // Blank lines are skipped (and still counted).
+            let good = format!("{k1},{}", encode_outcome(&done(2.5, false)));
+            fs::write(&path, format!("{header}\n\n{good}\n\n")).unwrap();
+            let (_, back) = kind
+                .open(&Checkpoint::resume(&path), FP)
+                .expect("blank lines");
+            assert_eq!(back, vec![(k1.clone(), done(2.5, false))]);
+
+            // Damage: the text, and the line `Corrupt` must name.
+            let other = match kind {
+                Kind::Sweep => Kind::Search,
+                Kind::Search => Kind::Sweep,
+            };
+            let mut damage: Vec<(String, usize)> = vec![
+                (String::new(), 1),
+                ("garbage\n".to_owned(), 1),
+                (format!("{}\n{good}\n", other.header()), 1),
+                (
+                    format!("{}\n", header.replace("000000000000abcd", "wxyz")),
+                    1,
+                ),
+                (format!("{header},extra\n"), 1),
+                (format!("{header}\n{k1}\n"), 2),
+                (format!("{header}\n{k1},done,xyz\n"), 2),
+                (format!("{header}\n{k1},done,xyz,4,0,3\n"), 2),
+                (format!("{header}\n{k1},done,4004000000000000,4,0,-3\n"), 2),
+                (format!("{header}\n{k1},failed,weird,message\n"), 2),
+                (format!("{header}\n{k1},failed,panic,bad %zz escape\n"), 2),
+                (format!("{header}\n{k1},skipped\n"), 2),
+                // One key, two entries.
+                (format!("{header}\n{good}\n{good}\n"), 3),
+                // The spill flag is `0` or `1`, nothing else.
+                (
+                    format!("{header}\n{good}\n\n{k2},done,4004000000000000,4,banana,3\n"),
+                    4,
+                ),
+                (format!("{header}\n{k1},done,4004000000000000,4,,3\n"), 2),
+            ];
+            for bad in kind.bad_keys() {
+                damage.push((format!("{header}\n{bad},done,4004000000000000,4,0,3\n"), 2));
+            }
+            if kind == Kind::Sweep {
+                // The header tail: a journal for a run of another size.
+                let eleven = header.replace(",10", ",11");
+                damage.push((format!("{eleven}\n{good}\n"), 1));
+            }
+            for (text, line) in damage {
+                fs::write(&path, &text).unwrap();
+                let err = kind
+                    .open(&Checkpoint::resume(&path), FP)
+                    .expect_err("damaged");
+                assert!(
+                    matches!(err, CheckpointError::Corrupt { line: l, .. } if l == line),
+                    "{kind:?} on {text:?}: {err}"
+                );
+            }
+            let _ = fs::remove_file(&path);
+        }
+    }
+
+    /// The bytes on disk, captured from the two writers this module
+    /// replaced (the commit before the journals were folded into one):
+    /// a journal either of them wrote must resume here, and the other
+    /// way round.
+    #[test]
+    fn the_bytes_on_disk_are_pinned() {
+        const SWEEP: &str = "cfp-checkpoint,v1,000000000000abcd,10\n\
+            3,done,4004000000000000,4,1,3\n\
+            7,failed,panic,index 3%2c7 out of bounds%0a(100%25)\n";
+        const SEARCH: &str = "cfp-search,v1,000000000000abcd\n\
+            0000000000001234,0,done,4004000000000000,4,1,3\n\
+            00000000feedf00d,2,failed,panic,index 3%2c7 out of bounds%0a(100%25)\n";
+        for (kind, text) in [(Kind::Sweep, SWEEP), (Kind::Search, SEARCH)] {
+            let path = kind.path("pin");
+            let [k1, k2] = kind.keys();
+            let want = vec![(k1.clone(), done(2.5, true)), (k2.clone(), nasty())];
+
+            let (mut journal, _) = kind.open(&Checkpoint::new(&path), FP).expect("fresh");
+            journal
+                .append([(&k1, &done(2.5, true)), (&k2, &nasty())])
+                .unwrap();
+            assert_eq!(fs::read_to_string(&path).unwrap(), text, "{kind:?}");
+
+            fs::write(&path, text).unwrap();
+            let (_, back) = kind.open(&Checkpoint::resume(&path), FP).expect("resume");
+            assert_eq!(back, want, "{kind:?}");
+            fs::remove_file(&path).unwrap();
+
+            // The temp sibling is `<journal>.tmp`: with a directory in
+            // its place the write fails, typed, and no journal appears.
+            let mut tmp = path.clone().into_os_string();
+            tmp.push(".tmp");
+            fs::create_dir(&tmp).unwrap();
+            let err = kind.open(&Checkpoint::new(&path), FP).expect_err("no temp");
+            assert!(
+                matches!(&err, CheckpointError::Io { path: p, .. } if *p == path),
+                "{err}"
+            );
+            assert!(!path.exists());
+            fs::remove_dir(&tmp).unwrap();
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! code for that architecture; generate the code; measure the goodness of
 //! the code; repeat until satisfied." The paper searched exhaustively;
 //! so do we, over every `(base point, cluster arrangement)` of the
-//! [`cfp_machine::DesignSpace`], in parallel worker threads, with full
-//! per-cluster scheduling instead of the paper's clustering correction
-//! factor.
+//! [`cfp_machine::DesignSpace`], on the crate's unit runner
+//! (`units.rs`: one `(architecture, benchmark)` pair per unit), with
+//! full per-cluster scheduling instead of the paper's clustering
+//! correction factor.
 //!
 //! The sweep is fault-tolerant: each `(architecture, benchmark)` unit is
 //! evaluated behind a panic boundary, and a unit that panics, exhausts
@@ -18,14 +19,15 @@
 //! to disk and an interrupted run resumes bit-identically.
 
 use crate::checkpoint::{self, Checkpoint};
-use crate::error::{ExploreError, FailKind};
+use crate::error::{CheckpointError, ExploreError, FailKind};
 use crate::eval::{quarantine, EvalOutcome, EvalScratch, Evaluator, PlanStore, UNROLL_SWEEP};
 use crate::memo::CompileCache;
+use crate::units::run_units;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::FaultInjector;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -51,10 +53,6 @@ pub struct ExploreConfig {
     pub threads: usize,
     /// Print coarse progress to stderr during the sweep.
     pub progress: bool,
-    /// Share compile work across architectures with equal scheduling
-    /// signatures (on by default; results are identical either way —
-    /// disabling is only useful for measuring what the reuse saves).
-    pub reuse: bool,
     /// Per-compilation scheduler step budget. A compilation over budget
     /// fails with a typed error instead of monopolizing a worker; the
     /// unit is quarantined (at unroll 1) or the unroll sweep truncated
@@ -73,8 +71,8 @@ pub struct ExploreConfig {
 }
 
 impl Default for ExploreConfig {
-    /// An empty space with production defaults: all cores, reuse on, no
-    /// fuel budget, no checkpoint, no fault injection. Start from this
+    /// An empty space with production defaults: all cores, no fuel
+    /// budget, no checkpoint, no fault injection. Start from this
     /// (`..ExploreConfig::default()`) so configurations keep compiling
     /// as robustness knobs are added.
     fn default() -> Self {
@@ -83,7 +81,6 @@ impl Default for ExploreConfig {
             benches: Vec::new(),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             progress: false,
-            reuse: true,
             fuel: None,
             checkpoint: None,
             fault: None,
@@ -140,11 +137,10 @@ impl ExploreConfig {
 pub struct RunStats {
     /// Logical benchmark compilations performed (the paper ran 5730).
     pub compilations: u64,
-    /// Logical compilations answered from the compile cache (0 when
-    /// reuse is disabled).
+    /// Logical compilations answered from the compile cache.
     pub cache_hits: u64,
     /// Distinct `(plan, scheduling signature)` schedules actually
-    /// computed (0 when reuse is disabled).
+    /// computed.
     pub unique_schedules: u64,
     /// Content-distinct optimized kernels behind the plan cache.
     pub unique_plans: usize,
@@ -329,8 +325,7 @@ impl Exploration {
     /// delta is exact when jobs run one at a time; concurrent jobs on
     /// one cache attribute each other's hits approximately (counters
     /// are global), which the service accepts — the numbers steer
-    /// reporting, not results. With [`ExploreConfig::reuse`] off the
-    /// shared cache is bypassed (plans still come from the store).
+    /// reporting, not results.
     ///
     /// # Errors
     /// As [`Self::try_run`].
@@ -354,9 +349,8 @@ impl Exploration {
             &mut UnitTrace::new(rec, cfp_obs::unit::PLAN),
         );
         let plan_wall = start.elapsed();
-        let memo = config.reuse.then_some(memo);
         let session = Evaluator {
-            memo,
+            memo: Some(memo),
             fuel: config.fuel,
             ..Evaluator::new(&plans)
         };
@@ -365,8 +359,8 @@ impl Exploration {
         let cycle = CycleModel::paper_calibrated();
         // Cache counters are reported as deltas from here, so a shared,
         // pre-warmed `memo` yields per-run numbers.
-        let hits0 = memo.map_or(0, CompileCache::core_hits);
-        let cores0 = memo.map_or(0, |m| m.unique_cores() as u64);
+        let hits0 = memo.core_hits();
+        let cores0 = memo.unique_cores() as u64;
 
         let nb = config.benches.len();
         let units = config.archs.len() * nb;
@@ -435,7 +429,7 @@ impl Exploration {
         let mut resumed_units = 0_u64;
         let journal = match &config.checkpoint {
             Some(ck) => {
-                let (journal, entries) = checkpoint::attach(ck, fingerprint, units)?;
+                let (journal, entries) = checkpoint::sweep_journal(ck, fingerprint, units)?;
                 for (i, outcome) in entries {
                     slots[i] = Some(outcome);
                     resumed_units += 1;
@@ -444,92 +438,37 @@ impl Exploration {
             }
             None => None,
         };
-        let journal_err: Mutex<Option<crate::error::CheckpointError>> = Mutex::new(None);
-        // Journal one fresh unit; false tells the workers to wind down
-        // (measuring on while the journal is lost would betray a resumed
-        // run's bit-identity promise silently).
-        let record = |i: usize, out: &EvalOutcome| -> bool {
-            let Some(journal) = &journal else { return true };
-            let result = journal
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .append(i, out);
-            match result {
-                Ok(()) => true,
-                Err(e) => {
-                    journal_err
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get_or_insert(e);
-                    false
-                }
-            }
-        };
+        // The first journal write that failed. Once set the remaining
+        // units answer `None`: measuring on while the journal is lost
+        // would betray a resumed run's bit-identity promise silently.
+        let first_err: Mutex<Option<CheckpointError>> = Mutex::new(None);
+        let journal_err = || first_err.lock().unwrap_or_else(PoisonError::into_inner);
 
         let eval_start = Instant::now();
-        let threads = config.threads.max(1);
-        if threads == 1 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                let out = eval_unit(i, &mut scratch);
-                let ok = record(i, &out);
-                *slot = Some(out);
-                if !ok {
-                    break;
+        let fresh = run_units(units, config.threads, &mut scratch, |i, sc| {
+            if slots[i].is_some() || journal_err().is_some() {
+                return None;
+            }
+            let out = eval_unit(i, sc);
+            if let Some(journal) = &journal {
+                let written = journal
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .append([(i, &out)]);
+                if let Err(e) = written {
+                    journal_err().get_or_insert(e);
                 }
             }
-        } else {
-            let skip: Vec<bool> = slots.iter().map(Option::is_some).collect();
-            let next = AtomicUsize::new(0);
-            let stop = AtomicBool::new(false);
-            let fresh = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..threads {
-                    let (next, stop, skip) = (&next, &stop, &skip);
-                    let (eval_unit, record) = (&eval_unit, &record);
-                    handles.push(scope.spawn(move || {
-                        let mut scratch = EvalScratch::new();
-                        let mut mine = Vec::new();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                return mine;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= units {
-                                return mine;
-                            }
-                            if skip[i] {
-                                continue;
-                            }
-                            let out = eval_unit(i, &mut scratch);
-                            let ok = record(i, &out);
-                            mine.push((i, out));
-                            if !ok {
-                                stop.store(true, Ordering::Relaxed);
-                                return mine;
-                            }
-                        }
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().map_err(|_| ExploreError::WorkerLost))
-                    .collect::<Result<Vec<_>, _>>()
-            })?;
-            for (i, out) in fresh.into_iter().flatten() {
-                slots[i] = Some(out);
-            }
-        }
-        if let Some(e) = journal_err
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
+            Some(out)
+        })
+        .map_err(|_| ExploreError::WorkerLost)?;
+        if let Some(e) = journal_err().take() {
             return Err(e.into());
         }
         let outcomes: Vec<EvalOutcome> = slots
             .into_iter()
+            .zip(fresh)
+            .map(|(resumed, fresh)| resumed.or(fresh))
             .collect::<Option<Vec<_>>>()
             .ok_or(ExploreError::WorkerLost)?;
         let eval_wall = eval_start.elapsed();
@@ -570,9 +509,8 @@ impl Exploration {
             benches: config.benches.clone(),
             stats: RunStats {
                 compilations,
-                cache_hits: memo.map_or(0, |m| m.core_hits().saturating_sub(hits0)),
-                unique_schedules: memo
-                    .map_or(0, |m| (m.unique_cores() as u64).saturating_sub(cores0)),
+                cache_hits: memo.core_hits().saturating_sub(hits0),
+                unique_schedules: (memo.unique_cores() as u64).saturating_sub(cores0),
                 unique_plans: plans.unique_kernels(),
                 architectures: archs.len(),
                 failed_units,
@@ -648,8 +586,8 @@ mod tests {
         assert_eq!(ex.stats.failed_units, 0);
         assert_eq!(ex.stats.fuel_exhausted, 0);
         assert_eq!(ex.stats.resumed_units, 0);
-        // Reuse is on by default, and the smoke space repeats signatures
-        // (and register sizes), so the cache must have absorbed work.
+        // The smoke space repeats signatures (and register sizes), so
+        // the compile cache must have absorbed work.
         // Every logical compilation is a hit or a compute; computes can
         // exceed the unique count only by benign duplicate races.
         assert!(ex.stats.cache_hits > 0);
@@ -782,6 +720,71 @@ mod tests {
         assert!(tiny.core_evictions() > 0, "1-slot shards must evict");
     }
 
+    /// Whether `event` is the summary span of a sweep unit (not of a
+    /// baseline unit) — the one span emitted outside the quarantine.
+    fn is_sweep_unit(event: &cfp_obs::Event<'_>) -> bool {
+        let mut fields = event.fields.iter();
+        event.stage == Stage::Unit && !fields.any(|f| matches!(f, ("baseline", Value::Bool(true))))
+    }
+
+    /// Keeps nothing; runs its closure whenever a sweep unit reports.
+    struct Tripwire<F: Fn() + Sync>(F);
+    impl<F: Fn() + Sync> Recorder for Tripwire<F> {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn now(&self, tick: u64) -> u64 {
+            tick
+        }
+        fn record(&self, event: &cfp_obs::Event<'_>) {
+            if is_sweep_unit(event) {
+                self.0();
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_outside_the_quarantine_is_a_lost_worker() {
+        let mut cfg = ExploreConfig::smoke();
+        cfg.archs.truncate(3);
+        cfg.benches = vec![Benchmark::D];
+        cfg.threads = 2;
+        let rec = Tripwire(|| panic!("the recorder is down"));
+        let err = Exploration::try_run_traced(&cfg, &rec).expect_err("workers die");
+        assert!(matches!(err, ExploreError::WorkerLost), "{err}");
+    }
+
+    #[test]
+    fn a_lost_journal_winds_the_sweep_down_with_its_error() {
+        let mut cfg = ExploreConfig::smoke();
+        cfg.benches = vec![Benchmark::D];
+        cfg.threads = 1;
+        let path = std::env::temp_dir().join(format!("cfp_lost_{}.journal", std::process::id()));
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let _ = std::fs::remove_file(&path);
+        cfg.checkpoint = Some(Checkpoint::new(&path));
+        // The first unit to report puts a directory where the journal's
+        // temp sibling goes, so journaling that very unit fails.
+        let ran = AtomicUsize::new(0);
+        let rec = Tripwire(|| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            let _ = std::fs::create_dir(&tmp);
+        });
+        let err = Exploration::try_run_traced(&cfg, &rec).expect_err("journal lost");
+        assert!(
+            matches!(&err, ExploreError::Checkpoint(CheckpointError::Io { .. })),
+            "{err}"
+        );
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            1,
+            "units ran on without a journal"
+        );
+        let _ = std::fs::remove_dir(&tmp);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn a_starving_fuel_budget_fails_the_baseline_not_the_process() {
         let mut cfg = ExploreConfig::smoke();
@@ -806,14 +809,22 @@ mod tests {
         for (a1, a2) in e1.archs.iter().zip(&e2.archs) {
             assert_eq!(a1.outcomes, a2.outcomes, "budgeted runs are identical");
         }
-        // And identical with reuse off: the cache charges cached cores'
-        // recorded step costs, so budget verdicts cannot depend on
-        // sharing or interleaving.
-        let mut no_reuse = cfg.clone();
-        no_reuse.reuse = false;
-        let e3 = Exploration::run(&no_reuse);
-        for (a1, a3) in e1.archs.iter().zip(&e3.archs) {
-            assert_eq!(a1.outcomes, a3.outcomes, "reuse must not change verdicts");
+        // And identical to every unit evaluated without the memo: the
+        // cache charges cached cores' recorded step costs, so budget
+        // verdicts cannot depend on sharing or interleaving.
+        let regs: Vec<u32> = cfg.archs.iter().map(|a| a.regs).collect();
+        let plans = crate::eval::PlanCache::build(&cfg.benches, &regs, &UNROLL_SWEEP);
+        let direct = Evaluator {
+            fuel: cfg.fuel,
+            ..Evaluator::new(&plans)
+        };
+        let mut scratch = EvalScratch::new();
+        for arch in &e1.archs {
+            for (out, &bench) in arch.outcomes.iter().zip(&cfg.benches) {
+                let off = &mut UnitTrace::disabled();
+                let want = quarantine(|| direct.evaluate(&arch.spec, bench, &mut scratch, off));
+                assert_eq!(*out, want, "the memo must not change verdicts");
+            }
         }
         // Failed units (if any at this budget) are counted and typed.
         let failed = e1

@@ -16,16 +16,15 @@
 //!   in `(architecture, benchmark)` work units, with the cost and
 //!   cycle-time models attached and Table 3-style run statistics
 //!   (logical compilations, cache hits, unique schedules, quarantined
-//!   units, per-stage timings);
+//!   units, per-stage timings). The sweep, the guided search's rungs
+//!   and the gap study all fan out through one private unit runner
+//!   (`units.rs`);
 //! * [`error`] — the typed failure taxonomy: per-unit [`EvalError`]s,
 //!   quarantine [`FailReason`]s, and run-level [`ExploreError`]s, so a
 //!   pathological candidate is a reported value, never a lost sweep;
-//! * [`checkpoint`] — crash-consistent journaling of completed units and
-//!   bit-identical resume of interrupted sweeps;
-//! * [`batch`] — the structure-of-arrays view of a finished
-//!   exploration (DESIGN.md §14): flat cost/derate/speedup/fail columns
-//!   filled in linear passes, feeding the batch scatter/frontier/select
-//!   consumers bit-identically to the scalar walkers;
+//! * [`checkpoint`] — the one crash-consistent journal of completed
+//!   units behind the sweep and the search, and bit-identical resume of
+//!   interrupted runs;
 //! * [`oracle`] — the heuristic-vs-optimal gap study: sampled design
 //!   points certified by the exact-II scheduler, the measured trust
 //!   bound on every table the evaluator produces;
@@ -58,7 +57,6 @@
 // clippy with `-D warnings`, so this gate is enforced.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod checkpoint;
 pub mod correction;
 pub mod error;
@@ -72,9 +70,9 @@ pub mod report;
 pub mod search;
 pub mod select;
 pub mod tables;
+mod units;
 
-pub use batch::{spec_fingerprint, EvalBatch};
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{spec_fingerprint, Checkpoint};
 pub use error::{CheckpointError, EvalError, ExploreError, FailKind, FailReason};
 pub use eval::{
     evaluate, quarantine, try_evaluate, EvalOutcome, EvalScratch, Evaluator, Measurement,
@@ -84,10 +82,10 @@ pub use explore::{ArchEval, Exploration, ExploreConfig, RunStats};
 pub use io::{from_csv, to_csv};
 pub use memo::{CompileCache, CoreSummary, ShardedMap};
 pub use oracle::{BenchGap, OracleConfig, OraclePoint, OracleReport, PointVerdict};
-pub use pareto::{frontier, frontier_soa, hypervolume, scatter, scatter_soa, ScatterPoint};
+pub use pareto::{frontier, hypervolume, scatter, ScatterPoint};
 pub use search::{
     promote, try_search, try_search_shared, LazyOracle, RoundStats, Rung, SearchConfig,
     SearchOutcome, SearchReport, Strategy,
 };
-pub use select::{select, select_batch, Range, Selection};
+pub use select::{select, Range, Selection};
 pub use tables::{paper_ranges, render, speedup_table, SpeedupTable};

@@ -21,11 +21,13 @@
 //! [`SpaceAxes::sample_with`]'s pinned draw order), and each point's
 //! certification burns its own step-count [`Fuel`], so verdicts —
 //! including [`PointVerdict::FuelExhausted`] — are bit-identical across
-//! platforms, thread counts, and re-runs.
+//! platforms, thread counts, and re-runs. The points are units on the
+//! same runner as the sweep's and the search's (`units.rs`).
 
-use crate::batch::spec_fingerprint;
+use crate::checkpoint::spec_fingerprint;
 use crate::eval::{residency_budget, PlanCache};
 use crate::search::below;
+use crate::units::run_units;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, Fnv1a, MachineResources, SpaceAxes};
 use cfp_obs::UnitTrace;
@@ -57,8 +59,7 @@ pub struct OracleConfig {
     pub unrolls: Vec<u32>,
     /// Step budgets tried per point, in order, restarting each time.
     pub fuel_ladder: Vec<u64>,
-    /// Worker threads (sharded by point index; the report is
-    /// bit-identical for every value).
+    /// Worker threads (the report is bit-identical for every value).
     pub threads: usize,
 }
 
@@ -188,9 +189,13 @@ impl OracleReport {
     ///
     /// Sampling is a single-threaded, order-pinned pass (so the trial
     /// list is a pure function of the seed); measurement fans out over
-    /// `config.threads` workers sharded by point index, each trial
+    /// `config.threads` workers on the crate's unit runner, each trial
     /// burning its own fuel — the report is bit-identical for every
     /// thread count.
+    ///
+    /// # Panics
+    /// A panic inside a trial is re-raised here with its own payload,
+    /// whichever thread it struck on.
     #[must_use]
     pub fn run(config: &OracleConfig) -> OracleReport {
         let mut rng = Rng::new(config.seed);
@@ -213,50 +218,16 @@ impl OracleReport {
         regs.dedup();
         let plans = PlanCache::build(&config.benches, &regs, &config.unrolls);
 
-        let threads = config.threads.max(1).min(trials.len().max(1));
         let ladder = if config.fuel_ladder.is_empty() {
             DEFAULT_FUEL_LADDER.to_vec()
         } else {
             config.fuel_ladder.clone()
         };
-        let mut points: Vec<Option<OraclePoint>> = vec![None; trials.len()];
-        if threads <= 1 {
-            for (i, (bench, spec, unroll)) in trials.iter().enumerate() {
-                points[i] = Some(measure(*bench, spec, *unroll, &ladder, &plans));
-            }
-        } else {
-            let shards = std::thread::scope(|scope| {
-                let trials = &trials;
-                let ladder = &ladder;
-                let plans = &plans;
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let mut out: Vec<(usize, OraclePoint)> = Vec::new();
-                            for (i, (bench, spec, unroll)) in trials.iter().enumerate() {
-                                if i % threads == t {
-                                    out.push((i, measure(*bench, spec, *unroll, ladder, plans)));
-                                }
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                let mut shards = Vec::new();
-                for h in handles {
-                    match h.join() {
-                        Ok(s) => shards.push(s),
-                        Err(p) => std::panic::resume_unwind(p),
-                    }
-                }
-                shards
-            });
-            for shard in shards {
-                for (i, p) in shard {
-                    points[i] = Some(p);
-                }
-            }
-        }
+        let points = run_units(trials.len(), config.threads, &mut (), |i, ()| {
+            let (bench, spec, unroll) = &trials[i];
+            Some(measure(*bench, spec, *unroll, &ladder, &plans))
+        })
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
         OracleReport {
             config: config.clone(),

@@ -1,17 +1,12 @@
 //! Cost/speedup scatter data and best-alternative frontiers
 //! (paper Figures 3 and 4).
 //!
-//! Both constructions come in two forms that share one core:
-//! * the original [`Exploration`]-walking entry points ([`scatter`],
-//!   [`frontier`]), kept for callers holding the pointer-rich result;
-//! * flat slice-in ("SoA") cores ([`scatter_soa`], [`frontier_soa`])
-//!   consumed by [`crate::batch::EvalBatch`], which run as
-//!   sort-then-sweep passes over parallel columns instead of hash-map
-//!   folds and per-point struct walks.
-//!
-//! The two forms are bit-identical — same points, same order, same
-//! `f64` bits — which `tests/batch_equivalence.rs` pins on the full
-//! paper and extended spaces.
+//! Both constructions gather parallel columns and run a sort-then-sweep
+//! core over them (`scatter_soa`, `frontier_soa`) — no hash-map fold, no
+//! per-point struct walk. `tests/scoring_pins.rs` pins every point,
+//! order and `f64` bit they produce on the full paper and extended
+//! spaces; `tests/pinned.rs` holds them to a transcription of the
+//! hash-map construction they replaced.
 
 use crate::explore::Exploration;
 use cfp_machine::ArchSpec;
@@ -48,7 +43,7 @@ pub fn scatter(exploration: &Exploration, bench: usize) -> Vec<ScatterPoint> {
     scatter_soa(&specs, &cost, &speedup)
 }
 
-/// SoA form of [`scatter`]: three parallel columns in, one column per
+/// The core of [`scatter`]: three parallel columns in, one slot per
 /// architecture, `speedup` holding that architecture's speedup on the
 /// benchmark being plotted (NaN for a quarantined unit).
 ///
@@ -58,13 +53,7 @@ pub fn scatter(exploration: &Exploration, bench: usize) -> Vec<ScatterPoint> {
 /// base point are folded in architecture-index order with the same
 /// epsilon rule the per-point fold always used, so the output is
 /// bit-identical to the historical hash-map construction.
-///
-/// # Panics
-/// Panics if the columns disagree in length.
-#[must_use]
-pub fn scatter_soa(specs: &[ArchSpec], cost: &[f64], speedup: &[f64]) -> Vec<ScatterPoint> {
-    assert_eq!(specs.len(), cost.len(), "scatter_soa columns differ");
-    assert_eq!(specs.len(), speedup.len(), "scatter_soa columns differ");
+fn scatter_soa(specs: &[ArchSpec], cost: &[f64], speedup: &[f64]) -> Vec<ScatterPoint> {
     // Finite units only, grouped by base point. The sort is stable, so
     // within one base point the architecture-index encounter order — the
     // order the fold below depends on — is preserved.
@@ -104,8 +93,8 @@ pub fn scatter_soa(specs: &[ArchSpec], cost: &[f64], speedup: &[f64]) -> Vec<Sca
 /// the paper draws through each scatter diagram).
 ///
 /// [`scatter`] output is already cost-sorted, so for it this is a single
-/// sweep; unsorted input is handled by the cost sort inside
-/// [`frontier_soa`] (indices still come back ascending by cost).
+/// sweep; unsorted input is handled by the cost sort inside the core
+/// (indices still come back ascending by cost).
 #[must_use]
 pub fn frontier(points: &[ScatterPoint]) -> Vec<usize> {
     let cost: Vec<f64> = points.iter().map(|p| p.cost).collect();
@@ -113,7 +102,7 @@ pub fn frontier(points: &[ScatterPoint]) -> Vec<usize> {
     frontier_soa(&cost, &speedup)
 }
 
-/// SoA form of [`frontier`]: sort-then-sweep over two parallel columns.
+/// The core of [`frontier`]: sort-then-sweep over two parallel columns.
 ///
 /// Points are visited cheapest-first (ties keep index order — the sort
 /// is stable, so already-sorted input is visited exactly in index
@@ -121,12 +110,7 @@ pub fn frontier(points: &[ScatterPoint]) -> Vec<usize> {
 /// best pushed so far by more than the `1e-12` epsilon. One `O(n log n)`
 /// sort and one linear sweep; on cost-sorted input the output is
 /// index-identical to the historical in-order scan.
-///
-/// # Panics
-/// Panics if the columns disagree in length.
-#[must_use]
-pub fn frontier_soa(cost: &[f64], speedup: &[f64]) -> Vec<usize> {
-    assert_eq!(cost.len(), speedup.len(), "frontier_soa columns differ");
+fn frontier_soa(cost: &[f64], speedup: &[f64]) -> Vec<usize> {
     let mut order: Vec<u32> = (0..cost.len() as u32).collect();
     order.sort_by(|&a, &b| cost[a as usize].total_cmp(&cost[b as usize]));
     let mut out = Vec::new();
@@ -148,9 +132,9 @@ pub fn frontier_soa(cost: &[f64], speedup: &[f64]) -> Vec<usize> {
 /// "how much of the exhaustive frontier did a guided run recover",
 /// robust to the frontier having different member counts.
 ///
-/// `frontier_idx` must come from [`frontier`]/[`frontier_soa`] over
-/// `points` (ascending cost, strictly ascending speedup). Points at or
-/// beyond `cost_bound` contribute nothing.
+/// `frontier_idx` must come from [`frontier`] over `points` (ascending
+/// cost, strictly ascending speedup). Points at or beyond `cost_bound`
+/// contribute nothing.
 #[must_use]
 pub fn hypervolume(points: &[ScatterPoint], frontier_idx: &[usize], cost_bound: f64) -> f64 {
     let mut hv = 0.0;

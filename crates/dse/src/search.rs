@@ -31,14 +31,16 @@
 //! that says what the guidance saved.
 //!
 //! Everything is deterministic in the seed: proposals, promotion ties,
-//! and archive order are all independent of thread count, and with
-//! [`SearchConfig::checkpoint`] set the engine journals every outcome
-//! and resumes bit-identically (same decisions, same frontier; only
-//! the physical-work counters differ, since replayed outcomes are
-//! dedup hits rather than fresh evaluations).
+//! and archive order are all independent of thread count (each rung's
+//! pool runs on the crate's unit runner, answers in pool order), and
+//! with [`SearchConfig::checkpoint`] set the engine journals every
+//! outcome — the sweep's journal ([`crate::checkpoint`]) under its own
+//! magic word and entry key — and resumes bit-identically (same
+//! decisions, same frontier; only the physical-work counters differ,
+//! since replayed outcomes are dedup hits rather than fresh
+//! evaluations).
 
-use crate::batch::spec_fingerprint;
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::{self, spec_fingerprint, Checkpoint, Journal};
 use crate::error::{CheckpointError, ExploreError, FailKind};
 use crate::eval::{
     quarantine, EvalOutcome, EvalScratch, Evaluator, PlanCache, PlanStore, UNROLL_SWEEP,
@@ -46,14 +48,13 @@ use crate::eval::{
 use crate::explore::{Exploration, RunStats};
 use crate::memo::CompileCache;
 use crate::pareto::{self, ScatterPoint};
+use crate::units::run_units;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, Fnv1a, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::Rng;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -408,6 +409,10 @@ impl SearchConfig {
     }
 }
 
+/// What the lazy oracle memoizes on, and the search journal keys its
+/// entries by: `(candidate fingerprint, rung)`.
+type MemoKey = (u64, usize);
+
 /// The lazy oracle: evaluates only the `(candidate, rung)` pairs a
 /// search asks about, through the shared plan snapshot and compile
 /// cache, memoizing every answer. Full-rung answers are bit-identical
@@ -420,7 +425,7 @@ pub struct LazyOracle<'a> {
     cost: CostModel,
     cycle: CycleModel,
     baseline_cpo: f64,
-    results: Mutex<HashMap<(u64, usize), EvalOutcome>>,
+    results: Mutex<HashMap<MemoKey, EvalOutcome>>,
     memo_hits: AtomicU64,
 }
 
@@ -487,7 +492,7 @@ impl<'a> LazyOracle<'a> {
         })
     }
 
-    fn lock_results(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, usize), EvalOutcome>> {
+    fn lock_results(&self) -> std::sync::MutexGuard<'_, HashMap<MemoKey, EvalOutcome>> {
         // Values are complete before insertion; a poisoned map is still
         // coherent.
         self.results.lock().unwrap_or_else(PoisonError::into_inner)
@@ -564,6 +569,24 @@ impl<'a> LazyOracle<'a> {
         (out, true)
     }
 
+    /// One rung's pool on the unit runner, answers in pool order. Pool
+    /// entries are distinct, so no two workers ever race one memo key.
+    fn rung_outcomes(
+        &self,
+        pool: &[ArchSpec],
+        rung: usize,
+        threads: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
+        run_units(pool.len(), threads, scratch, |i, sc| {
+            Some(self.outcome(&pool[i], rung, sc))
+        })
+        .map_err(|_| ExploreError::WorkerLost)?
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or(ExploreError::WorkerLost)
+    }
+
     /// Queries answered from the memo so far.
     #[must_use]
     pub fn memo_hits(&self) -> u64 {
@@ -577,7 +600,7 @@ impl<'a> LazyOracle<'a> {
     }
 
     /// Pre-populate the memo (journal replay on resume).
-    fn preload(&self, entries: Vec<((u64, usize), EvalOutcome)>) {
+    fn preload(&self, entries: Vec<(MemoKey, EvalOutcome)>) {
         let mut map = self.lock_results();
         for (key, out) in entries {
             map.insert(key, out);
@@ -728,7 +751,7 @@ pub fn try_search_shared(
     let mut resumed = 0_u64;
     let mut journal = match &config.checkpoint {
         Some(ck) => {
-            let (journal, entries) = attach_search(ck, fingerprint)?;
+            let (journal, entries) = search_journal(ck, fingerprint)?;
             resumed = entries.len() as u64;
             oracle.preload(entries);
             Some(journal)
@@ -737,6 +760,7 @@ pub fn try_search_shared(
     };
 
     let eval_start = Instant::now();
+    let mut scratch = EvalScratch::new();
     let mut rng = Rng::new(config.seed ^ 0x5eac);
     let mut seen: HashSet<ArchSpec> = HashSet::new();
     // Full-fidelity results, keyed by spec for deterministic iteration.
@@ -811,15 +835,17 @@ pub fn try_search_shared(
 
         for (ri, _) in config.rungs.iter().enumerate() {
             rung_survivors.push(pool.len());
-            let results = eval_pool(&oracle, &pool, ri, config.threads)?;
+            let results = oracle.rung_outcomes(&pool, ri, config.threads, &mut scratch)?;
             if let Some(journal) = journal.as_mut() {
-                let fresh: Vec<(u64, usize, &EvalOutcome)> = pool
+                // One write per rung keeps the rename traffic proportional
+                // to rungs, not candidates; a crash loses at most the
+                // current rung's batch.
+                let fresh = pool
                     .iter()
                     .zip(&results)
                     .filter(|(_, (_, fresh))| *fresh)
-                    .map(|(s, (out, _))| (spec_fingerprint(s), ri, out))
-                    .collect();
-                journal.append_all(&fresh)?;
+                    .map(|(s, (out, _))| (journal_key(spec_fingerprint(s), ri), out));
+                journal.append(fresh)?;
             }
             for (out, fresh) in &results {
                 if !fresh {
@@ -876,7 +902,7 @@ pub fn try_search_shared(
         }
 
         // Rebuild the frontier from the archive (scatter order: cost
-        // ascending, spec order on ties — same as the batch scatter).
+        // ascending, spec order on ties — same as `pareto::scatter`).
         points = archive
             .iter()
             .map(|(s, &(cost, speedup))| ScatterPoint {
@@ -962,65 +988,8 @@ pub fn try_search_shared(
     })
 }
 
-/// Evaluate one rung's pool as a parallel batch: work-stealing over the
-/// pool with per-worker scratch, exactly the exhaustive sweep's worker
-/// discipline. Pool entries are distinct, so no two workers ever race
-/// one memo key.
-fn eval_pool(
-    oracle: &LazyOracle<'_>,
-    pool: &[ArchSpec],
-    rung: usize,
-    threads: usize,
-) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
-    let threads = threads.max(1).min(pool.len().max(1));
-    if threads == 1 {
-        let mut scratch = EvalScratch::new();
-        return Ok(pool
-            .iter()
-            .map(|s| oracle.outcome(s, rung, &mut scratch))
-            .collect());
-    }
-    let next = AtomicUsize::new(0);
-    let per_worker = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut scratch = EvalScratch::new();
-                let mut mine: Vec<(usize, (EvalOutcome, bool))> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= pool.len() {
-                        return mine;
-                    }
-                    mine.push((i, oracle.outcome(&pool[i], rung, &mut scratch)));
-                }
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| ExploreError::WorkerLost))
-            .collect::<Result<Vec<_>, _>>()
-    })?;
-    let mut slots: Vec<Option<(EvalOutcome, bool)>> = vec![None; pool.len()];
-    for (i, r) in per_worker.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-        .ok_or(ExploreError::WorkerLost)
-}
-
-// ---------------------------------------------------------------------
-// The search journal: same crash-consistent discipline as the
-// exhaustive sweep's checkpoint, keyed by (candidate fingerprint, rung)
-// instead of unit index.
-// ---------------------------------------------------------------------
-
-/// First journal line: `cfp-search,v1,<fingerprint>`.
+/// First header field of the search journal, `cfp-search,v1,<fingerprint>`.
 const SEARCH_MAGIC: &str = "cfp-search";
-const SEARCH_VERSION: &str = "v1";
 
 /// FNV-1a over everything that determines a search's queries and
 /// answers: the axes, the objective, the seed, and the bracket shape.
@@ -1034,7 +1003,7 @@ pub fn search_fingerprint(config: &SearchConfig) -> u64 {
         h.write(&[0xff]);
     };
     eat(SEARCH_MAGIC.as_bytes());
-    eat(SEARCH_VERSION.as_bytes());
+    eat(checkpoint::VERSION.as_bytes());
     eat(format!("{:?}", config.axes).as_bytes());
     eat(config.bench.letter().as_bytes());
     eat(format!("bound:{:016x}", config.cost_bound.to_bits()).as_bytes());
@@ -1050,128 +1019,27 @@ pub fn search_fingerprint(config: &SearchConfig) -> u64 {
     h.finish()
 }
 
-/// An open search journal: lines on disk plus append machinery.
-#[derive(Debug)]
-struct SearchJournal {
-    path: PathBuf,
-    lines: Vec<String>,
+/// The key of one search-journal entry, as [`search_journal`] decodes it.
+pub(crate) fn journal_key(candidate: u64, rung: usize) -> String {
+    format!("{candidate:016x},{rung}")
 }
 
-impl SearchJournal {
-    /// Append a batch of fresh outcomes and persist once. Batching per
-    /// rung keeps the atomic-rename traffic proportional to rungs, not
-    /// candidates; a crash loses at most the current rung's batch.
-    fn append_all(
-        &mut self,
-        entries: &[(u64, usize, &EvalOutcome)],
-    ) -> Result<(), CheckpointError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        for (fp, rung, out) in entries {
-            self.lines.push(format!(
-                "{fp:016x},{rung},{}",
-                checkpoint::encode_outcome(out)
-            ));
-        }
-        self.persist()
-    }
-
-    /// Write all lines to a temp sibling, then rename over the journal.
-    fn persist(&self) -> Result<(), CheckpointError> {
-        let io = |source: std::io::Error| CheckpointError::Io {
-            path: self.path.clone(),
-            source,
-        };
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let mut text = self.lines.join("\n");
-        text.push('\n');
-        fs::write(&tmp, text).map_err(io)?;
-        fs::rename(&tmp, &self.path).map_err(io)
-    }
-}
-
-/// Journal entries as replayed into the oracle's memo: the
-/// `(candidate fingerprint, rung)` key and the recorded outcome.
-type JournalEntries = Vec<((u64, usize), EvalOutcome)>;
-
-/// Open the search journal described by `ck` for a run with this
-/// fingerprint. Returns the journal plus the `(key, outcome)` entries
-/// already recorded (empty unless resuming an existing file).
-fn attach_search(
+/// Open the search's journal ([`Journal`] holds the format and the
+/// crash-consistent write discipline): no header tail, entries keyed
+/// `<candidate fingerprint>,<rung>` — the oracle's memo key, so a resume
+/// replays them straight into the memo.
+pub(crate) fn search_journal(
     ck: &Checkpoint,
     fingerprint: u64,
-) -> Result<(SearchJournal, JournalEntries), CheckpointError> {
-    let header = format!("{SEARCH_MAGIC},{SEARCH_VERSION},{fingerprint:016x}");
-    if !ck.path.exists() {
-        let journal = SearchJournal {
-            path: ck.path.clone(),
-            lines: vec![header],
-        };
-        journal.persist()?;
-        return Ok((journal, Vec::new()));
-    }
-    if !ck.resume {
-        return Err(CheckpointError::Exists(ck.path.clone()));
-    }
-    let text = fs::read_to_string(&ck.path).map_err(|source| CheckpointError::Io {
-        path: ck.path.clone(),
-        source,
-    })?;
-    let entries = parse_search_journal(&text, fingerprint)?;
-    let journal = SearchJournal {
-        path: ck.path.clone(),
-        lines: text.lines().map(str::to_owned).collect(),
-    };
-    Ok((journal, entries))
-}
-
-fn parse_search_journal(text: &str, expected_fp: u64) -> Result<JournalEntries, CheckpointError> {
-    let corrupt = |line: usize, message: String| CheckpointError::Corrupt { line, message };
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(corrupt(1, "empty search journal".to_owned()));
-    };
-    let h: Vec<&str> = header.split(',').collect();
-    if h.len() != 3 || h[0] != SEARCH_MAGIC || h[1] != SEARCH_VERSION {
-        return Err(corrupt(1, format!("bad header `{header}`")));
-    }
-    let found = u64::from_str_radix(h[2], 16)
-        .map_err(|e| corrupt(1, format!("bad fingerprint `{}`: {e}", h[2])))?;
-    if found != expected_fp {
-        return Err(CheckpointError::Mismatch {
-            expected: expected_fp,
-            found,
-        });
-    }
-    let mut seen: HashSet<(u64, usize)> = HashSet::new();
-    let mut entries = Vec::new();
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() < 3 {
-            return Err(corrupt(lineno, format!("truncated entry `{line}`")));
-        }
-        let fp = u64::from_str_radix(fields[0], 16)
-            .map_err(|e| corrupt(lineno, format!("bad candidate key `{}`: {e}", fields[0])))?;
-        let rung: usize = fields[1]
+) -> Result<(Journal, Vec<(MemoKey, EvalOutcome)>), CheckpointError> {
+    Journal::attach(ck, SEARCH_MAGIC, fingerprint, &[], 2, |key| {
+        let candidate = u64::from_str_radix(key[0], 16)
+            .map_err(|e| format!("bad candidate key `{}`: {e}", key[0]))?;
+        let rung: usize = key[1]
             .parse()
-            .map_err(|e| corrupt(lineno, format!("bad rung `{}`: {e}", fields[1])))?;
-        let outcome = checkpoint::parse_outcome(&fields[2..], lineno)?;
-        if !seen.insert((fp, rung)) {
-            return Err(corrupt(
-                lineno,
-                format!("candidate {fp:016x} rung {rung} recorded twice"),
-            ));
-        }
-        entries.push(((fp, rung), outcome));
-    }
-    Ok(entries)
+            .map_err(|e| format!("bad rung `{}`: {e}", key[1]))?;
+        Ok((candidate, rung))
+    })
 }
 
 #[cfg(test)]
@@ -1341,31 +1209,21 @@ mod tests {
     }
 
     #[test]
-    fn search_journal_round_trips_and_rejects_mismatches() {
+    fn a_panic_outside_the_quarantine_is_a_lost_worker() {
+        // `outcome` documents its one panic outside the quarantine — a
+        // rung off the ladder — which is how a test gets a unit to die.
         let cfg = small_config();
-        let fp = search_fingerprint(&cfg);
-        let dir = std::env::temp_dir().join(format!("cfp_search_journal_{fp:x}"));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("search.journal");
-        let _ = fs::remove_file(&path);
-        let (mut j, entries) = attach_search(&Checkpoint::new(&path), fp).expect("fresh attach");
-        assert!(entries.is_empty());
-        let out = EvalOutcome::Done(crate::eval::Measurement {
-            cycles_per_output: 1.0 / 3.0,
-            unroll: 4,
-            spilled: false,
-            compilations: 2,
-        });
-        j.append_all(&[(0xabcd, 1, &out)]).expect("append");
-        let (_, back) = attach_search(&Checkpoint::resume(&path), fp).expect("resume attach");
-        assert_eq!(back, vec![((0xabcd_u64, 1_usize), out)]);
-        // A different fingerprint (different config) is refused.
-        let err = attach_search(&Checkpoint::resume(&path), fp ^ 1).expect_err("mismatch");
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        // Without resume, an existing journal is an error.
-        let err = attach_search(&Checkpoint::new(&path), fp).expect_err("exists");
-        assert!(matches!(err, CheckpointError::Exists(_)));
-        let _ = fs::remove_dir_all(&dir);
+        let (store, memo) = (PlanStore::new(), CompileCache::new());
+        let oracle = LazyOracle::new(&cfg, &store, &memo).expect("baseline evaluates");
+        let pool = [
+            ArchSpec::baseline(),
+            ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap(),
+        ];
+        let off_the_ladder = cfg.rungs.len();
+        let err = oracle
+            .rung_outcomes(&pool, off_the_ladder, 2, &mut EvalScratch::new())
+            .expect_err("both workers die");
+        assert!(matches!(err, ExploreError::WorkerLost), "{err}");
     }
 
     #[test]

@@ -9,15 +9,7 @@
 //! `su` (harmonic-mean speedup — total running time) wins. RANGE = ∞
 //! ignores the target entirely, answering "which architecture minimizes
 //! the total running time of all the applications at this cost".
-//!
-//! Two entry points, one rule: [`select`] walks an [`Exploration`],
-//! [`select_batch`] reads the precomputed columns of an
-//! [`EvalBatch`](crate::batch::EvalBatch). Both lower onto the same
-//! column-driven core, so they agree bit for bit; the batch form skips
-//! the per-architecture harmonic-mean recomputation entirely (the `su`
-//! column was filled once when the batch was built).
 
-use crate::batch::EvalBatch;
 use crate::explore::Exploration;
 use cfp_machine::ArchSpec;
 
@@ -110,9 +102,8 @@ pub fn select(
     cost_bound: f64,
     range: Range,
 ) -> Option<Selection> {
-    // Three linear passes build the columns once; the historical code
-    // recomputed the harmonic mean inside the winner comparator, once
-    // per comparison.
+    // Three linear passes build the columns once, so the winner
+    // comparator never recomputes a harmonic mean.
     let na = exploration.archs.len();
     let specs: Vec<ArchSpec> = exploration.archs.iter().map(|a| a.spec).collect();
     let cost: Vec<f64> = exploration.archs.iter().map(|a| a.cost).collect();
@@ -131,41 +122,6 @@ pub fn select(
         cost: cost[winner],
         su: su[winner],
         speedups,
-    })
-}
-
-/// [`select`] over a prebuilt [`EvalBatch`]: identical rule, identical
-/// winner (bit for bit), but every column is already resident — the call
-/// is two linear passes (the target-column gather and the core) with no
-/// per-architecture recomputation.
-///
-/// # Panics
-/// Panics if `target` is not a benchmark column of the batch.
-#[must_use]
-pub fn select_batch(
-    batch: &EvalBatch,
-    target: usize,
-    cost_bound: f64,
-    range: Range,
-) -> Option<Selection> {
-    assert!(target < batch.benches(), "target column out of range");
-    let target_su: Vec<f64> = (0..batch.len())
-        .map(|a| batch.speedup_row(a)[target])
-        .collect();
-    let winner = select_core(
-        batch.specs(),
-        batch.costs(),
-        batch.sus(),
-        &target_su,
-        cost_bound,
-        range,
-    )?;
-    Some(Selection {
-        arch_index: winner,
-        spec: batch.specs()[winner],
-        cost: batch.costs()[winner],
-        su: batch.sus()[winner],
-        speedups: batch.speedup_row(winner).to_vec(),
     })
 }
 
@@ -232,32 +188,5 @@ mod tests {
     fn impossible_budget_returns_none() {
         let ex = small_exploration();
         assert!(select(&ex, 0, 0.1, Range::Fraction(0.0)).is_none());
-    }
-
-    #[test]
-    fn batch_selection_agrees_with_the_scalar_rule() {
-        let ex = small_exploration();
-        let batch = ex.batch();
-        for t in 0..ex.benches.len() {
-            for bound in [0.1, 2.0, 5.0, 10.0, f64::INFINITY] {
-                for range in [Range::Fraction(0.0), Range::Fraction(0.1), Range::Infinite] {
-                    let scalar = select(&ex, t, bound, range);
-                    let batched = select_batch(&batch, t, bound, range);
-                    match (scalar, batched) {
-                        (None, None) => {}
-                        (Some(s), Some(b)) => {
-                            assert_eq!(s.arch_index, b.arch_index, "t {t} bound {bound} {range}");
-                            assert_eq!(s.spec, b.spec);
-                            assert_eq!(s.cost.to_bits(), b.cost.to_bits());
-                            assert_eq!(s.su.to_bits(), b.su.to_bits());
-                            let sb: Vec<u64> = s.speedups.iter().map(|x| x.to_bits()).collect();
-                            let bb: Vec<u64> = b.speedups.iter().map(|x| x.to_bits()).collect();
-                            assert_eq!(sb, bb);
-                        }
-                        (s, b) => panic!("scalar {:?} vs batch {:?}", s.is_some(), b.is_some()),
-                    }
-                }
-            }
-        }
     }
 }

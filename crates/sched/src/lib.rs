@@ -79,4 +79,4 @@ pub use modulo::{
 };
 pub use regalloc::{allocate, peak_pressure, pressure, AllocError, PhysMap, PressureReport};
 pub use scratch::SchedScratch;
-pub use simulate::{simulate, simulate_batch, simulate_traced, SimError, SimStats};
+pub use simulate::{simulate, simulate_traced, SimError, SimStats};

@@ -149,91 +149,6 @@ pub fn simulate_traced(
     out
 }
 
-/// Batched [`simulate`]: one kernel and input image, many sibling
-/// architectures in one pass. Returns, for each entry, exactly what a
-/// scalar `simulate` call on a fresh clone of `base` would have produced
-/// — the same verdict (bit for bit, including the error variant) and the
-/// same final memory image.
-///
-/// What the batch amortizes over the entries:
-/// * the preamble interpretation runs **once** (its values and memory
-///   effects depend only on the kernel and `base`);
-/// * the placement order is computed once per *distinct* schedule, and
-///   entries sharing a `CompileResult` (the register axis collapses
-///   schedules, so siblings are common) execute the loop once and clone
-///   the outcome;
-/// * per-entry work that genuinely differs — resource validation against
-///   each machine — still runs per entry.
-///
-/// Failure isolation matches the scalar path: a validation failure
-/// returns the untouched `base` clone (scalar validation runs before the
-/// preamble), and a preamble fault fails every validated entry with the
-/// preamble's partial memory state.
-#[must_use]
-pub fn simulate_batch(
-    kernel: &Kernel,
-    entries: &[(&CompileResult, &MachineResources)],
-    base: &MemImage,
-    iters: u64,
-) -> Vec<(Result<SimStats, SimError>, MemImage)> {
-    let mut out: Vec<Option<(Result<SimStats, SimError>, MemImage)>> =
-        entries.iter().map(|_| None).collect();
-
-    // Validation first: it is the one stage that runs before any memory
-    // effect, so a failing entry hands back `base` unchanged.
-    for (slot, &(result, machine)) in out.iter_mut().zip(entries) {
-        if let Err(e) = validate_resources(result, machine) {
-            *slot = Some((Err(e), base.clone()));
-        }
-    }
-
-    // The preamble is entry-independent: run it once on a shared image.
-    let mut pre_mem = base.clone();
-    let preamble_vals = match Interpreter::new().preamble_values(kernel, &mut pre_mem) {
-        Ok(vals) => vals,
-        Err(e) => {
-            for slot in &mut out {
-                if slot.is_none() {
-                    *slot = Some((Err(SimError::Mem(e.clone())), pre_mem.clone()));
-                }
-            }
-            return drain_slots(out);
-        }
-    };
-
-    // Execute each distinct schedule once; later siblings (same
-    // `CompileResult` reference) clone the verdict and image.
-    for i in 0..entries.len() {
-        if out[i].is_some() {
-            continue;
-        }
-        let result = entries[i].0;
-        let order = placement_order(result);
-        let mut mem = pre_mem.clone();
-        let run = run_schedule(result, &preamble_vals, &order, &mut mem, iters);
-        for j in (i + 1)..entries.len() {
-            if out[j].is_none() && std::ptr::eq(entries[j].0, result) {
-                out[j] = Some((run.clone(), mem.clone()));
-            }
-        }
-        out[i] = Some((run, mem));
-    }
-    drain_slots(out)
-}
-
-/// Unwrap the fully-populated slot vector of [`simulate_batch`].
-fn drain_slots<T>(slots: Vec<Option<T>>) -> Vec<T> {
-    slots
-        .into_iter()
-        .map(|s| {
-            // Every path through `simulate_batch` fills every slot
-            // before draining.
-            #[allow(clippy::expect_used)]
-            s.expect("simulate_batch filled every slot")
-        })
-        .collect()
-}
-
 fn simulate_inner(
     kernel: &Kernel,
     result: &CompileResult,
@@ -251,9 +166,7 @@ fn simulate_inner(
 
 /// Placement order: by cycle, stores after non-stores within a cycle
 /// (loads sample memory at the start of a cycle, stores commit at the
-/// end — this is what makes a 0-separation WAR legal). Depends only on
-/// the compile result, so a batch over sibling architectures computes it
-/// once per distinct schedule.
+/// end — this is what makes a 0-separation WAR legal).
 fn placement_order(result: &CompileResult) -> Vec<usize> {
     let code = &result.assignment.code;
     let mut order: Vec<usize> = (0..code.ops.len()).collect();
@@ -595,54 +508,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_entry_scalar_simulation() {
-        let specs = [
-            ArchSpec::baseline(),
-            ArchSpec::new(8, 4, 256, 2, 4, 1).unwrap(),
-            ArchSpec::new(8, 4, 256, 2, 4, 4).unwrap(),
-            ArchSpec::new(16, 8, 512, 4, 2, 8).unwrap(),
-        ];
-        for src in KERNELS {
-            let kernel = compile_kernel(src, &[]).unwrap();
-            let machines: Vec<MachineResources> =
-                specs.iter().map(MachineResources::from_spec).collect();
-            let results: Vec<CompileResult> =
-                machines.iter().map(|m| compile(&kernel, m)).collect();
-
-            let mut base = MemImage::for_kernel(&kernel);
-            for (i, a) in kernel.arrays.iter().enumerate() {
-                if !matches!(a.kind, ArrayKind::Local(_)) {
-                    base.bind(i, (0..256).map(|k| (k * 29 + 11) % 251).collect());
-                }
-            }
-
-            // Two entries share one compile result on purpose: the batch
-            // must execute that schedule once and clone the outcome.
-            let entries: Vec<(&CompileResult, &MachineResources)> = results
-                .iter()
-                .zip(&machines)
-                .chain(std::iter::once((&results[1], &machines[1])))
-                .collect();
-            let batch = simulate_batch(&kernel, &entries, &base, 12);
-            assert_eq!(batch.len(), entries.len());
-            for ((result, machine), (verdict, mem)) in entries.iter().zip(&batch) {
-                let mut scalar_mem = base.clone();
-                let scalar = simulate(&kernel, result, machine, &mut scalar_mem, 12);
-                assert_eq!(&scalar, verdict);
-                assert_eq!(&scalar_mem, mem);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_isolates_a_validation_failure() {
+    fn a_schedule_too_wide_for_its_machine_is_refused_before_any_effect() {
         let kernel = compile_kernel(KERNELS[0], &[]).unwrap();
         let wide = ArchSpec::new(8, 4, 256, 2, 4, 1).unwrap();
         let wide_machine = MachineResources::from_spec(&wide);
         let narrow_machine = MachineResources::from_spec(&ArchSpec::baseline());
         // A wide schedule validated against the baseline's resources
-        // oversubscribes; the sibling entry with the right machine must
-        // be untouched by that failure.
+        // oversubscribes; validation runs before the preamble, so the
+        // image comes back untouched.
         let result = compile(&kernel, &wide_machine);
         let mut base = MemImage::for_kernel(&kernel);
         for (i, a) in kernel.arrays.iter().enumerate() {
@@ -650,16 +523,13 @@ mod tests {
                 base.bind(i, (0..256).map(|k| (k * 13 + 5) % 250).collect());
             }
         }
-        let entries = [(&result, &narrow_machine), (&result, &wide_machine)];
-        let batch = simulate_batch(&kernel, &entries, &base, 8);
-        assert!(
-            matches!(batch[0].0, Err(SimError::Oversubscribed { .. })),
-            "narrow machine accepted a wide schedule"
-        );
-        assert_eq!(batch[0].1, base, "a failed entry mutated its image");
         let mut mem = base.clone();
-        let scalar = simulate(&kernel, &result, &wide_machine, &mut mem, 8);
-        assert_eq!(batch[1].0, scalar);
-        assert_eq!(batch[1].1, mem);
+        let verdict = simulate(&kernel, &result, &narrow_machine, &mut mem, 8);
+        assert!(
+            matches!(verdict, Err(SimError::Oversubscribed { .. })),
+            "narrow machine accepted a wide schedule: {verdict:?}"
+        );
+        assert_eq!(mem, base, "a refused schedule mutated its image");
+        simulate(&kernel, &result, &wide_machine, &mut mem, 8).expect("the right machine runs");
     }
 }

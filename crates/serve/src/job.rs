@@ -24,7 +24,6 @@ pub fn explore_config(spec: &JobSpec, ck_path: &Path) -> ExploreConfig {
         benches: spec.benches.clone(),
         threads: spec.threads,
         progress: false,
-        reuse: spec.reuse,
         fuel: spec.fuel,
         checkpoint: Some(Checkpoint::resume(ck_path)),
         fault: spec.fault.as_ref().map(crate::proto::FaultSpec::injector),

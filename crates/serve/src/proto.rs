@@ -181,8 +181,6 @@ pub struct JobSpec {
     pub deadline_ms: Option<u64>,
     /// Worker threads inside this job's sweep.
     pub threads: usize,
-    /// Share compile work through the daemon's warm cache.
-    pub reuse: bool,
     /// Drop candidate architectures whose datapath cost exceeds this
     /// (the job's cost budget), before the sweep.
     pub max_cost: Option<f64>,
@@ -204,7 +202,6 @@ impl Default for JobSpec {
             fuel: None,
             deadline_ms: None,
             threads: 1,
-            reuse: true,
             max_cost: None,
             fault: None,
         }
@@ -256,10 +253,7 @@ impl JobSpec {
         if let Some(ms) = self.deadline_ms {
             out.push_str(&format!(r#","deadline_ms":{ms}"#));
         }
-        out.push_str(&format!(
-            r#","threads":{},"reuse":{}"#,
-            self.threads, self.reuse
-        ));
+        out.push_str(&format!(r#","threads":{}"#, self.threads));
         if let Some(c) = self.max_cost {
             out.push_str(&format!(r#","max_cost":{c}"#));
         }
@@ -800,16 +794,18 @@ fn parse_job(job: &Json) -> Result<JobSpec, RequestError> {
         }
         Some(n) => n as usize,
     };
-    let reuse = match job.get("reuse") {
-        None => true,
-        Some(v) => v.as_bool().ok_or_else(|| {
-            bad(
+    // Retired: every job shares the daemon's warm cache. The field is
+    // still type-checked and then ignored, so old clients and `.job`
+    // files journaled by an older daemon keep working.
+    if let Some(v) = job.get("reuse") {
+        if v.as_bool().is_none() {
+            return Err(bad(
                 v.offset,
                 "job.reuse",
                 format!("expected a boolean, found {}", v.type_name()),
-            )
-        })?,
-    };
+            ));
+        }
+    }
     let max_cost = match job.get("max_cost") {
         None => None,
         Some(v) => {
@@ -847,7 +843,6 @@ fn parse_job(job: &Json) -> Result<JobSpec, RequestError> {
         fuel,
         deadline_ms,
         threads,
-        reuse,
         max_cost,
         fault,
     })
@@ -1026,7 +1021,6 @@ mod tests {
         assert_eq!(job.archs.len(), 2);
         assert_eq!(job.fuel, Some(5000));
         assert_eq!(job.threads, 2);
-        assert!(!job.reuse);
         assert_eq!(job.max_cost, Some(3.5));
         assert_eq!(
             job.fault,
@@ -1036,8 +1030,10 @@ mod tests {
                 denominator: 9
             })
         );
-        // The canonical line re-parses to the same job (fixed point).
+        // The canonical line re-parses to the same job (fixed point),
+        // and the retired `reuse` field is accepted but not carried.
         let canon = job.submit_line();
+        assert!(!canon.contains("reuse"), "{canon}");
         let Request::Submit(again) = parse_request(&canon).expect("canonical parses") else {
             panic!("canonical not a submit")
         };

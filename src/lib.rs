@@ -72,7 +72,7 @@ pub mod prelude {
     pub use cfp_ir::{Interpreter, Kernel, MemImage};
     pub use cfp_kernels::Benchmark;
     pub use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, MachineResources};
-    pub use cfp_sched::{compile, simulate, simulate_batch};
+    pub use cfp_sched::{compile, simulate};
 }
 
 #[cfg(test)]

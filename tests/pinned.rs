@@ -21,8 +21,8 @@ mod common;
 
 use common::stratified;
 use custom_fit::dse::{
-    frontier, select_batch, spec_fingerprint, try_search, Exploration, ExploreConfig, OracleConfig,
-    OracleReport, Range, ScatterPoint, SearchConfig, Selection,
+    frontier, scatter, select, spec_fingerprint, try_search, Exploration, ExploreConfig,
+    OracleConfig, OracleReport, Range, ScatterPoint, SearchConfig, Selection,
 };
 use custom_fit::machine::{
     ArchSpec, CostModel, CycleModel, DesignSpace, Fnv1a, MachineResources, SpaceAxes,
@@ -245,8 +245,9 @@ const BOUNDS: [f64; 5] = [2.0, 5.0, 10.0, 30.0, 1e9];
 /// RANGE back-offs of the selection grid.
 const RANGES: [Range; 3] = [Range::Fraction(0.0), Range::Fraction(0.10), Range::Infinite];
 
-/// Transcriptions of the pre-batch scalar code paths, kept verbatim as
-/// the reference the SoA core is held bit-identical to.
+/// Transcriptions of the scalar code paths the column cores replaced,
+/// kept verbatim as the reference production scoring is held
+/// bit-identical to.
 mod oracle {
     use custom_fit::dse::{Exploration, Range, ScatterPoint, Selection};
     use custom_fit::machine::{ArchSpec, CostModel, CycleModel, Mdes, UnitClass};
@@ -431,9 +432,14 @@ fn scalar_pass(ex: &Exploration, specs: &[ArchSpec], models: &oracle::ScalarMode
     d.0.finish()
 }
 
-/// The same pass through the SoA core: slice model entry points, one
-/// `EvalBatch` build, column scatter/frontier, `select_batch` grid.
-fn batch_pass(ex: &Exploration, specs: &[ArchSpec], cost: &CostModel, cycle: &CycleModel) -> u64 {
+/// The same pass through production scoring: slice model entry points,
+/// `scatter` / `frontier` per benchmark, the `select` grid.
+fn production_pass(
+    ex: &Exploration,
+    specs: &[ArchSpec],
+    cost: &CostModel,
+    cycle: &CycleModel,
+) -> u64 {
     let mut d = Digest::new();
     let mut costs = vec![0.0; specs.len()];
     let mut derates = vec![0.0; specs.len()];
@@ -445,18 +451,17 @@ fn batch_pass(ex: &Exploration, specs: &[ArchSpec], cost: &CostModel, cycle: &Cy
     for &v in &derates {
         d.f(v);
     }
-    let batch = ex.batch();
-    for b in 0..batch.benches() {
-        let pts = batch.scatter(b);
+    for b in 0..ex.benches.len() {
+        let pts = scatter(ex, b);
         d.points(&pts);
         for i in frontier(&pts) {
             d.u(i as u64);
         }
     }
-    for target in 0..batch.benches() {
+    for target in 0..ex.benches.len() {
         for &bound in &BOUNDS {
             for &range in &RANGES {
-                d.selection(select_batch(&batch, target, bound, range).as_ref());
+                d.selection(select(ex, target, bound, range).as_ref());
             }
         }
     }
@@ -465,8 +470,8 @@ fn batch_pass(ex: &Exploration, specs: &[ArchSpec], cost: &CostModel, cycle: &Cy
 
 /// Every cost, derate, scatter point, frontier index and grid selection
 /// over the whole extended space (every cluster arrangement) on three
-/// spread benchmarks, through the SoA core and through the scalar
-/// transcription of the code it replaced.
+/// spread benchmarks, through production scoring and through the scalar
+/// transcription of the code its column cores replaced.
 #[test]
 fn scoring_surface() {
     let cost = CostModel::paper_calibrated();
@@ -480,16 +485,16 @@ fn scoring_surface() {
     let specs: Vec<ArchSpec> = ex.archs.iter().map(|a| a.spec).collect();
 
     let scalar_digest = scalar_pass(&ex, &specs, &models);
-    let batch_digest = batch_pass(&ex, &specs, &cost, &cycle);
+    let production_digest = production_pass(&ex, &specs, &cost, &cycle);
     assert_eq!(
-        scalar_digest, batch_digest,
-        "batch scoring diverged from the scalar pipeline"
+        scalar_digest, production_digest,
+        "production scoring diverged from the scalar transcription"
     );
     assert_pinned(
         "score_budget.json",
         &[
             ("archs", specs.len() as u64),
-            ("surface_digest", batch_digest),
+            ("surface_digest", production_digest),
         ],
     );
 }

@@ -64,41 +64,6 @@ fn unrolled_schedules_simulate_correctly() {
     }
 }
 
-/// The batched simulator over the same corner spread: one shared input
-/// image, all four architectures in one call. Each entry's verdict and
-/// memory image must equal a scalar `simulate` on a fresh image — and
-/// the memory must still match the golden reference.
-#[test]
-fn batched_simulation_matches_scalar_across_the_spread() {
-    for bench in [Benchmark::A, Benchmark::D, Benchmark::H] {
-        let workload = bench.workload(4, 0xfeed_0b47);
-        let mut kernel = workload.kernel.clone();
-        custom_fit::opt::optimize(&mut kernel);
-        let machines: Vec<MachineResources> =
-            spread().iter().map(MachineResources::from_spec).collect();
-        let results: Vec<_> = machines.iter().map(|m| compile(&kernel, m)).collect();
-        let entries: Vec<_> = results.iter().zip(&machines).collect();
-
-        let base = workload.image();
-        let batch = simulate_batch(&kernel, &entries, &base, 4);
-
-        let mut gold = workload.image();
-        golden::run(bench, &mut gold, 4);
-        for (e, (verdict, mem)) in entries.iter().zip(&batch) {
-            let mut scalar_mem = base.clone();
-            let scalar = simulate(&kernel, e.0, e.1, &mut scalar_mem, 4);
-            assert_eq!(&scalar, verdict, "{bench}: batch verdict diverged");
-            assert_eq!(&scalar_mem, mem, "{bench}: batch memory diverged");
-            verdict
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{bench}: batched simulation failed: {e}"));
-            for i in workload.observable_arrays() {
-                assert_eq!(mem.array(i), gold.array(i), "{bench}: array {i}");
-            }
-        }
-    }
-}
-
 #[test]
 fn clustered_idct_simulates_correctly() {
     // C is the heaviest dataflow (promoted 8x8 block): exercise it on a

@@ -1,24 +1,23 @@
-//! The batch evaluation core is behavior-preserving: every column of
-//! [`EvalBatch`], every scatter point, frontier index, and selection
-//! produced by the SoA consumers is bit-identical to the scalar path
-//! (`Exploration` accessors, `pareto::scatter`/`frontier`,
-//! `select::select`) — on the recorded full paper space, on a live
-//! paper-space sweep across 1/2/N worker threads, and on a live
-//! extended-space sweep with injected quarantines (NaN rows must never
-//! enter a scatter, a frontier, or a selection).
+//! The scoring surface, pinned: every cost, derate, speedup, fail
+//! verdict, scatter point, frontier index and selection an
+//! [`Exploration`] yields — through its accessors and through
+//! `pareto::scatter` / `frontier` and `select::select` — folded into FNV
+//! digests on the recorded full paper space, on a live paper-space sweep
+//! across 1/2/N worker threads, and on a live extended-space sweep with
+//! injected quarantines (NaN rows must never enter a scatter, a frontier,
+//! or a selection).
 //!
-//! The pinned digests were captured from the *scalar* surfaces at the
-//! commit that introduced the batch core; one flipped bit anywhere in a
-//! cost, derate, speedup, fail verdict, scatter point, frontier index,
-//! or selection changes them. This binary installs a process-global
-//! panic hook (like `fault_injection.rs`) to keep injected panics quiet.
+//! The digests were captured from these same scalar surfaces when the
+//! column cores behind them were introduced and have not moved since;
+//! one flipped bit anywhere changes them. This binary installs a
+//! process-global panic hook (like `fault_injection.rs`) to keep
+//! injected panics quiet.
 
 use cfp_testkit::{FaultInjector, INJECTED_FAULT};
-use custom_fit::dse::batch::{spec_fingerprint, EvalBatch};
 use custom_fit::dse::checkpoint::fingerprint;
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
-use custom_fit::dse::pareto;
-use custom_fit::dse::select::{select, select_batch, Range};
+use custom_fit::dse::select::{select, Range};
+use custom_fit::dse::{pareto, spec_fingerprint, FailKind};
 use custom_fit::machine::{DesignSpace, Fnv1a};
 use custom_fit::prelude::*;
 use std::sync::Once;
@@ -73,42 +72,57 @@ fn eat_f(h: &mut Fnv1a, x: f64) {
     );
 }
 
-/// FNV digest of every batch column: fingerprints, costs, derates,
-/// harmonic means, the full speedup plane, and the fail codes.
-fn column_digest(batch: &EvalBatch) -> u64 {
+/// FNV digest of the exploration's columns: per-architecture
+/// fingerprints, costs, derates and harmonic means, then the arch-major
+/// speedup plane and the fail codes (0 measured, 1 panic, 2 fuel,
+/// 3 error).
+fn column_digest(ex: &Exploration) -> u64 {
     let mut h = Fnv1a::new();
-    eat(&mut h, batch.len() as u64);
-    eat(&mut h, batch.benches() as u64);
-    for &f in batch.fingerprints() {
-        eat(&mut h, f);
+    eat(&mut h, ex.archs.len() as u64);
+    eat(&mut h, ex.benches.len() as u64);
+    for arch in &ex.archs {
+        eat(&mut h, spec_fingerprint(&arch.spec));
     }
-    for &c in batch.costs() {
-        eat_f(&mut h, c);
+    for arch in &ex.archs {
+        eat_f(&mut h, arch.cost);
     }
-    for &d in batch.derates() {
-        eat_f(&mut h, d);
+    for arch in &ex.archs {
+        eat_f(&mut h, arch.derate);
     }
-    for &s in batch.sus() {
-        eat_f(&mut h, s);
+    for a in 0..ex.archs.len() {
+        eat_f(&mut h, Exploration::harmonic_mean(&ex.speedup_row(a)));
     }
-    for &s in batch.speedups() {
-        eat_f(&mut h, s);
+    for a in 0..ex.archs.len() {
+        for s in ex.speedup_row(a) {
+            eat_f(&mut h, s);
+        }
     }
-    for &k in batch.fails() {
-        eat(&mut h, u64::from(k));
+    for out in ex.archs.iter().flat_map(|a| &a.outcomes) {
+        let code = match out.failure().map(|r| r.kind) {
+            None => 0,
+            Some(FailKind::Panic) => 1,
+            Some(FailKind::FuelExhausted) => 2,
+            Some(FailKind::Error) => 3,
+        };
+        eat(&mut h, code);
     }
     h.finish()
 }
 
-/// The analysis surfaces, digested from the *batch* consumers: every
-/// benchmark's scatter and frontier, and a selection grid over targets,
-/// bounds, and ranges.
-fn surface_digest(batch: &EvalBatch) -> u64 {
+/// The selection grid every surface below walks.
+const BOUNDS: [f64; 5] = [2.0, 5.0, 10.0, 30.0, 1e9];
+const RANGES: [Range; 3] = [Range::Fraction(0.0), Range::Fraction(0.10), Range::Infinite];
+
+/// The analysis surfaces: every benchmark's scatter and frontier, and a
+/// selection grid over targets, bounds, and ranges. No quarantined
+/// (non-finite) unit may reach any of them.
+fn surface_digest(ex: &Exploration) -> u64 {
     let mut h = Fnv1a::new();
-    for b in 0..batch.benches() {
-        let pts = batch.scatter(b);
+    for b in 0..ex.benches.len() {
+        let pts = pareto::scatter(ex, b);
         eat(&mut h, pts.len() as u64);
         for p in &pts {
+            assert!(p.speedup.is_finite(), "a NaN entered the scatter");
             eat(&mut h, spec_fingerprint(&p.spec));
             eat_f(&mut h, p.cost);
             eat_f(&mut h, p.speedup);
@@ -117,11 +131,13 @@ fn surface_digest(batch: &EvalBatch) -> u64 {
             eat(&mut h, i as u64);
         }
     }
-    for target in 0..batch.benches() {
-        for bound in [2.0, 5.0, 10.0, 30.0, 1e9] {
-            for range in [Range::Fraction(0.0), Range::Fraction(0.10), Range::Infinite] {
-                match select_batch(batch, target, bound, range) {
+    for target in 0..ex.benches.len() {
+        for bound in BOUNDS {
+            for range in RANGES {
+                match select(ex, target, bound, range) {
                     Some(sel) => {
+                        assert!(sel.su.is_finite(), "a quarantined row won a selection");
+                        assert!(sel.speedups.iter().all(|x| x.is_finite()));
                         eat(&mut h, sel.arch_index as u64);
                         eat_f(&mut h, sel.su);
                     }
@@ -133,87 +149,15 @@ fn surface_digest(batch: &EvalBatch) -> u64 {
     h.finish()
 }
 
-/// The heart of the PR's guarantee: every batch column and every batch
-/// consumer agrees with the scalar path bit for bit, and no quarantined
-/// (non-finite) unit reaches a scatter, a frontier, or a selection.
-fn assert_bit_identical(ex: &Exploration) {
-    let batch = ex.batch();
-    assert_eq!(batch.len(), ex.archs.len());
-    assert_eq!(batch.benches(), ex.benches.len());
-
-    // Columns mirror the scalar accessors.
+/// A quarantined unit is a NaN speedup, and nothing else is.
+fn assert_failures_are_the_nans(ex: &Exploration) {
     for (a, arch) in ex.archs.iter().enumerate() {
-        assert_eq!(batch.specs()[a], arch.spec);
-        assert_eq!(batch.fingerprints()[a], spec_fingerprint(&arch.spec));
-        assert_eq!(
-            batch.costs()[a].to_bits(),
-            arch.cost.to_bits(),
-            "{}",
-            arch.spec
-        );
-        assert_eq!(batch.derates()[a].to_bits(), arch.derate.to_bits());
-        let row = ex.speedup_row(a);
-        let su = Exploration::harmonic_mean(&row);
-        assert!(
-            batch.sus()[a].to_bits() == su.to_bits() || (batch.sus()[a].is_nan() && su.is_nan())
-        );
-        for b in 0..ex.benches.len() {
-            let scalar = ex.speedup(a, b);
-            let batched = batch.speedup_row(a)[b];
-            assert!(
-                scalar.to_bits() == batched.to_bits() || (scalar.is_nan() && batched.is_nan()),
-                "unit ({a}, {b}): {scalar} vs {batched}"
-            );
-            let kind = arch.outcomes[b].failure().map(|r| r.kind);
-            assert_eq!(batch.fail(a, b), kind, "unit ({a}, {b})");
+        for (b, out) in arch.outcomes.iter().enumerate() {
             assert_eq!(
-                batch.fail(a, b).is_some(),
-                !batched.is_finite(),
-                "fail code and NaN speedup must coincide at ({a}, {b})"
+                out.failure().is_some(),
+                !ex.speedup(a, b).is_finite(),
+                "fail verdict and NaN speedup must coincide at ({a}, {b})"
             );
-        }
-    }
-
-    // Scatter and frontier: same points, same order, same bits, and no
-    // quarantined unit slips in.
-    for b in 0..ex.benches.len() {
-        let scalar = pareto::scatter(ex, b);
-        let batched = batch.scatter(b);
-        assert_eq!(scalar.len(), batched.len(), "bench {b}");
-        for (s, t) in scalar.iter().zip(&batched) {
-            assert_eq!(s.spec, t.spec);
-            assert_eq!(s.cost.to_bits(), t.cost.to_bits());
-            assert_eq!(s.speedup.to_bits(), t.speedup.to_bits());
-            assert!(t.speedup.is_finite(), "a NaN entered the scatter");
-        }
-        assert_eq!(pareto::frontier(&scalar), pareto::frontier(&batched));
-    }
-
-    // Selection: the batch rule picks the same winner everywhere, and
-    // never a poisoned row.
-    for target in 0..ex.benches.len() {
-        for bound in [2.0, 5.0, 10.0, 30.0, 1e9] {
-            for range in [Range::Fraction(0.0), Range::Fraction(0.10), Range::Infinite] {
-                let s = select(ex, target, bound, range);
-                let t = select_batch(&batch, target, bound, range);
-                match (s, t) {
-                    (None, None) => {}
-                    (Some(s), Some(t)) => {
-                        assert_eq!(s.arch_index, t.arch_index, "target {target} bound {bound}");
-                        assert_eq!(s.su.to_bits(), t.su.to_bits());
-                        assert!(t.su.is_finite(), "a quarantined row won a selection");
-                        assert!(t.speedups.iter().all(|x| x.is_finite()));
-                        let sb: Vec<u64> = s.speedups.iter().map(|x| x.to_bits()).collect();
-                        let tb: Vec<u64> = t.speedups.iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(sb, tb);
-                    }
-                    (s, t) => panic!(
-                        "target {target} bound {bound} {range}: scalar Some={} batch Some={}",
-                        s.is_some(),
-                        t.is_some()
-                    ),
-                }
-            }
         }
     }
 }
@@ -235,10 +179,9 @@ fn recorded_paper_space_is_bit_identical_and_pinned() {
         ex.archs.len()
     );
     assert_eq!(ex.benches.len(), 10);
-    assert_bit_identical(&ex);
-    let batch = ex.batch();
-    let cols = column_digest(&batch);
-    let surf = surface_digest(&batch);
+    assert_failures_are_the_nans(&ex);
+    let cols = column_digest(&ex);
+    let surf = surface_digest(&ex);
     assert_eq!(
         cols, RECORDED_PAPER_COLUMNS,
         "columns drifted: {cols:#018x}"
@@ -305,16 +248,12 @@ fn live_paper_sample_is_thread_independent_and_pinned() {
         let mut cfg = paper_sample();
         cfg.threads = threads;
         let ex = Exploration::run(&cfg);
-        if digests.is_empty() {
-            // The full scalar-vs-batch sweep once; digests carry the
-            // cross-thread claim.
-            assert_bit_identical(&ex);
-        }
-        digests.push(column_digest(&ex.batch()));
+        assert_failures_are_the_nans(&ex);
+        digests.push(column_digest(&ex));
     }
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
-        "thread count changed the batch: {digests:#018x?}"
+        "thread count changed the columns: {digests:#018x?}"
     );
     assert_eq!(
         digests[0], LIVE_PAPER_COLUMNS,
@@ -332,14 +271,14 @@ fn live_extended_space_with_quarantines_is_bit_identical_and_pinned() {
         ex.stats.failed_units > 0,
         "the injector doomed nothing; the NaN paths went untested"
     );
-    assert_bit_identical(&ex);
-    let batch = ex.batch();
-    // The quarantine shows up in the fail plane exactly as often as the
+    assert_failures_are_the_nans(&ex);
+    // The quarantine shows up in the outcomes exactly as often as the
     // stats report.
-    let failed = batch.fails().iter().filter(|&&k| k != 0).count() as u64;
+    let outcomes = ex.archs.iter().flat_map(|a| &a.outcomes);
+    let failed = outcomes.filter(|o| o.failure().is_some()).count() as u64;
     assert_eq!(failed, ex.stats.failed_units);
-    let cols = column_digest(&batch);
-    let surf = surface_digest(&batch);
+    let cols = column_digest(&ex);
+    let surf = surface_digest(&ex);
     assert_eq!(cols, LIVE_EXTENDED_COLUMNS, "columns drifted: {cols:#018x}");
     assert_eq!(surf, LIVE_EXTENDED_SURFACE, "surface drifted: {surf:#018x}");
 }

@@ -10,6 +10,11 @@ use custom_fit::serve::{parse_request, Request, ServeConfig, Server};
 
 const JOB: &str = r#"{"op":"submit","job":{"benches":["D","G"],"preset":"smoke"}}"#;
 
+/// [`JOB`] as a client from before the `reuse` switch was retired would
+/// send it: the field is still admitted, and ignored.
+const OLD_CLIENT_JOB: &str =
+    r#"{"op":"submit","job":{"benches":["D","G"],"preset":"smoke","reuse":false}}"#;
+
 /// A stalled variant of [`JOB`] (20 ms per unit, every unit) for tests
 /// that need jobs to occupy a worker long enough to observe.
 const SLOW_JOB: &str = r#"{"op":"submit","job":{"benches":["D","G"],"preset":"smoke","fault":{"kind":"stall","millis":20,"seed":1,"denominator":1}}}"#;
@@ -79,7 +84,9 @@ fn warm_cache_results_are_bit_identical_to_cold_and_actually_hit() {
     assert_eq!(cold.get("state").and_then(Json::as_str), Some("done"));
     let stats_before = client.request(r#"{"op":"stats"}"#);
 
-    let warm_id = submit(&mut client, JOB);
+    // Asking for no reuse changes nothing: the job is the same job, and
+    // it runs on the shared caches like every other.
+    let warm_id = submit(&mut client, OLD_CLIENT_JOB);
     let warm = wait_result(&mut client, &warm_id);
     assert_eq!(warm.get("state").and_then(Json::as_str), Some("done"));
     let stats_after = client.request(r#"{"op":"stats"}"#);
