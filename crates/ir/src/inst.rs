@@ -232,16 +232,13 @@ impl Inst {
         }
     }
 
-    /// Registers read by this instruction, in operand order.
-    #[must_use]
-    pub fn uses(&self) -> Vec<Vreg> {
-        let mut out = Vec::with_capacity(3);
+    /// Visit every register this instruction reads, in operand order.
+    pub fn for_each_use(&self, mut f: impl FnMut(Vreg)) {
         self.for_each_operand(|o| {
             if let Operand::Reg(v) = o {
-                out.push(v);
+                f(v);
             }
         });
-        out
     }
 
     /// Visit every operand (not the destination).
@@ -428,6 +425,12 @@ mod tests {
         Vreg(n)
     }
 
+    fn uses(i: &Inst) -> Vec<Vreg> {
+        let mut out = Vec::new();
+        i.for_each_use(|u| out.push(u));
+        out
+    }
+
     #[test]
     fn def_and_uses() {
         let i = Inst::Bin {
@@ -437,7 +440,7 @@ mod tests {
             b: Operand::Imm(3),
         };
         assert_eq!(i.def(), Some(v(2)));
-        assert_eq!(i.uses(), vec![v(0)]);
+        assert_eq!(uses(&i), vec![v(0)]);
 
         let s = Inst::St {
             mem: MemRef::affine(ArrayId(0), 1, 0),
@@ -445,7 +448,7 @@ mod tests {
             ty: Ty::U8,
         };
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses(), vec![v(5)]);
+        assert_eq!(uses(&s), vec![v(5)]);
         assert!(s.is_store());
     }
 
@@ -457,7 +460,7 @@ mod tests {
             on_true: Operand::Reg(v(1)),
             on_false: Operand::Reg(v(2)),
         };
-        assert_eq!(i.uses(), vec![v(0), v(1), v(2)]);
+        assert_eq!(uses(&i), vec![v(0), v(1), v(2)]);
     }
 
     #[test]
@@ -472,7 +475,7 @@ mod tests {
             Operand::Reg(Vreg(n)) => Operand::Reg(Vreg(n + 10)),
             imm => imm,
         });
-        assert_eq!(i.uses(), vec![v(10), v(11)]);
+        assert_eq!(uses(&i), vec![v(10), v(11)]);
     }
 
     #[test]
@@ -488,7 +491,7 @@ mod tests {
             mem,
             ty: Ty::I16,
         };
-        assert_eq!(l.uses(), vec![v(9)]);
+        assert_eq!(uses(&l), vec![v(9)]);
         assert!(!mem.is_affine());
         assert_eq!(mem.element_index(4, 2), 3 * 4 + 1 + 2);
     }

@@ -133,7 +133,8 @@ impl Kernel {
     }
 
     /// Number of virtual registers used (1 + highest index), considering
-    /// preamble, body, and carried declarations.
+    /// preamble, body, and carried declarations. Every dense per-vreg
+    /// table in the toolchain is sized by this.
     #[must_use]
     pub fn vreg_count(&self) -> u32 {
         let mut max = 0_u32;
@@ -142,9 +143,7 @@ impl Kernel {
             if let Some(d) = i.def() {
                 see(d);
             }
-            for u in i.uses() {
-                see(u);
-            }
+            i.for_each_use(&mut see);
         }
         for c in &self.carried {
             see(c.input);
@@ -160,26 +159,24 @@ impl Kernel {
     /// preamble-defined register the body (or the carried inits) uses.
     #[must_use]
     pub fn body_live_ins(&self) -> Vec<Vreg> {
-        let mut seen = vec![false; self.vreg_count() as usize];
+        // One table: a register is skipped once it is listed, and from
+        // the start when the body defines it.
+        let mut skip = vec![false; self.vreg_count() as usize];
         let mut out = Vec::new();
         for c in &self.carried {
-            if !std::mem::replace(&mut seen[c.input.index()], true) {
+            if !std::mem::replace(&mut skip[c.input.index()], true) {
                 out.push(c.input);
             }
         }
-        let body_defs: std::collections::HashSet<Vreg> =
-            self.body.iter().filter_map(Inst::def).collect();
-        let carried_in: std::collections::HashSet<Vreg> =
-            self.carried.iter().map(|c| c.input).collect();
+        for d in self.body.iter().filter_map(Inst::def) {
+            skip[d.index()] = true;
+        }
         for i in &self.body {
-            for u in i.uses() {
-                if !body_defs.contains(&u)
-                    && !carried_in.contains(&u)
-                    && !std::mem::replace(&mut seen[u.index()], true)
-                {
+            i.for_each_use(|u| {
+                if !std::mem::replace(&mut skip[u.index()], true) {
                     out.push(u);
                 }
-            }
+            });
         }
         out
     }

@@ -49,14 +49,11 @@ impl BodyLiveness {
 
         // Preamble-defined values used anywhere in the body (or feeding a
         // carried init) are resident for the whole loop.
-        let preamble_defs: Vec<Vreg> = kernel.preamble.iter().filter_map(Inst::def).collect();
         let mut body_uses = vec![false; n];
         for i in &kernel.body {
-            for u in i.uses() {
-                body_uses[u.index()] = true;
-            }
+            i.for_each_use(|u| body_uses[u.index()] = true);
         }
-        for d in preamble_defs {
+        for d in kernel.preamble.iter().filter_map(Inst::def) {
             if body_uses[d.index()] {
                 ranges[d.index()] = Some(LiveRange {
                     start: 0,
@@ -89,13 +86,13 @@ impl BodyLiveness {
                     r.start = pos;
                 }
             }
-            for u in inst.uses() {
+            inst.for_each_use(|u| {
                 if let Some(r) = &mut ranges[u.index()] {
                     if !r.resident {
                         r.end = r.end.max(pos);
                     }
                 }
-            }
+            });
         }
         for c in &kernel.carried {
             if let Some(r) = &mut ranges[c.output.index()] {

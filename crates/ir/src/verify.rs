@@ -14,7 +14,6 @@
 
 use crate::inst::{Inst, Vreg};
 use crate::kernel::{CarriedInit, Kernel};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -98,10 +97,11 @@ impl Error for VerifyError {}
 /// Returns a [`VerifyError`] describing the first broken invariant.
 pub fn verify(kernel: &Kernel) -> Result<(), VerifyError> {
     check_arrays(kernel)?;
-    check_ssa(kernel)?;
-    check_carried(kernel)?;
+    let n_vregs = kernel.vreg_count() as usize;
+    let sites = def_sites(kernel, n_vregs)?;
+    check_carried(kernel, &sites)?;
     check_preamble(kernel)?;
-    check_def_before_use(kernel)?;
+    check_def_before_use(kernel, n_vregs)?;
     Ok(())
 }
 
@@ -127,36 +127,42 @@ fn check_arrays(kernel: &Kernel) -> Result<(), VerifyError> {
     Ok(())
 }
 
-fn check_ssa(kernel: &Kernel) -> Result<(), VerifyError> {
-    let mut defined = HashSet::new();
-    for inst in kernel.preamble.iter().chain(&kernel.body) {
-        if let Some(d) = inst.def() {
-            if !defined.insert(d) {
+/// Where a register is defined, one entry per vreg number.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum DefSite {
+    Nowhere,
+    Preamble,
+    Body,
+}
+
+/// The definition site of every register, or the first register with a
+/// second definition.
+fn def_sites(kernel: &Kernel, n_vregs: usize) -> Result<Vec<DefSite>, VerifyError> {
+    let mut sites = vec![DefSite::Nowhere; n_vregs];
+    let sections = [
+        (&kernel.preamble, DefSite::Preamble),
+        (&kernel.body, DefSite::Body),
+    ];
+    for (insts, site) in sections {
+        for d in insts.iter().filter_map(Inst::def) {
+            if std::mem::replace(&mut sites[d.index()], site) != DefSite::Nowhere {
                 return Err(VerifyError::MultipleDefs(d));
             }
         }
     }
-    Ok(())
+    Ok(sites)
 }
 
-fn check_carried(kernel: &Kernel) -> Result<(), VerifyError> {
-    let defs: HashSet<Vreg> = kernel
-        .preamble
-        .iter()
-        .chain(&kernel.body)
-        .filter_map(Inst::def)
-        .collect();
-    let body_defs: HashSet<Vreg> = kernel.body.iter().filter_map(Inst::def).collect();
-    let preamble_defs: HashSet<Vreg> = kernel.preamble.iter().filter_map(Inst::def).collect();
+fn check_carried(kernel: &Kernel, sites: &[DefSite]) -> Result<(), VerifyError> {
     for c in &kernel.carried {
-        if defs.contains(&c.input) {
+        if sites[c.input.index()] != DefSite::Nowhere {
             return Err(VerifyError::CarriedInputRedefined(c.input));
         }
-        if c.output != c.input && !body_defs.contains(&c.output) {
+        if c.output != c.input && sites[c.output.index()] != DefSite::Body {
             return Err(VerifyError::CarriedOutputUndefined(c.output));
         }
         if let CarriedInit::Preamble(v) = c.init {
-            if !preamble_defs.contains(&v) {
+            if sites[v.index()] != DefSite::Preamble {
                 return Err(VerifyError::CarriedInitUndefined(v));
             }
         }
@@ -178,37 +184,38 @@ fn check_preamble(kernel: &Kernel) -> Result<(), VerifyError> {
     Ok(())
 }
 
-fn check_def_before_use(kernel: &Kernel) -> Result<(), VerifyError> {
-    let mut avail: HashSet<Vreg> = HashSet::new();
-    for (i, inst) in kernel.preamble.iter().enumerate() {
-        for u in inst.uses() {
-            if !avail.contains(&u) {
-                return Err(VerifyError::UseBeforeDef {
-                    vreg: u,
-                    section: "preamble",
-                    index: i,
-                });
-            }
-        }
-        if let Some(d) = inst.def() {
-            avail.insert(d);
-        }
-    }
+fn check_def_before_use(kernel: &Kernel, n_vregs: usize) -> Result<(), VerifyError> {
+    let mut avail = vec![false; n_vregs];
+    check_section(&kernel.preamble, "preamble", &mut avail)?;
     for c in &kernel.carried {
-        avail.insert(c.input);
+        avail[c.input.index()] = true;
     }
-    for (i, inst) in kernel.body.iter().enumerate() {
-        for u in inst.uses() {
-            if !avail.contains(&u) {
-                return Err(VerifyError::UseBeforeDef {
-                    vreg: u,
-                    section: "body",
-                    index: i,
-                });
+    check_section(&kernel.body, "body", &mut avail)
+}
+
+/// Walk one section in order: every read must be of an available
+/// register, and every definition becomes available after it.
+fn check_section(
+    insts: &[Inst],
+    section: &'static str,
+    avail: &mut [bool],
+) -> Result<(), VerifyError> {
+    for (index, inst) in insts.iter().enumerate() {
+        let mut missing = None;
+        inst.for_each_use(|u| {
+            if missing.is_none() && !avail[u.index()] {
+                missing = Some(u);
             }
+        });
+        if let Some(vreg) = missing {
+            return Err(VerifyError::UseBeforeDef {
+                vreg,
+                section,
+                index,
+            });
         }
         if let Some(d) = inst.def() {
-            avail.insert(d);
+            avail[d.index()] = true;
         }
     }
     Ok(())

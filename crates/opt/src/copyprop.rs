@@ -9,13 +9,15 @@
 //! a body-defined register, so an output that is a copy is retargeted to
 //! the copy's source only when that source is itself body-defined.
 
-use cfp_ir::{CarriedInit, Inst, Kernel, Operand, UnOp, Vreg};
-use std::collections::{HashMap, HashSet};
+use cfp_ir::{CarriedInit, Inst, Kernel, Operand, UnOp};
 
 /// Propagate copies through the kernel. Follow with DCE to remove the
 /// dead moves.
 pub fn propagate(kernel: &mut Kernel) {
-    let mut copy_of: HashMap<Vreg, Operand> = HashMap::new();
+    // The source of every copy, indexed by the copy's register.
+    let n_vregs = kernel.vreg_count() as usize;
+    let mut copy_of: Vec<Option<Operand>> = vec![None; n_vregs];
+    let mut copies = 0_usize;
     for inst in kernel.preamble.iter().chain(&kernel.body) {
         if let Inst::Un {
             dst,
@@ -23,19 +25,19 @@ pub fn propagate(kernel: &mut Kernel) {
             a,
         } = inst
         {
-            copy_of.insert(*dst, *a);
+            copies += usize::from(copy_of[dst.index()].replace(*a).is_none());
         }
     }
-    if copy_of.is_empty() {
+    if copies == 0 {
         return;
     }
     let resolve = |mut o: Operand| {
         // Transitive, with a hop cap as a cycle guard (copies cannot form
         // cycles under single assignment, but stay defensive).
-        for _ in 0..copy_of.len() + 1 {
+        for _ in 0..=copies {
             match o {
-                Operand::Reg(v) => match copy_of.get(&v) {
-                    Some(&next) => o = next,
+                Operand::Reg(v) => match copy_of[v.index()] {
+                    Some(next) => o = next,
                     None => return o,
                 },
                 imm => return imm,
@@ -48,22 +50,29 @@ pub fn propagate(kernel: &mut Kernel) {
         inst.map_operands(resolve);
     }
 
-    // Carried plumbing.
-    let body_defs: HashSet<Vreg> = kernel.body.iter().filter_map(Inst::def).collect();
-    let preamble_defs: HashSet<Vreg> = kernel.preamble.iter().filter_map(Inst::def).collect();
+    // Carried plumbing: which section, if any, defines each register.
+    const PREAMBLE: u8 = 1;
+    const BODY: u8 = 2;
+    let mut def_in = vec![0_u8; n_vregs];
+    for d in kernel.preamble.iter().filter_map(Inst::def) {
+        def_in[d.index()] |= PREAMBLE;
+    }
+    for d in kernel.body.iter().filter_map(Inst::def) {
+        def_in[d.index()] |= BODY;
+    }
     for c in &mut kernel.carried {
         if let Operand::Reg(v) = resolve(Operand::Reg(c.output)) {
-            if v == c.input || body_defs.contains(&v) {
+            if v == c.input || def_in[v.index()] & BODY != 0 {
                 c.output = v;
             }
         }
         if let CarriedInit::Preamble(p) = c.init {
             match resolve(Operand::Reg(p)) {
-                Operand::Reg(v) if preamble_defs.contains(&v) => {
+                Operand::Reg(v) if def_in[v.index()] & PREAMBLE != 0 => {
                     c.init = CarriedInit::Preamble(v);
                 }
                 Operand::Imm(k) => c.init = CarriedInit::Const(k),
-                _ => {}
+                Operand::Reg(_) => {}
             }
         }
     }

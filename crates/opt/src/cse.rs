@@ -11,104 +11,202 @@
 //! window loads into register reuse — the main reason unrolled kernels
 //! demand both registers *and* fewer memory ports.
 
-use cfp_ir::{BinOp, FusedOp, Inst, Kernel, MemRef, Operand, Pred, Ty, UnOp, Vreg};
-use std::collections::HashMap;
+use crate::NO_VREG;
+use cfp_ir::{Inst, Kernel, Operand, Vreg};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
+/// What makes two instructions compute the same value, packed into five
+/// words so the expression table hashes and compares words rather than
+/// enum fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Key {
-    Bin(BinOp, Operand, Operand),
-    Un(UnOp, Operand),
-    Cmp(Pred, Operand, Operand),
-    Sel(Operand, Operand, Operand),
-    Fused(FusedOp, Operand, Operand, Operand),
-    Ld(MemRef, Ty, u64),
+struct Key {
+    /// The instruction kind (bits 0–7), its operation, predicate or
+    /// element type (bits 8–15), one bit per `args` slot that holds a
+    /// register number rather than an immediate (bits 16–18), and for
+    /// loads whether there is a dynamic index at all (bit 19).
+    head: u32,
+    /// Loads: the array read.
+    array: u32,
+    /// The operands in operand order, each a register number or an
+    /// immediate. Loads: stride, offset, dynamic index.
+    args: [i64; 3],
+    /// Loads: the array's store epoch.
+    epoch: u64,
+}
+
+impl Key {
+    fn new(kind: u32, code: u32, operands: &[Operand]) -> Key {
+        let mut key = Key {
+            head: kind | code << 8,
+            array: 0,
+            args: [0; 3],
+            epoch: 0,
+        };
+        for (slot, &o) in operands.iter().enumerate() {
+            key.set(slot, o);
+        }
+        key
+    }
+
+    fn set(&mut self, slot: usize, o: Operand) {
+        self.args[slot] = match o {
+            Operand::Reg(v) => {
+                self.head |= 1 << (16 + slot);
+                i64::from(v.0)
+            }
+            Operand::Imm(i) => i,
+        };
+    }
+}
+
+/// The expression table's hasher: one rotate-xor-multiply per word of
+/// the key. The table is the one place the optimizer still hashes — its
+/// keys are not small integers — and it is only ever probed: nothing
+/// iterates it and no hash value leaves this module, so this is not the
+/// repo's persisted hash (`cfp_machine::Fnv1a`) and need not be.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0_u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.word(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
+    }
 }
 
 /// Run CSE over the kernel.
 pub fn eliminate(kernel: &mut Kernel) {
-    let subst_pre = number_section(&mut kernel.preamble, kernel.arrays.len());
-    let mut subst_body = number_section(&mut kernel.body, kernel.arrays.len());
-    for (k, v) in subst_pre {
-        subst_body.insert(k, v);
-    }
-    if subst_body.is_empty() {
+    let n_vregs = kernel.vreg_count() as usize;
+    let n_arrays = kernel.arrays.len();
+    // One substitution table per section, each indexed by the eliminated
+    // register: numbering a section resolves operands through its own
+    // eliminations only.
+    let mut subst_pre = vec![NO_VREG; n_vregs];
+    let mut subst = vec![NO_VREG; n_vregs];
+    let merged = number_section(&mut kernel.preamble, n_arrays, &mut subst_pre)
+        + number_section(&mut kernel.body, n_arrays, &mut subst);
+    if merged == 0 {
         return;
     }
-    crate::substitute(kernel, &|o| match o {
-        Operand::Reg(v) => Operand::Reg(resolve(&subst_body, v)),
-        imm => imm,
-    });
+    for (s, &pre) in subst.iter_mut().zip(&subst_pre) {
+        if pre != NO_VREG {
+            *s = pre;
+        }
+    }
+    crate::substitute(kernel, |v| resolve(&subst, v));
 }
 
-fn resolve(subst: &HashMap<Vreg, Vreg>, mut v: Vreg) -> Vreg {
-    while let Some(&n) = subst.get(&v) {
-        v = n;
+fn resolve(subst: &[Vreg], mut v: Vreg) -> Vreg {
+    while subst[v.index()] != NO_VREG {
+        v = subst[v.index()];
     }
     v
 }
 
-// Justified expect: `key_of` only keys instructions that define a
-// value, so `def()` on a keyed instruction cannot be `None`.
-#[allow(clippy::expect_used)]
-fn number_section(insts: &mut Vec<Inst>, n_arrays: usize) -> HashMap<Vreg, Vreg> {
-    let mut table: HashMap<Key, Vreg> = HashMap::new();
-    let mut subst: HashMap<Vreg, Vreg> = HashMap::new();
+/// Value-number one section in place, recording `subst[dst] = earlier`
+/// for every instruction dropped as a duplicate. Returns how many were.
+fn number_section(insts: &mut Vec<Inst>, n_arrays: usize, subst: &mut [Vreg]) -> usize {
+    let mut table: HashMap<Key, Vreg, BuildHasherDefault<WordHasher>> =
+        HashMap::with_capacity_and_hasher(insts.len(), BuildHasherDefault::default());
     let mut epoch = vec![0_u64; n_arrays];
-    let mut kept = Vec::with_capacity(insts.len());
-    for mut inst in insts.drain(..) {
+    let mut kept = 0;
+    for i in 0..insts.len() {
+        let mut inst = insts[i];
         inst.map_operands(|o| match o {
-            Operand::Reg(v) => Operand::Reg(resolve(&subst, v)),
+            Operand::Reg(v) => Operand::Reg(resolve(subst, v)),
             imm => imm,
         });
         if let Inst::St { mem, .. } = &inst {
             epoch[mem.array.index()] += 1;
-            kept.push(inst);
-            continue;
         }
-        let Some(key) = key_of(&inst, &epoch) else {
-            kept.push(inst);
-            continue;
-        };
-        if let Some(&existing) = table.get(&key) {
-            let dst = inst.def().expect("keyed insts define");
-            subst.insert(dst, existing);
-        } else {
-            table.insert(key, inst.def().expect("keyed insts define"));
-            kept.push(inst);
+        if let Some((dst, key)) = key_of(&inst, &epoch) {
+            match table.entry(key) {
+                Entry::Occupied(first) => {
+                    subst[dst.index()] = *first.get();
+                    continue;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(dst);
+                }
+            }
         }
+        insts[kept] = inst;
+        kept += 1;
     }
-    *insts = kept;
-    subst
+    let merged = insts.len() - kept;
+    insts.truncate(kept);
+    merged
 }
 
-fn key_of(inst: &Inst, epoch: &[u64]) -> Option<Key> {
+/// The register an instruction defines and the key of the value it
+/// computes; `None` for stores.
+fn key_of(inst: &Inst, epoch: &[u64]) -> Option<(Vreg, Key)> {
     Some(match *inst {
-        Inst::Bin { op, a, b, .. } => {
+        Inst::Bin { dst, op, a, b } => {
             let (a, b) = if op.is_commutative() {
                 canonical_pair(a, b)
             } else {
                 (a, b)
             };
-            Key::Bin(op, a, b)
+            (dst, Key::new(0, op as u32, &[a, b]))
         }
-        Inst::Un { op, a, .. } => Key::Un(op, a),
-        Inst::Cmp { pred, a, b, .. } => {
+        Inst::Un { dst, op, a } => (dst, Key::new(1, op as u32, &[a])),
+        Inst::Cmp { dst, pred, a, b } => {
             // `a < b` and `b > a` share a key via predicate swapping.
             let (ca, cb) = canonical_pair(a, b);
-            if (ca, cb) == (a, b) {
-                Key::Cmp(pred, a, b)
+            let pred = if (ca, cb) == (a, b) {
+                pred
             } else {
-                Key::Cmp(pred.swapped(), ca, cb)
-            }
+                pred.swapped()
+            };
+            (dst, Key::new(2, pred as u32, &[ca, cb]))
         }
         Inst::Sel {
+            dst,
             cond,
             on_true,
             on_false,
-            ..
-        } => Key::Sel(cond, on_true, on_false),
-        Inst::Fused { op, a, b, c, .. } => Key::Fused(op, a, b, c),
-        Inst::Ld { mem, ty, .. } => Key::Ld(mem, ty, epoch[mem.array.index()]),
+        } => (dst, Key::new(3, 0, &[cond, on_true, on_false])),
+        Inst::Fused { dst, op, a, b, c } => (dst, Key::new(4, op as u32, &[a, b, c])),
+        Inst::Ld { dst, mem, ty } => {
+            let mut key = Key::new(5, ty as u32, &[]);
+            key.array = mem.array.0;
+            key.args = [mem.coeff, mem.offset, 0];
+            if let Some(d) = mem.dyn_index {
+                key.head |= 1 << 19;
+                key.set(2, d);
+            }
+            key.epoch = epoch[mem.array.index()];
+            (dst, key)
+        }
         Inst::St { .. } => return None,
     })
 }
@@ -131,7 +229,7 @@ fn rank(o: Operand) -> (u8, i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfp_ir::{KernelBuilder, MemSpace};
+    use cfp_ir::{BinOp, KernelBuilder, MemSpace, Pred, Ty};
 
     #[test]
     fn merges_identical_loads() {

@@ -14,71 +14,67 @@
 //! come up. That is the least fixed point in a single pass, where a
 //! forward scan gains one dependence level per pass.
 
-use cfp_ir::{CarriedInit, Inst, Kernel, Operand, Vreg};
-use std::collections::HashSet;
+use cfp_ir::{CarriedInit, Inst, Kernel};
 
 /// Remove dead instructions (preamble + body) and useless carries.
 // Justified expect: `useful` is built with exactly one entry per carried
 // value, so the iterator in the final `retain` cannot run dry.
 #[allow(clippy::expect_used)]
 pub fn eliminate(kernel: &mut Kernel) {
-    // Fixed point over the set of useful carries.
+    // Fixed point over the set of useful carries. `live` is indexed by
+    // vreg number and refilled each round.
     let mut useful: Vec<bool> = vec![false; kernel.carried.len()];
-    let closure = loop {
-        let mut live = targets(kernel, &useful);
+    let mut live = vec![false; kernel.vreg_count() as usize];
+    loop {
+        live.fill(false);
+        mark_targets(kernel, &useful, &mut live);
         backward_closure(kernel, &mut live);
         let mut changed = false;
         for (i, c) in kernel.carried.iter().enumerate() {
-            if !useful[i] && live.contains(&c.input) {
+            if !useful[i] && live[c.input.index()] {
                 useful[i] = true;
                 changed = true;
             }
         }
         if !changed {
-            break live;
+            break;
         }
-    };
+    }
 
     kernel
         .body
-        .retain(|inst| inst.is_store() || inst.def().is_some_and(|d| closure.contains(&d)));
+        .retain(|inst| inst.is_store() || inst.def().is_some_and(|d| live[d.index()]));
     kernel
         .preamble
-        .retain(|inst| inst.def().is_some_and(|d| closure.contains(&d)));
+        .retain(|inst| inst.def().is_some_and(|d| live[d.index()]));
     let mut keep = useful.iter();
     kernel.carried.retain(|_| *keep.next().expect("aligned"));
 }
 
-/// What is live by decree: everything a store reads, and the output and
-/// preamble-computed initial value of every carry marked `useful`.
-fn targets(kernel: &Kernel, useful: &[bool]) -> HashSet<Vreg> {
-    let mut live = HashSet::new();
+/// Mark what is live by decree: everything a store reads, and the output
+/// and preamble-computed initial value of every carry marked `useful`.
+fn mark_targets(kernel: &Kernel, useful: &[bool], live: &mut [bool]) {
     for inst in kernel.body.iter().filter(|i| i.is_store()) {
-        mark_operands(inst, &mut live);
+        mark_operands(inst, live);
     }
     for (c, _) in kernel.carried.iter().zip(useful).filter(|(_, u)| **u) {
-        live.insert(c.output);
+        live[c.output.index()] = true;
         if let CarriedInit::Preamble(v) = c.init {
-            live.insert(v);
+            live[v.index()] = true;
         }
     }
-    live
 }
 
-fn mark_operands(inst: &Inst, live: &mut HashSet<Vreg>) {
-    inst.for_each_operand(|o| {
-        if let Operand::Reg(v) = o {
-            live.insert(v);
-        }
-    });
+fn mark_operands(inst: &Inst, live: &mut [bool]) {
+    inst.for_each_use(|v| live[v.index()] = true);
 }
 
 /// Grow `live` (the target set on entry) to every vreg that transitively
 /// feeds it: one reverse sweep over the body, then the preamble (see the
 /// module docs for why one is enough).
-fn backward_closure(kernel: &Kernel, live: &mut HashSet<Vreg>) {
+fn backward_closure(kernel: &Kernel, live: &mut [bool]) {
     for inst in kernel.body.iter().rev().chain(kernel.preamble.iter().rev()) {
-        if inst.def().is_some_and(|d| live.contains(&d)) {
+        if inst.def().is_some_and(|d| live[d.index()]) {
             mark_operands(inst, live);
         }
     }
@@ -88,24 +84,31 @@ fn backward_closure(kernel: &Kernel, live: &mut HashSet<Vreg>) {
 mod tests {
     use super::*;
     use cfp_frontend::compile_kernel;
-    use cfp_ir::{KernelBuilder, MemSpace, Ty};
+    use cfp_ir::{KernelBuilder, MemSpace, Ty, Vreg};
     use cfp_kernels::Benchmark;
 
     /// The closure as it was computed before the reverse sweep: forward
     /// scans, body then preamble, repeated until nothing changes. Kept
     /// as the reference the sweep must equal.
-    fn forward_closure(kernel: &Kernel, live: &mut HashSet<Vreg>) {
+    fn forward_closure(kernel: &Kernel, live: &mut [bool]) {
         loop {
-            let before = live.len();
+            let before = live.to_vec();
             for inst in kernel.body.iter().chain(&kernel.preamble) {
-                if inst.def().is_some_and(|d| live.contains(&d)) {
+                if inst.def().is_some_and(|d| live[d.index()]) {
                     mark_operands(inst, live);
                 }
             }
-            if live.len() == before {
+            if live == before {
                 return;
             }
         }
+    }
+
+    /// The target set as a fresh table.
+    fn targets(kernel: &Kernel, useful: &[bool]) -> Vec<bool> {
+        let mut live = vec![false; kernel.vreg_count() as usize];
+        mark_targets(kernel, useful, &mut live);
+        live
     }
 
     /// [`eliminate`] over [`forward_closure`].
@@ -117,7 +120,7 @@ mod tests {
             let grown: Vec<bool> = kernel
                 .carried
                 .iter()
-                .map(|c| live.contains(&c.input))
+                .map(|c| live[c.input.index()])
                 .collect();
             if grown == useful {
                 break live;
@@ -126,10 +129,10 @@ mod tests {
         };
         kernel
             .body
-            .retain(|i| i.is_store() || i.def().is_some_and(|d| closure.contains(&d)));
+            .retain(|i| i.is_store() || i.def().is_some_and(|d| closure[d.index()]));
         kernel
             .preamble
-            .retain(|i| i.def().is_some_and(|d| closure.contains(&d)));
+            .retain(|i| i.def().is_some_and(|d| closure[d.index()]));
         let mut keep = useful.iter();
         kernel.carried.retain(|_| *keep.next().unwrap());
     }
@@ -239,7 +242,8 @@ mod tests {
         let mut k = b.finish();
         let mut live = targets(&k, &[]);
         backward_closure(&k, &mut live);
-        assert_eq!(live.len(), 20_001, "the load and every link");
+        let marked = live.iter().filter(|&&l| l).count();
+        assert_eq!(marked, 20_001, "the load and every link");
         eliminate(&mut k);
         assert_eq!(k.body.len(), 20_002);
     }

@@ -1,20 +1,20 @@
 //! Constant propagation and folding.
 
 use cfp_ir::{Inst, Kernel, Operand, Vreg};
-use std::collections::HashMap;
 
 /// Propagate known constants through operands and fold fully-constant
 /// instructions into `mov dst, #imm` (removed later by DCE when unused).
 pub fn constant_fold(kernel: &mut Kernel) {
-    let mut known: HashMap<Vreg, i64> = HashMap::new();
+    // The constant each register is known to hold, indexed by register.
+    let mut known: Vec<Option<i64>> = vec![None; kernel.vreg_count() as usize];
     let (pre, body) = (&mut kernel.preamble, &mut kernel.body);
     for inst in pre.iter_mut().chain(body.iter_mut()) {
         inst.map_operands(|o| match o {
-            Operand::Reg(v) => known.get(&v).map_or(o, |&c| Operand::Imm(c)),
+            Operand::Reg(v) => known[v.index()].map_or(o, Operand::Imm),
             imm => imm,
         });
         if let Some((dst, value)) = fold_inst(inst) {
-            known.insert(dst, value);
+            known[dst.index()] = Some(value);
             *inst = Inst::mov(dst, value);
         } else if let Some((dst, copied)) = fold_select(inst) {
             *inst = Inst::mov(dst, copied);

@@ -19,7 +19,7 @@
 //! `cfp-dse`), so the classic passes never see fused instructions and an
 //! unrolled stencil contributes one candidate occurrence per copy.
 
-use cfp_ir::{BinOp, FusedOp, Inst, Kernel, Operand, Pred, Vreg};
+use cfp_ir::{BinOp, FusedOp, Inst, Kernel, Operand, Pred};
 use std::collections::HashMap;
 
 /// Which fused operations the target design point provides.
@@ -157,27 +157,27 @@ struct Rewrite {
 /// producer) cannot serve as a producer for a later match.
 fn plan(kernel: &Kernel, targets: FuseTargets) -> Vec<Rewrite> {
     let body = &kernel.body;
-    let mut def_site: HashMap<Vreg, usize> = HashMap::new();
-    let mut use_count: HashMap<Vreg, u32> = HashMap::new();
+    // Indexed by vreg number: the body instruction defining it, and how
+    // many times it is read.
+    const NO_SITE: usize = usize::MAX;
+    let n_vregs = kernel.vreg_count() as usize;
+    let mut def_site = vec![NO_SITE; n_vregs];
+    let mut use_count = vec![0_u32; n_vregs];
     for (i, inst) in body.iter().enumerate() {
         if let Some(d) = inst.def() {
-            def_site.insert(d, i);
+            def_site[d.index()] = i;
         }
-        inst.for_each_operand(|o| {
-            if let Operand::Reg(u) = o {
-                *use_count.entry(u).or_insert(0) += 1;
-            }
-        });
+        inst.for_each_use(|u| use_count[u.index()] += 1);
     }
     // A carried output is read by the loop latch; its producer must stay.
     for c in &kernel.carried {
-        *use_count.entry(c.output).or_insert(0) += 1;
+        use_count[c.output.index()] += 1;
     }
 
     let single_use_producer = |o: Operand, taken: &[bool]| -> Option<usize> {
         let v = o.reg()?;
-        let j = *def_site.get(&v)?;
-        if taken[j] || use_count.get(&v) != Some(&1) {
+        let j = def_site[v.index()];
+        if j == NO_SITE || taken[j] || use_count[v.index()] != 1 {
             return None;
         }
         Some(j)

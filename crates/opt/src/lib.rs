@@ -62,7 +62,7 @@ pub mod licm;
 pub mod scalarize;
 pub mod unroll;
 
-use cfp_ir::Kernel;
+use cfp_ir::{CarriedInit, Kernel, Operand, Vreg};
 
 /// Run the standard pipeline (scalar promotion, then fold → algebraic →
 /// CSE → LICM → DCE to a fixed point, bounded by a small iteration cap)
@@ -135,21 +135,24 @@ pub fn optimize_budgeted_traced(
     peak.get()
 }
 
-/// Rewrite every operand of every instruction (preamble + body) and every
-/// carried/init register through a substitution. Shared plumbing for the
-/// passes.
-pub(crate) fn substitute(kernel: &mut Kernel, map: &dyn Fn(cfp_ir::Operand) -> cfp_ir::Operand) {
+/// "No register": the empty entry of a dense table of [`Vreg`]s. No
+/// kernel numbers a register this high — `Kernel::vreg_count` would
+/// overflow first.
+pub(crate) const NO_VREG: Vreg = Vreg(u32::MAX);
+
+/// Rewrite every register operand of every instruction (preamble + body)
+/// and every carried output and init register through a substitution.
+pub(crate) fn substitute(kernel: &mut Kernel, map: impl Fn(Vreg) -> Vreg) {
     for inst in kernel.preamble.iter_mut().chain(kernel.body.iter_mut()) {
-        inst.map_operands(map);
+        inst.map_operands(|o| match o {
+            Operand::Reg(v) => Operand::Reg(map(v)),
+            imm => imm,
+        });
     }
     for c in &mut kernel.carried {
-        if let cfp_ir::Operand::Reg(v) = map(cfp_ir::Operand::Reg(c.output)) {
-            c.output = v;
-        }
-        if let cfp_ir::CarriedInit::Preamble(p) = c.init {
-            if let cfp_ir::Operand::Reg(v) = map(cfp_ir::Operand::Reg(p)) {
-                c.init = cfp_ir::CarriedInit::Preamble(v);
-            }
+        c.output = map(c.output);
+        if let CarriedInit::Preamble(p) = c.init {
+            c.init = CarriedInit::Preamble(map(p));
         }
     }
 }

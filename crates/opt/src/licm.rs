@@ -15,8 +15,7 @@
 //! The plan build (`cfp_dse::eval`) uses it to run each distinct
 //! optimization once.
 
-use cfp_ir::{Inst, Kernel, Operand, Vreg};
-use std::collections::HashSet;
+use cfp_ir::{Inst, Kernel};
 
 /// Hoist loop-invariant body instructions into the preamble, without a
 /// register budget (see [`hoist_budgeted`]).
@@ -36,29 +35,40 @@ pub fn hoist(kernel: &mut Kernel) {
 /// Returns the final resident count (see the module docs for what it
 /// certifies).
 pub fn hoist_budgeted(kernel: &mut Kernel, max_resident: usize) -> usize {
-    let stored: HashSet<u32> = kernel
+    // Per-array and per-vreg facts, each a table indexed by number.
+    let mut stored = vec![false; kernel.arrays.len()];
+    for m in kernel
         .body
         .iter()
         .filter(|i| i.is_store())
-        .filter_map(|i| i.mem().map(|m| m.array.0))
-        .collect();
-    let carried_outputs: HashSet<Vreg> = kernel.carried.iter().map(|c| c.output).collect();
-    let carried_inputs: HashSet<Vreg> = kernel.carried.iter().map(|c| c.input).collect();
-
-    let mut invariant: HashSet<Vreg> = kernel.preamble.iter().filter_map(Inst::def).collect();
+        .filter_map(Inst::mem)
+    {
+        stored[m.array.index()] = true;
+    }
+    let n_vregs = kernel.vreg_count() as usize;
+    let mut carried_output = vec![false; n_vregs];
+    let mut carried_input = vec![false; n_vregs];
+    for c in &kernel.carried {
+        carried_output[c.output.index()] = true;
+        carried_input[c.input.index()] = true;
+    }
+    let mut invariant = vec![false; n_vregs];
+    for d in kernel.preamble.iter().filter_map(Inst::def) {
+        invariant[d.index()] = true;
+    }
     let mut hoist_flags = vec![false; kernel.body.len()];
 
     // Values already resident: preamble defs the body actually reads.
     let mut resident_count = {
-        let mut body_reads: HashSet<Vreg> = HashSet::new();
+        let mut body_reads = vec![false; n_vregs];
         for inst in &kernel.body {
-            inst.for_each_operand(|o| {
-                if let Operand::Reg(v) = o {
-                    body_reads.insert(v);
-                }
-            });
+            inst.for_each_use(|v| body_reads[v.index()] = true);
         }
-        invariant.iter().filter(|v| body_reads.contains(v)).count()
+        invariant
+            .iter()
+            .zip(&body_reads)
+            .filter(|&(&inv, &read)| inv && read)
+            .count()
     };
 
     // Grow the invariant set to a fixed point (bounded by body length),
@@ -72,15 +82,15 @@ pub fn hoist_budgeted(kernel: &mut Kernel, max_resident: usize) -> usize {
             if hoist_flags[idx] {
                 continue;
             }
-            if !hoistable(inst, &invariant, &carried_inputs, &stored) {
+            if !hoistable(inst, &invariant, &carried_input, &stored) {
                 continue;
             }
             let Some(dst) = inst.def() else { continue };
-            if carried_outputs.contains(&dst) {
+            if carried_output[dst.index()] {
                 continue; // must stay body-defined
             }
             hoist_flags[idx] = true;
-            invariant.insert(dst);
+            invariant[dst.index()] = true;
             resident_count += 1;
             changed = true;
         }
@@ -103,26 +113,19 @@ pub fn hoist_budgeted(kernel: &mut Kernel, max_resident: usize) -> usize {
     resident_count
 }
 
-fn hoistable(
-    inst: &Inst,
-    invariant: &HashSet<Vreg>,
-    carried_inputs: &HashSet<Vreg>,
-    stored: &HashSet<u32>,
-) -> bool {
+fn hoistable(inst: &Inst, invariant: &[bool], carried_input: &[bool], stored: &[bool]) -> bool {
     if inst.is_store() {
         return false;
     }
     if let Some(m) = inst.mem() {
-        if m.coeff != 0 || stored.contains(&m.array.0) {
+        if m.coeff != 0 || stored[m.array.index()] {
             return false;
         }
     }
     let mut ok = true;
-    inst.for_each_operand(|o| {
-        if let Operand::Reg(v) = o {
-            if carried_inputs.contains(&v) || !invariant.contains(&v) {
-                ok = false;
-            }
+    inst.for_each_use(|v| {
+        if carried_input[v.index()] || !invariant[v.index()] {
+            ok = false;
         }
     });
     ok

@@ -12,110 +12,129 @@
 //! with `local` scratch and still compile to pure register dataflow, as
 //! the paper's compiler would.
 
-use cfp_ir::{ArrayKind, Carried, CarriedInit, Inst, Kernel, Operand, Vreg};
-use std::collections::HashMap;
+use crate::NO_VREG;
+use cfp_ir::{ArrayId, ArrayKind, Carried, CarriedInit, Inst, Kernel, MemRef, Vreg};
 
 /// Promote every eligible local array. Returns how many arrays were
 /// promoted.
-// Justified expect: array indices come from enumerating `kernel.arrays`,
-// which the DSL caps far below `u32::MAX`.
-#[allow(clippy::expect_used)]
+///
+/// Three walks, whatever the number of arrays: the first finds the
+/// eligible arrays, the second counts the registers each needs — which
+/// fixes every array's register range — and the third rewrites the body
+/// in place.
 pub fn promote_locals(kernel: &mut Kernel) -> usize {
-    let eligible: Vec<u32> = kernel
-        .arrays
+    // A local array is eligible when something accesses it and every
+    // access is to a constant element inside it.
+    let n_arrays = kernel.arrays.len();
+    let mut touched = vec![false; n_arrays];
+    let mut refused = vec![false; n_arrays];
+    for m in kernel
+        .preamble
         .iter()
-        .enumerate()
-        .filter(|(idx, a)| {
-            matches!(a.kind, ArrayKind::Local(_)) && all_accesses_constant(kernel, *idx)
-        })
-        .map(|(idx, _)| u32::try_from(idx).expect("few arrays"))
-        .collect();
-    for &a in &eligible {
-        promote_one(kernel, a);
-    }
-    eligible.len()
-}
-
-fn all_accesses_constant(kernel: &Kernel, array_idx: usize) -> bool {
-    let mut touched = false;
-    for inst in kernel.preamble.iter().chain(&kernel.body) {
-        if let Some(m) = inst.mem() {
-            if m.array.index() == array_idx {
-                touched = true;
-                if m.coeff != 0 || m.dyn_index.is_some() || m.offset < 0 {
-                    return false;
-                }
-                let ArrayKind::Local(len) = kernel.arrays[array_idx].kind else {
-                    return false;
-                };
-                if m.offset >= i64::from(len) {
-                    return false;
-                }
-            }
+        .chain(&kernel.body)
+        .filter_map(Inst::mem)
+    {
+        if let ArrayKind::Local(len) = kernel.arrays[m.array.index()].kind {
+            touched[m.array.index()] = true;
+            refused[m.array.index()] |=
+                m.coeff != 0 || m.dyn_index.is_some() || m.offset < 0 || m.offset >= i64::from(len);
         }
     }
-    touched
-}
+    let eligible = |array: ArrayId| touched[array.index()] && !refused[array.index()];
+    let promoted = (0..)
+        .map(ArrayId)
+        .take(n_arrays)
+        .filter(|&a| eligible(a))
+        .count();
+    if promoted == 0 {
+        return 0;
+    }
 
-fn promote_one(kernel: &mut Kernel, array_idx: u32) {
+    // The promoted elements the body touches, in `(array, offset)`
+    // order: an element's position here is its slot in the two tables
+    // below, so they are as long as the code is, not as the arrays are
+    // declared.
+    let mut elems: Vec<(ArrayId, i64)> = kernel
+        .body
+        .iter()
+        .filter_map(Inst::mem)
+        .filter(|m| eligible(m.array))
+        .map(|m| (m.array, m.offset))
+        .collect();
+    elems.sort_unstable();
+    elems.dedup();
+    let slot = |m: &MemRef| elems.binary_search(&(m.array, m.offset)).ok();
+    // The register holding each element right now, and the carried input
+    // made for an element the body reads before it stores to it.
+    let mut current = vec![NO_VREG; elems.len()];
+    let mut carried_in = vec![NO_VREG; elems.len()];
+
+    // Arrays number their fresh registers one after another in array
+    // order, each in body order: one per store and one per element read
+    // before its first store. Count them, then lay the ranges out.
+    let mut next_vreg = vec![0_u32; n_arrays];
+    for inst in &kernel.body {
+        let Some(m) = inst.mem() else { continue };
+        let Some(e) = slot(m) else { continue };
+        if inst.is_store() || current[e] == NO_VREG {
+            next_vreg[m.array.index()] += 1;
+            current[e] = Vreg(0);
+        }
+    }
+    current.fill(NO_VREG);
     let mut next = kernel.vreg_count();
-    let mut fresh = || {
-        let v = Vreg(next);
-        next += 1;
-        v
-    };
+    for first in &mut next_vreg {
+        let count = *first;
+        *first = next;
+        next += count;
+    }
 
-    // Current register for each element; elements read before any store
-    // in the body get a carried input.
-    let mut current: HashMap<i64, Vreg> = HashMap::new();
-    let mut carried_in: HashMap<i64, Vreg> = HashMap::new();
-
-    let mut new_body = Vec::with_capacity(kernel.body.len());
-    for inst in kernel.body.drain(..) {
-        match inst {
-            Inst::Ld { dst, mem, ty: lty } if mem.array.0 == array_idx => {
-                let src = *current.entry(mem.offset).or_insert_with(|| {
-                    let v = fresh();
-                    carried_in.insert(mem.offset, v);
-                    v
-                });
+    // Loads become copies of the element's register, stores become the
+    // narrowing of the stored value into a fresh one.
+    for inst in &mut kernel.body {
+        let Some(m) = inst.mem() else { continue };
+        let Some(e) = slot(m) else { continue };
+        let next = &mut next_vreg[m.array.index()];
+        let mut fresh = || {
+            *next += 1;
+            Vreg(*next - 1)
+        };
+        *inst = match *inst {
+            Inst::Ld { dst, .. } => {
+                if current[e] == NO_VREG {
+                    current[e] = fresh();
+                    carried_in[e] = current[e];
+                }
                 // Loads re-apply the element type's narrowing; a stored
                 // value was already truncated, so the pair of casts is
                 // what memory would have done.
-                let _ = lty;
-                new_body.push(Inst::mov(dst, src));
+                Inst::mov(dst, current[e])
             }
-            Inst::St {
-                mem,
-                value,
-                ty: sty,
-            } if mem.array.0 == array_idx => {
+            Inst::St { value, ty, .. } => {
                 // Narrow exactly like a store of this element type.
-                let v = fresh();
-                new_body.push(narrowing_inst(v, value, sty));
-                current.insert(mem.offset, v);
+                current[e] = fresh();
+                narrowing_inst(current[e], value, ty)
             }
-            other => new_body.push(other),
+            other => other,
+        };
+    }
+
+    // Elements read before written carry across iterations, in array
+    // then element order.
+    for (&input, &output) in carried_in.iter().zip(&current) {
+        if input != NO_VREG {
+            kernel.carried.push(Carried {
+                input,
+                output,
+                init: CarriedInit::Const(0),
+            });
         }
     }
-    kernel.body = new_body;
-
-    // Elements read before written carry across iterations. Sort for
-    // deterministic output.
-    let mut carried_in: Vec<(i64, Vreg)> = carried_in.into_iter().collect();
-    carried_in.sort_unstable_by_key(|&(o, _)| o);
-    for (offset, input) in carried_in {
-        let output = current.get(&offset).copied().unwrap_or(input);
-        kernel.carried.push(Carried {
-            input,
-            output,
-            init: CarriedInit::Const(0),
-        });
-    }
+    promoted
 }
 
 /// An instruction computing `dst = truncate_ty(value)`.
-fn narrowing_inst(dst: Vreg, value: Operand, ty: cfp_ir::Ty) -> Inst {
+fn narrowing_inst(dst: Vreg, value: cfp_ir::Operand, ty: cfp_ir::Ty) -> Inst {
     use cfp_ir::{Ty, UnOp};
     let op = match ty {
         Ty::U8 => UnOp::Zext8,
@@ -232,5 +251,61 @@ mod tests {
             },
             1,
         );
+    }
+
+    #[test]
+    fn each_array_numbers_its_registers_in_one_block() {
+        // Interleaved accesses to two arrays: `t`'s fresh registers (a
+        // carried input and two stores) still come before `u`'s, each
+        // in body order, as when arrays were promoted one at a time.
+        let mut k = compile_kernel(
+            "kernel p(in i32 s[], out i32 d[]) {
+                local i32 t[2];
+                local i32 u[2];
+                loop i {
+                    u[0] = s[i];
+                    t[0] = u[0] + t[1];
+                    u[1] = t[0];
+                    t[1] = u[1];
+                    d[i] = t[1];
+                }
+            }",
+            &[],
+        )
+        .unwrap();
+        let first_fresh = k.vreg_count();
+        assert_eq!(promote_locals(&mut k), 2);
+        cfp_ir::verify(&k).unwrap();
+        let fresh_defs: Vec<u32> = k
+            .body
+            .iter()
+            .filter_map(Inst::def)
+            .map(|d| d.0)
+            .filter(|&d| d >= first_fresh)
+            .collect();
+        // Body order: u[0]=, t[0]=, u[1]=, t[1]=; `t` owns the first
+        // three numbers (its carried input is the first of them).
+        let f = first_fresh;
+        assert_eq!(fresh_defs, [f + 3, f + 1, f + 4, f + 2]);
+        assert_eq!(k.carried.last().map(|c| c.input), Some(Vreg(f)));
+    }
+
+    #[test]
+    fn a_huge_local_array_costs_what_its_accesses_do() {
+        // The tables are as long as the code, not as the declaration.
+        let mut k = compile_kernel(
+            "kernel p(in i32 s[], out i32 d[]) {
+                local i32 t[4000000000];
+                loop i {
+                    t[3999999999] = s[i];
+                    d[i] = t[3999999999] + t[7];
+                }
+            }",
+            &[],
+        )
+        .unwrap();
+        assert_eq!(promote_locals(&mut k), 1);
+        cfp_ir::verify(&k).unwrap();
+        assert_eq!(k.mem_counts(), (0, 2));
     }
 }

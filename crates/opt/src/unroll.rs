@@ -9,8 +9,8 @@
 //! given unrolling, we stopped considering that unrolling factor and all
 //! larger ones" (§2.4).
 
+use crate::NO_VREG;
 use cfp_ir::{Carried, Inst, Kernel, Operand, Vreg};
-use std::collections::HashMap;
 
 /// Unroll `kernel` by `factor` (≥ 1). The result performs `factor`
 /// original iterations per new iteration, so run it for `n / factor`
@@ -24,12 +24,17 @@ pub fn unroll(kernel: &Kernel, factor: u32) -> Kernel {
     if factor == 1 {
         return kernel.clone();
     }
-    let carry_of: HashMap<Vreg, usize> = kernel
-        .carried
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.input, i))
-        .collect();
+    // Indexed by the original kernel's vreg numbers: which carry a
+    // register is the input of, and what the copy being emitted renames
+    // a body-defined register to. One rename table serves every copy —
+    // each copy defines the same registers, so it overwrites them all.
+    const NO_CARRY: usize = usize::MAX;
+    let n_vregs = kernel.vreg_count();
+    let mut carry_of = vec![NO_CARRY; n_vregs as usize];
+    for (i, c) in kernel.carried.iter().enumerate() {
+        carry_of[c.input.index()] = i;
+    }
+    let mut remap = vec![NO_VREG; n_vregs as usize];
 
     let mut out = Kernel {
         name: kernel.name.clone(),
@@ -39,7 +44,7 @@ pub fn unroll(kernel: &Kernel, factor: u32) -> Kernel {
         carried: Vec::new(),
         outputs_per_iter: kernel.outputs_per_iter * factor,
     };
-    let mut next_vreg = kernel.vreg_count();
+    let mut next_vreg = n_vregs;
     let mut fresh = || {
         let v = Vreg(next_vreg);
         next_vreg += 1;
@@ -53,21 +58,18 @@ pub fn unroll(kernel: &Kernel, factor: u32) -> Kernel {
         // Number the copy's registers in instruction order: the output
         // must be a pure function of the input so that identical plans
         // stay identical (content-addressed plan interning depends on it).
-        let remap: HashMap<Vreg, Vreg> = kernel
-            .body
-            .iter()
-            .filter_map(Inst::def)
-            .map(|v| (v, fresh()))
-            .collect();
+        for d in kernel.body.iter().filter_map(Inst::def) {
+            remap[d.index()] = fresh();
+        }
         for inst in &kernel.body {
             let mut ni = *inst;
-            ni.map_def(|d| remap[&d]);
+            ni.map_def(|d| remap[d.index()]);
             ni.map_operands(|o| match o {
                 Operand::Reg(v) => {
-                    if let Some(&n) = remap.get(&v) {
-                        Operand::Reg(n)
-                    } else if let Some(&ci) = carry_of.get(&v) {
-                        Operand::Reg(cur_in[ci])
+                    if remap[v.index()] != NO_VREG {
+                        Operand::Reg(remap[v.index()])
+                    } else if carry_of[v.index()] != NO_CARRY {
+                        Operand::Reg(cur_in[carry_of[v.index()]])
                     } else {
                         o
                     }
@@ -82,7 +84,7 @@ pub fn unroll(kernel: &Kernel, factor: u32) -> Kernel {
         }
         for (ci, c) in kernel.carried.iter().enumerate() {
             if c.output != c.input {
-                cur_in[ci] = remap[&c.output];
+                cur_in[ci] = remap[c.output.index()];
             }
             // Pass-through carries keep flowing the incoming value.
         }

@@ -331,15 +331,36 @@ fn encode_inner(
             .ok_or(EncodeError::Unallocated(v))
     };
     let (bases, total_slots) = slot_layout(machine);
-    let mut words = vec![InstWord::default(); schedule.length as usize];
-    // Occupied slot bookkeeping per (cycle, slot).
-    let mut raw_slots: Vec<Vec<Option<u64>>> =
-        vec![vec![None; total_slots]; schedule.length as usize];
+    let code = &assignment.code;
+    let n_words = schedule.length as usize;
 
-    for (i, op) in assignment.code.ops.iter().enumerate() {
+    // Size every word's vectors before filling them: ops and immediates
+    // per cycle, counted in one walk.
+    let mut op_count = vec![0_usize; n_words];
+    let mut imm_count = vec![0_usize; n_words];
+    for (op, p) in code.ops.iter().zip(&schedule.placements) {
+        op_count[p.cycle as usize] += 1;
+        if let Some(inst) = &op.inst {
+            inst.for_each_operand(|o| {
+                imm_count[p.cycle as usize] += usize::from(o.imm().is_some());
+            });
+        }
+    }
+    let mut words: Vec<InstWord> = op_count
+        .iter()
+        .zip(&imm_count)
+        .map(|(&ops, &imms)| InstWord {
+            mask: 0,
+            ops: Vec::with_capacity(ops),
+            imms: Vec::with_capacity(imms.min(256)),
+        })
+        .collect();
+    // What each slot holds, one `total_slots` row per cycle.
+    let mut raw_slots: Vec<Option<u64>> = vec![None; n_words * total_slots];
+
+    for (i, op) in code.ops.iter().enumerate() {
         let p = schedule.placements[i];
         let cl = p.cluster as usize;
-        let base = bases[cl];
         // Region offsets within the cluster: walk SLOT_ORDER up to the
         // op's unit region (multiplies fold onto the ALU slots), reading
         // every width from the machine description.
@@ -358,47 +379,49 @@ fn encode_inner(
         }
         let hi = lo + machine.mdes.units(cl, region) as usize;
         let word = &mut words[p.cycle as usize];
-        let slot = (lo..hi)
-            .find(|&s| raw_slots[p.cycle as usize][base + s].is_none())
+        let row = &mut raw_slots[p.cycle as usize * total_slots..][..total_slots];
+        let slot = (bases[cl] + lo..bases[cl] + hi)
+            .find(|&s| row[s].is_none())
             .ok_or(EncodeError::NoSlot { op: i })?;
 
         let mut fields = [SrcField::None, SrcField::None, SrcField::None];
         let mut n = 0;
-        let add_field = |o: Operand,
-                         word: &mut InstWord,
-                         fields: &mut [SrcField; 3],
-                         n: &mut usize,
-                         cycle: u32|
-         -> Result<(), EncodeError> {
-            debug_assert!(*n < 3, "no op reads more than three values");
-            fields[*n] = match o {
-                Operand::Reg(v) => {
-                    let r = resolve(v, p.cluster)?;
+        let mut failed = None;
+        let mut add_field = |o: Operand| {
+            debug_assert!(n < 3, "no op reads more than three values");
+            if failed.is_some() {
+                return;
+            }
+            let field = match o {
+                Operand::Reg(v) => resolve(v, p.cluster).and_then(|r| {
                     if u32::from(r) >= (1 << REG_BITS) {
                         return Err(EncodeError::RegisterTooLarge(v));
                     }
-                    SrcField::Reg(r)
-                }
-                Operand::Imm(k) => {
-                    let idx = word.imms.len();
-                    if idx >= 256 {
-                        return Err(EncodeError::ImmPoolOverflow { cycle });
+                    Ok(SrcField::Reg(r))
+                }),
+                Operand::Imm(k) => match u8::try_from(word.imms.len()) {
+                    Ok(idx) => {
+                        word.imms.push(k as i32);
+                        Ok(SrcField::Imm(idx))
                     }
-                    word.imms.push(k as i32);
-                    SrcField::Imm(u8::try_from(idx).expect("checked"))
-                }
+                    Err(_) => Err(EncodeError::ImmPoolOverflow { cycle: p.cycle }),
+                },
             };
-            *n += 1;
-            Ok(())
+            match field {
+                Ok(f) => {
+                    fields[n] = f;
+                    n += 1;
+                }
+                Err(e) => failed = Some(e),
+            }
         };
-        let mut operands = Vec::new();
         if let Some(inst) = &op.inst {
-            inst.for_each_operand(|o| operands.push(o));
+            inst.for_each_operand(&mut add_field);
         } else {
-            operands.extend(op.uses.iter().map(|&u| Operand::Reg(u)));
+            op.uses.iter().for_each(|&u| add_field(Operand::Reg(u)));
         }
-        for o in operands {
-            add_field(o, word, &mut fields, &mut n, p.cycle)?;
+        if let Some(e) = failed {
+            return Err(e);
         }
 
         let dst = match op.def {
@@ -411,7 +434,7 @@ fn encode_inner(
             }
             None => 0,
         };
-        raw_slots[p.cycle as usize][base + slot] = Some(pack(EncodedOp {
+        row[slot] = Some(pack(EncodedOp {
             opcode: opcode_of(op),
             dst,
             src1: fields[0],
@@ -420,11 +443,14 @@ fn encode_inner(
         }));
     }
 
-    for (t, slots) in raw_slots.into_iter().enumerate() {
-        for (s, raw) in slots.into_iter().enumerate() {
+    for (word, row) in words
+        .iter_mut()
+        .zip(raw_slots.chunks_exact(total_slots.max(1)))
+    {
+        for (s, raw) in row.iter().enumerate() {
             if let Some(r) = raw {
-                words[t].mask |= 1 << s;
-                words[t].ops.push(r);
+                word.mask |= 1 << s;
+                word.ops.push(*r);
             }
         }
     }

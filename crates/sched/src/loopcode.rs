@@ -15,7 +15,7 @@
 //! These overhead ops participate in scheduling, cluster assignment, and
 //! register pressure exactly like body ops.
 
-use cfp_ir::{ArrayId, FusedOp, Inst, Kernel, MemSpace, Operand, Vreg};
+use cfp_ir::{ArrayId, FusedOp, Inst, Kernel, MemSpace, Vreg};
 use cfp_machine::{MachineResources, MemLevel};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -170,15 +170,13 @@ impl LoopCode {
             v
         };
 
-        let mut ops: Vec<SOp> = Vec::with_capacity(kernel.body.len() + 8);
+        // Body ops, the three loop-control ops, and at most one pointer
+        // bump per array.
+        let mut ops: Vec<SOp> = Vec::with_capacity(kernel.body.len() + 3 + kernel.arrays.len());
         for (i, inst) in kernel.body.iter().enumerate() {
             let class = class_of(inst, kernel);
             let mut uses = Uses::default();
-            inst.for_each_operand(|o| {
-                if let Operand::Reg(v) = o {
-                    uses.push(v);
-                }
-            });
+            inst.for_each_use(|v| uses.push(v));
             ops.push(SOp {
                 origin: OpOrigin::Body(i),
                 inst: Some(*inst),
@@ -193,17 +191,16 @@ impl LoopCode {
             kernel.carried.iter().map(|c| (c.input, c.output)).collect();
         let mut live_ins = kernel.body_live_ins();
 
-        // One pointer bump per streamed array.
-        let mut streamed: Vec<ArrayId> = kernel
-            .body
-            .iter()
-            .filter_map(|i| i.mem())
-            .filter(|m| m.coeff != 0)
-            .map(|m| m.array)
-            .collect();
-        streamed.sort_unstable();
-        streamed.dedup();
-        for array in streamed {
+        // One pointer bump per streamed array, in array order.
+        let mut streamed = vec![false; kernel.arrays.len()];
+        for m in kernel.body.iter().filter_map(Inst::mem) {
+            streamed[m.array.index()] |= m.coeff != 0;
+        }
+        for array in (0..)
+            .map(ArrayId)
+            .zip(&streamed)
+            .filter_map(|(a, &s)| s.then_some(a))
+        {
             let cur = fresh();
             let nxt = fresh();
             ops.push(SOp {
@@ -252,12 +249,14 @@ impl LoopCode {
         live_ins.push(bound);
 
         // Resident values: preamble-defined live-ins plus the loop bound.
-        let preamble_defs: std::collections::HashSet<Vreg> =
-            kernel.preamble.iter().filter_map(Inst::def).collect();
+        let mut preamble_def = vec![false; next as usize];
+        for d in kernel.preamble.iter().filter_map(Inst::def) {
+            preamble_def[d.index()] = true;
+        }
         let mut resident: Vec<Vreg> = live_ins
             .iter()
             .copied()
-            .filter(|v| preamble_defs.contains(v))
+            .filter(|v| preamble_def[v.index()])
             .collect();
         resident.push(bound);
 

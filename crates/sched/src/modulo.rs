@@ -57,11 +57,10 @@ use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::LoopCode;
 use crate::scratch::{row_has_room, row_take, SchedScratch};
-use cfp_ir::Vreg;
 use cfp_machine::{MachineResources, UnitClass};
 use cfp_obs::{Stage, UnitTrace, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// A dependence with an iteration distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,16 +133,18 @@ pub fn omega_deps(code: &LoopCode, ddg: &Ddg) -> Vec<OmegaDep> {
 
     // Carried register values: producer of `out` feeds every reader of
     // `in` one iteration later.
-    let mut def_of: HashMap<Vreg, usize> = HashMap::new();
+    const NO_OP: usize = usize::MAX;
+    let mut def_of = vec![NO_OP; code.vreg_limit as usize];
     for (i, op) in code.ops.iter().enumerate() {
         if let Some(d) = op.def {
-            def_of.insert(d, i);
+            def_of[d.index()] = i;
         }
     }
     for &(inp, out) in &code.carried {
-        let Some(&producer) = def_of.get(&out) else {
+        let producer = def_of[out.index()];
+        if producer == NO_OP {
             continue; // pass-through carry: no producer op
-        };
+        }
         for (i, op) in code.ops.iter().enumerate() {
             if op.uses.contains(&inp) {
                 deps.push(OmegaDep {
@@ -1021,10 +1022,12 @@ fn pipeline_pressure(
     ii: u32,
     machine: &MachineResources,
 ) -> Vec<u32> {
-    let mut last_use: HashMap<Vreg, u32> = HashMap::new();
+    // The latest slot reading each value, indexed by vreg number; 0 for
+    // a value nothing reads, which the `max(start)` below absorbs.
+    let mut last_use = vec![0_u32; code.vreg_limit as usize];
     for (i, op) in code.ops.iter().enumerate() {
         for u in &op.uses {
-            let e = last_use.entry(*u).or_insert(slots[i]);
+            let e = &mut last_use[u.index()];
             *e = (*e).max(slots[i]);
         }
     }
@@ -1033,7 +1036,7 @@ fn pipeline_pressure(
         let Some(d) = op.def else { continue };
         let c = assignment.cluster_of_op[i] as usize;
         let start = slots[i];
-        let end = last_use.get(&d).copied().unwrap_or(start).max(start) + 1;
+        let end = last_use[d.index()].max(start) + 1;
         let live = end - start;
         per_cluster[c] += live.div_ceil(ii).max(1);
     }

@@ -23,7 +23,6 @@ use crate::list::Schedule;
 use crate::scratch::SchedScratch;
 use cfp_ir::Vreg;
 use cfp_machine::MachineResources;
-use std::collections::{HashMap, HashSet};
 
 /// Per-cluster pressure versus capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,12 +87,8 @@ pub fn peak_pressure_in(
     clusters: usize,
     scratch: &mut SchedScratch,
 ) -> Vec<u32> {
-    const NO_USE: u32 = u32::MAX; // cycles are < 2^20, so MAX is free
-    let code = &assignment.code;
     let nc = clusters;
     let len = schedule.length as usize;
-    let nv = code.vreg_limit as usize;
-
     let SchedScratch {
         vflags,
         last_use,
@@ -102,92 +97,17 @@ pub fn peak_pressure_in(
         ..
     } = scratch;
 
-    // Bit 0: resident (broadcast loop constant); bit 1: carried out.
-    vflags.clear();
-    vflags.resize(nv, 0);
-    for v in &code.resident {
-        vflags[v.index()] |= 1;
-    }
-    for &(_, o) in &code.carried {
-        vflags[o.index()] |= 2;
-    }
-    // A carried-in value also occupies its register until the boundary
-    // latch overwrites it, but it may be overwritten as soon as its last
-    // reader has issued; only the last read matters, so carried-in needs
-    // no flag of its own.
-
-    // Last read cycle of every non-resident value; for resident values, a
-    // bitmask of the clusters reading them.
-    let words = nc.div_ceil(64);
-    last_use.clear();
-    last_use.resize(nv, NO_USE);
-    reader_mask.clear();
-    reader_mask.resize(nv * words, 0);
-    for (i, op) in code.ops.iter().enumerate() {
-        let t = schedule.placements[i].cycle;
-        for u in &op.uses {
-            if vflags[u.index()] & 1 != 0 {
-                let c = schedule.placements[i].cluster as usize;
-                reader_mask[u.index() * words + c / 64] |= 1_u64 << (c % 64);
-            } else {
-                let e = &mut last_use[u.index()];
-                *e = if *e == NO_USE { t } else { (*e).max(t) };
-            }
-        }
-    }
-
     // Interval diff arrays, one `len + 1` run per cluster.
     diff.clear();
     diff.resize(nc * (len + 1), 0);
-    let mut add = |c: usize, from: usize, to: usize| {
+    let tables = (vflags, last_use, reader_mask);
+    for_each_interval(assignment, schedule, nc, tables, |c, from, to, _| {
         let to = to.min(len);
         if from < to {
             diff[c * (len + 1) + from] += 1;
             diff[c * (len + 1) + to] -= 1;
         }
-    };
-
-    // Defined values.
-    for (i, op) in code.ops.iter().enumerate() {
-        let Some(d) = op.def else { continue };
-        let c = schedule.placements[i].cluster as usize;
-        let start = schedule.placements[i].cycle as usize;
-        let end = if vflags[d.index()] & 2 != 0 {
-            len
-        } else {
-            match last_use[d.index()] {
-                NO_USE => start + 1,
-                u => (u as usize) + 1,
-            }
-        };
-        add(c, start, end.max(start + 1));
-    }
-    // Live-in values (carried-in, non-resident).
-    for &v in &code.live_ins {
-        if vflags[v.index()] & 1 != 0 {
-            continue;
-        }
-        let c = assignment.home_of.get(&v).copied().unwrap_or(0) as usize;
-        let end = match last_use[v.index()] {
-            NO_USE => 1,
-            u => (u as usize) + 1,
-        };
-        add(c, 0, end);
-    }
-    // Resident values: whole loop, in every reading cluster.
-    for v in 0..nv {
-        if vflags[v] & 1 == 0 {
-            continue;
-        }
-        for w in 0..words {
-            let mut mask = reader_mask[v * words + w];
-            while mask != 0 {
-                let c = w * 64 + mask.trailing_zeros() as usize;
-                add(c, 0, len);
-                mask &= mask - 1;
-            }
-        }
-    }
+    });
 
     let mut peak = vec![0_u32; nc];
     for (c, p) in peak.iter_mut().enumerate() {
@@ -200,33 +120,147 @@ pub fn peak_pressure_in(
     peak
 }
 
+/// The live intervals of a scheduled iteration, `f(cluster, start, end,
+/// value)` each, by the rules in the module docs: defined values in op
+/// order, then live-in values, then resident values in vreg order — one
+/// interval per reading cluster. The pressure analysis and the register
+/// allocator both build from this walk, so they cannot disagree.
+///
+/// `tables` is working memory, indexed by vreg number: flags (bit 0:
+/// resident, i.e. a broadcast loop constant; bit 1: carried out), the
+/// last read cycle of every non-resident value, and for resident values
+/// a bitmask of the clusters reading them (a word per 64 clusters).
+fn for_each_interval(
+    assignment: &Assignment,
+    schedule: &Schedule,
+    clusters: usize,
+    tables: (&mut Vec<u8>, &mut Vec<u32>, &mut Vec<u64>),
+    mut f: impl FnMut(usize, usize, usize, Vreg),
+) {
+    const NO_USE: u32 = u32::MAX; // cycles are < 2^20, so MAX is free
+    const RESIDENT: u8 = 1;
+    const CARRIED_OUT: u8 = 2;
+    let code = &assignment.code;
+    let len = schedule.length as usize;
+    let nv = code.vreg_limit as usize;
+    let (vflags, last_use, reader_mask) = tables;
+
+    vflags.clear();
+    vflags.resize(nv, 0);
+    for v in &code.resident {
+        vflags[v.index()] |= RESIDENT;
+    }
+    for &(_, o) in &code.carried {
+        vflags[o.index()] |= CARRIED_OUT;
+    }
+    // A carried-in value also occupies its register until the boundary
+    // latch overwrites it, but it may be overwritten as soon as its last
+    // reader has issued; only the last read matters, so carried-in needs
+    // no flag of its own.
+
+    let words = clusters.div_ceil(64);
+    last_use.clear();
+    last_use.resize(nv, NO_USE);
+    reader_mask.clear();
+    reader_mask.resize(nv * words, 0);
+    for (i, op) in code.ops.iter().enumerate() {
+        let t = schedule.placements[i].cycle;
+        for u in &op.uses {
+            if vflags[u.index()] & RESIDENT != 0 {
+                let c = schedule.placements[i].cluster as usize;
+                reader_mask[u.index() * words + c / 64] |= 1_u64 << (c % 64);
+            } else {
+                let e = &mut last_use[u.index()];
+                *e = if *e == NO_USE { t } else { (*e).max(t) };
+            }
+        }
+    }
+
+    // Defined values.
+    for (i, op) in code.ops.iter().enumerate() {
+        let Some(d) = op.def else { continue };
+        let c = schedule.placements[i].cluster as usize;
+        let start = schedule.placements[i].cycle as usize;
+        let end = if vflags[d.index()] & CARRIED_OUT != 0 {
+            len
+        } else {
+            match last_use[d.index()] {
+                NO_USE => start + 1,
+                u => (u as usize) + 1,
+            }
+        };
+        f(c, start, end.max(start + 1), d);
+    }
+    // Live-in values (carried-in, non-resident).
+    for &v in &code.live_ins {
+        if vflags[v.index()] & RESIDENT != 0 {
+            continue;
+        }
+        let c = assignment.home_of.get(&v).copied().unwrap_or(0) as usize;
+        let end = match last_use[v.index()] {
+            NO_USE => 1,
+            u => (u as usize) + 1,
+        };
+        f(c, 0, end, v);
+    }
+    // Resident values: whole loop, in every reading cluster.
+    for (v, &flags) in (0..).map(Vreg).zip(vflags.iter()) {
+        if flags & RESIDENT == 0 {
+            continue;
+        }
+        for w in 0..words {
+            let mut mask = reader_mask[v.index() * words + w];
+            while mask != 0 {
+                let c = w * 64 + mask.trailing_zeros() as usize;
+                f(c, 0, len, v);
+                mask &= mask - 1;
+            }
+        }
+    }
+}
+
 /// A physical register assignment: `(vreg, cluster) -> register number`
 /// within that cluster's bank. Resident values get one register in every
 /// cluster that reads them (they are broadcast at loop setup); carried
 /// in/out pairs may hold distinct registers — the iteration-boundary
 /// latch is architectural, in the spirit of rotating register files.
+///
+/// One flat table, a row of `clusters` entries per vreg number.
 #[derive(Debug, Clone, Default)]
 pub struct PhysMap {
-    map: HashMap<(Vreg, u32), u16>,
+    regs: Vec<u16>,
+    clusters: usize,
+    assigned: usize,
 }
+
+/// "No register": banks hold at most `u16::MAX` registers, numbered from
+/// zero, so the top value is never handed out.
+const NO_REG: u16 = u16::MAX;
 
 impl PhysMap {
     /// The physical register of `v` as seen from `cluster`.
     #[must_use]
     pub fn get(&self, v: Vreg, cluster: u32) -> Option<u16> {
-        self.map.get(&(v, cluster)).copied()
+        let c = cluster as usize;
+        if c >= self.clusters {
+            return None;
+        }
+        self.regs
+            .get(v.index() * self.clusters + c)
+            .copied()
+            .filter(|&r| r != NO_REG)
     }
 
     /// Number of assignments.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.assigned
     }
 
     /// Whether no registers were assigned.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.assigned == 0
     }
 }
 
@@ -245,11 +279,9 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// Linear-scan register allocation over the scheduled live intervals.
-///
-/// Interval construction matches [`pressure`] exactly, so allocation
-/// succeeds if and only if the pressure report fits (up to identical
-/// tie conventions).
+/// Linear-scan register allocation over the scheduled live intervals —
+/// the ones [`pressure`] counts, so allocation succeeds if and only if
+/// the pressure report fits (up to identical tie conventions).
 ///
 /// # Errors
 /// Returns [`AllocError`] naming the first cluster whose bank overflows.
@@ -259,87 +291,59 @@ pub fn allocate(
     machine: &MachineResources,
 ) -> Result<PhysMap, AllocError> {
     let code = &assignment.code;
-    let len = schedule.length as usize;
-    let resident: HashSet<Vreg> = code.resident.iter().copied().collect();
-    let carried_out: HashSet<Vreg> = code.carried.iter().map(|&(_, o)| o).collect();
-
-    // Last read cycle per value, and resident readers per cluster — the
-    // same rules as `pressure`.
-    let mut last_use: HashMap<Vreg, u32> = HashMap::new();
-    let mut resident_readers: HashMap<Vreg, HashSet<u32>> = HashMap::new();
-    for (i, op) in code.ops.iter().enumerate() {
-        let t = schedule.placements[i].cycle;
-        for u in &op.uses {
-            if resident.contains(u) {
-                resident_readers
-                    .entry(*u)
-                    .or_default()
-                    .insert(schedule.placements[i].cluster);
-            } else {
-                let e = last_use.entry(*u).or_insert(t);
-                *e = (*e).max(t);
-            }
-        }
-    }
-
-    // Intervals per cluster: (start, end, vreg).
     let nc = machine.cluster_count();
-    let mut intervals: Vec<Vec<(usize, usize, Vreg)>> = vec![Vec::new(); nc];
-    for (i, op) in code.ops.iter().enumerate() {
-        let Some(d) = op.def else { continue };
-        let c = schedule.placements[i].cluster as usize;
-        let start = schedule.placements[i].cycle as usize;
-        let end = if carried_out.contains(&d) {
-            len
-        } else {
-            last_use.get(&d).map_or(start + 1, |&u| (u as usize) + 1)
-        };
-        intervals[c].push((start, end.max(start + 1), d));
-    }
-    for &v in &code.live_ins {
-        if resident.contains(&v) {
-            continue;
-        }
-        let c = assignment.home_of.get(&v).copied().unwrap_or(0) as usize;
-        let end = last_use.get(&v).map_or(1, |&u| (u as usize) + 1);
-        intervals[c].push((0, end, v));
-    }
-    for (v, readers) in &resident_readers {
-        for &c in readers {
-            intervals[c as usize].push((0, len.max(1), *v));
-        }
-    }
+    let nv = code.vreg_limit as usize;
 
-    // Linear scan, per cluster.
-    let mut map = HashMap::new();
-    for (c, ivs) in intervals.iter_mut().enumerate() {
-        ivs.sort_by_key(|&(start, end, v)| (start, end, v));
-        let regs = machine.clusters[c].regs as usize;
-        let mut free: Vec<u16> = (0..u16::try_from(regs.min(usize::from(u16::MAX))).expect("fits"))
-            .rev()
-            .collect();
-        // Active intervals: (end, phys), kept as a min-heap by end.
-        let mut active: std::collections::BinaryHeap<std::cmp::Reverse<(usize, u16)>> =
-            std::collections::BinaryHeap::new();
-        for &(start, end, v) in ivs.iter() {
-            while let Some(&std::cmp::Reverse((e, phys))) = active.peek() {
-                if e <= start {
-                    active.pop();
-                    free.push(phys);
-                } else {
-                    break;
-                }
-            }
-            let Some(phys) = free.pop() else {
-                return Err(AllocError {
-                    cluster: u32::try_from(c).expect("small"),
-                });
-            };
-            map.insert((v, u32::try_from(c).expect("small")), phys);
-            active.push(std::cmp::Reverse((end, phys)));
+    // Every interval, `(cluster, start, end, vreg)`, in one vector; an
+    // interval holds its register for at least one cycle.
+    let mut intervals: Vec<(usize, usize, usize, Vreg)> =
+        Vec::with_capacity(code.ops.len() + code.live_ins.len() + code.resident.len() * nc);
+    let tables = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+    for_each_interval(assignment, schedule, nc, tables, |c, start, end, v| {
+        intervals.push((c, start, end.max(start + 1), v));
+    });
+
+    // Linear scan, cluster by cluster: the sort groups each cluster's
+    // intervals and orders them by `(start, end, vreg)`.
+    intervals.sort_unstable();
+    let mut map = PhysMap {
+        regs: vec![NO_REG; nv * nc],
+        clusters: nc,
+        assigned: 0,
+    };
+    let mut free: Vec<u16> = Vec::new();
+    // Active intervals: (end, phys), kept as a min-heap by end.
+    let mut active: std::collections::BinaryHeap<std::cmp::Reverse<(usize, u16)>> =
+        std::collections::BinaryHeap::new();
+    let mut scanning = None;
+    for &(c, start, end, v) in &intervals {
+        if scanning != Some(c) {
+            scanning = Some(c);
+            // `NO_REG` itself is never a register number.
+            let regs = u16::try_from(machine.clusters[c].regs).unwrap_or(NO_REG);
+            free.clear();
+            free.extend((0..regs).rev());
+            active.clear();
         }
+        while let Some(&std::cmp::Reverse((e, phys))) = active.peek() {
+            if e <= start {
+                active.pop();
+                free.push(phys);
+            } else {
+                break;
+            }
+        }
+        let Some(phys) = free.pop() else {
+            return Err(AllocError {
+                cluster: u32::try_from(c).expect("small"),
+            });
+        };
+        let slot = &mut map.regs[v.index() * nc + c];
+        map.assigned += usize::from(*slot == NO_REG);
+        *slot = phys;
+        active.push(std::cmp::Reverse((end, phys)));
     }
-    Ok(PhysMap { map })
+    Ok(map)
 }
 
 #[cfg(test)]

@@ -193,14 +193,19 @@ fn run_schedule(
     let mut vals = vec![0_i64; n_vregs];
     vals[..preamble_vals.len()].copy_from_slice(preamble_vals);
 
-    let resident: std::collections::HashSet<Vreg> = code.resident.iter().copied().collect();
-    let defined: std::collections::HashSet<Vreg> = code.ops.iter().filter_map(|o| o.def).collect();
+    // Indexed by vreg number: broadcast loop constants, readable from
+    // every cluster.
+    let mut resident = vec![false; n_vregs];
+    for v in &code.resident {
+        resident[v.index()] = true;
+    }
 
     let mut ready = vec![0_u32; n_vregs];
+    let mut latch = vec![0_i64; code.carried.len()];
     let mut stats = SimStats::default();
     for iter in 0..iters {
-        for v in &defined {
-            ready[v.index()] = u32::MAX;
+        for d in code.ops.iter().filter_map(|o| o.def) {
+            ready[d.index()] = u32::MAX;
         }
         for &i in order {
             let op = &code.ops[i];
@@ -219,7 +224,7 @@ fn run_schedule(
                     });
                 }
                 if !is_move
-                    && !resident.contains(&u)
+                    && !resident[u.index()]
                     && result
                         .assignment
                         .home_of
@@ -238,8 +243,10 @@ fn run_schedule(
             stats.operations += 1;
         }
         // Iteration boundary: latch carried values (two-phase).
-        let next: Vec<i64> = code.carried.iter().map(|&(_, o)| vals[o.index()]).collect();
-        for (&(inp, _), v) in code.carried.iter().zip(next) {
+        for (next, &(_, o)) in latch.iter_mut().zip(&code.carried) {
+            *next = vals[o.index()];
+        }
+        for (&(inp, _), &v) in code.carried.iter().zip(&latch) {
             vals[inp.index()] = v;
             ready[inp.index()] = 0;
         }

@@ -9,9 +9,18 @@
 //! cfpc kernel.cfk --unroll 4 --emit schedule
 //! cfpc kernel.cfk --emit ir|schedule|stats|encoding
 //! cfpc kernel.cfk --const W=512 --const f=2
+//! cfpc kernel.cfk --trace spans.jsonl              # where the time went
 //! ```
+//!
+//! `--trace FILE` records one span per stage of the path — parse, lower,
+//! every optimizer pass, prepare, assign, ddg, list, regalloc, then the
+//! encoding and a short simulated run on zero-filled inputs — as JSON
+//! Lines. Standard output is the same with and without it.
 
+use custom_fit::ir::{ArrayKind, Kernel, MemImage};
 use custom_fit::machine::{ArchSpec, CostModel, CycleModel, MachineResources};
+use custom_fit::obs::{JsonlRecorder, UnitTrace};
+use custom_fit::sched::{Fuel, SchedScratch};
 
 const USAGE: &str = "\
 usage: cfpc <file.cfk> [options]
@@ -19,7 +28,12 @@ usage: cfpc <file.cfk> [options]
   --unroll N                 unroll the loop N times (default 1)
   --const NAME=VALUE         bind a const parameter (repeatable)
   --no-opt                   skip the optimizer
-  --emit ir|schedule|stats|encoding   what to print (default stats)";
+  --emit ir|schedule|stats|encoding   what to print (default stats)
+  --trace FILE               write one JSON Lines span per stage to FILE
+                             (adds an encode and a short simulated run)";
+
+/// Loop iterations `--trace` simulates.
+const TRACE_ITERS: u64 = 4;
 
 struct Options {
     file: String,
@@ -28,6 +42,7 @@ struct Options {
     consts: Vec<(String, i64)>,
     optimize: bool,
     emit: String,
+    trace: Option<String>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -39,6 +54,7 @@ fn parse_args() -> Result<Options, String> {
         consts: Vec::new(),
         optimize: true,
         emit: "stats".to_owned(),
+        trace: None,
     };
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -65,6 +81,7 @@ fn parse_args() -> Result<Options, String> {
                     return Err(format!("unknown emit kind `{}`", opts.emit));
                 }
             }
+            "--trace" => opts.trace = Some(args.next().ok_or("--trace needs a file")?),
             "-h" | "--help" => return Err(String::new()),
             other if opts.file.is_empty() && !other.starts_with('-') => {
                 opts.file = other.to_owned();
@@ -76,6 +93,46 @@ fn parse_args() -> Result<Options, String> {
         return Err("no input file".to_owned());
     }
     Ok(opts)
+}
+
+/// The longest array `--trace` will allocate for its simulated run.
+const TRACE_MAX_ELEMS: i64 = 1 << 24;
+
+/// Zero-filled bindings for every caller-provided array, long enough for
+/// `iters` iterations of every access the kernel makes (a dynamic index
+/// is taken to stay under 256, what a byte-indexed table needs). `None`
+/// when the source asks for an array past [`TRACE_MAX_ELEMS`].
+fn zeroed_inputs(kernel: &Kernel, iters: u64) -> Option<MemImage> {
+    let last_iter = i64::try_from(iters.saturating_sub(1)).unwrap_or(i64::MAX);
+    let mut lens: Vec<i64> = kernel
+        .arrays
+        .iter()
+        .map(|decl| match decl.kind {
+            ArrayKind::Local(len) => i64::from(len),
+            _ => 0,
+        })
+        .collect();
+    for m in kernel
+        .preamble
+        .iter()
+        .chain(&kernel.body)
+        .filter_map(|i| i.mem())
+    {
+        let highest = m.element_index(0, 0).max(m.element_index(last_iter, 0));
+        let reach = highest.saturating_add(if m.is_affine() { 1 } else { 256 });
+        let len = &mut lens[m.array.index()];
+        *len = (*len).max(reach);
+    }
+    if lens.iter().any(|&len| len > TRACE_MAX_ELEMS) {
+        return None;
+    }
+    let mut mem = MemImage::for_kernel(kernel);
+    for (i, (decl, len)) in kernel.arrays.iter().zip(lens).enumerate() {
+        if !matches!(decl.kind, ArrayKind::Local(_)) {
+            mem.bind(i, vec![0; usize::try_from(len).unwrap_or(0)]);
+        }
+    }
+    Some(mem)
 }
 
 fn main() {
@@ -98,7 +155,15 @@ fn main() {
         }
     };
     let consts: Vec<(&str, i64)> = opts.consts.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let mut kernel = match custom_fit::frontend::compile_kernel(&source, &consts) {
+    // One trace handle down the whole path; without `--trace` it records
+    // nothing and every stage below is its untraced self.
+    let recorder = opts.trace.as_ref().map(|_| JsonlRecorder::new());
+    let mut trace = match &recorder {
+        Some(r) => UnitTrace::new(r, 0),
+        None => UnitTrace::disabled(),
+    };
+    let mut kernel = match custom_fit::frontend::compile_kernel_traced(&source, &consts, &mut trace)
+    {
         Ok(k) => k,
         Err(e) => {
             eprintln!("{}", e.render(&source));
@@ -107,7 +172,11 @@ fn main() {
     };
 
     if opts.optimize {
-        custom_fit::opt::optimize_budgeted(&mut kernel, (opts.arch.regs / 2) as usize);
+        custom_fit::opt::optimize_budgeted_traced(
+            &mut kernel,
+            (opts.arch.regs / 2) as usize,
+            &mut trace,
+        );
     }
     let mut kernel = custom_fit::opt::unroll::unroll(&kernel, opts.unroll.max(1));
     // The fuse pass runs last, exactly as the sweep's plan builder
@@ -123,7 +192,26 @@ fn main() {
     let kernel = kernel;
 
     let machine = MachineResources::from_spec(&opts.arch);
-    let result = custom_fit::sched::compile(&kernel, &machine);
+    let prepared = custom_fit::sched::prepare(&kernel, &machine, &mut trace);
+    let core = match custom_fit::sched::try_compile_core(
+        &prepared,
+        &machine,
+        &mut Fuel::unlimited(),
+        &mut SchedScratch::new(),
+        &mut trace,
+    ) {
+        Ok(core) => core,
+        Err(e) => {
+            eprintln!("error: cannot schedule: {e}");
+            std::process::exit(1);
+        }
+    };
+    let result = custom_fit::sched::finish(&core, &machine);
+    // Encoded once, for whichever of `--emit encoding` and `--trace`
+    // asked.
+    let program = (opts.emit == "encoding" || trace.on()).then(|| {
+        custom_fit::sched::encode_traced(&result.assignment, &result.schedule, &machine, &mut trace)
+    });
 
     match opts.emit.as_str() {
         "ir" => println!("{}", custom_fit::ir::pretty::Listing(&kernel)),
@@ -133,33 +221,31 @@ fn main() {
                 custom_fit::sched::render(&result.schedule, &result.assignment)
             );
         }
-        "encoding" => {
-            match custom_fit::sched::encode(&result.assignment, &result.schedule, &machine) {
-                Ok(prog) => {
-                    println!(
-                        "{} words x {} slots; {} bytes raw, {} compressed",
-                        prog.words.len(),
-                        prog.slots_per_word,
-                        prog.raw_bytes(),
-                        prog.compressed_bytes()
-                    );
-                    for (t, word) in prog.words.iter().enumerate() {
-                        print!("{t:4}: mask={:0w$b} ", word.mask, w = prog.slots_per_word);
-                        for op in &word.ops {
-                            print!("{op:012x} ");
-                        }
-                        if !word.imms.is_empty() {
-                            print!("| pool {:?}", word.imms);
-                        }
-                        println!();
+        "encoding" => match program.as_ref().expect("encoded above") {
+            Ok(prog) => {
+                println!(
+                    "{} words x {} slots; {} bytes raw, {} compressed",
+                    prog.words.len(),
+                    prog.slots_per_word,
+                    prog.raw_bytes(),
+                    prog.compressed_bytes()
+                );
+                for (t, word) in prog.words.iter().enumerate() {
+                    print!("{t:4}: mask={:0w$b} ", word.mask, w = prog.slots_per_word);
+                    for op in &word.ops {
+                        print!("{op:012x} ");
                     }
-                }
-                Err(e) => {
-                    eprintln!("error: cannot encode: {e}");
-                    std::process::exit(1);
+                    if !word.imms.is_empty() {
+                        print!("| pool {:?}", word.imms);
+                    }
+                    println!();
                 }
             }
-        }
+            Err(e) => {
+                eprintln!("error: cannot encode: {e}");
+                std::process::exit(1);
+            }
+        },
         _ => {
             let cost = CostModel::paper_calibrated();
             let cycle = CycleModel::paper_calibrated();
@@ -204,6 +290,33 @@ fn main() {
                     )
                 }
             );
+        }
+    }
+
+    if let (Some(path), Some(recorder)) = (&opts.trace, &recorder) {
+        // The spans of a failed encode or simulation say `ok: false`;
+        // neither changes what was printed above.
+        if let Some(Err(e)) = &program {
+            eprintln!("note: not encoded: {e}");
+        }
+        match zeroed_inputs(&kernel, TRACE_ITERS) {
+            Some(mut mem) => {
+                if let Err(e) = custom_fit::sched::simulate_traced(
+                    &kernel,
+                    &result,
+                    &machine,
+                    &mut mem,
+                    TRACE_ITERS,
+                    &mut trace,
+                ) {
+                    eprintln!("note: simulation on zero-filled inputs stopped: {e}");
+                }
+            }
+            None => eprintln!("note: not simulated: an array is over {TRACE_MAX_ELEMS} elements"),
+        }
+        if let Err(e) = std::fs::write(path, recorder.to_jsonl()) {
+            eprintln!("error: cannot write `{path}`: {e}");
+            std::process::exit(1);
         }
     }
 }

@@ -73,3 +73,58 @@ fn bad_usage_fails_with_help() {
     assert!(!ok);
     assert!(stderr.contains("cannot read"), "{stderr}");
 }
+
+#[test]
+fn trace_records_every_stage_once_and_leaves_stdout_alone() {
+    let path = write_kernel("cfpc_trace.cfk", KERNEL);
+    for emit in ["stats", "encoding"] {
+        let spans = std::env::temp_dir().join(format!("cfpc_trace_{emit}.jsonl"));
+        let _ = std::fs::remove_file(&spans);
+        let plain = [
+            path.to_str().unwrap(),
+            "--const",
+            "w=5",
+            "--arch",
+            "(8 4 256 2 4 2)",
+            "--unroll",
+            "2",
+            "--emit",
+            emit,
+        ];
+        let traced = [&plain[..], &["--trace", spans.to_str().unwrap()]].concat();
+        let (plain_out, _, ok) = cfpc(&plain);
+        assert!(ok);
+        let (traced_out, stderr, ok) = cfpc(&traced);
+        assert!(ok, "stderr: {stderr}");
+        assert_eq!(plain_out, traced_out, "--trace changed stdout ({emit})");
+        assert_eq!(stderr, "", "a clean run says nothing ({emit})");
+
+        // One span per line, in pipeline order; each optimizer pass is
+        // its own `opt` span, every other stage runs exactly once.
+        let text = std::fs::read_to_string(&spans).expect("trace file written");
+        let stages: Vec<String> = text
+            .lines()
+            .map(|line| {
+                let span = custom_fit::serve::json::parse(line).expect("a JSON object per line");
+                span.get("stage")
+                    .and_then(|s| s.as_str())
+                    .expect("every span names its stage")
+                    .to_owned()
+            })
+            .collect();
+        let mut once = stages.clone();
+        once.dedup();
+        assert_eq!(
+            once,
+            [
+                "parse", "lower", "opt", "prepare", "assign", "ddg", "list", "regalloc", "encode",
+                "simulate"
+            ],
+            "{text}"
+        );
+        for stage in once.iter().filter(|s| *s != "opt") {
+            let spans = stages.iter().filter(|s| *s == stage).count();
+            assert_eq!(spans, 1, "{stage} spans ({emit})");
+        }
+    }
+}

@@ -1,8 +1,9 @@
-//! The four pins in `results/*.json`, recomputed and compared.
+//! The five pins in `results/*.json`, recomputed and compared.
 //!
 //! Each test reruns one deterministic computation — scheduler step
-//! totals, the scoring surface, a guided search, the exact-II gap study
-//! — and holds its integer results equal to the file committed under
+//! totals, the scoring surface, a guided search, the exact-II gap
+//! study, the plan corpus' kernels — and holds its integer results
+//! equal to the file committed under
 //! `results/`. Every quantity is a semantic event count or an FNV-1a
 //! digest, bit-identical on every platform and thread count, so these
 //! are performance and behaviour guards that never read a clock. Wall
@@ -13,19 +14,20 @@
 //! A mismatch prints the recomputed `"key": value` lines; after an
 //! intended change, paste them over the old ones in the named file.
 //!
-//! The two cheap pins run in tier-1. The scheduler corpus and the gap
+//! The three cheap pins run in tier-1. The scheduler corpus and the gap
 //! study are minutes in a debug build and are `#[ignore]`d; CI runs all
-//! four with `cargo test --release --test pinned -- --include-ignored`.
+//! five with `cargo test --release --test pinned -- --include-ignored`.
 
 mod common;
 
 use common::stratified;
+use custom_fit::dse::eval::{residency_budget, UNROLL_SWEEP};
 use custom_fit::dse::{
     frontier, scatter, select, spec_fingerprint, try_search, Exploration, ExploreConfig,
-    OracleConfig, OracleReport, Range, ScatterPoint, SearchConfig, Selection,
+    OracleConfig, OracleReport, PlanStore, Range, ScatterPoint, SearchConfig, Selection,
 };
 use custom_fit::machine::{
-    ArchSpec, CostModel, CycleModel, DesignSpace, Fnv1a, MachineResources, SpaceAxes,
+    ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet, Fnv1a, MachineResources, SpaceAxes,
 };
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
@@ -560,6 +562,54 @@ fn oracle_gap() {
         &[
             ("gap_digest", report.digest()),
             ("certified", certified as u64),
+        ],
+    );
+}
+
+// ---- results/plan_digest.json ---------------------------------------
+
+/// Every kernel the optimizer can hand the back end: the full plan
+/// cross product — eleven benchmarks × the residency budgets of the four
+/// register-file sizes × [`UNROLL_SWEEP`] × all eight extension sets —
+/// through the production plan walk, each content-distinct kernel's
+/// listing folded once, in first-interned order. This is where "same
+/// kernels" is checked: at the optimizer's output, vreg numbers and
+/// instruction order included, not three layers downstream in a cycle
+/// count.
+#[test]
+fn plan_corpus() {
+    const REGS: [u32; 4] = [64, 128, 256, 512];
+    let ext_sets: Vec<ExtSet> = (0..8).filter_map(ExtSet::from_bits).collect();
+    assert_eq!(ext_sets.len(), 8);
+    let plans =
+        PlanStore::new().ensure_snapshot_extended(&Benchmark::ALL, &REGS, &UNROLL_SWEEP, &ext_sets);
+    let mut digest = Fnv1a::new();
+    let mut folded = Vec::new();
+    for b in Benchmark::ALL {
+        for regs in REGS {
+            for u in UNROLL_SWEEP {
+                for &exts in &ext_sets {
+                    let Some(id) = plans.id(b, residency_budget(regs), u, exts) else {
+                        continue;
+                    };
+                    if folded.contains(&id) {
+                        continue;
+                    }
+                    folded.push(id);
+                    let listing = custom_fit::ir::pretty::Listing(plans.kernel(id)).to_string();
+                    digest.write(listing.as_bytes());
+                    digest.write(&[0]);
+                }
+            }
+        }
+    }
+    assert_eq!(folded.len(), plans.unique_kernels());
+    assert_pinned(
+        "plan_digest.json",
+        &[
+            ("plans", plans.len() as u64),
+            ("unique_kernels", folded.len() as u64),
+            ("kernel_digest", digest.finish()),
         ],
     );
 }

@@ -380,3 +380,90 @@ fn a_search_that_gives_up_says_why_and_allocates_nothing_when_off() {
         "a failed search and an instant verdict allocated {allocated} times under a disabled trace"
     );
 }
+
+// ---------------------------------------------------------------------
+// Dense tables: the compile path allocates per table, not per
+// instruction.
+
+/// Heap allocations of each step of the `cfpc` path on `bench` unrolled
+/// `unroll` times: `unroll`, `vreg_count` of the unrolled kernel,
+/// `optimize_budgeted`, `LoopCode::build`, `allocate`, `encode`,
+/// `simulate`, in that order, then the body length. `encode`'s count leaves out the vectors of the
+/// program it returns (each word owns an op list and an immediate pool),
+/// which grow with the schedule by definition.
+fn compile_path_allocations(bench: Benchmark, unroll: u32) -> ([u64; 7], usize) {
+    use custom_fit::sched::{allocate, encode, simulate, LoopCode};
+    let spec = ArchSpec::new(16, 8, 512, 4, 2, 1).expect("valid spec");
+    let machine = MachineResources::from_spec(&spec);
+    let budget = custom_fit::dse::eval::residency_budget(spec.regs);
+    let mut base = bench.kernel();
+    custom_fit::opt::optimize_budgeted(&mut base, budget);
+
+    let mut counts = [0_u64; 7];
+    let mut step = 0;
+    let mut counted = |f: &mut dyn FnMut()| {
+        let before = allocs();
+        f();
+        counts[step] = allocs() - before;
+        step += 1;
+    };
+    let mut kernel = base.clone();
+    counted(&mut || kernel = custom_fit::opt::unroll::unroll(&base, unroll));
+    counted(&mut || {
+        std::hint::black_box(kernel.vreg_count());
+    });
+    counted(&mut || custom_fit::opt::optimize_budgeted(&mut kernel, budget));
+    let mut code = None;
+    counted(&mut || code = Some(LoopCode::build(&kernel, &machine)));
+    drop(code);
+    let result = custom_fit::sched::compile(&kernel, &machine);
+    assert!(result.fits(), "{bench} x{unroll} must fit to be encoded");
+    let mut phys = None;
+    counted(&mut || phys = Some(allocate(&result.assignment, &result.schedule, &machine)));
+    assert!(phys.is_some_and(|p| p.is_ok()));
+    let mut program = None;
+    counted(&mut || program = Some(encode(&result.assignment, &result.schedule, &machine)));
+    let program = program.expect("ran").expect("encodes");
+    let mut mem = bench.workload(16, 1).image();
+    let iters = 16 / u64::from(unroll);
+    let mut stats = None;
+    counted(&mut || stats = Some(simulate(&kernel, &result, &machine, &mut mem, iters)));
+    assert!(stats.is_some_and(|s| s.is_ok()));
+    let own_vectors = 1 + program
+        .words
+        .iter()
+        .map(|w| u64::from(!w.ops.is_empty()) + u64::from(!w.imms.is_empty()))
+        .sum::<u64>();
+    counts[5] -= own_vectors;
+    (counts, kernel.body.len())
+}
+
+/// What unrolling may add to any one step's allocation count: one more
+/// round of the optimizer's fixed point (a kernel clone and each pass's
+/// handful of tables) and a few doublings of a growing vector.
+const UNROLL_ALLOCATION_SLACK: u64 = 32;
+
+#[test]
+fn compile_path_allocations_do_not_grow_with_the_body() {
+    const STEPS: [&str; 7] = [
+        "unroll",
+        "vreg_count",
+        "optimize_budgeted",
+        "LoopCode::build",
+        "allocate",
+        "encode",
+        "simulate",
+    ];
+    // A stencil and the IDCT: eight times the body, the same tables.
+    for bench in [Benchmark::A, Benchmark::C] {
+        let (rolled, small) = compile_path_allocations(bench, 1);
+        let (unrolled, large) = compile_path_allocations(bench, 8);
+        assert!(large >= 5 * small, "{bench}: {small} -> {large} ops");
+        for ((step, at_1), at_8) in STEPS.iter().zip(rolled).zip(unrolled) {
+            assert!(
+                at_8 <= at_1 + UNROLL_ALLOCATION_SLACK,
+                "{bench}: {step} allocated {at_1} times on {small} ops and {at_8} on {large}"
+            );
+        }
+    }
+}
