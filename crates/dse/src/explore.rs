@@ -473,21 +473,14 @@ impl Exploration {
             .ok_or(ExploreError::WorkerLost)?;
         let eval_wall = eval_start.elapsed();
 
-        // Cost and derate are filled by the models' batch entry points —
-        // two linear passes over the spec column, bit-identical to
-        // per-spec `cost()`/`derate()` calls.
-        let mut costs = vec![0.0; config.archs.len()];
-        let mut derates = vec![0.0; config.archs.len()];
-        cost.cost_batch(&config.archs, &mut costs);
-        cycle.derate_batch(&config.archs, &mut derates);
         let archs: Vec<ArchEval> = config
             .archs
             .iter()
             .enumerate()
             .map(|(a, spec)| ArchEval {
                 spec: *spec,
-                cost: costs[a],
-                derate: derates[a],
+                cost: cost.cost(spec),
+                derate: cycle.derate(spec),
                 outcomes: outcomes[a * nb..(a + 1) * nb].to_vec(),
             })
             .collect();

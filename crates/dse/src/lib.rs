@@ -31,7 +31,7 @@
 //! * [`mod@select`] — COST/RANGE architecture selection (Tables 8–10);
 //! * [`pareto`] — scatter points and best-alternative frontiers
 //!   (Figures 3–4);
-//! * [`search`] — the guided search engine (lazy oracle, successive
+//! * [`search`] — the guided search engine (lazy evaluator, successive
 //!   halving, frontier refinement) plus the classic strategies,
 //!   answering the paper's open question about search effectiveness;
 //! * [`correction`] — the paper's clustering correction-factor
@@ -84,7 +84,7 @@ pub use memo::{CompileCache, CoreSummary, ShardedMap};
 pub use oracle::{BenchGap, OracleConfig, OraclePoint, OracleReport, PointVerdict};
 pub use pareto::{frontier, hypervolume, scatter, ScatterPoint};
 pub use search::{
-    promote, try_search, try_search_shared, LazyOracle, RoundStats, Rung, SearchConfig,
+    promote, try_search, try_search_shared, LazyEvaluator, RoundStats, Rung, SearchConfig,
     SearchOutcome, SearchReport, Strategy,
 };
 pub use select::{select, Range, Selection};

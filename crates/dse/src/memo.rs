@@ -275,6 +275,16 @@ pub struct CoreSummary {
     pub steps: u64,
 }
 
+impl From<SchedCore> for CoreSummary {
+    fn from(core: SchedCore) -> Self {
+        CoreSummary {
+            length: core.length,
+            peak: core.peak,
+            steps: core.steps,
+        }
+    }
+}
+
 impl CompileCache {
     /// A fresh, empty, unbounded cache.
     #[must_use]
@@ -318,13 +328,8 @@ impl CompileCache {
         sig: SchedSignature,
         f: impl FnOnce() -> Result<SchedCore, E>,
     ) -> Result<Arc<CoreSummary>, E> {
-        self.cores.try_get_or_insert_with(&(id, sig), || {
-            f().map(|core| CoreSummary {
-                length: core.length,
-                peak: core.peak,
-                steps: core.steps,
-            })
-        })
+        self.cores
+            .try_get_or_insert_with(&(id, sig), || f().map(CoreSummary::from))
     }
 
     /// Schedule lookups served from the cache.

@@ -9,9 +9,9 @@
 //!
 //! * the classic strategies ([`Strategy`], [`run`], [`study`]) — random
 //!   sampling, hill climbing, simulated annealing — driven against a
-//!   completed [`Exploration`] used as an oracle, which is what lets the
+//!   completed [`Exploration`] used as ground truth, which is what lets the
 //!   study grade each one against the known optimum; and
-//! * the guided engine ([`try_search`]): a [`LazyOracle`] that compiles
+//! * the guided engine ([`try_search`]): a [`LazyEvaluator`] that compiles
 //!   and scores only the candidates a search actually asks about — one
 //!   [`Evaluator`] per [`Rung`], behind the sweep's [`quarantine`] —
 //!   wrapped in a successive-halving fuel ladder (cheap truncated-unroll
@@ -124,9 +124,9 @@ pub struct SearchReport {
     pub quality: f64,
 }
 
-/// The eager oracle: target speedups and costs precomputed by an
+/// The eager ground truth: target speedups and costs precomputed by an
 /// exploration, for running strategies against known ground truth.
-struct Oracle<'a> {
+struct GroundTruth<'a> {
     ex: &'a Exploration,
     target: usize,
     cost_bound: f64,
@@ -134,9 +134,9 @@ struct Oracle<'a> {
     queried: HashSet<usize>,
 }
 
-impl<'a> Oracle<'a> {
+impl<'a> GroundTruth<'a> {
     fn new(ex: &'a Exploration, target: usize, cost_bound: f64) -> Self {
-        Oracle {
+        GroundTruth {
             ex,
             target,
             cost_bound,
@@ -250,7 +250,7 @@ fn drive(
     best
 }
 
-/// Run one strategy against the exploration oracle.
+/// Run one strategy against a finished exploration.
 #[must_use]
 pub fn run(
     ex: &Exploration,
@@ -259,9 +259,9 @@ pub fn run(
     strategy: Strategy,
     seed: u64,
 ) -> SearchReport {
-    let mut oracle = Oracle::new(ex, target, cost_bound);
-    let specs = oracle.specs();
-    let best = drive(strategy, &specs, seed, &mut |s| oracle.eval(s));
+    let mut truth = GroundTruth::new(ex, target, cost_bound);
+    let specs = truth.specs();
+    let best = drive(strategy, &specs, seed, &mut |s| truth.eval(s));
 
     let exhaustive_best = (0..ex.archs.len())
         .filter(|&i| ex.archs[i].cost <= cost_bound)
@@ -273,7 +273,7 @@ pub fn run(
     };
     SearchReport {
         strategy,
-        evaluations: oracle.queried.len(),
+        evaluations: truth.queried.len(),
         best: best_spec,
         best_speedup,
         quality: if exhaustive_best > 0.0 && best_speedup.is_finite() {
@@ -409,16 +409,16 @@ impl SearchConfig {
     }
 }
 
-/// What the lazy oracle memoizes on, and the search journal keys its
+/// What the lazy evaluator memoizes on, and the search journal keys its
 /// entries by: `(candidate fingerprint, rung)`.
 type MemoKey = (u64, usize);
 
-/// The lazy oracle: evaluates only the `(candidate, rung)` pairs a
+/// The lazy evaluator: evaluates only the `(candidate, rung)` pairs a
 /// search asks about, through the shared plan snapshot and compile
 /// cache, memoizing every answer. Full-rung answers are bit-identical
 /// to what the exhaustive sweep's evaluation path records for the same
 /// `(architecture, benchmark)` unit.
-pub struct LazyOracle<'a> {
+pub struct LazyEvaluator<'a> {
     config: &'a SearchConfig,
     plans: PlanCache,
     memo: &'a CompileCache,
@@ -429,9 +429,9 @@ pub struct LazyOracle<'a> {
     memo_hits: AtomicU64,
 }
 
-impl std::fmt::Debug for LazyOracle<'_> {
+impl std::fmt::Debug for LazyEvaluator<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LazyOracle")
+        f.debug_struct("LazyEvaluator")
             .field("bench", &self.config.bench)
             .field("baseline_cpo", &self.baseline_cpo)
             .field("memo_hits", &self.memo_hits.load(Ordering::Relaxed))
@@ -439,8 +439,8 @@ impl std::fmt::Debug for LazyOracle<'_> {
     }
 }
 
-impl<'a> LazyOracle<'a> {
-    /// Build the oracle: snapshot the plans the space's register sizes
+impl<'a> LazyEvaluator<'a> {
+    /// Build the evaluator: snapshot the plans the space's register sizes
     /// need (cheap — one benchmark, a handful of residency budgets) and
     /// evaluate the baseline at full fidelity.
     ///
@@ -480,7 +480,7 @@ impl<'a> LazyOracle<'a> {
                 &mut UnitTrace::disabled(),
             )
             .map_err(|e| ExploreError::BaselineFailed(e.into()))?;
-        Ok(LazyOracle {
+        Ok(LazyEvaluator {
             config,
             plans,
             memo,
@@ -663,7 +663,7 @@ pub struct RoundStats {
     pub screens: u64,
     /// Fresh full-fidelity evaluations this round (final rung).
     pub full_evals: u64,
-    /// Queries served from the oracle memo this round (exact
+    /// Queries served from the evaluator's memo this round (exact
     /// `(candidate, rung)` repeats and journal replays).
     pub dedup_hits: u64,
     /// Frontier size after the round.
@@ -740,11 +740,11 @@ pub fn try_search_shared(
     let start = Instant::now();
     let hits0 = memo.core_hits();
     let cores0 = memo.unique_cores() as u64;
-    let oracle = LazyOracle::new(config, store, memo)?;
+    let lazy = LazyEvaluator::new(config, store, memo)?;
     let plan_wall = start.elapsed();
 
     // Attach the search journal and replay any prior outcomes into the
-    // oracle's memo: the engine's control flow is deterministic in the
+    // evaluator's memo: the engine's control flow is deterministic in the
     // seed, so replayed answers land on exactly the queries a fresh run
     // would have made, and the resumed frontier is bit-identical.
     let fingerprint = search_fingerprint(config);
@@ -753,7 +753,7 @@ pub fn try_search_shared(
         Some(ck) => {
             let (journal, entries) = search_journal(ck, fingerprint)?;
             resumed = entries.len() as u64;
-            oracle.preload(entries);
+            lazy.preload(entries);
             Some(journal)
         }
         None => None,
@@ -777,7 +777,7 @@ pub fn try_search_shared(
     for round in 0..config.rounds {
         let mut trace = UnitTrace::new(rec, cfp_obs::unit::search(round));
         let t0 = trace.start();
-        let dedup0 = oracle.memo_hits();
+        let dedup0 = lazy.memo_hits();
 
         // Propose: refine the current frontier's neighborhoods first
         // (cheapest frontier member outward, breadth-first two steps
@@ -806,7 +806,7 @@ pub fn try_search_shared(
                     if in_next.insert(n) {
                         next.push(n);
                     }
-                    if seen.contains(&n) || oracle.cost(&n) > config.cost_bound {
+                    if seen.contains(&n) || lazy.cost(&n) > config.cost_bound {
                         continue;
                     }
                     seen.insert(n);
@@ -819,7 +819,7 @@ pub fn try_search_shared(
         while pool.len() < config.round_size && attempts < config.round_size.saturating_mul(64) {
             attempts += 1;
             let s = config.axes.sample_with(&mut |n| below(&mut rng, n));
-            if seen.contains(&s) || oracle.cost(&s) > config.cost_bound {
+            if seen.contains(&s) || lazy.cost(&s) > config.cost_bound {
                 continue;
             }
             seen.insert(s);
@@ -835,7 +835,7 @@ pub fn try_search_shared(
 
         for (ri, _) in config.rungs.iter().enumerate() {
             rung_survivors.push(pool.len());
-            let results = oracle.rung_outcomes(&pool, ri, config.threads, &mut scratch)?;
+            let results = lazy.rung_outcomes(&pool, ri, config.threads, &mut scratch)?;
             if let Some(journal) = journal.as_mut() {
                 // One write per rung keeps the rename traffic proportional
                 // to rungs, not candidates; a crash loses at most the
@@ -867,9 +867,9 @@ pub fn try_search_shared(
             if ri == full_rung {
                 for (s, (out, _)) in pool.iter().zip(&results) {
                     if out.is_done() {
-                        let su = oracle.speedup(s, out);
+                        let su = lazy.speedup(s, out);
                         if su.is_finite() {
-                            archive.insert(*s, (oracle.cost(s), su));
+                            archive.insert(*s, (lazy.cost(s), su));
                         }
                     }
                 }
@@ -881,9 +881,9 @@ pub fn try_search_shared(
                     .iter()
                     .zip(&results)
                     .map(|(s, (out, _))| {
-                        let su = oracle.speedup(s, out);
+                        let su = lazy.speedup(s, out);
                         if su.is_finite() {
-                            su - frontier_height(&frontier_pts, oracle.cost(s))
+                            su - frontier_height(&frontier_pts, lazy.cost(s))
                         } else {
                             f64::NEG_INFINITY
                         }
@@ -919,7 +919,7 @@ pub fn try_search_shared(
             .collect();
         frontier_specs = frontier_idx.iter().map(|&i| points[i].spec).collect();
         let best_speedup = frontier_pts.last().map_or(f64::NAN, |p| p.1);
-        let dedup_hits = oracle.memo_hits() - dedup0;
+        let dedup_hits = lazy.memo_hits() - dedup0;
         screens_total += screens;
         full_total += fulls;
 
@@ -968,7 +968,7 @@ pub fn try_search_shared(
             compilations,
             cache_hits,
             unique_schedules: (memo.unique_cores() as u64).saturating_sub(cores0),
-            unique_plans: oracle.unique_plans(),
+            unique_plans: lazy.unique_plans(),
             architectures: archive.len(),
             failed_units: failed,
             fuel_exhausted,
@@ -978,7 +978,7 @@ pub fn try_search_shared(
             // Memo answers plus signature-sibling compile-cache hits;
             // the cache component is approximate under concurrent jobs,
             // exactly like `cache_hits`.
-            dedup_hits: oracle.memo_hits() + cache_hits,
+            dedup_hits: lazy.memo_hits() + cache_hits,
             ii_attempts: 0,
             plan_wall,
             eval_wall,
@@ -1026,7 +1026,7 @@ pub(crate) fn journal_key(candidate: u64, rung: usize) -> String {
 
 /// Open the search's journal ([`Journal`] holds the format and the
 /// crash-consistent write discipline): no header tail, entries keyed
-/// `<candidate fingerprint>,<rung>` — the oracle's memo key, so a resume
+/// `<candidate fingerprint>,<rung>` — the evaluator's memo key, so a resume
 /// replays them straight into the memo.
 pub(crate) fn search_journal(
     ck: &Checkpoint,
@@ -1214,13 +1214,13 @@ mod tests {
         // rung off the ladder — which is how a test gets a unit to die.
         let cfg = small_config();
         let (store, memo) = (PlanStore::new(), CompileCache::new());
-        let oracle = LazyOracle::new(&cfg, &store, &memo).expect("baseline evaluates");
+        let lazy = LazyEvaluator::new(&cfg, &store, &memo).expect("baseline evaluates");
         let pool = [
             ArchSpec::baseline(),
             ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap(),
         ];
         let off_the_ladder = cfg.rungs.len();
-        let err = oracle
+        let err = lazy
             .rung_outcomes(&pool, off_the_ladder, 2, &mut EvalScratch::new())
             .expect_err("both workers die");
         assert!(matches!(err, ExploreError::WorkerLost), "{err}");

@@ -1,9 +1,9 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```sh
-//! cargo run --release -p cfp-bench --bin exhibits -- all
-//! cargo run --release -p cfp-bench --bin exhibits -- table8 table9 --fast
-//! cargo run --release -p cfp-bench --bin exhibits -- figure3 --csv
+//! cargo run --release -p cfp-exhibits --bin exhibits -- all
+//! cargo run --release -p cfp-exhibits --bin exhibits -- table8 table9 --fast
+//! cargo run --release -p cfp-exhibits --bin exhibits -- figure3 --csv
 //! ```
 //!
 //! `--fast` explores a 1-in-8 sample of the design space (same shapes,
@@ -22,9 +22,8 @@
 //! and per-architecture "why it lost" attribution tables. Results are
 //! bit-identical with tracing on or off (see `cfp_obs`).
 
-use cfp_bench::exhibits;
 use cfp_dse::Checkpoint;
-use cfp_kernels::Benchmark;
+use cfp_exhibits::exhibits;
 
 const USAGE: &str =
     "usage: exhibits [table1..table10 | figure1..figure4 | search | correction | codesize | pipelining | priority | spill | all]... [--fast] [--csv] [--extended] [--fused] [--oracle] [--mdes-dump SPEC] [--save FILE] [--load FILE] [--checkpoint FILE [--resume]] [--trace-out FILE] [--trace-summary]";
@@ -102,62 +101,19 @@ fn main() {
     if let Some(dump) = &mdes_dump {
         println!("{dump}\n");
     }
-    if wanted.is_empty() && (mdes_dump.is_some() || extended || fused || oracle) {
-        // The flag-only invocations stand alone; don't pull in `all`.
-        if extended {
-            println!(
-                "{}\n",
-                exhibits::extended_axis(&exhibits::extended_exploration(fast))
-            );
+    let flagged = [(extended, "extended"), (fused, "fused"), (oracle, "oracle")];
+    // The flag-only invocations stand alone; don't pull in `all`.
+    let flag_only = mdes_dump.is_some() || flagged.iter().any(|(on, _)| *on);
+    if wanted.iter().any(|w| w == "all") || (wanted.is_empty() && !flag_only) {
+        wanted = exhibits::ALL.map(str::to_owned).to_vec();
+    }
+    for (on, name) in flagged {
+        if on && !wanted.iter().any(|w| w == name) {
+            wanted.push(name.to_owned());
         }
-        if fused {
-            println!(
-                "{}\n",
-                exhibits::fused_axis(&exhibits::fused_exploration(fast))
-            );
-        }
-        if oracle {
-            println!("{}\n", exhibits::oracle_gap(&exhibits::oracle_study(fast)));
-        }
-        return;
-    }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = (1..=10)
-            .map(|n| format!("table{n}"))
-            .chain((1..=4).map(|n| format!("figure{n}")))
-            .chain([
-                "search".to_owned(),
-                "correction".to_owned(),
-                "codesize".to_owned(),
-                "pipelining".to_owned(),
-                "priority".to_owned(),
-                "spill".to_owned(),
-            ])
-            .collect();
-    }
-    if extended && !wanted.iter().any(|w| w == "extended") {
-        wanted.push("extended".to_owned());
-    }
-    if fused && !wanted.iter().any(|w| w == "fused") {
-        wanted.push("fused".to_owned());
-    }
-    if oracle && !wanted.iter().any(|w| w == "oracle") {
-        wanted.push("oracle".to_owned());
     }
 
-    let needs_exploration = wanted.iter().any(|w| {
-        matches!(
-            w.as_str(),
-            "table3"
-                | "table8"
-                | "table9"
-                | "table10"
-                | "figure3"
-                | "figure4"
-                | "search"
-                | "correction"
-        )
-    });
+    let needs_exploration = wanted.iter().any(|w| exhibits::needs_exploration(w));
     let exploration = if let Some(path) = &load {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read `{path}`: {e}");
@@ -175,7 +131,7 @@ fn main() {
         let rec: &dyn cfp_obs::Recorder = recorder
             .as_ref()
             .map_or(&cfp_obs::NULL, |r| r as &dyn cfp_obs::Recorder);
-        match exhibits::run_exploration_traced(fast, checkpoint, rec) {
+        match exhibits::run_exploration(fast, checkpoint, rec) {
             Ok(ex) => {
                 if ex.stats.resumed_units > 0 {
                     eprintln!(
@@ -224,59 +180,10 @@ fn main() {
         }
         eprintln!("exploration saved to {path}");
     }
-    let ex = exploration.as_ref();
-
     for w in &wanted {
-        let out = match w.as_str() {
-            "table1" => exhibits::table1(),
-            "table2" => exhibits::table2(),
-            "table3" => exhibits::table3(ex.expect("explored")),
-            "table4" => exhibits::table4(),
-            "table5" => exhibits::table5(),
-            "table6" => exhibits::table6(),
-            "table7" => exhibits::table7(),
-            "table8" => exhibits::table8_10(ex.expect("explored"), 5.0),
-            "table9" => exhibits::table8_10(ex.expect("explored"), 10.0),
-            "table10" => exhibits::table8_10(ex.expect("explored"), 15.0),
-            "search" => exhibits::extension_search(ex.expect("explored")),
-            "correction" => exhibits::extension_correction(ex.expect("explored")),
-            "codesize" => exhibits::extension_codesize(),
-            "pipelining" => exhibits::extension_pipelining(),
-            "priority" => exhibits::extension_priority(),
-            "spill" => exhibits::extension_spill(),
-            "extended" => exhibits::extended_axis(&exhibits::extended_exploration(fast)),
-            "fused" => exhibits::fused_axis(&exhibits::fused_exploration(fast)),
-            "oracle" => exhibits::oracle_gap(&exhibits::oracle_study(fast)),
-            "figure1" => exhibits::figure1(),
-            "figure2" => exhibits::figure2(),
-            "figure3" => {
-                let ex = ex.expect("explored");
-                if csv {
-                    exhibits::figure_csv(ex, &Benchmark::INDIVIDUAL)
-                } else {
-                    exhibits::figure(
-                        ex,
-                        &Benchmark::INDIVIDUAL,
-                        "Figure 3: cost/speedup scatter, individual benchmarks",
-                    )
-                }
-            }
-            "figure4" => {
-                let ex = ex.expect("explored");
-                if csv {
-                    exhibits::figure_csv(ex, &Benchmark::JAMMED)
-                } else {
-                    exhibits::figure(
-                        ex,
-                        &Benchmark::JAMMED,
-                        "Figure 4: cost/speedup scatter, jammed benchmarks",
-                    )
-                }
-            }
-            other => {
-                eprintln!("unknown exhibit `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
+        let Some(out) = exhibits::render(w, exploration.as_ref(), fast, csv) else {
+            eprintln!("unknown exhibit `{w}`\n{USAGE}");
+            std::process::exit(2);
         };
         println!("{out}\n");
     }

@@ -606,6 +606,14 @@ pub fn mdes_dump(spec: &ArchSpec) -> String {
     )
 }
 
+/// Every cluster arrangement of `space`'s base points — of every 8th
+/// one with `fast`: quick, same shape.
+fn sampled_arrangements(space: &DesignSpace, fast: bool) -> Vec<ArchSpec> {
+    let step = if fast { 8 } else { 1 };
+    let sampled = space.base_points().iter().step_by(step).copied().collect();
+    DesignSpace::from_base_points(sampled).all_arrangements()
+}
+
 /// The exploration behind `exhibits --extended`: the paper space doubled
 /// with pipelined-Level-2 mirrors ([`DesignSpace::extended`]). `fast`
 /// samples every 8th base point (the sampling keeps sibling pairs —
@@ -613,22 +621,8 @@ pub fn mdes_dump(spec: &ArchSpec) -> String {
 /// sampled too).
 #[must_use]
 pub fn extended_exploration(fast: bool) -> Exploration {
-    let space = DesignSpace::extended();
-    let step = if fast { 8 } else { 1 };
-    let archs: Vec<ArchSpec> = space
-        .base_points()
-        .iter()
-        .step_by(step)
-        .flat_map(|b| {
-            DesignSpace::cluster_options(b).into_iter().map(|c| {
-                let mut s = *b;
-                s.clusters = c;
-                s
-            })
-        })
-        .collect();
     Exploration::run(&ExploreConfig {
-        archs,
+        archs: sampled_arrangements(&DesignSpace::extended(), fast),
         benches: Benchmark::TABLE_COLUMNS.to_vec(),
         ..ExploreConfig::default()
     })
@@ -734,19 +728,8 @@ pub fn extended_axis(ex: &Exploration) -> String {
 /// sibling-pair accounting in [`fused_axis`] depends on that.
 #[must_use]
 pub fn fused_exploration(fast: bool) -> Exploration {
-    let space = DesignSpace::paper();
-    let step = if fast { 8 } else { 1 };
-    let archs: Vec<ArchSpec> = space
-        .base_points()
-        .iter()
-        .step_by(step)
-        .flat_map(|b| {
-            DesignSpace::cluster_options(b).into_iter().map(|c| {
-                let mut s = *b;
-                s.clusters = c;
-                s
-            })
-        })
+    let archs: Vec<ArchSpec> = sampled_arrangements(&DesignSpace::paper(), fast)
+        .into_iter()
         .flat_map(|s| ExtSet::AXIS.iter().map(move |&e| s.with_extensions(e)))
         .collect();
     Exploration::run(&ExploreConfig {
@@ -978,58 +961,24 @@ Per-benchmark gap (ratios over certified points only)
     )
 }
 
-/// The exploration every speedup exhibit is computed from.
-#[must_use]
-pub fn run_exploration(fast: bool) -> Exploration {
-    match run_exploration_checkpointed(fast, None) {
-        Ok(ex) => ex,
-        // No checkpoint involved, so this is EmptyConfig/BaselineFailed —
-        // a broken build, not an operational condition to recover from.
-        Err(e) => panic!("exhibit exploration failed: {e}"),
-    }
-}
-
-/// [`run_exploration`] with an optional checkpoint journal attached, for
-/// the `exhibits` binary's `--checkpoint`/`--resume` flags.
+/// The exploration every speedup exhibit is computed from: the paper
+/// space, or with `fast` every 8th base point under all its cluster
+/// arrangements (quick, same shape). `checkpoint` and `rec` serve the
+/// `exhibits` binary's `--checkpoint`/`--resume` and `--trace-out`/
+/// `--trace-summary` flags; results are bit-identical whichever
+/// recorder is attached.
 ///
 /// # Errors
 /// Any [`ExploreError`] from the run — with a checkpoint, that includes
 /// an unusable or mismatched journal.
-pub fn run_exploration_checkpointed(
-    fast: bool,
-    checkpoint: Option<Checkpoint>,
-) -> Result<Exploration, ExploreError> {
-    run_exploration_traced(fast, checkpoint, &cfp_obs::NULL)
-}
-
-/// [`run_exploration_checkpointed`] with a live span recorder, for the
-/// `exhibits` binary's `--trace-out`/`--trace-summary` flags. Results
-/// are bit-identical whichever recorder is attached.
-///
-/// # Errors
-/// As [`run_exploration_checkpointed`].
-pub fn run_exploration_traced(
+pub fn run_exploration(
     fast: bool,
     checkpoint: Option<Checkpoint>,
     rec: &dyn cfp_obs::Recorder,
 ) -> Result<Exploration, ExploreError> {
     let config = if fast {
-        let space = DesignSpace::paper();
-        // Every 8th base point, all arrangements: quick but same shape.
-        let archs: Vec<ArchSpec> = space
-            .base_points()
-            .iter()
-            .step_by(8)
-            .flat_map(|b| {
-                DesignSpace::cluster_options(b).into_iter().map(|c| {
-                    let mut s = *b;
-                    s.clusters = c;
-                    s
-                })
-            })
-            .collect();
         ExploreConfig {
-            archs,
+            archs: sampled_arrangements(&DesignSpace::paper(), true),
             benches: Benchmark::TABLE_COLUMNS.to_vec(),
             checkpoint,
             ..ExploreConfig::default()
@@ -1041,6 +990,97 @@ pub fn run_exploration_traced(
         }
     };
     Exploration::try_run_traced(&config, rec)
+}
+
+/// The exhibits `all` expands to, in print order.
+pub const ALL: [&str; 20] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "table10",
+    "figure1",
+    "figure2",
+    "figure3",
+    "figure4",
+    "search",
+    "correction",
+    "codesize",
+    "pipelining",
+    "priority",
+    "spill",
+];
+
+/// Whether [`render`] computes exhibit `name` from the exploration.
+#[must_use]
+pub fn needs_exploration(name: &str) -> bool {
+    matches!(
+        name,
+        "table3"
+            | "table8"
+            | "table9"
+            | "table10"
+            | "figure3"
+            | "figure4"
+            | "search"
+            | "correction"
+    )
+}
+
+/// Render one exhibit by its command-line name, or `None` for a name
+/// that is no exhibit. `fast` samples the spaces the axis studies
+/// (`extended`, `fused`, `oracle`) run themselves; `csv` turns the
+/// figures into their raw data.
+///
+/// # Panics
+/// Panics when [`needs_exploration`] holds for `name` and `ex` is `None`.
+#[must_use]
+pub fn render(name: &str, ex: Option<&Exploration>, fast: bool, csv: bool) -> Option<String> {
+    let explored = || ex.expect("this exhibit needs the exploration");
+    let scatter = |benches: &[Benchmark], title: &str| {
+        if csv {
+            figure_csv(explored(), benches)
+        } else {
+            figure(explored(), benches, title)
+        }
+    };
+    Some(match name {
+        "table1" => table1(),
+        "table2" => table2(),
+        "table3" => table3(explored()),
+        "table4" => table4(),
+        "table5" => table5(),
+        "table6" => table6(),
+        "table7" => table7(),
+        "table8" => table8_10(explored(), 5.0),
+        "table9" => table8_10(explored(), 10.0),
+        "table10" => table8_10(explored(), 15.0),
+        "search" => extension_search(explored()),
+        "correction" => extension_correction(explored()),
+        "codesize" => extension_codesize(),
+        "pipelining" => extension_pipelining(),
+        "priority" => extension_priority(),
+        "spill" => extension_spill(),
+        "extended" => extended_axis(&extended_exploration(fast)),
+        "fused" => fused_axis(&fused_exploration(fast)),
+        "oracle" => oracle_gap(&oracle_study(fast)),
+        "figure1" => figure1(),
+        "figure2" => figure2(),
+        "figure3" => scatter(
+            &Benchmark::INDIVIDUAL,
+            "Figure 3: cost/speedup scatter, individual benchmarks",
+        ),
+        "figure4" => scatter(
+            &Benchmark::JAMMED,
+            "Figure 4: cost/speedup scatter, jammed benchmarks",
+        ),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

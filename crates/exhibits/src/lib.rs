@@ -1,4 +1,4 @@
-//! # cfp-bench — exhibit regenerators
+//! # cfp-exhibits — exhibit regenerators
 //!
 //! One function per table and figure of the paper, each producing the
 //! text (or CSV) that corresponds to that exhibit, computed from this
@@ -6,8 +6,8 @@
 //! them:
 //!
 //! ```sh
-//! cargo run --release -p cfp-bench --bin exhibits -- all
-//! cargo run --release -p cfp-bench --bin exhibits -- table8 --fast
+//! cargo run --release -p cfp-exhibits --bin exhibits -- all
+//! cargo run --release -p cfp-exhibits --bin exhibits -- table8 --fast
 //! ```
 //!
 //! Timing the toolchain itself is `benchmarks/`' job (see its README).

@@ -12,12 +12,13 @@
 //! an ALU move the way the paper intends ("between a quarter and a half
 //! of the ALUs").
 //!
-//! Three axis sets are provided:
+//! Four axis sets are provided:
 //!
-//! * [`SpaceAxes::paper`] / [`SpaceAxes::extended`] — generate exactly
-//!   the existing [`DesignSpace::paper`] / [`DesignSpace::extended`]
-//!   enumerations (asserted bit-for-bit by the in-module tests, so the
-//!   checkpoint fingerprints that hash those enumerations are safe);
+//! * [`SpaceAxes::paper`] / [`SpaceAxes::extended`] /
+//!   [`SpaceAxes::with_extensions`] — what [`DesignSpace::paper`] /
+//!   [`DesignSpace::extended`] / [`DesignSpace::with_extensions`] are
+//!   generated from (checkpoint fingerprints hash those enumerations;
+//!   `tests/recorded_run.rs` holds the paper one to the recorded run);
 //! * [`SpaceAxes::combinatorial`] — the generated large space: every
 //!   axis widened (ALUs to 128, registers to 4096, ports to 16, full
 //!   sixteenth-resolution per-cluster mul fractions, pipelined and
@@ -26,15 +27,14 @@
 
 use crate::arch::ArchSpec;
 use crate::ext::ExtSet;
-use crate::space::DesignSpace;
+use crate::space::{self, DesignSpace};
 
 /// The value lists of every architecture axis.
 ///
 /// The IMUL axis is stored as numerators over sixteen: a setting `k`
 /// means `muls = max(1, alus * k / 16)`, so "a quarter of the ALUs" is
 /// `k = 4` at every ALU count. Duplicate mul values collapsing at small
-/// ALU counts are deduplicated in first-occurrence order, matching the
-/// equality guard in [`DesignSpace::paper`].
+/// ALU counts are deduplicated in first-occurrence order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceAxes {
     alus: Vec<u32>,
@@ -43,13 +43,12 @@ pub struct SpaceAxes {
     l2_ports: Vec<u32>,
     l2_latencies: Vec<u32>,
     l2_pipelined: Vec<bool>,
-    clusters: Vec<u32>,
     exts: Vec<ExtSet>,
 }
 
 impl SpaceAxes {
     /// The paper's axes (§2.4): quarter/half IMUL fractions, no
-    /// pipelined L2. Generates [`DesignSpace::paper`] exactly.
+    /// pipelined L2. Generates [`DesignSpace::paper`].
     #[must_use]
     pub fn paper() -> Self {
         SpaceAxes {
@@ -59,13 +58,12 @@ impl SpaceAxes {
             l2_ports: vec![1, 2, 4],
             l2_latencies: vec![4, 8],
             l2_pipelined: vec![false],
-            clusters: vec![1, 2, 4, 8, 16],
             exts: vec![ExtSet::EMPTY],
         }
     }
 
     /// The extended axes: the paper's plus the pipelined-L2 toggle.
-    /// Generates [`DesignSpace::extended`] exactly.
+    /// Generates [`DesignSpace::extended`].
     #[must_use]
     pub fn extended() -> Self {
         SpaceAxes {
@@ -77,7 +75,7 @@ impl SpaceAxes {
     /// The paper's axes plus the custom-instruction axis: every
     /// [`ExtSet::AXIS`] candidate (none, each single fused op for
     /// attribution, and all three). Generates
-    /// [`DesignSpace::with_extensions`] exactly.
+    /// [`DesignSpace::with_extensions`].
     #[must_use]
     pub fn with_extensions() -> Self {
         SpaceAxes {
@@ -99,9 +97,6 @@ impl SpaceAxes {
             l2_ports: vec![1, 2, 4, 8, 16],
             l2_latencies: vec![1, 2, 4, 8, 16],
             l2_pipelined: vec![false, true],
-            // Matches `DesignSpace::cluster_options` so the generated
-            // space's arrangements and these axes agree exactly.
-            clusters: vec![1, 2, 4, 8, 16],
             exts: vec![ExtSet::EMPTY],
         }
     }
@@ -135,24 +130,18 @@ impl SpaceAxes {
         out
     }
 
-    /// Legal cluster counts for a `(alus, regs)` pair: drawn from the
-    /// cluster axis, dividing both resources evenly with at least 16
-    /// registers per cluster (the [`DesignSpace::cluster_options`]
-    /// rule, against this axis set's candidate list).
+    /// Legal cluster counts for a `(alus, regs)` pair — the
+    /// [`DesignSpace::cluster_options`] rule, which is the same for
+    /// every axis set.
     #[must_use]
     pub fn cluster_options(&self, alus: u32, regs: u32) -> Vec<u32> {
-        self.clusters
-            .iter()
-            .copied()
-            .filter(|&c| c <= alus && alus % c == 0 && regs % c == 0 && regs / c >= 16)
-            .collect()
+        space::cluster_options(alus, regs)
     }
 
     /// The base points (all with `clusters = 1`), enumerated extension
     /// set outermost, then pipelined flag, then ALUs → muls → regs →
-    /// ports → latency — the same order as [`DesignSpace::paper`] /
-    /// [`DesignSpace::extended`] (whose single-value outer axes
-    /// contribute no reordering).
+    /// ports → latency (single-value outer axes contribute no
+    /// reordering).
     #[must_use]
     pub fn base_points(&self) -> Vec<ArchSpec> {
         let mut out = Vec::new();
@@ -195,16 +184,7 @@ impl SpaceAxes {
     /// set a search over these axes draws from.
     #[must_use]
     pub fn arrangements(&self) -> Vec<ArchSpec> {
-        let mut out = Vec::new();
-        for base in self.base_points() {
-            for c in self.cluster_options(base.alus, base.regs) {
-                let mut s = base;
-                s.clusters = c;
-                debug_assert!(s.validate().is_ok());
-                out.push(s);
-            }
-        }
-        out
+        space::arrangements(&self.base_points())
     }
 
     /// Whether `spec` is one of this axis set's arrangements.
@@ -365,38 +345,6 @@ fn nearest(vals: &[u32], want: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_axes_generate_the_paper_space_exactly() {
-        assert_eq!(
-            SpaceAxes::paper().base_points(),
-            DesignSpace::paper().base_points()
-        );
-    }
-
-    #[test]
-    fn extended_axes_generate_the_extended_space_exactly() {
-        assert_eq!(
-            SpaceAxes::extended().base_points(),
-            DesignSpace::extended().base_points()
-        );
-    }
-
-    #[test]
-    fn paper_arrangements_match_the_design_space() {
-        assert_eq!(
-            SpaceAxes::paper().arrangements(),
-            DesignSpace::paper().all_arrangements()
-        );
-        assert_eq!(
-            SpaceAxes::extended().arrangements(),
-            DesignSpace::extended().all_arrangements()
-        );
-        assert_eq!(
-            SpaceAxes::combinatorial().arrangements(),
-            DesignSpace::combinatorial().all_arrangements()
-        );
-    }
 
     #[test]
     fn combinatorial_space_exceeds_one_hundred_thousand_points() {

@@ -74,9 +74,6 @@ impl CostModel {
     /// heap, and scoring a large design space calls this once per point.
     #[must_use]
     pub fn raw_cost(&self, spec: &ArchSpec) -> f64 {
-        // The coefficient loads are hoisted into locals so the cluster
-        // loop reads no `self` field (the batch entry point below runs
-        // this same body back to back over a whole slice of specs).
         let (k2, k3, k4, k5) = (self.k2, self.k3, self.k4, self.k5);
         // Fused-extension area: each enabled extension upgrades existing
         // units, charging a fraction of an ALU height per upgraded slot.
@@ -103,22 +100,6 @@ impl CostModel {
     #[must_use]
     pub fn cost(&self, spec: &ArchSpec) -> f64 {
         self.raw_cost(spec) / self.baseline_raw
-    }
-
-    /// Batch scoring: the cost of every spec in `specs`, written to the
-    /// matching slot of `out`. One linear pass with the coefficients
-    /// resident; each slot is bit-identical to [`CostModel::cost`] of
-    /// that spec (same operations in the same order — the batch form
-    /// only amortizes the call overhead and keeps the loop vectorizable).
-    ///
-    /// # Panics
-    /// Panics if the slices disagree in length.
-    pub fn cost_batch(&self, specs: &[ArchSpec], out: &mut [f64]) {
-        assert_eq!(specs.len(), out.len(), "cost_batch slice lengths differ");
-        let base = self.baseline_raw;
-        for (spec, slot) in specs.iter().zip(out.iter_mut()) {
-            *slot = self.raw_cost(spec) / base;
-        }
     }
 
     /// The fitted coefficients `(k2, k3, k4, k5, k6)`.
@@ -174,21 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_costs_are_bit_identical_to_scalar() {
-        let model = CostModel::paper_calibrated();
-        let specs: Vec<ArchSpec> = crate::DesignSpace::extended()
-            .all_arrangements()
-            .into_iter()
-            .step_by(13)
-            .collect();
-        let mut out = vec![0.0; specs.len()];
-        model.cost_batch(&specs, &mut out);
-        for (s, &got) in specs.iter().zip(&out) {
-            assert_eq!(got.to_bits(), model.cost(s).to_bits(), "{s}");
-        }
-    }
-
-    #[test]
     fn extensions_charge_area_and_empty_sets_charge_exactly_nothing() {
         use crate::ext::ExtSet;
         let model = CostModel::paper_calibrated();
@@ -219,13 +185,6 @@ mod tests {
             model.cost(&few_muls.with_extensions(ExtSet::MULADD)) - model.cost(&few_muls);
         let madd_many = model.cost(&base.with_extensions(ExtSet::MULADD)) - c0;
         assert!(madd_many > madd_few);
-    }
-
-    #[test]
-    #[should_panic(expected = "slice lengths differ")]
-    fn batch_cost_rejects_mismatched_slices() {
-        let model = CostModel::paper_calibrated();
-        model.cost_batch(&[ArchSpec::baseline()], &mut []);
     }
 
     #[test]

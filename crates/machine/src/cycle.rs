@@ -57,23 +57,6 @@ impl CycleModel {
         self.raw_derate(spec) / self.baseline_raw
     }
 
-    /// Batch scoring: the derate of every spec in `specs`, written to
-    /// the matching slot of `out`. One linear pass with `α`/`β` held in
-    /// locals; each slot is bit-identical to [`CycleModel::derate`] of
-    /// that spec, and the loop body is three multiplies and an add over
-    /// flat data — exactly the shape the autovectorizer wants.
-    ///
-    /// # Panics
-    /// Panics if the slices disagree in length.
-    pub fn derate_batch(&self, specs: &[ArchSpec], out: &mut [f64]) {
-        assert_eq!(specs.len(), out.len(), "derate_batch slice lengths differ");
-        let (alpha, beta, base) = (self.alpha, self.beta, self.baseline_raw);
-        for (spec, slot) in specs.iter().zip(out.iter_mut()) {
-            let p = f64::from(spec.cycle_ports());
-            *slot = (alpha + beta * p * p) / base;
-        }
-    }
-
     /// The fitted `(α, β)` before normalization.
     #[must_use]
     pub fn coefficients(&self) -> (f64, f64) {
@@ -111,28 +94,6 @@ mod tests {
         let eight = m.derate(&spec(16, 1, 8));
         assert!(mono > 6.5 && mono < 8.0, "mono {mono:.2}");
         assert!(eight < 1.2, "eight {eight:.2}");
-    }
-
-    #[test]
-    fn batch_derates_are_bit_identical_to_scalar() {
-        let m = CycleModel::paper_calibrated();
-        let specs: Vec<ArchSpec> = crate::DesignSpace::extended()
-            .all_arrangements()
-            .into_iter()
-            .step_by(13)
-            .collect();
-        let mut out = vec![0.0; specs.len()];
-        m.derate_batch(&specs, &mut out);
-        for (s, &got) in specs.iter().zip(&out) {
-            assert_eq!(got.to_bits(), m.derate(s).to_bits(), "{s}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "slice lengths differ")]
-    fn batch_derate_rejects_mismatched_slices() {
-        let m = CycleModel::paper_calibrated();
-        m.derate_batch(&[ArchSpec::baseline()], &mut []);
     }
 
     #[test]

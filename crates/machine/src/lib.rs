@@ -64,10 +64,10 @@ pub use cost::CostModel;
 pub use cycle::CycleModel;
 pub use ext::{ExtOp, ExtSet};
 pub use hash::Fnv1a;
-pub use mdes::{ClusterUnits, Mdes, OpClass, OpDesc, UnitClass};
-pub use resources::{
-    ClusterResources, MachineResources, MemLevel, ALU_LATENCY, BRANCH_LATENCY, L1_LATENCY,
+pub use mdes::{
+    ClusterUnits, Mdes, OpClass, OpDesc, UnitClass, ALU_LATENCY, BRANCH_LATENCY, L1_LATENCY,
     MUL_LATENCY,
 };
+pub use resources::MachineResources;
 pub use signature::SchedSignature;
 pub use space::DesignSpace;

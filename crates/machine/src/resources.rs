@@ -3,60 +3,18 @@
 //!
 //! All hardware facts — latencies, pipelining, unit counts — live in the
 //! embedded machine description ([`Mdes`], see [`crate::mdes`]); this
-//! module keeps the flat per-cluster view the scheduler's cluster
-//! assignment and register-pressure passes index directly, plus
-//! convenience accessors that read the description.
+//! module keeps beside it the per-cluster [`ClusterShape`]s the spec
+//! deals, which the scheduler's cluster assignment and register-pressure
+//! passes index directly.
 
-use crate::arch::ArchSpec;
-use crate::mdes::{Mdes, OpClass, UnitClass};
-
-// Latency constants are declared by the machine description (the single
-// source of truth); re-exported here for back-compatibility.
-pub use crate::mdes::{ALU_LATENCY, BRANCH_LATENCY, L1_LATENCY, MUL_LATENCY};
-
-/// Which memory level an access targets. Mirrors `cfp_ir::MemSpace`
-/// without creating a dependency between the crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemLevel {
-    /// Level-1 (global) memory.
-    L1,
-    /// Level-2 (local) memory.
-    L2,
-}
-
-impl MemLevel {
-    /// The op class of an access to this level.
-    #[must_use]
-    pub fn op_class(self) -> OpClass {
-        match self {
-            MemLevel::L1 => OpClass::MemL1,
-            MemLevel::L2 => OpClass::MemL2,
-        }
-    }
-}
-
-/// One cluster's schedulable resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterResources {
-    /// ALU issue slots per cycle.
-    pub alus: u32,
-    /// How many of those slots accept a multiply.
-    pub mul_capable: u32,
-    /// Register-bank capacity.
-    pub regs: u32,
-    /// Level-1 memory ports attached here.
-    pub l1_ports: u32,
-    /// Level-2 memory ports attached here.
-    pub l2_ports: u32,
-    /// Whether the (single) branch unit lives here.
-    pub has_branch: bool,
-}
+use crate::arch::{ArchSpec, ClusterShape};
+use crate::mdes::{Mdes, OpClass};
 
 /// A whole machine, ready for scheduling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineResources {
-    /// Per-cluster resources; index = cluster id.
-    pub clusters: Vec<ClusterResources>,
+    /// Per-cluster shapes as the spec deals them; index = cluster id.
+    pub clusters: Vec<ClusterShape>,
     /// Level-2 access latency (cycles).
     pub l2_latency: u32,
     /// The machine description everything else is derived from.
@@ -67,19 +25,8 @@ impl MachineResources {
     /// Derive the resource tables from an architecture spec.
     #[must_use]
     pub fn from_spec(spec: &ArchSpec) -> Self {
-        let clusters = spec
-            .cluster_shapes()
-            .map(|sh| ClusterResources {
-                alus: sh.alus,
-                mul_capable: sh.muls,
-                regs: sh.regs,
-                l1_ports: sh.l1_ports,
-                l2_ports: sh.l2_ports,
-                has_branch: sh.has_branch,
-            })
-            .collect();
         MachineResources {
-            clusters,
+            clusters: spec.cluster_shapes().collect(),
             l2_latency: spec.l2_latency,
             mdes: Mdes::from_spec(spec),
         }
@@ -103,54 +50,23 @@ impl MachineResources {
     pub fn reserved_cycles(&self, class: OpClass) -> u32 {
         self.mdes.reserved_cycles(class)
     }
-
-    /// Latency of a memory access to the given level.
-    #[must_use]
-    pub fn mem_latency(&self, level: MemLevel) -> u32 {
-        self.mdes.latency(level.op_class())
-    }
-
-    /// Memory ports of the given level on cluster `c`.
-    ///
-    /// # Panics
-    /// Panics if `c` is out of range.
-    #[must_use]
-    pub fn mem_ports(&self, c: usize, level: MemLevel) -> u32 {
-        match level {
-            MemLevel::L1 => self.mdes.units(c, UnitClass::L1Port),
-            MemLevel::L2 => self.mdes.units(c, UnitClass::L2Port),
-        }
-    }
-
-    /// Total ALU slots across the machine (the VLIW issue width, minus
-    /// memory and branch slots).
-    #[must_use]
-    pub fn total_alus(&self) -> u32 {
-        self.mdes.total_units(UnitClass::Alu)
-    }
-
-    /// Whether *any* cluster can issue a multiply.
-    #[must_use]
-    pub fn can_multiply(&self) -> bool {
-        self.mdes.total_units(UnitClass::Mul) > 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mdes::UnitClass;
 
     #[test]
     fn baseline_resources() {
         let r = MachineResources::from_spec(&ArchSpec::baseline());
         assert_eq!(r.cluster_count(), 1);
         let c = &r.clusters[0];
-        assert_eq!((c.alus, c.mul_capable, c.regs), (1, 1, 64));
+        assert_eq!((c.alus, c.muls, c.regs), (1, 1, 64));
         assert_eq!((c.l1_ports, c.l2_ports), (1, 1));
         assert!(c.has_branch);
-        assert_eq!(r.mem_latency(MemLevel::L1), 3);
-        assert_eq!(r.mem_latency(MemLevel::L2), 8);
-        assert!(r.can_multiply());
+        assert_eq!(r.latency(OpClass::MemL1), 3);
+        assert_eq!(r.latency(OpClass::MemL2), 8);
     }
 
     #[test]
@@ -160,25 +76,10 @@ mod tests {
         assert_eq!(r.cluster_count(), 4);
         assert!(r.clusters[0].has_branch);
         assert!(!r.clusters[1].has_branch);
-        assert_eq!(r.mem_ports(0, MemLevel::L1), 1);
-        assert_eq!(r.mem_ports(1, MemLevel::L2), 1);
-        assert_eq!(r.mem_ports(2, MemLevel::L2), 0);
-        assert_eq!(r.total_alus(), 8);
+        assert_eq!(r.mdes.units(0, UnitClass::L1Port), 1);
+        assert_eq!(r.mdes.units(1, UnitClass::L2Port), 1);
+        assert_eq!(r.mdes.units(2, UnitClass::L2Port), 0);
+        assert_eq!(r.mdes.total_units(UnitClass::Alu), 8);
         assert_eq!(r.l2_latency, 4);
-    }
-
-    #[test]
-    fn flat_view_agrees_with_the_description() {
-        let spec = ArchSpec::new(16, 8, 512, 4, 2, 8).unwrap();
-        let r = MachineResources::from_spec(&spec);
-        for (j, cl) in r.clusters.iter().enumerate() {
-            assert_eq!(cl.alus, r.mdes.units(j, UnitClass::Alu));
-            assert_eq!(cl.mul_capable, r.mdes.units(j, UnitClass::Mul));
-            assert_eq!(cl.l1_ports, r.mdes.units(j, UnitClass::L1Port));
-            assert_eq!(cl.l2_ports, r.mdes.units(j, UnitClass::L2Port));
-            assert_eq!(u32::from(cl.has_branch), r.mdes.units(j, UnitClass::Branch));
-            assert_eq!(cl.regs, r.mdes.clusters()[j].regs);
-        }
-        assert_eq!(r.l2_latency, r.mdes.latency(OpClass::MemL2));
     }
 }

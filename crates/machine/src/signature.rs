@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(a.mdes.ops(), b.mdes.ops());
         for (ca, cb) in a.clusters.iter().zip(&b.clusters) {
             assert_eq!(ca.alus, cb.alus);
-            assert_eq!(ca.mul_capable, cb.mul_capable);
+            assert_eq!(ca.muls, cb.muls);
             assert_eq!(ca.l1_ports, cb.l1_ports);
             assert_eq!(ca.l2_ports, cb.l2_ports);
             assert_eq!(ca.has_branch, cb.has_branch);

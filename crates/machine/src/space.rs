@@ -17,6 +17,7 @@
 //! arrangement had been selected" (Figure 3).
 
 use crate::arch::ArchSpec;
+use crate::axes::SpaceAxes;
 
 /// The enumerated space of candidate architectures.
 #[derive(Debug, Clone)]
@@ -25,40 +26,11 @@ pub struct DesignSpace {
 }
 
 impl DesignSpace {
-    /// The paper's space (see the module docs).
-    // The enumerated tuples satisfy ArchSpec::new's invariants by
-    // construction (c = 1 divides everything); a panic here would mean
-    // the enumeration itself is wrong, which the in-module tests catch.
-    #[allow(clippy::expect_used)]
+    /// The paper's space (see the module docs): what
+    /// [`SpaceAxes::paper`] generates.
     #[must_use]
     pub fn paper() -> Self {
-        let mut base_points = Vec::new();
-        for a in [1_u32, 2, 4, 8, 16] {
-            let quarter = (a / 4).max(1);
-            let half = (a / 2).max(1);
-            // Explicit equality guard rather than adjacent `dedup()`:
-            // dedup is order-dependent, so a future reorder of the
-            // {a/4, a/2} candidates could silently reintroduce
-            // duplicate base points.
-            let ms = if quarter == half {
-                vec![quarter]
-            } else {
-                vec![quarter, half]
-            };
-            for m in ms {
-                for r in [64_u32, 128, 256, 512] {
-                    for p2 in [1_u32, 2, 4] {
-                        for l2 in [4_u32, 8] {
-                            base_points.push(
-                                ArchSpec::new(a, m, r, p2, l2, 1)
-                                    .expect("enumerated base points are valid"),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        DesignSpace { base_points }
+        SpaceAxes::paper().space()
     }
 
     /// The extended space: every paper base point twice, once with the
@@ -69,10 +41,7 @@ impl DesignSpace {
     /// ports buys performance worth their cost.
     #[must_use]
     pub fn extended() -> Self {
-        let paper = Self::paper();
-        let mut base_points = paper.base_points.clone();
-        base_points.extend(paper.base_points.iter().map(|s| s.with_pipelined_l2()));
-        DesignSpace { base_points }
+        SpaceAxes::extended().space()
     }
 
     /// The custom-instruction space: every paper base point under each
@@ -85,7 +54,7 @@ impl DesignSpace {
     /// instruction set instead of the datapath).
     #[must_use]
     pub fn with_extensions() -> Self {
-        crate::axes::SpaceAxes::with_extensions().space()
+        SpaceAxes::with_extensions().space()
     }
 
     /// The generated combinatorial space: every axis of the extended
@@ -96,7 +65,7 @@ impl DesignSpace {
     /// guided engine in `cfp-dse` evaluates only the points it visits.
     #[must_use]
     pub fn combinatorial() -> Self {
-        crate::axes::SpaceAxes::combinatorial().space()
+        SpaceAxes::combinatorial().space()
     }
 
     /// A space over explicit base points (all must have `clusters = 1`
@@ -119,27 +88,13 @@ impl DesignSpace {
     /// Legal cluster counts for a base point.
     #[must_use]
     pub fn cluster_options(spec: &ArchSpec) -> Vec<u32> {
-        [1_u32, 2, 4, 8, 16]
-            .into_iter()
-            .filter(|&c| {
-                c <= spec.alus && spec.alus % c == 0 && spec.regs % c == 0 && spec.regs / c >= 16
-            })
-            .collect()
+        cluster_options(spec.alus, spec.regs)
     }
 
     /// Every `(base point, cluster count)` combination, as full specs.
     #[must_use]
     pub fn all_arrangements(&self) -> Vec<ArchSpec> {
-        let mut out = Vec::new();
-        for base in &self.base_points {
-            for c in Self::cluster_options(base) {
-                let mut s = *base;
-                s.clusters = c;
-                debug_assert!(s.validate().is_ok());
-                out.push(s);
-            }
-        }
-        out
+        arrangements(&self.base_points)
     }
 
     /// Number of base points.
@@ -153,6 +108,33 @@ impl DesignSpace {
     pub fn is_empty(&self) -> bool {
         self.base_points.is_empty()
     }
+}
+
+/// The cluster counts the experiment tries.
+const CLUSTER_COUNTS: [u32; 5] = [1, 2, 4, 8, 16];
+
+/// The cluster-count rule: the counts that divide both the ALUs and the
+/// registers evenly and leave every cluster at least 16 registers.
+pub(crate) fn cluster_options(alus: u32, regs: u32) -> Vec<u32> {
+    CLUSTER_COUNTS
+        .into_iter()
+        .filter(|&c| c <= alus && alus % c == 0 && regs % c == 0 && regs / c >= 16)
+        .collect()
+}
+
+/// Every base point under each of its legal cluster counts, base-point
+/// order outermost.
+pub(crate) fn arrangements(base_points: &[ArchSpec]) -> Vec<ArchSpec> {
+    let mut out = Vec::new();
+    for base in base_points {
+        for c in cluster_options(base.alus, base.regs) {
+            let mut s = *base;
+            s.clusters = c;
+            debug_assert!(s.validate().is_ok());
+            out.push(s);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

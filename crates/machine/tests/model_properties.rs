@@ -2,7 +2,7 @@
 //! totality, parse/display round-trips, and model sanity over the whole
 //! enumerable parameter lattice (not just the curated design space).
 
-use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, MachineResources};
+use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, MachineResources, UnitClass};
 use cfp_testkit::{cases, Rng};
 
 fn any_field(rng: &mut Rng) -> (u32, u32, u32, u32, u32, u32) {
@@ -56,8 +56,8 @@ fn validation_is_total_and_sound() {
                 // Resources mirror the shapes.
                 let res = MachineResources::from_spec(&spec);
                 assert_eq!(res.cluster_count(), spec.clusters as usize);
-                assert_eq!(res.total_alus(), spec.alus);
-                assert!(res.can_multiply());
+                assert_eq!(res.mdes.total_units(UnitClass::Alu), spec.alus);
+                assert!(res.mdes.total_units(UnitClass::Mul) > 0);
             }
             Err(_) => {
                 // Rejected specs really do break an invariant.

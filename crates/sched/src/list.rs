@@ -3,7 +3,7 @@
 //! A classic cycle-driven list scheduler with critical-path priority:
 //!
 //! * each cluster issues at most `alus` ALU-class ops per cycle, of which
-//!   at most `mul_capable` may be multiplies;
+//!   at most `muls` may be multiplies;
 //! * each memory port reserves per the machine description
 //!   ([`cfp_machine::Mdes`]): a non-pipelined port stays busy for the
 //!   full access latency, a pipelined one accepts a new access every
@@ -352,11 +352,11 @@ pub fn schedule_with_fuel_in(
                     break;
                 }
                 if m == Some(key) {
-                    if !row_has_room(mul_row, cl.mul_capable) {
+                    if !row_has_room(mul_row, cl.muls) {
                         mul_open = false;
                         continue;
                     }
-                    row_take(&mut mul_row, cl.mul_capable);
+                    row_take(&mut mul_row, cl.muls);
                     mul_q.pop();
                 } else {
                     alu_q.pop();
@@ -537,7 +537,7 @@ mod tests {
                 }
             }
             assert!(alu <= m.clusters[0].alus, "alu oversubscribed");
-            assert!(mul <= m.clusters[0].mul_capable, "mul oversubscribed");
+            assert!(mul <= m.clusters[0].muls, "mul oversubscribed");
         }
     }
 

@@ -15,8 +15,8 @@
 //! These overhead ops participate in scheduling, cluster assignment, and
 //! register pressure exactly like body ops.
 
-use cfp_ir::{ArrayId, FusedOp, Inst, Kernel, MemSpace, Vreg};
-use cfp_machine::{MachineResources, MemLevel};
+use cfp_ir::{ArrayId, FusedOp, Inst, Kernel, Vreg};
+use cfp_machine::MachineResources;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -307,18 +307,10 @@ fn class_of(inst: &Inst, kernel: &Kernel) -> FuClass {
         return FuClass::Mul;
     }
     if let Some(m) = inst.mem() {
-        return level_of(kernel.array(m.array).space).op_class();
+        // `MemSpace` declares L1 then L2: its discriminant is the level.
+        return FuClass::mem(kernel.array(m.array).space as usize);
     }
     FuClass::Alu
-}
-
-/// Map the IR memory space onto the machine model's level.
-#[must_use]
-pub fn level_of(space: MemSpace) -> MemLevel {
-    match space {
-        MemSpace::L1 => MemLevel::L1,
-        MemSpace::L2 => MemLevel::L2,
-    }
 }
 
 #[cfg(test)]

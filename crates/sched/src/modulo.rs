@@ -243,8 +243,8 @@ pub fn res_mii(code: &LoopCode, assignment: &Assignment, machine: &MachineResour
         if cl.alus > 0 {
             bound = bound.max(alu[c].div_ceil(cl.alus));
         }
-        if cl.mul_capable > 0 {
-            bound = bound.max(mul[c].div_ceil(cl.mul_capable));
+        if cl.muls > 0 {
+            bound = bound.max(mul[c].div_ceil(cl.muls));
         }
         if cl.l1_ports > 0 {
             bound = bound.max(mem[c][0].div_ceil(cl.l1_ports));
@@ -515,7 +515,7 @@ pub fn op_requirements(
                     },
                     ResReq {
                         row: res_mul(nc, c) as u32,
-                        units: cl.mul_capable,
+                        units: cl.muls,
                         reserved: 1,
                     },
                 ],

@@ -397,7 +397,7 @@ fn validate_resources(result: &CompileResult, machine: &MachineResources) -> Res
             if alu[t * nc + c] > cl.alus {
                 return Err(over(UnitClass::Alu.name()));
             }
-            if mul[t * nc + c] > cl.mul_capable {
+            if mul[t * nc + c] > cl.muls {
                 return Err(over(UnitClass::Mul.name()));
             }
             if branch[t * nc + c] > u32::from(cl.has_branch) {

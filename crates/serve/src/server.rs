@@ -113,8 +113,6 @@ pub struct ServeConfig {
     /// Bound the shared compile cache to roughly this many scheduled
     /// cores (`None` = unbounded). See `cfp_dse::CompileCache::bounded`.
     pub core_cache_cap: Option<usize>,
-    /// Bound the shared plan store's plan map (`None` = unbounded).
-    pub plan_cache_cap: Option<usize>,
 }
 
 impl ServeConfig {
@@ -131,7 +129,6 @@ impl ServeConfig {
             default_deadline_ms: 60_000,
             progress_every: 5,
             core_cache_cap: None,
-            plan_cache_cap: None,
         }
     }
 }
@@ -358,10 +355,6 @@ impl Server {
             Some(cap) => CompileCache::bounded(cap),
             None => CompileCache::new(),
         };
-        let store = match cfg.plan_cache_cap {
-            Some(cap) => PlanStore::bounded(cap),
-            None => PlanStore::new(),
-        };
         let workers = cfg.workers.max(1);
         let state = Arc::new(State {
             cfg,
@@ -369,7 +362,7 @@ impl Server {
             inner: Mutex::new(Inner::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            store,
+            store: PlanStore::new(),
             memo,
             counters: Counters::default(),
             accepting: AtomicBool::new(true),
@@ -803,7 +796,7 @@ fn stats(state: &Arc<State>) -> String {
     ok_line(
         "stats",
         &format!(
-            r#""submitted":{},"completed":{},"failed":{},"shed":{},"retries":{},"recovered":{},"deadline_kills":{},"queued":{queued},"running":{running},"core_hits":{},"core_misses":{},"core_evictions":{},"unique_cores":{},"plan_hits":{},"plan_misses":{},"plan_evictions":{},"unique_kernels":{}"#,
+            r#""submitted":{},"completed":{},"failed":{},"shed":{},"retries":{},"recovered":{},"deadline_kills":{},"queued":{queued},"running":{running},"core_hits":{},"core_misses":{},"core_evictions":{},"unique_cores":{},"plan_hits":{},"plan_misses":{},"unique_kernels":{}"#,
             c.submitted.load(Ordering::Relaxed),
             c.completed.load(Ordering::Relaxed),
             c.failed.load(Ordering::Relaxed),
@@ -817,7 +810,6 @@ fn stats(state: &Arc<State>) -> String {
             state.memo.unique_cores(),
             state.store.plan_hits(),
             state.store.plan_misses(),
-            state.store.plan_evictions(),
             state.store.unique_kernels(),
         ),
     )

@@ -1,6 +1,6 @@
 //! Custom-fit a processor to one application — the paper's core loop on
 //! a reduced design space (so it runs in seconds; the full 192-point
-//! experiment lives in `cargo run -p cfp-bench --bin exhibits`).
+//! experiment lives in `cargo run -p cfp-exhibits --bin exhibits`).
 //!
 //! ```sh
 //! cargo run --release --example custom_fit [BENCH] [COST]

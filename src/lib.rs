@@ -37,7 +37,7 @@
 //! assert!(tuned.cycles_per_iter() < base.cycles_per_iter());
 //! ```
 //!
-//! See `examples/` for end-to-end walkthroughs and `crates/bench` for the
+//! See `examples/` for end-to-end walkthroughs and `crates/exhibits` for the
 //! binaries that regenerate every table and figure of the paper.
 
 #![warn(missing_docs)]

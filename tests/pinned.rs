@@ -256,7 +256,7 @@ mod oracle {
 
     /// The old models: same fitted coefficients, but a full machine
     /// description rebuilt on every call, exactly as `CostModel::cost`
-    /// and `CycleModel::derate` did before the slice entry points.
+    /// and `CycleModel::derate` did before they read the spec directly.
     pub struct ScalarModels {
         k: (f64, f64, f64, f64, f64),
         cost_base: f64,
@@ -434,7 +434,7 @@ fn scalar_pass(ex: &Exploration, specs: &[ArchSpec], models: &oracle::ScalarMode
     d.0.finish()
 }
 
-/// The same pass through production scoring: slice model entry points,
+/// The same pass through production scoring: the models' `cost` / `derate`,
 /// `scatter` / `frontier` per benchmark, the `select` grid.
 fn production_pass(
     ex: &Exploration,
@@ -443,15 +443,11 @@ fn production_pass(
     cycle: &CycleModel,
 ) -> u64 {
     let mut d = Digest::new();
-    let mut costs = vec![0.0; specs.len()];
-    let mut derates = vec![0.0; specs.len()];
-    cost.cost_batch(specs, &mut costs);
-    cycle.derate_batch(specs, &mut derates);
-    for &c in &costs {
-        d.f(c);
+    for s in specs {
+        d.f(cost.cost(s));
     }
-    for &v in &derates {
-        d.f(v);
+    for s in specs {
+        d.f(cycle.derate(s));
     }
     for b in 0..ex.benches.len() {
         let pts = scatter(ex, b);

@@ -1,23 +1,60 @@
 //! Regression checks on the recorded full-experiment artifact
-//! (`results/exploration.csv`). These assert the *data-level* claims
-//! EXPERIMENTS.md makes, against the very run it cites — and skip
-//! cleanly if the artifact has been deleted.
+//! (`results/exploration.csv`): the *data-level* claims EXPERIMENTS.md
+//! makes, asserted against the very run it cites; the design space's
+//! enumeration, held to the `arch` column recorded at the seed commit;
+//! and (release, `--ignored`) the whole experiment regenerated and
+//! compared byte for byte. The file is load-bearing: its absence fails.
 
 use custom_fit::dse;
 use custom_fit::prelude::*;
 
-fn recorded() -> Option<Exploration> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/exploration.csv");
-    let text = std::fs::read_to_string(path).ok()?;
-    Some(dse::from_csv(&text).expect("recorded artifact parses"))
+const RECORDED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/exploration.csv");
+
+fn recorded_text() -> String {
+    std::fs::read_to_string(RECORDED).unwrap_or_else(|e| panic!("cannot read `{RECORDED}`: {e}"))
+}
+
+fn recorded() -> Exploration {
+    dse::from_csv(&recorded_text()).expect("recorded artifact parses")
+}
+
+/// The paper space enumerates exactly the recorded run's architectures,
+/// in the recorded order: 192 base points, 600 arrangements. The
+/// extended space doubles the base points.
+#[test]
+fn the_paper_space_enumerates_the_recorded_architectures_in_order() {
+    let text = recorded_text();
+    let mut archs: Vec<ArchSpec> = Vec::new();
+    for row in text.lines().skip(1).filter(|r| r.ends_with(",0")) {
+        let cell = row.split(',').next().expect("arch column");
+        let spec = ArchSpec::parse(&cell.replace('/', " ")).expect("recorded arch parses");
+        if archs.last() != Some(&spec) {
+            archs.push(spec);
+        }
+    }
+    let paper = DesignSpace::paper();
+    assert_eq!(paper.len(), 192);
+    assert_eq!(archs.len(), 600);
+    assert_eq!(paper.all_arrangements(), archs);
+    assert_eq!(DesignSpace::extended().len(), 384);
+}
+
+/// The experiment itself: the full 192-point sweep regenerates the
+/// recording byte for byte (seconds in release, minutes in debug).
+#[test]
+#[ignore = "the full paper sweep; run in release"]
+fn the_paper_experiment_regenerates_the_recording_byte_for_byte() {
+    let ex = Exploration::try_run(&ExploreConfig::paper()).expect("the paper sweep runs");
+    assert!(
+        dse::to_csv(&ex) == recorded_text(),
+        "the regenerated sweep differs from results/exploration.csv; \
+         `exhibits -- all --save FILE` and diff to see where"
+    );
 }
 
 #[test]
 fn recorded_run_supports_the_experiments_md_claims() {
-    let Some(ex) = recorded() else {
-        eprintln!("results/exploration.csv absent; skipping");
-        return;
-    };
+    let ex = recorded();
 
     // Scale: the full space, all arrangements.
     assert_eq!(ex.benches.len(), 10);

@@ -124,7 +124,7 @@ fn oracle_schedule_with_fuel(
                     }
                     Some(UnitClass::Mul) => {
                         if alu_used[c] < machine.clusters[c].alus
-                            && mul_used[c] < machine.clusters[c].mul_capable
+                            && mul_used[c] < machine.clusters[c].muls
                         {
                             alu_used[c] += 1;
                             mul_used[c] += 1;
@@ -344,7 +344,7 @@ fn synthetic(
                 let cl = &machine.clusters[c];
                 match machine.mdes.op(class).unit {
                     UnitClass::Alu => cl.alus > 0,
-                    UnitClass::Mul => cl.alus > 0 && cl.mul_capable > 0,
+                    UnitClass::Mul => cl.alus > 0 && cl.muls > 0,
                     UnitClass::L1Port => cl.l1_ports > 0,
                     UnitClass::L2Port => cl.l2_ports > 0,
                     UnitClass::Branch => cl.has_branch,
@@ -609,9 +609,7 @@ fn oracle_modulo(
             let cl = &m.clusters[cluster];
             match op.class {
                 FuClass::Alu => self.alu[cluster][s] < cl.alus,
-                FuClass::Mul => {
-                    self.alu[cluster][s] < cl.alus && self.mul[cluster][s] < cl.mul_capable
-                }
+                FuClass::Mul => self.alu[cluster][s] < cl.alus && self.mul[cluster][s] < cl.muls,
                 FuClass::Branch => self.branch[s] < u32::from(cl.has_branch),
                 FuClass::MemL1 | FuClass::MemL2 => {
                     if op.latency > self.ii {

@@ -2,7 +2,7 @@
 //! exhaustive machinery and honest where it does not. Four layers of
 //! evidence:
 //!
-//! 1. the [`LazyOracle`]'s full-fidelity answers are bit-identical to
+//! 1. the [`LazyEvaluator`]'s full-fidelity answers are bit-identical to
 //!    the eager evaluation path for the same queries, and repeat
 //!    queries are served from its memo without recomputation;
 //! 2. at the default bracket budget the engine recovers the exhaustive
@@ -55,17 +55,17 @@ fn engine_config(threads: usize) -> SearchConfig {
 }
 
 #[test]
-fn lazy_oracle_answers_match_the_eager_evaluation_path() {
+fn lazy_evaluator_answers_match_the_eager_evaluation_path() {
     let config = engine_config(1);
     let axes = config.axes.clone();
     let store = PlanStore::new();
     let memo = CompileCache::new();
-    let oracle =
-        custom_fit::dse::LazyOracle::new(&config, &store, &memo).expect("baseline evaluates");
-    let full = oracle.full_rung();
+    let lazy_eval =
+        custom_fit::dse::LazyEvaluator::new(&config, &store, &memo).expect("baseline evaluates");
+    let full = lazy_eval.full_rung();
 
     // The eager reference path: its own plan snapshot and compile
-    // cache, so nothing is shared with the oracle under test.
+    // cache, so nothing is shared with the evaluator under test.
     let mut regs: Vec<u32> = axes.reg_values().to_vec();
     regs.push(ArchSpec::baseline().regs);
     let ref_store = PlanStore::new();
@@ -81,7 +81,7 @@ fn lazy_oracle_answers_match_the_eager_evaluation_path() {
     cases(0x5eac_0001, 25, |rng| {
         let spec = axes.sample_with(&mut |n| rng.index(n));
         let mut scratch = EvalScratch::new();
-        let (lazy, _fresh) = oracle.outcome(&spec, full, &mut scratch);
+        let (lazy, _fresh) = lazy_eval.outcome(&spec, full, &mut scratch);
         let eager = match eager.evaluate(&spec, BENCH, &mut scratch, &mut UnitTrace::disabled()) {
             Ok(m) => custom_fit::dse::EvalOutcome::Done(m),
             Err(e) => custom_fit::dse::EvalOutcome::Failed { reason: e.into() },
@@ -89,16 +89,16 @@ fn lazy_oracle_answers_match_the_eager_evaluation_path() {
         assert_eq!(lazy, eager, "{spec}");
 
         // A repeat query is a dedup hit served from the memo, and the
-        // oracle's speedup is the exhaustive formula bit for bit.
-        let hits = oracle.memo_hits();
-        let (again, fresh) = oracle.outcome(&spec, full, &mut scratch);
+        // lazy evaluator's speedup is the exhaustive formula bit for bit.
+        let hits = lazy_eval.memo_hits();
+        let (again, fresh) = lazy_eval.outcome(&spec, full, &mut scratch);
         assert_eq!(again, lazy, "{spec}");
         assert!(!fresh, "{spec}: repeat query recomputed");
-        assert_eq!(oracle.memo_hits(), hits + 1);
+        assert_eq!(lazy_eval.memo_hits(), hits + 1);
         if let custom_fit::dse::EvalOutcome::Done(m) = &lazy {
-            let want = oracle.baseline_cpo() / (m.cycles_per_output * cycle.derate(&spec));
+            let want = lazy_eval.baseline_cpo() / (m.cycles_per_output * cycle.derate(&spec));
             assert_eq!(
-                oracle.speedup(&spec, &lazy).to_bits(),
+                lazy_eval.speedup(&spec, &lazy).to_bits(),
                 want.to_bits(),
                 "{spec}"
             );
@@ -139,7 +139,7 @@ fn guided_search_recovers_the_exhaustive_constrained_optimum() {
     let best = so.best.as_ref().expect("search found a best");
 
     // Not "close": the engine must land on the same architecture with
-    // the same bits — its full-rung oracle is the exhaustive evaluator.
+    // the same bits — its full rung is the exhaustive evaluator.
     assert_eq!(best.spec, points[best_i].spec);
     assert_eq!(best.speedup.to_bits(), best_su.to_bits());
     assert!(
@@ -266,7 +266,7 @@ fn promotion_keeps_exactly_the_top_fraction_with_non_finite_scores_last() {
 }
 
 /// The fused-extension axis is searchable: over
-/// `SpaceAxes::with_extensions` the lazy oracle snapshots fused plans,
+/// `SpaceAxes::with_extensions` the lazy evaluator snapshots fused plans,
 /// extended candidates evaluate like any other spec, and the search
 /// stays bit-deterministic across thread counts — the new dimension
 /// adds no nondeterminism. The proposal stream *reaches* extended
