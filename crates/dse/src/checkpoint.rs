@@ -36,7 +36,7 @@ use std::collections::HashSet;
 use std::fmt::Display;
 use std::fs;
 use std::hash::Hash;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// First header field of the sweep's journal.
 const MAGIC: &str = "cfp-checkpoint";
@@ -306,20 +306,30 @@ impl Journal {
         self.persist()
     }
 
-    /// Write all lines to a temp sibling, then rename over the journal.
+    /// Write all lines over the journal, atomically.
     fn persist(&self) -> CheckpointResult<()> {
-        let io = |source: std::io::Error| CheckpointError::Io {
-            path: self.path.clone(),
-            source,
-        };
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
         let mut text = self.lines.join("\n");
         text.push('\n');
-        fs::write(&tmp, text).map_err(io)?;
-        fs::rename(&tmp, &self.path).map_err(io)
+        write_atomic(&self.path, &text).map_err(|source| CheckpointError::Io {
+            path: self.path.clone(),
+            source,
+        })
     }
+}
+
+/// Replace `path`'s content with `content` atomically: write the
+/// `<path>.tmp` sibling, then rename it over `path`, so a reader — a
+/// resuming run, a recovering daemon — sees the old content or the new,
+/// never a torn write. The one crash-consistent writer: the journals
+/// here and `cfp-serve`'s job and result files all go through it.
+///
+/// # Errors
+/// Whatever writing the sibling or renaming it reports.
+pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, content)?;
+    fs::rename(&tmp, path)
 }
 
 /// Check `text`'s header against the one this run would write (`header`,

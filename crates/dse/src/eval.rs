@@ -7,13 +7,14 @@
 //! fairly). A kernel that spills even without unrolling is compiled with
 //! spill traffic and pays for it — the paper's "pathological" case.
 //!
-//! There is one way in: an [`Evaluator`] names the plans, the optional
-//! compile memo, the fuel budget and the unroll cap, and
-//! [`Evaluator::evaluate`] runs one `(architecture, benchmark)` unit in
-//! the caller's scratch and trace. [`quarantine`] is the panic boundary
-//! the sweep and the search wrap around it; [`try_evaluate`] and
-//! [`evaluate`] are the two conveniences kept (DESIGN.md, "Entry
-//! points", says who needs them).
+//! There is one way in: an [`Evaluator`] names the plans, the compile
+//! memo, the fuel budget and the unroll cap, and [`Evaluator::evaluate`]
+//! runs one `(architecture, benchmark)` unit in the caller's scratch and
+//! trace. Every compilation goes through the memo — a caller with
+//! nothing to share hands it a fresh [`CompileCache`], which is what
+//! [`try_evaluate`] and [`evaluate`], the two conveniences kept, do
+//! (DESIGN.md, "Entry points", says who needs them). [`quarantine`] is
+//! the panic boundary the sweep and the search wrap around it.
 //!
 //! Optimization is machine-aware only through a *residency budget*
 //! (how many loop constants LICM may pin in registers — half the
@@ -25,20 +26,21 @@
 //! Building those plans runs each *distinct* optimization once. The
 //! optimizer reports the peak resident count its LICM calls reached, and
 //! a run that stayed under its budget is the run of every budget above
-//! that peak (`cfp_opt::optimize_budgeted_traced`), so one benchmark's
+//! that peak (`cfp_opt::optimize_budgeted_traced`), so one kernel's
 //! pipeline ([`BenchPlans`]) keeps its runs and lets a later budget take
 //! an earlier one's result instead of repeating it. There is one walk
 //! over plan keys, [`PlanStore::ensure_snapshot_extended`]'s, which
 //! interns what the pipeline hands back, so ids depend only on the
 //! kernels, never on which run produced them; [`PlanCache::build`] is
-//! that walk on a fresh store.
+//! that walk on a fresh store, and [`plan`] is the same pipeline on one
+//! caller-supplied kernel (`cfpc`'s).
 
 use crate::error::{EvalError, FailReason};
 use crate::memo::{CompileCache, CoreSummary};
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtOp, ExtSet, MachineResources};
 use cfp_obs::{Stage, UnitTrace, Value};
-use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel, SchedError, SchedScratch};
+use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel, SchedScratch};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -120,18 +122,16 @@ impl OptRun {
     }
 }
 
-/// One benchmark's plan pipeline — optimize, unroll, re-optimize across
+/// One kernel's plan pipeline — optimize, unroll, re-optimize across
 /// the unrolled copies (where CSE turns a stencil's overlapping loads
 /// into a register window, the paper's central registers-for-bandwidth
 /// trade), fuse last — with every result kept, so each distinct
 /// optimization and each distinct fusing happens once however many
-/// budgets ask for it. Callers make a fresh one per benchmark; nothing
-/// is computed until the first [`BenchPlans::plan`] call, which keeps a
-/// fully warm [`PlanStore`] round free of it.
-#[derive(Debug, Default)]
+/// budgets ask for it. Callers make a fresh one per source kernel.
+#[derive(Debug)]
 struct BenchPlans {
-    source: Option<cfp_ir::Kernel>,
-    /// Runs over the benchmark's own kernel: one per budget class.
+    source: cfp_ir::Kernel,
+    /// Runs over the source kernel: one per budget class.
     base: Vec<OptRun>,
     /// Runs over `unroll(base[i], u)`, tagged `(i, u)`.
     unrolled: Vec<(usize, u32, OptRun)>,
@@ -145,13 +145,25 @@ struct BenchPlans {
 }
 
 impl BenchPlans {
-    /// The plan for a key of this pipeline's benchmark, or `None` when
-    /// the unrolled body would exceed [`MAX_BODY_OPS`]. The scalar
-    /// pipeline never sees fused instructions: the fuse pass rewrites
-    /// its result.
+    fn new(source: cfp_ir::Kernel) -> Self {
+        BenchPlans {
+            source,
+            base: Vec::new(),
+            unrolled: Vec::new(),
+            fused: Vec::new(),
+            runs: 0,
+            shared: 0,
+        }
+    }
+
+    /// The source's plan for `(budget, u, exts)`, or `None` when the
+    /// unrolled body would exceed [`MAX_BODY_OPS`]. The scalar pipeline
+    /// never sees fused instructions: the fuse pass rewrites its result.
     fn plan(
         &mut self,
-        (bench, budget, u, exts): PlanKey,
+        budget: usize,
+        u: u32,
+        exts: ExtSet,
         trace: &mut UnitTrace<'_>,
     ) -> Option<&cfp_ir::Kernel> {
         let bi = find_or_push(
@@ -159,8 +171,7 @@ impl BenchPlans {
             |r| r.answers(budget),
             || {
                 self.runs += 1;
-                let source = self.source.get_or_insert_with(|| bench.kernel());
-                OptRun::new(source.clone(), budget, trace)
+                OptRun::new(self.source.clone(), budget, trace)
             },
         );
         let base = &self.base[bi].kernel;
@@ -192,6 +203,25 @@ impl BenchPlans {
         );
         Some(&self.fused[fi].2)
     }
+}
+
+/// The sweep's plan for one kernel: `source` through the pipeline every
+/// [`PlanCache`] plan comes from, for a machine with residency budget
+/// `budget` (see [`residency_budget`]) and extension set `exts`, unrolled
+/// `unroll` times. `None` when the unrolled body would exceed
+/// [`MAX_BODY_OPS`] — the key the sweep leaves out and its unroll sweep
+/// stops at. `trace` gets the optimizer's per-pass `opt` spans.
+#[must_use]
+pub fn plan(
+    source: cfp_ir::Kernel,
+    budget: usize,
+    unroll: u32,
+    exts: ExtSet,
+    trace: &mut UnitTrace<'_>,
+) -> Option<cfp_ir::Kernel> {
+    BenchPlans::new(source)
+        .plan(budget, unroll, exts, trace)
+        .cloned()
 }
 
 /// Index of the first entry `wanted` accepts, pushing `make()` if none.
@@ -397,7 +427,9 @@ impl PlanStore {
         let (mut opt_runs, mut opt_shared) = (0, 0);
         let mut snapshot = PlanCache::default();
         for &b in benches {
-            let mut pipeline = BenchPlans::default();
+            // Made on the first miss, so a fully warm round never
+            // compiles the benchmark's source.
+            let mut pipeline: Option<BenchPlans> = None;
             for &budget in &budgets {
                 for &u in unrolls {
                     for &exts in &ext_sets {
@@ -408,7 +440,8 @@ impl PlanStore {
                         } else {
                             misses += 1;
                             let id = pipeline
-                                .plan(key, trace)
+                                .get_or_insert_with(|| BenchPlans::new(b.kernel()))
+                                .plan(budget, u, exts, trace)
                                 .map(|kernel| intern(&mut table.kernels, kernel));
                             table.plans.insert(key, id);
                             id
@@ -417,8 +450,10 @@ impl PlanStore {
                     }
                 }
             }
-            opt_runs += pipeline.runs;
-            opt_shared += pipeline.shared;
+            if let Some(pipeline) = pipeline {
+                opt_runs += pipeline.runs;
+                opt_shared += pipeline.shared;
+            }
         }
         // Ids index the store's kernel vector, so the snapshot's vector
         // must be a prefix of it: clone every Arc up to the store's
@@ -624,15 +659,17 @@ pub fn quarantine(unit: impl FnOnce() -> Result<Measurement, EvalError>) -> Eval
 pub struct Evaluator<'a> {
     /// The optimized + unrolled kernels to compile.
     pub plans: &'a PlanCache,
-    /// Share compile work with every architecture that schedules alike.
-    /// Results are identical with and without — same outcome, same
-    /// logical compilation count — but each `(plan, scheduling
+    /// The compile memo every compilation goes through, shared with
+    /// every architecture that schedules alike: each `(plan, scheduling
     /// signature)` pair is scheduled once per cache instead of once per
     /// architecture, and only the register-capacity verdict and the
-    /// spill penalty are recomputed per machine.
-    pub memo: Option<&'a CompileCache>,
+    /// spill penalty are recomputed per machine. Results do not depend
+    /// on what the cache already holds — a fresh one per unit gives the
+    /// same outcome and the same logical compilation count.
+    pub memo: &'a CompileCache,
     /// Per-compilation scheduler step budget (`None` never exhausts).
-    /// Each unroll factor gets a fresh budget.
+    /// Each unroll factor gets a fresh budget, and it bounds the work
+    /// done: a compilation that would cost more stops at the budget.
     pub fuel: Option<u64>,
     /// Truncate the sweep to the prefix of [`UNROLL_SWEEP`] not exceeding
     /// this — the fidelity knob of the search engine's rung ladder. Any
@@ -669,12 +706,12 @@ impl Attempt {
 }
 
 impl<'a> Evaluator<'a> {
-    /// The full sweep over `plans`: no memo, no fuel budget.
+    /// The full sweep over `plans` through `memo`, no fuel budget.
     #[must_use]
-    pub fn new(plans: &'a PlanCache) -> Self {
+    pub fn new(plans: &'a PlanCache, memo: &'a CompileCache) -> Self {
         Evaluator {
             plans,
-            memo: None,
+            memo,
             fuel: None,
             max_unroll: u32::MAX,
         }
@@ -711,9 +748,7 @@ impl<'a> Evaluator<'a> {
         // Derive the memo key from the memoized description rather than
         // a throwaway `Mdes`: this keeps the warm path allocation-free
         // (see `tests/trace_equivalence.rs`).
-        let memo = self
-            .memo
-            .map(|memo| (memo, spec.sched_signature_with(&machine.mdes)));
+        let sig = spec.sched_signature_with(&machine.mdes);
         let mut best: Option<Measurement> = None;
         let mut compilations = 0;
 
@@ -724,43 +759,33 @@ impl<'a> Evaluator<'a> {
             let kernel = self.plans.kernel(id);
             let mut fuel = Fuel::from_budget(self.fuel);
             let t0 = trace.start();
-            let mut served = "off";
-            // Both arms end in a core's summary; `Attempt::of` judges it.
-            let out: Result<Attempt, SchedError> = match memo {
-                // The direct path, and the reference the memoized one is
-                // held to: compile under this unit's own fuel.
-                None => {
-                    let prepared = prepare(kernel, machine, trace);
+            // Every compilation costs this unit the core's steps: a miss
+            // spends them scheduling under the unit's own fuel (and
+            // stops at the budget), a hit is charged the steps the
+            // stored core recorded. The cache stores only successes, so
+            // an over-budget core is never kept and fails the same way
+            // for the next unit that asks; a verdict is a function of
+            // the core and the budget, never of which unit computed it
+            // or in what order.
+            let mut missed = false;
+            let out = self
+                .memo
+                .try_core(id, sig, || {
+                    missed = true;
+                    let prepared = self
+                        .memo
+                        .prepared(id, machine.l2_latency, || prepare(kernel, machine, trace));
                     try_compile_core(&prepared, machine, &mut fuel, sched, trace)
-                        .map(|core| Attempt::of(&core.into(), machine))
-                }
-                // Budget verdicts stay deterministic under memoization:
-                // cores are computed under unlimited fuel and record the
-                // steps they cost, and every lookup — hit or miss —
-                // charges that price against this unit's own fuel. A
-                // compilation therefore passes or fails the budget
-                // identically whether it was scheduled here or served
-                // from another architecture's work, on any interleaving
-                // (which unit of a sharing set sees the miss is the one
-                // thing that does depend on it).
-                Some((memo, sig)) => {
-                    served = "hit";
-                    memo.try_core(id, sig, || {
-                        served = "miss";
-                        let prepared = memo
-                            .prepared(id, machine.l2_latency, || prepare(kernel, machine, trace));
-                        let unlimited = &mut Fuel::unlimited();
-                        try_compile_core(&prepared, machine, unlimited, sched, trace)
-                    })
-                    .and_then(|core| {
+                })
+                .and_then(|core| {
+                    if !missed {
                         fuel.spend(core.steps)?;
-                        Ok(Attempt::of(&core, machine))
-                    })
-                }
-            };
+                    }
+                    Ok(Attempt::of(&core, machine))
+                });
             let head = [
                 ("unroll", Value::U64(u64::from(u))),
-                ("cache", Value::Str(served)),
+                ("cache", Value::Str(if missed { "miss" } else { "hit" })),
             ];
             match &out {
                 Ok(a) => trace.stage(
@@ -775,18 +800,16 @@ impl<'a> Evaluator<'a> {
                         ("spill_excess", Value::U64(u64::from(a.excess))),
                     ],
                 ),
-                Err(e) => {
-                    let fields = [
+                Err(e) => trace.stage(
+                    Stage::Compile,
+                    t0,
+                    &[
                         head[0],
                         head[1],
                         ("error", Value::Str(e.token())),
                         ("steps", Value::U64(fuel.spent())),
-                    ];
-                    // Only the direct path knows what a failed attempt
-                    // spent.
-                    let n = fields.len() - usize::from(memo.is_some());
-                    trace.stage(Stage::Compile, t0, &fields[..n]);
-                }
+                    ],
+                ),
             }
             let Attempt { fits, cycles, .. } = match out {
                 Ok(a) => a,
@@ -825,7 +848,7 @@ impl<'a> Evaluator<'a> {
 }
 
 /// [`Evaluator::evaluate`] at its defaults plus a fuel budget, with a
-/// fresh scratch and no trace.
+/// fresh compile cache, a fresh scratch and no trace.
 ///
 /// # Errors
 /// As [`Evaluator::evaluate`].
@@ -835,9 +858,10 @@ pub fn try_evaluate(
     cache: &PlanCache,
     fuel_budget: Option<u64>,
 ) -> Result<Measurement, EvalError> {
+    let memo = CompileCache::new();
     let session = Evaluator {
         fuel: fuel_budget,
-        ..Evaluator::new(cache)
+        ..Evaluator::new(cache, &memo)
     };
     session.evaluate(
         spec,
@@ -933,30 +957,90 @@ mod tests {
     fn a_reused_eval_scratch_changes_no_measurement() {
         // One scratch across architectures and benchmarks (including a
         // machine switch, which re-lowers the memoized resources) must
-        // reproduce the fresh-scratch measurements bit for bit.
+        // reproduce `try_evaluate`'s measurements bit for bit — a fresh
+        // scratch and a fresh compile cache per unit, nothing reused —
+        // on a cache of its own per unit and on one shared warm cache.
         let cache = small_cache();
         let specs = [
             ArchSpec::baseline(),
             ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap(),
             ArchSpec::new(2, 1, 64, 1, 4, 1).unwrap(),
         ];
-        let memo = CompileCache::new();
-        let direct = Evaluator::new(&cache);
-        let memoized = Evaluator {
-            memo: Some(&memo),
-            ..direct
-        };
+        let shared = CompileCache::new();
+        let warm = Evaluator::new(&cache, &shared);
         let mut scratch = EvalScratch::new();
         let off = &mut UnitTrace::disabled();
         for spec in &specs {
             for b in [Benchmark::D, Benchmark::A] {
                 let fresh = try_evaluate(spec, b, &cache, None).unwrap();
-                let reused = direct.evaluate(spec, b, &mut scratch, off).unwrap();
+                let per_unit = CompileCache::new();
+                let reused = Evaluator::new(&cache, &per_unit)
+                    .evaluate(spec, b, &mut scratch, off)
+                    .unwrap();
                 assert_eq!(fresh, reused, "{spec} {b}");
-                let cached = memoized.evaluate(spec, b, &mut scratch, off).unwrap();
+                let cached = warm.evaluate(spec, b, &mut scratch, off).unwrap();
                 assert_eq!(fresh, cached, "{spec} {b} (cached)");
             }
         }
+    }
+
+    #[test]
+    fn an_over_budget_core_stops_at_the_budget_and_is_never_stored() {
+        // A's un-unrolled core on the baseline costs more than 20 000
+        // steps: the unit fails on a cold cache without storing the core,
+        // and fails identically once an unlimited run has stored it.
+        let cache = PlanCache::build(&[Benchmark::A], &[64], &[1]);
+        let spec = ArchSpec::baseline();
+        let off = &mut UnitTrace::disabled();
+        let memo = CompileCache::new();
+        let tight = Evaluator {
+            fuel: Some(20_000),
+            ..Evaluator::new(&cache, &memo)
+        };
+        let cold = tight
+            .evaluate(&spec, Benchmark::A, &mut EvalScratch::new(), off)
+            .expect_err("over budget");
+        assert!(
+            matches!(
+                cold,
+                EvalError::Sched {
+                    unroll: 1,
+                    source: cfp_sched::SchedError::FuelExhausted { budget: 20_000 },
+                    ..
+                }
+            ),
+            "{cold}"
+        );
+        assert_eq!((memo.core_misses(), memo.unique_cores()), (1, 0));
+        let full = Evaluator::new(&cache, &memo)
+            .evaluate(&spec, Benchmark::A, &mut EvalScratch::new(), off)
+            .expect("no budget");
+        assert_eq!((memo.core_misses(), memo.unique_cores()), (2, 1));
+        assert_eq!(full.unroll, 1);
+        let warm = tight
+            .evaluate(&spec, Benchmark::A, &mut EvalScratch::new(), off)
+            .expect_err("still over budget");
+        assert_eq!(warm, cold);
+        assert_eq!(memo.core_hits(), 1);
+    }
+
+    #[test]
+    fn one_kernels_plan_is_the_plan_caches() {
+        let cache = small_cache();
+        let off = &mut UnitTrace::disabled();
+        for b in [Benchmark::D, Benchmark::A] {
+            for (regs, u) in [(64, 1), (256, 2), (64, 4)] {
+                let budget = residency_budget(regs);
+                let one = plan(b.kernel(), budget, u, ExtSet::EMPTY, off);
+                assert!(
+                    one.as_ref() == cache.get(b, budget, u, ExtSet::EMPTY),
+                    "{b} {regs} {u}"
+                );
+            }
+        }
+        // Past the body cap there is no plan, exactly as in the table.
+        let huge = u32::try_from(MAX_BODY_OPS).unwrap();
+        assert!(plan(Benchmark::A.kernel(), 64, huge, ExtSet::EMPTY, off).is_none());
     }
 
     #[test]

@@ -54,11 +54,12 @@ pub struct ExploreConfig {
     /// Print coarse progress to stderr during the sweep.
     pub progress: bool,
     /// Per-compilation scheduler step budget. A compilation over budget
-    /// fails with a typed error instead of monopolizing a worker; the
-    /// unit is quarantined (at unroll 1) or the unroll sweep truncated
-    /// (deeper). Budgets count deterministic scheduler steps, never
-    /// wall-clock, so budgeted results are identical on every platform
-    /// and thread count. `None` (the default) never exhausts.
+    /// stops at the budget with a typed error instead of monopolizing a
+    /// worker; the unit is quarantined (at unroll 1) or the unroll sweep
+    /// truncated (deeper). Budgets count deterministic scheduler steps,
+    /// never wall-clock, so budgeted results are identical on every
+    /// platform, thread count and compile-cache warmth. `None` (the
+    /// default) never exhausts.
     pub fuel: Option<u64>,
     /// Journal completed units to disk as the sweep runs, and optionally
     /// resume an interrupted run. See [`Checkpoint`].
@@ -316,9 +317,8 @@ impl Exploration {
     /// earlier job pays only the capacity checks. Results are
     /// bit-identical to [`Self::try_run_traced`] on the same config: a
     /// warm cache changes who computes, never what is computed (the
-    /// fuel discipline of [`Evaluator::evaluate`]'s memoized arm is what
-    /// makes that hold). [`Self::try_run_traced`] is this function on
-    /// fresh caches.
+    /// fuel discipline of [`Evaluator::evaluate`] is what makes that
+    /// hold). [`Self::try_run_traced`] is this function on fresh caches.
     ///
     /// [`RunStats::cache_hits`] and [`RunStats::unique_schedules`]
     /// report this run's delta against the shared cache's counters. The
@@ -350,9 +350,8 @@ impl Exploration {
         );
         let plan_wall = start.elapsed();
         let session = Evaluator {
-            memo: Some(memo),
             fuel: config.fuel,
-            ..Evaluator::new(&plans)
+            ..Evaluator::new(&plans, memo)
         };
 
         let cost = CostModel::paper_calibrated();
@@ -802,21 +801,23 @@ mod tests {
         for (a1, a2) in e1.archs.iter().zip(&e2.archs) {
             assert_eq!(a1.outcomes, a2.outcomes, "budgeted runs are identical");
         }
-        // And identical to every unit evaluated without the memo: the
-        // cache charges cached cores' recorded step costs, so budget
-        // verdicts cannot depend on sharing or interleaving.
+        // And identical to every unit evaluated on a fresh cache of its
+        // own, which schedules every core itself: a hit is charged the
+        // stored core's recorded steps, so budget verdicts cannot depend
+        // on sharing or interleaving.
         let regs: Vec<u32> = cfg.archs.iter().map(|a| a.regs).collect();
         let plans = crate::eval::PlanCache::build(&cfg.benches, &regs, &UNROLL_SWEEP);
-        let direct = Evaluator {
-            fuel: cfg.fuel,
-            ..Evaluator::new(&plans)
-        };
         let mut scratch = EvalScratch::new();
         for arch in &e1.archs {
             for (out, &bench) in arch.outcomes.iter().zip(&cfg.benches) {
+                let memo = CompileCache::new();
+                let alone = Evaluator {
+                    fuel: cfg.fuel,
+                    ..Evaluator::new(&plans, &memo)
+                };
                 let off = &mut UnitTrace::disabled();
-                let want = quarantine(|| direct.evaluate(&arch.spec, bench, &mut scratch, off));
-                assert_eq!(*out, want, "the memo must not change verdicts");
+                let want = quarantine(|| alone.evaluate(&arch.spec, bench, &mut scratch, off));
+                assert_eq!(*out, want, "sharing must not change verdicts");
             }
         }
         // Failed units (if any at this budget) are counted and typed.

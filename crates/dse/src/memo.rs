@@ -538,12 +538,9 @@ mod tests {
             for spec in &specs {
                 for b in benches {
                     let through = |memo| {
-                        Evaluator {
-                            memo: Some(memo),
-                            ..Evaluator::new(&cache)
-                        }
-                        .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
-                        .expect("evaluates")
+                        Evaluator::new(&cache, memo)
+                            .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
+                            .expect("evaluates")
                     };
                     let (full, evicted) = (through(&unbounded), through(&tiny));
                     assert_eq!(full, evicted, "round {round}: {spec} {b}");
@@ -585,12 +582,9 @@ mod tests {
             for _ in 0..2 {
                 for spec in &specs {
                     for b in benches {
-                        Evaluator {
-                            memo: Some(&memo),
-                            ..Evaluator::new(&cache)
-                        }
-                        .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
-                        .expect("evaluates");
+                        Evaluator::new(&cache, &memo)
+                            .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
+                            .expect("evaluates");
                     }
                 }
             }

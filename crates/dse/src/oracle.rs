@@ -9,7 +9,7 @@
 //! then certify the true minimum II with
 //! [`PipelineProblem::certify`] under a deterministic fuel ladder — one
 //! [`PipelineProblem`] per point, shared by the heuristic, the validator
-//! and every rung, over kernels optimized once per study. The
+//! and every rung, over the sweep's own plans, built once per study. The
 //! result is a [`OracleReport`]: how often the heuristic is provably
 //! optimal, the mean/max II ratio when it is not, a per-benchmark
 //! breakdown, and a digest over every verdict so the whole study pins
@@ -33,7 +33,6 @@ use cfp_machine::{ArchSpec, ExtSet, Fnv1a, MachineResources, SpaceAxes};
 use cfp_obs::UnitTrace;
 use cfp_sched::{CertifyOutcome, Ddg, Fuel, PipelineProblem, SchedScratch};
 use cfp_testkit::Rng;
-use std::borrow::Cow;
 
 /// The default fuel ladder: three rungs, a decade apart. Each undecided
 /// point restarts from scratch on the next rung (restarting is how the
@@ -180,7 +179,9 @@ pub struct BenchGap {
 pub struct OracleReport {
     /// The configuration that produced the report.
     pub config: OracleConfig,
-    /// Every sampled point, in sampling order (paper space first).
+    /// Every sampled point, in sampling order (paper space first) — all
+    /// of them but those whose unrolled body is past the sweep's body
+    /// cap ([`crate::eval::MAX_BODY_OPS`]), which have no plan.
     pub points: Vec<OraclePoint>,
 }
 
@@ -225,7 +226,7 @@ impl OracleReport {
         };
         let points = run_units(trials.len(), config.threads, &mut (), |i, ()| {
             let (bench, spec, unroll) = &trials[i];
-            Some(measure(*bench, spec, *unroll, &ladder, &plans))
+            measure(*bench, spec, *unroll, &ladder, &plans)
         })
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
@@ -380,35 +381,22 @@ impl OracleReport {
     }
 }
 
-/// Measure one trial: take the kernel optimized + unrolled under the
-/// machine's residency budget (the evaluation pipeline's own plan
-/// discipline) from `plans`, list- and modulo-schedule it, then certify
-/// the minimum II up the fuel ladder — all three over one
-/// [`PipelineProblem`].
+/// Measure one trial: take the sweep's plan for the machine's residency
+/// budget from `plans`, list- and modulo-schedule it, then certify the
+/// minimum II up the fuel ladder — all three over one
+/// [`PipelineProblem`]. `None` for a trial whose unrolled body is over
+/// [`crate::eval::MAX_BODY_OPS`]: the sweep has no such plan, so the
+/// study leaves the trial out too.
 fn measure(
     bench: Benchmark,
     spec: &ArchSpec,
     unroll: u32,
     ladder: &[u64],
     plans: &PlanCache,
-) -> OraclePoint {
-    let budget = residency_budget(spec.regs);
-    let kernel = match plans.get(bench, budget, unroll, ExtSet::EMPTY) {
-        Some(kernel) => Cow::Borrowed(kernel),
-        // No such plan (the cache caps unrolled bodies): the pipeline
-        // itself.
-        None => {
-            let mut kernel = bench.kernel();
-            cfp_opt::optimize_budgeted(&mut kernel, budget);
-            if unroll > 1 {
-                kernel = cfp_opt::unroll::unroll(&kernel, unroll);
-                cfp_opt::optimize_budgeted(&mut kernel, budget);
-            }
-            Cow::Owned(kernel)
-        }
-    };
+) -> Option<OraclePoint> {
+    let kernel = plans.get(bench, residency_budget(spec.regs), unroll, ExtSet::EMPTY)?;
     let machine = MachineResources::from_spec(spec);
-    let r = cfp_sched::compile(&kernel, &machine);
+    let r = cfp_sched::compile(kernel, &machine);
     let ddg = Ddg::build(&r.assignment.code);
     let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
     let ms = problem
@@ -463,7 +451,7 @@ fn measure(
         }
     }
 
-    OraclePoint {
+    Some(OraclePoint {
         bench,
         spec: *spec,
         unroll,
@@ -472,7 +460,7 @@ fn measure(
         verdict,
         rung,
         certificate_valid: valid,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -124,50 +124,6 @@ pub struct SearchReport {
     pub quality: f64,
 }
 
-/// The eager ground truth: target speedups and costs precomputed by an
-/// exploration, for running strategies against known ground truth.
-struct GroundTruth<'a> {
-    ex: &'a Exploration,
-    target: usize,
-    cost_bound: f64,
-    index_of: HashMap<ArchSpec, usize>,
-    queried: HashSet<usize>,
-}
-
-impl<'a> GroundTruth<'a> {
-    fn new(ex: &'a Exploration, target: usize, cost_bound: f64) -> Self {
-        GroundTruth {
-            ex,
-            target,
-            cost_bound,
-            index_of: ex
-                .archs
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (a.spec, i))
-                .collect(),
-            queried: HashSet::new(),
-        }
-    }
-
-    /// Objective value: target speedup, or -inf when over budget or
-    /// outside the space.
-    fn eval(&mut self, spec: &ArchSpec) -> f64 {
-        let Some(&i) = self.index_of.get(spec) else {
-            return f64::NEG_INFINITY;
-        };
-        self.queried.insert(i);
-        if self.ex.archs[i].cost > self.cost_bound {
-            return f64::NEG_INFINITY;
-        }
-        self.ex.speedup(i, self.target)
-    }
-
-    fn specs(&self) -> Vec<ArchSpec> {
-        self.ex.archs.iter().map(|a| a.spec).collect()
-    }
-}
-
 /// The shared strategy driver: walks candidates according to `strategy`,
 /// scoring through `eval` (higher is better; non-finite means "not a
 /// candidate"), and returns the best finite-scored spec found.
@@ -250,7 +206,9 @@ fn drive(
     best
 }
 
-/// Run one strategy against a finished exploration.
+/// Run one strategy against a finished exploration: the exploration is
+/// the ground truth `drive` queries, which is what lets the report grade
+/// the strategy against the known optimum.
 #[must_use]
 pub fn run(
     ex: &Exploration,
@@ -259,9 +217,22 @@ pub fn run(
     strategy: Strategy,
     seed: u64,
 ) -> SearchReport {
-    let mut truth = GroundTruth::new(ex, target, cost_bound);
-    let specs = truth.specs();
-    let best = drive(strategy, &specs, seed, &mut |s| truth.eval(s));
+    let specs: Vec<ArchSpec> = ex.archs.iter().map(|a| a.spec).collect();
+    let index_of: HashMap<ArchSpec, usize> =
+        specs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+    let mut queried: HashSet<usize> = HashSet::new();
+    // The objective: the target's speedup, or -inf over the cost bound
+    // or outside the space.
+    let best = drive(strategy, &specs, seed, &mut |s| {
+        let Some(&i) = index_of.get(s) else {
+            return f64::NEG_INFINITY;
+        };
+        queried.insert(i);
+        if ex.archs[i].cost > cost_bound {
+            return f64::NEG_INFINITY;
+        }
+        ex.speedup(i, target)
+    });
 
     let exhaustive_best = (0..ex.archs.len())
         .filter(|&i| ex.archs[i].cost <= cost_bound)
@@ -273,7 +244,7 @@ pub fn run(
     };
     SearchReport {
         strategy,
-        evaluations: truth.queried.len(),
+        evaluations: queried.len(),
         best: best_spec,
         best_speedup,
         quality: if exhaustive_best > 0.0 && best_speedup.is_finite() {
@@ -468,9 +439,8 @@ impl<'a> LazyEvaluator<'a> {
             config.axes.ext_values(),
         );
         let full = Evaluator {
-            memo: Some(memo),
             fuel: last.fuel,
-            ..Evaluator::new(&plans)
+            ..Evaluator::new(&plans, memo)
         };
         let baseline = full
             .evaluate(
@@ -553,10 +523,9 @@ impl<'a> LazyEvaluator<'a> {
         }
         let r = self.config.rungs[rung];
         let session = Evaluator {
-            memo: Some(self.memo),
             fuel: r.fuel,
             max_unroll: r.max_unroll,
-            ..Evaluator::new(&self.plans)
+            ..Evaluator::new(&self.plans, self.memo)
         };
         // The same quarantine boundary as the exhaustive sweep: a
         // pathological candidate becomes a Failed outcome, not a lost
@@ -714,9 +683,9 @@ pub fn try_search(config: &SearchConfig) -> Result<SearchOutcome, ExploreError> 
 /// Run the guided search against caches that outlive the run — the
 /// exploration service's entry point, mirroring
 /// [`Exploration::try_run_shared`]. Warm caches change who computes,
-/// never what is computed: the fuel discipline in the memoized
-/// evaluation path keeps every verdict interleaving-independent, so the
-/// returned frontier is identical on any thread count and cache warmth.
+/// never what is computed: [`Evaluator::evaluate`]'s fuel discipline
+/// keeps every verdict interleaving-independent, so the returned
+/// frontier is identical on any thread count and cache warmth.
 ///
 /// One [`Stage::Search`] span per round streams into `rec` (round
 /// index, bracket ladder, screens, full evaluations, dedup hits,

@@ -628,6 +628,40 @@ pub fn extended_exploration(fast: bool) -> Exploration {
     })
 }
 
+/// The sibling-pair tally both new-axis exhibits print: every
+/// architecture `plain_of` maps to a sibling without the axis's feature,
+/// where both have a finite `su`, compared on it. Returns the "wins /
+/// pairs" cell and the mean su ratio cell (NaN when there are no pairs).
+fn sibling_pairs(
+    ex: &Exploration,
+    plain_of: impl Fn(&ArchSpec) -> Option<ArchSpec>,
+) -> (String, String) {
+    let su = |a: usize| Exploration::harmonic_mean(&ex.speedup_row(a));
+    let mut wins = 0_usize;
+    let mut pairs = 0_usize;
+    let mut ratio_sum = 0.0_f64;
+    for (pi, p) in ex.archs.iter().enumerate() {
+        let Some(plain) = plain_of(&p.spec) else {
+            continue;
+        };
+        let Some(si) = ex.archs.iter().position(|a| a.spec == plain) else {
+            continue;
+        };
+        let (sp, ss) = (su(pi), su(si));
+        if sp.is_finite() && ss.is_finite() && ss > 0.0 {
+            pairs += 1;
+            ratio_sum += sp / ss;
+            wins += usize::from(sp > ss);
+        }
+    }
+    let mean = if pairs > 0 {
+        ratio_sum / pairs as f64
+    } else {
+        f64::NAN
+    };
+    (format!("{wins} / {pairs}"), format!("{mean:.3}x"))
+}
+
 /// Table 3-style accounting for the extended-axis run, plus what the
 /// new axis bought: each pipelined-L2 architecture is paired with its
 /// non-pipelined sibling and compared on the paper's `su` (harmonic-mean
@@ -645,27 +679,12 @@ pub fn extended_axis(ex: &Exploration) -> String {
             .max_by(|x, y| x.0.total_cmp(&y.0))
     };
     // Sibling pairs: identical spec up to the pipelining flag.
-    let mut wins = 0_usize;
-    let mut pairs = 0_usize;
-    let mut ratio_sum = 0.0_f64;
-    for (pi, p) in ex.archs.iter().enumerate() {
-        if !p.spec.l2_pipelined {
-            continue;
-        }
-        let mut plain = p.spec;
-        plain.l2_pipelined = false;
-        let Some(si) = ex.archs.iter().position(|a| a.spec == plain) else {
-            continue;
-        };
-        let (sp, ss) = (su(pi), su(si));
-        if sp.is_finite() && ss.is_finite() && ss > 0.0 {
-            pairs += 1;
-            ratio_sum += sp / ss;
-            if sp > ss {
-                wins += 1;
-            }
-        }
-    }
+    let (wins, gain) = sibling_pairs(ex, |s| {
+        s.l2_pipelined.then_some(ArchSpec {
+            l2_pipelined: false,
+            ..*s
+        })
+    });
     let mut t = TextTable::new(["quantity", "extended run", "paper (HP 9000/770)"]);
     t.row([
         "# architectures".to_owned(),
@@ -698,19 +717,12 @@ pub fn extended_axis(ex: &Exploration) -> String {
     }
     t.row([
         "sibling pairs pipelining wins".to_owned(),
-        format!("{wins} / {pairs}"),
+        wins,
         "n/a".to_owned(),
     ]);
     t.row([
         "mean su gain from pipelining".to_owned(),
-        format!(
-            "{:.3}x",
-            if pairs > 0 {
-                ratio_sum / pairs as f64
-            } else {
-                f64::NAN
-            }
-        ),
+        gain,
         "n/a".to_owned(),
     ]);
     format!(
@@ -751,26 +763,9 @@ pub fn fused_axis(ex: &Exploration) -> String {
     let extended = ex.archs.iter().filter(|a| !a.spec.exts.is_empty()).count();
 
     // Sibling pairs: identical spec up to the extension set.
-    let mut wins = 0_usize;
-    let mut pairs = 0_usize;
-    let mut ratio_sum = 0.0_f64;
-    for (pi, p) in ex.archs.iter().enumerate() {
-        if p.spec.exts.is_empty() {
-            continue;
-        }
-        let plain = p.spec.with_extensions(ExtSet::EMPTY);
-        let Some(si) = ex.archs.iter().position(|a| a.spec == plain) else {
-            continue;
-        };
-        let (sp, ss) = (su(pi), su(si));
-        if sp.is_finite() && ss.is_finite() && ss > 0.0 {
-            pairs += 1;
-            ratio_sum += sp / ss;
-            if sp > ss {
-                wins += 1;
-            }
-        }
-    }
+    let (wins, gain) = sibling_pairs(ex, |s| {
+        (!s.exts.is_empty()).then(|| s.with_extensions(ExtSet::EMPTY))
+    });
 
     let mut t = TextTable::new(["quantity", "fused-axis run", "paper (HP 9000/770)"]);
     t.row([
@@ -790,19 +785,12 @@ pub fn fused_axis(ex: &Exploration) -> String {
     ]);
     t.row([
         "sibling pairs extensions win".to_owned(),
-        format!("{wins} / {pairs}"),
+        wins,
         "n/a".to_owned(),
     ]);
     t.row([
         "mean su gain from extensions".to_owned(),
-        format!(
-            "{:.3}x",
-            if pairs > 0 {
-                ratio_sum / pairs as f64
-            } else {
-                f64::NAN
-            }
-        ),
+        gain,
         "n/a".to_owned(),
     ]);
 

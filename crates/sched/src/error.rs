@@ -11,7 +11,9 @@
 //! * [`Fuel`] — a step budget threaded through the schedulers. Every
 //!   inner-loop step spends fuel; when it runs out the compilation stops
 //!   with [`SchedError::FuelExhausted`] instead of monopolizing a worker
-//!   thread. [`Fuel::unlimited`] preserves the exact legacy behaviour.
+//!   thread — in the exploration too, whose every compilation runs under
+//!   its unit's budget. [`Fuel::unlimited`] preserves the exact legacy
+//!   behaviour.
 
 use std::error::Error;
 use std::fmt;
@@ -72,8 +74,9 @@ pub struct Fuel {
     budget: u64,
     /// Steps spent so far (counted even when unlimited, so a caller can
     /// price a completed compilation and re-charge it elsewhere — the
-    /// compile cache does exactly this to keep budgets deterministic
-    /// under memoization).
+    /// exploration's compile cache charges a stored core's price to
+    /// every later unit that asks for it, which keeps budgets
+    /// deterministic under memoization).
     spent: u64,
 }
 

@@ -44,6 +44,7 @@ use crate::error::{JobError, ServeError};
 use crate::job;
 use crate::json;
 use crate::proto::{self, JobKind, JobSpec, Request, RequestError};
+use cfp_dse::checkpoint::write_atomic;
 use cfp_dse::{CompileCache, Exploration, ExploreError, FailReason, PlanStore, SearchOutcome};
 use cfp_obs::{Event, Recorder, Stage, Value};
 use std::collections::{HashMap, VecDeque};
@@ -446,15 +447,6 @@ impl Server {
             let _ = handle.join();
         }
     }
-}
-
-/// Atomically write `content` to `path` via a temp sibling + rename —
-/// the PR 2 checkpoint discipline: a reader (including a recovering
-/// daemon) sees the old content or the new, never a torn write.
-fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, content)?;
-    std::fs::rename(&tmp, path)
 }
 
 /// Scan the jobs directory: load terminal results, re-queue incomplete

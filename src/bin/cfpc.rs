@@ -12,11 +12,18 @@
 //! cfpc kernel.cfk --trace spans.jsonl              # where the time went
 //! ```
 //!
+//! The kernel compiled is the plan the design-space sweep prices for the
+//! machine at that unroll factor (`cfp_dse::eval::plan`: optimize under
+//! the machine's residency budget, unroll, re-optimize, fuse), so an
+//! `--unroll` whose body the sweep would not attempt is refused.
+//! `--no-opt` compiles the plain unrolled source instead.
+//!
 //! `--trace FILE` records one span per stage of the path — parse, lower,
 //! every optimizer pass, prepare, assign, ddg, list, regalloc, then the
 //! encoding and a short simulated run on zero-filled inputs — as JSON
 //! Lines. Standard output is the same with and without it.
 
+use custom_fit::dse::eval::{fuse_targets, residency_budget, MAX_BODY_OPS};
 use custom_fit::ir::{ArrayKind, Kernel, MemImage};
 use custom_fit::machine::{ArchSpec, CostModel, CycleModel, MachineResources};
 use custom_fit::obs::{JsonlRecorder, UnitTrace};
@@ -25,7 +32,8 @@ use custom_fit::sched::{Fuel, SchedScratch};
 const USAGE: &str = "\
 usage: cfpc <file.cfk> [options]
   --arch \"(a m r p2 l2 c)\"   target architecture (default: baseline)
-  --unroll N                 unroll the loop N times (default 1)
+  --unroll N                 unroll the loop N times (default 1; a body
+                             past the sweep's op cap is refused)
   --const NAME=VALUE         bind a const parameter (repeatable)
   --no-opt                   skip the optimizer
   --emit ir|schedule|stats|encoding   what to print (default stats)
@@ -162,8 +170,7 @@ fn main() {
         Some(r) => UnitTrace::new(r, 0),
         None => UnitTrace::disabled(),
     };
-    let mut kernel = match custom_fit::frontend::compile_kernel_traced(&source, &consts, &mut trace)
-    {
+    let kernel = match custom_fit::frontend::compile_kernel_traced(&source, &consts, &mut trace) {
         Ok(k) => k,
         Err(e) => {
             eprintln!("{}", e.render(&source));
@@ -171,25 +178,27 @@ fn main() {
         }
     };
 
-    if opts.optimize {
-        custom_fit::opt::optimize_budgeted_traced(
-            &mut kernel,
-            (opts.arch.regs / 2) as usize,
-            &mut trace,
-        );
-    }
-    let mut kernel = custom_fit::opt::unroll::unroll(&kernel, opts.unroll.max(1));
-    // The fuse pass runs last, exactly as the sweep's plan builder
-    // does, so the CLI's schedule reflects the machine's extension set.
-    let fused = if opts.arch.exts.is_empty() {
-        0
+    let unroll = opts.unroll.max(1);
+    let kernel = if opts.optimize {
+        // The plan the sweep prices for this machine at this unroll.
+        let budget = residency_budget(opts.arch.regs);
+        match custom_fit::dse::eval::plan(kernel, budget, unroll, opts.arch.exts, &mut trace) {
+            Some(kernel) => kernel,
+            None => {
+                eprintln!(
+                    "error: --unroll {unroll} makes a loop body over the sweep's cap of \
+                     {MAX_BODY_OPS} ops; the sweep does not attempt it"
+                );
+                std::process::exit(2);
+            }
+        }
     } else {
-        custom_fit::opt::fuse::fuse(
-            &mut kernel,
-            custom_fit::dse::eval::fuse_targets(opts.arch.exts),
-        )
+        let mut kernel = custom_fit::opt::unroll::unroll(&kernel, unroll);
+        // The fuse pass runs last, as in the sweep's plans.
+        custom_fit::opt::fuse::fuse(&mut kernel, fuse_targets(opts.arch.exts));
+        kernel
     };
-    let kernel = kernel;
+    let fused = kernel.body.iter().filter_map(|i| i.fused_op()).count();
 
     let machine = MachineResources::from_spec(&opts.arch);
     let prepared = custom_fit::sched::prepare(&kernel, &machine, &mut trace);
@@ -249,11 +258,7 @@ fn main() {
         _ => {
             let cost = CostModel::paper_calibrated();
             let cycle = CycleModel::paper_calibrated();
-            println!(
-                "kernel     : {} (unroll x{})",
-                kernel.name,
-                opts.unroll.max(1)
-            );
+            println!("kernel     : {} (unroll x{unroll})", kernel.name);
             println!("machine    : {}", opts.arch);
             println!(
                 "cost       : {:.2} (baseline-relative)",

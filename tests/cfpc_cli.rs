@@ -41,6 +41,55 @@ fn stats_run_reports_the_machine_and_schedule() {
 }
 
 #[test]
+fn an_unrolled_compile_is_the_plan_the_sweep_prices() {
+    // A on the thin-cluster machine at unroll 2: the kernel `cfpc`
+    // schedules must be the sweep's plan (optimize, unroll, re-optimize),
+    // not a plain unroll of the optimized kernel.
+    use custom_fit::dse::PlanCache;
+    use custom_fit::machine::{ArchSpec, ExtSet, MachineResources};
+    use custom_fit::prelude::Benchmark;
+
+    let spec = ArchSpec::parse("(16 4 128 4 4 8)").expect("valid spec");
+    let plans = PlanCache::build(&[Benchmark::A], &[spec.regs], &[1, 2]);
+    let kernel = plans
+        .get(Benchmark::A, 64, 2, ExtSet::EMPTY)
+        .expect("A at unroll 2 is under the body cap");
+    let want = custom_fit::sched::compile(kernel, &MachineResources::from_spec(&spec));
+
+    let (stdout, stderr, ok) = cfpc(&[
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/crates/kernels/src/dsl/fir7x7.cfk"
+        ),
+        "--const",
+        "stride=256",
+        "--arch",
+        "(16 4 128 4 4 8)",
+        "--unroll",
+        "2",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let schedule = format!("schedule   : {} cycles/iter ", want.length);
+    assert!(stdout.contains(&schedule), "want `{schedule}` in\n{stdout}");
+    let peak = format!("registers  : peak {:?} of ", want.pressure.peak);
+    assert!(stdout.contains(&peak), "want `{peak}` in\n{stdout}");
+}
+
+#[test]
+fn an_unroll_past_the_body_cap_is_refused_by_name() {
+    let path = write_kernel("cfpc_cap.cfk", KERNEL);
+    let p = path.to_str().unwrap();
+    let (stdout, stderr, ok) = cfpc(&[p, "--const", "w=5", "--unroll", "100000"]);
+    assert!(!ok);
+    assert_eq!(stdout, "");
+    let cap = custom_fit::dse::eval::MAX_BODY_OPS.to_string();
+    assert!(stderr.contains(&cap), "the refusal names the cap: {stderr}");
+    // Without the optimizer there is no plan to refuse: a plain unroll.
+    let (_, stderr, ok) = cfpc(&[p, "--const", "w=5", "--unroll", "3", "--no-opt"]);
+    assert!(ok, "stderr: {stderr}");
+}
+
+#[test]
 fn emit_modes_produce_their_artifacts() {
     let path = write_kernel("cfpc_emit.cfk", KERNEL);
     let p = path.to_str().unwrap();

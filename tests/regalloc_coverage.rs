@@ -4,10 +4,10 @@
 //! actual linear-scan allocation, and no allocation may ever hand out a
 //! register number beyond the architecture's bank.
 
-use custom_fit::dse::eval::residency_budget;
-use custom_fit::dse::{EvalScratch, Evaluator, ExploreConfig, PlanCache};
+use custom_fit::dse::eval::{plan, residency_budget};
+use custom_fit::dse::{CompileCache, EvalScratch, Evaluator, ExploreConfig, PlanCache};
 use custom_fit::ir::Vreg;
-use custom_fit::machine::{ArchSpec, MachineResources};
+use custom_fit::machine::{ArchSpec, ExtSet, MachineResources};
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::{allocate, prepare, pressure, try_compile_core, Fuel, SchedScratch};
@@ -25,20 +25,28 @@ use custom_fit::sched::{allocate, prepare, pressure, try_compile_core, Fuel, Sch
 fn the_spill_onset_moves_monotonically_along_the_register_axis() {
     let reg_sizes = [64_u32, 128, 256, 512];
     let cache = PlanCache::build(&[Benchmark::A], &reg_sizes, &[1, 2, 4, 8, 16]);
+    // The register axis shares every core through one warm cache; each
+    // row must equal the row a fresh cache schedules on its own.
+    let shared = CompileCache::new();
     let mut scratch = EvalScratch::new();
     let mut rows = Vec::new();
     for &r in &reg_sizes {
         let spec = ArchSpec::new(16, 4, r, 1, 4, 8).expect("valid spec");
-        let m = Evaluator::new(&cache)
-            .evaluate(
-                &spec,
-                Benchmark::A,
-                &mut scratch,
-                &mut UnitTrace::disabled(),
-            )
-            .expect("evaluation");
+        let mut at = |memo: &CompileCache| {
+            Evaluator::new(&cache, memo)
+                .evaluate(
+                    &spec,
+                    Benchmark::A,
+                    &mut scratch,
+                    &mut UnitTrace::disabled(),
+                )
+                .expect("evaluation")
+        };
+        let m = at(&shared);
+        assert_eq!(m, at(&CompileCache::new()), "{r} registers");
         rows.push((r, m));
     }
+    assert!(shared.core_hits() > 0, "the register axis shared nothing");
     for w in rows.windows(2) {
         let ((r0, a), (r1, b)) = (&w[0], &w[1]);
         assert!(
@@ -91,11 +99,10 @@ fn allocation_succeeds_exactly_when_the_pressure_report_fits() {
         for &bench in &benches {
             let base = bench.kernel();
             for unroll in [1_u32, 2] {
-                let mut opt = base.clone();
                 let budget = residency_budget(spec.regs);
-                cfp_opt::optimize_budgeted(&mut opt, budget);
-                let mut unrolled = cfp_opt::unroll::unroll(&opt, unroll);
-                cfp_opt::optimize_budgeted(&mut unrolled, budget);
+                let off = &mut UnitTrace::disabled();
+                let unrolled =
+                    plan(base.clone(), budget, unroll, ExtSet::EMPTY, off).expect("under the cap");
                 let prepared = prepare(&unrolled, &machine, &mut UnitTrace::disabled());
                 let core = try_compile_core(
                     &prepared,

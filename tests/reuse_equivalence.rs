@@ -1,16 +1,23 @@
 //! The compilation-reuse layer must be invisible: every result it hands
 //! out has to be bit-identical to what a from-scratch compile produces.
-//! Three layers of evidence, innermost first:
+//! Every evaluation goes through a [`CompileCache`]; "from scratch" is a
+//! fresh cache per unit, where nothing is shared and every core is
+//! scheduled by the unit that asks. Three layers of evidence, innermost
+//! first:
 //!
 //! 1. the phase split (`prepare` → `compile_core` → `finish`) equals the
 //!    one-shot `compile`, and the core really is independent of the
-//!    register-file size — the invariant the memo keys encode;
-//! 2. evaluation through a shared [`CompileCache`] equals the direct
-//!    `evaluate` on random architectures, and at every unroll cap and
-//!    under a fuel budget on the smoke machines;
+//!    register-file size — the invariant the memo keys encode (one of the
+//!    two references independent of the memo; the other is
+//!    `tests/recorded_run.rs`, which regenerates `results/exploration.csv`,
+//!    recorded before the memo existed, byte for byte);
+//! 2. evaluation through a shared warm cache equals `evaluate`, which
+//!    runs on a fresh one, on random architectures, and at every unroll
+//!    cap and under a fuel budget on the smoke machines;
 //! 3. a whole `Exploration::run` reproduces, unit for unit, what an
-//!    [`Evaluator`] with no memo measures (outcomes, unrolls, logical
-//!    compilation counts), and journaling it changes nothing.
+//!    [`Evaluator`] on a fresh cache per unit measures (outcomes,
+//!    unrolls, logical compilation counts), and journaling it changes
+//!    nothing.
 //!
 //! Below those, plan-level reuse: the plan build answers a budget from
 //! another budget's optimizer run wherever LICM's certificate allows it,
@@ -83,17 +90,14 @@ fn cached_evaluation_matches_direct_evaluation() {
     cases(0x2e05_0002, 40, |rng| {
         let spec = common::arch(rng);
         let bench = *rng.pick(&benches);
-        let cached = Evaluator {
-            memo: Some(&memo),
-            ..Evaluator::new(&plans)
-        }
-        .evaluate(
-            &spec,
-            bench,
-            &mut EvalScratch::new(),
-            &mut UnitTrace::disabled(),
-        )
-        .expect("evaluation without a fuel budget");
+        let cached = Evaluator::new(&plans, &memo)
+            .evaluate(
+                &spec,
+                bench,
+                &mut EvalScratch::new(),
+                &mut UnitTrace::disabled(),
+            )
+            .expect("evaluation without a fuel budget");
         let direct = evaluate(&spec, bench, &plans);
         assert_eq!(cached, direct, "{spec} on {bench}");
     });
@@ -103,9 +107,10 @@ fn cached_evaluation_matches_direct_evaluation() {
 
 #[test]
 fn capped_evaluation_is_the_same_with_and_without_the_memo() {
-    // The search's rungs are capped and memoized, the sweep is neither;
-    // capped and direct is the combination nothing else runs. Every cap,
-    // with no fuel budget and with one tight enough to stop sweeps early.
+    // The search's rungs are capped and share their cache, the sweep is
+    // uncapped; capped on a cache of its own is the combination nothing
+    // else runs. Every cap, with no fuel budget and with one tight
+    // enough to stop sweeps early — which a warm cache must not change.
     let config = ExploreConfig::smoke();
     let regs: Vec<u32> = config.archs.iter().map(|a| a.regs).collect();
     let plans = PlanCache::build(&config.benches, &regs, &UNROLL_SWEEP);
@@ -118,16 +123,17 @@ fn capped_evaluation_is_the_same_with_and_without_the_memo() {
             for &bench in &config.benches {
                 let mut free = None;
                 for fuel in [None, Some(2_000)] {
-                    let direct = Evaluator {
+                    let fresh = CompileCache::new();
+                    let alone = Evaluator {
                         fuel,
                         max_unroll,
-                        ..Evaluator::new(&plans)
+                        ..Evaluator::new(&plans, &fresh)
                     };
                     let memoized = Evaluator {
-                        memo: Some(&memo),
-                        ..direct
+                        memo: &memo,
+                        ..alone
                     };
-                    let want = direct.evaluate(spec, bench, &mut scratch, off);
+                    let want = alone.evaluate(spec, bench, &mut scratch, off);
                     let got = memoized.evaluate(spec, bench, &mut scratch, off);
                     assert_eq!(got, want, "{spec} on {bench}, cap {max_unroll}, {fuel:?}");
                     if let Ok(m) = &want {
@@ -144,8 +150,8 @@ fn capped_evaluation_is_the_same_with_and_without_the_memo() {
 
 #[test]
 fn exploration_is_identical_with_reuse_on_and_off() {
-    // "On" is the sweep, which always runs on the memo; "off" is every
-    // unit of the same configuration through an evaluator without one.
+    // "On" is the sweep, one cache shared by every unit; "off" is every
+    // unit of the same configuration on a fresh cache of its own.
     let on = ExploreConfig::smoke();
     let e_on = Exploration::run(&on);
     assert_eq!(e_on.benches, on.benches);
@@ -153,13 +159,16 @@ fn exploration_is_identical_with_reuse_on_and_off() {
     let mut regs: Vec<u32> = on.archs.iter().map(|a| a.regs).collect();
     regs.push(ArchSpec::baseline().regs);
     let plans = PlanCache::build(&on.benches, &regs, &UNROLL_SWEEP);
-    let direct = Evaluator::new(&plans);
     let mut scratch = EvalScratch::new();
     let mut off = |spec: &ArchSpec| -> Vec<_> {
         let trace = &mut UnitTrace::disabled();
         on.benches
             .iter()
-            .map(|&b| quarantine(|| direct.evaluate(spec, b, &mut scratch, trace)))
+            .map(|&b| {
+                let memo = CompileCache::new();
+                let alone = Evaluator::new(&plans, &memo);
+                quarantine(|| alone.evaluate(spec, b, &mut scratch, trace))
+            })
             .collect()
     };
     assert_eq!(e_on.baseline.outcomes, off(&ArchSpec::baseline()));

@@ -72,10 +72,7 @@ fn lazy_evaluator_answers_match_the_eager_evaluation_path() {
     let ref_memo = CompileCache::new();
     let ref_plans =
         ref_store.ensure_snapshot_extended(&[BENCH], &regs, &UNROLL_SWEEP, &[ExtSet::EMPTY]);
-    let eager = Evaluator {
-        memo: Some(&ref_memo),
-        ..Evaluator::new(&ref_plans)
-    };
+    let eager = Evaluator::new(&ref_plans, &ref_memo);
     let cycle = CycleModel::paper_calibrated();
 
     cases(0x5eac_0001, 25, |rng| {

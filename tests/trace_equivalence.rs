@@ -202,10 +202,7 @@ fn null_recorder_steady_state_allocates_nothing() {
     let spec = ArchSpec::new(8, 4, 256, 2, 4, 2).expect("valid spec");
     let cache = PlanCache::build(&benches, &[spec.regs], &[1, 2, 4, 8]);
     let memo = CompileCache::new();
-    let session = Evaluator {
-        memo: Some(&memo),
-        ..Evaluator::new(&cache)
-    };
+    let session = Evaluator::new(&cache, &memo);
     let mut scratch = EvalScratch::new();
 
     // Warm-up: populate the compile memo and grow the scratch arena to
