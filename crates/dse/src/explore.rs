@@ -170,13 +170,6 @@ pub struct RunStats {
     /// replayed from a search journal, or a sibling whose scheduled
     /// core was already in the compile cache (`SchedSignature` dedup).
     pub dedup_hits: u64,
-    /// Modulo-scheduler II values attempted. The exhaustive sweep
-    /// list-schedules every unit (the paper's loop-barrier compiler
-    /// line), so [`Exploration::try_run`] always reports 0 here;
-    /// software-pipelining ablation drivers sum
-    /// [`cfp_sched::ModuloSchedule::ii_attempts`] into this slot so the
-    /// Table 3 exhibit can show what the II-skip search saves.
-    pub ii_attempts: u64,
     /// Time spent optimizing/unrolling plans (the plan-cache build).
     pub plan_wall: Duration,
     /// Time spent in the evaluation sweep proper.
@@ -514,9 +507,6 @@ impl Exploration {
                 screen_evals: 0,
                 full_evals: 0,
                 dedup_hits: 0,
-                // The sweep is the paper's loop-barrier line: no modulo
-                // scheduling runs here. Ablation drivers fill this in.
-                ii_attempts: 0,
                 plan_wall,
                 eval_wall,
                 wall: start.elapsed(),

@@ -70,10 +70,8 @@ impl std::fmt::Display for TextTable {
 }
 
 /// Render the run's accounting counters as a two-column table: the
-/// paper's Table 3 quantities plus the reuse, robustness, and scheduler
-/// counters this reproduction adds (`ii_attempts` is nonzero only for
-/// software-pipelining ablation runs — the exhaustive sweep
-/// list-schedules every unit).
+/// paper's Table 3 quantities plus the reuse and robustness counters
+/// this reproduction adds.
 #[must_use]
 pub fn run_stats_table(stats: &RunStats) -> TextTable {
     let mut t = TextTable::new(["counter", "value"]);
@@ -91,10 +89,6 @@ pub fn run_stats_table(stats: &RunStats) -> TextTable {
     ])
     .row(["unique plans".to_owned(), stats.unique_plans.to_string()])
     .row(["architectures".to_owned(), stats.architectures.to_string()])
-    .row([
-        "modulo II attempts".to_owned(),
-        stats.ii_attempts.to_string(),
-    ])
     .row([
         "quarantined units".to_owned(),
         stats.failed_units.to_string(),
@@ -193,12 +187,12 @@ mod tests {
     fn run_stats_table_lists_every_counter() {
         let stats = RunStats {
             compilations: 120,
-            ii_attempts: 7,
+            resumed_units: 7,
             ..RunStats::default()
         };
         let s = run_stats_table(&stats).to_string();
         assert!(s.contains("compilations (logical)") && s.contains("120"));
-        assert!(s.contains("modulo II attempts") && s.contains('7'));
+        assert!(s.contains("resumed from checkpoint") && s.contains('7'));
         assert!(s.contains("total wall"));
     }
 

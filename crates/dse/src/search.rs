@@ -948,7 +948,6 @@ pub fn try_search_shared(
             // the cache component is approximate under concurrent jobs,
             // exactly like `cache_hits`.
             dedup_hits: lazy.memo_hits() + cache_hits,
-            ii_attempts: 0,
             plan_wall,
             eval_wall,
             wall: start.elapsed(),

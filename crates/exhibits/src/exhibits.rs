@@ -84,13 +84,6 @@ pub fn table3(ex: &Exploration) -> String {
         ex.stats.unique_plans.to_string(),
         "n/a".to_owned(),
     ]);
-    // 0 unless an ablation driver ran the modulo scheduler and summed
-    // its II attempts in; the sweep itself is the loop-barrier line.
-    t.row([
-        "  modulo II attempts".to_owned(),
-        ex.stats.ii_attempts.to_string(),
-        "n/a (no pipelining)".to_owned(),
-    ]);
     t.row([
         "  planning stage".to_owned(),
         format!("{:.2}s", ex.stats.plan_wall.as_secs_f64()),

@@ -1,10 +1,11 @@
-//! The repo's one JSON: a minimal byte-offset-tracking reader and the
-//! string-literal writer every emitter shares.
+//! The repo's one JSON: a minimal byte-offset-tracking reader, the
+//! string-literal writer every emitter shares, and the one writer of
+//! span field [`Value`]s.
 //!
 //! It sits here, at the bottom of the crate graph, so the `cfpd`
 //! protocol (`cfp_serve::json` re-exports this module), the JSONL trace
-//! sink and the pinned-result tests all read and escape JSON the same
-//! way.
+//! sink, `cfpd`'s watch stream and the pinned-result tests all read and
+//! write JSON the same way.
 //!
 //! The service protocol is line-delimited JSON, and its rejection
 //! contract (DESIGN.md §15) is that a malformed request names the
@@ -20,6 +21,7 @@
 //! conversion happens at the access site ([`Json::as_u64`] /
 //! [`Json::as_f64`]) where the caller knows which domain it wants.
 
+use crate::Value;
 use std::fmt;
 
 /// Nesting depth cap: the protocol needs 3 levels; 16 tolerates growth
@@ -407,6 +409,28 @@ pub fn write_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Append a span field value to `out` as JSON: the one writer behind the
+/// JSONL trace and `cfpd`'s watch stream. Floats use `{:?}` — shortest
+/// round-trip, always with a decimal point, so readers see a float — and
+/// a non-finite float, which JSON cannot spell, is written as `null`.
+pub fn write_value(out: &mut String, value: Value<'_>) {
+    use fmt::Write;
+    match value {
+        Value::U64(x) => {
+            let _ = write!(out, "{x}");
+        }
+        Value::I64(x) => {
+            let _ = write!(out, "{x}");
+        }
+        Value::F64(x) if x.is_finite() => {
+            let _ = write!(out, "{x:?}");
+        }
+        Value::F64(_) => out.push_str("null"),
+        Value::Bool(x) => out.push_str(if x { "true" } else { "false" }),
+        Value::Str(s) => write_str(out, s),
+    }
 }
 
 #[cfg(test)]

@@ -54,6 +54,18 @@ impl OwnedValue {
         }
     }
 
+    /// The borrowed form, for [`json::write_value`].
+    #[must_use]
+    pub fn as_value(&self) -> Value<'_> {
+        match self {
+            OwnedValue::U64(x) => Value::U64(*x),
+            OwnedValue::I64(x) => Value::I64(*x),
+            OwnedValue::F64(x) => Value::F64(*x),
+            OwnedValue::Bool(x) => Value::Bool(*x),
+            OwnedValue::Str(s) => Value::Str(s),
+        }
+    }
+
     /// The string payload, if this is a string field.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -242,29 +254,10 @@ fn write_event(out: &mut String, e: &OwnedEvent) {
         e.end
     );
     for (name, value) in &e.fields {
-        let _ = write!(out, ",\"{name}\":");
-        match value {
-            OwnedValue::U64(x) => {
-                let _ = write!(out, "{x}");
-            }
-            OwnedValue::I64(x) => {
-                let _ = write!(out, "{x}");
-            }
-            OwnedValue::F64(x) => {
-                // `{:?}` is shortest-round-trip and keeps a decimal
-                // point, so readers see a float; non-finite values are
-                // not JSON numbers and become null.
-                if x.is_finite() {
-                    let _ = write!(out, "{x:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            OwnedValue::Bool(x) => {
-                out.push_str(if *x { "true" } else { "false" });
-            }
-            OwnedValue::Str(s) => json::write_str(out, s),
-        }
+        out.push(',');
+        json::write_str(out, name);
+        out.push(':');
+        json::write_value(out, value.as_value());
     }
     out.push('}');
 }

@@ -46,7 +46,7 @@ use crate::json;
 use crate::proto::{self, JobKind, JobSpec, Request, RequestError};
 use cfp_dse::checkpoint::write_atomic;
 use cfp_dse::{CompileCache, Exploration, ExploreError, FailReason, PlanStore, SearchOutcome};
-use cfp_obs::{Event, Recorder, Stage, Value};
+use cfp_obs::{Event, Recorder, Stage};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -248,16 +248,9 @@ impl Recorder for ProgressRecorder {
             line.push(',');
             json::write_str(&mut line, name);
             line.push(':');
-            match value {
-                Value::U64(v) => line.push_str(&v.to_string()),
-                Value::I64(v) => line.push_str(&v.to_string()),
-                // A non-finite number (an empty round's best speedup)
-                // has no JSON spelling; null keeps the line parseable.
-                Value::F64(v) if v.is_finite() => line.push_str(&format!("{v}")),
-                Value::F64(_) => line.push_str("null"),
-                Value::Bool(v) => line.push_str(if *v { "true" } else { "false" }),
-                Value::Str(v) => json::write_str(&mut line, v),
-            }
+            // The trace's own writer: an empty round's non-finite best
+            // speedup goes out as null, so the line stays parseable.
+            json::write_value(&mut line, *value);
         }
         line.push('}');
         self.progress.push(line);

@@ -45,7 +45,6 @@ fn run_stats_table_renders_the_golden_layout() {
         failed_units: 3,
         fuel_exhausted: 2,
         resumed_units: 764,
-        ii_attempts: 765,
         screen_evals: 0,
         full_evals: 0,
         dedup_hits: 0,

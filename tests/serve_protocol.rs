@@ -1,7 +1,8 @@
 //! Every malformed request the daemon can reject, rejected over a live
-//! socket — and every rejection round-tripped: the wire response parses
-//! back into the exact [`RequestError`] the server constructed, and
-//! re-serializes to the exact line the server sent.
+//! socket — and every rejection sent exactly as the parser built it: the
+//! wire response is byte for byte the `to_json` of the
+//! [`RequestError`](custom_fit::serve::RequestError) that
+//! [`parse_request`] returns for the same line.
 //!
 //! The errors name the offending field *and* its byte offset, in the
 //! style of the line-numbered CSV errors in `cfp_dse::io` — several
@@ -11,7 +12,7 @@ mod common;
 
 use common::serve::{state_dir, Client};
 use custom_fit::serve::json::{self, Json};
-use custom_fit::serve::{RequestError, ServeConfig, Server};
+use custom_fit::serve::{parse_request, ServeConfig, Server};
 
 /// One rejection case: a request line and the expected error kind.
 struct Case {
@@ -212,11 +213,10 @@ fn every_rejection_variant_round_trips_over_a_live_socket() {
             case.line
         );
 
-        // Round trip: wire JSON → RequestError → identical wire JSON.
-        let err = RequestError::from_json(&v)
-            .unwrap_or_else(|| panic!("rejection does not parse back: {response}"));
-        assert_eq!(err.kind(), case.kind);
-        assert_eq!(err.to_json(), response, "round trip not a fixed point");
+        // The wire carries exactly the rejection the parser built.
+        let built = parse_request(&case.line).expect_err("a rejection case");
+        assert_eq!(built.kind(), case.kind);
+        assert_eq!(response, built.to_json(), "for request {}", case.line);
 
         // The offset names a byte of the offending line the client can
         // check for itself.
@@ -263,7 +263,7 @@ fn extended_specs_round_trip_through_the_canonical_line() {
     use custom_fit::serve::proto::Request;
 
     let line = r#"{"op":"submit","job":{"benches":["F"],"archs":["(8 4 256 2 4 1 +madd)","(8 4 256 2 4 1 +madd+minmax+addshr)","(8 4 256 2 4 1)"]}}"#;
-    let Request::Submit(job) = custom_fit::serve::parse_request(line).expect("parses") else {
+    let Request::Submit(job) = parse_request(line).expect("parses") else {
         panic!("not a submit")
     };
     assert_eq!(job.archs.len(), 3);
@@ -276,8 +276,7 @@ fn extended_specs_round_trip_through_the_canonical_line() {
         canon.contains("+madd+minmax+addshr"),
         "suffix survives: {canon}"
     );
-    let Request::Submit(again) = custom_fit::serve::parse_request(&canon).expect("re-parses")
-    else {
+    let Request::Submit(again) = parse_request(&canon).expect("re-parses") else {
         panic!("canonical not a submit")
     };
     assert_eq!(*job, *again);
@@ -289,7 +288,7 @@ fn extended_specs_round_trip_through_the_canonical_line() {
 
     // The rejection for a malformed set names the unknown extension, so
     // the client knows which names the daemon accepts.
-    let err = custom_fit::serve::parse_request(
+    let err = parse_request(
         r#"{"op":"submit","job":{"benches":["F"],"archs":["(8 4 256 2 4 1 +simd)"]}}"#,
     )
     .expect_err("unknown extension admitted");
@@ -302,8 +301,7 @@ fn extended_specs_round_trip_through_the_canonical_line() {
 /// the CSV layer's errors lead with the line number.
 #[test]
 fn rejection_display_names_the_byte() {
-    let err = custom_fit::serve::parse_request(r#"{"op":"status"}"#)
-        .expect_err("status without id must be rejected");
+    let err = parse_request(r#"{"op":"status"}"#).expect_err("status without id must be rejected");
     let text = err.to_string();
     assert!(text.starts_with("byte "), "{text}");
     assert!(text.contains("id"), "{text}");
