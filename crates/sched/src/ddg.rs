@@ -14,7 +14,10 @@
 //! the stores after it, and a store with every later access of its
 //! array — so an array nothing stores to costs nothing, and no load–load
 //! pair is ever looked at. [`SchedScratch::ddg_probes`] counts the pairs
-//! examined; `results/sched_step_budget.json` pins the total.
+//! examined; `results/sched_step_budget.json` pins the total. The graph
+//! rebuilt after cluster assignment scans nothing: moves never touch
+//! memory, so it copies the prepared graph's memory edges (the `memory`
+//! argument of [`Ddg::build_in`]).
 //!
 //! The graph is stored in compressed-sparse-row (CSR) form: one flat edge
 //! array grouped by consumer, one grouped by producer, each indexed by an
@@ -79,13 +82,21 @@ impl Ddg {
     /// Build the graph.
     #[must_use]
     pub fn build(code: &LoopCode) -> Self {
-        Self::build_in(code, &mut SchedScratch::new())
+        Self::build_in(code, None, &mut SchedScratch::new())
     }
 
     /// [`Ddg::build`] using `scratch` for every intermediate buffer, so a
     /// sweep that builds many graphs allocates only the graphs themselves.
+    ///
+    /// `memory`, when given, is a graph whose code has `code`'s memory
+    /// ops at the same indices — the pre-assignment graph of code that
+    /// cluster assignment only appended moves to and renamed operands in —
+    /// and its memory edges are copied instead of rescanned. They come out
+    /// of it grouped by consumer, producers ascending; each memory op's
+    /// conflicts lie in its own array, so after the stable grouping below
+    /// every CSR group holds the sequence the scan would have pushed.
     #[must_use]
-    pub fn build_in(code: &LoopCode, scratch: &mut SchedScratch) -> Self {
+    pub fn build_in(code: &LoopCode, memory: Option<&Ddg>, scratch: &mut SchedScratch) -> Self {
         let n = code.ops.len();
 
         // Collect every edge, in discovery order: register RAW first,
@@ -120,49 +131,53 @@ impl Ddg {
             }
         }
 
-        // Memory ordering edges, pairwise per array. Sorting by
-        // `(array, op index)` buckets the memory ops by array with
-        // program order kept inside each bucket.
-        let (mems, stores) = (&mut scratch.mems_tmp, &mut scratch.stores_tmp);
-        mems.clear();
-        for (i, op) in code.ops.iter().enumerate() {
-            let Some(inst) = &op.inst else { continue };
-            let Some(m) = inst.mem() else { continue };
-            mems.push(MemAccess {
-                array: m.array.0,
-                op: u32::try_from(i).expect("op count fits u32"),
-                affine: m.is_affine().then_some((m.coeff, m.offset)),
-                store: inst.is_store(),
-            });
-        }
-        mems.sort_unstable_by_key(|m| (m.array, m.op));
-        for run in mems.chunk_by(|a, b| a.array == b.array) {
-            stores.clear();
-            stores.extend(run.iter().filter(|m| m.store));
-            // Loads never order against loads: a load pairs only with
-            // the stores after it (none, in an array nothing stores to);
-            // a store pairs with every later access.
-            let mut next_store = 0;
-            for (ai, a) in run.iter().enumerate() {
-                let later = if a.store {
-                    next_store += 1;
-                    &run[ai + 1..]
-                } else {
-                    &stores[next_store..]
-                };
-                scratch.ddg_probes += later.len() as u64;
-                for b in later.iter().filter(|b| a.may_conflict(b)) {
-                    let (kind, lat) = match (a.store, b.store) {
-                        (true, false) => (DepKind::MemRaw, code.ops[a.op as usize].latency),
-                        (false, _) => (DepKind::MemWar, 1),
-                        (true, true) => (DepKind::MemWaw, 1),
+        if let Some(g) = memory {
+            edges.extend(g.edges().iter().filter(|d| d.kind != DepKind::RegRaw));
+        } else {
+            // Memory ordering edges, pairwise per array. Sorting by
+            // `(array, op index)` buckets the memory ops by array with
+            // program order kept inside each bucket.
+            let (mems, stores) = (&mut scratch.mems_tmp, &mut scratch.stores_tmp);
+            mems.clear();
+            for (i, op) in code.ops.iter().enumerate() {
+                let Some(inst) = &op.inst else { continue };
+                let Some(m) = inst.mem() else { continue };
+                mems.push(MemAccess {
+                    array: m.array.0,
+                    op: u32::try_from(i).expect("op count fits u32"),
+                    affine: m.is_affine().then_some((m.coeff, m.offset)),
+                    store: inst.is_store(),
+                });
+            }
+            mems.sort_unstable_by_key(|m| (m.array, m.op));
+            for run in mems.chunk_by(|a, b| a.array == b.array) {
+                stores.clear();
+                stores.extend(run.iter().filter(|m| m.store));
+                // Loads never order against loads: a load pairs only with
+                // the stores after it (none, in an array nothing stores
+                // to); a store pairs with every later access.
+                let mut next_store = 0;
+                for (ai, a) in run.iter().enumerate() {
+                    let later = if a.store {
+                        next_store += 1;
+                        &run[ai + 1..]
+                    } else {
+                        &stores[next_store..]
                     };
-                    edges.push(Dep {
-                        from: a.op,
-                        to: b.op,
-                        lat,
-                        kind,
-                    });
+                    scratch.ddg_probes += later.len() as u64;
+                    for b in later.iter().filter(|b| a.may_conflict(b)) {
+                        let (kind, lat) = match (a.store, b.store) {
+                            (true, false) => (DepKind::MemRaw, code.ops[a.op as usize].latency),
+                            (false, _) => (DepKind::MemWar, 1),
+                            (true, true) => (DepKind::MemWaw, 1),
+                        };
+                        edges.push(Dep {
+                            from: a.op,
+                            to: b.op,
+                            lat,
+                            kind,
+                        });
+                    }
                 }
             }
         }
@@ -349,14 +364,14 @@ impl MemAccess {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::loopcode::{FuClass, LoopCode};
+    use crate::testgen::memory_heavy;
     use cfp_frontend::compile_kernel;
-    use cfp_ir::{Inst, Kernel, KernelBuilder, MemRef, MemSpace, Operand, Ty};
+    use cfp_ir::{Inst, Kernel};
     use cfp_kernels::Benchmark;
     use cfp_machine::{ArchSpec, MachineResources};
-    use cfp_testkit::Rng;
 
     /// Dependence between two memory ops in program order (`a` before `b`),
     /// or `None` when they provably never touch the same element in the same
@@ -434,62 +449,6 @@ pub(crate) mod tests {
         (Ddg::from_edges(&lats, &edges), pairs)
     }
 
-    /// A seeded kernel that is mostly memory traffic: load-only,
-    /// store-only and read-write arrays on both memory levels, two
-    /// strides and colliding offsets on one array, dynamic indices.
-    pub(crate) fn memory_heavy(rng: &mut Rng) -> Kernel {
-        let mut b = KernelBuilder::new("memory_heavy");
-        let ins = [
-            b.array_in("a", Ty::I32, MemSpace::L2),
-            b.array_in("t", Ty::I16, MemSpace::L1),
-        ];
-        let outs = [
-            b.array_out("d", Ty::I32, MemSpace::L2),
-            b.array_out("e", Ty::I32, MemSpace::L1),
-        ];
-        let both = [
-            b.array_inout("p", Ty::I32, MemSpace::L2),
-            b.array_inout("q", Ty::I32, MemSpace::L1),
-        ];
-        let mut vals = vec![b.load(ins[0], 1, 0, Ty::I32)];
-        for _ in 0..rng.index(40) + 2 {
-            let store = rng.index(5) < 2;
-            let array = match (store, rng.gen_bool()) {
-                (_, true) => *rng.pick(&both),
-                (true, false) => *rng.pick(&outs),
-                (false, false) => *rng.pick(&ins),
-            };
-            let mem = MemRef {
-                array,
-                coeff: *rng.pick(&[0, 1, 1, 2]),
-                offset: rng.range_i64(0..=3),
-                dyn_index: (rng.index(6) == 0).then(|| Operand::Reg(*rng.pick(&vals))),
-            };
-            if store {
-                let value = Operand::Reg(*rng.pick(&vals));
-                b.push(Inst::St {
-                    mem,
-                    value,
-                    ty: Ty::I32,
-                });
-            } else {
-                let dst = b.fresh();
-                b.push(Inst::Ld {
-                    dst,
-                    mem,
-                    ty: Ty::I32,
-                });
-                vals.push(dst);
-            }
-            if rng.gen_bool() {
-                let (x, y) = (*rng.pick(&vals), *rng.pick(&vals));
-                vals.push(b.add(x, y));
-            }
-        }
-        b.store(outs[0], 1, 0, *vals.last().unwrap(), Ty::I32);
-        b.finish()
-    }
-
     fn assert_equals_all_pairs(kernel: &Kernel, scratch: &mut SchedScratch, what: &str) -> u64 {
         let mut visited = 0;
         for spec in [
@@ -499,7 +458,11 @@ pub(crate) mod tests {
             let code = LoopCode::build(kernel, &MachineResources::from_spec(&spec));
             let (reference, pairs) = build_all_pairs(&code);
             let before = scratch.ddg_probes();
-            assert_eq!(Ddg::build_in(&code, scratch), reference, "{what} {spec}");
+            assert_eq!(
+                Ddg::build_in(&code, None, scratch),
+                reference,
+                "{what} {spec}"
+            );
             assert_eq!(Ddg::build(&code), reference, "{what} {spec} fresh");
             assert!(scratch.ddg_probes() - before <= pairs, "{what} {spec}");
             visited += pairs;
@@ -554,7 +517,7 @@ pub(crate) mod tests {
             }",
         );
         let mut scratch = SchedScratch::new();
-        let _ = Ddg::build_in(&lc, &mut scratch);
+        let _ = Ddg::build_in(&lc, None, &mut scratch);
         assert_eq!(scratch.ddg_probes(), 0, "four loads, one lone store");
     }
 
@@ -705,7 +668,11 @@ pub(crate) mod tests {
         let mut scratch = SchedScratch::new();
         for src in sources {
             let lc = code_for(src);
-            assert_eq!(Ddg::build_in(&lc, &mut scratch), Ddg::build(&lc), "{src}");
+            assert_eq!(
+                Ddg::build_in(&lc, None, &mut scratch),
+                Ddg::build(&lc),
+                "{src}"
+            );
         }
     }
 }

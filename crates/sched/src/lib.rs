@@ -80,3 +80,6 @@ pub use modulo::{
 pub use regalloc::{allocate, peak_pressure, pressure, AllocError, PhysMap, PressureReport};
 pub use scratch::SchedScratch;
 pub use simulate::{simulate, simulate_traced, SimError, SimStats};
+
+#[cfg(test)]
+mod testgen;

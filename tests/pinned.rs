@@ -152,10 +152,11 @@ fn kernels() -> Vec<(String, custom_fit::ir::Kernel)> {
 /// probes are the ready queues' pops plus refused peeks — the work an
 /// issue scan really does — so a walk that goes back to visiting every
 /// ready op moves the second number even at equal steps. Pair probes
-/// are the memory-op pairs the dependence-graph builder examines (the
-/// post-assignment rebuilds and the graphs built for the modulo
-/// scheduler); a scan that goes back to every pair of memory ops, which
-/// is `all_pairs` here, at least doubles them. `max_ii_attempts` sums
+/// are the memory-op pairs the dependence-graph builder examines in the
+/// graphs built for the modulo scheduler (a post-assignment rebuild
+/// copies the prepared graph's memory edges and examines none); a scan
+/// that goes back to every pair of memory ops, which is `all_pairs`
+/// here, at least doubles them. `max_ii_attempts` sums
 /// [`custom_fit::sched::ModuloSchedule::ii_attempts`], which only a search that
 /// found a schedule reports; `max_modulo_attempts` and
 /// `max_modulo_probes` are the arena's totals over every search — the
@@ -197,15 +198,11 @@ fn scheduler_step_budget() {
             )
             .unwrap_or_else(|e| panic!("unlimited fuel cannot exhaust ({name}): {e}"));
             list_steps += core.steps;
-            let mem_ops = core.assignment.code.mem_ops().len();
-            if core.move_count > 0 {
-                all_pairs += pairs_among(mem_ops);
-            }
             // Modulo scheduling overlaps loop iterations; it only makes
             // sense (and only terminates quickly) on un-unrolled bodies.
             if name.ends_with("x1") {
-                let ddg = Ddg::build_in(&core.assignment.code, &mut scratch);
-                all_pairs += pairs_among(mem_ops);
+                let ddg = Ddg::build_in(&core.assignment.code, None, &mut scratch);
+                all_pairs += pairs_among(core.assignment.code.mem_ops().len());
                 let ms = try_modulo_schedule(
                     &core.assignment,
                     &ddg,
