@@ -30,11 +30,18 @@
 //! straightforward flat-list implementation — fuel still prices semantic
 //! scan events (`1 + ops in play` per scan), not data-structure
 //! operations (`tests/sched_equivalence.rs` pins all three).
+//!
+//! The portfolio ([`try_schedule_in`]) runs the critical-path arm, then
+//! the source-order arm only if the first fell short of the lower bound
+//! `max(critical path, ResMII)`. That stop is the one rule here that
+//! moves step counts: a schedule certified optimal by the bound alone
+//! costs one arm's fuel, and the schedule returned is unchanged.
 
 use crate::cluster::Assignment;
 use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::OpOrigin;
+use crate::modulo::res_mii_in;
 use crate::scratch::{row_has_room, row_take, SchedScratch};
 use cfp_machine::{MachineResources, Mdes};
 use std::collections::BinaryHeap;
@@ -135,6 +142,13 @@ pub fn try_schedule(
 /// sweeping many candidates passes the same arena every time and the
 /// steady state allocates nothing but the returned schedules.
 ///
+/// The portfolio stops after the critical-path arm when that arm's
+/// length meets the lower bound `max(critical path, ResMII)`
+/// ([`Ddg::critical_path`], [`crate::modulo::res_mii`]): no schedule is
+/// shorter, and a tie already goes to the critical-path arm, so the
+/// source-order arm could not change the result — skipping it changes
+/// only the fuel spent.
+///
 /// # Errors
 /// As [`try_schedule`].
 pub fn try_schedule_in(
@@ -144,6 +158,27 @@ pub fn try_schedule_in(
     fuel: &mut Fuel,
     scratch: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
+    portfolio_in(assignment, ddg, machine, fuel, scratch).map(|run| run.schedule)
+}
+
+/// One run of the portfolio: the schedule kept, the lower bound the
+/// critical-path arm was held to, and how many arms ran (1 when that arm
+/// met the bound, 2 otherwise).
+#[derive(Debug)]
+pub(crate) struct Portfolio {
+    pub(crate) schedule: Schedule,
+    pub(crate) bound: u32,
+    pub(crate) arms: u32,
+}
+
+/// [`try_schedule_in`], reporting what the portfolio ran.
+pub(crate) fn portfolio_in(
+    assignment: &Assignment,
+    ddg: &Ddg,
+    machine: &MachineResources,
+    fuel: &mut Fuel,
+    scratch: &mut SchedScratch,
+) -> Result<Portfolio, SchedError> {
     let cp = schedule_with_fuel_in(
         assignment,
         ddg,
@@ -152,6 +187,16 @@ pub fn try_schedule_in(
         fuel,
         scratch,
     )?;
+    let bound = ddg
+        .critical_path()
+        .max(res_mii_in(&assignment.code, assignment, machine, scratch));
+    if cp.length == bound {
+        return Ok(Portfolio {
+            schedule: cp,
+            bound,
+            arms: 1,
+        });
+    }
     let so = schedule_with_fuel_in(
         assignment,
         ddg,
@@ -160,7 +205,11 @@ pub fn try_schedule_in(
         fuel,
         scratch,
     )?;
-    Ok(if so.length < cp.length { so } else { cp })
+    Ok(Portfolio {
+        schedule: if so.length < cp.length { so } else { cp },
+        bound,
+        arms: 2,
+    })
 }
 
 /// [`schedule`] with an explicit priority function.

@@ -211,46 +211,57 @@ pub fn omega_deps(code: &LoopCode, ddg: &Ddg) -> Vec<OmegaDep> {
     deps
 }
 
-/// The resource-constrained lower bound on II.
+/// The resource-constrained lower bound on II: per cluster and issue
+/// row, the busy cycles its ops reserve over the row's units. A barrier
+/// schedule is a modulo schedule at II = its length, so this also bounds
+/// every list schedule's length from below — the list portfolio stops
+/// on it ([`crate::list::try_schedule_in`]).
 #[must_use]
 pub fn res_mii(code: &LoopCode, assignment: &Assignment, machine: &MachineResources) -> u32 {
-    let nc = machine.cluster_count();
-    let mut alu = vec![0_u32; nc];
-    let mut mul = vec![0_u32; nc];
-    let mut mem = vec![[0_u32; 2]; nc]; // busy cycles per level
+    res_mii_in(code, assignment, machine, &mut SchedScratch::new())
+}
+
+/// [`res_mii`] with its per-cluster counts in `scratch`, so the list
+/// portfolio's hot path allocates nothing.
+#[must_use]
+pub(crate) fn res_mii_in(
+    code: &LoopCode,
+    assignment: &Assignment,
+    machine: &MachineResources,
+    scratch: &mut SchedScratch,
+) -> u32 {
+    // `busy[4c + row]`, `row` the unit class's discriminant: ALU and
+    // IMUL issues, then Level-1 and Level-2 port cycles.
+    let busy = &mut scratch.res_busy;
+    busy.clear();
+    busy.resize(4 * machine.cluster_count(), 0);
     let mut branch = 0_u32;
-    for (i, op) in code.ops.iter().enumerate() {
-        let c = assignment.cluster_of_op[i] as usize;
+    for (op, &c) in code.ops.iter().zip(&assignment.cluster_of_op) {
+        let row = 4 * c as usize;
         match machine.mdes.op(op.class).unit {
-            UnitClass::Alu => alu[c] += 1,
+            UnitClass::Alu => busy[row] += 1,
             UnitClass::Mul => {
-                alu[c] += 1;
-                mul[c] += 1;
+                busy[row] += 1;
+                busy[row + 1] += 1;
             }
             // A port is busy for the reservation duration the machine
             // description prescribes (the full latency when the port
             // does not pipeline, one cycle when it does).
             unit @ (UnitClass::L1Port | UnitClass::L2Port) => {
-                let li = usize::from(unit == UnitClass::L2Port);
-                mem[c][li] += machine.reserved_cycles(op.class);
+                busy[row + unit as usize] += machine.reserved_cycles(op.class);
             }
             UnitClass::Branch => branch += 1,
         }
     }
     let mut bound = branch.max(1);
-    for c in 0..nc {
-        let cl = &machine.clusters[c];
-        if cl.alus > 0 {
-            bound = bound.max(alu[c].div_ceil(cl.alus));
-        }
-        if cl.muls > 0 {
-            bound = bound.max(mul[c].div_ceil(cl.muls));
-        }
-        if cl.l1_ports > 0 {
-            bound = bound.max(mem[c][0].div_ceil(cl.l1_ports));
-        }
-        if cl.l2_ports > 0 {
-            bound = bound.max(mem[c][1].div_ceil(cl.l2_ports));
+    for (cl, busy) in machine.clusters.iter().zip(busy.chunks_exact(4)) {
+        for (units, &cycles) in [cl.alus, cl.muls, cl.l1_ports, cl.l2_ports]
+            .iter()
+            .zip(busy)
+        {
+            if *units > 0 {
+                bound = bound.max(cycles.div_ceil(*units));
+            }
         }
     }
     bound
