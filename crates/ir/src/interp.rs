@@ -89,6 +89,16 @@ pub struct InterpStats {
     pub muls: u64,
 }
 
+impl InterpStats {
+    /// Count one executed instruction.
+    fn count(&mut self, inst: &Inst) {
+        self.executed += 1;
+        self.loads += u64::from(inst.is_mem() && !inst.is_store());
+        self.stores += u64::from(inst.is_store());
+        self.muls += u64::from(inst.needs_mul_unit());
+    }
+}
+
 /// A runtime fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InterpError {
@@ -147,9 +157,8 @@ impl Interpreter {
         mem: &mut MemImage,
     ) -> Result<Vec<i64>, InterpError> {
         let mut vals = vec![0_i64; kernel.vreg_count() as usize];
-        let mut stats = InterpStats::default();
         for inst in &kernel.preamble {
-            exec(kernel, inst, &mut vals, mem, 0, None, &mut stats)?;
+            exec(inst, &mut vals, mem, 0, None)?;
         }
         for c in &kernel.carried {
             vals[c.input.index()] = match c.init {
@@ -175,7 +184,8 @@ impl Interpreter {
         let mut stats = InterpStats::default();
 
         for inst in &kernel.preamble {
-            exec(kernel, inst, &mut vals, mem, 0, None, &mut stats)?;
+            stats.count(inst);
+            exec(inst, &mut vals, mem, 0, None)?;
         }
         for c in &kernel.carried {
             vals[c.input.index()] = match c.init {
@@ -185,15 +195,8 @@ impl Interpreter {
         }
         for iter in 0..iters {
             for inst in &kernel.body {
-                exec(
-                    kernel,
-                    inst,
-                    &mut vals,
-                    mem,
-                    iter as i64,
-                    Some(iter),
-                    &mut stats,
-                )?;
+                stats.count(inst);
+                exec(inst, &mut vals, mem, iter as i64, Some(iter))?;
             }
             // Latch carried values for the next iteration. Two phases so
             // that a carried pair (in, out) where out reads another
@@ -218,22 +221,23 @@ fn read(vals: &[i64], o: Operand) -> i64 {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec(
-    kernel: &Kernel,
+/// Execute one instruction at iteration `iter` against the register
+/// file `vals` and `mem` — the step [`Interpreter::run`] and the
+/// schedule simulator share. A faulting access reports `iter_tag` as
+/// its iteration.
+///
+/// # Errors
+/// [`InterpError::OutOfBounds`] when a load or store leaves its array;
+/// nothing is written then.
+pub fn exec(
     inst: &Inst,
     vals: &mut [i64],
     mem: &mut MemImage,
     iter: i64,
     iter_tag: Option<u64>,
-    stats: &mut InterpStats,
 ) -> Result<(), InterpError> {
-    stats.executed += 1;
     match *inst {
         Inst::Bin { dst, op, a, b } => {
-            if op.needs_mul_unit() {
-                stats.muls += 1;
-            }
             vals[dst.index()] = op.eval(read(vals, a), read(vals, b));
         }
         Inst::Un { dst, op, a } => vals[dst.index()] = op.eval(read(vals, a)),
@@ -253,13 +257,9 @@ fn exec(
             };
         }
         Inst::Fused { dst, op, a, b, c } => {
-            if op.needs_mul_unit() {
-                stats.muls += 1;
-            }
             vals[dst.index()] = op.eval(read(vals, a), read(vals, b), read(vals, c));
         }
         Inst::Ld { dst, mem: m, ty } => {
-            stats.loads += 1;
             let dynv = m.dyn_index.map_or(0, |d| read(vals, d));
             let idx = m.element_index(iter, dynv);
             let arr = &mem.arrays[m.array.index()];
@@ -274,7 +274,6 @@ fn exec(
             vals[dst.index()] = ty.extend(raw);
         }
         Inst::St { mem: m, value, ty } => {
-            stats.stores += 1;
             let dynv = m.dyn_index.map_or(0, |d| read(vals, d));
             let idx = m.element_index(iter, dynv);
             let v = ty.truncate(read(vals, value));
@@ -291,7 +290,6 @@ fn exec(
             *slot = v;
         }
     }
-    let _ = kernel;
     Ok(())
 }
 

@@ -65,8 +65,8 @@ pub use cycle::CycleModel;
 pub use ext::{ExtOp, ExtSet};
 pub use hash::Fnv1a;
 pub use mdes::{
-    ClusterUnits, Mdes, OpClass, OpDesc, UnitClass, ALU_LATENCY, BRANCH_LATENCY, L1_LATENCY,
-    MUL_LATENCY,
+    ClusterUnits, Mdes, OpClass, OpDesc, ResReq, UnitClass, ALU_LATENCY, BRANCH_LATENCY,
+    L1_LATENCY, MUL_LATENCY,
 };
 pub use resources::MachineResources;
 pub use signature::SchedSignature;

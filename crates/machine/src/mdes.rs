@@ -15,11 +15,15 @@
 //!   each class the cluster provides, plus its register-bank capacity;
 //! * a **reservation model**: an issue of class `k` occupies one unit of
 //!   `ops[k].unit` for [`OpDesc::reserved_cycles`] cycles — `1` when the
-//!   unit pipelines, the full latency when it does not.
+//!   unit pipelines, the full latency when it does not — and a multiply
+//!   also takes one ALU issue slot. [`Mdes::reservations`] states it as
+//!   rows of one **reservation table**, row `5·cluster + unit` backed by
+//!   [`Mdes::units`] of that cluster and unit ([`Mdes::row_units`]).
 //!
 //! Everything downstream consumes these tables instead of matching on
-//! hardcoded enums: `cfp-sched`'s lowering and issue scan, the
-//! simulator's resource validation, the spill-penalty model, and the
+//! hardcoded enums: `cfp-sched`'s lowering and issue scan, ResMII, the
+//! modulo schedulers and their validator, the simulator's resource
+//! validation, the spill-penalty model, and the
 //! scheduling signature (which hashes the MDES content so compilation
 //! reuse and checkpoint fingerprints track the description, not the
 //! tuple). Adding a design-space axis — e.g. pipelined Level-2 ports,
@@ -199,6 +203,17 @@ impl OpDesc {
             self.latency
         }
     }
+}
+
+/// One reservation an issue makes in the reservation table: row `row`
+/// held for `reserved` consecutive cycles from the issue cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResReq {
+    /// Table row, `5·cluster +` the [`UnitClass`] discriminant.
+    pub row: u32,
+    /// Consecutive cycles one issue holds the row (1 for pipelined
+    /// units, the full latency for non-pipelined ports).
+    pub reserved: u32,
 }
 
 /// One cluster's row of the unit table.
@@ -435,6 +450,32 @@ impl Mdes {
         self.clusters.iter().map(|cl| cl.count(unit)).sum()
     }
 
+    /// The unit count behind each row of the reservation table, in row
+    /// order: row `5·c + unit` holds [`Mdes::units`]`(c, unit)` — the
+    /// unit table's [`ClusterUnits::counts`] flattened.
+    pub fn row_units(&self) -> impl Iterator<Item = u32> + '_ {
+        self.clusters.iter().flat_map(|cl| cl.counts)
+    }
+
+    /// The reservation-table rows one issue of `class` on cluster `c`
+    /// holds: its unit's row for [`OpDesc::reserved_cycles`], and, when
+    /// that unit is the multiplier, one cycle of the cluster's ALU row
+    /// too — a multiply issues from an ALU slot. ResMII, the modulo
+    /// heuristic, the exact oracle, the modulo validator and the
+    /// simulator all read the reservation model from here.
+    pub fn reservations(&self, class: OpClass, c: usize) -> impl Iterator<Item = ResReq> {
+        let op = self.op(class);
+        let row = |unit: UnitClass| (UnitClass::ALL.len() * c + unit as usize) as u32;
+        let issue_slot = (op.unit == UnitClass::Mul).then(|| ResReq {
+            row: row(UnitClass::Alu),
+            reserved: 1,
+        });
+        issue_slot.into_iter().chain(std::iter::once(ResReq {
+            row: row(op.unit),
+            reserved: op.reserved_cycles(),
+        }))
+    }
+
     /// The register-file port count that limits cycle time: the
     /// per-cluster ALU slice plus the machine's total memory-access
     /// requirement (how the paper's Table 7 treats clustered machines).
@@ -626,6 +667,36 @@ mod tests {
         assert_eq!(ext[5], UnitClass::Mul as u8);
         assert_eq!(ext[6], UnitClass::Alu as u8);
         assert_eq!(ext[7], UnitClass::Alu as u8);
+    }
+
+    #[test]
+    fn reservations_hold_the_unit_row_and_a_multiplys_alu_slot() {
+        let spec = ArchSpec::new(8, 4, 256, 2, 8, 2)
+            .unwrap()
+            .with_extensions(ExtSet::ALL);
+        let m = Mdes::from_spec(&spec);
+        let rows: Vec<u32> = m.row_units().collect();
+        assert_eq!(rows.len(), 5 * m.cluster_count());
+        for c in 0..m.cluster_count() {
+            for class in m.registered_classes() {
+                let unit = m.op(class).unit;
+                let res: Vec<ResReq> = m.reservations(class, c).collect();
+                let own = ResReq {
+                    row: (5 * c + unit as usize) as u32,
+                    reserved: m.reserved_cycles(class),
+                };
+                let alu_slot = ResReq {
+                    row: (5 * c) as u32,
+                    reserved: 1,
+                };
+                if unit == UnitClass::Mul {
+                    assert_eq!(res, [alu_slot, own], "{class:?}");
+                } else {
+                    assert_eq!(res, [own], "{class:?}");
+                }
+                assert_eq!(rows[own.row as usize], m.units(c, unit));
+            }
+        }
     }
 
     #[test]

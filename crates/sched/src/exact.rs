@@ -23,9 +23,10 @@
 //!
 //! * **dependences** — `slot(to) ≥ slot(from) + lat − II·ω` for every
 //!   [`OmegaDep`] (difference constraints);
-//! * **resources** — at every modulo residue, each reservation row
-//!   holds at most its unit count, counting the reserved window of
-//!   non-pipelined ports ([`crate::modulo::op_requirements`]).
+//! * **resources** — at every modulo residue, each row of the machine's
+//!   reservation table holds at most its unit count, counting the
+//!   reserved window of non-pipelined ports
+//!   ([`cfp_machine::Mdes::reservations`]).
 //!
 //! Propagation closes the difference constraints into an all-pairs
 //! longest-path matrix (Floyd–Warshall over weights `lat − II·ω`); a
@@ -171,7 +172,7 @@ impl PipelineProblem<'_> {
         solve(
             self.reqs.len(),
             &self.deps,
-            self.n_rows,
+            &self.row_units,
             &self.reqs,
             ii,
             fuel,
@@ -273,7 +274,8 @@ impl PipelineProblem<'_> {
 }
 
 /// The core decision procedure over raw constraints: `n` ops, their
-/// `deps`, and per-op reservation requirements over `n_rows` flat rows.
+/// `deps`, and per-op reservations over table rows backed by
+/// `row_units[row]` units each.
 /// Exposed so property tests can cross-check synthetic dependence sets
 /// against a brute-force transcription.
 #[must_use]
@@ -281,7 +283,7 @@ impl PipelineProblem<'_> {
 pub fn solve(
     n: usize,
     deps: &[OmegaDep],
-    n_rows: usize,
+    row_units: &[u32],
     reqs: &[Vec<ResReq>],
     ii: u32,
     fuel: &mut Fuel,
@@ -298,21 +300,17 @@ pub fn solve(
     // that does not exist, an op whose own wrapped reservation stacks
     // deeper than its unit count (`ceil(reserved / ii)` copies land on
     // some residue), or a row whose total demand exceeds its capacity.
-    let mut demand = vec![0_u64; n_rows];
-    let mut row_units = vec![0_u32; n_rows];
-    for rs in reqs {
-        for r in rs {
-            if r.units == 0 || r.reserved.div_ceil(ii) > r.units {
-                return ExactVerdict::Infeasible;
-            }
-            let row = r.row as usize;
-            demand[row] += u64::from(r.reserved);
-            row_units[row] = row_units[row].max(r.units);
+    let mut demand = vec![0_u64; row_units.len()];
+    for r in reqs.iter().flatten() {
+        let units = row_units[r.row as usize];
+        if units == 0 || r.reserved.div_ceil(ii) > units {
+            return ExactVerdict::Infeasible;
         }
+        demand[r.row as usize] += u64::from(r.reserved);
     }
     if demand
         .iter()
-        .zip(&row_units)
+        .zip(row_units)
         .any(|(&d, &u)| d > u64::from(u) * u64::from(ii))
     {
         return ExactVerdict::Infeasible;
@@ -414,6 +412,7 @@ pub fn solve(
         ii: i64::from(ii),
         dist: &dist,
         reqs,
+        row_units,
         order: &order,
         comp: &comp,
         horizon,
@@ -424,10 +423,8 @@ pub fn solve(
         lst: vec![-NO_PATH; n],
         comp_base: vec![0_i64; n],
         comp_count: vec![0_u32; n],
-        counts: vec![0_u32; n_rows * ii as usize],
-        cell_min: vec![u32::MAX; n_rows * ii as usize],
+        counts: vec![0_u32; row_units.len() * ii as usize],
         trail: Vec::new(),
-        res_trail: Vec::new(),
         fuel,
     };
     match solver.search() {
@@ -456,6 +453,7 @@ struct Solver<'a> {
     /// Longest-path closure, `NO_PATH` when unrelated.
     dist: &'a [i64],
     reqs: &'a [Vec<ResReq>],
+    row_units: &'a [u32],
     /// Static priority order (indices, most critical first).
     order: &'a [u32],
     /// Component representative of each op.
@@ -474,15 +472,8 @@ struct Solver<'a> {
     comp_count: Vec<u32>,
     /// Occupancy per `(row, residue)`.
     counts: Vec<u32>,
-    /// Minimum unit count among the current occupants of each
-    /// `(row, residue)` cell (`u32::MAX` when empty). The validator
-    /// demands `count ≤ units` for *every* occupant, so a placement
-    /// must respect the smallest occupant's capacity, not just its own.
-    cell_min: Vec<u32>,
     /// Undo log for est/lst propagation: `(op, old est, old lst)`.
     trail: Vec<(u32, i64, i64)>,
-    /// Undo log for `cell_min`: `(cell, previous minimum)`.
-    res_trail: Vec<(u32, u32)>,
     fuel: &'a mut Fuel,
 }
 
@@ -510,7 +501,6 @@ impl Solver<'_> {
         while s <= hi {
             self.fuel.spend(1)?;
             if self.fits(v, s) {
-                let rmark = self.res_trail.len();
                 self.place(v, s);
                 let mark = self.trail.len();
                 let alive = self.propagate(v, s);
@@ -518,7 +508,7 @@ impl Solver<'_> {
                     return Ok(true);
                 }
                 self.undo(mark);
-                self.unplace(v, s, rmark);
+                self.unplace(v, s);
             }
             s += 1;
         }
@@ -556,19 +546,18 @@ impl Solver<'_> {
     }
 
     /// Whether op `v` fits at flat slot `s` under the reservation
-    /// table: each touched cell must stay within both `v`'s own unit
-    /// count and every current occupant's (the cell minimum). A
+    /// table: each touched cell must stay within its row's unit count. A
     /// reservation longer than the II wraps onto residues it already
     /// occupies, so `dt / ii` copies of this same reservation are
     /// counted on top of the table.
     fn fits(&self, v: usize, s: i64) -> bool {
         let stride = self.ii as usize;
         self.reqs[v].iter().all(|r| {
+            let units = self.row_units[r.row as usize];
             (0..i64::from(r.reserved)).all(|dt| {
                 let residue = (s + dt).rem_euclid(self.ii) as usize;
-                let cell = r.row as usize * stride + residue;
                 let own = (dt / self.ii) as u32;
-                self.counts[cell] + own < r.units && self.counts[cell] + own < self.cell_min[cell]
+                self.counts[r.row as usize * stride + residue] + own < units
             })
         })
     }
@@ -578,10 +567,7 @@ impl Solver<'_> {
         for r in &self.reqs[v] {
             for dt in 0..i64::from(r.reserved) {
                 let residue = (s + dt).rem_euclid(self.ii) as usize;
-                let cell = r.row as usize * stride + residue;
-                self.counts[cell] += 1;
-                self.res_trail.push((cell as u32, self.cell_min[cell]));
-                self.cell_min[cell] = self.cell_min[cell].min(r.units);
+                self.counts[r.row as usize * stride + residue] += 1;
             }
         }
         self.placed[v] = true;
@@ -600,7 +586,7 @@ impl Solver<'_> {
         }
     }
 
-    fn unplace(&mut self, v: usize, s: i64, rmark: usize) {
+    fn unplace(&mut self, v: usize, s: i64) {
         // Reverse of `place`; `placed[v]` flips last so the touched
         // scan sees the same set both ways.
         for u in 0..self.n {
@@ -617,11 +603,6 @@ impl Solver<'_> {
             for dt in 0..i64::from(r.reserved) {
                 let residue = (s + dt).rem_euclid(self.ii) as usize;
                 self.counts[r.row as usize * stride + residue] -= 1;
-            }
-        }
-        while self.res_trail.len() > rmark {
-            if let Some((cell, min)) = self.res_trail.pop() {
-                self.cell_min[cell as usize] = min;
             }
         }
     }
@@ -680,11 +661,10 @@ mod tests {
     use cfp_frontend::compile_kernel;
     use cfp_machine::ArchSpec;
 
-    /// `units` interchangeable slots on `row`, one-cycle reservation.
-    fn req(row: u32, units: u32) -> Vec<ResReq> {
+    /// A one-cycle reservation of row 0.
+    fn req() -> Vec<ResReq> {
         vec![ResReq {
-            row,
-            units,
+            row: 0,
             reserved: 1,
         }]
     }
@@ -707,15 +687,15 @@ mod tests {
                 omega: 1,
             },
         ];
-        let reqs = vec![req(0, 4), req(0, 4)];
+        let reqs = vec![req(), req()];
         for ii in 1..6 {
             assert_eq!(
-                solve(2, &deps, 1, &reqs, ii, &mut Fuel::unlimited()),
+                solve(2, &deps, &[4], &reqs, ii, &mut Fuel::unlimited()),
                 ExactVerdict::Infeasible,
                 "ii={ii}"
             );
         }
-        match solve(2, &deps, 1, &reqs, 6, &mut Fuel::unlimited()) {
+        match solve(2, &deps, &[4], &reqs, 6, &mut Fuel::unlimited()) {
             ExactVerdict::Feasible(slots) => {
                 assert!(i64::from(slots[1]) >= i64::from(slots[0]) + 3);
                 assert!(i64::from(slots[0]) >= i64::from(slots[1]) + 3 - 6);
@@ -727,15 +707,15 @@ mod tests {
     #[test]
     fn resource_capacity_bounds_the_exact_ii() {
         // Three independent ops on a single-unit row: II 3 is the floor.
-        let reqs = vec![req(0, 1), req(0, 1), req(0, 1)];
+        let reqs = vec![req(), req(), req()];
         for ii in 1..3 {
             assert_eq!(
-                solve(3, &[], 1, &reqs, ii, &mut Fuel::unlimited()),
+                solve(3, &[], &[1], &reqs, ii, &mut Fuel::unlimited()),
                 ExactVerdict::Infeasible
             );
         }
         assert!(matches!(
-            solve(3, &[], 1, &reqs, 3, &mut Fuel::unlimited()),
+            solve(3, &[], &[1], &reqs, 3, &mut Fuel::unlimited()),
             ExactVerdict::Feasible(_)
         ));
     }
@@ -746,34 +726,28 @@ mod tests {
         // reservation collides with its own next-iteration copy below
         // II 4; with two units the copies rotate across the pair and
         // II 2 (= ceil(4 / 2)) is the true floor.
-        let narrow = vec![vec![ResReq {
+        let hold4 = vec![vec![ResReq {
             row: 0,
-            units: 1,
             reserved: 4,
         }]];
         for ii in 1..4 {
             assert_eq!(
-                solve(1, &[], 1, &narrow, ii, &mut Fuel::unlimited()),
+                solve(1, &[], &[1], &hold4, ii, &mut Fuel::unlimited()),
                 ExactVerdict::Infeasible,
                 "ii={ii}"
             );
         }
         assert!(matches!(
-            solve(1, &[], 1, &narrow, 4, &mut Fuel::unlimited()),
+            solve(1, &[], &[1], &hold4, 4, &mut Fuel::unlimited()),
             ExactVerdict::Feasible(_)
         ));
 
-        let wide = vec![vec![ResReq {
-            row: 0,
-            units: 2,
-            reserved: 4,
-        }]];
         assert_eq!(
-            solve(1, &[], 1, &wide, 1, &mut Fuel::unlimited()),
+            solve(1, &[], &[2], &hold4, 1, &mut Fuel::unlimited()),
             ExactVerdict::Infeasible
         );
         assert!(matches!(
-            solve(1, &[], 1, &wide, 2, &mut Fuel::unlimited()),
+            solve(1, &[], &[2], &hold4, 2, &mut Fuel::unlimited()),
             ExactVerdict::Feasible(_)
         ));
     }
@@ -786,14 +760,14 @@ mod tests {
             lat: 2,
             omega: 0,
         }];
-        let reqs = vec![req(0, 1), req(0, 1)];
+        let reqs = vec![req(), req()];
         assert_eq!(
-            solve(2, &deps, 1, &reqs, 2, &mut Fuel::limited(1)),
+            solve(2, &deps, &[1], &reqs, 2, &mut Fuel::limited(1)),
             ExactVerdict::FuelExhausted
         );
         // The same call with room to finish decides.
         assert!(matches!(
-            solve(2, &deps, 1, &reqs, 2, &mut Fuel::unlimited()),
+            solve(2, &deps, &[1], &reqs, 2, &mut Fuel::unlimited()),
             ExactVerdict::Feasible(_)
         ));
     }

@@ -74,8 +74,8 @@ pub use list::{
 };
 pub use loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
 pub use modulo::{
-    modulo_schedule, omega_deps, op_requirements, rec_mii, res_mii, try_modulo_schedule,
-    validate_modulo, ModuloSchedule, OmegaDep, PipelineProblem, ResReq,
+    modulo_schedule, omega_deps, rec_mii, res_mii, try_modulo_schedule, validate_modulo,
+    ModuloSchedule, OmegaDep, PipelineProblem, ResReq,
 };
 pub use regalloc::{allocate, peak_pressure, pressure, AllocError, PhysMap, PressureReport};
 pub use scratch::SchedScratch;

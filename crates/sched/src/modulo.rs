@@ -57,6 +57,7 @@ use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::LoopCode;
 use crate::scratch::{row_has_room, row_take, SchedScratch};
+pub use cfp_machine::ResReq;
 use cfp_machine::{MachineResources, UnitClass};
 use cfp_obs::{Stage, UnitTrace, Value};
 use std::cmp::Reverse;
@@ -211,17 +212,20 @@ pub fn omega_deps(code: &LoopCode, ddg: &Ddg) -> Vec<OmegaDep> {
     deps
 }
 
-/// The resource-constrained lower bound on II: per cluster and issue
-/// row, the busy cycles its ops reserve over the row's units. A barrier
-/// schedule is a modulo schedule at II = its length, so this also bounds
-/// every list schedule's length from below — the list portfolio stops
-/// on it ([`crate::list::try_schedule_in`]).
+/// The resource-constrained lower bound on II: per row of the machine's
+/// reservation table ([`cfp_machine::Mdes::reservations`]), the busy
+/// cycles its ops reserve over the row's units. A barrier schedule is a
+/// modulo schedule at II = its length, so this also bounds every list
+/// schedule's length from below — the list portfolio stops on it
+/// ([`crate::list::try_schedule_in`]). Rows with no units are skipped:
+/// an op that needs one has no II at all, which
+/// [`PipelineProblem::exact_mii`] reports.
 #[must_use]
 pub fn res_mii(code: &LoopCode, assignment: &Assignment, machine: &MachineResources) -> u32 {
     res_mii_in(code, assignment, machine, &mut SchedScratch::new())
 }
 
-/// [`res_mii`] with its per-cluster counts in `scratch`, so the list
+/// [`res_mii`] with its per-row counts in `scratch`, so the list
 /// portfolio's hot path allocates nothing.
 #[must_use]
 pub(crate) fn res_mii_in(
@@ -230,41 +234,22 @@ pub(crate) fn res_mii_in(
     machine: &MachineResources,
     scratch: &mut SchedScratch,
 ) -> u32 {
-    // `busy[4c + row]`, `row` the unit class's discriminant: ALU and
-    // IMUL issues, then Level-1 and Level-2 port cycles.
     let busy = &mut scratch.res_busy;
     busy.clear();
-    busy.resize(4 * machine.cluster_count(), 0);
-    let mut branch = 0_u32;
+    busy.resize(UnitClass::ALL.len() * machine.cluster_count(), 0);
     for (op, &c) in code.ops.iter().zip(&assignment.cluster_of_op) {
-        let row = 4 * c as usize;
-        match machine.mdes.op(op.class).unit {
-            UnitClass::Alu => busy[row] += 1,
-            UnitClass::Mul => {
-                busy[row] += 1;
-                busy[row + 1] += 1;
-            }
-            // A port is busy for the reservation duration the machine
-            // description prescribes (the full latency when the port
-            // does not pipeline, one cycle when it does).
-            unit @ (UnitClass::L1Port | UnitClass::L2Port) => {
-                busy[row + unit as usize] += machine.reserved_cycles(op.class);
-            }
-            UnitClass::Branch => branch += 1,
+        for r in machine.mdes.reservations(op.class, c as usize) {
+            busy[r.row as usize] += r.reserved;
         }
     }
-    let mut bound = branch.max(1);
-    for (cl, busy) in machine.clusters.iter().zip(busy.chunks_exact(4)) {
-        for (units, &cycles) in [cl.alus, cl.muls, cl.l1_ports, cl.l2_ports]
-            .iter()
-            .zip(busy)
-        {
-            if *units > 0 {
-                bound = bound.max(cycles.div_ceil(*units));
-            }
-        }
-    }
-    bound
+    machine
+        .mdes
+        .row_units()
+        .zip(busy.iter())
+        .filter(|&(units, _)| units > 0)
+        .fold(1, |bound, (units, &cycles)| {
+            bound.max(cycles.div_ceil(units))
+        })
 }
 
 /// The recurrence-constrained lower bound on II: the smallest II such
@@ -454,132 +439,17 @@ fn recurrences(n: usize, deps: &[OmegaDep]) -> Vec<Recurrence> {
     out
 }
 
-/// Flat modulo-reservation-table indexing: one bitmask row per
-/// (resource, residue). Resources are numbered `0..4·nc + 1`:
-/// ALU per cluster, then IMUL per cluster, then the two memory levels
-/// per cluster, then the single branch unit. The same numbering indexes
-/// the demand counters the II-skip bound reads.
-#[inline]
-pub(crate) fn res_alu(c: usize) -> usize {
-    c
-}
-#[inline]
-pub(crate) fn res_mul(nc: usize, c: usize) -> usize {
-    nc + c
-}
-#[inline]
-pub(crate) fn res_mem(nc: usize, c: usize, li: usize) -> usize {
-    2 * nc + 2 * c + li
-}
-#[inline]
-pub(crate) fn res_branch(nc: usize) -> usize {
-    4 * nc
-}
-
-/// One reservation an op makes in the flat modulo table: `units`
-/// interchangeable resources on `row`, held for `reserved` consecutive
-/// modulo slots starting at the op's issue slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResReq {
-    /// Flat row index (the `res_*` numbering: ALU per cluster, IMUL per
-    /// cluster, two memory levels per cluster, one branch row).
-    pub row: u32,
-    /// Interchangeable units backing the row for this op.
-    pub units: u32,
-    /// Consecutive modulo slots one placement occupies (1 for pipelined
-    /// units, the full reservation for non-pipelined ports).
-    pub reserved: u32,
-}
-
-/// The reservation requirements of every op, in the same flat row
-/// numbering and with the same unit counts and reserved durations the
-/// heuristic's placement probes use — the shared MDES plumbing behind
-/// [`validate_modulo`] and the exact solver in [`crate::exact`].
-/// Returns `(row_count, per-op requirements)`.
-#[must_use]
-pub fn op_requirements(
-    code: &LoopCode,
-    assignment: &Assignment,
-    machine: &MachineResources,
-) -> (usize, Vec<Vec<ResReq>>) {
-    let nc = machine.cluster_count();
-    let n_rows = 4 * nc + 1;
-    let reqs = code
-        .ops
+/// Each op's rows of the machine's reservation table at its assigned
+/// cluster ([`cfp_machine::Mdes::reservations`]): what the heuristic's
+/// placement probes, the validator and the exact solver in
+/// [`crate::exact`] reserve, modulo the II.
+fn op_reservations(assignment: &Assignment, machine: &MachineResources) -> Vec<Vec<ResReq>> {
+    let code = &assignment.code;
+    code.ops
         .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let c = assignment.cluster_of_op[i] as usize;
-            let cl = &machine.clusters[c];
-            let unit = machine.mdes.op(op.class).unit;
-            match unit {
-                UnitClass::Alu => vec![ResReq {
-                    row: res_alu(c) as u32,
-                    units: cl.alus,
-                    reserved: 1,
-                }],
-                UnitClass::Mul => vec![
-                    ResReq {
-                        row: res_alu(c) as u32,
-                        units: cl.alus,
-                        reserved: 1,
-                    },
-                    ResReq {
-                        row: res_mul(nc, c) as u32,
-                        units: cl.muls,
-                        reserved: 1,
-                    },
-                ],
-                UnitClass::L1Port | UnitClass::L2Port => {
-                    let li = usize::from(unit == UnitClass::L2Port);
-                    let ports = if li == 0 { cl.l1_ports } else { cl.l2_ports };
-                    vec![ResReq {
-                        row: res_mem(nc, c, li) as u32,
-                        units: ports,
-                        reserved: machine.reserved_cycles(op.class),
-                    }]
-                }
-                UnitClass::Branch => vec![ResReq {
-                    row: res_branch(nc) as u32,
-                    units: u32::from(cl.has_branch),
-                    reserved: 1,
-                }],
-            }
-        })
-        .collect();
-    (n_rows, reqs)
-}
-
-/// The reservation-pressure lower bounds on II that [`res_mii`] does not
-/// see, over the requirements [`op_requirements`] returns:
-///
-/// * per op, `ceil(reserved / units)` — an op's own wrapped reservation
-///   stacks `ceil(reserved / II)` deep on some residue;
-/// * per row, `ceil(total reserved / max units)` — occupancy cells are
-///   a finite `units × II` budget.
-///
-/// Returns `u32::MAX` when no II exists at all (an op requires a
-/// resource the machine does not have).
-fn reservation_mii(n_rows: usize, reqs: &[Vec<ResReq>]) -> u32 {
-    let mut total = vec![0_u64; n_rows];
-    let mut max_units = vec![0_u32; n_rows];
-    let mut bound = 1_u32;
-    for r in reqs.iter().flatten() {
-        if r.units == 0 {
-            return u32::MAX; // a required resource does not exist
-        }
-        bound = bound.max(r.reserved.div_ceil(r.units));
-        let row = r.row as usize;
-        total[row] += u64::from(r.reserved);
-        max_units[row] = max_units[row].max(r.units);
-    }
-    for (t, &u) in total.iter().zip(&max_units) {
-        if u > 0 {
-            let b = t.div_ceil(u64::from(u));
-            bound = bound.max(u32::try_from(b).unwrap_or(u32::MAX));
-        }
-    }
-    bound
+        .zip(&assignment.cluster_of_op)
+        .map(|(op, &c)| machine.mdes.reservations(op.class, c as usize).collect())
+        .collect()
 }
 
 /// Structural validator for a modulo schedule at initiation interval
@@ -601,13 +471,14 @@ pub fn validate_modulo(
     ii: u32,
     slots: &[u32],
 ) -> bool {
-    let (n_rows, reqs) = op_requirements(&assignment.code, assignment, machine);
-    validate_slots(n_rows, &reqs, deps, ii, slots)
+    let row_units: Vec<u32> = machine.mdes.row_units().collect();
+    let reqs = op_reservations(assignment, machine);
+    validate_slots(&row_units, &reqs, deps, ii, slots)
 }
 
 /// The check behind [`validate_modulo`] and [`PipelineProblem::validate`].
 fn validate_slots(
-    n_rows: usize,
+    row_units: &[u32],
     reqs: &[Vec<ResReq>],
     deps: &[OmegaDep],
     ii: u32,
@@ -620,26 +491,19 @@ fn validate_slots(
         return false;
     }
     let stride = ii as usize;
-    let mut counts = vec![0_u32; n_rows * stride];
-    for (i, rs) in reqs.iter().enumerate() {
+    let mut counts = vec![0_u32; row_units.len() * stride];
+    for (rs, &slot) in reqs.iter().zip(slots) {
         for r in rs {
-            if r.units == 0 {
-                return false;
-            }
             for dt in 0..r.reserved {
-                counts[r.row as usize * stride + ((slots[i] + dt) % ii) as usize] += 1;
+                counts[r.row as usize * stride + ((slot + dt) % ii) as usize] += 1;
             }
         }
     }
-    // Capacity holds at every residue an op occupies, against that op's
-    // own unit count (rows are shared; unit counts are per-cluster).
-    reqs.iter().enumerate().all(|(i, rs)| {
-        rs.iter().all(|r| {
-            (0..r.reserved).all(|dt| {
-                counts[r.row as usize * stride + ((slots[i] + dt) % ii) as usize] <= r.units
-            })
-        })
-    })
+    // Capacity holds at every residue of every row.
+    counts
+        .chunks_exact(stride)
+        .zip(row_units)
+        .all(|(cells, &units)| cells.iter().all(|&k| k <= units))
 }
 
 /// One `(loop, assignment, machine)` point as a software-pipelining
@@ -663,9 +527,10 @@ pub struct PipelineProblem<'a> {
     pub(crate) list_length: u32,
     /// [`omega_deps`] of the assigned code.
     pub(crate) deps: Vec<OmegaDep>,
-    /// [`op_requirements`] of the assigned code.
-    pub(crate) n_rows: usize,
+    /// Each op's rows of the machine's reservation table.
     pub(crate) reqs: Vec<Vec<ResReq>>,
+    /// The unit count behind each row of that table.
+    pub(crate) row_units: Vec<u32>,
     /// Where the heuristic search starts: `max(ResMII, RecMII, longest
     /// op latency)`.
     mii: u32,
@@ -687,35 +552,39 @@ impl<'a> PipelineProblem<'a> {
     ) -> Self {
         let code = &assignment.code;
         let deps = omega_deps(code, ddg);
-        let (n_rows, reqs) = op_requirements(code, assignment, machine);
+        let reqs = op_reservations(assignment, machine);
+        let row_units: Vec<u32> = machine.mdes.row_units().collect();
         let bound =
             res_mii(code, assignment, machine).max(rec_mii(code.ops.len(), &deps, list_length));
         let max_lat = code.ops.iter().map(|o| o.latency).max().unwrap_or(1);
+        let missing_unit = reqs
+            .iter()
+            .flatten()
+            .any(|r| row_units[r.row as usize] == 0);
         PipelineProblem {
             assignment,
             ddg,
             machine,
             list_length,
             mii: bound.max(max_lat),
-            exact_mii: bound.max(reservation_mii(n_rows, &reqs)),
+            exact_mii: if missing_unit { u32::MAX } else { bound },
             order: placement_order(ddg),
             deps,
-            n_rows,
             reqs,
+            row_units,
         }
     }
 
     /// The structural lower bound on II the certification walk starts
-    /// from: `max(ResMII, RecMII, reservation-pressure bounds)`. Unlike
-    /// the bound the heuristic search starts from
-    /// ([`ModuloSchedule::mii`]) this does **not** clamp to the maximum
-    /// latency — pipelined units can legally overlap a long-latency op
-    /// every cycle, and even a *non-pipelined* multi-port row sustains an
-    /// II below one access's reservation by rotating ports across
-    /// iterations; what reservations do force is `ceil(reserved / units)`
-    /// per op and `ceil(total reserved / units)` per row. `u32::MAX` when
-    /// no II exists at all (an op requires a resource the machine does
-    /// not have, or the dependence set holds an ω = 0 cycle).
+    /// from: `max(ResMII, RecMII)`. Unlike the bound the heuristic search
+    /// starts from ([`ModuloSchedule::mii`]) this does **not** clamp to
+    /// the maximum latency — pipelined units can legally overlap a
+    /// long-latency op every cycle, and even a *non-pipelined* multi-port
+    /// row sustains an II below one access's reservation by rotating
+    /// ports across iterations; what reservations do force is
+    /// `ceil(total reserved / units)` per row, which is ResMII. `u32::MAX`
+    /// when no II exists at all (an op needs a table row with no units,
+    /// or the dependence set holds an ω = 0 cycle).
     #[must_use]
     pub fn exact_mii(&self) -> u32 {
         self.exact_mii
@@ -725,7 +594,7 @@ impl<'a> PipelineProblem<'a> {
     /// dependence set and reservation requirements.
     #[must_use]
     pub fn validate(&self, ii: u32, slots: &[u32]) -> bool {
-        validate_slots(self.n_rows, &self.reqs, &self.deps, ii, slots)
+        validate_slots(&self.row_units, &self.reqs, &self.deps, ii, slots)
     }
 
     /// Attempt modulo scheduling under a step budget: each candidate slot
@@ -804,6 +673,7 @@ impl<'a> PipelineProblem<'a> {
             ..
         } = scratch;
         let n = self.reqs.len();
+        let units = &self.row_units;
         let mii = self.mii;
         let limit = 4 * self.list_length.max(mii);
         let mut ii_attempts = 0_u32;
@@ -812,9 +682,9 @@ impl<'a> PipelineProblem<'a> {
             ii_attempts += 1;
             *modulo_attempts += 1;
             mod_rows.clear();
-            mod_rows.resize(self.n_rows * ii as usize, 0);
+            mod_rows.resize(self.row_units.len() * ii as usize, 0);
             mod_demand.clear();
-            mod_demand.resize(self.n_rows, 0);
+            mod_demand.resize(self.row_units.len(), 0);
             mod_slots.clear();
             mod_slots.resize(n, u32::MAX);
             // The placement order is II-independent, which is what makes
@@ -847,11 +717,12 @@ impl<'a> PipelineProblem<'a> {
                     })
                     .max()
                     .unwrap_or(0);
-                if let Some(slot) = first_fit(mod_rows, ii, reqs, est, fuel, modulo_probes)? {
+                if let Some(slot) = first_fit(mod_rows, units, ii, reqs, est, fuel, modulo_probes)?
+                {
                     for r in reqs {
-                        let base = r.row as usize * ii as usize;
+                        let (base, k) = (r.row as usize * ii as usize, units[r.row as usize]);
                         for dt in 0..r.reserved {
-                            row_take(&mut mod_rows[base + ((slot + dt) % ii) as usize], r.units);
+                            row_take(&mut mod_rows[base + ((slot + dt) % ii) as usize], k);
                         }
                     }
                     mod_slots[i] = slot;
@@ -864,14 +735,15 @@ impl<'a> PipelineProblem<'a> {
                 // jump straight past all of them.
                 let mut next = ii + 1;
                 for r in reqs {
-                    if r.units == 0 {
+                    let k = units[r.row as usize];
+                    if k == 0 {
                         // The resource does not exist at any II.
                         return Ok(Err(GaveUp {
                             ii_attempts,
                             reason: "missing_unit",
                         }));
                     }
-                    let bound = mod_demand[r.row as usize].div_ceil(u64::from(r.units));
+                    let bound = mod_demand[r.row as usize].div_ceil(u64::from(k));
                     next = next.max(u32::try_from(bound).unwrap_or(u32::MAX));
                 }
                 ii = next;
@@ -938,7 +810,8 @@ fn placement_order(ddg: &Ddg) -> Vec<u32> {
 }
 
 /// The first slot of `est..est + ii` at which every reservation of
-/// `reqs` finds room in `rows`, or `None` when the window holds none.
+/// `reqs` finds room in `rows` (row `r` backed by `row_units[r]` units),
+/// or `None` when the window holds none.
 ///
 /// A candidate fails on a full residue at offset `dt` into one of its
 /// reserved windows; every later candidate up to `slot + dt` still
@@ -949,6 +822,7 @@ fn placement_order(ddg: &Ddg) -> Vec<u32> {
 /// scan; `probes` counts the candidates actually examined.
 fn first_fit(
     rows: &[u64],
+    row_units: &[u32],
     ii: u32,
     reqs: &[ResReq],
     est: u32,
@@ -970,9 +844,10 @@ fn first_fit(
                     return Some(u32::MAX);
                 }
                 let base = r.row as usize * stride;
+                let units = row_units[r.row as usize];
                 (0..r.reserved)
                     .rev()
-                    .find(|&dt| !row_has_room(rows[base + ((slot + dt) % ii) as usize], r.units))
+                    .find(|&dt| !row_has_room(rows[base + ((slot + dt) % ii) as usize], units))
             })
             .max();
         let Some(dt) = blocked else {
@@ -1333,6 +1208,7 @@ mod tests {
     /// The scan `first_fit` replaces: every candidate probed in turn.
     fn linear_first_fit(
         rows: &[u64],
+        row_units: &[u32],
         ii: u32,
         reqs: &[ResReq],
         est: u32,
@@ -1344,7 +1220,7 @@ mod tests {
                 r.reserved <= ii
                     && (0..r.reserved).all(|dt| {
                         let cell = r.row as usize * ii as usize + ((slot + dt) % ii) as usize;
-                        row_has_room(rows[cell], r.units)
+                        row_has_room(rows[cell], row_units[r.row as usize])
                     })
             });
             if fits {
@@ -1360,10 +1236,20 @@ mod tests {
         cfp_testkit::cases(0xF125_7F17, 400, |rng| {
             let ii = 1 + rng.below(12) as u32;
             let n_rows = 1 + rng.index(2);
-            // Random occupancy, dense enough that windows collide.
+            // Unit counts per row, a missing unit now and then; random
+            // occupancy, dense enough that windows collide.
+            let row_units: Vec<u32> = (0..n_rows)
+                .map(|_| {
+                    if rng.below(10) == 0 {
+                        0
+                    } else {
+                        1 + rng.below(3) as u32
+                    }
+                })
+                .collect();
             let mut rows = vec![0_u64; n_rows * ii as usize];
-            let units = 1 + rng.below(3) as u32;
-            for cell in &mut rows {
+            for (k, cell) in rows.iter_mut().enumerate() {
+                let units = row_units[k / ii as usize];
                 for _ in 0..rng.below(u64::from(units) + 2) {
                     if row_has_room(*cell, units) {
                         row_take(cell, units);
@@ -1373,48 +1259,29 @@ mod tests {
             let reqs: Vec<ResReq> = (0..1 + rng.index(2))
                 .map(|_| ResReq {
                     row: rng.index(n_rows) as u32,
-                    units: if rng.below(10) == 0 { 0 } else { units },
                     reserved: 1 + rng.below(u64::from(ii) + 2) as u32,
                 })
                 .collect();
             let est = rng.below(40) as u32;
+            let fit = |fuel: &mut Fuel, probes: &mut u64| {
+                first_fit(&rows, &row_units, ii, &reqs, est, fuel, probes)
+            };
 
             let (mut fuel, mut probes) = (Fuel::unlimited(), 0_u64);
-            let got = first_fit(&rows, ii, &reqs, est, &mut fuel, &mut probes);
+            let got = fit(&mut fuel, &mut probes);
             let mut linear_fuel = Fuel::unlimited();
-            let want = linear_first_fit(&rows, ii, &reqs, est, &mut linear_fuel);
-            assert_eq!(got, want, "ii={ii} est={est} reqs={reqs:?}");
-            assert_eq!(
-                fuel.spent(),
-                linear_fuel.spent(),
-                "ii={ii} est={est} reqs={reqs:?}"
-            );
+            let want = linear_first_fit(&rows, &row_units, ii, &reqs, est, &mut linear_fuel);
+            let case = format!("ii={ii} est={est} units={row_units:?} reqs={reqs:?}");
+            assert_eq!(got, want, "{case}");
+            assert_eq!(fuel.spent(), linear_fuel.spent(), "{case}");
             assert!(probes <= fuel.spent());
             skipped.fetch_add(fuel.spent() - probes, std::sync::atomic::Ordering::Relaxed);
 
             // The boundary is the linear scan's too.
             let spent = fuel.spent();
             let mut probes = 0;
-            assert_eq!(
-                first_fit(
-                    &rows,
-                    ii,
-                    &reqs,
-                    est,
-                    &mut Fuel::limited(spent),
-                    &mut probes
-                ),
-                want
-            );
-            assert!(first_fit(
-                &rows,
-                ii,
-                &reqs,
-                est,
-                &mut Fuel::limited(spent - 1),
-                &mut probes
-            )
-            .is_err());
+            assert_eq!(fit(&mut Fuel::limited(spent), &mut probes), want);
+            assert!(fit(&mut Fuel::limited(spent - 1), &mut probes).is_err());
         });
         assert!(skipped.into_inner() > 0, "no candidate was ever skipped");
     }

@@ -16,7 +16,7 @@
 
 use crate::compile::CompileResult;
 use crate::loopcode::OpOrigin;
-use cfp_ir::{Inst, Interpreter, Kernel, MemImage, Operand, Vreg};
+use cfp_ir::{Interpreter, Kernel, MemImage, Vreg};
 use cfp_machine::{MachineResources, UnitClass};
 use std::error::Error;
 use std::fmt;
@@ -261,12 +261,9 @@ fn execute(
     mem: &mut MemImage,
     iter: i64,
 ) -> Result<(), SimError> {
-    let read = |vals: &[i64], o: Operand| match o {
-        Operand::Reg(v) => vals[v.index()],
-        Operand::Imm(i) => cfp_ir::wrap32(i),
-    };
     match (&op.inst, op.origin) {
-        (Some(inst), _) => exec_inst(inst, vals, mem, iter)?,
+        // The interpreter's own step; a fault carries no iteration tag.
+        (Some(inst), _) => cfp_ir::interp::exec(inst, vals, mem, iter, None)?,
         (None, OpOrigin::Move { src, .. }) => {
             vals[op.def.expect("moves define").index()] = vals[src.index()];
         }
@@ -276,8 +273,7 @@ fn execute(
                 cfp_ir::wrap32(vals[cur.index()].wrapping_add(1));
         }
         (None, OpOrigin::LoopTest) => {
-            let a = read(vals, Operand::Reg(op.uses[0]));
-            let b = read(vals, Operand::Reg(op.uses[1]));
+            let (a, b) = (vals[op.uses[0].index()], vals[op.uses[1].index()]);
             vals[op.def.expect("test defines").index()] = i64::from(a < b);
         }
         (None, OpOrigin::LoopBranch) => {}
@@ -286,129 +282,36 @@ fn execute(
     Ok(())
 }
 
-fn exec_inst(inst: &Inst, vals: &mut [i64], mem: &mut MemImage, iter: i64) -> Result<(), SimError> {
-    let read = |vals: &[i64], o: Operand| match o {
-        Operand::Reg(v) => vals[v.index()],
-        Operand::Imm(i) => cfp_ir::wrap32(i),
-    };
-    match *inst {
-        Inst::Bin { dst, op, a, b } => {
-            vals[dst.index()] = op.eval(read(vals, a), read(vals, b));
-        }
-        Inst::Un { dst, op, a } => vals[dst.index()] = op.eval(read(vals, a)),
-        Inst::Cmp { dst, pred, a, b } => {
-            vals[dst.index()] = pred.eval(read(vals, a), read(vals, b));
-        }
-        Inst::Sel {
-            dst,
-            cond,
-            on_true,
-            on_false,
-        } => {
-            vals[dst.index()] = if read(vals, cond) != 0 {
-                read(vals, on_true)
-            } else {
-                read(vals, on_false)
-            };
-        }
-        Inst::Ld { dst, mem: m, ty } => {
-            let dynv = m.dyn_index.map_or(0, |d| read(vals, d));
-            let idx = m.element_index(iter, dynv);
-            let arr = mem.array(m.array.index());
-            let raw = usize::try_from(idx)
-                .ok()
-                .and_then(|i| arr.get(i).copied())
-                .ok_or(SimError::Mem(cfp_ir::interp::InterpError::OutOfBounds {
-                    array: m.array.index(),
-                    index: idx,
-                    len: arr.len(),
-                    iter: None,
-                }))?;
-            vals[dst.index()] = ty.extend(raw);
-        }
-        Inst::Fused { dst, op, a, b, c } => {
-            vals[dst.index()] = op.eval(read(vals, a), read(vals, b), read(vals, c));
-        }
-        Inst::St { mem: m, value, ty } => {
-            let dynv = m.dyn_index.map_or(0, |d| read(vals, d));
-            let idx = m.element_index(iter, dynv);
-            let v = ty.truncate(read(vals, value));
-            let len = mem.array(m.array.index()).len();
-            let slot = usize::try_from(idx)
-                .ok()
-                .filter(|&i| i < len)
-                .ok_or(SimError::Mem(cfp_ir::interp::InterpError::OutOfBounds {
-                    array: m.array.index(),
-                    index: idx,
-                    len,
-                    iter: None,
-                }))?;
-            let data = mem.array_mut(m.array.index());
-            data[slot] = v;
-        }
-    }
-    Ok(())
-}
-
-/// Structural resource validation (independent of iteration count).
+/// Structural resource validation (independent of iteration count): one
+/// `len × rows` occupancy table over the machine's reservation table
+/// ([`cfp_machine::Mdes::reservations`]), each row held to its unit
+/// count. A non-pipelined port's reservation is counted up to the end of
+/// the schedule.
 fn validate_resources(result: &CompileResult, machine: &MachineResources) -> Result<(), SimError> {
     let code = &result.assignment.code;
-    let nc = machine.cluster_count();
+    let row_units: Vec<u32> = machine.mdes.row_units().collect();
+    let rows = row_units.len();
     let len = result.schedule.length as usize;
-    // One flat `len × nc` occupancy table per resource (row = cycle).
-    let mut alu = vec![0_u32; len * nc];
-    let mut mul = vec![0_u32; len * nc];
-    let mut branch = vec![0_u32; len * nc];
-    let mut mem_busy = [vec![0_u32; len * nc], vec![0_u32; len * nc]];
-
-    for (i, op) in code.ops.iter().enumerate() {
-        let p = result.schedule.placements[i];
-        let (t, c) = (p.cycle as usize, p.cluster as usize);
-        // Validation follows the unit binding the description assigns to
-        // each op class, so registered fused classes count against the
-        // unit they upgrade.
-        match machine.mdes.op(op.class).unit {
-            UnitClass::Alu => alu[t * nc + c] += 1,
-            UnitClass::Mul => {
-                alu[t * nc + c] += 1;
-                mul[t * nc + c] += 1;
-            }
-            UnitClass::Branch => branch[t * nc + c] += 1,
-            // A port is occupied for the reservation duration the
-            // machine description prescribes.
-            unit @ (UnitClass::L1Port | UnitClass::L2Port) => {
-                let li = usize::from(unit == UnitClass::L2Port);
-                for dt in 0..(machine.reserved_cycles(op.class) as usize) {
-                    if t + dt < len {
-                        mem_busy[li][(t + dt) * nc + c] += 1;
-                    }
-                }
+    let mut busy = vec![0_u32; len * rows];
+    for (op, p) in code.ops.iter().zip(&result.schedule.placements) {
+        for r in machine.mdes.reservations(op.class, p.cluster as usize) {
+            for t in (p.cycle as usize..len).take(r.reserved as usize) {
+                busy[t * rows + r.row as usize] += 1;
             }
         }
     }
-    for t in 0..len {
-        for c in 0..nc {
-            let cl = &machine.clusters[c];
-            let over = |what: &'static str| SimError::Oversubscribed {
+    for (t, cycle) in busy.chunks_exact(rows).enumerate() {
+        if let Some(row) = cycle
+            .iter()
+            .zip(&row_units)
+            .position(|(&n, &units)| n > units)
+        {
+            let per_cluster = UnitClass::ALL.len();
+            return Err(SimError::Oversubscribed {
                 cycle: u32::try_from(t).expect("small"),
-                cluster: u32::try_from(c).expect("small"),
-                what,
-            };
-            if alu[t * nc + c] > cl.alus {
-                return Err(over(UnitClass::Alu.name()));
-            }
-            if mul[t * nc + c] > cl.muls {
-                return Err(over(UnitClass::Mul.name()));
-            }
-            if branch[t * nc + c] > u32::from(cl.has_branch) {
-                return Err(over(UnitClass::Branch.name()));
-            }
-            if mem_busy[0][t * nc + c] > cl.l1_ports {
-                return Err(over(UnitClass::L1Port.name()));
-            }
-            if mem_busy[1][t * nc + c] > cl.l2_ports {
-                return Err(over(UnitClass::L2Port.name()));
-            }
+                cluster: u32::try_from(row / per_cluster).expect("small"),
+                what: UnitClass::ALL[row % per_cluster].name(),
+            });
         }
     }
     Ok(())
@@ -538,5 +441,52 @@ mod tests {
         );
         assert_eq!(mem, base, "a refused schedule mutated its image");
         simulate(&kernel, &result, &wide_machine, &mut mem, 8).expect("the right machine runs");
+    }
+
+    #[test]
+    fn every_unit_class_refuses_an_oversubscribed_cycle() {
+        use crate::list::Placement;
+        // Cluster 0: one ALU, the IMUL, the L1 port and the branch unit;
+        // cluster 1: one ALU and the L2 port.
+        let machine = MachineResources::from_spec(&ArchSpec::new(2, 1, 128, 1, 4, 2).unwrap());
+        let kernel = compile_kernel(
+            "kernel k(in u8 s[], in l1 i16 c[], out i32 d[]) {
+                loop i { d[i] = s[i] * c[i] + s[i + 1] + 3; }
+            }",
+            &[],
+        )
+        .unwrap();
+        let result = compile(&kernel, &machine);
+        let code = &result.assignment.code;
+        // Each case moves the first `moved` ops bound to `unit` into one
+        // fresh cycle past the end, on `cluster`, where they do not fit.
+        let cases = [
+            (UnitClass::Alu, 2, 0),    // two issues, one ALU
+            (UnitClass::Mul, 1, 1),    // no IMUL on cluster 1
+            (UnitClass::L1Port, 1, 1), // the L1 port is cluster 0's
+            (UnitClass::L2Port, 1, 0), // the L2 port is cluster 1's
+            (UnitClass::Branch, 1, 1), // the branch unit is cluster 0's
+        ];
+        for (unit, moved, cluster) in cases {
+            let mut crowded = result.clone();
+            let cycle = crowded.schedule.length;
+            crowded.schedule.length += 1;
+            let bound =
+                (0..code.ops.len()).filter(|&i| machine.mdes.op(code.ops[i].class).unit == unit);
+            assert!(bound.clone().count() >= moved, "{unit:?}");
+            for i in bound.take(moved) {
+                crowded.schedule.placements[i] = Placement { cycle, cluster };
+            }
+            assert_eq!(
+                validate_resources(&crowded, &machine),
+                Err(SimError::Oversubscribed {
+                    cycle,
+                    cluster,
+                    what: unit.name()
+                }),
+                "{unit:?}"
+            );
+        }
+        validate_resources(&result, &machine).expect("the compiled schedule fits");
     }
 }

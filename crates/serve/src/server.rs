@@ -52,7 +52,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -292,7 +292,6 @@ struct State {
     store: PlanStore,
     memo: CompileCache,
     counters: Counters,
-    accepting: AtomicBool,
 }
 
 impl State {
@@ -359,7 +358,6 @@ impl Server {
             store: PlanStore::new(),
             memo,
             counters: Counters::default(),
-            accepting: AtomicBool::new(true),
         });
 
         recover(&state)?;
@@ -888,7 +886,6 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
                     Ok(Request::Shutdown) => {
                         let _ = writeln!(write_half, r#"{{"ok":true,"op":"shutdown"}}"#);
                         let _ = write_half.flush();
-                        state.accepting.store(false, Ordering::Relaxed);
                         state.begin_shutdown();
                         return;
                     }

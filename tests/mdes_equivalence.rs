@@ -17,7 +17,10 @@ use custom_fit::dse::explore::ExploreConfig;
 use custom_fit::machine::{ArchSpec, DesignSpace, Fnv1a, MachineResources, OpClass, UnitClass};
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
-use custom_fit::sched::{prepare, try_compile_core, try_modulo_schedule, Ddg, Fuel, SchedScratch};
+use custom_fit::sched::{
+    omega_deps, prepare, rec_mii, res_mii, try_compile_core, try_modulo_schedule, Ddg, Fuel,
+    PipelineProblem, SchedScratch,
+};
 
 /// Digest of the scheduling corpus. Every placement, length, move count,
 /// critical path and register peak is the pre-refactor scheduler's. Two
@@ -231,6 +234,84 @@ fn derived_tables_match_the_retired_hardcoded_ones() {
             );
         }
     }
+}
+
+/// The premise the one reservation table rests on, over the shipped
+/// kernels × a stride of the paper and extended spaces × unroll 1, 2 and
+/// 4 (each kernel and unroll factor on every third machine of the
+/// stride, the third rotating so every machine meets every kernel):
+/// every row an op reserves is backed by the unit count the spec's
+/// cluster dealing gives that op's cluster — so no row ever serves two
+/// different counts — no op needs a unit its cluster lacks, and the exact
+/// oracle starts from `max(ResMII, RecMII)`, above the per-op bound
+/// `ceil(reserved / units)` it once added on top.
+#[test]
+fn the_reservation_table_is_the_one_resource_bound() {
+    let specs: Vec<ArchSpec> = (DesignSpace::paper().all_arrangements().into_iter())
+        .step_by(100)
+        .chain(
+            DesignSpace::extended()
+                .all_arrangements()
+                .into_iter()
+                .step_by(200),
+        )
+        .collect();
+    let mut scratch = SchedScratch::new();
+    let mut points = 0;
+    for (b, bench) in Benchmark::ALL.into_iter().enumerate() {
+        let mut k = bench.kernel();
+        custom_fit::opt::optimize(&mut k);
+        for (u, unroll) in [1, 2, 4].into_iter().enumerate() {
+            let kernel = custom_fit::opt::unroll::unroll(&k, unroll);
+            for spec in specs.iter().skip((b + u) % 3).step_by(3) {
+                let at = format!("{bench} unroll {unroll} on {spec}");
+                let machine = MachineResources::from_spec(spec);
+                let prepared = prepare(&kernel, &machine, &mut UnitTrace::disabled());
+                let core = try_compile_core(
+                    &prepared,
+                    &machine,
+                    &mut Fuel::unlimited(),
+                    &mut scratch,
+                    &mut UnitTrace::disabled(),
+                )
+                .expect("unlimited fuel");
+                let a = &core.assignment;
+                let row_units: Vec<u32> = machine.mdes.row_units().collect();
+                let mut per_op = 1;
+                for (op, &c) in a.code.ops.iter().zip(&a.cluster_of_op) {
+                    let sh = &machine.clusters[c as usize];
+                    for r in machine.mdes.reservations(op.class, c as usize) {
+                        let unit = UnitClass::ALL[r.row as usize % UnitClass::ALL.len()];
+                        let dealt = match unit {
+                            UnitClass::Alu => sh.alus,
+                            UnitClass::Mul => sh.muls,
+                            UnitClass::L1Port => sh.l1_ports,
+                            UnitClass::L2Port => sh.l2_ports,
+                            UnitClass::Branch => u32::from(sh.has_branch),
+                        };
+                        let units = row_units[r.row as usize];
+                        assert_eq!(units, machine.mdes.units(c as usize, unit), "{at}");
+                        assert_eq!(units, dealt, "{at}: {unit:?} on cluster {c}");
+                        assert!(units > 0, "{at}: {:?} needs a missing {unit:?}", op.class);
+                        per_op = per_op.max(r.reserved.div_ceil(units));
+                    }
+                }
+                let ddg = Ddg::build_in(&a.code, None, &mut scratch);
+                let deps = omega_deps(&a.code, &ddg);
+                let bound = res_mii(&a.code, a, &machine).max(rec_mii(
+                    a.code.ops.len(),
+                    &deps,
+                    core.length,
+                ));
+                let problem = PipelineProblem::new(a, &ddg, &machine, core.length);
+                assert_eq!(problem.exact_mii(), bound, "{at}");
+                assert!(per_op <= bound, "{at}: per-op bound {per_op} over {bound}");
+                points += 1;
+            }
+        }
+    }
+    assert_eq!(specs.len(), 12);
+    assert_eq!(points, Benchmark::ALL.len() * 3 * specs.len() / 3);
 }
 
 /// The custom-instruction axis composes with register retuning: a

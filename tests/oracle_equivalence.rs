@@ -120,8 +120,15 @@ fn feasible_certificates_validate_and_the_point_simulates_to_golden() {
 /// Brute-force transcription of the fixed-II decision problem: try every
 /// slot vector over the completeness box (per-component translation puts
 /// some feasible schedule, if any exists, inside `[0, ii + 2·horizon)`
-/// after shifting the minimum slot to zero).
-fn brute_force_feasible(n: usize, deps: &[OmegaDep], reqs: &[Vec<ResReq>], ii: u32) -> bool {
+/// after shifting the minimum slot to zero). Row `r` holds `row_units[r]`
+/// units.
+fn brute_force_feasible(
+    n: usize,
+    deps: &[OmegaDep],
+    row_units: &[u32],
+    reqs: &[Vec<ResReq>],
+    ii: u32,
+) -> bool {
     let max_lat = deps
         .iter()
         .map(|d| i64::from(d.lat))
@@ -131,19 +138,13 @@ fn brute_force_feasible(n: usize, deps: &[OmegaDep], reqs: &[Vec<ResReq>], ii: u
     let horizon = (n as i64) * (i64::from(ii) + max_lat);
     let span = i64::from(ii) + 2 * horizon;
     let mut slots = vec![0_i64; n];
-    fn ok(slots: &[i64], deps: &[OmegaDep], reqs: &[Vec<ResReq>], ii: u32) -> bool {
+    let ok = |slots: &[i64]| -> bool {
         for d in deps {
             if slots[d.to] < slots[d.from] + i64::from(d.lat) - i64::from(ii) * i64::from(d.omega) {
                 return false;
             }
         }
-        let rows = reqs
-            .iter()
-            .flatten()
-            .map(|r| r.row as usize + 1)
-            .max()
-            .unwrap_or(1);
-        let mut counts = vec![0_u32; rows * ii as usize];
+        let mut counts = vec![0_u32; row_units.len() * ii as usize];
         for (v, rs) in reqs.iter().enumerate() {
             for r in rs {
                 for dt in 0..i64::from(r.reserved) {
@@ -152,38 +153,24 @@ fn brute_force_feasible(n: usize, deps: &[OmegaDep], reqs: &[Vec<ResReq>], ii: u
                 }
             }
         }
-        for (v, rs) in reqs.iter().enumerate() {
-            for r in rs {
-                for dt in 0..i64::from(r.reserved) {
-                    let residue = (slots[v] + dt).rem_euclid(i64::from(ii)) as usize;
-                    if counts[r.row as usize * ii as usize + residue] > r.units {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-    fn rec(
-        v: usize,
-        span: i64,
-        slots: &mut Vec<i64>,
-        deps: &[OmegaDep],
-        reqs: &[Vec<ResReq>],
-        ii: u32,
-    ) -> bool {
+        counts
+            .iter()
+            .enumerate()
+            .all(|(cell, &k)| k <= row_units[cell / ii as usize])
+    };
+    fn rec(v: usize, span: i64, slots: &mut Vec<i64>, ok: &dyn Fn(&[i64]) -> bool) -> bool {
         if v == slots.len() {
-            return ok(slots, deps, reqs, ii);
+            return ok(slots);
         }
         for s in 0..span {
             slots[v] = s;
-            if rec(v + 1, span, slots, deps, reqs, ii) {
+            if rec(v + 1, span, slots, ok) {
                 return true;
             }
         }
         false
     }
-    rec(0, span, &mut slots, deps, reqs, ii)
+    rec(0, span, &mut slots, &ok)
 }
 
 #[test]
@@ -200,18 +187,27 @@ fn the_solver_agrees_with_brute_force_on_random_small_instances() {
                 omega: rng.below(2) as u32,
             })
             .collect();
+        // Unit counts per row, a missing unit now and then.
+        let row_units: Vec<u32> = (0..n_rows)
+            .map(|_| {
+                if rng.below(6) == 0 {
+                    0
+                } else {
+                    1 + rng.below(2) as u32
+                }
+            })
+            .collect();
         let reqs: Vec<Vec<ResReq>> = (0..n)
             .map(|_| {
                 vec![ResReq {
                     row: rng.below(n_rows as u64) as u32,
-                    units: 1 + rng.below(2) as u32,
                     reserved: 1 + rng.below(2) as u32,
                 }]
             })
             .collect();
         for ii in 1..=3_u32 {
-            let verdict = solve(n, &deps, n_rows, &reqs, ii, &mut Fuel::unlimited());
-            let brute = brute_force_feasible(n, &deps, &reqs, ii);
+            let verdict = solve(n, &deps, &row_units, &reqs, ii, &mut Fuel::unlimited());
+            let brute = brute_force_feasible(n, &deps, &row_units, &reqs, ii);
             match verdict {
                 ExactVerdict::Feasible(slots) => {
                     assert!(brute, "solver feasible at {ii}, brute force disagrees");
