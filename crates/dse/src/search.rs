@@ -17,8 +17,10 @@
 //!   wrapped in a successive-halving fuel ladder (cheap truncated-unroll
 //!   screens at the low rungs, full-fidelity evaluation only for the
 //!   survivors) with frontier-neighborhood refinement between rounds.
-//!   On spaces of 10^5+ points — far past what the exhaustive sweep can
-//!   visit — this is the only way to get an answer at all.
+//!   It runs on [`SpaceAxes::combinatorial`]'s 127 000 arrangements,
+//!   but only those within the cost bound are admissible: 6 700 at
+//!   cost ≤ 10, the bound every shipped search uses (18 760 / 40 810 /
+//!   57 620 at 20 / 50 / 100; pinned by `cfp-machine`'s axes tests).
 //!
 //! Both read their lattice moves from [`SpaceAxes::neighbors`] and their
 //! random draws from [`cfp_testkit::Rng`], the workspace's one

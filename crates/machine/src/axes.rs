@@ -358,6 +358,25 @@ mod tests {
         }
     }
 
+    /// How much of the combinatorial space a guided search may visit:
+    /// the arrangements within each cost bound under the calibrated
+    /// model. At 10, the bound every shipped search uses, that is 6 700
+    /// of 127 000.
+    #[test]
+    fn combinatorial_space_admits_few_arrangements_under_a_cost_bound() {
+        let cost = crate::CostModel::paper_calibrated();
+        let costs: Vec<f64> = SpaceAxes::combinatorial()
+            .arrangements()
+            .iter()
+            .map(|s| cost.cost(s))
+            .collect();
+        let admitted: Vec<usize> = [10.0, 20.0, 50.0, 100.0, f64::INFINITY]
+            .iter()
+            .map(|&bound| costs.iter().filter(|&&c| c <= bound).count())
+            .collect();
+        assert_eq!(admitted, [6_700, 18_760, 40_810, 57_620, 127_000]);
+    }
+
     #[test]
     fn contains_accepts_exactly_the_arrangements() {
         let axes = SpaceAxes::paper();

@@ -297,7 +297,7 @@ fn rewrite_use(op: &mut SOp, from: Vreg, to: Vreg) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cfp_frontend::compile_kernel;
     use cfp_ir::Kernel;
@@ -452,7 +452,8 @@ mod tests {
     /// every width class, 1/2/4/8 clusters, both Level-2 latencies — and
     /// three more eight-cluster machines, where most clusters lack a
     /// multiplier or a port and equal scores between clusters are dense.
-    fn stratified() -> Vec<ArchSpec> {
+    /// The modulo scheduler's dependence-set tests sample it too.
+    pub(crate) fn stratified() -> Vec<ArchSpec> {
         [
             (1, 1, 64, 1, 8, 1),
             (2, 1, 64, 1, 4, 1),

@@ -32,6 +32,7 @@
 
 use crate::loopcode::LoopCode;
 use crate::scratch::SchedScratch;
+use cfp_ir::Inst;
 
 /// Why an edge exists (affects its latency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,16 +140,12 @@ impl Ddg {
             // program order kept inside each bucket.
             let (mems, stores) = (&mut scratch.mems_tmp, &mut scratch.stores_tmp);
             mems.clear();
-            for (i, op) in code.ops.iter().enumerate() {
-                let Some(inst) = &op.inst else { continue };
-                let Some(m) = inst.mem() else { continue };
-                mems.push(MemAccess {
-                    array: m.array.0,
-                    op: u32::try_from(i).expect("op count fits u32"),
-                    affine: m.is_affine().then_some((m.coeff, m.offset)),
-                    store: inst.is_store(),
-                });
-            }
+            mems.extend(
+                code.ops
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, op)| MemAccess::of(i, op.inst.as_ref()?)),
+            );
             mems.sort_unstable_by_key(|m| (m.array, m.op));
             for run in mems.chunk_by(|a, b| a.array == b.array) {
                 stores.clear();
@@ -339,18 +336,31 @@ fn assemble(
     }
 }
 
-/// One memory op as the ordering scan sees it.
+/// One memory op as the ordering scans see it (this graph's and the
+/// loop-carried one of [`crate::modulo::omega_deps`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemAccess {
-    array: u32,
-    op: u32,
+    pub(crate) array: u32,
+    pub(crate) op: u32,
     /// `(coeff, offset)` of the access function; `None` with a dynamic
     /// index, which may name any element.
-    affine: Option<(i64, i64)>,
-    store: bool,
+    pub(crate) affine: Option<(i64, i64)>,
+    pub(crate) store: bool,
 }
 
 impl MemAccess {
+    /// Op `op`'s access, decoded from its instruction; `None` when the
+    /// instruction touches no memory.
+    pub(crate) fn of(op: usize, inst: &Inst) -> Option<Self> {
+        let m = inst.mem()?;
+        Some(MemAccess {
+            array: m.array.0,
+            op: u32::try_from(op).expect("op count fits u32"),
+            affine: m.is_affine().then_some((m.coeff, m.offset)),
+            store: inst.is_store(),
+        })
+    }
+
     /// Whether two accesses to one array can name the same element in
     /// the same iteration: equal strides collide only at equal offsets;
     /// unequal strides (`c1·i + o1 = c2·i + o2` has a solution for some
@@ -369,7 +379,7 @@ mod tests {
     use crate::loopcode::{FuClass, LoopCode};
     use crate::testgen::memory_heavy;
     use cfp_frontend::compile_kernel;
-    use cfp_ir::{Inst, Kernel};
+    use cfp_ir::Kernel;
     use cfp_kernels::Benchmark;
     use cfp_machine::{ArchSpec, MachineResources};
 

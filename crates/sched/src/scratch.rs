@@ -72,6 +72,7 @@ pub struct SchedScratch {
     pub(crate) diff: Vec<i32>,
     // --- modulo scheduler ---
     pub(crate) mod_rows: Vec<u64>,
+    pub(crate) mod_full: Vec<u64>,
     pub(crate) mod_slots: Vec<u32>,
     pub(crate) mod_demand: Vec<u64>,
     pub(crate) modulo_attempts: u64,
@@ -111,10 +112,11 @@ impl SchedScratch {
         self.modulo_attempts
     }
 
-    /// Candidate slots the modulo scheduler has examined through this
-    /// arena since it was created: the clock-free measure of placement
-    /// work (fuel also prices the candidates a full residue ruled out
-    /// unexamined). Pinned beside the list probes.
+    /// First-fit searches the modulo scheduler has made through this
+    /// arena since it was created — one per op placement tried, each a
+    /// word-parallel pass over the op's reservation rows (fuel prices a
+    /// search as the candidate slots a one-at-a-time scan would have
+    /// probed). Pinned beside the list probes.
     #[must_use]
     pub fn modulo_probes(&self) -> u64 {
         self.modulo_probes

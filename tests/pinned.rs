@@ -160,9 +160,10 @@ fn kernels() -> Vec<(String, custom_fit::ir::Kernel)> {
 /// [`custom_fit::sched::ModuloSchedule::ii_attempts`], which only a search that
 /// found a schedule reports; `max_modulo_attempts` and
 /// `max_modulo_probes` are the arena's totals over every search — the
-/// IIs attempted by the ones that gave up included, and the candidate
-/// slots all of them examined — so a search that walks its whole II
-/// range for nothing shows up here and nowhere else.
+/// IIs attempted by the ones that gave up included, and the first-fit
+/// searches (one per op placement tried, each a word-parallel pass over
+/// the op's residue bitmaps) all of them made — so a search that walks
+/// its whole II range for nothing shows up here and nowhere else.
 #[test]
 #[ignore = "minutes in a debug build; CI runs it in release"]
 fn scheduler_step_budget() {
