@@ -1,8 +1,9 @@
-//! The five pins in `results/*.json`, recomputed and compared.
+//! The six pins in `results/*.json`, recomputed and compared.
 //!
 //! Each test reruns one deterministic computation — scheduler step
 //! totals, the scoring surface, a guided search, the exact-II gap
-//! study, the plan corpus' kernels — and holds its integer results
+//! study, the plan corpus' kernels, the fused axis' machines and
+//! encodings — and holds its integer results
 //! equal to the file committed under
 //! `results/`. Every quantity is a semantic event count or an FNV-1a
 //! digest, bit-identical on every platform and thread count, so these
@@ -14,9 +15,9 @@
 //! A mismatch prints the recomputed `"key": value` lines; after an
 //! intended change, paste them over the old ones in the named file.
 //!
-//! The three cheap pins run in tier-1. The scheduler corpus and the gap
+//! The four cheap pins run in tier-1. The scheduler corpus and the gap
 //! study are minutes in a debug build and are `#[ignore]`d; CI runs all
-//! five with `cargo test --release --test pinned -- --include-ignored`.
+//! six with `cargo test --release --test pinned -- --include-ignored`.
 
 mod common;
 
@@ -27,7 +28,7 @@ use custom_fit::dse::{
     OracleConfig, OracleReport, PlanStore, Range, ScatterPoint, SearchConfig, Selection,
 };
 use custom_fit::machine::{
-    ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet, Fnv1a, MachineResources, SpaceAxes,
+    ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet, Fnv1a, MachineResources, Mdes, SpaceAxes,
 };
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
@@ -604,6 +605,92 @@ fn plan_corpus() {
             ("plans", plans.len() as u64),
             ("unique_kernels", folded.len() as u64),
             ("kernel_digest", digest.finish()),
+        ],
+    );
+}
+
+// ---- results/fused_axis.json ----------------------------------------
+
+/// What an extension set changes on the machine side, and what a fused
+/// plan becomes once encoded. Every 37th arrangement of the space with
+/// the extension axis, under each of the eight extension sets: the
+/// description's content hash and dump, the scheduling signature, the
+/// checkpoint fingerprint of a configuration naming all of them, and the
+/// cost and derate bits. Then every benchmark's unroll-1 plan fused under
+/// each set, compiled and encoded on two machines carrying every
+/// extension, its instruction words folded slot by slot.
+#[test]
+fn fused_axis() {
+    let ext_sets: Vec<ExtSet> = (0..8).filter_map(ExtSet::from_bits).collect();
+    assert_eq!(ext_sets.len(), 8);
+    let specs: Vec<ArchSpec> = DesignSpace::with_extensions()
+        .all_arrangements()
+        .into_iter()
+        .step_by(37)
+        .flat_map(|s| ext_sets.iter().map(move |&e| s.with_extensions(e)))
+        .collect();
+    let cost = CostModel::paper_calibrated();
+    let cycle = CycleModel::paper_calibrated();
+    let (mut hashes, mut dumps, mut signatures, mut models) =
+        (Digest::new(), Digest::new(), Digest::new(), Digest::new());
+    for spec in &specs {
+        let mdes = Mdes::from_spec(spec);
+        hashes.u(mdes.content_hash());
+        dumps.0.write(mdes.render().as_bytes());
+        signatures
+            .0
+            .write(spec.sched_signature().to_string().as_bytes());
+        signatures.0.write(&[0]);
+        models.f(cost.cost(spec));
+        models.f(cycle.derate(spec));
+    }
+    let fingerprint = custom_fit::dse::checkpoint::fingerprint(&ExploreConfig {
+        archs: specs.clone(),
+        ..ExploreConfig::default()
+    });
+
+    let machines = [
+        ArchSpec::new(8, 4, 256, 2, 4, 2).expect("valid spec"),
+        ArchSpec::new(4, 2, 128, 1, 8, 1).expect("valid spec"),
+    ]
+    .map(|s| s.with_extensions(ExtSet::ALL));
+    let regs: Vec<u32> = machines.iter().map(|s| s.regs).collect();
+    let plans = PlanStore::new().ensure_snapshot_extended(&Benchmark::ALL, &regs, &[1], &ext_sets);
+    let (mut words, mut programs) = (Digest::new(), 0_u64);
+    for spec in &machines {
+        let machine = MachineResources::from_spec(spec);
+        for b in Benchmark::ALL {
+            for &exts in &ext_sets {
+                let id = plans
+                    .id(b, residency_budget(spec.regs), 1, exts)
+                    .expect("every unroll-1 plan exists");
+                let result = custom_fit::sched::compile(plans.kernel(id), &machine);
+                match custom_fit::sched::encode(&result.assignment, &result.schedule, &machine) {
+                    Ok(program) => {
+                        programs += 1;
+                        words.u(program.slots_per_word as u64);
+                        for w in &program.words {
+                            words.u(w.mask);
+                            w.ops.iter().for_each(|&op| words.u(op));
+                            w.imms.iter().for_each(|&i| words.u(i as u64));
+                        }
+                    }
+                    Err(_) => words.u(u64::MAX),
+                }
+            }
+        }
+    }
+    assert_pinned(
+        "fused_axis.json",
+        &[
+            ("specs", specs.len() as u64),
+            ("mdes_hash_digest", hashes.0.finish()),
+            ("render_digest", dumps.0.finish()),
+            ("signature_digest", signatures.0.finish()),
+            ("checkpoint_fingerprint", fingerprint),
+            ("cost_derate_digest", models.0.finish()),
+            ("programs", programs),
+            ("encoding_digest", words.0.finish()),
         ],
     );
 }
