@@ -38,7 +38,7 @@
 use crate::error::{EvalError, FailReason};
 use crate::memo::{CompileCache, CoreSummary};
 use cfp_kernels::Benchmark;
-use cfp_machine::{ArchSpec, ExtOp, ExtSet, MachineResources};
+use cfp_machine::{ArchSpec, ExtSet, MachineResources};
 use cfp_obs::{Stage, UnitTrace, Value};
 use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel, SchedScratch};
 use std::collections::HashMap;
@@ -61,14 +61,11 @@ pub fn residency_budget(regs: u32) -> usize {
 /// The fuse-pass targets an extension set provides. This is the one
 /// bridge between the machine layer's [`ExtSet`] (which knows nothing of
 /// IR) and `cfp-opt`'s [`cfp_opt::fuse::FuseTargets`] (which knows
-/// nothing of machines).
+/// nothing of machines): both are masks over extension-table rows, so it
+/// copies the bits.
 #[must_use]
 pub fn fuse_targets(exts: ExtSet) -> cfp_opt::fuse::FuseTargets {
-    cfp_opt::fuse::FuseTargets {
-        mul_add: exts.contains(ExtOp::MulAdd),
-        min_max: exts.contains(ExtOp::MinMax),
-        add_shr: exts.contains(ExtOp::AddShr),
-    }
+    cfp_opt::fuse::FuseTargets(exts.bits())
 }
 
 /// A plan-map key: which benchmark, residency budget, unroll factor,

@@ -839,11 +839,12 @@ pub fn fused_axis(ex: &Exploration) -> String {
 
     format!(
         "Fused-operation axis: mined custom instructions as a design dimension
-         (Table 3-style; extensions render as a suffix, e.g. (8 4 256 2 8 2)+madd)
+         (Table 3-style; extensions render as a trailing token, e.g. {})
 {t}
 Custom-fit selections at COST < {cost_bound:.0}, RANGE 0 — which kernels buy which ops
 (distinct fused ops bought across targets: {bought_str})
-{sel_table}"
+{sel_table}",
+        ArchSpec::baseline().with_extensions(ExtSet::EMPTY.with(0))
     )
 }
 
@@ -1127,5 +1128,14 @@ mod tests {
         assert!(out.contains("8 with fused extensions"), "{out}");
         assert!(out.contains("sibling pairs extensions win"), "{out}");
         assert!(out.contains("su/area vs plain"), "{out}");
+        // The header's example is a spec's real spelling.
+        let example = out
+            .lines()
+            .find_map(|l| l.split_once("e.g. "))
+            .map(|(_, rest)| rest.strip_suffix(')').unwrap_or(rest))
+            .expect("the header names an example spec");
+        let spec = ArchSpec::parse(example).expect("the example parses");
+        assert_eq!(spec.to_string(), example);
+        assert_eq!(spec.exts, ExtSet::EMPTY.with(0));
     }
 }

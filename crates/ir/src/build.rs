@@ -168,8 +168,9 @@ impl KernelBuilder {
         dst
     }
 
-    /// Emit `min(a, b)` as a compare + select pair (the machine has no
-    /// fused min/max — the paper keeps the opcode repertoire simple).
+    /// Emit `min(a, b)` as a compare + select pair: the base ISA has no
+    /// min, and the fuse pass turns the pair into the fused `min` only
+    /// for machines with the extension that provides it.
     pub fn min(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Vreg {
         let (a, b) = (a.into(), b.into());
         let c = self.cmp(Pred::Lt, a, b);

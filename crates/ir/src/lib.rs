@@ -56,7 +56,7 @@ pub use inst::{Inst, MemRef, Operand, Vreg};
 pub use interp::{Interpreter, MemImage};
 pub use kernel::{ArrayDecl, ArrayId, ArrayKind, Carried, CarriedInit, Kernel};
 pub use liveness::{BodyLiveness, LiveRange};
-pub use op::{BinOp, FusedOp, Pred, UnOp};
+pub use op::{BinOp, Expr, FusedOp, FusedRow, Pred, UnOp, FUSED_OPS};
 pub use types::{MemSpace, Ty};
 pub use verify::{verify, VerifyError};
 

@@ -6,12 +6,18 @@
 //! ISA has no fused or "smart" operations (no min/max, no MAC): the paper
 //! matches *structures and sizes* to the application, not opcodes.
 //!
-//! [`FusedOp`] is the deliberate exception: a small catalog of *mined*
-//! fused operations (multiply-add, min/max clip, add-shift) that the
-//! custom-instruction axis can enable per design point. Each fused op is
-//! defined strictly as the composition of base operations, so its
-//! semantics are pinned by the base ISA and the golden-reference
-//! interpreter stays the single source of truth.
+//! [`FUSED_OPS`] is the deliberate exception: the operation table of
+//! *mined* fused operations (multiply-add, min/max clip, add-shift) that
+//! the custom-instruction axis can enable per design point. A row holds
+//! a mnemonic, the index of the `cfp-machine` extension that provides
+//! it, and an expression tree ([`Expr`]) over base operations and
+//! numbered operand slots. A [`FusedOp`] is a row index, and every layer
+//! reads the row: evaluation composes the tree, so the base ISA pins the
+//! semantics and the golden-reference interpreter stays the single
+//! source of truth; arity and the multiplier requirement are derived
+//! from the tree; `cfp-opt`'s fuse pass matches it; the scheduler issues
+//! the op under op class `5 + ext` and the encoder gives it opcode
+//! `31 + row`.
 
 use crate::wrap32;
 use std::fmt;
@@ -266,86 +272,119 @@ impl fmt::Display for Pred {
     }
 }
 
-/// Mined fused operations (the custom-instruction axis).
-///
-/// Every variant is semantically the exact composition of two base
-/// operations — no extra rounding, saturation, or width changes — so a
-/// fused rewrite is bit-identical to the unfused instruction pair under
-/// the reference interpreter. Two-operand variants ([`FusedOp::Min`],
-/// [`FusedOp::Max`]) ignore their third operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum FusedOp {
-    /// `dst = a * b + c` (multiply-add; needs an IMUL-capable ALU).
-    MulAdd,
-    /// `dst = a < b ? a : b` (signed minimum; `cmp.lt` + `sel`).
-    Min,
-    /// `dst = a > b ? a : b` (signed maximum; `cmp.gt` + `sel`).
-    Max,
-    /// `dst = (a + b) >> c` (arithmetic; the scale-and-round idiom).
-    AddShr,
+/// A node of a fused operation's expression tree: base operations over
+/// numbered operand slots. The tree is both the operation's semantics
+/// ([`FusedOp::eval`]) and the pattern `cfp-opt`'s fuse pass matches; a
+/// select's condition is a compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expr {
+    /// Operand slot `k` of the fused instruction (`a`, `b`, `c`).
+    Slot(u8),
+    /// A base ALU operation.
+    Bin(BinOp, &'static Expr, &'static Expr),
+    /// A compare producing 0 or 1.
+    Cmp(Pred, &'static Expr, &'static Expr),
+    /// `cond != 0 ? on_true : on_false`, as a 32-bit register value.
+    Sel(&'static Expr, &'static Expr, &'static Expr),
 }
 
-impl FusedOp {
-    /// Evaluate with 32-bit register semantics, by composing the base
-    /// operations' `eval` exactly.
+impl Expr {
+    /// Evaluate over the slot values, composing the base operations'
+    /// `eval` exactly.
     #[must_use]
-    pub fn eval(self, a: i64, b: i64, c: i64) -> i64 {
-        match self {
-            FusedOp::MulAdd => BinOp::Add.eval(BinOp::Mul.eval(a, b), c),
-            FusedOp::Min => {
-                if Pred::Lt.eval(a, b) != 0 {
-                    wrap32(a)
-                } else {
-                    wrap32(b)
-                }
-            }
-            FusedOp::Max => {
-                if Pred::Gt.eval(a, b) != 0 {
-                    wrap32(a)
-                } else {
-                    wrap32(b)
-                }
-            }
-            FusedOp::AddShr => BinOp::AShr.eval(BinOp::Add.eval(a, b), c),
+    pub fn eval(&self, slots: &[i64; 3]) -> i64 {
+        match *self {
+            Expr::Slot(k) => slots[usize::from(k)],
+            Expr::Bin(op, a, b) => op.eval(a.eval(slots), b.eval(slots)),
+            Expr::Cmp(pred, a, b) => pred.eval(a.eval(slots), b.eval(slots)),
+            Expr::Sel(c, t, f) => wrap32(if c.eval(slots) != 0 { t } else { f }.eval(slots)),
         }
     }
 
-    /// Number of operands actually read (2 or 3).
+    /// Whether `hit` holds for this node or any node below it.
+    fn any(&self, hit: &impl Fn(&Expr) -> bool) -> bool {
+        hit(self)
+            || match *self {
+                Expr::Slot(_) => false,
+                Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => a.any(hit) || b.any(hit),
+                Expr::Sel(c, t, f) => c.any(hit) || t.any(hit) || f.any(hit),
+            }
+    }
+}
+
+/// One row of the fused-operation table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FusedRow {
+    /// The mnemonic the pretty-printer uses.
+    pub mnemonic: &'static str,
+    /// The row of `cfp-machine`'s extension table that provides this
+    /// operation; bit `ext` of an extension set enables it.
+    pub ext: u8,
+    /// What the operation computes.
+    pub tree: Expr,
+}
+
+const A: &Expr = &Expr::Slot(0);
+const B: &Expr = &Expr::Slot(1);
+const C: &Expr = &Expr::Slot(2);
+
+/// The fused-operation table: the mined operations the custom-
+/// instruction axis can enable, each the exact composition of two base
+/// operations — no extra rounding, saturation or width change — so a
+/// fused rewrite is bit-identical to the unfused pair under the
+/// reference interpreter.
+#[rustfmt::skip]
+pub const FUSED_OPS: [FusedRow; 4] = [
+    // `a * b + c`: the multiplier's accumulate stage.
+    FusedRow { mnemonic: "madd", ext: 0, tree: Expr::Bin(BinOp::Add, &Expr::Bin(BinOp::Mul, A, B), C) },
+    // `a < b ? a : b` and `a > b ? a : b`: a compare-select mux.
+    FusedRow { mnemonic: "min", ext: 1, tree: Expr::Sel(&Expr::Cmp(Pred::Lt, A, B), A, B) },
+    FusedRow { mnemonic: "max", ext: 1, tree: Expr::Sel(&Expr::Cmp(Pred::Gt, A, B), A, B) },
+    // `(a + b) >> c`, arithmetic: the fixed-point scale-and-round idiom.
+    FusedRow { mnemonic: "addshr", ext: 2, tree: Expr::Bin(BinOp::AShr, &Expr::Bin(BinOp::Add, A, B), C) },
+];
+
+/// A mined fused operation: a row index into [`FUSED_OPS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FusedOp(pub u8);
+
+impl FusedOp {
+    /// Every fused operation, in table order.
+    pub fn all() -> impl Iterator<Item = FusedOp> {
+        (0..FUSED_OPS.len() as u8).map(FusedOp)
+    }
+
+    /// The operation's table row.
+    #[must_use]
+    pub fn row(self) -> &'static FusedRow {
+        &FUSED_OPS[usize::from(self.0)]
+    }
+
+    /// Evaluate with 32-bit register semantics.
+    #[must_use]
+    pub fn eval(self, a: i64, b: i64, c: i64) -> i64 {
+        self.row().tree.eval(&[a, b, c])
+    }
+
+    /// Number of operands actually read (2 or 3): the third only when
+    /// the tree reads slot 2.
     #[must_use]
     pub fn arity(self) -> usize {
-        match self {
-            FusedOp::MulAdd | FusedOp::AddShr => 3,
-            FusedOp::Min | FusedOp::Max => 2,
-        }
+        2 + usize::from(self.row().tree.any(&|e| *e == Expr::Slot(2)))
     }
 
     /// Whether this operation requires an IMUL-capable ALU.
     #[must_use]
     pub fn needs_mul_unit(self) -> bool {
-        matches!(self, FusedOp::MulAdd)
-    }
-
-    /// The mnemonic used by the pretty-printer.
-    #[must_use]
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            FusedOp::MulAdd => "madd",
-            FusedOp::Min => "min",
-            FusedOp::Max => "max",
-            FusedOp::AddShr => "addshr",
-        }
-    }
-
-    /// All fused operations, for exhaustive property tests.
-    #[must_use]
-    pub fn all() -> &'static [FusedOp] {
-        &[FusedOp::MulAdd, FusedOp::Min, FusedOp::Max, FusedOp::AddShr]
+        self.row()
+            .tree
+            .any(&|e| matches!(e, Expr::Bin(BinOp::Mul, ..)))
     }
 }
 
 impl fmt::Display for FusedOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
+        f.write_str(self.row().mnemonic)
     }
 }
 
@@ -416,6 +455,11 @@ mod tests {
         }
     }
 
+    /// The table row with mnemonic `name`.
+    fn op(name: &str) -> FusedOp {
+        FusedOp::all().find(|op| op.row().mnemonic == name).unwrap()
+    }
+
     #[test]
     fn fused_ops_compose_base_ops_exactly() {
         let samples = [-(1_i64 << 31), -7, -1, 0, 1, 3, 255, (1 << 31) - 1];
@@ -423,17 +467,17 @@ mod tests {
             for &b in &samples {
                 for &c in &[-4_i64, 0, 1, 8, 31] {
                     assert_eq!(
-                        FusedOp::MulAdd.eval(a, b, c),
+                        op("madd").eval(a, b, c),
                         BinOp::Add.eval(BinOp::Mul.eval(a, b), c),
                     );
                     assert_eq!(
-                        FusedOp::AddShr.eval(a, b, c),
+                        op("addshr").eval(a, b, c),
                         BinOp::AShr.eval(BinOp::Add.eval(a, b), c),
                     );
                     let min = if Pred::Lt.eval(a, b) != 0 { a } else { b };
                     let max = if Pred::Gt.eval(a, b) != 0 { a } else { b };
-                    assert_eq!(FusedOp::Min.eval(a, b, c), crate::wrap32(min));
-                    assert_eq!(FusedOp::Max.eval(a, b, c), crate::wrap32(max));
+                    assert_eq!(op("min").eval(a, b, c), crate::wrap32(min));
+                    assert_eq!(op("max").eval(a, b, c), crate::wrap32(max));
                 }
             }
         }
@@ -441,11 +485,12 @@ mod tests {
 
     #[test]
     fn fused_arity_and_units() {
-        for &op in FusedOp::all() {
+        assert_eq!(FusedOp::all().count(), FUSED_OPS.len());
+        for op in FusedOp::all() {
             assert!(op.arity() == 2 || op.arity() == 3);
-            assert_eq!(op.needs_mul_unit(), op == FusedOp::MulAdd);
+            assert_eq!(op.needs_mul_unit(), op == self::op("madd"));
         }
-        assert_eq!(FusedOp::Min.arity(), 2);
-        assert_eq!(FusedOp::MulAdd.arity(), 3);
+        assert_eq!(op("min").arity(), 2);
+        assert_eq!(op("madd").arity(), 3);
     }
 }

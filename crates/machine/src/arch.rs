@@ -425,7 +425,7 @@ mod tests {
     fn extensions_round_trip_with_trailing_token() {
         let a = ArchSpec::new(8, 4, 256, 1, 4, 2)
             .unwrap()
-            .with_extensions(ExtSet::MULADD.with(crate::ExtOp::MinMax));
+            .with_extensions(ExtSet::MULADD.with(1));
         assert_eq!(a.to_string(), "(8 4 256 1 4 2 +madd+minmax)");
         assert_eq!(ArchSpec::parse("(8 4 256 1 4 2 +madd+minmax)").unwrap(), a);
         assert_ne!(a, ArchSpec::new(8, 4, 256, 1, 4, 2).unwrap());

@@ -18,17 +18,18 @@
 
 use crate::arch::ArchSpec;
 use crate::calibrate;
-use crate::ext::ExtOp;
+use crate::ext::EXTENSIONS;
+use crate::mdes::UnitClass;
 use std::sync::OnceLock;
 
-/// Area premium of the fused multiply-add upgrade, per IMUL slot, in
-/// ALU heights (multiplied by `k4`): the accumulate stage adds an adder
-/// and forwarding to each multiplier.
-pub const MULADD_AREA_ALU_HEIGHTS: f64 = 0.5;
+/// Area premium of an extension that upgrades the IMUL slots, per slot,
+/// in ALU heights (multiplied by `k4`): an accumulate stage adds an
+/// adder and forwarding to each multiplier.
+pub const MUL_UPGRADE_AREA_ALU_HEIGHTS: f64 = 0.5;
 
-/// Area premium of each ALU-pair fusion (`minmax`, `addshr`), per ALU
-/// slot, in ALU heights: a compare-select mux or a short post-shifter.
-pub const ALU_FUSION_AREA_ALU_HEIGHTS: f64 = 0.25;
+/// Area premium of an extension that upgrades the ALU slots, per slot,
+/// in ALU heights: a compare-select mux or a short post-shifter.
+pub const ALU_UPGRADE_AREA_ALU_HEIGHTS: f64 = 0.25;
 
 /// Computes architecture cost in baseline-relative units.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,15 +76,14 @@ impl CostModel {
     #[must_use]
     pub fn raw_cost(&self, spec: &ArchSpec) -> f64 {
         let (k2, k3, k4, k5) = (self.k2, self.k3, self.k4, self.k5);
-        // Fused-extension area: each enabled extension upgrades existing
-        // units, charging a fraction of an ALU height per upgraded slot.
+        // Fused-extension area: each enabled extension upgrades the slots
+        // of its unit, charging a fraction of an ALU height per slot.
         // Both weights are exactly 0.0 for the empty set, so unextended
         // costs stay bit-identical (x + 0.0 == x for these finite sums).
-        let alu_fusions = u32::from(spec.exts.contains(ExtOp::MinMax))
-            + u32::from(spec.exts.contains(ExtOp::AddShr));
-        let ext_alu_w = k4 * ALU_FUSION_AREA_ALU_HEIGHTS * f64::from(alu_fusions);
-        let ext_mul_w =
-            k4 * MULADD_AREA_ALU_HEIGHTS * f64::from(u32::from(spec.exts.contains(ExtOp::MulAdd)));
+        let upgraded = |i: usize, unit| EXTENSIONS[i].unit == unit;
+        let upgrades = |unit| spec.exts.iter().filter(|&i| upgraded(i, unit)).count() as f64;
+        let ext_alu_w = k4 * ALU_UPGRADE_AREA_ALU_HEIGHTS * upgrades(UnitClass::Alu);
+        let ext_mul_w = k4 * MUL_UPGRADE_AREA_ALU_HEIGHTS * upgrades(UnitClass::Mul);
         let mut total = 0.0;
         for sh in spec.cluster_shapes() {
             let p = f64::from(sh.regfile_ports());
@@ -168,11 +168,7 @@ mod tests {
         // Each extension costs something; the full set costs the most,
         // and the premium stays small next to the units it upgrades.
         let mut prev = c0;
-        for set in [
-            ExtSet::MULADD,
-            ExtSet::MULADD.with(ExtOp::MinMax),
-            ExtSet::ALL,
-        ] {
+        for set in [ExtSet::MULADD, ExtSet::MULADD.with(1), ExtSet::ALL] {
             let c = model.cost(&base.with_extensions(set));
             assert!(c > prev, "{set}: {c} !> {prev}");
             prev = c;

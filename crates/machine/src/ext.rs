@@ -1,99 +1,88 @@
-//! Fused-operation extension sets — the custom-instruction design axis.
+//! Fused-operation extensions — the custom-instruction design axis.
 //!
-//! An [`ExtSet`] names which mined fused operations a design point's
-//! datapath provides: multiply-add, min/max clip, add-shift. It is a
-//! field of [`crate::ArchSpec`] exactly the way `l2_pipelined` is: empty
-//! by default, so every historical spec keeps its exact spelling, hash,
-//! and checkpoint fingerprint, and rendered as a trailing `+`-token
-//! (e.g. `(8 4 256 1 4 2 +madd+minmax)`) when non-empty.
+//! [`EXTENSIONS`] is the extension table: one row per fused unit a
+//! datapath may buy, holding its name and the unit class whose slots it
+//! upgrades. The machine side reads the rows: an [`ExtSet`] is a bitset
+//! over them, spelled with their names; [`crate::Mdes::from_spec`]
+//! registers op class `5 + i` for row `i` as a copy of its unit's base
+//! row, dumped as `f.<name>`; the cost model charges an area premium per
+//! slot of that unit. `cfp-ir`'s operation table says what each fused
+//! operation computes and names its extension row; the two tables join
+//! by row index, as `cfp-sched`'s tests check, because neither crate may
+//! depend on the other.
 //!
-//! Each enabled extension registers a derived op-class row in the
-//! machine description ([`crate::Mdes::from_spec`]) and an area charge
-//! in the cost model; the `cfp-opt` fuse pass decides where the fused
-//! ops are actually emitted. The selection machinery then answers the
-//! paper-shaped question: which kernels buy which extensions, and what
-//! speedup per unit area do they return?
+//! An extension set is a field of [`crate::ArchSpec`] exactly the way
+//! `l2_pipelined` is: empty by default, so every historical spec keeps
+//! its exact spelling, hash, and checkpoint fingerprint, and rendered as
+//! a trailing `+`-token (e.g. `(8 4 256 1 4 2 +madd+minmax)`) when
+//! non-empty. The `cfp-opt` fuse pass decides where the fused ops are
+//! emitted; the selection machinery then asks which kernels buy which
+//! extensions, and what speedup per unit area they return.
 
+use crate::mdes::UnitClass;
 use std::fmt;
 
-/// One fused-operation extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum ExtOp {
-    /// `madd` — multiply-add (`dst = a * b + c`), upgrading the IMUL
-    /// slots with a fused accumulate stage.
-    MulAdd = 0,
-    /// `minmax` — signed min/max (`cmp` + `sel` collapsed), upgrading
-    /// every ALU with a compare-select mux.
-    MinMax = 1,
-    /// `addshr` — add then arithmetic shift right (the fixed-point
-    /// scale-and-round idiom), upgrading every ALU.
-    AddShr = 2,
-}
-
-impl ExtOp {
-    /// Every extension, in bit order.
-    pub const ALL: [ExtOp; 3] = [ExtOp::MulAdd, ExtOp::MinMax, ExtOp::AddShr];
-
-    /// The bit this extension occupies in an [`ExtSet`].
-    #[must_use]
-    pub fn bit(self) -> u8 {
-        1 << (self as u8)
-    }
-
+/// One row of the extension table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extension {
     /// The token used in spec spellings and dumps.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ExtOp::MulAdd => "madd",
-            ExtOp::MinMax => "minmax",
-            ExtOp::AddShr => "addshr",
-        }
-    }
+    pub name: &'static str,
+    /// The unit class whose slots the extension upgrades: its fused op
+    /// class issues there with that unit's base timing.
+    pub unit: UnitClass,
 }
 
-impl fmt::Display for ExtOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The extension table. Row `i` is bit `i` of an [`ExtSet`] and op class
+/// `5 + i` of the machine description.
+#[rustfmt::skip]
+pub const EXTENSIONS: [Extension; 3] = [
+    // Multiply-add: the accumulate rides the multiplier's last stage.
+    Extension { name: "madd", unit: UnitClass::Mul },
+    // Signed min/max: a compare-select mux after every ALU.
+    Extension { name: "minmax", unit: UnitClass::Alu },
+    // Add then arithmetic shift right: a short shifter after every ALU.
+    Extension { name: "addshr", unit: UnitClass::Alu },
+];
 
-/// A set of fused-operation extensions (a small bitset over [`ExtOp`]).
+/// A set of fused-operation extensions: a bitset over [`EXTENSIONS`] rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExtSet(u8);
 
 impl ExtSet {
     /// No extensions — the paper's machines, and the default everywhere.
     pub const EMPTY: ExtSet = ExtSet(0);
-    /// Only `madd`.
-    pub const MULADD: ExtSet = ExtSet(1 << (ExtOp::MulAdd as u8));
-    /// Only `minmax`.
-    pub const MINMAX: ExtSet = ExtSet(1 << (ExtOp::MinMax as u8));
-    /// Only `addshr`.
-    pub const ADDSHR: ExtSet = ExtSet(1 << (ExtOp::AddShr as u8));
+    /// Only row 0, `madd`.
+    pub const MULADD: ExtSet = ExtSet(1 << 0);
+    /// Only row 1, `minmax`.
+    pub const MINMAX: ExtSet = ExtSet(1 << 1);
+    /// Only row 2, `addshr`.
+    pub const ADDSHR: ExtSet = ExtSet(1 << 2);
     /// Every extension.
-    pub const ALL: ExtSet = ExtSet(0b111);
+    pub const ALL: ExtSet = ExtSet((1 << EXTENSIONS.len()) - 1);
 
     /// The candidate sets the extension *axis* sweeps: none, each single
-    /// extension (so the exhibit can attribute gains), and all three.
-    pub const AXIS: [ExtSet; 5] = [
-        ExtSet::EMPTY,
-        ExtSet::MULADD,
-        ExtSet::MINMAX,
-        ExtSet::ADDSHR,
-        ExtSet::ALL,
-    ];
+    /// extension (so the exhibit can attribute gains), and all of them.
+    pub const AXIS: [ExtSet; EXTENSIONS.len() + 2] = {
+        let mut axis = [ExtSet::ALL; EXTENSIONS.len() + 2];
+        axis[0] = ExtSet::EMPTY;
+        let mut i = 0;
+        while i < EXTENSIONS.len() {
+            axis[i + 1] = ExtSet(1 << i);
+            i += 1;
+        }
+        axis
+    };
 
-    /// The set with `op` added.
+    /// The set with extension row `i` added.
     #[must_use]
-    pub fn with(self, op: ExtOp) -> ExtSet {
-        ExtSet(self.0 | op.bit())
+    pub fn with(self, i: usize) -> ExtSet {
+        ExtSet(self.0 | 1 << i)
     }
 
-    /// Whether `op` is in the set.
+    /// Whether extension row `i` is in the set.
     #[must_use]
-    pub fn contains(self, op: ExtOp) -> bool {
-        self.0 & op.bit() != 0
+    pub fn contains(self, i: usize) -> bool {
+        self.0 >> i & 1 != 0
     }
 
     /// Whether no extension is enabled.
@@ -108,9 +97,9 @@ impl ExtSet {
         self.0.count_ones() as usize
     }
 
-    /// The enabled extensions, in bit order.
-    pub fn iter(self) -> impl Iterator<Item = ExtOp> {
-        ExtOp::ALL.into_iter().filter(move |op| self.contains(*op))
+    /// The enabled extension rows, in table order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        (0..EXTENSIONS.len()).filter(move |&i| self.contains(i))
     }
 
     /// The raw bits (for wire formats; see [`ExtSet::from_bits`]).
@@ -119,7 +108,7 @@ impl ExtSet {
         self.0
     }
 
-    /// Rebuild from raw bits, rejecting unknown extension bits.
+    /// Rebuild from raw bits, rejecting bits past the table.
     #[must_use]
     pub fn from_bits(bits: u8) -> Option<ExtSet> {
         if bits & !ExtSet::ALL.0 != 0 {
@@ -140,16 +129,20 @@ impl ExtSet {
             .ok_or_else(|| format!("expected extension token starting with `+`, got `{s}`"))?;
         let mut set = ExtSet::EMPTY;
         for tok in rest.split('+') {
-            let op = ExtOp::ALL
-                .into_iter()
-                .find(|op| op.name() == tok)
+            let i = EXTENSIONS
+                .iter()
+                .position(|e| e.name == tok)
                 .ok_or_else(|| {
-                    format!("unknown extension `{tok}` in `{s}` (know madd, minmax, addshr)")
+                    let known: Vec<&str> = EXTENSIONS.iter().map(|e| e.name).collect();
+                    format!(
+                        "unknown extension `{tok}` in `{s}` (know {})",
+                        known.join(", ")
+                    )
                 })?;
-            if set.contains(op) {
+            if set.contains(i) {
                 return Err(format!("duplicate extension `{tok}` in `{s}`"));
             }
-            set = set.with(op);
+            set = set.with(i);
         }
         Ok(set)
     }
@@ -159,8 +152,8 @@ impl fmt::Display for ExtSet {
     /// The spec-suffix spelling: `+madd+minmax`; empty renders as
     /// nothing at all (historical spellings are preserved).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for op in self.iter() {
-            write!(f, "+{op}")?;
+        for i in self.iter() {
+            write!(f, "+{}", EXTENSIONS[i].name)?;
         }
         Ok(())
     }
@@ -183,7 +176,7 @@ mod tests {
             ExtSet::MULADD,
             ExtSet::MINMAX,
             ExtSet::ADDSHR,
-            ExtSet::MULADD.with(ExtOp::AddShr),
+            ExtSet::MULADD.with(2),
             ExtSet::ALL,
         ] {
             let s = set.to_string();
@@ -191,13 +184,19 @@ mod tests {
             assert_eq!(ExtSet::parse(&s), Ok(set), "{s}");
         }
         assert_eq!(ExtSet::ALL.to_string(), "+madd+minmax+addshr");
+        assert_eq!(ExtSet::MULADD.to_string(), "+madd");
+        assert_eq!(ExtSet::MINMAX.to_string(), "+minmax");
+        assert_eq!(ExtSet::ADDSHR.to_string(), "+addshr");
     }
 
     #[test]
     fn parse_rejects_malformed_tokens() {
         assert!(ExtSet::parse("madd").is_err(), "missing leading +");
         assert!(ExtSet::parse("+").is_err(), "empty name");
-        assert!(ExtSet::parse("+mac").is_err(), "unknown name");
+        assert_eq!(
+            ExtSet::parse("+mac"),
+            Err("unknown extension `mac` in `+mac` (know madd, minmax, addshr)".to_owned())
+        );
         assert!(ExtSet::parse("+madd+madd").is_err(), "duplicate");
     }
 
@@ -216,18 +215,29 @@ mod tests {
         for set in ExtSet::AXIS {
             assert!(seen.insert(set));
         }
-        assert!(ExtSet::AXIS[0].is_empty());
-        assert_eq!(ExtSet::AXIS[4], ExtSet::ALL);
+        assert_eq!(
+            ExtSet::AXIS,
+            [
+                ExtSet::EMPTY,
+                ExtSet::MULADD,
+                ExtSet::MINMAX,
+                ExtSet::ADDSHR,
+                ExtSet::ALL
+            ]
+        );
     }
 
     #[test]
-    fn iter_yields_enabled_in_bit_order() {
-        let set = ExtSet::ALL;
-        let ops: Vec<ExtOp> = set.iter().collect();
-        assert_eq!(ops, vec![ExtOp::MulAdd, ExtOp::MinMax, ExtOp::AddShr]);
-        assert_eq!(
-            ExtSet::MINMAX.iter().collect::<Vec<_>>(),
-            vec![ExtOp::MinMax]
-        );
+    fn iter_yields_enabled_in_table_order() {
+        assert_eq!(ExtSet::ALL.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(ExtSet::MINMAX.iter().collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn every_extension_upgrades_an_alu_or_a_multiplier() {
+        // The cost model prices upgrades of these two unit classes only.
+        for e in EXTENSIONS {
+            assert!(matches!(e.unit, UnitClass::Alu | UnitClass::Mul), "{e:?}");
+        }
     }
 }

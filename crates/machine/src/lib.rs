@@ -62,7 +62,7 @@ pub use arch::{ArchError, ArchSpec, ClusterShape};
 pub use axes::SpaceAxes;
 pub use cost::CostModel;
 pub use cycle::CycleModel;
-pub use ext::{ExtOp, ExtSet};
+pub use ext::{ExtSet, Extension, EXTENSIONS};
 pub use hash::Fnv1a;
 pub use mdes::{
     ClusterUnits, Mdes, OpClass, OpDesc, ResReq, UnitClass, ALU_LATENCY, BRANCH_LATENCY,

@@ -31,17 +31,19 @@
 //! derivation.
 //!
 //! The custom-instruction axis ([`ArchSpec::with_extensions`]) works the
-//! same way: each enabled [`crate::ExtOp`] *registers* a derived fused
-//! op-class row (`f.madd`, `f.minmax`, `f.addshr`) whose issue occupies
-//! an existing unit — multiply-add upgrades the IMUL slots, the
-//! ALU-pair fusions upgrade the ALU slots — so no new unit class and no
-//! new reservation row exists anywhere downstream. The fused rows hash
+//! same way, read from the extension table ([`crate::EXTENSIONS`]): row
+//! `i` describes op class [`OpClass::Fused`]`(i)`, code `5 + i`, as a
+//! copy of the base row of the unit it upgrades — the multiplier's for
+//! `madd`, the ALU's for the ALU-pair fusions — registered when the
+//! spec's extension set holds the row and dumped as `f.<name>`. A fused
+//! op occupies an existing unit, so no new unit class and no new
+//! reservation row exists anywhere downstream. The fused rows hash
 //! *after* everything the historical description hashed, so an empty
 //! extension set keeps every content hash, signature, and checkpoint
 //! fingerprint bit-identical.
 
 use crate::arch::ArchSpec;
-use crate::ext::{ExtOp, ExtSet};
+use crate::ext::{ExtSet, EXTENSIONS};
 use std::fmt::Write as _;
 
 /// Latency of a plain ALU operation (cycles).
@@ -57,27 +59,24 @@ pub const BRANCH_LATENCY: u32 = 1;
 /// codes of the scheduler's packed per-op side array
 /// (`meta & Mdes::CODE_MASK`), so an [`Mdes`] table row and a packed
 /// word name the same class. Codes 0–4 are the built-in classes every
-/// machine provides; codes 5–7 are the fused classes an extension set
-/// registers ([`ArchSpec::with_extensions`]).
+/// machine provides; code `5 + i` is the fused class of extension row
+/// `i`, which an extension set holding the row registers
+/// ([`ArchSpec::with_extensions`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u32)]
 pub enum OpClass {
     /// Plain integer ALU operation (also inter-cluster moves).
-    Alu = 0,
+    Alu,
     /// Integer multiply.
-    Mul = 1,
+    Mul,
     /// Level-1 memory access.
-    MemL1 = 2,
+    MemL1,
     /// Level-2 memory access.
-    MemL2 = 3,
+    MemL2,
     /// The loop-closing branch.
-    Branch = 4,
-    /// Fused multiply-add (the `madd` extension; occupies an IMUL slot).
-    FMulAdd = 5,
-    /// Fused min/max clip (the `minmax` extension; occupies an ALU slot).
-    FMinMax = 6,
-    /// Fused add-shift-right (the `addshr` extension; ALU slot).
-    FAddShr = 7,
+    Branch,
+    /// The fused operations of extension-table row `i`
+    /// ([`crate::EXTENSIONS`]), issuing on the unit that row upgrades.
+    Fused(u8),
 }
 
 impl OpClass {
@@ -90,13 +89,21 @@ impl OpClass {
         OpClass::Branch,
     ];
 
-    /// The fused classes, in packed-code (= extension-bit) order.
-    pub const FUSED: [OpClass; 3] = [OpClass::FMulAdd, OpClass::FMinMax, OpClass::FAddShr];
+    /// Number of op-class table rows: the built-ins, then one fused
+    /// class per extension-table row.
+    pub const COUNT: usize = OpClass::ALL.len() + EXTENSIONS.len();
 
     /// The packed side-array code of this class.
     #[must_use]
     pub fn code(self) -> u32 {
-        self as u32
+        match self {
+            OpClass::Alu => 0,
+            OpClass::Mul => 1,
+            OpClass::MemL1 => 2,
+            OpClass::MemL2 => 3,
+            OpClass::Branch => 4,
+            OpClass::Fused(i) => 5 + u32::from(i),
+        }
     }
 
     /// Whether this class is a memory access (either level).
@@ -112,27 +119,6 @@ impl OpClass {
             OpClass::MemL1
         } else {
             OpClass::MemL2
-        }
-    }
-
-    /// The fused class an extension registers.
-    #[must_use]
-    pub fn from_ext(ext: ExtOp) -> OpClass {
-        match ext {
-            ExtOp::MulAdd => OpClass::FMulAdd,
-            ExtOp::MinMax => OpClass::FMinMax,
-            ExtOp::AddShr => OpClass::FAddShr,
-        }
-    }
-
-    /// The extension that registers this class (`None` for built-ins).
-    #[must_use]
-    pub fn ext(self) -> Option<ExtOp> {
-        match self {
-            OpClass::FMulAdd => Some(ExtOp::MulAdd),
-            OpClass::FMinMax => Some(ExtOp::MinMax),
-            OpClass::FAddShr => Some(ExtOp::AddShr),
-            _ => None,
         }
     }
 }
@@ -246,11 +232,11 @@ impl ClusterUnits {
 /// derived deterministically from an [`ArchSpec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mdes {
-    /// Op-class table, indexed by [`OpClass`] discriminant. The fused
-    /// rows (codes 5–7) are always *described* — fixed latencies and
-    /// unit bindings — but only *registered* (issuable, hashed,
+    /// Op-class table, indexed by [`OpClass::code`]. The fused rows
+    /// (codes 5 and up) are always *described* — copies of their
+    /// units' base rows — but only *registered* (issuable, hashed,
     /// rendered) when [`Mdes::exts`] enables them.
-    ops: [OpDesc; 8],
+    ops: [OpDesc; OpClass::COUNT],
     /// Unit table, one row per cluster.
     clusters: Vec<ClusterUnits>,
     /// Which fused rows are registered.
@@ -272,7 +258,8 @@ impl Mdes {
     /// custom-instruction axis.
     #[must_use]
     pub fn from_spec(spec: &ArchSpec) -> Self {
-        let ops = [
+        // Built-in class `k` issues on unit class `k`.
+        let base = [
             OpDesc {
                 latency: ALU_LATENCY,
                 pipelined: true,
@@ -298,26 +285,13 @@ impl Mdes {
                 pipelined: true,
                 unit: UnitClass::Branch,
             },
-            // Fused rows. Multiply-add keeps the multiplier's timing (the
-            // accumulate rides the final pipe stage); the ALU-pair
-            // fusions keep single-cycle ALU timing (a compare-select mux
-            // or a short shifter after the adder).
-            OpDesc {
-                latency: MUL_LATENCY,
-                pipelined: true,
-                unit: UnitClass::Mul,
-            },
-            OpDesc {
-                latency: ALU_LATENCY,
-                pipelined: true,
-                unit: UnitClass::Alu,
-            },
-            OpDesc {
-                latency: ALU_LATENCY,
-                pipelined: true,
-                unit: UnitClass::Alu,
-            },
         ];
+        // A fused row keeps the timing of the unit it upgrades: the
+        // extra stage rides the unit's existing cycle.
+        let ops = std::array::from_fn(|k| match k.checked_sub(base.len()) {
+            None => base[k],
+            Some(i) => base[EXTENSIONS[i].unit as usize],
+        });
         let clusters = spec
             .cluster_shapes()
             .map(|sh| ClusterUnits {
@@ -341,13 +315,13 @@ impl Mdes {
     /// The op-class table row for `class`.
     #[must_use]
     pub fn op(&self, class: OpClass) -> &OpDesc {
-        &self.ops[class as usize]
+        &self.ops[class.code() as usize]
     }
 
     /// The whole op-class table, in packed-code order (built-in rows
     /// first, then the fused rows whether or not they are registered).
     #[must_use]
-    pub fn ops(&self) -> &[OpDesc; 8] {
+    pub fn ops(&self) -> &[OpDesc; OpClass::COUNT] {
         &self.ops
     }
 
@@ -362,11 +336,9 @@ impl Mdes {
     /// set dumps render and the dynamic row count downstream tables are
     /// sized from.
     pub fn registered_classes(&self) -> impl Iterator<Item = OpClass> + '_ {
-        OpClass::ALL.into_iter().chain(
-            OpClass::FUSED
-                .into_iter()
-                .filter(|c| c.ext().is_some_and(|e| self.exts.contains(e))),
-        )
+        OpClass::ALL
+            .into_iter()
+            .chain(self.exts.iter().map(|i| OpClass::Fused(i as u8)))
     }
 
     /// Result latency of `class`.
@@ -516,8 +488,8 @@ impl Mdes {
                 eat(n);
             }
         }
-        for ext in self.exts.iter() {
-            let class = OpClass::from_ext(ext);
+        for i in self.exts.iter() {
+            let class = OpClass::Fused(i as u8);
             let op = self.op(class);
             eat(class.code());
             eat(op.latency);
@@ -535,14 +507,12 @@ impl Mdes {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let class_name = |c: OpClass| match c {
-            OpClass::Alu => "alu",
-            OpClass::Mul => "imul",
-            OpClass::MemL1 => "mem.l1",
-            OpClass::MemL2 => "mem.l2",
-            OpClass::Branch => "branch",
-            OpClass::FMulAdd => "f.madd",
-            OpClass::FMinMax => "f.minmax",
-            OpClass::FAddShr => "f.addshr",
+            OpClass::Alu => "alu".to_owned(),
+            OpClass::Mul => "imul".to_owned(),
+            OpClass::MemL1 => "mem.l1".to_owned(),
+            OpClass::MemL2 => "mem.l2".to_owned(),
+            OpClass::Branch => "branch".to_owned(),
+            OpClass::Fused(i) => format!("f.{}", EXTENSIONS[usize::from(i)].name),
         };
         out.push_str("op class  latency  pipelined  reserved  unit\n");
         for class in self.registered_classes() {
@@ -634,16 +604,19 @@ mod tests {
         assert_eq!(plain.registered_classes().count(), OpClass::ALL.len());
         // Descriptors exist even unregistered (downstream lowering may
         // read a row's timing before deciding whether it is issuable).
-        assert_eq!(plain.latency(OpClass::FMulAdd), MUL_LATENCY);
-        assert_eq!(plain.op(OpClass::FMulAdd).unit, UnitClass::Mul);
-        assert_eq!(plain.op(OpClass::FMinMax).unit, UnitClass::Alu);
-        assert_eq!(plain.op(OpClass::FAddShr).unit, UnitClass::Alu);
+        // A fused row is its unit's base row: `madd` the multiplier's,
+        // `minmax` and `addshr` the ALU's.
+        assert_eq!(plain.op(OpClass::Fused(0)), plain.op(OpClass::Mul));
+        assert_eq!(plain.op(OpClass::Fused(1)), plain.op(OpClass::Alu));
+        assert_eq!(plain.op(OpClass::Fused(2)), plain.op(OpClass::Alu));
+        assert_eq!(plain.latency(OpClass::Fused(0)), MUL_LATENCY);
 
         let ext = Mdes::from_spec(&spec.with_extensions(ExtSet::MULADD));
         assert_eq!(ext.exts(), ExtSet::MULADD);
         let classes: Vec<OpClass> = ext.registered_classes().collect();
         assert_eq!(classes.len(), 6);
-        assert_eq!(classes[5], OpClass::FMulAdd);
+        assert_eq!(classes[5], OpClass::Fused(0));
+        assert_eq!(classes[5].code(), 5);
         // The unit table is untouched: fused ops occupy existing units.
         assert_eq!(plain.clusters(), ext.clusters());
     }

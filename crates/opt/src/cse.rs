@@ -195,7 +195,7 @@ fn key_of(inst: &Inst, epoch: &[u64]) -> Option<(Vreg, Key)> {
             on_true,
             on_false,
         } => (dst, Key::new(3, 0, &[cond, on_true, on_false])),
-        Inst::Fused { dst, op, a, b, c } => (dst, Key::new(4, op as u32, &[a, b, c])),
+        Inst::Fused { dst, op, a, b, c } => (dst, Key::new(4, u32::from(op.0), &[a, b, c])),
         Inst::Ld { dst, mem, ty } => {
             let mut key = Key::new(5, ty as u32, &[]);
             key.array = mem.array.0;

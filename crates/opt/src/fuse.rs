@@ -1,63 +1,53 @@
 //! Fused-operation mining and rewriting (the custom-instruction axis).
 //!
 //! The paper sizes the datapath to the application; this pass lets the
-//! application *extend* it. It mines recurring two-op dependence chains
-//! from a kernel body — multiply-add (`mul` feeding `add`), min/max clip
-//! (`cmp` feeding `sel` over the same operands), and add-shift (`add`
-//! feeding `ashr`, the fixed-point scale-and-round idiom) — and, for a
-//! design point whose extension set provides the matching fused unit,
-//! rewrites each chain into a single [`Inst::Fused`] instruction.
+//! application *extend* it. For a design point whose extension set
+//! provides a fused unit, it rewrites each two-op dependence chain that
+//! spells one of `cfp-ir`'s fused operations ([`cfp_ir::FUSED_OPS`]) into
+//! a single [`Inst::Fused`] instruction. There is one matcher, and it
+//! reads each allowed row's expression tree: the tree's root is the
+//! consumer, its one inner operation the producer, and its slots the
+//! fused instruction's operands — multiply-add (`mul` feeding `add`),
+//! min/max (`cmp` feeding `sel` over the compared operands), add-shift
+//! (`add` feeding `ashr`, the fixed-point scale-and-round idiom).
 //!
 //! Matching is deliberately conservative: the producer must be a body
 //! instruction whose value has exactly one use (so deleting it cannot
-//! change any other consumer, a carried output, or a store). Because the
-//! fused ops are defined as exact compositions of the base ops, every
-//! rewrite is bit-identical under the reference interpreter — property-
-//! tested in `tests/fuse_equivalence.rs`.
+//! change any other consumer, a carried output, or a store), and no
+//! instruction is claimed twice. Because the fused ops are defined as
+//! exact compositions of the base ops, every rewrite is bit-identical
+//! under the reference interpreter — property-tested in
+//! `tests/fuse_equivalence.rs`.
 //!
 //! The pass runs *after* the scalar pipeline and unrolling (see
 //! `cfp-dse`), so the classic passes never see fused instructions and an
 //! unrolled stencil contributes one candidate occurrence per copy.
 
-use cfp_ir::{BinOp, FusedOp, Inst, Kernel, Operand, Pred};
+use cfp_ir::{Expr, FusedOp, Inst, Kernel, Operand, Pred};
 use std::collections::HashMap;
 
-/// Which fused operations the target design point provides.
+/// Which fused operations the target design point provides: bit `i`
+/// enables every operation whose extension-table row is `i`.
 ///
-/// This mirrors the machine layer's extension set without depending on
-/// it; `cfp-dse` maps one onto the other.
+/// This mirrors the machine layer's extension set bit for bit without
+/// depending on it; `cfp-dse` copies one into the other.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct FuseTargets {
-    /// Provide `madd` (multiply-add).
-    pub mul_add: bool,
-    /// Provide `min`/`max` (compare-select clips).
-    pub min_max: bool,
-    /// Provide `addshr` (add then arithmetic shift right).
-    pub add_shr: bool,
-}
+pub struct FuseTargets(pub u8);
 
 impl FuseTargets {
     /// Every fused operation enabled (used by the miner).
-    pub const ALL: FuseTargets = FuseTargets {
-        mul_add: true,
-        min_max: true,
-        add_shr: true,
-    };
+    pub const ALL: FuseTargets = FuseTargets(u8::MAX);
 
-    /// Whether any fused operation is enabled.
+    /// Whether any extension is enabled.
     #[must_use]
     pub fn any(self) -> bool {
-        self.mul_add || self.min_max || self.add_shr
+        self.0 != 0
     }
 
     /// Whether `op` may be emitted under these targets.
     #[must_use]
     pub fn allows(self, op: FusedOp) -> bool {
-        match op {
-            FusedOp::MulAdd => self.mul_add,
-            FusedOp::Min | FusedOp::Max => self.min_max,
-            FusedOp::AddShr => self.add_shr,
-        }
+        self.0 >> op.row().ext & 1 != 0
     }
 }
 
@@ -82,16 +72,9 @@ impl Candidate {
     }
 }
 
-/// Dependence-chain cycles saved by one fused occurrence. These mirror
-/// the machine layer's base latencies (ALU 1, pipelined IMUL 2): a
-/// `mul`+`add` chain takes 3 cycles against the fused op's composed 2;
-/// the 1-cycle pairs (`cmp`+`sel`, `add`+`ashr`) halve to 1.
-#[must_use]
-fn cycles_saved(op: FusedOp) -> u32 {
-    match op {
-        FusedOp::MulAdd | FusedOp::Min | FusedOp::Max | FusedOp::AddShr => 1,
-    }
-}
+/// Dependence-chain cycles one fused occurrence saves: a fused op keeps
+/// its unit's latency, so the chain loses the 1-cycle ALU half of it.
+const CYCLES_SAVED: u32 = 1;
 
 /// Mine all fused-op candidates in `kernel`'s body, ranked by descending
 /// [`Candidate::score`] (ties broken by op order). Zero-count ops are
@@ -111,7 +94,7 @@ pub fn mine(kernel: &Kernel) -> Vec<Candidate> {
         .map(|(op, count)| Candidate {
             op,
             count,
-            cycles_saved: cycles_saved(op),
+            cycles_saved: CYCLES_SAVED,
         })
         .collect();
     out.sort_by_key(|c| (std::cmp::Reverse(c.score()), c.op));
@@ -145,6 +128,7 @@ pub fn fuse(kernel: &mut Kernel, targets: FuseTargets) -> u32 {
 
 /// A planned rewrite: body\[`consumer`\] becomes `fused` and
 /// body\[`producer`\] is deleted.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Rewrite {
     consumer: usize,
     producer: usize,
@@ -154,155 +138,176 @@ struct Rewrite {
 /// Walk consumers in body order and greedily match fusable chains. The
 /// scan mirrors exactly what applying the rewrites in order would do: an
 /// instruction already claimed (as a rewritten consumer or a consumed
-/// producer) cannot serve as a producer for a later match.
+/// producer) cannot serve as a producer for a later match. A consumer is
+/// tried as written, then flipped (see [`Matcher::bind_inst`]), each way
+/// against the allowed rows in table order.
 fn plan(kernel: &Kernel, targets: FuseTargets) -> Vec<Rewrite> {
-    let body = &kernel.body;
-    // Indexed by vreg number: the body instruction defining it, and how
-    // many times it is read.
-    const NO_SITE: usize = usize::MAX;
-    let n_vregs = kernel.vreg_count() as usize;
-    let mut def_site = vec![NO_SITE; n_vregs];
-    let mut use_count = vec![0_u32; n_vregs];
-    for (i, inst) in body.iter().enumerate() {
-        if let Some(d) = inst.def() {
-            def_site[d.index()] = i;
-        }
-        inst.for_each_use(|u| use_count[u.index()] += 1);
-    }
-    // A carried output is read by the loop latch; its producer must stay.
-    for c in &kernel.carried {
-        use_count[c.output.index()] += 1;
-    }
-
-    let single_use_producer = |o: Operand, taken: &[bool]| -> Option<usize> {
-        let v = o.reg()?;
-        let j = def_site[v.index()];
-        if j == NO_SITE || taken[j] || use_count[v.index()] != 1 {
-            return None;
-        }
-        Some(j)
-    };
-
-    let mut taken = vec![false; body.len()];
+    let mut m = Matcher::new(kernel);
     let mut out = Vec::new();
-    for (i, inst) in body.iter().enumerate() {
-        let rw = match *inst {
-            // `t = mul a, b; dst = add t, c` → `dst = madd a, b, c`.
-            Inst::Bin {
-                dst,
-                op: BinOp::Add,
-                a,
-                b,
-            } if targets.mul_add => [(a, b), (b, a)].iter().find_map(|&(cand, other)| {
-                let j = single_use_producer(cand, &taken)?;
-                let Inst::Bin {
-                    op: BinOp::Mul,
-                    a: ma,
-                    b: mb,
-                    ..
-                } = body[j]
-                else {
-                    return None;
-                };
-                Some(Rewrite {
-                    consumer: i,
-                    producer: j,
-                    fused: Inst::Fused {
-                        dst,
-                        op: FusedOp::MulAdd,
-                        a: ma,
-                        b: mb,
-                        c: other,
-                    },
-                })
-            }),
-            // `t = add a, b; dst = ashr t, sh` → `dst = addshr a, b, sh`.
-            Inst::Bin {
-                dst,
-                op: BinOp::AShr,
-                a,
-                b: sh,
-            } if targets.add_shr => single_use_producer(a, &taken).and_then(|j| {
-                let Inst::Bin {
-                    op: BinOp::Add,
-                    a: pa,
-                    b: pb,
-                    ..
-                } = body[j]
-                else {
-                    return None;
-                };
-                Some(Rewrite {
-                    consumer: i,
-                    producer: j,
-                    fused: Inst::Fused {
-                        dst,
-                        op: FusedOp::AddShr,
-                        a: pa,
-                        b: pb,
-                        c: sh,
-                    },
-                })
-            }),
-            // `t = cmp.pred a, b; dst = sel t ? x : y` with `{x, y}` the
-            // compared operands → `min`/`max`. Ties agree for every
-            // ordering predicate, so `le`/`ge` normalize too.
-            Inst::Sel {
-                dst,
-                cond,
-                on_true,
-                on_false,
-            } if targets.min_max => single_use_producer(cond, &taken).and_then(|j| {
-                let Inst::Cmp { pred, a, b, .. } = body[j] else {
-                    return None;
-                };
-                let picks_smaller = match pred {
-                    Pred::Lt | Pred::Le => true,
-                    Pred::Gt | Pred::Ge => false,
-                    Pred::Eq | Pred::Ne => return None,
-                };
-                let op = if on_true == a && on_false == b {
-                    if picks_smaller {
-                        FusedOp::Min
-                    } else {
-                        FusedOp::Max
-                    }
-                } else if on_true == b && on_false == a {
-                    if picks_smaller {
-                        FusedOp::Max
-                    } else {
-                        FusedOp::Min
-                    }
-                } else {
-                    return None;
-                };
-                Some(Rewrite {
-                    consumer: i,
-                    producer: j,
-                    fused: Inst::Fused {
-                        dst,
-                        op,
-                        a,
-                        b,
-                        c: Operand::Imm(0),
-                    },
-                })
-            }),
-            _ => None,
-        };
-        if let Some(rw) = rw {
-            taken[rw.producer] = true;
-            taken[rw.consumer] = true;
+    for i in 0..kernel.body.len() {
+        let found = [false, true].into_iter().find_map(|flip| {
+            FusedOp::all()
+                .filter(|&op| targets.allows(op))
+                .find_map(|op| m.rewrite(i, flip, op))
+        });
+        if let Some(rw) = found {
+            m.taken[rw.producer] = true;
+            m.taken[rw.consumer] = true;
             out.push(rw);
         }
     }
     out
 }
 
+/// The body's def sites and use counts, and what earlier rewrites
+/// claimed.
+struct Matcher<'k> {
+    body: &'k [Inst],
+    /// Indexed by vreg number: the body instruction defining it.
+    def_site: Vec<usize>,
+    /// Indexed by vreg number: its reads, the loop latch's of a carried
+    /// output included (that producer must stay).
+    use_count: Vec<u32>,
+    taken: Vec<bool>,
+}
+
+/// One match attempt's operand slots and producer.
+#[derive(Default)]
+struct Binding {
+    slots: [Option<Operand>; 3],
+    producer: Option<usize>,
+}
+
+const NO_SITE: usize = usize::MAX;
+
+impl<'k> Matcher<'k> {
+    fn new(kernel: &'k Kernel) -> Self {
+        let n_vregs = kernel.vreg_count() as usize;
+        let mut def_site = vec![NO_SITE; n_vregs];
+        let mut use_count = vec![0_u32; n_vregs];
+        for (i, inst) in kernel.body.iter().enumerate() {
+            if let Some(d) = inst.def() {
+                def_site[d.index()] = i;
+            }
+            inst.for_each_use(|u| use_count[u.index()] += 1);
+        }
+        for c in &kernel.carried {
+            use_count[c.output.index()] += 1;
+        }
+        Matcher {
+            body: &kernel.body,
+            def_site,
+            use_count,
+            taken: vec![false; kernel.body.len()],
+        }
+    }
+
+    /// body\[`i`\] rewritten as `op`, if the row's tree matches it.
+    fn rewrite(&self, i: usize, flip: bool, op: FusedOp) -> Option<Rewrite> {
+        // Most instructions are not the row's root operation: say so
+        // before setting up a match attempt.
+        let root = match (op.row().tree, &self.body[i]) {
+            (Expr::Bin(want, ..), Inst::Bin { op, .. }) => want == *op,
+            (Expr::Sel(..), Inst::Sel { .. }) => true,
+            _ => false,
+        };
+        if !root {
+            return None;
+        }
+        let mut bind = Binding::default();
+        if !self.bind_inst(&op.row().tree, self.body[i], flip, &mut bind) {
+            return None;
+        }
+        let [a, b, c] = bind.slots.map(|s| s.unwrap_or(Operand::Imm(0)));
+        let dst = self.body[i].def()?;
+        let fused = Inst::Fused { dst, op, a, b, c };
+        Some(Rewrite {
+            consumer: i,
+            producer: bind.producer?,
+            fused,
+        })
+    }
+
+    /// Match `pat` against `inst`. `flip` reads `inst` its other way: a
+    /// commutative operation with its operands swapped, a select with its
+    /// arms swapped under the negated compare.
+    fn bind_inst(&self, pat: &Expr, inst: Inst, flip: bool, bind: &mut Binding) -> bool {
+        let operands = |l, r, a, b, bind: &mut Binding| {
+            let (a, b) = if flip { (b, a) } else { (a, b) };
+            self.bind_operand(l, a, bind) && self.bind_operand(r, b, bind)
+        };
+        match (*pat, inst) {
+            (Expr::Bin(op, l, r), Inst::Bin { op: got, a, b, .. }) => {
+                op == got && (!flip || op.is_commutative()) && operands(l, r, a, b, bind)
+            }
+            (Expr::Cmp(want, l, r), Inst::Cmp { pred, a, b, .. }) => {
+                !flip && pred == want && operands(l, r, a, b, bind)
+            }
+            (
+                Expr::Sel(cond, t, f),
+                Inst::Sel {
+                    cond: c,
+                    on_true,
+                    on_false,
+                    ..
+                },
+            ) => {
+                // Picking between its compare's own operands, a select
+                // reads `le`/`ge` as `lt`/`gt`: on a tie they are equal.
+                let ties =
+                    matches!(*cond, Expr::Cmp(_, x, y) if (t, f) == (x, y) || (t, f) == (y, x));
+                let cond_matches = self.producer(c, bind).is_some_and(|j| {
+                    let Inst::Cmp { dst, pred, a, b } = self.body[j] else {
+                        return false;
+                    };
+                    let pred = match (if flip { pred.negated() } else { pred }, ties) {
+                        (Pred::Le, true) => Pred::Lt,
+                        (Pred::Ge, true) => Pred::Gt,
+                        (p, _) => p,
+                    };
+                    self.bind_inst(cond, Inst::Cmp { dst, pred, a, b }, false, bind)
+                });
+                cond_matches && operands(t, f, on_true, on_false, bind)
+            }
+            _ => false,
+        }
+    }
+
+    /// Match `pat` against operand `o`: a slot takes it (or must already
+    /// hold it); an operation must be its producer.
+    fn bind_operand(&self, pat: &Expr, o: Operand, bind: &mut Binding) -> bool {
+        match *pat {
+            Expr::Slot(k) => *bind.slots[usize::from(k)].get_or_insert(o) == o,
+            _ => self
+                .producer(o, bind)
+                .is_some_and(|j| self.bind_inst(pat, self.body[j], false, bind)),
+        }
+    }
+
+    /// The body instruction defining `o`, taken as the attempt's one
+    /// producer: its value has a single use and it is not claimed.
+    fn producer(&self, o: Operand, bind: &mut Binding) -> Option<usize> {
+        let v = o.reg()?;
+        let j = self.def_site[v.index()];
+        let free = j != NO_SITE && !self.taken[j] && self.use_count[v.index()] == 1;
+        (free && bind.producer.is_none()).then(|| *bind.producer.insert(j))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfp_ir::{Interpreter, KernelBuilder, MemImage, MemSpace, Ty};
+    use cfp_ir::{BinOp, Interpreter, KernelBuilder, MemImage, MemSpace, Ty, FUSED_OPS};
+
+    /// The table row with mnemonic `name`.
+    fn op(name: &str) -> FusedOp {
+        FusedOp::all().find(|op| op.row().mnemonic == name).unwrap()
+    }
+
+    /// Whether `k` holds a fused instruction spelled `name`.
+    fn has(k: &Kernel, name: &str) -> bool {
+        k.body.iter().any(|i| i.fused_op() == Some(op(name)))
+    }
 
     fn run_both(base: &Kernel, fused: &Kernel, iters: u64) {
         let mut mem_a = MemImage::for_kernel(base);
@@ -333,7 +338,7 @@ mod tests {
         let base = b.finish();
         let mut k = base.clone();
         assert_eq!(fuse(&mut k, FuseTargets::ALL), 1);
-        assert!(k.body.iter().any(|i| i.fused_op() == Some(FusedOp::MulAdd)));
+        assert!(has(&k, "madd"));
         assert_eq!(k.body.len(), base.body.len() - 1);
         run_both(&base, &k, 8);
     }
@@ -353,8 +358,8 @@ mod tests {
         let base = b.finish();
         let mut k = base.clone();
         assert_eq!(fuse(&mut k, FuseTargets::ALL), 2);
-        assert!(k.body.iter().any(|i| i.fused_op() == Some(FusedOp::Min)));
-        assert!(k.body.iter().any(|i| i.fused_op() == Some(FusedOp::Max)));
+        assert!(has(&k, "min"));
+        assert!(has(&k, "max"));
         run_both(&base, &k, 8);
     }
 
@@ -371,7 +376,7 @@ mod tests {
         let base = b.finish();
         let mut k = base.clone();
         assert_eq!(fuse(&mut k, FuseTargets::ALL), 1);
-        assert!(k.body.iter().any(|i| i.fused_op() == Some(FusedOp::Max)));
+        assert!(has(&k, "max"));
         run_both(&base, &k, 8);
     }
 
@@ -388,7 +393,7 @@ mod tests {
         let base = b.finish();
         let mut k = base.clone();
         assert_eq!(fuse(&mut k, FuseTargets::ALL), 1);
-        assert!(k.body.iter().any(|i| i.fused_op() == Some(FusedOp::AddShr)));
+        assert!(has(&k, "addshr"));
         run_both(&base, &k, 8);
     }
 
@@ -439,10 +444,7 @@ mod tests {
         b.store(d, 1, 0, r, Ty::I32);
         let base = b.finish();
         let mut k = base.clone();
-        let only_minmax = FuseTargets {
-            min_max: true,
-            ..FuseTargets::default()
-        };
+        let only_minmax = FuseTargets(1 << op("min").row().ext);
         assert_eq!(fuse(&mut k, only_minmax), 0);
         assert_eq!(k, base);
         assert_eq!(fuse(&mut k, FuseTargets::default()), 0);
@@ -467,9 +469,9 @@ mod tests {
         let total: u32 = cands.iter().map(|c| c.count).sum();
         let mut k = base.clone();
         assert_eq!(fuse(&mut k, FuseTargets::ALL), total);
-        let madd = cands.iter().find(|c| c.op == FusedOp::MulAdd).unwrap();
+        let madd = cands.iter().find(|c| c.op == op("madd")).unwrap();
         assert_eq!(madd.count, 2);
-        assert!(cands.iter().any(|c| c.op == FusedOp::AddShr));
+        assert!(cands.iter().any(|c| c.op == op("addshr")));
         assert!(cands[0].score() >= cands.last().unwrap().score());
         run_both(&base, &k, 8);
     }
@@ -490,8 +492,271 @@ mod tests {
         let base = b.finish();
         let mut k = base.clone();
         assert_eq!(fuse(&mut k, FuseTargets::ALL), 1);
-        assert!(k.body.iter().any(|i| i.fused_op() == Some(FusedOp::MulAdd)));
-        assert!(!k.body.iter().any(|i| i.fused_op() == Some(FusedOp::AddShr)));
+        assert!(has(&k, "madd"));
+        assert!(!has(&k, "addshr"));
         run_both(&base, &k, 8);
+    }
+
+    /// The matcher as three hand-written arms, one per extension, as it
+    /// was before the operation table: the reference [`plan`] is held to.
+    fn reference_plan(kernel: &Kernel, targets: FuseTargets) -> Vec<Rewrite> {
+        let (mul_add, min_max, add_shr) = (
+            targets.allows(op("madd")),
+            targets.allows(op("min")),
+            targets.allows(op("addshr")),
+        );
+        let body = &kernel.body;
+        let n_vregs = kernel.vreg_count() as usize;
+        let mut def_site = vec![NO_SITE; n_vregs];
+        let mut use_count = vec![0_u32; n_vregs];
+        for (i, inst) in body.iter().enumerate() {
+            if let Some(d) = inst.def() {
+                def_site[d.index()] = i;
+            }
+            inst.for_each_use(|u| use_count[u.index()] += 1);
+        }
+        for c in &kernel.carried {
+            use_count[c.output.index()] += 1;
+        }
+
+        let single_use_producer = |o: Operand, taken: &[bool]| -> Option<usize> {
+            let v = o.reg()?;
+            let j = def_site[v.index()];
+            if j == NO_SITE || taken[j] || use_count[v.index()] != 1 {
+                return None;
+            }
+            Some(j)
+        };
+
+        let mut taken = vec![false; body.len()];
+        let mut out = Vec::new();
+        for (i, inst) in body.iter().enumerate() {
+            let rw = match *inst {
+                Inst::Bin {
+                    dst,
+                    op: BinOp::Add,
+                    a,
+                    b,
+                } if mul_add => [(a, b), (b, a)].iter().find_map(|&(cand, other)| {
+                    let j = single_use_producer(cand, &taken)?;
+                    let Inst::Bin {
+                        op: BinOp::Mul,
+                        a: ma,
+                        b: mb,
+                        ..
+                    } = body[j]
+                    else {
+                        return None;
+                    };
+                    Some(Rewrite {
+                        consumer: i,
+                        producer: j,
+                        fused: Inst::Fused {
+                            dst,
+                            op: op("madd"),
+                            a: ma,
+                            b: mb,
+                            c: other,
+                        },
+                    })
+                }),
+                Inst::Bin {
+                    dst,
+                    op: BinOp::AShr,
+                    a,
+                    b: sh,
+                } if add_shr => single_use_producer(a, &taken).and_then(|j| {
+                    let Inst::Bin {
+                        op: BinOp::Add,
+                        a: pa,
+                        b: pb,
+                        ..
+                    } = body[j]
+                    else {
+                        return None;
+                    };
+                    Some(Rewrite {
+                        consumer: i,
+                        producer: j,
+                        fused: Inst::Fused {
+                            dst,
+                            op: op("addshr"),
+                            a: pa,
+                            b: pb,
+                            c: sh,
+                        },
+                    })
+                }),
+                Inst::Sel {
+                    dst,
+                    cond,
+                    on_true,
+                    on_false,
+                } if min_max => single_use_producer(cond, &taken).and_then(|j| {
+                    let Inst::Cmp { pred, a, b, .. } = body[j] else {
+                        return None;
+                    };
+                    let picks_smaller = match pred {
+                        Pred::Lt | Pred::Le => true,
+                        Pred::Gt | Pred::Ge => false,
+                        Pred::Eq | Pred::Ne => return None,
+                    };
+                    let name = if on_true == a && on_false == b {
+                        if picks_smaller {
+                            "min"
+                        } else {
+                            "max"
+                        }
+                    } else if on_true == b && on_false == a {
+                        if picks_smaller {
+                            "max"
+                        } else {
+                            "min"
+                        }
+                    } else {
+                        return None;
+                    };
+                    Some(Rewrite {
+                        consumer: i,
+                        producer: j,
+                        fused: Inst::Fused {
+                            dst,
+                            op: op(name),
+                            a,
+                            b,
+                            c: Operand::Imm(0),
+                        },
+                    })
+                }),
+                _ => None,
+            };
+            if let Some(rw) = rw {
+                taken[rw.producer] = true;
+                taken[rw.consumer] = true;
+                out.push(rw);
+            }
+        }
+        out
+    }
+
+    /// Every extension mask the table can name, none through all.
+    fn all_masks() -> impl Iterator<Item = FuseTargets> {
+        let exts = FUSED_OPS.iter().map(|row| row.ext).max().unwrap() + 1;
+        (0..1 << exts).map(FuseTargets)
+    }
+
+    /// Hold [`plan`] to [`reference_plan`] on `k` under every mask;
+    /// returns the rewrites made with every target enabled.
+    fn assert_plans_agree(k: &Kernel, what: &str) -> Vec<Rewrite> {
+        for targets in all_masks() {
+            assert_eq!(
+                plan(k, targets),
+                reference_plan(k, targets),
+                "{what} under {targets:?}"
+            );
+        }
+        plan(k, FuseTargets::ALL)
+    }
+
+    #[test]
+    fn the_table_matcher_rewrites_every_benchmark_as_the_hand_written_arms_did() {
+        let mut fused = 0;
+        for bench in cfp_kernels::Benchmark::ALL {
+            let mut base = bench.kernel();
+            crate::optimize(&mut base);
+            for u in [1, 2, 4] {
+                let mut k = crate::unroll::unroll(&base, u);
+                crate::optimize(&mut k);
+                fused += assert_plans_agree(&k, &format!("{bench} x{u}")).len();
+            }
+        }
+        assert!(fused > 0);
+    }
+
+    /// A seeded body built around the matcher's near misses: compares
+    /// under every predicate feeding selects whose arms are the compared
+    /// operands in either order, or something else; immediates in either
+    /// slot; `mul`→`add`→`ashr` chains; producers read twice or carried
+    /// around the loop.
+    fn near_misses(rng: &mut cfp_testkit::Rng) -> Kernel {
+        let mut b = KernelBuilder::new("near_misses");
+        let s = b.array_in("s", Ty::I32, MemSpace::L2);
+        let d = b.array_out("d", Ty::I32, MemSpace::L2);
+        let mut vals: Vec<Operand> = (0..3).map(|k| b.load(s, 1, k, Ty::I32).into()).collect();
+        let mut stored = 0;
+        for _ in 0..12 {
+            let pick = |rng: &mut cfp_testkit::Rng| {
+                if rng.index(4) == 0 {
+                    Operand::Imm(rng.range_i64(-3..=3))
+                } else {
+                    *rng.pick(&vals)
+                }
+            };
+            let (x, y, z) = (pick(rng), pick(rng), pick(rng));
+            let (producer, value) = match rng.index(4) {
+                0 => {
+                    let c = b.cmp(*rng.pick(Pred::all()), x, y);
+                    let (t, f) = match rng.index(4) {
+                        0 => (x, y),
+                        1 => (y, x),
+                        2 => (x, z),
+                        _ => (z, y),
+                    };
+                    (c, b.sel(c, t, f))
+                }
+                1 => {
+                    let m = b.mul(x, y);
+                    let a = if rng.gen_bool() {
+                        b.add(m, z)
+                    } else {
+                        b.add(z, m)
+                    };
+                    (m, b.bin(BinOp::AShr, a, Operand::Imm(2)))
+                }
+                2 => {
+                    let a = b.add(x, y);
+                    (a, b.bin(BinOp::AShr, a, z))
+                }
+                _ => {
+                    let m = b.mul(x, y);
+                    (m, b.add(m, z))
+                }
+            };
+            match rng.index(6) {
+                // A second reader of the producer.
+                0 => {
+                    b.store(d, 16, stored, producer, Ty::I32);
+                    stored += 1;
+                }
+                // The producer carried around the loop.
+                1 => {
+                    let acc = b.fresh();
+                    b.carry_into(acc, producer, cfp_ir::CarriedInit::Const(0));
+                    vals.push(acc.into());
+                }
+                _ => {}
+            }
+            vals.push(value.into());
+        }
+        let last = *vals.last().unwrap();
+        b.store(d, 16, stored, last, Ty::I32);
+        b.finish()
+    }
+
+    #[test]
+    fn the_table_matcher_agrees_with_the_hand_written_arms_on_near_misses() {
+        let mut made = [0; FUSED_OPS.len()];
+        for case in 0..300 {
+            let mut rng = cfp_testkit::Rng::new(0xf05e_0a11 + case);
+            let k = near_misses(&mut rng);
+            cfp_ir::verify(&k).unwrap();
+            for rw in assert_plans_agree(
+                &k,
+                &format!("case {case}:\n{}", cfp_ir::pretty::Listing(&k)),
+            ) {
+                made[usize::from(rw.fused.fused_op().unwrap().0)] += 1;
+            }
+        }
+        assert!(made.iter().all(|&n| n > 0), "{made:?}");
     }
 }

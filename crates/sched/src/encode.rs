@@ -188,12 +188,8 @@ pub fn opcode_of(op: &SOp) -> u8 {
         (Some(Inst::Sel { .. }), _) => 23,
         (Some(Inst::Ld { .. }), _) => 24,
         (Some(Inst::St { .. }), _) => 25,
-        (Some(Inst::Fused { op, .. }), _) => match op {
-            cfp_ir::FusedOp::MulAdd => 31,
-            cfp_ir::FusedOp::Min => 32,
-            cfp_ir::FusedOp::Max => 33,
-            cfp_ir::FusedOp::AddShr => 34,
-        },
+        // One opcode per fused-operation table row, after the base ones.
+        (Some(Inst::Fused { op, .. }), _) => 31 + op.0,
         (None, OpOrigin::Move { .. }) => 26,
         (None, OpOrigin::StreamBump(_)) => 27,
         (None, OpOrigin::Induction) => 28,
@@ -525,11 +521,12 @@ mod tests {
         assert_eq!(decoded.len(), p.words.len());
         let total: usize = decoded.iter().map(Vec::len).sum();
         assert_eq!(total, r.assignment.code.ops.len());
-        // Every decoded opcode is a real opcode (31–34 are the fused
-        // extension opcodes).
+        // Every decoded opcode is a real opcode (31 up are the fused
+        // operation table's rows).
+        let last = 30 + cfp_ir::FUSED_OPS.len() as u8;
         for word in &decoded {
             for (_, op) in word {
-                assert!((1..=34).contains(&op.opcode), "{op:?}");
+                assert!((1..=last).contains(&op.opcode), "{op:?}");
             }
         }
     }

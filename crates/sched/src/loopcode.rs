@@ -15,7 +15,7 @@
 //! These overhead ops participate in scheduling, cluster assignment, and
 //! register pressure exactly like body ops.
 
-use cfp_ir::{ArrayId, FusedOp, Inst, Kernel, Vreg};
+use cfp_ir::{ArrayId, Inst, Kernel, Vreg};
 use cfp_machine::MachineResources;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -295,13 +295,9 @@ impl LoopCode {
 
 fn class_of(inst: &Inst, kernel: &Kernel) -> FuClass {
     if let Some(op) = inst.fused_op() {
-        // Fused ops issue under their own registered class; the machine
-        // description binds each to the unit it upgrades.
-        return match op {
-            FusedOp::MulAdd => FuClass::FMulAdd,
-            FusedOp::Min | FusedOp::Max => FuClass::FMinMax,
-            FusedOp::AddShr => FuClass::FAddShr,
-        };
+        // Fused ops issue under their extension's registered class; the
+        // machine description binds it to the unit the extension upgrades.
+        return FuClass::Fused(op.row().ext);
     }
     if inst.needs_mul_unit() {
         return FuClass::Mul;
@@ -388,5 +384,45 @@ mod tests {
         let lc = LoopCode::build(&k, &machine());
         // The hoisted tbl[0] load and the loop bound.
         assert_eq!(lc.resident.len(), 2);
+    }
+
+    /// The two fused-operation tables join by extension index: every
+    /// operation row names an extension row, every extension provides
+    /// some operation, an operation multiplies exactly when its
+    /// extension upgrades the multiplier, and a fused instruction issues
+    /// under its extension's class on that extension's unit.
+    #[test]
+    fn the_operation_table_joins_the_extension_table() {
+        use cfp_ir::{FusedOp, Operand, FUSED_OPS};
+        use cfp_machine::{ExtSet, UnitClass, EXTENSIONS};
+        let extended =
+            MachineResources::from_spec(&ArchSpec::baseline().with_extensions(ExtSet::ALL));
+        let empty = cfp_ir::KernelBuilder::new("k").finish();
+        for op in FusedOp::all() {
+            assert!(usize::from(op.row().ext) < EXTENSIONS.len(), "{op}");
+            let ext = &EXTENSIONS[usize::from(op.row().ext)];
+            assert_eq!(op.needs_mul_unit(), ext.unit == UnitClass::Mul, "{op}");
+            let inst = Inst::Fused {
+                dst: Vreg(0),
+                op,
+                a: Operand::Imm(1),
+                b: Operand::Imm(2),
+                c: Operand::Imm(3),
+            };
+            let class = class_of(&inst, &empty);
+            assert_eq!(class.code(), 5 + u32::from(op.row().ext), "{op}");
+            assert_eq!(extended.mdes.op(class).unit, ext.unit, "{op}");
+            assert!(
+                extended.mdes.registered_classes().any(|c| c == class),
+                "{op}"
+            );
+        }
+        for (i, ext) in EXTENSIONS.iter().enumerate() {
+            assert!(
+                FUSED_OPS.iter().any(|row| usize::from(row.ext) == i),
+                "extension {} provides no operation",
+                ext.name
+            );
+        }
     }
 }

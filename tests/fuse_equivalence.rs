@@ -32,15 +32,7 @@ use custom_fit::prelude::*;
 
 /// Every target subset, empty through ALL.
 fn all_targets() -> Vec<FuseTargets> {
-    let mut out = Vec::new();
-    for bits in 0..8_u8 {
-        out.push(FuseTargets {
-            mul_add: bits & 1 != 0,
-            min_max: bits & 2 != 0,
-            add_shr: bits & 4 != 0,
-        });
-    }
-    out
+    (0..8_u8).map(FuseTargets).collect()
 }
 
 #[test]
@@ -133,23 +125,17 @@ fn mine_predicts_fuse_on_every_benchmark() {
 /// exhibit; this pins only that every fused-op family occurs somewhere.)
 #[test]
 fn the_suite_exercises_every_fused_op_family() {
-    let mut mul_add = 0_u32;
-    let mut min_max = 0_u32;
-    let mut add_shr = 0_u32;
+    let mut mined = [0_u32; custom_fit::machine::EXTENSIONS.len()];
     for bench in Benchmark::ALL {
         let mut kernel = bench.kernel();
         custom_fit::opt::optimize(&mut kernel);
         for c in mine(&kernel) {
-            match c.op {
-                custom_fit::ir::FusedOp::MulAdd => mul_add += c.count,
-                custom_fit::ir::FusedOp::Min | custom_fit::ir::FusedOp::Max => min_max += c.count,
-                custom_fit::ir::FusedOp::AddShr => add_shr += c.count,
-            }
+            mined[usize::from(c.op.row().ext)] += c.count;
         }
     }
-    assert!(mul_add > 0, "no benchmark mines a multiply-add");
-    assert!(min_max > 0, "no benchmark mines a min/max clip");
-    assert!(add_shr > 0, "no benchmark mines an add-shift");
+    for (ext, n) in custom_fit::machine::EXTENSIONS.iter().zip(mined) {
+        assert!(n > 0, "no benchmark mines a `{}` operation", ext.name);
+    }
 }
 
 /// End to end through the machine layer: fused kernels compiled for

@@ -580,10 +580,9 @@ fn row_queues_match_the_oracle_where_the_corpus_is_thin() {
     for bits in 0..8 {
         let exts = ExtSet::from_bits(bits).expect("three extension bits");
         let mut classes = PLAIN.to_vec();
-        for fused in FuClass::FUSED {
-            if fused.ext().is_some_and(|e| exts.contains(e)) {
-                classes.extend([fused, fused]);
-            }
+        for i in exts.iter() {
+            let fused = FuClass::Fused(i as u8);
+            classes.extend([fused, fused]);
         }
         add(
             "extension set",
@@ -615,10 +614,10 @@ fn an_op_with_no_registered_row_never_issues() {
         .with_extensions(ExtSet::MINMAX);
     let machine = MachineResources::from_spec(&spec);
     let mut classes = PLAIN.to_vec();
-    classes.push(FuClass::FMinMax);
+    classes.push(FuClass::Fused(1));
     let mut rng = Rng::new(0x5EED_0013);
     let (mut assignment, ddg) = synthetic(&mut rng, &machine, &classes, 24);
-    assignment.code.ops[5].class = FuClass::FMulAdd;
+    assignment.code.ops[5].class = FuClass::Fused(0);
 
     let mut scratch = SchedScratch::new();
     let mut fuel = Fuel::unlimited();
