@@ -530,9 +530,8 @@ impl EvalScratch {
         match machine {
             Some((s, _)) if s == spec => {}
             // Registers are the one axis outside the scheduling
-            // signature: same datapath, different bank size. Patch the
-            // dealt register fields (shapes and description agree on
-            // `regs / clusters`) — the result is exactly `from_spec`.
+            // signature: same datapath, different bank size. Re-deal
+            // the register files — the result is exactly `from_spec`.
             Some((s, m))
                 if {
                     let mut sib = *s;
@@ -540,11 +539,7 @@ impl EvalScratch {
                     sib == *spec
                 } =>
             {
-                let per_cluster = spec.regs / spec.clusters;
-                for cl in &mut m.clusters {
-                    cl.regs = per_cluster;
-                }
-                m.mdes.retune_regs(spec.regs);
+                m.retune_regs(spec.regs);
                 *s = *spec;
             }
             _ => *machine = Some((*spec, MachineResources::from_spec(spec))),
@@ -690,7 +685,7 @@ impl Attempt {
         let excess: u32 = core
             .peak
             .iter()
-            .zip(&machine.clusters)
+            .zip(machine.mdes.clusters())
             .map(|(&p, c)| p.saturating_sub(c.regs))
             .sum();
         Attempt {

@@ -18,15 +18,15 @@
 //!   unit pipelines, the full latency when it does not — and a multiply
 //!   also takes one ALU issue slot. [`Mdes::reservations`] states it as
 //!   rows of one **reservation table**, row `5·cluster + unit` backed by
-//!   [`Mdes::units`] of that cluster and unit ([`Mdes::row_units`]).
+//!   [`Mdes::units`] of that cluster and unit ([`Mdes::row_units`]); an
+//!   issue's first row is its issue slot in the instruction word.
 //!
 //! Everything downstream consumes these tables instead of matching on
-//! hardcoded enums: `cfp-sched`'s lowering and issue scan, ResMII, the
-//! modulo schedulers and their validator, the simulator's resource
-//! validation, the spill-penalty model, and the
-//! scheduling signature (which hashes the MDES content so compilation
-//! reuse and checkpoint fingerprints track the description, not the
-//! tuple). Adding a design-space axis — e.g. pipelined Level-2 ports,
+//! hardcoded enums: all of `cfp-sched` (lowering, assignment, list and
+//! modulo scheduling, registers, encoding, simulation), the spill-penalty
+//! model, and the scheduling signature (which hashes the MDES content so
+//! compilation reuse and checkpoint fingerprints track the description,
+//! not the tuple). Adding a design-space axis — e.g. pipelined Level-2 ports,
 //! [`ArchSpec::with_pipelined_l2`] — therefore touches only this
 //! derivation.
 //!
@@ -55,12 +55,10 @@ pub const L1_LATENCY: u32 = 3;
 /// Latency of the loop-closing branch (cycles).
 pub const BRANCH_LATENCY: u32 = 1;
 
-/// The classes of schedulable operations. The discriminants are the
-/// codes of the scheduler's packed per-op side array
-/// (`meta & Mdes::CODE_MASK`), so an [`Mdes`] table row and a packed
-/// word name the same class. Codes 0–4 are the built-in classes every
-/// machine provides; code `5 + i` is the fused class of extension row
-/// `i`, which an extension set holding the row registers
+/// The classes of schedulable operations. [`OpClass::code`] indexes the
+/// op-class table: codes 0–4 are the built-in classes every machine
+/// provides; code `5 + i` is the fused class of extension row `i`, which
+/// an extension set holding the row registers
 /// ([`ArchSpec::with_extensions`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
@@ -80,7 +78,7 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// The built-in classes every machine provides, in packed-code order.
+    /// The built-in classes every machine provides, in code order.
     pub const ALL: [OpClass; 5] = [
         OpClass::Alu,
         OpClass::Mul,
@@ -93,7 +91,7 @@ impl OpClass {
     /// class per extension-table row.
     pub const COUNT: usize = OpClass::ALL.len() + EXTENSIONS.len();
 
-    /// The packed side-array code of this class.
+    /// This class's row in the op-class table.
     #[must_use]
     pub fn code(self) -> u32 {
         match self {
@@ -244,11 +242,6 @@ pub struct Mdes {
 }
 
 impl Mdes {
-    /// Bits of a packed issue-scan word that hold the op-class code.
-    pub const CODE_BITS: u32 = 4;
-    /// Mask selecting the code bits of a packed issue-scan word.
-    pub const CODE_MASK: u32 = (1 << Mdes::CODE_BITS) - 1;
-
     /// Derive the description from an architecture spec. Latencies
     /// follow the paper's Table 4 (`ALU_LATENCY` and friends above);
     /// unit counts follow the spec's round-robin cluster dealing; the
@@ -318,7 +311,7 @@ impl Mdes {
         &self.ops[class.code() as usize]
     }
 
-    /// The whole op-class table, in packed-code order (built-in rows
+    /// The whole op-class table, in code order (built-in rows
     /// first, then the fused rows whether or not they are registered).
     #[must_use]
     pub fn ops(&self) -> &[OpDesc; OpClass::COUNT] {
@@ -331,7 +324,7 @@ impl Mdes {
         self.exts
     }
 
-    /// The registered op classes, in packed-code order: every built-in,
+    /// The registered op classes, in code order: every built-in,
     /// then each fused class the extension set enables. This is the row
     /// set dumps render and the dynamic row count downstream tables are
     /// sized from.
@@ -351,36 +344,6 @@ impl Mdes {
     #[must_use]
     pub fn reserved_cycles(&self, class: OpClass) -> u32 {
         self.op(class).reserved_cycles()
-    }
-
-    /// The packed issue-scan word for `class`:
-    /// `(reserved_cycles << CODE_BITS) | code`. The scan dispatches on
-    /// the low [`Mdes::CODE_BITS`] bits and charges the reservation
-    /// duration from the rest.
-    #[must_use]
-    pub fn packed_meta(&self, class: OpClass) -> u32 {
-        (self.op(class).reserved_cycles() << Mdes::CODE_BITS) | class.code()
-    }
-
-    /// The issue scan's dispatch table: entry `k` is the [`UnitClass`]
-    /// discriminant of packed code `k`'s registered row, `u8::MAX` for
-    /// codes with no registered row (unknown codes and unregistered
-    /// fused rows — the scan refuses to issue those). Deriving the
-    /// table here keeps the scheduler's hot loop generated from the
-    /// description instead of matching hardcoded class codes.
-    #[must_use]
-    pub fn unit_codes(&self) -> [u8; 1 << Mdes::CODE_BITS] {
-        let mut tab = [u8::MAX; 1 << Mdes::CODE_BITS];
-        for class in self.registered_classes() {
-            // Discriminants fit in u8 by construction (5 unit classes).
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                tab[class.code() as usize] = self.op(class).unit as u8;
-            }
-        }
-        // The branch row never issues through the scan.
-        tab[OpClass::Branch.code() as usize] = u8::MAX;
-        tab
     }
 
     /// The unit table.
@@ -429,21 +392,32 @@ impl Mdes {
         self.clusters.iter().flat_map(|cl| cl.counts)
     }
 
+    /// The reservation-table row of the unit an issue of `class` on
+    /// cluster `c` occupies: `5·c +` its [`UnitClass`] discriminant.
+    #[must_use]
+    pub fn unit_row(&self, class: OpClass, c: usize) -> u32 {
+        (UnitClass::ALL.len() * c + self.op(class).unit as usize) as u32
+    }
+
     /// The reservation-table rows one issue of `class` on cluster `c`
-    /// holds: its unit's row for [`OpDesc::reserved_cycles`], and, when
-    /// that unit is the multiplier, one cycle of the cluster's ALU row
-    /// too — a multiply issues from an ALU slot. ResMII, the modulo
-    /// heuristic, the exact oracle, the modulo validator and the
-    /// simulator all read the reservation model from here.
+    /// holds: its unit's row ([`Mdes::unit_row`]) for
+    /// [`OpDesc::reserved_cycles`], and, when that unit is the
+    /// multiplier, one cycle of the cluster's ALU row too — a multiply
+    /// issues from an ALU slot.
+    ///
+    /// The first reservation is the **issue slot**: the row whose units
+    /// are the instruction-word slots the op is encoded in (a multiply
+    /// sits in an ALU slot). Any later row is its unit's own, so classes
+    /// bound to different units share a row only as their issue slot.
+    /// Every back-end reader of the reservation model reads it here.
     pub fn reservations(&self, class: OpClass, c: usize) -> impl Iterator<Item = ResReq> {
         let op = self.op(class);
-        let row = |unit: UnitClass| (UnitClass::ALL.len() * c + unit as usize) as u32;
         let issue_slot = (op.unit == UnitClass::Mul).then(|| ResReq {
-            row: row(UnitClass::Alu),
+            row: self.unit_row(OpClass::Alu, c),
             reserved: 1,
         });
         issue_slot.into_iter().chain(std::iter::once(ResReq {
-            row: row(op.unit),
+            row: self.unit_row(class, c),
             reserved: op.reserved_cycles(),
         }))
     }
@@ -586,17 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_meta_encodes_reservation_over_code() {
-        let spec = ArchSpec::baseline().with_extensions(ExtSet::ALL);
-        let m = Mdes::from_spec(&spec);
-        for class in m.registered_classes() {
-            let meta = m.packed_meta(class);
-            assert_eq!(meta & Mdes::CODE_MASK, class.code());
-            assert_eq!(meta >> Mdes::CODE_BITS, m.reserved_cycles(class));
-        }
-    }
-
-    #[test]
     fn fused_rows_register_with_the_extension_set() {
         let spec = ArchSpec::new(8, 4, 256, 2, 8, 2).unwrap();
         let plain = Mdes::from_spec(&spec);
@@ -619,27 +582,6 @@ mod tests {
         assert_eq!(classes[5].code(), 5);
         // The unit table is untouched: fused ops occupy existing units.
         assert_eq!(plain.clusters(), ext.clusters());
-    }
-
-    #[test]
-    fn unit_codes_dispatch_registered_rows_only() {
-        let spec = ArchSpec::new(8, 4, 256, 2, 8, 2).unwrap();
-        let plain = Mdes::from_spec(&spec).unit_codes();
-        assert_eq!(plain[0], UnitClass::Alu as u8);
-        assert_eq!(plain[1], UnitClass::Mul as u8);
-        assert_eq!(plain[2], UnitClass::L1Port as u8);
-        assert_eq!(plain[3], UnitClass::L2Port as u8);
-        // Branch places separately; unregistered and unknown codes are
-        // refused.
-        assert_eq!(plain[4], u8::MAX);
-        for (k, &code) in plain.iter().enumerate().skip(5) {
-            assert_eq!(code, u8::MAX, "code {k}");
-        }
-        let ext = Mdes::from_spec(&spec.with_extensions(ExtSet::ALL)).unit_codes();
-        assert_eq!(ext[..5], plain[..5]);
-        assert_eq!(ext[5], UnitClass::Mul as u8);
-        assert_eq!(ext[6], UnitClass::Alu as u8);
-        assert_eq!(ext[7], UnitClass::Alu as u8);
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! The reservation-table view of an architecture, as consumed by the
-//! list scheduler in `cfp-sched`.
+//! A machine ready for the back end in `cfp-sched`.
 //!
-//! All hardware facts — latencies, pipelining, unit counts — live in the
-//! embedded machine description ([`Mdes`], see [`crate::mdes`]); this
-//! module keeps beside it the per-cluster [`ClusterShape`]s the spec
-//! deals, which the scheduler's cluster assignment and register-pressure
-//! passes index directly.
+//! Every hardware fact — latencies, pipelining, unit and register
+//! counts per cluster — lives in the embedded machine description
+//! ([`Mdes`], see [`crate::mdes`]), and the workspace reads it there.
 
 use crate::arch::{ArchSpec, ClusterShape};
 use crate::mdes::{Mdes, OpClass};
@@ -14,6 +11,8 @@ use crate::mdes::{Mdes, OpClass};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineResources {
     /// Per-cluster shapes as the spec deals them; index = cluster id.
+    /// Nothing in the workspace reads them (CI's lint holds that): they
+    /// stay for the frozen benchmark package, which reads their `regs`.
     pub clusters: Vec<ClusterShape>,
     /// Level-2 access latency (cycles).
     pub l2_latency: u32,
@@ -35,7 +34,16 @@ impl MachineResources {
     /// Number of clusters.
     #[must_use]
     pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
+        self.mdes.cluster_count()
+    }
+
+    /// Re-deal the register files for a new total, in place: exactly
+    /// `from_spec` of the sibling spec ([`Mdes::retune_regs`]).
+    pub fn retune_regs(&mut self, total_regs: u32) {
+        self.mdes.retune_regs(total_regs);
+        for (cl, units) in self.clusters.iter_mut().zip(self.mdes.clusters()) {
+            cl.regs = units.regs;
+        }
     }
 
     /// Result latency of an op class, from the machine description.

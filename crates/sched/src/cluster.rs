@@ -22,7 +22,7 @@ use crate::ddg::Ddg;
 use crate::loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
 use crate::scratch::SchedScratch;
 use cfp_ir::{Operand, Vreg};
-use cfp_machine::MachineResources;
+use cfp_machine::{MachineResources, OpClass, UnitClass};
 
 /// The result of cluster assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,12 +147,13 @@ pub fn assign_in(
         mem_load.clear();
         mem_load.resize(nc, 0.0);
         // Bit `k` of `legal[c]`: cluster `c` has a unit of the class the
-        // machine description binds op class `k` to.
+        // machine description binds op class `k` to (one `u32` bit each).
+        const _: () = assert!(OpClass::COUNT <= 32);
         legal.clear();
         for c in 0..nc {
-            let mut mask = 0_u8;
+            let mut mask = 0_u32;
             for (k, class) in machine.mdes.ops().iter().enumerate() {
-                mask |= u8::from(machine.mdes.units(c, class.unit) > 0) << k;
+                mask |= u32::from(machine.mdes.units(c, class.unit) > 0) << k;
             }
             legal.push(mask);
         }
@@ -193,7 +194,8 @@ pub fn assign_in(
                 mem_load[ci] += 1.0;
             } else {
                 alu_load[ci] += 1.0;
-                alu_share[ci] = alu_load[ci] / f64::from(machine.clusters[ci].alus.max(1));
+                alu_share[ci] =
+                    alu_load[ci] / f64::from(machine.mdes.units(ci, UnitClass::Alu).max(1));
             }
             if let Some(d) = op.def {
                 home[d.index()] = c;

@@ -242,7 +242,7 @@ pub fn try_compile_core(
 pub fn finish(core: &SchedCore, machine: &MachineResources) -> CompileResult {
     let pressure = PressureReport {
         peak: core.peak.clone(),
-        capacity: machine.clusters.iter().map(|cl| cl.regs).collect(),
+        capacity: machine.mdes.clusters().iter().map(|cl| cl.regs).collect(),
     };
     let spill_penalty = spill_penalty_cycles(pressure.spill_excess(), machine);
     CompileResult {

@@ -5,17 +5,19 @@
 //! style of the Multiflow encodings the paper's machines descend from:
 //!
 //! * every cycle is one *instruction word* made of fixed-width
-//!   **operation slots** — one per ALU, memory port, and branch unit of
-//!   each cluster, in cluster order;
+//!   **operation slots** — one per unit of each reservation-table row
+//!   that is some op's issue slot ([`cfp_machine::Mdes::reservations`]),
+//!   in row order: per cluster its ALUs, memory ports and branch unit.
+//!   The occupancy mask is one `u64`, so a word holds at most 64 slots;
 //! * each slot packs `opcode(6) | dst(9) | src1(10) | src2(10) |
 //!   src3(10)` into 45 bits (stored in a `u64`; the third source exists
 //!   for the select operation). A source field holds either a register
 //!   number or an index into the word's **immediate pool** (32-bit
 //!   literals appended to the word — the "long immediates" VLIWs are
 //!   named for);
-//! * empty slots are NOPs. Because wide machines are mostly empty, words
-//!   are stored **compressed**: a slot-occupancy mask plus only the
-//!   occupied slots (the classic VLIW NOP-compression scheme);
+//! * empty slots are NOPs, and words are stored **compressed**: the
+//!   occupancy mask plus only the occupied slots (the classic VLIW
+//!   NOP-compression scheme);
 //! * the encoder reports code size both raw and compressed — the code
 //!   bloat of a given architecture is itself a design-space observable.
 //!
@@ -27,9 +29,10 @@ use crate::list::Schedule;
 use crate::loopcode::{OpOrigin, SOp};
 use crate::regalloc::{allocate, AllocError};
 use cfp_ir::{BinOp, Inst, Operand, Pred, UnOp, Vreg};
-use cfp_machine::{MachineResources, UnitClass};
+use cfp_machine::{MachineResources, Mdes};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Bits per operation slot.
 pub const SLOT_BITS: u32 = 45;
@@ -39,6 +42,8 @@ pub const REG_BITS: u32 = 9;
 pub const SRC_BITS: u32 = 10;
 /// Opcode field width.
 pub const OPCODE_BITS: u32 = 6;
+/// Slots per word the format can hold: one bit each of [`InstWord::mask`].
+pub const MAX_SLOTS: usize = 64;
 
 /// One operation slot's decoded form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +132,12 @@ pub enum EncodeError {
         /// Offending op index.
         op: usize,
     },
+    /// The machine's words have more slots than the 64-bit occupancy
+    /// mask can name ([`MAX_SLOTS`]).
+    TooManySlots {
+        /// Slots per word on the machine.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for EncodeError {
@@ -141,6 +152,10 @@ impl fmt::Display for EncodeError {
                 write!(f, "immediate pool overflow in cycle {cycle}")
             }
             EncodeError::NoSlot { op } => write!(f, "no hardware slot for op {op}"),
+            EncodeError::TooManySlots { slots } => write!(
+                f,
+                "{slots} slots per word exceed the {MAX_SLOTS}-slot occupancy mask"
+            ),
         }
     }
 }
@@ -199,30 +214,28 @@ pub fn opcode_of(op: &SOp) -> u8 {
     }
 }
 
-/// The order in which a cluster's unit classes map to issue-slot
-/// regions. Multiplies issue from ALU slots (mul-capable ones), so
-/// `UnitClass::Mul` contributes no region of its own.
-const SLOT_ORDER: [UnitClass; 4] = [
-    UnitClass::Alu,
-    UnitClass::L1Port,
-    UnitClass::L2Port,
-    UnitClass::Branch,
-];
-
-/// Slot layout: for each cluster, `alus` ALU slots, then its memory
-/// ports (L1 then L2), then the branch unit if present. Returns the base
-/// slot index of each cluster region and the total slot count.
-fn slot_layout(machine: &MachineResources) -> (Vec<usize>, usize) {
-    let mut bases = Vec::with_capacity(machine.cluster_count());
-    let mut next = 0_usize;
-    for c in 0..machine.cluster_count() {
-        bases.push(next);
-        next += SLOT_ORDER
-            .iter()
-            .map(|&u| machine.mdes.units(c, u) as usize)
-            .sum::<usize>();
+/// Slot layout, read from the reservation table: every row that is some
+/// registered class's issue slot (its first reservation,
+/// [`Mdes::reservations`]) gets one slot per unit, in row order — per
+/// cluster its ALU slots (multiplies issue there too), memory ports and
+/// branch unit. Returns each row's slot range and the slot count.
+fn slot_layout(mdes: &Mdes) -> (Vec<Range<usize>>, usize) {
+    let mut slot_rows = vec![false; mdes.row_units().count()];
+    for c in 0..mdes.cluster_count() {
+        for r in mdes
+            .registered_classes()
+            .filter_map(|k| mdes.reservations(k, c).next())
+        {
+            slot_rows[r.row as usize] = true;
+        }
     }
-    (bases, next)
+    let mut next = 0_usize;
+    let slots = mdes.row_units().zip(slot_rows).map(|(units, is_slot)| {
+        let lo = next;
+        next += usize::from(is_slot) * units as usize;
+        lo..next
+    });
+    (slots.collect(), next)
 }
 
 fn pack(op: EncodedOp) -> u64 {
@@ -318,6 +331,10 @@ fn encode_inner(
     schedule: &Schedule,
     machine: &MachineResources,
 ) -> Result<Program, EncodeError> {
+    let (slots, total_slots) = slot_layout(&machine.mdes);
+    if total_slots > MAX_SLOTS {
+        return Err(EncodeError::TooManySlots { slots: total_slots });
+    }
     let phys = allocate(assignment, schedule, machine)?;
     let resolve = |v: Vreg, cluster: u32| -> Result<u16, EncodeError> {
         // Local first; a move reads its source from the owning cluster's
@@ -326,7 +343,6 @@ fn encode_inner(
             .or_else(|| assignment.home_of.get(&v).and_then(|&h| phys.get(v, h)))
             .ok_or(EncodeError::Unallocated(v))
     };
-    let (bases, total_slots) = slot_layout(machine);
     let code = &assignment.code;
     let n_words = schedule.length as usize;
 
@@ -356,28 +372,14 @@ fn encode_inner(
 
     for (i, op) in code.ops.iter().enumerate() {
         let p = schedule.placements[i];
-        let cl = p.cluster as usize;
-        // Region offsets within the cluster: walk SLOT_ORDER up to the
-        // op's unit region (multiplies fold onto the ALU slots), reading
-        // every width from the machine description.
-        let unit = machine.mdes.op(op.class).unit;
-        let region = if unit == UnitClass::Mul {
-            UnitClass::Alu
-        } else {
-            unit
-        };
-        let mut lo = 0_usize;
-        for &u in &SLOT_ORDER {
-            if u == region {
-                break;
-            }
-            lo += machine.mdes.units(cl, u) as usize;
-        }
-        let hi = lo + machine.mdes.units(cl, region) as usize;
+        let issue_row = machine
+            .mdes
+            .reservations(op.class, p.cluster as usize)
+            .next();
         let word = &mut words[p.cycle as usize];
         let row = &mut raw_slots[p.cycle as usize * total_slots..][..total_slots];
-        let slot = (bases[cl] + lo..bases[cl] + hi)
-            .find(|&s| row[s].is_none())
+        let slot = issue_row
+            .and_then(|r| slots[r.row as usize].clone().find(|&s| row[s].is_none()))
             .ok_or(EncodeError::NoSlot { op: i })?;
 
         let mut fields = [SrcField::None, SrcField::None, SrcField::None];
@@ -463,15 +465,11 @@ pub fn decode(program: &Program) -> Vec<Vec<(usize, EncodedOp)>> {
         .words
         .iter()
         .map(|w| {
-            let mut out = Vec::with_capacity(w.ops.len());
-            let mut op_iter = w.ops.iter();
-            for slot in 0..64 {
-                if w.mask & (1 << slot) != 0 {
-                    let raw = op_iter.next().expect("mask matches ops");
-                    out.push((slot, unpack(*raw)));
-                }
-            }
-            out
+            let mut ops = w.ops.iter();
+            (0..MAX_SLOTS)
+                .filter(|s| w.mask >> s & 1 == 1)
+                .map(|s| (s, unpack(*ops.next().expect("mask matches ops"))))
+                .collect()
         })
         .collect()
 }
@@ -529,6 +527,35 @@ mod tests {
                 assert!((1..=last).contains(&op.opcode), "{op:?}");
             }
         }
+    }
+
+    #[test]
+    fn words_wider_than_the_occupancy_mask_are_refused() {
+        let k = compile_kernel(SRC, &[]).unwrap();
+        for (spec, slots) in [((128, 32, 512, 16), 146), ((60, 4, 256, 3), 65)] {
+            let spec = ArchSpec::new(spec.0, spec.1, spec.2, spec.3, 4, 1).unwrap();
+            let m = MachineResources::from_spec(&spec);
+            let r = compile(&k, &m);
+            let refused = Err(EncodeError::TooManySlots { slots });
+            assert_eq!(encode(&r.assignment, &r.schedule, &m), refused, "{spec}");
+        }
+    }
+
+    #[test]
+    fn a_full_64_slot_word_round_trips() {
+        // 60 ALU slots, the Level-1 and two Level-2 ports, the branch.
+        let (p, r, _) = program_for(SRC, &ArchSpec::new(60, 4, 256, 2, 4, 1).unwrap());
+        assert_eq!(p.slots_per_word, MAX_SLOTS);
+        let decoded = decode(&p);
+        for (word, ops) in p.words.iter().zip(&decoded) {
+            assert_eq!(word.mask.count_ones() as usize, ops.len());
+        }
+        let total: usize = decoded.iter().map(Vec::len).sum();
+        assert_eq!(total, r.assignment.code.ops.len());
+        // The loop branch sits in the word's top slot, bit 63.
+        let branch = r.schedule.placements[r.assignment.code.branch_index()];
+        let top = decoded[branch.cycle as usize].last().expect("the branch");
+        assert_eq!((top.0, top.1.opcode), (63, 30));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Resource-constrained list scheduling.
 //!
-//! A classic cycle-driven list scheduler with critical-path priority:
+//! A classic cycle-driven list scheduler with critical-path priority.
+//! Every resource fact is the machine description's reservation table
+//! ([`cfp_machine::Mdes::reservations`], [`cfp_machine::Mdes::row_units`]):
 //!
-//! * each cluster issues at most `alus` ALU-class ops per cycle, of which
-//!   at most `muls` may be multiplies;
-//! * each memory port reserves per the machine description
-//!   ([`cfp_machine::Mdes`]): a non-pipelined port stays busy for the
-//!   full access latency, a pipelined one accepts a new access every
-//!   cycle;
+//! * an op issues when each row its class reserves on its cluster has a
+//!   free unit — so a cluster issues at most `alus` ALU-class ops a
+//!   cycle, of which at most `muls` multiplies (a multiply also holds an
+//!   ALU slot);
+//! * a reservation holds its row for its cycles: a non-pipelined memory
+//!   port for the full access latency, a pipelined unit for one;
 //! * the single branch unit lives on cluster 0, and the loop-closing
 //!   branch is placed in the last instruction word;
 //! * the loop is a barrier: the next iteration starts once every result
@@ -15,21 +17,22 @@
 //!   unroll-and-list-schedule discipline of the Multiflow line).
 //!
 //! Engineering (see DESIGN.md §11): ready ops wait in one binary heap of
-//! packed `(priority, !index)` keys per (cluster, issue row) — ALU, IMUL,
-//! L1 port, L2 port. An op's issue verdict depends only on its own
-//! cluster's rows and on the higher-priority ops contending for them, and
-//! a row that refuses one op refuses every lower-priority op behind it,
-//! so each cycle pops a row's queue until its first refusal and stops: a
-//! cycle costs O(ops issued + rows), not O(ops ready). Newly eligible
-//! ops wait in a calendar ring bucketed by earliest legal cycle (O(1)
-//! per op; dependence latencies bound how far ahead a cycle can be).
-//! Issue slots are `u64` bitmask rows, op class and latency are read
-//! from a packed side array, and every buffer lives in a caller-provided
+//! packed `(priority, !index)` keys per (cluster, unit row their class
+//! binds to). Queues that share a row form a group, walked each cycle as
+//! one descending stream; a row that refuses one op refuses every
+//! lower-priority op behind it, so a full row closes every queue holding
+//! it: a cycle costs O(ops issued + queues), not O(ops ready). Occupancy
+//! is a free-unit count per row plus a ring, as long as the longest
+//! reservation, of the units each cycle hands back — issue cycles never
+//! go down and a reservation starts at its issue, so a row has a free
+//! unit at `t` exactly when fewer than its units are reserved across
+//! `t`. Newly eligible ops wait in a calendar ring bucketed by earliest
+//! legal cycle, and every buffer lives in a caller-provided
 //! [`SchedScratch`]. Schedules, fuel verdicts, and
 //! [`crate::error::Fuel::spent`] step counts are bit-identical to the
-//! straightforward flat-list implementation — fuel still prices semantic
-//! scan events (`1 + ops in play` per scan), not data-structure
-//! operations (`tests/sched_equivalence.rs` pins all three).
+//! straightforward flat-list implementation — fuel prices semantic scan
+//! events (`1 + ops in play` per scan), not data-structure operations
+//! (`tests/sched_equivalence.rs` pins all three).
 //!
 //! The portfolio ([`try_schedule_in`]) runs the critical-path arm, then
 //! the source-order arm only if the first fell short of the lower bound
@@ -42,8 +45,8 @@ use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::OpOrigin;
 use crate::modulo::res_mii_in;
-use crate::scratch::{row_has_room, row_take, SchedScratch};
-use cfp_machine::{MachineResources, Mdes};
+use crate::scratch::SchedScratch;
+use cfp_machine::{MachineResources, OpClass};
 use std::collections::BinaryHeap;
 
 /// Where one op landed.
@@ -85,10 +88,20 @@ impl Schedule {
 /// Hard cap so a scheduler bug cannot spin forever.
 const MAX_CYCLES: u32 = 1 << 20;
 
-/// Ready queues per cluster, one per issue row. The queue index within a
-/// cluster is the row's [`cfp_machine::UnitClass`] discriminant (ALU,
-/// IMUL, L1 port, L2 port); the branch unit has no queue.
-const ROWS: usize = 4;
+/// `op_queue` of an op that never issues (the branch, unregistered classes).
+const NO_QUEUE: u32 = u32::MAX;
+
+/// One ready queue of the issue walk: the queue of reservation-table
+/// row `row`, holding the reservations `lo..hi` of the scratch arena's
+/// `walk_reqs`, walked with the queues issuing from the same slot row —
+/// the walk's queues before index `end`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IssueQueue {
+    end: u32,
+    row: u32,
+    lo: usize,
+    hi: usize,
+}
 
 /// Ready-list priority function — an ablation knob. Critical-path
 /// priority is the classic choice (and this back end's default); source
@@ -273,9 +286,11 @@ pub fn schedule_with_fuel_in(
         issued,
         list_probes,
         cal,
-        op_meta,
-        port_base,
-        port_free,
+        op_queue,
+        room,
+        ring,
+        walk,
+        walk_reqs,
         ..
     } = scratch;
 
@@ -287,29 +302,56 @@ pub fn schedule_with_fuel_in(
     issue.clear();
     issue.resize(n, u32::MAX);
 
-    // Per-(cluster, level) memory ports: `port_free` holds each port's
-    // free-at cycle in one flat array, `port_base[2c + level]` is the
-    // slice start.
-    port_base.clear();
-    port_base.push(0);
-    for cl in &machine.clusters {
-        for ports in [cl.l1_ports, cl.l2_ports] {
-            let prev = *port_base.last().expect("seeded");
-            port_base.push(prev + ports);
+    // The issue walk, read from the reservation table. On each cluster,
+    // every registered class but the branch (which places last) queues
+    // on its unit's row; classes bound to one unit reserve alike. Queues
+    // issuing from one slot row, their first reservation, form a group:
+    // a multiply's queue joins the ALU queue through the ALU slot it
+    // issues from. No other row is shared ([`Mdes::reservations`]).
+    let mdes = &machine.mdes;
+    let mut issues = [false; OpClass::COUNT];
+    for class in mdes.registered_classes() {
+        issues[class.code() as usize] = class != OpClass::Branch;
+    }
+    walk.clear();
+    walk_reqs.clear();
+    for c in 0..nc {
+        let first = walk.len();
+        for class in mdes.registered_classes() {
+            let row = mdes.unit_row(class, c);
+            if issues[class.code() as usize] && walk[first..].iter().all(|q| q.row != row) {
+                let lo = walk_reqs.len();
+                walk_reqs.extend(mdes.reservations(class, c));
+                let hi = walk_reqs.len();
+                walk.push(IssueQueue {
+                    end: 0,
+                    row,
+                    lo,
+                    hi,
+                });
+            }
+        }
+        let slot = |q: &IssueQueue| walk_reqs[q.lo].row;
+        walk[first..].sort_unstable_by_key(|q| (slot(q), q.row));
+        for k in (first..walk.len()).rev() {
+            let next = walk.get(k + 1).filter(|q| slot(q) == slot(&walk[k]));
+            walk[k].end = next.map_or(k as u32 + 1, |q| q.end);
+            assert!(walk[k].end as usize - k <= 64, "a group fits one mask word");
         }
     }
-    let total_ports = *port_base.last().expect("seeded") as usize;
-    port_free.clear();
-    port_free.resize(total_ports, 0);
-
-    // Dense per-op descriptor `(reserved_cycles << CODE_BITS) | code`,
-    // straight from the machine description's reservation model. The
-    // unit class the description binds each code to picks the op's
-    // queue — fused classes registered by an extension set issue on the
-    // unit they upgrade with no scheduler change.
-    op_meta.clear();
-    op_meta.extend(code.ops.iter().map(|op| machine.mdes.packed_meta(op.class)));
-    let unit_tab = machine.mdes.unit_codes();
+    // Occupancy (module doc): `room[row]` free units at the current
+    // cycle, `ring[(t mod span)·rows + row]` units handed back at `t`.
+    let span = walk_reqs.iter().map(|r| r.reserved).max().unwrap_or(1) as usize;
+    room.clear();
+    room.extend(mdes.row_units());
+    let rows = room.len();
+    ring.clear();
+    ring.resize(span * rows, 0);
+    op_queue.clear();
+    for (op, &c) in code.ops.iter().zip(&assignment.cluster_of_op) {
+        let row = issues[op.class.code() as usize].then(|| mdes.unit_row(op.class, c as usize));
+        op_queue.push(row.unwrap_or(NO_QUEUE));
+    }
 
     let pri_of = |i: usize| match priority {
         Priority::CriticalPath => ddg.height[i],
@@ -317,7 +359,7 @@ pub fn schedule_with_fuel_in(
     };
 
     // Enabled-but-unissued ops live in one of two structures: the ready
-    // queue of their (cluster, issue row) — operands available, waiting
+    // queue of their (cluster, unit row) — operands available, waiting
     // for a slot — or `cal` (operands still in flight; a calendar ring of
     // buckets indexed by earliest legal cycle mod the ring width). An op
     // enabled at cycle `t` has its earliest cycle in
@@ -336,8 +378,8 @@ pub fn schedule_with_fuel_in(
     for q in queues.iter_mut() {
         q.clear(); // likewise
     }
-    if queues.len() < ROWS * nc {
-        queues.resize_with(ROWS * nc, BinaryHeap::new);
+    if queues.len() < rows {
+        queues.resize_with(rows, BinaryHeap::new);
     }
     let mut in_play = 0_u64;
     for (i, &p) in pending.iter().enumerate() {
@@ -350,22 +392,26 @@ pub fn schedule_with_fuel_in(
     let mut scheduled = 0_usize;
     let total_non_branch = n - 1;
 
+    // The walk's tables as plain slices, held in registers across it.
+    let (walk, walk_reqs) = (&walk[..], &walk_reqs[..]);
+    let (room, ring, queues) = (&mut room[..], &mut ring[..], &mut queues[..]);
+    // The head key of each queue of the group being walked.
+    let mut heads = [0_u64; 64];
+    // `ring`'s slot of cycle `t`: `(t mod span)·rows`.
+    let mut now = 0_usize;
     let mut t = 0_u32;
     while scheduled < total_non_branch {
         if t >= MAX_CYCLES {
             return Err(SchedError::CycleCapExceeded { cap: MAX_CYCLES });
         }
         // Ops whose operands arrive at `t` graduate into their row's
-        // queue. Branch places separately and codes with no registered
-        // row (unregistered fused classes, unknown codes) never issue:
-        // neither is queued.
+        // queue. Branch places separately and classes with no registered
+        // row never issue: neither is queued.
         let bucket = &mut cal[t as usize % w];
         for &i in bucket.iter() {
-            let i = i as usize;
-            let unit = unit_tab[(op_meta[i] & Mdes::CODE_MASK) as usize] as usize;
-            if unit < ROWS {
-                let c = assignment.cluster_of_op[i] as usize;
-                queues[ROWS * c + unit].push(ready_key(pri_of(i), i));
+            let q = op_queue[i as usize];
+            if q != NO_QUEUE {
+                queues[q as usize].push(ready_key(pri_of(i as usize), i as usize));
             }
         }
         bucket.clear();
@@ -373,69 +419,65 @@ pub fn schedule_with_fuel_in(
         // identical to the flat-list scheduler's accounting.
         fuel.spend(1 + in_play)?;
         issued.clear();
-        for (c, (cl, rows)) in machine
-            .clusters
-            .iter()
-            .zip(queues.chunks_exact_mut(ROWS))
-            .enumerate()
-        {
-            let [alu_q, mul_q, mem_qs @ ..] = rows else {
-                unreachable!("chunks of ROWS queues")
-            };
-            // ALU and IMUL rows (UnitClass::Alu, UnitClass::Mul): a
-            // multiply also takes an ALU slot, so the two queues are
-            // walked as one descending stream. A full ALU row ends both;
-            // a full IMUL row only closes the multiply side.
-            let (mut alu_row, mut mul_row) = (0_u64, 0_u64);
-            let mut mul_open = true;
-            loop {
-                let a = alu_q.peek().copied();
-                let m = if mul_open {
-                    mul_q.peek().copied()
-                } else {
-                    None
-                };
-                let Some(key) = a.max(m) else { break };
-                *list_probes += 1;
-                if !row_has_room(alu_row, cl.alus) {
-                    break;
+        // Reservations ending at `t` hand their units back.
+        for (free, back) in room.iter_mut().zip(&mut ring[now..now + rows]) {
+            *free += std::mem::take(back);
+        }
+        let mut probes = 0;
+        let mut g = 0;
+        while g < walk.len() {
+            let group = &walk[g..walk[g].end as usize];
+            g += group.len();
+            // The group's queues as one descending stream. A row that
+            // refuses one op refuses every lower-priority op behind it,
+            // so a full row closes every queue holding it for the cycle.
+            let mut open = 0_u64;
+            for (j, q) in group.iter().enumerate() {
+                if let Some(&key) = queues[q.row as usize].peek() {
+                    heads[j] = key;
+                    open |= 1 << j;
                 }
-                if m == Some(key) {
-                    if !row_has_room(mul_row, cl.muls) {
-                        mul_open = false;
-                        continue;
-                    }
-                    row_take(&mut mul_row, cl.muls);
-                    mul_q.pop();
-                } else {
-                    alu_q.pop();
-                }
-                row_take(&mut alu_row, cl.alus);
-                issued.push(key_index(key) as u32);
             }
-            // Memory ports, Level 1 then 2: each issue takes the first
-            // free port for the reservation duration the description
-            // prescribes. Ports taken this cycle stay busy, so one
-            // forward cursor finds every first-free port of the cycle.
-            for (level, q) in mem_qs.iter_mut().enumerate() {
-                let li = 2 * c + level;
-                let free = &mut port_free[port_base[li] as usize..port_base[li + 1] as usize];
-                let mut p = 0;
-                while let Some(&key) = q.peek() {
-                    *list_probes += 1;
-                    while p < free.len() && free[p] > t {
-                        p += 1;
+            while open != 0 {
+                let mut j = open.trailing_zeros() as usize;
+                let mut rest = open & (open - 1);
+                while rest != 0 {
+                    let k = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    if heads[k] > heads[j] {
+                        j = k;
                     }
-                    if p == free.len() {
-                        break;
+                }
+                probes += 1;
+                let reqs = &walk_reqs[group[j].lo..group[j].hi];
+                if let Some(full) = reqs.iter().find(|r| room[r.row as usize] == 0) {
+                    // Every queue of the group holds its slot row; a later
+                    // row is this queue's unit's own.
+                    open &= if full.row == reqs[0].row {
+                        0
+                    } else {
+                        !(1 << j)
+                    };
+                    continue;
+                }
+                for r in reqs {
+                    room[r.row as usize] -= 1;
+                    let mut at = now + r.reserved as usize * rows;
+                    if at >= ring.len() {
+                        at -= ring.len();
                     }
-                    let i = key_index(key);
-                    free[p] = t + (op_meta[i] >> Mdes::CODE_BITS);
-                    q.pop();
-                    issued.push(i as u32);
+                    ring[at + r.row as usize] += 1;
+                }
+                issued.push(key_index(heads[j]) as u32);
+                let queue = &mut queues[group[j].row as usize];
+                queue.pop();
+                match queue.peek() {
+                    Some(&key) => heads[j] = key,
+                    None => open &= !(1 << j),
                 }
             }
         }
+        *list_probes += probes;
         if !issued.is_empty() {
             scheduled += issued.len();
             in_play -= issued.len() as u64;
@@ -461,6 +503,10 @@ pub fn schedule_with_fuel_in(
             fuel.spend(1 + in_play)?;
         }
         t += 1;
+        now += rows;
+        if now == ring.len() {
+            now = 0;
+        }
     }
 
     // Branch in the last word (or later if its own operand is not ready).

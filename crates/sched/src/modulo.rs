@@ -58,7 +58,7 @@ use crate::cluster::Assignment;
 use crate::ddg::{Ddg, MemAccess};
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::LoopCode;
-use crate::scratch::{row_has_room, row_take, SchedScratch};
+use crate::scratch::SchedScratch;
 pub use cfp_machine::ResReq;
 use cfp_machine::{MachineResources, UnitClass};
 use cfp_obs::{Stage, UnitTrace, Value};
@@ -772,8 +772,8 @@ impl<'a> PipelineProblem<'a> {
                         for dt in 0..r.reserved {
                             let res = ((slot + dt) % ii) as usize;
                             let cell = &mut mod_rows[row * ii as usize + res];
-                            row_take(cell, k);
-                            if !row_has_room(*cell, k) {
+                            *cell += 1;
+                            if *cell >= k {
                                 mod_full[row * words + res / 64] |= 1 << (res % 64);
                             }
                         }
@@ -1439,7 +1439,7 @@ mod tests {
 
     /// The scan `first_fit` replaces: every candidate probed in turn.
     fn linear_first_fit(
-        rows: &[u64],
+        rows: &[u32],
         row_units: &[u32],
         ii: u32,
         reqs: &[ResReq],
@@ -1452,7 +1452,7 @@ mod tests {
                 r.reserved <= ii
                     && (0..r.reserved).all(|dt| {
                         let cell = r.row as usize * ii as usize + ((slot + dt) % ii) as usize;
-                        row_has_room(rows[cell], row_units[r.row as usize])
+                        rows[cell] < row_units[r.row as usize]
                     })
             });
             if fits {
@@ -1464,12 +1464,12 @@ mod tests {
 
     /// Each row's full residues, as `search_ii` keeps them for
     /// `first_fit`.
-    fn full_bitmaps(rows: &[u64], row_units: &[u32], ii: u32) -> Vec<u64> {
+    fn full_bitmaps(rows: &[u32], row_units: &[u32], ii: u32) -> Vec<u64> {
         let (n, words) = (ii as usize, (ii as usize).div_ceil(64));
         let mut full = vec![0_u64; row_units.len() * words];
         for (k, &cell) in rows.iter().enumerate() {
             let (row, res) = (k / n, k % n);
-            if !row_has_room(cell, row_units[row]) {
+            if cell >= row_units[row] {
                 full[row * words + res / 64] |= 1 << (res % 64);
             }
         }
@@ -1487,8 +1487,8 @@ mod tests {
         cfp_testkit::cases(seed, count, |rng| {
             let ii = 1 + rng.below(max_ii) as u32;
             let n_rows = 1 + rng.index(3);
-            // Unit counts per row: a missing unit now and then, and past
-            // 64 the counter encoding.
+            // Unit counts per row: a missing unit now and then, and rows
+            // wider than a 64-bit word.
             let row_units: Vec<u32> = (0..n_rows)
                 .map(|_| match rng.below(10) {
                     0 => 0,
@@ -1498,7 +1498,7 @@ mod tests {
                 .collect();
             // Random occupancy, dense enough that windows collide.
             let dense = rng.below(4);
-            let mut rows = vec![0_u64; n_rows * ii as usize];
+            let mut rows = vec![0_u32; n_rows * ii as usize];
             for (k, cell) in rows.iter_mut().enumerate() {
                 let units = row_units[k / ii as usize];
                 let take = if rng.below(4) < dense {
@@ -1506,9 +1506,7 @@ mod tests {
                 } else {
                     rng.below(u64::from(units) + 1)
                 };
-                for _ in 0..take {
-                    row_take(cell, units);
-                }
+                *cell = u32::try_from(take).expect("at most the row's units");
             }
             // Short reservations, and ones up to two cycles past the II.
             let reqs: Vec<ResReq> = (0..1 + rng.index(2))

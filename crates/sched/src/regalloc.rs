@@ -60,7 +60,7 @@ pub fn pressure(
 ) -> PressureReport {
     PressureReport {
         peak: peak_pressure(assignment, schedule, machine.cluster_count()),
-        capacity: machine.clusters.iter().map(|cl| cl.regs).collect(),
+        capacity: machine.mdes.clusters().iter().map(|cl| cl.regs).collect(),
     }
 }
 
@@ -320,7 +320,7 @@ pub fn allocate(
         if scanning != Some(c) {
             scanning = Some(c);
             // `NO_REG` itself is never a register number.
-            let regs = u16::try_from(machine.clusters[c].regs).unwrap_or(NO_REG);
+            let regs = u16::try_from(machine.mdes.clusters()[c].regs).unwrap_or(NO_REG);
             free.clear();
             free.extend((0..regs).rev());
             active.clear();

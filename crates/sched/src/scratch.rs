@@ -3,7 +3,7 @@
 //! The design-space exploration runs the back end once per *unique*
 //! `(plan, scheduling signature)` pair — on the order of a thousand
 //! compilations per sweep — and every one of them used to allocate its
-//! working state from scratch: ready queues, reservation tables,
+//! working state from scratch: ready queues, reservation counts,
 //! dependence-count arrays, pressure diff arrays, cluster-assignment
 //! maps. [`SchedScratch`] owns all of that state instead. A worker
 //! thread creates one arena and threads it through
@@ -24,6 +24,8 @@
 //! [`SchedScratch::modulo_probes`]), statistics no compilation reads.
 
 use crate::ddg::{Dep, MemAccess};
+use crate::list::IssueQueue;
+use cfp_machine::ResReq;
 use std::collections::BinaryHeap;
 
 /// The scratch arena. Create one per worker thread (or use the
@@ -42,9 +44,11 @@ pub struct SchedScratch {
     pub(crate) issued: Vec<u32>,
     pub(crate) list_probes: u64,
     pub(crate) cal: Vec<Vec<u32>>,
-    pub(crate) op_meta: Vec<u32>,
-    pub(crate) port_base: Vec<u32>,
-    pub(crate) port_free: Vec<u32>,
+    pub(crate) op_queue: Vec<u32>,
+    pub(crate) room: Vec<u32>,
+    pub(crate) ring: Vec<u32>,
+    pub(crate) walk: Vec<IssueQueue>,
+    pub(crate) walk_reqs: Vec<ResReq>,
     // --- resource bound (the portfolio's stop, ResMII) ---
     pub(crate) res_busy: Vec<u32>,
     // --- dependence-graph construction ---
@@ -65,13 +69,13 @@ pub struct SchedScratch {
     pub(crate) alu_share: Vec<f64>,
     pub(crate) mem_load: Vec<f64>,
     pub(crate) copy_of: Vec<u32>,
-    pub(crate) legal: Vec<u8>,
+    pub(crate) legal: Vec<u32>,
     // --- register-pressure analysis ---
     pub(crate) last_use: Vec<u32>,
     pub(crate) reader_mask: Vec<u64>,
     pub(crate) diff: Vec<i32>,
     // --- modulo scheduler ---
-    pub(crate) mod_rows: Vec<u64>,
+    pub(crate) mod_rows: Vec<u32>,
     pub(crate) mod_full: Vec<u64>,
     pub(crate) mod_slots: Vec<u32>,
     pub(crate) mod_demand: Vec<u64>,
@@ -123,43 +127,8 @@ impl SchedScratch {
     }
 }
 
-/// One `u64` reservation row tracking occupancy of up to `units`
-/// identical resources in a cycle (or modulo slot).
-///
-/// When `units ≤ 64` the row is a unary bitmask — `k` busy units are the
-/// low `k` bits — so "any free?" is one popcount and "take one" is a
-/// shift-or. Machines wider than 64 units per cluster fall back to using
-/// the same word as a plain saturating counter; semantics are identical
-/// (these resources are interchangeable — only *how many* are busy
-/// matters), just without the single-instruction tests. See DESIGN.md
-/// §11 for the capacity discussion.
-#[inline]
-pub(crate) fn row_has_room(row: u64, units: u32) -> bool {
-    if units == 0 {
-        return false;
-    }
-    if units <= 64 {
-        row.count_ones() < units
-    } else {
-        row < u64::from(units)
-    }
-}
-
-/// Mark one more unit busy in `row`. Caller must have checked
-/// [`row_has_room`].
-#[inline]
-pub(crate) fn row_take(row: &mut u64, units: u32) {
-    if units <= 64 {
-        *row = (*row << 1) | 1;
-    } else {
-        *row += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn packed_keys_sort_by_priority_then_low_index() {
         // Descending key order must be highest priority first, lowest
@@ -171,18 +140,5 @@ mod tests {
         assert_eq!(idx(keys[0]), 5, "highest priority first");
         assert_eq!(idx(keys[1]), 1, "low index wins the tie");
         assert_eq!(idx(keys[2]), 3);
-    }
-
-    #[test]
-    fn rows_count_up_to_their_capacity() {
-        for units in [1_u32, 3, 64, 65, 200] {
-            let mut row = 0_u64;
-            for _ in 0..units {
-                assert!(row_has_room(row, units), "units={units}");
-                row_take(&mut row, units);
-            }
-            assert!(!row_has_room(row, units), "units={units} must be full");
-        }
-        assert!(!row_has_room(0, 0), "zero units never has room");
     }
 }

@@ -102,6 +102,24 @@ fn emit_modes_produce_their_artifacts() {
 }
 
 #[test]
+fn a_machine_wider_than_the_slot_mask_is_refused_by_name() {
+    // 128 ALU slots, the Level-1 and 16 Level-2 ports and the branch: 146
+    // slots, past the encoding's 64-bit occupancy mask.
+    let rgb2ycc = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/kernels/src/dsl/rgb2ycc.cfk"
+    );
+    let wide = ["--arch", "(128 32 512 16 4 1)"];
+    let (stdout, stderr, ok) = cfpc(&[&[rgb2ycc, "--emit", "encoding"][..], &wide].concat());
+    assert!(!ok);
+    assert_eq!(stdout, "");
+    assert!(stderr.contains("cannot encode: 146 slots"), "{stderr}");
+    // Scheduling the machine is still fine.
+    let (stdout, stderr, ok) = cfpc(&[&[rgb2ycc, "--emit", "schedule"][..], &wide].concat());
+    assert!(ok && stdout.contains("br loop"), "{stderr}");
+}
+
+#[test]
 fn diagnostics_point_at_the_source() {
     let path = write_kernel(
         "cfpc_bad.cfk",

@@ -214,13 +214,6 @@ fn derived_tables_match_the_retired_hardcoded_ones() {
                 1
             };
             assert_eq!(machine.reserved_cycles(class), expect, "{spec} {class:?}");
-            // The packed word widened from 3 to `CODE_BITS` code bits
-            // when the fused classes landed; the content is unchanged.
-            assert_eq!(
-                machine.mdes.packed_meta(class),
-                (expect << custom_fit::machine::Mdes::CODE_BITS) | class.code(),
-                "{spec} {class:?}"
-            );
         }
         // Unit counts agree with the spec's round-robin cluster dealing.
         for (j, sh) in spec.cluster_shapes().enumerate() {

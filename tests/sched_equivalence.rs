@@ -1,8 +1,10 @@
 //! The scheduler's data-structure engineering must be invisible: the
-//! CSR dependence graph, the per-row packed-key ready queues, the bitmask
-//! reservation rows, and the modulo scheduler's II-skip bound are all
-//! pure representation changes. This suite pins them to the
-//! straightforward implementations they replaced:
+//! CSR dependence graph, the per-row packed-key ready queues walked off
+//! the machine description's reservation table, its counted rows, and
+//! the modulo scheduler's II-skip bound are all pure representation
+//! changes. This suite pins them to the straightforward implementations
+//! they replaced (the oracle below reads the spec's per-cluster shapes,
+//! a model independent of the description the scheduler reads):
 //!
 //! 1. an in-test *oracle* list scheduler — the original `Vec`-based
 //!    ready list, per-port free-at vectors, and counter-based issue
@@ -12,7 +14,7 @@
 //!    kernels across a stratified architecture sample, and on seeded
 //!    synthetic instances aimed at the row interactions those kernels
 //!    under-sample (scarce multipliers, eight clusters, pipelined
-//!    Level-2, more than 64 ports, every extension set, an op with no
+//!    Level-2, more than 64 ALU slots, every extension set, an op with no
 //!    row to issue on, tight fuel) — the portfolio over it stopping, as
 //!    production's does, after a critical-path arm that meets
 //!    `max(critical path, ResMII)`;
@@ -537,11 +539,8 @@ const PLAIN: [FuClass; 4] = [FuClass::Alu, FuClass::Mul, FuClass::MemL1, FuClass
 fn row_queues_match_the_oracle_where_the_corpus_is_thin() {
     let spec = |a, m, p2, l2, c| ArchSpec::new(a, m, 64 * c, p2, l2, c).expect("valid spec");
     let mut machines: Vec<(String, MachineResources, Vec<FuClass>)> = Vec::new();
-    let mut add = |name: &str, s: ArchSpec, widen_l1: Option<u32>, classes: &[FuClass]| {
-        let mut machine = MachineResources::from_spec(&s);
-        if let Some(ports) = widen_l1 {
-            machine.clusters[0].l1_ports = ports;
-        }
+    let mut add = |name: &str, s: ArchSpec, classes: &[FuClass]| {
+        let machine = MachineResources::from_spec(&s);
         machines.push((format!("{name} {s}"), machine, classes.to_vec()));
     };
     // Fewer multipliers than ALUs under multiply-heavy code: the IMUL
@@ -554,27 +553,33 @@ fn row_queues_match_the_oracle_where_the_corpus_is_thin() {
         FuClass::Alu,
         FuClass::MemL2,
     ];
-    add("scarce multipliers", spec(4, 1, 1, 4, 1), None, &mul_heavy);
-    add("scarce multipliers", spec(8, 2, 2, 4, 2), None, &mul_heavy);
-    add("scarce multipliers", spec(16, 4, 2, 2, 4), None, &mul_heavy);
+    add("scarce multipliers", spec(4, 1, 1, 4, 1), &mul_heavy);
+    add("scarce multipliers", spec(8, 2, 2, 4, 2), &mul_heavy);
+    add("scarce multipliers", spec(16, 4, 2, 2, 4), &mul_heavy);
     // Eight clusters, some without a multiplier or a port.
-    add("eight clusters", spec(8, 4, 2, 4, 8), None, &PLAIN);
-    add("eight clusters", spec(16, 8, 4, 8, 8), None, &PLAIN);
+    add("eight clusters", spec(8, 4, 2, 4, 8), &PLAIN);
+    add("eight clusters", spec(16, 8, 4, 8, 8), &PLAIN);
     // Level-2 ports that hold for the full latency, and ones that take
     // an access every cycle.
     let mem_heavy = [FuClass::MemL2, FuClass::MemL2, FuClass::MemL1, FuClass::Alu];
     for l2 in [2, 8] {
-        add("blocking L2", spec(4, 2, 2, l2, 2), None, &mem_heavy);
+        add("blocking L2", spec(4, 2, 2, l2, 2), &mem_heavy);
         add(
             "pipelined L2",
             spec(4, 2, 2, l2, 2).with_pipelined_l2(),
-            None,
             &mem_heavy,
         );
     }
-    // More than 64 ports at a level, where a busy mask no longer fits a
-    // word (no spec deals more than one Level-1 port, so widen it here).
-    add("wide ports", spec(4, 2, 70, 4, 1), Some(66), &mem_heavy);
+    // The widest arrangement of the combinatorial space, 146 issue
+    // slots on one cluster: 128 ALU slots (past a 64-bit word), 32
+    // multipliers and 16 Level-2 ports, blocking and pipelined, under
+    // every mix.
+    let wide = ArchSpec::new(128, 32, 512, 16, 4, 1).expect("valid spec");
+    for s in [wide, wide.with_pipelined_l2()] {
+        for mix in [&mem_heavy[..], &mul_heavy, &PLAIN] {
+            add("wide", s, mix);
+        }
+    }
     // Every extension set: each registered fused class issues on the
     // row of the unit it upgrades.
     for bits in 0..8 {
@@ -587,7 +592,6 @@ fn row_queues_match_the_oracle_where_the_corpus_is_thin() {
         add(
             "extension set",
             spec(4, 1, 1, 4, 2).with_extensions(exts),
-            None,
             &classes,
         );
     }
