@@ -1,6 +1,6 @@
 //! The guided search engine must be invisible where it overlaps the
 //! exhaustive machinery and honest where it does not. Four layers of
-//! evidence:
+//! evidence, and one pin:
 //!
 //! 1. the [`LazyEvaluator`]'s full-fidelity answers are bit-identical to
 //!    the eager evaluation path for the same queries, and repeat
@@ -13,7 +13,9 @@
 //!    thread counts) and checkpointed runs resume bit-identically;
 //! 4. successive-halving promotion keeps exactly the top fraction,
 //!    ranks non-finite scores below every finite one, and breaks ties
-//!    by ascending index.
+//!    by ascending index;
+//! 5. the journal fingerprint of every search config cfpd builds stays
+//!    on the literal values existing journals carry.
 
 use cfp_testkit::cases;
 use custom_fit::dse::checkpoint::Checkpoint;
@@ -289,4 +291,42 @@ fn search_over_the_extension_axis_is_deterministic_and_reaches_extensions() {
     for &i in &wide.frontier {
         assert!(wide.evaluated[i].cost <= COST_BOUND + 1e-9);
     }
+}
+
+/// The search journal's fingerprint, pinned to the bytes every shipped
+/// journal header carries: cfpd's search configs for each named space,
+/// without and with a job fuel budget, and the `SearchConfig::new`
+/// defaults `tests/pinned.rs` searches with. A changed value refuses
+/// every existing `cfp-search` journal on resume.
+#[test]
+fn search_fingerprints_are_pinned() {
+    use custom_fit::dse::search::search_fingerprint;
+    use custom_fit::serve::job::search_config;
+    use custom_fit::serve::{JobKind, JobSpec, SpaceName};
+    use std::path::Path;
+
+    let pinned = [
+        (SpaceName::Paper, None, 0x02a3_8218_d3a5_87ae),
+        (SpaceName::Paper, Some(5000), 0xc70b_e1a8_064a_23cf),
+        (SpaceName::Extended, None, 0x31b4_7dc7_bcbd_13da),
+        (SpaceName::Extended, Some(5000), 0xbd9b_2f5b_8f4d_8703),
+        (SpaceName::Combinatorial, None, 0xd965_94d6_83a0_b10b),
+        (SpaceName::Combinatorial, Some(5000), 0x10d2_562a_2905_678e),
+    ];
+    for (space, fuel, want) in pinned {
+        let job = JobSpec {
+            kind: JobKind::Search,
+            benches: vec![BENCH],
+            space: Some(space),
+            cost_bound: Some(COST_BOUND),
+            seed: 7,
+            fuel,
+            ..JobSpec::default()
+        };
+        let got = search_fingerprint(&search_config(&job, Path::new("")));
+        assert_eq!(got, want, "{space:?} fuel {fuel:?}: {got:#018x}");
+    }
+    let defaults = SearchConfig::new(SpaceAxes::extended(), Benchmark::D, 10.0);
+    let got = search_fingerprint(&defaults);
+    assert_eq!(got, 0x832a_788f_b17d_8595, "defaults: {got:#018x}");
 }
