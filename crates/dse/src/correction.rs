@@ -15,7 +15,7 @@
 //! the prediction error against the fully-scheduled truth.
 
 use crate::explore::Exploration;
-use cfp_machine::ArchSpec;
+use crate::pareto::base_key;
 use std::collections::HashMap;
 
 /// Per-benchmark correction factors: `factor[bench][clusters]` ≈
@@ -23,11 +23,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct CorrectionModel {
     factors: Vec<HashMap<u32, f64>>,
-}
-
-/// The key of a base point (everything but the cluster count).
-fn base_key(s: &ArchSpec) -> (u32, u32, u32, u32, u32) {
-    (s.alus, s.muls, s.regs, s.l2_ports, s.l2_latency)
 }
 
 impl CorrectionModel {
@@ -192,6 +187,7 @@ mod tests {
     use super::*;
     use crate::explore::ExploreConfig;
     use cfp_kernels::Benchmark;
+    use cfp_machine::ArchSpec;
 
     fn ex() -> Exploration {
         // Base points that expand to several cluster counts.

@@ -27,7 +27,6 @@ use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::FaultInjector;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -51,8 +50,6 @@ pub struct ExploreConfig {
     pub benches: Vec<Benchmark>,
     /// Worker threads.
     pub threads: usize,
-    /// Print coarse progress to stderr during the sweep.
-    pub progress: bool,
     /// Per-compilation scheduler step budget. A compilation over budget
     /// stops at the budget with a typed error instead of monopolizing a
     /// worker; the unit is quarantined (at unroll 1) or the unroll sweep
@@ -81,7 +78,6 @@ impl Default for ExploreConfig {
             archs: Vec::new(),
             benches: Vec::new(),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            progress: false,
             fuel: None,
             checkpoint: None,
             fault: None,
@@ -176,6 +172,30 @@ pub struct RunStats {
     pub eval_wall: Duration,
     /// Wall-clock time of the whole exploration.
     pub wall: Duration,
+}
+
+impl RunStats {
+    /// The counts an exploration's outcomes determine — architectures,
+    /// compilations (baseline included), failed and fuel-exhausted units
+    /// (baseline excluded) — with every other field zero.
+    pub(crate) fn counted(archs: &[ArchEval], baseline: &ArchEval) -> Self {
+        let all = || archs.iter().flat_map(|a| &a.outcomes);
+        RunStats {
+            compilations: all()
+                .chain(&baseline.outcomes)
+                .map(|o| u64::from(o.compilations()))
+                .sum(),
+            architectures: archs.len(),
+            failed_units: all().filter(|o| !o.is_done()).count() as u64,
+            fuel_exhausted: all()
+                .filter(|o| {
+                    o.failure()
+                        .is_some_and(|r| r.kind == FailKind::FuelExhausted)
+                })
+                .count() as u64,
+            ..RunStats::default()
+        }
+    }
 }
 
 /// One evaluated architecture.
@@ -356,7 +376,6 @@ impl Exploration {
 
         let nb = config.benches.len();
         let units = config.archs.len() * nb;
-        let done = AtomicUsize::new(0);
 
         // Evaluate one pair behind the quarantine boundary and emit its
         // `unit` span (`fault_unit` is `None` for the baseline).
@@ -385,14 +404,7 @@ impl Exploration {
             let spec = &config.archs[i / nb];
             let bench = config.benches[i % nb];
             let mut trace = UnitTrace::new(rec, cfp_obs::unit::sweep(i));
-            let out = quarantined(spec, bench, Some(i as u64), sc, &mut trace);
-            if config.progress {
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if n % 200 == 0 || n == units {
-                    eprintln!("  evaluated {n}/{units} (architecture, benchmark) pairs");
-                }
-            }
-            out
+            quarantined(spec, bench, Some(i as u64), sc, &mut trace)
         };
 
         // The baseline is the denominator of every speedup; fault
@@ -477,39 +489,20 @@ impl Exploration {
             })
             .collect();
 
-        let all = || archs.iter().flat_map(|a| &a.outcomes);
-        let compilations: u64 = all()
-            .chain(&baseline.outcomes)
-            .map(|o| u64::from(o.compilations()))
-            .sum();
-        let failed_units = all().filter(|o| !o.is_done()).count() as u64;
-        let fuel_exhausted = all()
-            .filter(|o| {
-                o.failure()
-                    .is_some_and(|r| r.kind == FailKind::FuelExhausted)
-            })
-            .count() as u64;
-
         Ok(Exploration {
             benches: config.benches.clone(),
             stats: RunStats {
-                compilations,
                 cache_hits: memo.core_hits().saturating_sub(hits0),
                 unique_schedules: (memo.unique_cores() as u64).saturating_sub(cores0),
                 unique_plans: plans.unique_kernels(),
-                architectures: archs.len(),
-                failed_units,
-                fuel_exhausted,
                 resumed_units,
-                // Search-engine accounting: the exhaustive sweep screens
-                // nothing and dedups through the compile cache only
-                // (reported as cache_hits above).
-                screen_evals: 0,
-                full_evals: 0,
-                dedup_hits: 0,
                 plan_wall,
                 eval_wall,
                 wall: start.elapsed(),
+                // The search-engine accounting stays zero: the exhaustive
+                // sweep screens nothing and dedups through the compile
+                // cache only (reported as cache_hits above).
+                ..RunStats::counted(&archs, &baseline)
             },
             archs,
             baseline,
@@ -556,6 +549,7 @@ impl Exploration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn smoke_exploration_is_sane() {

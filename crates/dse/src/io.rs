@@ -199,36 +199,11 @@ pub fn from_csv(text: &str) -> Result<Exploration, ParseError> {
         line: 0,
         message: "no baseline row".to_owned(),
     })?;
-    let compilations = archs
-        .iter()
-        .chain(std::iter::once(&baseline))
-        .flat_map(|a| &a.outcomes)
-        .map(|o| u64::from(o.compilations()))
-        .sum();
-    let failed_units = archs
-        .iter()
-        .flat_map(|a| &a.outcomes)
-        .filter(|o| !o.is_done())
-        .count() as u64;
-    let fuel_exhausted = archs
-        .iter()
-        .flat_map(|a| &a.outcomes)
-        .filter(|o| {
-            o.failure()
-                .is_some_and(|r| r.kind == FailKind::FuelExhausted)
-        })
-        .count() as u64;
     Ok(Exploration {
         benches,
-        stats: RunStats {
-            compilations,
-            architectures: archs.len(),
-            failed_units,
-            fuel_exhausted,
-            // Timings and cache accounting are run-time facts the CSV
-            // deliberately does not persist.
-            ..RunStats::default()
-        },
+        // Timings and cache accounting are run-time facts the CSV
+        // deliberately does not persist.
+        stats: RunStats::counted(&archs, &baseline),
         archs,
         baseline,
     })

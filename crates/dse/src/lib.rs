@@ -84,8 +84,8 @@ pub use memo::{CompileCache, CoreSummary, ShardedMap};
 pub use oracle::{BenchGap, OracleConfig, OraclePoint, OracleReport, PointVerdict};
 pub use pareto::{frontier, hypervolume, scatter, ScatterPoint};
 pub use search::{
-    promote, try_search, try_search_shared, LazyEvaluator, RoundStats, Rung, SearchConfig,
-    SearchOutcome, SearchReport, Strategy,
+    promote, try_search, try_search_shared, LazyEvaluator, RoundStats, SearchConfig, SearchOutcome,
+    SearchReport, Strategy,
 };
 pub use select::{select, Range, Selection};
 pub use tables::{paper_ranges, render, speedup_table, SpeedupTable};

@@ -355,12 +355,6 @@ impl CompileCache {
     pub fn unique_cores(&self) -> usize {
         self.cores.len()
     }
-
-    /// Distinct `(plan, latency)` lowerings actually computed.
-    #[must_use]
-    pub fn unique_prepared(&self) -> usize {
-        self.prepared.len()
-    }
 }
 
 #[cfg(test)]

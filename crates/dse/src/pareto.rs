@@ -25,7 +25,7 @@ pub struct ScatterPoint {
 /// The *base point* of a spec: the five axes of Table 5. Cluster count
 /// and Level-2 pipelining are arrangement freedom, not a new base point
 /// — arrangements compete inside one scatter slot.
-fn base_key(s: &ArchSpec) -> (u32, u32, u32, u32, u32) {
+pub(crate) fn base_key(s: &ArchSpec) -> (u32, u32, u32, u32, u32) {
     (s.alus, s.muls, s.regs, s.l2_ports, s.l2_latency)
 }
 

@@ -13,10 +13,11 @@
 //!   study grade each one against the known optimum; and
 //! * the guided engine ([`try_search`]): a [`LazyEvaluator`] that compiles
 //!   and scores only the candidates a search actually asks about — one
-//!   [`Evaluator`] per [`Rung`], behind the sweep's [`quarantine`] —
-//!   wrapped in a successive-halving fuel ladder (cheap truncated-unroll
-//!   screens at the low rungs, full-fidelity evaluation only for the
-//!   survivors) with frontier-neighborhood refinement between rounds.
+//!   [`Evaluator`] per rung, behind the sweep's [`quarantine`] —
+//!   wrapped in a successive-halving unroll ladder (cheap
+//!   truncated-unroll screens at the low rungs, full-fidelity evaluation
+//!   only for the survivors) with frontier-neighborhood refinement
+//!   between rounds.
 //!   It runs on [`SpaceAxes::combinatorial`]'s 127 000 arrangements,
 //!   but only those within the cost bound are admissible: 6 700 at
 //!   cost ≤ 10, the bound every shipped search uses (18 760 / 40 810 /
@@ -295,17 +296,19 @@ pub fn study(ex: &Exploration, cost_bound: f64, seeds: &[u64]) -> Vec<(Strategy,
 // The guided engine.
 // ---------------------------------------------------------------------
 
-/// One rung of the successive-halving fuel ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rung {
-    /// Truncate the unroll sweep to the [`UNROLL_SWEEP`] prefix not
-    /// exceeding this — the rung's fidelity knob. `u32::MAX` (or any
-    /// value ≥ 16) is the full sweep, bit-identical to the exhaustive
-    /// evaluation path.
-    pub max_unroll: u32,
-    /// Per-compilation fuel budget at this rung (`None` = unlimited).
-    pub fuel: Option<u64>,
-}
+/// The successive-halving ladder, cheapest rung first: each rung
+/// truncates the unroll sweep to the [`UNROLL_SWEEP`] prefix not
+/// exceeding its value. The last, `u32::MAX`, is the full sweep,
+/// bit-identical to the exhaustive evaluation path, and only its
+/// results enter the archive.
+const RUNGS: [u32; 3] = [4, 8, u32::MAX];
+
+/// Index of the full-fidelity rung.
+const FULL_RUNG: usize = RUNGS.len() - 1;
+
+/// Fraction of a rung's entrants promoted to the next rung
+/// (`ceil(n · PROMOTE)`, at least one).
+const PROMOTE: f64 = 0.34;
 
 /// What the guided engine searches, and how hard.
 #[derive(Debug, Clone)]
@@ -324,12 +327,8 @@ pub struct SearchConfig {
     pub rounds: usize,
     /// Candidates entering each round's bracket.
     pub round_size: usize,
-    /// Fraction of a rung's entrants promoted to the next rung
-    /// (`ceil(n · promote)`, at least one).
-    pub promote: f64,
-    /// The fidelity ladder, cheapest first; the last rung is the
-    /// full-fidelity evaluation whose results enter the archive.
-    pub rungs: Vec<Rung>,
+    /// Per-compilation fuel budget at every rung (`None` = unlimited).
+    pub fuel: Option<u64>,
     /// Worker threads for each rung's evaluation batch.
     pub threads: usize,
     /// Journal every evaluated `(candidate, rung)` outcome to disk and
@@ -348,9 +347,8 @@ const REFINE_DEPTH: usize = 2;
 
 impl SearchConfig {
     /// The default bracket over the given axes: 10 rounds of 32
-    /// candidates, an unroll-4 → unroll-8 → full ladder promoting about
-    /// a third at each rung. At these defaults an extended-space search
-    /// performs well under 100 full-fidelity evaluations — the
+    /// candidates, no fuel budget. At these defaults an extended-space
+    /// search performs well under 100 full-fidelity evaluations — the
     /// exhaustive sweep performs 1200.
     #[must_use]
     pub fn new(axes: SpaceAxes, bench: Benchmark, cost_bound: f64) -> Self {
@@ -361,21 +359,7 @@ impl SearchConfig {
             seed: 0,
             rounds: 10,
             round_size: 32,
-            promote: 0.34,
-            rungs: vec![
-                Rung {
-                    max_unroll: 4,
-                    fuel: None,
-                },
-                Rung {
-                    max_unroll: 8,
-                    fuel: None,
-                },
-                Rung {
-                    max_unroll: u32::MAX,
-                    fuel: None,
-                },
-            ],
+            fuel: None,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             checkpoint: None,
         }
@@ -418,7 +402,6 @@ impl<'a> LazyEvaluator<'a> {
     /// evaluate the baseline at full fidelity.
     ///
     /// # Errors
-    /// [`ExploreError::EmptyConfig`] on an empty rung ladder;
     /// [`ExploreError::BaselineFailed`] when the baseline cannot be
     /// measured (every speedup divides by it).
     pub fn new(
@@ -426,9 +409,6 @@ impl<'a> LazyEvaluator<'a> {
         store: &PlanStore,
         memo: &'a CompileCache,
     ) -> Result<Self, ExploreError> {
-        let Some(last) = config.rungs.last() else {
-            return Err(ExploreError::EmptyConfig);
-        };
         let mut regs: Vec<u32> = config.axes.reg_values().to_vec();
         regs.push(ArchSpec::baseline().regs);
         // Fused plans exist only for extension sets the axes can reach;
@@ -441,7 +421,7 @@ impl<'a> LazyEvaluator<'a> {
             config.axes.ext_values(),
         );
         let full = Evaluator {
-            fuel: last.fuel,
+            fuel: config.fuel,
             ..Evaluator::new(&plans, memo)
         };
         let baseline = full
@@ -473,7 +453,7 @@ impl<'a> LazyEvaluator<'a> {
     /// Index of the full-fidelity rung (the ladder's last).
     #[must_use]
     pub fn full_rung(&self) -> usize {
-        self.config.rungs.len() - 1
+        FULL_RUNG
     }
 
     /// Baseline cycles per output (the speedup denominator).
@@ -487,13 +467,6 @@ impl<'a> LazyEvaluator<'a> {
     #[must_use]
     pub fn cost(&self, spec: &ArchSpec) -> f64 {
         self.cost.cost(spec)
-    }
-
-    /// Whether a candidate is worth compiling: on the axes and within
-    /// the cost bound.
-    #[must_use]
-    pub fn admissible(&self, spec: &ArchSpec) -> bool {
-        self.config.axes.contains(spec) && self.cost(spec) <= self.config.cost_bound
     }
 
     /// The speedup an outcome implies for `spec` (derate included; NaN
@@ -510,7 +483,7 @@ impl<'a> LazyEvaluator<'a> {
     /// propagated.
     ///
     /// # Panics
-    /// Panics if `rung` is out of the configured ladder's range.
+    /// Panics if `rung` is off the ladder.
     #[must_use]
     pub fn outcome(
         &self,
@@ -523,10 +496,9 @@ impl<'a> LazyEvaluator<'a> {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             return (hit, false);
         }
-        let r = self.config.rungs[rung];
         let session = Evaluator {
-            fuel: r.fuel,
-            max_unroll: r.max_unroll,
+            fuel: self.config.fuel,
+            max_unroll: RUNGS[rung],
             ..Evaluator::new(&self.plans, self.memo)
         };
         // The same quarantine boundary as the exhaustive sweep: a
@@ -694,8 +666,8 @@ pub fn try_search(config: &SearchConfig) -> Result<SearchOutcome, ExploreError> 
 /// frontier size, best speedup).
 ///
 /// # Errors
-/// [`ExploreError::EmptyConfig`] when the config has no rounds, no
-/// round size, or no rungs; [`ExploreError::BaselineFailed`] when the
+/// [`ExploreError::EmptyConfig`] when the config has no rounds or no
+/// round size; [`ExploreError::BaselineFailed`] when the
 /// baseline cannot be measured; [`ExploreError::Checkpoint`] when the
 /// search journal cannot be used; [`ExploreError::WorkerLost`] if a
 /// worker dies outside the quarantine boundary.
@@ -705,7 +677,7 @@ pub fn try_search_shared(
     memo: &CompileCache,
     rec: &dyn Recorder,
 ) -> Result<SearchOutcome, ExploreError> {
-    if config.rounds == 0 || config.round_size == 0 || config.rungs.is_empty() {
+    if config.rounds == 0 || config.round_size == 0 {
         return Err(ExploreError::EmptyConfig);
     }
     let start = Instant::now();
@@ -737,7 +709,6 @@ pub fn try_search_shared(
     // Full-fidelity results, keyed by spec for deterministic iteration.
     let mut archive: BTreeMap<ArchSpec, (f64, f64)> = BTreeMap::new();
     let mut rounds: Vec<RoundStats> = Vec::new();
-    let full_rung = config.rungs.len() - 1;
     let (mut screens_total, mut full_total) = (0_u64, 0_u64);
     let (mut compilations, mut failed, mut fuel_exhausted) = (0_u64, 0_u64, 0_u64);
     let mut points: Vec<ScatterPoint> = Vec::new();
@@ -804,7 +775,7 @@ pub fn try_search_shared(
         let mut rung_survivors: Vec<usize> = Vec::new();
         let (mut screens, mut fulls) = (0_u64, 0_u64);
 
-        for (ri, _) in config.rungs.iter().enumerate() {
+        for ri in 0..RUNGS.len() {
             rung_survivors.push(pool.len());
             let results = lazy.rung_outcomes(&pool, ri, config.threads, &mut scratch)?;
             if let Some(journal) = journal.as_mut() {
@@ -822,7 +793,7 @@ pub fn try_search_shared(
                 if !fresh {
                     continue;
                 }
-                if ri == full_rung {
+                if ri == FULL_RUNG {
                     fulls += 1;
                 } else {
                     screens += 1;
@@ -835,7 +806,7 @@ pub fn try_search_shared(
                     }
                 }
             }
-            if ri == full_rung {
+            if ri == FULL_RUNG {
                 for (s, (out, _)) in pool.iter().zip(&results) {
                     if out.is_done() {
                         let su = lazy.speedup(s, out);
@@ -860,7 +831,7 @@ pub fn try_search_shared(
                         }
                     })
                     .collect();
-                let kept: Vec<ArchSpec> = promote(&scores, config.promote)
+                let kept: Vec<ArchSpec> = promote(&scores, PROMOTE)
                     .into_iter()
                     .filter(|&i| scores[i].is_finite())
                     .map(|i| pool[i])
@@ -979,11 +950,11 @@ pub fn search_fingerprint(config: &SearchConfig) -> u64 {
     eat(format!("bound:{:016x}", config.cost_bound.to_bits()).as_bytes());
     eat(format!("seed:{}", config.seed).as_bytes());
     eat(format!("bracket:{}:{}", config.rounds, config.round_size).as_bytes());
-    eat(format!("promote:{:016x}", config.promote.to_bits()).as_bytes());
-    for r in &config.rungs {
-        match r.fuel {
-            None => eat(format!("rung:{}:none", r.max_unroll).as_bytes()),
-            Some(f) => eat(format!("rung:{}:{f}", r.max_unroll).as_bytes()),
+    eat(format!("promote:{:016x}", PROMOTE.to_bits()).as_bytes());
+    for max_unroll in RUNGS {
+        match config.fuel {
+            None => eat(format!("rung:{max_unroll}:none").as_bytes()),
+            Some(f) => eat(format!("rung:{max_unroll}:{f}").as_bytes()),
         }
     }
     h.finish()
@@ -1189,7 +1160,7 @@ mod tests {
             ArchSpec::baseline(),
             ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap(),
         ];
-        let off_the_ladder = cfg.rungs.len();
+        let off_the_ladder = RUNGS.len();
         let err = lazy
             .rung_outcomes(&pool, off_the_ladder, 2, &mut EvalScratch::new())
             .expect_err("both workers die");
@@ -1203,7 +1174,7 @@ mod tests {
         b.seed ^= 1;
         assert_ne!(search_fingerprint(&a), search_fingerprint(&b));
         let mut c = small_config();
-        c.rungs[0].max_unroll = 2;
+        c.fuel = Some(5000);
         assert_ne!(search_fingerprint(&a), search_fingerprint(&c));
         assert_eq!(search_fingerprint(&a), search_fingerprint(&small_config()));
     }

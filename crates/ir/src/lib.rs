@@ -21,7 +21,7 @@
 //!
 //! The crate also provides a reference [`interp`] interpreter (the golden
 //! executor against which scheduled code is validated), a structural
-//! [`mod@verify`] pass, [`liveness`] analysis, and a pretty-printer.
+//! [`mod@verify`] pass, and a pretty-printer.
 //!
 //! ```
 //! use cfp_ir::{KernelBuilder, MemSpace, Ty, Operand};
@@ -45,7 +45,6 @@ pub mod build;
 pub mod inst;
 pub mod interp;
 pub mod kernel;
-pub mod liveness;
 pub mod op;
 pub mod pretty;
 pub mod types;
@@ -55,7 +54,6 @@ pub use build::KernelBuilder;
 pub use inst::{Inst, MemRef, Operand, Vreg};
 pub use interp::{Interpreter, MemImage};
 pub use kernel::{ArrayDecl, ArrayId, ArrayKind, Carried, CarriedInit, Kernel};
-pub use liveness::{BodyLiveness, LiveRange};
 pub use op::{BinOp, Expr, FusedOp, FusedRow, Pred, UnOp, FUSED_OPS};
 pub use types::{MemSpace, Ty};
 pub use verify::{verify, VerifyError};

@@ -22,16 +22,6 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// Size of one element in bytes.
-    #[must_use]
-    pub fn size_bytes(self) -> u32 {
-        match self {
-            Ty::U8 | Ty::I8 => 1,
-            Ty::U16 | Ty::I16 => 2,
-            Ty::I32 => 4,
-        }
-    }
-
     /// Narrow a register value to this type's range, as a store would.
     #[must_use]
     pub fn truncate(self, v: i64) -> i64 {
@@ -52,12 +42,6 @@ impl Ty {
     #[must_use]
     pub fn extend(self, v: i64) -> i64 {
         self.truncate(v)
-    }
-
-    /// Whether loads of this type sign-extend.
-    #[must_use]
-    pub fn is_signed(self) -> bool {
-        matches!(self, Ty::I8 | Ty::I16 | Ty::I32)
     }
 }
 
@@ -123,13 +107,6 @@ mod tests {
                 assert_eq!(ty.extend(t), t, "{ty} {v}");
             }
         }
-    }
-
-    #[test]
-    fn sizes() {
-        assert_eq!(Ty::U8.size_bytes(), 1);
-        assert_eq!(Ty::I16.size_bytes(), 2);
-        assert_eq!(Ty::I32.size_bytes(), 4);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::cluster::Assignment;
 use crate::list::Schedule;
 use crate::loopcode::{OpOrigin, SOp};
 use crate::regalloc::{allocate, AllocError};
-use cfp_ir::{BinOp, Inst, Operand, Pred, UnOp, Vreg};
+use cfp_ir::{BinOp, Inst, Operand, Pred, UnOp, Vreg, FUSED_OPS};
 use cfp_machine::{MachineResources, Mdes};
 use std::error::Error;
 use std::fmt;
@@ -44,6 +44,25 @@ pub const SRC_BITS: u32 = 10;
 pub const OPCODE_BITS: u32 = 6;
 /// Slots per word the format can hold: one bit each of [`InstWord::mask`].
 pub const MAX_SLOTS: usize = 64;
+/// Opcode of the fused-operation table's first row; the rest follow it.
+const FIRST_FUSED_OPCODE: u8 = 31;
+
+// The slot's fields, low bits first: src3, src2, src1, dst, opcode.
+const SRC2_SHIFT: u32 = SRC_BITS;
+const SRC1_SHIFT: u32 = SRC2_SHIFT + SRC_BITS;
+const DST_SHIFT: u32 = SRC1_SHIFT + SRC_BITS;
+const OPCODE_SHIFT: u32 = DST_SHIFT + REG_BITS;
+// The fields fill the slot exactly, every opcode fits its field, and a
+// source field is a register under a tag bit or a `u8` pool index under
+// a flag bit below the tag.
+const _: () = assert!(OPCODE_SHIFT + OPCODE_BITS == SLOT_BITS);
+const _: () = assert!(FIRST_FUSED_OPCODE as usize + FUSED_OPS.len() <= 1 << OPCODE_BITS);
+const _: () = assert!(REG_BITS + 1 == SRC_BITS && u8::BITS + 1 < SRC_BITS);
+
+/// The `bits`-wide field at `shift` of `raw`.
+fn field(raw: u64, shift: u32, bits: u32) -> u64 {
+    (raw >> shift) & ((1 << bits) - 1)
+}
 
 /// One operation slot's decoded form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,7 +223,7 @@ pub fn opcode_of(op: &SOp) -> u8 {
         (Some(Inst::Ld { .. }), _) => 24,
         (Some(Inst::St { .. }), _) => 25,
         // One opcode per fused-operation table row, after the base ones.
-        (Some(Inst::Fused { op, .. }), _) => 31 + op.0,
+        (Some(Inst::Fused { op, .. }), _) => FIRST_FUSED_OPCODE + op.0,
         (None, OpOrigin::Move { .. }) => 26,
         (None, OpOrigin::StreamBump(_)) => 27,
         (None, OpOrigin::Induction) => 28,
@@ -247,32 +266,32 @@ fn pack(op: EncodedOp) -> u64 {
         match s {
             SrcField::None => 0,
             SrcField::Reg(r) => (1 << (SRC_BITS - 1)) | u64::from(r),
-            SrcField::Imm(i) => (1 << 8) | u64::from(i),
+            SrcField::Imm(i) => (1 << u8::BITS) | u64::from(i),
         }
     };
-    (u64::from(op.opcode) << 39)
-        | (u64::from(op.dst) << 30)
-        | (src(op.src1) << 20)
-        | (src(op.src2) << 10)
+    (u64::from(op.opcode) << OPCODE_SHIFT)
+        | (u64::from(op.dst) << DST_SHIFT)
+        | (src(op.src1) << SRC1_SHIFT)
+        | (src(op.src2) << SRC2_SHIFT)
         | src(op.src3)
 }
 
 fn unpack(raw: u64) -> EncodedOp {
     let src = |bits: u64| -> SrcField {
         if bits & (1 << (SRC_BITS - 1)) != 0 {
-            SrcField::Reg(u16::try_from(bits & 0x1ff).expect("9 bits"))
-        } else if bits & (1 << 8) != 0 {
-            SrcField::Imm(u8::try_from(bits & 0xff).expect("8 bits"))
+            SrcField::Reg(u16::try_from(field(bits, 0, REG_BITS)).expect("REG_BITS < 16"))
+        } else if bits & (1 << u8::BITS) != 0 {
+            SrcField::Imm(u8::try_from(field(bits, 0, u8::BITS)).expect("u8::BITS bits"))
         } else {
             SrcField::None
         }
     };
     EncodedOp {
-        opcode: u8::try_from((raw >> 39) & 0x3f).expect("6 bits"),
-        dst: u16::try_from((raw >> 30) & 0x1ff).expect("9 bits"),
-        src1: src((raw >> 20) & 0x3ff),
-        src2: src((raw >> 10) & 0x3ff),
-        src3: src(raw & 0x3ff),
+        opcode: u8::try_from(field(raw, OPCODE_SHIFT, OPCODE_BITS)).expect("OPCODE_BITS < 8"),
+        dst: u16::try_from(field(raw, DST_SHIFT, REG_BITS)).expect("REG_BITS < 16"),
+        src1: src(field(raw, SRC1_SHIFT, SRC_BITS)),
+        src2: src(field(raw, SRC2_SHIFT, SRC_BITS)),
+        src3: src(field(raw, 0, SRC_BITS)),
     }
 }
 
@@ -519,9 +538,9 @@ mod tests {
         assert_eq!(decoded.len(), p.words.len());
         let total: usize = decoded.iter().map(Vec::len).sum();
         assert_eq!(total, r.assignment.code.ops.len());
-        // Every decoded opcode is a real opcode (31 up are the fused
-        // operation table's rows).
-        let last = 30 + cfp_ir::FUSED_OPS.len() as u8;
+        // Every decoded opcode is a real opcode (FIRST_FUSED_OPCODE up
+        // are the fused operation table's rows).
+        let last = FIRST_FUSED_OPCODE - 1 + FUSED_OPS.len() as u8;
         for word in &decoded {
             for (_, op) in word {
                 assert!((1..=last).contains(&op.opcode), "{op:?}");

@@ -12,8 +12,8 @@
 //! from the structural lower bound until the answer flips, certifying
 //! the true minimum initiation interval for one
 //! `(loop, assignment, machine)` point. Both are methods of the problem
-//! value [`crate::modulo`] derives once per point; [`try_exact_ii`] and
-//! [`certify_min_ii`] build one for a single question.
+//! value [`crate::modulo`] derives once per point; [`certify_min_ii`]
+//! builds one for a single certification.
 //!
 //! ## The decision procedure at a fixed II
 //!
@@ -123,21 +123,6 @@ pub enum CertifyOutcome {
     /// No feasible II at or below the search cap (only reachable when
     /// no witness is supplied; real compilations always have one).
     Unschedulable,
-}
-
-/// [`PipelineProblem::decide`] of a problem built for this one call:
-/// whether a modulo schedule exists at exactly `ii` for the assigned
-/// loop on `machine`.
-#[must_use]
-pub fn try_exact_ii(
-    assignment: &Assignment,
-    ddg: &Ddg,
-    machine: &MachineResources,
-    ii: u32,
-    fuel: &mut Fuel,
-) -> ExactVerdict {
-    // The list length only seeds and caps searches `decide` never runs.
-    PipelineProblem::new(assignment, ddg, machine, ii).decide(ii, fuel)
 }
 
 /// [`PipelineProblem::certify`] of a problem built for this one call,

@@ -68,7 +68,7 @@ pub use compile::{
 pub use ddg::{Ddg, Dep, DepKind};
 pub use encode::{decode, encode, encode_traced, EncodeError, Program};
 pub use error::{Fuel, SchedError};
-pub use exact::{certify_min_ii, try_exact_ii, CertifyOutcome, ExactVerdict};
+pub use exact::{certify_min_ii, CertifyOutcome, ExactVerdict};
 pub use list::{
     render, schedule, schedule_with, try_schedule, try_schedule_in, Placement, Priority, Schedule,
 };

@@ -68,23 +68,6 @@ pub struct Schedule {
     pub length: u32,
 }
 
-impl Schedule {
-    /// Ops grouped by cycle, for display and the simulator. Buckets are
-    /// sized by a counting pass first, so each is allocated exactly once.
-    #[must_use]
-    pub fn by_cycle(&self) -> Vec<Vec<usize>> {
-        let mut counts = vec![0_usize; self.length as usize];
-        for p in &self.placements {
-            counts[p.cycle as usize] += 1;
-        }
-        let mut words: Vec<Vec<usize>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (i, p) in self.placements.iter().enumerate() {
-            words[p.cycle as usize].push(i);
-        }
-        words
-    }
-}
-
 /// Hard cap so a scheduler bug cannot spin forever.
 const MAX_CYCLES: u32 = 1 << 20;
 
@@ -618,38 +601,27 @@ mod tests {
     fn schedule_respects_alu_and_mul_limits() {
         let spec = ArchSpec::new(2, 1, 64, 2, 4, 1).unwrap();
         let (s, a, _, m) = sched_for(WIDE, &spec);
-        for word in s.by_cycle() {
-            let mut alu = 0;
-            let mut mul = 0;
-            for i in word {
-                match a.code.ops[i].class {
-                    FuClass::Alu => alu += 1,
-                    FuClass::Mul => {
-                        alu += 1;
-                        mul += 1;
-                    }
-                    _ => {}
+        let mut alu = vec![0; s.length as usize];
+        let mut mul = vec![0; s.length as usize];
+        for (op, p) in a.code.ops.iter().zip(&s.placements) {
+            let t = p.cycle as usize;
+            match op.class {
+                FuClass::Alu => alu[t] += 1,
+                FuClass::Mul => {
+                    alu[t] += 1;
+                    mul[t] += 1;
                 }
-            }
-            assert!(alu <= m.clusters[0].alus, "alu oversubscribed");
-            assert!(mul <= m.clusters[0].muls, "mul oversubscribed");
-        }
-    }
-
-    #[test]
-    fn by_cycle_buckets_cover_every_op_exactly_once() {
-        let (s, ..) = sched_for(WIDE, &ArchSpec::new(4, 2, 128, 2, 4, 1).unwrap());
-        let words = s.by_cycle();
-        assert_eq!(words.len(), s.length as usize);
-        let mut seen = vec![false; s.placements.len()];
-        for (t, word) in words.iter().enumerate() {
-            for &i in word {
-                assert_eq!(s.placements[i].cycle as usize, t);
-                assert!(!seen[i], "op {i} appears twice");
-                seen[i] = true;
+                _ => {}
             }
         }
-        assert!(seen.iter().all(|&b| b));
+        assert!(
+            alu.iter().all(|&n| n <= m.clusters[0].alus),
+            "alu oversubscribed"
+        );
+        assert!(
+            mul.iter().all(|&n| n <= m.clusters[0].muls),
+            "mul oversubscribed"
+        );
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub fn explore_config(spec: &JobSpec, ck_path: &Path) -> ExploreConfig {
         archs: spec.archs.clone(),
         benches: spec.benches.clone(),
         threads: spec.threads,
-        progress: false,
         fuel: spec.fuel,
         checkpoint: Some(Checkpoint::resume(ck_path)),
         fault: spec.fault.as_ref().map(crate::proto::FaultSpec::injector),
@@ -32,8 +31,7 @@ pub fn explore_config(spec: &JobSpec, ck_path: &Path) -> ExploreConfig {
 
 /// The [`SearchConfig`] a search job runs as, journaling its search
 /// journal to `ck_path`. Engine defaults fill everything the canonical
-/// job line does not pin; the job's `fuel` budget, when set, applies to
-/// every rung of the halving ladder.
+/// job line does not pin.
 #[must_use]
 pub fn search_config(spec: &JobSpec, ck_path: &Path) -> SearchConfig {
     let axes = spec.space.unwrap_or(SpaceName::Extended).axes();
@@ -48,11 +46,7 @@ pub fn search_config(spec: &JobSpec, ck_path: &Path) -> SearchConfig {
         cfg.round_size = r as usize;
     }
     cfg.threads = spec.threads;
-    if let Some(fuel) = spec.fuel {
-        for rung in &mut cfg.rungs {
-            rung.fuel = Some(fuel);
-        }
-    }
+    cfg.fuel = spec.fuel;
     cfg.checkpoint = Some(Checkpoint::resume(ck_path));
     cfg
 }
