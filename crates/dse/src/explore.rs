@@ -5,7 +5,7 @@
 //! code for that architecture; generate the code; measure the goodness of
 //! the code; repeat until satisfied." The paper searched exhaustively;
 //! so do we, over every `(base point, cluster arrangement)` of the
-//! [`cfp_machine::DesignSpace`], on the crate's unit runner
+//! paper's [`cfp_machine::SpaceAxes`], on the crate's unit runner
 //! (`units.rs`: one `(architecture, benchmark)` pair per unit), with
 //! full per-cluster scheduling instead of the paper's clustering
 //! correction factor.
@@ -24,7 +24,7 @@ use crate::eval::{quarantine, EvalOutcome, EvalScratch, Evaluator, PlanStore, UN
 use crate::memo::CompileCache;
 use crate::units::run_units;
 use cfp_kernels::Benchmark;
-use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet};
+use cfp_machine::{ArchSpec, CostModel, CycleModel, ExtSet, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::FaultInjector;
 use std::sync::{Mutex, PoisonError};
@@ -91,7 +91,7 @@ impl ExploreConfig {
     #[must_use]
     pub fn paper() -> Self {
         ExploreConfig {
-            archs: DesignSpace::paper().all_arrangements(),
+            archs: SpaceAxes::paper().arrangements(),
             benches: Benchmark::TABLE_COLUMNS.to_vec(),
             ..ExploreConfig::default()
         }

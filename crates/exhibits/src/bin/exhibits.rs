@@ -6,8 +6,10 @@
 //! cargo run --release -p cfp-exhibits --bin exhibits -- figure3 --csv
 //! ```
 //!
-//! `--fast` explores a 1-in-8 sample of the design space (same shapes,
-//! seconds instead of minutes); `--csv` emits the figures' raw data;
+//! `extended`, `fused` and `oracle` are the axis studies `all` leaves
+//! out: each runs a space of its own. `--fast` explores a 1-in-8 sample
+//! of the design space (same shapes, seconds instead of minutes) and a
+//! quarter of the oracle's points; `--csv` emits the figures' raw data;
 //! `--save FILE` persists the exploration and `--load FILE` replays a
 //! saved one instead of recomputing (see `cfp_dse::io`).
 //!
@@ -26,7 +28,7 @@ use cfp_dse::Checkpoint;
 use cfp_exhibits::exhibits;
 
 const USAGE: &str =
-    "usage: exhibits [table1..table10 | figure1..figure4 | search | correction | codesize | pipelining | priority | spill | all]... [--fast] [--csv] [--extended] [--fused] [--oracle] [--mdes-dump SPEC] [--save FILE] [--load FILE] [--checkpoint FILE [--resume]] [--trace-out FILE] [--trace-summary]";
+    "usage: exhibits [table1..table10 | figure1..figure4 | search | correction | codesize | pipelining | priority | spill | extended | fused | oracle | all]... [--fast] [--csv] [--mdes-dump SPEC] [--save FILE] [--load FILE] [--checkpoint FILE [--resume]] [--trace-out FILE] [--trace-summary]";
 
 fn value_after(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -69,14 +71,6 @@ fn main() {
         });
         exhibits::mdes_dump(&spec)
     });
-    // `--extended`: explore the pipelined-L2 extended space too.
-    let extended = args.iter().any(|a| a == "--extended");
-    // `--fused`: explore the fused-operation extension axis too.
-    let fused = args.iter().any(|a| a == "--fused");
-    // `--oracle`: grade the heuristic scheduler against the exact-II
-    // oracle's certificates.
-    let oracle = args.iter().any(|a| a == "--oracle");
-
     let mut skip_next = false;
     let mut wanted: Vec<String> = args
         .iter()
@@ -101,16 +95,9 @@ fn main() {
     if let Some(dump) = &mdes_dump {
         println!("{dump}\n");
     }
-    let flagged = [(extended, "extended"), (fused, "fused"), (oracle, "oracle")];
-    // The flag-only invocations stand alone; don't pull in `all`.
-    let flag_only = mdes_dump.is_some() || flagged.iter().any(|(on, _)| *on);
-    if wanted.iter().any(|w| w == "all") || (wanted.is_empty() && !flag_only) {
+    // `--mdes-dump` alone stands alone; don't pull in `all`.
+    if wanted.iter().any(|w| w == "all") || (wanted.is_empty() && mdes_dump.is_none()) {
         wanted = exhibits::ALL.map(str::to_owned).to_vec();
-    }
-    for (on, name) in flagged {
-        if on && !wanted.iter().any(|w| w == name) {
-            wanted.push(name.to_owned());
-        }
     }
 
     let needs_exploration = wanted.iter().any(|w| exhibits::needs_exploration(w));

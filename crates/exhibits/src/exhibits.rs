@@ -4,10 +4,11 @@
 //! `EXPERIMENTS.md` at the repository root for the paper-versus-measured
 //! record produced from these.
 
+use cfp_dse::eval::{residency_budget, PlanCache, UNROLL_SWEEP};
 use cfp_dse::report::TextTable;
 use cfp_dse::{Checkpoint, Exploration, ExploreConfig, ExploreError};
 use cfp_kernels::Benchmark;
-use cfp_machine::{paper, ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet};
+use cfp_machine::{paper, ArchSpec, CostModel, CycleModel, ExtSet, SpaceAxes};
 
 /// Table 1: the individual benchmarks.
 #[must_use]
@@ -346,8 +347,27 @@ pub fn extension_correction(ex: &Exploration) -> String {
     )
 }
 
+/// The sweep's plans for `benches` unrolled `unroll` times, built for the
+/// register files of `specs`: what the tables price on each machine.
+fn sweep_plans(benches: &[Benchmark], specs: &[ArchSpec], unroll: u32) -> PlanCache {
+    let regs: Vec<u32> = specs.iter().map(|s| s.regs).collect();
+    PlanCache::build(benches, &regs, &[unroll])
+}
+
+/// The kernel the sweep schedules for `bench` on `spec` at `unroll`.
+fn sweep_kernel<'a>(
+    plans: &'a PlanCache,
+    bench: Benchmark,
+    spec: &ArchSpec,
+    unroll: u32,
+) -> &'a cfp_ir::Kernel {
+    plans
+        .get(bench, residency_budget(spec.regs), unroll, spec.exts)
+        .expect("every exhibit kernel is under the body cap")
+}
+
 /// Extension study: VLIW code size per architecture (the encoder's
-/// raw versus NOP-compressed long-instruction words) for optimized,
+/// raw versus NOP-compressed long-instruction words) for the sweep's
 /// 4x-unrolled kernels.
 #[must_use]
 pub fn extension_codesize() -> String {
@@ -356,6 +376,8 @@ pub fn extension_codesize() -> String {
         ArchSpec::new(8, 4, 256, 2, 4, 1).expect("valid"),
         ArchSpec::new(16, 8, 512, 4, 4, 4).expect("valid"),
     ];
+    let benches = [Benchmark::D, Benchmark::A, Benchmark::F, Benchmark::H];
+    let plans = sweep_plans(&benches, &archs, 4);
     let mut t = TextTable::new([
         "benchmark",
         "arch",
@@ -364,13 +386,10 @@ pub fn extension_codesize() -> String {
         "compressed",
         "ratio",
     ]);
-    for b in [Benchmark::D, Benchmark::A, Benchmark::F, Benchmark::H] {
-        let mut k = b.kernel();
-        cfp_opt::optimize(&mut k);
-        let k = cfp_opt::unroll::unroll(&k, 4);
+    for b in benches {
         for spec in &archs {
             let m = cfp_machine::MachineResources::from_spec(spec);
-            let r = cfp_sched::compile(&k, &m);
+            let r = cfp_sched::compile(sweep_kernel(&plans, b, spec, 4), &m);
             match cfp_sched::encode(&r.assignment, &r.schedule, &m) {
                 Ok(prog) => {
                     t.row([
@@ -385,13 +404,19 @@ pub fn extension_codesize() -> String {
                         ),
                     ]);
                 }
-                Err(_) => {
-                    // This unroll factor spills here; the experiment would
-                    // have rejected it before codegen.
+                Err(e) => {
+                    // A spilling unroll factor is one the experiment
+                    // rejects before codegen; any other encode error is
+                    // a defect, and the row says which.
+                    let why = if r.fits() {
+                        format!("({e})")
+                    } else {
+                        "(spills at x4)".to_owned()
+                    };
                     t.row([
                         b.to_string(),
                         spec.to_string(),
-                        "(spills at x4)".to_owned(),
+                        why,
                         "-".to_owned(),
                         "-".to_owned(),
                         "-".to_owned(),
@@ -416,6 +441,15 @@ pub fn extension_pipelining() -> String {
         ArchSpec::new(4, 2, 256, 2, 4, 1).expect("valid"),
         ArchSpec::new(8, 4, 256, 4, 8, 1).expect("valid"),
     ];
+    let benches = [
+        Benchmark::D,
+        Benchmark::E,
+        Benchmark::G,
+        Benchmark::F,
+        Benchmark::H,
+        Benchmark::A,
+    ];
+    let plans = sweep_plans(&benches, &specs, 1);
     let mut t = TextTable::new([
         "benchmark",
         "arch",
@@ -425,19 +459,10 @@ pub fn extension_pipelining() -> String {
         "IIs tried",
         "gain",
     ]);
-    for b in [
-        Benchmark::D,
-        Benchmark::E,
-        Benchmark::G,
-        Benchmark::F,
-        Benchmark::H,
-        Benchmark::A,
-    ] {
-        let mut k = b.kernel();
-        cfp_opt::optimize(&mut k);
+    for b in benches {
         for spec in &specs {
             let m = cfp_machine::MachineResources::from_spec(spec);
-            let r = cfp_sched::compile(&k, &m);
+            let r = cfp_sched::compile(sweep_kernel(&plans, b, spec, 1), &m);
             let ddg = cfp_sched::Ddg::build(&r.assignment.code);
             match cfp_sched::modulo_schedule(&r.assignment, &ddg, &m, r.length) {
                 Some(ms) => t.row([
@@ -479,6 +504,8 @@ pub fn extension_priority() -> String {
         ArchSpec::new(4, 2, 256, 2, 4, 1).expect("valid"),
         ArchSpec::new(16, 8, 512, 4, 4, 4).expect("valid"),
     ];
+    let benches = [Benchmark::A, Benchmark::C, Benchmark::D, Benchmark::H];
+    let plans = sweep_plans(&benches, &specs, 2);
     let mut t = TextTable::new([
         "benchmark",
         "arch",
@@ -486,13 +513,10 @@ pub fn extension_priority() -> String {
         "source-order",
         "portfolio (used)",
     ]);
-    for b in [Benchmark::A, Benchmark::C, Benchmark::D, Benchmark::H] {
-        let mut k = b.kernel();
-        cfp_opt::optimize(&mut k);
-        let k = cfp_opt::unroll::unroll(&k, 2);
+    for b in benches {
         for spec in &specs {
             let m = cfp_machine::MachineResources::from_spec(spec);
-            let r = cfp_sched::compile(&k, &m);
+            let r = cfp_sched::compile(sweep_kernel(&plans, b, spec, 2), &m);
             let ddg = Ddg::build(&r.assignment.code);
             let cp = schedule_with(&r.assignment, &ddg, &m, Priority::CriticalPath);
             let so = schedule_with(&r.assignment, &ddg, &m, Priority::SourceOrder);
@@ -522,7 +546,6 @@ pub fn extension_priority() -> String {
 /// zero.
 #[must_use]
 pub fn extension_spill() -> String {
-    use cfp_dse::eval::{residency_budget, PlanCache, UNROLL_SWEEP};
     let machines = [
         (
             "A's own pick",
@@ -537,27 +560,18 @@ pub fn extension_spill() -> String {
     let baseline_spec = ArchSpec::baseline();
     let cycle = CycleModel::paper_calibrated();
 
-    // Re-run the unroll-until-spill sweep with a scaled penalty.
+    // The sweep's measurement with the penalty scaled. The penalty
+    // enters only where the un-unrolled kernel already spilled — the
+    // sweep then stops at unroll 1 — so only such a unit is re-priced.
     let eval_scaled = |spec: &ArchSpec, scale: f64| -> f64 {
-        let machine = cfp_machine::MachineResources::from_spec(spec);
-        let budget = residency_budget(spec.regs);
-        let mut best = f64::INFINITY;
-        for &u in &UNROLL_SWEEP {
-            let Some(kernel) = cache.get(Benchmark::A, budget, u, ExtSet::EMPTY) else {
-                break;
-            };
-            let r = cfp_sched::compile(kernel, &machine);
-            let fits = r.fits();
-            if !fits && u > 1 {
-                break;
-            }
-            let cycles = f64::from(r.length) + scale * f64::from(r.spill_penalty);
-            best = best.min(cycles / f64::from(kernel.outputs_per_iter));
-            if !fits {
-                break;
-            }
+        let m = cfp_dse::eval::evaluate(spec, Benchmark::A, &cache);
+        if !m.spilled {
+            return m.cycles_per_output;
         }
-        best
+        let kernel = sweep_kernel(&cache, Benchmark::A, spec, 1);
+        let r = cfp_sched::compile(kernel, &cfp_machine::MachineResources::from_spec(spec));
+        (f64::from(r.length) + scale * f64::from(r.spill_penalty))
+            / f64::from(kernel.outputs_per_iter)
     };
 
     let mut t = TextTable::new([
@@ -599,23 +613,23 @@ pub fn mdes_dump(spec: &ArchSpec) -> String {
     )
 }
 
-/// Every cluster arrangement of `space`'s base points — of every 8th
-/// one with `fast`: quick, same shape.
-fn sampled_arrangements(space: &DesignSpace, fast: bool) -> Vec<ArchSpec> {
+/// Every cluster arrangement of `axes`' base points — of every 8th one
+/// with `fast`: quick, same shape.
+fn sampled_arrangements(axes: &SpaceAxes, fast: bool) -> Vec<ArchSpec> {
     let step = if fast { 8 } else { 1 };
-    let sampled = space.base_points().iter().step_by(step).copied().collect();
-    DesignSpace::from_base_points(sampled).all_arrangements()
+    let sampled: Vec<ArchSpec> = axes.base_points().into_iter().step_by(step).collect();
+    cfp_machine::axes::arrangements(&sampled)
 }
 
-/// The exploration behind `exhibits --extended`: the paper space doubled
-/// with pipelined-Level-2 mirrors ([`DesignSpace::extended`]). `fast`
+/// The exploration behind `exhibits extended`: the paper space doubled
+/// with pipelined-Level-2 mirrors ([`SpaceAxes::extended`]). `fast`
 /// samples every 8th base point (the sampling keeps sibling pairs —
 /// the mirrors sit at a fixed offset, so a sampled point's mirror is
 /// sampled too).
 #[must_use]
 pub fn extended_exploration(fast: bool) -> Exploration {
     Exploration::run(&ExploreConfig {
-        archs: sampled_arrangements(&DesignSpace::extended(), fast),
+        archs: sampled_arrangements(&SpaceAxes::extended(), fast),
         benches: Benchmark::TABLE_COLUMNS.to_vec(),
         ..ExploreConfig::default()
     })
@@ -726,14 +740,14 @@ pub fn extended_axis(ex: &Exploration) -> String {
     )
 }
 
-/// The exploration behind `exhibits --fused`: every sampled paper
+/// The exploration behind `exhibits fused`: every sampled paper
 /// arrangement crossed with the fused-extension axis ([`ExtSet::AXIS`]).
 /// `fast` samples every 8th base point *before* the cross, so a sampled
 /// architecture always keeps all five of its extension siblings — the
 /// sibling-pair accounting in [`fused_axis`] depends on that.
 #[must_use]
 pub fn fused_exploration(fast: bool) -> Exploration {
-    let archs: Vec<ArchSpec> = sampled_arrangements(&DesignSpace::paper(), fast)
+    let archs: Vec<ArchSpec> = sampled_arrangements(&SpaceAxes::paper(), fast)
         .into_iter()
         .flat_map(|s| ExtSet::AXIS.iter().map(move |&e| s.with_extensions(e)))
         .collect();
@@ -848,7 +862,7 @@ Custom-fit selections at COST < {cost_bound:.0}, RANGE 0 — which kernels buy w
     )
 }
 
-/// The study behind `exhibits --oracle`: the exact-II branch-and-bound
+/// The study behind `exhibits oracle`: the exact-II branch-and-bound
 /// scheduler certifies the true minimum initiation interval on sampled
 /// design points and the production heuristic is graded against the
 /// certificates. `fast` samples a quarter of the points (same seed, so
@@ -960,7 +974,7 @@ pub fn run_exploration(
 ) -> Result<Exploration, ExploreError> {
     let config = if fast {
         ExploreConfig {
-            archs: sampled_arrangements(&DesignSpace::paper(), true),
+            archs: sampled_arrangements(&SpaceAxes::paper(), true),
             benches: Benchmark::TABLE_COLUMNS.to_vec(),
             checkpoint,
             ..ExploreConfig::default()

@@ -30,14 +30,14 @@ pub struct ArchSpec {
     pub clusters: u32,
     /// Whether Level-2 ports accept a new access every cycle. The
     /// paper's space is entirely non-pipelined (`false`, the default);
-    /// the extended axis ([`crate::DesignSpace::extended`]) flips this.
+    /// the extended axis ([`crate::SpaceAxes::extended`]) flips this.
     /// Rendered as a `p` suffix on the `l2` field, e.g.
     /// `(8 4 256 2 8p 2)`, so non-pipelined specs keep their exact
     /// historical spelling (checkpoint fingerprints hash it).
     pub l2_pipelined: bool,
     /// Which mined fused operations the datapath provides (the
     /// custom-instruction axis). Empty (the default) everywhere in the
-    /// paper's space; [`crate::DesignSpace::with_extensions`] sweeps it.
+    /// paper's space; [`crate::SpaceAxes::with_extensions`] sweeps it.
     /// Rendered as a trailing token, e.g. `(8 4 256 2 8 2 +madd)`, so
     /// non-extended specs keep their exact historical spelling.
     pub exts: ExtSet,

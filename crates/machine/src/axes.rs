@@ -1,23 +1,23 @@
-//! Axis definitions behind the enumerated design spaces — the single
-//! source of truth the search engine derives its moves from.
+//! The design spaces, as axes — the one description both the exhaustive
+//! sweep and the search engine read.
 //!
-//! [`DesignSpace`](crate::DesignSpace) enumerates concrete base points;
-//! that is the right shape for an exhaustive sweep but useless for a
-//! guided search, which needs to know the *axes*: which values each
-//! parameter may take, so it can sample uniformly, step one position
-//! along one axis ("neighbors"), and test membership without
-//! materializing the whole space. [`SpaceAxes`] carries exactly that:
-//! one value list per parameter, with the IMUL axis expressed as a
-//! fraction of the ALU count (in sixteenths) so a mul setting survives
-//! an ALU move the way the paper intends ("between a quarter and a half
-//! of the ALUs").
+//! An exhaustive sweep wants concrete candidates
+//! ([`SpaceAxes::base_points`], [`SpaceAxes::arrangements`]); a guided
+//! search needs to know the *axes*: which values each parameter may
+//! take, so it can sample uniformly, step one position along one axis
+//! ("neighbors"), and test membership without materializing the whole
+//! space. [`SpaceAxes`] carries exactly that: one value list per
+//! parameter, with the IMUL axis expressed as a fraction of the ALU
+//! count (in sixteenths) so a mul setting survives an ALU move the way
+//! the paper intends ("between a quarter and a half of the ALUs"), plus
+//! the one cluster-count rule every axis set shares.
 //!
 //! Four axis sets are provided:
 //!
 //! * [`SpaceAxes::paper`] / [`SpaceAxes::extended`] /
-//!   [`SpaceAxes::with_extensions`] — what [`DesignSpace::paper`] /
-//!   [`DesignSpace::extended`] / [`DesignSpace::with_extensions`] are
-//!   generated from (checkpoint fingerprints hash those enumerations;
+//!   [`SpaceAxes::with_extensions`] — the paper's space, doubled with
+//!   pipelined Level-2 mirrors, and crossed with the fused-extension
+//!   axis (checkpoint fingerprints hash those enumerations;
 //!   `tests/recorded_run.rs` holds the paper one to the recorded run);
 //! * [`SpaceAxes::combinatorial`] — the generated large space: every
 //!   axis widened (ALUs to 128, registers to 4096, ports to 16, full
@@ -27,7 +27,6 @@
 
 use crate::arch::ArchSpec;
 use crate::ext::ExtSet;
-use crate::space::{self, DesignSpace};
 
 /// The value lists of every architecture axis.
 ///
@@ -48,7 +47,8 @@ pub struct SpaceAxes {
 
 impl SpaceAxes {
     /// The paper's axes (§2.4): quarter/half IMUL fractions, no
-    /// pipelined L2. Generates [`DesignSpace::paper`].
+    /// pipelined L2 — 192 base points (the paper reports 191; see
+    /// [`crate::space`]). [`crate::DesignSpace::paper`] is these.
     #[must_use]
     pub fn paper() -> Self {
         SpaceAxes {
@@ -62,8 +62,12 @@ impl SpaceAxes {
         }
     }
 
-    /// The extended axes: the paper's plus the pipelined-L2 toggle.
-    /// Generates [`DesignSpace::extended`].
+    /// The extended axes: the paper's plus the pipelined-L2 toggle —
+    /// every paper base point twice, once with the historical
+    /// non-pipelined Level-2 ports and once with pipelined ports
+    /// ([`ArchSpec::with_pipelined_l2`]). `exhibits extended` runs this
+    /// space to ask whether pipelining the L2 ports buys performance
+    /// worth their cost.
     #[must_use]
     pub fn extended() -> Self {
         SpaceAxes {
@@ -73,9 +77,11 @@ impl SpaceAxes {
     }
 
     /// The paper's axes plus the custom-instruction axis: every
-    /// [`ExtSet::AXIS`] candidate (none, each single fused op for
-    /// attribution, and all three). Generates
-    /// [`DesignSpace::with_extensions`].
+    /// [`ExtSet::AXIS`] candidate — the empty set first (that block is
+    /// the paper enumeration exactly), then each single fused op so the
+    /// exhibit can attribute gains, then all three. `exhibits fused`
+    /// runs this space to ask which kernels buy which fused operations
+    /// and what speedup per unit area they return.
     #[must_use]
     pub fn with_extensions() -> Self {
         SpaceAxes {
@@ -130,12 +136,13 @@ impl SpaceAxes {
         out
     }
 
-    /// Legal cluster counts for a `(alus, regs)` pair — the
-    /// [`DesignSpace::cluster_options`] rule, which is the same for
-    /// every axis set.
+    /// Legal cluster counts for a `(alus, regs)` pair: the counts that
+    /// divide both the ALUs and the registers evenly and leave every
+    /// cluster at least 16 registers. The rule is the same for every
+    /// axis set.
     #[must_use]
     pub fn cluster_options(&self, alus: u32, regs: u32) -> Vec<u32> {
-        space::cluster_options(alus, regs)
+        cluster_options(alus, regs)
     }
 
     /// The base points (all with `clusters = 1`), enumerated extension
@@ -174,17 +181,11 @@ impl SpaceAxes {
         out
     }
 
-    /// The [`DesignSpace`] these axes generate.
-    #[must_use]
-    pub fn space(&self) -> DesignSpace {
-        DesignSpace::from_base_points(self.base_points())
-    }
-
     /// Every `(base point, cluster count)` combination — the candidate
-    /// set a search over these axes draws from.
+    /// set a sweep evaluates and a search over these axes draws from.
     #[must_use]
     pub fn arrangements(&self) -> Vec<ArchSpec> {
-        space::arrangements(&self.base_points())
+        arrangements(&self.base_points())
     }
 
     /// Whether `spec` is one of this axis set's arrangements.
@@ -312,6 +313,34 @@ impl SpaceAxes {
     }
 }
 
+/// The cluster counts the experiment tries.
+const CLUSTER_COUNTS: [u32; 5] = [1, 2, 4, 8, 16];
+
+/// [`SpaceAxes::cluster_options`]' rule.
+fn cluster_options(alus: u32, regs: u32) -> Vec<u32> {
+    CLUSTER_COUNTS
+        .into_iter()
+        .filter(|&c| c <= alus && alus % c == 0 && regs % c == 0 && regs / c >= 16)
+        .collect()
+}
+
+/// Every base point (`clusters = 1`) under each of its legal cluster
+/// counts, base-point order outermost: [`SpaceAxes::arrangements`] of a
+/// whole enumeration, or of a sampled subset of one.
+#[must_use]
+pub fn arrangements(base_points: &[ArchSpec]) -> Vec<ArchSpec> {
+    let mut out = Vec::new();
+    for base in base_points {
+        for c in cluster_options(base.alus, base.regs) {
+            let mut s = *base;
+            s.clusters = c;
+            debug_assert!(s.validate().is_ok());
+            out.push(s);
+        }
+    }
+    out
+}
+
 /// The values one position either side of `cur` in `vals` (empty when
 /// `cur` is not on the axis).
 fn step(vals: &[u32], cur: u32) -> Vec<u32> {
@@ -345,6 +374,59 @@ fn nearest(vals: &[u32], want: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paper_space_has_192_base_points() {
+        // One more than the paper's 191 (enumeration unspecified there).
+        assert_eq!(SpaceAxes::paper().base_points().len(), 192);
+    }
+
+    #[test]
+    fn base_points_are_unique_and_valid() {
+        let mut seen = std::collections::HashSet::new();
+        for p in SpaceAxes::paper().base_points() {
+            assert!(p.validate().is_ok());
+            assert!(seen.insert(p), "duplicate {p}");
+            assert!(p.muls >= 1 && p.muls <= p.alus.div_ceil(2));
+        }
+    }
+
+    #[test]
+    fn extended_space_doubles_the_paper_space() {
+        let paper = SpaceAxes::paper().base_points();
+        let ext = SpaceAxes::extended().base_points();
+        assert_eq!(ext.len(), 384);
+        assert_eq!(ext.len(), 2 * paper.len());
+        let mut seen = std::collections::HashSet::new();
+        for p in &ext {
+            assert!(p.validate().is_ok());
+            assert!(seen.insert(*p), "duplicate {p}");
+        }
+        assert_eq!(ext.iter().filter(|p| p.l2_pipelined).count(), paper.len());
+    }
+
+    #[test]
+    fn cluster_options_respect_constraints() {
+        let axes = SpaceAxes::paper();
+        // 64 regs: at most 4 clusters (16 regs each).
+        assert_eq!(axes.cluster_options(16, 64), vec![1, 2, 4]);
+        assert_eq!(axes.cluster_options(1, 512), vec![1]);
+        assert_eq!(axes.cluster_options(16, 512), vec![1, 2, 4, 8, 16]);
+    }
+
+    #[test]
+    fn arrangements_are_valid_and_cover_base_points() {
+        let axes = SpaceAxes::paper();
+        let base = axes.base_points();
+        let all = axes.arrangements();
+        assert!(all.len() > base.len());
+        for a in &all {
+            assert!(a.validate().is_ok());
+        }
+        // Every base point appears with clusters = 1.
+        let ones = all.iter().filter(|a| a.clusters == 1).count();
+        assert_eq!(ones, base.len());
+    }
 
     #[test]
     fn combinatorial_space_exceeds_one_hundred_thousand_points() {
@@ -441,10 +523,16 @@ mod tests {
         let paper = SpaceAxes::paper().base_points();
         assert_eq!(base.len(), paper.len() * ExtSet::AXIS.len());
         // The empty-set block is the paper space exactly (fingerprints
-        // hash that enumeration), and every candidate set appears.
+        // hash that enumeration), and every candidate set appears once
+        // per paper point.
         assert_eq!(&base[..paper.len()], &paper[..]);
         for set in ExtSet::AXIS {
-            assert!(base.iter().any(|s| s.exts == set));
+            assert_eq!(base.iter().filter(|s| s.exts == set).count(), paper.len());
+        }
+        let mut seen = std::collections::HashSet::new();
+        for p in &base {
+            assert!(p.validate().is_ok());
+            assert!(seen.insert(*p), "duplicate {p}");
         }
         // Extension moves are one-position steps along the axis list.
         let s = ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap();

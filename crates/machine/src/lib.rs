@@ -15,9 +15,11 @@
 //!   constants from the published tables (the paper fitted its constants
 //!   "from observation of existing designs"; the designs we can observe
 //!   are the table rows the paper printed);
-//! * [`DesignSpace`] — the exhaustive enumeration of candidate
-//!   architectures searched by the experiment (the paper's 191-point
-//!   space, §2.4), plus the pipelined-L2 extended space;
+//! * [`SpaceAxes`] — the design spaces as axis value lists: the
+//!   exhaustive enumeration of candidate architectures searched by the
+//!   experiment (the paper's 191-point space, §2.4; [`DesignSpace`] is
+//!   its candidate list), the pipelined-L2 extended space, the
+//!   fused-extension space and the combinatorial one;
 //! * [`Mdes`] — the declarative machine description (op-class table,
 //!   unit table, reservation model) derived from an [`ArchSpec`]; the
 //!   single source of truth every downstream consumer reads;

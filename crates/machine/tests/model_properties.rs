@@ -2,7 +2,7 @@
 //! totality, parse/display round-trips, and model sanity over the whole
 //! enumerable parameter lattice (not just the curated design space).
 
-use cfp_machine::{ArchSpec, CostModel, CycleModel, DesignSpace, MachineResources, UnitClass};
+use cfp_machine::{ArchSpec, CostModel, CycleModel, MachineResources, SpaceAxes, UnitClass};
 use cfp_testkit::{cases, Rng};
 
 fn any_field(rng: &mut Rng) -> (u32, u32, u32, u32, u32, u32) {
@@ -92,8 +92,7 @@ fn models_are_sane_everywhere() {
 fn the_paper_space_is_fully_valid_and_priced() {
     let cost = CostModel::paper_calibrated();
     let cycle = CycleModel::paper_calibrated();
-    let space = DesignSpace::paper();
-    let all = space.all_arrangements();
+    let all = SpaceAxes::paper().arrangements();
     assert!(all.len() > 500, "{}", all.len());
     for spec in &all {
         assert!(spec.validate().is_ok(), "{spec}");

@@ -30,7 +30,7 @@
 
 use crate::json::{self, Json};
 use cfp_kernels::Benchmark;
-use cfp_machine::{ArchSpec, DesignSpace, SpaceAxes};
+use cfp_machine::{ArchSpec, SpaceAxes};
 use cfp_testkit::FaultInjector;
 use std::fmt;
 
@@ -128,7 +128,7 @@ pub enum JobKind {
 /// of the guided engine is that the space is sampled lazily.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpaceName {
-    /// The paper's 8-point base grid.
+    /// The paper's grid (192 base points).
     Paper,
     /// The extended grid (384 base points).
     Extended,
@@ -605,8 +605,8 @@ fn parse_archs(job: Field<'_>) -> Result<Vec<ArchSpec>, RequestError> {
         (Some(_), Some(p)) => Err(p.bad("give either 'archs' or 'preset', not both")),
         (None, None) => Err(job.missing("job.archs")),
         (None, Some(p)) => match p.str()? {
-            "paper" => Ok(DesignSpace::paper().all_arrangements()),
-            "extended" => Ok(DesignSpace::extended().all_arrangements()),
+            "paper" => Ok(SpaceAxes::paper().arrangements()),
+            "extended" => Ok(SpaceAxes::extended().arrangements()),
             "smoke" => Ok(cfp_dse::ExploreConfig::smoke().archs),
             other => Err(p.bad(format!(
                 "unknown preset '{other}' (know paper, extended, smoke)"

@@ -53,8 +53,9 @@ pub use cfp_opt as opt;
 pub use cfp_sched as sched;
 pub use cfp_serve as serve;
 
-/// Compile a kernel for an architecture (optimizer defaults, no
-/// unrolling): the facade's one-call version of the back-end pipeline.
+/// Compile a kernel for an architecture as given — no optimization, no
+/// unrolling: the facade's one-call version of the back end (the sweep
+/// schedules its own plans, `cfp_dse::eval::plan`).
 #[must_use]
 pub fn compile_for(
     kernel: &cfp_ir::Kernel,

@@ -121,7 +121,7 @@ fn mine_predicts_fuse_on_every_benchmark() {
 }
 
 /// The suite actually contains the mined idioms — the axis has something
-/// to sell. (Which kernels buy which ops is the `exhibits --fused`
+/// to sell. (Which kernels buy which ops is the `exhibits fused`
 /// exhibit; this pins only that every fused-op family occurs somewhere.)
 #[test]
 fn the_suite_exercises_every_fused_op_family() {

@@ -14,7 +14,7 @@
 
 use custom_fit::dse::checkpoint::fingerprint;
 use custom_fit::dse::explore::ExploreConfig;
-use custom_fit::machine::{ArchSpec, DesignSpace, Fnv1a, MachineResources, OpClass, UnitClass};
+use custom_fit::machine::{ArchSpec, Fnv1a, MachineResources, OpClass, SpaceAxes, UnitClass};
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::{
@@ -48,8 +48,8 @@ fn eat(h: &mut Fnv1a, x: u64) {
 }
 
 fn sample_specs() -> Vec<ArchSpec> {
-    DesignSpace::paper()
-        .all_arrangements()
+    SpaceAxes::paper()
+        .arrangements()
         .into_iter()
         .step_by(7)
         .collect()
@@ -196,7 +196,7 @@ fn checkpoint_fingerprints_are_unchanged() {
 /// the whole paper space.
 #[test]
 fn derived_tables_match_the_retired_hardcoded_ones() {
-    for spec in DesignSpace::paper().all_arrangements() {
+    for spec in SpaceAxes::paper().arrangements() {
         let machine = MachineResources::from_spec(&spec);
         // loopcode.rs `latency_of`: ALU 1, IMUL 2, L1 3, L2 from the
         // spec, branch 1.
@@ -240,11 +240,11 @@ fn derived_tables_match_the_retired_hardcoded_ones() {
 /// `ceil(reserved / units)` it once added on top.
 #[test]
 fn the_reservation_table_is_the_one_resource_bound() {
-    let specs: Vec<ArchSpec> = (DesignSpace::paper().all_arrangements().into_iter())
+    let specs: Vec<ArchSpec> = (SpaceAxes::paper().arrangements().into_iter())
         .step_by(100)
         .chain(
-            DesignSpace::extended()
-                .all_arrangements()
+            SpaceAxes::extended()
+                .arrangements()
                 .into_iter()
                 .step_by(200),
         )

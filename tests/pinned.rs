@@ -28,7 +28,7 @@ use custom_fit::dse::{
     OracleConfig, OracleReport, PlanStore, Range, ScatterPoint, SearchConfig, Selection,
 };
 use custom_fit::machine::{
-    ArchSpec, CostModel, CycleModel, DesignSpace, ExtSet, Fnv1a, MachineResources, Mdes, SpaceAxes,
+    ArchSpec, CostModel, CycleModel, ExtSet, Fnv1a, MachineResources, Mdes, SpaceAxes,
 };
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
@@ -475,7 +475,7 @@ fn scoring_surface() {
     let cycle = CycleModel::paper_calibrated();
     let models = oracle::ScalarModels::new(&cost, &cycle);
     let ex = Exploration::run(&ExploreConfig {
-        archs: DesignSpace::extended().all_arrangements(),
+        archs: SpaceAxes::extended().arrangements(),
         benches: vec![Benchmark::A, Benchmark::D, Benchmark::H],
         ..ExploreConfig::default()
     });
@@ -623,8 +623,8 @@ fn plan_corpus() {
 fn fused_axis() {
     let ext_sets: Vec<ExtSet> = (0..8).filter_map(ExtSet::from_bits).collect();
     assert_eq!(ext_sets.len(), 8);
-    let specs: Vec<ArchSpec> = DesignSpace::with_extensions()
-        .all_arrangements()
+    let specs: Vec<ArchSpec> = SpaceAxes::with_extensions()
+        .arrangements()
         .into_iter()
         .step_by(37)
         .flat_map(|s| ext_sets.iter().map(move |&e| s.with_extensions(e)))

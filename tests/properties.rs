@@ -18,7 +18,7 @@ mod common;
 
 use cfp_testkit::cases;
 use common::{arch, bind_inputs, build, recipe, N_ITERS};
-use custom_fit::machine::DesignSpace;
+use custom_fit::machine::SpaceAxes;
 use custom_fit::prelude::*;
 
 #[test]
@@ -189,10 +189,11 @@ fn paper_space_is_the_stated_cross_product() {
     }
     assert_eq!(expected.len(), 192);
 
-    let space = DesignSpace::paper();
-    assert_eq!(space.len(), 192, "one more than the paper's 191");
+    let axes = SpaceAxes::paper();
+    let base = axes.base_points();
+    assert_eq!(base.len(), 192, "one more than the paper's 191");
     let mut seen = std::collections::HashSet::new();
-    for p in space.base_points() {
+    for p in &base {
         assert!(p.validate().is_ok(), "{p}");
         assert!(!p.l2_pipelined, "the paper space is non-pipelined: {p}");
         assert!(seen.insert(*p), "duplicate base point {p}");
@@ -201,7 +202,7 @@ fn paper_space_is_the_stated_cross_product() {
     // Every cluster arrangement is valid and derives a machine
     // description that agrees with its spec (the layer everything
     // downstream of the space consumes).
-    for s in space.all_arrangements() {
+    for s in axes.arrangements() {
         assert!(s.validate().is_ok(), "{s}");
         let mdes = custom_fit::machine::Mdes::from_spec(&s);
         assert_eq!(mdes.cluster_count(), s.clusters as usize, "{s}");

@@ -18,7 +18,7 @@ use custom_fit::dse::checkpoint::fingerprint;
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::select::{select, Range};
 use custom_fit::dse::{pareto, spec_fingerprint, FailKind};
-use custom_fit::machine::{DesignSpace, Fnv1a};
+use custom_fit::machine::{Fnv1a, SpaceAxes};
 use custom_fit::prelude::*;
 use std::sync::Once;
 
@@ -199,8 +199,8 @@ fn recorded_paper_space_is_bit_identical_and_pinned() {
 /// corpus `mdes_equivalence.rs` pins.
 fn paper_sample() -> ExploreConfig {
     ExploreConfig {
-        archs: DesignSpace::paper()
-            .all_arrangements()
+        archs: SpaceAxes::paper()
+            .arrangements()
             .into_iter()
             .step_by(7)
             .collect(),
@@ -213,8 +213,8 @@ fn paper_sample() -> ExploreConfig {
 /// 384 points present, the arrangement axis collapsed.
 fn extended_one_per_base() -> ExploreConfig {
     let mut seen = std::collections::HashSet::new();
-    let archs: Vec<ArchSpec> = DesignSpace::extended()
-        .all_arrangements()
+    let archs: Vec<ArchSpec> = SpaceAxes::extended()
+        .arrangements()
         .into_iter()
         .filter(|s| {
             // The six-axis key: `l2_pipelined` is the axis the extended

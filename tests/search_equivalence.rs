@@ -25,7 +25,7 @@ use custom_fit::dse::{
     frontier, hypervolume, promote, spec_fingerprint, try_search, CompileCache, ScatterPoint,
     SearchConfig, SearchOutcome,
 };
-use custom_fit::machine::{ArchSpec, CycleModel, DesignSpace, ExtSet, SpaceAxes};
+use custom_fit::machine::{ArchSpec, CycleModel, ExtSet, SpaceAxes};
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
 
@@ -108,7 +108,7 @@ fn lazy_evaluator_answers_match_the_eager_evaluation_path() {
 #[test]
 fn guided_search_recovers_the_exhaustive_constrained_optimum() {
     // Ground truth: the full extended sweep on the search benchmark.
-    let archs = DesignSpace::extended().all_arrangements();
+    let archs = SpaceAxes::extended().arrangements();
     let arrangements = archs.len();
     let ex = Exploration::run(&ExploreConfig {
         archs,
