@@ -14,11 +14,14 @@
 //! as one block ([`SOp`] is `Copy`, its operands inline), value homes
 //! live in a vreg-indexed [`HomeTable`], cluster legality is one mask per
 //! cluster, and one-cluster machines skip the priority order entirely.
-//! The order itself is a counting sort over critical-path heights, and
-//! each op's operand homes are gathered once before its clusters are
-//! scored.
+//! The order itself is a counting sort over critical-path heights whose
+//! scatter also copies each op's placement inputs (def, class, operands)
+//! into that order, so placement streams through them instead of
+//! chasing ops across the code; each op's operand homes are gathered
+//! once before its clusters are scored, and the scoring loop keeps the
+//! first legal cluster of least score without a branch per cluster.
 
-use crate::ddg::Ddg;
+use crate::ddg::{height_order, Ddg};
 use crate::loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
 use crate::scratch::SchedScratch;
 use cfp_ir::{Operand, Vreg};
@@ -61,6 +64,16 @@ impl std::ops::Index<&Vreg> for HomeTable {
     }
 }
 
+/// One op as the placement loop reads it: its index, def (`NO_HOME`
+/// for none), class and operands.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placing {
+    op: u32,
+    def: u32,
+    class: OpClass,
+    uses: Uses,
+}
+
 /// Assign `code` to the machine's clusters.
 ///
 /// # Panics
@@ -92,11 +105,12 @@ pub fn assign_in(
     let nv = code.vreg_limit as usize;
 
     let SchedScratch {
-        order,
+        placing,
         height_start,
         home,
         vflags,
         alu_load,
+        alu_units,
         alu_share,
         mem_load,
         copy_of,
@@ -119,29 +133,33 @@ pub fn assign_in(
 
     if nc > 1 {
         // Priority order: critical-path height descending, then original
-        // position — a counting sort keyed by `top - height`, scattered
-        // in index order so ties keep the lowest index first.
-        let top = ddg.critical_path() as usize;
-        height_start.clear();
-        height_start.resize(top + 1, 0);
-        for &h in &ddg.height {
-            height_start[top - h as usize] += 1;
-        }
-        let mut start = 0;
-        for slot in height_start.iter_mut() {
-            (*slot, start) = (start, start + *slot);
-        }
-        order.clear();
-        order.resize(n, 0);
-        for (i, &h) in ddg.height.iter().enumerate() {
-            let slot = &mut height_start[top - h as usize];
-            order[*slot as usize] = u32::try_from(i).expect("op count fits u32");
-            *slot += 1;
-        }
-        // `alu_share[c]` is `alu_load[c]` over the cluster's ALUs, kept
-        // in step with the load rather than divided per probe.
+        // position. Each op's placement inputs are gathered into that
+        // order in one sequential pass over the code, so the placement
+        // loop streams instead of chasing ops across `code.ops`.
+        let filler = Placing {
+            op: 0,
+            def: NO_HOME,
+            class: OpClass::Alu,
+            uses: Uses::default(),
+        };
+        placing.clear();
+        placing.resize(n, filler);
+        height_order(&ddg.height, height_start, |slot, i| {
+            let op = &code.ops[i as usize];
+            placing[slot as usize] = Placing {
+                op: i,
+                def: op.def.map_or(NO_HOME, |d| d.0),
+                class: op.class,
+                uses: op.uses,
+            };
+        });
+        // `alu_share[c]` is `alu_load[c]` over the cluster's ALUs
+        // (`alu_units[c]`, at least one), kept in step with the load
+        // rather than divided per probe.
         alu_load.clear();
         alu_load.resize(nc, 0.0);
+        alu_units.clear();
+        alu_units.extend((0..nc).map(|c| f64::from(machine.mdes.units(c, UnitClass::Alu).max(1))));
         alu_share.clear();
         alu_share.resize(nc, 0.0);
         mem_load.clear();
@@ -158,8 +176,8 @@ pub fn assign_in(
             legal.push(mask);
         }
 
-        for &i in order.iter() {
-            let op = &code.ops[i as usize];
+        for op in placing.iter() {
+            let i = op.op;
             // The homes of the operands that would have to travel: the
             // non-resident ones already placed. A cluster's travel cost is
             // how many of them live elsewhere.
@@ -175,30 +193,27 @@ pub fn assign_in(
             let homes = &homes[..homed];
             let is_mem = op.class.is_mem();
             let balance = if is_mem { &*mem_load } else { &*alu_share };
-            let mut best: Option<(f64, u32)> = None;
-            for c in 0..nc {
-                if legal[c] >> op.class.code() & 1 == 0 {
-                    continue;
-                }
-                let cu = u32::try_from(c).expect("small");
+            // The first legal cluster of least score (scores are finite).
+            let code = op.class.code();
+            let (mut best, mut c) = (f64::INFINITY, NO_HOME);
+            for (cu, (&mask, &balance)) in (0..).zip(legal.iter().zip(balance)) {
                 let comm = homes.iter().filter(|&&h| h != cu).count() as f64;
-                let score = comm * 2.0 + balance[c];
-                if best.is_none_or(|(s, _)| score < s) {
-                    best = Some((score, cu));
+                let score = comm * 2.0 + balance;
+                if (mask >> code & 1 != 0) & (score < best) {
+                    (best, c) = (score, cu);
                 }
             }
-            let (_, c) = best.expect("every op has a legal cluster");
+            assert!(c != NO_HOME, "every op has a legal cluster");
             cluster_of_op[i as usize] = c;
             let ci = c as usize;
             if is_mem {
                 mem_load[ci] += 1.0;
             } else {
                 alu_load[ci] += 1.0;
-                alu_share[ci] =
-                    alu_load[ci] / f64::from(machine.mdes.units(ci, UnitClass::Alu).max(1));
+                alu_share[ci] = alu_load[ci] / alu_units[ci];
             }
-            if let Some(d) = op.def {
-                home[d.index()] = c;
+            if op.def != NO_HOME {
+                home[op.def as usize] = c;
             }
             // Provisionally home live-in operands at their first consumer.
             for u in &op.uses {

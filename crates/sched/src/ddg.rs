@@ -30,7 +30,7 @@
 //! representation pushed them (the grouping sort is stable), so every
 //! downstream traversal sees the same sequence it always has.
 
-use crate::loopcode::LoopCode;
+use crate::loopcode::{LoopCode, SOp};
 use crate::scratch::SchedScratch;
 use cfp_ir::Inst;
 
@@ -77,6 +77,9 @@ pub struct Ddg {
     /// Critical-path height of each op (its latency plus the longest
     /// path below it); the list scheduler's priority.
     pub height: Vec<u32>,
+    /// The longest edge latency (0 without edges), which sizes the list
+    /// scheduler's calendar ring.
+    max_lat: u32,
 }
 
 impl Ddg {
@@ -94,11 +97,60 @@ impl Ddg {
     /// cluster assignment only appended moves to and renamed operands in —
     /// and its memory edges are copied instead of rescanned. They come out
     /// of it grouped by consumer, producers ascending; each memory op's
-    /// conflicts lie in its own array, so after the stable grouping below
-    /// every CSR group holds the sequence the scan would have pushed.
+    /// conflicts lie in its own array, so every CSR group holds the
+    /// sequence the scan would have pushed. The consumer view is then
+    /// written op by op — register edges, then the op's memory group —
+    /// and only the producer view is grouped.
     #[must_use]
     pub fn build_in(code: &LoopCode, memory: Option<&Ddg>, scratch: &mut SchedScratch) -> Self {
         let n = code.ops.len();
+
+        // `def_of` is a vreg-indexed table (the IR is single-assignment,
+        // so last-write-wins insertion is moot); `lats` holds each op's
+        // result latency, read below in dependence order rather than
+        // through `code.ops`.
+        let (def_of, lats) = (&mut scratch.def_of, &mut scratch.lats);
+        def_of.clear();
+        def_of.resize(code.vreg_limit as usize, u32::MAX);
+        lats.clear();
+        for (i, op) in code.ops.iter().enumerate() {
+            if let Some(d) = op.def {
+                def_of[d.index()] = u32::try_from(i).expect("op count fits u32");
+            }
+            lats.push(op.latency);
+        }
+        let (def_of, lats) = (&def_of[..], &lats[..]);
+        if let Some(g) = memory {
+            // Each op's group of the consumer view is its register RAW
+            // edges, then its memory edges as the prepared graph's group
+            // holds them — what the stable grouping below would make of
+            // the collected edges — so that view is written in order.
+            let mut pred_edges = Vec::with_capacity(3 * n + g.edges().len());
+            let mut pred_row = Vec::with_capacity(n + 1);
+            pred_row.push(0);
+            for (i, op) in code.ops.iter().enumerate() {
+                pred_edges.extend(reg_raw(i, op, def_of, lats));
+                if i < g.op_count() {
+                    let memory = g.preds(i).iter().filter(|d| d.kind != DepKind::RegRaw);
+                    pred_edges.extend(memory);
+                }
+                pred_row.push(u32::try_from(pred_edges.len()).expect("edge count fits u32"));
+            }
+            // The producer view in the collected order: register RAW
+            // edges first, then memory edges, each consumer-major.
+            let is_reg = |d: &&Dep| d.kind == DepKind::RegRaw;
+            let collected = || {
+                let reg = pred_edges.iter().filter(is_reg);
+                reg.chain(pred_edges.iter().filter(|d| !is_reg(d)))
+            };
+            let (succ_edges, succ_row) = group(n, collected, |e| e.from, &mut scratch.row_tmp);
+            return complete(
+                (pred_edges, pred_row),
+                (succ_edges, succ_row),
+                lats,
+                (&mut scratch.on_stack, &mut scratch.dfs),
+            );
+        }
 
         // Collect every edge, in discovery order: register RAW first,
         // then memory edges array by array, producer-major in program
@@ -107,85 +159,59 @@ impl Ddg {
         // sequence the nested-Vec representation pushed.
         let edges = &mut scratch.edge_buf;
         edges.clear();
-
-        // Register RAW edges. `def_of` is a vreg-indexed table (the IR is
-        // single-assignment, so last-write-wins insertion is moot).
-        let def_of = &mut scratch.def_of;
-        def_of.clear();
-        def_of.resize(code.vreg_limit as usize, u32::MAX);
         for (i, op) in code.ops.iter().enumerate() {
-            if let Some(d) = op.def {
-                def_of[d.index()] = u32::try_from(i).expect("op count fits u32");
-            }
+            edges.extend(reg_raw(i, op, def_of, lats));
         }
-        for (i, op) in code.ops.iter().enumerate() {
-            for u in &op.uses {
-                let p = def_of[u.index()];
-                if p != u32::MAX {
+
+        // Memory ordering edges, pairwise per array. Sorting by
+        // `(array, op index)` buckets the memory ops by array with
+        // program order kept inside each bucket.
+        let (mems, stores) = (&mut scratch.mems_tmp, &mut scratch.stores_tmp);
+        mems.clear();
+        mems.extend(
+            code.ops
+                .iter()
+                .enumerate()
+                .filter_map(|(i, op)| MemAccess::of(i, op.inst.as_ref()?)),
+        );
+        mems.sort_unstable_by_key(|m| (m.array, m.op));
+        for run in mems.chunk_by(|a, b| a.array == b.array) {
+            stores.clear();
+            stores.extend(run.iter().filter(|m| m.store));
+            // Loads never order against loads: a load pairs only with
+            // the stores after it (none, in an array nothing stores
+            // to); a store pairs with every later access.
+            let mut next_store = 0;
+            for (ai, a) in run.iter().enumerate() {
+                let later = if a.store {
+                    next_store += 1;
+                    &run[ai + 1..]
+                } else {
+                    &stores[next_store..]
+                };
+                scratch.ddg_probes += later.len() as u64;
+                for b in later.iter().filter(|b| a.may_conflict(b)) {
+                    let (kind, lat) = match (a.store, b.store) {
+                        (true, false) => (DepKind::MemRaw, lats[a.op as usize]),
+                        (false, _) => (DepKind::MemWar, 1),
+                        (true, true) => (DepKind::MemWaw, 1),
+                    };
                     edges.push(Dep {
-                        from: p,
-                        to: u32::try_from(i).expect("op count fits u32"),
-                        lat: code.ops[p as usize].latency,
-                        kind: DepKind::RegRaw,
+                        from: a.op,
+                        to: b.op,
+                        lat,
+                        kind,
                     });
                 }
             }
         }
 
-        if let Some(g) = memory {
-            edges.extend(g.edges().iter().filter(|d| d.kind != DepKind::RegRaw));
-        } else {
-            // Memory ordering edges, pairwise per array. Sorting by
-            // `(array, op index)` buckets the memory ops by array with
-            // program order kept inside each bucket.
-            let (mems, stores) = (&mut scratch.mems_tmp, &mut scratch.stores_tmp);
-            mems.clear();
-            mems.extend(
-                code.ops
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, op)| MemAccess::of(i, op.inst.as_ref()?)),
-            );
-            mems.sort_unstable_by_key(|m| (m.array, m.op));
-            for run in mems.chunk_by(|a, b| a.array == b.array) {
-                stores.clear();
-                stores.extend(run.iter().filter(|m| m.store));
-                // Loads never order against loads: a load pairs only with
-                // the stores after it (none, in an array nothing stores
-                // to); a store pairs with every later access.
-                let mut next_store = 0;
-                for (ai, a) in run.iter().enumerate() {
-                    let later = if a.store {
-                        next_store += 1;
-                        &run[ai + 1..]
-                    } else {
-                        &stores[next_store..]
-                    };
-                    scratch.ddg_probes += later.len() as u64;
-                    for b in later.iter().filter(|b| a.may_conflict(b)) {
-                        let (kind, lat) = match (a.store, b.store) {
-                            (true, false) => (DepKind::MemRaw, code.ops[a.op as usize].latency),
-                            (false, _) => (DepKind::MemWar, 1),
-                            (true, true) => (DepKind::MemWaw, 1),
-                        };
-                        edges.push(Dep {
-                            from: a.op,
-                            to: b.op,
-                            lat,
-                            kind,
-                        });
-                    }
-                }
-            }
-        }
-
-        let latency_of = |i: usize| code.ops[i].latency;
         assemble(
             n,
             &scratch.edge_buf,
-            latency_of,
+            lats,
             &mut scratch.row_tmp,
-            (&mut scratch.indeg, &mut scratch.topo),
+            (&mut scratch.on_stack, &mut scratch.dfs),
         )
     }
 
@@ -203,9 +229,9 @@ impl Ddg {
         assemble(
             latencies.len(),
             edges,
-            |i| latencies[i],
+            latencies,
             &mut scratch.row_tmp,
-            (&mut scratch.indeg, &mut scratch.topo),
+            (&mut scratch.on_stack, &mut scratch.dfs),
         )
     }
 
@@ -240,6 +266,12 @@ impl Ddg {
         &self.pred_edges
     }
 
+    /// The longest latency of any edge, 0 in a graph without edges.
+    #[must_use]
+    pub(crate) fn max_latency(&self) -> u32 {
+        self.max_lat
+    }
+
     /// The length in cycles of the longest dependence chain — a lower
     /// bound on any schedule, regardless of resources.
     #[must_use]
@@ -248,86 +280,158 @@ impl Ddg {
     }
 }
 
+/// The order the schedulers rank ops in — height descending, index
+/// ascending — as a counting sort: `place(slot, i)` is called for each
+/// op `i` in index order with `slot`, its place in that order.
+/// `buckets` is working memory.
+pub(crate) fn height_order(
+    height: &[u32],
+    buckets: &mut Vec<u32>,
+    mut place: impl FnMut(u32, u32),
+) {
+    let top = height.iter().copied().max().unwrap_or(0) as usize;
+    buckets.clear();
+    buckets.resize(top + 1, 0);
+    for &h in height {
+        buckets[top - h as usize] += 1;
+    }
+    let mut at = 0;
+    for slot in buckets.iter_mut() {
+        (*slot, at) = (at, at + *slot);
+    }
+    for (i, &h) in (0..).zip(height) {
+        let slot = &mut buckets[top - h as usize];
+        place(*slot, i);
+        *slot += 1;
+    }
+}
+
+/// Op `i`'s register RAW edges, in operand order, under the vreg →
+/// defining op table `def_of` and result latencies `lats`.
+fn reg_raw<'a>(
+    i: usize,
+    op: &'a SOp,
+    def_of: &'a [u32],
+    lats: &'a [u32],
+) -> impl Iterator<Item = Dep> + 'a {
+    let to = u32::try_from(i).expect("op count fits u32");
+    op.uses.iter().filter_map(move |u| {
+        let from = def_of[u.index()];
+        (from != u32::MAX).then(|| Dep {
+            from,
+            to,
+            lat: lats[from as usize],
+            kind: DepKind::RegRaw,
+        })
+    })
+}
+
 /// Group `edges` into the two CSR views and compute heights. The
 /// grouping is a stable counting sort, so edges sharing a consumer (or
 /// producer) keep their input order.
 fn assemble(
     n: usize,
     edges: &[Dep],
-    latency_of: impl Fn(usize) -> u32,
+    lats: &[u32],
     row_tmp: &mut Vec<u32>,
-    (indeg, topo): (&mut Vec<u32>, &mut Vec<u32>),
+    dfs: (&mut Vec<bool>, &mut Vec<(u32, u32, u32)>),
 ) -> Ddg {
-    let m = edges.len();
+    let pred = group(n, || edges.iter(), |e| e.to, row_tmp);
+    let succ = group(n, || edges.iter(), |e| e.from, row_tmp);
+    complete(pred, succ, lats, dfs)
+}
+
+/// The edges `edges()` yields grouped by `key`, and the `n + 1` group
+/// offsets: a stable counting sort, so a group keeps the input order.
+fn group<'a, I: Iterator<Item = &'a Dep>>(
+    n: usize,
+    edges: impl Fn() -> I,
+    key: fn(&Dep) -> u32,
+    row_tmp: &mut Vec<u32>,
+) -> (Vec<Dep>, Vec<u32>) {
+    let mut row = vec![0_u32; n + 1];
+    for e in edges() {
+        row[key(e) as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row[i + 1] += row[i];
+    }
+    // Scatter in input order through a cursor copy of the offsets —
+    // this is what keeps each group stable.
+    row_tmp.clear();
+    row_tmp.extend_from_slice(&row[..n]);
     let filler = Dep {
         from: 0,
         to: 0,
         lat: 0,
         kind: DepKind::RegRaw,
     };
-
-    let group = |key: fn(&Dep) -> u32, row_tmp: &mut Vec<u32>| -> (Vec<Dep>, Vec<u32>) {
-        let mut row = vec![0_u32; n + 1];
-        for e in edges {
-            row[key(e) as usize + 1] += 1;
-        }
-        for i in 0..n {
-            row[i + 1] += row[i];
-        }
-        // Scatter in input order through a cursor copy of the offsets —
-        // this is what keeps each group stable.
-        row_tmp.clear();
-        row_tmp.extend_from_slice(&row[..n]);
-        let mut grouped = vec![filler; m];
-        for e in edges {
-            let k = key(e) as usize;
-            grouped[row_tmp[k] as usize] = *e;
-            row_tmp[k] += 1;
-        }
-        (grouped, row)
-    };
-
-    let (pred_edges, pred_row) = group(|e| e.to, row_tmp);
-    let (succ_edges, succ_row) = group(|e| e.from, row_tmp);
-
-    // Critical-path heights over a reverse topological order (the graph
-    // is acyclic: register RAW edges follow single-assignment order and
-    // memory edges follow program order).
-    indeg.clear();
-    indeg.reserve(n);
-    for i in 0..n {
-        indeg.push(pred_row[i + 1] - pred_row[i]);
+    let mut grouped = vec![filler; row[n] as usize];
+    for e in edges() {
+        let k = key(e) as usize;
+        grouped[row_tmp[k] as usize] = *e;
+        row_tmp[k] += 1;
     }
-    // `row_tmp` is free again after the grouping; it serves as the stack.
-    row_tmp.clear();
-    row_tmp.extend((0..n).filter(|&i| indeg[i] == 0).map(|i| i as u32));
-    topo.clear();
-    while let Some(i) = row_tmp.pop() {
-        topo.push(i);
-        for e in &succ_edges[succ_row[i as usize] as usize..succ_row[i as usize + 1] as usize] {
-            indeg[e.to as usize] -= 1;
-            if indeg[e.to as usize] == 0 {
-                row_tmp.push(e.to);
-            }
-        }
-    }
-    assert_eq!(topo.len(), n, "dependence graph must be acyclic");
+    (grouped, row)
+}
 
+/// The graph of two CSR views, its heights computed (op `i` has result
+/// latency `lats[i]`).
+fn complete(
+    (pred_edges, pred_row): (Vec<Dep>, Vec<u32>),
+    (succ_edges, succ_row): (Vec<Dep>, Vec<u32>),
+    lats: &[u32],
+    (on_stack, stack): (&mut Vec<bool>, &mut Vec<(u32, u32, u32)>),
+) -> Ddg {
+    let n = lats.len();
+    // Critical-path heights, depth first: an op's height waits for its
+    // successors'. Walked from the last op back, a graph whose edges run
+    // forward finds every successor done and visits each edge once; a
+    // move appended behind its readers is finished on demand by its
+    // producer. Every height is at least 1, so 0 means "not yet". A
+    // stack entry is an op, the next of its edges to look at and the
+    // longest chain below it so far; a successor still on the stack
+    // would close a cycle.
     let mut height = vec![0_u32; n];
-    for &i in topo.iter().rev() {
-        let i = i as usize;
-        let below = succ_edges[succ_row[i] as usize..succ_row[i + 1] as usize]
-            .iter()
-            .map(|d| d.lat + height[d.to as usize])
-            .max()
-            .unwrap_or(0);
-        // Edge latencies already include the producer's latency, so a
-        // node's height is the longest chain hanging below it — or its
-        // own completion time if it is a sink.
-        height[i] = latency_of(i).max(1).max(below);
+    on_stack.clear();
+    on_stack.resize(n, false);
+    stack.clear();
+    for root in (0..n).rev() {
+        if height[root] != 0 {
+            continue;
+        }
+        on_stack[root] = true;
+        stack.push((root as u32, succ_row[root], 0));
+        while let Some((u, at, below)) = stack.last_mut() {
+            let ui = *u as usize;
+            let end = succ_row[ui + 1];
+            while *at < end {
+                let d = succ_edges[*at as usize];
+                let h = height[d.to as usize];
+                if h == 0 {
+                    break;
+                }
+                *below = (*below).max(d.lat + h);
+                *at += 1;
+            }
+            if *at < end {
+                let v = succ_edges[*at as usize].to;
+                assert!(!on_stack[v as usize], "dependence graph must be acyclic");
+                on_stack[v as usize] = true;
+                stack.push((v, succ_row[v as usize], 0));
+                continue;
+            }
+            // Edge latencies already include the producer's latency, so
+            // a node's height is the longest chain hanging below it — or
+            // its own completion time if it is a sink.
+            height[ui] = lats[ui].max(1).max(*below);
+            on_stack[ui] = false;
+            stack.pop();
+        }
     }
 
     Ddg {
+        max_lat: pred_edges.iter().map(|d| d.lat).max().unwrap_or(0),
         pred_edges,
         pred_row,
         succ_edges,
@@ -684,5 +788,56 @@ mod tests {
                 "{src}"
             );
         }
+    }
+
+    #[test]
+    fn heights_are_longest_chains_whatever_the_index_order() {
+        // Random DAGs under a random renumbering, so edges run backward
+        // as well as forward (as a move appended behind its readers
+        // does), against heights relaxed to a fixed point.
+        cfp_testkit::cases(0xdd90_0037, 200, |rng| {
+            let n = 1 + rng.index(40);
+            let mut name: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                name.swap(i, rng.index(i + 1));
+            }
+            let mut edges = Vec::new();
+            for to in 1..n {
+                for _ in 0..rng.index(4) {
+                    edges.push(Dep {
+                        from: name[rng.index(to)],
+                        to: name[to],
+                        lat: rng.range_u32(1..=9),
+                        kind: DepKind::RegRaw,
+                    });
+                }
+            }
+            let lats: Vec<u32> = rng.vec_of(n, |r| r.range_u32(0..=8));
+            let mut reference: Vec<u32> = lats.iter().map(|&l| l.max(1)).collect();
+            loop {
+                let before = reference.clone();
+                for d in &edges {
+                    let chain = d.lat + reference[d.to as usize];
+                    let h = &mut reference[d.from as usize];
+                    *h = (*h).max(chain);
+                }
+                if before == reference {
+                    break;
+                }
+            }
+            assert_eq!(Ddg::from_edges(&lats, &edges).height, reference);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "acyclic")]
+    fn a_cycle_is_refused() {
+        let dep = |from, to| Dep {
+            from,
+            to,
+            lat: 1,
+            kind: DepKind::RegRaw,
+        };
+        let _ = Ddg::from_edges(&[1, 1, 1], &[dep(0, 1), dep(1, 2), dep(2, 1)]);
     }
 }

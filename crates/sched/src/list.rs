@@ -16,18 +16,27 @@
 //!   of this one is complete (no software pipelining — matching the
 //!   unroll-and-list-schedule discipline of the Multiflow line).
 //!
-//! Engineering (see DESIGN.md §11): ready ops wait in one binary heap of
-//! packed `(priority, !index)` keys per (cluster, unit row their class
-//! binds to). Queues that share a row form a group, walked each cycle as
-//! one descending stream; a row that refuses one op refuses every
-//! lower-priority op behind it, so a full row closes every queue holding
-//! it: a cycle costs O(ops issued + queues), not O(ops ready). Occupancy
-//! is a free-unit count per row plus a ring, as long as the longest
-//! reservation, of the units each cycle hands back — issue cycles never
-//! go down and a reservation starts at its issue, so a row has a free
-//! unit at `t` exactly when fewer than its units are reserved across
-//! `t`. Newly eligible ops wait in a calendar ring bucketed by earliest
-//! legal cycle, and every buffer lives in a caller-provided
+//! Engineering (see DESIGN.md §11): each op has a rank, its place in
+//! the arm's order (priority descending, index ascending), and ready
+//! ops wait in one rank bitmap per (cluster, unit row their class binds
+//! to) — the arena's `ReadyQueues`: push, pop and peek are word
+//! operations, and a bitmap of occupied queues lets a cycle skip the
+//! groups with nothing to issue. Queues that share a row form a group,
+//! walked each cycle as one ascending stream of ranks; a row that
+//! refuses one op refuses every lower-priority op behind it, so a full
+//! row closes every queue holding it: a cycle costs O(ops issued +
+//! occupied queues), not O(ops ready). Occupancy is a free-unit count
+//! per row plus a ring, as long as the longest reservation, of the
+//! units each cycle hands back — issue cycles never go down and a
+//! reservation starts at its issue, so a row has a free unit at `t`
+//! exactly when fewer than its units are reserved across `t`. Newly
+//! eligible ops wait in a power-of-two calendar ring bucketed by
+//! earliest legal cycle. A cycle that issues nothing changes nothing,
+//! so every cycle after it repeats it until a bucket fills or a unit
+//! comes back; the arm jumps there, charging each skipped cycle as the
+//! cycle it repeats. The issue walk, each op's queue and the ResMII
+//! tally depend on the machine and the assignment only, and are built
+//! once for both arms. Every buffer lives in a caller-provided
 //! [`SchedScratch`]. Schedules, fuel verdicts, and
 //! [`crate::error::Fuel::spent`] step counts are bit-identical to the
 //! straightforward flat-list implementation — fuel prices semantic scan
@@ -44,10 +53,9 @@ use crate::cluster::Assignment;
 use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::OpOrigin;
-use crate::modulo::res_mii_in;
-use crate::scratch::SchedScratch;
-use cfp_machine::{MachineResources, OpClass};
-use std::collections::BinaryHeap;
+use crate::modulo::bound_of_rows;
+use crate::scratch::{SchedScratch, EMPTY, NO_QUEUE};
+use cfp_machine::{MachineResources, OpClass, EXTENSIONS};
 
 /// Where one op landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,19 +79,28 @@ pub struct Schedule {
 /// Hard cap so a scheduler bug cannot spin forever.
 const MAX_CYCLES: u32 = 1 << 20;
 
-/// `op_queue` of an op that never issues (the branch, unregistered classes).
-const NO_QUEUE: u32 = u32::MAX;
-
 /// One ready queue of the issue walk: the queue of reservation-table
 /// row `row`, holding the reservations `lo..hi` of the scratch arena's
-/// `walk_reqs`, walked with the queues issuing from the same slot row —
-/// the walk's queues before index `end`.
+/// `walk_reqs` (the first on row `slot`, its issue slot), walked with the
+/// queues issuing from the same slot row — the walk's queues
+/// `start..end`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IssueQueue {
+    start: u32,
     end: u32,
     row: u32,
+    slot: u32,
     lo: usize,
     hi: usize,
+}
+
+/// An op's dependence state during an arm: its predecessors not yet
+/// issued, and the earliest cycle the issued ones allow it. One record,
+/// so a successor update touches one cache line.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wait {
+    preds: u32,
+    earliest: u32,
 }
 
 /// Ready-list priority function — an ablation knob. Critical-path
@@ -175,17 +192,17 @@ pub(crate) fn portfolio_in(
     fuel: &mut Fuel,
     scratch: &mut SchedScratch,
 ) -> Result<Portfolio, SchedError> {
-    let cp = schedule_with_fuel_in(
+    let core = issue_tables(assignment, machine, scratch);
+    let cp = arm(
         assignment,
         ddg,
         machine,
         Priority::CriticalPath,
+        core,
         fuel,
         scratch,
     )?;
-    let bound = ddg
-        .critical_path()
-        .max(res_mii_in(&assignment.code, assignment, machine, scratch));
+    let bound = ddg.critical_path().max(core.res_mii);
     if cp.length == bound {
         return Ok(Portfolio {
             schedule: cp,
@@ -193,11 +210,12 @@ pub(crate) fn portfolio_in(
             arms: 1,
         });
     }
-    let so = schedule_with_fuel_in(
+    let so = arm(
         assignment,
         ddg,
         machine,
         Priority::SourceOrder,
+        core,
         fuel,
         scratch,
     )?;
@@ -226,20 +244,6 @@ pub fn schedule_with(
     }
 }
 
-/// Pack a ready-queue key: priority in the high half, bit-inverted index
-/// in the low half, so the greatest key is the highest priority and the
-/// lowest index on ties — the exact order a sorted ready list produces.
-/// Indices are unique, so the order is total.
-#[inline]
-fn ready_key(pri: u32, i: usize) -> u64 {
-    (u64::from(pri) << 32) | u64::from(u32::MAX - i as u32)
-}
-
-#[inline]
-fn key_index(key: u64) -> usize {
-    (u32::MAX - (key as u32)) as usize
-}
-
 /// The scheduler proper: one priority function, an explicit step budget,
 /// working memory from `scratch`. Fuel is spent once per issue scan,
 /// proportionally to the number of ready ops examined, so the budget
@@ -247,7 +251,6 @@ fn key_index(key: u64) -> usize {
 ///
 /// # Errors
 /// As [`try_schedule`].
-#[allow(clippy::too_many_lines)] // the single hot loop of the back end
 pub fn schedule_with_fuel_in(
     assignment: &Assignment,
     ddg: &Ddg,
@@ -256,48 +259,58 @@ pub fn schedule_with_fuel_in(
     fuel: &mut Fuel,
     scratch: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
-    let code = &assignment.code;
-    let n = code.ops.len();
-    let branch = code.branch_index();
-    let nc = machine.cluster_count();
+    let core = issue_tables(assignment, machine, scratch);
+    arm(assignment, ddg, machine, priority, core, fuel, scratch)
+}
 
+/// What [`issue_tables`] returns beside the tables it leaves in the
+/// arena: the loop branch's index, the ring length in cycles (the
+/// longest reservation of the walk) and the code's ResMII.
+#[derive(Debug, Clone, Copy)]
+struct IssueTables {
+    branch: usize,
+    span: usize,
+    res_mii: u32,
+}
+
+/// The per-core half of the scheduler, shared by both arms: the issue
+/// walk (`walk`, `walk_reqs`) read from the reservation table, and from
+/// one pass over the ops each op's queue in it (`op_queue`), the cycles
+/// it holds the schedule open (`op_lat`, its latency but at least one),
+/// the loop branch, and the per-row busy cycles of
+/// [`crate::modulo::res_mii`]. None of it depends on the priority.
+fn issue_tables(
+    assignment: &Assignment,
+    machine: &MachineResources,
+    scratch: &mut SchedScratch,
+) -> IssueTables {
     let SchedScratch {
-        pending,
-        earliest,
-        issue,
-        queues,
-        issued,
-        list_probes,
-        cal,
         op_queue,
-        room,
-        ring,
+        op_lat,
         walk,
         walk_reqs,
+        class_queue,
+        class_ops,
+        res_busy,
         ..
     } = scratch;
-
-    // Dependence bookkeeping.
-    pending.clear();
-    pending.extend((0..n).map(|i| ddg.pred_count(i)));
-    earliest.clear();
-    earliest.resize(n, 0);
-    issue.clear();
-    issue.resize(n, u32::MAX);
-
-    // The issue walk, read from the reservation table. On each cluster,
-    // every registered class but the branch (which places last) queues
-    // on its unit's row; classes bound to one unit reserve alike. Queues
-    // issuing from one slot row, their first reservation, form a group:
-    // a multiply's queue joins the ALU queue through the ALU slot it
-    // issues from. No other row is shared ([`Mdes::reservations`]).
+    // On each cluster, every registered class but the branch (which
+    // places last) queues on its unit's row; classes bound to one unit
+    // reserve alike. Queues issuing from one slot row, their first
+    // reservation, form a group: a multiply's queue joins the ALU queue
+    // through the ALU slot it issues from. No other row is shared
+    // ([`Mdes::reservations`]). `class_queue[c·COUNT + code]` is the
+    // queue of class `code` on cluster `c`.
     let mdes = &machine.mdes;
+    let nc = machine.cluster_count();
     let mut issues = [false; OpClass::COUNT];
     for class in mdes.registered_classes() {
         issues[class.code() as usize] = class != OpClass::Branch;
     }
     walk.clear();
     walk_reqs.clear();
+    class_queue.clear();
+    class_queue.resize(nc * OpClass::COUNT, NO_QUEUE);
     for c in 0..nc {
         let first = walk.len();
         for class in mdes.registered_classes() {
@@ -305,69 +318,158 @@ pub fn schedule_with_fuel_in(
             if issues[class.code() as usize] && walk[first..].iter().all(|q| q.row != row) {
                 let lo = walk_reqs.len();
                 walk_reqs.extend(mdes.reservations(class, c));
-                let hi = walk_reqs.len();
                 walk.push(IssueQueue {
+                    start: 0,
                     end: 0,
                     row,
+                    slot: walk_reqs[lo].row,
                     lo,
-                    hi,
+                    hi: walk_reqs.len(),
                 });
             }
         }
-        let slot = |q: &IssueQueue| walk_reqs[q.lo].row;
-        walk[first..].sort_unstable_by_key(|q| (slot(q), q.row));
+        walk[first..].sort_unstable_by_key(|q| (q.slot, q.row));
         for k in (first..walk.len()).rev() {
-            let next = walk.get(k + 1).filter(|q| slot(q) == slot(&walk[k]));
+            let next = walk.get(k + 1).filter(|q| q.slot == walk[k].slot);
             walk[k].end = next.map_or(k as u32 + 1, |q| q.end);
             assert!(walk[k].end as usize - k <= 64, "a group fits one mask word");
         }
+        for k in first..walk.len() {
+            let prev = walk[first..k].last().filter(|q| q.slot == walk[k].slot);
+            walk[k].start = prev.map_or(k as u32, |q| q.start);
+        }
+        for class in mdes.registered_classes() {
+            if issues[class.code() as usize] {
+                let row = mdes.unit_row(class, c);
+                let k = walk[first..].iter().position(|q| q.row == row);
+                let k = first + k.expect("an issuing class has a queue");
+                class_queue[c * OpClass::COUNT + class.code() as usize] = k as u32;
+            }
+        }
     }
-    // Occupancy (module doc): `room[row]` free units at the current
-    // cycle, `ring[(t mod span)·rows + row]` units handed back at `t`.
     let span = walk_reqs.iter().map(|r| r.reserved).max().unwrap_or(1) as usize;
+    op_queue.clear();
+    op_lat.clear();
+    class_ops.clear();
+    class_ops.resize(nc * OpClass::COUNT, 0);
+    let mut branch = None;
+    for (i, (op, &c)) in assignment
+        .code
+        .ops
+        .iter()
+        .zip(&assignment.cluster_of_op)
+        .enumerate()
+    {
+        let key = c as usize * OpClass::COUNT + op.class.code() as usize;
+        op_queue.push(class_queue[key]);
+        op_lat.push(op.latency.max(1));
+        class_ops[key] += 1;
+        if op.origin == OpOrigin::LoopBranch {
+            branch = branch.or(Some(i));
+        }
+    }
+    // ResMII's busy cycles: every op reserves its class's rows on its
+    // cluster, registered or not — tallied per (cluster, class).
+    res_busy.clear();
+    res_busy.resize(mdes.row_units().count(), 0);
+    let classes = OpClass::ALL
+        .into_iter()
+        .chain((0..EXTENSIONS.len()).map(|i| OpClass::Fused(i as u8)));
+    for (k, class) in classes.enumerate() {
+        for c in 0..nc {
+            let ops = class_ops[c * OpClass::COUNT + k];
+            if ops > 0 {
+                for r in mdes.reservations(class, c) {
+                    res_busy[r.row as usize] += ops * r.reserved;
+                }
+            }
+        }
+    }
+    IssueTables {
+        branch: branch.expect("loop code always carries its branch"),
+        span,
+        res_mii: bound_of_rows(mdes.row_units(), res_busy),
+    }
+}
+
+/// One arm of the portfolio over the tables [`issue_tables`] left in
+/// `scratch`.
+#[allow(clippy::too_many_lines)] // the single hot loop of the back end
+fn arm(
+    assignment: &Assignment,
+    ddg: &Ddg,
+    machine: &MachineResources,
+    priority: Priority,
+    IssueTables { branch, span, .. }: IssueTables,
+    fuel: &mut Fuel,
+    scratch: &mut SchedScratch,
+) -> Result<Schedule, SchedError> {
+    let n = assignment.code.ops.len();
+
+    let SchedScratch {
+        waits,
+        issue,
+        ready,
+        issued,
+        list_probes,
+        cal,
+        cal_next,
+        op_queue,
+        op_lat,
+        room,
+        ring,
+        ring_back,
+        walk,
+        walk_reqs,
+        ..
+    } = scratch;
+
+    // Dependence bookkeeping.
+    waits.clear();
+    waits.extend((0..n).map(|i| Wait {
+        preds: ddg.pred_count(i),
+        earliest: 0,
+    }));
+    issue.clear();
+    issue.resize(n, u32::MAX);
+
+    // Occupancy (module doc): `room[row]` free units at the current
+    // cycle, `ring[s·rows + row]` units handed back at the cycles of
+    // ring slot `s` (`t mod span`), `ring_back[s]` their sum.
     room.clear();
-    room.extend(mdes.row_units());
+    room.extend(machine.mdes.row_units());
     let rows = room.len();
     ring.clear();
     ring.resize(span * rows, 0);
-    op_queue.clear();
-    for (op, &c) in code.ops.iter().zip(&assignment.cluster_of_op) {
-        let row = issues[op.class.code() as usize].then(|| mdes.unit_row(op.class, c as usize));
-        op_queue.push(row.unwrap_or(NO_QUEUE));
-    }
-
-    let pri_of = |i: usize| match priority {
-        Priority::CriticalPath => ddg.height[i],
-        Priority::SourceOrder => 0,
-    };
+    ring_back.clear();
+    ring_back.resize(span, 0);
+    ready.reset(
+        (priority == Priority::CriticalPath).then_some(&ddg.height[..]),
+        n,
+        walk.len(),
+    );
 
     // Enabled-but-unissued ops live in one of two structures: the ready
     // queue of their (cluster, unit row) — operands available, waiting
-    // for a slot — or `cal` (operands still in flight; a calendar ring of
-    // buckets indexed by earliest legal cycle mod the ring width). An op
-    // enabled at cycle `t` has its earliest cycle in
-    // `(t, t + max edge latency]`, so a ring of `max edge latency + 1`
-    // buckets never aliases two distinct cycles. `in_play` counts both
-    // structures plus the ops bound to no row (never queued, never
-    // issued) — the population the original single ready list held,
-    // which is what fuel is priced on.
-    let w = 1 + ddg.edges().iter().map(|d| d.lat).max().unwrap_or(0) as usize;
-    for bucket in cal.iter_mut() {
-        bucket.clear(); // stale entries from an errored prior run
-    }
-    if cal.len() < w {
-        cal.resize_with(w, Vec::new);
-    }
-    for q in queues.iter_mut() {
-        q.clear(); // likewise
-    }
-    if queues.len() < rows {
-        queues.resize_with(rows, BinaryHeap::new);
-    }
+    // for a slot — or the calendar (operands still in flight; a ring of
+    // buckets indexed by earliest legal cycle masked to the ring width,
+    // bucket `b` a list from `cal[b]` through `cal_next`). An op enabled
+    // at cycle `t` has its earliest cycle in `(t, t + max edge latency]`,
+    // so a power-of-two ring wider than the longest edge never aliases
+    // two distinct cycles. `in_play` counts both structures plus the ops
+    // bound to no row (never queued, never issued) — the population the
+    // original single ready list held, which is what fuel is priced on.
+    let w = (ddg.max_latency() as usize + 1).next_power_of_two();
+    let mask = w - 1;
+    cal.clear();
+    cal.resize(w, EMPTY);
+    cal_next.clear();
+    cal_next.resize(n, EMPTY);
     let mut in_play = 0_u64;
-    for (i, &p) in pending.iter().enumerate() {
-        if p == 0 && i != branch {
-            cal[0].push(i as u32);
+    for (i, wait) in waits.iter().enumerate() {
+        if wait.preds == 0 && i != branch {
+            cal_next[i] = cal[0];
+            cal[0] = i as u32;
             in_play += 1;
         }
     }
@@ -377,12 +479,14 @@ pub fn schedule_with_fuel_in(
 
     // The walk's tables as plain slices, held in registers across it.
     let (walk, walk_reqs) = (&walk[..], &walk_reqs[..]);
-    let (room, ring, queues) = (&mut room[..], &mut ring[..], &mut queues[..]);
-    // The head key of each queue of the group being walked.
-    let mut heads = [0_u64; 64];
-    // `ring`'s slot of cycle `t`: `(t mod span)·rows`.
+    let (room, ring, ring_back) = (&mut room[..], &mut ring[..], &mut ring_back[..]);
+    // The head rank of each queue of the group being walked.
+    let mut heads = [0_u32; 64];
+    // `ring`'s slot of cycle `t`: `t mod span`.
     let mut now = 0_usize;
     let mut t = 0_u32;
+    // The last cycle that issued an op.
+    let mut last_issue = 0;
     while scheduled < total_non_branch {
         if t >= MAX_CYCLES {
             return Err(SchedError::CycleCapExceeded { cap: MAX_CYCLES });
@@ -390,36 +494,43 @@ pub fn schedule_with_fuel_in(
         // Ops whose operands arrive at `t` graduate into their row's
         // queue. Branch places separately and classes with no registered
         // row never issue: neither is queued.
-        let bucket = &mut cal[t as usize % w];
-        for &i in bucket.iter() {
+        let mut i = std::mem::replace(&mut cal[t as usize & mask], EMPTY);
+        while i != EMPTY {
             let q = op_queue[i as usize];
             if q != NO_QUEUE {
-                queues[q as usize].push(ready_key(pri_of(i as usize), i as usize));
+                ready.push(q, i);
             }
+            i = cal_next[i as usize];
         }
-        bucket.clear();
         // One fuel charge per issue scan, priced by the ops in play —
         // identical to the flat-list scheduler's accounting.
         fuel.spend(1 + in_play)?;
         issued.clear();
         // Reservations ending at `t` hand their units back.
-        for (free, back) in room.iter_mut().zip(&mut ring[now..now + rows]) {
-            *free += std::mem::take(back);
+        if ring_back[now] != 0 {
+            ring_back[now] = 0;
+            for (free, back) in room.iter_mut().zip(&mut ring[now * rows..(now + 1) * rows]) {
+                *free += std::mem::take(back);
+            }
         }
         let mut probes = 0;
         let mut g = 0;
-        while g < walk.len() {
-            let group = &walk[g..walk[g].end as usize];
-            g += group.len();
-            // The group's queues as one descending stream. A row that
-            // refuses one op refuses every lower-priority op behind it,
-            // so a full row closes every queue holding it for the cycle.
+        while let Some(q) = ready.occupied_from(g) {
+            // The next group holding an op.
+            let first = walk[q].start as usize;
+            let group = &walk[first..walk[q].end as usize];
+            g = first + group.len();
+            // The group's queues as one ascending stream of ranks. A row
+            // that refuses one op refuses every lower-priority op behind
+            // it, so a full row closes every queue holding it.
             let mut open = 0_u64;
-            for (j, q) in group.iter().enumerate() {
-                if let Some(&key) = queues[q.row as usize].peek() {
-                    heads[j] = key;
-                    open |= 1 << j;
-                }
+            for (j, (head, &rank)) in heads
+                .iter_mut()
+                .zip(ready.heads(first, group.len()))
+                .enumerate()
+            {
+                *head = rank;
+                open |= u64::from(rank != EMPTY) << j;
             }
             while open != 0 {
                 let mut j = open.trailing_zeros() as usize;
@@ -427,41 +538,66 @@ pub fn schedule_with_fuel_in(
                 while rest != 0 {
                     let k = rest.trailing_zeros() as usize;
                     rest &= rest - 1;
-                    if heads[k] > heads[j] {
+                    if heads[k] < heads[j] {
                         j = k;
                     }
                 }
                 probes += 1;
-                let reqs = &walk_reqs[group[j].lo..group[j].hi];
-                if let Some(full) = reqs.iter().find(|r| room[r.row as usize] == 0) {
-                    // Every queue of the group holds its slot row; a later
-                    // row is this queue's unit's own.
-                    open &= if full.row == reqs[0].row {
-                        0
-                    } else {
-                        !(1 << j)
-                    };
+                // Every queue of the group holds its slot row; a later
+                // row is this queue's unit's own.
+                let q = &group[j];
+                if room[q.slot as usize] == 0 {
+                    open = 0;
                     continue;
                 }
-                for r in reqs {
-                    room[r.row as usize] -= 1;
-                    let mut at = now + r.reserved as usize * rows;
-                    if at >= ring.len() {
-                        at -= ring.len();
-                    }
-                    ring[at + r.row as usize] += 1;
+                if room[q.row as usize] == 0 {
+                    open &= !(1 << j);
+                    continue;
                 }
-                issued.push(key_index(heads[j]) as u32);
-                let queue = &mut queues[group[j].row as usize];
-                queue.pop();
-                match queue.peek() {
-                    Some(&key) => heads[j] = key,
-                    None => open &= !(1 << j),
+                for r in &walk_reqs[q.lo..q.hi] {
+                    room[r.row as usize] -= 1;
+                    let mut at = now + r.reserved as usize;
+                    if at >= span {
+                        at -= span;
+                    }
+                    ring[at * rows + r.row as usize] += 1;
+                    ring_back[at] += 1;
+                }
+                issued.push(ready.op(heads[j]));
+                let q = (first + j) as u32;
+                ready.pop(q);
+                heads[j] = ready.head(q);
+                if heads[j] == EMPTY {
+                    open &= !(1 << j);
                 }
             }
         }
         *list_probes += probes;
-        if !issued.is_empty() {
+        if issued.is_empty() {
+            // Nothing changes until operands arrive or a unit comes
+            // back, so each cycle before that replays this one: same
+            // probes, same charge (a budget that runs out inside the
+            // stretch fails at the same cycle, with the same spend).
+            // With nothing in flight at all, that is the cycle cap.
+            let horizon = mask.max(span);
+            let quiet = |d: usize| {
+                cal[(t as usize + d) & mask] == EMPTY && ring_back[(now + d) % span] == 0
+            };
+            let idle = (1..=horizon)
+                .find(|&d| !quiet(d))
+                .map_or(MAX_CYCLES - t, |d| d as u32)
+                - 1;
+            for _ in 0..idle {
+                t += 1;
+                if t >= MAX_CYCLES {
+                    return Err(SchedError::CycleCapExceeded { cap: MAX_CYCLES });
+                }
+                fuel.spend(1 + in_play)?;
+                *list_probes += probes;
+            }
+            now = (now + idle as usize) % span;
+        } else {
+            last_issue = t;
             scheduled += issued.len();
             in_play -= issued.len() as u64;
             for &i in issued.iter() {
@@ -469,13 +605,16 @@ pub fn schedule_with_fuel_in(
                 issue[i] = t;
                 for d in ddg.succs(i) {
                     let to = d.to as usize;
-                    pending[to] -= 1;
-                    earliest[to] = earliest[to].max(t + d.lat);
-                    if pending[to] == 0 && to != branch {
+                    let wait = &mut waits[to];
+                    wait.preds -= 1;
+                    wait.earliest = wait.earliest.max(t + d.lat);
+                    if wait.preds == 0 && to != branch {
                         // Every dependence carries latency ≥ 1, so a
                         // newly enabled op is never eligible this cycle
                         // and the queues are stable during the walk.
-                        cal[earliest[to] as usize % w].push(to as u32);
+                        let b = wait.earliest as usize & mask;
+                        cal_next[to] = cal[b];
+                        cal[b] = to as u32;
                         in_play += 1;
                     }
                 }
@@ -486,25 +625,18 @@ pub fn schedule_with_fuel_in(
             fuel.spend(1 + in_play)?;
         }
         t += 1;
-        now += rows;
-        if now == ring.len() {
+        now += 1;
+        if now == span {
             now = 0;
         }
     }
 
     // Branch in the last word (or later if its own operand is not ready).
-    let last_issue = issue
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != branch)
-        .map(|(_, &v)| v)
-        .max()
-        .unwrap_or(0);
-    issue[branch] = last_issue.max(earliest[branch]);
+    issue[branch] = last_issue.max(waits[branch].earliest);
 
     let mut length = issue[branch] + 1;
-    for (i, op) in code.ops.iter().enumerate() {
-        length = length.max(issue[i] + op.latency.max(1));
+    for (&t, &lat) in issue.iter().zip(op_lat.iter()) {
+        length = length.max(t + lat);
     }
 
     let placements = (0..n)
@@ -558,7 +690,7 @@ mod tests {
     use crate::cluster::assign;
     use crate::loopcode::{FuClass, LoopCode};
     use cfp_frontend::compile_kernel;
-    use cfp_machine::ArchSpec;
+    use cfp_machine::{ArchSpec, UnitClass};
 
     fn sched_for(src: &str, spec: &ArchSpec) -> (Schedule, Assignment, Ddg, MachineResources) {
         let k = compile_kernel(src, &[]).unwrap();
@@ -614,14 +746,12 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(
-            alu.iter().all(|&n| n <= m.clusters[0].alus),
-            "alu oversubscribed"
+        let (alus, muls) = (
+            m.mdes.units(0, UnitClass::Alu),
+            m.mdes.units(0, UnitClass::Mul),
         );
-        assert!(
-            mul.iter().all(|&n| n <= m.clusters[0].muls),
-            "mul oversubscribed"
-        );
+        assert!(alu.iter().all(|&n| n <= alus), "alu oversubscribed");
+        assert!(mul.iter().all(|&n| n <= muls), "mul oversubscribed");
     }
 
     #[test]

@@ -59,8 +59,8 @@ use crate::ddg::{Ddg, MemAccess};
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::LoopCode;
 use crate::scratch::SchedScratch;
+use cfp_machine::MachineResources;
 pub use cfp_machine::ResReq;
-use cfp_machine::{MachineResources, UnitClass};
 use cfp_obs::{Stage, UnitTrace, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -250,32 +250,18 @@ pub fn omega_deps(code: &LoopCode, ddg: &Ddg) -> Vec<OmegaDep> {
 /// [`PipelineProblem::exact_mii`] reports.
 #[must_use]
 pub fn res_mii(code: &LoopCode, assignment: &Assignment, machine: &MachineResources) -> u32 {
-    res_mii_in(code, assignment, machine, &mut SchedScratch::new())
-}
-
-/// [`res_mii`] with its per-row counts in `scratch`, so the list
-/// portfolio's hot path allocates nothing.
-#[must_use]
-pub(crate) fn res_mii_in(
-    code: &LoopCode,
-    assignment: &Assignment,
-    machine: &MachineResources,
-    scratch: &mut SchedScratch,
-) -> u32 {
-    let busy = &mut scratch.res_busy;
-    busy.clear();
-    busy.resize(UnitClass::ALL.len() * machine.cluster_count(), 0);
+    let mut busy = vec![0; machine.mdes.row_units().count()];
     for (op, &c) in code.ops.iter().zip(&assignment.cluster_of_op) {
         for r in machine.mdes.reservations(op.class, c as usize) {
             busy[r.row as usize] += r.reserved;
         }
     }
-    bound_of_rows(machine.mdes.row_units(), busy)
+    bound_of_rows(machine.mdes.row_units(), &busy)
 }
 
 /// The ResMII of per-row reserved cycles `busy` over the rows' unit
 /// counts, rows with no units skipped.
-fn bound_of_rows(row_units: impl IntoIterator<Item = u32>, busy: &[u32]) -> u32 {
+pub(crate) fn bound_of_rows(row_units: impl IntoIterator<Item = u32>, busy: &[u32]) -> u32 {
     row_units
         .into_iter()
         .zip(busy)

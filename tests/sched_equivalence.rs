@@ -40,7 +40,7 @@ mod testgen;
 
 use cfp_testkit::{cases, Rng};
 use custom_fit::ir::Kernel;
-use custom_fit::machine::{ArchSpec, ExtSet, MachineResources, UnitClass};
+use custom_fit::machine::{ArchSpec, ExtSet, MachineResources, SpaceAxes, UnitClass};
 use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::cluster::assign;
@@ -604,6 +604,55 @@ fn row_queues_match_the_oracle_where_the_corpus_is_thin() {
             let (assignment, ddg) = synthetic(&mut rng, machine, classes, n);
             let what = format!("{name} case {case} ({n} ops)");
             assert_matches_oracle(&assignment, &ddg, machine, &mut scratch, &what);
+        }
+    }
+}
+
+#[test]
+fn fuel_holds_to_the_step_across_replayed_idle_cycles() {
+    // One blocking Level-2 port at the longest latency of the space,
+    // under Level-2-heavy code: each access holds the port for the full
+    // latency, so most cycles issue nothing and the production scheduler
+    // replays them instead of walking them. Every budget over the run's
+    // last `l2 + 1` cycles — at most `1 + n` steps each, so the window
+    // spans a whole stretch the port leaves idle — must fail, or not, at
+    // the oracle's step with the oracle's spend.
+    let l2 = SpaceAxes::combinatorial()
+        .base_points()
+        .iter()
+        .map(|s| s.l2_latency)
+        .max()
+        .expect("a nonempty space");
+    let mem_bound = [FuClass::MemL2, FuClass::MemL2, FuClass::MemL2, FuClass::Alu];
+    let mut scratch = SchedScratch::new();
+    for clusters in [1, 2] {
+        let spec = ArchSpec::new(4, 2, 64 * clusters, 1, l2, clusters).expect("valid spec");
+        let machine = MachineResources::from_spec(&spec);
+        let mut rng = Rng::new(0x5EED_0037 + u64::from(clusters));
+        for case in 0..3 {
+            let n = 12 + rng.index(12);
+            let (assignment, ddg) = synthetic(&mut rng, &machine, &mem_bound, n);
+            let what = format!("{spec} case {case} ({n} ops)");
+            let mut oracle_fuel = Fuel::unlimited();
+            let oracle = oracle_try_schedule(&assignment, &ddg, &machine, &mut oracle_fuel)
+                .expect("the oracle schedules it");
+            let busy: std::collections::BTreeSet<u32> =
+                oracle.placements.iter().map(|p| p.cycle).collect();
+            assert!(
+                2 * busy.len() < oracle.length as usize,
+                "{what}: mostly idle"
+            );
+            let spent = oracle_fuel.spent();
+            let window = (u64::from(l2) + 1) * (n as u64 + 1);
+            for budget in spent.saturating_sub(window)..=spent {
+                let mut of = Fuel::limited(budget);
+                let o = oracle_try_schedule(&assignment, &ddg, &machine, &mut of);
+                let mut nf = Fuel::limited(budget);
+                let n = try_schedule_in(&assignment, &ddg, &machine, &mut nf, &mut scratch);
+                assert_eq!(n, o, "{what} budget {budget}/{spent}");
+                assert_eq!(nf.spent(), of.spent(), "{what} budget {budget}/{spent}");
+                assert_eq!(n.is_err(), budget < spent, "{what} budget {budget}/{spent}");
+            }
         }
     }
 }
