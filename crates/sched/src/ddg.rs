@@ -1,13 +1,13 @@
 //! Data-dependence graph over a [`LoopCode`].
 //!
 //! Register dependences are pure RAW (the IR is single-assignment within
-//! an iteration). Memory dependences use the affine access functions:
-//! two references to the *same array* conflict within an iteration only
-//! if their access functions can name the same element at the same
-//! iteration index — for equal strides that means equal offsets; for
-//! unequal strides or any dynamic index we are conservative. Arrays never
-//! alias each other. Cross-iteration memory ordering is guaranteed by the
-//! loop barrier (iterations do not overlap in the non-pipelined schedule).
+//! an iteration). Memory dependences come from one rule on the affine
+//! access functions (`MemAccess::distances`): at which iteration
+//! distances two references to the *same array* can name the same
+//! element. Arrays never alias each other. This graph holds the pairs
+//! that can meet within one iteration — the loop barrier orders the
+//! rest — and [`crate::modulo::omega_deps`] reads the loop-carried ones
+//! off the same rule, array buckets and def table.
 //!
 //! The memory scan is per array: the memory ops are bucketed by array
 //! (program order kept inside a bucket), a load is compared only with
@@ -32,7 +32,6 @@
 
 use crate::loopcode::{LoopCode, SOp};
 use crate::scratch::SchedScratch;
-use cfp_ir::Inst;
 
 /// Why an edge exists (affects its latency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,21 +104,12 @@ impl Ddg {
     pub fn build_in(code: &LoopCode, memory: Option<&Ddg>, scratch: &mut SchedScratch) -> Self {
         let n = code.ops.len();
 
-        // `def_of` is a vreg-indexed table (the IR is single-assignment,
-        // so last-write-wins insertion is moot); `lats` holds each op's
-        // result latency, read below in dependence order rather than
-        // through `code.ops`.
-        let (def_of, lats) = (&mut scratch.def_of, &mut scratch.lats);
-        def_of.clear();
-        def_of.resize(code.vreg_limit as usize, u32::MAX);
-        lats.clear();
-        for (i, op) in code.ops.iter().enumerate() {
-            if let Some(d) = op.def {
-                def_of[d.index()] = u32::try_from(i).expect("op count fits u32");
-            }
-            lats.push(op.latency);
-        }
-        let (def_of, lats) = (&def_of[..], &lats[..]);
+        // `lats` holds each op's result latency, read below in
+        // dependence order rather than through `code.ops`.
+        def_table(code, &mut scratch.def_of);
+        scratch.lats.clear();
+        scratch.lats.extend(code.ops.iter().map(|op| op.latency));
+        let (def_of, lats) = (&scratch.def_of[..], &scratch.lats[..]);
         if let Some(g) = memory {
             // Each op's group of the consumer view is its register RAW
             // edges, then its memory edges as the prepared graph's group
@@ -163,46 +153,20 @@ impl Ddg {
             edges.extend(reg_raw(i, op, def_of, lats));
         }
 
-        // Memory ordering edges, pairwise per array. Sorting by
-        // `(array, op index)` buckets the memory ops by array with
-        // program order kept inside each bucket.
-        let (mems, stores) = (&mut scratch.mems_tmp, &mut scratch.stores_tmp);
-        mems.clear();
-        mems.extend(
-            code.ops
-                .iter()
-                .enumerate()
-                .filter_map(|(i, op)| MemAccess::of(i, op.inst.as_ref()?)),
-        );
-        mems.sort_unstable_by_key(|m| (m.array, m.op));
-        for run in mems.chunk_by(|a, b| a.array == b.array) {
-            stores.clear();
-            stores.extend(run.iter().filter(|m| m.store));
-            // Loads never order against loads: a load pairs only with
-            // the stores after it (none, in an array nothing stores
-            // to); a store pairs with every later access.
-            let mut next_store = 0;
-            for (ai, a) in run.iter().enumerate() {
-                let later = if a.store {
-                    next_store += 1;
-                    &run[ai + 1..]
-                } else {
-                    &stores[next_store..]
-                };
-                scratch.ddg_probes += later.len() as u64;
-                for b in later.iter().filter(|b| a.may_conflict(b)) {
-                    let (kind, lat) = match (a.store, b.store) {
-                        (true, false) => (DepKind::MemRaw, lats[a.op as usize]),
-                        (false, _) => (DepKind::MemWar, 1),
-                        (true, true) => (DepKind::MemWaw, 1),
-                    };
-                    edges.push(Dep {
-                        from: a.op,
-                        to: b.op,
-                        lat,
-                        kind,
-                    });
-                }
+        // Memory ordering edges: each memory op against the partners
+        // after it that it can meet within one iteration.
+        scratch.mem.fill(code);
+        for (a, partners, before) in scratch.mem.partners() {
+            let later = &partners[before..];
+            scratch.ddg_probes += later.len() as u64;
+            for b in later.iter().filter(|b| a.distances(b).contains(0)) {
+                let (kind, lat) = a.order(b, lats[a.op as usize]);
+                edges.push(Dep {
+                    from: a.op,
+                    to: b.op,
+                    lat,
+                    kind,
+                });
             }
         }
 
@@ -440,39 +404,137 @@ fn complete(
     }
 }
 
-/// One memory op as the ordering scans see it (this graph's and the
-/// loop-carried one of [`crate::modulo::omega_deps`]).
+/// Fill `def_of` as `code`'s vreg → defining op table (the IR is
+/// single-assignment), `u32::MAX` where no op defines the vreg.
+pub(crate) fn def_table(code: &LoopCode, def_of: &mut Vec<u32>) {
+    def_of.clear();
+    def_of.resize(code.vreg_limit as usize, u32::MAX);
+    for (i, op) in code.ops.iter().enumerate() {
+        if let Some(d) = op.def {
+            def_of[d.index()] = u32::try_from(i).expect("op count fits u32");
+        }
+    }
+}
+
+/// A loop body's memory ops bucketed by array, as this graph's scan and
+/// [`crate::modulo::omega_deps`]' loop-carried one both walk them.
+#[derive(Debug, Default)]
+pub(crate) struct MemBuckets {
+    /// Every memory access, sorted by `(array, op)`: one bucket per
+    /// array, program order inside it.
+    mems: Vec<MemAccess>,
+    /// The stores among `mems`, in the same order.
+    stores: Vec<MemAccess>,
+}
+
+impl MemBuckets {
+    /// Bucket `code`'s memory ops, reusing the buffers.
+    pub(crate) fn fill(&mut self, code: &LoopCode) {
+        self.mems.clear();
+        self.mems
+            .extend(code.ops.iter().enumerate().filter_map(|(i, op)| {
+                let inst = op.inst.as_ref()?;
+                let m = inst.mem()?;
+                Some(MemAccess {
+                    array: m.array.0,
+                    op: u32::try_from(i).expect("op count fits u32"),
+                    affine: m.is_affine().then_some((m.coeff, m.offset)),
+                    store: inst.is_store(),
+                })
+            }));
+        self.mems.sort_unstable_by_key(|m| (m.array, m.op));
+        self.stores.clear();
+        self.stores.extend(self.mems.iter().filter(|m| m.store));
+    }
+
+    /// Every memory op, array by array in program order, with its
+    /// partners — every access of its array for a store, the array's
+    /// stores for a load (loads never order against loads), program
+    /// order kept — and how many of those come no later than it.
+    pub(crate) fn partners(&self) -> impl Iterator<Item = (&MemAccess, &[MemAccess], usize)> {
+        let mut stores = &self.stores[..];
+        let runs = self.mems.chunk_by(|a, b| a.array == b.array);
+        runs.flat_map(move |run| {
+            let k = stores.partition_point(|s| s.array == run[0].array);
+            let (own, rest) = stores.split_at(k);
+            stores = rest;
+            let mut stores_so_far = 0;
+            run.iter().enumerate().map(move |(i, a)| {
+                stores_so_far += usize::from(a.store);
+                if a.store {
+                    (a, run, i + 1)
+                } else {
+                    (a, own, stores_so_far)
+                }
+            })
+        })
+    }
+}
+
+/// One memory op as the ordering scans see it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemAccess {
     pub(crate) array: u32,
     pub(crate) op: u32,
     /// `(coeff, offset)` of the access function; `None` with a dynamic
     /// index, which may name any element.
-    pub(crate) affine: Option<(i64, i64)>,
+    affine: Option<(i64, i64)>,
     pub(crate) store: bool,
 }
 
-impl MemAccess {
-    /// Op `op`'s access, decoded from its instruction; `None` when the
-    /// instruction touches no memory.
-    pub(crate) fn of(op: usize, inst: &Inst) -> Option<Self> {
-        let m = inst.mem()?;
-        Some(MemAccess {
-            array: m.array.0,
-            op: u32::try_from(op).expect("op count fits u32"),
-            affine: m.is_affine().then_some((m.coeff, m.offset)),
-            store: inst.is_store(),
-        })
+/// The iteration distances `k` at which one access, in iteration `i`,
+/// and another, in iteration `i + k`, can name the same element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Distances {
+    Never,
+    Exactly(i64),
+    Every,
+}
+
+impl Distances {
+    /// Whether the two can meet `k` iterations apart.
+    fn contains(self, k: i64) -> bool {
+        self == Distances::Every || self == Distances::Exactly(k)
     }
 
-    /// Whether two accesses to one array can name the same element in
-    /// the same iteration: equal strides collide only at equal offsets;
-    /// unequal strides (`c1·i + o1 = c2·i + o2` has a solution for some
-    /// iteration) and dynamic indices are taken to collide.
-    fn may_conflict(&self, other: &MemAccess) -> bool {
+    /// The smallest distance ≥ 1 at which the two can meet — a carried
+    /// edge's ω, saturated at `u32::MAX` (which no real II feels) — if any.
+    pub(crate) fn first_carried(self) -> Option<u32> {
+        match self {
+            Distances::Never => None,
+            Distances::Exactly(k) => (k >= 1).then(|| u32::try_from(k).unwrap_or(u32::MAX)),
+            Distances::Every => Some(1),
+        }
+    }
+}
+
+impl MemAccess {
+    /// The one memory-conflict rule: the distances at which this access
+    /// and `other`, to the same array, can name the same element. With
+    /// one stride `c` this access touches `c·i + oa` and `other`, `k`
+    /// iterations later, `c·(i + k) + ob`: they meet iff `c·k = oa − ob`
+    /// — at one distance, or at every distance for a fixed element
+    /// (`c = 0`, equal offsets). Unequal strides (where
+    /// `c1·i + o1 = c2·(i + k) + o2` has solutions) and dynamic indices
+    /// are taken to meet at every distance.
+    pub(crate) fn distances(&self, other: &MemAccess) -> Distances {
         match (self.affine, other.affine) {
-            (Some((ca, oa)), Some((cb, ob))) => ca != cb || oa == ob,
-            _ => true,
+            (Some((c, oa)), Some((cb, ob))) if c == cb => match (c, oa - ob) {
+                (0, 0) => Distances::Every,
+                (c, delta) if c != 0 && delta % c == 0 => Distances::Exactly(delta / c),
+                _ => Distances::Never,
+            },
+            _ => Distances::Every,
+        }
+    }
+
+    /// The kind and latency ([`DepKind`]) of the edge ordering this
+    /// access before `later`, this op's result latency being `lat`.
+    pub(crate) fn order(&self, later: &MemAccess, lat: u32) -> (DepKind, u32) {
+        match (self.store, later.store) {
+            (true, false) => (DepKind::MemRaw, lat),
+            (false, _) => (DepKind::MemWar, 1),
+            (true, true) => (DepKind::MemWaw, 1),
         }
     }
 }
@@ -483,7 +545,7 @@ mod tests {
     use crate::loopcode::{FuClass, LoopCode};
     use crate::testgen::memory_heavy;
     use cfp_frontend::compile_kernel;
-    use cfp_ir::Kernel;
+    use cfp_ir::{Inst, Kernel};
     use cfp_kernels::Benchmark;
     use cfp_machine::{ArchSpec, MachineResources};
 

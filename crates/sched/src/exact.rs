@@ -66,7 +66,7 @@
 use crate::cluster::Assignment;
 use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
-use crate::modulo::{OmegaDep, PipelineProblem, ResReq};
+use crate::modulo::{res_mii_of, OmegaDep, PipelineProblem, ResReq};
 use cfp_machine::MachineResources;
 use cfp_obs::{Stage, UnitTrace, Value};
 
@@ -284,19 +284,15 @@ pub fn solve(
     // Structural infeasibilities, before any search: a required resource
     // that does not exist, an op whose own wrapped reservation stacks
     // deeper than its unit count (`ceil(reserved / ii)` copies land on
-    // some residue), or a row whose total demand exceeds its capacity.
-    let mut demand = vec![0_u64; row_units.len()];
-    for r in reqs.iter().flatten() {
+    // some residue), or a row whose total demand exceeds its capacity
+    // (an II below ResMII).
+    let unplaceable = |r: &ResReq| {
         let units = row_units[r.row as usize];
-        if units == 0 || r.reserved.div_ceil(ii) > units {
-            return ExactVerdict::Infeasible;
-        }
-        demand[r.row as usize] += u64::from(r.reserved);
-    }
-    if demand
-        .iter()
-        .zip(row_units)
-        .any(|(&d, &u)| d > u64::from(u) * u64::from(ii))
+        units == 0 || r.reserved.div_ceil(ii) > units
+    };
+    let tally = reqs.iter().map(|rows| (rows.iter().copied(), 1));
+    if reqs.iter().flatten().any(unplaceable)
+        || res_mii_of(row_units.iter().copied(), tally, &mut Vec::new()) > ii
     {
         return ExactVerdict::Infeasible;
     }

@@ -53,7 +53,7 @@ use crate::cluster::Assignment;
 use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::OpOrigin;
-use crate::modulo::bound_of_rows;
+use crate::modulo::res_mii_of;
 use crate::scratch::{SchedScratch, EMPTY, NO_QUEUE};
 use cfp_machine::{MachineResources, OpClass, EXTENSIONS};
 
@@ -368,27 +368,20 @@ fn issue_tables(
             branch = branch.or(Some(i));
         }
     }
-    // ResMII's busy cycles: every op reserves its class's rows on its
-    // cluster, registered or not — tallied per (cluster, class).
-    res_busy.clear();
-    res_busy.resize(mdes.row_units().count(), 0);
+    // ResMII: every op reserves its class's rows on its cluster,
+    // registered or not — tallied per (cluster, class).
     let classes = OpClass::ALL
         .into_iter()
         .chain((0..EXTENSIONS.len()).map(|i| OpClass::Fused(i as u8)));
-    for (k, class) in classes.enumerate() {
-        for c in 0..nc {
-            let ops = class_ops[c * OpClass::COUNT + k];
-            if ops > 0 {
-                for r in mdes.reservations(class, c) {
-                    res_busy[r.row as usize] += ops * r.reserved;
-                }
-            }
-        }
-    }
+    let class_ops = &*class_ops;
+    let tally = classes.enumerate().flat_map(|(k, class)| {
+        let ops = move |c: usize| class_ops[c * OpClass::COUNT + k];
+        (0..nc).map(move |c| (mdes.reservations(class, c), ops(c)))
+    });
     IssueTables {
         branch: branch.expect("loop code always carries its branch"),
         span,
-        res_mii: bound_of_rows(mdes.row_units(), res_busy),
+        res_mii: res_mii_of(mdes.row_units(), tally, res_busy),
     }
 }
 

@@ -13,38 +13,21 @@
 //! * resource-bound kernels (color conversion, median) collapse to the
 //!   resource bound, shedding the latency-drain tail the barrier pays.
 //!
-//! Everything about a point that does not depend on the II — the
-//! dependence set with its iteration distances, each op's reservation
-//! requirements, ResMII, RecMII and the placement order — is derived
-//! once, by [`PipelineProblem::new`]. The heuristic search
-//! ([`PipelineProblem::schedule`]), the structural validator
-//! ([`PipelineProblem::validate`]) and the exact certifier in
-//! [`crate::exact`] all borrow that one value; the free functions
+//! Everything about a point that does not depend on the II is one
+//! [`PipelineProblem`], which the heuristic, the validator and the exact
+//! certifier in [`crate::exact`] all borrow; the free functions
 //! ([`modulo_schedule`], [`try_modulo_schedule`], [`validate_modulo`])
 //! are constructions of it for callers that ask one question of a point.
 //!
-//! The II search starts at `max(ResMII, RecMII)` and walks upward, but it
-//! does not walk blindly: ops are placed in a fixed order — Kahn's
-//! topological order over the same-iteration dependences, smallest op
-//! index first among the ready ops, which is plain index order except
-//! where cluster assignment appended an inter-cluster move behind its
-//! reader — so the per-resource demand of the prefix up to a failed
-//! placement is the same at every II. That demand is carried out of the
-//! failed attempt and turned into a capacity bound — any II with
-//! `units × II < demand` must fail the same way — letting the search
-//! jump straight past provably infeasible IIs instead of probing each
-//! one (port-starved machines used to scan hundreds).
+//! The II search starts at `max(ResMII, RecMII, longest op latency)` and
+//! walks upward, but not blindly: ops are placed in one fixed order
+//! (`placement_order`), so the per-resource demand of the prefix up to a
+//! failed placement is the same at every II, and the search jumps past
+//! every II whose capacity `units × II` is below it.
 //! [`ModuloSchedule::ii_attempts`] reports how many IIs were actually
-//! attempted. Within an attempt an op takes the first slot of its
-//! window that has room. Each reservation row keeps a bitmap of its full
-//! residues, so the first fit is word-parallel: the op's rows, rotated
-//! across each reserved window, OR into one mask of blocked residues,
-//! and the slot is its first clear bit from `est mod II` on. Fuel is
-//! charged per candidate slot of an attempted II as if each had been
-//! probed in turn — the price of a search is that of the
-//! one-slot-at-a-time scan — and skipped IIs cost nothing (the found
-//! schedule is identical, and the modulo scheduler is off the
-//! exploration's budgeted path).
+//! attempted. Within an attempt an op takes the first slot of its window
+//! that has room (`first_fit`: word-parallel over bitmaps of full
+//! residues, fuel charged as the one-slot-at-a-time scan charged it).
 //!
 //! Scope: this is an *analytical* scheduler. Its output is validated
 //! structurally (every dependence satisfies
@@ -52,10 +35,14 @@
 //! oversubscribed, and a register-pressure estimate accounts for
 //! lifetimes spanning `⌈L/II⌉` in-flight instances) — it is not executed
 //! by the cycle-accurate simulator, which models the barrier machine.
-//! See `EXPERIMENTS.md` ("pipelining" exhibit).
+//! The validator checks the same [`omega_deps`] the schedulers obey, so
+//! it cannot see a dependence that set drops; `tests/oracle_equivalence.rs`
+//! (`a_fixed_element_accumulator_bounds_both_iis_by_its_recurrence`)
+//! reads a recurrence off a kernel instead. See `EXPERIMENTS.md`
+//! ("pipelining" exhibit).
 
 use crate::cluster::Assignment;
-use crate::ddg::{Ddg, MemAccess};
+use crate::ddg::{def_table, Ddg, MemBuckets};
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::LoopCode;
 use crate::scratch::SchedScratch;
@@ -95,7 +82,9 @@ pub struct ModuloSchedule {
     pub ii: u32,
     /// Flat slot of each op (stage = slot / ii, modulo slot = slot % ii).
     pub slots: Vec<u32>,
-    /// The lower bound `max(ResMII, RecMII)` the search started from.
+    /// Where the search started: `max(ResMII, RecMII, longest op
+    /// latency)` (the certifier's [`PipelineProblem::exact_mii`] leaves
+    /// the latency out).
     pub mii: u32,
     /// Estimated registers needed per cluster, counting `⌈L/II⌉`
     /// overlapping instances per value.
@@ -119,125 +108,72 @@ impl ModuloSchedule {
 
 /// Build the full dependence set: the intra-iteration graph plus
 /// loop-carried register edges (carried pairs, ω = 1) and loop-carried
-/// memory edges (affine distance on same-array conflicts; conservative
-/// ω = 1 for non-affine references).
+/// memory edges (the smallest distance ≥ 1 at which a same-array pair
+/// can meet, by the rule [`Ddg::build`] reads distance 0 off: an affine
+/// distance, or ω = 1 for a fixed element, unequal strides and
+/// non-affine references).
 #[must_use]
 pub fn omega_deps(code: &LoopCode, ddg: &Ddg) -> Vec<OmegaDep> {
-    let mut deps: Vec<OmegaDep> = ddg
-        .edges()
-        .iter()
-        .map(|d| OmegaDep {
-            from: d.from as usize,
-            to: d.to as usize,
-            lat: d.lat,
-            omega: 0,
-        })
+    let same_iteration = ddg.edges().iter();
+    let mut deps: Vec<OmegaDep> = same_iteration
+        .map(|d| dep(d.from as usize, d.to as usize, d.lat, 0))
         .collect();
 
-    // Carried register values: producer of `out` feeds every reader of
-    // `in` one iteration later. One pass over the ops lists each carried
-    // input's readers, grouped by input, ascending within a group.
-    const NO_OP: usize = usize::MAX;
-    let vregs = code.vreg_limit as usize;
-    let mut def_of = vec![NO_OP; vregs];
-    for (i, op) in code.ops.iter().enumerate() {
-        if let Some(d) = op.def {
-            def_of[d.index()] = i;
-        }
-    }
-    let mut carried_in = vec![false; vregs];
-    for &(inp, _) in &code.carried {
-        carried_in[inp.index()] = true;
+    // Carried register values: the producer of `out` feeds every reader
+    // of `in` one iteration later. One pass over the ops lists each fed
+    // input's readers (an op reading it twice is one reader), grouped by
+    // input, ascending within a group.
+    let mut def_of = Vec::new();
+    def_table(code, &mut def_of);
+    let mut fed_by = vec![u32::MAX; code.vreg_limit as usize];
+    for &(inp, out) in &code.carried {
+        fed_by[inp.index()] = def_of[out.index()]; // none for a pass-through carry
     }
     let mut readers: Vec<(u32, usize)> = Vec::new();
     for (i, op) in code.ops.iter().enumerate() {
         for (k, u) in op.uses.iter().enumerate() {
-            // An op reading the input twice is one reader.
-            if carried_in[u.index()] && !op.uses[..k].contains(u) {
+            if fed_by[u.index()] != u32::MAX && !op.uses[..k].contains(u) {
                 readers.push((u.0, i));
             }
         }
     }
     readers.sort_by_key(|&(v, _)| v); // stable: readers stay ascending
-    for &(inp, out) in &code.carried {
-        let producer = def_of[out.index()];
-        if producer == NO_OP {
-            continue; // pass-through carry: no producer op
-        }
+    for &(inp, _) in &code.carried {
+        let producer = fed_by[inp.index()] as usize;
         let first = readers.partition_point(|&(v, _)| v < inp.0);
         for &(_, to) in readers[first..].iter().take_while(|&&(v, _)| v == inp.0) {
-            deps.push(OmegaDep {
-                from: producer,
-                to,
-                lat: code.ops[producer].latency,
-                omega: 1,
-            });
+            deps.push(dep(producer, to, code.ops[producer].latency, 1));
         }
     }
 
-    // Loop-carried memory dependences: same array, conflicting elements
-    // k iterations apart. Each memory op is decoded once; a store pairs
-    // with every access of its array, a load with the array's stores,
-    // both in program order — the pairs, and the order, of a scan over
-    // every ordered pair of memory ops.
-    let mems: Vec<MemAccess> = code
-        .mem_ops()
-        .into_iter()
-        .map(|i| {
-            let inst = code.ops[i].inst.as_ref().expect("mem ops carry insts");
-            MemAccess::of(i, inst).expect("mem")
-        })
-        .collect();
-    let mut by_array = mems.clone();
-    by_array.sort_by_key(|m| m.array); // stable: program order per array
-    let stores: Vec<MemAccess> = by_array.iter().copied().filter(|m| m.store).collect();
-    let of_array = |list: &'_ [MemAccess], array: u32| -> std::ops::Range<usize> {
-        list.partition_point(|m| m.array < array)..list.partition_point(|m| m.array <= array)
-    };
-    for a in &mems {
-        let partners = if a.store {
-            &by_array[of_array(&by_array, a.array)]
-        } else {
-            &stores[of_array(&stores, a.array)]
-        };
+    // Loop-carried memory dependences: each memory op against all its
+    // partners, where the two meet k ≥ 1 iterations apart. The walk is
+    // array-major; sorted stably by producer, its edges are in the order
+    // of a scan over every ordered pair of memory ops.
+    let memory = deps.len();
+    let mut buckets = MemBuckets::default();
+    buckets.fill(code);
+    for (a, partners, _) in buckets.partners() {
         for b in partners {
-            let omega = match (a.affine, b.affine) {
-                (Some((coeff, oa)), Some((cb, ob))) if coeff == cb => {
-                    if coeff == 0 {
-                        continue; // same fixed element: intra edges cover it
-                    }
-                    // a at iteration i touches coeff·i + oa; b at
-                    // iteration i+k touches coeff·(i+k) + ob: conflict
-                    // iff coeff·k = oa − ob.
-                    let delta = oa - ob;
-                    if delta % coeff != 0 {
-                        continue;
-                    }
-                    let k = delta / coeff;
-                    if k <= 0 {
-                        continue; // same-iteration (intra) or b-before-a direction
-                    }
-                    // A distance beyond u32 never constrains a real II;
-                    // saturate instead of trusting the cast.
-                    u32::try_from(k).unwrap_or(u32::MAX)
-                }
-                // Differing strides or a dynamic index: conservative.
-                _ => 1,
-            };
-            let lat = if a.store && !b.store {
-                code.ops[a.op as usize].latency // RAW across iterations
-            } else {
-                1 // WAR/WAW ordering
-            };
-            deps.push(OmegaDep {
-                from: a.op as usize,
-                to: b.op as usize,
-                lat,
-                omega,
-            });
+            if let Some(omega) = a.distances(b).first_carried() {
+                let (_, lat) = a.order(b, code.ops[a.op as usize].latency);
+                deps.push(dep(a.op as usize, b.op as usize, lat, omega));
+            }
         }
     }
+    deps[memory..].sort_by_key(|d| d.from);
     deps
+}
+
+/// The dependence `from → to` of latency `lat` at iteration distance
+/// `omega`.
+fn dep(from: usize, to: usize, lat: u32, omega: u32) -> OmegaDep {
+    OmegaDep {
+        from,
+        to,
+        lat,
+        omega,
+    }
 }
 
 /// The resource-constrained lower bound on II: per row of the machine's
@@ -250,25 +186,37 @@ pub fn omega_deps(code: &LoopCode, ddg: &Ddg) -> Vec<OmegaDep> {
 /// [`PipelineProblem::exact_mii`] reports.
 #[must_use]
 pub fn res_mii(code: &LoopCode, assignment: &Assignment, machine: &MachineResources) -> u32 {
-    let mut busy = vec![0; machine.mdes.row_units().count()];
-    for (op, &c) in code.ops.iter().zip(&assignment.cluster_of_op) {
-        for r in machine.mdes.reservations(op.class, c as usize) {
-            busy[r.row as usize] += r.reserved;
-        }
-    }
-    bound_of_rows(machine.mdes.row_units(), &busy)
+    let ops = code.ops.iter().zip(&assignment.cluster_of_op);
+    let tally = ops.map(|(op, &c)| (machine.mdes.reservations(op.class, c as usize), 1));
+    res_mii_of(machine.mdes.row_units(), tally, &mut Vec::new())
 }
 
-/// The ResMII of per-row reserved cycles `busy` over the rows' unit
-/// counts, rows with no units skipped.
-pub(crate) fn bound_of_rows(row_units: impl IntoIterator<Item = u32>, busy: &[u32]) -> u32 {
-    row_units
-        .into_iter()
-        .zip(busy)
-        .filter(|&(units, _)| units > 0)
-        .fold(1, |bound, (units, &cycles)| {
-            bound.max(cycles.div_ceil(units))
-        })
+/// The ResMII of a tally of reservations — each `(rows, count)` is
+/// `count` ops that each reserve `rows` — over rows backed by
+/// `row_units` units each, rows with no units skipped. `busy` is
+/// working memory for each row's reserved cycles. The one tally behind
+/// [`res_mii`], [`PipelineProblem::new`], the list scheduler's stopping
+/// bound and the exact solver's capacity check.
+pub(crate) fn res_mii_of<R: IntoIterator<Item = ResReq>>(
+    row_units: impl IntoIterator<Item = u32>,
+    tally: impl IntoIterator<Item = (R, u32)>,
+    busy: &mut Vec<u32>,
+) -> u32 {
+    busy.clear();
+    for (rows, count) in tally {
+        for r in rows {
+            let row = r.row as usize;
+            if row >= busy.len() {
+                busy.resize(row + 1, 0); // rows past the last reserved one stay idle
+            }
+            busy[row] += count * r.reserved;
+        }
+    }
+    let rows = row_units.into_iter().zip(busy.iter());
+    let staffed = rows.filter(|&(units, _)| units > 0);
+    staffed.fold(1, |bound, (units, &cycles)| {
+        bound.max(cycles.div_ceil(units))
+    })
 }
 
 /// The recurrence-constrained lower bound on II: the smallest II such
@@ -573,11 +521,8 @@ impl<'a> PipelineProblem<'a> {
         let deps = omega_deps(code, ddg);
         let reqs = op_reservations(assignment, machine);
         let row_units: Vec<u32> = machine.mdes.row_units().collect();
-        let mut busy = vec![0_u32; row_units.len()];
-        for r in reqs.iter().flatten() {
-            busy[r.row as usize] += r.reserved;
-        }
-        let res_mii = bound_of_rows(row_units.iter().copied(), &busy);
+        let tally = reqs.iter().map(|rows| (rows.iter().copied(), 1));
+        let res_mii = res_mii_of(row_units.iter().copied(), tally, &mut Vec::new());
         let bound = res_mii.max(rec_mii(code.ops.len(), &deps, list_length));
         let max_lat = code.ops.iter().map(|o| o.latency).max().unwrap_or(1);
         let missing_unit = reqs
@@ -1089,15 +1034,6 @@ mod tests {
         assert!(res_mii(&a.code, &a, &m) >= 24);
     }
 
-    fn dep(from: usize, to: usize, lat: u32, omega: u32) -> OmegaDep {
-        OmegaDep {
-            from,
-            to,
-            lat,
-            omega,
-        }
-    }
-
     #[test]
     fn rec_mii_binary_search_matches_hand_value() {
         // A 2-cycle: a→b (lat 3, ω0), b→a (lat 3, ω1): II ≥ 6.
@@ -1199,14 +1135,15 @@ mod tests {
                     continue;
                 }
                 let omega = if ma.is_affine() && mb.is_affine() && ma.coeff == mb.coeff {
-                    if ma.coeff == 0 {
-                        continue;
-                    }
                     let delta = ma.offset - mb.offset;
-                    if delta % ma.coeff != 0 || delta / ma.coeff <= 0 {
-                        continue;
+                    match ma.coeff {
+                        // A fixed element meets itself at every distance.
+                        0 if delta == 0 => 1,
+                        c if c != 0 && delta % c == 0 && delta / c > 0 => {
+                            u32::try_from(delta / c).unwrap_or(u32::MAX)
+                        }
+                        _ => continue,
                     }
-                    u32::try_from(delta / ma.coeff).unwrap_or(u32::MAX)
                 } else {
                     1
                 };
@@ -1262,6 +1199,12 @@ mod tests {
             loop i { e = e * e + s[i]; d[i] = e; }
         }";
         omega_deps_equal_all_pairs(&compile_kernel(squares, &[]).unwrap(), "squares");
+        // A fixed element is met again by every later iteration.
+        let accumulator = "kernel a(in i32 s[], inout i32 acc[], out i32 d[]) {
+            loop i { acc[0] = acc[0] + s[i]; d[i] = acc[0]; }
+        }";
+        let k = compile_kernel(accumulator, &[]).unwrap();
+        assert!(omega_deps_equal_all_pairs(&k, "accumulator") > 0);
     }
 
     /// Unroll 8 and 16, where the reference's quadratic scans are slow

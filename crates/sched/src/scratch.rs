@@ -32,7 +32,7 @@
 //! operations. Its unit test drives it against a sorted reference.
 
 use crate::cluster::Placing;
-use crate::ddg::{height_order, Dep, MemAccess};
+use crate::ddg::{height_order, Dep, MemBuckets};
 use crate::list::{IssueQueue, Wait};
 use cfp_machine::ResReq;
 
@@ -67,8 +67,7 @@ pub struct SchedScratch {
     pub(crate) def_of: Vec<u32>,
     pub(crate) lats: Vec<u32>,
     pub(crate) edge_buf: Vec<Dep>,
-    pub(crate) mems_tmp: Vec<MemAccess>,
-    pub(crate) stores_tmp: Vec<MemAccess>,
+    pub(crate) mem: MemBuckets,
     pub(crate) ddg_probes: u64,
     pub(crate) row_tmp: Vec<u32>,
     pub(crate) on_stack: Vec<bool>,

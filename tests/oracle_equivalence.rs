@@ -576,3 +576,69 @@ fn certification_verdicts_survive_memoized_re_fuelling() {
     let starved = certify_min_ii(&a, &ddg, &m, len, witness, &mut Fuel::limited(spent - 1));
     assert!(matches!(starved, CertifyOutcome::FuelExhausted { .. }));
 }
+
+/// An accumulator kept in one array element: `acc[0]` is loaded, added
+/// to and stored back every iteration, so each iteration's load reads
+/// the element the previous iteration stored — a recurrence of load,
+/// add and store latency (4 + 1 + 4 on these machines) that no index
+/// shows. The validator checks schedules against `omega_deps` itself,
+/// so a carried edge that set drops passes it; this test reads the
+/// recurrence off the kernel instead.
+#[test]
+fn a_fixed_element_accumulator_bounds_both_iis_by_its_recurrence() {
+    let kernel = compile_kernel(
+        "kernel k(in i32 s[], inout i32 acc[], out i32 d[]) {
+            loop i { acc[0] = acc[0] + s[i]; d[i] = acc[0]; }
+        }",
+        &[],
+    )
+    .expect("compiles");
+    let plain = ArchSpec::new(4, 2, 256, 2, 4, 1).expect("valid");
+    for spec in [plain.with_pipelined_l2(), plain] {
+        let machine = MachineResources::from_spec(&spec);
+        let r = compile(&kernel, &machine);
+        let (a, len) = (&r.assignment, r.length);
+        let ddg = Ddg::build(&a.code);
+        let deps = omega_deps(&a.code, &ddg);
+        // The accesses to the fixed element: stride 0.
+        let fixed = |store: bool| {
+            let ops = a.code.ops.iter().enumerate();
+            ops.filter(move |(_, op)| {
+                op.inst.is_some_and(|inst| {
+                    inst.is_store() == store
+                        && inst.mem().is_some_and(|m| m.is_affine() && m.coeff == 0)
+                })
+            })
+        };
+        let (store, store_op) = fixed(true).next().expect("one store to acc[0]");
+        let carried = deps.iter().any(|d| {
+            d.from == store
+                && d.omega == 1
+                && d.lat == store_op.latency
+                && fixed(false).any(|(load, _)| d.to == load)
+        });
+        assert!(carried, "{spec}: no carried store → load edge: {deps:?}");
+        let rec = rec_mii(a.code.ops.len(), &deps, len);
+        assert!(rec >= 9, "{spec}: RecMII {rec} below load + add + store");
+        let heuristic = modulo_schedule(a, &ddg, &machine, len).expect("schedulable");
+        assert!(heuristic.ii >= rec, "{spec}: heuristic II {}", heuristic.ii);
+        let witness = Some(heuristic.ii);
+        match certify_min_ii(
+            a,
+            &ddg,
+            &machine,
+            len,
+            witness,
+            &mut Fuel::limited(2_000_000),
+        ) {
+            CertifyOutcome::Certified { min_ii, .. }
+            | CertifyOutcome::WitnessOptimal { min_ii, .. } => {
+                assert!(
+                    min_ii >= rec,
+                    "{spec}: certified II {min_ii} under RecMII {rec}"
+                );
+            }
+            other => panic!("{spec}: {other:?}"),
+        }
+    }
+}
