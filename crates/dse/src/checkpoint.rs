@@ -31,8 +31,8 @@
 use crate::error::{CheckpointError, FailKind, FailReason};
 use crate::eval::{EvalOutcome, Measurement};
 use crate::explore::ExploreConfig;
+use cfp_ir::WordSet;
 use cfp_machine::{ArchSpec, Fnv1a};
-use std::collections::HashSet;
 use std::fmt::Display;
 use std::fs;
 use std::hash::Hash;
@@ -370,7 +370,7 @@ fn parse<K: Copy + Eq + Hash>(
         ));
     }
 
-    let mut seen: HashSet<K> = HashSet::new();
+    let mut seen: WordSet<K> = WordSet::default();
     let mut entries = Vec::new();
     for (idx, line) in lines {
         let lineno = idx + 1;

@@ -16,13 +16,13 @@
 
 use crate::explore::Exploration;
 use crate::pareto::base_key;
-use std::collections::HashMap;
+use cfp_ir::WordMap;
 
 /// Per-benchmark correction factors: `factor[bench][clusters]` ≈
 /// `cycles(c clusters) / cycles(1 cluster)` at the sample points.
 #[derive(Debug, Clone)]
 pub struct CorrectionModel {
-    factors: Vec<HashMap<u32, f64>>,
+    factors: Vec<WordMap<u32, f64>>,
 }
 
 impl CorrectionModel {
@@ -31,7 +31,7 @@ impl CorrectionModel {
     #[must_use]
     pub fn fit(ex: &Exploration, samples: usize) -> Self {
         // Group arch indices by base point.
-        let mut groups: HashMap<(u32, u32, u32, u32, u32), Vec<usize>> = HashMap::new();
+        let mut groups: WordMap<(u32, u32, u32, u32, u32), Vec<usize>> = WordMap::default();
         for (i, a) in ex.archs.iter().enumerate() {
             groups.entry(base_key(&a.spec)).or_default().push(i);
         }
@@ -44,7 +44,7 @@ impl CorrectionModel {
         let stride = (sample_groups.len() / samples.max(1)).max(1);
         let chosen: Vec<&Vec<usize>> = sample_groups.iter().step_by(stride).copied().collect();
 
-        let mut factors = vec![HashMap::<u32, (f64, f64)>::new(); ex.benches.len()];
+        let mut factors = vec![WordMap::<u32, (f64, f64)>::default(); ex.benches.len()];
         for g in chosen {
             // The groups were filtered to contain a single-cluster member,
             // but stay total if that invariant ever breaks.

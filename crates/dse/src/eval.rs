@@ -37,11 +37,11 @@
 
 use crate::error::{EvalError, FailReason};
 use crate::memo::{CompileCache, CoreSummary};
+use cfp_ir::WordMap;
 use cfp_kernels::Benchmark;
-use cfp_machine::{ArchSpec, ExtSet, MachineResources};
+use cfp_machine::{ArchSpec, ExtSet, MachineResources, SchedSignature};
 use cfp_obs::{Stage, UnitTrace, Value};
 use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel, SchedScratch};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -261,7 +261,7 @@ pub struct PlanCache {
     /// `None` for a key whose unrolled body exceeds [`MAX_BODY_OPS`] —
     /// the cap is a property of the key, so its absence is recorded
     /// rather than confused with "never computed".
-    plans: HashMap<PlanKey, Option<PlanId>>,
+    plans: WordMap<PlanKey, Option<PlanId>>,
 }
 
 impl PlanCache {
@@ -508,10 +508,13 @@ impl PlanStore {
 /// unit only in register-file size — the exploration's row-major unit
 /// order walks the register axis innermost, so this is the common
 /// transition — re-deals the register fields in place instead of
-/// rebuilding the lowering.
+/// rebuilding the lowering. The lowering's [`SchedSignature`] (the
+/// compile memo's key) is kept beside it: computed once per rebuild and
+/// reused unchanged across register re-deals, since registers are
+/// outside the signature.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    machine: Option<(ArchSpec, MachineResources)>,
+    machine: Option<(ArchSpec, MachineResources, SchedSignature)>,
     sched: SchedScratch,
 }
 
@@ -522,17 +525,21 @@ impl EvalScratch {
         Self::default()
     }
 
-    /// The lowered machine for `spec`, memoized against the previous
-    /// call. Returned alongside the scheduler scratch so callers can
-    /// hold both borrows at once.
-    fn machine_and_sched(&mut self, spec: &ArchSpec) -> (&MachineResources, &mut SchedScratch) {
+    /// The lowered machine for `spec` and its scheduling signature,
+    /// memoized against the previous call. Returned alongside the
+    /// scheduler scratch so callers can hold both borrows at once.
+    fn machine_and_sched(
+        &mut self,
+        spec: &ArchSpec,
+    ) -> (&MachineResources, SchedSignature, &mut SchedScratch) {
         let EvalScratch { machine, sched } = self;
         match machine {
-            Some((s, _)) if s == spec => {}
+            Some((s, _, _)) if s == spec => {}
             // Registers are the one axis outside the scheduling
             // signature: same datapath, different bank size. Re-deal
-            // the register files — the result is exactly `from_spec`.
-            Some((s, m))
+            // the register files — the result is exactly `from_spec`,
+            // and the signature stands.
+            Some((s, m, _))
                 if {
                     let mut sib = *s;
                     sib.regs = spec.regs;
@@ -542,12 +549,17 @@ impl EvalScratch {
                 m.retune_regs(spec.regs);
                 *s = *spec;
             }
-            _ => *machine = Some((*spec, MachineResources::from_spec(spec))),
+            _ => *machine = None,
         }
-        let m = &machine
-            .get_or_insert_with(|| (*spec, MachineResources::from_spec(spec)))
-            .1;
-        (m, sched)
+        let (_, m, sig) = machine.get_or_insert_with(|| {
+            let m = MachineResources::from_spec(spec);
+            // From the lowering just built rather than a throwaway
+            // `Mdes`: this keeps the warm path allocation-free (see
+            // `tests/trace_equivalence.rs`).
+            let sig = spec.sched_signature_with(&m.mdes);
+            (*spec, m, sig)
+        });
+        (m, *sig, sched)
     }
 }
 
@@ -735,12 +747,8 @@ impl<'a> Evaluator<'a> {
         scratch: &mut EvalScratch,
         trace: &mut UnitTrace<'_>,
     ) -> Result<Measurement, EvalError> {
-        let (machine, sched) = scratch.machine_and_sched(spec);
+        let (machine, sig, sched) = scratch.machine_and_sched(spec);
         let budget = residency_budget(spec.regs);
-        // Derive the memo key from the memoized description rather than
-        // a throwaway `Mdes`: this keeps the warm path allocation-free
-        // (see `tests/trace_equivalence.rs`).
-        let sig = spec.sched_signature_with(&machine.mdes);
         let mut best: Option<Measurement> = None;
         let mut compilations = 0;
 
@@ -932,17 +940,37 @@ mod tests {
     #[test]
     fn regs_only_siblings_patch_the_lowering_exactly() {
         // The signature-level memo's in-place register re-deal must be
-        // indistinguishable from a fresh lowering.
+        // indistinguishable from a fresh lowering, and so must every
+        // rebuild. The kept signature is the compile memo's key, so a
+        // stale one would serve another machine's schedules: after every
+        // transition — first lowering, same spec, register re-deal, full
+        // rebuild, extension and pipelining switches — it must be the
+        // spec's own.
         let mut scratch = EvalScratch::new();
-        let a = ArchSpec::new(8, 4, 128, 2, 4, 4).unwrap();
-        let b = ArchSpec::new(8, 4, 512, 2, 4, 4).unwrap();
-        scratch.machine_and_sched(&a);
-        let (m, _) = scratch.machine_and_sched(&b);
-        assert_eq!(*m, MachineResources::from_spec(&b));
-        // A non-sibling (different cluster count) rebuilds, also exactly.
-        let c = ArchSpec::new(8, 4, 512, 2, 4, 2).unwrap();
-        let (m, _) = scratch.machine_and_sched(&c);
-        assert_eq!(*m, MachineResources::from_spec(&c));
+        let walk = [
+            ArchSpec::new(8, 4, 128, 2, 4, 4).unwrap(),
+            ArchSpec::new(8, 4, 128, 2, 4, 4).unwrap(),
+            ArchSpec::new(8, 4, 512, 2, 4, 4).unwrap(),
+            ArchSpec::new(8, 4, 64, 2, 4, 4).unwrap(),
+            // A non-sibling (different cluster count) rebuilds.
+            ArchSpec::new(8, 4, 64, 2, 4, 2).unwrap(),
+            ArchSpec::new(8, 4, 64, 2, 4, 2)
+                .unwrap()
+                .with_extensions(ExtSet::MULADD),
+            ArchSpec::new(8, 4, 256, 2, 4, 2)
+                .unwrap()
+                .with_extensions(ExtSet::MULADD),
+            ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap(),
+            ArchSpec::new(8, 4, 128, 2, 4, 2)
+                .unwrap()
+                .with_pipelined_l2(),
+            ArchSpec::baseline(),
+        ];
+        for spec in &walk {
+            let (m, sig, _) = scratch.machine_and_sched(spec);
+            assert_eq!(*m, MachineResources::from_spec(spec), "{spec}");
+            assert_eq!(sig, spec.sched_signature(), "{spec}");
+        }
     }
 
     #[test]

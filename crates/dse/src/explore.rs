@@ -693,7 +693,7 @@ mod tests {
                 assert_eq!(a.outcomes, b.outcomes, "round {round} ({})", a.spec);
             }
         }
-        assert!(tiny.core_evictions() > 0, "1-slot shards must evict");
+        assert!(tiny.core_evictions() > 0, "a one-core cache must evict");
     }
 
     /// Whether `event` is the summary span of a sweep unit (not of a

@@ -8,13 +8,20 @@
 //! work once per *distinguishable* machine and the register axis — a 4×
 //! multiplier in the paper's space — costs only a capacity check.
 //!
-//! The map is std-only: a fixed array of `Mutex<HashMap>` shards indexed
-//! by a fixed FNV-1a hash of the key, so which shard a key lands in —
-//! and therefore what a bounded cache evicts, and its hit, miss and
-//! eviction counts on a single thread — is the same in every process.
-//! Under a miss the shard lock is *released* while the
-//! value is computed, so a long compile never blocks unrelated keys in
-//! the same shard; two threads racing on one key may both compute it,
+//! The map is std-only: a fixed array of `Mutex<HashMap>` shards. A
+//! lookup hashes its key once, with the repo's in-process table hash
+//! ([`cfp_ir::WordHasher`]), and both the shard and the slot inside
+//! the shard's table come from that one value — from *different* bits
+//! of it, so a shard's keys still spread over its own table. The hash is
+//! unseeded, so which shard a key lands in — and therefore what a
+//! bounded cache evicts, and its hit, miss and eviction counts on a
+//! single thread — is the same in every process. None of these values
+//! is ever written anywhere: what is persisted or pinned goes through
+//! [`cfp_machine::Fnv1a`].
+//!
+//! Under a miss the shard lock is *released* while the value is
+//! computed, so a long compile never blocks unrelated keys in the same
+//! shard; two threads racing on one key may both compute it,
 //! and the first insert wins. That race is benign — every value here is
 //! a pure function of its key (given one plan cache), so the discarded
 //! duplicate is bit-identical to the winner and determinism survives any
@@ -26,26 +33,93 @@
 //! long-running exploration service (DESIGN.md §15) shares one
 //! [`CompileCache`] across every job it will ever run, so the cache must
 //! be boundable. [`ShardedMap::bounded`] adds a **segmented-LRU**
-//! eviction policy over each shard's slots: entries that have only been
+//! eviction policy: within a shard, entries that have only been
 //! inserted (probationary) are evicted before entries that have been hit
 //! again (protected), oldest-touch first within each segment. Eviction
 //! never compromises correctness — every value is a pure function of its
 //! key, so a post-eviction recompute is bit-identical to the evicted
 //! original (proven by `post_eviction_recompute_is_bit_identical`
-//! below); the only cost is the recompute itself.
+//! below); the only cost is the recompute itself. The bound is the
+//! whole map's, not a share per shard: a cache evicts only once it
+//! holds `cap` entries, however its keys spread over the shards. From
+//! then on each insert evicts one entry — the inserting shard's
+//! segmented-LRU victim, or, when that shard holds nothing but the new
+//! entry, the next non-empty shard's.
 
 use crate::eval::PlanId;
-use cfp_machine::{Fnv1a, SchedSignature};
+use cfp_ir::{WordBuildHasher, WordHasher};
+use cfp_machine::SchedSignature;
 use cfp_sched::{Prepared, SchedCore};
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shard count: enough that the paper-scale sweep (≲ a few hundred
 /// distinct keys, ≲ dozens of threads) rarely collides, small enough to
 /// stay cheap to create. Power of two only for the modulo's sake.
 const SHARDS: usize = 64;
+
+/// The shard a key with table hash `hash` lives in: the low bits of
+/// [`WordHasher::unmixed`]. A shard's table indexes its buckets by the
+/// hash's low bits and takes its control bytes from the top seven, so
+/// the shard must come from neither — keys that share a shard would
+/// otherwise share buckets or tags. The unmixed bits are a bijection of
+/// each key word's low bits: plans of one signature whose ids differ
+/// modulo [`SHARDS`] land in distinct shards.
+fn shard_index(hash: u64) -> usize {
+    (WordHasher::unmixed(hash) % SHARDS as u64) as usize
+}
+
+/// A key stored with its table hash, so a lookup hashes the key once and
+/// the shard's table re-reads that value instead of hashing again.
+#[derive(Debug, Clone)]
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Hash> Hashed<K> {
+    fn new(key: K) -> Self {
+        Hashed {
+            hash: WordBuildHasher::default().hash_one(&key),
+            key,
+        }
+    }
+}
+
+impl<K: Eq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard tables' hasher: [`Hashed`] keys hand it their one
+/// precomputed word, which it passes through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard keys hash as their one precomputed word");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One cached entry plus its segmented-LRU bookkeeping: the shard-local
 /// touch stamp and whether the entry has graduated out of probation
@@ -57,48 +131,44 @@ struct Slot<V> {
     protected: bool,
 }
 
+/// A shard's table: keys carry their hash, so the table only reads it.
+type ShardTable<K, V> = HashMap<Hashed<K>, Slot<V>, BuildHasherDefault<Prehashed>>;
+
 /// One shard: the key → slot map plus the shard-local LRU clock.
 #[derive(Debug)]
 struct Shard<K, V> {
-    map: HashMap<K, Slot<V>>,
+    map: ShardTable<K, V>,
     clock: u64,
 }
 
 impl<K, V> Default for Shard<K, V> {
     fn default() -> Self {
         Shard {
-            map: HashMap::new(),
+            map: ShardTable::default(),
             clock: 0,
         }
     }
 }
 
-impl<K: Eq + Hash + Clone, V> Shard<K, V> {
+impl<K: Eq + Clone, V> Shard<K, V> {
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
     }
 
-    /// Evict slots until the shard holds at most `cap` entries, never
-    /// evicting `keep` (the entry the current caller just inserted —
-    /// evicting it immediately would make a unit-capacity shard
-    /// useless). Victim order is the segmented-LRU rule: oldest
-    /// probationary slot first, oldest protected slot only when no
-    /// probationary slot remains.
-    fn enforce(&mut self, cap: usize, keep: &K) -> u64 {
-        let mut evicted = 0;
-        while self.map.len() > cap {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, _)| *k != keep)
-                .min_by_key(|(_, s)| (s.protected, s.stamp))
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            self.map.remove(&victim);
-            evicted += 1;
-        }
-        evicted
+    /// Evict one slot, never `keep` (the entry the current caller just
+    /// inserted — evicting it immediately would make a one-entry cache
+    /// useless); whether there was one to evict. Victim order is the
+    /// segmented-LRU rule: oldest probationary slot first, oldest
+    /// protected slot only when no probationary slot remains.
+    fn evict_one(&mut self, keep: &Hashed<K>) -> bool {
+        let victim = self
+            .map
+            .iter()
+            .filter(|(k, _)| *k != keep)
+            .min_by_key(|(_, s)| (s.protected, s.stamp))
+            .map(|(k, _)| k.clone());
+        victim.is_some_and(|victim| self.map.remove(&victim).is_some())
     }
 }
 
@@ -110,8 +180,10 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
 #[derive(Debug)]
 pub struct ShardedMap<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    /// Per-shard slot budget; `None` means unbounded.
-    shard_cap: Option<usize>,
+    /// Entry budget of the whole map; `None` means unbounded.
+    cap: Option<usize>,
+    /// Entries held across all shards (kept for bounded maps only).
+    held: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -133,37 +205,28 @@ fn lock_shard<K, V>(shard: &Mutex<Shard<K, V>>) -> MutexGuard<'_, Shard<K, V>> {
 }
 
 impl<K: Eq + Hash, V> ShardedMap<K, V> {
-    fn with_cap(shard_cap: Option<usize>) -> Self {
+    fn with_cap(cap: Option<usize>) -> Self {
         ShardedMap {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_cap,
+            cap,
+            held: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// A map bounded to roughly `cap` entries overall: each of the
-    /// [`SHARDS`] shards gets a slot budget of `cap.div_ceil(SHARDS)`
-    /// (at least 1), enforced by segmented-LRU eviction at insert time.
-    /// Keys hash-scatter across shards, so the realized size tracks
-    /// `cap` loosely, never exceeding `SHARDS * cap.div_ceil(SHARDS)`.
+    /// A map bounded to `cap` entries (at least 1), enforced by
+    /// segmented-LRU eviction at insert time (see the module docs). On
+    /// one thread it never holds more than `cap`; threads inserting at
+    /// once can each pass it by one entry until their evictions land.
     #[must_use]
     pub fn bounded(cap: usize) -> Self {
-        Self::with_cap(Some(cap.div_ceil(SHARDS).max(1)))
+        Self::with_cap(Some(cap.max(1)))
     }
 }
 
 impl<K: Eq + Hash + Clone, V> ShardedMap<K, V> {
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        // The repo's fixed hash over the bytes the key's `Hash` impl
-        // feeds it, used only to pick a shard (each shard's own `HashMap`
-        // keeps the standard keyed hasher).
-        let mut h = Fnv1a::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize % SHARDS]
-    }
-
     /// The value for `key`, computing it with `f` on a miss. `f` runs
     /// outside the shard lock; see the module docs for the (benign)
     /// duplicate-compute race this allows.
@@ -183,11 +246,13 @@ impl<K: Eq + Hash + Clone, V> ShardedMap<K, V> {
         key: &K,
         f: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
-        let shard = self.shard(key);
+        let key = Hashed::new(key.clone());
+        let home = shard_index(key.hash);
+        let shard = &self.shards[home];
         {
             let mut guard = lock_shard(shard);
             let tick = guard.tick();
-            if let Some(slot) = guard.map.get_mut(key) {
+            if let Some(slot) = guard.map.get_mut(&key) {
                 // A hit graduates the slot out of probation: it has
                 // proven reuse, so the eviction policy protects it over
                 // entries that were only ever inserted.
@@ -201,22 +266,30 @@ impl<K: Eq + Hash + Clone, V> ShardedMap<K, V> {
         let value = Arc::new(f()?);
         let mut guard = lock_shard(shard);
         let tick = guard.tick();
-        let out = Arc::clone(
-            &guard
-                .map
-                .entry(key.clone())
-                .or_insert(Slot {
-                    value,
-                    stamp: tick,
-                    protected: false,
-                })
-                .value,
-        );
-        if let Some(cap) = self.shard_cap {
-            let evicted = guard.enforce(cap, key);
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            }
+        let slot = match guard.map.entry(key.clone()) {
+            // Another thread raced this one to the key; its value wins.
+            Entry::Occupied(e) => return Ok(Arc::clone(&e.get().value)),
+            Entry::Vacant(e) => e.insert(Slot {
+                value,
+                stamp: tick,
+                protected: false,
+            }),
+        };
+        let out = Arc::clone(&slot.value);
+        let Some(cap) = self.cap else { return Ok(out) };
+        if self.held.fetch_add(1, Ordering::Relaxed) < cap {
+            return Ok(out);
+        }
+        // Full: evict one entry, from the home shard unless it holds
+        // only the new one, else from the next shard that holds any.
+        // One lock at a time, so two inserting threads never deadlock.
+        let evicted = guard.evict_one(&key) || {
+            drop(guard);
+            (1..SHARDS).any(|step| lock_shard(&self.shards[(home + step) % SHARDS]).evict_one(&key))
+        };
+        if evicted {
+            self.held.fetch_sub(1, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(out)
     }
@@ -293,7 +366,7 @@ impl CompileCache {
     }
 
     /// A cache whose `cores` layer (one entry per distinguishable
-    /// machine and plan) is bounded to roughly `core_cap` entries by
+    /// machine and plan) is bounded to `core_cap` entries by
     /// segmented-LRU eviction; see [`ShardedMap::bounded`]. The
     /// `prepared` layer stays unbounded: its population is `unique plans
     /// × distinct L2 latencies`, small by construction. Eviction only ever costs a
@@ -456,12 +529,9 @@ mod tests {
         let originals: Vec<Vec<u64>> = (0..600)
             .map(|k| (*map.get_or_insert_with(&k, || value(k))).clone())
             .collect();
-        assert!(map.evictions() > 0, "cap 16 over 600 inserts must evict");
-        assert!(
-            map.len() <= SHARDS,
-            "cap 16 -> 1 slot per shard, so at most {SHARDS} survive ({})",
-            map.len()
-        );
+        // On one thread the bound is exact: every insert past the
+        // sixteenth evicts one entry.
+        assert_eq!((map.len(), map.evictions()), (16, 600 - 16));
         // Recompute everything; an entry either hits (survivor) or is
         // recomputed, and both paths must reproduce the original bits.
         for (k, original) in originals.iter().enumerate() {
@@ -472,13 +542,41 @@ mod tests {
     }
 
     #[test]
+    fn the_bound_is_the_whole_maps_not_a_share_per_shard() {
+        // Forty keys that all hash to shard 0 fit a 40-entry cache: it
+        // evicts nothing until it is full, however the keys crowd.
+        let crowded: Vec<u32> = (0..)
+            .filter(|k| shard_index(Hashed::new(*k).hash) == 0)
+            .take(41)
+            .collect();
+        let map: ShardedMap<u32, u32> = ShardedMap::bounded(40);
+        for k in &crowded[..40] {
+            map.get_or_insert_with(k, || *k);
+        }
+        assert_eq!((map.len(), map.evictions()), (40, 0));
+        map.get_or_insert_with(&crowded[40], || 0);
+        assert_eq!((map.len(), map.evictions()), (40, 1));
+        // A one-entry cache evicts across shards: the new key's shard
+        // holds nothing else, so the victim is the old key elsewhere.
+        let other = (0..)
+            .find(|k| shard_index(Hashed::new(*k).hash) != 0)
+            .expect("some key hashes elsewhere");
+        let one: ShardedMap<u32, u32> = ShardedMap::bounded(1);
+        one.get_or_insert_with(&crowded[0], || 1);
+        one.get_or_insert_with(&other, || 2);
+        assert_eq!((one.len(), one.evictions()), (1, 1));
+        assert_eq!(*one.get_or_insert_with(&other, || unreachable!()), 2);
+    }
+
+    #[test]
     fn segmented_lru_protects_reused_entries_over_one_shot_ones() {
         // Drive the policy directly through one shard.
         let mut shard: Shard<u32, u32> = Shard::default();
+        let at = Hashed::new;
         fn put(shard: &mut Shard<u32, u32>, k: u32, protected: bool) {
             let tick = shard.tick();
             shard.map.insert(
-                k,
+                Hashed::new(k),
                 Slot {
                     value: Arc::new(k),
                     stamp: tick,
@@ -489,29 +587,84 @@ mod tests {
         put(&mut shard, 1, true); // protected, oldest
         put(&mut shard, 2, false); // probationary, older
         put(&mut shard, 3, false); // probationary, newer (just inserted)
-        let evicted = shard.enforce(2, &3);
-        assert_eq!(evicted, 1);
+        assert!(shard.evict_one(&at(3)));
         // The probationary entry went first even though the protected
         // one is older.
-        assert!(shard.map.contains_key(&1) && shard.map.contains_key(&3));
+        assert!(shard.map.contains_key(&at(1)) && shard.map.contains_key(&at(3)));
         // With only protected entries left, the oldest protected goes.
         let tick = shard.tick();
-        if let Some(s) = shard.map.get_mut(&3) {
+        if let Some(s) = shard.map.get_mut(&at(3)) {
             s.protected = true;
             s.stamp = tick;
         }
         put(&mut shard, 4, false);
-        let evicted = shard.enforce(2, &4);
-        assert_eq!(evicted, 1);
-        assert!(!shard.map.contains_key(&1), "oldest protected evicted");
-        assert!(shard.map.contains_key(&3) && shard.map.contains_key(&4));
+        assert!(shard.evict_one(&at(4)));
+        assert!(!shard.map.contains_key(&at(1)), "oldest protected evicted");
+        assert!(shard.map.contains_key(&at(3)) && shard.map.contains_key(&at(4)));
+    }
+
+    #[test]
+    fn the_paper_sweep_spreads_evenly_over_the_shards() {
+        // Every `(plan, signature)` core key the paper's sweep of the ten
+        // table benchmarks can ask for (each unroll factor with a plan,
+        // whether or not the sweep stops before it): no shard may hold
+        // more than twice its share. A crowded shard is a contended lock,
+        // and a full bounded cache takes its victims from the inserting
+        // shard.
+        use crate::eval::{residency_budget, PlanCache, UNROLL_SWEEP};
+        use cfp_ir::{WordMap, WordSet};
+        use cfp_kernels::Benchmark;
+        use cfp_machine::{ArchSpec, SpaceAxes};
+
+        let axes = SpaceAxes::paper();
+        let cache = PlanCache::build(&Benchmark::TABLE_COLUMNS, axes.reg_values(), &UNROLL_SWEEP);
+        let mut specs = axes.arrangements();
+        specs.push(ArchSpec::baseline());
+        let mut keys: WordSet<(PlanId, SchedSignature)> = WordSet::default();
+        for spec in &specs {
+            let sig = spec.sched_signature();
+            for b in Benchmark::TABLE_COLUMNS {
+                for u in UNROLL_SWEEP {
+                    if let Some(id) = cache.id(b, residency_budget(spec.regs), u, spec.exts) {
+                        keys.insert((id, sig));
+                    }
+                }
+            }
+        }
+        let mut load = [0_usize; SHARDS];
+        for key in &keys {
+            load[shard_index(Hashed::new(*key).hash)] += 1;
+        }
+        let mean = keys.len() as f64 / SHARDS as f64;
+        let max = load.iter().copied().max().unwrap_or(0);
+        assert!(keys.len() > 20 * SHARDS, "{} keys", keys.len());
+        assert!(
+            max as f64 <= 2.0 * mean,
+            "fullest shard holds {max} of {} keys (mean {mean:.1}): {load:?}",
+            keys.len()
+        );
+        // What keeps it even: with the signature fixed, the shard is a
+        // bijection of the plan id modulo `SHARDS`, so one signature's
+        // plans share a shard only where their ids do. A hash that mixes
+        // the shard bits too (a rotate in every round) scatters them like
+        // random placement and fails here.
+        let mut by_sig: WordMap<SchedSignature, (WordSet<usize>, WordSet<usize>)> =
+            WordMap::default();
+        for key in &keys {
+            let (ids, shards) = by_sig.entry(key.1).or_default();
+            ids.insert(key.0.index() % SHARDS);
+            shards.insert(shard_index(Hashed::new(*key).hash));
+        }
+        for (sig, (ids, shards)) in &by_sig {
+            assert_eq!(shards.len(), ids.len(), "{sig:?}");
+        }
     }
 
     #[test]
     fn post_eviction_recompute_is_bit_identical() {
         // The real thing: evaluate through a CompileCache bounded to a
-        // single core slot per shard, forcing every (plan, signature)
-        // to be evicted and rescheduled, and require bit-identical
+        // single core, forcing every (plan, signature) to be evicted
+        // and rescheduled, and require bit-identical
         // measurements against an unbounded cache.
         use crate::eval::{EvalScratch, Evaluator, PlanCache};
         use cfp_kernels::Benchmark;
@@ -544,7 +697,7 @@ mod tests {
         }
         assert!(
             tiny.core_evictions() > 0,
-            "a 1-slot-per-shard cache over {} cores must evict",
+            "a one-core cache over {} cores must evict",
             unbounded.unique_cores()
         );
         assert_eq!(unbounded.core_evictions(), 0);

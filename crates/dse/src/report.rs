@@ -2,6 +2,7 @@
 
 use crate::explore::RunStats;
 use crate::pareto::ScatterPoint;
+use cfp_ir::WordSet;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -141,7 +142,7 @@ pub fn ascii_scatter(
     let max_cost = points.iter().map(|p| p.cost).fold(1.0_f64, f64::max);
     let max_su = points.iter().map(|p| p.speedup).fold(1.0_f64, f64::max);
     let mut grid = vec![vec![' '; width]; height];
-    let on_frontier: std::collections::HashSet<usize> = frontier.iter().copied().collect();
+    let on_frontier: WordSet<usize> = frontier.iter().copied().collect();
     for (i, p) in points.iter().enumerate() {
         let x = ((p.cost / max_cost) * (width as f64 - 1.0)).round() as usize;
         let y = ((p.speedup / max_su) * (height as f64 - 1.0)).round() as usize;

@@ -52,11 +52,12 @@ use crate::explore::{Exploration, RunStats};
 use crate::memo::CompileCache;
 use crate::pareto::{self, ScatterPoint};
 use crate::units::run_units;
+use cfp_ir::{WordMap, WordSet};
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, Fnv1a, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::Rng;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -221,9 +222,9 @@ pub fn run(
     seed: u64,
 ) -> SearchReport {
     let specs: Vec<ArchSpec> = ex.archs.iter().map(|a| a.spec).collect();
-    let index_of: HashMap<ArchSpec, usize> =
+    let index_of: WordMap<ArchSpec, usize> =
         specs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let mut queried: HashSet<usize> = HashSet::new();
+    let mut queried: WordSet<usize> = WordSet::default();
     // The objective: the target's speedup, or -inf over the cost bound
     // or outside the space.
     let best = drive(strategy, &specs, seed, &mut |s| {
@@ -382,7 +383,7 @@ pub struct LazyEvaluator<'a> {
     cost: CostModel,
     cycle: CycleModel,
     baseline_cpo: f64,
-    results: Mutex<HashMap<MemoKey, EvalOutcome>>,
+    results: Mutex<WordMap<MemoKey, EvalOutcome>>,
     memo_hits: AtomicU64,
 }
 
@@ -439,12 +440,12 @@ impl<'a> LazyEvaluator<'a> {
             cost: CostModel::paper_calibrated(),
             cycle: CycleModel::paper_calibrated(),
             baseline_cpo: baseline.cycles_per_output,
-            results: Mutex::new(HashMap::new()),
+            results: Mutex::new(WordMap::default()),
             memo_hits: AtomicU64::new(0),
         })
     }
 
-    fn lock_results(&self) -> std::sync::MutexGuard<'_, HashMap<MemoKey, EvalOutcome>> {
+    fn lock_results(&self) -> std::sync::MutexGuard<'_, WordMap<MemoKey, EvalOutcome>> {
         // Values are complete before insertion; a poisoned map is still
         // coherent.
         self.results.lock().unwrap_or_else(PoisonError::into_inner)
@@ -705,7 +706,7 @@ pub fn try_search_shared(
     let eval_start = Instant::now();
     let mut scratch = EvalScratch::new();
     let mut rng = Rng::new(config.seed ^ 0x5eac);
-    let mut seen: HashSet<ArchSpec> = HashSet::new();
+    let mut seen: WordSet<ArchSpec> = WordSet::default();
     // Full-fidelity results, keyed by spec for deterministic iteration.
     let mut archive: BTreeMap<ArchSpec, (f64, f64)> = BTreeMap::new();
     let mut rounds: Vec<RoundStats> = Vec::new();
@@ -736,7 +737,7 @@ pub fn try_search_shared(
         let mut wave: Vec<ArchSpec> = frontier_specs.clone();
         'refine: for _depth in 0..REFINE_DEPTH {
             let mut next: Vec<ArchSpec> = Vec::new();
-            let mut in_next: HashSet<ArchSpec> = HashSet::new();
+            let mut in_next: WordSet<ArchSpec> = WordSet::default();
             for s in &wave {
                 for n in config.axes.neighbors(s) {
                     if pool.len() >= config.round_size {

@@ -21,7 +21,9 @@
 //!
 //! The crate also provides a reference [`interp`] interpreter (the golden
 //! executor against which scheduled code is validated), a structural
-//! [`mod@verify`] pass, and a pretty-printer.
+//! [`mod@verify`] pass, a pretty-printer, and the workspace's one
+//! in-process table hash ([`WordHasher`], behind [`WordMap`] and
+//! [`WordSet`]).
 //!
 //! ```
 //! use cfp_ir::{KernelBuilder, MemSpace, Ty, Operand};
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 pub mod build;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod kernel;
@@ -51,6 +54,7 @@ pub mod types;
 pub mod verify;
 
 pub use build::KernelBuilder;
+pub use hash::{WordBuildHasher, WordHasher, WordMap, WordSet};
 pub use inst::{Inst, MemRef, Operand, Vreg};
 pub use interp::{Interpreter, MemImage};
 pub use kernel::{ArrayDecl, ArrayId, ArrayKind, Carried, CarriedInit, Kernel};

@@ -1,10 +1,13 @@
-//! The repo's one hash: 64-bit FNV-1a.
+//! The repo's one *persisted* hash: 64-bit FNV-1a.
 //!
-//! Every pinned digest, checkpoint fingerprint, memo shard index and
-//! scheduling signature folds its bytes through this. It lives in the
-//! lowest crate all of them already depend on. `DefaultHasher` will not
-//! do: it is seeded per process, and these values are written to journals
-//! and to `results/`.
+//! Every pinned digest, checkpoint fingerprint, scheduling signature
+//! ([`crate::Mdes::content_hash`]) and file under `results/` folds its
+//! bytes through this, so its values must be the same in every process
+//! and every release. It lives in the lowest crate all of them already
+//! depend on. `DefaultHasher` will not do: it is seeded per process, and
+//! these values are written to journals and to `results/`. In-process
+//! tables, whose hash values never leave the process, use the cheaper
+//! `cfp_ir::WordHasher` instead.
 //!
 //! Field separators (`0xff` in the checkpoint fingerprints, `0x1f` in the
 //! result digests, none in the fixed-width folds) are the caller's
@@ -43,15 +46,12 @@ impl Default for Fnv1a {
     }
 }
 
-/// So a key's `Hash` impl can feed it (the compile memo picks shards
-/// this way).
-impl std::hash::Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        Fnv1a::write(self, bytes);
-    }
-
-    fn finish(&self) -> u64 {
-        Fnv1a::finish(self)
+/// So `write!` can fold a value's `Display` straight in, with no
+/// intermediate `String` (the service's result digests do this).
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -72,13 +72,12 @@ mod tests {
     }
 
     #[test]
-    fn writes_concatenate_and_the_hasher_impl_agrees() {
-        use std::hash::Hasher;
+    fn writes_concatenate_and_the_fmt_impl_agrees() {
+        use std::fmt::Write;
         let mut whole = Fnv1a::new();
-        whole.write(b"foobar");
-        let mut parts = Fnv1a::default();
-        Hasher::write(&mut parts, b"foo");
-        Hasher::write(&mut parts, b"bar");
-        assert_eq!(Hasher::finish(&parts), whole.finish());
+        whole.write(b"foobar 42");
+        let (mut parts, bar) = (Fnv1a::default(), "bar");
+        write!(parts, "foo{bar} {}", 42).unwrap();
+        assert_eq!(parts.finish(), whole.finish());
     }
 }

@@ -25,8 +25,8 @@
 //!   single source of truth every downstream consumer reads;
 //! * [`MachineResources`] — the reservation-table view of an architecture
 //!   consumed by the `cfp-sched` list scheduler, wrapping an [`Mdes`];
-//! * [`Fnv1a`] — the one hash behind every signature, fingerprint and
-//!   pinned digest in the workspace.
+//! * [`Fnv1a`] — the one persisted hash, behind every signature,
+//!   fingerprint and pinned digest in the workspace.
 //!
 //! ```
 //! use cfp_machine::{ArchSpec, CostModel, CycleModel};

@@ -12,9 +12,8 @@
 //! demand both registers *and* fewer memory ports.
 
 use crate::NO_VREG;
-use cfp_ir::{Inst, Kernel, Operand, Vreg};
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use cfp_ir::{Inst, Kernel, Operand, Vreg, WordMap};
+use std::collections::hash_map::Entry;
 
 /// What makes two instructions compute the same value, packed into five
 /// words so the expression table hashes and compares words rather than
@@ -60,48 +59,6 @@ impl Key {
     }
 }
 
-/// The expression table's hasher: one rotate-xor-multiply per word of
-/// the key. The table is the one place the optimizer still hashes — its
-/// keys are not small integers — and it is only ever probed: nothing
-/// iterates it and no hash value leaves this module, so this is not the
-/// repo's persisted hash (`cfp_machine::Fnv1a`) and need not be.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut w = [0_u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(w));
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.word(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.word(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its entropy in the high bits; the table
-        // indexes with the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
 /// Run CSE over the kernel.
 pub fn eliminate(kernel: &mut Kernel) {
     let n_vregs = kernel.vreg_count() as usize;
@@ -134,8 +91,11 @@ fn resolve(subst: &[Vreg], mut v: Vreg) -> Vreg {
 /// Value-number one section in place, recording `subst[dst] = earlier`
 /// for every instruction dropped as a duplicate. Returns how many were.
 fn number_section(insts: &mut Vec<Inst>, n_arrays: usize, subst: &mut [Vreg]) -> usize {
-    let mut table: HashMap<Key, Vreg, BuildHasherDefault<WordHasher>> =
-        HashMap::with_capacity_and_hasher(insts.len(), BuildHasherDefault::default());
+    // The table is the one place the optimizer still hashes — its keys
+    // are not small integers — and it is only ever probed, so the
+    // in-process table hash serves.
+    let mut table: WordMap<Key, Vreg> =
+        WordMap::with_capacity_and_hasher(insts.len(), Default::default());
     let mut epoch = vec![0_u64; n_arrays];
     let mut kept = 0;
     for i in 0..insts.len() {

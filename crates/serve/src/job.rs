@@ -8,7 +8,8 @@ use cfp_dse::{
     ArchEval, Checkpoint, EvalOutcome, Exploration, ExploreConfig, SearchConfig, SearchOutcome,
 };
 use cfp_kernels::Benchmark;
-use cfp_machine::{CostModel, Fnv1a};
+use cfp_machine::{ArchSpec, CostModel, Fnv1a};
+use std::fmt::Write;
 use std::path::Path;
 
 /// The [`ExploreConfig`] a job runs as, journaling to `ck_path`.
@@ -85,8 +86,16 @@ impl Digest {
         self.eat(&v.to_le_bytes());
     }
 
+    /// A spec's `Display` text as one field, written straight into the
+    /// hash: the bytes of `to_string()` without the `String`.
+    fn eat_spec(&mut self, spec: &ArchSpec) {
+        // Writing into a hash cannot fail.
+        let _ = write!(self.0, "{spec}");
+        self.eat_byte(0x1f);
+    }
+
     fn eat_arch(&mut self, arch: &ArchEval) {
-        self.eat(arch.spec.to_string().as_bytes());
+        self.eat_spec(&arch.spec);
         self.eat_u64(arch.cost.to_bits());
         self.eat_u64(arch.derate.to_bits());
         for out in &arch.outcomes {
@@ -189,7 +198,7 @@ pub fn search_digest(out: &SearchOutcome) -> u64 {
     d.eat(out.bench.letter().as_bytes());
     d.eat_u64(out.cost_bound.to_bits());
     for p in &out.evaluated {
-        d.eat(p.spec.to_string().as_bytes());
+        d.eat_spec(&p.spec);
         d.eat_u64(p.cost.to_bits());
         d.eat_u64(p.speedup.to_bits());
     }
@@ -246,7 +255,27 @@ pub fn failure_json(id: &str, err: &crate::error::JobError, attempts: u32) -> St
 mod tests {
     use super::*;
     use cfp_kernels::Benchmark;
-    use cfp_machine::ArchSpec;
+    use cfp_machine::ExtSet;
+
+    #[test]
+    fn a_spec_folds_in_as_its_display_text() {
+        // `eat_spec` writes the `Display` text without building it: the
+        // digest must be the one `to_string()` gave.
+        let specs = [
+            ArchSpec::baseline(),
+            ArchSpec::new(16, 8, 512, 4, 12, 8).expect("valid"),
+            ArchSpec::new(8, 4, 256, 2, 4, 2)
+                .expect("valid")
+                .with_pipelined_l2()
+                .with_extensions(ExtSet::MULADD.with(2)),
+        ];
+        for spec in specs {
+            let (mut direct, mut built) = (Digest::new(), Digest::new());
+            direct.eat_spec(&spec);
+            built.eat(spec.to_string().as_bytes());
+            assert_eq!(direct.0.finish(), built.0.finish(), "{spec}");
+        }
+    }
 
     fn tiny_job() -> JobSpec {
         JobSpec {

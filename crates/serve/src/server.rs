@@ -111,7 +111,7 @@ pub struct ServeConfig {
     pub default_deadline_ms: u64,
     /// Stream every Nth unit event to watchers (1 = every unit).
     pub progress_every: u64,
-    /// Bound the shared compile cache to roughly this many scheduled
+    /// Bound the shared compile cache to this many scheduled
     /// cores (`None` = unbounded). See `cfp_dse::CompileCache::bounded`.
     pub core_cache_cap: Option<usize>,
 }

@@ -15,6 +15,10 @@
 //!   cached evaluation allocates nothing: the spans' field lists live
 //!   on the stack and every string render is guarded by `trace.on()`.
 //!   Proven here with a counting global allocator, not by inspection.
+//!
+//! The same allocator holds two more paths to their counts: the compile
+//! path allocates per table, not per instruction, and the service's
+//! result digest allocates nothing at all.
 
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::{Checkpoint, CompileCache, EvalScratch, Evaluator, PlanCache};
@@ -463,4 +467,27 @@ fn compile_path_allocations_do_not_grow_with_the_body() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The service's result digest: every architecture's spec is folded in
+// as its `Display` text, written straight into the hash.
+
+#[test]
+fn the_result_digest_allocates_nothing() {
+    let mut cfg = ExploreConfig::smoke();
+    cfg.archs.truncate(3);
+    cfg.benches = vec![Benchmark::D, Benchmark::G];
+    let ex = Exploration::run(&cfg);
+    let first = custom_fit::serve::job::result_digest(&ex);
+    let before = allocs();
+    let again = custom_fit::serve::job::result_digest(&ex);
+    let allocated = allocs() - before;
+    assert_eq!(first, again);
+    assert_eq!(
+        allocated,
+        0,
+        "result_digest allocated {allocated} times over {} architectures",
+        ex.archs.len() + 1
+    );
 }
