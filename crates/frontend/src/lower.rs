@@ -20,6 +20,12 @@
 //!   symbolically as `c0 + c1·i`, producing exact affine [`MemRef`]s for
 //!   the scheduler's dependence test; a non-affine index falls back to a
 //!   dynamic register index (with conservative dependences).
+//!
+//! Scalars in scope live in one ordered stack (outermost scope first,
+//! declaration order within a scope); a scope is a suffix of it. The
+//! order is part of the IR: if-conversion emits its merge selects, and
+//! numbers their registers, in stack order, so a kernel lowers to the
+//! same IR in every process. Nothing here iterates a hashed map.
 
 use crate::ast::{BinaryOp, Dir, Expr, KernelAst, Param, Stmt, UnaryOp};
 use crate::diag::CompileError;
@@ -28,7 +34,6 @@ use cfp_ir::{
     ArrayDecl, ArrayId, ArrayKind, Carried, CarriedInit, Inst, Kernel, MemRef, Operand, Pred, Ty,
     UnOp, Vreg,
 };
-use std::collections::HashMap;
 
 /// Lower a parsed kernel, binding each `const` parameter to a value.
 ///
@@ -89,25 +94,31 @@ struct Binding {
     mutable: bool,
 }
 
-struct Lowerer {
+struct Lowerer<'a> {
     kernel: Kernel,
     next_vreg: u32,
-    arrays: HashMap<String, ArrayId>,
-    /// Scope stack; lookup walks from the innermost scope outward.
-    scopes: Vec<HashMap<String, Binding>>,
-    loop_var: Option<String>,
+    /// Every scalar in scope, outermost scope first and each scope in
+    /// declaration order; a scope is the suffix from the length the
+    /// stack had when it opened. Shadowing is refused, so a name occurs
+    /// at most once. The order is part of the IR: if-conversion emits
+    /// its merge selects in it.
+    bindings: Vec<(&'a str, Binding)>,
+    /// Scopes open inside the top level (`for` bodies, `if` arms, the
+    /// `loop` body).
+    depth: u32,
+    loop_var: Option<&'a str>,
     in_loop: bool,
     if_depth: u32,
     seen_loop: bool,
 }
 
-impl Lowerer {
+impl<'a> Lowerer<'a> {
     fn new(name: String) -> Self {
         Lowerer {
             kernel: Kernel::new(name),
             next_vreg: 0,
-            arrays: HashMap::new(),
-            scopes: vec![HashMap::new()],
+            bindings: Vec::new(),
+            depth: 0,
             loop_var: None,
             in_loop: false,
             if_depth: 0,
@@ -135,68 +146,79 @@ impl Lowerer {
 
     // ---- name management -------------------------------------------------
 
-    fn name_in_use(&self, name: &str) -> bool {
-        self.arrays.contains_key(name)
-            || self.scopes.iter().any(|s| s.contains_key(name))
-            || self.loop_var.as_deref() == Some(name)
+    fn array(&self, name: &str) -> Option<ArrayId> {
+        let i = self.kernel.arrays.iter().position(|a| a.name == name)?;
+        Some(ArrayId(u32::try_from(i).expect("few arrays")))
     }
 
-    fn declare(&mut self, name: &str, b: Binding, span: Span) -> Result<(), CompileError> {
+    fn name_in_use(&self, name: &str) -> bool {
+        self.array(name).is_some() || self.binding(name).is_some() || self.loop_var == Some(name)
+    }
+
+    /// Open a scope: the mark [`Lowerer::close`] truncates back to.
+    fn open(&mut self) -> usize {
+        self.depth += 1;
+        self.bindings.len()
+    }
+
+    fn close(&mut self, mark: usize) {
+        self.bindings.truncate(mark);
+        self.depth -= 1;
+    }
+
+    fn declare(&mut self, name: &'a str, b: Binding, span: Span) -> Result<(), CompileError> {
         if self.name_in_use(name) {
             return Err(CompileError::new(
                 format!("name `{name}` is already defined (shadowing is not allowed)"),
                 span,
             ));
         }
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_owned(), b);
+        self.bindings.push((name, b));
         Ok(())
     }
 
+    /// The stack index of `name`'s binding.
+    fn binding(&self, name: &str) -> Option<usize> {
+        self.bindings.iter().rposition(|&(n, _)| n == name)
+    }
+
     fn lookup(&self, name: &str) -> Option<Binding> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return Some(*b);
-            }
-        }
-        None
+        self.binding(name).map(|i| self.bindings[i].1)
     }
 
     fn set(&mut self, name: &str, sym: Sym, span: Span) -> Result<(), CompileError> {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(b) = scope.get_mut(name) {
-                if !b.mutable {
-                    return Err(CompileError::new(
-                        format!("`{name}` is not assignable"),
-                        span,
-                    ));
-                }
-                b.sym = sym;
-                return Ok(());
-            }
+        let Some(i) = self.binding(name) else {
+            return Err(CompileError::new(
+                format!("assignment to undefined variable `{name}`"),
+                span,
+            ));
+        };
+        let b = &mut self.bindings[i].1;
+        if !b.mutable {
+            return Err(CompileError::new(
+                format!("`{name}` is not assignable"),
+                span,
+            ));
         }
-        Err(CompileError::new(
-            format!("assignment to undefined variable `{name}`"),
-            span,
-        ))
+        b.sym = sym;
+        Ok(())
     }
 
     // ---- declarations ----------------------------------------------------
 
     fn declare_params(
         &mut self,
-        ast: &KernelAst,
+        ast: &'a KernelAst,
         consts: &[(&str, i64)],
     ) -> Result<(), CompileError> {
-        let mut unused: HashMap<&str, i64> = consts.iter().copied().collect();
-        if unused.len() != consts.len() {
+        if (1..consts.len()).any(|i| consts[..i].iter().any(|&(n, _)| n == consts[i].0)) {
             return Err(CompileError::new(
                 "duplicate const binding supplied",
                 ast.span,
             ));
         }
+        // Which of the caller's bindings a parameter has taken.
+        let mut taken = vec![false; consts.len()];
         for p in &ast.params {
             match p {
                 Param::Array {
@@ -212,7 +234,6 @@ impl Lowerer {
                             *span,
                         ));
                     }
-                    let id = ArrayId(u32::try_from(self.kernel.arrays.len()).expect("few arrays"));
                     self.kernel.arrays.push(ArrayDecl {
                         name: name.clone(),
                         ty: *ty,
@@ -223,15 +244,20 @@ impl Lowerer {
                             Dir::InOut => ArrayKind::InOut,
                         },
                     });
-                    self.arrays.insert(name.clone(), id);
                 }
                 Param::Const { name, span } => {
-                    let Some(v) = unused.remove(name.as_str()) else {
+                    let Some(i) = consts
+                        .iter()
+                        .position(|&(n, _)| n == name)
+                        .filter(|&i| !taken[i])
+                    else {
                         return Err(CompileError::new(
                             format!("no value supplied for const parameter `{name}`"),
                             *span,
                         ));
                     };
+                    taken[i] = true;
+                    let v = consts[i].1;
                     self.declare(
                         name,
                         Binding {
@@ -243,7 +269,7 @@ impl Lowerer {
                 }
             }
         }
-        if let Some((name, _)) = unused.into_iter().next() {
+        if let Some(&(name, _)) = consts.iter().zip(&taken).find(|(_, &t)| !t).map(|(c, _)| c) {
             return Err(CompileError::new(
                 format!("const binding `{name}` does not match any parameter"),
                 ast.span,
@@ -329,7 +355,7 @@ impl Lowerer {
         match e {
             Expr::Int(v, _) => Ok(Sym::Const(*v)),
             Expr::Var(name, span) => {
-                if self.loop_var.as_deref() == Some(name) {
+                if self.loop_var == Some(name.as_str()) {
                     return Ok(Sym::Affine { c0: 0, c1: 1 });
                 }
                 self.lookup(name)
@@ -337,7 +363,7 @@ impl Lowerer {
                     .ok_or_else(|| CompileError::new(format!("undefined name `{name}`"), *span))
             }
             Expr::Index { array, index, span } => {
-                let id = *self.arrays.get(array).ok_or_else(|| {
+                let id = self.array(array).ok_or_else(|| {
                     CompileError::new(format!("undefined array `{array}`"), *span)
                 })?;
                 if !self.kernel.arrays[id.index()].kind.readable() {
@@ -650,7 +676,7 @@ impl Lowerer {
 
     // ---- statements --------------------------------------------------------
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), CompileError> {
+    fn stmt(&mut self, s: &'a Stmt) -> Result<(), CompileError> {
         match s {
             Stmt::Var { name, init, span } => {
                 let sym = match init {
@@ -682,14 +708,12 @@ impl Lowerer {
                 let n = u32::try_from(n).map_err(|_| {
                     CompileError::new("local array length must be non-negative", *span)
                 })?;
-                let id = ArrayId(u32::try_from(self.kernel.arrays.len()).expect("few arrays"));
                 self.kernel.arrays.push(ArrayDecl {
                     name: name.clone(),
                     ty: *ty,
                     space: *space,
                     kind: ArrayKind::Local(n),
                 });
-                self.arrays.insert(name.clone(), id);
                 Ok(())
             }
             Stmt::Assign { name, value, span } => {
@@ -709,7 +733,7 @@ impl Lowerer {
                         *span,
                     ));
                 }
-                let id = *self.arrays.get(array).ok_or_else(|| {
+                let id = self.array(array).ok_or_else(|| {
                     CompileError::new(format!("undefined array `{array}`"), *span)
                 })?;
                 if !self.kernel.arrays[id.index()].kind.writable() {
@@ -747,7 +771,7 @@ impl Lowerer {
                     ));
                 }
                 for k in lo..hi {
-                    self.scopes.push(HashMap::new());
+                    let mark = self.open();
                     self.declare(
                         var,
                         Binding {
@@ -759,7 +783,7 @@ impl Lowerer {
                     for st in body {
                         self.stmt(st)?;
                     }
-                    self.scopes.pop();
+                    self.close(mark);
                 }
                 Ok(())
             }
@@ -780,15 +804,15 @@ impl Lowerer {
 
     fn lower_loop(
         &mut self,
-        var: &str,
+        var: &'a str,
         produces: Option<&Expr>,
-        body: &[Stmt],
+        body: &'a [Stmt],
         span: Span,
     ) -> Result<(), CompileError> {
         if self.seen_loop {
             return Err(CompileError::new("only one `loop` is allowed", span));
         }
-        if self.if_depth > 0 || self.scopes.len() != 1 {
+        if self.if_depth > 0 || self.depth != 0 {
             return Err(CompileError::new(
                 "`loop` must appear at the top level of the kernel",
                 span,
@@ -815,9 +839,9 @@ impl Lowerer {
         // Carried scalars: outer vars assigned anywhere inside the loop.
         let mut assigned = Vec::new();
         collect_assigned(body, &mut assigned);
-        let mut carried: Vec<(String, Vreg, CarriedInit)> = Vec::new();
+        let mut carried: Vec<(&str, Vreg, CarriedInit)> = Vec::new();
         for name in assigned {
-            let Some(b) = self.lookup(&name) else {
+            let Some(b) = self.lookup(name) else {
                 continue; // declared inside the loop; a plain temp
             };
             if carried.iter().any(|(n, _, _)| *n == name) {
@@ -829,21 +853,21 @@ impl Lowerer {
                 Sym::Affine { .. } => unreachable!("no loop var outside the loop"),
             };
             let input = self.fresh();
-            self.set(&name, Sym::Reg(input), span)?;
+            self.set(name, Sym::Reg(input), span)?;
             carried.push((name, input, init));
         }
 
         self.in_loop = true;
-        self.loop_var = Some(var.to_owned());
-        self.scopes.push(HashMap::new());
+        self.loop_var = Some(var);
+        let mark = self.open();
         for st in body {
             self.stmt(st)?;
         }
-        self.scopes.pop();
+        self.close(mark);
         self.loop_var = None;
 
         for (name, input, init) in carried {
-            let final_sym = self.lookup(&name).expect("carried var still in scope").sym;
+            let final_sym = self.lookup(name).expect("carried var still in scope").sym;
             let output = match final_sym {
                 Sym::Reg(v) => v,
                 Sym::Const(c) => {
@@ -862,15 +886,14 @@ impl Lowerer {
             // input). A preamble-defined register can sneak through when
             // the loop assigns the variable back to a preamble value; copy
             // it into a body register in that case.
-            let body_defs: std::collections::HashSet<Vreg> =
-                self.kernel.body.iter().filter_map(Inst::def).collect();
-            let output = if output == input || body_defs.contains(&output) {
-                output
-            } else {
-                let v = self.fresh();
-                self.emit(Inst::mov(v, output));
-                v
-            };
+            let output =
+                if output == input || self.kernel.body.iter().any(|i| i.def() == Some(output)) {
+                    output
+                } else {
+                    let v = self.fresh();
+                    self.emit(Inst::mov(v, output));
+                    v
+                };
             self.kernel.carried.push(Carried {
                 input,
                 output,
@@ -884,71 +907,69 @@ impl Lowerer {
     fn lower_if(
         &mut self,
         cond: &Expr,
-        then_body: &[Stmt],
-        else_body: &[Stmt],
+        then_body: &'a [Stmt],
+        else_body: &'a [Stmt],
     ) -> Result<(), CompileError> {
         let c = self.eval(cond)?;
         if let Sym::Const(cv) = c {
             // Statically decided: lower only the taken branch.
             let taken = if cv != 0 { then_body } else { else_body };
-            self.scopes.push(HashMap::new());
+            let mark = self.open();
             for st in taken {
                 self.stmt(st)?;
             }
-            self.scopes.pop();
+            self.close(mark);
             return Ok(());
         }
         let co = self.materialize(c, cond.span())?;
 
-        let snapshot: Vec<HashMap<String, Binding>> = self.scopes.clone();
+        // Both arms start from the outer bindings' values; each arm's own
+        // declarations go when it closes.
+        let syms = |lw: &Self| -> Vec<Sym> { lw.bindings.iter().map(|(_, b)| b.sym).collect() };
+        let before = syms(self);
         self.if_depth += 1;
-
-        self.scopes.push(HashMap::new());
+        let mark = self.open();
         for st in then_body {
             self.stmt(st)?;
         }
-        self.scopes.pop();
-        let then_env = self.scopes.clone();
-
-        self.scopes = snapshot.clone();
-        self.scopes.push(HashMap::new());
+        self.close(mark);
+        let then_syms = syms(self);
+        for ((_, b), &sym) in self.bindings.iter_mut().zip(&before) {
+            b.sym = sym;
+        }
+        let mark = self.open();
         for st in else_body {
             self.stmt(st)?;
         }
-        self.scopes.pop();
-        let else_env = std::mem::replace(&mut self.scopes, snapshot);
+        self.close(mark);
         self.if_depth -= 1;
 
-        // Merge every outer binding the branches disagree on.
-        for (level, scope) in then_env.iter().enumerate() {
-            let names: Vec<String> = scope.keys().cloned().collect();
-            for name in names {
-                let t = then_env[level][&name].sym;
-                let e = else_env[level][&name].sym;
-                if t == e {
-                    self.scopes[level].get_mut(&name).expect("same shape").sym = t;
-                    continue;
-                }
-                let to = self.materialize(t, cond.span())?;
-                let eo = self.materialize(e, cond.span())?;
-                let dst = self.fresh();
-                self.emit(Inst::Sel {
-                    dst,
-                    cond: co,
-                    on_true: to,
-                    on_false: eo,
-                });
-                self.scopes[level].get_mut(&name).expect("same shape").sym = Sym::Reg(dst);
+        // Merge every outer binding the arms disagree on, in declaration
+        // order (the merge selects' order and register numbers follow it).
+        for (i, &t) in then_syms.iter().enumerate() {
+            let e = self.bindings[i].1.sym;
+            if t == e {
+                continue;
             }
+            let to = self.materialize(t, cond.span())?;
+            let eo = self.materialize(e, cond.span())?;
+            let dst = self.fresh();
+            self.emit(Inst::Sel {
+                dst,
+                cond: co,
+                on_true: to,
+                on_false: eo,
+            });
+            self.bindings[i].1.sym = Sym::Reg(dst);
         }
         Ok(())
     }
 }
 
-fn collect_assigned(body: &[Stmt], out: &mut Vec<String>) {
+fn collect_assigned<'a>(body: &'a [Stmt], out: &mut Vec<&'a str>) {
     for s in body {
         match s {
-            Stmt::Assign { name, .. } => out.push(name.clone()),
+            Stmt::Assign { name, .. } => out.push(name),
             Stmt::For { body, .. } | Stmt::Loop { body, .. } => collect_assigned(body, out),
             Stmt::If {
                 then_body,
@@ -1009,5 +1030,62 @@ fn fold_call(func: &str, args: &[i64]) -> Option<i64> {
         ("i16", [a]) => Some(Ty::I16.truncate(*a)),
         ("i32", [a]) => Some(Ty::I32.truncate(*a)),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::compile_kernel;
+    use cfp_ir::{Inst, Operand};
+
+    /// A non-constant `if` assigning four outer scalars, in an order that
+    /// is neither their declaration order nor its reverse: the merge
+    /// selects come out in declaration order (`a b c e`), whatever the
+    /// process.
+    #[test]
+    fn merge_selects_follow_declaration_order() {
+        let k = compile_kernel(
+            "kernel k(in i32 s[], out i32 d[]) {
+                loop i {
+                    var a = s[i];
+                    var b = s[i + 1];
+                    var c = s[i + 2];
+                    var e = s[i + 3];
+                    if a > b { e = 4; b = 2; a = 1; c = 3; }
+                    d[i] = a + b + c + e;
+                }
+            }",
+            &[],
+        )
+        .unwrap();
+        let merged: Vec<i64> = k
+            .body
+            .iter()
+            .filter_map(|inst| match inst {
+                Inst::Sel {
+                    on_true: Operand::Imm(v),
+                    ..
+                } => Some(*v),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(merged, [1, 2, 3, 4]);
+    }
+
+    /// Of two const bindings no parameter takes, the error names the one
+    /// the caller passed first.
+    #[test]
+    fn the_first_unmatched_const_binding_is_reported() {
+        let src = "kernel k(out i32 d[], const n) { loop i { d[i] = n; } }";
+        for (consts, first) in [
+            ([("n", 1), ("zz", 2), ("aa", 3)], "zz"),
+            ([("aa", 3), ("n", 1), ("zz", 2)], "aa"),
+        ] {
+            let err = compile_kernel(src, &consts).unwrap_err();
+            assert_eq!(
+                err.message(),
+                format!("const binding `{first}` does not match any parameter")
+            );
+        }
     }
 }

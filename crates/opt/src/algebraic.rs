@@ -9,13 +9,17 @@
 
 use cfp_ir::{BinOp, Inst, Operand};
 
-/// Apply local rewrites to every instruction.
-pub fn simplify(kernel: &mut cfp_ir::Kernel) {
+/// Apply local rewrites to every instruction. Returns whether any
+/// instruction changed.
+pub fn simplify(kernel: &mut cfp_ir::Kernel) -> bool {
+    let mut changed = false;
     for inst in kernel.preamble.iter_mut().chain(kernel.body.iter_mut()) {
         if let Some(better) = rewrite(inst) {
+            changed |= better != *inst;
             *inst = better;
         }
     }
+    changed
 }
 
 fn rewrite(inst: &Inst) -> Option<Inst> {

@@ -12,8 +12,8 @@
 use cfp_ir::{CarriedInit, Inst, Kernel, Operand, UnOp};
 
 /// Propagate copies through the kernel. Follow with DCE to remove the
-/// dead moves.
-pub fn propagate(kernel: &mut Kernel) {
+/// dead moves. Returns whether any instruction or carry changed.
+pub fn propagate(kernel: &mut Kernel) -> bool {
     // The source of every copy, indexed by the copy's register.
     let n_vregs = kernel.vreg_count() as usize;
     let mut copy_of: Vec<Option<Operand>> = vec![None; n_vregs];
@@ -29,7 +29,7 @@ pub fn propagate(kernel: &mut Kernel) {
         }
     }
     if copies == 0 {
-        return;
+        return false;
     }
     let resolve = |mut o: Operand| {
         // Transitive, with a hop cap as a cycle guard (copies cannot form
@@ -46,8 +46,11 @@ pub fn propagate(kernel: &mut Kernel) {
         o
     };
 
+    let mut changed = false;
     for inst in kernel.preamble.iter_mut().chain(kernel.body.iter_mut()) {
+        let old = *inst;
         inst.map_operands(resolve);
+        changed |= *inst != old;
     }
 
     // Carried plumbing: which section, if any, defines each register.
@@ -61,6 +64,7 @@ pub fn propagate(kernel: &mut Kernel) {
         def_in[d.index()] |= BODY;
     }
     for c in &mut kernel.carried {
+        let old = *c;
         if let Operand::Reg(v) = resolve(Operand::Reg(c.output)) {
             if v == c.input || def_in[v.index()] & BODY != 0 {
                 c.output = v;
@@ -75,7 +79,9 @@ pub fn propagate(kernel: &mut Kernel) {
                 Operand::Reg(_) => {}
             }
         }
+        changed |= *c != old;
     }
+    changed
 }
 
 #[cfg(test)]

@@ -14,33 +14,43 @@
 use crate::NO_VREG;
 use cfp_ir::{Inst, Kernel, Operand, Vreg, WordMap};
 use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 
-/// What makes two instructions compute the same value, packed into five
-/// words so the expression table hashes and compares words rather than
-/// enum fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// What makes two instructions compute the same value, in four words:
+/// the expression table hashes four words and compares 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     /// The instruction kind (bits 0–7), its operation, predicate or
     /// element type (bits 8–15), one bit per `args` slot that holds a
     /// register number rather than an immediate (bits 16–18), and for
     /// loads whether there is a dynamic index at all (bit 19).
     head: u32,
-    /// Loads: the array read.
-    array: u32,
+    /// Loads: the array read *and* its store epoch, as one number —
+    /// the generation the array's last store (or the section's start)
+    /// gave it. Every store draws a number no array held before, so two
+    /// loads agree here exactly when they read the same array with no
+    /// store to it between them.
+    generation: u32,
     /// The operands in operand order, each a register number or an
     /// immediate. Loads: stride, offset, dynamic index.
     args: [i64; 3],
-    /// Loads: the array's store epoch.
-    epoch: u64,
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.head) | u64::from(self.generation) << 32);
+        for a in self.args {
+            state.write_u64(a as u64);
+        }
+    }
 }
 
 impl Key {
     fn new(kind: u32, code: u32, operands: &[Operand]) -> Key {
         let mut key = Key {
             head: kind | code << 8,
-            array: 0,
+            generation: 0,
             args: [0; 3],
-            epoch: 0,
         };
         for (slot, &o) in operands.iter().enumerate() {
             key.set(slot, o);
@@ -59,8 +69,8 @@ impl Key {
     }
 }
 
-/// Run CSE over the kernel.
-pub fn eliminate(kernel: &mut Kernel) {
+/// Run CSE over the kernel. Returns whether any instruction was merged.
+pub fn eliminate(kernel: &mut Kernel) -> bool {
     let n_vregs = kernel.vreg_count() as usize;
     let n_arrays = kernel.arrays.len();
     // One substitution table per section, each indexed by the eliminated
@@ -71,7 +81,7 @@ pub fn eliminate(kernel: &mut Kernel) {
     let merged = number_section(&mut kernel.preamble, n_arrays, &mut subst_pre)
         + number_section(&mut kernel.body, n_arrays, &mut subst);
     if merged == 0 {
-        return;
+        return false;
     }
     for (s, &pre) in subst.iter_mut().zip(&subst_pre) {
         if pre != NO_VREG {
@@ -79,6 +89,7 @@ pub fn eliminate(kernel: &mut Kernel) {
         }
     }
     crate::substitute(kernel, |v| resolve(&subst, v));
+    true
 }
 
 fn resolve(subst: &[Vreg], mut v: Vreg) -> Vreg {
@@ -96,7 +107,11 @@ fn number_section(insts: &mut Vec<Inst>, n_arrays: usize, subst: &mut [Vreg]) ->
     // in-process table hash serves.
     let mut table: WordMap<Key, Vreg> =
         WordMap::with_capacity_and_hasher(insts.len(), Default::default());
-    let mut epoch = vec![0_u64; n_arrays];
+    // Each array's generation; arrays start on their own numbers and a
+    // store draws the next unused one. A section holds fewer than
+    // 2^32 − arrays stores, so the numbers never repeat.
+    let mut generation: Vec<u32> = (0..).take(n_arrays).collect();
+    let mut next_generation = generation.len() as u32;
     let mut kept = 0;
     for i in 0..insts.len() {
         let mut inst = insts[i];
@@ -105,9 +120,10 @@ fn number_section(insts: &mut Vec<Inst>, n_arrays: usize, subst: &mut [Vreg]) ->
             imm => imm,
         });
         if let Inst::St { mem, .. } = &inst {
-            epoch[mem.array.index()] += 1;
+            generation[mem.array.index()] = next_generation;
+            next_generation += 1;
         }
-        if let Some((dst, key)) = key_of(&inst, &epoch) {
+        if let Some((dst, key)) = key_of(&inst, &generation) {
             match table.entry(key) {
                 Entry::Occupied(first) => {
                     subst[dst.index()] = *first.get();
@@ -128,7 +144,7 @@ fn number_section(insts: &mut Vec<Inst>, n_arrays: usize, subst: &mut [Vreg]) ->
 
 /// The register an instruction defines and the key of the value it
 /// computes; `None` for stores.
-fn key_of(inst: &Inst, epoch: &[u64]) -> Option<(Vreg, Key)> {
+fn key_of(inst: &Inst, generation: &[u32]) -> Option<(Vreg, Key)> {
     Some(match *inst {
         Inst::Bin { dst, op, a, b } => {
             let (a, b) = if op.is_commutative() {
@@ -158,13 +174,12 @@ fn key_of(inst: &Inst, epoch: &[u64]) -> Option<(Vreg, Key)> {
         Inst::Fused { dst, op, a, b, c } => (dst, Key::new(4, u32::from(op.0), &[a, b, c])),
         Inst::Ld { dst, mem, ty } => {
             let mut key = Key::new(5, ty as u32, &[]);
-            key.array = mem.array.0;
+            key.generation = generation[mem.array.index()];
             key.args = [mem.coeff, mem.offset, 0];
             if let Some(d) = mem.dyn_index {
                 key.head |= 1 << 19;
                 key.set(2, d);
             }
-            key.epoch = epoch[mem.array.index()];
             (dst, key)
         }
         Inst::St { .. } => return None,

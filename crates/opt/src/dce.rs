@@ -17,10 +17,13 @@
 use cfp_ir::{CarriedInit, Inst, Kernel};
 
 /// Remove dead instructions (preamble + body) and useless carries.
+/// Returns whether anything was removed.
 // Justified expect: `useful` is built with exactly one entry per carried
 // value, so the iterator in the final `retain` cannot run dry.
 #[allow(clippy::expect_used)]
-pub fn eliminate(kernel: &mut Kernel) {
+pub fn eliminate(kernel: &mut Kernel) -> bool {
+    let size = |k: &Kernel| k.body.len() + k.preamble.len() + k.carried.len();
+    let before = size(kernel);
     // Fixed point over the set of useful carries. `live` is indexed by
     // vreg number and refilled each round.
     let mut useful: Vec<bool> = vec![false; kernel.carried.len()];
@@ -49,6 +52,7 @@ pub fn eliminate(kernel: &mut Kernel) {
         .retain(|inst| inst.def().is_some_and(|d| live[d.index()]));
     let mut keep = useful.iter();
     kernel.carried.retain(|_| *keep.next().expect("aligned"));
+    size(kernel) != before
 }
 
 /// Mark what is live by decree: everything a store reads, and the output

@@ -4,11 +4,14 @@ use cfp_ir::{Inst, Kernel, Operand, Vreg};
 
 /// Propagate known constants through operands and fold fully-constant
 /// instructions into `mov dst, #imm` (removed later by DCE when unused).
-pub fn constant_fold(kernel: &mut Kernel) {
+/// Returns whether any instruction changed.
+pub fn constant_fold(kernel: &mut Kernel) -> bool {
+    let mut changed = false;
     // The constant each register is known to hold, indexed by register.
     let mut known: Vec<Option<i64>> = vec![None; kernel.vreg_count() as usize];
     let (pre, body) = (&mut kernel.preamble, &mut kernel.body);
     for inst in pre.iter_mut().chain(body.iter_mut()) {
+        let old = *inst;
         inst.map_operands(|o| match o {
             Operand::Reg(v) => known[v.index()].map_or(o, Operand::Imm),
             imm => imm,
@@ -19,7 +22,9 @@ pub fn constant_fold(kernel: &mut Kernel) {
         } else if let Some((dst, copied)) = fold_select(inst) {
             *inst = Inst::mov(dst, copied);
         }
+        changed |= *inst != old;
     }
+    changed
 }
 
 /// If the instruction computes a compile-time constant, return it.

@@ -13,6 +13,12 @@
 //! and its memory image must equal the reference interpreter's, for every
 //! architecture (asserted across the design space by the integration
 //! tests).
+//!
+//! The schedule is read once in cycle order: the issue order is one
+//! counting sort on `(cycle, is_store)`, stable in op index, and the
+//! resource check one `length × rows` occupancy table. A placement at or
+//! past the schedule's length — never compiled, but the refusal tests
+//! build them — reserves nothing and issues after every in-range op.
 
 use crate::compile::CompileResult;
 use crate::loopcode::OpOrigin;
@@ -166,17 +172,38 @@ fn simulate_inner(
 
 /// Placement order: by cycle, stores after non-stores within a cycle
 /// (loads sample memory at the start of a cycle, stores commit at the
-/// end — this is what makes a 0-separation WAR legal).
+/// end — this is what makes a 0-separation WAR legal), op index within
+/// that.
+///
+/// One counting sort over the `2 × length` keys `(cycle, is_store)`,
+/// stable in op index: the schedule is read once in cycle order. A
+/// placement at or past `length` (no compiled schedule has one; the
+/// refusal tests build them) lands in the overflow tail, the one range
+/// sorted by comparison.
 fn placement_order(result: &CompileResult) -> Vec<usize> {
     let code = &result.assignment.code;
-    let mut order: Vec<usize> = (0..code.ops.len()).collect();
-    order.sort_by_key(|&i| {
-        (
-            result.schedule.placements[i].cycle,
-            code.ops[i].inst.is_some_and(|x| x.is_store()),
-            i,
-        )
-    });
+    let placements = &result.schedule.placements;
+    let len = result.schedule.length as usize;
+    let n = code.ops.len();
+    let is_store = |i: usize| code.ops[i].inst.is_some_and(|x| x.is_store());
+    let key = |i: usize| 2 * (placements[i].cycle as usize).min(len) + usize::from(is_store(i));
+    // `next[k]`: where key `k`'s next op goes; keys `2·len` and up are
+    // the overflow tail.
+    let mut next = vec![0_usize; 2 * len + 3];
+    for i in 0..n {
+        next[key(i) + 1] += 1;
+    }
+    for k in 1..next.len() {
+        next[k] += next[k - 1];
+    }
+    let tail = next[2 * len];
+    let mut order = vec![0_usize; n];
+    for i in 0..n {
+        let slot = &mut next[key(i)];
+        order[*slot] = i;
+        *slot += 1;
+    }
+    order[tail..].sort_unstable_by_key(|&i| (placements[i].cycle, is_store(i), i));
     order
 }
 
@@ -441,6 +468,51 @@ mod tests {
         );
         assert_eq!(mem, base, "a refused schedule mutated its image");
         simulate(&kernel, &result, &wide_machine, &mut mem, 8).expect("the right machine runs");
+    }
+
+    /// The comparison sort [`placement_order`] replaced: the reference
+    /// its counting sort is held to.
+    fn placement_order_by_sort(result: &CompileResult) -> Vec<usize> {
+        let code = &result.assignment.code;
+        let mut order: Vec<usize> = (0..code.ops.len()).collect();
+        order.sort_by_key(|&i| {
+            (
+                result.schedule.placements[i].cycle,
+                code.ops[i].inst.is_some_and(|x| x.is_store()),
+                i,
+            )
+        });
+        order
+    }
+
+    /// Seeded schedules on one to eight clusters, then the same
+    /// schedules re-dealt at random: empty cycles, several stores in one
+    /// cycle, and placements at and past the length the refusal tests
+    /// build. The counting sort must return the reference's order.
+    #[test]
+    fn the_counting_sort_keeps_the_comparison_order() {
+        use crate::list::Placement;
+        cfp_testkit::cases(0x51a7, 48, |rng| {
+            let kernel = crate::testgen::memory_heavy(rng);
+            let clusters = rng.range_u32(1..=8);
+            let spec = ArchSpec::new(2 * clusters, 2, 64 * clusters, 2, 4, clusters).unwrap();
+            let result = compile(&kernel, &MachineResources::from_spec(&spec));
+            assert_eq!(placement_order(&result), placement_order_by_sort(&result));
+            let mut dealt = result.clone();
+            dealt.schedule.length = rng.range_u32(0..=result.schedule.length + 2);
+            let span = dealt.schedule.length + 3;
+            for p in &mut dealt.schedule.placements {
+                *p = Placement {
+                    cycle: if rng.index(8) == 0 {
+                        u32::MAX - rng.range_u32(0..=1)
+                    } else {
+                        rng.range_u32(0..=span) / 2
+                    },
+                    cluster: rng.range_u32(0..=clusters - 1),
+                };
+            }
+            assert_eq!(placement_order(&dealt), placement_order_by_sort(&dealt));
+        });
     }
 
     #[test]
