@@ -9,8 +9,9 @@
 //!
 //! There is one way in: an [`Evaluator`] names the plans, the compile
 //! memo, the fuel budget and the unroll cap, and [`Evaluator::evaluate`]
-//! runs one `(architecture, benchmark)` unit in the caller's scratch and
-//! trace. Every compilation goes through the memo — a caller with
+//! runs one `(architecture, benchmark)` unit under the caller's trace,
+//! on the calling thread's lowered-machine memo and scheduler arena.
+//! Every compilation goes through the memo — a caller with
 //! nothing to share hands it a fresh [`CompileCache`], which is what
 //! [`try_evaluate`] and [`evaluate`], the two conveniences kept, do
 //! (DESIGN.md, "Entry points", says who needs them). [`quarantine`] is
@@ -41,7 +42,8 @@ use cfp_ir::WordMap;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, MachineResources, SchedSignature};
 use cfp_obs::{Stage, UnitTrace, Value};
-use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel, SchedScratch};
+use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -498,68 +500,66 @@ impl PlanStore {
     }
 }
 
-/// Per-worker reusable state for the evaluation loop: the scheduler's
-/// scratch arena plus the most recent machine lowering. One of these per
-/// worker thread makes the sweep's steady state allocation-free —
-/// consecutive units on a worker reuse every scheduling buffer, and the
-/// lowered machine description ([`MachineResources`] with its embedded
-/// [`cfp_machine::Mdes`], per-cluster `Vec`s both) is memoized at the
+/// The machine lowering a thread evaluated last, memoized at the
 /// *scheduling-signature* level: a spec that differs from the previous
-/// unit only in register-file size — the exploration's row-major unit
+/// unit's only in register-file size — the exploration's row-major unit
 /// order walks the register axis innermost, so this is the common
 /// transition — re-deals the register fields in place instead of
-/// rebuilding the lowering. The lowering's [`SchedSignature`] (the
-/// compile memo's key) is kept beside it: computed once per rebuild and
-/// reused unchanged across register re-deals, since registers are
-/// outside the signature.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    machine: Option<(ArchSpec, MachineResources, SchedSignature)>,
-    sched: SchedScratch,
+/// rebuilding the lowering ([`MachineResources`] with its embedded
+/// [`cfp_machine::Mdes`], per-cluster `Vec`s both). The lowering's
+/// [`SchedSignature`] (the compile memo's key) is kept beside it:
+/// computed once per rebuild and reused unchanged across register
+/// re-deals, since registers are outside the signature.
+struct Lowered {
+    spec: ArchSpec,
+    machine: MachineResources,
+    sig: SchedSignature,
 }
 
-impl EvalScratch {
-    /// A fresh scratch; buffers grow on first use and are reused after.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
+thread_local! {
+    /// The calling thread's last [`Lowered`]; empty while an evaluation
+    /// holds it, so a unit that panics leaves nothing stale behind.
+    static LOWERED: Cell<Option<Lowered>> = const { Cell::new(None) };
+}
 
-    /// The lowered machine for `spec` and its scheduling signature,
-    /// memoized against the previous call. Returned alongside the
-    /// scheduler scratch so callers can hold both borrows at once.
-    fn machine_and_sched(
-        &mut self,
-        spec: &ArchSpec,
-    ) -> (&MachineResources, SchedSignature, &mut SchedScratch) {
-        let EvalScratch { machine, sched } = self;
-        match machine {
-            Some((s, _, _)) if s == spec => {}
+impl Lowered {
+    /// The lowering of `spec`, made from the one the thread kept.
+    fn take(spec: &ArchSpec) -> Self {
+        let regs_apart = |kept: &ArchSpec| {
+            ArchSpec {
+                regs: spec.regs,
+                ..*kept
+            } == *spec
+        };
+        match LOWERED.take() {
+            Some(kept) if kept.spec == *spec => kept,
             // Registers are the one axis outside the scheduling
             // signature: same datapath, different bank size. Re-deal
             // the register files — the result is exactly `from_spec`,
             // and the signature stands.
-            Some((s, m, _))
-                if {
-                    let mut sib = *s;
-                    sib.regs = spec.regs;
-                    sib == *spec
-                } =>
-            {
-                m.retune_regs(spec.regs);
-                *s = *spec;
+            Some(mut kept) if regs_apart(&kept.spec) => {
+                kept.machine.retune_regs(spec.regs);
+                kept.spec = *spec;
+                kept
             }
-            _ => *machine = None,
+            _ => {
+                let machine = MachineResources::from_spec(spec);
+                // From the lowering just built rather than a throwaway
+                // `Mdes`: this keeps the warm path allocation-free (see
+                // `tests/trace_equivalence.rs`).
+                let sig = spec.sched_signature_with(&machine.mdes);
+                Lowered {
+                    spec: *spec,
+                    machine,
+                    sig,
+                }
+            }
         }
-        let (_, m, sig) = machine.get_or_insert_with(|| {
-            let m = MachineResources::from_spec(spec);
-            // From the lowering just built rather than a throwaway
-            // `Mdes`: this keeps the warm path allocation-free (see
-            // `tests/trace_equivalence.rs`).
-            let sig = spec.sched_signature_with(&m.mdes);
-            (*spec, m, sig)
-        });
-        (m, *sig, sched)
+    }
+
+    /// Keep this lowering for the thread's next evaluation.
+    fn keep(self) {
+        LOWERED.set(Some(self));
     }
 }
 
@@ -641,9 +641,11 @@ impl EvalOutcome {
 /// `AssertUnwindSafe` is sound for what evaluations share across the
 /// boundary: the plan cache is read-only; the compile memo's shards hold
 /// only completed values (computes run outside the shard locks) and
-/// recover from poisoning explicitly; and every consumer of the worker's
-/// scratch arena resizes and clears its buffers on entry, so a panic
-/// mid-unit leaves at worst stale data the next unit overwrites.
+/// recover from poisoning explicitly; the thread's lowered-machine memo
+/// is empty while a unit holds it; and every consumer of the thread's
+/// scheduler arena resizes and clears its buffers on entry and releases
+/// its borrow as a panic unwinds, so a panic mid-unit leaves at worst
+/// stale data the next unit overwrites.
 pub fn quarantine(unit: impl FnOnce() -> Result<Measurement, EvalError>) -> EvalOutcome {
     match catch_unwind(AssertUnwindSafe(unit)) {
         Ok(Ok(m)) => EvalOutcome::Done(m),
@@ -730,8 +732,9 @@ impl<'a> Evaluator<'a> {
     /// the paper's spill rule — deeper unrolling is an optimization, and
     /// an optimization that goes over budget is simply not taken.
     ///
-    /// `scratch` is the worker's: results are bit-identical to a fresh
-    /// one, reuse only removes allocation. `trace` gets one `compile`
+    /// The lowered machine and the scheduler's working memory are the
+    /// calling thread's: results are bit-identical on a fresh thread,
+    /// reuse only removes allocation. `trace` gets one `compile`
     /// span per attempted unroll factor (and the scheduler's inner spans
     /// for every compilation this unit ran itself); disabled, it changes
     /// nothing and allocates nothing.
@@ -744,10 +747,23 @@ impl<'a> Evaluator<'a> {
         &self,
         spec: &ArchSpec,
         bench: Benchmark,
-        scratch: &mut EvalScratch,
         trace: &mut UnitTrace<'_>,
     ) -> Result<Measurement, EvalError> {
-        let (machine, sig, sched) = scratch.machine_and_sched(spec);
+        let lowered = Lowered::take(spec);
+        let out = self.evaluate_on(spec, bench, &lowered, trace);
+        lowered.keep();
+        out
+    }
+
+    /// [`Evaluator::evaluate`] on `spec`'s lowering.
+    fn evaluate_on(
+        &self,
+        spec: &ArchSpec,
+        bench: Benchmark,
+        lowered: &Lowered,
+        trace: &mut UnitTrace<'_>,
+    ) -> Result<Measurement, EvalError> {
+        let (machine, sig) = (&lowered.machine, lowered.sig);
         let budget = residency_budget(spec.regs);
         let mut best: Option<Measurement> = None;
         let mut compilations = 0;
@@ -775,7 +791,7 @@ impl<'a> Evaluator<'a> {
                     let prepared = self
                         .memo
                         .prepared(id, machine.l2_latency, || prepare(kernel, machine, trace));
-                    try_compile_core(&prepared, machine, &mut fuel, sched, trace)
+                    try_compile_core(&prepared, machine, &mut fuel, trace)
                 })
                 .and_then(|core| {
                     if !missed {
@@ -848,7 +864,7 @@ impl<'a> Evaluator<'a> {
 }
 
 /// [`Evaluator::evaluate`] at its defaults plus a fuel budget, with a
-/// fresh compile cache, a fresh scratch and no trace.
+/// fresh compile cache and no trace.
 ///
 /// # Errors
 /// As [`Evaluator::evaluate`].
@@ -863,12 +879,7 @@ pub fn try_evaluate(
         fuel: fuel_budget,
         ..Evaluator::new(cache, &memo)
     };
-    session.evaluate(
-        spec,
-        bench,
-        &mut EvalScratch::new(),
-        &mut UnitTrace::disabled(),
-    )
+    session.evaluate(spec, bench, &mut UnitTrace::disabled())
 }
 
 /// Evaluate one benchmark on one architecture.
@@ -946,7 +957,6 @@ mod tests {
         // transition — first lowering, same spec, register re-deal, full
         // rebuild, extension and pipelining switches — it must be the
         // spec's own.
-        let mut scratch = EvalScratch::new();
         let walk = [
             ArchSpec::new(8, 4, 128, 2, 4, 4).unwrap(),
             ArchSpec::new(8, 4, 128, 2, 4, 4).unwrap(),
@@ -967,19 +977,21 @@ mod tests {
             ArchSpec::baseline(),
         ];
         for spec in &walk {
-            let (m, sig, _) = scratch.machine_and_sched(spec);
-            assert_eq!(*m, MachineResources::from_spec(spec), "{spec}");
-            assert_eq!(sig, spec.sched_signature(), "{spec}");
+            let lowered = Lowered::take(spec);
+            assert_eq!(lowered.machine, MachineResources::from_spec(spec), "{spec}");
+            assert_eq!(lowered.sig, spec.sched_signature(), "{spec}");
+            lowered.keep();
         }
     }
 
     #[test]
     fn a_reused_eval_scratch_changes_no_measurement() {
-        // One scratch across architectures and benchmarks (including a
-        // machine switch, which re-lowers the memoized resources) must
-        // reproduce `try_evaluate`'s measurements bit for bit — a fresh
-        // scratch and a fresh compile cache per unit, nothing reused —
-        // on a cache of its own per unit and on one shared warm cache.
+        // One thread's memo and arena across architectures and benchmarks
+        // (including a machine switch, which re-lowers the memoized
+        // resources) must reproduce `try_evaluate`'s measurements on a
+        // freshly spawned thread bit for bit — a fresh thread and a fresh
+        // compile cache per unit, nothing reused — on a cache of its own
+        // per unit and on one shared warm cache.
         let cache = small_cache();
         let specs = [
             ArchSpec::baseline(),
@@ -988,17 +1000,20 @@ mod tests {
         ];
         let shared = CompileCache::new();
         let warm = Evaluator::new(&cache, &shared);
-        let mut scratch = EvalScratch::new();
         let off = &mut UnitTrace::disabled();
         for spec in &specs {
             for b in [Benchmark::D, Benchmark::A] {
-                let fresh = try_evaluate(spec, b, &cache, None).unwrap();
+                let fresh = std::thread::scope(|s| {
+                    s.spawn(|| try_evaluate(spec, b, &cache, None).unwrap())
+                        .join()
+                        .expect("no panic")
+                });
                 let per_unit = CompileCache::new();
                 let reused = Evaluator::new(&cache, &per_unit)
-                    .evaluate(spec, b, &mut scratch, off)
+                    .evaluate(spec, b, off)
                     .unwrap();
                 assert_eq!(fresh, reused, "{spec} {b}");
-                let cached = warm.evaluate(spec, b, &mut scratch, off).unwrap();
+                let cached = warm.evaluate(spec, b, off).unwrap();
                 assert_eq!(fresh, cached, "{spec} {b} (cached)");
             }
         }
@@ -1018,7 +1033,7 @@ mod tests {
             ..Evaluator::new(&cache, &memo)
         };
         let cold = tight
-            .evaluate(&spec, Benchmark::A, &mut EvalScratch::new(), off)
+            .evaluate(&spec, Benchmark::A, off)
             .expect_err("over budget");
         assert!(
             matches!(
@@ -1033,12 +1048,12 @@ mod tests {
         );
         assert_eq!((memo.core_misses(), memo.unique_cores()), (1, 0));
         let full = Evaluator::new(&cache, &memo)
-            .evaluate(&spec, Benchmark::A, &mut EvalScratch::new(), off)
+            .evaluate(&spec, Benchmark::A, off)
             .expect("no budget");
         assert_eq!((memo.core_misses(), memo.unique_cores()), (2, 1));
         assert_eq!(full.unroll, 1);
         let warm = tight
-            .evaluate(&spec, Benchmark::A, &mut EvalScratch::new(), off)
+            .evaluate(&spec, Benchmark::A, off)
             .expect_err("still over budget");
         assert_eq!(warm, cold);
         assert_eq!(memo.core_hits(), 1);

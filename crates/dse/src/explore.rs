@@ -20,7 +20,7 @@
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::{CheckpointError, ExploreError, FailKind};
-use crate::eval::{quarantine, EvalOutcome, EvalScratch, Evaluator, PlanStore, UNROLL_SWEEP};
+use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanStore, UNROLL_SWEEP};
 use crate::memo::CompileCache;
 use crate::units::run_units;
 use cfp_kernels::Benchmark;
@@ -382,14 +382,13 @@ impl Exploration {
         let quarantined = |spec: &ArchSpec,
                            bench: Benchmark,
                            fault_unit: Option<u64>,
-                           sc: &mut EvalScratch,
                            trace: &mut UnitTrace<'_>| {
             let t0 = trace.start();
             let out = quarantine(|| {
                 if let (Some(injector), Some(u)) = (&config.fault, fault_unit) {
                     injector.fire(u);
                 }
-                session.evaluate(spec, bench, sc, trace)
+                session.evaluate(spec, bench, trace)
             });
             unit_span(trace, t0, spec, bench, &out, fault_unit.is_none());
             out
@@ -398,24 +397,23 @@ impl Exploration {
         // One work unit per (architecture, benchmark) pair: much finer
         // grains than whole architectures, so a few slow deep-unroll
         // evaluations cannot leave most worker threads idle at the tail
-        // of the sweep. The scratch is the worker's: units on one thread
-        // reuse its buffers back to back.
-        let eval_unit = |i: usize, sc: &mut EvalScratch| -> EvalOutcome {
+        // of the sweep. Units on one worker reuse its thread's lowered
+        // machine and scheduler arena back to back.
+        let eval_unit = |i: usize| -> EvalOutcome {
             let spec = &config.archs[i / nb];
             let bench = config.benches[i % nb];
             let mut trace = UnitTrace::new(rec, cfp_obs::unit::sweep(i));
-            quarantined(spec, bench, Some(i as u64), sc, &mut trace)
+            quarantined(spec, bench, Some(i as u64), &mut trace)
         };
 
         // The baseline is the denominator of every speedup; fault
         // injection is keyed off unit indices and never hits it, but a
         // fuel budget small enough to starve it fails the run.
         let baseline_spec = ArchSpec::baseline();
-        let mut scratch = EvalScratch::new();
         let mut baseline_outcomes = Vec::with_capacity(nb);
         for (bi, &b) in config.benches.iter().enumerate() {
             let mut trace = UnitTrace::new(rec, cfp_obs::unit::baseline(bi));
-            match quarantined(&baseline_spec, b, None, &mut scratch, &mut trace) {
+            match quarantined(&baseline_spec, b, None, &mut trace) {
                 EvalOutcome::Done(m) => baseline_outcomes.push(EvalOutcome::Done(m)),
                 EvalOutcome::Failed { reason } => return Err(ExploreError::BaselineFailed(reason)),
             }
@@ -449,11 +447,11 @@ impl Exploration {
         let journal_err = || first_err.lock().unwrap_or_else(PoisonError::into_inner);
 
         let eval_start = Instant::now();
-        let fresh = run_units(units, config.threads, &mut scratch, |i, sc| {
+        let fresh = run_units(units, config.threads, |i| {
             if slots[i].is_some() || journal_err().is_some() {
                 return None;
             }
-            let out = eval_unit(i, sc);
+            let out = eval_unit(i);
             if let Some(journal) = &journal {
                 let written = journal
                     .lock()
@@ -791,7 +789,6 @@ mod tests {
         // on sharing or interleaving.
         let regs: Vec<u32> = cfg.archs.iter().map(|a| a.regs).collect();
         let plans = crate::eval::PlanCache::build(&cfg.benches, &regs, &UNROLL_SWEEP);
-        let mut scratch = EvalScratch::new();
         for arch in &e1.archs {
             for (out, &bench) in arch.outcomes.iter().zip(&cfg.benches) {
                 let memo = CompileCache::new();
@@ -800,7 +797,7 @@ mod tests {
                     ..Evaluator::new(&plans, &memo)
                 };
                 let off = &mut UnitTrace::disabled();
-                let want = quarantine(|| alone.evaluate(&arch.spec, bench, &mut scratch, off));
+                let want = quarantine(|| alone.evaluate(&arch.spec, bench, off));
                 assert_eq!(*out, want, "sharing must not change verdicts");
             }
         }

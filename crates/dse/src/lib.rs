@@ -75,8 +75,8 @@ mod units;
 pub use checkpoint::{spec_fingerprint, Checkpoint};
 pub use error::{CheckpointError, EvalError, ExploreError, FailKind, FailReason};
 pub use eval::{
-    evaluate, quarantine, try_evaluate, EvalOutcome, EvalScratch, Evaluator, Measurement,
-    PlanCache, PlanId, PlanStore,
+    evaluate, quarantine, try_evaluate, EvalOutcome, Evaluator, Measurement, PlanCache, PlanId,
+    PlanStore,
 };
 pub use explore::{ArchEval, Exploration, ExploreConfig, RunStats};
 pub use io::{from_csv, to_csv};

@@ -666,7 +666,7 @@ mod tests {
         // single core, forcing every (plan, signature) to be evicted
         // and rescheduled, and require bit-identical
         // measurements against an unbounded cache.
-        use crate::eval::{EvalScratch, Evaluator, PlanCache};
+        use crate::eval::{Evaluator, PlanCache};
         use cfp_kernels::Benchmark;
         use cfp_machine::ArchSpec;
         use cfp_obs::UnitTrace;
@@ -686,7 +686,7 @@ mod tests {
                 for b in benches {
                     let through = |memo| {
                         Evaluator::new(&cache, memo)
-                            .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
+                            .evaluate(spec, b, &mut UnitTrace::disabled())
                             .expect("evaluates")
                     };
                     let (full, evicted) = (through(&unbounded), through(&tiny));
@@ -711,7 +711,7 @@ mod tests {
     fn a_bounded_cache_counts_the_same_in_every_run() {
         // Shard placement is a fixed hash of the key, so two identical
         // single-thread runs evict the same entries.
-        use crate::eval::{EvalScratch, Evaluator, PlanCache};
+        use crate::eval::{Evaluator, PlanCache};
         use cfp_kernels::Benchmark;
         use cfp_machine::ArchSpec;
         use cfp_obs::UnitTrace;
@@ -730,7 +730,7 @@ mod tests {
                 for spec in &specs {
                     for b in benches {
                         Evaluator::new(&cache, &memo)
-                            .evaluate(spec, b, &mut EvalScratch::new(), &mut UnitTrace::disabled())
+                            .evaluate(spec, b, &mut UnitTrace::disabled())
                             .expect("evaluates");
                     }
                 }

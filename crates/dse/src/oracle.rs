@@ -31,7 +31,7 @@ use crate::units::run_units;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, Fnv1a, MachineResources, SpaceAxes};
 use cfp_obs::UnitTrace;
-use cfp_sched::{CertifyOutcome, Ddg, Fuel, PipelineProblem, SchedScratch};
+use cfp_sched::{CertifyOutcome, Ddg, Fuel, PipelineProblem};
 use cfp_testkit::Rng;
 
 /// The default fuel ladder: three rungs, a decade apart. Each undecided
@@ -224,7 +224,7 @@ impl OracleReport {
         } else {
             config.fuel_ladder.clone()
         };
-        let points = run_units(trials.len(), config.threads, &mut (), |i, ()| {
+        let points = run_units(trials.len(), config.threads, |i| {
             let (bench, spec, unroll) = &trials[i];
             measure(*bench, spec, *unroll, &ladder, &plans)
         })
@@ -400,11 +400,7 @@ fn measure(
     let ddg = Ddg::build(&r.assignment.code);
     let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
     let ms = problem
-        .schedule(
-            &mut Fuel::unlimited(),
-            &mut SchedScratch::new(),
-            &mut UnitTrace::disabled(),
-        )
+        .schedule(&mut Fuel::unlimited(), &mut UnitTrace::disabled())
         .unwrap_or_default(); // unlimited fuel never exhausts
     let witness = ms.as_ref().map(|s| s.ii);
     // The heuristic's own schedule replays through the shared validator

@@ -45,9 +45,7 @@
 
 use crate::checkpoint::{self, spec_fingerprint, Checkpoint, Journal};
 use crate::error::{CheckpointError, ExploreError, FailKind};
-use crate::eval::{
-    quarantine, EvalOutcome, EvalScratch, Evaluator, PlanCache, PlanStore, UNROLL_SWEEP,
-};
+use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanCache, PlanStore, UNROLL_SWEEP};
 use crate::explore::{Exploration, RunStats};
 use crate::memo::CompileCache;
 use crate::pareto::{self, ScatterPoint};
@@ -429,7 +427,6 @@ impl<'a> LazyEvaluator<'a> {
             .evaluate(
                 &ArchSpec::baseline(),
                 config.bench,
-                &mut EvalScratch::new(),
                 &mut UnitTrace::disabled(),
             )
             .map_err(|e| ExploreError::BaselineFailed(e.into()))?;
@@ -486,12 +483,7 @@ impl<'a> LazyEvaluator<'a> {
     /// # Panics
     /// Panics if `rung` is off the ladder.
     #[must_use]
-    pub fn outcome(
-        &self,
-        spec: &ArchSpec,
-        rung: usize,
-        scratch: &mut EvalScratch,
-    ) -> (EvalOutcome, bool) {
+    pub fn outcome(&self, spec: &ArchSpec, rung: usize) -> (EvalOutcome, bool) {
         let key = (spec_fingerprint(spec), rung);
         if let Some(hit) = self.lock_results().get(&key).cloned() {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -507,7 +499,7 @@ impl<'a> LazyEvaluator<'a> {
         // search.
         let out = quarantine(|| {
             let off = &mut UnitTrace::disabled();
-            session.evaluate(spec, self.config.bench, scratch, off)
+            session.evaluate(spec, self.config.bench, off)
         });
         self.lock_results().insert(key, out.clone());
         (out, true)
@@ -520,15 +512,12 @@ impl<'a> LazyEvaluator<'a> {
         pool: &[ArchSpec],
         rung: usize,
         threads: usize,
-        scratch: &mut EvalScratch,
     ) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
-        run_units(pool.len(), threads, scratch, |i, sc| {
-            Some(self.outcome(&pool[i], rung, sc))
-        })
-        .map_err(|_| ExploreError::WorkerLost)?
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-        .ok_or(ExploreError::WorkerLost)
+        run_units(pool.len(), threads, |i| Some(self.outcome(&pool[i], rung)))
+            .map_err(|_| ExploreError::WorkerLost)?
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or(ExploreError::WorkerLost)
     }
 
     /// Queries answered from the memo so far.
@@ -704,7 +693,6 @@ pub fn try_search_shared(
     };
 
     let eval_start = Instant::now();
-    let mut scratch = EvalScratch::new();
     let mut rng = Rng::new(config.seed ^ 0x5eac);
     let mut seen: WordSet<ArchSpec> = WordSet::default();
     // Full-fidelity results, keyed by spec for deterministic iteration.
@@ -778,7 +766,7 @@ pub fn try_search_shared(
 
         for ri in 0..RUNGS.len() {
             rung_survivors.push(pool.len());
-            let results = lazy.rung_outcomes(&pool, ri, config.threads, &mut scratch)?;
+            let results = lazy.rung_outcomes(&pool, ri, config.threads)?;
             if let Some(journal) = journal.as_mut() {
                 // One write per rung keeps the rename traffic proportional
                 // to rungs, not candidates; a crash loses at most the
@@ -1163,7 +1151,7 @@ mod tests {
         ];
         let off_the_ladder = RUNGS.len();
         let err = lazy
-            .rung_outcomes(&pool, off_the_ladder, 2, &mut EvalScratch::new())
+            .rung_outcomes(&pool, off_the_ladder, 2)
             .expect_err("both workers die");
         assert!(matches!(err, ExploreError::WorkerLost), "{err}");
     }

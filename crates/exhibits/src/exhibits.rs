@@ -499,7 +499,7 @@ pub fn extension_pipelining() -> String {
 /// this design choice out).
 #[must_use]
 pub fn extension_priority() -> String {
-    use cfp_sched::{schedule_with, Ddg, Priority};
+    use cfp_sched::{schedule_with, Ddg, Fuel, Priority};
     let specs = [
         ArchSpec::new(4, 2, 256, 2, 4, 1).expect("valid"),
         ArchSpec::new(16, 8, 512, 4, 4, 4).expect("valid"),
@@ -518,8 +518,11 @@ pub fn extension_priority() -> String {
             let m = cfp_machine::MachineResources::from_spec(spec);
             let r = cfp_sched::compile(sweep_kernel(&plans, b, spec, 2), &m);
             let ddg = Ddg::build(&r.assignment.code);
-            let cp = schedule_with(&r.assignment, &ddg, &m, Priority::CriticalPath);
-            let so = schedule_with(&r.assignment, &ddg, &m, Priority::SourceOrder);
+            let arm = |priority| {
+                schedule_with(&r.assignment, &ddg, &m, priority, &mut Fuel::unlimited())
+                    .expect("unlimited fuel")
+            };
+            let (cp, so) = (arm(Priority::CriticalPath), arm(Priority::SourceOrder));
             t.row([
                 b.to_string(),
                 spec.to_string(),

@@ -23,7 +23,7 @@
 
 use crate::ddg::{height_order, Ddg};
 use crate::loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
-use crate::scratch::SchedScratch;
+use crate::scratch::{with_arena, SchedScratch};
 use cfp_ir::{Operand, Vreg};
 use cfp_machine::{MachineResources, OpClass, UnitClass};
 
@@ -81,24 +81,20 @@ pub(crate) struct Placing {
 /// whose IMUL count is zero — excluded by `ArchSpec` validation).
 #[must_use]
 pub fn assign(code: &LoopCode, ddg: &Ddg, machine: &MachineResources) -> Assignment {
-    assign_in(code, ddg, machine, &mut SchedScratch::new())
+    with_arena(|arena| assign_in(code, ddg, machine, arena))
 }
 
-/// [`assign`] with working memory from `scratch`: the priority order and
-/// its height buckets, value-home table, per-cluster legality masks and
-/// load estimates, and the copy-vreg cache all live in reused flat
-/// arrays, and nothing is allocated per op — the result is the cloned
-/// code (one block of ops), the cluster column and the home table.
-///
-/// # Panics
-/// As [`assign`].
-#[must_use]
+/// [`assign`] in a borrowed arena: the priority order and its height
+/// buckets, value-home table, per-cluster legality masks and load
+/// estimates, and the copy-vreg cache all live in reused flat arrays,
+/// and nothing is allocated per op — the result is the cloned code (one
+/// block of ops), the cluster column and the home table.
 #[allow(clippy::too_many_lines)]
-pub fn assign_in(
+pub(crate) fn assign_in(
     code: &LoopCode,
     ddg: &Ddg,
     machine: &MachineResources,
-    scratch: &mut SchedScratch,
+    arena: &mut SchedScratch,
 ) -> Assignment {
     let nc = machine.cluster_count();
     let n = code.ops.len();
@@ -116,7 +112,7 @@ pub fn assign_in(
         copy_of,
         legal,
         ..
-    } = scratch;
+    } = arena;
 
     // Bit 0 of `vflags[v]`: v is resident (a broadcast loop constant).
     vflags.clear();
@@ -489,14 +485,13 @@ pub(crate) mod tests {
         .collect()
     }
 
-    fn assert_equals_reference(kernel: &Kernel, scratch: &mut SchedScratch, what: &str) {
+    fn assert_equals_reference(kernel: &Kernel, what: &str) {
         for spec in stratified() {
             let m = MachineResources::from_spec(&spec);
             let code = LoopCode::build(kernel, &m);
             let ddg = Ddg::build(&code);
             let (ref_code, ref_clusters, ref_home, ref_moves) = reference_assign(&code, &ddg, &m);
             let fresh = assign(&code, &ddg, &m);
-            assert_eq!(fresh, assign_in(&code, &ddg, &m, scratch), "{what} {spec}");
             assert_eq!(fresh.code, ref_code, "{what} {spec}");
             assert_eq!(fresh.cluster_of_op, ref_clusters, "{what} {spec}");
             assert_eq!(fresh.move_count, ref_moves, "{what} {spec}");
@@ -506,7 +501,7 @@ pub(crate) mod tests {
             // The post-assignment graph that copies the prepared graph's
             // memory edges is the graph a fresh scan builds.
             assert_eq!(
-                Ddg::build_in(&fresh.code, Some(&ddg), scratch),
+                with_arena(|arena| Ddg::build_in(&fresh.code, Some(&ddg), arena)),
                 Ddg::build(&fresh.code),
                 "{what} {spec}"
             );
@@ -515,15 +510,14 @@ pub(crate) mod tests {
 
     #[test]
     fn assignment_equals_the_reference_on_the_shipped_kernels() {
-        let mut scratch = SchedScratch::new();
         for b in Benchmark::ALL {
             let raw = b.kernel();
             let mut optimized = raw.clone();
             cfp_opt::optimize(&mut optimized);
-            assert_equals_reference(&raw, &mut scratch, &format!("{b} raw"));
+            assert_equals_reference(&raw, &format!("{b} raw"));
             for u in [1, 2, 4] {
                 let k = cfp_opt::unroll::unroll(&optimized, u);
-                assert_equals_reference(&k, &mut scratch, &format!("{b} x{u}"));
+                assert_equals_reference(&k, &format!("{b} x{u}"));
             }
         }
     }
@@ -534,13 +528,12 @@ pub(crate) mod tests {
     #[test]
     #[ignore = "slow in a debug build; CI runs it in release"]
     fn assignment_equals_the_reference_on_deep_unrolls() {
-        let mut scratch = SchedScratch::new();
         for b in Benchmark::ALL {
             let mut optimized = b.kernel();
             cfp_opt::optimize(&mut optimized);
             for u in [8, 16] {
                 let k = cfp_opt::unroll::unroll(&optimized, u);
-                assert_equals_reference(&k, &mut scratch, &format!("{b} x{u}"));
+                assert_equals_reference(&k, &format!("{b} x{u}"));
             }
         }
     }
@@ -548,11 +541,10 @@ pub(crate) mod tests {
     #[test]
     fn assignment_equals_the_reference_on_memory_heavy_kernels() {
         cfp_testkit::cases(0xc105_0001, 60, |rng| {
-            let mut scratch = SchedScratch::new();
             let k = crate::testgen::memory_heavy(rng);
-            assert_equals_reference(&k, &mut scratch, "memory heavy");
+            assert_equals_reference(&k, "memory heavy");
             let k = cfp_opt::unroll::unroll(&k, 3);
-            assert_equals_reference(&k, &mut scratch, "memory heavy x3");
+            assert_equals_reference(&k, "memory heavy x3");
         });
     }
 
@@ -648,8 +640,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scratch_reuse_reproduces_fresh_assignments() {
-        let mut scratch = SchedScratch::new();
+    fn a_warmed_arena_reproduces_fresh_assignments() {
         for spec in [
             ArchSpec::new(2, 1, 128, 1, 4, 2).unwrap(),
             ArchSpec::new(8, 4, 256, 1, 4, 4).unwrap(),
@@ -659,8 +650,8 @@ pub(crate) mod tests {
             let m = MachineResources::from_spec(&spec);
             let code = LoopCode::build(&k, &m);
             let ddg = Ddg::build(&code);
-            let fresh = assign(&code, &ddg, &m);
-            let reused = assign_in(&code, &ddg, &m, &mut scratch);
+            let reused = assign(&code, &ddg, &m);
+            let fresh = assign_in(&code, &ddg, &m, &mut SchedScratch::default());
             assert_eq!(fresh, reused, "{spec}");
         }
     }

@@ -6,12 +6,12 @@
 //!
 //! Three cacheable phases, one function each: [`prepare`] (reads only the
 //! memory latencies), [`try_compile_core`] (reads the scheduling
-//! signature; takes the caller's fuel, scratch arena and trace) and
-//! [`finish`] (reads the register files). [`compile_core`] and
-//! [`compile`] are the panicking one-liners over them for callers with
-//! one kernel and one machine; [`compile`] draws its working memory from
-//! a per-thread [`SchedScratch`], as the sweep's workers do, and moves
-//! the core into its result.
+//! signature; takes the caller's fuel and trace) and [`finish`] (reads
+//! the register files). [`compile`] is the panicking one-liner over them
+//! for callers with one kernel and one machine; it borrows the thread's
+//! arena once for both scheduling phases and moves the core into its
+//! result. Every phase draws its working memory from the calling
+//! thread's arena (`crate::scratch`), so none takes one.
 
 use crate::cluster::{assign_in, Assignment};
 use crate::ddg::Ddg;
@@ -19,11 +19,10 @@ use crate::error::{Fuel, SchedError};
 use crate::list::{self, Schedule};
 use crate::loopcode::{FuClass, LoopCode};
 use crate::regalloc::{peak_pressure_in, PressureReport};
-use crate::scratch::SchedScratch;
+use crate::scratch::{with_arena, SchedScratch};
 use cfp_ir::Kernel;
 use cfp_machine::{MachineResources, UnitClass};
 use cfp_obs::{Stage, UnitTrace, Value};
-use std::cell::RefCell;
 
 /// Everything the middle end and the design-space exploration need to
 /// know about one compilation.
@@ -81,19 +80,19 @@ pub struct Prepared {
 /// the pre-assignment critical path) into `trace`.
 #[must_use]
 pub fn prepare(kernel: &Kernel, machine: &MachineResources, trace: &mut UnitTrace<'_>) -> Prepared {
-    prepare_in(kernel, machine, &mut SchedScratch::new(), trace)
+    with_arena(|arena| prepare_in(kernel, machine, arena, trace))
 }
 
-/// [`prepare`] with the dependence graph's working memory from `scratch`.
+/// [`prepare`] in a borrowed arena.
 fn prepare_in(
     kernel: &Kernel,
     machine: &MachineResources,
-    scratch: &mut SchedScratch,
+    arena: &mut SchedScratch,
     trace: &mut UnitTrace<'_>,
 ) -> Prepared {
     let t0 = trace.start();
     let code = LoopCode::build(kernel, machine);
-    let ddg = Ddg::build_in(&code, None, scratch);
+    let ddg = Ddg::build_in(&code, None, arena);
     trace.stage(
         Stage::Prepare,
         t0,
@@ -132,31 +131,16 @@ pub struct SchedCore {
     pub steps: u64,
 }
 
-/// Run the machine-dependent phase on a prepared plan under unlimited
-/// fuel, with a fresh scratch and no trace.
-///
-/// # Panics
-/// Panics if the scheduler hits its internal cycle cap; sweeps over
-/// untrusted candidates should call [`try_compile_core`].
-#[must_use]
-pub fn compile_core(prepared: &Prepared, machine: &MachineResources) -> SchedCore {
-    let (fuel, scratch) = (&mut Fuel::unlimited(), &mut SchedScratch::new());
-    match try_compile_core(prepared, machine, fuel, scratch, &mut UnitTrace::disabled()) {
-        Ok(core) => core,
-        Err(e) => panic!("compilation failed under unlimited fuel: {e}"),
-    }
-}
-
 /// Run the machine-dependent phase on a prepared plan: cluster
 /// assignment, list scheduling, and peak register pressure. The
 /// scheduler runs under `fuel`, and a candidate that cannot be scheduled
 /// within the budget (or within the cycle cap) returns a [`SchedError`]
 /// instead of aborting or hanging the calling worker.
 ///
-/// Working memory comes from `scratch`: cluster assignment, the
-/// post-assignment dependence graph, list scheduling, and the pressure
-/// analysis all draw their buffers from one reused arena, so a sweep's
-/// steady-state compilations allocate only their results.
+/// Cluster assignment, the post-assignment dependence graph, list
+/// scheduling, and the pressure analysis all draw their buffers from the
+/// calling thread's arena, so a sweep's steady-state compilations
+/// allocate only their results.
 ///
 /// One span per phase — `assign`, `ddg`, `list` (with the deterministic
 /// step count, the portfolio's lower bound and how many of its arms
@@ -172,12 +156,22 @@ pub fn try_compile_core(
     prepared: &Prepared,
     machine: &MachineResources,
     fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
+    trace: &mut UnitTrace<'_>,
+) -> Result<SchedCore, SchedError> {
+    with_arena(|arena| core_in(prepared, machine, fuel, arena, trace))
+}
+
+/// [`try_compile_core`] in a borrowed arena.
+fn core_in(
+    prepared: &Prepared,
+    machine: &MachineResources,
+    fuel: &mut Fuel,
+    arena: &mut SchedScratch,
     trace: &mut UnitTrace<'_>,
 ) -> Result<SchedCore, SchedError> {
     let before = fuel.spent();
     let t0 = trace.start();
-    let assignment = assign_in(&prepared.code, &prepared.ddg, machine, scratch);
+    let assignment = assign_in(&prepared.code, &prepared.ddg, machine, arena);
     trace.stage(
         Stage::Assign,
         t0,
@@ -195,7 +189,7 @@ pub fn try_compile_core(
     let ddg = if assignment.move_count == 0 {
         &prepared.ddg
     } else {
-        rebuilt = Ddg::build_in(&assignment.code, Some(&prepared.ddg), scratch);
+        rebuilt = Ddg::build_in(&assignment.code, Some(&prepared.ddg), arena);
         &rebuilt
     };
     trace.stage(
@@ -204,7 +198,7 @@ pub fn try_compile_core(
         &[("critical_path", Value::U64(u64::from(ddg.critical_path())))],
     );
     let t0 = trace.start();
-    let run = match list::portfolio_in(&assignment, ddg, machine, fuel, scratch) {
+    let run = match list::portfolio_in(&assignment, ddg, machine, fuel, arena) {
         Ok(run) => run,
         Err(e) => {
             trace.stage(
@@ -230,7 +224,7 @@ pub fn try_compile_core(
     );
     let schedule = run.schedule;
     let t0 = trace.start();
-    let peak = peak_pressure_in(&assignment, &schedule, machine.cluster_count(), scratch);
+    let peak = peak_pressure_in(&assignment, &schedule, machine.cluster_count(), arena);
     trace.stage(
         Stage::Regalloc,
         t0,
@@ -275,31 +269,24 @@ fn finish_owned(core: SchedCore, machine: &MachineResources) -> CompileResult {
     }
 }
 
-thread_local! {
-    /// The arena [`compile`] borrows: one per thread, as the sweep's
-    /// workers keep one each, so a thread compiling kernel after kernel
-    /// allocates only its results.
-    static SCRATCH: RefCell<SchedScratch> = RefCell::new(SchedScratch::new());
-}
-
 /// Compile one kernel for one machine.
 ///
-/// Equivalent to [`prepare`] → [`compile_core`] → [`finish`]; the phases
-/// are public so callers that sweep many machines can cache the first
-/// two (see `cfp-dse`). Here every phase draws its working memory from
-/// the calling thread's own [`SchedScratch`], and the core moves into
-/// the result rather than being copied; the arena carries nothing
-/// between calls ([`crate::scratch`]), so the result is bit-identical to
-/// the phases run one by one.
+/// Equivalent to [`prepare`] → [`try_compile_core`] under unlimited fuel
+/// → [`finish`]; the phases are public so callers that sweep many
+/// machines can cache the first two (see `cfp-dse`). Here the core moves
+/// into the result rather than being copied; the arena carries nothing
+/// between calls, so the result is bit-identical to the phases run one
+/// by one.
 ///
 /// # Panics
-/// As [`compile_core`]; call the phases to get failures as values.
+/// Panics if the scheduler hits its internal cycle cap; call the phases
+/// to get failures as values.
 #[must_use]
 pub fn compile(kernel: &Kernel, machine: &MachineResources) -> CompileResult {
-    let core = SCRATCH.with_borrow_mut(|scratch| {
+    let core = with_arena(|arena| {
         let (fuel, off) = (&mut Fuel::unlimited(), &mut UnitTrace::disabled());
-        let prepared = prepare_in(kernel, machine, scratch, off);
-        try_compile_core(&prepared, machine, fuel, scratch, off)
+        let prepared = prepare_in(kernel, machine, arena, off);
+        core_in(&prepared, machine, fuel, arena, off)
     });
     match core {
         Ok(core) => finish_owned(core, machine),
@@ -310,9 +297,10 @@ pub fn compile(kernel: &Kernel, machine: &MachineResources) -> CompileResult {
 /// Cycles of spill traffic per iteration when `excess` values do not fit.
 ///
 /// Each excess value costs one store and one reload per iteration. The
-/// traffic flows through the Level-2 ports (non-pipelined, so each access
-/// holds a port for the full latency), and the reload's latency lands on
-/// the critical path once. This deliberately simple model reproduces the
+/// traffic flows through the Level-2 ports, each access holding a port
+/// for its reservation window — the full latency on non-pipelined ports,
+/// one cycle on pipelined ones — and the reload's latency lands on the
+/// critical path once. This deliberately simple model reproduces the
 /// qualitative cliff the paper describes — "the compiler gets greedy and
 /// gets into trouble" — without re-running the scheduler on spill code.
 #[must_use]
@@ -333,6 +321,16 @@ mod tests {
     use super::*;
     use cfp_frontend::compile_kernel;
     use cfp_machine::ArchSpec;
+
+    fn core(prepared: &Prepared, machine: &MachineResources) -> SchedCore {
+        try_compile_core(
+            prepared,
+            machine,
+            &mut Fuel::unlimited(),
+            &mut UnitTrace::disabled(),
+        )
+        .expect("unlimited fuel")
+    }
 
     fn res(src: &str, spec: &ArchSpec) -> CompileResult {
         let k = compile_kernel(src, &[]).unwrap();
@@ -390,10 +388,8 @@ mod tests {
             ArchSpec::new(16, 8, 128, 4, 2, 2).unwrap(),
         ] {
             let m = MachineResources::from_spec(&spec);
-            let phased = finish(
-                &compile_core(&prepare(&k, &m, &mut UnitTrace::disabled()), &m),
-                &m,
-            );
+            let prepared = prepare(&k, &m, &mut UnitTrace::disabled());
+            let phased = finish(&core(&prepared, &m), &m);
             assert_eq!(phased, compile(&k, &m), "{spec}");
         }
     }
@@ -406,10 +402,10 @@ mod tests {
         let off = &mut UnitTrace::disabled();
         let prepared = prepare(&k, &small, off);
         assert_eq!(prepared, prepare(&k, &large, off));
-        let core = compile_core(&prepared, &small);
-        assert_eq!(core, compile_core(&prepared, &large));
+        let shared = core(&prepared, &small);
+        assert_eq!(shared, core(&prepared, &large));
         // Only the capacity verdict may differ between the two machines.
-        let (a, b) = (finish(&core, &small), finish(&core, &large));
+        let (a, b) = (finish(&shared, &small), finish(&shared, &large));
         assert_eq!(a.pressure.peak, b.pressure.peak);
         assert_ne!(a.pressure.capacity, b.pressure.capacity);
     }

@@ -31,7 +31,7 @@
 //! downstream traversal sees the same sequence it always has.
 
 use crate::loopcode::{LoopCode, SOp};
-use crate::scratch::SchedScratch;
+use crate::scratch::{with_arena, SchedScratch};
 
 /// Why an edge exists (affects its latency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +85,12 @@ impl Ddg {
     /// Build the graph.
     #[must_use]
     pub fn build(code: &LoopCode) -> Self {
-        Self::build_in(code, None, &mut SchedScratch::new())
+        with_arena(|arena| Self::build_in(code, None, arena))
     }
 
-    /// [`Ddg::build`] using `scratch` for every intermediate buffer, so a
-    /// sweep that builds many graphs allocates only the graphs themselves.
+    /// [`Ddg::build`] in a borrowed arena, which holds every intermediate
+    /// buffer, so a sweep that builds many graphs allocates only the
+    /// graphs themselves.
     ///
     /// `memory`, when given, is a graph whose code has `code`'s memory
     /// ops at the same indices — the pre-assignment graph of code that
@@ -100,16 +101,19 @@ impl Ddg {
     /// sequence the scan would have pushed. The consumer view is then
     /// written op by op — register edges, then the op's memory group —
     /// and only the producer view is grouped.
-    #[must_use]
-    pub fn build_in(code: &LoopCode, memory: Option<&Ddg>, scratch: &mut SchedScratch) -> Self {
+    pub(crate) fn build_in(
+        code: &LoopCode,
+        memory: Option<&Ddg>,
+        arena: &mut SchedScratch,
+    ) -> Self {
         let n = code.ops.len();
 
         // `lats` holds each op's result latency, read below in
         // dependence order rather than through `code.ops`.
-        def_table(code, &mut scratch.def_of);
-        scratch.lats.clear();
-        scratch.lats.extend(code.ops.iter().map(|op| op.latency));
-        let (def_of, lats) = (&scratch.def_of[..], &scratch.lats[..]);
+        def_table(code, &mut arena.def_of);
+        arena.lats.clear();
+        arena.lats.extend(code.ops.iter().map(|op| op.latency));
+        let (def_of, lats) = (&arena.def_of[..], &arena.lats[..]);
         if let Some(g) = memory {
             // Each op's group of the consumer view is its register RAW
             // edges, then its memory edges as the prepared graph's group
@@ -133,12 +137,12 @@ impl Ddg {
                 let reg = pred_edges.iter().filter(is_reg);
                 reg.chain(pred_edges.iter().filter(|d| !is_reg(d)))
             };
-            let (succ_edges, succ_row) = group(n, collected, |e| e.from, &mut scratch.row_tmp);
+            let (succ_edges, succ_row) = group(n, collected, |e| e.from, &mut arena.row_tmp);
             return complete(
                 (pred_edges, pred_row),
                 (succ_edges, succ_row),
                 lats,
-                (&mut scratch.on_stack, &mut scratch.dfs),
+                (&mut arena.on_stack, &mut arena.dfs),
             );
         }
 
@@ -147,7 +151,7 @@ impl Ddg {
         // order. Every conflict of a memory op lies inside its own array
         // and the grouping below is stable, so each CSR group holds the
         // sequence the nested-Vec representation pushed.
-        let edges = &mut scratch.edge_buf;
+        let edges = &mut arena.edge_buf;
         edges.clear();
         for (i, op) in code.ops.iter().enumerate() {
             edges.extend(reg_raw(i, op, def_of, lats));
@@ -155,10 +159,10 @@ impl Ddg {
 
         // Memory ordering edges: each memory op against the partners
         // after it that it can meet within one iteration.
-        scratch.mem.fill(code);
-        for (a, partners, before) in scratch.mem.partners() {
+        arena.mem.fill(code);
+        for (a, partners, before) in arena.mem.partners() {
             let later = &partners[before..];
-            scratch.ddg_probes += later.len() as u64;
+            arena.counts.ddg_probes += later.len() as u64;
             for b in later.iter().filter(|b| a.distances(b).contains(0)) {
                 let (kind, lat) = a.order(b, lats[a.op as usize]);
                 edges.push(Dep {
@@ -172,10 +176,10 @@ impl Ddg {
 
         assemble(
             n,
-            &scratch.edge_buf,
+            &arena.edge_buf,
             lats,
-            &mut scratch.row_tmp,
-            (&mut scratch.on_stack, &mut scratch.dfs),
+            &mut arena.row_tmp,
+            (&mut arena.on_stack, &mut arena.dfs),
         )
     }
 
@@ -189,14 +193,15 @@ impl Ddg {
     /// Panics if the edge list contains a cycle or an out-of-range index.
     #[must_use]
     pub fn from_edges(latencies: &[u32], edges: &[Dep]) -> Self {
-        let mut scratch = SchedScratch::new();
-        assemble(
-            latencies.len(),
-            edges,
-            latencies,
-            &mut scratch.row_tmp,
-            (&mut scratch.on_stack, &mut scratch.dfs),
-        )
+        with_arena(|arena| {
+            assemble(
+                latencies.len(),
+                edges,
+                latencies,
+                &mut arena.row_tmp,
+                (&mut arena.on_stack, &mut arena.dfs),
+            )
+        })
     }
 
     /// Number of ops the graph spans.
@@ -543,6 +548,7 @@ impl MemAccess {
 mod tests {
     use super::*;
     use crate::loopcode::{FuClass, LoopCode};
+    use crate::scratch::work_counts;
     use crate::testgen::memory_heavy;
     use cfp_frontend::compile_kernel;
     use cfp_ir::{Inst, Kernel};
@@ -625,7 +631,7 @@ mod tests {
         (Ddg::from_edges(&lats, &edges), pairs)
     }
 
-    fn assert_equals_all_pairs(kernel: &Kernel, scratch: &mut SchedScratch, what: &str) -> u64 {
+    fn assert_equals_all_pairs(kernel: &Kernel, what: &str) -> u64 {
         let mut visited = 0;
         for spec in [
             ArchSpec::baseline(),
@@ -633,14 +639,11 @@ mod tests {
         ] {
             let code = LoopCode::build(kernel, &MachineResources::from_spec(&spec));
             let (reference, pairs) = build_all_pairs(&code);
-            let before = scratch.ddg_probes();
-            assert_eq!(
-                Ddg::build_in(&code, None, scratch),
-                reference,
-                "{what} {spec}"
-            );
-            assert_eq!(Ddg::build(&code), reference, "{what} {spec} fresh");
-            assert!(scratch.ddg_probes() - before <= pairs, "{what} {spec}");
+            let before = work_counts().ddg_probes;
+            assert_eq!(Ddg::build(&code), reference, "{what} {spec}");
+            let fresh = Ddg::build_in(&code, None, &mut SchedScratch::default());
+            assert_eq!(fresh, reference, "{what} {spec} fresh");
+            assert!(work_counts().ddg_probes - before <= pairs, "{what} {spec}");
             visited += pairs;
         }
         visited
@@ -648,7 +651,7 @@ mod tests {
 
     #[test]
     fn per_array_scan_equals_all_pairs_on_the_shipped_kernels() {
-        let mut scratch = SchedScratch::new();
+        let before = work_counts().ddg_probes;
         let mut all_pairs = 0;
         for b in Benchmark::ALL {
             let raw = b.kernel();
@@ -662,26 +665,21 @@ mod tests {
                     if k.body.len() > 4000 {
                         continue;
                     }
-                    all_pairs +=
-                        assert_equals_all_pairs(&k, &mut scratch, &format!("{b} x{u} {state}"));
+                    all_pairs += assert_equals_all_pairs(&k, &format!("{b} x{u} {state}"));
                 }
             }
         }
-        assert!(
-            scratch.ddg_probes() * 2 <= all_pairs,
-            "{} of {all_pairs} pairs",
-            scratch.ddg_probes()
-        );
+        let probes = work_counts().ddg_probes - before;
+        assert!(probes * 2 <= all_pairs, "{probes} of {all_pairs} pairs");
     }
 
     #[test]
     fn per_array_scan_equals_all_pairs_on_memory_heavy_kernels() {
         cfp_testkit::cases(0xdd90_0001, 300, |rng| {
-            let mut scratch = SchedScratch::new();
             let k = memory_heavy(rng);
-            assert_equals_all_pairs(&k, &mut scratch, "memory heavy");
+            assert_equals_all_pairs(&k, "memory heavy");
             let k = cfp_opt::unroll::unroll(&k, 3);
-            assert_equals_all_pairs(&k, &mut scratch, "memory heavy x3");
+            assert_equals_all_pairs(&k, "memory heavy x3");
         });
     }
 
@@ -692,9 +690,9 @@ mod tests {
                 loop i { d[i] = s[i] + s[i+1] + s[i+2] + s[i+3]; }
             }",
         );
-        let mut scratch = SchedScratch::new();
-        let _ = Ddg::build_in(&lc, None, &mut scratch);
-        assert_eq!(scratch.ddg_probes(), 0, "four loads, one lone store");
+        let before = work_counts();
+        let _ = Ddg::build(&lc);
+        assert_eq!(work_counts(), before, "four loads, one lone store");
     }
 
     fn code_for(src: &str) -> LoopCode {
@@ -834,19 +832,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_builds_identical_graphs() {
+    fn a_warmed_arena_builds_identical_graphs() {
         let sources = [
             "kernel k(in u8 s[], out i32 d[]) { loop i { d[i] = s[i] * 3; } }",
             "kernel k(inout i32 b[], out i32 d[]) {
                 loop i { b[i] = 7; d[i] = b[i]; }
             }",
         ];
-        let mut scratch = SchedScratch::new();
         for src in sources {
             let lc = code_for(src);
             assert_eq!(
-                Ddg::build_in(&lc, None, &mut scratch),
                 Ddg::build(&lc),
+                Ddg::build_in(&lc, None, &mut SchedScratch::default()),
                 "{src}"
             );
         }

@@ -764,7 +764,7 @@ mod tests {
         let pre = Ddg::build(&code);
         let a = assign(&code, &pre, &m);
         let ddg = Ddg::build(&a.code);
-        let list = crate::list::schedule(&a, &ddg, &m);
+        let list = crate::list::try_schedule(&a, &ddg, &m, &mut Fuel::unlimited()).expect("fuel");
         (a, ddg, m, list.length)
     }
 

@@ -30,6 +30,12 @@
 //! [`finish`](compile::finish) (the capacity verdict) — so a sweep over
 //! many machines can share everything two of them compile alike.
 //!
+//! Every entry point draws its working memory from the calling thread's
+//! one scratch arena, borrowed once per call and carrying nothing
+//! between calls: a thread that compiles kernel after kernel allocates
+//! only its results, and callers pass no arena. [`work_counts`] reads
+//! the clock-free work counters the arena keeps.
+//!
 //! ```
 //! use cfp_frontend::compile_kernel;
 //! use cfp_machine::{ArchSpec, MachineResources};
@@ -57,28 +63,26 @@ pub mod list;
 pub mod loopcode;
 pub mod modulo;
 pub mod regalloc;
-pub mod scratch;
+mod scratch;
 pub mod simulate;
 
 pub use cluster::{Assignment, HomeTable};
 pub use compile::{
-    compile, compile_core, finish, prepare, spill_penalty_cycles, try_compile_core, CompileResult,
-    Prepared, SchedCore,
+    compile, finish, prepare, spill_penalty_cycles, try_compile_core, CompileResult, Prepared,
+    SchedCore,
 };
 pub use ddg::{Ddg, Dep, DepKind};
 pub use encode::{decode, encode, encode_traced, EncodeError, Program};
 pub use error::{Fuel, SchedError};
 pub use exact::{certify_min_ii, CertifyOutcome, ExactVerdict};
-pub use list::{
-    render, schedule, schedule_with, try_schedule, try_schedule_in, Placement, Priority, Schedule,
-};
+pub use list::{render, schedule_with, try_schedule, Placement, Priority, Schedule};
 pub use loopcode::{FuClass, LoopCode, OpOrigin, SOp, Uses};
 pub use modulo::{
-    modulo_schedule, omega_deps, rec_mii, res_mii, try_modulo_schedule, validate_modulo,
-    ModuloSchedule, OmegaDep, PipelineProblem, ResReq,
+    modulo_schedule, omega_deps, rec_mii, res_mii, validate_modulo, ModuloSchedule, OmegaDep,
+    PipelineProblem, ResReq,
 };
 pub use regalloc::{allocate, peak_pressure, pressure, AllocError, PhysMap, PressureReport};
-pub use scratch::SchedScratch;
+pub use scratch::{work_counts, WorkCounts};
 pub use simulate::{simulate, simulate_traced, SimError, SimStats};
 
 #[cfg(test)]

@@ -36,14 +36,14 @@
 //! comes back; the arm jumps there, charging each skipped cycle as the
 //! cycle it repeats. The issue walk, each op's queue and the ResMII
 //! tally depend on the machine and the assignment only, and are built
-//! once for both arms. Every buffer lives in a caller-provided
-//! [`SchedScratch`]. Schedules, fuel verdicts, and
+//! once for both arms. Every buffer lives in the calling thread's
+//! arena. Schedules, fuel verdicts, and
 //! [`crate::error::Fuel::spent`] step counts are bit-identical to the
 //! straightforward flat-list implementation — fuel prices semantic scan
 //! events (`1 + ops in play` per scan), not data-structure operations
 //! (`tests/sched_equivalence.rs` pins all three).
 //!
-//! The portfolio ([`try_schedule_in`]) runs the critical-path arm, then
+//! The portfolio ([`try_schedule`]) runs the critical-path arm, then
 //! the source-order arm only if the first fell short of the lower bound
 //! `max(critical path, ResMII)`. That stop is the one rule here that
 //! moves step counts: a schedule certified optimal by the bound alone
@@ -54,7 +54,7 @@ use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::OpOrigin;
 use crate::modulo::res_mii_of;
-use crate::scratch::{SchedScratch, EMPTY, NO_QUEUE};
+use crate::scratch::{with_arena, SchedScratch, EMPTY, NO_QUEUE};
 use cfp_machine::{MachineResources, OpClass, EXTENSIONS};
 
 /// Where one op landed.
@@ -120,40 +120,12 @@ pub enum Priority {
 /// order often wins on non-pipelined-port-bound code (it interleaves
 /// accesses with their consumers instead of front-loading the longest
 /// chains). The shorter schedule is kept — see the `priority` exhibit
-/// for per-benchmark numbers.
-///
-/// # Panics
-/// Panics if the schedule exceeds an internal cycle cap (indicates a
-/// resource the code needs but the machine lacks entirely — prevented by
-/// `ArchSpec` validation and cluster assignment). Sweeps over untrusted
-/// machine candidates should call [`try_schedule`] instead.
-#[must_use]
-pub fn schedule(assignment: &Assignment, ddg: &Ddg, machine: &MachineResources) -> Schedule {
-    match try_schedule(assignment, ddg, machine, &mut Fuel::unlimited()) {
-        Ok(s) => s,
-        Err(e) => panic!("list scheduling failed under unlimited fuel: {e}"),
-    }
-}
-
-/// [`schedule`], but failures are values: the portfolio stops with a
-/// [`SchedError`] when `fuel` runs out or the cycle cap is hit, so one
-/// pathological candidate cannot hang or abort a design-space sweep.
-///
-/// # Errors
-/// [`SchedError::FuelExhausted`] when `fuel` runs dry;
-/// [`SchedError::CycleCapExceeded`] past the internal cycle cap.
-pub fn try_schedule(
-    assignment: &Assignment,
-    ddg: &Ddg,
-    machine: &MachineResources,
-    fuel: &mut Fuel,
-) -> Result<Schedule, SchedError> {
-    try_schedule_in(assignment, ddg, machine, fuel, &mut SchedScratch::new())
-}
-
-/// [`try_schedule`] with working memory from `scratch`. A worker thread
-/// sweeping many candidates passes the same arena every time and the
-/// steady state allocates nothing but the returned schedules.
+/// for per-benchmark numbers. Failures are values: the portfolio stops
+/// with a [`SchedError`] when `fuel` runs out or the cycle cap is hit,
+/// so one pathological candidate cannot hang or abort a design-space
+/// sweep. Working memory comes from the calling thread's arena, so a
+/// thread sweeping many candidates allocates nothing but the returned
+/// schedules.
 ///
 /// The portfolio stops after the critical-path arm when that arm's
 /// length meets the lower bound `max(critical path, ResMII)`
@@ -163,15 +135,17 @@ pub fn try_schedule(
 /// only the fuel spent.
 ///
 /// # Errors
-/// As [`try_schedule`].
-pub fn try_schedule_in(
+/// [`SchedError::FuelExhausted`] when `fuel` runs dry;
+/// [`SchedError::CycleCapExceeded`] past the internal cycle cap (a
+/// resource the code needs but the machine lacks entirely — prevented by
+/// `ArchSpec` validation and cluster assignment).
+pub fn try_schedule(
     assignment: &Assignment,
     ddg: &Ddg,
     machine: &MachineResources,
     fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
-    portfolio_in(assignment, ddg, machine, fuel, scratch).map(|run| run.schedule)
+    with_arena(|arena| portfolio_in(assignment, ddg, machine, fuel, arena).map(|run| run.schedule))
 }
 
 /// One run of the portfolio: the schedule kept, the lower bound the
@@ -184,15 +158,16 @@ pub(crate) struct Portfolio {
     pub(crate) arms: u32,
 }
 
-/// [`try_schedule_in`], reporting what the portfolio ran.
+/// [`try_schedule`] in a borrowed arena, reporting what the portfolio
+/// ran.
 pub(crate) fn portfolio_in(
     assignment: &Assignment,
     ddg: &Ddg,
     machine: &MachineResources,
     fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
+    arena: &mut SchedScratch,
 ) -> Result<Portfolio, SchedError> {
-    let core = issue_tables(assignment, machine, scratch);
+    let core = issue_tables(assignment, machine, arena);
     let cp = arm(
         assignment,
         ddg,
@@ -200,7 +175,7 @@ pub(crate) fn portfolio_in(
         Priority::CriticalPath,
         core,
         fuel,
-        scratch,
+        arena,
     )?;
     let bound = ddg.critical_path().max(core.res_mii);
     if cp.length == bound {
@@ -217,7 +192,7 @@ pub(crate) fn portfolio_in(
         Priority::SourceOrder,
         core,
         fuel,
-        scratch,
+        arena,
     )?;
     Ok(Portfolio {
         schedule: if so.length < cp.length { so } else { cp },
@@ -226,41 +201,24 @@ pub(crate) fn portfolio_in(
     })
 }
 
-/// [`schedule`] with an explicit priority function.
+/// The scheduler proper: one arm of the portfolio, with an explicit
+/// priority function. Fuel is spent once per issue scan, proportionally
+/// to the number of ready ops examined, so the budget bounds real work —
+/// not just cycles.
 ///
-/// # Panics
-/// As [`schedule`].
-#[must_use]
+/// # Errors
+/// As [`try_schedule`].
 pub fn schedule_with(
     assignment: &Assignment,
     ddg: &Ddg,
     machine: &MachineResources,
     priority: Priority,
-) -> Schedule {
-    let (fuel, scratch) = (&mut Fuel::unlimited(), &mut SchedScratch::new());
-    match schedule_with_fuel_in(assignment, ddg, machine, priority, fuel, scratch) {
-        Ok(s) => s,
-        Err(e) => panic!("list scheduling failed under unlimited fuel: {e}"),
-    }
-}
-
-/// The scheduler proper: one priority function, an explicit step budget,
-/// working memory from `scratch`. Fuel is spent once per issue scan,
-/// proportionally to the number of ready ops examined, so the budget
-/// bounds real work — not just cycles.
-///
-/// # Errors
-/// As [`try_schedule`].
-pub fn schedule_with_fuel_in(
-    assignment: &Assignment,
-    ddg: &Ddg,
-    machine: &MachineResources,
-    priority: Priority,
     fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
-    let core = issue_tables(assignment, machine, scratch);
-    arm(assignment, ddg, machine, priority, core, fuel, scratch)
+    with_arena(|arena| {
+        let core = issue_tables(assignment, machine, arena);
+        arm(assignment, ddg, machine, priority, core, fuel, arena)
+    })
 }
 
 /// What [`issue_tables`] returns beside the tables it leaves in the
@@ -282,7 +240,7 @@ struct IssueTables {
 fn issue_tables(
     assignment: &Assignment,
     machine: &MachineResources,
-    scratch: &mut SchedScratch,
+    arena: &mut SchedScratch,
 ) -> IssueTables {
     let SchedScratch {
         op_queue,
@@ -293,7 +251,7 @@ fn issue_tables(
         class_ops,
         res_busy,
         ..
-    } = scratch;
+    } = arena;
     // On each cluster, every registered class but the branch (which
     // places last) queues on its unit's row; classes bound to one unit
     // reserve alike. Queues issuing from one slot row, their first
@@ -386,7 +344,7 @@ fn issue_tables(
 }
 
 /// One arm of the portfolio over the tables [`issue_tables`] left in
-/// `scratch`.
+/// `arena`.
 #[allow(clippy::too_many_lines)] // the single hot loop of the back end
 fn arm(
     assignment: &Assignment,
@@ -395,7 +353,7 @@ fn arm(
     priority: Priority,
     IssueTables { branch, span, .. }: IssueTables,
     fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
+    arena: &mut SchedScratch,
 ) -> Result<Schedule, SchedError> {
     let n = assignment.code.ops.len();
 
@@ -404,7 +362,7 @@ fn arm(
         issue,
         ready,
         issued,
-        list_probes,
+        counts,
         cal,
         cal_next,
         op_queue,
@@ -415,7 +373,7 @@ fn arm(
         walk,
         walk_reqs,
         ..
-    } = scratch;
+    } = arena;
 
     // Dependence bookkeeping.
     waits.clear();
@@ -565,7 +523,7 @@ fn arm(
                 }
             }
         }
-        *list_probes += probes;
+        counts.list_probes += probes;
         if issued.is_empty() {
             // Nothing changes until operands arrive or a unit comes
             // back, so each cycle before that replays this one: same
@@ -586,7 +544,7 @@ fn arm(
                     return Err(SchedError::CycleCapExceeded { cap: MAX_CYCLES });
                 }
                 fuel.spend(1 + in_play)?;
-                *list_probes += probes;
+                counts.list_probes += probes;
             }
             now = (now + idle as usize) % span;
         } else {
@@ -684,6 +642,10 @@ mod tests {
     use crate::loopcode::{FuClass, LoopCode};
     use cfp_frontend::compile_kernel;
     use cfp_machine::{ArchSpec, UnitClass};
+
+    fn schedule(a: &Assignment, ddg: &Ddg, m: &MachineResources) -> Schedule {
+        try_schedule(a, ddg, m, &mut Fuel::unlimited()).expect("unlimited fuel")
+    }
 
     fn sched_for(src: &str, spec: &ArchSpec) -> (Schedule, Assignment, Ddg, MachineResources) {
         let k = compile_kernel(src, &[]).unwrap();
@@ -800,8 +762,8 @@ mod tests {
             let pre = Ddg::build(&code);
             let a = assign(&code, &pre, &m);
             let ddg = Ddg::build(&a.code);
-            let cp = schedule_with(&a, &ddg, &m, Priority::CriticalPath);
-            let so = schedule_with(&a, &ddg, &m, Priority::SourceOrder);
+            let arm = |p| schedule_with(&a, &ddg, &m, p, &mut Fuel::unlimited()).expect("fuel");
+            let (cp, so) = (arm(Priority::CriticalPath), arm(Priority::SourceOrder));
             let best = schedule(&a, &ddg, &m);
             assert_eq!(best.length, cp.length.min(so.length), "{spec}");
         }
@@ -838,8 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn a_reused_scratch_changes_nothing() {
-        let mut scratch = SchedScratch::new();
+    fn a_warmed_arena_changes_nothing() {
         for spec in [
             ArchSpec::new(4, 2, 128, 2, 4, 1).unwrap(),
             ArchSpec::new(2, 1, 64, 1, 8, 1).unwrap(),
@@ -851,12 +812,11 @@ mod tests {
             let pre = Ddg::build(&code);
             let a = assign(&code, &pre, &m);
             let ddg = Ddg::build(&a.code);
-            let mut fresh_fuel = Fuel::limited(1 << 20);
-            let fresh = try_schedule(&a, &ddg, &m, &mut fresh_fuel).expect("fuel");
+            let (mut fresh_fuel, arena) = (Fuel::limited(1 << 20), &mut SchedScratch::default());
+            let fresh = portfolio_in(&a, &ddg, &m, &mut fresh_fuel, arena).expect("fuel");
             let mut reused_fuel = Fuel::limited(1 << 20);
-            let reused =
-                try_schedule_in(&a, &ddg, &m, &mut reused_fuel, &mut scratch).expect("fuel");
-            assert_eq!(fresh, reused, "{spec}");
+            let reused = try_schedule(&a, &ddg, &m, &mut reused_fuel).expect("fuel");
+            assert_eq!(fresh.schedule, reused, "{spec}");
             assert_eq!(fresh_fuel.remaining(), reused_fuel.remaining(), "{spec}");
         }
     }

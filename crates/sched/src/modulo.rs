@@ -16,8 +16,8 @@
 //! Everything about a point that does not depend on the II is one
 //! [`PipelineProblem`], which the heuristic, the validator and the exact
 //! certifier in [`crate::exact`] all borrow; the free functions
-//! ([`modulo_schedule`], [`try_modulo_schedule`], [`validate_modulo`])
-//! are constructions of it for callers that ask one question of a point.
+//! ([`modulo_schedule`], [`validate_modulo`]) are constructions of it
+//! for callers that ask one question of a point.
 //!
 //! The II search starts at `max(ResMII, RecMII, longest op latency)` and
 //! walks upward, but not blindly: ops are placed in one fixed order
@@ -45,7 +45,7 @@ use crate::cluster::Assignment;
 use crate::ddg::{def_table, Ddg, MemBuckets};
 use crate::error::{Fuel, SchedError};
 use crate::loopcode::LoopCode;
-use crate::scratch::SchedScratch;
+use crate::scratch::{with_arena, SchedScratch};
 use cfp_machine::MachineResources;
 pub use cfp_machine::ResReq;
 use cfp_obs::{Stage, UnitTrace, Value};
@@ -181,7 +181,7 @@ fn dep(from: usize, to: usize, lat: u32, omega: u32) -> OmegaDep {
 /// cycles its ops reserve over the row's units. A barrier schedule is a
 /// modulo schedule at II = its length, so this also bounds every list
 /// schedule's length from below — the list portfolio stops on it
-/// ([`crate::list::try_schedule_in`]). Rows with no units are skipped:
+/// ([`crate::list::try_schedule`]). Rows with no units are skipped:
 /// an op that needs one has no II at all, which
 /// [`PipelineProblem::exact_mii`] reports.
 #[must_use]
@@ -571,8 +571,8 @@ impl<'a> PipelineProblem<'a> {
     /// [`SchedError::FuelExhausted`] instead of stalling an exploration
     /// worker. `Ok(None)` only if no II up to `4 × list length` admits a
     /// schedule under this (non-backtracking) heuristic. The reservation
-    /// rows, slot array and demand counters live in `scratch`'s reused
-    /// flat buffers.
+    /// rows, slot array and demand counters live in the calling thread's
+    /// arena.
     ///
     /// Records one `modulo` span: the II the search settled on and the
     /// lower bound it started from — or a `feasible: false` with the
@@ -586,12 +586,11 @@ impl<'a> PipelineProblem<'a> {
     pub fn schedule(
         &self,
         fuel: &mut Fuel,
-        scratch: &mut SchedScratch,
         trace: &mut UnitTrace<'_>,
     ) -> Result<Option<ModuloSchedule>, SchedError> {
         let before = fuel.spent();
         let t0 = trace.start();
-        let out = self.search_ii(fuel, scratch);
+        let out = with_arena(|arena| self.search_ii(fuel, arena));
         let steps = fuel.spent() - before;
         match &out {
             Ok(Ok(ms)) => trace.stage(
@@ -630,17 +629,16 @@ impl<'a> PipelineProblem<'a> {
     fn search_ii(
         &self,
         fuel: &mut Fuel,
-        scratch: &mut SchedScratch,
+        arena: &mut SchedScratch,
     ) -> Result<Result<ModuloSchedule, GaveUp>, SchedError> {
         let SchedScratch {
             mod_rows,
             mod_full,
             mod_slots,
             mod_demand,
-            modulo_attempts,
-            modulo_probes,
+            counts,
             ..
-        } = scratch;
+        } = arena;
         let n = self.reqs.len();
         let units = &self.row_units;
         let mii = self.mii;
@@ -649,7 +647,7 @@ impl<'a> PipelineProblem<'a> {
         let mut ii = mii;
         'outer: while ii <= limit {
             ii_attempts += 1;
-            *modulo_attempts += 1;
+            counts.modulo_attempts += 1;
             mod_rows.clear();
             mod_rows.resize(self.row_units.len() * ii as usize, 0);
             // Each row's full residues, as `first_fit` reads them: none
@@ -696,7 +694,7 @@ impl<'a> PipelineProblem<'a> {
                     })
                     .max()
                     .unwrap_or(0);
-                *modulo_probes += 1;
+                counts.modulo_probes += 1;
                 if let Some(slot) = first_fit(mod_full, ii, reqs, est, fuel)? {
                     for r in reqs {
                         let (row, k) = (r.row as usize, units[r.row as usize]);
@@ -903,32 +901,9 @@ pub fn modulo_schedule(
     list_length: u32,
 ) -> Option<ModuloSchedule> {
     // Unlimited fuel never exhausts; keep the total signature anyway.
-    try_modulo_schedule(
-        assignment,
-        ddg,
-        machine,
-        list_length,
-        &mut Fuel::unlimited(),
-        &mut SchedScratch::new(),
-        &mut UnitTrace::disabled(),
-    )
-    .unwrap_or_default()
-}
-
-/// [`PipelineProblem::schedule`] of a problem built for this one call.
-///
-/// # Errors
-/// [`SchedError::FuelExhausted`] when `fuel` runs dry mid-search.
-pub fn try_modulo_schedule(
-    assignment: &Assignment,
-    ddg: &Ddg,
-    machine: &MachineResources,
-    list_length: u32,
-    fuel: &mut Fuel,
-    scratch: &mut SchedScratch,
-    trace: &mut UnitTrace<'_>,
-) -> Result<Option<ModuloSchedule>, SchedError> {
-    PipelineProblem::new(assignment, ddg, machine, list_length).schedule(fuel, scratch, trace)
+    PipelineProblem::new(assignment, ddg, machine, list_length)
+        .schedule(&mut Fuel::unlimited(), &mut UnitTrace::disabled())
+        .unwrap_or_default()
 }
 
 /// Register-pressure estimate under pipelining: a value live `L` flat
@@ -973,6 +948,10 @@ mod tests {
     use cfp_kernels::Benchmark;
     use cfp_machine::ArchSpec;
 
+    fn list_schedule(a: &Assignment, ddg: &Ddg, m: &MachineResources) -> crate::list::Schedule {
+        crate::list::try_schedule(a, ddg, m, &mut Fuel::unlimited()).expect("unlimited fuel")
+    }
+
     fn pipeline(src: &str, spec: &ArchSpec) -> (ModuloSchedule, u32, Vec<OmegaDep>, usize) {
         let k = compile_kernel(src, &[]).unwrap();
         let m = MachineResources::from_spec(spec);
@@ -980,7 +959,7 @@ mod tests {
         let pre = Ddg::build(&code);
         let a = assign(&code, &pre, &m);
         let ddg = Ddg::build(&a.code);
-        let list = crate::list::schedule(&a, &ddg, &m);
+        let list = list_schedule(&a, &ddg, &m);
         let deps = omega_deps(&a.code, &ddg);
         let n = a.code.ops.len();
         let ms = modulo_schedule(&a, &ddg, &m, list.length).expect("schedulable");
@@ -1258,7 +1237,7 @@ mod tests {
             let pre = Ddg::build(&code);
             let a = assign(&code, &pre, &m);
             let ddg = Ddg::build(&a.code);
-            let list = crate::list::schedule(&a, &ddg, &m);
+            let list = list_schedule(&a, &ddg, &m);
             let ms = modulo_schedule(&a, &ddg, &m, list.length).expect("schedulable");
             assert!(ms.ii >= ms.mii, "{spec}");
             assert!(
@@ -1274,7 +1253,6 @@ mod tests {
 
     #[test]
     fn scratch_reuse_reproduces_fresh_modulo_schedules() {
-        let mut scratch = SchedScratch::new();
         for spec in [
             ArchSpec::new(8, 4, 256, 1, 8, 1).unwrap(),
             ArchSpec::new(4, 2, 128, 2, 4, 1).unwrap(),
@@ -1285,19 +1263,12 @@ mod tests {
             let pre = Ddg::build(&code);
             let a = assign(&code, &pre, &m);
             let ddg = Ddg::build(&a.code);
-            let list = crate::list::schedule(&a, &ddg, &m);
-            let fresh = modulo_schedule(&a, &ddg, &m, list.length).expect("schedulable");
-            let reused = try_modulo_schedule(
-                &a,
-                &ddg,
-                &m,
-                list.length,
-                &mut Fuel::unlimited(),
-                &mut scratch,
-                &mut UnitTrace::disabled(),
-            )
-            .expect("unlimited")
-            .expect("schedulable");
+            let list = list_schedule(&a, &ddg, &m);
+            // This thread's arena is warm from the calls above; a spawned
+            // thread's is fresh.
+            let run = || modulo_schedule(&a, &ddg, &m, list.length).expect("schedulable");
+            let reused = run();
+            let fresh = std::thread::scope(|s| s.spawn(run).join()).expect("no panic");
             assert_eq!(fresh.ii, reused.ii, "{spec}");
             assert_eq!(fresh.slots, reused.slots, "{spec}");
             assert_eq!(fresh.mii, reused.mii, "{spec}");
@@ -1329,7 +1300,7 @@ mod tests {
         let a = assign(&code, &Ddg::build(&code), &m);
         assert!(a.move_count > 0, "mul and memory are on different clusters");
         let ddg = Ddg::build(&a.code);
-        let list = crate::list::schedule(&a, &ddg, &m);
+        let list = list_schedule(&a, &ddg, &m);
         let problem = PipelineProblem::new(&a, &ddg, &m, list.length);
         // The order is a permutation that respects every same-iteration
         // dependence and departs from index order only for the moves.

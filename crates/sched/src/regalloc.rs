@@ -25,7 +25,7 @@
 
 use crate::cluster::Assignment;
 use crate::list::Schedule;
-use crate::scratch::SchedScratch;
+use crate::scratch::{with_arena, SchedScratch};
 use cfp_ir::Vreg;
 use cfp_machine::MachineResources;
 
@@ -79,18 +79,17 @@ pub fn pressure(
 /// otherwise-identical architecture.
 #[must_use]
 pub fn peak_pressure(assignment: &Assignment, schedule: &Schedule, clusters: usize) -> Vec<u32> {
-    peak_pressure_in(assignment, schedule, clusters, &mut SchedScratch::new())
+    with_arena(|arena| peak_pressure_in(assignment, schedule, clusters, arena))
 }
 
-/// [`peak_pressure`] with working memory from `scratch`: last-use times,
-/// resident-reader sets (one bitmask word per 64 clusters), and the
-/// interval diff arrays live in reused flat buffers.
-#[must_use]
-pub fn peak_pressure_in(
+/// [`peak_pressure`] in a borrowed arena: last-use times, resident-reader
+/// sets (one bitmask word per 64 clusters), and the interval diff arrays
+/// live in reused flat buffers.
+pub(crate) fn peak_pressure_in(
     assignment: &Assignment,
     schedule: &Schedule,
     clusters: usize,
-    scratch: &mut SchedScratch,
+    arena: &mut SchedScratch,
 ) -> Vec<u32> {
     let nc = clusters;
     let len = schedule.length as usize;
@@ -100,7 +99,7 @@ pub fn peak_pressure_in(
         reader_mask,
         diff,
         ..
-    } = scratch;
+    } = arena;
 
     // Interval diff arrays, one `len + 1` run per cluster.
     diff.clear();
@@ -413,7 +412,7 @@ mod tests {
         let pre = Ddg::build(&code);
         let a = assign(&code, &pre, &m);
         let ddg = Ddg::build(&a.code);
-        let s = list::schedule(&a, &ddg, &m);
+        let s = list::try_schedule(&a, &ddg, &m, &mut crate::Fuel::unlimited()).expect("fuel");
         pressure(&a, &s, &m)
     }
 

@@ -1,27 +1,28 @@
-//! Reusable scratch buffers for the hot compilation path.
+//! The back end's one scratch arena: reusable memory for the hot
+//! compilation path.
 //!
 //! The design-space exploration runs the back end once per *unique*
 //! `(plan, scheduling signature)` pair — on the order of a thousand
-//! compilations per sweep — and every one of them used to allocate its
-//! working state from scratch: ready queues, reservation counts,
-//! dependence-count arrays, pressure diff arrays, cluster-assignment
-//! maps. [`SchedScratch`] owns all of that state instead. A worker
-//! thread creates one arena and threads it through
-//! [`crate::compile::try_compile_core`]; after the first few
-//! compilations the buffers have grown to the high-water mark of the
-//! sweep and steady-state compilation performs no heap allocation for
-//! its working state.
+//! compilations per sweep — and every one of them needs working state:
+//! ready queues, reservation counts, dependence-count arrays, pressure
+//! diff arrays, cluster-assignment maps. [`SchedScratch`] owns all of
+//! it, one per thread: each public entry point of the crate borrows the
+//! calling thread's arena once ([`with_arena`]) and hands `&mut` down to
+//! private helpers, so after the first few compilations on a thread the
+//! buffers have grown to the high-water mark of its work and
+//! steady-state compilation performs no heap allocation for its working
+//! state. No public function calls another public function while it
+//! holds the borrow — a nested borrow would panic.
 //!
 //! Every user of the arena fully re-initializes the ranges it reads, so
-//! the buffers carry no information between compilations — a unit that
-//! panics mid-compile (the exploration quarantines it) leaves nothing a
-//! later unit can observe. Reuse is therefore invisible: schedules,
-//! step counts, and fuel verdicts are bit-identical to the
-//! allocate-per-call implementation (asserted by
-//! `tests/sched_equivalence.rs`). The two values that do accumulate are
-//! the work counts ([`SchedScratch::list_probes`],
-//! [`SchedScratch::ddg_probes`], [`SchedScratch::modulo_attempts`],
-//! [`SchedScratch::modulo_probes`]), statistics no compilation reads.
+//! the buffers carry no information between calls — a unit that panics
+//! mid-compile (the exploration quarantines it) releases the borrow as
+//! it unwinds and leaves nothing a later unit can observe. Reuse is
+//! therefore invisible: schedules, step counts, and fuel verdicts are
+//! bit-identical on a warmed thread and a fresh one (asserted by
+//! `tests/sched_equivalence.rs`). The values that do accumulate are the
+//! [`WorkCounts`], statistics no compilation reads; [`work_counts`]
+//! snapshots them.
 //!
 //! One structure here is more than a buffer: the list scheduler's
 //! ready queues (`ReadyQueues`), a bitmap over ranks per queue — a
@@ -35,21 +36,18 @@ use crate::cluster::Placing;
 use crate::ddg::{height_order, Dep, MemBuckets};
 use crate::list::{IssueQueue, Wait};
 use cfp_machine::ResReq;
+use std::cell::RefCell;
 
-/// The scratch arena. Create one per worker thread (or use the
-/// convenience wrappers that create a throwaway arena per call) and
-/// pass it to the `*_in` entry points of the back end.
-///
-/// The fields are deliberately private: the arena's only contract is
-/// "reusable memory"; its contents between calls are unspecified.
+/// The arena. Its only contract is "reusable memory": its contents
+/// between calls are unspecified.
 #[derive(Debug, Default)]
-pub struct SchedScratch {
+pub(crate) struct SchedScratch {
+    pub(crate) counts: WorkCounts,
     // --- list scheduler ---
     pub(crate) waits: Vec<Wait>,
     pub(crate) issue: Vec<u32>,
     pub(crate) ready: ReadyQueues,
     pub(crate) issued: Vec<u32>,
-    pub(crate) list_probes: u64,
     pub(crate) cal: Vec<u32>,
     pub(crate) cal_next: Vec<u32>,
     pub(crate) op_queue: Vec<u32>,
@@ -68,7 +66,6 @@ pub struct SchedScratch {
     pub(crate) lats: Vec<u32>,
     pub(crate) edge_buf: Vec<Dep>,
     pub(crate) mem: MemBuckets,
-    pub(crate) ddg_probes: u64,
     pub(crate) row_tmp: Vec<u32>,
     pub(crate) on_stack: Vec<bool>,
     pub(crate) dfs: Vec<(u32, u32, u32)>,
@@ -92,52 +89,45 @@ pub struct SchedScratch {
     pub(crate) mod_full: Vec<u64>,
     pub(crate) mod_slots: Vec<u32>,
     pub(crate) mod_demand: Vec<u64>,
-    pub(crate) modulo_attempts: u64,
-    pub(crate) modulo_probes: u64,
 }
 
-impl SchedScratch {
-    /// A fresh, empty arena. Buffers grow on first use and are kept.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
+thread_local! {
+    static ARENA: RefCell<SchedScratch> = RefCell::new(SchedScratch::default());
+}
 
-    /// Ready-queue probes (pops plus refused peeks) the list scheduler
-    /// has made through this arena since it was created — the clock-free
-    /// measure of issue-scan work (`tests/pinned.rs` holds it to
-    /// `results/sched_step_budget.json`).
-    #[must_use]
-    pub fn list_probes(&self) -> u64 {
-        self.list_probes
-    }
+/// Run `f` on the calling thread's arena. Public entry points call this
+/// once each and pass the `&mut` down; calling it again inside `f`
+/// panics.
+pub(crate) fn with_arena<R>(f: impl FnOnce(&mut SchedScratch) -> R) -> R {
+    ARENA.with_borrow_mut(f)
+}
 
-    /// Memory-op pairs the dependence-graph builder has examined through
-    /// this arena since it was created — the clock-free measure of the
-    /// memory scan, pinned beside the list probes.
-    #[must_use]
-    pub fn ddg_probes(&self) -> u64 {
-        self.ddg_probes
-    }
+/// The back end's clock-free work counts on the calling thread since it
+/// started: statistics no compilation reads. `tests/pinned.rs` holds
+/// the deltas of one corpus to `results/sched_step_budget.json`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Ready-queue probes (pops plus refused peeks) of the list
+    /// scheduler — the measure of issue-scan work.
+    pub list_probes: u64,
+    /// Memory-op pairs the dependence-graph builder examined — the
+    /// measure of the memory scan.
+    pub ddg_probes: u64,
+    /// Initiation intervals the modulo scheduler attempted — those of
+    /// searches that found no schedule included, which
+    /// [`crate::ModuloSchedule::ii_attempts`] cannot report.
+    pub modulo_attempts: u64,
+    /// First-fit searches the modulo scheduler made — one per op
+    /// placement tried, each a word-parallel pass over the op's
+    /// reservation rows (fuel prices a search as the candidate slots a
+    /// one-at-a-time scan would have probed).
+    pub modulo_probes: u64,
+}
 
-    /// Initiation intervals the modulo scheduler has attempted through
-    /// this arena since it was created — those of searches that found no
-    /// schedule included, which [`crate::ModuloSchedule::ii_attempts`]
-    /// cannot report. Pinned beside the list probes.
-    #[must_use]
-    pub fn modulo_attempts(&self) -> u64 {
-        self.modulo_attempts
-    }
-
-    /// First-fit searches the modulo scheduler has made through this
-    /// arena since it was created — one per op placement tried, each a
-    /// word-parallel pass over the op's reservation rows (fuel prices a
-    /// search as the candidate slots a one-at-a-time scan would have
-    /// probed). Pinned beside the list probes.
-    #[must_use]
-    pub fn modulo_probes(&self) -> u64 {
-        self.modulo_probes
-    }
+/// A snapshot of the calling thread's [`WorkCounts`].
+#[must_use]
+pub fn work_counts() -> WorkCounts {
+    ARENA.with_borrow(|arena| arena.counts)
 }
 
 /// The queue of an op that never queues (the branch, which places

@@ -27,7 +27,7 @@ use custom_fit::dse::eval::{fuse_targets, residency_budget, MAX_BODY_OPS};
 use custom_fit::ir::{ArrayKind, Kernel, MemImage};
 use custom_fit::machine::{ArchSpec, CostModel, CycleModel, MachineResources};
 use custom_fit::obs::{JsonlRecorder, UnitTrace};
-use custom_fit::sched::{Fuel, SchedScratch};
+use custom_fit::sched::Fuel;
 
 const USAGE: &str = "\
 usage: cfpc <file.cfk> [options]
@@ -206,7 +206,6 @@ fn main() {
         &prepared,
         &machine,
         &mut Fuel::unlimited(),
-        &mut SchedScratch::new(),
         &mut trace,
     ) {
         Ok(core) => core,

@@ -18,8 +18,7 @@ use custom_fit::machine::{ArchSpec, Fnv1a, MachineResources, OpClass, SpaceAxes,
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::{
-    omega_deps, prepare, rec_mii, res_mii, try_compile_core, try_modulo_schedule, Ddg, Fuel,
-    PipelineProblem, SchedScratch,
+    omega_deps, prepare, rec_mii, res_mii, try_compile_core, Ddg, Fuel, PipelineProblem,
 };
 
 /// Digest of the scheduling corpus. Every placement, length, move count,
@@ -60,7 +59,6 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
     let specs = sample_specs();
     assert_eq!(specs.len(), 86, "the pinned corpus is exactly this sample");
     let benches = [Benchmark::A, Benchmark::D, Benchmark::G];
-    let mut scratch = SchedScratch::new();
     let mut h = Fnv1a::new();
     let mut move_free = Fnv1a::new();
     let mut unit = 0_u64;
@@ -73,14 +71,9 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
             for kernel in [&k, &k2] {
                 let prepared = prepare(kernel, &machine, &mut UnitTrace::disabled());
                 let mut fuel = Fuel::unlimited();
-                let core = try_compile_core(
-                    &prepared,
-                    &machine,
-                    &mut fuel,
-                    &mut scratch,
-                    &mut UnitTrace::disabled(),
-                )
-                .expect("unlimited fuel");
+                let core =
+                    try_compile_core(&prepared, &machine, &mut fuel, &mut UnitTrace::disabled())
+                        .expect("unlimited fuel");
                 eat(&mut h, core.steps);
                 eat(&mut h, u64::from(core.length));
                 eat(&mut h, core.move_count as u64);
@@ -97,7 +90,6 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
                         &prepared,
                         &machine,
                         &mut Fuel::limited(core.steps),
-                        &mut scratch,
                         &mut UnitTrace::disabled(),
                     )
                     .is_ok();
@@ -105,7 +97,6 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
                         &prepared,
                         &machine,
                         &mut Fuel::limited(core.steps - 1),
-                        &mut scratch,
                         &mut UnitTrace::disabled(),
                     )
                     .is_err();
@@ -118,26 +109,14 @@ fn corpus_digest_matches_the_pre_mdes_oracle() {
             if unit % 3 == 0 {
                 let prepared = prepare(&k, &machine, &mut UnitTrace::disabled());
                 let mut fuel = Fuel::unlimited();
-                let core = try_compile_core(
-                    &prepared,
-                    &machine,
-                    &mut fuel,
-                    &mut scratch,
-                    &mut UnitTrace::disabled(),
-                )
-                .expect("unlimited fuel");
-                let ddg = Ddg::build_in(&core.assignment.code, None, &mut scratch);
+                let core =
+                    try_compile_core(&prepared, &machine, &mut fuel, &mut UnitTrace::disabled())
+                        .expect("unlimited fuel");
+                let ddg = Ddg::build(&core.assignment.code);
                 let mut mfuel = Fuel::unlimited();
-                let ms = try_modulo_schedule(
-                    &core.assignment,
-                    &ddg,
-                    &machine,
-                    core.length,
-                    &mut mfuel,
-                    &mut scratch,
-                    &mut UnitTrace::disabled(),
-                )
-                .expect("unlimited fuel");
+                let ms = PipelineProblem::new(&core.assignment, &ddg, &machine, core.length)
+                    .schedule(&mut mfuel, &mut UnitTrace::disabled())
+                    .expect("unlimited fuel");
                 // Fed to the whole-corpus digest, and again to a digest
                 // of the units cluster assignment inserted no move into.
                 let fold = |h: &mut Fnv1a| {
@@ -249,7 +228,6 @@ fn the_reservation_table_is_the_one_resource_bound() {
                 .step_by(200),
         )
         .collect();
-    let mut scratch = SchedScratch::new();
     let mut points = 0;
     for (b, bench) in Benchmark::ALL.into_iter().enumerate() {
         let mut k = bench.kernel();
@@ -264,7 +242,6 @@ fn the_reservation_table_is_the_one_resource_bound() {
                     &prepared,
                     &machine,
                     &mut Fuel::unlimited(),
-                    &mut scratch,
                     &mut UnitTrace::disabled(),
                 )
                 .expect("unlimited fuel");
@@ -289,7 +266,7 @@ fn the_reservation_table_is_the_one_resource_bound() {
                         per_op = per_op.max(r.reserved.div_ceil(units));
                     }
                 }
-                let ddg = Ddg::build_in(&a.code, None, &mut scratch);
+                let ddg = Ddg::build(&a.code);
                 let deps = omega_deps(&a.code, &ddg);
                 let bound = res_mii(&a.code, a, &machine).max(rec_mii(
                     a.code.ops.len(),
@@ -370,24 +347,21 @@ fn pipelined_l2_ports_change_only_the_description_and_help() {
         }
     }
 
-    let mut scratch = SchedScratch::new();
     let mut k = Benchmark::D.kernel();
     custom_fit::opt::optimize(&mut k);
     let k = custom_fit::opt::unroll::unroll(&k, 4);
-    let schedule = |machine: &MachineResources, scratch: &mut SchedScratch| {
+    let schedule = |machine: &MachineResources| {
         let prepared = prepare(&k, machine, &mut UnitTrace::disabled());
         try_compile_core(
             &prepared,
             machine,
             &mut Fuel::unlimited(),
-            scratch,
             &mut UnitTrace::disabled(),
         )
         .expect("unlimited fuel")
         .length
     };
-    let lb = schedule(&mb, &mut scratch);
-    let lp = schedule(&mp, &mut scratch);
+    let (lb, lp) = (schedule(&mb), schedule(&mp));
     assert!(
         lp < lb,
         "one non-pipelined L2 port serializes benchmark D's loads: {lp} vs {lb}"

@@ -33,7 +33,7 @@ use custom_fit::machine::{
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::{
-    prepare, try_compile_core, try_modulo_schedule, Ddg, Fuel, Prepared, SchedScratch,
+    prepare, try_compile_core, work_counts, Ddg, Fuel, PipelineProblem, Prepared,
 };
 use custom_fit::serve::json::{self, Json};
 
@@ -148,7 +148,7 @@ fn kernels() -> Vec<(String, custom_fit::ir::Kernel)> {
 }
 
 /// List-schedule every `(kernel, architecture)` unit of the corpus
-/// through one reused scratch and modulo-schedule the un-unrolled ones.
+/// on one thread and modulo-schedule the un-unrolled ones.
 /// Steps are the semantic placement and scan events `Fuel` charges;
 /// probes are the ready queues' pops plus refused peeks — the work an
 /// issue scan really does — so a walk that goes back to visiting every
@@ -160,7 +160,7 @@ fn kernels() -> Vec<(String, custom_fit::ir::Kernel)> {
 /// here, at least doubles them. `max_ii_attempts` sums
 /// [`custom_fit::sched::ModuloSchedule::ii_attempts`], which only a search that
 /// found a schedule reports; `max_modulo_attempts` and
-/// `max_modulo_probes` are the arena's totals over every search — the
+/// `max_modulo_probes` are the thread's totals over every search — the
 /// IIs attempted by the ones that gave up included, and the first-fit
 /// searches (one per op placement tried, each a word-parallel pass over
 /// the op's residue bitmaps) all of them made — so a search that walks
@@ -183,7 +183,8 @@ fn scheduler_step_budget() {
                 .collect()
         })
         .collect();
-    let mut scratch = SchedScratch::new();
+    // Counters are deltas over the loop alone, `prepare`'s graphs apart.
+    let before = work_counts();
     // The traced entry points under a disabled trace: the totals also
     // prove that span bookkeeping adds no step when recording is off.
     let mut trace = UnitTrace::disabled();
@@ -195,7 +196,6 @@ fn scheduler_step_budget() {
                 &prepared[ki][mi],
                 machine,
                 &mut Fuel::unlimited(),
-                &mut scratch,
                 &mut trace,
             )
             .unwrap_or_else(|e| panic!("unlimited fuel cannot exhaust ({name}): {e}"));
@@ -203,36 +203,36 @@ fn scheduler_step_budget() {
             // Modulo scheduling overlaps loop iterations; it only makes
             // sense (and only terminates quickly) on un-unrolled bodies.
             if name.ends_with("x1") {
-                let ddg = Ddg::build_in(&core.assignment.code, None, &mut scratch);
+                let ddg = Ddg::build(&core.assignment.code);
                 all_pairs += pairs_among(core.assignment.code.mem_ops().len());
-                let ms = try_modulo_schedule(
-                    &core.assignment,
-                    &ddg,
-                    machine,
-                    core.length,
-                    &mut Fuel::unlimited(),
-                    &mut scratch,
-                    &mut trace,
-                )
-                .unwrap_or_else(|e| panic!("unlimited fuel cannot exhaust ({name}): {e}"));
+                let ms = PipelineProblem::new(&core.assignment, &ddg, machine, core.length)
+                    .schedule(&mut Fuel::unlimited(), &mut trace)
+                    .unwrap_or_else(|e| panic!("unlimited fuel cannot exhaust ({name}): {e}"));
                 ii_attempts += ms.map_or(0, |ms| u64::from(ms.ii_attempts));
             }
         }
     }
+    let after = work_counts();
+    let ddg_probes = after.ddg_probes - before.ddg_probes;
     assert!(
-        scratch.ddg_probes() * 2 <= all_pairs,
-        "the memory scan examined {} of {all_pairs} pairs",
-        scratch.ddg_probes()
+        ddg_probes * 2 <= all_pairs,
+        "the memory scan examined {ddg_probes} of {all_pairs} pairs"
     );
     assert_pinned(
         "sched_step_budget.json",
         &[
             ("max_list_steps", list_steps),
-            ("max_list_probes", scratch.list_probes()),
+            ("max_list_probes", after.list_probes - before.list_probes),
             ("max_ii_attempts", ii_attempts),
-            ("max_ddg_pair_probes", scratch.ddg_probes()),
-            ("max_modulo_attempts", scratch.modulo_attempts()),
-            ("max_modulo_probes", scratch.modulo_probes()),
+            ("max_ddg_pair_probes", ddg_probes),
+            (
+                "max_modulo_attempts",
+                after.modulo_attempts - before.modulo_attempts,
+            ),
+            (
+                "max_modulo_probes",
+                after.modulo_probes - before.modulo_probes,
+            ),
         ],
     );
 }

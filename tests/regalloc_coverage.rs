@@ -5,12 +5,12 @@
 //! register number beyond the architecture's bank.
 
 use custom_fit::dse::eval::{plan, residency_budget};
-use custom_fit::dse::{CompileCache, EvalScratch, Evaluator, ExploreConfig, PlanCache};
+use custom_fit::dse::{CompileCache, Evaluator, ExploreConfig, PlanCache};
 use custom_fit::ir::Vreg;
 use custom_fit::machine::{ArchSpec, ExtSet, MachineResources};
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
-use custom_fit::sched::{allocate, prepare, pressure, try_compile_core, Fuel, SchedScratch};
+use custom_fit::sched::{allocate, prepare, pressure, try_compile_core, Fuel};
 
 // ---------------------------------------------------------------------
 // Spill onset along the register axis.
@@ -28,18 +28,12 @@ fn the_spill_onset_moves_monotonically_along_the_register_axis() {
     // The register axis shares every core through one warm cache; each
     // row must equal the row a fresh cache schedules on its own.
     let shared = CompileCache::new();
-    let mut scratch = EvalScratch::new();
     let mut rows = Vec::new();
     for &r in &reg_sizes {
         let spec = ArchSpec::new(16, 4, r, 1, 4, 8).expect("valid spec");
-        let mut at = |memo: &CompileCache| {
+        let at = |memo: &CompileCache| {
             Evaluator::new(&cache, memo)
-                .evaluate(
-                    &spec,
-                    Benchmark::A,
-                    &mut scratch,
-                    &mut UnitTrace::disabled(),
-                )
+                .evaluate(&spec, Benchmark::A, &mut UnitTrace::disabled())
                 .expect("evaluation")
         };
         let m = at(&shared);
@@ -91,7 +85,6 @@ fn the_spill_onset_moves_monotonically_along_the_register_axis() {
 fn allocation_succeeds_exactly_when_the_pressure_report_fits() {
     let benches = [Benchmark::A, Benchmark::D, Benchmark::H];
     let smoke = ExploreConfig::smoke().archs;
-    let mut sched_scratch = SchedScratch::new();
     let mut checked_ok = 0_u32;
     let mut checked_err = 0_u32;
     for spec in &smoke {
@@ -108,7 +101,6 @@ fn allocation_succeeds_exactly_when_the_pressure_report_fits() {
                     &prepared,
                     &machine,
                     &mut Fuel::unlimited(),
-                    &mut sched_scratch,
                     &mut UnitTrace::disabled(),
                 )
                 .expect("compilation under unlimited fuel");

@@ -5,7 +5,7 @@
 //! scheduled by the unit that asks. Three layers of evidence, innermost
 //! first:
 //!
-//! 1. the phase split (`prepare` → `compile_core` → `finish`) equals the
+//! 1. the phase split (`prepare` → `try_compile_core` → `finish`) equals the
 //!    one-shot `compile`, and the core really is independent of the
 //!    register-file size — the invariant the memo keys encode (one of the
 //!    two references independent of the memo; the other is
@@ -17,7 +17,8 @@
 //! 3. a whole `Exploration::run` reproduces, unit for unit, what an
 //!    [`Evaluator`] on a fresh cache per unit measures (outcomes,
 //!    unrolls, logical compilation counts), and journaling it changes
-//!    nothing.
+//!    nothing; nor does a unit that panicked inside the scheduler's
+//!    per-thread arena change the units after it.
 //!
 //! Below those, plan-level reuse: the plan build answers a budget from
 //! another budget's optimizer run wherever LICM's certificate allows it,
@@ -31,13 +32,24 @@ use custom_fit::dse::checkpoint::Checkpoint;
 use custom_fit::dse::eval::{fuse_targets, residency_budget, MAX_BODY_OPS, UNROLL_SWEEP};
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::{
-    evaluate, quarantine, CompileCache, EvalScratch, Evaluator, PlanCache, PlanStore,
+    evaluate, quarantine, CompileCache, EvalOutcome, Evaluator, FailKind, PlanCache, PlanStore,
 };
 use custom_fit::machine::ExtSet;
 use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::opt::{fuse::fuse, optimize_budgeted, optimize_budgeted_traced, unroll::unroll};
 use custom_fit::prelude::*;
-use custom_fit::sched::{compile, compile_core, finish, prepare};
+use custom_fit::sched::{compile, finish, prepare, try_compile_core, Fuel, Prepared, SchedCore};
+
+/// The scheduled core of `prepared` under unlimited fuel.
+fn core_of(prepared: &Prepared, machine: &MachineResources) -> SchedCore {
+    try_compile_core(
+        prepared,
+        machine,
+        &mut Fuel::unlimited(),
+        &mut UnitTrace::disabled(),
+    )
+    .expect("unlimited fuel")
+}
 
 #[test]
 fn memoized_phases_reproduce_direct_compiles_bit_for_bit() {
@@ -48,7 +60,7 @@ fn memoized_phases_reproduce_direct_compiles_bit_for_bit() {
 
         let direct = compile(&kernel, &machine);
         let prepared = prepare(&kernel, &machine, &mut UnitTrace::disabled());
-        let core = compile_core(&prepared, &machine);
+        let core = core_of(&prepared, &machine);
         assert_eq!(finish(&core, &machine), direct, "{spec}");
 
         // Every sibling differing only in register-file size must share
@@ -74,7 +86,7 @@ fn memoized_phases_reproduce_direct_compiles_bit_for_bit() {
                 prepared,
                 "{spec} vs {sib}"
             );
-            assert_eq!(compile_core(&prepared, &m2), core, "{spec} vs {sib}");
+            assert_eq!(core_of(&prepared, &m2), core, "{spec} vs {sib}");
             // Serving the sibling from the shared core equals compiling
             // it from scratch.
             assert_eq!(finish(&core, &m2), compile(&kernel, &m2), "{sib}");
@@ -91,12 +103,7 @@ fn cached_evaluation_matches_direct_evaluation() {
         let spec = common::arch(rng);
         let bench = *rng.pick(&benches);
         let cached = Evaluator::new(&plans, &memo)
-            .evaluate(
-                &spec,
-                bench,
-                &mut EvalScratch::new(),
-                &mut UnitTrace::disabled(),
-            )
+            .evaluate(&spec, bench, &mut UnitTrace::disabled())
             .expect("evaluation without a fuel budget");
         let direct = evaluate(&spec, bench, &plans);
         assert_eq!(cached, direct, "{spec} on {bench}");
@@ -115,7 +122,6 @@ fn capped_evaluation_is_the_same_with_and_without_the_memo() {
     let regs: Vec<u32> = config.archs.iter().map(|a| a.regs).collect();
     let plans = PlanCache::build(&config.benches, &regs, &UNROLL_SWEEP);
     let memo = CompileCache::new();
-    let mut scratch = EvalScratch::new();
     let off = &mut UnitTrace::disabled();
     let mut stopped_early = 0;
     for max_unroll in [1, 2, 4, 8, u32::MAX] {
@@ -133,8 +139,8 @@ fn capped_evaluation_is_the_same_with_and_without_the_memo() {
                         memo: &memo,
                         ..alone
                     };
-                    let want = alone.evaluate(spec, bench, &mut scratch, off);
-                    let got = memoized.evaluate(spec, bench, &mut scratch, off);
+                    let want = alone.evaluate(spec, bench, off);
+                    let got = memoized.evaluate(spec, bench, off);
                     assert_eq!(got, want, "{spec} on {bench}, cap {max_unroll}, {fuel:?}");
                     if let Ok(m) = &want {
                         assert!(m.unroll <= max_unroll, "{spec} on {bench}: {m:?}");
@@ -148,6 +154,58 @@ fn capped_evaluation_is_the_same_with_and_without_the_memo() {
     assert!(stopped_early > 0, "the budget must bind somewhere");
 }
 
+/// A unit that panics while the scheduler holds the thread's arena — a
+/// prepared plan whose graph belongs to longer code, so the list
+/// scheduler indexes past the code mid-arm — fails behind `quarantine`. The borrow is released
+/// as the panic unwinds: the units after it on the same thread neither
+/// fail with a borrow error nor measure a bit differently from the same
+/// units on a freshly spawned thread.
+#[test]
+fn a_panic_inside_the_arena_leaves_later_units_unchanged() {
+    let benches = [Benchmark::A, Benchmark::D];
+    let spec = ArchSpec::new(8, 4, 256, 2, 4, 2).expect("valid");
+    let plans = PlanCache::build(&benches, &[spec.regs], &UNROLL_SWEEP);
+    let units = || -> Vec<EvalOutcome> {
+        let memo = CompileCache::new();
+        let session = Evaluator::new(&plans, &memo);
+        let off = &mut UnitTrace::disabled();
+        benches
+            .iter()
+            .map(|&b| quarantine(|| session.evaluate(&spec, b, off)))
+            .collect()
+    };
+    let fresh = std::thread::scope(|s| s.spawn(units).join()).expect("no panic");
+    assert!(fresh.iter().all(|o| o.measurement().is_some()), "{fresh:?}");
+
+    // One cluster: assignment inserts no move, so the list scheduler
+    // runs on the prepared graph itself.
+    let machine = MachineResources::from_spec(&ArchSpec::baseline());
+    let off = &mut UnitTrace::disabled();
+    let kernel = Benchmark::D.kernel();
+    let short = prepare(&kernel, &machine, off);
+    let long = prepare(&unroll(&kernel, 4), &machine, off);
+    let broken = Prepared {
+        code: short.code,
+        ddg: long.ddg,
+    };
+    for _ in 0..2 {
+        let failed = quarantine(|| {
+            let core = try_compile_core(&broken, &machine, &mut Fuel::unlimited(), off);
+            panic!("a mismatched graph compiled: {core:?}")
+        });
+        let EvalOutcome::Failed { reason } = failed else {
+            panic!("a mismatched graph cannot measure")
+        };
+        assert_eq!(reason.kind, FailKind::Panic);
+        assert!(
+            reason.message.contains("out of bounds"),
+            "{}",
+            reason.message
+        );
+        assert_eq!(units(), fresh);
+    }
+}
+
 #[test]
 fn exploration_is_identical_with_reuse_on_and_off() {
     // "On" is the sweep, one cache shared by every unit; "off" is every
@@ -159,15 +217,14 @@ fn exploration_is_identical_with_reuse_on_and_off() {
     let mut regs: Vec<u32> = on.archs.iter().map(|a| a.regs).collect();
     regs.push(ArchSpec::baseline().regs);
     let plans = PlanCache::build(&on.benches, &regs, &UNROLL_SWEEP);
-    let mut scratch = EvalScratch::new();
-    let mut off = |spec: &ArchSpec| -> Vec<_> {
+    let off = |spec: &ArchSpec| -> Vec<_> {
         let trace = &mut UnitTrace::disabled();
         on.benches
             .iter()
             .map(|&b| {
                 let memo = CompileCache::new();
                 let alone = Evaluator::new(&plans, &memo);
-                quarantine(|| alone.evaluate(spec, b, &mut scratch, trace))
+                quarantine(|| alone.evaluate(spec, b, trace))
             })
             .collect()
     };

@@ -44,12 +44,11 @@ use custom_fit::machine::{ArchSpec, ExtSet, MachineResources, SpaceAxes, UnitCla
 use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::cluster::assign;
-use custom_fit::sched::list::schedule_with_fuel_in;
 use custom_fit::sched::{
-    omega_deps, prepare, rec_mii, res_mii, try_compile_core, try_modulo_schedule, try_schedule_in,
-    validate_modulo, Assignment, Ddg, Dep, DepKind, FuClass, Fuel, HomeTable, LoopCode,
-    ModuloSchedule, OmegaDep, OpOrigin, Placement, Priority, SOp, SchedError, SchedScratch,
-    Schedule, Uses,
+    omega_deps, prepare, rec_mii, res_mii, schedule_with, try_compile_core, try_schedule,
+    validate_modulo, work_counts, Assignment, Ddg, Dep, DepKind, FuClass, Fuel, HomeTable,
+    LoopCode, ModuloSchedule, OmegaDep, OpOrigin, PipelineProblem, Placement, Priority, SOp,
+    SchedError, Schedule, Uses,
 };
 
 /// The old scheduler's hard cycle cap (unchanged in the rewrite).
@@ -259,7 +258,6 @@ fn corpus() -> (Vec<custom_fit::ir::Kernel>, Vec<ArchSpec>) {
 #[test]
 fn list_scheduler_matches_the_oracle_in_schedule_and_fuel() {
     let (kernels, specs) = corpus();
-    let mut scratch = SchedScratch::new();
     let mut checked = 0;
     for spec in &specs {
         let machine = MachineResources::from_spec(spec);
@@ -281,7 +279,7 @@ fn list_scheduler_matches_the_oracle_in_schedule_and_fuel() {
                 let oracle = oracle_try_schedule(&assignment, &ddg, &machine, &mut oracle_fuel)
                     .expect("unlimited fuel");
                 let mut new_fuel = Fuel::unlimited();
-                let new = try_schedule_in(&assignment, &ddg, &machine, &mut new_fuel, &mut scratch)
+                let new = try_schedule(&assignment, &ddg, &machine, &mut new_fuel)
                     .expect("unlimited fuel");
 
                 assert_eq!(new, oracle, "{spec} kernel {ki} x{unroll}");
@@ -296,7 +294,6 @@ fn list_scheduler_matches_the_oracle_in_schedule_and_fuel() {
                     &prepared,
                     &machine,
                     &mut Fuel::unlimited(),
-                    &mut scratch,
                     &mut UnitTrace::disabled(),
                 )
                 .expect("unlimited fuel");
@@ -311,7 +308,6 @@ fn list_scheduler_matches_the_oracle_in_schedule_and_fuel() {
 #[test]
 fn fuel_exhaustion_verdicts_are_identical_at_tight_budgets() {
     let (kernels, specs) = corpus();
-    let mut scratch = SchedScratch::new();
     for spec in specs.iter().take(3) {
         let machine = MachineResources::from_spec(spec);
         for (ki, kernel) in kernels.iter().enumerate() {
@@ -319,15 +315,15 @@ fn fuel_exhaustion_verdicts_are_identical_at_tight_budgets() {
             let assignment = assign(&prepared.code, &prepared.ddg, &machine);
             let ddg = Ddg::build(&assignment.code);
             let mut full = Fuel::unlimited();
-            let reference = try_schedule_in(&assignment, &ddg, &machine, &mut full, &mut scratch)
-                .expect("unlimited fuel");
+            let reference =
+                try_schedule(&assignment, &ddg, &machine, &mut full).expect("unlimited fuel");
             let spent = full.spent();
 
             for budget in [1, spent / 2, spent - 1, spent] {
                 let mut of = Fuel::limited(budget);
                 let o = oracle_try_schedule(&assignment, &ddg, &machine, &mut of);
                 let mut nf = Fuel::limited(budget);
-                let n = try_schedule_in(&assignment, &ddg, &machine, &mut nf, &mut scratch);
+                let n = try_schedule(&assignment, &ddg, &machine, &mut nf);
                 assert_eq!(o, n, "{spec} kernel {ki} budget {budget}/{spent}");
                 assert_eq!(
                     of.spent(),
@@ -351,24 +347,16 @@ fn fuel_exhaustion_verdicts_are_identical_at_tight_budgets() {
 /// arms that ran.
 #[test]
 fn the_portfolio_stops_where_the_bound_certifies_the_first_arm() {
-    let mut scratch = SchedScratch::new();
     let (mut units, mut certified) = (0, 0);
     let mut check = |kernel: &Kernel, spec: &ArchSpec, what: &str| {
         let machine = MachineResources::from_spec(spec);
         let prepared = prepare(kernel, &machine, &mut UnitTrace::disabled());
         let assignment = assign(&prepared.code, &prepared.ddg, &machine);
         let ddg = Ddg::build(&assignment.code);
-        let mut arm = |priority| {
+        let arm = |priority| {
             let mut fuel = Fuel::unlimited();
-            let s = schedule_with_fuel_in(
-                &assignment,
-                &ddg,
-                &machine,
-                priority,
-                &mut fuel,
-                &mut scratch,
-            )
-            .expect("unlimited fuel");
+            let s = schedule_with(&assignment, &ddg, &machine, priority, &mut fuel)
+                .expect("unlimited fuel");
             (s, fuel.spent())
         };
         let (cp, cp_fuel) = arm(Priority::CriticalPath);
@@ -381,8 +369,7 @@ fn the_portfolio_stops_where_the_bound_certifies_the_first_arm() {
         let steps = if met { cp_fuel } else { cp_fuel + so_fuel };
 
         let mut fuel = Fuel::unlimited();
-        let stopped = try_schedule_in(&assignment, &ddg, &machine, &mut fuel, &mut scratch)
-            .expect("unlimited fuel");
+        let stopped = try_schedule(&assignment, &ddg, &machine, &mut fuel).expect("unlimited fuel");
         assert_eq!(stopped, both, "{what}");
         assert_eq!(fuel.spent(), steps, "{what}");
 
@@ -391,7 +378,6 @@ fn the_portfolio_stops_where_the_bound_certifies_the_first_arm() {
             &prepared,
             &machine,
             &mut Fuel::unlimited(),
-            &mut scratch,
             &mut UnitTrace::new(&rec, 0),
         )
         .expect("unlimited fuel");
@@ -508,13 +494,12 @@ fn assert_matches_oracle(
     assignment: &Assignment,
     ddg: &Ddg,
     machine: &MachineResources,
-    scratch: &mut SchedScratch,
     what: &str,
 ) {
     let mut oracle_fuel = Fuel::unlimited();
     let oracle = oracle_try_schedule(assignment, ddg, machine, &mut oracle_fuel);
     let mut new_fuel = Fuel::unlimited();
-    let new = try_schedule_in(assignment, ddg, machine, &mut new_fuel, scratch);
+    let new = try_schedule(assignment, ddg, machine, &mut new_fuel);
     assert_eq!(new, oracle, "{what}");
     assert_eq!(new_fuel.spent(), oracle_fuel.spent(), "{what}");
     let spent = new_fuel.spent();
@@ -522,7 +507,7 @@ fn assert_matches_oracle(
         let mut of = Fuel::limited(budget);
         let o = oracle_try_schedule(assignment, ddg, machine, &mut of);
         let mut nf = Fuel::limited(budget);
-        let n = try_schedule_in(assignment, ddg, machine, &mut nf, scratch);
+        let n = try_schedule(assignment, ddg, machine, &mut nf);
         assert_eq!(n, o, "{what} budget {budget}/{spent}");
         assert_eq!(nf.spent(), of.spent(), "{what} budget {budget}/{spent}");
         assert_eq!(
@@ -596,14 +581,13 @@ fn row_queues_match_the_oracle_where_the_corpus_is_thin() {
         );
     }
 
-    let mut scratch = SchedScratch::new();
     for (mi, (name, machine, classes)) in machines.iter().enumerate() {
         let mut rng = Rng::new(0x5EED_0012 + mi as u64);
         for case in 0..40 {
             let n = 2 + rng.index(70);
             let (assignment, ddg) = synthetic(&mut rng, machine, classes, n);
             let what = format!("{name} case {case} ({n} ops)");
-            assert_matches_oracle(&assignment, &ddg, machine, &mut scratch, &what);
+            assert_matches_oracle(&assignment, &ddg, machine, &what);
         }
     }
 }
@@ -624,7 +608,6 @@ fn fuel_holds_to_the_step_across_replayed_idle_cycles() {
         .max()
         .expect("a nonempty space");
     let mem_bound = [FuClass::MemL2, FuClass::MemL2, FuClass::MemL2, FuClass::Alu];
-    let mut scratch = SchedScratch::new();
     for clusters in [1, 2] {
         let spec = ArchSpec::new(4, 2, 64 * clusters, 1, l2, clusters).expect("valid spec");
         let machine = MachineResources::from_spec(&spec);
@@ -648,7 +631,7 @@ fn fuel_holds_to_the_step_across_replayed_idle_cycles() {
                 let mut of = Fuel::limited(budget);
                 let o = oracle_try_schedule(&assignment, &ddg, &machine, &mut of);
                 let mut nf = Fuel::limited(budget);
-                let n = try_schedule_in(&assignment, &ddg, &machine, &mut nf, &mut scratch);
+                let n = try_schedule(&assignment, &ddg, &machine, &mut nf);
                 assert_eq!(n, o, "{what} budget {budget}/{spent}");
                 assert_eq!(nf.spent(), of.spent(), "{what} budget {budget}/{spent}");
                 assert_eq!(n.is_err(), budget < spent, "{what} budget {budget}/{spent}");
@@ -672,9 +655,8 @@ fn an_op_with_no_registered_row_never_issues() {
     let (mut assignment, ddg) = synthetic(&mut rng, &machine, &classes, 24);
     assignment.code.ops[5].class = FuClass::Fused(0);
 
-    let mut scratch = SchedScratch::new();
     let mut fuel = Fuel::unlimited();
-    let capped = try_schedule_in(&assignment, &ddg, &machine, &mut fuel, &mut scratch);
+    let capped = try_schedule(&assignment, &ddg, &machine, &mut fuel);
     assert_eq!(
         capped,
         Err(SchedError::CycleCapExceeded { cap: MAX_CYCLES }),
@@ -691,7 +673,7 @@ fn an_op_with_no_registered_row_never_issues() {
         let mut of = Fuel::limited(budget);
         let o = oracle_try_schedule(&assignment, &ddg, &machine, &mut of);
         let mut nf = Fuel::limited(budget);
-        let n = try_schedule_in(&assignment, &ddg, &machine, &mut nf, &mut scratch);
+        let n = try_schedule(&assignment, &ddg, &machine, &mut nf);
         assert_eq!(n, Err(SchedError::FuelExhausted { budget }));
         assert_eq!(n, o, "budget {budget}");
         assert_eq!(nf.spent(), of.spent(), "budget {budget}");
@@ -709,7 +691,6 @@ fn move_free_assignments_schedule_on_the_prepared_graph() {
         ArchSpec::new(4, 2, 128, 1, 4, 1).expect("valid spec"),
         ArchSpec::new(16, 8, 512, 4, 2, 1).expect("valid spec"),
     ];
-    let mut scratch = SchedScratch::new();
     for spec in &specs {
         let machine = MachineResources::from_spec(spec);
         for (ki, kernel) in kernels.iter().enumerate() {
@@ -724,14 +705,8 @@ fn move_free_assignments_schedule_on_the_prepared_graph() {
 
             let rec = JsonlRecorder::new();
             let mut trace = UnitTrace::new(&rec, 0);
-            let core = try_compile_core(
-                &prepared,
-                &machine,
-                &mut Fuel::unlimited(),
-                &mut scratch,
-                &mut trace,
-            )
-            .expect("unlimited fuel");
+            let core = try_compile_core(&prepared, &machine, &mut Fuel::unlimited(), &mut trace)
+                .expect("unlimited fuel");
             let ddg_spans: Vec<_> = rec
                 .events()
                 .into_iter()
@@ -871,7 +846,6 @@ fn oracle_modulo(
 #[test]
 fn modulo_ii_skipping_reaches_the_oracles_exact_schedule() {
     let (kernels, specs) = corpus();
-    let mut scratch = SchedScratch::new();
     let (mut pipelined, mut moved) = (0, 0);
     for spec in &specs {
         let machine = MachineResources::from_spec(spec);
@@ -881,30 +855,23 @@ fn modulo_ii_skipping_reaches_the_oracles_exact_schedule() {
                 &prepared,
                 &machine,
                 &mut Fuel::unlimited(),
-                &mut scratch,
                 &mut UnitTrace::disabled(),
             )
             .expect("unlimited fuel");
-            let ddg = Ddg::build_in(&core.assignment.code, None, &mut scratch);
-            let schedule = |scratch: &mut SchedScratch| {
-                try_modulo_schedule(
-                    &core.assignment,
-                    &ddg,
-                    &machine,
-                    core.length,
-                    &mut Fuel::unlimited(),
-                    scratch,
-                    &mut UnitTrace::disabled(),
-                )
-                .expect("unlimited fuel")
+            let ddg = Ddg::build(&core.assignment.code);
+            let schedule = || {
+                PipelineProblem::new(&core.assignment, &ddg, &machine, core.length)
+                    .schedule(&mut Fuel::unlimited(), &mut UnitTrace::disabled())
+                    .expect("unlimited fuel")
             };
-            let new = schedule(&mut scratch);
-            let fresh = schedule(&mut SchedScratch::new());
+            // This thread's arena is warm; a spawned thread's is fresh.
+            let new = schedule();
+            let fresh = std::thread::scope(|s| s.spawn(schedule).join()).expect("no panic");
             let key = |ms: &Option<ModuloSchedule>| {
                 ms.as_ref()
                     .map(|ms| (ms.ii, ms.slots.clone(), ms.mii, ms.ii_attempts))
             };
-            assert_eq!(key(&new), key(&fresh), "{spec} kernel {ki}: scratch reuse");
+            assert_eq!(key(&new), key(&fresh), "{spec} kernel {ki}: arena reuse");
             if core.move_count > 0 {
                 // The transcription places in index order, so the first
                 // reader of a move appended behind it has nowhere to go
@@ -968,36 +935,26 @@ fn modulo_probe_skipping_keeps_the_fuel_boundary() {
             &prepared,
             &machine,
             &mut Fuel::unlimited(),
-            &mut SchedScratch::new(),
             &mut UnitTrace::disabled(),
         )
         .expect("unlimited fuel");
         let ddg = Ddg::build(&core.assignment.code);
-        let run = |fuel: &mut Fuel, scratch: &mut SchedScratch| {
-            try_modulo_schedule(
-                &core.assignment,
-                &ddg,
-                &machine,
-                core.length,
-                fuel,
-                scratch,
-                &mut UnitTrace::disabled(),
-            )
-        };
-        let (mut fuel, mut scratch) = (Fuel::unlimited(), SchedScratch::new());
-        let ms = run(&mut fuel, &mut scratch)
+        let problem = PipelineProblem::new(&core.assignment, &ddg, &machine, core.length);
+        let run = |fuel: &mut Fuel| problem.schedule(fuel, &mut UnitTrace::disabled());
+        let (mut fuel, before) = (Fuel::unlimited(), work_counts().modulo_probes);
+        let ms = run(&mut fuel)
             .expect("unlimited fuel")
             .unwrap_or_else(|| panic!("kernel {ki}: no schedule"));
-        let spent = fuel.spent();
-        assert!(scratch.modulo_probes() <= spent, "kernel {ki}");
-        skipped += spent - scratch.modulo_probes();
+        let (spent, probes) = (fuel.spent(), work_counts().modulo_probes - before);
+        assert!(probes <= spent, "kernel {ki}");
+        skipped += spent - probes;
 
-        let exact = run(&mut Fuel::limited(spent), &mut scratch)
+        let exact = run(&mut Fuel::limited(spent))
             .unwrap_or_else(|e| panic!("kernel {ki}: its own fuel did not suffice: {e}"))
             .expect("the same search");
         assert_eq!((exact.ii, &exact.slots), (ms.ii, &ms.slots), "kernel {ki}");
         assert_eq!(
-            run(&mut Fuel::limited(spent - 1), &mut scratch).map(|ms| ms.map(|ms| ms.ii)),
+            run(&mut Fuel::limited(spent - 1)).map(|ms| ms.map(|ms| ms.ii)),
             Err(SchedError::FuelExhausted { budget: spent - 1 }),
             "kernel {ki}"
         );

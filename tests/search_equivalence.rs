@@ -19,7 +19,7 @@
 
 use cfp_testkit::cases;
 use custom_fit::dse::checkpoint::Checkpoint;
-use custom_fit::dse::eval::{EvalScratch, Evaluator, PlanStore, UNROLL_SWEEP};
+use custom_fit::dse::eval::{Evaluator, PlanStore, UNROLL_SWEEP};
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::{
     frontier, hypervolume, promote, spec_fingerprint, try_search, CompileCache, ScatterPoint,
@@ -79,9 +79,8 @@ fn lazy_evaluator_answers_match_the_eager_evaluation_path() {
 
     cases(0x5eac_0001, 25, |rng| {
         let spec = axes.sample_with(&mut |n| rng.index(n));
-        let mut scratch = EvalScratch::new();
-        let (lazy, _fresh) = lazy_eval.outcome(&spec, full, &mut scratch);
-        let eager = match eager.evaluate(&spec, BENCH, &mut scratch, &mut UnitTrace::disabled()) {
+        let (lazy, _fresh) = lazy_eval.outcome(&spec, full);
+        let eager = match eager.evaluate(&spec, BENCH, &mut UnitTrace::disabled()) {
             Ok(m) => custom_fit::dse::EvalOutcome::Done(m),
             Err(e) => custom_fit::dse::EvalOutcome::Failed { reason: e.into() },
         };
@@ -90,7 +89,7 @@ fn lazy_evaluator_answers_match_the_eager_evaluation_path() {
         // A repeat query is a dedup hit served from the memo, and the
         // lazy evaluator's speedup is the exhaustive formula bit for bit.
         let hits = lazy_eval.memo_hits();
-        let (again, fresh) = lazy_eval.outcome(&spec, full, &mut scratch);
+        let (again, fresh) = lazy_eval.outcome(&spec, full);
         assert_eq!(again, lazy, "{spec}");
         assert!(!fresh, "{spec}: repeat query recomputed");
         assert_eq!(lazy_eval.memo_hits(), hits + 1);

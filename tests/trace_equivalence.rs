@@ -21,12 +21,12 @@
 //! result digest allocates nothing at all.
 
 use custom_fit::dse::explore::{Exploration, ExploreConfig};
-use custom_fit::dse::{Checkpoint, CompileCache, EvalScratch, Evaluator, PlanCache};
+use custom_fit::dse::{Checkpoint, CompileCache, Evaluator, PlanCache};
 use custom_fit::machine::{ArchSpec, MachineResources};
 use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::prelude::Benchmark;
 use custom_fit::sched::{
-    CertifyOutcome, CompileResult, Ddg, FuClass, Fuel, PipelineProblem, SchedScratch,
+    work_counts, CertifyOutcome, CompileResult, Ddg, FuClass, Fuel, PipelineProblem,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -207,7 +207,6 @@ fn null_recorder_steady_state_allocates_nothing() {
     let cache = PlanCache::build(&benches, &[spec.regs], &[1, 2, 4, 8]);
     let memo = CompileCache::new();
     let session = Evaluator::new(&cache, &memo);
-    let mut scratch = EvalScratch::new();
 
     // Warm-up: populate the compile memo and grow the scratch arena to
     // its steady-state size, exactly as a sweep worker's first units do.
@@ -215,7 +214,7 @@ fn null_recorder_steady_state_allocates_nothing() {
     for &b in &benches {
         warm.push(
             session
-                .evaluate(&spec, b, &mut scratch, &mut UnitTrace::disabled())
+                .evaluate(&spec, b, &mut UnitTrace::disabled())
                 .expect("warm-up evaluation"),
         );
     }
@@ -226,14 +225,14 @@ fn null_recorder_steady_state_allocates_nothing() {
     for round in 0..3 {
         for (wi, &b) in benches.iter().enumerate() {
             let m = session
-                .evaluate(&spec, b, &mut scratch, &mut UnitTrace::disabled())
+                .evaluate(&spec, b, &mut UnitTrace::disabled())
                 .expect("steady-state evaluation");
             assert_eq!(
                 m, warm[wi],
                 "round {round}: steady state changed the result"
             );
             let t = session
-                .evaluate(&spec, b, &mut scratch, &mut UnitTrace::disabled())
+                .evaluate(&spec, b, &mut UnitTrace::disabled())
                 .expect("steady-state traced evaluation");
             assert_eq!(
                 t, warm[wi],
@@ -271,16 +270,20 @@ fn traced_solvers_are_bit_identical_to_untraced() {
     let ddg = Ddg::build(&r.assignment.code);
     let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
     let run = |trace: &mut UnitTrace<'_>| {
-        let (mut fuel, mut scratch) = (Fuel::unlimited(), SchedScratch::new());
+        let (mut fuel, before) = (Fuel::unlimited(), work_counts());
         let ms = problem
-            .schedule(&mut fuel, &mut scratch, trace)
+            .schedule(&mut fuel, trace)
             .expect("unlimited fuel")
             .expect("schedulable");
+        let after = work_counts();
         let mut exact_fuel = Fuel::limited(2_000_000);
         let verdict = problem.certify(Some(ms.ii), &mut exact_fuel, trace);
         (
             (ms.ii, ms.slots, ms.mii, ms.ii_attempts, fuel.spent()),
-            (scratch.modulo_attempts(), scratch.modulo_probes()),
+            (
+                after.modulo_attempts - before.modulo_attempts,
+                after.modulo_probes - before.modulo_probes,
+            ),
             (verdict, exact_fuel.spent()),
         )
     };
@@ -340,12 +343,13 @@ fn a_search_that_gives_up_says_why_and_allocates_nothing_when_off() {
     let ddg = Ddg::build(&r.assignment.code);
     let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
 
-    let mut scratch = SchedScratch::new();
     let rec = JsonlRecorder::new();
     let mut trace = UnitTrace::new(&rec, 0);
+    let before = work_counts().modulo_attempts;
     let traced = problem
-        .schedule(&mut Fuel::unlimited(), &mut scratch, &mut trace)
+        .schedule(&mut Fuel::unlimited(), &mut trace)
         .expect("unlimited fuel");
+    let attempts = work_counts().modulo_attempts - before;
     assert!(traced.is_none());
     let verdict = problem.certify(None, &mut Fuel::limited(1_000), &mut trace);
     assert_eq!(verdict, CertifyOutcome::Unschedulable);
@@ -359,18 +363,14 @@ fn a_search_that_gives_up_says_why_and_allocates_nothing_when_off() {
     assert_eq!(s(0, "reason"), Some("missing_unit"));
     assert_eq!(
         events[0].field("ii_attempts").and_then(|v| v.as_u64()),
-        Some(scratch.modulo_attempts())
+        Some(attempts)
     );
     assert_eq!(s(1, "verdict"), Some("unschedulable"));
 
     // The arena is warm now; the same two calls with recording off.
     let before = allocs();
     let plain = problem
-        .schedule(
-            &mut Fuel::unlimited(),
-            &mut scratch,
-            &mut UnitTrace::disabled(),
-        )
+        .schedule(&mut Fuel::unlimited(), &mut UnitTrace::disabled())
         .expect("unlimited fuel");
     let off = problem.certify(None, &mut Fuel::limited(1_000), &mut UnitTrace::disabled());
     let allocated = allocs() - before;
