@@ -1,5 +1,6 @@
 //! Checkpoint/resume journaling: the one `Journal` behind the
-//! exploration sweep and the guided search.
+//! exploration sweep and the guided search, and the one runner
+//! ([`run_journalled`]) through which both replay and append it.
 //!
 //! The full sweep is minutes of compute; an interrupted run (ctrl-C, a
 //! batch-queue eviction, a crash) should not forfeit the units it
@@ -10,10 +11,13 @@
 //! are stored as exact `f64` bit patterns, and the evaluation of every
 //! unit is already deterministic and independent of the others.
 //!
-//! Journal writes are crash-consistent: the whole journal is rewritten
-//! to a sibling temp file and atomically renamed over the old one, so a
-//! crash at any instant leaves either the previous journal or the new
-//! one, never a torn line.
+//! Journal writes are crash-consistent. The header is written to a
+//! sibling temp file and atomically renamed into place, so a journal
+//! either exists with its whole header or not at all; every entry after
+//! it is one `<key>,<outcome>\n` line appended with a single write, and
+//! no line is ever rewritten. A crash mid-append can leave only a last
+//! line without its newline: resume drops that torn line and truncates
+//! it away before appending again.
 //!
 //! A journal is keyed by a fingerprint of everything that determines
 //! its run's results (for the sweep: architectures, benchmarks, fuel
@@ -23,23 +27,28 @@
 //!
 //! The file format and the write discipline live here and nowhere else.
 //! A journal kind is its magic word, the header fields after the
-//! fingerprint, and an entry-key codec: the sweep's is below
+//! fingerprint, and an entry-key codec: the sweep's
 //! (`sweep_journal`: `cfp-checkpoint,v1,<fingerprint>,<units>`, entries
-//! keyed `<unit>`), the guided search's is in [`crate::search`]
-//! (`cfp-search,v1,<fingerprint>`, entries keyed `<candidate>,<rung>`).
+//! keyed `<unit>`) and the guided search's (`search_journal`:
+//! `cfp-search,v1,<fingerprint>`, entries keyed `<candidate>,<rung>`).
 
-use crate::error::{CheckpointError, FailKind, FailReason};
+use crate::error::{CheckpointError, ExploreError, FailKind, FailReason};
 use crate::eval::{EvalOutcome, Measurement};
 use crate::explore::ExploreConfig;
+use crate::units::run_units;
 use cfp_ir::WordSet;
 use cfp_machine::{ArchSpec, Fnv1a};
 use std::fmt::Display;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::hash::Hash;
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// First header field of the sweep's journal.
 const MAGIC: &str = "cfp-checkpoint";
+/// First header field of the search's journal.
+pub(crate) const SEARCH_MAGIC: &str = "cfp-search";
 /// Second header field of every journal kind (and an input of every
 /// run fingerprint, so a format bump orphans old journals with a typed
 /// [`CheckpointError::Mismatch`]).
@@ -238,12 +247,12 @@ fn parse_outcome(fields: &[&str], lineno: usize) -> CheckpointResult<EvalOutcome
 
 type CheckpointResult<T> = Result<T, CheckpointError>;
 
-/// An open journal: the lines already on disk plus the machinery to
-/// append more, one atomic rewrite per append.
+/// An open journal: the file, opened for appending, behind the entries
+/// already on disk.
 #[derive(Debug)]
 pub(crate) struct Journal {
     path: PathBuf,
-    lines: Vec<String>,
+    file: File,
 }
 
 impl Journal {
@@ -255,7 +264,9 @@ impl Journal {
     /// `decode_key`) followed by the outcome. Returns the journal plus
     /// the entries already recorded — none unless `ck` resumes a file
     /// that exists; a file that exists without `resume` is
-    /// [`CheckpointError::Exists`], never clobbered.
+    /// [`CheckpointError::Exists`], never clobbered. A resumed file's
+    /// last line without its newline is a torn append: it is not an
+    /// entry, and it is cut off before anything is appended.
     pub(crate) fn attach<K: Copy + Eq + Hash>(
         ck: &Checkpoint,
         magic: &str,
@@ -267,61 +278,110 @@ impl Journal {
         let fingerprint_hex = format!("{fingerprint:016x}");
         let mut header = vec![magic, VERSION, &fingerprint_hex];
         header.extend(tail.iter().map(String::as_str));
-        let mut journal = Journal {
-            path: ck.path.clone(),
-            lines: vec![header.join(",")],
-        };
-        if !ck.path.exists() {
-            journal.persist()?;
-            return Ok((journal, Vec::new()));
-        }
-        if !ck.resume {
-            return Err(CheckpointError::Exists(ck.path.clone()));
-        }
-        let text = fs::read_to_string(&ck.path).map_err(|source| CheckpointError::Io {
+        let io = |source| CheckpointError::Io {
             path: ck.path.clone(),
             source,
-        })?;
-        let entries = parse(&text, &header, fingerprint, key_fields, decode_key)?;
-        journal.lines = text.lines().map(str::to_owned).collect();
-        Ok((journal, entries))
+        };
+        let mut torn = None;
+        let entries = if ck.path.exists() {
+            if !ck.resume {
+                return Err(CheckpointError::Exists(ck.path.clone()));
+            }
+            let bytes = fs::read(&ck.path).map_err(io)?;
+            let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            if whole < bytes.len() {
+                torn = Some(whole as u64);
+            }
+            let text = std::str::from_utf8(&bytes[..whole])
+                .map_err(|e| io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
+            parse(text, &header, fingerprint, key_fields, decode_key)?
+        } else {
+            write_atomic(&ck.path, &format!("{}\n", header.join(","))).map_err(io)?;
+            Vec::new()
+        };
+        let file = OpenOptions::new().append(true).open(&ck.path).map_err(io)?;
+        if let Some(len) = torn {
+            file.set_len(len).map_err(io)?;
+        }
+        let path = ck.path.clone();
+        Ok((Journal { path, file }, entries))
     }
 
-    /// Append one `<key>,<outcome>` line per entry and persist once —
-    /// the rename traffic is per call, not per entry, and a crash loses
-    /// at most the call in flight. No entries, no write.
+    /// Append one `<key>,<outcome>` line per entry, each with a single
+    /// write. No entries, no write.
     pub(crate) fn append<'a>(
         &mut self,
         entries: impl IntoIterator<Item = (impl Display, &'a EvalOutcome)>,
     ) -> CheckpointResult<()> {
-        let before = self.lines.len();
-        self.lines.extend(
-            entries
-                .into_iter()
-                .map(|(key, outcome)| format!("{key},{}", encode_outcome(outcome))),
-        );
-        if self.lines.len() == before {
-            return Ok(());
+        for (key, outcome) in entries {
+            let line = format!("{key},{}\n", encode_outcome(outcome));
+            self.file
+                .write_all(line.as_bytes())
+                .map_err(|source| CheckpointError::Io {
+                    path: self.path.clone(),
+                    source,
+                })?;
         }
-        self.persist()
+        Ok(())
     }
+}
 
-    /// Write all lines over the journal, atomically.
-    fn persist(&self) -> CheckpointResult<()> {
-        let mut text = self.lines.join("\n");
-        text.push('\n');
-        write_atomic(&self.path, &text).map_err(|source| CheckpointError::Io {
-            path: self.path.clone(),
-            source,
-        })
+/// Run `unit(i)` for every `i` in `0..n` on the crate's unit runner,
+/// through `journal`: a unit `replayed(i)` answers is not run, and any
+/// other is evaluated and, with a journal, appended under `key(i)` as it
+/// lands. Returns each unit's outcome and whether it was evaluated
+/// (`true`) or replayed (`false`), in index order. Without a journal no
+/// unit takes a lock, and `key` is never called.
+///
+/// # Errors
+/// The first failed append, as [`ExploreError::Checkpoint`]: after it no
+/// further unit starts and nothing more is appended, since measuring on
+/// while the journal is lost would silently break a resumed run's
+/// bit-identity. [`ExploreError::WorkerLost`] if a unit panics.
+pub(crate) fn run_journalled<K: Display>(
+    n: usize,
+    threads: usize,
+    journal: Option<&Mutex<Journal>>,
+    replayed: impl Fn(usize) -> Option<EvalOutcome> + Sync,
+    key: impl Fn(usize) -> K + Sync,
+    unit: impl Fn(usize) -> EvalOutcome + Sync,
+) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
+    let lost: OnceLock<CheckpointError> = OnceLock::new();
+    let answers = run_units(n, threads, |i| {
+        if let Some(out) = replayed(i) {
+            return Some((out, false));
+        }
+        if lost.get().is_some() {
+            return None;
+        }
+        let out = unit(i);
+        if let Some(journal) = journal {
+            let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
+            // A failed write may have left a torn line: nothing follows it.
+            if lost.get().is_none() {
+                if let Err(e) = journal.append([(key(i), &out)]) {
+                    let _ = lost.set(e);
+                }
+            }
+        }
+        Some((out, true))
+    })
+    .map_err(|_| ExploreError::WorkerLost)?;
+    if let Some(e) = lost.into_inner() {
+        return Err(e.into());
     }
+    answers
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or(ExploreError::WorkerLost)
 }
 
 /// Replace `path`'s content with `content` atomically: write the
 /// `<path>.tmp` sibling, then rename it over `path`, so a reader — a
 /// resuming run, a recovering daemon — sees the old content or the new,
-/// never a torn write. The one crash-consistent writer: the journals
-/// here and `cfp-serve`'s job and result files all go through it.
+/// never a torn write. The one crash-consistent writer: the journals'
+/// headers here and `cfp-serve`'s job and result files all go through
+/// it.
 ///
 /// # Errors
 /// Whatever writing the sibling or renaming it reports.
@@ -345,7 +405,7 @@ fn parse<K: Copy + Eq + Hash>(
     let corrupt = |line: usize, message: String| CheckpointError::Corrupt { line, message };
     let mut lines = text.lines().enumerate();
     let Some((_, found_header)) = lines.next() else {
-        return Err(corrupt(1, "empty journal".to_owned()));
+        return Err(corrupt(1, "no whole header line".to_owned()));
     };
     let h: Vec<&str> = found_header.split(',').collect();
     if h.len() != header.len() || h[..2] != header[..2] {
@@ -414,10 +474,35 @@ pub(crate) fn sweep_journal(
     })
 }
 
+/// A search-journal entry's key: `(candidate fingerprint, rung)`.
+pub(crate) type SearchKey = (u64, usize);
+
+/// The key of one search-journal entry, as [`search_journal`] decodes it.
+pub(crate) fn journal_key(candidate: u64, rung: usize) -> String {
+    format!("{candidate:016x},{rung}")
+}
+
+/// Open the search's journal: no header tail, entries keyed
+/// `<candidate fingerprint>,<rung>` ([`spec_fingerprint`] and the
+/// ladder rung).
+pub(crate) fn search_journal(
+    ck: &Checkpoint,
+    fingerprint: u64,
+) -> CheckpointResult<(Journal, Vec<(SearchKey, EvalOutcome)>)> {
+    Journal::attach(ck, SEARCH_MAGIC, fingerprint, &[], 2, |key| {
+        let candidate = u64::from_str_radix(key[0], 16)
+            .map_err(|e| format!("bad candidate key `{}`: {e}", key[0]))?;
+        let rung: usize = key[1]
+            .parse()
+            .map_err(|e| format!("bad rung `{}`: {e}", key[1]))?;
+        Ok((candidate, rung))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{journal_key, search_journal};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn done(cpo: f64, spilled: bool) -> EvalOutcome {
         EvalOutcome::Done(Measurement {
@@ -576,13 +661,14 @@ mod tests {
             let [k1, k2] = kind.keys();
 
             // A fresh attach writes the header and nothing else.
-            let (mut journal, entries) = kind.open(&Checkpoint::new(&path), FP).expect("fresh");
+            let (_, entries) = kind.open(&Checkpoint::new(&path), FP).expect("fresh");
             assert!(entries.is_empty());
             assert_eq!(fs::read_to_string(&path).unwrap(), format!("{header}\n"));
             // A missing file under `resume` is the same fresh start.
             fs::remove_file(&path).unwrap();
-            let (_, entries) = kind.open(&Checkpoint::resume(&path), FP).expect("fresh");
+            let (mut journal, entries) = kind.open(&Checkpoint::resume(&path), FP).expect("fresh");
             assert!(entries.is_empty());
+            assert_eq!(fs::read_to_string(&path).unwrap(), format!("{header}\n"));
 
             // Appended entries come back, in order, on resume.
             journal.append([(&k1, &done(1.0 / 3.0, false))]).unwrap();
@@ -708,5 +794,118 @@ mod tests {
             assert!(!path.exists());
             fs::remove_dir(&tmp).unwrap();
         }
+    }
+
+    #[test]
+    fn a_torn_last_entry_is_dropped_and_cut_off_before_the_next_append() {
+        for kind in [Kind::Sweep, Kind::Search] {
+            let path = kind.path("torn");
+            let [k1, k2] = kind.keys();
+            let whole = format!(
+                "{}\n{k1},{}\n",
+                kind.header(),
+                encode_outcome(&done(2.5, true))
+            );
+            let line = format!("{k2},{}", encode_outcome(&nasty()));
+            // Cut after one byte, mid-line, and with only the newline lost.
+            for cut in [1, line.len() / 2, line.len()] {
+                fs::write(&path, format!("{whole}{}", &line[..cut])).unwrap();
+                let (mut journal, back) = kind
+                    .open(&Checkpoint::resume(&path), FP)
+                    .expect("a torn tail resumes");
+                assert_eq!(back, vec![(k1.clone(), done(2.5, true))], "{kind:?} {cut}");
+                journal.append([(&k2, &nasty())]).unwrap();
+                assert_eq!(
+                    fs::read_to_string(&path).unwrap(),
+                    format!("{whole}{line}\n"),
+                    "{kind:?} {cut}"
+                );
+            }
+            // A header without its newline is no journal at all.
+            fs::write(&path, kind.header()).unwrap();
+            let err = kind
+                .open(&Checkpoint::resume(&path), FP)
+                .expect_err("torn header");
+            assert!(
+                matches!(err, CheckpointError::Corrupt { line: 1, .. }),
+                "{err}"
+            );
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_runner_replays_what_the_journal_holds_and_appends_the_rest() {
+        let path = Kind::Sweep.path("runner");
+        let (journal, _) = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
+        let journal = Mutex::new(journal);
+        let replayed = |i: usize| (i % 3 == 0).then(|| done(i as f64, false));
+        let ran = AtomicUsize::new(0);
+        let evaluate = |i: usize| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            done(i as f64 + 0.5, true)
+        };
+        let answers =
+            run_journalled(UNITS, 3, Some(&journal), replayed, |i| i, evaluate).expect("runs");
+        let want: Vec<(EvalOutcome, bool)> = (0..UNITS)
+            .map(|i| replayed(i).map_or((done(i as f64 + 0.5, true), true), |o| (o, false)))
+            .collect();
+        assert_eq!(answers, want);
+        assert_eq!(ran.load(Ordering::SeqCst), 6, "replayed units are not run");
+        // Exactly the evaluated units were appended, each once.
+        let (_, mut back) = sweep_journal(&Checkpoint::resume(&path), FP, UNITS).expect("resume");
+        back.sort_by_key(|(i, _)| *i);
+        let fresh: Vec<(usize, EvalOutcome)> = (0..UNITS)
+            .filter(|i| i % 3 != 0)
+            .map(|i| (i, done(i as f64 + 0.5, true)))
+            .collect();
+        assert_eq!(back, fresh);
+
+        // Without a journal nothing asks for a key.
+        let plain = run_journalled(
+            UNITS,
+            2,
+            None,
+            replayed,
+            |_| -> String { unreachable!("no journal, no key") },
+            evaluate,
+        )
+        .expect("runs");
+        assert_eq!(plain, want);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_lost_journal_stops_the_runner_with_its_error() {
+        let path = Kind::Sweep.path("lost");
+        let _ = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
+        // A handle that refuses every write.
+        let lost = Mutex::new(Journal {
+            path: path.clone(),
+            file: File::open(&path).unwrap(),
+        });
+        let ran = AtomicUsize::new(0);
+        let err = run_journalled(
+            UNITS,
+            1,
+            Some(&lost),
+            |_| None,
+            |i| i,
+            |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                done(1.0, false)
+            },
+        )
+        .expect_err("journal lost");
+        assert!(
+            matches!(&err, ExploreError::Checkpoint(CheckpointError::Io { path: p, .. }) if *p == path),
+            "{err}"
+        );
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            1,
+            "units ran on without a journal"
+        );
+        fs::remove_file(&path).unwrap();
     }
 }

@@ -19,15 +19,14 @@
 //! to disk and an interrupted run resumes bit-identically.
 
 use crate::checkpoint::{self, Checkpoint};
-use crate::error::{CheckpointError, ExploreError, FailKind};
+use crate::error::{ExploreError, FailKind};
 use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanStore, UNROLL_SWEEP};
 use crate::memo::CompileCache;
-use crate::units::run_units;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, ExtSet, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::FaultInjector;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The distinct fused-extension sets a candidate list asks for, sorted —
@@ -161,10 +160,9 @@ pub struct RunStats {
     /// would spend one per `(architecture, benchmark)` unit; the engine
     /// reports only what its final rungs actually ran.
     pub full_evals: u64,
-    /// Search queries answered without any evaluation: an exact
-    /// `(spec, rung)` repeat served from the engine's memo, a unit
-    /// replayed from a search journal, or a sibling whose scheduled
-    /// core was already in the compile cache (`SchedSignature` dedup).
+    /// Search queries answered without any evaluation: a unit replayed
+    /// from a search journal, or a sibling whose scheduled core was
+    /// already in the compile cache (`SchedSignature` dedup).
     pub dedup_hits: u64,
     /// Time spent optimizing/unrolling plans (the plan-cache build).
     pub plan_wall: Duration,
@@ -425,54 +423,31 @@ impl Exploration {
             outcomes: baseline_outcomes,
         };
 
-        // Checkpoint: load completed units (resume) and open the journal.
-        let fingerprint = checkpoint::fingerprint(config);
-        let mut slots: Vec<Option<EvalOutcome>> = vec![None; units];
-        let mut resumed_units = 0_u64;
-        let journal = match &config.checkpoint {
-            Some(ck) => {
-                let (journal, entries) = checkpoint::sweep_journal(ck, fingerprint, units)?;
-                for (i, outcome) in entries {
-                    slots[i] = Some(outcome);
-                    resumed_units += 1;
-                }
-                Some(Mutex::new(journal))
+        // Checkpoint: the units a resumed journal already holds, and the
+        // journal the rest are appended to as they land.
+        let mut replay: Vec<Option<EvalOutcome>> = Vec::new();
+        let mut journal = None;
+        if let Some(ck) = &config.checkpoint {
+            let fingerprint = checkpoint::fingerprint(config);
+            let (opened, entries) = checkpoint::sweep_journal(ck, fingerprint, units)?;
+            replay.resize(units, None);
+            for (i, outcome) in entries {
+                replay[i] = Some(outcome);
             }
-            None => None,
-        };
-        // The first journal write that failed. Once set the remaining
-        // units answer `None`: measuring on while the journal is lost
-        // would betray a resumed run's bit-identity promise silently.
-        let first_err: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let journal_err = || first_err.lock().unwrap_or_else(PoisonError::into_inner);
+            journal = Some(Mutex::new(opened));
+        }
 
         let eval_start = Instant::now();
-        let fresh = run_units(units, config.threads, |i| {
-            if slots[i].is_some() || journal_err().is_some() {
-                return None;
-            }
-            let out = eval_unit(i);
-            if let Some(journal) = &journal {
-                let written = journal
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .append([(i, &out)]);
-                if let Err(e) = written {
-                    journal_err().get_or_insert(e);
-                }
-            }
-            Some(out)
-        })
-        .map_err(|_| ExploreError::WorkerLost)?;
-        if let Some(e) = journal_err().take() {
-            return Err(e.into());
-        }
-        let outcomes: Vec<EvalOutcome> = slots
-            .into_iter()
-            .zip(fresh)
-            .map(|(resumed, fresh)| resumed.or(fresh))
-            .collect::<Option<Vec<_>>>()
-            .ok_or(ExploreError::WorkerLost)?;
+        let answers = checkpoint::run_journalled(
+            units,
+            config.threads,
+            journal.as_ref(),
+            |i| replay.get(i).cloned().flatten(),
+            |i| i,
+            eval_unit,
+        )?;
+        let resumed_units = answers.iter().filter(|(_, fresh)| !fresh).count() as u64;
+        let outcomes: Vec<EvalOutcome> = answers.into_iter().map(|(out, _)| out).collect();
         let eval_wall = eval_start.elapsed();
 
         let archs: Vec<ArchEval> = config
@@ -547,7 +522,6 @@ impl Exploration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn smoke_exploration_is_sane() {
@@ -726,37 +700,6 @@ mod tests {
         let rec = Tripwire(|| panic!("the recorder is down"));
         let err = Exploration::try_run_traced(&cfg, &rec).expect_err("workers die");
         assert!(matches!(err, ExploreError::WorkerLost), "{err}");
-    }
-
-    #[test]
-    fn a_lost_journal_winds_the_sweep_down_with_its_error() {
-        let mut cfg = ExploreConfig::smoke();
-        cfg.benches = vec![Benchmark::D];
-        cfg.threads = 1;
-        let path = std::env::temp_dir().join(format!("cfp_lost_{}.journal", std::process::id()));
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".tmp");
-        let _ = std::fs::remove_file(&path);
-        cfg.checkpoint = Some(Checkpoint::new(&path));
-        // The first unit to report puts a directory where the journal's
-        // temp sibling goes, so journaling that very unit fails.
-        let ran = AtomicUsize::new(0);
-        let rec = Tripwire(|| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            let _ = std::fs::create_dir(&tmp);
-        });
-        let err = Exploration::try_run_traced(&cfg, &rec).expect_err("journal lost");
-        assert!(
-            matches!(&err, ExploreError::Checkpoint(CheckpointError::Io { .. })),
-            "{err}"
-        );
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            1,
-            "units ran on without a journal"
-        );
-        let _ = std::fs::remove_dir(&tmp);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   quarantine [`FailReason`]s, and run-level [`ExploreError`]s, so a
 //!   pathological candidate is a reported value, never a lost sweep;
 //! * [`checkpoint`] — the one crash-consistent journal of completed
-//!   units behind the sweep and the search, and bit-identical resume of
-//!   interrupted runs;
+//!   units, the one runner through which the sweep and the search
+//!   replay and append it, and bit-identical resume of interrupted
+//!   runs;
 //! * [`oracle`] — the heuristic-vs-optimal gap study: sampled design
 //!   points certified by the exact-II scheduler, the measured trust
 //!   bound on every table the evaluator produces;

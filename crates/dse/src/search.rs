@@ -35,29 +35,31 @@
 //!
 //! Everything is deterministic in the seed: proposals, promotion ties,
 //! and archive order are all independent of thread count (each rung's
-//! pool runs on the crate's unit runner, answers in pool order), and
-//! with [`SearchConfig::checkpoint`] set the engine journals every
-//! outcome — the sweep's journal ([`crate::checkpoint`]) under its own
-//! magic word and entry key — and resumes bit-identically (same
-//! decisions, same frontier; only the physical-work counters differ,
-//! since replayed outcomes are dedup hits rather than fresh
-//! evaluations).
+//! pool runs on the crate's unit runner, answers in pool order). With
+//! [`SearchConfig::checkpoint`] set, each rung's pool runs through the
+//! sweep's journalled runner ([`crate::checkpoint`]): every outcome is
+//! appended as it lands, under the search journal's own magic word and
+//! entry key, and a resumed search replays what the journal holds —
+//! same decisions, same frontier; only the physical-work counters
+//! differ, since replayed outcomes are dedup hits rather than fresh
+//! evaluations.
 
-use crate::checkpoint::{self, spec_fingerprint, Checkpoint, Journal};
-use crate::error::{CheckpointError, ExploreError, FailKind};
+use crate::checkpoint::{
+    self, journal_key, run_journalled, search_journal, spec_fingerprint, Checkpoint, SearchKey,
+    SEARCH_MAGIC,
+};
+use crate::error::{ExploreError, FailKind};
 use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanCache, PlanStore, UNROLL_SWEEP};
 use crate::explore::{Exploration, RunStats};
 use crate::memo::CompileCache;
 use crate::pareto::{self, ScatterPoint};
-use crate::units::run_units;
 use cfp_ir::{WordMap, WordSet};
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, Fnv1a, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::Rng;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Uniform index in `0..n` by plain remainder. Every pinned search and
@@ -365,15 +367,13 @@ impl SearchConfig {
     }
 }
 
-/// What the lazy evaluator memoizes on, and the search journal keys its
-/// entries by: `(candidate fingerprint, rung)`.
-type MemoKey = (u64, usize);
-
 /// The lazy evaluator: evaluates only the `(candidate, rung)` pairs a
 /// search asks about, through the shared plan snapshot and compile
-/// cache, memoizing every answer. Full-rung answers are bit-identical
-/// to what the exhaustive sweep's evaluation path records for the same
-/// `(architecture, benchmark)` unit.
+/// cache. It keeps no answers of its own: the search admits each
+/// candidate to a pool once, so no pair is asked twice, and a resumed
+/// search's answers come from its journal. Full-rung answers are
+/// bit-identical to what the exhaustive sweep's evaluation path records
+/// for the same `(architecture, benchmark)` unit.
 pub struct LazyEvaluator<'a> {
     config: &'a SearchConfig,
     plans: PlanCache,
@@ -381,8 +381,6 @@ pub struct LazyEvaluator<'a> {
     cost: CostModel,
     cycle: CycleModel,
     baseline_cpo: f64,
-    results: Mutex<WordMap<MemoKey, EvalOutcome>>,
-    memo_hits: AtomicU64,
 }
 
 impl std::fmt::Debug for LazyEvaluator<'_> {
@@ -390,7 +388,6 @@ impl std::fmt::Debug for LazyEvaluator<'_> {
         f.debug_struct("LazyEvaluator")
             .field("bench", &self.config.bench)
             .field("baseline_cpo", &self.baseline_cpo)
-            .field("memo_hits", &self.memo_hits.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -437,15 +434,7 @@ impl<'a> LazyEvaluator<'a> {
             cost: CostModel::paper_calibrated(),
             cycle: CycleModel::paper_calibrated(),
             baseline_cpo: baseline.cycles_per_output,
-            results: Mutex::new(WordMap::default()),
-            memo_hits: AtomicU64::new(0),
         })
-    }
-
-    fn lock_results(&self) -> std::sync::MutexGuard<'_, WordMap<MemoKey, EvalOutcome>> {
-        // Values are complete before insertion; a poisoned map is still
-        // coherent.
-        self.results.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Index of the full-fidelity rung (the ladder's last).
@@ -474,21 +463,13 @@ impl<'a> LazyEvaluator<'a> {
         self.baseline_cpo / (outcome.cycles_per_output() * self.cycle.derate(spec))
     }
 
-    /// Evaluate `spec` at ladder rung `rung`, memoized on the candidate
-    /// fingerprint. Returns the outcome and whether it was computed
-    /// fresh (`false` = served from the memo, a dedup hit). Panics and
-    /// typed errors are quarantined into [`EvalOutcome::Failed`], never
-    /// propagated.
+    /// Evaluate `spec` at ladder rung `rung`. Panics and typed errors are
+    /// quarantined into [`EvalOutcome::Failed`], never propagated.
     ///
     /// # Panics
     /// Panics if `rung` is off the ladder.
     #[must_use]
-    pub fn outcome(&self, spec: &ArchSpec, rung: usize) -> (EvalOutcome, bool) {
-        let key = (spec_fingerprint(spec), rung);
-        if let Some(hit) = self.lock_results().get(&key).cloned() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, false);
-        }
+    pub fn outcome(&self, spec: &ArchSpec, rung: usize) -> EvalOutcome {
         let session = Evaluator {
             fuel: self.config.fuel,
             max_unroll: RUNGS[rung],
@@ -497,47 +478,16 @@ impl<'a> LazyEvaluator<'a> {
         // The same quarantine boundary as the exhaustive sweep: a
         // pathological candidate becomes a Failed outcome, not a lost
         // search.
-        let out = quarantine(|| {
+        quarantine(|| {
             let off = &mut UnitTrace::disabled();
             session.evaluate(spec, self.config.bench, off)
-        });
-        self.lock_results().insert(key, out.clone());
-        (out, true)
-    }
-
-    /// One rung's pool on the unit runner, answers in pool order. Pool
-    /// entries are distinct, so no two workers ever race one memo key.
-    fn rung_outcomes(
-        &self,
-        pool: &[ArchSpec],
-        rung: usize,
-        threads: usize,
-    ) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
-        run_units(pool.len(), threads, |i| Some(self.outcome(&pool[i], rung)))
-            .map_err(|_| ExploreError::WorkerLost)?
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(ExploreError::WorkerLost)
-    }
-
-    /// Queries answered from the memo so far.
-    #[must_use]
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits.load(Ordering::Relaxed)
+        })
     }
 
     /// Content-distinct kernels behind the plan snapshot.
     #[must_use]
     pub fn unique_plans(&self) -> usize {
         self.plans.unique_kernels()
-    }
-
-    /// Pre-populate the memo (journal replay on resume).
-    fn preload(&self, entries: Vec<(MemoKey, EvalOutcome)>) {
-        let mut map = self.lock_results();
-        for (key, out) in entries {
-            map.insert(key, out);
-        }
     }
 }
 
@@ -596,8 +546,8 @@ pub struct RoundStats {
     pub screens: u64,
     /// Fresh full-fidelity evaluations this round (final rung).
     pub full_evals: u64,
-    /// Queries served from the evaluator's memo this round (exact
-    /// `(candidate, rung)` repeats and journal replays).
+    /// Queries replayed from the search journal this round instead of
+    /// evaluated.
     pub dedup_hits: u64,
     /// Frontier size after the round.
     pub frontier_size: usize,
@@ -676,21 +626,18 @@ pub fn try_search_shared(
     let lazy = LazyEvaluator::new(config, store, memo)?;
     let plan_wall = start.elapsed();
 
-    // Attach the search journal and replay any prior outcomes into the
-    // evaluator's memo: the engine's control flow is deterministic in the
-    // seed, so replayed answers land on exactly the queries a fresh run
-    // would have made, and the resumed frontier is bit-identical.
-    let fingerprint = search_fingerprint(config);
-    let mut resumed = 0_u64;
-    let mut journal = match &config.checkpoint {
-        Some(ck) => {
-            let (journal, entries) = search_journal(ck, fingerprint)?;
-            resumed = entries.len() as u64;
-            lazy.preload(entries);
-            Some(journal)
-        }
-        None => None,
-    };
+    // Attach the search journal and index its outcomes for replay: the
+    // engine's control flow is deterministic in the seed, so replayed
+    // answers land on exactly the queries a fresh run would have made,
+    // and the resumed frontier is bit-identical.
+    let mut replay: WordMap<SearchKey, EvalOutcome> = WordMap::default();
+    let mut journal = None;
+    if let Some(ck) = &config.checkpoint {
+        let (opened, entries) = search_journal(ck, search_fingerprint(config))?;
+        replay.extend(entries);
+        journal = Some(Mutex::new(opened));
+    }
+    let resumed = replay.len() as u64;
 
     let eval_start = Instant::now();
     let mut rng = Rng::new(config.seed ^ 0x5eac);
@@ -698,7 +645,7 @@ pub fn try_search_shared(
     // Full-fidelity results, keyed by spec for deterministic iteration.
     let mut archive: BTreeMap<ArchSpec, (f64, f64)> = BTreeMap::new();
     let mut rounds: Vec<RoundStats> = Vec::new();
-    let (mut screens_total, mut full_total) = (0_u64, 0_u64);
+    let (mut screens_total, mut full_total, mut replays_total) = (0_u64, 0_u64, 0_u64);
     let (mut compilations, mut failed, mut fuel_exhausted) = (0_u64, 0_u64, 0_u64);
     let mut points: Vec<ScatterPoint> = Vec::new();
     let mut frontier_idx: Vec<usize> = Vec::new();
@@ -708,7 +655,6 @@ pub fn try_search_shared(
     for round in 0..config.rounds {
         let mut trace = UnitTrace::new(rec, cfp_obs::unit::search(round));
         let t0 = trace.start();
-        let dedup0 = lazy.memo_hits();
 
         // Propose: refine the current frontier's neighborhoods first
         // (cheapest frontier member outward, breadth-first two steps
@@ -762,24 +708,21 @@ pub fn try_search_shared(
 
         let entrants = pool.len();
         let mut rung_survivors: Vec<usize> = Vec::new();
-        let (mut screens, mut fulls) = (0_u64, 0_u64);
+        let (mut screens, mut fulls, mut dedup_hits) = (0_u64, 0_u64, 0_u64);
 
         for ri in 0..RUNGS.len() {
             rung_survivors.push(pool.len());
-            let results = lazy.rung_outcomes(&pool, ri, config.threads)?;
-            if let Some(journal) = journal.as_mut() {
-                // One write per rung keeps the rename traffic proportional
-                // to rungs, not candidates; a crash loses at most the
-                // current rung's batch.
-                let fresh = pool
-                    .iter()
-                    .zip(&results)
-                    .filter(|(_, (_, fresh))| *fresh)
-                    .map(|(s, (out, _))| (journal_key(spec_fingerprint(s), ri), out));
-                journal.append(fresh)?;
-            }
+            let results = run_journalled(
+                pool.len(),
+                config.threads,
+                journal.as_ref(),
+                |i| replay.get(&(spec_fingerprint(&pool[i]), ri)).cloned(),
+                |i| journal_key(spec_fingerprint(&pool[i]), ri),
+                |i| lazy.outcome(&pool[i], ri),
+            )?;
             for (out, fresh) in &results {
                 if !fresh {
+                    dedup_hits += 1;
                     continue;
                 }
                 if ri == FULL_RUNG {
@@ -850,9 +793,9 @@ pub fn try_search_shared(
             .collect();
         frontier_specs = frontier_idx.iter().map(|&i| points[i].spec).collect();
         let best_speedup = frontier_pts.last().map_or(f64::NAN, |p| p.1);
-        let dedup_hits = lazy.memo_hits() - dedup0;
         screens_total += screens;
         full_total += fulls;
+        replays_total += dedup_hits;
 
         if trace.on() {
             let ladder: Vec<String> = rung_survivors.iter().map(ToString::to_string).collect();
@@ -906,10 +849,10 @@ pub fn try_search_shared(
             resumed_units: resumed,
             screen_evals: screens_total,
             full_evals: full_total,
-            // Memo answers plus signature-sibling compile-cache hits;
+            // Journal replays plus signature-sibling compile-cache hits;
             // the cache component is approximate under concurrent jobs,
             // exactly like `cache_hits`.
-            dedup_hits: lazy.memo_hits() + cache_hits,
+            dedup_hits: replays_total + cache_hits,
             plan_wall,
             eval_wall,
             wall: start.elapsed(),
@@ -917,9 +860,6 @@ pub fn try_search_shared(
         evaluated: points,
     })
 }
-
-/// First header field of the search journal, `cfp-search,v1,<fingerprint>`.
-const SEARCH_MAGIC: &str = "cfp-search";
 
 /// FNV-1a over everything that determines a search's queries and
 /// answers: the axes, the objective, the seed, and the bracket shape.
@@ -947,29 +887,6 @@ pub fn search_fingerprint(config: &SearchConfig) -> u64 {
         }
     }
     h.finish()
-}
-
-/// The key of one search-journal entry, as [`search_journal`] decodes it.
-pub(crate) fn journal_key(candidate: u64, rung: usize) -> String {
-    format!("{candidate:016x},{rung}")
-}
-
-/// Open the search's journal ([`Journal`] holds the format and the
-/// crash-consistent write discipline): no header tail, entries keyed
-/// `<candidate fingerprint>,<rung>` — the evaluator's memo key, so a resume
-/// replays them straight into the memo.
-pub(crate) fn search_journal(
-    ck: &Checkpoint,
-    fingerprint: u64,
-) -> Result<(Journal, Vec<(MemoKey, EvalOutcome)>), CheckpointError> {
-    Journal::attach(ck, SEARCH_MAGIC, fingerprint, &[], 2, |key| {
-        let candidate = u64::from_str_radix(key[0], 16)
-            .map_err(|e| format!("bad candidate key `{}`: {e}", key[0]))?;
-        let rung: usize = key[1]
-            .parse()
-            .map_err(|e| format!("bad rung `{}`: {e}", key[1]))?;
-        Ok((candidate, rung))
-    })
 }
 
 #[cfg(test)]
@@ -1150,9 +1067,15 @@ mod tests {
             ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap(),
         ];
         let off_the_ladder = RUNGS.len();
-        let err = lazy
-            .rung_outcomes(&pool, off_the_ladder, 2)
-            .expect_err("both workers die");
+        let err = run_journalled(
+            pool.len(),
+            2,
+            None,
+            |_| None,
+            |i| i,
+            |i| lazy.outcome(&pool[i], off_the_ladder),
+        )
+        .expect_err("both workers die");
         assert!(matches!(err, ExploreError::WorkerLost), "{err}");
     }
 

@@ -88,6 +88,46 @@ fn interrupted_run_resumes_bit_identically() {
 }
 
 #[test]
+fn a_journal_cut_mid_line_resumes_bit_identically() {
+    // A crash inside an append leaves the last line without its newline.
+    // Resume drops it and evaluates that unit again; only whole lines
+    // count as resumed.
+    let cfg = config();
+    let reference = Exploration::run(&cfg);
+    let path = journal_path("torn");
+    let mut ck_cfg = cfg.clone();
+    ck_cfg.checkpoint = Some(Checkpoint::new(&path));
+    let _ = Exploration::run(&ck_cfg);
+
+    let kept = 4;
+    let text = std::fs::read_to_string(&path).expect("journal exists");
+    let lines: Vec<&str> = text.lines().collect();
+    let torn = lines[1 + kept];
+    let cut = format!("{}\n{}", lines[..=kept].join("\n"), &torn[..torn.len() / 2]);
+    std::fs::write(&path, cut).expect("cut the journal mid-line");
+
+    let mut resume_cfg = cfg.clone();
+    resume_cfg.threads = 1;
+    resume_cfg.checkpoint = Some(Checkpoint::resume(&path));
+    let resumed = Exploration::run(&resume_cfg);
+    assert_eq!(resumed.stats.resumed_units, kept as u64);
+    assert_bit_identical(&reference, &resumed);
+    // The torn half-line is gone: the journal holds every unit, each on
+    // a whole line, and replays them all.
+    let healed = std::fs::read_to_string(&path).expect("journal exists");
+    let mut healed: Vec<&str> = healed.lines().collect();
+    let mut whole = lines.clone();
+    healed.sort_unstable();
+    whole.sort_unstable();
+    assert_eq!(healed, whole);
+    let replayed = Exploration::run(&resume_cfg);
+    assert_eq!(replayed.stats.resumed_units, lines.len() as u64 - 1);
+    assert_bit_identical(&reference, &replayed);
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn an_existing_journal_is_never_silently_clobbered() {
     let path = journal_path("clobber");
     let mut cfg = config();

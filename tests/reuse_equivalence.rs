@@ -38,7 +38,10 @@ use custom_fit::machine::ExtSet;
 use custom_fit::obs::{JsonlRecorder, Stage, UnitTrace};
 use custom_fit::opt::{fuse::fuse, optimize_budgeted, optimize_budgeted_traced, unroll::unroll};
 use custom_fit::prelude::*;
-use custom_fit::sched::{compile, finish, prepare, try_compile_core, Fuel, Prepared, SchedCore};
+use custom_fit::sched::cluster::assign;
+use custom_fit::sched::{
+    compile, finish, prepare, schedule_with, try_compile_core, Fuel, Prepared, Priority, SchedCore,
+};
 
 /// The scheduled core of `prepared` under unlimited fuel.
 fn core_of(prepared: &Prepared, machine: &MachineResources) -> SchedCore {
@@ -199,6 +202,67 @@ fn a_panic_inside_the_arena_leaves_later_units_unchanged() {
         assert_eq!(reason.kind, FailKind::Panic);
         assert!(
             reason.message.contains("out of bounds"),
+            "{}",
+            reason.message
+        );
+        assert_eq!(units(), fresh);
+    }
+}
+
+/// A unit that panics inside a list arm while ops are still queued — the
+/// source-order arm run on a short body with the graph of its unrolled
+/// copy, so an issued op's successor lies past the body and indexing it
+/// panics with the rest of the cycle's ready ops still in their queues —
+/// fails behind `quarantine`, and every later unit on the thread, on that
+/// machine and another, measures exactly what a fresh thread measures:
+/// the next arm's reset clears what the broken one left queued.
+#[test]
+fn a_panic_with_ops_queued_leaves_later_units_unchanged() {
+    let benches = [Benchmark::A, Benchmark::D];
+    let specs = [
+        ArchSpec::baseline(),
+        ArchSpec::new(8, 4, 256, 2, 4, 2).expect("valid"),
+    ];
+    let regs: Vec<u32> = specs.iter().map(|s| s.regs).collect();
+    let plans = PlanCache::build(&benches, &regs, &UNROLL_SWEEP);
+    let units = || -> Vec<EvalOutcome> {
+        let memo = CompileCache::new();
+        let session = Evaluator::new(&plans, &memo);
+        let off = &mut UnitTrace::disabled();
+        specs
+            .iter()
+            .flat_map(|spec| benches.iter().map(move |&b| (spec, b)))
+            .map(|(spec, b)| quarantine(|| session.evaluate(spec, b, off)))
+            .collect()
+    };
+    let fresh = std::thread::scope(|s| s.spawn(units).join()).expect("no panic");
+    assert!(fresh.iter().all(|o| o.measurement().is_some()), "{fresh:?}");
+
+    let machine = MachineResources::from_spec(&ArchSpec::baseline());
+    let off = &mut UnitTrace::disabled();
+    let kernel = Benchmark::D.kernel();
+    let short = prepare(&kernel, &machine, off);
+    let long = prepare(&unroll(&kernel, 4), &machine, off);
+    let assignment = assign(&short.code, &short.ddg, &machine);
+    let ops = assignment.code.ops.len();
+    for _ in 0..2 {
+        let failed = quarantine(|| {
+            let fuel = &mut Fuel::unlimited();
+            let schedule = schedule_with(
+                &assignment,
+                &long.ddg,
+                &machine,
+                Priority::SourceOrder,
+                fuel,
+            );
+            panic!("a mismatched graph scheduled: {schedule:?}")
+        });
+        let EvalOutcome::Failed { reason } = failed else {
+            panic!("a mismatched graph cannot measure")
+        };
+        assert_eq!(reason.kind, FailKind::Panic);
+        assert!(
+            reason.message.contains(&format!("the len is {ops} ")),
             "{}",
             reason.message
         );
