@@ -883,10 +883,10 @@ pub fn oracle_study(fast: bool) -> cfp_dse::OracleReport {
     cfp_dse::OracleReport::run(&config)
 }
 
-/// The heuristic-vs-optimal gap table: how often the production modulo
-/// scheduler's II is provably minimal, and how far above the certified
-/// optimum it sits when it is not. This is the trust anchor under
-/// Tables 8–10 — every speedup there is an II the heuristic chose.
+/// The heuristic-vs-optimal gap table: how often the modulo scheduler's
+/// II is provably minimal, and how far above the certified optimum it
+/// sits when it is not. It grades the modulo scheduler only: Tables 8–10
+/// are priced by list schedules, which no oracle grades yet.
 #[must_use]
 pub fn oracle_gap(report: &cfp_dse::OracleReport) -> String {
     let mut t = TextTable::new(["quantity", "oracle study", "paper (HP 9000/770)"]);

@@ -8,6 +8,7 @@
 //! benchmark sources.
 
 use crate::token::Span;
+use crate::vocab::{Binary, Named};
 use cfp_ir::{MemSpace, Ty};
 
 /// A parsed kernel.
@@ -144,57 +145,6 @@ pub enum Stmt {
     },
 }
 
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
-    /// `-e`
-    Neg,
-    /// `~e`
-    Not,
-    /// `!e` (logical: 1 if zero, else 0)
-    LNot,
-}
-
-/// Binary operators (C semantics on 32-bit ints; `>>` is arithmetic,
-/// `>>>` logical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinaryOp {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `&`
-    And,
-    /// `|`
-    Or,
-    /// `^`
-    Xor,
-    /// `<<`
-    Shl,
-    /// `>>`
-    AShr,
-    /// `>>>`
-    LShr,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `&&` (logical, non-short-circuit — the target is if-converted)
-    LAnd,
-    /// `||`
-    LOr,
-}
-
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -211,10 +161,10 @@ pub enum Expr {
         /// Location.
         span: Span,
     },
-    /// Unary operation.
+    /// Prefix operation.
     Unary {
         /// Operator.
-        op: UnaryOp,
+        op: &'static Named,
         /// Operand.
         expr: Box<Expr>,
         /// Location.
@@ -223,7 +173,7 @@ pub enum Expr {
     /// Binary operation.
     Binary {
         /// Operator.
-        op: BinaryOp,
+        op: &'static Binary,
         /// Left operand.
         lhs: Box<Expr>,
         /// Right operand.

@@ -2,6 +2,8 @@
 
 use crate::diag::CompileError;
 use crate::token::{Span, Tok, Token};
+use crate::vocab::{operators, WORDS};
+use std::sync::OnceLock;
 
 /// Tokenize `src` fully.
 ///
@@ -55,14 +57,18 @@ pub fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
                     j += 1;
                 }
                 let word = &src[i..j];
+                let tok = spellings(bytes[i])
+                    .iter()
+                    .find(|(s, _)| s.len() == word.len() && s.bytes().eq(word.bytes()))
+                    .map_or_else(|| Tok::Ident(word.to_owned()), |(_, t)| t.clone());
                 out.push(Token {
-                    tok: keyword_or_ident(word),
+                    tok,
                     span: Span::new(i, j),
                 });
                 i = j;
             }
             _ => {
-                let (tok, len) = lex_operator(bytes, i).ok_or_else(|| {
+                let (tok, len) = symbol(&bytes[i..]).ok_or_else(|| {
                     CompileError::new(format!("unrecognized character `{c}`"), Span::new(i, i + 1))
                 })?;
                 out.push(Token {
@@ -102,80 +108,31 @@ fn lex_number(src: &str, start: usize) -> Result<(Tok, usize), CompileError> {
     Ok((Tok::Int(value), j))
 }
 
-fn keyword_or_ident(word: &str) -> Tok {
-    match word {
-        "kernel" => Tok::Kernel,
-        "in" => Tok::In,
-        "out" => Tok::Out,
-        "inout" => Tok::Inout,
-        "const" => Tok::Const,
-        "var" => Tok::Var,
-        "local" => Tok::Local,
-        "loop" => Tok::Loop,
-        "for" => Tok::For,
-        "if" => Tok::If,
-        "else" => Tok::Else,
-        "produces" => Tok::Produces,
-        "l1" => Tok::L1,
-        "l2" => Tok::L2,
-        "u8" => Tok::U8,
-        "i8" => Tok::I8,
-        "u16" => Tok::U16,
-        "i16" => Tok::I16,
-        "i32" => Tok::I32,
-        _ => Tok::Ident(word.to_owned()),
-    }
+/// The longest punctuation mark or operator `rest` starts with.
+fn symbol(rest: &[u8]) -> Option<(Tok, usize)> {
+    let (s, tok) = spellings(rest[0]).iter().find(|(s, _)| {
+        rest.get(..s.len())
+            .is_some_and(|r| r.iter().eq(s.as_bytes()))
+    })?;
+    Some((tok.clone(), s.len()))
 }
 
-fn lex_operator(bytes: &[u8], i: usize) -> Option<(Tok, usize)> {
-    let pair = |o: usize| bytes.get(i + o).copied();
-    let tok3 = match (bytes[i], pair(1), pair(2)) {
-        (b'>', Some(b'>'), Some(b'>')) => Some(Tok::Ushr),
-        _ => None,
-    };
-    if let Some(t) = tok3 {
-        return Some((t, 3));
-    }
-    let tok2 = match (bytes[i], pair(1)) {
-        (b'<', Some(b'<')) => Some(Tok::Shl),
-        (b'>', Some(b'>')) => Some(Tok::Shr),
-        (b'=', Some(b'=')) => Some(Tok::EqEq),
-        (b'!', Some(b'=')) => Some(Tok::NotEq),
-        (b'<', Some(b'=')) => Some(Tok::Le),
-        (b'>', Some(b'=')) => Some(Tok::Ge),
-        (b'&', Some(b'&')) => Some(Tok::AndAnd),
-        (b'|', Some(b'|')) => Some(Tok::OrOr),
-        (b'.', Some(b'.')) => Some(Tok::DotDot),
-        _ => None,
-    };
-    if let Some(t) = tok2 {
-        return Some((t, 2));
-    }
-    let tok1 = match bytes[i] {
-        b'(' => Tok::LParen,
-        b')' => Tok::RParen,
-        b'{' => Tok::LBrace,
-        b'}' => Tok::RBrace,
-        b'[' => Tok::LBracket,
-        b']' => Tok::RBracket,
-        b',' => Tok::Comma,
-        b';' => Tok::Semi,
-        b':' => Tok::Colon,
-        b'?' => Tok::Question,
-        b'=' => Tok::Assign,
-        b'+' => Tok::Plus,
-        b'-' => Tok::Minus,
-        b'*' => Tok::Star,
-        b'&' => Tok::Amp,
-        b'|' => Tok::Pipe,
-        b'^' => Tok::Caret,
-        b'~' => Tok::Tilde,
-        b'!' => Tok::Bang,
-        b'<' => Tok::Lt,
-        b'>' => Tok::Gt,
-        _ => return None,
-    };
-    Some((tok1, 1))
+/// The fixed spellings, keywords, punctuation marks and operators, that
+/// begin with `first`, each with its token, longest first.
+fn spellings(first: u8) -> &'static [(&'static str, Tok)] {
+    static INDEX: OnceLock<Vec<Vec<(&str, Tok)>>> = OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        let mut index = vec![Vec::new(); 128];
+        let words = WORDS.iter().map(|(t, s)| (*s, t.clone()));
+        for (s, t) in words.chain(operators().map(|op| (op.spelling, Tok::Op(op)))) {
+            index[usize::from(s.as_bytes()[0])].push((s, t));
+        }
+        for spellings in &mut index {
+            spellings.sort_by_key(|(s, _)| std::cmp::Reverse(s.len()));
+        }
+        index
+    });
+    index.get(usize::from(first)).map_or(&[], Vec::as_slice)
 }
 
 #[cfg(test)]
@@ -204,23 +161,27 @@ mod tests {
 
     #[test]
     fn lexes_operators_greedily() {
+        let spelled = |src| kinds(src).iter().map(Tok::spelling).collect::<Vec<_>>();
         assert_eq!(
-            kinds("a >>> b >> c >= d > e"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ushr,
-                Tok::Ident("b".into()),
-                Tok::Shr,
-                Tok::Ident("c".into()),
-                Tok::Ge,
-                Tok::Ident("d".into()),
-                Tok::Gt,
-                Tok::Ident("e".into()),
-                Tok::Eof
+            spelled("a >>> b >> c >= d > e"),
+            [
+                None,
+                Some(">>>"),
+                None,
+                Some(">>"),
+                None,
+                Some(">="),
+                None,
+                Some(">"),
+                None,
+                None
             ]
         );
         assert_eq!(kinds("0..7")[1], Tok::DotDot);
-        assert_eq!(kinds("a && b")[1], Tok::AndAnd);
+        assert_eq!(spelled("a && b")[1], Some("&&"));
+        assert_eq!(spelled("a == b = c")[1..4], [Some("=="), None, Some("=")]);
+        let minus = kinds("-")[0].clone();
+        assert!(matches!(minus, Tok::Op(op) if op.binary.is_some() && op.unary.is_some()));
     }
 
     #[test]

@@ -47,17 +47,21 @@
 //! Semantics notes: all scalars are 32-bit ints; `>>` is arithmetic and
 //! `>>>` logical; `&&`/`||` do **not** short-circuit (the target is fully
 //! if-converted); stores are not allowed under `if`; the `loop` variable
-//! may only be used in affine index arithmetic.
+//! may only be used in affine index arithmetic. Constants fold with the
+//! IR's own operations, so a folded expression stores what it would
+//! compute at run time; overflow of 64-bit index arithmetic or of a
+//! `for` trip count is an error.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ast;
+mod ast;
 pub mod diag;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
-pub mod token;
+mod lexer;
+mod lower;
+mod parser;
+mod token;
+mod vocab;
 
 pub use diag::CompileError;
 pub use token::Span;
@@ -312,6 +316,16 @@ mod tests {
             ("kernel k() { var x = frob(1); }", &[]),
             // store to input
             ("kernel k(in u8 s[]) { loop i { s[i] = 0; } }", &[]),
+            // `for` trip count past i64
+            (
+                "kernel k(out i32 d[]) { loop i { for k in -1 .. 0x7fffffffffffffff { } } }",
+                &[],
+            ),
+            // affine index offset past i64
+            (
+                "kernel k(out i32 dst[]) { loop i { dst[(i + 1) * 0x7fffffffffffffff + 1] = 0; } }",
+                &[],
+            ),
         ];
         for (src, consts) in cases {
             assert!(compile_kernel(src, consts).is_err(), "should reject: {src}");

@@ -18,8 +18,9 @@
 //!   and assigned inside it become explicit loop-carried values;
 //! * **affine index tracking**: index expressions are evaluated
 //!   symbolically as `c0 + c1·i`, producing exact affine [`MemRef`]s for
-//!   the scheduler's dependence test; a non-affine index falls back to a
-//!   dynamic register index (with conservative dependences).
+//!   the scheduler's dependence test (a 64-bit overflow is an error); a
+//!   non-affine index falls back to a dynamic register index (with
+//!   conservative dependences).
 //!
 //! Scalars in scope live in one ordered stack (outermost scope first,
 //! declaration order within a scope); a scope is a suffix of it. The
@@ -27,12 +28,12 @@
 //! numbers their registers, in stack order, so a kernel lowers to the
 //! same IR in every process. Nothing here iterates a hashed map.
 
-use crate::ast::{BinaryOp, Dir, Expr, KernelAst, Param, Stmt, UnaryOp};
+use crate::ast::{Dir, Expr, KernelAst, Param, Stmt};
 use crate::diag::CompileError;
 use crate::token::Span;
+use crate::vocab::{builtin, truthy, Ir, Meaning};
 use cfp_ir::{
-    ArrayDecl, ArrayId, ArrayKind, Carried, CarriedInit, Inst, Kernel, MemRef, Operand, Pred, Ty,
-    UnOp, Vreg,
+    ArrayDecl, ArrayId, ArrayKind, Carried, CarriedInit, Inst, Kernel, MemRef, Operand, Vreg,
 };
 
 /// Lower a parsed kernel, binding each `const` parameter to a value.
@@ -88,6 +89,26 @@ enum Sym {
     Reg(Vreg),
 }
 
+impl From<Operand> for Sym {
+    fn from(o: Operand) -> Sym {
+        match o {
+            Operand::Imm(v) => Sym::Const(v),
+            Operand::Reg(v) => Sym::Reg(v),
+        }
+    }
+}
+
+impl Sym {
+    /// `(c0, c1)` of `c0 + c1·i`, for a constant or an affine value.
+    fn form(self) -> Option<(i64, i64)> {
+        match self {
+            Sym::Const(v) => Some((v, 0)),
+            Sym::Affine { c0, c1 } => Some((c0, c1)),
+            Sym::Reg(_) => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Binding {
     sym: Sym,
@@ -110,6 +131,14 @@ struct Lowerer<'a> {
     in_loop: bool,
     if_depth: u32,
     seen_loop: bool,
+}
+
+impl Ir for Lowerer<'_> {
+    fn def(&mut self, make: impl FnOnce(Vreg) -> Inst) -> Operand {
+        let dst = self.fresh();
+        self.emit(make(dst));
+        Operand::Reg(dst)
+    }
 }
 
 impl<'a> Lowerer<'a> {
@@ -278,66 +307,6 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    // ---- constant evaluation (no code emission) ----------------------------
-
-    fn const_eval(&self, e: &Expr) -> Result<i64, CompileError> {
-        match e {
-            Expr::Int(v, _) => Ok(*v),
-            Expr::Var(name, span) => match self.lookup(name) {
-                Some(Binding {
-                    sym: Sym::Const(v), ..
-                }) => Ok(v),
-                Some(_) => Err(CompileError::new(
-                    format!("`{name}` is not a compile-time constant"),
-                    *span,
-                )),
-                None => Err(CompileError::new(format!("undefined name `{name}`"), *span)),
-            },
-            Expr::Unary { op, expr, .. } => {
-                let v = self.const_eval(expr)?;
-                Ok(match op {
-                    UnaryOp::Neg => cfp_ir::wrap32(v.wrapping_neg()),
-                    UnaryOp::Not => cfp_ir::wrap32(!v),
-                    UnaryOp::LNot => i64::from(v == 0),
-                })
-            }
-            Expr::Binary { op, lhs, rhs, .. } => {
-                let a = self.const_eval(lhs)?;
-                let b = self.const_eval(rhs)?;
-                fold_binary(*op, a, b)
-                    .ok_or_else(|| CompileError::new("unsupported constant operation", e.span()))
-            }
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-                ..
-            } => {
-                if self.const_eval(cond)? != 0 {
-                    self.const_eval(then_expr)
-                } else {
-                    self.const_eval(else_expr)
-                }
-            }
-            Expr::Call { func, args, span } => {
-                let vals: Vec<i64> = args
-                    .iter()
-                    .map(|a| self.const_eval(a))
-                    .collect::<Result<_, _>>()?;
-                fold_call(func, &vals).ok_or_else(|| {
-                    CompileError::new(
-                        format!("`{func}` is not usable in a constant context here"),
-                        *span,
-                    )
-                })
-            }
-            Expr::Index { span, .. } => Err(CompileError::new(
-                "array loads are not compile-time constants",
-                *span,
-            )),
-        }
-    }
-
     // ---- expression lowering ----------------------------------------------
 
     fn materialize(&mut self, sym: Sym, span: Span) -> Result<Operand, CompileError> {
@@ -374,47 +343,16 @@ impl<'a> Lowerer<'a> {
                 }
                 let mem = self.mem_ref(id, index)?;
                 let ty = self.kernel.arrays[id.index()].ty;
-                let dst = self.fresh();
-                self.emit(Inst::Ld { dst, mem, ty });
-                Ok(Sym::Reg(dst))
+                Ok(self.def(|dst| Inst::Ld { dst, mem, ty }).into())
             }
             Expr::Unary { op, expr, span } => {
                 let a = self.eval(expr)?;
-                match (op, a) {
-                    (UnaryOp::Neg, Sym::Const(v)) => {
-                        Ok(Sym::Const(cfp_ir::wrap32(v.wrapping_neg())))
-                    }
-                    (UnaryOp::Neg, Sym::Affine { c0, c1 }) => Ok(Sym::Affine { c0: -c0, c1: -c1 }),
-                    (UnaryOp::Not, Sym::Const(v)) => Ok(Sym::Const(cfp_ir::wrap32(!v))),
-                    (UnaryOp::LNot, Sym::Const(v)) => Ok(Sym::Const(i64::from(v == 0))),
-                    (UnaryOp::Neg | UnaryOp::Not, _) => {
-                        let o = self.materialize(a, *span)?;
-                        let dst = self.fresh();
-                        let un = if *op == UnaryOp::Neg {
-                            UnOp::Neg
-                        } else {
-                            UnOp::Not
-                        };
-                        self.emit(Inst::Un { dst, op: un, a: o });
-                        Ok(Sym::Reg(dst))
-                    }
-                    (UnaryOp::LNot, _) => {
-                        let o = self.materialize(a, *span)?;
-                        let dst = self.fresh();
-                        self.emit(Inst::Cmp {
-                            dst,
-                            pred: Pred::Eq,
-                            a: o,
-                            b: Operand::Imm(0),
-                        });
-                        Ok(Sym::Reg(dst))
-                    }
-                }
+                self.apply(op.meaning, a, Sym::Const(0), *span)
             }
             Expr::Binary { op, lhs, rhs, span } => {
                 let a = self.eval(lhs)?;
                 let b = self.eval(rhs)?;
-                self.binary(*op, a, b, *span)
+                self.apply(op.meaning, a, b, *span)
             }
             Expr::Ternary {
                 cond,
@@ -426,148 +364,40 @@ impl<'a> Lowerer<'a> {
                 let t = self.eval(then_expr)?;
                 let f = self.eval(else_expr)?;
                 if let Sym::Const(cv) = c {
-                    return Ok(if cv != 0 { t } else { f });
+                    return Ok(if truthy(cv) { t } else { f });
                 }
-                let co = self.materialize(c, cond.span())?;
-                let to = self.materialize(t, then_expr.span())?;
-                let fo = self.materialize(f, else_expr.span())?;
-                let dst = self.fresh();
-                self.emit(Inst::Sel {
+                let cond = self.materialize(c, cond.span())?;
+                let on_true = self.materialize(t, then_expr.span())?;
+                let on_false = self.materialize(f, else_expr.span())?;
+                let sel = self.def(|dst| Inst::Sel {
                     dst,
-                    cond: co,
-                    on_true: to,
-                    on_false: fo,
+                    cond,
+                    on_true,
+                    on_false,
                 });
-                Ok(Sym::Reg(dst))
+                Ok(sel.into())
             }
             Expr::Call { func, args, span } => self.call(func, args, *span),
         }
     }
 
-    fn binary(&mut self, op: BinaryOp, a: Sym, b: Sym, span: Span) -> Result<Sym, CompileError> {
-        use Sym::{Affine, Const};
-        // Constant folding and affine arithmetic first.
-        if let (Const(x), Const(y)) = (a, b) {
-            if let Some(v) = fold_binary(op, x, y) {
-                return Ok(Const(v));
-            }
-        }
-        let as_affine = |s: Sym| match s {
-            Const(v) => Some((v, 0_i64)),
-            Affine { c0, c1 } => Some((c0, c1)),
-            Sym::Reg(_) => None,
-        };
-        match op {
-            BinaryOp::Add | BinaryOp::Sub => {
-                if let (Some((a0, a1)), Some((b0, b1))) = (as_affine(a), as_affine(b)) {
-                    let (c0, c1) = if op == BinaryOp::Add {
-                        (a0 + b0, a1 + b1)
-                    } else {
-                        (a0 - b0, a1 - b1)
-                    };
-                    return Ok(if c1 == 0 {
-                        Const(c0)
-                    } else {
-                        Affine { c0, c1 }
-                    });
+    /// `m` over `a` and `b`: affine index arithmetic when either is the
+    /// loop variable's, otherwise `m`'s IR, folded where its operands are
+    /// constants.
+    fn apply(&mut self, m: Meaning, a: Sym, b: Sym, span: Span) -> Result<Sym, CompileError> {
+        if let (Some(fa), Some(fb)) = (a.form(), b.form()) {
+            if fa.1 != 0 || fb.1 != 0 {
+                match m.affine(fa, fb) {
+                    Ok(Some((c0, 0))) => return Ok(Sym::Const(c0)),
+                    Ok(Some((c0, c1))) => return Ok(Sym::Affine { c0, c1 }),
+                    Ok(None) => {}
+                    Err(message) => return Err(CompileError::new(message, span)),
                 }
             }
-            BinaryOp::Mul => {
-                if let (Some((a0, a1)), Some((b0, b1))) = (as_affine(a), as_affine(b)) {
-                    if a1 == 0 || b1 == 0 {
-                        let (k, (c0, c1)) = if a1 == 0 {
-                            (a0, (b0, b1))
-                        } else {
-                            (b0, (a0, a1))
-                        };
-                        let (c0, c1) = (k * c0, k * c1);
-                        return Ok(if c1 == 0 {
-                            Const(c0)
-                        } else {
-                            Affine { c0, c1 }
-                        });
-                    }
-                    return Err(CompileError::new(
-                        "the loop variable may not be multiplied by itself",
-                        span,
-                    ));
-                }
-            }
-            BinaryOp::Shl => {
-                if let (Some((c0, c1)), Some((k, 0))) = (as_affine(a), as_affine(b)) {
-                    if c1 != 0 && (0..31).contains(&k) {
-                        return Ok(Affine {
-                            c0: c0 << k,
-                            c1: c1 << k,
-                        });
-                    }
-                }
-            }
-            _ => {}
         }
-        // Logical operators normalize both sides to 0/1.
-        if matches!(op, BinaryOp::LAnd | BinaryOp::LOr) {
-            let na = self.lower_bool(a, span)?;
-            let nb = self.lower_bool(b, span)?;
-            let bin = if op == BinaryOp::LAnd {
-                cfp_ir::BinOp::And
-            } else {
-                cfp_ir::BinOp::Or
-            };
-            return self.emit_bin(bin, na, nb);
-        }
-        // Comparison → Cmp instruction.
-        if let Some(pred) = pred_of(op) {
-            let ao = self.materialize(a, span)?;
-            let bo = self.materialize(b, span)?;
-            let dst = self.fresh();
-            self.emit(Inst::Cmp {
-                dst,
-                pred,
-                a: ao,
-                b: bo,
-            });
-            return Ok(Sym::Reg(dst));
-        }
-        // Plain ALU op.
-        let bin = match op {
-            BinaryOp::Add => cfp_ir::BinOp::Add,
-            BinaryOp::Sub => cfp_ir::BinOp::Sub,
-            BinaryOp::Mul => cfp_ir::BinOp::Mul,
-            BinaryOp::And => cfp_ir::BinOp::And,
-            BinaryOp::Or => cfp_ir::BinOp::Or,
-            BinaryOp::Xor => cfp_ir::BinOp::Xor,
-            BinaryOp::Shl => cfp_ir::BinOp::Shl,
-            BinaryOp::AShr => cfp_ir::BinOp::AShr,
-            BinaryOp::LShr => cfp_ir::BinOp::LShr,
-            _ => unreachable!("comparisons and logicals handled above"),
-        };
-        let ao = self.materialize(a, span)?;
-        let bo = self.materialize(b, span)?;
-        self.emit_bin(bin, ao, bo)
-    }
-
-    fn emit_bin(&mut self, op: cfp_ir::BinOp, a: Operand, b: Operand) -> Result<Sym, CompileError> {
-        let dst = self.fresh();
-        self.emit(Inst::Bin { dst, op, a, b });
-        Ok(Sym::Reg(dst))
-    }
-
-    fn lower_bool(&mut self, s: Sym, span: Span) -> Result<Operand, CompileError> {
-        match s {
-            Sym::Const(v) => Ok(Operand::Imm(i64::from(v != 0))),
-            _ => {
-                let o = self.materialize(s, span)?;
-                let dst = self.fresh();
-                self.emit(Inst::Cmp {
-                    dst,
-                    pred: Pred::Ne,
-                    a: o,
-                    b: Operand::Imm(0),
-                });
-                Ok(Operand::Reg(dst))
-            }
-        }
+        let a = self.materialize(a, span)?;
+        let b = self.materialize(b, span)?;
+        Ok(m.lower(a, b, self).into())
     }
 
     fn call(&mut self, func: &str, args: &[Expr], span: Span) -> Result<Sym, CompileError> {
@@ -575,88 +405,29 @@ impl<'a> Lowerer<'a> {
             .iter()
             .map(|a| self.eval(a))
             .collect::<Result<_, _>>()?;
-        // Fully constant calls fold.
-        if let Some(consts) = syms
-            .iter()
-            .map(|s| match s {
-                Sym::Const(v) => Some(*v),
-                _ => None,
-            })
-            .collect::<Option<Vec<i64>>>()
-        {
-            if let Some(v) = fold_call(func, &consts) {
-                return Ok(Sym::Const(v));
-            }
-        }
-        let arity = |n: usize| -> Result<(), CompileError> {
-            if syms.len() == n {
-                Ok(())
-            } else {
-                Err(CompileError::new(
-                    format!("`{func}` expects {n} argument(s), got {}", syms.len()),
-                    span,
-                ))
-            }
+        let Some(row) = builtin(func) else {
+            return Err(CompileError::new(format!("unknown builtin `{func}`"), span));
         };
-        match func {
-            "min" | "max" => {
-                arity(2)?;
-                let a = self.materialize(syms[0], span)?;
-                let b = self.materialize(syms[1], span)?;
-                let pred = if func == "min" { Pred::Lt } else { Pred::Gt };
-                let c = self.fresh();
-                self.emit(Inst::Cmp { dst: c, pred, a, b });
-                let dst = self.fresh();
-                self.emit(Inst::Sel {
-                    dst,
-                    cond: Operand::Reg(c),
-                    on_true: a,
-                    on_false: b,
-                });
-                Ok(Sym::Reg(dst))
-            }
-            "abs" => {
-                arity(1)?;
-                let a = self.materialize(syms[0], span)?;
-                let n = self.fresh();
-                self.emit(Inst::Un {
-                    dst: n,
-                    op: UnOp::Neg,
-                    a,
-                });
-                let c = self.fresh();
-                self.emit(Inst::Cmp {
-                    dst: c,
-                    pred: Pred::Lt,
-                    a,
-                    b: Operand::Imm(0),
-                });
-                let dst = self.fresh();
-                self.emit(Inst::Sel {
-                    dst,
-                    cond: Operand::Reg(c),
-                    on_true: Operand::Reg(n),
-                    on_false: a,
-                });
-                Ok(Sym::Reg(dst))
-            }
-            "u8" | "i8" | "u16" | "i16" | "i32" => {
-                arity(1)?;
-                if func == "i32" {
-                    return Ok(syms[0]); // registers are already 32-bit
-                }
-                let a = self.materialize(syms[0], span)?;
-                let op = match func {
-                    "u8" => UnOp::Zext8,
-                    "i8" => UnOp::Sext8,
-                    "u16" => UnOp::Zext16,
-                    _ => UnOp::Sext16,
-                };
-                let dst = self.fresh();
-                self.emit(Inst::Un { dst, op, a });
-                Ok(Sym::Reg(dst))
-            }
-            _ => Err(CompileError::new(format!("unknown builtin `{func}`"), span)),
+        let n = row.meaning.arity();
+        if syms.len() != n {
+            return Err(CompileError::new(
+                format!("`{func}` expects {n} argument(s), got {}", syms.len()),
+                span,
+            ));
+        }
+        let b = syms.get(1).copied().unwrap_or(Sym::Const(0));
+        self.apply(row.meaning, syms[0], b, span)
+    }
+
+    /// The value of `e`, which, being `what`, must be a compile-time
+    /// constant.
+    fn constant(&mut self, e: &Expr, what: &str) -> Result<i64, CompileError> {
+        match self.eval(e)? {
+            Sym::Const(v) => Ok(v),
+            _ => Err(CompileError::new(
+                format!("{what} must be a compile-time constant"),
+                e.span(),
+            )),
         }
     }
 
@@ -704,7 +475,7 @@ impl<'a> Lowerer<'a> {
                         *span,
                     ));
                 }
-                let n = self.const_eval(len)?;
+                let n = self.constant(len, "a local array length")?;
                 let n = u32::try_from(n).map_err(|_| {
                     CompileError::new("local array length must be non-negative", *span)
                 })?;
@@ -762,11 +533,14 @@ impl<'a> Lowerer<'a> {
                 body,
                 span,
             } => {
-                let lo = self.const_eval(start)?;
-                let hi = self.const_eval(end)?;
-                if hi - lo > 4096 {
+                let lo = self.constant(start, "a `for` bound")?;
+                let hi = self.constant(end, "a `for` bound")?;
+                let trips = hi.checked_sub(lo).ok_or_else(|| {
+                    CompileError::new("`for` trip count overflows", start.span().to(end.span()))
+                })?;
+                if trips > 4096 {
                     return Err(CompileError::new(
-                        format!("`for` trip count {} is unreasonably large", hi - lo),
+                        format!("`for` trip count {trips} is unreasonably large"),
                         *span,
                     ));
                 }
@@ -827,7 +601,7 @@ impl<'a> Lowerer<'a> {
         self.seen_loop = true;
         let outputs = match produces {
             Some(e) => {
-                let v = self.const_eval(e)?;
+                let v = self.constant(e, "`produces`")?;
                 u32::try_from(v).ok().filter(|&v| v >= 1).ok_or_else(|| {
                     CompileError::new("`produces` must be a positive constant", span)
                 })?
@@ -913,7 +687,7 @@ impl<'a> Lowerer<'a> {
         let c = self.eval(cond)?;
         if let Sym::Const(cv) = c {
             // Statically decided: lower only the taken branch.
-            let taken = if cv != 0 { then_body } else { else_body };
+            let taken = if truthy(cv) { then_body } else { else_body };
             let mark = self.open();
             for st in taken {
                 self.stmt(st)?;
@@ -951,16 +725,15 @@ impl<'a> Lowerer<'a> {
             if t == e {
                 continue;
             }
-            let to = self.materialize(t, cond.span())?;
-            let eo = self.materialize(e, cond.span())?;
-            let dst = self.fresh();
-            self.emit(Inst::Sel {
+            let on_true = self.materialize(t, cond.span())?;
+            let on_false = self.materialize(e, cond.span())?;
+            let sel = self.def(|dst| Inst::Sel {
                 dst,
                 cond: co,
-                on_true: to,
-                on_false: eo,
+                on_true,
+                on_false,
             });
-            self.bindings[i].1.sym = Sym::Reg(dst);
+            self.bindings[i].1.sym = sel.into();
         }
         Ok(())
     }
@@ -981,55 +754,6 @@ fn collect_assigned<'a>(body: &'a [Stmt], out: &mut Vec<&'a str>) {
             }
             Stmt::Var { .. } | Stmt::LocalArray { .. } | Stmt::Store { .. } => {}
         }
-    }
-}
-
-fn pred_of(op: BinaryOp) -> Option<Pred> {
-    Some(match op {
-        BinaryOp::Eq => Pred::Eq,
-        BinaryOp::Ne => Pred::Ne,
-        BinaryOp::Lt => Pred::Lt,
-        BinaryOp::Le => Pred::Le,
-        BinaryOp::Gt => Pred::Gt,
-        BinaryOp::Ge => Pred::Ge,
-        _ => return None,
-    })
-}
-
-fn fold_binary(op: BinaryOp, a: i64, b: i64) -> Option<i64> {
-    use cfp_ir::BinOp;
-    Some(match op {
-        BinaryOp::Add => BinOp::Add.eval(a, b),
-        BinaryOp::Sub => BinOp::Sub.eval(a, b),
-        BinaryOp::Mul => BinOp::Mul.eval(a, b),
-        BinaryOp::And => BinOp::And.eval(a, b),
-        BinaryOp::Or => BinOp::Or.eval(a, b),
-        BinaryOp::Xor => BinOp::Xor.eval(a, b),
-        BinaryOp::Shl => BinOp::Shl.eval(a, b),
-        BinaryOp::AShr => BinOp::AShr.eval(a, b),
-        BinaryOp::LShr => BinOp::LShr.eval(a, b),
-        BinaryOp::Eq => Pred::Eq.eval(a, b),
-        BinaryOp::Ne => Pred::Ne.eval(a, b),
-        BinaryOp::Lt => Pred::Lt.eval(a, b),
-        BinaryOp::Le => Pred::Le.eval(a, b),
-        BinaryOp::Gt => Pred::Gt.eval(a, b),
-        BinaryOp::Ge => Pred::Ge.eval(a, b),
-        BinaryOp::LAnd => i64::from(a != 0 && b != 0),
-        BinaryOp::LOr => i64::from(a != 0 || b != 0),
-    })
-}
-
-fn fold_call(func: &str, args: &[i64]) -> Option<i64> {
-    match (func, args) {
-        ("min", [a, b]) => Some(*a.min(b)),
-        ("max", [a, b]) => Some(*a.max(b)),
-        ("abs", [a]) => Some(cfp_ir::wrap32(a.wrapping_abs())),
-        ("u8", [a]) => Some(Ty::U8.truncate(*a)),
-        ("i8", [a]) => Some(Ty::I8.truncate(*a)),
-        ("u16", [a]) => Some(Ty::U16.truncate(*a)),
-        ("i16", [a]) => Some(Ty::I16.truncate(*a)),
-        ("i32", [a]) => Some(Ty::I32.truncate(*a)),
-        _ => None,
     }
 }
 

@@ -1,8 +1,9 @@
 //! Recursive-descent parser with precedence climbing.
 
-use crate::ast::{BinaryOp, Dir, Expr, KernelAst, Param, Stmt, UnaryOp};
+use crate::ast::{Dir, Expr, KernelAst, Param, Stmt};
 use crate::diag::CompileError;
 use crate::token::{Span, Tok, Token};
+use crate::vocab::Op;
 use cfp_ir::{MemSpace, Ty};
 
 /// Parse a single kernel from a token stream (see [`crate::lexer::lex`]).
@@ -74,14 +75,7 @@ impl Parser<'_> {
     }
 
     fn try_ty(&mut self) -> Option<Ty> {
-        let ty = match self.peek() {
-            Tok::U8 => Ty::U8,
-            Tok::I8 => Ty::I8,
-            Tok::U16 => Ty::U16,
-            Tok::I16 => Ty::I16,
-            Tok::I32 => Ty::I32,
-            _ => return None,
-        };
+        let ty = ty_of(self.peek())?;
         self.bump();
         Some(ty)
     }
@@ -303,12 +297,15 @@ impl Parser<'_> {
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
         let mut lhs = self.unary()?;
-        while let Some((op, prec)) = binop_of(self.peek()) {
-            if prec < min_prec {
+        while let Tok::Op(Op {
+            binary: Some(op), ..
+        }) = *self.peek()
+        {
+            if op.prec < min_prec {
                 break;
             }
             self.bump();
-            let rhs = self.binary(prec + 1)?;
+            let rhs = self.binary(op.prec + 1)?;
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary {
                 op,
@@ -322,13 +319,10 @@ impl Parser<'_> {
 
     fn unary(&mut self) -> Result<Expr, CompileError> {
         let span = self.span();
-        let op = match self.peek() {
-            Tok::Minus => Some(UnaryOp::Neg),
-            Tok::Tilde => Some(UnaryOp::Not),
-            Tok::Bang => Some(UnaryOp::LNot),
-            _ => None,
-        };
-        if let Some(op) = op {
+        if let Tok::Op(Op {
+            unary: Some(op), ..
+        }) = *self.peek()
+        {
             self.bump();
             let e = self.unary()?;
             let span = span.to(e.span());
@@ -343,13 +337,19 @@ impl Parser<'_> {
 
     fn primary(&mut self) -> Result<Expr, CompileError> {
         let span = self.span();
-        // Cast syntax: a type keyword used as a call, e.g. `u8(x)`.
-        if let Some(ty) = self.cast_ty() {
+        // Cast syntax: a type keyword used as a call, e.g. `u8(x)`; the
+        // keyword's spelling names the builtin.
+        let cast = match (ty_of(self.peek()), self.peek2()) {
+            (Some(_), Tok::LParen) => self.peek().spelling(),
+            _ => None,
+        };
+        if let Some(func) = cast {
+            self.bump();
             self.expect(&Tok::LParen)?;
             let e = self.expr()?;
             let close = self.expect(&Tok::RParen)?;
             return Ok(Expr::Call {
-                func: ty,
+                func: func.to_owned(),
                 args: vec![e],
                 span: span.to(close.span),
             });
@@ -398,41 +398,15 @@ impl Parser<'_> {
             )),
         }
     }
-
-    fn cast_ty(&mut self) -> Option<String> {
-        let name = match (self.peek(), self.peek2()) {
-            (Tok::U8, Tok::LParen) => "u8",
-            (Tok::I8, Tok::LParen) => "i8",
-            (Tok::U16, Tok::LParen) => "u16",
-            (Tok::I16, Tok::LParen) => "i16",
-            (Tok::I32, Tok::LParen) => "i32",
-            _ => return None,
-        };
-        self.bump();
-        Some(name.to_owned())
-    }
 }
 
-/// `(operator, precedence)`; higher binds tighter. Mirrors C.
-fn binop_of(tok: &Tok) -> Option<(BinaryOp, u8)> {
+fn ty_of(tok: &Tok) -> Option<Ty> {
     Some(match tok {
-        Tok::OrOr => (BinaryOp::LOr, 1),
-        Tok::AndAnd => (BinaryOp::LAnd, 2),
-        Tok::Pipe => (BinaryOp::Or, 3),
-        Tok::Caret => (BinaryOp::Xor, 4),
-        Tok::Amp => (BinaryOp::And, 5),
-        Tok::EqEq => (BinaryOp::Eq, 6),
-        Tok::NotEq => (BinaryOp::Ne, 6),
-        Tok::Lt => (BinaryOp::Lt, 7),
-        Tok::Le => (BinaryOp::Le, 7),
-        Tok::Gt => (BinaryOp::Gt, 7),
-        Tok::Ge => (BinaryOp::Ge, 7),
-        Tok::Shl => (BinaryOp::Shl, 8),
-        Tok::Shr => (BinaryOp::AShr, 8),
-        Tok::Ushr => (BinaryOp::LShr, 8),
-        Tok::Plus => (BinaryOp::Add, 9),
-        Tok::Minus => (BinaryOp::Sub, 9),
-        Tok::Star => (BinaryOp::Mul, 10),
+        Tok::U8 => Ty::U8,
+        Tok::I8 => Ty::I8,
+        Tok::U16 => Ty::U16,
+        Tok::I16 => Ty::I16,
+        Tok::I32 => Ty::I32,
         _ => return None,
     })
 }
@@ -517,29 +491,15 @@ mod tests {
             panic!()
         };
         // ((1 + (2*3)) << 1) & 7
-        let Expr::Binary {
-            op: BinaryOp::And,
-            lhs,
-            ..
-        } = e
-        else {
+        let Expr::Binary { op, lhs, .. } = e else {
             panic!("top is &, got {e:?}")
         };
-        let Expr::Binary {
-            op: BinaryOp::Shl,
-            lhs: add,
-            ..
-        } = lhs.as_ref()
-        else {
+        assert_eq!(op.spelling, "&");
+        let Expr::Binary { op, lhs: add, .. } = lhs.as_ref() else {
             panic!("then <<")
         };
-        assert!(matches!(
-            add.as_ref(),
-            Expr::Binary {
-                op: BinaryOp::Add,
-                ..
-            }
-        ));
+        assert_eq!(op.spelling, "<<");
+        assert!(matches!(add.as_ref(), Expr::Binary { op, .. } if op.spelling == "+"));
     }
 
     #[test]
@@ -584,12 +544,6 @@ mod tests {
         let Stmt::Var { init: Some(e), .. } = &k.body[0] else {
             panic!()
         };
-        assert!(matches!(
-            e,
-            Expr::Unary {
-                op: UnaryOp::Neg,
-                ..
-            }
-        ));
+        assert!(matches!(e, Expr::Unary { op, .. } if op.name == "-"));
     }
 }

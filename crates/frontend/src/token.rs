@@ -1,5 +1,6 @@
 //! Tokens and source spans.
 
+use crate::vocab::{Op, WORDS};
 use std::fmt;
 
 /// A byte range in the source text, for diagnostics.
@@ -95,7 +96,7 @@ pub enum Tok {
     /// `i32`
     I32,
 
-    // Punctuation and operators.
+    // Punctuation.
     /// `(`
     LParen,
     /// `)`
@@ -120,47 +121,22 @@ pub enum Tok {
     DotDot,
     /// `=`
     Assign,
-    /// `+`
-    Plus,
-    /// `-`
-    Minus,
-    /// `*`
-    Star,
-    /// `&`
-    Amp,
-    /// `|`
-    Pipe,
-    /// `^`
-    Caret,
-    /// `~`
-    Tilde,
-    /// `!`
-    Bang,
-    /// `<<`
-    Shl,
-    /// `>>`
-    Shr,
-    /// `>>>`
-    Ushr,
-    /// `==`
-    EqEq,
-    /// `!=`
-    NotEq,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `&&`
-    AndAnd,
-    /// `||`
-    OrOr,
+
+    /// An operator, with its rows in [`crate::vocab`]'s tables.
+    Op(Op),
 
     /// End of input.
     Eof,
+}
+
+impl Tok {
+    /// The fixed spelling of a keyword, punctuation mark or operator.
+    pub(crate) fn spelling(&self) -> Option<&'static str> {
+        match self {
+            Tok::Op(op) => Some(op.spelling),
+            _ => WORDS.iter().find(|(t, _)| t == self).map(|&(_, s)| s),
+        }
+    }
 }
 
 impl fmt::Display for Tok {
@@ -168,57 +144,8 @@ impl fmt::Display for Tok {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
             Tok::Int(v) => write!(f, "integer `{v}`"),
-            Tok::Kernel => f.write_str("`kernel`"),
-            Tok::In => f.write_str("`in`"),
-            Tok::Out => f.write_str("`out`"),
-            Tok::Inout => f.write_str("`inout`"),
-            Tok::Const => f.write_str("`const`"),
-            Tok::Var => f.write_str("`var`"),
-            Tok::Local => f.write_str("`local`"),
-            Tok::Loop => f.write_str("`loop`"),
-            Tok::For => f.write_str("`for`"),
-            Tok::If => f.write_str("`if`"),
-            Tok::Else => f.write_str("`else`"),
-            Tok::Produces => f.write_str("`produces`"),
-            Tok::L1 => f.write_str("`l1`"),
-            Tok::L2 => f.write_str("`l2`"),
-            Tok::U8 => f.write_str("`u8`"),
-            Tok::I8 => f.write_str("`i8`"),
-            Tok::U16 => f.write_str("`u16`"),
-            Tok::I16 => f.write_str("`i16`"),
-            Tok::I32 => f.write_str("`i32`"),
-            Tok::LParen => f.write_str("`(`"),
-            Tok::RParen => f.write_str("`)`"),
-            Tok::LBrace => f.write_str("`{`"),
-            Tok::RBrace => f.write_str("`}`"),
-            Tok::LBracket => f.write_str("`[`"),
-            Tok::RBracket => f.write_str("`]`"),
-            Tok::Comma => f.write_str("`,`"),
-            Tok::Semi => f.write_str("`;`"),
-            Tok::Colon => f.write_str("`:`"),
-            Tok::Question => f.write_str("`?`"),
-            Tok::DotDot => f.write_str("`..`"),
-            Tok::Assign => f.write_str("`=`"),
-            Tok::Plus => f.write_str("`+`"),
-            Tok::Minus => f.write_str("`-`"),
-            Tok::Star => f.write_str("`*`"),
-            Tok::Amp => f.write_str("`&`"),
-            Tok::Pipe => f.write_str("`|`"),
-            Tok::Caret => f.write_str("`^`"),
-            Tok::Tilde => f.write_str("`~`"),
-            Tok::Bang => f.write_str("`!`"),
-            Tok::Shl => f.write_str("`<<`"),
-            Tok::Shr => f.write_str("`>>`"),
-            Tok::Ushr => f.write_str("`>>>`"),
-            Tok::EqEq => f.write_str("`==`"),
-            Tok::NotEq => f.write_str("`!=`"),
-            Tok::Lt => f.write_str("`<`"),
-            Tok::Le => f.write_str("`<=`"),
-            Tok::Gt => f.write_str("`>`"),
-            Tok::Ge => f.write_str("`>=`"),
-            Tok::AndAnd => f.write_str("`&&`"),
-            Tok::OrOr => f.write_str("`||`"),
             Tok::Eof => f.write_str("end of input"),
+            fixed => write!(f, "`{}`", fixed.spelling().unwrap_or("?")),
         }
     }
 }

@@ -48,7 +48,7 @@ use cfp_dse::checkpoint::write_atomic;
 use cfp_dse::{CompileCache, Exploration, ExploreError, FailReason, PlanStore, SearchOutcome};
 use cfp_obs::{Event, Recorder, Stage};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -379,10 +379,11 @@ impl Server {
                 let Ok(stream) = stream else { continue };
                 let conn_state = Arc::clone(&st);
                 let handle = std::thread::spawn(move || handle_connection(&conn_state, stream));
-                conns_for_acceptor
+                let mut conns = conns_for_acceptor
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                    .unwrap_or_else(PoisonError::into_inner);
+                reap(&mut conns);
+                conns.push(handle);
             }
         });
 
@@ -436,6 +437,19 @@ impl Server {
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
+        }
+    }
+}
+
+/// Join and drop the connection threads that have finished, so a
+/// long-running daemon holds only its live connections.
+fn reap(conns: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }
@@ -860,17 +874,46 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
     // shutdown flag.
     let _ = read_half.set_read_timeout(Some(Duration::from_millis(200)));
     let mut reader = BufReader::new(read_half);
+    // At most `MAX_LINE + 1` bytes of a line are held. The rest of a
+    // longer one is read on, up to as much again, and dropped: `dropped`
+    // counts it, so the rejection names the line's length and the
+    // connection goes on. A line longer still is rejected unended and the
+    // connection closed.
     let mut buf: Vec<u8> = Vec::new();
+    let mut dropped = 0;
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        let room = (proto::MAX_LINE + 1 - buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut buf) {
             Ok(0) => return, // client closed
+            Ok(_) if buf.len() > proto::MAX_LINE && buf.last() != Some(&b'\n') => {
+                dropped += buf.len();
+                buf.clear();
+                if dropped > 2 * proto::MAX_LINE {
+                    let reject = RequestError::TooLong {
+                        length: dropped,
+                        limit: proto::MAX_LINE,
+                    };
+                    let _ = writeln!(write_half, "{}", reject.to_json());
+                    let _ = write_half.flush();
+                    return;
+                }
+            }
             Ok(_) => {
                 let line = String::from_utf8_lossy(&buf).trim_end().to_string();
                 buf.clear();
-                if line.is_empty() {
+                let dropped = std::mem::take(&mut dropped);
+                if line.is_empty() && dropped == 0 {
                     continue;
                 }
-                let response = match proto::parse_request(&line) {
+                let parsed = if dropped == 0 {
+                    proto::parse_request(&line)
+                } else {
+                    Err(RequestError::TooLong {
+                        length: dropped + line.len(),
+                        limit: proto::MAX_LINE,
+                    })
+                };
+                let response = match parsed {
                     Err(e) => e.to_json(),
                     Ok(Request::Ping) => ok_line("pong", ""),
                     Ok(Request::Stats) => stats(state),
@@ -901,17 +944,6 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
                 if state.is_shutdown() {
                     return;
                 }
-                if buf.len() > proto::MAX_LINE {
-                    // An unterminated oversized line cannot be resynced;
-                    // reject and drop the connection.
-                    let reject = RequestError::TooLong {
-                        length: buf.len(),
-                        limit: proto::MAX_LINE,
-                    };
-                    let _ = writeln!(write_half, "{}", reject.to_json());
-                    let _ = write_half.flush();
-                    return;
-                }
             }
             Err(_) => return,
         }
@@ -935,6 +967,40 @@ mod tests {
         assert_eq!(retry.backoff_ms(5), 160);
         assert_eq!(retry.backoff_ms(6), 200, "capped");
         assert_eq!(retry.backoff_ms(60), 200, "shift overflow capped");
+    }
+
+    /// After short connections come and go, the acceptor holds only the
+    /// live connection's thread.
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let dir = std::env::temp_dir().join(format!("cfp-serve-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig::new(&dir)).unwrap();
+        let ping = |stream: &TcpStream| {
+            writeln!(&*stream, r#"{{"op":"ping"}}"#).unwrap();
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            assert!(line.contains("pong"), "{line}");
+        };
+        for _ in 0..8 {
+            ping(&TcpStream::connect(server.addr()).unwrap());
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let conns = || server.conns.lock().unwrap();
+        while !conns().iter().all(std::thread::JoinHandle::is_finished) {
+            assert!(Instant::now() < deadline, "short connections never ended");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let live = TcpStream::connect(server.addr()).unwrap();
+        ping(&live);
+        while conns().len() != 1 {
+            assert!(Instant::now() < deadline, "held {}", conns().len());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!conns()[0].is_finished());
+        drop(live);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

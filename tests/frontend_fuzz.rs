@@ -79,9 +79,13 @@ fn compiler_is_total_on_token_soup() {
         "i16", "i32", "l1", "l2", "produces", "min", "i", "x", "s", "d", "0", "1", "255", "+", "-",
         "*", ">>", "<<", "?", ":", "(", ")", "{", "}", "[", "]", ";", ",", "=", "==", "..",
     ];
+    // Extreme literals, for the overflow checks of `for` trip counts and
+    // affine index arithmetic.
+    const LITERALS: [&str; 4] = ["0x7fffffffffffffff", "0x80000000", "0x100000000", "-1"];
+    let words: Vec<&str> = WORDS.iter().chain(&LITERALS).copied().collect();
     cases(0xf022_0002, 64, |rng| {
         let n = rng.index(60);
-        let soup = rng.vec_of(n, |r| *r.pick(WORDS)).join(" ");
+        let soup = rng.vec_of(n, |r| *r.pick(&words)).join(" ");
         check_total(&soup);
     });
 }

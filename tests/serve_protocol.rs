@@ -306,3 +306,36 @@ fn rejection_display_names_the_byte() {
     assert!(text.starts_with("byte "), "{text}");
     assert!(text.contains("id"), "{text}");
 }
+
+/// A client streaming one endless line is rejected and cut off: the
+/// daemon holds at most `MAX_LINE + 1` bytes of a line and reads on
+/// only as much again looking for its end, so the `too_long` rejection
+/// and the close come long before the client has written 16 MiB.
+#[test]
+fn an_endless_line_is_rejected_and_cut_off() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = state_dir("endless");
+    let server = Server::start(ServeConfig::new(&dir)).expect("start daemon");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let (total, chunk) = (16 << 20, vec![b'x'; 64 << 10]);
+    let mut written = 0;
+    while written < total {
+        match stream.write(&chunk) {
+            Ok(n) => written += n,
+            Err(_) => break,
+        }
+    }
+    assert!(written < total, "the daemon took all {written} bytes");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the rejection");
+    let v = json::parse(line.trim_end()).unwrap_or_else(|e| panic!("{line:?}: {e:?}"));
+    assert_eq!(v.get("kind").and_then(Json::as_str), Some("too_long"));
+    line.clear();
+    assert!(
+        matches!(reader.read_line(&mut line), Ok(0) | Err(_)),
+        "the connection is closed, not {line:?}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
