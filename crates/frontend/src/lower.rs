@@ -16,11 +16,12 @@
 //!   the whole loop;
 //! * **carried-scalar discovery**: scalars declared before the `loop`
 //!   and assigned inside it become explicit loop-carried values;
-//! * **affine index tracking**: index expressions are evaluated
-//!   symbolically as `c0 + c1·i`, producing exact affine [`MemRef`]s for
-//!   the scheduler's dependence test (a 64-bit overflow is an error); a
-//!   non-affine index falls back to a dynamic register index (with
-//!   conservative dependences).
+//! * **affine index tracking**: index expressions, their constant parts
+//!   included, are evaluated exactly as `c0 + c1·i`, producing affine
+//!   [`MemRef`]s for the scheduler's dependence test (a 64-bit overflow,
+//!   or a `c0` or `c1` outside `i32`, is an error); a non-affine index
+//!   falls back to a dynamic register index (with conservative
+//!   dependences).
 //!
 //! Scalars in scope live in one ordered stack (outermost scope first,
 //! declaration order within a scope); a scope is a suffix of it. The
@@ -92,7 +93,7 @@ enum Sym {
 impl From<Operand> for Sym {
     fn from(o: Operand) -> Sym {
         match o {
-            Operand::Imm(v) => Sym::Const(v),
+            Operand::Imm(v) => Sym::Const(i64::from(v)),
             Operand::Reg(v) => Sym::Reg(v),
         }
     }
@@ -105,6 +106,14 @@ impl Sym {
             Sym::Const(v) => Some((v, 0)),
             Sym::Affine { c0, c1 } => Some((c0, c1)),
             Sym::Reg(_) => None,
+        }
+    }
+
+    /// A constant's register value.
+    fn imm(self) -> Option<i32> {
+        match self {
+            Sym::Const(v) => Operand::from(v).imm(),
+            _ => None,
         }
     }
 }
@@ -129,6 +138,9 @@ struct Lowerer<'a> {
     depth: u32,
     loop_var: Option<&'a str>,
     in_loop: bool,
+    /// Whether an array index is being evaluated: its constant parts
+    /// fold with the index's exact arithmetic, not at register width.
+    in_index: bool,
     if_depth: u32,
     seen_loop: bool,
 }
@@ -150,6 +162,7 @@ impl<'a> Lowerer<'a> {
             depth: 0,
             loop_var: None,
             in_loop: false,
+            in_index: false,
             if_depth: 0,
             seen_loop: false,
         }
@@ -311,7 +324,7 @@ impl<'a> Lowerer<'a> {
 
     fn materialize(&mut self, sym: Sym, span: Span) -> Result<Operand, CompileError> {
         match sym {
-            Sym::Const(v) => Ok(Operand::Imm(v)),
+            Sym::Const(v) => Ok(Operand::from(v)),
             Sym::Reg(v) => Ok(Operand::Reg(v)),
             Sym::Affine { .. } => Err(CompileError::new(
                 "the loop variable may only be used in affine array-index arithmetic",
@@ -363,7 +376,7 @@ impl<'a> Lowerer<'a> {
                 let c = self.eval(cond)?;
                 let t = self.eval(then_expr)?;
                 let f = self.eval(else_expr)?;
-                if let Sym::Const(cv) = c {
+                if let Some(cv) = c.imm() {
                     return Ok(if truthy(cv) { t } else { f });
                 }
                 let cond = self.materialize(c, cond.span())?;
@@ -382,11 +395,11 @@ impl<'a> Lowerer<'a> {
     }
 
     /// `m` over `a` and `b`: affine index arithmetic when either is the
-    /// loop variable's, otherwise `m`'s IR, folded where its operands are
-    /// constants.
+    /// loop variable's or both are an index's constants, otherwise `m`'s
+    /// IR, folded where its operands are constants.
     fn apply(&mut self, m: Meaning, a: Sym, b: Sym, span: Span) -> Result<Sym, CompileError> {
         if let (Some(fa), Some(fb)) = (a.form(), b.form()) {
-            if fa.1 != 0 || fb.1 != 0 {
+            if self.in_index || fa.1 != 0 || fb.1 != 0 {
                 match m.affine(fa, fb) {
                     Ok(Some((c0, 0))) => return Ok(Sym::Const(c0)),
                     Ok(Some((c0, c1))) => return Ok(Sym::Affine { c0, c1 }),
@@ -431,18 +444,30 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// The access `array[index]`. An affine index must fit in 32 bits:
+    /// no 32-bit address stream forms a wider one, and the bound keeps
+    /// an unroller's scaled coefficient inside `i64`.
     fn mem_ref(&mut self, array: ArrayId, index: &Expr) -> Result<MemRef, CompileError> {
-        let sym = self.eval(index)?;
-        Ok(match sym {
-            Sym::Const(c) => MemRef::affine(array, 0, c),
-            Sym::Affine { c0, c1 } => MemRef::affine(array, c1, c0),
-            Sym::Reg(v) => MemRef {
+        let outer = std::mem::replace(&mut self.in_index, true);
+        let sym = self.eval(index);
+        self.in_index = outer;
+        let sym = sym?;
+        let Some((c0, c1)) = sym.form() else {
+            let dyn_index = Some(self.materialize(sym, index.span())?);
+            return Ok(MemRef {
                 array,
                 coeff: 0,
                 offset: 0,
-                dyn_index: Some(Operand::Reg(v)),
-            },
-        })
+                dyn_index,
+            });
+        };
+        if i32::try_from(c0).is_err() || i32::try_from(c1).is_err() {
+            return Err(CompileError::new(
+                format!("array index {c1}*i{c0:+} is outside the 32-bit range"),
+                index.span(),
+            ));
+        }
+        Ok(MemRef::affine(array, c1, c0))
     }
 
     // ---- statements --------------------------------------------------------
@@ -621,10 +646,9 @@ impl<'a> Lowerer<'a> {
             if carried.iter().any(|(n, _, _)| *n == name) {
                 continue;
             }
-            let init = match b.sym {
-                Sym::Const(v) => CarriedInit::Const(v),
-                Sym::Reg(v) => CarriedInit::Preamble(v),
-                Sym::Affine { .. } => unreachable!("no loop var outside the loop"),
+            let init = match self.materialize(b.sym, span)? {
+                Operand::Imm(k) => CarriedInit::Const(k),
+                Operand::Reg(v) => CarriedInit::Preamble(v),
             };
             let input = self.fresh();
             self.set(name, Sym::Reg(input), span)?;
@@ -685,7 +709,7 @@ impl<'a> Lowerer<'a> {
         else_body: &'a [Stmt],
     ) -> Result<(), CompileError> {
         let c = self.eval(cond)?;
-        if let Sym::Const(cv) = c {
+        if let Some(cv) = c.imm() {
             // Statically decided: lower only the taken branch.
             let taken = if truthy(cv) { then_body } else { else_body };
             let mark = self.open();
@@ -760,7 +784,31 @@ fn collect_assigned<'a>(body: &'a [Stmt], out: &mut Vec<&'a str>) {
 #[cfg(test)]
 mod tests {
     use crate::compile_kernel;
-    use cfp_ir::{Inst, Operand};
+    use cfp_ir::{ArrayId, Inst, MemRef, Operand};
+
+    /// An index names one element however its constants are grouped:
+    /// they fold with the index's own exact arithmetic, and an index
+    /// outside `i32` is refused, at the index, whichever side of the loop
+    /// variable its constants sit on.
+    #[test]
+    fn index_constants_fold_in_one_width() {
+        let src = |index: &str| {
+            format!("kernel k(in i32 s[], out i32 d[]) {{ loop i {{ d[i] = s[{index}]; }} }}")
+        };
+        let load = |index: &str| compile_kernel(&src(index), &[]).map(|k| k.body[0].mem().copied());
+        let five = Some(MemRef::affine(ArrayId(0), 1, 5));
+        assert_eq!(load("2 + 3 + i"), Ok(five));
+        assert_eq!(load("i + 2 + 3"), Ok(five));
+
+        let index = "0x7fffffff + 1 + i";
+        let wide = load(index).unwrap_err();
+        assert_eq!(load("i + 0x7fffffff + 1"), Err(wide.clone()));
+        assert_eq!(
+            wide.message(),
+            "array index 1*i+2147483648 is outside the 32-bit range"
+        );
+        assert_eq!(&src(index)[wide.span().start..wide.span().end], index);
+    }
 
     /// A non-constant `if` assigning four outer scalars, in an order that
     /// is neither their declaration order nor its reverse: the merge
@@ -782,7 +830,7 @@ mod tests {
             &[],
         )
         .unwrap();
-        let merged: Vec<i64> = k
+        let merged: Vec<i32> = k
             .body
             .iter()
             .filter_map(|inst| match inst {

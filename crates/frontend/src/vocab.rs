@@ -4,14 +4,13 @@
 //! row here: its spelling, a binary operator's precedence, and its
 //! [`Meaning`], the IR it lowers to. The lexer and `Tok`'s `Display`
 //! read the spellings, the parser the precedences, lowering the
-//! meanings. Constant folding is that same IR applied to constants
-//! (`BinOp::eval`, `Pred::eval`, `UnOp::eval`, and a select reads its
-//! operands as the interpreter does), and truthiness is
-//! `Pred::Ne.eval(v, 0)`, so a folded expression stores what its
-//! unfolded form executes.
+//! meanings. Constant folding is that same IR applied to immediates
+//! (`BinOp::eval`, `Pred::eval`, `UnOp::eval`, and a select copies an
+//! arm), and truthiness is `Pred::Ne.eval(v, 0)`, so a folded
+//! expression stores what its unfolded form executes.
 
 use crate::token::Tok;
-use cfp_ir::{wrap32, BinOp, Inst, Operand, Pred, UnOp, Vreg};
+use cfp_ir::{BinOp, Inst, Operand, Pred, UnOp, Vreg};
 use Meaning::{Abs, Bin, Cmp, Logic, Pick, Un};
 
 /// Keywords and punctuation marks.
@@ -152,8 +151,9 @@ pub(crate) fn builtin(name: &str) -> Option<&'static Named> {
     BUILTINS.iter().find(|r| r.name == name)
 }
 
-/// Whether `v` is true where a select or a logical operator reads it.
-pub(crate) fn truthy(v: i64) -> bool {
+/// Whether the register value `v` is true where a select or a logical
+/// operator reads it.
+pub(crate) fn truthy(v: i32) -> bool {
     Pred::Ne.eval(v, 0) != 0
 }
 
@@ -274,14 +274,16 @@ fn cmp(ir: &mut impl Ir, pred: Pred, a: Operand, b: Operand) -> Operand {
     }
 }
 
-/// A select; with a constant condition, the arm it copies, an immediate
-/// read at register width.
+/// A select; with a constant condition, the arm it copies.
 fn sel(ir: &mut impl Ir, cond: Operand, on_true: Operand, on_false: Operand) -> Operand {
     match cond {
-        Operand::Imm(c) => match if truthy(c) { on_true } else { on_false } {
-            Operand::Imm(v) => Operand::Imm(wrap32(v)),
-            reg => reg,
-        },
+        Operand::Imm(c) => {
+            if truthy(c) {
+                on_true
+            } else {
+                on_false
+            }
+        }
         _ => ir.def(|dst| Inst::Sel {
             dst,
             cond,

@@ -28,13 +28,15 @@ impl fmt::Display for Vreg {
 /// An instruction operand: a virtual register or an immediate.
 ///
 /// Immediates are free in the machine model (VLIW long-immediate fields),
-/// matching the Multiflow-style encodings the paper builds on.
+/// matching the Multiflow-style encodings the paper builds on. An
+/// immediate is a register value: an `i32`, read by every pass exactly as
+/// the machine reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Read a virtual register.
     Reg(Vreg),
     /// A 32-bit immediate.
-    Imm(i64),
+    Imm(i32),
 }
 
 impl Operand {
@@ -49,7 +51,7 @@ impl Operand {
 
     /// The immediate value, if this operand is one.
     #[must_use]
-    pub fn imm(self) -> Option<i64> {
+    pub fn imm(self) -> Option<i32> {
         match self {
             Operand::Reg(_) => None,
             Operand::Imm(i) => Some(i),
@@ -63,9 +65,12 @@ impl From<Vreg> for Operand {
     }
 }
 
+/// The one conversion from an exact integer (a frontend constant, a
+/// builder literal) to a register value: its low 32 bits, two's
+/// complement, as a 32-bit register holds it.
 impl From<i64> for Operand {
     fn from(i: i64) -> Self {
-        Operand::Imm(i)
+        Operand::Imm(i as i32)
     }
 }
 

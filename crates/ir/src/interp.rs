@@ -155,14 +155,14 @@ impl Interpreter {
         &self,
         kernel: &Kernel,
         mem: &mut MemImage,
-    ) -> Result<Vec<i64>, InterpError> {
-        let mut vals = vec![0_i64; kernel.vreg_count() as usize];
+    ) -> Result<Vec<i32>, InterpError> {
+        let mut vals = vec![0_i32; kernel.vreg_count() as usize];
         for inst in &kernel.preamble {
             exec(inst, &mut vals, mem, 0, None)?;
         }
         for c in &kernel.carried {
             vals[c.input.index()] = match c.init {
-                CarriedInit::Const(k) => crate::wrap32(k),
+                CarriedInit::Const(k) => k,
                 CarriedInit::Preamble(v) => vals[v.index()],
             };
         }
@@ -180,19 +180,9 @@ impl Interpreter {
         mem: &mut MemImage,
         iters: u64,
     ) -> Result<InterpStats, InterpError> {
-        let mut vals = vec![0_i64; kernel.vreg_count() as usize];
+        let mut vals = self.preamble_values(kernel, mem)?;
         let mut stats = InterpStats::default();
-
-        for inst in &kernel.preamble {
-            stats.count(inst);
-            exec(inst, &mut vals, mem, 0, None)?;
-        }
-        for c in &kernel.carried {
-            vals[c.input.index()] = match c.init {
-                CarriedInit::Const(k) => crate::wrap32(k),
-                CarriedInit::Preamble(v) => vals[v.index()],
-            };
-        }
+        kernel.preamble.iter().for_each(|inst| stats.count(inst));
         for iter in 0..iters {
             for inst in &kernel.body {
                 stats.count(inst);
@@ -201,7 +191,7 @@ impl Interpreter {
             // Latch carried values for the next iteration. Two phases so
             // that a carried pair (in, out) where out reads another
             // carried input is handled order-independently.
-            let next: Vec<i64> = kernel
+            let next: Vec<i32> = kernel
                 .carried
                 .iter()
                 .map(|c| vals[c.output.index()])
@@ -214,10 +204,10 @@ impl Interpreter {
     }
 }
 
-fn read(vals: &[i64], o: Operand) -> i64 {
+fn read(vals: &[i32], o: Operand) -> i32 {
     match o {
         Operand::Reg(Vreg(n)) => vals[n as usize],
-        Operand::Imm(i) => crate::wrap32(i),
+        Operand::Imm(i) => i,
     }
 }
 
@@ -231,7 +221,7 @@ fn read(vals: &[i64], o: Operand) -> i64 {
 /// nothing is written then.
 pub fn exec(
     inst: &Inst,
-    vals: &mut [i64],
+    vals: &mut [i32],
     mem: &mut MemImage,
     iter: i64,
     iter_tag: Option<u64>,
@@ -261,7 +251,7 @@ pub fn exec(
         }
         Inst::Ld { dst, mem: m, ty } => {
             let dynv = m.dyn_index.map_or(0, |d| read(vals, d));
-            let idx = m.element_index(iter, dynv);
+            let idx = m.element_index(iter, i64::from(dynv));
             let arr = &mem.arrays[m.array.index()];
             let Some(&raw) = usize::try_from(idx).ok().and_then(|i| arr.get(i)) else {
                 return Err(InterpError::OutOfBounds {
@@ -275,8 +265,8 @@ pub fn exec(
         }
         Inst::St { mem: m, value, ty } => {
             let dynv = m.dyn_index.map_or(0, |d| read(vals, d));
-            let idx = m.element_index(iter, dynv);
-            let v = ty.truncate(read(vals, value));
+            let idx = m.element_index(iter, i64::from(dynv));
+            let v = ty.truncate(i64::from(read(vals, value)));
             let arr = &mut mem.arrays[m.array.index()];
             let len = arr.len();
             let Some(slot) = usize::try_from(idx).ok().and_then(|i| arr.get_mut(i)) else {

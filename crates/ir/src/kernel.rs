@@ -67,7 +67,7 @@ pub struct ArrayDecl {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CarriedInit {
     /// A compile-time constant.
-    Const(i64),
+    Const(i32),
     /// The value computed by the preamble into this register.
     Preamble(Vreg),
 }

@@ -13,6 +13,10 @@
 //!
 //! * operations are simple RISC-style scalar ops over virtual registers
 //!   ([`Inst`], [`BinOp`], [`UnOp`], [`Pred`]);
+//! * a register and an immediate ([`Operand::Imm`]) hold an `i32`, the
+//!   machine's one integer width: every operation wraps as the hardware
+//!   does, and an exact integer (a frontend constant, a builder literal)
+//!   becomes a register value in one place, `From<i64> for Operand`;
 //! * memory accesses carry an *affine* reference ([`MemRef`]) — element
 //!   index `coeff * iteration + offset (+ dynamic)` — which is exactly the
 //!   information the scheduler's memory-dependence test needs;
@@ -61,27 +65,3 @@ pub use kernel::{ArrayDecl, ArrayId, ArrayKind, Carried, CarriedInit, Kernel};
 pub use op::{BinOp, Expr, FusedOp, FusedRow, Pred, UnOp, FUSED_OPS};
 pub use types::{MemSpace, Ty};
 pub use verify::{verify, VerifyError};
-
-/// Wrap an `i64` to the semantics of a 32-bit two's-complement register.
-///
-/// Every ALU result in the machine model is a 32-bit integer; the
-/// interpreter and the schedule simulator both funnel results through this
-/// function so they agree bit-for-bit.
-#[inline]
-pub fn wrap32(x: i64) -> i64 {
-    x as i32 as i64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wrap32_wraps_like_a_register() {
-        assert_eq!(wrap32(0), 0);
-        assert_eq!(wrap32(i64::from(i32::MAX) + 1), i64::from(i32::MIN));
-        assert_eq!(wrap32(-1), -1);
-        assert_eq!(wrap32(1 << 40), 0);
-        assert_eq!(wrap32((1 << 31) | 1), i64::from(i32::MIN) + 1);
-    }
-}

@@ -19,7 +19,6 @@
 //! the op under op class `5 + ext` and the encoder gives it opcode
 //! `31 + row`.
 
-use crate::wrap32;
 use std::fmt;
 
 /// Two-operand ALU operations.
@@ -48,18 +47,19 @@ pub enum BinOp {
 impl BinOp {
     /// Evaluate with 32-bit register semantics.
     #[must_use]
-    pub fn eval(self, a: i64, b: i64) -> i64 {
-        let sh = (b & 31) as u32;
+    pub fn eval(self, a: i32, b: i32) -> i32 {
+        // `wrapping_sh*` masks the amount to its low five bits.
+        let sh = b as u32;
         match self {
-            BinOp::Add => wrap32(a.wrapping_add(b)),
-            BinOp::Sub => wrap32(a.wrapping_sub(b)),
-            BinOp::Mul => wrap32(a.wrapping_mul(b)),
-            BinOp::And => wrap32(a & b),
-            BinOp::Or => wrap32(a | b),
-            BinOp::Xor => wrap32(a ^ b),
-            BinOp::Shl => wrap32((a as i32).wrapping_shl(sh) as i64),
-            BinOp::AShr => i64::from((a as i32) >> sh),
-            BinOp::LShr => i64::from((a as i32 as u32) >> sh),
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Shl => a.wrapping_shl(sh),
+            BinOp::AShr => a.wrapping_shr(sh),
+            BinOp::LShr => (a as u32).wrapping_shr(sh) as i32,
         }
     }
 
@@ -140,13 +140,13 @@ pub enum UnOp {
 impl UnOp {
     /// Evaluate with 32-bit register semantics.
     #[must_use]
-    pub fn eval(self, a: i64) -> i64 {
+    pub fn eval(self, a: i32) -> i32 {
         match self {
-            UnOp::Copy => wrap32(a),
-            UnOp::Neg => wrap32(a.wrapping_neg()),
-            UnOp::Not => wrap32(!a),
-            UnOp::Sext8 => a as i8 as i64,
-            UnOp::Sext16 => a as i16 as i64,
+            UnOp::Copy => a,
+            UnOp::Neg => a.wrapping_neg(),
+            UnOp::Not => !a,
+            UnOp::Sext8 => i32::from(a as i8),
+            UnOp::Sext16 => i32::from(a as i16),
             UnOp::Zext8 => a & 0xff,
             UnOp::Zext16 => a & 0xffff,
         }
@@ -207,8 +207,7 @@ pub enum Pred {
 impl Pred {
     /// Evaluate to 1 (true) or 0 (false).
     #[must_use]
-    pub fn eval(self, a: i64, b: i64) -> i64 {
-        let (a, b) = (wrap32(a), wrap32(b));
+    pub fn eval(self, a: i32, b: i32) -> i32 {
         let t = match self {
             Pred::Eq => a == b,
             Pred::Ne => a != b,
@@ -217,7 +216,7 @@ impl Pred {
             Pred::Gt => a > b,
             Pred::Ge => a >= b,
         };
-        i64::from(t)
+        i32::from(t)
     }
 
     /// The predicate with operands swapped: `a P b == b P.swap() a`.
@@ -284,7 +283,7 @@ pub enum Expr {
     Bin(BinOp, &'static Expr, &'static Expr),
     /// A compare producing 0 or 1.
     Cmp(Pred, &'static Expr, &'static Expr),
-    /// `cond != 0 ? on_true : on_false`, as a 32-bit register value.
+    /// `cond != 0 ? on_true : on_false`.
     Sel(&'static Expr, &'static Expr, &'static Expr),
 }
 
@@ -292,12 +291,12 @@ impl Expr {
     /// Evaluate over the slot values, composing the base operations'
     /// `eval` exactly.
     #[must_use]
-    pub fn eval(&self, slots: &[i64; 3]) -> i64 {
+    pub fn eval(&self, slots: &[i32; 3]) -> i32 {
         match *self {
             Expr::Slot(k) => slots[usize::from(k)],
             Expr::Bin(op, a, b) => op.eval(a.eval(slots), b.eval(slots)),
             Expr::Cmp(pred, a, b) => pred.eval(a.eval(slots), b.eval(slots)),
-            Expr::Sel(c, t, f) => wrap32(if c.eval(slots) != 0 { t } else { f }.eval(slots)),
+            Expr::Sel(c, t, f) => if c.eval(slots) != 0 { t } else { f }.eval(slots),
         }
     }
 
@@ -362,7 +361,7 @@ impl FusedOp {
 
     /// Evaluate with 32-bit register semantics.
     #[must_use]
-    pub fn eval(self, a: i64, b: i64, c: i64) -> i64 {
+    pub fn eval(self, a: i32, b: i32, c: i32) -> i32 {
         self.row().tree.eval(&[a, b, c])
     }
 
@@ -392,9 +391,127 @@ impl fmt::Display for FusedOp {
 mod tests {
     use super::*;
 
+    /// The semantics the operations had when registers and immediates
+    /// were `i64` and every result was re-wrapped to 32 bits: the
+    /// reference the `i32` operations are held to.
+    mod wide {
+        use super::*;
+
+        pub(super) fn wrap32(x: i64) -> i64 {
+            x as i32 as i64
+        }
+
+        pub(super) fn bin(op: BinOp, a: i64, b: i64) -> i64 {
+            let sh = (b & 31) as u32;
+            match op {
+                BinOp::Add => wrap32(a.wrapping_add(b)),
+                BinOp::Sub => wrap32(a.wrapping_sub(b)),
+                BinOp::Mul => wrap32(a.wrapping_mul(b)),
+                BinOp::And => wrap32(a & b),
+                BinOp::Or => wrap32(a | b),
+                BinOp::Xor => wrap32(a ^ b),
+                BinOp::Shl => wrap32((a as i32).wrapping_shl(sh) as i64),
+                BinOp::AShr => i64::from((a as i32) >> sh),
+                BinOp::LShr => i64::from((a as i32 as u32) >> sh),
+            }
+        }
+
+        pub(super) fn un(op: UnOp, a: i64) -> i64 {
+            match op {
+                UnOp::Copy => wrap32(a),
+                UnOp::Neg => wrap32(a.wrapping_neg()),
+                UnOp::Not => wrap32(!a),
+                UnOp::Sext8 => a as i8 as i64,
+                UnOp::Sext16 => a as i16 as i64,
+                UnOp::Zext8 => a & 0xff,
+                UnOp::Zext16 => a & 0xffff,
+            }
+        }
+
+        pub(super) fn pred(p: Pred, a: i64, b: i64) -> i64 {
+            let (a, b) = (wrap32(a), wrap32(b));
+            let t = match p {
+                Pred::Eq => a == b,
+                Pred::Ne => a != b,
+                Pred::Lt => a < b,
+                Pred::Le => a <= b,
+                Pred::Gt => a > b,
+                Pred::Ge => a >= b,
+            };
+            i64::from(t)
+        }
+
+        pub(super) fn expr(e: &Expr, slots: &[i64; 3]) -> i64 {
+            match *e {
+                Expr::Slot(k) => slots[usize::from(k)],
+                Expr::Bin(op, a, b) => bin(op, expr(a, slots), expr(b, slots)),
+                Expr::Cmp(p, a, b) => pred(p, expr(a, slots), expr(b, slots)),
+                Expr::Sel(c, t, f) => wrap32(expr(if expr(c, slots) != 0 { t } else { f }, slots)),
+            }
+        }
+    }
+
+    /// Around zero, both ends of the 32-bit range and past them.
+    const EDGES: [i64; 8] = [
+        0,
+        1,
+        -1,
+        0x7fff_ffff,
+        0x8000_0000,
+        0xffff_ffff,
+        0x1_0000_0000,
+        -0x8000_0001,
+    ];
+
+    /// An edge value as a register holds it.
+    fn reg(v: i64) -> i32 {
+        crate::Operand::from(v).imm().expect("an immediate")
+    }
+
+    /// Every operation on registers computes what the wide reference
+    /// computes on the same values before they were narrowed, so the
+    /// narrowing can happen once, where an integer becomes an operand.
+    /// (The reference's `lshr` by a multiple of 32 left a negative value
+    /// as its unsigned 64-bit reading, which every reader re-wrapped: it
+    /// is compared as a register reads it.)
+    #[test]
+    fn register_ops_are_the_wide_semantics() {
+        for &a in &EDGES {
+            for &b in &EDGES {
+                for &op in BinOp::all() {
+                    let got = op.eval(reg(a), reg(b));
+                    let want = wide::wrap32(wide::bin(op, a, b));
+                    assert_eq!(i64::from(got), want, "{op} {a} {b}");
+                }
+                for &p in Pred::all() {
+                    let got = p.eval(reg(a), reg(b));
+                    assert_eq!(i64::from(got), wide::pred(p, a, b), "{p} {a} {b}");
+                }
+            }
+            for &op in UnOp::all() {
+                assert_eq!(i64::from(op.eval(reg(a))), wide::un(op, a), "{op} {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_rows_are_the_wide_semantics() {
+        for op in FusedOp::all() {
+            for &a in &EDGES {
+                for &b in &EDGES {
+                    for &c in &EDGES {
+                        let got = op.eval(reg(a), reg(b), reg(c));
+                        let want = wide::expr(&op.row().tree, &[a, b, c]);
+                        assert_eq!(i64::from(got), want, "{op} {a} {b} {c}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn add_wraps() {
-        assert_eq!(BinOp::Add.eval(i64::from(i32::MAX), 1), i64::from(i32::MIN));
+        assert_eq!(BinOp::Add.eval(i32::MAX, 1), i32::MIN);
         assert_eq!(BinOp::Add.eval(2, 3), 5);
     }
 
@@ -402,7 +519,7 @@ mod tests {
     fn shifts_mask_amount() {
         assert_eq!(BinOp::Shl.eval(1, 33), 2);
         assert_eq!(BinOp::AShr.eval(-8, 1), -4);
-        assert_eq!(BinOp::LShr.eval(-8, 1), i64::from(u32::MAX >> 1) - 3);
+        assert_eq!(BinOp::LShr.eval(-8, 1), i32::MAX - 3);
         assert_eq!(BinOp::LShr.eval(-1, 24), 0xff);
     }
 
@@ -416,8 +533,8 @@ mod tests {
     fn commutativity_claims_hold() {
         for &op in BinOp::all() {
             if op.is_commutative() {
-                for a in [-7_i64, 0, 3, 1 << 30] {
-                    for b in [-1_i64, 2, 255] {
+                for a in [-7, 0, 3, 1 << 30] {
+                    for b in [-1, 2, 255] {
                         assert_eq!(op.eval(a, b), op.eval(b, a), "{op}");
                     }
                 }
@@ -428,8 +545,8 @@ mod tests {
     #[test]
     fn pred_swap_and_negate() {
         for &p in Pred::all() {
-            for a in [-2_i64, 0, 5] {
-                for b in [-2_i64, 0, 5] {
+            for a in [-2, 0, 5] {
+                for b in [-2, 0, 5] {
                     assert_eq!(p.eval(a, b), p.swapped().eval(b, a), "{p} swap");
                     assert_eq!(p.eval(a, b), 1 - p.negated().eval(a, b), "{p} neg");
                 }
@@ -462,10 +579,10 @@ mod tests {
 
     #[test]
     fn fused_ops_compose_base_ops_exactly() {
-        let samples = [-(1_i64 << 31), -7, -1, 0, 1, 3, 255, (1 << 31) - 1];
+        let samples = [i32::MIN, -7, -1, 0, 1, 3, 255, i32::MAX];
         for &a in &samples {
             for &b in &samples {
-                for &c in &[-4_i64, 0, 1, 8, 31] {
+                for &c in &[-4, 0, 1, 8, 31] {
                     assert_eq!(
                         op("madd").eval(a, b, c),
                         BinOp::Add.eval(BinOp::Mul.eval(a, b), c),
@@ -476,8 +593,8 @@ mod tests {
                     );
                     let min = if Pred::Lt.eval(a, b) != 0 { a } else { b };
                     let max = if Pred::Gt.eval(a, b) != 0 { a } else { b };
-                    assert_eq!(op("min").eval(a, b, c), crate::wrap32(min));
-                    assert_eq!(op("max").eval(a, b, c), crate::wrap32(max));
+                    assert_eq!(op("min").eval(a, b, c), min);
+                    assert_eq!(op("max").eval(a, b, c), max);
                 }
             }
         }

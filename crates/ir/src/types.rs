@@ -4,9 +4,10 @@ use std::fmt;
 
 /// Scalar element type of an array (and of loads/stores into it).
 ///
-/// All *register* values are 32-bit integers (see [`crate::wrap32`]);
-/// `Ty` only controls how values are narrowed on store and widened on
-/// load, exactly like a byte/halfword memory access on a 32-bit RISC.
+/// All *register* values are `i32`s; `Ty` only controls how values are
+/// narrowed on store and widened on load, exactly like a byte/halfword
+/// memory access on a 32-bit RISC. Memory elements are `i64`s (see
+/// [`crate::MemImage`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Ty {
     /// Unsigned 8-bit (`ubyte` in the paper's listings).
@@ -22,7 +23,7 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// Narrow a register value to this type's range, as a store would.
+    /// Narrow a value to this type's range, as a store would.
     #[must_use]
     pub fn truncate(self, v: i64) -> i64 {
         match self {
@@ -40,8 +41,9 @@ impl Ty {
     /// identity, which is what lets the interpreter store elements as
     /// plain `i64`.
     #[must_use]
-    pub fn extend(self, v: i64) -> i64 {
-        self.truncate(v)
+    pub fn extend(self, v: i64) -> i32 {
+        // Every type's range lies inside `i32`'s.
+        self.truncate(v) as i32
     }
 }
 
@@ -104,7 +106,7 @@ mod tests {
         for ty in [Ty::U8, Ty::I8, Ty::U16, Ty::I16, Ty::I32] {
             for v in [-300_i64, -1, 0, 1, 127, 128, 255, 256, 65535, 1 << 20] {
                 let t = ty.truncate(v);
-                assert_eq!(ty.extend(t), t, "{ty} {v}");
+                assert_eq!(i64::from(ty.extend(t)), t, "{ty} {v}");
             }
         }
     }

@@ -32,7 +32,7 @@ fn rewrite(inst: &Inst) -> Option<Inst> {
             ..
         } if on_true == on_false => Some(Inst::mov(dst, on_true)),
         Inst::Cmp { dst, pred, a, b } if a == b && a.reg().is_some() => {
-            Some(Inst::mov(dst, pred.eval(0, 0)))
+            Some(Inst::mov(dst, Operand::Imm(pred.eval(0, 0))))
         }
         _ => None,
     }
@@ -53,7 +53,7 @@ fn rewrite_bin(dst: cfp_ir::Vreg, op: BinOp, a: Operand, b: Operand) -> Option<I
                 dst,
                 op: BinOp::Shl,
                 a: x,
-                b: Imm(i64::from(k.trailing_zeros())),
+                b: i64::from(k.trailing_zeros()).into(),
             })
         }
         // Bitwise identities.

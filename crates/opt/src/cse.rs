@@ -64,7 +64,7 @@ impl Key {
                 self.head |= 1 << (16 + slot);
                 i64::from(v.0)
             }
-            Operand::Imm(i) => i,
+            Operand::Imm(i) => i64::from(i),
         };
     }
 }
@@ -196,7 +196,7 @@ fn canonical_pair(a: Operand, b: Operand) -> (Operand, Operand) {
 
 fn rank(o: Operand) -> (u8, i64) {
     match o {
-        Operand::Imm(i) => (0, i),
+        Operand::Imm(i) => (0, i64::from(i)),
         Operand::Reg(Vreg(n)) => (1, i64::from(n)),
     }
 }

@@ -8,7 +8,7 @@ use cfp_ir::{Inst, Kernel, Operand, Vreg};
 pub fn constant_fold(kernel: &mut Kernel) -> bool {
     let mut changed = false;
     // The constant each register is known to hold, indexed by register.
-    let mut known: Vec<Option<i64>> = vec![None; kernel.vreg_count() as usize];
+    let mut known: Vec<Option<i32>> = vec![None; kernel.vreg_count() as usize];
     let (pre, body) = (&mut kernel.preamble, &mut kernel.body);
     for inst in pre.iter_mut().chain(body.iter_mut()) {
         let old = *inst;
@@ -18,7 +18,7 @@ pub fn constant_fold(kernel: &mut Kernel) -> bool {
         });
         if let Some((dst, value)) = fold_inst(inst) {
             known[dst.index()] = Some(value);
-            *inst = Inst::mov(dst, value);
+            *inst = Inst::mov(dst, Operand::Imm(value));
         } else if let Some((dst, copied)) = fold_select(inst) {
             *inst = Inst::mov(dst, copied);
         }
@@ -28,7 +28,7 @@ pub fn constant_fold(kernel: &mut Kernel) -> bool {
 }
 
 /// If the instruction computes a compile-time constant, return it.
-fn fold_inst(inst: &Inst) -> Option<(Vreg, i64)> {
+fn fold_inst(inst: &Inst) -> Option<(Vreg, i32)> {
     match *inst {
         Inst::Bin {
             dst,

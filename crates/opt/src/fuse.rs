@@ -687,7 +687,7 @@ mod tests {
         for _ in 0..12 {
             let pick = |rng: &mut cfp_testkit::Rng| {
                 if rng.index(4) == 0 {
-                    Operand::Imm(rng.range_i64(-3..=3))
+                    Operand::from(rng.range_i64(-3..=3))
                 } else {
                     *rng.pick(&vals)
                 }

@@ -297,8 +297,8 @@ mod tests {
             "kernel p(in i32 s[], out i32 d[]) {
                 local i32 t[4000000000];
                 loop i {
-                    t[3999999999] = s[i];
-                    d[i] = t[3999999999] + t[7];
+                    t[2147483647] = s[i];
+                    d[i] = t[2147483647] + t[7];
                 }
             }",
             &[],

@@ -14,7 +14,8 @@ use cfp_ir::{Carried, Inst, Kernel, Operand, Vreg};
 
 /// Unroll `kernel` by `factor` (≥ 1). The result performs `factor`
 /// original iterations per new iteration, so run it for `n / factor`
-/// iterations.
+/// iterations. The frontend bounds an affine index's coefficient and
+/// offset to `i32`, so the scaled ones stay inside `i64` for any factor.
 ///
 /// # Panics
 /// Panics if `factor == 0`.

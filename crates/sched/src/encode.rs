@@ -424,7 +424,7 @@ fn encode_inner(
                 }),
                 Operand::Imm(k) => match u8::try_from(word.imms.len()) {
                     Ok(idx) => {
-                        word.imms.push(k as i32);
+                        word.imms.push(k);
                         Ok(SrcField::Imm(idx))
                     }
                     Err(_) => Err(EncodeError::ImmPoolOverflow { cycle: p.cycle }),

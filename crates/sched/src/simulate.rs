@@ -210,14 +210,14 @@ fn placement_order(result: &CompileResult) -> Vec<usize> {
 /// The cycle-by-cycle execution loop, after validation and preamble.
 fn run_schedule(
     result: &CompileResult,
-    preamble_vals: &[i64],
+    preamble_vals: &[i32],
     order: &[usize],
     mem: &mut MemImage,
     iters: u64,
 ) -> Result<SimStats, SimError> {
     let code = &result.assignment.code;
     let n_vregs = code.vreg_limit as usize;
-    let mut vals = vec![0_i64; n_vregs];
+    let mut vals = vec![0_i32; n_vregs];
     vals[..preamble_vals.len()].copy_from_slice(preamble_vals);
 
     // Indexed by vreg number: broadcast loop constants, readable from
@@ -228,7 +228,7 @@ fn run_schedule(
     }
 
     let mut ready = vec![0_u32; n_vregs];
-    let mut latch = vec![0_i64; code.carried.len()];
+    let mut latch = vec![0_i32; code.carried.len()];
     let mut stats = SimStats::default();
     for iter in 0..iters {
         for d in code.ops.iter().filter_map(|o| o.def) {
@@ -284,7 +284,7 @@ fn run_schedule(
 
 fn execute(
     op: &crate::loopcode::SOp,
-    vals: &mut [i64],
+    vals: &mut [i32],
     mem: &mut MemImage,
     iter: i64,
 ) -> Result<(), SimError> {
@@ -296,12 +296,11 @@ fn execute(
         }
         (None, OpOrigin::StreamBump(_) | OpOrigin::Induction) => {
             let cur = op.uses[0];
-            vals[op.def.expect("bumps define").index()] =
-                cfp_ir::wrap32(vals[cur.index()].wrapping_add(1));
+            vals[op.def.expect("bumps define").index()] = vals[cur.index()].wrapping_add(1);
         }
         (None, OpOrigin::LoopTest) => {
             let (a, b) = (vals[op.uses[0].index()], vals[op.uses[1].index()]);
-            vals[op.def.expect("test defines").index()] = i64::from(a < b);
+            vals[op.def.expect("test defines").index()] = i32::from(a < b);
         }
         (None, OpOrigin::LoopBranch) => {}
         (None, OpOrigin::Body(_)) => unreachable!("body ops carry their inst"),

@@ -131,6 +131,22 @@ fn diagnostics_point_at_the_source() {
     assert!(stderr.contains('^'), "caret rendering: {stderr}");
 }
 
+/// An index coefficient no 32-bit address stream can form is a
+/// diagnostic at the source, not a multiply overflow in the unroller
+/// (this suite runs the debug binary, where one panics).
+#[test]
+fn an_index_wider_than_32_bits_is_a_diagnostic_at_any_unroll() {
+    let path = write_kernel(
+        "cfpc_wide_index.cfk",
+        "kernel k(out i32 d[]) { loop i { d[i * 0x7fffffffffffffff] = 0; } }",
+    );
+    let (_, stderr, ok) = cfpc(&[path.to_str().unwrap(), "--unroll", "4"]);
+    assert!(!ok);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("outside the 32-bit range"), "{stderr}");
+    assert!(stderr.contains('^'), "caret rendering: {stderr}");
+}
+
 #[test]
 fn bad_usage_fails_with_help() {
     let (_, stderr, ok) = cfpc(&["--emit"]);

@@ -57,7 +57,7 @@ pub fn build(recipe: &KernelRecipe) -> Kernel {
         let v = match op {
             0 => {
                 let a = pick(s1, &vals);
-                b.add(a, Operand::Imm(imm))
+                b.add(a, Operand::from(imm))
             }
             1 => {
                 let a = pick(s1, &vals);
@@ -66,7 +66,7 @@ pub fn build(recipe: &KernelRecipe) -> Kernel {
             }
             2 => {
                 let a = pick(s1, &vals);
-                b.mul(a, Operand::Imm(imm & 15))
+                b.mul(a, Operand::from(imm & 15))
             }
             3 => {
                 let a = pick(s1, &vals);
@@ -74,7 +74,7 @@ pub fn build(recipe: &KernelRecipe) -> Kernel {
             }
             4 => {
                 let a = pick(s1, &vals);
-                b.ashr(a, Operand::Imm(i64::from(s2 % 5)))
+                b.ashr(a, Operand::from(i64::from(s2 % 5)))
             }
             5 => {
                 // A fresh load at a varying offset.
