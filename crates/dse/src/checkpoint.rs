@@ -35,7 +35,7 @@
 use crate::error::{CheckpointError, ExploreError, FailKind, FailReason};
 use crate::eval::{EvalOutcome, Measurement};
 use crate::explore::ExploreConfig;
-use crate::units::run_units;
+use crate::units::Workers;
 use cfp_ir::WordSet;
 use cfp_machine::{ArchSpec, Fnv1a};
 use std::fmt::Display;
@@ -43,7 +43,7 @@ use std::fs::{self, File, OpenOptions};
 use std::hash::Hash;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// First header field of the sweep's journal.
 const MAGIC: &str = "cfp-checkpoint";
@@ -326,54 +326,65 @@ impl Journal {
     }
 }
 
-/// Run `unit(i)` for every `i` in `0..n` on the crate's unit runner,
-/// through `journal`: a unit `replayed(i)` answers is not run, and any
-/// other is evaluated and, with a journal, appended under `key(i)` as it
-/// lands. Returns each unit's outcome and whether it was evaluated
-/// (`true`) or replayed (`false`), in index order. Without a journal no
-/// unit takes a lock, and `key` is never called.
+/// Run `unit(i)` for every `i` in `0..n` on the run's worker set,
+/// through `journal`: a unit `replayed` holds an outcome for is not run,
+/// and any other is evaluated and, with a journal, appended under
+/// `key(i)` as it lands. Returns each unit's outcome and whether it was
+/// evaluated (`true`) or replayed (`false`), in index order. Without a
+/// journal no unit takes a lock, and `key` is never called.
 ///
 /// # Errors
 /// The first failed append, as [`ExploreError::Checkpoint`]: after it no
 /// further unit starts and nothing more is appended, since measuring on
 /// while the journal is lost would silently break a resumed run's
 /// bit-identity. [`ExploreError::WorkerLost`] if a unit panics.
-pub(crate) fn run_journalled<K: Display>(
+pub(crate) fn run_journalled<'env, K: Display>(
+    workers: &Workers<'env>,
     n: usize,
-    threads: usize,
-    journal: Option<&Mutex<Journal>>,
-    replayed: impl Fn(usize) -> Option<EvalOutcome> + Sync,
-    key: impl Fn(usize) -> K + Sync,
-    unit: impl Fn(usize) -> EvalOutcome + Sync,
+    journal: Option<Arc<Mutex<Journal>>>,
+    replayed: Vec<Option<EvalOutcome>>,
+    key: impl Fn(usize) -> K + Send + Sync + 'env,
+    unit: impl Fn(usize) -> EvalOutcome + Send + Sync + 'env,
 ) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
-    let lost: OnceLock<CheckpointError> = OnceLock::new();
-    let answers = run_units(n, threads, |i| {
-        if let Some(out) = replayed(i) {
-            return Some((out, false));
-        }
-        if lost.get().is_some() {
-            return None;
-        }
-        let out = unit(i);
-        if let Some(journal) = journal {
-            let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
-            // A failed write may have left a torn line: nothing follows it.
-            if lost.get().is_none() {
-                if let Err(e) = journal.append([(key(i), &out)]) {
-                    let _ = lost.set(e);
+    let lost: Arc<Mutex<Option<CheckpointError>>> = Arc::default();
+    let answers = workers
+        .run(n, {
+            let lost = Arc::clone(&lost);
+            move |i| {
+                if let Some(out) = replayed.get(i).cloned().flatten() {
+                    return Some((out, false));
                 }
+                if lock(&lost).is_some() {
+                    return None;
+                }
+                let out = unit(i);
+                if let Some(journal) = &journal {
+                    let mut journal = lock(journal);
+                    // A failed write may have left a torn line: nothing
+                    // follows it.
+                    if lock(&lost).is_none() {
+                        if let Err(e) = journal.append([(key(i), &out)]) {
+                            *lock(&lost) = Some(e);
+                        }
+                    }
+                }
+                Some((out, true))
             }
-        }
-        Some((out, true))
-    })
-    .map_err(|_| ExploreError::WorkerLost)?;
-    if let Some(e) = lost.into_inner() {
+        })
+        .map_err(|_| ExploreError::WorkerLost)?;
+    if let Some(e) = lock(&lost).take() {
         return Err(e.into());
     }
     answers
         .into_iter()
         .collect::<Option<Vec<_>>>()
         .ok_or(ExploreError::WorkerLost)
+}
+
+/// Lock `m`, taking a poisoned lock as it stands: every write under the
+/// locks this module takes is complete before anything fallible runs.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Replace `path`'s content with `content` atomically: write the
@@ -462,7 +473,7 @@ pub(crate) fn sweep_journal(
     ck: &Checkpoint,
     fingerprint: u64,
     units: usize,
-) -> CheckpointResult<(Journal, Vec<(usize, EvalOutcome)>)> {
+) -> CheckpointResult<SweepJournal> {
     Journal::attach(ck, MAGIC, fingerprint, &[units.to_string()], 1, |key| {
         let unit: usize = key[0]
             .parse()
@@ -473,6 +484,9 @@ pub(crate) fn sweep_journal(
         Ok(unit)
     })
 }
+
+/// An open sweep journal and the entries it already held, by unit.
+pub(crate) type SweepJournal = (Journal, Vec<(usize, EvalOutcome)>);
 
 /// A search-journal entry's key: `(candidate fingerprint, rung)`.
 pub(crate) type SearchKey = (u64, usize);
@@ -497,6 +511,22 @@ pub(crate) fn search_journal(
             .map_err(|e| format!("bad rung `{}`: {e}", key[1]))?;
         Ok((candidate, rung))
     })
+}
+
+#[cfg(test)]
+impl Journal {
+    /// This journal behind a handle that refuses every write: what a
+    /// journal lost mid-run looks like to the runner.
+    pub(crate) fn refusing_writes(self) -> CheckpointResult<Journal> {
+        let file = File::open(&self.path).map_err(|source| CheckpointError::Io {
+            path: self.path.clone(),
+            source,
+        })?;
+        Ok(Journal {
+            path: self.path,
+            file,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -838,15 +868,18 @@ mod tests {
     fn the_runner_replays_what_the_journal_holds_and_appends_the_rest() {
         let path = Kind::Sweep.path("runner");
         let (journal, _) = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
-        let journal = Mutex::new(journal);
+        let journal = Arc::new(Mutex::new(journal));
         let replayed = |i: usize| (i % 3 == 0).then(|| done(i as f64, false));
         let ran = AtomicUsize::new(0);
         let evaluate = |i: usize| {
             ran.fetch_add(1, Ordering::SeqCst);
             done(i as f64 + 0.5, true)
         };
-        let answers =
-            run_journalled(UNITS, 3, Some(&journal), replayed, |i| i, evaluate).expect("runs");
+        let answers = Workers::scope(3, |workers| {
+            let held = (0..UNITS).map(replayed).collect();
+            run_journalled(workers, UNITS, Some(journal), held, |i| i, evaluate)
+        })
+        .expect("runs");
         let want: Vec<(EvalOutcome, bool)> = (0..UNITS)
             .map(|i| replayed(i).map_or((done(i as f64 + 0.5, true), true), |o| (o, false)))
             .collect();
@@ -862,14 +895,11 @@ mod tests {
         assert_eq!(back, fresh);
 
         // Without a journal nothing asks for a key.
-        let plain = run_journalled(
-            UNITS,
-            2,
-            None,
-            replayed,
-            |_| -> String { unreachable!("no journal, no key") },
-            evaluate,
-        )
+        let plain = Workers::scope(2, |workers| {
+            let held = (0..UNITS).map(replayed).collect();
+            let no_key = |_| -> String { unreachable!("no journal, no key") };
+            run_journalled(workers, UNITS, None, held, no_key, evaluate)
+        })
         .expect("runs");
         assert_eq!(plain, want);
         fs::remove_file(&path).unwrap();
@@ -877,35 +907,31 @@ mod tests {
 
     #[test]
     fn a_lost_journal_stops_the_runner_with_its_error() {
-        let path = Kind::Sweep.path("lost");
-        let _ = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
-        // A handle that refuses every write.
-        let lost = Mutex::new(Journal {
-            path: path.clone(),
-            file: File::open(&path).unwrap(),
-        });
-        let ran = AtomicUsize::new(0);
-        let err = run_journalled(
-            UNITS,
-            1,
-            Some(&lost),
-            |_| None,
-            |i| i,
-            |_| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                done(1.0, false)
-            },
-        )
-        .expect_err("journal lost");
-        assert!(
-            matches!(&err, ExploreError::Checkpoint(CheckpointError::Io { path: p, .. }) if *p == path),
-            "{err}"
-        );
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            1,
-            "units ran on without a journal"
-        );
-        fs::remove_file(&path).unwrap();
+        for threads in [1, 2] {
+            let path = Kind::Sweep.path("lost");
+            let (journal, _) = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
+            let lost = Arc::new(Mutex::new(journal.refusing_writes().unwrap()));
+            let ran = AtomicUsize::new(0);
+            let err = Workers::scope(threads, |workers| {
+                let unit = |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    done(1.0, false)
+                };
+                run_journalled(workers, UNITS, Some(lost), Vec::new(), |i| i, unit)
+            })
+            .expect_err("journal lost");
+            assert!(
+                matches!(&err, ExploreError::Checkpoint(CheckpointError::Io { path: p, .. }) if *p == path),
+                "{err}"
+            );
+            // Every worker may have had a unit under way when the append
+            // failed; none starts another after it.
+            let ran = ran.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads).contains(&ran),
+                "{ran} units ran on without a journal ({threads} threads)"
+            );
+            fs::remove_file(&path).unwrap();
+        }
     }
 }

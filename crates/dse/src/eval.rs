@@ -31,14 +31,17 @@
 //! pipeline ([`BenchPlans`]) keeps its runs and lets a later budget take
 //! an earlier one's result instead of repeating it. There is one walk
 //! over plan keys, [`PlanStore::ensure_snapshot_extended`]'s, which
-//! interns what the pipeline hands back, so ids depend only on the
-//! kernels, never on which run produced them; [`PlanCache::build`] is
+//! makes the plans it misses — on the run's workers, one optimizer
+//! chain per `(benchmark, unroll)`, when a run has helpers — and then
+//! interns them in key order, so ids depend only on the kernels, never
+//! on which run or which worker produced them; [`PlanCache::build`] is
 //! that walk on a fresh store, and [`plan`] is the same pipeline on one
 //! caller-supplied kernel (`cfpc`'s).
 
 use crate::error::{EvalError, FailReason};
 use crate::memo::{CompileCache, CoreSummary};
-use cfp_ir::WordMap;
+use crate::units::Workers;
+use cfp_ir::{WordMap, WordSet};
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, MachineResources, SchedSignature};
 use cfp_obs::{Stage, UnitTrace, Value};
@@ -126,32 +129,21 @@ impl OptRun {
 /// into a register window, the paper's central registers-for-bandwidth
 /// trade), fuse last — with every result kept, so each distinct
 /// optimization and each distinct fusing happens once however many
-/// budgets ask for it. Callers make a fresh one per source kernel.
+/// budgets ask for it. Callers make a fresh one per source kernel. Each
+/// unroll factor's stage is a chain of its own that reads the base runs
+/// and nothing of another chain, which is what lets the plan walk run
+/// one kernel's chains on different workers.
 #[derive(Debug)]
 struct BenchPlans {
-    source: cfp_ir::Kernel,
-    /// Runs over the source kernel: one per budget class.
-    base: Vec<OptRun>,
-    /// Runs over `unroll(base[i], u)`, tagged `(i, u)`.
-    unrolled: Vec<(usize, u32, OptRun)>,
-    /// `unrolled[j]`'s kernel fused for a non-empty extension set,
-    /// tagged `(j, set)`.
-    fused: Vec<(usize, ExtSet, cfp_ir::Kernel)>,
-    /// Optimizer runs made.
-    runs: u64,
-    /// Plans handed out from a run made for another budget.
-    shared: u64,
+    base: BaseRuns,
+    chains: Vec<UnrollChain>,
 }
 
 impl BenchPlans {
     fn new(source: cfp_ir::Kernel) -> Self {
         BenchPlans {
-            source,
-            base: Vec::new(),
-            unrolled: Vec::new(),
-            fused: Vec::new(),
-            runs: 0,
-            shared: 0,
+            base: BaseRuns::new(source),
+            chains: Vec::new(),
         }
     }
 
@@ -165,31 +157,112 @@ impl BenchPlans {
         exts: ExtSet,
         trace: &mut UnitTrace<'_>,
     ) -> Option<&cfp_ir::Kernel> {
-        let bi = find_or_push(
-            &mut self.base,
+        self.base.at(budget, trace);
+        let ci = find_or_push(&mut self.chains, |c| c.u == u, || UnrollChain::new(u));
+        self.chains[ci].plan(&self.base.runs, budget, exts, trace)
+    }
+}
+
+/// The optimizer runs over one source kernel: one per budget class.
+#[derive(Debug)]
+struct BaseRuns {
+    source: cfp_ir::Kernel,
+    runs: Vec<OptRun>,
+}
+
+impl BaseRuns {
+    fn new(source: cfp_ir::Kernel) -> Self {
+        BaseRuns {
+            source,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Make a run that answers `budget`, unless one already does.
+    fn at(&mut self, budget: usize, trace: &mut UnitTrace<'_>) {
+        find_or_push(
+            &mut self.runs,
             |r| r.answers(budget),
-            || {
-                self.runs += 1;
-                OptRun::new(self.source.clone(), budget, trace)
-            },
+            || OptRun::new(self.source.clone(), budget, trace),
         );
-        let base = &self.base[bi].kernel;
-        if base.body.len() * (u as usize) > MAX_BODY_OPS {
+    }
+}
+
+/// Where an [`UnrollChain`] keeps a plan it handed out.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    Unrolled(usize),
+    Fused(usize),
+}
+
+/// One unroll factor's stage of a kernel's pipeline.
+#[derive(Debug)]
+struct UnrollChain {
+    u: u32,
+    /// Runs over `unroll(base[i], u)`, tagged `i`.
+    unrolled: Vec<(usize, OptRun)>,
+    /// `unrolled[j]`'s kernel fused for a non-empty extension set,
+    /// tagged `(j, set)`.
+    fused: Vec<(usize, ExtSet, cfp_ir::Kernel)>,
+    /// The plan handed out for each `(budget, exts)` asked, `None` past
+    /// the body cap.
+    picks: Vec<((usize, ExtSet), Option<Pick>)>,
+    /// Plans handed out from a run made for another budget.
+    shared: u64,
+}
+
+impl UnrollChain {
+    fn new(u: u32) -> Self {
+        UnrollChain {
+            u,
+            unrolled: Vec::new(),
+            fused: Vec::new(),
+            picks: Vec::new(),
+            shared: 0,
+        }
+    }
+
+    /// The plan for `(budget, exts)` over `base`, the kernel's base runs
+    /// with one among them that answers `budget` ([`BaseRuns::at`]).
+    fn plan(
+        &mut self,
+        base: &[OptRun],
+        budget: usize,
+        exts: ExtSet,
+        trace: &mut UnitTrace<'_>,
+    ) -> Option<&cfp_ir::Kernel> {
+        let pick = self.pick(base, budget, exts, trace);
+        self.picks.push(((budget, exts), pick));
+        pick.map(|p| self.kernel(p))
+    }
+
+    fn pick(
+        &mut self,
+        base: &[OptRun],
+        budget: usize,
+        exts: ExtSet,
+        trace: &mut UnitTrace<'_>,
+    ) -> Option<Pick> {
+        let bi = base.iter().position(|r| r.answers(budget))?;
+        let base = &base[bi].kernel;
+        if base.body.len() * (self.u as usize) > MAX_BODY_OPS {
             return None;
         }
+        let u = self.u;
         let ui = find_or_push(
             &mut self.unrolled,
-            |(i, f, r)| (*i, *f) == (bi, u) && r.answers(budget),
+            |(i, r)| *i == bi && r.answers(budget),
             || {
-                self.runs += 1;
-                let run = OptRun::new(cfp_opt::unroll::unroll(base, u), budget, trace);
-                (bi, u, run)
+                (
+                    bi,
+                    OptRun::new(cfp_opt::unroll::unroll(base, u), budget, trace),
+                )
             },
         );
-        let run = &self.unrolled[ui].2;
+        let run = &self.unrolled[ui].1;
         self.shared += u64::from(run.budget != budget);
         if exts.is_empty() {
-            return Some(&run.kernel);
+            return Some(Pick::Unrolled(ui));
         }
         let fi = find_or_push(
             &mut self.fused,
@@ -200,7 +273,117 @@ impl BenchPlans {
                 (ui, exts, kernel)
             },
         );
-        Some(&self.fused[fi].2)
+        Some(Pick::Fused(fi))
+    }
+
+    fn kernel(&self, pick: Pick) -> &cfp_ir::Kernel {
+        match pick {
+            Pick::Unrolled(i) => &self.unrolled[i].1.kernel,
+            Pick::Fused(i) => &self.fused[i].2,
+        }
+    }
+
+    /// The plan [`Self::plan`] handed out for `(budget, exts)`.
+    fn picked(&self, budget: usize, exts: ExtSet) -> Option<&cfp_ir::Kernel> {
+        let (_, pick) = self.picks.iter().find(|(k, _)| *k == (budget, exts))?;
+        pick.map(|p| self.kernel(p))
+    }
+}
+
+/// The plans a walk had to make, in their chains, with the optimizer's
+/// accounting.
+#[derive(Debug, Default)]
+struct Made {
+    chains: Vec<(Benchmark, UnrollChain)>,
+    /// Optimizer runs made.
+    runs: u64,
+    /// Plans handed out from a run made for another budget.
+    shared: u64,
+}
+
+impl Made {
+    /// Make the plans of `missing` (walk order, no key twice): each
+    /// kernel's pipeline driven key by key on the calling thread — so a
+    /// live trace gets its `opt` spans in walk order — or, with helpers
+    /// and no live trace, every kernel's base runs as one batch and then
+    /// every `(kernel, unroll)` chain as another. Both make the same
+    /// runs, and hand out the same kernel for every key.
+    fn of(missing: &[PlanKey], workers: &Workers<'_>, trace: &mut UnitTrace<'_>) -> Self {
+        let mut made = Made::default();
+        if !workers.parallel() || trace.on() {
+            for keys in missing.chunk_by(|x, y| x.0 == y.0) {
+                let b = keys[0].0;
+                let mut pipeline = BenchPlans::new(b.kernel());
+                for &(_, budget, u, exts) in keys {
+                    pipeline.plan(budget, u, exts, trace);
+                }
+                made.runs += pipeline.base.runs.len() as u64;
+                made.chains
+                    .extend(pipeline.chains.into_iter().map(|c| (b, c)));
+            }
+        } else {
+            let mut benches: Vec<(Benchmark, Vec<usize>)> = Vec::new();
+            // One chain's work: its kernel's index in `benches`, its
+            // unroll factor, and its keys' budgets and sets in walk order.
+            type Chain = (usize, u32, Vec<(usize, ExtSet)>);
+            let mut jobs: Vec<Chain> = Vec::new();
+            for (k, keys) in missing.chunk_by(|x, y| x.0 == y.0).enumerate() {
+                let mut budgets: Vec<usize> = keys.iter().map(|key| key.1).collect();
+                budgets.dedup();
+                benches.push((keys[0].0, budgets));
+                for &(_, budget, u, exts) in keys {
+                    let job =
+                        find_or_push(&mut jobs, |j| (j.0, j.1) == (k, u), || (k, u, Vec::new()));
+                    jobs[job].2.push((budget, exts));
+                }
+            }
+            // Deepest unrolls first, so the longest chains do not start last.
+            jobs.sort_by_key(|&(k, u, _)| (std::cmp::Reverse(u), k));
+            let tags: Vec<Benchmark> = jobs.iter().map(|&(k, _, _)| benches[k].0).collect();
+            let bases = workers.run(benches.len(), move |i| {
+                let (b, budgets) = &benches[i];
+                let mut base = BaseRuns::new(b.kernel());
+                for &budget in budgets {
+                    base.at(budget, &mut UnitTrace::disabled());
+                }
+                Some(base)
+            });
+            let bases: Arc<Vec<BaseRuns>> = Arc::new(rethrown(bases));
+            made.runs = bases.iter().map(|b| b.runs.len() as u64).sum();
+            let chains = workers.run(jobs.len(), {
+                let bases = Arc::clone(&bases);
+                move |i| {
+                    let (k, u, keys) = &jobs[i];
+                    let mut chain = UnrollChain::new(*u);
+                    for &(budget, exts) in keys {
+                        chain.plan(&bases[*k].runs, budget, exts, &mut UnitTrace::disabled());
+                    }
+                    Some(chain)
+                }
+            });
+            made.chains = tags.into_iter().zip(rethrown(chains)).collect();
+        }
+        for (_, chain) in &made.chains {
+            made.runs += chain.unrolled.len() as u64;
+            made.shared += chain.shared;
+        }
+        made
+    }
+
+    /// The plan made for `key`.
+    fn plan(&self, (b, budget, u, exts): PlanKey) -> Option<&cfp_ir::Kernel> {
+        let (_, chain) = self.chains.iter().find(|(cb, c)| (*cb, c.u) == (b, u))?;
+        chain.picked(budget, exts)
+    }
+}
+
+/// A batch's answers, every slot filled; a panic in it goes on
+/// unwinding on the calling thread, as it would have had the batch run
+/// there.
+fn rethrown<T>(answers: std::thread::Result<Vec<Option<T>>>) -> Vec<T> {
+    match answers {
+        Ok(slots) => slots.into_iter().flatten().collect(),
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
@@ -392,25 +575,32 @@ impl PlanStore {
         unrolls: &[u32],
         ext_sets: &[ExtSet],
     ) -> PlanCache {
-        self.snapshot(
-            benches,
-            reg_sizes,
-            unrolls,
-            ext_sets,
-            &mut UnitTrace::disabled(),
-        )
+        Workers::scope(1, |workers| {
+            self.snapshot(
+                benches,
+                reg_sizes,
+                unrolls,
+                ext_sets,
+                workers,
+                &mut UnitTrace::disabled(),
+            )
+        })
     }
 
-    /// [`Self::ensure_snapshot_extended`] recording the optimizer's
-    /// per-pass `opt` spans for the plans it had to compute and one
-    /// `plan_build` summary span (plan, unique-kernel and optimizer-run
-    /// counts). This is the repo's one walk over plan keys.
+    /// [`Self::ensure_snapshot_extended`] on the run's worker set,
+    /// recording the optimizer's per-pass `opt` spans for the plans it
+    /// had to compute and one `plan_build` summary span (plan,
+    /// unique-kernel and optimizer-run counts). This is the repo's one
+    /// walk over plan keys: it makes the missing plans ([`Made::of`]),
+    /// then interns them in walk order, so ids never depend on which
+    /// worker made what.
     pub(crate) fn snapshot(
         &self,
         benches: &[Benchmark],
         reg_sizes: &[u32],
         unrolls: &[u32],
         ext_sets: &[ExtSet],
+        workers: &Workers<'_>,
         trace: &mut UnitTrace<'_>,
     ) -> PlanCache {
         let t0 = trace.start();
@@ -420,47 +610,47 @@ impl PlanStore {
         let mut ext_sets: Vec<ExtSet> = ext_sets.to_vec();
         ext_sets.sort_unstable();
         ext_sets.dedup();
-        let mut table = self.lock();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let (mut opt_runs, mut opt_shared) = (0, 0);
-        let mut snapshot = PlanCache::default();
+        let mut keys: Vec<PlanKey> = Vec::new();
         for &b in benches {
-            // Made on the first miss, so a fully warm round never
-            // compiles the benchmark's source.
-            let mut pipeline: Option<BenchPlans> = None;
             for &budget in &budgets {
                 for &u in unrolls {
-                    for &exts in &ext_sets {
-                        let key = (b, budget, u, exts);
-                        let id = if let Some(&id) = table.plans.get(&key) {
-                            hits += 1;
-                            id
-                        } else {
-                            misses += 1;
-                            let id = pipeline
-                                .get_or_insert_with(|| BenchPlans::new(b.kernel()))
-                                .plan(budget, u, exts, trace)
-                                .map(|kernel| intern(&mut table.kernels, kernel));
-                            table.plans.insert(key, id);
-                            id
-                        };
-                        snapshot.plans.insert(key, id);
-                    }
+                    keys.extend(ext_sets.iter().map(|&exts| (b, budget, u, exts)));
                 }
             }
-            if let Some(pipeline) = pipeline {
-                opt_runs += pipeline.runs;
-                opt_shared += pipeline.shared;
-            }
+        }
+        let mut table = self.lock();
+        // Only misses are made, so a fully warm round never compiles a
+        // benchmark's source.
+        let mut asked: WordSet<PlanKey> = WordSet::default();
+        let missing: Vec<PlanKey> = keys
+            .iter()
+            .copied()
+            .filter(|key| !table.plans.contains_key(key) && asked.insert(*key))
+            .collect();
+        let made = Made::of(&missing, workers, trace);
+        let mut snapshot = PlanCache::default();
+        for key in keys.iter().copied() {
+            let id = if let Some(&id) = table.plans.get(&key) {
+                id
+            } else {
+                let id = made
+                    .plan(key)
+                    .map(|kernel| intern(&mut table.kernels, kernel));
+                table.plans.insert(key, id);
+                id
+            };
+            snapshot.plans.insert(key, id);
         }
         // Ids index the store's kernel vector, so the snapshot's vector
         // must be a prefix of it: clone every Arc up to the store's
         // current length (cheap — pointer per kernel).
         snapshot.kernels = table.kernels.clone();
         drop(table);
-        self.hits
-            .fetch_add(hits, std::sync::atomic::Ordering::Relaxed);
+        let misses = missing.len() as u64;
+        self.hits.fetch_add(
+            keys.len() as u64 - misses,
+            std::sync::atomic::Ordering::Relaxed,
+        );
         self.misses
             .fetch_add(misses, std::sync::atomic::Ordering::Relaxed);
         // Guarded, not left to `stage`: counting the kernels is a pass
@@ -473,8 +663,8 @@ impl PlanStore {
                 &[
                     ("plans", Value::U64(snapshot.len() as u64)),
                     ("unique_kernels", Value::U64(unique)),
-                    ("opt_runs", Value::U64(opt_runs)),
-                    ("opt_shared", Value::U64(opt_shared)),
+                    ("opt_runs", Value::U64(made.runs)),
+                    ("opt_shared", Value::U64(made.shared)),
                 ],
             );
         }
@@ -1105,6 +1295,51 @@ mod tests {
                 "unroll {u}"
             );
         }
+
+        // The walk on four workers makes the same runs and interns the
+        // same kernels under the same ids as on one, cold and warm.
+        let regs = [8, 64, 256];
+        let unrolls = [1, 2, 4, 8];
+        let exts = [ExtSet::EMPTY, ExtSet::MULADD, ExtSet::ALL];
+        let walk = |threads: usize| {
+            let off = &mut UnitTrace::disabled();
+            let store = PlanStore::new();
+            Workers::scope(threads, |workers| {
+                let cold = store.snapshot(&benches, &regs, &unrolls, &exts, workers, off);
+                let warm = store.snapshot(
+                    &[Benchmark::G, Benchmark::D],
+                    &[16, 64],
+                    &unrolls,
+                    &exts,
+                    workers,
+                    off,
+                );
+                (cold, warm)
+            })
+        };
+        let (one, four) = (walk(1), walk(4));
+        for (a, b) in [(&one.0, &four.0), (&one.1, &four.1)] {
+            assert_eq!(a.kernels, b.kernels);
+            assert_eq!(a.plans.len(), b.plans.len());
+            for (key, id) in &a.plans {
+                assert_eq!(b.plans.get(key), Some(id), "{key:?}");
+            }
+        }
+        let mut keys: Vec<PlanKey> = Vec::new();
+        for b in benches {
+            for budget in regs.map(residency_budget) {
+                for u in unrolls {
+                    keys.extend(exts.map(|e| (b, budget, u, e)));
+                }
+            }
+        }
+        let made = |threads: usize| {
+            Workers::scope(threads, |workers| {
+                let made = Made::of(&keys, workers, &mut UnitTrace::disabled());
+                (made.runs, made.shared)
+            })
+        };
+        assert_eq!(made(1), made(4));
     }
 
     #[test]

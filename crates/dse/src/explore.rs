@@ -18,15 +18,16 @@
 //! With [`ExploreConfig::checkpoint`] set, completed units are journaled
 //! to disk and an interrupted run resumes bit-identically.
 
-use crate::checkpoint::{self, Checkpoint};
-use crate::error::{ExploreError, FailKind};
+use crate::checkpoint::{self, Checkpoint, SweepJournal};
+use crate::error::{CheckpointError, ExploreError, FailKind};
 use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanStore, UNROLL_SWEEP};
 use crate::memo::CompileCache;
+use crate::units::Workers;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, ExtSet, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::FaultInjector;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The distinct fused-extension sets a candidate list asks for, sorted —
@@ -47,7 +48,10 @@ pub struct ExploreConfig {
     pub archs: Vec<ArchSpec>,
     /// Benchmarks to evaluate.
     pub benches: Vec<Benchmark>,
-    /// Worker threads.
+    /// Workers of the run: the calling thread and `threads − 1` helper
+    /// threads started once for the whole sweep, which build the plans,
+    /// evaluate the baselines and then the units. `0` or `1` starts no
+    /// thread. Results are bit-identical for every value.
     pub threads: usize,
     /// Per-compilation scheduler step budget. A compilation over budget
     /// stops at the budget with a typed error instead of monopolizing a
@@ -349,21 +353,35 @@ impl Exploration {
         if config.archs.is_empty() || config.benches.is_empty() {
             return Err(ExploreError::EmptyConfig);
         }
+        Workers::scope(config.threads, |workers| {
+            Self::sweep(config, store, memo, rec, workers, checkpoint::sweep_journal)
+        })
+    }
+
+    /// The sweep on the run's worker set: the plan walk, the baselines
+    /// as one batch, then every `(architecture, benchmark)` unit as
+    /// another, journalled through the journal `attach` opens for the
+    /// configured checkpoint.
+    fn sweep<'env>(
+        config: &'env ExploreConfig,
+        store: &PlanStore,
+        memo: &'env CompileCache,
+        rec: &'env dyn Recorder,
+        workers: &Workers<'env>,
+        attach: impl FnOnce(&Checkpoint, u64, usize) -> Result<SweepJournal, CheckpointError>,
+    ) -> Result<Self, ExploreError> {
         let start = Instant::now();
         let mut reg_sizes: Vec<u32> = config.archs.iter().map(|a| a.regs).collect();
         reg_sizes.push(ArchSpec::baseline().regs);
-        let plans = store.snapshot(
+        let plans = Arc::new(store.snapshot(
             &config.benches,
             &reg_sizes,
             &UNROLL_SWEEP,
             &ext_sets_of(&config.archs),
+            workers,
             &mut UnitTrace::new(rec, cfp_obs::unit::PLAN),
-        );
+        ));
         let plan_wall = start.elapsed();
-        let session = Evaluator {
-            fuel: config.fuel,
-            ..Evaluator::new(&plans, memo)
-        };
 
         let cost = CostModel::paper_calibrated();
         let cycle = CycleModel::paper_calibrated();
@@ -377,45 +395,54 @@ impl Exploration {
 
         // Evaluate one pair behind the quarantine boundary and emit its
         // `unit` span (`fault_unit` is `None` for the baseline).
-        let quarantined = |spec: &ArchSpec,
-                           bench: Benchmark,
-                           fault_unit: Option<u64>,
-                           trace: &mut UnitTrace<'_>| {
-            let t0 = trace.start();
-            let out = quarantine(|| {
-                if let (Some(injector), Some(u)) = (&config.fault, fault_unit) {
-                    injector.fire(u);
-                }
-                session.evaluate(spec, bench, trace)
-            });
-            unit_span(trace, t0, spec, bench, &out, fault_unit.is_none());
-            out
-        };
-
-        // One work unit per (architecture, benchmark) pair: much finer
-        // grains than whole architectures, so a few slow deep-unroll
-        // evaluations cannot leave most worker threads idle at the tail
-        // of the sweep. Units on one worker reuse its thread's lowered
-        // machine and scheduler arena back to back.
-        let eval_unit = |i: usize| -> EvalOutcome {
-            let spec = &config.archs[i / nb];
-            let bench = config.benches[i % nb];
-            let mut trace = UnitTrace::new(rec, cfp_obs::unit::sweep(i));
-            quarantined(spec, bench, Some(i as u64), &mut trace)
+        let quarantined = {
+            let plans = Arc::clone(&plans);
+            move |spec: &ArchSpec,
+                  bench: Benchmark,
+                  fault_unit: Option<u64>,
+                  trace: &mut UnitTrace<'_>| {
+                let session = Evaluator {
+                    fuel: config.fuel,
+                    ..Evaluator::new(&plans, memo)
+                };
+                let t0 = trace.start();
+                let out = quarantine(|| {
+                    if let (Some(injector), Some(u)) = (&config.fault, fault_unit) {
+                        injector.fire(u);
+                    }
+                    session.evaluate(spec, bench, trace)
+                });
+                unit_span(trace, t0, spec, bench, &out, fault_unit.is_none());
+                out
+            }
         };
 
         // The baseline is the denominator of every speedup; fault
         // injection is keyed off unit indices and never hits it, but a
-        // fuel budget small enough to starve it fails the run.
+        // fuel budget small enough to starve it fails the run before any
+        // unit is evaluated or journaled.
         let baseline_spec = ArchSpec::baseline();
-        let mut baseline_outcomes = Vec::with_capacity(nb);
-        for (bi, &b) in config.benches.iter().enumerate() {
-            let mut trace = UnitTrace::new(rec, cfp_obs::unit::baseline(bi));
-            match quarantined(&baseline_spec, b, None, &mut trace) {
-                EvalOutcome::Done(m) => baseline_outcomes.push(EvalOutcome::Done(m)),
-                EvalOutcome::Failed { reason } => return Err(ExploreError::BaselineFailed(reason)),
-            }
-        }
+        let baseline_outcomes = workers
+            .run(nb, {
+                let quarantined = quarantined.clone();
+                move |bi| {
+                    let mut trace = UnitTrace::new(rec, cfp_obs::unit::baseline(bi));
+                    Some(quarantined(
+                        &baseline_spec,
+                        config.benches[bi],
+                        None,
+                        &mut trace,
+                    ))
+                }
+            })
+            .map_err(|_| ExploreError::WorkerLost)?
+            .into_iter()
+            .flatten()
+            .map(|out| match out {
+                EvalOutcome::Failed { reason } => Err(ExploreError::BaselineFailed(reason)),
+                done => Ok(done),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let baseline = ArchEval {
             spec: baseline_spec,
             cost: cost.cost(&baseline_spec),
@@ -428,23 +455,32 @@ impl Exploration {
         let mut replay: Vec<Option<EvalOutcome>> = Vec::new();
         let mut journal = None;
         if let Some(ck) = &config.checkpoint {
-            let fingerprint = checkpoint::fingerprint(config);
-            let (opened, entries) = checkpoint::sweep_journal(ck, fingerprint, units)?;
+            let (opened, entries) = attach(ck, checkpoint::fingerprint(config), units)?;
             replay.resize(units, None);
             for (i, outcome) in entries {
                 replay[i] = Some(outcome);
             }
-            journal = Some(Mutex::new(opened));
+            journal = Some(Arc::new(Mutex::new(opened)));
         }
 
+        // One work unit per (architecture, benchmark) pair: much finer
+        // grains than whole architectures, so a few slow deep-unroll
+        // evaluations cannot leave most workers idle at the tail of the
+        // sweep. Units on one worker reuse its thread's lowered machine
+        // and scheduler arena back to back.
         let eval_start = Instant::now();
         let answers = checkpoint::run_journalled(
+            workers,
             units,
-            config.threads,
-            journal.as_ref(),
-            |i| replay.get(i).cloned().flatten(),
+            journal,
+            replay,
             |i| i,
-            eval_unit,
+            move |i| {
+                let spec = &config.archs[i / nb];
+                let bench = config.benches[i % nb];
+                let mut trace = UnitTrace::new(rec, cfp_obs::unit::sweep(i));
+                quarantined(spec, bench, Some(i as u64), &mut trace)
+            },
         )?;
         let resumed_units = answers.iter().filter(|(_, fresh)| !fresh).count() as u64;
         let outcomes: Vec<EvalOutcome> = answers.into_iter().map(|(out, _)| out).collect();
@@ -703,13 +739,63 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_whose_journal_append_fails_returns_its_checkpoint_error() {
+        let path = std::env::temp_dir().join(format!(
+            "cfp_ckpt_lost_append_{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let mut cfg = ExploreConfig::smoke();
+        cfg.archs.truncate(3);
+        cfg.benches = vec![Benchmark::D];
+        cfg.threads = 2;
+        cfg.checkpoint = Some(Checkpoint::new(&path));
+        let (store, memo) = (PlanStore::new(), CompileCache::new());
+        let before = crate::units::helpers_started();
+        let err = Workers::scope(cfg.threads, |workers| {
+            Exploration::sweep(
+                &cfg,
+                &store,
+                &memo,
+                &cfp_obs::NULL,
+                workers,
+                |ck, fp, units| {
+                    let (journal, held) = checkpoint::sweep_journal(ck, fp, units)?;
+                    Ok((journal.refusing_writes()?, held))
+                },
+            )
+        })
+        .expect_err("journal lost");
+        assert!(
+            matches!(&err, ExploreError::Checkpoint(CheckpointError::Io { path: p, .. }) if *p == path),
+            "{err}"
+        );
+        let journal = std::fs::read_to_string(&path).expect("the header was written");
+        assert_eq!(journal.lines().count(), 1, "nothing was appended");
+        // Returning at all means the helper was joined.
+        assert_eq!(crate::units::helpers_started() - before, 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn a_starving_fuel_budget_fails_the_baseline_not_the_process() {
         let mut cfg = ExploreConfig::smoke();
         cfg.archs.truncate(2);
         cfg.benches = vec![Benchmark::D];
         cfg.fuel = Some(1); // not even one scheduler scan
+        cfg.threads = 2;
+        let path = std::env::temp_dir().join(format!(
+            "cfp_ckpt_starved_baseline_{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        cfg.checkpoint = Some(Checkpoint::new(&path));
         let err = Exploration::try_run(&cfg).expect_err("baseline starves");
         assert!(matches!(err, ExploreError::BaselineFailed(_)), "{err}");
+        assert!(
+            !path.exists(),
+            "no unit is journaled after a failed baseline"
+        );
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   in `(architecture, benchmark)` work units, with the cost and
 //!   cycle-time models attached and Table 3-style run statistics
 //!   (logical compilations, cache hits, unique schedules, quarantined
-//!   units, per-stage timings). The sweep, the guided search's rungs
-//!   and the gap study all fan out through one private unit runner
-//!   (`units.rs`);
+//!   units, per-stage timings). The sweep, the guided search's rungs,
+//!   the gap study and the plan walk all fan out through one private
+//!   unit runner (`units.rs`), whose workers live for one run;
 //! * [`error`] — the typed failure taxonomy: per-unit [`EvalError`]s,
 //!   quarantine [`FailReason`]s, and run-level [`ExploreError`]s, so a
 //!   pathological candidate is a reported value, never a lost sweep;

@@ -22,12 +22,13 @@
 //! certification burns its own step-count [`Fuel`], so verdicts —
 //! including [`PointVerdict::FuelExhausted`] — are bit-identical across
 //! platforms, thread counts, and re-runs. The points are units on the
-//! same runner as the sweep's and the search's (`units.rs`).
+//! same runner as the sweep's and the search's (`units.rs`), on one
+//! worker set for the whole study.
 
 use crate::checkpoint::spec_fingerprint;
-use crate::eval::{residency_budget, PlanCache};
+use crate::eval::{residency_budget, PlanCache, PlanStore};
 use crate::search::below;
-use crate::units::run_units;
+use crate::units::Workers;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, Fnv1a, MachineResources, SpaceAxes};
 use cfp_obs::UnitTrace;
@@ -58,7 +59,10 @@ pub struct OracleConfig {
     pub unrolls: Vec<u32>,
     /// Step budgets tried per point, in order, restarting each time.
     pub fuel_ladder: Vec<u64>,
-    /// Worker threads (the report is bit-identical for every value).
+    /// Workers of the study: the calling thread and `threads − 1` helper
+    /// threads started once, which build the plans and then measure the
+    /// points. `0` or `1` starts no thread. The report is bit-identical
+    /// for every value.
     pub threads: usize,
 }
 
@@ -189,10 +193,10 @@ impl OracleReport {
     /// Run the study described by `config`.
     ///
     /// Sampling is a single-threaded, order-pinned pass (so the trial
-    /// list is a pure function of the seed); measurement fans out over
-    /// `config.threads` workers on the crate's unit runner, each trial
-    /// burning its own fuel — the report is bit-identical for every
-    /// thread count.
+    /// list is a pure function of the seed); the plan walk and then the
+    /// measurement fan out over one set of `config.threads` workers on
+    /// the crate's unit runner, each trial burning its own fuel — the
+    /// report is bit-identical for every thread count.
     ///
     /// # Panics
     /// A panic inside a trial is re-raised here with its own payload,
@@ -217,16 +221,24 @@ impl OracleReport {
         let mut regs: Vec<u32> = trials.iter().map(|(_, spec, _)| spec.regs).collect();
         regs.sort_unstable();
         regs.dedup();
-        let plans = PlanCache::build(&config.benches, &regs, &config.unrolls);
-
         let ladder = if config.fuel_ladder.is_empty() {
             DEFAULT_FUEL_LADDER.to_vec()
         } else {
             config.fuel_ladder.clone()
         };
-        let points = run_units(trials.len(), config.threads, |i| {
-            let (bench, spec, unroll) = &trials[i];
-            measure(*bench, spec, *unroll, &ladder, &plans)
+        let points = Workers::scope(config.threads, |workers| {
+            let plans = PlanStore::new().snapshot(
+                &config.benches,
+                &regs,
+                &config.unrolls,
+                &[ExtSet::EMPTY],
+                workers,
+                &mut UnitTrace::disabled(),
+            );
+            workers.run(trials.len(), move |i| {
+                let (bench, spec, unroll) = &trials[i];
+                measure(*bench, spec, *unroll, &ladder, &plans)
+            })
         })
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 

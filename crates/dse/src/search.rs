@@ -35,7 +35,8 @@
 //!
 //! Everything is deterministic in the seed: proposals, promotion ties,
 //! and archive order are all independent of thread count (each rung's
-//! pool runs on the crate's unit runner, answers in pool order). With
+//! pool is one batch on the search's worker set, answers in pool
+//! order). With
 //! [`SearchConfig::checkpoint`] set, each rung's pool runs through the
 //! sweep's journalled runner ([`crate::checkpoint`]): every outcome is
 //! appended as it lands, under the search journal's own magic word and
@@ -53,13 +54,14 @@ use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanCache, PlanStore, UNRO
 use crate::explore::{Exploration, RunStats};
 use crate::memo::CompileCache;
 use crate::pareto::{self, ScatterPoint};
+use crate::units::Workers;
 use cfp_ir::{WordMap, WordSet};
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, Fnv1a, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::Rng;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Uniform index in `0..n` by plain remainder. Every pinned search and
@@ -330,7 +332,10 @@ pub struct SearchConfig {
     pub round_size: usize,
     /// Per-compilation fuel budget at every rung (`None` = unlimited).
     pub fuel: Option<u64>,
-    /// Worker threads for each rung's evaluation batch.
+    /// Workers of the search: the calling thread and `threads − 1`
+    /// helper threads started once for the whole search, which build
+    /// its plans and evaluate every rung's pool. `0` or `1` starts no
+    /// thread. The outcome is bit-identical for every value.
     pub threads: usize,
     /// Journal every evaluated `(candidate, rung)` outcome to disk and
     /// optionally resume — same crash-consistency discipline as the
@@ -405,16 +410,28 @@ impl<'a> LazyEvaluator<'a> {
         store: &PlanStore,
         memo: &'a CompileCache,
     ) -> Result<Self, ExploreError> {
+        Workers::scope(1, |workers| Self::on(config, store, memo, workers))
+    }
+
+    /// [`Self::new`] with the plan snapshot made on the run's workers.
+    fn on(
+        config: &'a SearchConfig,
+        store: &PlanStore,
+        memo: &'a CompileCache,
+        workers: &Workers<'_>,
+    ) -> Result<Self, ExploreError> {
         let mut regs: Vec<u32> = config.axes.reg_values().to_vec();
         regs.push(ArchSpec::baseline().regs);
         // Fused plans exist only for extension sets the axes can reach;
         // the baseline's empty set is on every axis list already, so an
         // extensionless search snapshots exactly the historical plans.
-        let plans = store.ensure_snapshot_extended(
+        let plans = store.snapshot(
             &[config.bench],
             &regs,
             &UNROLL_SWEEP,
             config.axes.ext_values(),
+            workers,
+            &mut UnitTrace::disabled(),
         );
         let full = Evaluator {
             fuel: config.fuel,
@@ -620,10 +637,24 @@ pub fn try_search_shared(
     if config.rounds == 0 || config.round_size == 0 {
         return Err(ExploreError::EmptyConfig);
     }
+    Workers::scope(config.threads, |workers| {
+        search(config, store, memo, rec, workers)
+    })
+}
+
+/// The guided search on the run's worker set: the plan snapshot, then
+/// each rung's pool as one batch.
+fn search<'env>(
+    config: &'env SearchConfig,
+    store: &PlanStore,
+    memo: &'env CompileCache,
+    rec: &dyn Recorder,
+    workers: &Workers<'env>,
+) -> Result<SearchOutcome, ExploreError> {
     let start = Instant::now();
     let hits0 = memo.core_hits();
     let cores0 = memo.unique_cores() as u64;
-    let lazy = LazyEvaluator::new(config, store, memo)?;
+    let lazy = Arc::new(LazyEvaluator::on(config, store, memo, workers)?);
     let plan_wall = start.elapsed();
 
     // Attach the search journal and index its outcomes for replay: the
@@ -635,7 +666,7 @@ pub fn try_search_shared(
     if let Some(ck) = &config.checkpoint {
         let (opened, entries) = search_journal(ck, search_fingerprint(config))?;
         replay.extend(entries);
-        journal = Some(Mutex::new(opened));
+        journal = Some(Arc::new(Mutex::new(opened)));
     }
     let resumed = replay.len() as u64;
 
@@ -712,13 +743,24 @@ pub fn try_search_shared(
 
         for ri in 0..RUNGS.len() {
             rung_survivors.push(pool.len());
+            let replayed = pool
+                .iter()
+                .map(|s| replay.get(&(spec_fingerprint(s), ri)).cloned())
+                .collect();
+            let specs = Arc::new(pool.clone());
             let results = run_journalled(
+                workers,
                 pool.len(),
-                config.threads,
-                journal.as_ref(),
-                |i| replay.get(&(spec_fingerprint(&pool[i]), ri)).cloned(),
-                |i| journal_key(spec_fingerprint(&pool[i]), ri),
-                |i| lazy.outcome(&pool[i], ri),
+                journal.clone(),
+                replayed,
+                {
+                    let specs = Arc::clone(&specs);
+                    move |i| journal_key(spec_fingerprint(&specs[i]), ri)
+                },
+                {
+                    let lazy = Arc::clone(&lazy);
+                    move |i| lazy.outcome(&specs[i], ri)
+                },
             )?;
             for (out, fresh) in &results {
                 if !fresh {
@@ -1067,16 +1109,44 @@ mod tests {
             ArchSpec::new(8, 4, 256, 2, 4, 2).unwrap(),
         ];
         let off_the_ladder = RUNGS.len();
-        let err = run_journalled(
-            pool.len(),
-            2,
-            None,
-            |_| None,
-            |i| i,
-            |i| lazy.outcome(&pool[i], off_the_ladder),
-        )
+        let err = Workers::scope(2, |workers| {
+            let unit = |i: usize| lazy.outcome(&pool[i], off_the_ladder);
+            run_journalled(workers, pool.len(), None, Vec::new(), |i| i, unit)
+        })
         .expect_err("both workers die");
         assert!(matches!(err, ExploreError::WorkerLost), "{err}");
+    }
+
+    #[test]
+    fn a_search_whose_baseline_fails_ends_its_worker_set() {
+        let mut cfg = small_config();
+        cfg.fuel = Some(1); // not even one scheduler scan
+        let before = crate::units::helpers_started();
+        let err = try_search(&cfg).expect_err("baseline starves");
+        assert!(matches!(err, ExploreError::BaselineFailed(_)), "{err}");
+        // Returning at all means the helper was joined.
+        assert_eq!(crate::units::helpers_started() - before, 1);
+    }
+
+    #[test]
+    fn a_search_keeps_its_workers_for_every_rung() {
+        // Ten rounds of three rungs used to start two threads per rung.
+        let mut cfg = small_config();
+        cfg.rounds = 10;
+        let before = crate::units::helpers_started();
+        let out = try_search(&cfg).expect("search runs");
+        assert_eq!(out.rounds.len(), 10);
+        assert_eq!(crate::units::helpers_started() - before, 1);
+        let mut one = cfg.clone();
+        one.threads = 1;
+        let before = crate::units::helpers_started();
+        let serial = try_search(&one).expect("search runs");
+        assert_eq!(
+            crate::units::helpers_started(),
+            before,
+            "one thread starts none"
+        );
+        assert_eq!(serial.evaluated, out.evaluated);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use custom_fit::dse::{
 use custom_fit::machine::{ArchSpec, CycleModel, ExtSet, SpaceAxes};
 use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::Benchmark;
+use custom_fit::serve::job::search_digest;
 
 const BENCH: Benchmark = Benchmark::D;
 const COST_BOUND: f64 = 10.0;
@@ -151,10 +152,14 @@ fn guided_search_recovers_the_exhaustive_constrained_optimum() {
 
 #[test]
 fn search_is_thread_deterministic_and_resumes_bit_identically() {
-    let wide = try_search(&engine_config(4)).expect("4-thread search");
     let narrow = try_search(&engine_config(1)).expect("1-thread search");
-    assert_eq!(decision_bits(&wide), decision_bits(&narrow));
-    assert_eq!(wide.rounds, narrow.rounds);
+    let digest = search_digest(&narrow);
+    for threads in [2, 3, 8] {
+        let wide = try_search(&engine_config(threads)).expect("multi-thread search");
+        assert_eq!(search_digest(&wide), digest, "{threads} threads");
+        assert_eq!(decision_bits(&wide), decision_bits(&narrow));
+        assert_eq!(wide.rounds, narrow.rounds, "{threads} threads");
+    }
 
     // Journal a run, then replay it on a different thread count: the
     // resumed search must make the same decisions bit for bit, with
@@ -164,11 +169,11 @@ fn search_is_thread_deterministic_and_resumes_bit_identically() {
     let ck = dir.join("search.ck");
     let _ = std::fs::remove_file(&ck);
 
-    let mut first_cfg = engine_config(4);
+    let mut first_cfg = engine_config(3);
     first_cfg.checkpoint = Some(Checkpoint::resume(&ck));
     let first = try_search(&first_cfg).expect("journaled search");
     assert_eq!(first.stats.resumed_units, 0);
-    assert_eq!(decision_bits(&first), decision_bits(&wide));
+    assert_eq!(search_digest(&first), digest);
 
     let mut resumed_cfg = engine_config(1);
     resumed_cfg.checkpoint = Some(Checkpoint::resume(&ck));
@@ -177,17 +182,29 @@ fn search_is_thread_deterministic_and_resumes_bit_identically() {
         resumed.stats.resumed_units > 0,
         "resume replayed nothing from the journal"
     );
-    assert_eq!(decision_bits(&resumed), decision_bits(&wide));
+    assert_eq!(search_digest(&resumed), digest);
     // Round decisions match exactly; the physical counters legitimately
     // differ (replayed outcomes are dedup hits, not fresh evals).
-    assert_eq!(resumed.rounds.len(), wide.rounds.len());
-    for (r, w) in resumed.rounds.iter().zip(&wide.rounds) {
+    assert_eq!(resumed.rounds.len(), narrow.rounds.len());
+    for (r, w) in resumed.rounds.iter().zip(&narrow.rounds) {
         assert_eq!(r.round, w.round);
         assert_eq!(r.entrants, w.entrants);
         assert_eq!(r.rung_survivors, w.rung_survivors);
         assert_eq!(r.frontier_size, w.frontier_size);
         assert_eq!(r.best_speedup.to_bits(), w.best_speedup.to_bits());
     }
+
+    // Cut the journal to its first half, as an interrupted run leaves
+    // it, and finish the search on eight threads.
+    let text = std::fs::read_to_string(&ck).expect("journal");
+    let lines: Vec<&str> = text.lines().collect();
+    let kept = lines[..lines.len() / 2 + 1].join("\n") + "\n";
+    std::fs::write(&ck, kept).expect("cut journal");
+    let mut finished_cfg = engine_config(8);
+    finished_cfg.checkpoint = Some(Checkpoint::resume(&ck));
+    let finished = try_search(&finished_cfg).expect("finished search");
+    assert_eq!(finished.stats.resumed_units as usize, lines.len() / 2);
+    assert_eq!(search_digest(&finished), digest);
 
     let _ = std::fs::remove_file(&ck);
     let _ = std::fs::remove_dir(&dir);
