@@ -1,6 +1,8 @@
 //! Checkpoint/resume journaling: the one `Journal` behind the
-//! exploration sweep and the guided search, and the one runner
-//! ([`run_journalled`]) through which both replay and append it.
+//! exploration sweep and the guided search, and the one handle
+//! ([`Journalled`]) that owns a run's journal and what it already held,
+//! through whose runner ([`Journalled::run_journalled`]) both replay and
+//! append it.
 //!
 //! The full sweep is minutes of compute; an interrupted run (ctrl-C, a
 //! batch-queue eviction, a crash) should not forfeit the units it
@@ -27,16 +29,18 @@
 //!
 //! The file format and the write discipline live here and nowhere else.
 //! A journal kind is its magic word, the header fields after the
-//! fingerprint, and an entry-key codec: the sweep's
-//! (`sweep_journal`: `cfp-checkpoint,v1,<fingerprint>,<units>`, entries
-//! keyed `<unit>`) and the guided search's (`search_journal`:
-//! `cfp-search,v1,<fingerprint>`, entries keyed `<candidate>,<rung>`).
+//! fingerprint, and a typed entry key whose `Display` is its text on
+//! disk: the sweep's (`sweep_journal`:
+//! `cfp-checkpoint,v1,<fingerprint>,<units>`, entries keyed by the unit
+//! index, a `usize`) and the guided search's (`search_journal`:
+//! `cfp-search,v1,<fingerprint>`, entries keyed by a [`SearchKey`],
+//! `<candidate>,<rung>`).
 
 use crate::error::{CheckpointError, ExploreError, FailKind, FailReason};
 use crate::eval::{EvalOutcome, Measurement};
 use crate::explore::ExploreConfig;
 use crate::units::Workers;
-use cfp_ir::WordSet;
+use cfp_ir::WordMap;
 use cfp_machine::{ArchSpec, Fnv1a};
 use std::fmt::Display;
 use std::fs::{self, File, OpenOptions};
@@ -261,7 +265,7 @@ impl Journal {
     /// The first line is `<magic>,v1,<fingerprint>` followed by the
     /// `tail` fields; every other line is one entry, `key_fields`
     /// comma-separated key fields (decoded, and range-checked, by
-    /// `decode_key`) followed by the outcome. Returns the journal plus
+    /// `decode_key`) followed by the outcome. Returns the journal with
     /// the entries already recorded — none unless `ck` resumes a file
     /// that exists; a file that exists without `resume` is
     /// [`CheckpointError::Exists`], never clobbered. A resumed file's
@@ -274,7 +278,7 @@ impl Journal {
         tail: &[String],
         key_fields: usize,
         decode_key: impl Fn(&[&str]) -> Result<K, String>,
-    ) -> CheckpointResult<(Journal, Vec<(K, EvalOutcome)>)> {
+    ) -> CheckpointResult<Journalled<K>> {
         let fingerprint_hex = format!("{fingerprint:016x}");
         let mut header = vec![magic, VERSION, &fingerprint_hex];
         header.extend(tail.iter().map(String::as_str));
@@ -297,14 +301,17 @@ impl Journal {
             parse(text, &header, fingerprint, key_fields, decode_key)?
         } else {
             write_atomic(&ck.path, &format!("{}\n", header.join(","))).map_err(io)?;
-            Vec::new()
+            WordMap::default()
         };
         let file = OpenOptions::new().append(true).open(&ck.path).map_err(io)?;
         if let Some(len) = torn {
             file.set_len(len).map_err(io)?;
         }
         let path = ck.path.clone();
-        Ok((Journal { path, file }, entries))
+        Ok(Journalled {
+            journal: Some(Mutex::new(Journal { path, file })),
+            held: entries,
+        })
     }
 
     /// Append one `<key>,<outcome>` line per entry, each with a single
@@ -326,59 +333,87 @@ impl Journal {
     }
 }
 
-/// Run `unit(i)` for every `i` in `0..n` on the run's worker set,
-/// through `journal`: a unit `replayed` holds an outcome for is not run,
-/// and any other is evaluated and, with a journal, appended under
-/// `key(i)` as it lands. Returns each unit's outcome and whether it was
-/// evaluated (`true`) or replayed (`false`), in index order. Without a
-/// journal no unit takes a lock, and `key` is never called.
-///
-/// # Errors
-/// The first failed append, as [`ExploreError::Checkpoint`]: after it no
-/// further unit starts and nothing more is appended, since measuring on
-/// while the journal is lost would silently break a resumed run's
-/// bit-identity. [`ExploreError::WorkerLost`] if a unit panics.
-pub(crate) fn run_journalled<'env, K: Display>(
-    workers: &Workers<'env>,
-    n: usize,
-    journal: Option<Arc<Mutex<Journal>>>,
-    replayed: Vec<Option<EvalOutcome>>,
-    key: impl Fn(usize) -> K + Send + Sync + 'env,
-    unit: impl Fn(usize) -> EvalOutcome + Send + Sync + 'env,
-) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
-    let lost: Arc<Mutex<Option<CheckpointError>>> = Arc::default();
-    let answers = workers
-        .run(n, {
-            let lost = Arc::clone(&lost);
-            move |i| {
-                if let Some(out) = replayed.get(i).cloned().flatten() {
-                    return Some((out, false));
-                }
-                if lock(&lost).is_some() {
-                    return None;
-                }
-                let out = unit(i);
-                if let Some(journal) = &journal {
+/// A run's journal — or none — and the outcomes it already held, by
+/// entry key: the one handle through which the sweep (keyed by unit
+/// index) and the guided search (keyed by [`SearchKey`]) replay and
+/// append.
+#[derive(Debug)]
+pub(crate) struct Journalled<K> {
+    journal: Option<Mutex<Journal>>,
+    held: WordMap<K, EvalOutcome>,
+}
+
+impl<K: Copy + Eq + Hash + Display + Send + Sync + 'static> Journalled<K> {
+    /// No journal: nothing is replayed and nothing appended.
+    pub(crate) fn off() -> Self {
+        Journalled {
+            journal: None,
+            held: WordMap::default(),
+        }
+    }
+
+    /// Outcomes the journal held when the run attached it.
+    pub(crate) fn resumed(&self) -> u64 {
+        self.held.len() as u64
+    }
+
+    /// Run `unit(i)` for every `i` in `0..n` on the run's worker set,
+    /// through the journal: a unit whose `key(i)` the journal held is
+    /// replayed, not run, and any other is evaluated and, with a
+    /// journal, appended under `key(i)` as it lands. Returns each unit's
+    /// outcome and whether it was evaluated (`true`) or replayed
+    /// (`false`), in index order. Without a journal no unit takes a
+    /// lock, and `key` is never called.
+    ///
+    /// # Errors
+    /// The first failed append, as [`ExploreError::Checkpoint`]: after
+    /// it no further unit starts and nothing more is appended, since
+    /// measuring on while the journal is lost would silently break a
+    /// resumed run's bit-identity. [`ExploreError::WorkerLost`] if a
+    /// unit panics.
+    pub(crate) fn run_journalled<'env>(
+        self: &Arc<Self>,
+        workers: &Workers<'env>,
+        n: usize,
+        key: impl Fn(usize) -> K + Send + Sync + 'env,
+        unit: impl Fn(usize) -> EvalOutcome + Send + Sync + 'env,
+    ) -> Result<Vec<(EvalOutcome, bool)>, ExploreError> {
+        let lost: Arc<Mutex<Option<CheckpointError>>> = Arc::default();
+        let answers = workers
+            .run(n, {
+                let (this, lost) = (Arc::clone(self), Arc::clone(&lost));
+                move |i| {
+                    let Some(journal) = &this.journal else {
+                        return Some((unit(i), true));
+                    };
+                    let key = key(i);
+                    if let Some(out) = this.held.get(&key) {
+                        return Some((out.clone(), false));
+                    }
+                    if lock(&lost).is_some() {
+                        return None;
+                    }
+                    let out = unit(i);
                     let mut journal = lock(journal);
                     // A failed write may have left a torn line: nothing
                     // follows it.
                     if lock(&lost).is_none() {
-                        if let Err(e) = journal.append([(key(i), &out)]) {
+                        if let Err(e) = journal.append([(key, &out)]) {
                             *lock(&lost) = Some(e);
                         }
                     }
+                    Some((out, true))
                 }
-                Some((out, true))
-            }
-        })
-        .map_err(|_| ExploreError::WorkerLost)?;
-    if let Some(e) = lock(&lost).take() {
-        return Err(e.into());
+            })
+            .map_err(|_| ExploreError::WorkerLost)?;
+        if let Some(e) = lock(&lost).take() {
+            return Err(e.into());
+        }
+        answers
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or(ExploreError::WorkerLost)
     }
-    answers
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-        .ok_or(ExploreError::WorkerLost)
 }
 
 /// Lock `m`, taking a poisoned lock as it stands: every write under the
@@ -412,7 +447,7 @@ fn parse<K: Copy + Eq + Hash>(
     expected_fp: u64,
     key_fields: usize,
     decode_key: impl Fn(&[&str]) -> Result<K, String>,
-) -> CheckpointResult<Vec<(K, EvalOutcome)>> {
+) -> CheckpointResult<WordMap<K, EvalOutcome>> {
     let corrupt = |line: usize, message: String| CheckpointError::Corrupt { line, message };
     let mut lines = text.lines().enumerate();
     let Some((_, found_header)) = lines.next() else {
@@ -441,8 +476,7 @@ fn parse<K: Copy + Eq + Hash>(
         ));
     }
 
-    let mut seen: WordSet<K> = WordSet::default();
-    let mut entries = Vec::new();
+    let mut entries = WordMap::default();
     for (idx, line) in lines {
         let lineno = idx + 1;
         if line.trim().is_empty() {
@@ -455,25 +489,24 @@ fn parse<K: Copy + Eq + Hash>(
         let (key_text, outcome) = fields.split_at(key_fields);
         let key = decode_key(key_text).map_err(|message| corrupt(lineno, message))?;
         let outcome = parse_outcome(outcome, lineno)?;
-        if !seen.insert(key) {
+        if entries.insert(key, outcome).is_some() {
             return Err(corrupt(
                 lineno,
                 format!("entry `{}` recorded twice", key_text.join(",")),
             ));
         }
-        entries.push((key, outcome));
     }
     Ok(entries)
 }
 
 /// Open the sweep's journal for a run of `units` work units: the unit
 /// count is the header's tail, and an entry's key is its unit index in
-/// decimal (what [`Journal::append`] writes for a `usize` key).
+/// decimal.
 pub(crate) fn sweep_journal(
     ck: &Checkpoint,
     fingerprint: u64,
     units: usize,
-) -> CheckpointResult<SweepJournal> {
+) -> CheckpointResult<Journalled<usize>> {
     Journal::attach(ck, MAGIC, fingerprint, &[units.to_string()], 1, |key| {
         let unit: usize = key[0]
             .parse()
@@ -485,46 +518,52 @@ pub(crate) fn sweep_journal(
     })
 }
 
-/// An open sweep journal and the entries it already held, by unit.
-pub(crate) type SweepJournal = (Journal, Vec<(usize, EvalOutcome)>);
-
-/// A search-journal entry's key: `(candidate fingerprint, rung)`.
-pub(crate) type SearchKey = (u64, usize);
-
-/// The key of one search-journal entry, as [`search_journal`] decodes it.
-pub(crate) fn journal_key(candidate: u64, rung: usize) -> String {
-    format!("{candidate:016x},{rung}")
+/// A search-journal entry's key: a candidate's [`spec_fingerprint`] and
+/// its ladder rung, written `<candidate:016x>,<rung>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct SearchKey {
+    pub(crate) candidate: u64,
+    pub(crate) rung: usize,
 }
 
-/// Open the search's journal: no header tail, entries keyed
-/// `<candidate fingerprint>,<rung>` ([`spec_fingerprint`] and the
-/// ladder rung).
+impl Display for SearchKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:016x},{}", self.candidate, self.rung)
+    }
+}
+
+/// Open the search's journal: no header tail, entries keyed by
+/// [`SearchKey`].
 pub(crate) fn search_journal(
     ck: &Checkpoint,
     fingerprint: u64,
-) -> CheckpointResult<(Journal, Vec<(SearchKey, EvalOutcome)>)> {
+) -> CheckpointResult<Journalled<SearchKey>> {
     Journal::attach(ck, SEARCH_MAGIC, fingerprint, &[], 2, |key| {
         let candidate = u64::from_str_radix(key[0], 16)
             .map_err(|e| format!("bad candidate key `{}`: {e}", key[0]))?;
         let rung: usize = key[1]
             .parse()
             .map_err(|e| format!("bad rung `{}`: {e}", key[1]))?;
-        Ok((candidate, rung))
+        Ok(SearchKey { candidate, rung })
     })
 }
 
 #[cfg(test)]
-impl Journal {
+impl<K> Journalled<K> {
     /// This journal behind a handle that refuses every write: what a
     /// journal lost mid-run looks like to the runner.
-    pub(crate) fn refusing_writes(self) -> CheckpointResult<Journal> {
-        let file = File::open(&self.path).map_err(|source| CheckpointError::Io {
-            path: self.path.clone(),
-            source,
-        })?;
-        Ok(Journal {
-            path: self.path,
-            file,
+    pub(crate) fn refusing_writes(self) -> CheckpointResult<Self> {
+        let journal = self.journal.map(|j| {
+            let path = j.into_inner().unwrap_or_else(PoisonError::into_inner).path;
+            let file = File::open(&path).map_err(|source| CheckpointError::Io {
+                path: path.clone(),
+                source,
+            })?;
+            Ok(Mutex::new(Journal { path, file }))
+        });
+        Ok(Journalled {
+            journal: journal.transpose()?,
+            held: self.held,
         })
     }
 }
@@ -628,22 +667,25 @@ mod tests {
     const UNITS: usize = 10;
 
     impl Kind {
+        /// The journal, and the entries it held sorted by their text.
         fn open(
             self,
             ck: &Checkpoint,
             fp: u64,
         ) -> CheckpointResult<(Journal, Vec<(String, EvalOutcome)>)> {
+            fn text<K: Display>(opened: Journalled<K>) -> (Journal, Vec<(String, EvalOutcome)>) {
+                let journal = opened.journal.expect("attached").into_inner().unwrap();
+                let mut entries: Vec<(String, EvalOutcome)> = opened
+                    .held
+                    .into_iter()
+                    .map(|(k, o)| (k.to_string(), o))
+                    .collect();
+                entries.sort_by(|a, b| a.0.cmp(&b.0));
+                (journal, entries)
+            }
             match self {
-                Kind::Sweep => sweep_journal(ck, fp, UNITS).map(|(journal, entries)| {
-                    let entries = entries.into_iter().map(|(u, o)| (u.to_string(), o));
-                    (journal, entries.collect())
-                }),
-                Kind::Search => search_journal(ck, fp).map(|(journal, entries)| {
-                    let entries = entries
-                        .into_iter()
-                        .map(|((c, r), o)| (journal_key(c, r), o));
-                    (journal, entries.collect())
-                }),
+                Kind::Sweep => sweep_journal(ck, fp, UNITS).map(text),
+                Kind::Search => search_journal(ck, fp).map(text),
             }
         }
 
@@ -658,7 +700,18 @@ mod tests {
         fn keys(self) -> [String; 2] {
             match self {
                 Kind::Sweep => [3_usize.to_string(), 7_usize.to_string()],
-                Kind::Search => [journal_key(0x1234, 0), journal_key(0xfeed_f00d, 2)],
+                Kind::Search => [
+                    SearchKey {
+                        candidate: 0x1234,
+                        rung: 0,
+                    }
+                    .to_string(),
+                    SearchKey {
+                        candidate: 0xfeed_f00d,
+                        rung: 2,
+                    }
+                    .to_string(),
+                ],
             }
         }
 
@@ -700,7 +753,7 @@ mod tests {
             assert!(entries.is_empty());
             assert_eq!(fs::read_to_string(&path).unwrap(), format!("{header}\n"));
 
-            // Appended entries come back, in order, on resume.
+            // Appended entries come back on resume.
             journal.append([(&k1, &done(1.0 / 3.0, false))]).unwrap();
             journal.append([(&k2, &nasty())]).unwrap();
             let (_, back) = kind.open(&Checkpoint::resume(&path), FP).expect("resume");
@@ -867,41 +920,45 @@ mod tests {
     #[test]
     fn the_runner_replays_what_the_journal_holds_and_appends_the_rest() {
         let path = Kind::Sweep.path("runner");
-        let (journal, _) = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
-        let journal = Arc::new(Mutex::new(journal));
-        let replayed = |i: usize| (i % 3 == 0).then(|| done(i as f64, false));
+        let held = |i: usize| (i % 3 == 0).then(|| done(i as f64, false));
+        let first = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
+        let mut journal = first.journal.unwrap().into_inner().unwrap();
+        let earlier: Vec<(usize, EvalOutcome)> =
+            (0..UNITS).filter_map(|i| Some((i, held(i)?))).collect();
+        journal.append(earlier.iter().map(|(i, o)| (i, o))).unwrap();
         let ran = AtomicUsize::new(0);
         let evaluate = |i: usize| {
             ran.fetch_add(1, Ordering::SeqCst);
             done(i as f64 + 0.5, true)
         };
+        let resumed = Arc::new(sweep_journal(&Checkpoint::resume(&path), FP, UNITS).unwrap());
+        assert_eq!(resumed.resumed(), 4);
         let answers = Workers::scope(3, |workers| {
-            let held = (0..UNITS).map(replayed).collect();
-            run_journalled(workers, UNITS, Some(journal), held, |i| i, evaluate)
+            resumed.run_journalled(workers, UNITS, |i| i, evaluate)
         })
         .expect("runs");
+        let fresh = |i: usize| (done(i as f64 + 0.5, true), true);
         let want: Vec<(EvalOutcome, bool)> = (0..UNITS)
-            .map(|i| replayed(i).map_or((done(i as f64 + 0.5, true), true), |o| (o, false)))
+            .map(|i| held(i).map_or(fresh(i), |o| (o, false)))
             .collect();
         assert_eq!(answers, want);
         assert_eq!(ran.load(Ordering::SeqCst), 6, "replayed units are not run");
         // Exactly the evaluated units were appended, each once.
-        let (_, mut back) = sweep_journal(&Checkpoint::resume(&path), FP, UNITS).expect("resume");
+        let back = sweep_journal(&Checkpoint::resume(&path), FP, UNITS).expect("resume");
+        let mut back: Vec<(usize, EvalOutcome)> = back.held.into_iter().collect();
         back.sort_by_key(|(i, _)| *i);
-        let fresh: Vec<(usize, EvalOutcome)> = (0..UNITS)
-            .filter(|i| i % 3 != 0)
-            .map(|i| (i, done(i as f64 + 0.5, true)))
+        let all: Vec<(usize, EvalOutcome)> = (0..UNITS)
+            .map(|i| (i, held(i).unwrap_or(fresh(i).0)))
             .collect();
-        assert_eq!(back, fresh);
+        assert_eq!(back, all);
 
-        // Without a journal nothing asks for a key.
+        // Without a journal nothing asks for a key, and every unit runs.
         let plain = Workers::scope(2, |workers| {
-            let held = (0..UNITS).map(replayed).collect();
-            let no_key = |_| -> String { unreachable!("no journal, no key") };
-            run_journalled(workers, UNITS, None, held, no_key, evaluate)
+            let no_key = |_| -> usize { unreachable!("no journal, no key") };
+            Arc::new(Journalled::off()).run_journalled(workers, UNITS, no_key, evaluate)
         })
         .expect("runs");
-        assert_eq!(plain, want);
+        assert_eq!(plain, (0..UNITS).map(fresh).collect::<Vec<_>>());
         fs::remove_file(&path).unwrap();
     }
 
@@ -909,15 +966,15 @@ mod tests {
     fn a_lost_journal_stops_the_runner_with_its_error() {
         for threads in [1, 2] {
             let path = Kind::Sweep.path("lost");
-            let (journal, _) = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
-            let lost = Arc::new(Mutex::new(journal.refusing_writes().unwrap()));
+            let journal = sweep_journal(&Checkpoint::new(&path), FP, UNITS).unwrap();
+            let lost = Arc::new(journal.refusing_writes().unwrap());
             let ran = AtomicUsize::new(0);
             let err = Workers::scope(threads, |workers| {
                 let unit = |_| {
                     ran.fetch_add(1, Ordering::SeqCst);
                     done(1.0, false)
                 };
-                run_journalled(workers, UNITS, Some(lost), Vec::new(), |i| i, unit)
+                lost.run_journalled(workers, UNITS, |i| i, unit)
             })
             .expect_err("journal lost");
             assert!(

@@ -27,16 +27,18 @@
 //! Building those plans runs each *distinct* optimization once. The
 //! optimizer reports the peak resident count its LICM calls reached, and
 //! a run that stayed under its budget is the run of every budget above
-//! that peak (`cfp_opt::optimize_budgeted_traced`), so one kernel's
-//! pipeline ([`BenchPlans`]) keeps its runs and lets a later budget take
-//! an earlier one's result instead of repeating it. There is one walk
-//! over plan keys, [`PlanStore::ensure_snapshot_extended`]'s, which
-//! makes the plans it misses — on the run's workers, one optimizer
-//! chain per `(benchmark, unroll)`, when a run has helpers — and then
-//! interns them in key order, so ids depend only on the kernels, never
-//! on which run or which worker produced them; [`PlanCache::build`] is
-//! that walk on a fresh store, and [`plan`] is the same pipeline on one
-//! caller-supplied kernel (`cfpc`'s).
+//! that peak (`cfp_opt::optimize_budgeted_traced`), so a kernel's base
+//! runs ([`BaseRuns`]) and each unroll factor's chain ([`UnrollChain`])
+//! keep their runs and let a later budget take an earlier one's result
+//! instead of repeating it. There is one walk over plan keys,
+//! [`PlanStore::ensure_snapshot_extended`]'s: it makes the plans it
+//! misses as two batches on the run's workers — every kernel's base
+//! runs, then every `(benchmark, unroll)` chain — each item tracing
+//! under a unit of its own, and then interns them in key order, so ids
+//! depend only on the kernels, never on which run or which worker
+//! produced them; [`PlanCache::build`] is that walk on a fresh store,
+//! and [`plan`] is the same pipeline on one caller-supplied kernel
+//! (`cfpc`'s).
 
 use crate::error::{EvalError, FailReason};
 use crate::memo::{CompileCache, CoreSummary};
@@ -44,7 +46,7 @@ use crate::units::Workers;
 use cfp_ir::{WordMap, WordSet};
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, MachineResources, SchedSignature};
-use cfp_obs::{Stage, UnitTrace, Value};
+use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -124,46 +126,11 @@ impl OptRun {
     }
 }
 
-/// One kernel's plan pipeline — optimize, unroll, re-optimize across
-/// the unrolled copies (where CSE turns a stencil's overlapping loads
-/// into a register window, the paper's central registers-for-bandwidth
-/// trade), fuse last — with every result kept, so each distinct
-/// optimization and each distinct fusing happens once however many
-/// budgets ask for it. Callers make a fresh one per source kernel. Each
-/// unroll factor's stage is a chain of its own that reads the base runs
-/// and nothing of another chain, which is what lets the plan walk run
-/// one kernel's chains on different workers.
-#[derive(Debug)]
-struct BenchPlans {
-    base: BaseRuns,
-    chains: Vec<UnrollChain>,
-}
-
-impl BenchPlans {
-    fn new(source: cfp_ir::Kernel) -> Self {
-        BenchPlans {
-            base: BaseRuns::new(source),
-            chains: Vec::new(),
-        }
-    }
-
-    /// The source's plan for `(budget, u, exts)`, or `None` when the
-    /// unrolled body would exceed [`MAX_BODY_OPS`]. The scalar pipeline
-    /// never sees fused instructions: the fuse pass rewrites its result.
-    fn plan(
-        &mut self,
-        budget: usize,
-        u: u32,
-        exts: ExtSet,
-        trace: &mut UnitTrace<'_>,
-    ) -> Option<&cfp_ir::Kernel> {
-        self.base.at(budget, trace);
-        let ci = find_or_push(&mut self.chains, |c| c.u == u, || UnrollChain::new(u));
-        self.chains[ci].plan(&self.base.runs, budget, exts, trace)
-    }
-}
-
-/// The optimizer runs over one source kernel: one per budget class.
+/// The first stage of a kernel's plan pipeline — optimize, unroll,
+/// re-optimize across the unrolled copies (where CSE turns a stencil's
+/// overlapping loads into a register window, the paper's central
+/// registers-for-bandwidth trade), fuse last: the optimizer runs over
+/// one source kernel, one per budget class.
 #[derive(Debug)]
 struct BaseRuns {
     source: cfp_ir::Kernel,
@@ -195,7 +162,12 @@ enum Pick {
     Fused(usize),
 }
 
-/// One unroll factor's stage of a kernel's pipeline.
+/// One unroll factor's stage of a kernel's pipeline, with every result
+/// kept, so each distinct optimization and each distinct fusing happens
+/// once however many budgets ask for it. It reads the kernel's base runs
+/// and nothing of another chain, which is what lets the plan walk run
+/// one kernel's chains on different workers. The scalar pipeline never
+/// sees fused instructions: the fuse pass rewrites its result.
 #[derive(Debug)]
 struct UnrollChain {
     u: u32,
@@ -223,7 +195,8 @@ impl UnrollChain {
     }
 
     /// The plan for `(budget, exts)` over `base`, the kernel's base runs
-    /// with one among them that answers `budget` ([`BaseRuns::at`]).
+    /// with one among them that answers `budget` ([`BaseRuns::at`]), or
+    /// `None` when the unrolled body would exceed [`MAX_BODY_OPS`].
     fn plan(
         &mut self,
         base: &[OptRun],
@@ -292,7 +265,7 @@ impl UnrollChain {
 
 /// The plans a walk had to make, in their chains, with the optimizer's
 /// accounting.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Made {
     chains: Vec<(Benchmark, UnrollChain)>,
     /// Optimizer runs made.
@@ -302,72 +275,60 @@ struct Made {
 }
 
 impl Made {
-    /// Make the plans of `missing` (walk order, no key twice): each
-    /// kernel's pipeline driven key by key on the calling thread — so a
-    /// live trace gets its `opt` spans in walk order — or, with helpers
-    /// and no live trace, every kernel's base runs as one batch and then
-    /// every `(kernel, unroll)` chain as another. Both make the same
-    /// runs, and hand out the same kernel for every key.
-    fn of(missing: &[PlanKey], workers: &Workers<'_>, trace: &mut UnitTrace<'_>) -> Self {
-        let mut made = Made::default();
-        if !workers.parallel() || trace.on() {
-            for keys in missing.chunk_by(|x, y| x.0 == y.0) {
-                let b = keys[0].0;
-                let mut pipeline = BenchPlans::new(b.kernel());
-                for &(_, budget, u, exts) in keys {
-                    pipeline.plan(budget, u, exts, trace);
-                }
-                made.runs += pipeline.base.runs.len() as u64;
-                made.chains
-                    .extend(pipeline.chains.into_iter().map(|c| (b, c)));
+    /// Make the plans of `missing` (walk order, no key twice) on the
+    /// run's workers: every kernel's base runs as one batch, then every
+    /// `(kernel, unroll)` chain as another, deepest unroll first. Each
+    /// item records its `opt` spans into `rec` under its own unit,
+    /// [`cfp_obs::unit::plan`] — the base runs first, then the chains —
+    /// so a deterministic trace does not depend on who made what.
+    fn of<'env>(missing: &[PlanKey], workers: &Workers<'env>, rec: &'env dyn Recorder) -> Self {
+        let mut benches: Vec<(Benchmark, Vec<usize>)> = Vec::new();
+        // One chain's work: its kernel's index in `benches`, its unroll
+        // factor, and its keys' budgets and sets in walk order.
+        type Chain = (usize, u32, Vec<(usize, ExtSet)>);
+        let mut jobs: Vec<Chain> = Vec::new();
+        for (k, keys) in missing.chunk_by(|x, y| x.0 == y.0).enumerate() {
+            let mut budgets: Vec<usize> = keys.iter().map(|key| key.1).collect();
+            budgets.dedup();
+            benches.push((keys[0].0, budgets));
+            for &(_, budget, u, exts) in keys {
+                let job = find_or_push(&mut jobs, |j| (j.0, j.1) == (k, u), || (k, u, Vec::new()));
+                jobs[job].2.push((budget, exts));
             }
-        } else {
-            let mut benches: Vec<(Benchmark, Vec<usize>)> = Vec::new();
-            // One chain's work: its kernel's index in `benches`, its
-            // unroll factor, and its keys' budgets and sets in walk order.
-            type Chain = (usize, u32, Vec<(usize, ExtSet)>);
-            let mut jobs: Vec<Chain> = Vec::new();
-            for (k, keys) in missing.chunk_by(|x, y| x.0 == y.0).enumerate() {
-                let mut budgets: Vec<usize> = keys.iter().map(|key| key.1).collect();
-                budgets.dedup();
-                benches.push((keys[0].0, budgets));
-                for &(_, budget, u, exts) in keys {
-                    let job =
-                        find_or_push(&mut jobs, |j| (j.0, j.1) == (k, u), || (k, u, Vec::new()));
-                    jobs[job].2.push((budget, exts));
-                }
+        }
+        // Deepest unrolls first, so the longest chains do not start last.
+        jobs.sort_by_key(|&(k, u, _)| (std::cmp::Reverse(u), k));
+        let tags: Vec<Benchmark> = jobs.iter().map(|&(k, _, _)| benches[k].0).collect();
+        let nb = benches.len();
+        let bases = workers.run(nb, move |i| {
+            let (b, budgets) = &benches[i];
+            let trace = &mut UnitTrace::new(rec, cfp_obs::unit::plan(i));
+            let mut base = BaseRuns::new(b.kernel());
+            for &budget in budgets {
+                base.at(budget, trace);
             }
-            // Deepest unrolls first, so the longest chains do not start last.
-            jobs.sort_by_key(|&(k, u, _)| (std::cmp::Reverse(u), k));
-            let tags: Vec<Benchmark> = jobs.iter().map(|&(k, _, _)| benches[k].0).collect();
-            let bases = workers.run(benches.len(), move |i| {
-                let (b, budgets) = &benches[i];
-                let mut base = BaseRuns::new(b.kernel());
-                for &budget in budgets {
-                    base.at(budget, &mut UnitTrace::disabled());
+            Some(base)
+        });
+        let bases: Arc<Vec<BaseRuns>> = Arc::new(rethrown(bases));
+        let chains = workers.run(jobs.len(), {
+            let bases = Arc::clone(&bases);
+            move |i| {
+                let (k, u, keys) = &jobs[i];
+                let trace = &mut UnitTrace::new(rec, cfp_obs::unit::plan(nb + i));
+                let mut chain = UnrollChain::new(*u);
+                for &(budget, exts) in keys {
+                    chain.plan(&bases[*k].runs, budget, exts, trace);
                 }
-                Some(base)
-            });
-            let bases: Arc<Vec<BaseRuns>> = Arc::new(rethrown(bases));
-            made.runs = bases.iter().map(|b| b.runs.len() as u64).sum();
-            let chains = workers.run(jobs.len(), {
-                let bases = Arc::clone(&bases);
-                move |i| {
-                    let (k, u, keys) = &jobs[i];
-                    let mut chain = UnrollChain::new(*u);
-                    for &(budget, exts) in keys {
-                        chain.plan(&bases[*k].runs, budget, exts, &mut UnitTrace::disabled());
-                    }
-                    Some(chain)
-                }
-            });
-            made.chains = tags.into_iter().zip(rethrown(chains)).collect();
+                Some(chain)
+            }
+        });
+        let chains = rethrown(chains);
+        let base_runs: u64 = bases.iter().map(|b| b.runs.len() as u64).sum();
+        Made {
+            runs: base_runs + chains.iter().map(|c| c.unrolled.len() as u64).sum::<u64>(),
+            shared: chains.iter().map(|c| c.shared).sum(),
+            chains: tags.into_iter().zip(chains).collect(),
         }
-        for (_, chain) in &made.chains {
-            made.runs += chain.unrolled.len() as u64;
-            made.shared += chain.shared;
-        }
-        made
     }
 
     /// The plan made for `key`.
@@ -401,9 +362,36 @@ pub fn plan(
     exts: ExtSet,
     trace: &mut UnitTrace<'_>,
 ) -> Option<cfp_ir::Kernel> {
-    BenchPlans::new(source)
-        .plan(budget, unroll, exts, trace)
-        .cloned()
+    let mut base = BaseRuns::new(source);
+    base.at(budget, trace);
+    let mut chain = UnrollChain::new(unroll);
+    chain.plan(&base.runs, budget, exts, trace).cloned()
+}
+
+/// The keys a snapshot of these axes holds, in walk order: benchmark,
+/// then budget (from `reg_sizes` through [`residency_budget`]), unroll
+/// factor and extension set, budgets and sets ascending without repeats.
+fn plan_keys(
+    benches: &[Benchmark],
+    reg_sizes: &[u32],
+    unrolls: &[u32],
+    ext_sets: &[ExtSet],
+) -> Vec<PlanKey> {
+    let mut budgets: Vec<usize> = reg_sizes.iter().map(|&r| residency_budget(r)).collect();
+    budgets.sort_unstable();
+    budgets.dedup();
+    let mut ext_sets: Vec<ExtSet> = ext_sets.to_vec();
+    ext_sets.sort_unstable();
+    ext_sets.dedup();
+    let mut keys: Vec<PlanKey> = Vec::new();
+    for &b in benches {
+        for &budget in &budgets {
+            for &u in unrolls {
+                keys.extend(ext_sets.iter().map(|&exts| (b, budget, u, exts)));
+            }
+        }
+    }
+    keys
 }
 
 /// Index of the first entry `wanted` accepts, pushing `make()` if none.
@@ -582,42 +570,31 @@ impl PlanStore {
                 unrolls,
                 ext_sets,
                 workers,
-                &mut UnitTrace::disabled(),
+                &cfp_obs::NULL,
             )
         })
     }
 
     /// [`Self::ensure_snapshot_extended`] on the run's worker set,
-    /// recording the optimizer's per-pass `opt` spans for the plans it
-    /// had to compute and one `plan_build` summary span (plan,
-    /// unique-kernel and optimizer-run counts). This is the repo's one
-    /// walk over plan keys: it makes the missing plans ([`Made::of`]),
-    /// then interns them in walk order, so ids never depend on which
-    /// worker made what.
-    pub(crate) fn snapshot(
+    /// recording into `rec` the optimizer's per-pass `opt` spans for the
+    /// plans it had to compute, each under its batch item's unit, and
+    /// one `plan_build` summary span (plan, unique-kernel and
+    /// optimizer-run counts) under [`cfp_obs::unit::PLAN`]. This is the
+    /// repo's one walk over plan keys: it makes the missing plans
+    /// ([`Made::of`]), then interns them in walk order, so ids never
+    /// depend on which worker made what.
+    pub(crate) fn snapshot<'env>(
         &self,
         benches: &[Benchmark],
         reg_sizes: &[u32],
         unrolls: &[u32],
         ext_sets: &[ExtSet],
-        workers: &Workers<'_>,
-        trace: &mut UnitTrace<'_>,
+        workers: &Workers<'env>,
+        rec: &'env dyn Recorder,
     ) -> PlanCache {
+        let mut trace = UnitTrace::new(rec, cfp_obs::unit::PLAN);
         let t0 = trace.start();
-        let mut budgets: Vec<usize> = reg_sizes.iter().map(|&r| residency_budget(r)).collect();
-        budgets.sort_unstable();
-        budgets.dedup();
-        let mut ext_sets: Vec<ExtSet> = ext_sets.to_vec();
-        ext_sets.sort_unstable();
-        ext_sets.dedup();
-        let mut keys: Vec<PlanKey> = Vec::new();
-        for &b in benches {
-            for &budget in &budgets {
-                for &u in unrolls {
-                    keys.extend(ext_sets.iter().map(|&exts| (b, budget, u, exts)));
-                }
-            }
-        }
+        let keys = plan_keys(benches, reg_sizes, unrolls, ext_sets);
         let mut table = self.lock();
         // Only misses are made, so a fully warm round never compiles a
         // benchmark's source.
@@ -627,7 +604,7 @@ impl PlanStore {
             .copied()
             .filter(|key| !table.plans.contains_key(key) && asked.insert(*key))
             .collect();
-        let made = Made::of(&missing, workers, trace);
+        let made = Made::of(&missing, workers, rec);
         let mut snapshot = PlanCache::default();
         for key in keys.iter().copied() {
             let id = if let Some(&id) = table.plans.get(&key) {
@@ -1302,17 +1279,17 @@ mod tests {
         let unrolls = [1, 2, 4, 8];
         let exts = [ExtSet::EMPTY, ExtSet::MULADD, ExtSet::ALL];
         let walk = |threads: usize| {
-            let off = &mut UnitTrace::disabled();
             let store = PlanStore::new();
             Workers::scope(threads, |workers| {
-                let cold = store.snapshot(&benches, &regs, &unrolls, &exts, workers, off);
+                let cold =
+                    store.snapshot(&benches, &regs, &unrolls, &exts, workers, &cfp_obs::NULL);
                 let warm = store.snapshot(
                     &[Benchmark::G, Benchmark::D],
                     &[16, 64],
                     &unrolls,
                     &exts,
                     workers,
-                    off,
+                    &cfp_obs::NULL,
                 );
                 (cold, warm)
             })
@@ -1320,26 +1297,123 @@ mod tests {
         let (one, four) = (walk(1), walk(4));
         for (a, b) in [(&one.0, &four.0), (&one.1, &four.1)] {
             assert_eq!(a.kernels, b.kernels);
-            assert_eq!(a.plans.len(), b.plans.len());
-            for (key, id) in &a.plans {
-                assert_eq!(b.plans.get(key), Some(id), "{key:?}");
-            }
+            assert_eq!(a.plans, b.plans);
         }
-        let mut keys: Vec<PlanKey> = Vec::new();
-        for b in benches {
-            for budget in regs.map(residency_budget) {
-                for u in unrolls {
-                    keys.extend(exts.map(|e| (b, budget, u, e)));
-                }
-            }
-        }
+        let keys = plan_keys(&benches, &regs, &unrolls, &exts);
         let made = |threads: usize| {
             Workers::scope(threads, |workers| {
-                let made = Made::of(&keys, workers, &mut UnitTrace::disabled());
+                let made = Made::of(&keys, workers, &cfp_obs::NULL);
                 (made.runs, made.shared)
             })
         };
         assert_eq!(made(1), made(4));
+    }
+
+    /// Notes the threads that record `opt` spans and keeps the
+    /// `plan_build` summary's counts. The calling thread's first `opt`
+    /// span waits (up to a minute) until a helper has recorded one, so a
+    /// walk that hands items to helpers shows it whatever the
+    /// interleaving.
+    struct WalkWatch {
+        caller: std::thread::ThreadId,
+        opt_threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        helper_seen: std::sync::Condvar,
+        build: std::sync::Mutex<Vec<(&'static str, u64)>>,
+    }
+
+    impl Recorder for WalkWatch {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn now(&self, tick: u64) -> u64 {
+            tick
+        }
+        fn record(&self, event: &cfp_obs::Event<'_>) {
+            if event.stage == Stage::PlanBuild {
+                let counts = event
+                    .fields
+                    .iter()
+                    .filter_map(|&(name, value)| match value {
+                        Value::U64(n) => Some((name, n)),
+                        _ => None,
+                    });
+                self.build.lock().unwrap().extend(counts);
+            }
+            if event.stage != Stage::Opt {
+                return;
+            }
+            let me = std::thread::current().id();
+            let mut seen = self.opt_threads.lock().unwrap();
+            seen.push(me);
+            if me != self.caller {
+                self.helper_seen.notify_all();
+                return;
+            }
+            if seen.iter().filter(|&&t| t == me).count() > 1 {
+                return;
+            }
+            let helpers_idle =
+                |seen: &mut Vec<std::thread::ThreadId>| seen.iter().all(|&t| t == self.caller);
+            let minute = std::time::Duration::from_secs(60);
+            drop(
+                self.helper_seen
+                    .wait_timeout_while(seen, minute, helpers_idle),
+            );
+        }
+    }
+
+    #[test]
+    fn a_traced_sweep_walks_its_plans_on_helpers_as_an_untraced_one_does() {
+        let config = crate::ExploreConfig {
+            archs: vec![
+                ArchSpec::new(2, 1, 64, 1, 4, 1).unwrap(),
+                ArchSpec::new(4, 2, 128, 1, 2, 1).unwrap(),
+                ArchSpec::new(8, 4, 256, 2, 8, 2).unwrap(),
+            ],
+            benches: vec![Benchmark::A, Benchmark::D],
+            threads: 4,
+            ..crate::ExploreConfig::default()
+        };
+        let watch = WalkWatch {
+            caller: std::thread::current().id(),
+            opt_threads: std::sync::Mutex::default(),
+            helper_seen: std::sync::Condvar::new(),
+            build: std::sync::Mutex::default(),
+        };
+        let sweep = |rec: &dyn Recorder| {
+            let store = PlanStore::new();
+            crate::Exploration::try_run_shared(&config, &store, &CompileCache::new(), rec)
+                .expect("the sweep runs");
+            store
+        };
+        let (traced, untraced) = (sweep(&watch), sweep(&cfp_obs::NULL));
+        let opt_threads = watch.opt_threads.lock().unwrap();
+        assert!(
+            opt_threads.iter().any(|&t| t != watch.caller),
+            "the traced walk ran on the calling thread alone"
+        );
+
+        // Asked again for the sweep's keys, each store hands out the ids
+        // its sweep interned; the baseline adds no register size here.
+        let regs = [64, 128, 256];
+        let exts = [ExtSet::EMPTY];
+        let again = |store: &PlanStore| {
+            store.ensure_snapshot_extended(&config.benches, &regs, &UNROLL_SWEEP, &exts)
+        };
+        let (a, b) = (again(&traced), again(&untraced));
+        assert_eq!(a.kernels, b.kernels);
+        assert_eq!(a.plans, b.plans);
+        let keys = plan_keys(&config.benches, &regs, &UNROLL_SWEEP, &exts);
+        let made = Workers::scope(1, |workers| Made::of(&keys, workers, &cfp_obs::NULL));
+        assert_eq!(
+            *watch.build.lock().unwrap(),
+            [
+                ("plans", b.len() as u64),
+                ("unique_kernels", b.unique_kernels() as u64),
+                ("opt_runs", made.runs),
+                ("opt_shared", made.shared),
+            ]
+        );
     }
 
     #[test]

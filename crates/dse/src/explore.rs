@@ -18,7 +18,7 @@
 //! With [`ExploreConfig::checkpoint`] set, completed units are journaled
 //! to disk and an interrupted run resumes bit-identically.
 
-use crate::checkpoint::{self, Checkpoint, SweepJournal};
+use crate::checkpoint::{self, Checkpoint, Journalled};
 use crate::error::{CheckpointError, ExploreError, FailKind};
 use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanStore, UNROLL_SWEEP};
 use crate::memo::CompileCache;
@@ -27,7 +27,7 @@ use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, CostModel, CycleModel, ExtSet, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::FaultInjector;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The distinct fused-extension sets a candidate list asks for, sorted —
@@ -368,7 +368,7 @@ impl Exploration {
         memo: &'env CompileCache,
         rec: &'env dyn Recorder,
         workers: &Workers<'env>,
-        attach: impl FnOnce(&Checkpoint, u64, usize) -> Result<SweepJournal, CheckpointError>,
+        attach: impl FnOnce(&Checkpoint, u64, usize) -> Result<Journalled<usize>, CheckpointError>,
     ) -> Result<Self, ExploreError> {
         let start = Instant::now();
         let mut reg_sizes: Vec<u32> = config.archs.iter().map(|a| a.regs).collect();
@@ -379,7 +379,7 @@ impl Exploration {
             &UNROLL_SWEEP,
             &ext_sets_of(&config.archs),
             workers,
-            &mut UnitTrace::new(rec, cfp_obs::unit::PLAN),
+            rec,
         ));
         let plan_wall = start.elapsed();
 
@@ -450,18 +450,12 @@ impl Exploration {
             outcomes: baseline_outcomes,
         };
 
-        // Checkpoint: the units a resumed journal already holds, and the
-        // journal the rest are appended to as they land.
-        let mut replay: Vec<Option<EvalOutcome>> = Vec::new();
-        let mut journal = None;
-        if let Some(ck) = &config.checkpoint {
-            let (opened, entries) = attach(ck, checkpoint::fingerprint(config), units)?;
-            replay.resize(units, None);
-            for (i, outcome) in entries {
-                replay[i] = Some(outcome);
-            }
-            journal = Some(Arc::new(Mutex::new(opened)));
-        }
+        // Checkpoint: the journal the units are appended to as they
+        // land, with the units a resumed journal already holds.
+        let journalled = Arc::new(match &config.checkpoint {
+            Some(ck) => attach(ck, checkpoint::fingerprint(config), units)?,
+            None => Journalled::off(),
+        });
 
         // One work unit per (architecture, benchmark) pair: much finer
         // grains than whole architectures, so a few slow deep-unroll
@@ -469,11 +463,9 @@ impl Exploration {
         // sweep. Units on one worker reuse its thread's lowered machine
         // and scheduler arena back to back.
         let eval_start = Instant::now();
-        let answers = checkpoint::run_journalled(
+        let answers = journalled.run_journalled(
             workers,
             units,
-            journal,
-            replay,
             |i| i,
             move |i| {
                 let spec = &config.archs[i / nb];
@@ -482,7 +474,6 @@ impl Exploration {
                 quarantined(spec, bench, Some(i as u64), &mut trace)
             },
         )?;
-        let resumed_units = answers.iter().filter(|(_, fresh)| !fresh).count() as u64;
         let outcomes: Vec<EvalOutcome> = answers.into_iter().map(|(out, _)| out).collect();
         let eval_wall = eval_start.elapsed();
 
@@ -504,7 +495,7 @@ impl Exploration {
                 cache_hits: memo.core_hits().saturating_sub(hits0),
                 unique_schedules: (memo.unique_cores() as u64).saturating_sub(cores0),
                 unique_plans: plans.unique_kernels(),
-                resumed_units,
+                resumed_units: journalled.resumed(),
                 plan_wall,
                 eval_wall,
                 wall: start.elapsed(),
@@ -759,10 +750,7 @@ mod tests {
                 &memo,
                 &cfp_obs::NULL,
                 workers,
-                |ck, fp, units| {
-                    let (journal, held) = checkpoint::sweep_journal(ck, fp, units)?;
-                    Ok((journal.refusing_writes()?, held))
-                },
+                |ck, fp, units| checkpoint::sweep_journal(ck, fp, units)?.refusing_writes(),
             )
         })
         .expect_err("journal lost");

@@ -177,6 +177,48 @@ pub struct BenchGap {
     pub max_ratio: f64,
 }
 
+/// The gap aggregates over some points: the report's totals, or one
+/// [`BenchGap`] row.
+struct Gap {
+    points: usize,
+    certified: usize,
+    /// Certified points where the oracle strictly beat the heuristic.
+    improved: usize,
+    /// Mean heuristic/optimal II ratio over certified points (1 with
+    /// none), summed in point order.
+    mean_ratio: f64,
+    /// Worst such ratio (at least 1).
+    max_ratio: f64,
+}
+
+impl Gap {
+    fn over<'p>(points: impl IntoIterator<Item = &'p OraclePoint>) -> Self {
+        let (mut n, mut certified, mut improved) = (0, 0, 0);
+        let (mut ratios, mut sum, mut max_ratio) = (0_usize, 0.0, 1.0_f64);
+        for p in points {
+            n += 1;
+            certified += usize::from(p.certified_ii().is_some());
+            improved += usize::from(matches!(p.verdict, PointVerdict::Certified { .. }));
+            if let Some(r) = p.ii_ratio() {
+                ratios += 1;
+                sum += r;
+                max_ratio = max_ratio.max(r);
+            }
+        }
+        Gap {
+            points: n,
+            certified,
+            improved,
+            mean_ratio: if ratios == 0 {
+                1.0
+            } else {
+                sum / ratios as f64
+            },
+            max_ratio,
+        }
+    }
+}
+
 /// The finished study: every point's verdict plus the aggregates the
 /// exhibits and the pinned budget file are built from.
 #[derive(Debug, Clone)]
@@ -233,7 +275,7 @@ impl OracleReport {
                 &config.unrolls,
                 &[ExtSet::EMPTY],
                 workers,
-                &mut UnitTrace::disabled(),
+                &cfp_obs::NULL,
             );
             workers.run(trials.len(), move |i| {
                 let (bench, spec, unroll) = &trials[i];
@@ -251,19 +293,13 @@ impl OracleReport {
     /// Points with a certified minimum II (either outcome).
     #[must_use]
     pub fn certified(&self) -> usize {
-        self.points
-            .iter()
-            .filter(|p| p.certified_ii().is_some())
-            .count()
+        Gap::over(&self.points).certified
     }
 
     /// Certified points where the oracle strictly beat the heuristic.
     #[must_use]
     pub fn improved(&self) -> usize {
-        self.points
-            .iter()
-            .filter(|p| matches!(p.verdict, PointVerdict::Certified { .. }))
-            .count()
+        Gap::over(&self.points).improved
     }
 
     /// Points the fuel ladder could not decide.
@@ -278,35 +314,23 @@ impl OracleReport {
     /// Fraction of certified points where the heuristic is optimal.
     #[must_use]
     pub fn heuristic_optimal_fraction(&self) -> f64 {
-        let certified = self.certified();
-        if certified == 0 {
+        let gap = Gap::over(&self.points);
+        if gap.certified == 0 {
             return 1.0;
         }
-        let optimal = certified - self.improved();
-        optimal as f64 / certified as f64
+        (gap.certified - gap.improved) as f64 / gap.certified as f64
     }
 
     /// Mean heuristic/optimal II ratio over certified points.
     #[must_use]
     pub fn mean_ratio(&self) -> f64 {
-        let ratios: Vec<f64> = self
-            .points
-            .iter()
-            .filter_map(OraclePoint::ii_ratio)
-            .collect();
-        if ratios.is_empty() {
-            return 1.0;
-        }
-        ratios.iter().sum::<f64>() / ratios.len() as f64
+        Gap::over(&self.points).mean_ratio
     }
 
     /// Worst heuristic/optimal II ratio over certified points.
     #[must_use]
     pub fn max_ratio(&self) -> f64 {
-        self.points
-            .iter()
-            .filter_map(OraclePoint::ii_ratio)
-            .fold(1.0, f64::max)
+        Gap::over(&self.points).max_ratio
     }
 
     /// Whether every certificate (and every heuristic schedule) passed
@@ -335,25 +359,14 @@ impl OracleReport {
             .benches
             .iter()
             .map(|&bench| {
-                let ps: Vec<&OraclePoint> =
-                    self.points.iter().filter(|p| p.bench == bench).collect();
-                let ratios: Vec<f64> = ps.iter().filter_map(|p| p.ii_ratio()).collect();
-                let certified = ps.iter().filter(|p| p.certified_ii().is_some()).count();
-                let improved = ps
-                    .iter()
-                    .filter(|p| matches!(p.verdict, PointVerdict::Certified { .. }))
-                    .count();
+                let gap = Gap::over(self.points.iter().filter(|p| p.bench == bench));
                 BenchGap {
                     bench,
-                    points: ps.len(),
-                    certified,
-                    optimal: certified - improved,
-                    mean_ratio: if ratios.is_empty() {
-                        1.0
-                    } else {
-                        ratios.iter().sum::<f64>() / ratios.len() as f64
-                    },
-                    max_ratio: ratios.iter().copied().fold(1.0, f64::max),
+                    points: gap.points,
+                    certified: gap.certified,
+                    optimal: gap.certified - gap.improved,
+                    mean_ratio: gap.mean_ratio,
+                    max_ratio: gap.max_ratio,
                 }
             })
             .collect()

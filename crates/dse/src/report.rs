@@ -1,6 +1,5 @@
 //! Plain-text and CSV rendering of exploration results.
 
-use crate::explore::RunStats;
 use crate::pareto::ScatterPoint;
 use cfp_ir::WordSet;
 
@@ -70,63 +69,6 @@ impl std::fmt::Display for TextTable {
     }
 }
 
-/// Render the run's accounting counters as a two-column table: the
-/// paper's Table 3 quantities plus the reuse and robustness counters
-/// this reproduction adds.
-#[must_use]
-pub fn run_stats_table(stats: &RunStats) -> TextTable {
-    let mut t = TextTable::new(["counter", "value"]);
-    t.row([
-        "compilations (logical)".to_owned(),
-        stats.compilations.to_string(),
-    ])
-    .row([
-        "  of which cache hits".to_owned(),
-        stats.cache_hits.to_string(),
-    ])
-    .row([
-        "unique schedules".to_owned(),
-        stats.unique_schedules.to_string(),
-    ])
-    .row(["unique plans".to_owned(), stats.unique_plans.to_string()])
-    .row(["architectures".to_owned(), stats.architectures.to_string()])
-    .row([
-        "quarantined units".to_owned(),
-        stats.failed_units.to_string(),
-    ])
-    .row([
-        "  of which fuel-exhausted".to_owned(),
-        stats.fuel_exhausted.to_string(),
-    ])
-    .row([
-        "resumed from checkpoint".to_owned(),
-        stats.resumed_units.to_string(),
-    ]);
-    // Bracket counters exist only for guided-search runs; an exhaustive
-    // sweep's table keeps its pre-search shape.
-    if stats.screen_evals > 0 || stats.full_evals > 0 || stats.dedup_hits > 0 {
-        t.row(["search screens".to_owned(), stats.screen_evals.to_string()])
-            .row([
-                "full-fidelity evals".to_owned(),
-                stats.full_evals.to_string(),
-            ])
-            .row(["search dedup hits".to_owned(), stats.dedup_hits.to_string()]);
-    }
-    t.row([
-        "planning wall".to_owned(),
-        format!("{:.3}s", stats.plan_wall.as_secs_f64()),
-    ])
-    .row([
-        "evaluation wall".to_owned(),
-        format!("{:.3}s", stats.eval_wall.as_secs_f64()),
-    ])
-    .row([
-        "total wall".to_owned(),
-        format!("{:.3}s", stats.wall.as_secs_f64()),
-    ]);
-    t
-}
-
 /// Render a cost/speedup scatter as ASCII art (cost on x, speedup on y),
 /// with frontier points drawn as `#` and the rest as `*`.
 #[must_use]
@@ -182,19 +124,6 @@ mod tests {
         assert!(lines[0].contains("name") && lines[0].contains("value"));
         assert!(lines[2].ends_with('1'));
         assert_eq!(t.to_csv(), "name,value\na,1\nlong-name,22\n");
-    }
-
-    #[test]
-    fn run_stats_table_lists_every_counter() {
-        let stats = RunStats {
-            compilations: 120,
-            resumed_units: 7,
-            ..RunStats::default()
-        };
-        let s = run_stats_table(&stats).to_string();
-        assert!(s.contains("compilations (logical)") && s.contains("120"));
-        assert!(s.contains("resumed from checkpoint") && s.contains('7'));
-        assert!(s.contains("total wall"));
     }
 
     #[test]

@@ -46,8 +46,7 @@
 //! evaluations.
 
 use crate::checkpoint::{
-    self, journal_key, run_journalled, search_journal, spec_fingerprint, Checkpoint, SearchKey,
-    SEARCH_MAGIC,
+    self, search_journal, spec_fingerprint, Checkpoint, Journalled, SearchKey, SEARCH_MAGIC,
 };
 use crate::error::{ExploreError, FailKind};
 use crate::eval::{quarantine, EvalOutcome, Evaluator, PlanCache, PlanStore, UNROLL_SWEEP};
@@ -61,7 +60,7 @@ use cfp_machine::{ArchSpec, CostModel, CycleModel, Fnv1a, SpaceAxes};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
 use cfp_testkit::Rng;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Uniform index in `0..n` by plain remainder. Every pinned search and
@@ -431,7 +430,7 @@ impl<'a> LazyEvaluator<'a> {
             &UNROLL_SWEEP,
             config.axes.ext_values(),
             workers,
-            &mut UnitTrace::disabled(),
+            &cfp_obs::NULL,
         );
         let full = Evaluator {
             fuel: config.fuel,
@@ -452,12 +451,6 @@ impl<'a> LazyEvaluator<'a> {
             cycle: CycleModel::paper_calibrated(),
             baseline_cpo: baseline.cycles_per_output,
         })
-    }
-
-    /// Index of the full-fidelity rung (the ladder's last).
-    #[must_use]
-    pub fn full_rung(&self) -> usize {
-        FULL_RUNG
     }
 
     /// Baseline cycles per output (the speedup denominator).
@@ -657,18 +650,15 @@ fn search<'env>(
     let lazy = Arc::new(LazyEvaluator::on(config, store, memo, workers)?);
     let plan_wall = start.elapsed();
 
-    // Attach the search journal and index its outcomes for replay: the
+    // Attach the search journal, which replays what it holds: the
     // engine's control flow is deterministic in the seed, so replayed
     // answers land on exactly the queries a fresh run would have made,
     // and the resumed frontier is bit-identical.
-    let mut replay: WordMap<SearchKey, EvalOutcome> = WordMap::default();
-    let mut journal = None;
-    if let Some(ck) = &config.checkpoint {
-        let (opened, entries) = search_journal(ck, search_fingerprint(config))?;
-        replay.extend(entries);
-        journal = Some(Arc::new(Mutex::new(opened)));
-    }
-    let resumed = replay.len() as u64;
+    let journalled = Arc::new(match &config.checkpoint {
+        Some(ck) => search_journal(ck, search_fingerprint(config))?,
+        None => Journalled::off(),
+    });
+    let resumed = journalled.resumed();
 
     let eval_start = Instant::now();
     let mut rng = Rng::new(config.seed ^ 0x5eac);
@@ -743,19 +733,16 @@ fn search<'env>(
 
         for ri in 0..RUNGS.len() {
             rung_survivors.push(pool.len());
-            let replayed = pool
-                .iter()
-                .map(|s| replay.get(&(spec_fingerprint(s), ri)).cloned())
-                .collect();
             let specs = Arc::new(pool.clone());
-            let results = run_journalled(
+            let results = journalled.run_journalled(
                 workers,
                 pool.len(),
-                journal.clone(),
-                replayed,
                 {
                     let specs = Arc::clone(&specs);
-                    move |i| journal_key(spec_fingerprint(&specs[i]), ri)
+                    move |i| SearchKey {
+                        candidate: spec_fingerprint(&specs[i]),
+                        rung: ri,
+                    }
                 },
                 {
                     let lazy = Arc::clone(&lazy);
@@ -1111,7 +1098,7 @@ mod tests {
         let off_the_ladder = RUNGS.len();
         let err = Workers::scope(2, |workers| {
             let unit = |i: usize| lazy.outcome(&pool[i], off_the_ladder);
-            run_journalled(workers, pool.len(), None, Vec::new(), |i| i, unit)
+            Arc::new(Journalled::off()).run_journalled(workers, pool.len(), |i| i, unit)
         })
         .expect_err("both workers die");
         assert!(matches!(err, ExploreError::WorkerLost), "{err}");

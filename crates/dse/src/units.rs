@@ -1,9 +1,9 @@
 //! The unit runner: the one place this crate hands work to threads.
 //!
 //! The sweep, every rung of the guided search, the gap study and the
-//! plan walk's optimizer chains are the same loop — `n` independent
-//! units, each a pure function of its index — so they share one
-//! work-distribution policy: workers pull the next index from a shared
+//! plan walk's base runs and optimizer chains are the same loop — `n`
+//! independent units, each a pure function of its index — so they share
+//! one work-distribution policy: workers pull the next index from a shared
 //! counter (no static split a few slow units could leave most threads
 //! idling behind), and the answers come back in index order whatever the
 //! interleaving was.
@@ -59,11 +59,6 @@ impl<'env> Workers<'env> {
             // helper's loop before the scope joins them.
             run(&Workers { helpers })
         })
-    }
-
-    /// Whether batches can run on more than the calling thread.
-    pub(crate) fn parallel(&self) -> bool {
-        !self.helpers.is_empty()
     }
 
     /// Run `unit(i)` for every `i` in `0..n` on up to `min(n, threads)`
@@ -312,7 +307,6 @@ mod tests {
         let before = helpers_started();
         for threads in [0_usize, 1] {
             Workers::scope(threads, |workers| {
-                assert!(!workers.parallel());
                 let ids = workers
                     .run(50, |_| Some(std::thread::current().id()))
                     .expect("no unit panics");

@@ -179,11 +179,11 @@ pub static NULL: NullRecorder = NullRecorder;
 /// sequence and tick counters.
 ///
 /// One `UnitTrace` is created per trace unit (a sweep `(arch, bench)`
-/// pair, a baseline evaluation, the plan build) and threaded by `&mut`
-/// through the pipeline. Because the counters are *per unit*, stamps
-/// and sequence numbers never depend on what other threads are doing —
-/// that is what makes deterministic traces byte-stable across thread
-/// counts.
+/// pair, a baseline evaluation, one item of the plan walk, the plan
+/// build's summary) and threaded by `&mut` through the pipeline.
+/// Because the counters are *per unit*, stamps and sequence numbers
+/// never depend on what other threads are doing — that is what makes
+/// deterministic traces byte-stable across thread counts.
 pub struct UnitTrace<'r> {
     rec: &'r dyn Recorder,
     unit: u64,
@@ -270,15 +270,18 @@ impl<'r> UnitTrace<'r> {
 /// The trace-unit id scheme shared by the exploration and the readers.
 ///
 /// Sweep units come first (their id is the flat `(arch, bench)` index),
-/// then baseline evaluations, then the plan build — so a drained trace
-/// sorted by `(unit, seq)` reads in sweep order.
+/// then search rounds, baseline evaluations, the plan build's summary
+/// and last the plan walk's batch items — so a drained trace sorted by
+/// `(unit, seq)` reads in sweep order.
 pub mod unit {
     /// Bit marking a search-round summary unit.
     pub const SEARCH_BIT: u64 = 1 << 60;
     /// Bit marking a baseline evaluation unit.
     pub const BASELINE_BIT: u64 = 1 << 61;
-    /// The plan-build pseudo-unit.
+    /// The plan-build pseudo-unit: the walk's `plan_build` summary.
     pub const PLAN: u64 = 1 << 62;
+    /// Bit marking one item of the plan walk's batches.
+    pub const PLAN_ITEM_BIT: u64 = 1 << 63;
 
     /// The id of sweep unit `i` (flat `arch * benches + bench` index).
     #[must_use]
@@ -296,6 +299,14 @@ pub mod unit {
     #[must_use]
     pub fn search(r: usize) -> u64 {
         SEARCH_BIT | r as u64
+    }
+
+    /// The id of the plan walk's batch item `i`, which records that
+    /// item's optimizer spans: a kernel's base runs, or one unroll
+    /// factor's chain (numbered after every base-run item).
+    #[must_use]
+    pub fn plan(i: usize) -> u64 {
+        PLAN_ITEM_BIT | i as u64
     }
 }
 
@@ -389,5 +400,22 @@ mod tests {
         assert!(unit::sweep(usize::MAX >> 4) < unit::search(0));
         assert!(unit::search(1 << 20) < unit::baseline(0));
         assert!(unit::baseline(1 << 20) < unit::PLAN);
+        assert!(unit::PLAN < unit::plan(0));
+        // A plan item's id is never another kind's, however large the
+        // other kind's index.
+        let ids = |i: usize| {
+            [
+                unit::sweep(i),
+                unit::search(i),
+                unit::baseline(i),
+                unit::PLAN,
+            ]
+        };
+        for i in [0, 1, 7, 1 << 20, usize::MAX >> 4] {
+            for j in [0, 1, 7, 1 << 20, usize::MAX >> 4] {
+                assert!(!ids(j).contains(&unit::plan(i)), "plan({i}) against {j}");
+            }
+            assert_eq!(unit::plan(i) & !unit::PLAN_ITEM_BIT, i as u64);
+        }
     }
 }

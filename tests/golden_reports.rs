@@ -1,20 +1,18 @@
 //! Golden-file tests for the human-facing surfaces: the Tables 8–10
-//! renderer, the run-accounting table, the trace summary, and the JSONL
-//! trace schema. A formatting or model drift shows up here as a diff
-//! against a checked-in artifact instead of a silently changed report.
+//! renderer, the trace summary, and the JSONL trace schema. A
+//! formatting or model drift shows up here as a diff against a
+//! checked-in artifact instead of a silently changed report.
 //!
 //! Regenerate after an intentional change with
 //! `UPDATE_GOLDEN=1 cargo test --test golden_reports`, then review the
 //! diff like any other code change.
 
-use custom_fit::dse::explore::{Exploration, ExploreConfig, RunStats};
-use custom_fit::dse::report::run_stats_table;
+use custom_fit::dse::explore::{Exploration, ExploreConfig};
 use custom_fit::dse::{paper_ranges, render, speedup_table};
 use custom_fit::machine::ArchSpec;
 use custom_fit::obs::summary::TraceSummary;
 use custom_fit::obs::JsonlRecorder;
 use custom_fit::prelude::Benchmark;
-use std::time::Duration;
 
 fn golden(name: &str, actual: &str) {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -28,34 +26,6 @@ fn golden(name: &str, actual: &str) {
     assert_eq!(
         expected, actual,
         "`{name}` drifted; if intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
-    );
-}
-
-/// The accounting table, rendered from a fixed synthetic [`RunStats`]:
-/// wall-clock rows format real durations, so the fixture pins them to
-/// exact values a live run never produces.
-#[test]
-fn run_stats_table_renders_the_golden_layout() {
-    let stats = RunStats {
-        compilations: 5730,
-        cache_hits: 4011,
-        unique_schedules: 1719,
-        unique_plans: 60,
-        architectures: 191,
-        failed_units: 3,
-        fuel_exhausted: 2,
-        resumed_units: 764,
-        screen_evals: 0,
-        full_evals: 0,
-        dedup_hits: 0,
-        plan_wall: Duration::from_millis(1_250),
-        eval_wall: Duration::from_millis(41_003),
-        wall: Duration::from_millis(42_337),
-    };
-    let table = run_stats_table(&stats);
-    golden(
-        "run_stats_table.txt",
-        &format!("{table}\n--- csv ---\n{}", table.to_csv()),
     );
 }
 
