@@ -27,12 +27,13 @@
 
 use crate::checkpoint::spec_fingerprint;
 use crate::eval::{residency_budget, PlanCache, PlanStore};
+use crate::memo::CompileCache;
 use crate::search::below;
 use crate::units::Workers;
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, Fnv1a, MachineResources, SpaceAxes};
 use cfp_obs::UnitTrace;
-use cfp_sched::{CertifyOutcome, Ddg, Fuel, PipelineProblem};
+use cfp_sched::{prepare, try_compile_core, CertifyOutcome, Fuel, PipelineProblem};
 use cfp_testkit::Rng;
 
 /// The default fuel ladder: three rungs, a decade apart. Each undecided
@@ -268,6 +269,8 @@ impl OracleReport {
         } else {
             config.fuel_ladder.clone()
         };
+        // The points of one plan share its lowering and graph per L2 latency.
+        let memo = CompileCache::new();
         let points = Workers::scope(config.threads, |workers| {
             let plans = PlanStore::new().snapshot(
                 &config.benches,
@@ -279,7 +282,7 @@ impl OracleReport {
             );
             workers.run(trials.len(), move |i| {
                 let (bench, spec, unroll) = &trials[i];
-                measure(*bench, spec, *unroll, &ladder, &plans)
+                measure(*bench, spec, *unroll, &ladder, &plans, &memo)
             })
         })
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
@@ -407,25 +410,34 @@ impl OracleReport {
 }
 
 /// Measure one trial: take the sweep's plan for the machine's residency
-/// budget from `plans`, list- and modulo-schedule it, then certify the
-/// minimum II up the fuel ladder — all three over one
-/// [`PipelineProblem`]. `None` for a trial whose unrolled body is over
-/// [`crate::eval::MAX_BODY_OPS`]: the sweep has no such plan, so the
-/// study leaves the trial out too.
+/// budget from `plans`, its prepared form for the machine's L2 latency
+/// from `memo`, list- and modulo-schedule it, then certify the minimum
+/// II up the fuel ladder — all three over one [`PipelineProblem`], on
+/// the graph the list scheduler ran on. `None` for a trial whose
+/// unrolled body is over [`crate::eval::MAX_BODY_OPS`]: the sweep has no
+/// such plan, so the study leaves the trial out too.
 fn measure(
     bench: Benchmark,
     spec: &ArchSpec,
     unroll: u32,
     ladder: &[u64],
     plans: &PlanCache,
+    memo: &CompileCache,
 ) -> Option<OraclePoint> {
-    let kernel = plans.get(bench, residency_budget(spec.regs), unroll, ExtSet::EMPTY)?;
+    let id = plans.id(bench, residency_budget(spec.regs), unroll, ExtSet::EMPTY)?;
     let machine = MachineResources::from_spec(spec);
-    let r = cfp_sched::compile(kernel, &machine);
-    let ddg = Ddg::build(&r.assignment.code);
-    let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
+    let off = &mut UnitTrace::disabled();
+    let prepared = memo.prepared(id, machine.l2_latency, || {
+        prepare(plans.kernel(id), &machine, off)
+    });
+    let core = match try_compile_core(&prepared, &machine, &mut Fuel::unlimited(), off) {
+        Ok(core) => core,
+        Err(e) => panic!("compilation failed under unlimited fuel: {e}"),
+    };
+    let ddg = prepared.assigned_ddg(&core.assignment);
+    let problem = PipelineProblem::new(&core.assignment, &ddg, &machine, core.length);
     let ms = problem
-        .schedule(&mut Fuel::unlimited(), &mut UnitTrace::disabled())
+        .schedule(&mut Fuel::unlimited(), off)
         .unwrap_or_default(); // unlimited fuel never exhausts
     let witness = ms.as_ref().map(|s| s.ii);
     // The heuristic's own schedule replays through the shared validator
@@ -436,7 +448,7 @@ fn measure(
     let mut rung = ladder.len().saturating_sub(1) as u32;
     for (i, &steps) in ladder.iter().enumerate() {
         let mut fuel = Fuel::limited(steps);
-        match problem.certify(witness, &mut fuel, &mut UnitTrace::disabled()) {
+        match problem.certify(witness, &mut fuel, off) {
             CertifyOutcome::Certified {
                 min_ii,
                 slots,
@@ -476,7 +488,7 @@ fn measure(
         bench,
         spec: *spec,
         unroll,
-        list_len: r.length,
+        list_len: core.length,
         heuristic_ii: witness,
         verdict,
         rung,

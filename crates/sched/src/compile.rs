@@ -23,6 +23,7 @@ use crate::scratch::{with_arena, SchedScratch};
 use cfp_ir::Kernel;
 use cfp_machine::{MachineResources, UnitClass};
 use cfp_obs::{Stage, UnitTrace, Value};
+use std::borrow::Cow;
 
 /// Everything the middle end and the design-space exploration need to
 /// know about one compilation.
@@ -73,6 +74,23 @@ pub struct Prepared {
     pub code: LoopCode,
     /// Dependence graph over `code` (pre cluster assignment).
     pub ddg: Ddg,
+}
+
+impl Prepared {
+    /// The dependence graph of `assignment`'s code, where `assignment`
+    /// is this plan's cluster assignment (a [`SchedCore`]'s): equal to
+    /// `Ddg::build(&assignment.code)`, and derived as
+    /// [`try_compile_core`] derives the graph it list-schedules — the
+    /// prepared graph itself, borrowed, when assignment inserted no
+    /// move, else a rebuild that copies the prepared memory edges.
+    #[must_use]
+    pub fn assigned_ddg(&self, assignment: &Assignment) -> Cow<'_, Ddg> {
+        if assignment.move_count == 0 {
+            Cow::Borrowed(&self.ddg)
+        } else {
+            with_arena(|arena| Cow::Owned(Ddg::build_in(&assignment.code, Some(&self.ddg), arena)))
+        }
+    }
 }
 
 /// Run the machine-independent phase: lower `kernel` and build its
@@ -408,6 +426,28 @@ mod tests {
         let (a, b) = (finish(&shared, &small), finish(&shared, &large));
         assert_eq!(a.pressure.peak, b.pressure.peak);
         assert_ne!(a.pressure.capacity, b.pressure.capacity);
+    }
+
+    #[test]
+    fn the_assigned_graph_is_a_fresh_build_borrowed_when_nothing_moved() {
+        let k = compile_kernel(STENCIL, &[]).unwrap();
+        let mut moved = 0;
+        for spec in [
+            ArchSpec::baseline(),
+            ArchSpec::new(8, 4, 256, 2, 4, 4).unwrap(),
+            ArchSpec::new(16, 8, 128, 4, 2, 2).unwrap(),
+        ] {
+            let m = MachineResources::from_spec(&spec);
+            let prepared = prepare(&k, &m, &mut UnitTrace::disabled());
+            let shared = core(&prepared, &m);
+            let a = shared.assignment;
+            let ddg = prepared.assigned_ddg(&a);
+            assert_eq!(*ddg, Ddg::build(&a.code), "{spec}");
+            assert_eq!(ddg.critical_path(), shared.critical_path, "{spec}");
+            assert_eq!(matches!(ddg, Cow::Borrowed(_)), a.move_count == 0, "{spec}");
+            moved += usize::from(a.move_count > 0);
+        }
+        assert!(moved > 0, "no assignment moved a value");
     }
 
     #[test]

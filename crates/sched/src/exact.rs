@@ -29,13 +29,17 @@
 //!   ([`cfp_machine::Mdes::reservations`]).
 //!
 //! Propagation closes the difference constraints into an all-pairs
-//! longest-path matrix (Floyd–Warshall over weights `lat − II·ω`); a
-//! positive self-distance is a recurrence proof of infeasibility, and
-//! the finite entries drive earliest/latest-slot bounds that shrink as
-//! ops are placed. Branching is dominance-ordered: ops are tried in a
-//! static criticality order, restricted dynamically to ops related to
-//! the already-placed set, so domains are as tight as the distance
-//! matrix can make them.
+//! longest-path matrix over weights `lat − II·ω`, one Bellman–Ford pass
+//! per source over the sparse dependence edges (the `n³` Floyd–Warshall
+//! loop it replaced is kept in the tests, which hold the two equal); a
+//! positive cycle is a recurrence proof of infeasibility, and the
+//! finite entries drive earliest/latest-slot bounds that shrink as ops
+//! are placed. Each op's *related* ops — those at a finite distance
+//! either way, ascending — are listed once per decision, and placing,
+//! unplacing and propagating an op walk its list, not all `n` ops.
+//! Branching is dominance-ordered: ops are tried in a static criticality
+//! order, restricted dynamically to ops related to the already-placed
+//! set, so domains are as tight as the distance matrix can make them.
 //!
 //! Completeness rests on two arguments:
 //!
@@ -55,7 +59,8 @@
 //! The search is a pure function of its inputs: no clocks, no hashing,
 //! no thread interaction. Cost is metered by the same step-count
 //! [`Fuel`] the rest of the back end uses — `n²` steps to build each
-//! distance matrix and one step per value probe — so a verdict
+//! distance matrix (whatever the closure's own cost) and one step per
+//! value probe — so a verdict
 //! (including [`ExactVerdict::FuelExhausted`]) is bit-identical on
 //! every platform, thread count, and re-run, and a caller can run a
 //! deterministic fuel ladder: retry undecided points with a larger
@@ -264,7 +269,6 @@ impl PipelineProblem<'_> {
 /// Exposed so property tests can cross-check synthetic dependence sets
 /// against a brute-force transcription.
 #[must_use]
-#[allow(clippy::too_many_lines)] // one self-contained setup + search
 pub fn solve(
     n: usize,
     deps: &[OmegaDep],
@@ -298,45 +302,31 @@ pub fn solve(
     }
 
     // All-pairs longest paths over weights `lat − II·ω` (the distance
-    // bounds the recurrence analysis implies at this II). Quadratic
-    // setup and cubic closure are charged as n² fuel — the same "work
-    // before the answer" discipline as the heuristic's probes.
+    // bounds the recurrence analysis implies at this II), charged as n²
+    // fuel — the same "work before the answer" discipline as the
+    // heuristic's probes.
     if fuel.spend((n * n) as u64).is_err() {
         return ExactVerdict::FuelExhausted;
     }
     let mut dist = vec![NO_PATH; n * n];
-    for i in 0..n {
-        dist[i * n + i] = 0;
-    }
-    for d in deps {
-        let w = i64::from(d.lat).saturating_sub(i64::from(ii).saturating_mul(i64::from(d.omega)));
-        let e = &mut dist[d.from * n + d.to];
-        if w > *e {
-            *e = w;
-        }
-    }
-    for k in 0..n {
-        for i in 0..n {
-            let ik = dist[i * n + k];
-            if ik <= FINITE {
-                continue;
-            }
-            for j in 0..n {
-                let kj = dist[k * n + j];
-                if kj <= FINITE {
-                    continue;
-                }
-                let through = ik.saturating_add(kj);
-                let e = &mut dist[i * n + j];
-                if through > *e {
-                    *e = through;
-                }
-            }
-        }
-    }
-    if (0..n).any(|i| dist[i * n + i] > 0) {
+    if !close(n, deps, ii, &mut dist) {
         return ExactVerdict::Infeasible; // a positive recurrence cycle
     }
+    search_closed(n, deps, row_units, reqs, ii, &dist, fuel)
+}
+
+/// The search behind [`solve`], once the structural checks passed and
+/// `dist` holds the closure of `deps` at `ii`, with no positive cycle.
+fn search_closed(
+    n: usize,
+    deps: &[OmegaDep],
+    row_units: &[u32],
+    reqs: &[Vec<ResReq>],
+    ii: u32,
+    dist: &[i64],
+    fuel: &mut Fuel,
+) -> ExactVerdict {
+    let related = Related::of(n, dist);
 
     // Weakly-connected components of the finite-distance relation, via
     // union-find: components translate independently by multiples of II.
@@ -349,12 +339,10 @@ pub fn solve(
         x
     }
     for i in 0..n {
-        for j in (i + 1)..n {
-            if dist[i * n + j] > FINITE || dist[j * n + i] > FINITE {
-                let (a, b) = (find(&mut parent, i as u32), find(&mut parent, j as u32));
-                if a != b {
-                    parent[a as usize] = b;
-                }
+        for &j in related.of_op(i).iter().filter(|&&j| j as usize > i) {
+            let (a, b) = (find(&mut parent, i as u32), find(&mut parent, j));
+            if a != b {
+                parent[a as usize] = b;
             }
         }
     }
@@ -391,7 +379,8 @@ pub fn solve(
     let mut solver = Solver {
         n,
         ii: i64::from(ii),
-        dist: &dist,
+        dist,
+        related: &related,
         reqs,
         row_units,
         order: &order,
@@ -427,12 +416,118 @@ pub fn solve(
     }
 }
 
+/// Close the dependence set at `ii` into all-pairs longest paths: row
+/// `s` of `dist` (all `NO_PATH` on entry) gets the longest path from op
+/// `s` to every op, over edges of weight `lat − II·ω`. An edge or a path
+/// at or below `FINITE` relates nothing. `false` when some dependence
+/// cycle has positive weight — no schedule exists at this II.
+///
+/// Each row is its own Bellman–Ford pass over the producer-grouped
+/// edges, in sweeps that relax, in index order, the out-edges of every
+/// op whose distance rose since it was last relaxed. Most edges point
+/// forward, so a sweep settles whole chains and a row takes a few sweeps
+/// of its reachable ops — `O(n · (n + e))` over all rows on such graphs.
+/// A longest path without a
+/// positive cycle has fewer than `n` edges, so a row still rising after
+/// `n` sweeps (or a source whose distance to itself turns positive) has
+/// found a positive cycle. The verdict is Floyd–Warshall's over the
+/// same matrix, and so is every entry above `FINITE` unless some path
+/// weighs within `n·max_lat` of `FINITE` — an `II·ω` near `2^60 / n`,
+/// where the two closures' cut-offs could part.
+fn close(n: usize, deps: &[OmegaDep], ii: u32, dist: &mut [i64]) -> bool {
+    // The edges by producer (CSR), hyper-slack ones left out.
+    let weight = |d: &OmegaDep| {
+        i64::from(d.lat).saturating_sub(i64::from(ii).saturating_mul(i64::from(d.omega)))
+    };
+    let mut start = vec![0_usize; n + 1];
+    for d in deps.iter().filter(|d| weight(d) > FINITE) {
+        start[d.from + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut out = vec![(0_u32, 0_i64); start[n]];
+    let mut cursor = start.clone();
+    for d in deps.iter().filter(|d| weight(d) > FINITE) {
+        out[cursor[d.from]] = (d.to as u32, weight(d));
+        cursor[d.from] += 1;
+    }
+
+    let mut rising = vec![false; n];
+    for (s, row) in dist.chunks_exact_mut(n).enumerate() {
+        row[s] = 0;
+        rising[s] = true;
+        let (mut pending, mut sweeps) = (1_usize, 0_usize);
+        while pending > 0 {
+            if sweeps == n {
+                return false; // still rising: a positive cycle
+            }
+            sweeps += 1;
+            for u in 0..n {
+                if !rising[u] {
+                    continue;
+                }
+                rising[u] = false;
+                pending -= 1;
+                let from = row[u];
+                for &(v, w) in &out[start[u]..start[u + 1]] {
+                    let v = v as usize;
+                    let through = from + w; // both above FINITE: no overflow
+                    if through > FINITE && through > row[v] {
+                        if v == s {
+                            return false; // a positive cycle through `s`
+                        }
+                        row[v] = through;
+                        if !rising[v] {
+                            rising[v] = true;
+                            pending += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Per op, the other ops it has a finite distance to or from, ascending:
+/// the only ops a placement can bound or touch. Lists in CSR form.
+struct Related {
+    start: Vec<usize>,
+    ops: Vec<u32>,
+}
+
+impl Related {
+    /// The relation of a closed `n × n` distance matrix.
+    fn of(n: usize, dist: &[i64]) -> Self {
+        let mut start = Vec::with_capacity(n + 1);
+        let mut ops = Vec::new();
+        start.push(0);
+        for i in 0..n {
+            let related = |&j: &u32| {
+                let j = j as usize;
+                j != i && (dist[i * n + j] > FINITE || dist[j * n + i] > FINITE)
+            };
+            ops.extend((0..n as u32).filter(related));
+            start.push(ops.len());
+        }
+        Related { start, ops }
+    }
+
+    /// The ops related to op `i`.
+    fn of_op(&self, i: usize) -> &[u32] {
+        &self.ops[self.start[i]..self.start[i + 1]]
+    }
+}
+
 /// The branch-and-bound state for one fixed-II decision.
 struct Solver<'a> {
     n: usize,
     ii: i64,
     /// Longest-path closure, `NO_PATH` when unrelated.
     dist: &'a [i64],
+    /// The ops each op has a finite distance to or from.
+    related: &'a Related,
     reqs: &'a [Vec<ResReq>],
     row_units: &'a [u32],
     /// Static priority order (indices, most critical first).
@@ -558,23 +653,19 @@ impl Solver<'_> {
             self.comp_base[c] = s;
         }
         self.comp_count[c] += 1;
-        for u in 0..self.n {
-            if !self.placed[u]
-                && (self.dist[v * self.n + u] > FINITE || self.dist[u * self.n + v] > FINITE)
-            {
-                self.touched[u] += 1;
+        for &u in self.related.of_op(v) {
+            if !self.placed[u as usize] {
+                self.touched[u as usize] += 1;
             }
         }
     }
 
     fn unplace(&mut self, v: usize, s: i64) {
         // Reverse of `place`; `placed[v]` flips last so the touched
-        // scan sees the same set both ways.
-        for u in 0..self.n {
-            if !self.placed[u]
-                && (self.dist[v * self.n + u] > FINITE || self.dist[u * self.n + v] > FINITE)
-            {
-                self.touched[u] -= 1;
+        // walk sees the same set both ways.
+        for &u in self.related.of_op(v) {
+            if !self.placed[u as usize] {
+                self.touched[u as usize] -= 1;
             }
         }
         self.comp_count[self.comp[v] as usize] -= 1;
@@ -592,15 +683,13 @@ impl Solver<'_> {
     /// domain wiped out (the placement cannot be completed).
     fn propagate(&mut self, v: usize, s: i64) -> bool {
         let mut alive = true;
-        for u in 0..self.n {
+        for &u in self.related.of_op(v) {
+            let u = u as usize;
             if self.placed[u] {
                 continue;
             }
             let fwd = self.dist[v * self.n + u];
             let bwd = self.dist[u * self.n + v];
-            if fwd <= FINITE && bwd <= FINITE {
-                continue;
-            }
             self.trail.push((u as u32, self.est[u], self.lst[u]));
             if fwd > FINITE {
                 let e = s.saturating_add(fwd);
@@ -751,6 +840,237 @@ mod tests {
             solve(2, &deps, &[1], &reqs, 2, &mut Fuel::unlimited()),
             ExactVerdict::Feasible(_)
         ));
+    }
+
+    /// The closure `solve` ran before the per-source one, verbatim: the
+    /// cubic Floyd–Warshall loop over `dist` (all `NO_PATH` on entry),
+    /// `false` on a positive cycle.
+    fn floyd_warshall(n: usize, deps: &[OmegaDep], ii: u32, dist: &mut [i64]) -> bool {
+        for i in 0..n {
+            dist[i * n + i] = 0;
+        }
+        for d in deps {
+            let w =
+                i64::from(d.lat).saturating_sub(i64::from(ii).saturating_mul(i64::from(d.omega)));
+            let e = &mut dist[d.from * n + d.to];
+            if w > *e {
+                *e = w;
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let ik = dist[i * n + k];
+                if ik <= FINITE {
+                    continue;
+                }
+                for j in 0..n {
+                    let kj = dist[k * n + j];
+                    if kj <= FINITE {
+                        continue;
+                    }
+                    let through = ik.saturating_add(kj);
+                    let e = &mut dist[i * n + j];
+                    if through > *e {
+                        *e = through;
+                    }
+                }
+            }
+        }
+        !(0..n).any(|i| dist[i * n + i] > 0)
+    }
+
+    /// [`solve`] as it was with the cubic closure: the same structural
+    /// checks and fuel charge, then the shared search.
+    fn dense_solve(
+        n: usize,
+        deps: &[OmegaDep],
+        row_units: &[u32],
+        reqs: &[Vec<ResReq>],
+        ii: u32,
+        fuel: &mut Fuel,
+    ) -> ExactVerdict {
+        if ii == 0 {
+            return ExactVerdict::Infeasible;
+        }
+        if n == 0 {
+            return ExactVerdict::Feasible(Vec::new());
+        }
+        let unplaceable = |r: &ResReq| {
+            let units = row_units[r.row as usize];
+            units == 0 || r.reserved.div_ceil(ii) > units
+        };
+        let tally = reqs.iter().map(|rows| (rows.iter().copied(), 1));
+        if reqs.iter().flatten().any(unplaceable)
+            || res_mii_of(row_units.iter().copied(), tally, &mut Vec::new()) > ii
+        {
+            return ExactVerdict::Infeasible;
+        }
+        if fuel.spend((n * n) as u64).is_err() {
+            return ExactVerdict::FuelExhausted;
+        }
+        let mut dist = vec![NO_PATH; n * n];
+        if !floyd_warshall(n, deps, ii, &mut dist) {
+            return ExactVerdict::Infeasible;
+        }
+        search_closed(n, deps, row_units, reqs, ii, &dist, fuel)
+    }
+
+    /// A random dependence set over `n` ops in up to four disconnected
+    /// groups: forward ω = 0 chains, carried edges pointing anywhere in
+    /// the group (self-dependences and the saturated distance
+    /// `u32::MAX` among them), and now and then a backward ω = 0 edge,
+    /// which closes a positive cycle whenever its latency is positive.
+    fn random_deps(rng: &mut cfp_testkit::Rng, n: usize) -> Vec<OmegaDep> {
+        let groups = 1 + rng.index(4);
+        let mut deps = Vec::new();
+        for _ in 0..rng.index(3 * n + 1) {
+            let from = rng.index(n);
+            let to = rng.index(n / groups + 1) * groups + from % groups;
+            if to >= n {
+                continue;
+            }
+            let (lat, omega) = match rng.below(20) {
+                0 if to <= from => (rng.below(3) as u32, 0),
+                0..=11 if to > from => (rng.below(7) as u32, 0),
+                _ => (1 + rng.below(6) as u32, *rng.pick(&[1, 1, 2, 3, u32::MAX])),
+            };
+            deps.push(OmegaDep {
+                from,
+                to,
+                lat,
+                omega,
+            });
+        }
+        deps
+    }
+
+    /// IIs around the loops' own, `2^31`, where `II·ω` of the saturated
+    /// distance drops an edge below `NO_PATH`, and `u32::MAX`, where the
+    /// product saturates `i64`.
+    fn random_iis(rng: &mut cfp_testkit::Rng) -> [u32; 5] {
+        [
+            1,
+            1 + rng.below(4) as u32,
+            2 + rng.below(24) as u32,
+            1 << 31,
+            u32::MAX,
+        ]
+    }
+
+    #[test]
+    fn the_sparse_closure_equals_floyd_warshall_on_random_dep_sets() {
+        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+        // Closures with a positive cycle; without one, those with more
+        // than one component, and those where a hyper-slack edge relates
+        // two ops by a path below −2^32.
+        let seen = [const { AtomicU32::new(0) }; 3];
+        cfp_testkit::cases(0xc105_e000, 300, |rng| {
+            let n = 1 + rng.index(60);
+            let deps = random_deps(rng, n);
+            for ii in random_iis(rng) {
+                let mut dense = vec![NO_PATH; n * n];
+                let mut sparse = vec![NO_PATH; n * n];
+                let verdict = floyd_warshall(n, &deps, ii, &mut dense);
+                assert_eq!(
+                    close(n, &deps, ii, &mut sparse),
+                    verdict,
+                    "n={n} ii={ii} {deps:?}"
+                );
+                if !verdict {
+                    seen[0].fetch_add(1, Relaxed);
+                    continue;
+                }
+                for (k, (&d, &s)) in dense.iter().zip(&sparse).enumerate() {
+                    let (i, j) = (k / n, k % n);
+                    assert_eq!(
+                        (d > FINITE).then_some(d),
+                        (s > FINITE).then_some(s),
+                        "dist[{i}][{j}] n={n} ii={ii} {deps:?}"
+                    );
+                }
+                // Each op's related list: every other op it has a finite
+                // distance to or from, ascending.
+                let related = Related::of(n, &sparse);
+                for i in 0..n {
+                    let all: Vec<u32> = (0..n)
+                        .filter(|&j| {
+                            j != i && (dense[i * n + j] > FINITE || dense[j * n + i] > FINITE)
+                        })
+                        .map(|j| j as u32)
+                        .collect();
+                    assert_eq!(related.of_op(i), all, "op {i} n={n} ii={ii} {deps:?}");
+                }
+                // Op 0's component, walked over the lists, leaves some out.
+                let mut reached = vec![false; n];
+                let mut stack = vec![0_u32];
+                reached[0] = true;
+                while let Some(i) = stack.pop() {
+                    for &j in related.of_op(i as usize) {
+                        if !std::mem::replace(&mut reached[j as usize], true) {
+                            stack.push(j);
+                        }
+                    }
+                }
+                if reached.contains(&false) {
+                    seen[1].fetch_add(1, Relaxed);
+                }
+                if dense.iter().any(|&d| d > FINITE && d < -(1 << 32)) {
+                    seen[2].fetch_add(1, Relaxed);
+                }
+            }
+        });
+        let [cyclic, split, slack] = seen.map(AtomicU32::into_inner);
+        assert!(
+            cyclic >= 100 && split >= 100 && slack >= 100,
+            "thin coverage: {cyclic} positive cycles, {split} split, {slack} hyper-slack"
+        );
+    }
+
+    #[test]
+    fn the_solver_decides_on_the_sparse_closure_as_on_floyd_warshall() {
+        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+        // Feasible (with more than one op), infeasible, fuel-exhausted.
+        let seen = [const { AtomicU32::new(0) }; 3];
+        cfp_testkit::cases(0xc105_e001, 120, |rng| {
+            let n = 1 + rng.index(60);
+            let deps = random_deps(rng, n);
+            let rows = 1 + rng.index(3);
+            let row_units: Vec<u32> = (0..rows)
+                .map(|_| u32::from(rng.below(12) != 0) * (1 + rng.below(3) as u32))
+                .collect();
+            let reqs: Vec<Vec<ResReq>> = (0..n)
+                .map(|_| {
+                    vec![ResReq {
+                        row: rng.index(rows) as u32,
+                        reserved: 1 + rng.below(2) as u32,
+                    }]
+                })
+                .collect();
+            let budget = *rng.pick(&[50, 5_000, 20_000]);
+            // From the resource bound up, where both families bind.
+            let tally = reqs.iter().map(|rows| (rows.iter().copied(), 1));
+            let res = res_mii_of(row_units.iter().copied(), tally, &mut Vec::new());
+            let near = [1, 1 + rng.below(4) as u32, rng.below(64) as u32];
+            for ii in near.map(|k| res + k).into_iter().chain([1 << 31, u32::MAX]) {
+                let (mut f1, mut f2) = (Fuel::limited(budget), Fuel::limited(budget));
+                let sparse = solve(n, &deps, &row_units, &reqs, ii, &mut f1);
+                let dense = dense_solve(n, &deps, &row_units, &reqs, ii, &mut f2);
+                assert_eq!(sparse, dense, "n={n} ii={ii} {deps:?}");
+                assert_eq!(f1.spent(), f2.spent(), "n={n} ii={ii}");
+                let class = match sparse {
+                    ExactVerdict::Feasible(_) if n > 1 => 0,
+                    ExactVerdict::Feasible(_) => continue,
+                    ExactVerdict::Infeasible => 1,
+                    ExactVerdict::FuelExhausted => 2,
+                };
+                seen[class].fetch_add(1, Relaxed);
+            }
+        });
+        let [feasible, infeasible, exhausted] = seen.map(AtomicU32::into_inner);
+        assert!(
+            feasible >= 50 && infeasible >= 50 && exhausted >= 50,
+            "thin coverage: {feasible} feasible, {infeasible} infeasible, {exhausted} exhausted"
+        );
     }
 
     const PARALLEL: &str = "kernel p(in u8 s[], out i32 d[]) {

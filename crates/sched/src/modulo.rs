@@ -245,18 +245,34 @@ pub(crate) fn res_mii_of<R: IntoIterator<Item = ResReq>>(
 /// `hi_hint` only seeds the search; the result does not depend on it.
 #[must_use]
 pub fn rec_mii(n_ops: usize, deps: &[OmegaDep], hi_hint: u32) -> u32 {
+    first_feasible_ii(n_ops, deps, 1, hi_hint)
+}
+
+/// The smallest II at or above `floor` at which no dependence cycle has
+/// positive weight `lat − II·ω`: `floor.max(rec_mii(..))`, since a
+/// weight only falls as the II grows. When `floor` already holds —
+/// ResMII on a resource-bound loop — that is one feasibility check, not
+/// a search. Otherwise the search doubles from `hi_hint` (at
+/// least `floor + 1`) until an II holds, then bisects the gap; `u32::MAX`
+/// when none does. The result does not depend on `hi_hint`.
+pub(crate) fn first_feasible_ii(n_ops: usize, deps: &[OmegaDep], floor: u32, hi_hint: u32) -> u32 {
     let components = recurrences(n_ops, deps);
-    if components.is_empty() {
-        return 1; // no dependence cycle constrains the II
-    }
     let mut dist = Vec::new();
     let mut feasible = |ii: u32| components.iter().all(|c| c.feasible(ii, &mut dist));
-    let mut lo = 1_u32;
-    let mut hi = hi_hint.max(2);
+    let floor = floor.max(1);
+    if feasible(floor) {
+        return floor; // also every dependence set without a cycle
+    }
+    // Infeasible at `floor`, so at every II below it too.
+    let Some(mut lo) = floor.checked_add(1) else {
+        return u32::MAX;
+    };
+    let mut hi = hi_hint.max(lo);
     while !feasible(hi) {
         if hi == u32::MAX {
             return u32::MAX; // an ω = 0 cycle: no II is feasible
         }
+        lo = hi + 1;
         // Saturate rather than wrap on extreme hints; past the
         // practical range jump straight to the sentinel check, and let
         // the binary search below recover the true bound when one
@@ -523,7 +539,8 @@ impl<'a> PipelineProblem<'a> {
         let row_units: Vec<u32> = machine.mdes.row_units().collect();
         let tally = reqs.iter().map(|rows| (rows.iter().copied(), 1));
         let res_mii = res_mii_of(row_units.iter().copied(), tally, &mut Vec::new());
-        let bound = res_mii.max(rec_mii(code.ops.len(), &deps, list_length));
+        // `max(ResMII, RecMII)`, probed from ResMII up.
+        let bound = first_feasible_ii(code.ops.len(), &deps, res_mii, list_length);
         let max_lat = code.ops.iter().map(|o| o.latency).max().unwrap_or(1);
         let missing_unit = reqs
             .iter()
@@ -941,7 +958,7 @@ mod tests {
     use super::*;
     use crate::cluster::assign;
     use crate::cluster::tests::stratified;
-    use crate::loopcode::LoopCode;
+    use crate::loopcode::{FuClass, LoopCode};
     use crate::testgen::memory_heavy;
     use cfp_frontend::compile_kernel;
     use cfp_ir::Kernel;
@@ -1052,6 +1069,132 @@ mod tests {
         let mut stuck = deps.to_vec();
         stuck.push(dep(7, 6, 1, 0));
         assert_eq!(rec_mii(8, &stuck, 7), u32::MAX);
+    }
+
+    /// The bound `PipelineProblem::new` took before the ResMII-floored
+    /// probe: ResMII, RecMII by its own search, the larger.
+    fn max_of_both_bounds(problem: &PipelineProblem<'_>) -> u32 {
+        let a = problem.assignment;
+        let deps = omega_deps(&a.code, problem.ddg);
+        let res = res_mii(&a.code, a, problem.machine);
+        res.max(rec_mii(a.code.ops.len(), &deps, problem.list_length))
+    }
+
+    #[test]
+    fn the_resmii_floored_probe_is_the_larger_of_both_bounds() {
+        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+        // How often RecMII was at most 2 (every floor but 1 holds), above
+        // it (floors 1 and 2 search past), and the ω = 0 sentinel.
+        let classes = [const { AtomicU32::new(0) }; 3];
+        cfp_testkit::cases(0xf100_4ec2, 300, |rng| {
+            let n = 1 + rng.index(14);
+            let mut deps = Vec::new();
+            for from in 0..n {
+                for to in (from + 1)..n {
+                    if rng.below(5) == 0 {
+                        deps.push(dep(from, to, 1 + rng.below(6) as u32, 0));
+                    }
+                }
+            }
+            for _ in 0..rng.index(5) {
+                let from = rng.index(n);
+                let omega = *rng.pick(&[1, 1, 2, 3, u32::MAX]);
+                deps.push(dep(
+                    from,
+                    rng.index(from + 1),
+                    1 + rng.below(6) as u32,
+                    omega,
+                ));
+            }
+            if rng.below(6) == 0 {
+                let from = rng.index(n);
+                deps.push(dep(from, rng.index(from + 1), 1 + rng.below(3) as u32, 0));
+            }
+            let rec = rec_mii(n, &deps, 1 + rng.below(40) as u32);
+            let floors = [
+                1,
+                2,
+                1 + rng.below(40) as u32,
+                rec.saturating_sub(1).max(1),
+                rec,
+                rec.saturating_add(1),
+                (1 << 20) + 1,
+                u32::MAX - 1,
+                u32::MAX,
+            ];
+            let hints = [1, 2, 1 + rng.below(40) as u32, (1 << 20) + 1, u32::MAX];
+            for floor in floors {
+                for hint in hints {
+                    assert_eq!(
+                        first_feasible_ii(n, &deps, floor, hint),
+                        floor.max(rec_mii(n, &deps, hint)),
+                        "n={n} floor={floor} hint={hint} deps={deps:?}"
+                    );
+                }
+            }
+            let class = match rec {
+                1 | 2 => 0,
+                u32::MAX => 2,
+                _ => 1,
+            };
+            classes[class].fetch_add(1, Relaxed);
+        });
+        let [low, high, sentinel] = classes.map(AtomicU32::into_inner);
+        assert!(
+            low >= 50 && high >= 50 && sentinel >= 20,
+            "thin coverage: {low} low, {high} high, {sentinel} ω = 0 sentinels"
+        );
+    }
+
+    #[test]
+    fn problem_bounds_are_unchanged_on_every_shipped_kernel() {
+        let (mut probed, mut rec_bound) = (0, 0);
+        for (b, k) in optimized_benchmarks() {
+            for u in [1, 2, 4] {
+                let k = cfp_opt::unroll::unroll(&k, u);
+                for spec in stratified() {
+                    let m = MachineResources::from_spec(&spec);
+                    let code = LoopCode::build(&k, &m);
+                    let a = assign(&code, &Ddg::build(&code), &m);
+                    let ddg = Ddg::build(&a.code);
+                    let len = list_schedule(&a, &ddg, &m).length;
+                    let problem = PipelineProblem::new(&a, &ddg, &m, len);
+                    let bound = max_of_both_bounds(&problem);
+                    let max_lat = a.code.ops.iter().map(|o| o.latency).max().unwrap_or(1);
+                    assert_eq!(problem.mii, bound.max(max_lat), "{b} x{u} {spec}");
+                    assert_eq!(problem.exact_mii, bound, "{b} x{u} {spec}");
+                    probed += 1;
+                    rec_bound += usize::from(bound > res_mii(&a.code, &a, &m));
+                }
+            }
+        }
+        assert!(
+            rec_bound >= 10,
+            "{rec_bound} of {probed} points recurrence-bound"
+        );
+
+        // A multiply moved onto the cluster with no multiplier: no II at
+        // all, whatever the two bounds say.
+        let spec = ArchSpec::new(4, 1, 128, 1, 4, 2).unwrap();
+        let m = MachineResources::from_spec(&spec);
+        let mut k = Benchmark::D.kernel();
+        cfp_opt::optimize(&mut k);
+        let code = LoopCode::build(&k, &m);
+        let mut a = assign(&code, &Ddg::build(&code), &m);
+        let ddg = Ddg::build(&a.code);
+        let len = list_schedule(&a, &ddg, &m).length;
+        let mul = a
+            .code
+            .ops
+            .iter()
+            .position(|op| op.class == FuClass::Mul)
+            .unwrap();
+        assert_eq!(a.cluster_of_op[mul], 0);
+        a.cluster_of_op[mul] = 1;
+        let problem = PipelineProblem::new(&a, &ddg, &m, len);
+        let max_lat = a.code.ops.iter().map(|o| o.latency).max().unwrap_or(1);
+        assert_eq!(problem.exact_mii, u32::MAX);
+        assert_eq!(problem.mii, max_of_both_bounds(&problem).max(max_lat));
     }
 
     #[test]

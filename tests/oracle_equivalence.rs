@@ -7,13 +7,16 @@
 
 mod common;
 
-use custom_fit::dse::{OracleConfig, OracleReport};
+use custom_fit::dse::eval::{residency_budget, PlanCache};
+use custom_fit::dse::{OracleConfig, OraclePoint, OracleReport, PointVerdict};
 use custom_fit::kernels::golden;
+use custom_fit::machine::ExtSet;
+use custom_fit::obs::UnitTrace;
 use custom_fit::prelude::*;
 use custom_fit::sched::exact::solve;
 use custom_fit::sched::{
     certify_min_ii, modulo_schedule, omega_deps, rec_mii, res_mii, validate_modulo, CertifyOutcome,
-    Ddg, ExactVerdict, Fuel, OmegaDep, ResReq,
+    Ddg, ExactVerdict, Fuel, OmegaDep, PipelineProblem, ResReq,
 };
 
 /// A compiled point the oracle can certify: the clustered assignment,
@@ -556,6 +559,117 @@ fn the_pinned_sample_is_deterministic_and_the_heuristic_never_wins() {
         );
     }
     assert_eq!(single.digest(), PINNED_GAP_DIGEST, "gap digest drifted");
+}
+
+/// One study point measured from scratch: the study's plan, a one-shot
+/// `compile`, a fresh `Ddg::build` of the assigned code and a problem of
+/// its own, then the heuristic, the validator and the fuel ladder; and
+/// whether cluster assignment inserted moves.
+fn reference_point(
+    plans: &PlanCache,
+    (bench, spec, unroll): (Benchmark, ArchSpec, u32),
+    ladder: &[u64],
+) -> (OraclePoint, bool) {
+    let kernel = plans
+        .get(bench, residency_budget(spec.regs), unroll, ExtSet::EMPTY)
+        .expect("a plan under the body cap");
+    let machine = MachineResources::from_spec(&spec);
+    let r = compile(kernel, &machine);
+    let ddg = Ddg::build(&r.assignment.code);
+    let problem = PipelineProblem::new(&r.assignment, &ddg, &machine, r.length);
+    let off = &mut UnitTrace::disabled();
+    let ms = problem
+        .schedule(&mut Fuel::unlimited(), off)
+        .expect("unlimited fuel");
+    let witness = ms.as_ref().map(|s| s.ii);
+    let mut valid = ms.as_ref().is_none_or(|s| problem.validate(s.ii, &s.slots));
+    let mut verdict = PointVerdict::FuelExhausted { at_ii: 0 };
+    let mut rung = ladder.len() as u32 - 1;
+    for (i, &steps) in ladder.iter().enumerate() {
+        let decided = match problem.certify(witness, &mut Fuel::limited(steps), off) {
+            CertifyOutcome::Certified {
+                min_ii,
+                slots,
+                proved_infeasible,
+            } => {
+                valid &= problem.validate(min_ii, &slots);
+                PointVerdict::Certified {
+                    min_ii,
+                    proved_infeasible,
+                }
+            }
+            CertifyOutcome::WitnessOptimal {
+                min_ii,
+                proved_infeasible,
+            } => PointVerdict::WitnessOptimal {
+                min_ii,
+                proved_infeasible,
+            },
+            CertifyOutcome::Unschedulable => PointVerdict::Unschedulable,
+            CertifyOutcome::FuelExhausted { at_ii } => {
+                verdict = PointVerdict::FuelExhausted { at_ii };
+                continue;
+            }
+        };
+        (verdict, rung) = (decided, i as u32);
+        break;
+    }
+    let point = OraclePoint {
+        bench,
+        spec,
+        unroll,
+        list_len: r.length,
+        heuristic_ii: witness,
+        verdict,
+        rung,
+        certificate_valid: valid,
+    };
+    (point, r.assignment.move_count > 0)
+}
+
+#[test]
+fn a_study_equals_its_points_measured_one_by_one() {
+    // Both spaces, unroll 1 and 2: points share a plan and an L2 latency
+    // (one prepared graph), and on some clustered machines assignment
+    // inserts moves (a rebuilt graph).
+    let config = OracleConfig {
+        paper_points: 8,
+        extended_points: 8,
+        seed: 0x0bac_1e00_0054,
+        benches: vec![Benchmark::D, Benchmark::G, Benchmark::H],
+        unrolls: vec![1, 2],
+        fuel_ladder: vec![2_000, 20_000],
+        threads: 2,
+    };
+    let report = OracleReport::run(&config);
+    let mut regs: Vec<u32> = report.points.iter().map(|p| p.spec.regs).collect();
+    regs.sort_unstable();
+    regs.dedup();
+    let plans = PlanCache::build(&config.benches, &regs, &config.unrolls);
+    let field = |p: &OraclePoint| {
+        let key = (p.bench, p.spec, p.unroll, p.list_len, p.heuristic_ii);
+        (key, p.verdict, p.rung, p.certificate_valid)
+    };
+    let mut moved = 0;
+    for p in &report.points {
+        let (want, moves) =
+            reference_point(&plans, (p.bench, p.spec, p.unroll), &config.fuel_ladder);
+        assert_eq!(
+            field(p),
+            field(&want),
+            "{} on {} x{}",
+            p.bench,
+            p.spec,
+            p.unroll
+        );
+        moved += usize::from(moves);
+    }
+    assert_eq!(report.points.len(), 16);
+    assert!(
+        moved > 0 && moved < 16,
+        "{moved} of 16 points moved a value"
+    );
+    assert!(report.points.iter().any(|p| p.spec.l2_pipelined));
 }
 
 #[test]
