@@ -47,7 +47,7 @@ use cfp_ir::{WordMap, WordSet};
 use cfp_kernels::Benchmark;
 use cfp_machine::{ArchSpec, ExtSet, MachineResources, SchedSignature};
 use cfp_obs::{Recorder, Stage, UnitTrace, Value};
-use cfp_sched::{prepare, spill_penalty_cycles, try_compile_core, Fuel};
+use cfp_sched::{prepare, spill_excess, spill_penalty_cycles, try_compile_core, Fuel};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -859,16 +859,11 @@ struct Attempt {
 }
 
 impl Attempt {
-    /// The capacity verdict: registers short across the clusters, and
-    /// the schedule's length plus the spill traffic that excess costs.
-    /// The only part of an attempt that reads the register-file size.
+    /// The capacity verdict ([`spill_excess`], as [`cfp_sched::finish`]
+    /// takes it), and the schedule's length plus the spill traffic that
+    /// excess costs.
     fn of(core: &CoreSummary, machine: &MachineResources) -> Self {
-        let excess: u32 = core
-            .peak
-            .iter()
-            .zip(machine.mdes.clusters())
-            .map(|(&p, c)| p.saturating_sub(c.regs))
-            .sum();
+        let excess = spill_excess(&core.peak, machine);
         Attempt {
             fits: excess == 0,
             cycles: core.length + spill_penalty_cycles(excess, machine),

@@ -27,8 +27,13 @@
 use cfp_dse::Checkpoint;
 use cfp_exhibits::exhibits;
 
-const USAGE: &str =
-    "usage: exhibits [table1..table10 | figure1..figure4 | search | correction | codesize | pipelining | priority | spill | extended | fused | oracle | all]... [--fast] [--csv] [--mdes-dump SPEC] [--save FILE] [--load FILE] [--checkpoint FILE [--resume]] [--trace-out FILE] [--trace-summary]";
+fn usage() -> String {
+    format!(
+        "usage: exhibits [{} | all]... [--fast] [--csv] [--mdes-dump SPEC] [--save FILE] \
+         [--load FILE] [--checkpoint FILE [--resume]] [--trace-out FILE] [--trace-summary]",
+        exhibits::EXHIBITS.map(|row| row.0).join(" | ")
+    )
+}
 
 fn value_after(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -51,7 +56,7 @@ fn main() {
         }
     });
     if resume && checkpoint.is_none() {
-        eprintln!("error: --resume needs --checkpoint FILE\n{USAGE}");
+        eprintln!("error: --resume needs --checkpoint FILE\n{}", usage());
         std::process::exit(2);
     }
     // `--trace-out FILE` drains the exploration's spans to a JSONL
@@ -66,41 +71,47 @@ fn main() {
     // done (composable with other exhibits, but needs no exploration).
     let mdes_dump = value_after(&args, "--mdes-dump").map(|s| {
         let spec = cfp_machine::ArchSpec::parse(&s).unwrap_or_else(|e| {
-            eprintln!("error: bad spec `{s}`: {e}\n{USAGE}");
+            eprintln!("error: bad spec `{s}`: {e}\n{}", usage());
             std::process::exit(2);
         });
         exhibits::mdes_dump(&spec)
     });
+    // The names: every argument but a flag and the value after one
+    // that takes a value.
+    let valued = [
+        "--save",
+        "--load",
+        "--checkpoint",
+        "--mdes-dump",
+        "--trace-out",
+    ];
     let mut skip_next = false;
     let mut wanted: Vec<String> = args
         .iter()
         .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--save"
-                || *a == "--load"
-                || *a == "--checkpoint"
-                || *a == "--mdes-dump"
-                || *a == "--trace-out"
-            {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
+            let value = skip_next;
+            skip_next = !value && valued.contains(&a.as_str());
+            !value && !a.starts_with("--")
         })
         .cloned()
         .collect();
+    // Every name is checked before anything runs, loads or saves.
+    let unknown = |w: &&String| *w != "all" && exhibits::needs_exploration(w).is_none();
+    if let Some(w) = wanted.iter().find(unknown) {
+        eprintln!("unknown exhibit `{w}`\n{}", usage());
+        std::process::exit(2);
+    }
     if let Some(dump) = &mdes_dump {
         println!("{dump}\n");
     }
     // `--mdes-dump` alone stands alone; don't pull in `all`.
     if wanted.iter().any(|w| w == "all") || (wanted.is_empty() && mdes_dump.is_none()) {
-        wanted = exhibits::ALL.map(str::to_owned).to_vec();
+        wanted = exhibits::all().map(str::to_owned).collect();
     }
 
-    let needs_exploration = wanted.iter().any(|w| exhibits::needs_exploration(w));
+    let needs_exploration = wanted
+        .iter()
+        .any(|w| exhibits::needs_exploration(w) == Some(true));
     let exploration = if let Some(path) = &load {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read `{path}`: {e}");
@@ -168,10 +179,7 @@ fn main() {
         eprintln!("exploration saved to {path}");
     }
     for w in &wanted {
-        let Some(out) = exhibits::render(w, exploration.as_ref(), fast, csv) else {
-            eprintln!("unknown exhibit `{w}`\n{USAGE}");
-            std::process::exit(2);
-        };
+        let out = exhibits::render(w, exploration.as_ref(), fast, csv).expect("checked above");
         println!("{out}\n");
     }
 }

@@ -991,53 +991,54 @@ pub fn run_exploration(
     Exploration::try_run_traced(&config, rec)
 }
 
-/// The exhibits `all` expands to, in print order.
-pub const ALL: [&str; 20] = [
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "table9",
-    "table10",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "search",
-    "correction",
-    "codesize",
-    "pipelining",
-    "priority",
-    "spill",
+/// Every exhibit [`render`] knows, in print order: its command-line
+/// name, whether it is computed from the exploration, and whether `all`
+/// includes it (the axis studies run spaces of their own).
+pub const EXHIBITS: [(&str, bool, bool); 23] = [
+    ("table1", false, true),
+    ("table2", false, true),
+    ("table3", true, true),
+    ("table4", false, true),
+    ("table5", false, true),
+    ("table6", false, true),
+    ("table7", false, true),
+    ("table8", true, true),
+    ("table9", true, true),
+    ("table10", true, true),
+    ("figure1", false, true),
+    ("figure2", false, true),
+    ("figure3", true, true),
+    ("figure4", true, true),
+    ("search", true, true),
+    ("correction", true, true),
+    ("codesize", false, true),
+    ("pipelining", false, true),
+    ("priority", false, true),
+    ("spill", false, true),
+    ("extended", false, false),
+    ("fused", false, false),
+    ("oracle", false, false),
 ];
 
-/// Whether [`render`] computes exhibit `name` from the exploration.
+/// The exhibits `all` expands to, in print order.
+pub fn all() -> impl Iterator<Item = &'static str> {
+    EXHIBITS.iter().filter(|row| row.2).map(|row| row.0)
+}
+
+/// Whether [`render`] computes exhibit `name` from the exploration;
+/// `None` when `name` is no exhibit.
 #[must_use]
-pub fn needs_exploration(name: &str) -> bool {
-    matches!(
-        name,
-        "table3"
-            | "table8"
-            | "table9"
-            | "table10"
-            | "figure3"
-            | "figure4"
-            | "search"
-            | "correction"
-    )
+pub fn needs_exploration(name: &str) -> Option<bool> {
+    EXHIBITS.iter().find(|row| row.0 == name).map(|row| row.1)
 }
 
 /// Render one exhibit by its command-line name, or `None` for a name
-/// that is no exhibit. `fast` samples the spaces the axis studies
+/// that is no exhibit (no row of the exhibit table). `fast` samples the spaces the axis studies
 /// (`extended`, `fused`, `oracle`) run themselves; `csv` turns the
 /// figures into their raw data.
 ///
 /// # Panics
-/// Panics when [`needs_exploration`] holds for `name` and `ex` is `None`.
+/// Panics when `name` [`needs_exploration`] and `ex` is `None`.
 #[must_use]
 pub fn render(name: &str, ex: Option<&Exploration>, fast: bool, csv: bool) -> Option<String> {
     let explored = || ex.expect("this exhibit needs the exploration");
@@ -1085,6 +1086,20 @@ pub fn render(name: &str, ex: Option<&Exploration>, fast: bool, csv: bool) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_row_renders_and_nothing_else_does() {
+        let recorded = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/exploration.csv");
+        let text = std::fs::read_to_string(recorded).expect("the recorded exploration");
+        let ex = cfp_dse::from_csv(&text).expect("the recording parses");
+        for (name, ..) in EXHIBITS {
+            assert!(render(name, Some(&ex), true, false).is_some(), "{name}");
+        }
+        for name in ["all", "nosuch", "table11", "Table1", ""] {
+            assert_eq!(needs_exploration(name), None, "{name}");
+            assert!(render(name, Some(&ex), true, false).is_none(), "{name}");
+        }
+    }
 
     #[test]
     fn static_exhibits_render() {

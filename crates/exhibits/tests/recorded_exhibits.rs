@@ -43,7 +43,7 @@ fn without_this_run(text: &str) -> String {
 fn every_exhibit_matches_its_recording() {
     let ex = cfp_dse::from_csv(&recorded("exploration.csv")).expect("recorded run parses");
     let mut rendered = String::new();
-    for name in exhibits::ALL {
+    for name in exhibits::all() {
         let out = exhibits::render(name, Some(&ex), false, false).expect("a known exhibit");
         rendered.push_str(&out);
         rendered.push_str("\n\n");

@@ -18,7 +18,7 @@ use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::list::{self, Schedule};
 use crate::loopcode::{FuClass, LoopCode};
-use crate::regalloc::{peak_pressure_in, PressureReport};
+use crate::regalloc::{excess, peak_pressure_in, PressureReport};
 use crate::scratch::{with_arena, SchedScratch};
 use cfp_ir::Kernel;
 use cfp_machine::{MachineResources, UnitClass};
@@ -85,10 +85,17 @@ impl Prepared {
     /// move, else a rebuild that copies the prepared memory edges.
     #[must_use]
     pub fn assigned_ddg(&self, assignment: &Assignment) -> Cow<'_, Ddg> {
+        with_arena(|arena| self.assigned_ddg_in(assignment, arena))
+    }
+
+    /// [`Prepared::assigned_ddg`] in a borrowed arena. Moves are appended
+    /// behind the original ops and never touch memory, so a rebuild takes
+    /// its memory edges from the prepared graph.
+    fn assigned_ddg_in(&self, assignment: &Assignment, arena: &mut SchedScratch) -> Cow<'_, Ddg> {
         if assignment.move_count == 0 {
             Cow::Borrowed(&self.ddg)
         } else {
-            with_arena(|arena| Cow::Owned(Ddg::build_in(&assignment.code, Some(&self.ddg), arena)))
+            Cow::Owned(Ddg::build_in(&assignment.code, Some(&self.ddg), arena))
         }
     }
 }
@@ -199,24 +206,14 @@ fn core_in(
         ],
     );
     let t0 = trace.start();
-    // A move-free assignment (always, on one cluster) leaves the code as
-    // prepared, so its dependence graph is the prepared one. Moves are
-    // appended behind the original ops and never touch memory, so a
-    // rebuild takes its memory edges from the prepared graph.
-    let rebuilt;
-    let ddg = if assignment.move_count == 0 {
-        &prepared.ddg
-    } else {
-        rebuilt = Ddg::build_in(&assignment.code, Some(&prepared.ddg), arena);
-        &rebuilt
-    };
+    let ddg = prepared.assigned_ddg_in(&assignment, arena);
     trace.stage(
         Stage::Ddg,
         t0,
         &[("critical_path", Value::U64(u64::from(ddg.critical_path())))],
     );
     let t0 = trace.start();
-    let run = match list::portfolio_in(&assignment, ddg, machine, fuel, arena) {
+    let run = match list::portfolio_in(&assignment, &ddg, machine, fuel, arena) {
         Ok(run) => run,
         Err(e) => {
             trace.stage(
@@ -260,9 +257,9 @@ fn core_in(
 }
 
 /// Judge a scheduled core against a concrete machine's register files:
-/// attach capacities and price the spill traffic. This is the only step
-/// that reads the register-file size, and it is cheap — the exploration
-/// runs it once per register configuration while sharing the core.
+/// attach capacities and price the spill traffic of [`spill_excess`]'s
+/// verdict. Cheap — the exploration shares the core across register
+/// configurations and takes the same verdict per configuration.
 #[must_use]
 pub fn finish(core: &SchedCore, machine: &MachineResources) -> CompileResult {
     finish_owned(core.clone(), machine)
@@ -271,11 +268,11 @@ pub fn finish(core: &SchedCore, machine: &MachineResources) -> CompileResult {
 /// [`finish`] consuming the core: its schedule, assigned code and peaks
 /// move into the result instead of being copied.
 fn finish_owned(core: SchedCore, machine: &MachineResources) -> CompileResult {
+    let spill_penalty = spill_penalty_cycles(spill_excess(&core.peak, machine), machine);
     let pressure = PressureReport {
         peak: core.peak,
         capacity: machine.mdes.clusters().iter().map(|cl| cl.regs).collect(),
     };
-    let spill_penalty = spill_penalty_cycles(pressure.spill_excess(), machine);
     CompileResult {
         schedule: core.schedule,
         assignment: core.assignment,
@@ -310,6 +307,13 @@ pub fn compile(kernel: &Kernel, machine: &MachineResources) -> CompileResult {
         Ok(core) => finish_owned(core, machine),
         Err(e) => panic!("compilation failed under unlimited fuel: {e}"),
     }
+}
+
+/// Registers short when `machine`'s clusters hold `peak` live values
+/// each: the spill verdict [`finish`] and the exploration both take.
+#[must_use]
+pub fn spill_excess(peak: &[u32], machine: &MachineResources) -> u32 {
+    excess(peak, machine.mdes.clusters().iter().map(|cl| cl.regs))
 }
 
 /// Cycles of spill traffic per iteration when `excess` values do not fit.

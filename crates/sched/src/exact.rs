@@ -24,9 +24,9 @@
 //! * **dependences** — `slot(to) ≥ slot(from) + lat − II·ω` for every
 //!   [`OmegaDep`] (difference constraints);
 //! * **resources** — at every modulo residue, each row of the machine's
-//!   reservation table holds at most its unit count, counting the
-//!   reserved window of non-pipelined ports
-//!   ([`cfp_machine::Mdes::reservations`]).
+//!   reservation table holds at most its unit count: the heuristic's and
+//!   the validator's modulo reservation table (`mrt.rs`), reserved on
+//!   placement and released on backtrack.
 //!
 //! Propagation closes the difference constraints into an all-pairs
 //! longest-path matrix over weights `lat − II·ω`, one Bellman–Ford pass
@@ -72,6 +72,7 @@ use crate::cluster::Assignment;
 use crate::ddg::Ddg;
 use crate::error::{Fuel, SchedError};
 use crate::modulo::{res_mii_of, OmegaDep, PipelineProblem, ResReq};
+use crate::mrt::Mrt;
 use cfp_machine::MachineResources;
 use cfp_obs::{Stage, UnitTrace, Value};
 
@@ -382,7 +383,6 @@ fn search_closed(
         dist,
         related: &related,
         reqs,
-        row_units,
         order: &order,
         comp: &comp,
         horizon,
@@ -393,7 +393,7 @@ fn search_closed(
         lst: vec![-NO_PATH; n],
         comp_base: vec![0_i64; n],
         comp_count: vec![0_u32; n],
-        counts: vec![0_u32; row_units.len() * ii as usize],
+        mrt: Mrt::new(row_units, ii),
         trail: Vec::new(),
         fuel,
     };
@@ -529,7 +529,6 @@ struct Solver<'a> {
     /// The ops each op has a finite distance to or from.
     related: &'a Related,
     reqs: &'a [Vec<ResReq>],
-    row_units: &'a [u32],
     /// Static priority order (indices, most critical first).
     order: &'a [u32],
     /// Component representative of each op.
@@ -546,8 +545,8 @@ struct Solver<'a> {
     /// the component's ops are currently placed.
     comp_base: Vec<i64>,
     comp_count: Vec<u32>,
-    /// Occupancy per `(row, residue)`.
-    counts: Vec<u32>,
+    /// The modulo reservation table of the placed ops.
+    mrt: Mrt,
     /// Undo log for est/lst propagation: `(op, old est, old lst)`.
     trail: Vec<(u32, i64, i64)>,
     fuel: &'a mut Fuel,
@@ -576,7 +575,7 @@ impl Solver<'_> {
         let mut s = lo;
         while s <= hi {
             self.fuel.spend(1)?;
-            if self.fits(v, s) {
+            if self.mrt.fits(&self.reqs[v], s) {
                 self.place(v, s);
                 let mark = self.trail.len();
                 let alive = self.propagate(v, s);
@@ -621,31 +620,8 @@ impl Solver<'_> {
         entered.or(any)
     }
 
-    /// Whether op `v` fits at flat slot `s` under the reservation
-    /// table: each touched cell must stay within its row's unit count. A
-    /// reservation longer than the II wraps onto residues it already
-    /// occupies, so `dt / ii` copies of this same reservation are
-    /// counted on top of the table.
-    fn fits(&self, v: usize, s: i64) -> bool {
-        let stride = self.ii as usize;
-        self.reqs[v].iter().all(|r| {
-            let units = self.row_units[r.row as usize];
-            (0..i64::from(r.reserved)).all(|dt| {
-                let residue = (s + dt).rem_euclid(self.ii) as usize;
-                let own = (dt / self.ii) as u32;
-                self.counts[r.row as usize * stride + residue] + own < units
-            })
-        })
-    }
-
     fn place(&mut self, v: usize, s: i64) {
-        let stride = self.ii as usize;
-        for r in &self.reqs[v] {
-            for dt in 0..i64::from(r.reserved) {
-                let residue = (s + dt).rem_euclid(self.ii) as usize;
-                self.counts[r.row as usize * stride + residue] += 1;
-            }
-        }
+        self.mrt.reserve(&self.reqs[v], s);
         self.placed[v] = true;
         self.slot[v] = s;
         let c = self.comp[v] as usize;
@@ -670,13 +646,7 @@ impl Solver<'_> {
         }
         self.comp_count[self.comp[v] as usize] -= 1;
         self.placed[v] = false;
-        let stride = self.ii as usize;
-        for r in &self.reqs[v] {
-            for dt in 0..i64::from(r.reserved) {
-                let residue = (s + dt).rem_euclid(self.ii) as usize;
-                self.counts[r.row as usize * stride + residue] -= 1;
-            }
-        }
+        self.mrt.release(&self.reqs[v], s);
     }
 
     /// Tighten est/lst of unplaced ops from `v @ s`; `false` means a

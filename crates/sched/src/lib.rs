@@ -62,14 +62,15 @@ pub mod exact;
 pub mod list;
 pub mod loopcode;
 pub mod modulo;
+mod mrt;
 pub mod regalloc;
 mod scratch;
 pub mod simulate;
 
 pub use cluster::{Assignment, HomeTable};
 pub use compile::{
-    compile, finish, prepare, spill_penalty_cycles, try_compile_core, CompileResult, Prepared,
-    SchedCore,
+    compile, finish, prepare, spill_excess, spill_penalty_cycles, try_compile_core, CompileResult,
+    Prepared, SchedCore,
 };
 pub use ddg::{Ddg, Dep, DepKind};
 pub use encode::{decode, encode, encode_traced, EncodeError, Program};

@@ -42,11 +42,7 @@ impl PressureReport {
     /// Total registers short across clusters (0 when everything fits).
     #[must_use]
     pub fn spill_excess(&self) -> u32 {
-        self.peak
-            .iter()
-            .zip(&self.capacity)
-            .map(|(&p, &c)| p.saturating_sub(c))
-            .sum()
+        excess(&self.peak, self.capacity.iter().copied())
     }
 
     /// Whether the kernel fits without spilling.
@@ -54,6 +50,13 @@ impl PressureReport {
     pub fn fits(&self) -> bool {
         self.spill_excess() == 0
     }
+}
+
+/// Registers short across clusters of `capacity` registers each.
+pub(crate) fn excess(peak: &[u32], capacity: impl IntoIterator<Item = u32>) -> u32 {
+    std::iter::zip(peak, capacity)
+        .map(|(&p, c)| p.saturating_sub(c))
+        .sum()
 }
 
 /// Compute the pressure report for a scheduled iteration.

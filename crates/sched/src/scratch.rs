@@ -35,6 +35,7 @@
 use crate::cluster::Placing;
 use crate::ddg::{height_order, Dep, MemBuckets};
 use crate::list::{IssueQueue, Wait};
+use crate::mrt::Mrt;
 use cfp_machine::ResReq;
 use std::cell::RefCell;
 
@@ -85,8 +86,7 @@ pub(crate) struct SchedScratch {
     pub(crate) reader_mask: Vec<u64>,
     pub(crate) diff: Vec<i32>,
     // --- modulo scheduler ---
-    pub(crate) mod_rows: Vec<u32>,
-    pub(crate) mod_full: Vec<u64>,
+    pub(crate) mrt: Mrt,
     pub(crate) mod_slots: Vec<u32>,
     pub(crate) mod_demand: Vec<u64>,
 }
